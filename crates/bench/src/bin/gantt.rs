@@ -9,8 +9,7 @@
 use airdrop_sim::{AirdropConfig, AirdropEnv};
 use bench::HarnessOpts;
 use cluster_sim::{render_gantt, ClusterSession, ClusterSpec};
-use dist_exec::backend::backend_for;
-use dist_exec::{Deployment, ExecSpec, FnEnvFactory, Framework};
+use dist_exec::{train, Deployment, ExecSpec, FnEnvFactory, Framework};
 use gymrs::Environment;
 use rl_algos::ppo::PpoConfig;
 use rl_algos::Algorithm;
@@ -51,9 +50,7 @@ fn main() {
         });
         let cluster = ClusterSpec::paper_testbed(nodes);
         let mut session = ClusterSession::new(cluster.clone()).with_trace();
-        let backend = backend_for(framework);
-        let _report =
-            backend.train(&spec, &factory, &mut session).expect("trains");
+        train(&spec, &factory, &mut session).expect("trains");
         let trace = session.trace().to_vec();
         let usage = session.finish();
         let title = format!(

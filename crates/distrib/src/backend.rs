@@ -1,8 +1,6 @@
-//! The [`Backend`] trait, environment factories and the dispatch entry
-//! point.
+//! Environment factories and the entry points that run a whole trial.
 
-use crate::backends::{RllibLike, StableBaselinesLike, TfAgentsLike};
-use crate::framework::Framework;
+use crate::backends::train;
 use crate::report::ExecReport;
 use crate::spec::ExecSpec;
 use cluster_sim::{ClusterSession, ClusterSpec};
@@ -11,7 +9,7 @@ use telemetry::SharedRecorder;
 
 /// Creates per-worker environment instances.
 ///
-/// Factories are `Send + Sync` because the RLlib-like backend builds
+/// Factories are `Send + Sync` because per-env workers rebuild their
 /// environments inside worker threads.
 pub trait EnvFactory: Send + Sync {
     /// Build a fresh environment seeded with `seed`.
@@ -39,40 +37,9 @@ where
     }
 }
 
-/// A training execution architecture.
-pub trait Backend {
-    /// The framework this backend models.
-    fn framework(&self) -> Framework;
-
-    /// Run the training described by `spec` on environments from
-    /// `factory`, narrating costs to `session`. Per-iteration progress
-    /// lands on the session's telemetry recorder as
-    /// [`crate::keys::TRIAL_ITERATION`] events, and the recorder's
-    /// [`should_stop`](telemetry::Recorder::should_stop) answer may stop
-    /// the trial early (e.g. for pruning).
-    ///
-    /// Worker failures the spec's [`FaultPolicy`](crate::runtime::FaultPolicy)
-    /// cannot absorb surface as `Err` — backends never panic the study.
-    fn train(
-        &self,
-        spec: &ExecSpec,
-        factory: &dyn EnvFactory,
-        session: &mut ClusterSession,
-    ) -> Result<ExecReport, String>;
-}
-
-/// Build the backend for a framework.
-pub fn backend_for(framework: Framework) -> Box<dyn Backend> {
-    match framework {
-        Framework::RayRllib => Box::new(RllibLike),
-        Framework::StableBaselines => Box::new(StableBaselinesLike),
-        Framework::TfAgents => Box::new(TfAgentsLike),
-    }
-}
-
 /// Run a full training execution: validates the spec, builds the cluster
-/// session for the requested deployment, dispatches to the right backend
-/// and finalizes the usage accounting.
+/// session for the requested deployment, trains on it and finalizes the
+/// usage accounting.
 pub fn run(spec: &ExecSpec, factory: &dyn EnvFactory) -> Result<ExecReport, String> {
     run_recorded(spec, factory, telemetry::null_recorder())
 }
@@ -92,130 +59,7 @@ pub fn run_recorded(
     spec.validate()?;
     let cluster = ClusterSpec::paper_testbed(spec.deployment.nodes);
     let mut session = ClusterSession::with_recorder(cluster, recorder);
-    let backend = backend_for(spec.framework);
-    let mut report = backend.train(spec, factory, &mut session)?;
+    let mut report = train(spec, factory, &mut session)?;
     report.usage = session.finish();
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::spec::Deployment;
-    use gymrs::envs::GridWorld;
-    use rl_algos::Algorithm;
-
-    fn grid_factory() -> impl EnvFactory {
-        FnEnvFactory(|seed| {
-            let mut e = GridWorld::new(3);
-            e.seed(seed);
-            Box::new(e) as Box<dyn Environment>
-        })
-    }
-
-    #[test]
-    fn dispatch_builds_matching_backend() {
-        for f in Framework::ALL {
-            assert_eq!(backend_for(f).framework(), f);
-        }
-    }
-
-    #[test]
-    fn run_rejects_invalid_spec() {
-        let spec = ExecSpec::new(
-            Framework::TfAgents,
-            Algorithm::Ppo,
-            Deployment { nodes: 2, cores_per_node: 4 },
-            100,
-            0,
-        );
-        assert!(run(&spec, &grid_factory()).is_err());
-    }
-
-    #[test]
-    fn factory_seeds_environments() {
-        let f = grid_factory();
-        let mut a = f.make(1);
-        let mut b = f.make(1);
-        assert_eq!(a.reset(), b.reset());
-    }
-
-    fn fast_spec(framework: Framework) -> ExecSpec {
-        let mut s = ExecSpec::new(
-            framework,
-            Algorithm::Ppo,
-            Deployment { nodes: 1, cores_per_node: 2 },
-            512,
-            7,
-        );
-        s.ppo = rl_algos::ppo::PpoConfig::fast_test();
-        s
-    }
-
-    #[test]
-    fn recorded_rollup_reproduces_report_usage_bitwise() {
-        use crate::run_recorded;
-        use cluster_sim::Usage;
-        use std::sync::Arc;
-        for framework in Framework::ALL {
-            let ring = Arc::new(telemetry::RingRecorder::new());
-            let report =
-                run_recorded(&fast_spec(framework), &grid_factory(), ring.clone()).expect("runs");
-            let snap = ring.snapshot();
-            let rolled = Usage::from_snapshot(&snap, &ClusterSpec::paper_testbed(1));
-            assert_eq!(
-                rolled.wall_s.to_bits(),
-                report.usage.wall_s.to_bits(),
-                "{framework:?}: wall-clock must come out of the recorder bit for bit"
-            );
-            assert_eq!(
-                rolled.energy_j.to_bits(),
-                report.usage.energy_j.to_bits(),
-                "{framework:?}: energy must come out of the recorder bit for bit"
-            );
-            assert_eq!(snap.counter(crate::keys::ENV_STEPS.name()), Some(report.env_steps));
-            assert_eq!(snap.counter(crate::keys::ENV_WORK.name()), Some(report.env_work));
-            let iterations = snap.events_named(crate::keys::TRIAL_ITERATION.name()).count();
-            assert!(iterations > 0, "{framework:?}: trial lifecycle events recorded");
-        }
-    }
-
-    #[test]
-    fn recorder_should_stop_ends_the_trial_early() {
-        use crate::run_recorded;
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        use telemetry::{Key, Recorder, SpanId, Value};
-
-        /// Stops after two TRIAL_ITERATION events.
-        #[derive(Default)]
-        struct StopAfterTwo(AtomicU64);
-        impl Recorder for StopAfterTwo {
-            fn counter_add(&self, _: Key, _: u64) {}
-            fn accum_add(&self, _: Key, _: f64) {}
-            fn gauge_set(&self, _: Key, _: f64) {}
-            fn span_begin(&self, _: Key) -> SpanId {
-                SpanId(0)
-            }
-            fn span_end(&self, _: SpanId) {}
-            fn event(&self, key: Key, _: &[(Key, Value)]) {
-                if key == crate::keys::TRIAL_ITERATION {
-                    self.0.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            fn should_stop(&self) -> bool {
-                self.0.load(Ordering::SeqCst) >= 2
-            }
-        }
-
-        let full = run(&fast_spec(Framework::StableBaselines), &grid_factory()).expect("runs");
-        let stopped = run_recorded(
-            &fast_spec(Framework::StableBaselines),
-            &grid_factory(),
-            Arc::new(StopAfterTwo::default()),
-        )
-        .expect("runs");
-        assert!(stopped.env_steps < full.env_steps, "recorder stop consumed fewer steps");
-        assert!(stopped.env_steps > 0);
-    }
 }

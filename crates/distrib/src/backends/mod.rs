@@ -1,12 +1,10 @@
-//! The three framework-like execution backends.
+//! The training loops and the collection helpers they share with the
+//! runtime's workers.
 
 pub mod common;
-pub mod impala;
-pub mod rllib;
-pub mod sb3;
-pub mod tfa;
+mod train;
 
-pub use impala::{train_impala, ImpalaOpts};
-pub use rllib::RllibLike;
-pub use sb3::StableBaselinesLike;
-pub use tfa::TfAgentsLike;
+#[cfg(test)]
+mod tests;
+
+pub use train::{train, train_impala, ImpalaOpts};

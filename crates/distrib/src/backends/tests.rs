@@ -1,0 +1,401 @@
+//! One suite over every architecture: what must hold for all of them is
+//! asserted in a loop over [`Framework::ALL`], what distinguishes them is
+//! asserted against the [`Architecture`] table.
+
+use crate::backend::{run, run_recorded, EnvFactory, FnEnvFactory};
+use crate::backends::{train, train_impala, ImpalaOpts};
+use crate::framework::{Architecture, Collectors, Framework, Inference, Sampling};
+use crate::report::{ExecReport, TrainedModel};
+use crate::runtime::SyncPolicy;
+use crate::spec::{Deployment, ExecSpec};
+use cluster_sim::{ClusterSession, ClusterSpec, PhaseEvent, Usage};
+use gymrs::envs::{GridWorld, PointMass};
+use gymrs::Environment;
+use rl_algos::impala::ImpalaConfig;
+use rl_algos::ppo::PpoConfig;
+use rl_algos::sac::SacConfig;
+use rl_algos::schedules::Schedule;
+use rl_algos::Algorithm;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+fn grid_factory() -> impl EnvFactory {
+    FnEnvFactory(|seed| {
+        let mut e = GridWorld::new(3);
+        e.seed(seed);
+        Box::new(e) as Box<dyn Environment>
+    })
+}
+
+fn point_factory() -> impl EnvFactory {
+    FnEnvFactory(|seed| {
+        let mut e = PointMass::new();
+        e.seed(seed);
+        Box::new(e) as Box<dyn Environment>
+    })
+}
+
+fn spec(
+    framework: Framework,
+    algorithm: Algorithm,
+    nodes: usize,
+    cores: usize,
+    steps: usize,
+) -> ExecSpec {
+    let seed = match framework {
+        Framework::StableBaselines => 7,
+        Framework::TfAgents => 11,
+        Framework::RayRllib => 13,
+    };
+    let deployment = Deployment { nodes, cores_per_node: cores };
+    let mut s = ExecSpec::new(framework, algorithm, deployment, steps, seed);
+    s.ppo = PpoConfig::fast_test();
+    s.sac = SacConfig { start_steps: 64, ..SacConfig::fast_test() };
+    s
+}
+
+fn ppo(framework: Framework, nodes: usize, cores: usize, steps: usize) -> ExecReport {
+    run(&spec(framework, Algorithm::Ppo, nodes, cores, steps), &grid_factory()).expect("runs")
+}
+
+fn sac(framework: Framework, nodes: usize, cores: usize, steps: usize) -> ExecReport {
+    run(&spec(framework, Algorithm::Sac, nodes, cores, steps), &point_factory()).expect("runs")
+}
+
+fn impala(opts: &ImpalaOpts) -> (ExecReport, Usage) {
+    let mut session = ClusterSession::new(ClusterSpec::paper_testbed(opts.deployment.nodes));
+    let report = train_impala(opts, &grid_factory(), &mut session).expect("runs");
+    (report, session.finish())
+}
+
+fn policy_bits(report: &mut ExecReport) -> Vec<u64> {
+    let TrainedModel::Ppo(policy) = &mut report.model else { panic!("a PPO model") };
+    let mut bits = Vec::new();
+    policy.actor.visit_params(|w, _| bits.extend(w.iter().map(|v| v.to_bits())));
+    policy.critic.visit_params(|w, _| bits.extend(w.iter().map(|v| v.to_bits())));
+    bits
+}
+
+/// A recorder that asks for a stop after two iteration events.
+#[derive(Default)]
+struct StopAfterTwo(AtomicU64);
+
+impl telemetry::Recorder for StopAfterTwo {
+    fn counter_add(&self, _: telemetry::Key, _: u64) {}
+    fn accum_add(&self, _: telemetry::Key, _: f64) {}
+    fn gauge_set(&self, _: telemetry::Key, _: f64) {}
+    fn span_begin(&self, _: telemetry::Key) -> telemetry::SpanId {
+        telemetry::SpanId(0)
+    }
+    fn span_end(&self, _: telemetry::SpanId) {}
+    fn event(&self, key: telemetry::Key, _: &[(telemetry::Key, telemetry::Value)]) {
+        if key == crate::keys::TRIAL_ITERATION {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    fn should_stop(&self) -> bool {
+        self.0.load(Ordering::SeqCst) >= 2
+    }
+}
+
+#[test]
+fn architecture_table_matches_the_design_matrix() {
+    // DESIGN.md §6 "Execution runtime": sync policy, collector shape and
+    // which workers collect on a stale snapshot, per architecture.
+    let sb3 = Framework::StableBaselines.architecture();
+    let tfa = Framework::TfAgents.architecture();
+    let rllib = Framework::RayRllib.architecture();
+    let impala = Architecture::impala(4);
+    let shape = |a: &Architecture| (a.sync, a.collectors, a.multi_node);
+    assert_eq!(shape(&sb3), (SyncPolicy::EveryRound, Collectors::Vectorized, false));
+    assert_eq!(shape(&tfa), (SyncPolicy::EveryRound, Collectors::Vectorized, false));
+    assert_eq!(shape(&rllib), (SyncPolicy::RemotePeriodic { period: 2 }, Collectors::PerEnv, true));
+    assert_eq!(shape(&impala), (SyncPolicy::Periodic { period: 4 }, Collectors::PerEnv, true));
+
+    // Workers left stale before an off-period round of a 2x2 worker set.
+    let stale = |a: &Architecture| -> Vec<usize> {
+        let fresh = a.sync.recipients(1, &[0, 0, 1, 1]);
+        (0..4).filter(|w| !fresh.contains(w)).collect()
+    };
+    assert!(stale(&sb3).is_empty() && stale(&tfa).is_empty());
+    assert_eq!(stale(&rllib), [2, 3], "remote nodes between periods");
+    assert_eq!(stale(&impala), [0, 1, 2, 3], "everyone between periods");
+
+    // Only the SB3-like loop samples from the learner's stream and pays
+    // for inference on the learner's threads.
+    for a in [&tfa, &rllib, &impala] {
+        assert!(matches!(a.sampling, Sampling::PerRound { .. }));
+        assert_eq!(a.inference, Inference::WithCollection);
+    }
+    assert_eq!((sb3.sampling, sb3.inference), (Sampling::Master, Inference::OnLearner));
+
+    // IMPALA is an extension, not one of Table I's frameworks.
+    assert_eq!(Framework::ALL.len(), 3);
+    assert!(Framework::ALL.iter().all(|f| f.architecture().profile.name != impala.profile.name));
+}
+
+#[test]
+fn factory_seeds_environments() {
+    let f = grid_factory();
+    assert_eq!(f.make(1).reset(), f.make(1).reset());
+}
+
+#[test]
+fn bad_inputs_are_rejected_before_anything_is_built() {
+    let untouched = FnEnvFactory(|_| -> Box<dyn Environment> { panic!("nothing may be built") });
+    let shape = |nodes, cores_per_node| Deployment { nodes, cores_per_node };
+    let cases: [(&str, Deployment, usize, Option<&str>); 4] = [
+        ("no node", shape(0, 4), 512, None),
+        ("no core", shape(1, 0), 512, None),
+        ("no steps", shape(1, 2), 0, None),
+        ("malformed transport", shape(1, 2), 512, Some("smoke-signals")),
+    ];
+    for (what, deployment, total_steps, transport) in cases {
+        let transport = transport.map(str::to_owned);
+        for framework in Framework::ALL {
+            let mut s = spec(framework, Algorithm::Ppo, 1, 2, total_steps);
+            s.deployment = deployment;
+            s.transport = transport.clone();
+            assert!(run(&s, &untouched).is_err(), "{framework:?}: {what}");
+        }
+        let opts = ImpalaOpts { deployment, total_steps, transport, ..Default::default() };
+        let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
+        assert!(train_impala(&opts, &untouched, &mut session).is_err(), "IMPALA: {what}");
+    }
+    for framework in [Framework::StableBaselines, Framework::TfAgents] {
+        let s = spec(framework, Algorithm::Ppo, 2, 4, 512);
+        assert!(run(&s, &untouched).is_err(), "{framework:?}: single node only");
+    }
+}
+
+#[test]
+fn ppo_runs_report_consistent_accounting() {
+    for framework in Framework::ALL {
+        let report = ppo(framework, 1, 4, 1024);
+        assert!(report.env_steps >= 1024, "{framework:?}");
+        assert_eq!(report.env_work, report.env_steps, "{framework:?}: grid world, 1 unit/step");
+        assert!(report.updates > 0, "{framework:?}");
+        assert!(report.usage.wall_s > 0.0, "{framework:?}");
+        assert!(report.usage.energy_j > 0.0, "{framework:?}");
+        assert_eq!(report.usage.bytes_moved, 0, "{framework:?}: single node ships nothing");
+    }
+}
+
+#[test]
+fn sac_runs_report_consistent_accounting() {
+    for framework in Framework::ALL {
+        let report = sac(framework, 1, 2, 300);
+        assert!(report.env_steps >= 300, "{framework:?}");
+        assert!(report.updates > 0, "{framework:?}: SAC must update after warmup");
+        assert!(report.usage.wall_s > 0.0, "{framework:?}");
+        assert!(report.learn_flops > 0, "{framework:?}");
+    }
+}
+
+#[test]
+fn sac_loop_differs_between_frameworks_only_through_the_profile() {
+    // SB3-like and TF-Agents-like share collectors shape and SAC seed
+    // salt, so at equal seed the learning is the same and only the cost
+    // constants move the clock.
+    let mut tfa_spec = spec(Framework::TfAgents, Algorithm::Sac, 1, 2, 300);
+    tfa_spec.seed = spec(Framework::StableBaselines, Algorithm::Sac, 1, 2, 300).seed;
+    let tfa = run(&tfa_spec, &point_factory()).expect("runs");
+    let sb3 = sac(Framework::StableBaselines, 1, 2, 300);
+    assert_eq!(sb3.train_returns, tfa.train_returns);
+    assert_eq!(sb3.env_steps, tfa.env_steps);
+    assert_eq!(sb3.updates, tfa.updates);
+    assert_eq!(sb3.learn_flops, tfa.learn_flops);
+    assert_ne!(sb3.usage.wall_s, tfa.usage.wall_s);
+}
+
+#[test]
+fn sac_two_nodes_completes_with_traffic() {
+    let report = sac(Framework::RayRllib, 2, 2, 300);
+    assert!(report.env_steps >= 300);
+    assert!(report.usage.bytes_moved > 0);
+}
+
+#[test]
+fn more_cores_is_faster_in_simulated_time() {
+    for framework in Framework::ALL {
+        let two = ppo(framework, 1, 2, 1024).usage.wall_s;
+        let four = ppo(framework, 1, 4, 1024).usage.wall_s;
+        assert!(four < two, "{framework:?}: 4 cores {four} should beat 2 cores {two}");
+    }
+}
+
+#[test]
+fn runs_are_reproducible() {
+    // Per-worker seeding and the index-ordered merge decouple results
+    // from thread scheduling, on one node and on two.
+    let shapes = [
+        (Framework::StableBaselines, 1, 4),
+        (Framework::TfAgents, 1, 4),
+        (Framework::RayRllib, 1, 2),
+        (Framework::RayRllib, 2, 2),
+    ];
+    for (framework, nodes, cores) in shapes {
+        let a = ppo(framework, nodes, cores, 512);
+        let b = ppo(framework, nodes, cores, 512);
+        assert_eq!(a.train_returns, b.train_returns, "{framework:?} {nodes}x{cores}");
+        assert_eq!(a.usage.wall_s.to_bits(), b.usage.wall_s.to_bits(), "{framework:?}");
+    }
+}
+
+#[test]
+fn lr_schedule_is_honoured_by_every_framework() {
+    for framework in Framework::ALL {
+        let run_with = |schedule: Option<Schedule>| {
+            let mut s = spec(framework, Algorithm::Ppo, 1, 2, 1024);
+            s.ppo.lr_schedule = schedule;
+            let mut report = run(&s, &grid_factory()).expect("runs");
+            (policy_bits(&mut report), report.train_returns, report.usage.wall_s.to_bits())
+        };
+        let lr = PpoConfig::fast_test().lr;
+        let plain = run_with(None);
+        assert_eq!(run_with(Some(Schedule::Constant(lr))), plain, "{framework:?}: no-op schedule");
+        let annealed = run_with(Some(Schedule::linear_to_zero(lr)));
+        assert_ne!(annealed.0, plain.0, "{framework:?}: annealing must reach the optimizer");
+    }
+}
+
+#[test]
+fn tfa_uses_less_energy_than_rllib_at_equal_config() {
+    // The §VI-B signal at equal deployment: the lean driver undercuts
+    // Ray's heavyweight per-step machinery on both time and energy.
+    let tfa_spec = spec(Framework::TfAgents, Algorithm::Ppo, 1, 4, 1024);
+    let ray_spec = ExecSpec { framework: Framework::RayRllib, ..tfa_spec.clone() };
+    let tfa = run(&tfa_spec, &grid_factory()).expect("runs").usage;
+    let ray = run(&ray_spec, &grid_factory()).expect("runs").usage;
+    assert!(
+        tfa.energy_j < ray.energy_j,
+        "TF-Agents {} J should undercut RLlib {} J",
+        tfa.energy_j,
+        ray.energy_j
+    );
+    assert!(tfa.wall_s < ray.wall_s);
+}
+
+#[test]
+fn rllib_two_nodes_trade_traffic_and_power_for_time() {
+    // The paper's core RLlib observation (solutions 2 and 5).
+    let one = ppo(Framework::RayRllib, 1, 4, 2048).usage;
+    let two = ppo(Framework::RayRllib, 2, 4, 2048).usage;
+    assert!(two.bytes_moved > 0, "remote rollouts must cross the wire");
+    assert!(two.network_s > 0.0);
+    assert!(two.transfers > 0);
+    assert!(two.wall_s < one.wall_s, "2 nodes {} should beat 1 node {}", two.wall_s, one.wall_s);
+    assert!(two.mean_watts() > one.mean_watts());
+}
+
+#[test]
+fn two_node_trace_interleaves_compute_and_transfers() {
+    // Narration structure: each iteration produces a concurrent compute
+    // phase across both nodes, experience transfers, a learner phase and
+    // overhead.
+    let spec = spec(Framework::RayRllib, Algorithm::Ppo, 2, 2, 512);
+    let mut session = ClusterSession::new(ClusterSpec::paper_testbed(2)).with_trace();
+    train(&spec, &grid_factory(), &mut session).expect("runs");
+    let trace = session.trace();
+    let computes = trace.iter().filter(|e| matches!(e, PhaseEvent::Compute { .. })).count();
+    let transfers = trace.iter().filter(|e| matches!(e, PhaseEvent::Transfer { .. })).count();
+    assert!(computes >= 2, "collection + learner phases per iteration");
+    assert!(transfers >= 1, "experience/weights must cross the wire");
+    let has_two_node_phase =
+        trace.iter().any(|e| matches!(e, PhaseEvent::Compute { work, .. } if work.len() == 2));
+    assert!(has_two_node_phase, "concurrent collection spans both nodes");
+}
+
+#[test]
+fn recorded_rollup_reproduces_report_usage_bitwise() {
+    for framework in Framework::ALL {
+        let ring = Arc::new(telemetry::RingRecorder::new());
+        let spec = spec(framework, Algorithm::Ppo, 1, 2, 512);
+        let report = run_recorded(&spec, &grid_factory(), ring.clone()).expect("runs");
+        let snap = ring.snapshot();
+        let rolled = Usage::from_snapshot(&snap, &ClusterSpec::paper_testbed(1));
+        assert_eq!(
+            rolled.wall_s.to_bits(),
+            report.usage.wall_s.to_bits(),
+            "{framework:?}: wall-clock must come out of the recorder bit for bit"
+        );
+        assert_eq!(
+            rolled.energy_j.to_bits(),
+            report.usage.energy_j.to_bits(),
+            "{framework:?}: energy must come out of the recorder bit for bit"
+        );
+        assert_eq!(snap.counter(crate::keys::ENV_STEPS.name()), Some(report.env_steps));
+        assert_eq!(snap.counter(crate::keys::ENV_WORK.name()), Some(report.env_work));
+        let iterations = snap.events_named(crate::keys::TRIAL_ITERATION.name()).count();
+        assert!(iterations > 0, "{framework:?}: trial lifecycle events recorded");
+    }
+}
+
+#[test]
+fn recorder_should_stop_ends_the_trial_early() {
+    for framework in Framework::ALL {
+        let spec = spec(framework, Algorithm::Ppo, 1, 2, 1024);
+        let full = run(&spec, &grid_factory()).expect("runs");
+        let stopped =
+            run_recorded(&spec, &grid_factory(), Arc::new(StopAfterTwo::default())).expect("runs");
+        assert!(stopped.env_steps < full.env_steps, "{framework:?}: stop consumed fewer steps");
+        assert!(stopped.env_steps > 0);
+    }
+}
+
+fn small_impala(nodes: usize, n_steps: usize, total_steps: usize) -> ImpalaOpts {
+    ImpalaOpts {
+        deployment: Deployment { nodes, cores_per_node: 4 },
+        total_steps,
+        config: ImpalaConfig { hidden: vec![16, 16], n_steps, ..Default::default() },
+        ..Default::default()
+    }
+}
+
+#[test]
+fn impala_completes_on_two_nodes_with_traffic() {
+    let (report, usage) = impala(&small_impala(2, 256, 2_048));
+    assert!(report.env_steps >= 2_048);
+    assert!(report.updates > 0);
+    assert!(usage.bytes_moved > 0, "remote actors ship experience");
+}
+
+#[test]
+fn impala_learns_despite_extreme_staleness() {
+    let opts = ImpalaOpts {
+        seed: 9,
+        config: ImpalaConfig { hidden: vec![32, 32], n_steps: 512, ..Default::default() },
+        actor_sync_period: 6,
+        ..small_impala(1, 512, 24_000)
+    };
+    let (report, _) = impala(&opts);
+    let tail = &report.train_returns[report.train_returns.len().saturating_sub(15)..];
+    let mean = tail.iter().sum::<f64>() / tail.len().max(1) as f64;
+    // Random wandering scores far below zero on the 3x3 grid; a
+    // partially-converged policy sits well above it even with the
+    // six-iteration snapshot lag.
+    assert!(mean > 0.25, "recent mean return {mean}");
+}
+
+#[test]
+fn longer_sync_period_ships_fewer_weight_broadcasts() {
+    let base = small_impala(2, 512, 4_096);
+    let (_, frequent) = impala(&ImpalaOpts { actor_sync_period: 1, ..base.clone() });
+    let (_, rare) = impala(&ImpalaOpts { actor_sync_period: 8, ..base });
+    assert!(
+        rare.bytes_moved < frequent.bytes_moved,
+        "rare sync {} must ship less than frequent {}",
+        rare.bytes_moved,
+        frequent.bytes_moved
+    );
+}
+
+#[test]
+fn impala_multi_worker_runs_are_bitwise_reproducible() {
+    let opts = small_impala(2, 256, 2_048);
+    let (a, ua) = impala(&opts);
+    let (b, ub) = impala(&opts);
+    assert_eq!(a.train_returns, b.train_returns);
+    assert_eq!(ua.wall_s.to_bits(), ub.wall_s.to_bits());
+    assert_eq!(ua.energy_j.to_bits(), ub.energy_j.to_bits());
+}

@@ -1,5 +1,13 @@
-//! Framework identities and their cost profiles.
+//! Framework identities and the [`Architecture`] each one stands for.
+//!
+//! The paper's frameworks differ in *architecture* — who collects, who
+//! infers, when weights travel — and that difference is data: one
+//! [`Architecture`] value per framework, read by the one training loop in
+//! [`crate::backends`]. [`Framework::architecture`] and
+//! [`Architecture::impala`] are the table; nothing else in the crate
+//! branches on which framework is running.
 
+use crate::runtime::SyncPolicy;
 use serde::{Deserialize, Serialize};
 
 /// The three frameworks of the paper's study (Table I column 2).
@@ -22,53 +30,168 @@ impl Framework {
     /// (§V-b: "Distributed training on 2 nodes is available with RLlib;
     /// TF-Agents and Stable-Baselines parallelize on a single node").
     pub fn supports_multi_node(self) -> bool {
-        matches!(self, Framework::RayRllib)
+        self.architecture().multi_node
     }
 
     /// The cost profile used by the cluster narration.
-    ///
-    /// Calibrated against Table I's anchored cells (EXPERIMENTS.md): the
-    /// anchors imply the per-step framework path *dominates* the RK
-    /// integration cost (configuration 8, order 8, takes only ~26% longer
-    /// than configuration 2, order 3, at equal deployment), so the
-    /// overheads here are large relative to the ~7–43 derivative
-    /// evaluations a control step costs.
     pub fn profile(self) -> FrameworkProfile {
+        self.architecture().profile
+    }
+
+    /// The framework's execution architecture.
+    ///
+    /// The cost profiles are calibrated against Table I's anchored cells
+    /// (EXPERIMENTS.md): the anchors imply the per-step framework path
+    /// *dominates* the RK integration cost (configuration 8, order 8,
+    /// takes only ~26% longer than configuration 2, order 3, at equal
+    /// deployment), so the overheads here are large relative to the
+    /// ~7–43 derivative evaluations a control step costs.
+    pub fn architecture(self) -> Architecture {
         match self {
-            // Ray: powerful but heavyweight — object store, scheduler
+            // Ray: rollout actors pinned to nodes ship experience to a
+            // central learner; remote nodes get fresh weights only every
+            // other iteration (§VI-D: faster, staler, less reward).
+            // Powerful but heavyweight — object store, scheduler
             // round-trips, per-iteration synchronization. The configs 2/8
             // ratio gives a raw B ≈ 134; the end-to-end narration adds
             // learner, iteration and transfer overheads worth ~4–5
             // simulated minutes at 200k steps, so the profile carries the
             // net value that lands the *measured* anchors on target.
-            Framework::RayRllib => FrameworkProfile {
-                per_iter_overhead_s: 0.6,
-                per_step_overhead_units: 118.0,
-                learner_streams: 2,
-                name: "Ray RLlib",
+            Framework::RayRllib => Architecture {
+                profile: FrameworkProfile {
+                    per_iter_overhead_s: 0.6,
+                    per_step_overhead_units: 118.0,
+                    learner_streams: 2,
+                    name: "Ray RLlib",
+                },
+                collectors: Collectors::PerEnv,
+                sync: SyncPolicy::RemotePeriodic { period: 2 },
+                sampling: Sampling::PerRound { salt: 1 },
+                inference: Inference::WithCollection,
+                multi_node: true,
+                sac_seed_salt: 2,
             },
-            // SB3: the leanest vectorized loop (derived from configs 14
-            // and 16), but inference/learning serialize with collection
-            // on the learner's threads.
-            Framework::StableBaselines => FrameworkProfile {
-                per_iter_overhead_s: 0.3,
-                per_step_overhead_units: 55.0,
-                learner_streams: 2,
-                name: "Stable Baselines",
+            // SB3: one process stepping `cores` sub-environments in
+            // lockstep (§VI-C "one vectorized environment is used per CPU
+            // core"), collection, inference and learning strictly
+            // serialized on one rng stream — the most deterministic and
+            // reward-wise most reliable loop. The leanest per step
+            // (derived from configs 14 and 16), but inference/learning
+            // serialize with collection on the learner's threads.
+            Framework::StableBaselines => Architecture {
+                profile: FrameworkProfile {
+                    per_iter_overhead_s: 0.3,
+                    per_step_overhead_units: 55.0,
+                    learner_streams: 2,
+                    name: "Stable Baselines",
+                },
+                collectors: Collectors::Vectorized,
+                sync: SyncPolicy::EveryRound,
+                sampling: Sampling::Master,
+                inference: Inference::OnLearner,
+                multi_node: false,
+                sac_seed_salt: 1,
             },
             // TF-Agents: slightly heavier per step than SB3 (config 11),
             // but its parallel driver keeps every core busy through
-            // collection *and* learning — the §VI-B "cost-effective use
-            // of the CPUs" that makes it the power winner among the
-            // configurations the study sampled.
-            Framework::TfAgents => FrameworkProfile {
-                per_iter_overhead_s: 0.2,
-                per_step_overhead_units: 66.0,
-                learner_streams: 4,
-                name: "TF-Agents",
+            // collection, inference *and* learning — the §VI-B
+            // "cost-effective use of the CPUs" that makes it the power
+            // winner among the configurations the study sampled.
+            Framework::TfAgents => Architecture {
+                profile: FrameworkProfile {
+                    per_iter_overhead_s: 0.2,
+                    per_step_overhead_units: 66.0,
+                    learner_streams: 4,
+                    name: "TF-Agents",
+                },
+                collectors: Collectors::Vectorized,
+                sync: SyncPolicy::EveryRound,
+                sampling: Sampling::PerRound { salt: 1000 },
+                inference: Inference::WithCollection,
+                multi_node: false,
+                sac_seed_salt: 1,
             },
         }
     }
+}
+
+/// How a framework spreads work over cores and nodes: everything the
+/// training loop needs to know to behave like that framework.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Architecture {
+    /// Cost constants for the cluster narration.
+    pub profile: FrameworkProfile,
+    /// Shape of the worker set.
+    pub collectors: Collectors,
+    /// When fresh weights reach which workers.
+    pub sync: SyncPolicy,
+    /// Where a round's sampling randomness comes from.
+    pub sampling: Sampling,
+    /// Where collection-time policy inference is charged.
+    pub inference: Inference,
+    /// Whether a deployment may span more than one node.
+    pub multi_node: bool,
+    /// Round salt of the SAC environments' `worker_seed`.
+    pub sac_seed_salt: u64,
+}
+
+impl Architecture {
+    /// The IMPALA-like extension (§II-A), outside [`Framework`] because
+    /// Table I's space is the paper's: RLlib's worker set with *every*
+    /// actor refreshed only each `actor_sync_period`-th iteration, the
+    /// V-trace learner absorbing the lag. Ray-class cost constants.
+    pub fn impala(actor_sync_period: u64) -> Self {
+        Architecture {
+            profile: FrameworkProfile {
+                per_iter_overhead_s: 0.5,
+                per_step_overhead_units: 120.0,
+                learner_streams: 2,
+                name: "IMPALA-like",
+            },
+            sync: SyncPolicy::Periodic { period: actor_sync_period },
+            ..Framework::RayRllib.architecture()
+        }
+    }
+}
+
+/// Shape of a framework's worker set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Collectors {
+    /// One worker on node 0 stepping `cores` sub-environments in
+    /// lockstep with batched policy evaluation; a round's step count is
+    /// in ticks.
+    Vectorized,
+    /// `nodes × cores` single-environment workers, worker `w` pinned to
+    /// node `w / cores`; a quarantined worker's share of the round moves
+    /// to the survivors.
+    PerEnv,
+}
+
+/// Where a collection round's sampling randomness comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sampling {
+    /// The learner's master stream rides the collect command and comes
+    /// back advanced: collect, then update, on one stream. One stream
+    /// serves one worker, so this goes with [`Collectors::Vectorized`].
+    Master,
+    /// Worker `w` samples round `i` from a fresh
+    /// `worker_seed(seed, w, i + salt)` stream, decoupled from the
+    /// learner's.
+    PerRound {
+        /// Offset added to the iteration index.
+        salt: u64,
+    },
+}
+
+/// Where collection-time policy inference is charged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inference {
+    /// Its own compute phase on the learner's streams, serialized with
+    /// the loop.
+    OnLearner,
+    /// Inside the collection phase, overlapped across the collecting
+    /// cores.
+    WithCollection,
 }
 
 impl std::fmt::Display for Framework {

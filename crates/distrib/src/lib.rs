@@ -1,35 +1,33 @@
-//! # dist-exec — framework-like distributed execution backends
+//! # dist-exec — framework-like distributed execution
 //!
-//! The paper compares three RL frameworks whose *architectures* differ in
-//! how they spread work over CPU cores and nodes (§V-b, §VI-D):
+//! The paper compares three RL frameworks — Ray RLlib, Stable Baselines,
+//! TF-Agents — whose *architectures* differ in how they spread work over
+//! CPU cores and nodes (§V-b, §VI-D). Here a framework is a data value:
+//! [`Framework::architecture`] returns the [`Architecture`] (collector
+//! shape, weight-sync policy, sampling streams, where inference is
+//! charged, cost constants — the table in [`framework`]) and one training
+//! loop ([`train`], under [`run`]) reads it.
 //!
-//! | Paper framework | Architecture | Our backend |
-//! |---|---|---|
-//! | Ray RLlib | distributed rollout workers + central learner, scales to multiple nodes, async weight sync | [`backends::RllibLike`] |
-//! | Stable Baselines | synchronous vectorized environments, one sub-env per CPU core, single node | [`backends::StableBaselinesLike`] |
-//! | TF-Agents | parallel collection driver on a single node, lean runtime | [`backends::TfAgentsLike`] |
-//!
-//! All three *really* run the training (worker threads collect experience
-//! from real environments; the shared `rl-algos` learners do real gradient
-//! updates), and narrate their execution to a `cluster-sim` session that
-//! converts the counted work into the simulated wall-clock time and energy
-//! that Table I reports. The architectural signals the paper observes are
-//! structural here:
+//! Every architecture *really* runs the training (worker threads collect
+//! experience from real environments; the shared `rl-algos` learners do
+//! real gradient updates), and narrates its execution to a `cluster-sim`
+//! session that converts the counted work into the simulated wall-clock
+//! time and energy that Table I reports. The architectural signals the
+//! paper observes are structural here:
 //!
 //! * RLlib-like on 2 nodes overlaps collection across nodes (faster) but
-//!   pays network transfers, idle power of both machines, and staleness /
-//!   merge nondeterminism (worse, less reproducible reward — §VI-D,
-//!   configurations 7 vs 8);
-//! * Stable-Baselines-like is strictly synchronous and deterministic
+//!   pays network transfers, idle power of both machines, and stale
+//!   remote snapshots (worse reward — §VI-D, configurations 7 vs 8);
+//! * Stable-Baselines-like is strictly synchronous on one rng stream
 //!   (best reward, §VI-A) but serializes inference and learning;
 //! * TF-Agents-like has the smallest framework overhead per step (lowest
 //!   power, §VI-B).
 //!
-//! All backends execute on one actor-style [`runtime`]: long-lived worker
-//! threads pinned to simulated nodes, typed command/event channels, and a
-//! [`runtime::Driver`] that owns the iteration bookkeeping and narrates
-//! every cost as a `cluster_sim::SessionEvent`. The backends themselves
-//! are thin driver policies over that shared machinery.
+//! Collection executes on one actor-style [`runtime`]: long-lived worker
+//! threads (or child processes) pinned to simulated nodes, typed
+//! command/event channels, and a [`runtime::Driver`] that owns the
+//! iteration bookkeeping and narrates every cost as a
+//! `cluster_sim::SessionEvent`.
 
 pub mod backend;
 pub mod backends;
@@ -39,9 +37,9 @@ pub mod report;
 pub mod runtime;
 pub mod spec;
 
-pub use backend::{run, run_recorded, Backend, EnvFactory, FnEnvFactory};
-pub use backends::{train_impala, ImpalaOpts};
-pub use framework::{Framework, FrameworkProfile};
+pub use backend::{run, run_recorded, EnvFactory, FnEnvFactory};
+pub use backends::{train, train_impala, ImpalaOpts};
+pub use framework::{Architecture, Collectors, Framework, FrameworkProfile, Inference, Sampling};
 pub use report::{ExecReport, TrainedModel};
 pub use runtime::{
     report_mean, run_whatif, run_worker_process, ContinuationPolicy, EnvBlueprint, FaultCause,

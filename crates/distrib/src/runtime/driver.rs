@@ -2,26 +2,19 @@
 //! wave merging and iteration bookkeeping.
 //!
 //! A [`Driver`] wraps the trial's `ClusterSession` and owns the
-//! bookkeeping every backend used to duplicate: environment step/work
-//! counters, the training-return log, and the iteration index. Backends
-//! narrate costs exclusively through [`Driver::apply`] — one
-//! [`SessionEvent`] per phase — so the cluster trace and the per-iteration
-//! reward reports come from one code path. Study-level concerns (pruning,
-//! live reward curves) tap the loop through the session's telemetry
-//! recorder: every iteration emits a [`keys::TRIAL_ITERATION`] event, and
-//! a recorder answering `true` from
-//! [`should_stop`](telemetry::Recorder::should_stop) ends the trial at
-//! the next iteration boundary.
+//! bookkeeping of a training loop: environment step/work counters, the
+//! training-return log, and the iteration index. Costs are narrated
+//! exclusively through [`Driver::apply`] — one [`SessionEvent`] per phase
+//! — so the cluster trace and the per-iteration reward reports come from
+//! one code path. Study-level concerns (pruning, live reward curves) tap
+//! the loop through the session's telemetry recorder: every iteration
+//! emits a [`keys::TRIAL_ITERATION`] event, and a recorder answering
+//! `true` from [`should_stop`](telemetry::Recorder::should_stop) ends the
+//! trial at the next iteration boundary.
 //!
-//! The [`SyncPolicy`] matrix captures how each framework keeps its
-//! workers' policy snapshots fresh:
-//!
-//! | Backend | Policy | Meaning |
-//! |---|---|---|
-//! | Stable-Baselines-like | [`SyncPolicy::EveryRound`] | strict synchrony: every worker refreshed before every collection |
-//! | TF-Agents-like | [`SyncPolicy::EveryRound`] | same single-node synchrony |
-//! | RLlib-like | [`SyncPolicy::RemotePeriodic`] | node-0 workers every round; remote nodes only every `period`-th round (stale in between) |
-//! | IMPALA-like | [`SyncPolicy::Periodic`] | *all* actors refresh only every `period`-th round; V-trace absorbs the staleness |
+//! Which [`SyncPolicy`] keeps which framework's workers fresh is a column
+//! of the [`Architecture`](crate::framework::Architecture) table in
+//! [`crate::framework`].
 
 use super::fault::{FaultLog, RuntimeError};
 use super::transport::RngStream;
@@ -44,11 +37,10 @@ pub fn report_mean(returns: &[f64]) -> f64 {
     tail.iter().sum::<f64>() / tail.len() as f64
 }
 
-/// When a driver pushes fresh weights to which workers. See the module
-/// docs for the per-framework matrix.
+/// When a driver pushes fresh weights to which workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Every worker, every round (fully synchronous backends).
+    /// Every worker, every round (strict synchrony).
     EveryRound,
     /// Workers on the learner's node (node 0) every round; workers on
     /// remote nodes only when `round` is a multiple of `period`.
@@ -143,8 +135,8 @@ pub fn merge_wave(outcome: RoundOutcome, nodes: usize) -> WaveOutcome {
     }
 }
 
-/// Per-trial driver state: the session and the counters every backend
-/// needs. See the module docs.
+/// Per-trial driver state: the session and the counters every training
+/// loop needs. See the module docs.
 pub struct Driver<'a> {
     session: &'a mut ClusterSession,
     recorder: SharedRecorder,

@@ -1,7 +1,7 @@
 //! Execution specifications: what to train, where.
 
-use crate::framework::Framework;
-use crate::runtime::FaultPolicy;
+use crate::framework::{Architecture, Framework};
+use crate::runtime::{FaultPolicy, TransportConfig};
 use rl_algos::{Algorithm, PpoConfig, SacConfig};
 use serde::{Deserialize, Serialize};
 
@@ -23,14 +23,41 @@ impl Deployment {
 
     /// Validate against a framework's capabilities.
     pub fn validate(&self, framework: Framework) -> Result<(), String> {
+        self.fits(&framework.architecture())
+    }
+
+    fn fits(&self, arch: &Architecture) -> Result<(), String> {
         if self.nodes == 0 || self.cores_per_node == 0 {
             return Err("deployment needs at least one node and one core".into());
         }
-        if self.nodes > 1 && !framework.supports_multi_node() {
-            return Err(format!("{framework} parallelizes on a single node only (paper §V-b)"));
+        if self.nodes > 1 && !arch.multi_node {
+            let name = arch.profile.name;
+            return Err(format!("{name} parallelizes on a single node only (paper §V-b)"));
         }
         Ok(())
     }
+}
+
+/// The checks every training entry point applies before anything is
+/// spawned: a deployment the architecture admits, a positive step budget
+/// and a well-formed transport request.
+pub(crate) fn check_run(
+    arch: &Architecture,
+    deployment: Deployment,
+    total_steps: usize,
+    transport: Option<&str>,
+) -> Result<(), String> {
+    deployment.fits(arch)?;
+    if total_steps == 0 {
+        return Err("total_steps must be positive".into());
+    }
+    transport.map_or(Ok(()), |t| TransportConfig::parse(t).map(drop))
+}
+
+/// Resolve a transport request: the explicit string when set, else the
+/// `RLDT_TRANSPORT` environment variable.
+pub(crate) fn resolve_transport(request: Option<&str>) -> Result<TransportConfig, String> {
+    request.map_or_else(|| Ok(TransportConfig::from_env()), TransportConfig::parse)
 }
 
 /// A full training-execution request.
@@ -108,28 +135,10 @@ impl ExecSpec {
         self
     }
 
-    /// Resolve this spec's transport request: the explicit field when
-    /// set, else the `RLDT_TRANSPORT` environment variable.
-    pub fn transport_config(&self) -> crate::runtime::TransportConfig {
-        match &self.transport {
-            Some(s) => crate::runtime::TransportConfig::parse(s).unwrap_or_else(|e| {
-                eprintln!("spec transport ignored: {e}");
-                crate::runtime::TransportConfig::InProcess
-            }),
-            None => crate::runtime::TransportConfig::from_env(),
-        }
-    }
-
     /// Check deployment/framework consistency.
     pub fn validate(&self) -> Result<(), String> {
-        self.deployment.validate(self.framework)?;
-        if self.total_steps == 0 {
-            return Err("total_steps must be positive".into());
-        }
-        if let Some(t) = &self.transport {
-            crate::runtime::TransportConfig::parse(t)?;
-        }
-        Ok(())
+        let arch = self.framework.architecture();
+        check_run(&arch, self.deployment, self.total_steps, self.transport.as_deref())
     }
 }
 

@@ -11,24 +11,18 @@
 //! The stagger hook is process-global, so every test that touches it
 //! serializes on [`HOOK_LOCK`].
 
+mod common;
+
+use common::grid_factory;
 use dist_exec::backend::{run, EnvFactory, FnEnvFactory};
 use dist_exec::runtime::test_hooks;
 use dist_exec::spec::{Deployment, ExecSpec};
 use dist_exec::{train_impala, Framework, ImpalaOpts};
-use gymrs::envs::GridWorld;
 use gymrs::Environment;
 use rl_algos::Algorithm;
 use std::sync::Mutex;
 
 static HOOK_LOCK: Mutex<()> = Mutex::new(());
-
-fn grid_factory() -> impl EnvFactory {
-    FnEnvFactory(|seed| {
-        let mut e = GridWorld::new(3);
-        e.seed(seed);
-        Box::new(e) as Box<dyn Environment>
-    })
-}
 
 /// Bitwise fingerprint of a training run: every training return plus the
 /// simulated wall-clock and energy, all as raw bits.

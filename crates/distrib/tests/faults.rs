@@ -20,8 +20,11 @@
 
 #![cfg(feature = "fault-inject")]
 
+mod common;
+
 use cluster_sim::{ClusterSession, ClusterSpec, Usage};
-use dist_exec::backend::{run_recorded, EnvFactory, FnEnvFactory};
+use common::grid_factory;
+use dist_exec::backend::run_recorded;
 use dist_exec::runtime::{
     clear_plan, install_plan, Collector, FaultKind, FaultPlan, FaultPolicy, RngStream, Runtime,
     RuntimeError, WorkerSpec,
@@ -37,14 +40,6 @@ use rl_algos::Algorithm;
 use std::sync::{Arc, Mutex};
 
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-fn grid_factory() -> impl EnvFactory {
-    FnEnvFactory(|seed| {
-        let mut e = GridWorld::new(3);
-        e.seed(seed);
-        Box::new(e) as Box<dyn Environment>
-    })
-}
 
 /// Bitwise fingerprint of one training run.
 fn fingerprint(returns: &[f64], usage: &Usage) -> Vec<u64> {
