@@ -139,21 +139,25 @@ impl Linear {
     pub fn backward(&mut self, x: &Matrix, y: &Matrix, dy: &Matrix) -> Matrix {
         let mut dz = Matrix::default();
         let mut dx = Matrix::default();
-        self.backward_into(x, y, dy, &mut dz, &mut dx);
+        self.backward_into(x, y, dy, &mut dz, &mut Vec::new(), Some(&mut dx));
         dx
     }
 
     /// Backward pass using caller-provided scratch: `dz` holds the
-    /// pre-activation gradient, `dx` receives the input gradient. Both are
-    /// resized here, so an [`Mlp`](crate::Mlp) can thread the same two
-    /// buffers through every layer and every update without reallocating.
+    /// pre-activation gradient, `wt` the transposed-weight panel of the
+    /// `dz · Wᵀ` kernel, `dx` receives the input gradient. All are resized
+    /// here, so an [`Mlp`](crate::Mlp) can thread the same buffers through
+    /// every layer and every update without reallocating. With `dx: None`
+    /// only `gw`/`gb` are accumulated — the first layer of a network whose
+    /// input gradient nobody reads skips its `dz · Wᵀ`.
     pub fn backward_into(
         &mut self,
         x: &Matrix,
         y: &Matrix,
         dy: &Matrix,
         dz: &mut Matrix,
-        dx: &mut Matrix,
+        wt: &mut Vec<f64>,
+        dx: Option<&mut Matrix>,
     ) {
         debug_assert_eq!(x.shape(), (dy.rows(), self.in_dim()));
         debug_assert_eq!(dy.shape(), (x.rows(), self.out_dim()));
@@ -167,7 +171,9 @@ impl Linear {
         // gw += xᵀ · dz ; gb += Σ_rows dz ; dx = dz · Wᵀ
         x.transpose_matmul_acc(dz, &mut self.gw);
         dz.sum_rows_into(&mut self.gb);
-        dz.matmul_transpose_rhs_into(&self.w, dx);
+        if let Some(dx) = dx {
+            dz.matmul_transpose_rhs_into(&self.w, wt, dx);
+        }
     }
 
     /// Zero the accumulated gradients.

@@ -2,14 +2,17 @@
 //!
 //! The three matmul kernels ([`Matrix::matmul_into`],
 //! [`Matrix::matmul_transpose_rhs_into`], [`Matrix::transpose_matmul_into`])
-//! are register-blocked: the shared `k` dimension is unrolled 4× so every
-//! sweep over an output row performs four multiply-adds per load/store of
-//! the accumulator. The rank-blocked inner sweeps dispatch to the explicit
-//! `simd_kernels::nnf64` microkernels (8-lane f64 on AVX-512F, 4-lane on
-//! AVX2, scalar otherwise) — every tier evaluates the same per-element
-//! expression tree, so results are bit-identical to the scalar loops these
-//! kernels replaced. Above [`PAR_THRESHOLD`] multiply-add operations the
-//! row loop is split across the rayon global pool.
+//! all dispatch to the explicit `simd_kernels::nnf64` microkernels (8-lane
+//! f64 on AVX-512F, 4-lane on AVX2, scalar otherwise). The first and the
+//! last are rank-4 blocked over the shared `k` dimension, so every sweep
+//! over an output row performs four multiply-adds per load/store of the
+//! accumulator; the middle one gives every output element a dot product
+//! with four partial sums. What is fixed is the reduction order *of one
+//! output element*; the vector tiers put neighbouring elements in their
+//! lanes and evaluate the same expression tree in each, so results are
+//! bit-identical to the scalar loops on every tier. Above
+//! [`PAR_THRESHOLD`] multiply-add operations the row loop is split across
+//! the rayon global pool.
 //!
 //! Determinism contract: the accumulation order for an output row depends
 //! only on the shared dimensions (`k`, `n`), never on the number of rows
@@ -47,31 +50,6 @@ pub struct Matrix {
 #[inline]
 fn row_matmul_acc(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
     simd_kernels::nnf64::row_matmul_acc(simd_kernels::Isa::cached(), a_row, b, out_row, k, n);
-}
-
-/// Dot product with four independent accumulators (breaks the FP add
-/// dependency chain so the loop pipelines/vectorizes). Deliberately NOT
-/// dispatched to a wide SIMD kernel: its fixed 4-accumulator reduction
-/// order is part of the determinism contract, and widening the reduction
-/// would change the sum association and hence the bits.
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let k = a.len().min(b.len());
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-    let mut p = 0;
-    while p + 4 <= k {
-        s0 += a[p] * b[p];
-        s1 += a[p + 1] * b[p + 1];
-        s2 += a[p + 2] * b[p + 2];
-        s3 += a[p + 3] * b[p + 3];
-        p += 4;
-    }
-    let mut acc = ((s0 + s1) + s2) + s3;
-    while p < k {
-        acc += a[p] * b[p];
-        p += 1;
-    }
-    acc
 }
 
 impl Matrix {
@@ -252,39 +230,44 @@ impl Matrix {
         }
     }
 
-    /// `self · rhsᵀ` without materialising the transpose.
+    /// `self · rhsᵀ`; allocates the output and the kernel's panel.
     pub fn matmul_transpose_rhs(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::default();
-        self.matmul_transpose_rhs_into(rhs, &mut out);
+        self.matmul_transpose_rhs_into(rhs, &mut Vec::new(), &mut out);
         out
     }
 
-    /// `out = self · rhsᵀ` without materialising the transpose.
+    /// `out = self · rhsᵀ`. Shapes: `(m×k) · (n×k)ᵀ = (m×n)`.
     ///
-    /// Both operands are walked along their contiguous rows (no packing
-    /// needed in row-major layout); each output element is a [`dot`] with
-    /// four independent accumulators. Row-parallel above [`PAR_THRESHOLD`].
-    pub fn matmul_transpose_rhs_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    /// Every output element is a dot product with four partial sums
+    /// (`p ≡ 0..3 mod 4`, combined `((s0+s1)+s2)+s3`, then the `k % 4`
+    /// tail), vectorised across the output columns of one row. The vector
+    /// tiers read `rhs` column-wise, so it is transposed once per call into
+    /// `panel` — scratch the caller keeps between calls, grown here when
+    /// needed. Row-parallel above [`PAR_THRESHOLD`].
+    pub fn matmul_transpose_rhs_into(&self, rhs: &Matrix, panel: &mut Vec<f64>, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.cols, "matmul_transpose_rhs shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         out.resize_for_overwrite(m, n);
-        if m > 1 && n > 0 && m * k * n >= PAR_THRESHOLD {
+        let isa = simd_kernels::Isa::cached();
+        simd_kernels::nnf64::pack_transposed(isa, &rhs.data, n, k, panel);
+        let (b, bt) = (&rhs.data, &*panel);
+        if m > 1 && m * k * n >= PAR_THRESHOLD {
             use rayon::prelude::*;
-            let b = &rhs.data;
-            out.data.par_chunks_mut(n).zip(self.data.par_chunks(k.max(1))).for_each(
-                |(out_row, a_row)| {
-                    for (j, o) in out_row.iter_mut().enumerate() {
-                        *o = dot(a_row, &b[j * k..(j + 1) * k]);
-                    }
-                },
-            );
+            out.data.par_chunks_mut(n).zip(self.data.par_chunks(k)).for_each(|(out_row, a_row)| {
+                simd_kernels::nnf64::matmul_transpose_rhs(isa, a_row, b, bt, out_row, 1, k, n)
+            });
         } else {
-            for i in 0..m {
-                let a_row = &self.data[i * k..(i + 1) * k];
-                for j in 0..n {
-                    out.data[i * n + j] = dot(a_row, &rhs.data[j * k..(j + 1) * k]);
-                }
-            }
+            simd_kernels::nnf64::matmul_transpose_rhs(
+                isa,
+                &self.data,
+                b,
+                bt,
+                &mut out.data,
+                m,
+                k,
+                n,
+            );
         }
     }
 
@@ -497,6 +480,53 @@ mod tests {
         assert_eq!(a.matmul_transpose_rhs(&b), a.matmul(&b.transpose()));
     }
 
+    /// The 4-accumulator dot every `matmul_transpose_rhs` element must
+    /// equal bit for bit, written out independently of the kernel crate.
+    fn dot4(a: &[f64], b: &[f64]) -> f64 {
+        let k = a.len();
+        let mut s = [0.0f64; 4];
+        for p in 0..k - k % 4 {
+            s[p % 4] += a[p] * b[p];
+        }
+        let mut acc = ((s[0] + s[1]) + s[2]) + s[3];
+        for p in k - k % 4..k {
+            acc += a[p] * b[p];
+        }
+        acc
+    }
+
+    #[test]
+    fn matmul_transpose_rhs_rows_are_batch_invariant() {
+        // n = 29 has a two-vector block, a single vector and a ragged
+        // tail on both vector tiers; k = 13 leaves a k % 4 remainder.
+        let a = lcg_matrix(6, 13, 44);
+        let b = lcg_matrix(29, 13, 45);
+        let batched = a.matmul_transpose_rhs(&b);
+        for r in 0..a.rows() {
+            let single = Matrix::row(a.row_slice(r)).matmul_transpose_rhs(&b);
+            assert_eq!(single.as_slice(), batched.row_slice(r));
+            for j in 0..b.rows() {
+                let want = dot4(a.row_slice(r), b.row_slice(j));
+                assert_eq!(batched.get(r, j).to_bits(), want.to_bits(), "({r},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_transpose_rhs_handles_degenerate_shapes() {
+        // k = 0: every dot is an empty sum. A panel and an output left
+        // over from a larger product must not leak into the result.
+        let mut panel = vec![f64::NAN; 64];
+        let mut out = Matrix::full(7, 7, f64::NAN);
+        Matrix::zeros(3, 0).matmul_transpose_rhs_into(&Matrix::zeros(4, 0), &mut panel, &mut out);
+        assert_eq!(out, Matrix::zeros(3, 4));
+        // m = 0 and n = 0 produce empty outputs without panicking.
+        Matrix::zeros(0, 5).matmul_transpose_rhs_into(&Matrix::zeros(2, 5), &mut panel, &mut out);
+        assert_eq!(out.shape(), (0, 2));
+        Matrix::zeros(2, 5).matmul_transpose_rhs_into(&Matrix::zeros(0, 5), &mut panel, &mut out);
+        assert_eq!(out.shape(), (2, 0));
+    }
+
     #[test]
     fn transpose_matmul_equals_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
@@ -598,8 +628,10 @@ mod tests {
             let single = Matrix::row(a.row_slice(r)).matmul(&b);
             assert_eq!(single.as_slice(), big.row_slice(r));
         }
+        // Same for `a · bᵀ`: the rayon row split shares one packed panel
+        // and must equal the sequential kernel on every row.
         let tr = a.matmul_transpose_rhs(&b);
-        for r in [0, 127] {
+        for r in 0..a.rows() {
             let single = Matrix::row(a.row_slice(r)).matmul_transpose_rhs(&b);
             assert_eq!(single.as_slice(), tr.row_slice(r));
         }

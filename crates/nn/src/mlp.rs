@@ -29,17 +29,19 @@ pub struct Mlp {
     scratch: Scratch,
 }
 
-/// Reusable gradient buffers so [`Mlp::backward`] stops allocating one
-/// matrix per layer per call (PPO runs `epochs × minibatches` backward
-/// passes per rollout — the churn was measurable).
+/// Reusable gradient buffers so a backward pass allocates nothing once
+/// they have grown to the batch size (PPO runs `epochs × minibatches`
+/// backward passes per rollout — the churn was measurable).
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Pre-activation gradient, reused by every layer.
     dz: Matrix,
-    /// Gradient flowing backward (ping).
-    grad_a: Matrix,
-    /// Gradient flowing backward (pong).
-    grad_b: Matrix,
+    /// Transposed-weight panel of the `dz · Wᵀ` kernel, reused by every layer.
+    wt: Vec<f64>,
+    /// Gradient flowing backward: what the next layer down reads.
+    grad: Matrix,
+    /// Gradient flowing backward: what the current layer writes.
+    next: Matrix,
 }
 
 /// Activations recorded during a forward pass, needed for backprop.
@@ -170,24 +172,31 @@ impl Mlp {
     /// accumulating parameter gradients; returns the input gradient.
     ///
     /// Intermediate gradients live in the network's scratch buffers; only
-    /// the returned input-gradient matrix is allocated fresh.
+    /// the returned input-gradient matrix is allocated fresh. Callers that
+    /// drop it want [`Mlp::backward_params`].
     pub fn backward(&mut self, tape: &Tape, dout: &Matrix) -> Matrix {
+        self.backward_impl(tape, dout, true);
+        self.scratch.grad.clone()
+    }
+
+    /// [`Mlp::backward`] without the input gradient: the first layer skips
+    /// its `dz · Wᵀ` product and nothing is allocated. The accumulated
+    /// parameter gradients are bit for bit those of [`Mlp::backward`].
+    pub fn backward_params(&mut self, tape: &Tape, dout: &Matrix) {
+        self.backward_impl(tape, dout, false);
+    }
+
+    /// The one backward loop; leaves the input gradient in `scratch.grad`
+    /// when `need_input_grad` is set.
+    fn backward_impl(&mut self, tape: &Tape, dout: &Matrix, need_input_grad: bool) {
         debug_assert_eq!(tape.acts.len(), self.layers.len() + 1);
-        let mut grad = std::mem::take(&mut self.scratch.grad_a);
+        let Scratch { dz, wt, grad, next } = &mut self.scratch;
         grad.copy_resize_from(dout);
-        let mut next = std::mem::take(&mut self.scratch.grad_b);
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            layer.backward_into(
-                &tape.acts[i],
-                &tape.acts[i + 1],
-                &grad,
-                &mut self.scratch.dz,
-                &mut next,
-            );
-            std::mem::swap(&mut grad, &mut next);
+            let dx = (i > 0 || need_input_grad).then_some(&mut *next);
+            layer.backward_into(&tape.acts[i], &tape.acts[i + 1], grad, dz, wt, dx);
+            std::mem::swap(grad, next);
         }
-        self.scratch.grad_b = next;
-        grad
     }
 
     /// Zero all accumulated gradients.
@@ -339,6 +348,33 @@ mod tests {
             let fm: f64 = net.infer(&xm).as_slice().iter().sum();
             let num = (fp - fm) / (2.0 * eps);
             assert!((num - dx.get(0, c)).abs() < 1e-6, "dx[{c}]");
+        }
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_gradients_as_backward() {
+        // Skipping the first layer's input gradient must not change a bit
+        // of any layer's gw/gb — and calling either entry again (scratch
+        // buffers put back, not leaked) must reproduce them.
+        for hidden in [Activation::Tanh, Activation::Relu] {
+            let mut rng = StdRng::seed_from_u64(21);
+            let mut full = Mlp::new(&[5, 16, 16, 3], hidden, Activation::Identity, &mut rng);
+            let mut params_only = full.clone();
+            let x = Matrix::from_vec(7, 5, (0..35).map(|i| (i as f64 * 0.37).sin()).collect());
+            let dout = Matrix::from_vec(7, 3, (0..21).map(|i| (i as f64 * 0.53).cos()).collect());
+            let tape = full.forward(&x);
+            for round in 0..2 {
+                full.zero_grad();
+                params_only.zero_grad();
+                let dx = full.backward(&tape, &dout);
+                params_only.backward_params(&tape, &dout);
+                assert_eq!(dx.shape(), (7, 5), "{hidden:?} round {round}");
+                for (a, b) in full.layers.iter().zip(&params_only.layers) {
+                    let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a.gw.as_slice()), bits(b.gw.as_slice()), "{hidden:?} gw");
+                    assert_eq!(bits(&a.gb), bits(&b.gb), "{hidden:?} gb");
+                }
+            }
         }
     }
 

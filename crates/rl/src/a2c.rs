@@ -166,7 +166,7 @@ impl A2cLearner {
             }
         }
         self.policy.actor.zero_grad();
-        self.policy.actor.backward(&tape, &dout);
+        self.policy.actor.backward_params(&tape, &dout);
         clip_grad_norm(&mut self.policy.actor, self.cfg.max_grad_norm);
         self.actor_opt.step(&mut self.policy.actor);
         self.step_log_std(&dls);
@@ -181,7 +181,7 @@ impl A2cLearner {
             dv.set(i, 0, self.cfg.vf_coef * err * inv_n);
         }
         self.policy.critic.zero_grad();
-        self.policy.critic.backward(&vtape, &dv);
+        self.policy.critic.backward_params(&vtape, &dv);
         clip_grad_norm(&mut self.policy.critic, self.cfg.max_grad_norm);
         self.critic_opt.step(&mut self.policy.critic);
 

@@ -339,7 +339,7 @@ impl PpoLearner {
                 }
 
                 self.policy.actor.zero_grad();
-                self.policy.actor.backward(&self.atape, &dout);
+                self.policy.actor.backward_params(&self.atape, &dout);
                 clip_grad_norm(&mut self.policy.actor, self.cfg.max_grad_norm);
                 self.actor_opt.step(&mut self.policy.actor);
                 self.step_log_std(&dls);
@@ -354,7 +354,7 @@ impl PpoLearner {
                     dv.set(r, 0, self.cfg.vf_coef * err * inv_mb);
                 }
                 self.policy.critic.zero_grad();
-                self.policy.critic.backward(&self.vtape, &dv);
+                self.policy.critic.backward_params(&self.vtape, &dv);
                 clip_grad_norm(&mut self.policy.critic, self.cfg.max_grad_norm);
                 self.critic_opt.step(&mut self.policy.critic);
 

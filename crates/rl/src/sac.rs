@@ -14,7 +14,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tinynn::dist::{SquashedGaussian, LOG_STD_MAX, LOG_STD_MIN};
 use tinynn::{
-    backward_flops, clip_grad_norm, forward_flops, Activation, Adam, Matrix, Mlp, Optimizer,
+    backward_flops, clip_grad_norm, forward_flops, Activation, Adam, Matrix, Mlp, Optimizer, Tape,
 };
 
 /// SAC hyperparameters.
@@ -121,6 +121,33 @@ pub struct SacLearner {
     pub updates: u64,
     /// Accumulated learning FLOPs.
     pub flops: u64,
+    scratch: Scratch,
+}
+
+/// Forward tapes and batch matrices of one update, held on the learner
+/// (the way `PpoLearner` holds its tapes) and resized in place, so a
+/// warmed-up update builds none of them afresh. Each is reused as soon as
+/// its previous contents have been consumed.
+#[derive(Default)]
+struct Scratch {
+    /// Actor pass over the next observations, then over the observations.
+    actor_tape: Tape,
+    /// Target critic 1 on `[s' | a']`, then critic 1 on `[s | a_π]` and `[s | a]`.
+    q1_tape: Tape,
+    /// The same for critic 2.
+    q2_tape: Tape,
+    /// `b × obs_dim`: next observations, then observations.
+    obs_in: Matrix,
+    /// `b × (obs_dim + act_dim)`: `[s' | a']`, then `[s | a_π]`, then `[s | a]`.
+    q_in: Matrix,
+    /// `b × 1` critic output gradient: all ones, then the TD errors.
+    dq: Matrix,
+    /// `b × 2·act_dim` actor output gradient.
+    dactor: Matrix,
+    /// TD targets.
+    y: Vec<f64>,
+    /// `log π(a'|s')` of the sampled next actions.
+    logps: Vec<f64>,
 }
 
 impl SacLearner {
@@ -159,6 +186,7 @@ impl SacLearner {
             steps_observed: 0,
             updates: 0,
             flops: 0,
+            scratch: Scratch::default(),
             cfg,
         }
     }
@@ -215,78 +243,78 @@ impl SacLearner {
 
     /// One gradient update from a replay sample.
     pub fn update_from_batch(&mut self, rng: &mut impl Rng) -> SacStats {
-        let batch: Vec<Transition> =
-            self.replay.sample(self.cfg.batch, rng).into_iter().cloned().collect();
+        let batch = self.replay.sample(self.cfg.batch, rng);
         let b = batch.len();
         let gamma = self.cfg.gamma;
         let alpha = self.alpha();
+        let (obs_dim, act_dim) = (self.obs_dim, self.act_dim);
+        let Scratch { actor_tape, q1_tape, q2_tape, obs_in, q_in, dq, dactor, y, logps } =
+            &mut self.scratch;
 
         // ---- 1. Targets: y = r + γ(1-d)(min Q_t(s',a') - α log π(a'|s'))
-        let mut y = vec![0.0; b];
-        {
-            let mut next_in = Matrix::zeros(b, self.obs_dim + self.act_dim);
-            let next_obs_mat = rows(&batch, |t| &t.next_obs);
-            let next_out = self.actor.infer(&next_obs_mat);
-            let mut logps = vec![0.0; b];
-            for i in 0..b {
-                let row = next_out.row_slice(i);
-                let d = SquashedGaussian::new(&row[..self.act_dim], &row[self.act_dim..]);
-                let s = d.rsample(rng);
-                logps[i] = s.log_prob;
-                let dst = next_in.row_slice_mut(i);
-                dst[..self.obs_dim].copy_from_slice(&batch[i].next_obs);
-                dst[self.obs_dim..].copy_from_slice(&s.action);
-            }
-            let q1t = self.q1_target.infer(&next_in);
-            let q2t = self.q2_target.infer(&next_in);
-            for i in 0..b {
-                let qmin = q1t.get(i, 0).min(q2t.get(i, 0));
-                let not_done = if batch[i].terminated { 0.0 } else { 1.0 };
-                y[i] = batch[i].reward + gamma * not_done * (qmin - alpha * logps[i]);
-            }
+        fill_rows(obs_in, &batch, obs_dim, |t| &t.next_obs);
+        let next_out = self.actor.infer_into(obs_in, actor_tape);
+        q_in.resize_zeroed(b, obs_dim + act_dim);
+        logps.clear();
+        for i in 0..b {
+            let row = next_out.row_slice(i);
+            let d = SquashedGaussian::new(&row[..act_dim], &row[act_dim..]);
+            let s = d.rsample(rng);
+            logps.push(s.log_prob);
+            let dst = q_in.row_slice_mut(i);
+            dst[..obs_dim].copy_from_slice(&batch[i].next_obs);
+            dst[obs_dim..].copy_from_slice(&s.action);
+        }
+        let q1t = self.q1_target.infer_into(q_in, q1_tape);
+        let q2t = self.q2_target.infer_into(q_in, q2_tape);
+        y.clear();
+        for i in 0..b {
+            let qmin = q1t.get(i, 0).min(q2t.get(i, 0));
+            let not_done = if batch[i].terminated { 0.0 } else { 1.0 };
+            y.push(batch[i].reward + gamma * not_done * (qmin - alpha * logps[i]));
         }
 
         // ---- 2. Actor update (before the critic step so the critic's
         // gradient buffers can be safely reused below).
-        let obs_mat = rows(&batch, |t| &t.obs);
-        let actor_tape = self.actor.forward(&obs_mat);
+        fill_rows(obs_in, &batch, obs_dim, |t| &t.obs);
+        self.actor.forward_into(obs_in, actor_tape);
         let actor_out = actor_tape.output();
-        let mut cur_in = Matrix::zeros(b, self.obs_dim + self.act_dim);
         let mut samples = Vec::with_capacity(b);
         let mut dists = Vec::with_capacity(b);
         for i in 0..b {
             let row = actor_out.row_slice(i);
-            let d = SquashedGaussian::new(&row[..self.act_dim], &row[self.act_dim..]);
+            let d = SquashedGaussian::new(&row[..act_dim], &row[act_dim..]);
             let s = d.rsample(rng);
-            let dst = cur_in.row_slice_mut(i);
-            dst[..self.obs_dim].copy_from_slice(&batch[i].obs);
-            dst[self.obs_dim..].copy_from_slice(&s.action);
+            let dst = q_in.row_slice_mut(i);
+            dst[..obs_dim].copy_from_slice(&batch[i].obs);
+            dst[obs_dim..].copy_from_slice(&s.action);
             samples.push(s);
             dists.push(d);
         }
         // dQmin/da via the critics' input gradients.
-        let q1_tape = self.q1.forward(&cur_in);
-        let q2_tape = self.q2.forward(&cur_in);
+        self.q1.forward_into(q_in, q1_tape);
+        self.q2.forward_into(q_in, q2_tape);
         let q1v = q1_tape.output();
         let q2v = q2_tape.output();
-        let ones = Matrix::full(b, 1, 1.0);
+        dq.resize_zeroed(b, 1);
+        dq.as_mut_slice().fill(1.0);
         self.q1.zero_grad();
         self.q2.zero_grad();
-        let din1 = self.q1.backward(&q1_tape, &ones);
-        let din2 = self.q2.backward(&q2_tape, &ones);
+        let din1 = self.q1.backward(q1_tape, dq);
+        let din2 = self.q2.backward(q2_tape, dq);
 
-        let mut dactor = Matrix::zeros(b, 2 * self.act_dim);
+        dactor.resize_zeroed(b, 2 * act_dim);
         let mut actor_loss = 0.0;
         let mut entropy_sum = 0.0;
         let inv_b = 1.0 / b as f64;
         for i in 0..b {
             let use_q1 = q1v.get(i, 0) <= q2v.get(i, 0);
             let din = if use_q1 { din1.row_slice(i) } else { din2.row_slice(i) };
-            let dq_da = &din[self.obs_dim..];
+            let dq_da = &din[obs_dim..];
             let parts = dists[i].pathwise_partials(&samples[i]);
-            let raw_ls = &actor_out.row_slice(i)[self.act_dim..];
+            let raw_ls = &actor_out.row_slice(i)[act_dim..];
             let drow = dactor.row_slice_mut(i);
-            for k in 0..self.act_dim {
+            for k in 0..act_dim {
                 // L = α log π - Q_min
                 let dmean = alpha * parts.dlp_dmean[k] - dq_da[k] * parts.da_dmean[k];
                 let mut dls = alpha * parts.dlp_dlogstd[k] - dq_da[k] * parts.da_dlogstd[k];
@@ -295,14 +323,14 @@ impl SacLearner {
                     dls = 0.0;
                 }
                 drow[k] = dmean * inv_b;
-                drow[self.act_dim + k] = dls * inv_b;
+                drow[act_dim + k] = dls * inv_b;
             }
             let qmin = q1v.get(i, 0).min(q2v.get(i, 0));
             actor_loss += (alpha * samples[i].log_prob - qmin) * inv_b;
             entropy_sum += -samples[i].log_prob * inv_b;
         }
         self.actor.zero_grad();
-        self.actor.backward(&actor_tape, &dactor);
+        self.actor.backward_params(actor_tape, dactor);
         clip_grad_norm(&mut self.actor, self.cfg.max_grad_norm);
         self.actor_opt.step(&mut self.actor);
 
@@ -312,24 +340,22 @@ impl SacLearner {
         self.log_alpha = self.log_alpha.clamp(-10.0, 2.0);
 
         // ---- 4. Critic update on the stored (s, a) pairs.
-        let mut stored_in = Matrix::zeros(b, self.obs_dim + self.act_dim);
         for i in 0..b {
-            let dst = stored_in.row_slice_mut(i);
-            dst[..self.obs_dim].copy_from_slice(&batch[i].obs);
-            dst[self.obs_dim..].copy_from_slice(&batch[i].action);
+            let dst = q_in.row_slice_mut(i);
+            dst[..obs_dim].copy_from_slice(&batch[i].obs);
+            dst[obs_dim..].copy_from_slice(&batch[i].action);
         }
         let mut q_loss = 0.0;
         for (q, opt) in [(&mut self.q1, &mut self.q1_opt), (&mut self.q2, &mut self.q2_opt)] {
-            let tape = q.forward(&stored_in);
-            let out = tape.output();
-            let mut dq = Matrix::zeros(b, 1);
+            q.forward_into(q_in, q1_tape);
+            let out = q1_tape.output();
             for i in 0..b {
                 let err = out.get(i, 0) - y[i];
                 q_loss += 0.5 * err * err * inv_b * 0.5;
                 dq.set(i, 0, err * inv_b);
             }
             q.zero_grad();
-            q.backward(&tape, &dq);
+            q.backward_params(q1_tape, dq);
             clip_grad_norm(q, self.cfg.max_grad_norm);
             opt.step(q);
         }
@@ -358,14 +384,17 @@ impl SacLearner {
     }
 }
 
-/// Build a `b × dim` matrix from a field of every transition.
-fn rows<'a>(batch: &'a [Transition], f: impl Fn(&'a Transition) -> &'a Vec<f64>) -> Matrix {
-    let dim = f(&batch[0]).len();
-    let mut m = Matrix::zeros(batch.len(), dim);
+/// Make `m` the `b × dim` matrix of one field of every sampled transition.
+fn fill_rows(
+    m: &mut Matrix,
+    batch: &[&Transition],
+    dim: usize,
+    field: impl Fn(&Transition) -> &Vec<f64>,
+) {
+    m.resize_zeroed(batch.len(), dim);
     for (i, t) in batch.iter().enumerate() {
-        m.row_slice_mut(i).copy_from_slice(f(t));
+        m.row_slice_mut(i).copy_from_slice(field(t));
     }
-    m
 }
 
 #[cfg(test)]

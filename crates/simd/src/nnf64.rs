@@ -1,19 +1,23 @@
 //! `f64` microkernels for the row-major MLP matrix math in `tinynn`.
 //!
 //! These reproduce — bit for bit — the register-blocked scalar loops the
-//! `Matrix` type already used: rank-4 panel updates whose per-column
-//! expression tree is
+//! `Matrix` type already used. The contract is per output element: its
+//! reduction order is fixed by the shared dimension alone, and the vector
+//! tiers put *different elements* in their lanes, never the terms of one
+//! element's sum. Two trees exist:
 //!
 //! ```text
-//! out[j] += ((c0·b0[j] + c1·b1[j]) + c2·b2[j]) + c3·b3[j]
+//! row_matmul_acc, transpose_matmul_acc (rank-4 panels, rank-1 tail):
+//!     out[j] += ((c0·b0[j] + c1·b1[j]) + c2·b2[j]) + c3·b3[j]
+//! matmul_transpose_rhs (the 4-accumulator dot):
+//!     s_q = Σ a[p]·b[j][p] over p ≡ q (mod 4);  out[j] = ((s0 + s1) + s2) + s3
+//!     then the k % 4 leftover products added in order
 //! ```
 //!
-//! with a rank-1 tail for the leftover rows. The vector tiers evaluate
-//! exactly that tree per column lane (broadcast coefficients, no FMA),
-//! so every tier produces identical bits and the forward/backward passes
-//! remain batch-size invariant. The dot-product reduction in `tinynn`
-//! stays scalar on purpose: its fixed 4-accumulator reduction order
-//! cannot be widened without changing the sum association.
+//! Every tier evaluates exactly that tree per column lane (broadcast
+//! coefficients, multiply then add, no FMA), so every tier produces
+//! identical bits and the forward/backward passes remain batch-size
+//! invariant.
 
 use crate::Isa;
 
@@ -25,7 +29,15 @@ fn clamp(isa: Isa) -> Isa {
     isa.min(Isa::detect())
 }
 
-/// Scalar reference for one rank-4 column sweep (also the vector tail).
+/// Mask selecting the low `r` of eight lanes, `1 <= r <= 8`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn low_lanes(r: usize) -> __mmask8 {
+    debug_assert!((1..=8).contains(&r));
+    0xFF >> (8 - r)
+}
+
+/// Scalar reference for one rank-4 column sweep (also the AVX2 tail).
 #[inline(always)]
 fn rank4_cols_tail(
     c: (f64, f64, f64, f64),
@@ -41,7 +53,7 @@ fn rank4_cols_tail(
     }
 }
 
-/// Scalar reference for one rank-1 column sweep (also the vector tail).
+/// Scalar reference for one rank-1 column sweep (also the AVX2 tail).
 #[inline(always)]
 fn rank1_cols_tail(c: f64, b_row: &[f64], out: &mut [f64], from: usize) {
     for j in from..out.len() {
@@ -130,18 +142,80 @@ unsafe fn row_matmul_acc_avx2(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: 
     }
 }
 
+/// The `n % 8` rightmost columns of one output row of either rank-4
+/// kernel, under a lane mask. Unlike the full-vector sweeps, which stream
+/// `out` through memory once per rank-4 block, the accumulator stays in a
+/// register for the whole `k` sweep: a masked store is not forwarded to
+/// the masked load of the next block, and a narrow head (`n < 8`) is
+/// nothing but this tail. Per lane the sequence is unchanged — `out[j]`
+/// takes block 0's tree, then block 1's, …, then the rank-1 leftovers.
+///
+/// Coefficient `p` is read from `a.add(p * a_stride)`.
+///
+/// # Safety
+/// Requires AVX-512F and `n % 8 != 0`; `a` must be valid for reads at
+/// `p * a_stride` for every `p < k`, `b` for `k·n` reads and `out_row`
+/// for `n` reads and writes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rank4_cols_tail_avx512(
+    a: *const f64,
+    a_stride: usize,
+    b: *const f64,
+    out_row: *mut f64,
+    k: usize,
+    n: usize,
+) {
+    let j = n & !7;
+    let tail = low_lanes(n - j);
+    // SAFETY: the n − j selected lanes are columns j..n of a row p < k of b
+    // or of out_row; masked-off lanes are not accessed. Coefficient reads
+    // are the caller's bound on `a`.
+    unsafe {
+        let mut acc = _mm512_maskz_loadu_pd(tail, out_row.add(j));
+        let mut p = 0;
+        while p + 4 <= k {
+            let v0 = _mm512_set1_pd(*a.add(p * a_stride));
+            let v1 = _mm512_set1_pd(*a.add((p + 1) * a_stride));
+            let v2 = _mm512_set1_pd(*a.add((p + 2) * a_stride));
+            let v3 = _mm512_set1_pd(*a.add((p + 3) * a_stride));
+            let x0 = _mm512_maskz_loadu_pd(tail, b.add(p * n + j));
+            let x1 = _mm512_maskz_loadu_pd(tail, b.add((p + 1) * n + j));
+            let x2 = _mm512_maskz_loadu_pd(tail, b.add((p + 2) * n + j));
+            let x3 = _mm512_maskz_loadu_pd(tail, b.add((p + 3) * n + j));
+            let t = _mm512_add_pd(
+                _mm512_add_pd(
+                    _mm512_add_pd(_mm512_mul_pd(v0, x0), _mm512_mul_pd(v1, x1)),
+                    _mm512_mul_pd(v2, x2),
+                ),
+                _mm512_mul_pd(v3, x3),
+            );
+            acc = _mm512_add_pd(acc, t);
+            p += 4;
+        }
+        while p < k {
+            let cv = _mm512_set1_pd(*a.add(p * a_stride));
+            let x = _mm512_maskz_loadu_pd(tail, b.add(p * n + j));
+            acc = _mm512_add_pd(acc, _mm512_mul_pd(cv, x));
+            p += 1;
+        }
+        _mm512_mask_storeu_pd(out_row.add(j), tail, acc);
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn row_matmul_acc_avx512(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
     let bp = b.as_ptr();
     let op = out_row.as_mut_ptr();
     let mut p = 0;
-    while p + 4 <= k {
-        let c = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-        let v0 = _mm512_set1_pd(c.0);
-        let v1 = _mm512_set1_pd(c.1);
-        let v2 = _mm512_set1_pd(c.2);
-        let v3 = _mm512_set1_pd(c.3);
+    // Full vectors only; with n < 8 the row is all tail and both sweeps
+    // are skipped.
+    while n >= 8 && p + 4 <= k {
+        let v0 = _mm512_set1_pd(a_row[p]);
+        let v1 = _mm512_set1_pd(a_row[p + 1]);
+        let v2 = _mm512_set1_pd(a_row[p + 2]);
+        let v3 = _mm512_set1_pd(a_row[p + 3]);
         let mut j = 0;
         while j + 8 <= n {
             // SAFETY: (p + 3)·n + j + 7 < k·n = b.len(); j + 7 < n.
@@ -161,20 +235,10 @@ unsafe fn row_matmul_acc_avx512(a_row: &[f64], b: &[f64], out_row: &mut [f64], k
             }
             j += 8;
         }
-        rank4_cols_tail(
-            c,
-            &b[p * n..(p + 1) * n],
-            &b[(p + 1) * n..(p + 2) * n],
-            &b[(p + 2) * n..(p + 3) * n],
-            &b[(p + 3) * n..(p + 4) * n],
-            out_row,
-            j,
-        );
         p += 4;
     }
-    while p < k {
-        let c = a_row[p];
-        let cv = _mm512_set1_pd(c);
+    while n >= 8 && p < k {
+        let cv = _mm512_set1_pd(a_row[p]);
         let mut j = 0;
         while j + 8 <= n {
             // SAFETY: p·n + j + 7 < k·n = b.len(); j + 7 < n.
@@ -185,8 +249,12 @@ unsafe fn row_matmul_acc_avx512(a_row: &[f64], b: &[f64], out_row: &mut [f64], k
             }
             j += 8;
         }
-        rank1_cols_tail(c, &b[p * n..(p + 1) * n], out_row, j);
         p += 1;
+    }
+    if !n.is_multiple_of(8) {
+        // SAFETY: a_row holds k coefficients at stride 1, b holds k·n
+        // values and out_row n (dispatcher asserts).
+        unsafe { rank4_cols_tail_avx512(a_row.as_ptr(), 1, bp, op, k, n) };
     }
 }
 
@@ -331,13 +399,14 @@ unsafe fn transpose_matmul_acc_avx512(
     let bp = b.as_ptr();
     let op = out.as_mut_ptr();
     let mut p = 0;
-    while p + 4 <= k {
+    // Full vectors only; with n < 8 every row is all tail and both sweeps
+    // are skipped.
+    while n >= 8 && p + 4 <= k {
         for i in 0..m {
-            let c = (a[p * m + i], a[(p + 1) * m + i], a[(p + 2) * m + i], a[(p + 3) * m + i]);
-            let v0 = _mm512_set1_pd(c.0);
-            let v1 = _mm512_set1_pd(c.1);
-            let v2 = _mm512_set1_pd(c.2);
-            let v3 = _mm512_set1_pd(c.3);
+            let v0 = _mm512_set1_pd(a[p * m + i]);
+            let v1 = _mm512_set1_pd(a[(p + 1) * m + i]);
+            let v2 = _mm512_set1_pd(a[(p + 2) * m + i]);
+            let v3 = _mm512_set1_pd(a[(p + 3) * m + i]);
             let mut j = 0;
             while j + 8 <= n {
                 // SAFETY: (p + 3)·n + j + 7 < k·n = b.len();
@@ -359,22 +428,12 @@ unsafe fn transpose_matmul_acc_avx512(
                 }
                 j += 8;
             }
-            rank4_cols_tail(
-                c,
-                &b[p * n..(p + 1) * n],
-                &b[(p + 1) * n..(p + 2) * n],
-                &b[(p + 2) * n..(p + 3) * n],
-                &b[(p + 3) * n..(p + 4) * n],
-                &mut out[i * n..(i + 1) * n],
-                j,
-            );
         }
         p += 4;
     }
-    while p < k {
+    while n >= 8 && p < k {
         for i in 0..m {
-            let c = a[p * m + i];
-            let cv = _mm512_set1_pd(c);
+            let cv = _mm512_set1_pd(a[p * m + i]);
             let mut j = 0;
             while j + 8 <= n {
                 // SAFETY: p·n + j + 7 < k·n; i·n + j + 7 < m·n.
@@ -385,9 +444,17 @@ unsafe fn transpose_matmul_acc_avx512(
                 }
                 j += 8;
             }
-            rank1_cols_tail(c, &b[p * n..(p + 1) * n], &mut out[i * n..(i + 1) * n], j);
         }
         p += 1;
+    }
+    if !n.is_multiple_of(8) {
+        for i in 0..m {
+            // SAFETY: column i of a is k coefficients at stride m, the
+            // last at (k − 1)·m + i < k·m = a.len(); b holds k·n values
+            // and row i of out ends at (i + 1)·n <= m·n (dispatcher
+            // asserts).
+            unsafe { rank4_cols_tail_avx512(a.as_ptr().add(i), m, bp, op.add(i * n), k, n) };
+        }
     }
 }
 
@@ -419,6 +486,276 @@ pub fn transpose_matmul_acc(
         // SAFETY: clamp() verified the CPU supports this tier.
         Isa::Avx2 => unsafe { transpose_matmul_acc_avx2(a, b, out, k, m, n) },
         _ => transpose_matmul_acc_scalar(a, b, out, k, m, n),
+    }
+}
+
+/// The reduction tree of every [`matmul_transpose_rhs`] output element:
+/// four partial sums over `p ≡ 0..3 (mod 4)`, combined
+/// `((s0 + s1) + s2) + s3`, then the `k % 4` leftover products added in
+/// order. This is the scalar tier and the AVX2 column tail; the vector
+/// tiers run the same tree in every lane.
+#[inline]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let k = a.len().min(b.len());
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+    let mut p = 0;
+    while p + 4 <= k {
+        s0 += a[p] * b[p];
+        s1 += a[p + 1] * b[p + 1];
+        s2 += a[p + 2] * b[p + 2];
+        s3 += a[p + 3] * b[p + 3];
+        p += 4;
+    }
+    let mut acc = ((s0 + s1) + s2) + s3;
+    while p < k {
+        acc += a[p] * b[p];
+        p += 1;
+    }
+    acc
+}
+
+/// Columns `from..n` of output row `a_row · Bᵀ`, one [`dot`] each over
+/// the contiguous rows of `b` (`n × k`).
+#[inline(always)]
+fn dot_cols_tail(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, from: usize) {
+    for (j, o) in out_row.iter_mut().enumerate().skip(from) {
+        *o = dot(a_row, &b[j * k..(j + 1) * k]);
+    }
+}
+
+/// `V` four-lane column vectors of one output row, starting at column
+/// `j`: lane `l` of vector `v` runs [`dot`]'s tree for column
+/// `j + 4v + l`, reading that column from the transposed panel `bt`
+/// (`k × n`). `V = 2` keeps eight independent add chains in flight.
+///
+/// # Safety
+/// Requires AVX2; `bt` must be valid for `k·n` reads, `out_row` for `n`
+/// writes, `a_row.len() == k` and `j + 4·V <= n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_cols_avx2<const V: usize>(
+    a_row: &[f64],
+    bt: *const f64,
+    out_row: *mut f64,
+    n: usize,
+    j: usize,
+) {
+    let k = a_row.len();
+    let mut s = [[_mm256_setzero_pd(); 4]; V];
+    let mut p = 0;
+    while p + 4 <= k {
+        for q in 0..4 {
+            let c = _mm256_set1_pd(a_row[p + q]);
+            for (v, sv) in s.iter_mut().enumerate() {
+                // SAFETY: (p + q)·n + j + 4v + 3 < k·n since p + q < k
+                // and j + 4V <= n.
+                let x = unsafe { _mm256_loadu_pd(bt.add((p + q) * n + j + 4 * v)) };
+                sv[q] = _mm256_add_pd(sv[q], _mm256_mul_pd(c, x));
+            }
+        }
+        p += 4;
+    }
+    let mut acc = [_mm256_setzero_pd(); V];
+    for (av, sv) in acc.iter_mut().zip(&s) {
+        *av = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(sv[0], sv[1]), sv[2]), sv[3]);
+    }
+    while p < k {
+        let c = _mm256_set1_pd(a_row[p]);
+        for (v, av) in acc.iter_mut().enumerate() {
+            // SAFETY: p·n + j + 4v + 3 < k·n since p < k and j + 4V <= n.
+            let x = unsafe { _mm256_loadu_pd(bt.add(p * n + j + 4 * v)) };
+            *av = _mm256_add_pd(*av, _mm256_mul_pd(c, x));
+        }
+        p += 1;
+    }
+    for (v, av) in acc.iter().enumerate() {
+        // SAFETY: j + 4v + 3 < n, the caller's bound on `out_row`.
+        unsafe { _mm256_storeu_pd(out_row.add(j + 4 * v), *av) };
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_transpose_rhs_avx2(
+    a: &[f64],
+    b: &[f64],
+    bt: &[f64],
+    out: &mut [f64],
+    k: usize,
+    n: usize,
+) {
+    let btp = bt.as_ptr();
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        let op = out_row.as_mut_ptr();
+        let mut j = 0;
+        while j + 8 <= n {
+            // SAFETY: bt holds k·n values (dispatcher asserts), out_row n,
+            // a_row k, and j + 8 <= n.
+            unsafe { dot_cols_avx2::<2>(a_row, btp, op, n, j) };
+            j += 8;
+        }
+        if j + 4 <= n {
+            // SAFETY: as above with j + 4 <= n.
+            unsafe { dot_cols_avx2::<1>(a_row, btp, op, n, j) };
+            j += 4;
+        }
+        dot_cols_tail(a_row, b, out_row, k, j);
+    }
+}
+
+/// `V` eight-lane column vectors of one output row, starting at column
+/// `j`, the last of them under the lane mask `last` (all ones for a full
+/// vector): lane `l` of vector `v` runs [`dot`]'s tree for column
+/// `j + 8v + l`, reading that column from the transposed panel `bt`
+/// (`k × n`). `V = 2` keeps eight independent add chains in flight.
+///
+/// # Safety
+/// Requires AVX-512F; `bt` must be valid for `k·n` reads, `out_row` for
+/// `n` writes, `a_row.len() == k`, and the selected lanes must end at or
+/// before column `n`: `j + 8·(V − 1) + popcount(last) <= n` with `last`
+/// a low-lanes mask.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dot_cols_avx512<const V: usize>(
+    a_row: &[f64],
+    bt: *const f64,
+    out_row: *mut f64,
+    n: usize,
+    j: usize,
+    last: __mmask8,
+) {
+    let k = a_row.len();
+    let mask = |v: usize| if v + 1 == V { last } else { 0xFF };
+    let mut s = [[_mm512_setzero_pd(); 4]; V];
+    let mut p = 0;
+    while p + 4 <= k {
+        for q in 0..4 {
+            let c = _mm512_set1_pd(a_row[p + q]);
+            for (v, sv) in s.iter_mut().enumerate() {
+                // SAFETY: the lanes selected by mask(v) are columns
+                // j + 8v + l < n of panel row p + q < k, inside bt; masked-off
+                // lanes are not accessed.
+                let x = unsafe { _mm512_maskz_loadu_pd(mask(v), bt.add((p + q) * n + j + 8 * v)) };
+                sv[q] = _mm512_add_pd(sv[q], _mm512_mul_pd(c, x));
+            }
+        }
+        p += 4;
+    }
+    let mut acc = [_mm512_setzero_pd(); V];
+    for (av, sv) in acc.iter_mut().zip(&s) {
+        *av = _mm512_add_pd(_mm512_add_pd(_mm512_add_pd(sv[0], sv[1]), sv[2]), sv[3]);
+    }
+    while p < k {
+        let c = _mm512_set1_pd(a_row[p]);
+        for (v, av) in acc.iter_mut().enumerate() {
+            // SAFETY: as above for panel row p < k.
+            let x = unsafe { _mm512_maskz_loadu_pd(mask(v), bt.add(p * n + j + 8 * v)) };
+            *av = _mm512_add_pd(*av, _mm512_mul_pd(c, x));
+        }
+        p += 1;
+    }
+    for (v, av) in acc.iter().enumerate() {
+        // SAFETY: the selected lanes are columns j + 8v + l < n of
+        // out_row; masked-off lanes are not written.
+        unsafe { _mm512_mask_storeu_pd(out_row.add(j + 8 * v), mask(v), *av) };
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn matmul_transpose_rhs_avx512(a: &[f64], bt: &[f64], out: &mut [f64], k: usize, n: usize) {
+    let btp = bt.as_ptr();
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        let op = out_row.as_mut_ptr();
+        let mut j = 0;
+        while j + 16 <= n {
+            // SAFETY: bt holds k·n values (dispatcher asserts), out_row n,
+            // a_row k, and j + 16 <= n.
+            unsafe { dot_cols_avx512::<2>(a_row, btp, op, n, j, 0xFF) };
+            j += 16;
+        }
+        let r = n - j;
+        if r > 8 {
+            // SAFETY: as above; the second vector selects r − 8 lanes, so
+            // the last column touched is j + r − 1 = n − 1.
+            unsafe { dot_cols_avx512::<2>(a_row, btp, op, n, j, low_lanes(r - 8)) };
+        } else if r > 0 {
+            // SAFETY: as above; r lanes from column j end at n − 1.
+            unsafe { dot_cols_avx512::<1>(a_row, btp, op, n, j, low_lanes(r)) };
+        }
+    }
+}
+
+/// Write `bt = bᵀ` (`k × n` from the `n × k` row-major `b`): the panel
+/// the vector tiers of [`matmul_transpose_rhs`] read columns of `b`'s
+/// transpose from. `bt` is caller-owned scratch, resized here and never
+/// shrunk, so a warmed-up caller allocates nothing. The scalar tier walks
+/// `b`'s own rows and packs nothing.
+pub fn pack_transposed(isa: Isa, b: &[f64], n: usize, k: usize, bt: &mut Vec<f64>) {
+    assert!(b.len() >= n * k, "pack_transposed: shape");
+    if clamp(isa) == Isa::Scalar {
+        return;
+    }
+    bt.resize(k * n, 0.0);
+    // Eight source rows at a time: each sweep over `p` then fills one
+    // cache line of every panel row instead of one element.
+    let mut j0 = 0;
+    while j0 < n {
+        let j1 = (j0 + 8).min(n);
+        for p in 0..k {
+            let dst = &mut bt[p * n + j0..p * n + j1];
+            for (d, j) in dst.iter_mut().zip(j0..j1) {
+                *d = b[j * k + p];
+            }
+        }
+        j0 = j1;
+    }
+}
+
+/// `out = A · Bᵀ` where `A` is `m × k`, `B` is `n × k` and `out` is
+/// `m × n`, all row-major — the input-gradient kernel `∂x = δ · Wᵀ`.
+/// `bt` is `B` packed by [`pack_transposed`] for the same `isa`. Every
+/// output element follows the 4-accumulator tree of the module docs on
+/// every tier; the vector tiers run it for 16 (AVX-512) or 8 (AVX2)
+/// columns of one output row at a time.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_transpose_rhs(
+    isa: Isa,
+    a: &[f64],
+    b: &[f64],
+    bt: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(
+        a.len() >= m * k && b.len() >= n * k && out.len() >= m * n,
+        "matmul_transpose_rhs: shape"
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
+    let (a, out) = (&a[..m * k], &mut out[..m * n]);
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let isa = clamp(isa);
+    assert!(isa == Isa::Scalar || bt.len() >= k * n, "matmul_transpose_rhs: panel not packed");
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: clamp() verified the CPU supports this tier.
+        Isa::Avx512 => unsafe { matmul_transpose_rhs_avx512(a, bt, out, k, n) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: clamp() verified the CPU supports this tier.
+        Isa::Avx2 => unsafe { matmul_transpose_rhs_avx2(a, b, bt, out, k, n) },
+        _ => {
+            for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                dot_cols_tail(a_row, b, out_row, k, 0);
+            }
+        }
     }
 }
 
@@ -543,6 +880,46 @@ mod tests {
                         out.iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits()),
                         "transpose_matmul_acc {isa} k={k} m={m} n={n}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_transpose_rhs_is_bitwise_identical_across_tiers() {
+        for &k in &KS {
+            for &n in &NS {
+                let m = 3;
+                let a = lcg((k * m + 5) as u64, m * k);
+                let b = lcg((k * n + 2) as u64, n * k);
+                // The scalar tier is the reference; it reads no panel.
+                let mut reference = vec![f64::NAN; m * n];
+                matmul_transpose_rhs(Isa::Scalar, &a, &b, &[], &mut reference, m, k, n);
+                for isa in tiers() {
+                    let mut bt = Vec::new();
+                    pack_transposed(isa, &b, n, k, &mut bt);
+                    let mut out = vec![f64::NAN; m * n];
+                    matmul_transpose_rhs(isa, &a, &b, &bt, &mut out, m, k, n);
+                    assert!(
+                        out.iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "matmul_transpose_rhs {isa} k={k} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_transposed_reuses_a_larger_panel() {
+        // A panel left over from a bigger shape must be fully rewritten.
+        let isa = Isa::detect();
+        let mut bt = vec![f64::NAN; 100];
+        let b = lcg(9, 3 * 5);
+        pack_transposed(isa, &b, 3, 5, &mut bt);
+        if isa != Isa::Scalar {
+            for j in 0..3 {
+                for p in 0..5 {
+                    assert_eq!(bt[p * 3 + j].to_bits(), b[j * 5 + p].to_bits());
                 }
             }
         }

@@ -34,6 +34,24 @@ fn smoke_stage_update_parity() {
     }
 }
 
+/// Same for the `out = A · Bᵀ` kernel, on a shape that has a full
+/// two-vector block, a single vector and a ragged tail on both vector
+/// tiers (`n = 29`) and a `k % 4` remainder (`k = 7`).
+#[test]
+fn smoke_matmul_transpose_rhs_parity() {
+    let (m, k, n) = (3, 7, 29);
+    let a: Vec<f64> = (0..m * k).map(|i| (i % 11) as f64 * 0.17 - 0.9).collect();
+    let b: Vec<f64> = (0..n * k).map(|i| (i % 13) as f64 * 0.13 - 0.8).collect();
+    let reference = ref_matmul_transpose_rhs(&a, &b, m, k, n);
+    for isa in tiers() {
+        let mut bt = Vec::new();
+        nnf64::pack_transposed(isa, &b, n, k, &mut bt);
+        let mut out = vec![f64::NAN; m * n];
+        nnf64::matmul_transpose_rhs(isa, &a, &b, &bt, &mut out, m, k, n);
+        assert!(bits_eq(&out, &reference), "matmul_transpose_rhs diverged on {isa}");
+    }
+}
+
 fn tiers() -> Vec<Isa> {
     Isa::ALL.into_iter().filter(|t| t.available()).collect()
 }
@@ -52,6 +70,29 @@ fn ref_weighted_sum(coeffs: &[f64], k: &[f64], len: usize, e: usize) -> f64 {
         acc += c * k[j * len + e];
     }
     acc
+}
+
+/// `A · Bᵀ` (`A` is `m × k`, `B` is `n × k`) with every element reduced
+/// by the documented tree: four partial sums over `p ≡ 0..3 (mod 4)`,
+/// combined `((s0 + s1) + s2) + s3`, then the `k % 4` leftovers in order.
+fn ref_matmul_transpose_rhs(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
+    let mut out = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let (x, y) = (&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+            let mut s = [0.0f64; 4];
+            let blocked = k - k % 4;
+            for p in 0..blocked {
+                s[p % 4] += x[p] * y[p];
+            }
+            let mut acc = ((s[0] + s[1]) + s[2]) + s[3];
+            for p in blocked..k {
+                acc += x[p] * y[p];
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
 }
 
 fn vecs(len: core::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -212,6 +253,25 @@ proptest! {
             let mut out = vec![0.25; m * n];
             nnf64::transpose_matmul_acc(isa, &a, &b, &mut out, k, m, n);
             prop_assert!(bits_eq(&out, &reference), "transpose_matmul_acc diverged on {}", isa);
+        }
+    }
+
+    #[test]
+    fn nn_matmul_transpose_rhs_matches_scalar_dot(
+        m in 1usize..9,
+        k in 1usize..67,
+        n in 1usize..67,
+        scale in 0.1f64..2.0,
+    ) {
+        let a: Vec<f64> = (0..m * k).map(|i| scale * (((i * 29) % 31) as f64 * 0.07 - 1.0)).collect();
+        let b: Vec<f64> = (0..n * k).map(|i| ((i * 37) % 41) as f64 * 0.05 - 1.0).collect();
+        let reference = ref_matmul_transpose_rhs(&a, &b, m, k, n);
+        for isa in tiers() {
+            let mut bt = Vec::new();
+            nnf64::pack_transposed(isa, &b, n, k, &mut bt);
+            let mut out = vec![f64::NAN; m * n];
+            nnf64::matmul_transpose_rhs(isa, &a, &b, &bt, &mut out, m, k, n);
+            prop_assert!(bits_eq(&out, &reference), "matmul_transpose_rhs diverged on {}", isa);
         }
     }
 
