@@ -7,34 +7,7 @@ use crate::trial::{Trial, TrialStatus};
 /// Serialize trials as CSV with columns `id, <params…>, <metrics…>,
 /// status`. Fields containing commas or quotes are quoted per RFC 4180.
 pub fn trials_to_csv(trials: &[Trial], params: &[&str], metrics: &[MetricDef]) -> String {
-    let mut out = String::new();
-    let mut header: Vec<String> = vec!["id".into()];
-    header.extend(params.iter().map(|p| p.to_string()));
-    header.extend(metrics.iter().map(|m| m.name.clone()));
-    header.push("status".into());
-    out.push_str(&header.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
-    out.push('\n');
-
-    for t in trials {
-        let mut row: Vec<String> = vec![t.id.to_string()];
-        for p in params {
-            row.push(t.config.get(p).map(|v| v.to_string()).unwrap_or_default());
-        }
-        for m in metrics {
-            row.push(t.metrics.get(&m.name).map(|v| format!("{v}")).unwrap_or_default());
-        }
-        row.push(
-            match t.status {
-                TrialStatus::Complete => "complete",
-                TrialStatus::Pruned => "pruned",
-                TrialStatus::Failed => "failed",
-            }
-            .into(),
-        );
-        out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
+    render(trials, params, metrics, None)
 }
 
 /// Like [`trials_to_csv`], but each metric column is followed by four
@@ -49,13 +22,24 @@ pub fn trials_to_csv_with_dispersion(
     metrics: &[MetricDef],
     spec: &BootstrapSpec,
 ) -> String {
+    render(trials, params, metrics, Some(spec))
+}
+
+fn render(
+    trials: &[Trial],
+    params: &[&str],
+    metrics: &[MetricDef],
+    spec: Option<&BootstrapSpec>,
+) -> String {
     let mut out = String::new();
     let mut header: Vec<String> = vec!["id".into()];
     header.extend(params.iter().map(|p| p.to_string()));
     for m in metrics {
         header.push(m.name.clone());
-        for suffix in ["std", "iqr", "ci_lo", "ci_hi"] {
-            header.push(format!("{}_{suffix}", m.name));
+        if spec.is_some() {
+            for suffix in ["std", "iqr", "ci_lo", "ci_hi"] {
+                header.push(format!("{}_{suffix}", m.name));
+            }
         }
     }
     header.push("status".into());
@@ -69,15 +53,17 @@ pub fn trials_to_csv_with_dispersion(
         }
         for m in metrics {
             row.push(t.metrics.get(&m.name).map(|v| format!("{v}")).unwrap_or_default());
-            match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
-                Some(d) => {
-                    let ci = d.bootstrap_ci(spec);
-                    row.push(format!("{}", d.std()));
-                    row.push(format!("{}", d.iqr()));
-                    row.push(format!("{}", ci.lo));
-                    row.push(format!("{}", ci.hi));
+            if let Some(spec) = spec {
+                match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
+                    Some(d) => {
+                        let ci = d.bootstrap_ci(spec);
+                        row.push(format!("{}", d.std()));
+                        row.push(format!("{}", d.iqr()));
+                        row.push(format!("{}", ci.lo));
+                        row.push(format!("{}", ci.hi));
+                    }
+                    None => row.extend((0..4).map(|_| String::new())),
                 }
-                None => row.extend((0..4).map(|_| String::new())),
             }
         }
         row.push(
@@ -164,6 +150,27 @@ mod tests {
         assert!(ci_lo <= 2.0 && 2.0 <= ci_hi, "CI [{ci_lo}, {ci_hi}] must cover the mean");
         // Scalar-only trial: the four dispersion fields are empty, not 0.
         assert_eq!(lines.next(), Some("1,5,,,,,complete"));
+    }
+
+    #[test]
+    fn plain_csv_ignores_attached_distributions() {
+        // Without a spec the shared body must emit no dispersion column
+        // and never read the attached distribution.
+        let mut m = MetricValues::new().with("reward", -0.45).with("time_min", 65.0);
+        m.set_distribution("reward", vec![-0.5, -0.45, -0.4].into());
+        let trials = vec![
+            Trial::complete(0, Configuration::new().with("fw", ParamValue::Str("sb".into())), m),
+            Trial::complete(
+                1,
+                Configuration::new().with("fw", ParamValue::Str("ray".into())),
+                MetricValues::new().with("reward", -0.73).with("time_min", 80.0),
+            ),
+        ];
+        let metrics = [MetricDef::maximize("reward"), MetricDef::minimize("time_min")];
+        assert_eq!(
+            trials_to_csv(&trials, &["fw"], &metrics),
+            "id,fw,reward,time_min,status\n0,sb,-0.45,65,complete\n1,ray,-0.73,80,complete\n"
+        );
     }
 
     #[test]

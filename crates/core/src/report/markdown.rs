@@ -13,40 +13,7 @@ pub fn trials_to_markdown(
     metrics: &[MetricDef],
     front: Option<&ParetoFront>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("| # |");
-    for p in params {
-        out.push_str(&format!(" {p} |"));
-    }
-    for m in metrics {
-        out.push_str(&format!(" {} |", m.name));
-    }
-    out.push_str(" status |\n|---|");
-    for _ in 0..params.len() + metrics.len() + 1 {
-        out.push_str("---|");
-    }
-    out.push('\n');
-
-    for (i, t) in trials.iter().enumerate() {
-        let on_front = front.map(|f| f.contains(i)).unwrap_or(false);
-        let emph = if on_front { "**" } else { "" };
-        out.push_str(&format!("| {emph}{}{emph} |", t.id + 1));
-        for p in params {
-            let v = t.config.get(p).map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-            out.push_str(&format!(" {emph}{v}{emph} |"));
-        }
-        for m in metrics {
-            let v = t.metrics.get(&m.name).map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into());
-            out.push_str(&format!(" {emph}{v}{emph} |"));
-        }
-        let status = match t.status {
-            TrialStatus::Complete => "ok",
-            TrialStatus::Pruned => "pruned",
-            TrialStatus::Failed => "failed",
-        };
-        out.push_str(&format!(" {status} |\n"));
-    }
-    out
+    render(trials, params, metrics, front, None)
 }
 
 /// Like [`trials_to_markdown`], but metric cells carry a bootstrap
@@ -60,13 +27,26 @@ pub fn trials_to_markdown_with_ci(
     front: Option<&ParetoFront>,
     spec: &BootstrapSpec,
 ) -> String {
+    render(trials, params, metrics, front, Some(spec))
+}
+
+fn render(
+    trials: &[Trial],
+    params: &[&str],
+    metrics: &[MetricDef],
+    front: Option<&ParetoFront>,
+    spec: Option<&BootstrapSpec>,
+) -> String {
     let mut out = String::new();
     out.push_str("| # |");
     for p in params {
         out.push_str(&format!(" {p} |"));
     }
     for m in metrics {
-        out.push_str(&format!(" {} ({:.0}% CI) |", m.name, spec.level * 100.0));
+        match spec {
+            Some(spec) => out.push_str(&format!(" {} ({:.0}% CI) |", m.name, spec.level * 100.0)),
+            None => out.push_str(&format!(" {} |", m.name)),
+        }
     }
     out.push_str(" status |\n|---|");
     for _ in 0..params.len() + metrics.len() + 1 {
@@ -83,15 +63,14 @@ pub fn trials_to_markdown_with_ci(
             out.push_str(&format!(" {emph}{v}{emph} |"));
         }
         for m in metrics {
-            let v = match t.metrics.get(&m.name) {
-                Some(v) => match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
-                    Some(d) => {
-                        let ci = d.bootstrap_ci(spec);
-                        format!("{v:.2} [{:.2}, {:.2}]", ci.lo, ci.hi)
-                    }
-                    None => format!("{v:.2}"),
-                },
-                None => "-".into(),
+            let dist = spec.zip(t.metrics.distribution(&m.name).filter(|d| !d.is_empty()));
+            let v = match (t.metrics.get(&m.name), dist) {
+                (Some(v), Some((spec, d))) => {
+                    let ci = d.bootstrap_ci(spec);
+                    format!("{v:.2} [{:.2}, {:.2}]", ci.lo, ci.hi)
+                }
+                (Some(v), None) => format!("{v:.2}"),
+                (None, _) => "-".into(),
             };
             out.push_str(&format!(" {emph}{v}{emph} |"));
         }
@@ -167,6 +146,22 @@ mod tests {
         for l in md.lines() {
             assert_eq!(l.matches('|').count(), cols, "misaligned row: {l}");
         }
+    }
+
+    #[test]
+    fn plain_markdown_ignores_attached_distributions() {
+        // Without a spec the shared body must emit plain headers and
+        // cells and never read the attached distribution.
+        let mut ts = trials();
+        ts[0].metrics.set_distribution("reward", vec![-0.5, -0.45, -0.4].into());
+        let front = ParetoFront::compute(&ts, &metrics());
+        assert_eq!(
+            trials_to_markdown(&ts, &["fw"], &metrics(), Some(&front)),
+            "| # | fw | reward | time_min | status |\n\
+             |---|---|---|---|---|\n\
+             | **1** | **sb** | **-0.45** | **65.00** | ok |\n\
+             | 2 | ray | -0.73 | 80.00 | ok |\n"
+        );
     }
 
     #[test]

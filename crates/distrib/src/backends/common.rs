@@ -4,10 +4,9 @@
 use gymrs::{Action, Environment, VecEnv};
 use rand::Rng;
 use rl_algos::buffer::{RolloutBuffer, Transition};
-use rl_algos::collect::collect_lockstep;
+use rl_algos::collect::{collect_lockstep, collect_steps, Collected};
 use rl_algos::policy::ActorCritic;
 use rl_algos::sac::SacLearner;
-use tinynn::forward_flops;
 
 /// Result of one collection segment.
 pub struct Segment {
@@ -21,13 +20,21 @@ pub struct Segment {
     pub infer_flops: u64,
 }
 
-/// Collect `n` steps from `env` with a fixed policy snapshot.
-///
-/// Identical semantics to `PpoLearner::collect`, but usable from worker
-/// threads that only hold a policy clone. The segment tail is closed for
-/// GAE: if the final step did not end its episode, it is marked `done`
-/// with its bootstrap value kept, so concatenated segments never leak
-/// advantage across workers.
+impl Segment {
+    fn new(policy: &ActorCritic, out: Collected) -> Self {
+        Segment {
+            infer_flops: out.infer_flops(policy),
+            rollout: out.rollout,
+            env_work: out.env_work,
+            episodes: out.episodes,
+        }
+    }
+}
+
+/// Collect `n` steps from `env` with a fixed policy snapshot:
+/// [`collect_steps`] with the segment tail closed. If the final step did
+/// not end its episode, it is marked `done` with its bootstrap value
+/// kept, so concatenated segments never leak advantage across workers.
 pub fn collect_segment(
     policy: &ActorCritic,
     env: &mut dyn Environment,
@@ -35,61 +42,11 @@ pub fn collect_segment(
     n: usize,
     rng: &mut impl Rng,
 ) -> Segment {
-    let mut rollout = RolloutBuffer::with_capacity(n);
-    let mut env_work = 0u64;
-    let mut episodes = Vec::new();
-    let mut ep_ret = 0.0;
-    let mut ep_len = 0usize;
-    // One step's bootstrap value V(s') is the next step's V(s): cache it
-    // so the critic runs once per step instead of twice (deterministic
-    // critic, no rng draws — trajectories are bitwise unchanged).
-    let mut value = policy.value(obs);
-    let mut critic_rows = 1usize;
-    for _ in 0..n {
-        let d = policy.dist(obs);
-        let action = d.sample(rng);
-        let log_prob = d.log_prob(&action);
-        let s = env.step(&action);
-        env_work += env.last_step_work();
-        ep_ret += s.reward;
-        ep_len += 1;
-        let done = s.done();
-        let next_value = if s.terminated {
-            0.0
-        } else {
-            critic_rows += 1;
-            policy.value(&s.obs)
-        };
-        rollout.push(
-            std::mem::take(obs),
-            action,
-            s.reward,
-            s.terminated,
-            done,
-            value,
-            next_value,
-            log_prob,
-        );
-        if done {
-            episodes.push((ep_ret, ep_len));
-            ep_ret = 0.0;
-            ep_len = 0;
-            *obs = env.reset();
-            value = policy.value(obs);
-            critic_rows += 1;
-        } else {
-            *obs = s.obs;
-            value = next_value;
-        }
-    }
-    // Close the segment for GAE concatenation.
-    if let Some(last) = rollout.dones.last_mut() {
+    let mut out = collect_steps(policy, env, obs, n, rng);
+    if let Some(last) = out.rollout.dones.last_mut() {
         *last = true;
     }
-    let a = policy.actor.sizes();
-    let c = policy.critic.sizes();
-    let infer_flops = forward_flops(&a, n) + forward_flops(&c, critic_rows);
-    Segment { rollout, env_work, episodes, infer_flops }
+    Segment::new(policy, out)
 }
 
 /// Collect `ticks` lockstep sweeps from a vectorized environment with
@@ -104,12 +61,7 @@ pub fn collect_segment_vec<E: Environment>(
     ticks: usize,
     rng: &mut impl Rng,
 ) -> Segment {
-    let out = collect_lockstep(policy, venv, ticks, rng);
-    let a = policy.actor.sizes();
-    let c = policy.critic.sizes();
-    let infer_flops =
-        forward_flops(&a, out.actor_rows as usize) + forward_flops(&c, out.critic_rows as usize);
-    Segment { rollout: out.rollout, env_work: out.env_work, episodes: out.episodes, infer_flops }
+    Segment::new(policy, collect_lockstep(policy, venv, ticks, rng))
 }
 
 /// One SAC interaction step: act, step the env, feed the learner.

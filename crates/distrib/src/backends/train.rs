@@ -22,10 +22,8 @@ use cluster_sim::{ClusterSession, NodeWork, SessionEvent};
 use gymrs::{Environment, Space, VecEnv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rl_algos::buffer::RolloutBuffer;
-use rl_algos::impala::{ImpalaConfig, ImpalaLearner};
-use rl_algos::policy::ActorCritic;
-use rl_algos::ppo::{PpoConfig, PpoLearner};
+use rl_algos::impala::ImpalaConfig;
+use rl_algos::on_policy::OnPolicyLearner;
 use rl_algos::sac::{SacConfig, SacLearner};
 use rl_algos::Algorithm;
 use telemetry::SharedRecorder;
@@ -108,7 +106,12 @@ pub fn train(
         transport: resolve_transport(spec.transport.as_deref())?,
     };
     match spec.algorithm {
-        Algorithm::Ppo => train_on_policy(&run, OnPolicy::Ppo(&spec.ppo), factory, session),
+        Algorithm::Ppo => {
+            let ppo = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
+                OnPolicyLearner::new(obs_dim, actions, spec.ppo.clone(), rng)
+            };
+            train_on_policy(&run, ppo, factory, session)
+        }
         Algorithm::Sac => Ok(train_sac(&run, &spec.sac, factory, session)),
     }
 }
@@ -137,78 +140,10 @@ pub fn train_impala(
         window: opts.window,
         transport: resolve_transport(transport)?,
     };
-    train_on_policy(&run, OnPolicy::Impala(&opts.config), factory, session)
-}
-
-/// Which on-policy learner a run trains.
-enum OnPolicy<'a> {
-    Ppo(&'a PpoConfig),
-    Impala(&'a ImpalaConfig),
-}
-
-/// The two on-policy learners behind the handful of calls the loop makes.
-enum Learner {
-    Ppo(PpoLearner),
-    Impala(ImpalaLearner),
-}
-
-impl Learner {
-    fn new(kind: OnPolicy<'_>, obs_dim: usize, actions: &Space, rng: &mut StdRng) -> Self {
-        match kind {
-            OnPolicy::Ppo(cfg) => Learner::Ppo(PpoLearner::new(obs_dim, actions, cfg.clone(), rng)),
-            OnPolicy::Impala(cfg) => {
-                Learner::Impala(ImpalaLearner::new(obs_dim, actions, cfg.clone(), rng))
-            }
-        }
-    }
-
-    fn policy(&self) -> &ActorCritic {
-        match self {
-            Learner::Ppo(l) => &l.policy,
-            Learner::Impala(l) => &l.policy,
-        }
-    }
-
-    /// Steps per training iteration (the round batch).
-    fn n_steps(&self) -> usize {
-        match self {
-            Learner::Ppo(l) => l.config().n_steps,
-            Learner::Impala(l) => l.config().n_steps,
-        }
-    }
-
-    /// Apply the learning-rate schedule, if the learner has one.
-    fn anneal(&mut self, progress: f64) {
-        if let Learner::Ppo(l) = self {
-            l.anneal(progress);
-        }
-    }
-
-    fn update(&mut self, rollout: &RolloutBuffer, rng: &mut StdRng) {
-        match self {
-            Learner::Ppo(l) => {
-                l.update(rollout, rng);
-            }
-            Learner::Impala(l) => {
-                l.update(rollout);
-            }
-        }
-    }
-
-    /// FLOPs spent in updates so far.
-    fn flops(&self) -> u64 {
-        match self {
-            Learner::Ppo(l) => l.flops,
-            Learner::Impala(l) => l.flops,
-        }
-    }
-
-    fn updates(&self) -> u64 {
-        match self {
-            Learner::Ppo(l) => l.updates,
-            Learner::Impala(l) => l.updates,
-        }
-    }
+    let impala = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
+        OnPolicyLearner::impala(obs_dim, actions, opts.config.clone(), rng)
+    };
+    train_on_policy(&run, impala, factory, session)
 }
 
 /// Build the worker set `arch` prescribes. Sub-environment `i` is seeded
@@ -273,9 +208,11 @@ fn learner_compute(driver: &mut Driver<'_>, profile: &FrameworkProfile, flops: u
     driver.apply(&SessionEvent::Compute { work });
 }
 
+/// `make_learner(obs_dim, action_space, rng)` picks the setting of the one
+/// on-policy learner (PPO or IMPALA-style); the loop is the same for both.
 fn train_on_policy(
     run: &Run,
-    kind: OnPolicy<'_>,
+    make_learner: impl FnOnce(usize, &Space, &mut StdRng) -> OnPolicyLearner,
     factory: &dyn EnvFactory,
     session: &mut ClusterSession,
 ) -> Result<ExecReport, String> {
@@ -292,12 +229,12 @@ fn train_on_policy(
     let obs_dim = probe.observation_space().dim();
     let actions = probe.action_space();
     drop(probe);
-    let mut learner = Learner::new(kind, obs_dim, &actions, rng.rng_mut());
+    let mut learner = make_learner(obs_dim, &actions, rng.rng_mut());
 
     let recorder = session.recorder();
     let specs = collectors(&arch, deployment, seed, factory, recorder.clone());
     let n_workers = specs.len();
-    let mut runtime = Runtime::spawn_with(specs, learner.policy(), run.transport.clone())
+    let mut runtime = Runtime::spawn_with(specs, &learner.policy, run.transport.clone())
         .with_fault_policy(run.fault);
     if let Some(w) = run.window {
         runtime = runtime.with_window(w);
@@ -312,7 +249,7 @@ fn train_on_policy(
         // Weights crossing to remote nodes are narrated as one transfer;
         // workers the sync policy skips this round collect on a stale
         // snapshot.
-        driver.broadcast(&mut runtime, learner.policy(), arch.sync)?;
+        driver.broadcast(&mut runtime, &learner.policy, arch.sync)?;
 
         // The round batch is divided across the *healthy* per-env
         // workers, so a quarantined worker's share moves to the
@@ -342,9 +279,9 @@ fn train_on_policy(
         let infer_flops: u64 = wave.node_infer_flops.iter().sum();
         infer_total += infer_flops;
 
-        let flops_before = learner.flops();
+        let flops_before = learner.flops;
         learner.update(&merged, rng.rng_mut());
-        let update_flops = learner.flops() - flops_before;
+        let update_flops = learner.flops - flops_before;
 
         let node = driver.cluster().node;
         let overhead = profile.per_step_overhead_units * (per_worker * cores) as f64;
@@ -378,13 +315,13 @@ fn train_on_policy(
 
     let stats = driver.finish();
     Ok(ExecReport {
-        model: TrainedModel::Ppo(Box::new(learner.policy().clone())),
+        model: TrainedModel::Ppo(Box::new(learner.policy.clone())),
         usage: Default::default(),
         env_steps: stats.env_steps,
         env_work: stats.env_work,
-        learn_flops: learner.flops() + infer_total,
+        learn_flops: learner.flops + infer_total,
         train_returns: stats.train_returns,
-        updates: learner.updates(),
+        updates: learner.updates,
         degraded: stats.degraded,
     })
 }

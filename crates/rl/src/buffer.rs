@@ -158,14 +158,10 @@ impl RolloutBuffer {
 
     /// Compute GAE over this buffer.
     ///
-    /// Uses `dones` (terminated *or* truncated) to cut the λ-recursion at
-    /// segment ends, and `terminateds` to decide whether to bootstrap the
-    /// successor value.
+    /// `dones` (terminated, truncated, or a closed segment tail) cuts the
+    /// λ-recursion; the bootstrap cut is encoded in `next_values`, which
+    /// stores 0 exactly for terminal successors.
     pub fn advantages(&self, gamma: f64, lambda: f64) -> (Vec<f64>, Vec<f64>) {
-        // Bootstrapping: next_values already stores 0 for terminal
-        // successors, so a single gae() call handles both flag kinds: the
-        // λ-chain cut uses `dones`, the bootstrap cut is encoded in
-        // next_values.
         crate::gae::gae(&self.rewards, &self.values, &self.dones, &self.next_values, gamma, lambda)
     }
 

@@ -1,49 +1,125 @@
-//! Lockstep batched collection: drive a [`VecEnv`] with the batched
-//! policy API.
+//! Collection: the per-step loop over one environment and the lockstep
+//! batched loop over a [`VecEnv`].
 //!
-//! This is the fast path the paper's frameworks converge on (Stable
-//! Baselines' vectorized envs, TF-Agents' batched driver): instead of one
-//! network forward per environment per step, each lockstep tick performs
-//! **one** actor forward and **one** critic forward over the whole
-//! `n_envs × obs_dim` observation batch. The blocked matmul kernels in
-//! `tinynn` guarantee batched rows are bitwise identical to single-row
-//! evaluation, so with one sub-environment this collector reproduces the
-//! sequential [`crate::ppo::PpoLearner::collect`] trajectory exactly
-//! (same rng draws, same values) — the tests pin that down.
+//! [`collect_steps`] is the only scalar collection loop in the workspace:
+//! the single-node trainer charges its inference to the learner
+//! ([`crate::on_policy::OnPolicyLearner::collect`]) and the distributed
+//! per-env workers close its tail (`dist_exec`'s `collect_segment`).
 //!
-//! Critic economy: the successor values computed for bootstrapping tick
-//! `t` are exactly the current-state values of tick `t + 1`, so they are
-//! cached instead of recomputed — roughly halving critic forwards versus
-//! naive per-step collection. Only truncated episodes need an extra
-//! critic row (their bootstrap state is the *pre-reset* observation,
-//! preserved by [`gymrs::TickBatch::final_obs`]).
+//! [`collect_lockstep`] is the fast path the paper's frameworks converge
+//! on (Stable Baselines' vectorized envs, TF-Agents' batched driver):
+//! instead of one network forward per environment per step, each lockstep
+//! tick performs **one** actor forward and **one** critic forward over the
+//! whole `n_envs × obs_dim` observation batch. The blocked matmul kernels
+//! in `tinynn` guarantee batched rows are bitwise identical to single-row
+//! evaluation, so with one sub-environment it reproduces the
+//! [`collect_steps`] trajectory exactly (same rng draws, same values) —
+//! the tests pin that down.
 //!
-//! Environment stepping goes through [`VecEnv::step_lockstep`], which
-//! takes the batched ODE fast path when the sub-environments support it
-//! (one batched integrator call per substep across all lanes) and is
+//! Critic economy, in both loops: the successor value computed for
+//! bootstrapping step `t` is exactly the current-state value of step
+//! `t + 1`, so it is cached instead of recomputed — roughly halving critic
+//! forwards versus naive per-step collection, with bitwise-identical
+//! results (the critic is deterministic and draws nothing from the rng).
+//! Only truncated episodes need an extra critic row (their bootstrap state
+//! is the *pre-reset* observation, preserved by
+//! [`gymrs::TickBatch::final_obs`]).
+//!
+//! Lockstep stepping goes through [`VecEnv::step_lockstep`], which takes
+//! the batched ODE fast path when the sub-environments support it (one
+//! batched integrator call per substep across all lanes) and is
 //! bitwise-identical to the scalar sweep either way.
 
 use crate::buffer::RolloutBuffer;
 use crate::policy::ActorCritic;
 use gymrs::{Environment, VecEnv};
 use rand::Rng;
-use tinynn::Matrix;
+use tinynn::{forward_flops, Matrix};
 
-/// Result of one lockstep collection sweep.
+/// Result of one collection.
 #[derive(Debug)]
-pub struct LockstepOutcome {
-    /// Per-env segments concatenated in env order, each tail closed
-    /// (`dones.last == true`) so GAE's λ-chain cannot leak across
-    /// environment boundaries.
+pub struct Collected {
+    /// The collected steps. From [`collect_lockstep`]: per-env segments
+    /// concatenated in env order, each tail closed (`dones.last == true`)
+    /// so the λ-chain cannot leak across environment boundaries.
     pub rollout: RolloutBuffer,
-    /// Environment work units consumed during the sweep.
+    /// Environment work units consumed (derivative evaluations).
     pub env_work: u64,
-    /// `(return, length)` of episodes that finished, in tick order.
+    /// `(return, length)` of episodes that finished, in step order.
     pub episodes: Vec<(f64, usize)>,
     /// Observation rows pushed through the actor (FLOP accounting).
     pub actor_rows: u64,
     /// Observation rows pushed through the critic (FLOP accounting).
     pub critic_rows: u64,
+}
+
+impl Collected {
+    /// Inference FLOPs of this collection under `policy`'s network shapes.
+    pub fn infer_flops(&self, policy: &ActorCritic) -> u64 {
+        forward_flops(&policy.actor.sizes(), self.actor_rows as usize)
+            + forward_flops(&policy.critic.sizes(), self.critic_rows as usize)
+    }
+}
+
+/// Collect `n` steps from `env` with a fixed policy, starting at `*obs`
+/// (which is updated to the observation where collection stopped).
+///
+/// Episode boundaries auto-reset. Terminated steps store a zero bootstrap
+/// value; truncated ones bootstrap from the (real) final state, and the
+/// final step from the carried observation. The tail is left open: a
+/// caller that concatenates segments closes it.
+pub fn collect_steps(
+    policy: &ActorCritic,
+    env: &mut dyn Environment,
+    obs: &mut Vec<f64>,
+    n: usize,
+    rng: &mut impl Rng,
+) -> Collected {
+    let mut rollout = RolloutBuffer::with_capacity(n);
+    let mut env_work = 0u64;
+    let mut episodes = Vec::new();
+    let mut ep_ret = 0.0;
+    let mut ep_len = 0usize;
+    let mut value = policy.value(obs);
+    let mut critic_rows = 1u64;
+    for _ in 0..n {
+        let d = policy.dist(obs);
+        let action = d.sample(rng);
+        let log_prob = d.log_prob(&action);
+        let s = env.step(&action);
+        env_work += env.last_step_work();
+        ep_ret += s.reward;
+        ep_len += 1;
+        let done = s.done();
+        let next_value = if s.terminated {
+            0.0
+        } else {
+            critic_rows += 1;
+            policy.value(&s.obs)
+        };
+        rollout.push(
+            std::mem::take(obs),
+            action,
+            s.reward,
+            s.terminated,
+            done,
+            value,
+            next_value,
+            log_prob,
+        );
+        if done {
+            episodes.push((ep_ret, ep_len));
+            ep_ret = 0.0;
+            ep_len = 0;
+            *obs = env.reset();
+            value = policy.value(obs);
+            critic_rows += 1;
+        } else {
+            *obs = s.obs;
+            value = next_value;
+        }
+    }
+    Collected { rollout, env_work, episodes, actor_rows: n as u64, critic_rows }
 }
 
 /// Collect `ticks` lockstep sweeps of experience from `venv`.
@@ -59,7 +135,7 @@ pub fn collect_lockstep<E: Environment>(
     venv: &mut VecEnv<E>,
     ticks: usize,
     rng: &mut impl Rng,
-) -> LockstepOutcome {
+) -> Collected {
     let n = venv.len();
     let work_before = venv.total_work;
     let mut buffers: Vec<RolloutBuffer> =
@@ -163,7 +239,7 @@ pub fn collect_lockstep<E: Environment>(
         }
         rollout.extend(b);
     }
-    LockstepOutcome {
+    Collected {
         rollout,
         env_work: venv.total_work - work_before,
         episodes,
@@ -249,6 +325,32 @@ mod tests {
         let (adv_b, ret_b) = seq.advantages(0.99, 0.95);
         assert_eq!(adv_a, adv_b);
         assert_eq!(ret_a, ret_b);
+    }
+
+    #[test]
+    fn single_env_lockstep_matches_collect_steps() {
+        // The same contract against the production per-step loop, with
+        // the bookkeeping the oracle above leaves out.
+        let p = policy(21);
+        let mut env = GridWorld::new(3);
+        env.seed(7);
+        let mut obs = env.reset();
+        let seq = collect_steps(&p, &mut env, &mut obs, 200, &mut StdRng::seed_from_u64(33));
+
+        let mut venv = VecEnv::new(vec![GridWorld::new(3)], 7);
+        venv.reset_all();
+        let vec_out = collect_lockstep(&p, &mut venv, 200, &mut StdRng::seed_from_u64(33));
+
+        assert_eq!(vec_out.rollout.obs, seq.rollout.obs);
+        assert_eq!(vec_out.rollout.actions, seq.rollout.actions);
+        assert_eq!(vec_out.rollout.rewards, seq.rollout.rewards);
+        assert_eq!(vec_out.rollout.values, seq.rollout.values);
+        assert_eq!(vec_out.rollout.next_values, seq.rollout.next_values);
+        assert_eq!(vec_out.rollout.log_probs, seq.rollout.log_probs);
+        assert_eq!(vec_out.env_work, seq.env_work);
+        assert_eq!(vec_out.episodes, seq.episodes);
+        assert_eq!(vec_out.actor_rows, seq.actor_rows);
+        assert!(seq.infer_flops(&p) > 0);
     }
 
     #[test]

@@ -5,11 +5,14 @@
 /// Inputs are aligned per time step `t`:
 /// * `rewards[t]` — reward received after the action at `t`;
 /// * `values[t]` — critic value of the state at `t`;
-/// * `dones[t]` — episode *terminated* after step `t` (bootstrapping is
-///   cut; truncations should bootstrap and thus pass `false` with the
-///   truncated state's value folded into `next_value` handling upstream);
-/// * `next_values[t]` — critic value of the successor state of step `t`
-///   (0 where `dones[t]`).
+/// * `next_values[t]` — critic value of the successor state of step `t`:
+///   0 where the episode *terminated*, the stored bootstrap `V(s′)` where
+///   it was truncated or a worker segment was closed. This is what cuts
+///   the bootstrap;
+/// * `dones[t]` — the trajectory stops after step `t` (termination,
+///   truncation, or the closed tail of a concatenated segment). It cuts
+///   only the λ-chain, exactly as in [`crate::vtrace::vtrace`], so a
+///   cut-off is never scored as a termination.
 ///
 /// Returns `(advantages, returns)` with `returns[t] = adv[t] + values[t]`.
 ///
@@ -35,7 +38,7 @@ pub fn gae(
     let mut running = 0.0;
     for t in (0..n).rev() {
         let not_done = if dones[t] { 0.0 } else { 1.0 };
-        let delta = rewards[t] + gamma * next_values[t] * not_done - values[t];
+        let delta = rewards[t] + gamma * next_values[t] - values[t];
         running = delta + gamma * lambda * not_done * running;
         adv[t] = running;
     }
@@ -66,6 +69,31 @@ mod tests {
         let (adv, ret) = gae(&[1.0], &[0.3], &[true], &[0.0], 0.99, 0.95);
         assert!((adv[0] - (1.0 - 0.3)).abs() < 1e-12);
         assert!((ret[0] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn truncated_step_bootstraps_from_its_stored_value() {
+        // `done` with a non-zero bootstrap is a cut-off, not a
+        // termination: the TD error keeps γ·V(s′).
+        let (adv, _) = gae(&[1.0], &[0.3], &[true], &[0.4], 0.9, 0.95);
+        assert!((adv[0] - (1.0 + 0.9 * 0.4 - 0.3)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lambda_one_matches_on_policy_vtrace_across_a_closed_tail() {
+        // Two concatenated worker segments; the first tail is closed
+        // mid-episode with its bootstrap kept, the second terminates.
+        let rewards = [1.0, -0.5, 0.3, 0.8];
+        let values = [0.5, 0.2, -0.1, 0.4];
+        let next_values = [0.2, 0.7, 0.4, 0.0];
+        let dones = [false, true, false, true];
+        let lp = [-0.5, -1.0, -0.2, -0.7];
+        let cfg = crate::vtrace::VtraceConfig { gamma: 0.9, rho_clip: 1.0, c_clip: 1.0 };
+        let vt = crate::vtrace::vtrace(&lp, &lp, &rewards, &values, &next_values, &dones, &cfg);
+        let (_, returns) = gae(&rewards, &values, &dones, &next_values, 0.9, 1.0);
+        for (r, v) in returns.iter().zip(&vt.vs) {
+            assert!((r - v).abs() < 1e-12, "{r} vs {v}");
+        }
     }
 
     #[test]

@@ -8,27 +8,34 @@
 //! Layout:
 //!
 //! * [`gae`] — generalized advantage estimation;
+//! * [`vtrace`] — V-trace off-policy correction (the IMPALA targets);
 //! * [`buffer`] — on-policy rollout storage and the off-policy replay
 //!   ring buffer;
-//! * [`collect`] — lockstep batched collection over vectorized envs
-//!   (one actor/critic forward per tick, however many sub-envs);
+//! * [`collect`] — the per-step collection loop and its lockstep batched
+//!   counterpart over vectorized envs (one actor/critic forward per tick,
+//!   however many sub-envs);
 //! * [`policy`] — actor-critic policy heads (categorical / diagonal
 //!   Gaussian) shared by the trainers;
-//! * [`ppo`] — the clipped-surrogate PPO learner;
+//! * [`on_policy`] — the one on-policy actor-critic learner; its update
+//!   is written once and steered by two axes, *targets* (GAE-λ | V-trace)
+//!   and *surrogate* (clipped ratio over shuffled minibatch epochs | plain
+//!   `−Â·log π` in one step);
+//! * [`ppo`], [`impala`] — the hyperparameters of its two settings:
+//!   PPO = (GAE, clipped), IMPALA-style = (V-trace, plain);
 //! * [`sac`] — twin-critic SAC with automatic entropy temperature;
 //! * [`trainer`] — a single-node training loop driving either algorithm
 //!   on any environment (the distributed drivers live in `dist-exec`).
 //!
-//! Both learners expose *pure update* APIs (`update_from_rollout`,
-//! `update_from_batch`) so the distributed backends can feed them data
-//! collected elsewhere — exactly the separation of acting from learning
-//! the paper describes for distributed RL architectures (§II-A).
+//! Both learners expose *pure update* APIs (`OnPolicyLearner::update`,
+//! `SacLearner::update_from_batch`) so the distributed backends can feed
+//! them data collected elsewhere — exactly the separation of acting from
+//! learning the paper describes for distributed RL architectures (§II-A).
 
-pub mod a2c;
 pub mod buffer;
 pub mod collect;
 pub mod gae;
 pub mod impala;
+pub mod on_policy;
 pub mod policy;
 pub mod ppo;
 pub mod sac;
@@ -36,12 +43,12 @@ pub mod schedules;
 pub mod trainer;
 pub mod vtrace;
 
-pub use a2c::{A2cConfig, A2cLearner, A2cStats};
 pub use buffer::{ReplayBuffer, RolloutBuffer, Transition};
-pub use collect::{collect_lockstep, LockstepOutcome};
-pub use impala::{ImpalaConfig, ImpalaLearner, ImpalaStats};
+pub use collect::{collect_lockstep, collect_steps, Collected};
+pub use impala::ImpalaConfig;
+pub use on_policy::{OnPolicyLearner, UpdateStats};
 pub use policy::{ActorCritic, PolicyHead};
-pub use ppo::{PpoConfig, PpoLearner, PpoStats};
+pub use ppo::{PpoConfig, PpoLearner};
 pub use sac::{SacConfig, SacLearner, SacStats};
 pub use schedules::Schedule;
 pub use trainer::{train, EvalSpec, TrainProgress, TrainReport, TrainSpec};

@@ -1,0 +1,492 @@
+//! The one on-policy actor-critic learner.
+//!
+//! PPO and the IMPALA-style learner are the same gradient step —
+//! assemble rows, actor forward, a per-row weight on ∂log π, the
+//! categorical/Gaussian gradient fill, clip + Adam + the log-std step,
+//! critic regression toward the targets — steered by data on two axes:
+//!
+//! * **targets** — where advantages and critic targets come from:
+//!   GAE-λ on the values recorded at collection, or V-trace against the
+//!   current policy ([`crate::vtrace`]);
+//! * **surrogate** — the policy loss and its passes over the rollout:
+//!   the clipped ratio over shuffled epochs × minibatches, or plain
+//!   `−Â·log π` in one step over the whole rollout in order (which
+//!   draws nothing from the rng).
+//!
+//! [`OnPolicyLearner::new`] is (GAE, clipped) = PPO;
+//! [`OnPolicyLearner::impala`] is (V-trace, plain). (GAE, plain) is A2C,
+//! which nothing in the workspace trains; it would be a third
+//! constructor, not a third learner.
+
+// Index loops here co-index several arrays; zip chains would obscure them.
+#![allow(clippy::needless_range_loop)]
+use crate::buffer::RolloutBuffer;
+use crate::collect::{collect_steps, Collected};
+use crate::gae;
+use crate::impala::ImpalaConfig;
+use crate::policy::{ActorCritic, Dist, PolicyHead};
+use crate::ppo::PpoConfig;
+use crate::vtrace::{vtrace, VtraceConfig};
+use gymrs::{Action, Environment, Space};
+use rand::seq::SliceRandom;
+use rand::Rng;
+use tinynn::{backward_flops, clip_grad_norm, forward_flops, Adam, Matrix, Optimizer, Tape};
+
+/// Where advantages and the critic's regression targets come from.
+#[derive(Debug, Clone, Copy)]
+enum Targets {
+    Gae { lambda: f64 },
+    Vtrace { rho_clip: f64, c_clip: f64 },
+}
+
+/// The policy loss and the passes it makes over one rollout.
+#[derive(Debug, Clone, Copy)]
+enum Surrogate {
+    Clipped { clip: f64, epochs: usize, minibatch: usize },
+    Plain,
+}
+
+/// Diagnostics from one update, averaged over every row of every pass.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UpdateStats {
+    /// Mean policy loss (clipped surrogate, or `−Â·log π`).
+    pub policy_loss: f64,
+    /// Mean value loss toward the targets.
+    pub value_loss: f64,
+    /// Mean policy entropy.
+    pub entropy: f64,
+    /// Mean approximate KL between the behaviour and the current policy.
+    pub approx_kl: f64,
+    /// Fraction of samples whose ratio was clipped (0 without clipping).
+    pub clip_fraction: f64,
+    /// Mean clipped V-trace importance weight (1 = on-policy; 1 under GAE,
+    /// which applies none).
+    pub mean_rho: f64,
+}
+
+/// The on-policy learner: policy + optimizers + work accounting.
+pub struct OnPolicyLearner {
+    /// The actor-critic being trained.
+    pub policy: ActorCritic,
+    // The hyperparameters both settings share live in a `PpoConfig`; its
+    // λ/clip/epochs/minibatch are only read into the two axes by `new`.
+    cfg: PpoConfig,
+    targets: Targets,
+    surrogate: Surrogate,
+    actor_opt: Adam,
+    critic_opt: Adam,
+    // Adam state for the free log_std vector.
+    ls_m: Vec<f64>,
+    ls_v: Vec<f64>,
+    ls_t: u64,
+    /// Number of gradient updates performed.
+    pub updates: u64,
+    /// Accumulated learning FLOPs (forward + backward), for the cost model.
+    pub flops: u64,
+    // Forward tapes and minibatch buffers — allocated once, resized per
+    // minibatch.
+    atape: Tape,
+    vtape: Tape,
+    x: Matrix,
+    dout: Matrix,
+    dv: Matrix,
+}
+
+impl OnPolicyLearner {
+    /// A PPO learner for the given observation dim and action space:
+    /// GAE-λ targets, clipped surrogate.
+    pub fn new(obs_dim: usize, action_space: &Space, cfg: PpoConfig, rng: &mut impl Rng) -> Self {
+        let policy = ActorCritic::new(obs_dim, action_space, &cfg.hidden, rng);
+        let k = policy.log_std.len();
+        Self {
+            policy,
+            targets: Targets::Gae { lambda: cfg.lambda },
+            surrogate: Surrogate::Clipped {
+                clip: cfg.clip,
+                epochs: cfg.epochs,
+                minibatch: cfg.minibatch,
+            },
+            actor_opt: Adam::new(cfg.lr),
+            critic_opt: Adam::new(cfg.lr),
+            cfg,
+            ls_m: vec![0.0; k],
+            ls_v: vec![0.0; k],
+            ls_t: 0,
+            updates: 0,
+            flops: 0,
+            atape: Tape::new(),
+            vtape: Tape::new(),
+            x: Matrix::default(),
+            dout: Matrix::default(),
+            dv: Matrix::default(),
+        }
+    }
+
+    /// An IMPALA-style learner: the same learner with both axes flipped
+    /// to V-trace targets and the plain surrogate, advantages always
+    /// normalised, no schedule. It consumes rollouts collected by *stale*
+    /// policy snapshots and corrects them (see [`crate::impala`]).
+    pub fn impala(
+        obs_dim: usize,
+        action_space: &Space,
+        cfg: ImpalaConfig,
+        rng: &mut impl Rng,
+    ) -> Self {
+        let shared = PpoConfig {
+            lr: cfg.lr,
+            gamma: cfg.gamma,
+            ent_coef: cfg.ent_coef,
+            vf_coef: cfg.vf_coef,
+            max_grad_norm: cfg.max_grad_norm,
+            hidden: cfg.hidden,
+            n_steps: cfg.n_steps,
+            normalize_advantage: true,
+            lr_schedule: None,
+            ..PpoConfig::default()
+        };
+        let mut learner = Self::new(obs_dim, action_space, shared, rng);
+        learner.targets = Targets::Vtrace { rho_clip: cfg.rho_clip, c_clip: cfg.c_clip };
+        learner.surrogate = Surrogate::Plain;
+        learner
+    }
+
+    /// Steps collected per update (the configured rollout horizon).
+    pub fn n_steps(&self) -> usize {
+        self.cfg.n_steps
+    }
+
+    /// Collect `n_steps` of experience from `env` starting at `*obs`
+    /// (which is updated to the observation where collection stopped),
+    /// charging the inference to [`OnPolicyLearner::flops`]. See
+    /// [`collect_steps`] for the semantics.
+    pub fn collect(
+        &mut self,
+        env: &mut dyn Environment,
+        obs: &mut Vec<f64>,
+        n_steps: usize,
+        rng: &mut impl Rng,
+    ) -> Collected {
+        let out = collect_steps(&self.policy, env, obs, n_steps, rng);
+        self.flops += out.infer_flops(&self.policy);
+        out
+    }
+
+    /// One update over a rollout: every pass the surrogate prescribes,
+    /// each a gradient step on actor, log-std and critic.
+    pub fn update(&mut self, rollout: &RolloutBuffer, rng: &mut impl Rng) -> UpdateStats {
+        let n = rollout.len();
+        assert!(n > 0, "cannot update from an empty rollout");
+        let a_sizes = self.policy.actor.sizes();
+        let c_sizes = self.policy.critic.sizes();
+        let mut idx: Vec<usize> = (0..n).collect();
+        let mut stats = UpdateStats { mean_rho: 1.0, ..UpdateStats::default() };
+
+        let (mut adv, targets) = match self.targets {
+            Targets::Gae { lambda } => rollout.advantages(self.cfg.gamma, lambda),
+            Targets::Vtrace { rho_clip, c_clip } => {
+                // Target log-probs under the current policy: one more
+                // actor forward over the whole rollout.
+                fill_rows(&mut self.x, rollout, &idx);
+                self.policy.actor.forward_into(&self.x, &mut self.atape);
+                self.flops += forward_flops(&a_sizes, n);
+                let out = self.atape.output();
+                let target_lp: Vec<f64> = (0..n)
+                    .map(|i| {
+                        let d = self.policy.dist_from_actor_row(out.row_slice(i));
+                        d.log_prob(&rollout.actions[i])
+                    })
+                    .collect();
+                let vt = vtrace(
+                    &rollout.log_probs,
+                    &target_lp,
+                    &rollout.rewards,
+                    &rollout.values,
+                    &rollout.next_values,
+                    &rollout.dones,
+                    &VtraceConfig { gamma: self.cfg.gamma, rho_clip, c_clip },
+                );
+                stats.mean_rho = vt.rhos.iter().sum::<f64>() / n as f64;
+                (vt.pg_advantages, vt.vs)
+            }
+        };
+        if self.cfg.normalize_advantage {
+            gae::normalize(&mut adv);
+        }
+
+        let act_dim = match self.policy.head() {
+            PolicyHead::Categorical { n } => n,
+            PolicyHead::Gaussian { dim } => dim,
+        };
+        let mut g = vec![0.0; act_dim];
+        let mut dls = vec![0.0; self.policy.log_std.len()];
+        let (epochs, minibatch, shuffle) = match self.surrogate {
+            Surrogate::Clipped { epochs, minibatch, .. } => (epochs, minibatch, true),
+            Surrogate::Plain => (1, n, false),
+        };
+
+        for _epoch in 0..epochs {
+            if shuffle {
+                idx.shuffle(rng);
+            }
+            for chunk in idx.chunks(minibatch) {
+                let mb = chunk.len();
+                let inv_mb = 1.0 / mb as f64;
+                fill_rows(&mut self.x, rollout, chunk);
+
+                // ---- Actor pass ----
+                self.policy.actor.forward_into(&self.x, &mut self.atape);
+                let out = self.atape.output();
+                self.dout.resize_zeroed(mb, act_dim);
+                dls.fill(0.0);
+
+                for (r, &i) in chunk.iter().enumerate() {
+                    let d = self.policy.dist_from_actor_row(out.row_slice(r));
+                    let action = &rollout.actions[i];
+                    let lp_new = d.log_prob(action);
+                    let lp_old = rollout.log_probs[i];
+                    let a = adv[i];
+                    // dL/dlogp, the per-row weight on ∂log π.
+                    let dlp = match self.surrogate {
+                        Surrogate::Clipped { clip, .. } => {
+                            let ratio = (lp_new - lp_old).exp();
+                            let clipped = ratio.clamp(1.0 - clip, 1.0 + clip);
+                            stats.policy_loss += -(ratio * a).min(clipped * a);
+                            if (ratio - clipped).abs() > 1e-12 {
+                                stats.clip_fraction += 1.0;
+                            }
+                            // Gradient of -min(r A, clip(r) A).
+                            if ratio * a <= clipped * a {
+                                -a * ratio
+                            } else {
+                                0.0
+                            }
+                        }
+                        Surrogate::Plain => {
+                            stats.policy_loss += -lp_new * a;
+                            -a
+                        }
+                    };
+                    stats.entropy += d.entropy();
+                    stats.approx_kl += lp_old - lp_new;
+
+                    let drow = self.dout.row_slice_mut(r);
+                    match (&d, action) {
+                        (Dist::Categorical(c), Action::Discrete(act)) => {
+                            c.d_log_prob_d_logits(*act, &mut g);
+                            for (o, gi) in drow.iter_mut().zip(&g) {
+                                *o += dlp * gi * inv_mb;
+                            }
+                            if self.cfg.ent_coef != 0.0 {
+                                c.d_entropy_d_logits(&mut g);
+                                for (o, gi) in drow.iter_mut().zip(&g) {
+                                    *o -= self.cfg.ent_coef * gi * inv_mb;
+                                }
+                            }
+                        }
+                        (Dist::Gaussian(gss), Action::Continuous(act)) => {
+                            gss.d_log_prob_d_mean(act, &mut g);
+                            for (o, gi) in drow.iter_mut().zip(&g) {
+                                *o += dlp * gi * inv_mb;
+                            }
+                            gss.d_log_prob_d_log_std(act, &mut g);
+                            for (o, gi) in dls.iter_mut().zip(&g) {
+                                // Entropy gradient w.r.t. log_std is 1.
+                                *o += (dlp * gi - self.cfg.ent_coef) * inv_mb;
+                            }
+                        }
+                        _ => unreachable!("head/action mismatch"),
+                    }
+                }
+
+                self.policy.actor.zero_grad();
+                self.policy.actor.backward_params(&self.atape, &self.dout);
+                clip_grad_norm(&mut self.policy.actor, self.cfg.max_grad_norm);
+                self.actor_opt.step(&mut self.policy.actor);
+                self.step_log_std(&dls);
+
+                // ---- Critic pass ----
+                self.policy.critic.forward_into(&self.x, &mut self.vtape);
+                let v = self.vtape.output();
+                self.dv.resize_zeroed(mb, 1);
+                for (r, &i) in chunk.iter().enumerate() {
+                    let err = v.get(r, 0) - targets[i];
+                    stats.value_loss += 0.5 * err * err;
+                    self.dv.set(r, 0, self.cfg.vf_coef * err * inv_mb);
+                }
+                self.policy.critic.zero_grad();
+                self.policy.critic.backward_params(&self.vtape, &self.dv);
+                clip_grad_norm(&mut self.policy.critic, self.cfg.max_grad_norm);
+                self.critic_opt.step(&mut self.policy.critic);
+
+                self.updates += 1;
+            }
+        }
+
+        // Learning cost: forward + backward over both networks for every
+        // pass over the whole rollout.
+        let per_pass = forward_flops(&a_sizes, n)
+            + backward_flops(&a_sizes, n)
+            + forward_flops(&c_sizes, n)
+            + backward_flops(&c_sizes, n);
+        self.flops += per_pass * epochs as u64;
+
+        let rows = (epochs * n) as f64;
+        stats.policy_loss /= rows;
+        stats.value_loss /= rows;
+        stats.entropy /= rows;
+        stats.approx_kl /= rows;
+        stats.clip_fraction /= rows;
+        stats
+    }
+
+    /// Apply the learning-rate schedule at training progress `p ∈ [0,1]`
+    /// to both networks and the log-std step.
+    ///
+    /// No-op when the config has no schedule.
+    pub fn anneal(&mut self, progress: f64) {
+        if let Some(schedule) = self.cfg.lr_schedule {
+            let lr = schedule.at(progress).max(0.0);
+            self.actor_opt.set_lr(lr);
+            self.critic_opt.set_lr(lr);
+        }
+    }
+
+    /// Adam step for the free log_std vector at the actor's current rate,
+    /// clamped to a sane range.
+    fn step_log_std(&mut self, grad: &[f64]) {
+        if grad.is_empty() {
+            return;
+        }
+        self.ls_t += 1;
+        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
+        let t = self.ls_t.min(i32::MAX as u64) as i32;
+        let bc1 = 1.0 - b1.powi(t);
+        let bc2 = 1.0 - b2.powi(t);
+        let lr = self.actor_opt.lr();
+        for i in 0..grad.len() {
+            self.ls_m[i] = b1 * self.ls_m[i] + (1.0 - b1) * grad[i];
+            self.ls_v[i] = b2 * self.ls_v[i] + (1.0 - b2) * grad[i] * grad[i];
+            let mh = self.ls_m[i] / bc1;
+            let vh = self.ls_v[i] / bc2;
+            self.policy.log_std[i] =
+                (self.policy.log_std[i] - lr * mh / (vh.sqrt() + eps)).clamp(-4.0, 1.0);
+        }
+    }
+}
+
+/// Assemble the observation matrix of `rows` (indices into `rollout`).
+fn fill_rows(x: &mut Matrix, rollout: &RolloutBuffer, rows: &[usize]) {
+    x.resize_zeroed(rows.len(), rollout.obs[0].len());
+    for (r, &i) in rows.iter().enumerate() {
+        x.row_slice_mut(r).copy_from_slice(&rollout.obs[i]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schedules::Schedule;
+    use gymrs::envs::{GridWorld, PointMass};
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    fn ppo(env: &dyn Environment, cfg: PpoConfig, rng: &mut StdRng) -> OnPolicyLearner {
+        OnPolicyLearner::new(env.observation_space().dim(), &env.action_space(), cfg, rng)
+    }
+
+    #[test]
+    #[should_panic(expected = "empty rollout")]
+    fn empty_rollout_panics() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut learner = ppo(&GridWorld::new(3), PpoConfig::fast_test(), &mut rng);
+        learner.update(&RolloutBuffer::default(), &mut rng);
+    }
+
+    #[test]
+    fn flops_accounting_grows_with_work() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut env = GridWorld::new(3);
+        env.seed(6);
+        let mut learner = ppo(&env, PpoConfig::fast_test(), &mut rng);
+        assert_eq!(learner.flops, 0);
+        let mut obs = env.reset();
+        let out = learner.collect(&mut env, &mut obs, 64, &mut rng);
+        let after_collect = learner.flops;
+        assert_eq!(after_collect, out.infer_flops(&learner.policy));
+        assert!(after_collect > 0);
+        learner.update(&out.rollout, &mut rng);
+        // Every epoch is one forward + backward of both networks over
+        // the rollout, in ⌈64 / minibatch⌉ = 1 step each.
+        let (a, c) = (learner.policy.actor.sizes(), learner.policy.critic.sizes());
+        let pass = forward_flops(&a, 64)
+            + backward_flops(&a, 64)
+            + forward_flops(&c, 64)
+            + backward_flops(&c, 64);
+        let epochs = PpoConfig::fast_test().epochs as u64;
+        assert_eq!(learner.flops - after_collect, epochs * pass);
+        assert_eq!(learner.updates, epochs);
+    }
+
+    #[test]
+    fn vtrace_update_is_one_step_and_charges_the_target_forward() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut env = GridWorld::new(3);
+        env.seed(6);
+        let cfg = ImpalaConfig { hidden: vec![16], ..ImpalaConfig::default() };
+        let mut learner = OnPolicyLearner::impala(2, &env.action_space(), cfg, &mut rng);
+        let mut obs = env.reset();
+        let rollout = collect_steps(&learner.policy.clone(), &mut env, &mut obs, 48, &mut rng);
+        learner.update(&rollout.rollout, &mut rng);
+        let (a, c) = (learner.policy.actor.sizes(), learner.policy.critic.sizes());
+        assert_eq!(
+            learner.flops,
+            2 * forward_flops(&a, 48)
+                + backward_flops(&a, 48)
+                + forward_flops(&c, 48)
+                + backward_flops(&c, 48)
+        );
+        assert_eq!(learner.updates, 1);
+    }
+
+    #[test]
+    fn plain_surrogate_update_leaves_the_rng_untouched() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut env = PointMass::new();
+        env.seed(4);
+        let mut learner =
+            OnPolicyLearner::impala(4, &env.action_space(), ImpalaConfig::default(), &mut rng);
+        let mut obs = env.reset();
+        let rollout = collect_steps(&learner.policy.clone(), &mut env, &mut obs, 64, &mut rng);
+        let mut untouched = rng.clone();
+        learner.update(&rollout.rollout, &mut rng);
+        assert_eq!(rng.next_u64(), untouched.next_u64());
+    }
+
+    #[test]
+    fn log_std_follows_the_learning_rate_schedule() {
+        // At the end of a linear-to-zero schedule the networks stop, and
+        // so must the Gaussian head's log-std.
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut env = PointMass::new();
+        env.seed(9);
+        let lr = PpoConfig::default().lr;
+        let cfg =
+            PpoConfig { lr_schedule: Some(Schedule::linear_to_zero(lr)), ..PpoConfig::fast_test() };
+        let mut learner = ppo(&env, cfg, &mut rng);
+        let mut obs = env.reset();
+        let out = learner.collect(&mut env, &mut obs, 128, &mut rng);
+        let bits = |l: &OnPolicyLearner| -> Vec<u64> {
+            l.policy.log_std.iter().map(|x| x.to_bits()).collect()
+        };
+
+        learner.anneal(0.0);
+        let before = bits(&learner);
+        learner.update(&out.rollout, &mut rng);
+        let moved = bits(&learner);
+        assert_ne!(moved, before, "at the initial rate log-std moves");
+
+        learner.anneal(1.0);
+        learner.update(&out.rollout, &mut rng);
+        assert_eq!(bits(&learner), moved, "at rate zero it must not");
+    }
+}

@@ -4,8 +4,9 @@
 //! architectures that separate acting from learning; V-trace is the
 //! mechanism that lets a central learner consume trajectories collected
 //! by *stale* behaviour policies — exactly the staleness our RLlib-like
-//! backend introduces on two nodes. The `dist-exec` crate's
-//! `ImpalaLike` backend builds on this module.
+//! backend introduces on two nodes. [`crate::on_policy::OnPolicyLearner`]
+//! takes its targets from this module in its IMPALA-style setting, which
+//! `dist_exec::train_impala` trains.
 //!
 //! Given behaviour log-probs `μ(a|s)`, target log-probs `π(a|s)`, rewards
 //! and values, V-trace computes corrected value targets

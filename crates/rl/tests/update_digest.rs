@@ -1,20 +1,25 @@
 //! One number for "the learner update produced these exact parameters".
 //!
-//! Three PPO updates and twenty SAC updates from fixed seeds, every
-//! actor/critic/`log_std`/α bit folded into one `u64`. The test asserts
-//! the digest repeats within the process and prints it as
-//! `update-digest <hex>`. `Isa::cached()` is process-wide, so tiers cannot
-//! be switched in-process: CI runs this target under `RLDT_SIMD=scalar`,
-//! `RLDT_SIMD=avx2` and unset and fails unless the three printed lines are
-//! identical — the check that the backward pass, not just each kernel, is
-//! tier-independent. No absolute value is pinned: it depends on the `rand`
-//! stream, not on anything this repository promises.
+//! Two digests, each every actor/critic/`log_std`/α bit folded into one
+//! `u64`: three PPO updates and twenty SAC updates from fixed seeds, and
+//! three V-trace updates on rollouts from a stale snapshot for each policy
+//! head. The test asserts each repeats within the process and prints them
+//! as `update-digest <hex>` and `update-digest vtrace <hex>`.
+//! `Isa::cached()` is process-wide, so tiers cannot be switched in-process:
+//! CI runs this target under `RLDT_SIMD=scalar`, `RLDT_SIMD=avx2` and unset
+//! and fails unless the printed lines are identical — the check that the
+//! backward pass, not just each kernel, is tier-independent. No absolute
+//! value is pinned: it depends on the `rand` stream, not on anything this
+//! repository promises.
 
-use gymrs::envs::PointMass;
-use gymrs::Environment;
+use gymrs::envs::{GridWorld, PointMass};
+use gymrs::{Environment, VecEnv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_algos::buffer::Transition;
+use rl_algos::collect::collect_lockstep;
+use rl_algos::impala::ImpalaConfig;
+use rl_algos::on_policy::OnPolicyLearner;
 use rl_algos::ppo::{PpoConfig, PpoLearner};
 use rl_algos::sac::{SacConfig, SacLearner};
 use tinynn::Mlp;
@@ -70,9 +75,38 @@ fn digest() -> u64 {
     h
 }
 
+/// Three V-trace updates of the 64×64 learner on two-segment rollouts
+/// (closed tail mid-batch) that a never-refreshed snapshot collects.
+fn vtrace_leg<E: Environment>(h: &mut u64, envs: Vec<E>, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let obs_dim = envs[0].observation_space().dim();
+    let actions = envs[0].action_space();
+    let mut learner = OnPolicyLearner::impala(obs_dim, &actions, ImpalaConfig::default(), &mut rng);
+    let stale = learner.policy.clone();
+    let mut venv = VecEnv::new(envs, seed);
+    venv.reset_all();
+    for _ in 0..3 {
+        let rollout = collect_lockstep(&stale, &mut venv, 64, &mut rng).rollout;
+        learner.update(&rollout, &mut rng);
+    }
+    fold_net(h, &mut learner.policy.actor);
+    fold_net(h, &mut learner.policy.critic);
+    learner.policy.log_std.iter().for_each(|l| fold(h, l.to_bits()));
+}
+
+fn vtrace_digest() -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    vtrace_leg(&mut h, vec![PointMass::new(), PointMass::new()], 11);
+    vtrace_leg(&mut h, vec![GridWorld::new(3), GridWorld::new(3)], 12);
+    h
+}
+
 #[test]
 fn update_digest_repeats() {
     let first = digest();
     assert_eq!(first, digest(), "the same seeds must give the same parameters");
     println!("update-digest {first:016x}");
+    let vtrace = vtrace_digest();
+    assert_eq!(vtrace, vtrace_digest(), "the same seeds must give the same parameters");
+    println!("update-digest vtrace {vtrace:016x}");
 }

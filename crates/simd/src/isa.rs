@@ -96,18 +96,6 @@ impl Isa {
             Isa::Avx512 => 8,
         }
     }
-
-    /// Number of `f32` lanes one vector register holds on this tier.
-    ///
-    /// The [`crate::f32x8`] kernels run 8-wide on both AVX tiers (the
-    /// fixed 8-accumulator reduction shape is what keeps them bitwise
-    /// identical across tiers), so this reports the *kernel* width.
-    pub fn f32_lanes(self) -> usize {
-        match self {
-            Isa::Scalar => 1,
-            Isa::Avx2 | Isa::Avx512 => 8,
-        }
-    }
 }
 
 impl std::fmt::Display for Isa {
@@ -146,7 +134,6 @@ mod tests {
         assert_eq!(Isa::Scalar.f64_lanes(), 1);
         assert_eq!(Isa::Avx2.f64_lanes(), 4);
         assert_eq!(Isa::Avx512.f64_lanes(), 8);
-        assert_eq!(Isa::Avx2.f32_lanes(), 8);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! once where the scalar reference rounds twice, which would break the
 //! scalar/batched bitwise-parity contract the integration and policy
 //! layers are built on (see `DESIGN.md`, "SIMD microkernels & dispatch").
-//! The [`f32x8`] kernels *do* use FMA; their scalar references are
-//! written with `f32::mul_add`, so the parity there is bitwise too.
 //!
 //! The practical consequence: the ISA choice is unobservable in results.
 //! `RLDT_SIMD=scalar` runs must reproduce AVX-512 runs bit for bit —
@@ -39,7 +37,6 @@
 
 pub mod buffer;
 pub mod crossover;
-pub mod f32x8;
 mod isa;
 pub mod nnf64;
 pub mod odef64;

@@ -6,7 +6,7 @@
 //! a regression in the crate's own tail loops cannot hide itself. Shapes
 //! are drawn to straddle the vector widths: lengths 1..=67 cover scalar
 //! tails, half vectors, and multi-vector bodies for both the 4-lane and
-//! 8-lane `f64` tiers and the 8-lane `f32` tier.
+//! 8-lane `f64` tiers.
 
 // When built against an offline proptest stand-in that compiles the
 // `proptest!` bodies away, everything below looks unused; the real
@@ -14,7 +14,7 @@
 #![allow(dead_code, unused_imports)]
 
 use proptest::prelude::*;
-use simd_kernels::{f32x8, nnf64, odef64, Isa};
+use simd_kernels::{nnf64, odef64, Isa};
 
 /// Deterministic (non-property) smoke check so this target exercises the
 /// kernels even when the property bodies are compiled out.
@@ -283,69 +283,6 @@ proptest! {
             let mut y = y0.clone();
             nnf64::axpy(isa, alpha, &x, &mut y);
             prop_assert!(bits_eq(&y, &reference), "nn axpy diverged on {}", isa);
-        }
-    }
-
-    #[test]
-    fn f32_kernels_match_scalar(
-        len in 1usize..67,
-        alpha in -2.0f32..2.0,
-        seed in -1.0f32..1.0,
-    ) {
-        let a: Vec<f32> = (0..len).map(|i| seed + (i % 13) as f32 * 0.11 - 0.7).collect();
-        let b: Vec<f32> = (0..len).map(|i| 0.9 - (i % 7) as f32 * 0.23).collect();
-
-        // dot: 8 fused accumulators + fixed pairwise reduction + fused tail.
-        let mut acc = [0.0f32; 8];
-        let mut p = 0;
-        while p + 8 <= len {
-            for i in 0..8 {
-                acc[i] = a[p + i].mul_add(b[p + i], acc[i]);
-            }
-            p += 8;
-        }
-        let s = [acc[0] + acc[4], acc[1] + acc[5], acc[2] + acc[6], acc[3] + acc[7]];
-        let t = [s[0] + s[2], s[1] + s[3]];
-        let mut dot_ref = t[0] + t[1];
-        while p < len {
-            dot_ref = a[p].mul_add(b[p], dot_ref);
-            p += 1;
-        }
-
-        let axpy_ref: Vec<f32> = (0..len).map(|e| alpha.mul_add(a[e], b[e])).collect();
-
-        for isa in tiers() {
-            prop_assert_eq!(
-                f32x8::dot(isa, &a, &b).to_bits(),
-                dot_ref.to_bits(),
-                "f32 dot diverged on {}", isa
-            );
-            let mut y = b.clone();
-            f32x8::axpy(isa, alpha, &a, &mut y);
-            prop_assert!(
-                y.iter().zip(&axpy_ref).all(|(u, v)| u.to_bits() == v.to_bits()),
-                "f32 axpy diverged on {}", isa
-            );
-        }
-    }
-
-    #[test]
-    fn f32_matmul_row_matches_scalar(k in 1usize..12, n in 1usize..35) {
-        let a_row: Vec<f32> = (0..k).map(|i| (i % 5) as f32 * 0.31 - 0.6).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i % 9) as f32 * 0.17 - 0.7).collect();
-        let mut reference = vec![0.1f32; n];
-        for p in 0..k {
-            for j in 0..n {
-                reference[j] = a_row[p].mul_add(b[p * n + j], reference[j]);
-            }
-        }
-        for isa in tiers() {
-            let mut out = vec![0.1f32; n];
-            f32x8::matmul_row(isa, &a_row, &b, &mut out, k, n);
-            prop_assert!(
-                out.iter().zip(&reference).all(|(u, v)| u.to_bits() == v.to_bits()),
-                "f32 matmul_row diverged on {}", isa
-            );
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Snapshot exporters: JSON-lines trace and Prometheus-style text.
+//! Snapshot exporter: the JSON-lines trace.
 //!
 //! The telemetry crate sits below the serde-using crates, so the JSON
 //! emitted and parsed here is hand-rolled for the one flat shape the
@@ -459,60 +459,6 @@ pub fn from_json_lines(text: &str) -> Result<Snapshot, String> {
     Ok(snap)
 }
 
-// ----------------------------------------------------------- prometheus
-
-/// Sanitize an instrument name into the Prometheus metric-name alphabet.
-fn prom_name(name: &str) -> String {
-    let mut out: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == ':' { c } else { '_' })
-        .collect();
-    if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        out.insert(0, '_');
-    }
-    out
-}
-
-fn prom_f64(x: f64) -> String {
-    if x.is_nan() {
-        "NaN".to_string()
-    } else if x == f64::INFINITY {
-        "+Inf".to_string()
-    } else if x == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{x}")
-    }
-}
-
-/// Render a snapshot's aggregate instruments as a Prometheus-style text
-/// exposition: counters become `_total` counters, accumulators become
-/// gauges, and each gauge expands to `_last/_min/_max/_sum/_count`
-/// sub-series.
-pub fn to_prometheus(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    for (key, value) in &snap.counters {
-        let name = prom_name(key);
-        let _ = writeln!(out, "# TYPE {name}_total counter");
-        let _ = writeln!(out, "{name}_total {value}");
-    }
-    for (key, value) in &snap.accums {
-        let name = prom_name(key);
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {}", prom_f64(*value));
-    }
-    for (key, g) in &snap.gauges {
-        let name = prom_name(key);
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name}_last {}", prom_f64(g.last));
-        let _ = writeln!(out, "{name}_min {}", prom_f64(g.min));
-        let _ = writeln!(out, "{name}_max {}", prom_f64(g.max));
-        let _ = writeln!(out, "{name}_sum {}", prom_f64(g.sum));
-        let _ = writeln!(out, "{name}_count {}", g.count);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,20 +578,5 @@ mod tests {
         assert!(from_json_lines("{\"ty\":\"counter\",\"key\":\"k\",\"value\":1} extra").is_err());
         // Counters must be integers, not floats.
         assert!(from_json_lines("{\"ty\":\"counter\",\"key\":\"k\",\"value\":1.5}").is_err());
-    }
-
-    #[test]
-    fn prometheus_text_shape() {
-        let text = to_prometheus(&sample_snapshot());
-        assert!(text.contains("# TYPE vecenv_steps_total counter"));
-        assert!(text.contains("vecenv_steps_total 8192"));
-        assert!(text.contains("session_wall_s 12.75"));
-        assert!(text.contains("runtime_occupancy_last 0.5"));
-        assert!(text.contains("runtime_occupancy_count 3"));
-        // No unsanitized '.' survives in a metric name.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let name = line.split_whitespace().next().unwrap();
-            assert!(!name.contains('.'), "unsanitized name: {name}");
-        }
     }
 }

@@ -21,13 +21,12 @@
 //!    f64 accumulators apply deltas in call order, so a single recording
 //!    thread reproduces the instrumented code's own sums bit for bit.
 //! 3. **No dependencies.** The crate sits below every other crate in the
-//!    workspace, including the serde-using ones; its exporters
-//!    ([`export`]) hand-roll the tiny JSON subset they need.
+//!    workspace, including the serde-using ones; its exporter
+//!    ([`export`]) hand-rolls the tiny JSON subset it needs.
 //!
 //! A snapshot of everything recorded is taken with
-//! [`RingRecorder::snapshot`], giving a [`Snapshot`] that the exporters
-//! serialize (JSON-lines trace, Prometheus-style text) and that per-trial
-//! rollups consume.
+//! [`RingRecorder::snapshot`], giving a [`Snapshot`] that [`export`]
+//! serializes as a JSON-lines trace and that per-trial rollups consume.
 
 pub mod export;
 pub mod ring;

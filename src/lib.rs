@@ -17,7 +17,7 @@
 //! * [`cluster_sim`] — the simulated 2-node cluster (time/power model).
 //! * [`dist_exec`] — the three framework-like execution backends.
 //! * [`telemetry`] — the unified instrumentation layer (recorders,
-//!   ring-buffer traces, JSON-lines/Prometheus exporters).
+//!   ring-buffer traces, the JSON-lines exporter).
 
 pub use airdrop_sim;
 pub use cluster_sim;
