@@ -42,9 +42,8 @@ fn make_vec(order: RkOrder, n: usize, batched: bool) -> VecEnv<AirdropEnv> {
     let envs: Vec<AirdropEnv> = (0..n).map(|_| AirdropEnv::new(cfg.clone())).collect();
     let mut v = VecEnv::new(envs, 11);
     if !batched {
-        v.set_batched(false);
         // The scalar baseline is the sequential per-env sweep.
-        v.set_parallel_threshold(u64::MAX);
+        v.set_batched(false);
     }
     v.reset_all();
     v

@@ -121,16 +121,18 @@ impl Direction {
 
 /// How the ranking stage reads a metric's per-trial evidence.
 ///
-/// `Mean` reproduces the legacy scalar path bit-for-bit: it reads the
-/// stored scalar, never the distribution, so existing studies rank
-/// identically. The risk-sensitive variants consult the trial's
-/// [`Distribution`] (falling back to the scalar when none was recorded)
-/// and always resolve toward the *pessimistic* side of the metric's
-/// [`Direction`]: the lower tail / CI bound for `Maximize`, the upper
-/// for `Minimize`.
+/// There is one ranking path and this is its only knob: every ranking
+/// entry point reads a metric through the spec on its [`MetricDef`].
+/// `Mean` reads the stored scalar, never the distribution, so a study
+/// that records distributions but asks for no risk spec ranks by exactly
+/// the numbers its tables print. The risk-sensitive variants consult the
+/// trial's [`Distribution`] (falling back to the scalar when none was
+/// recorded) and always resolve toward the *pessimistic* side of the
+/// metric's [`Direction`]: the lower tail / CI bound for `Maximize`, the
+/// upper for `Minimize`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum Risk {
-    /// Rank by the stored scalar mean (legacy behaviour; the default).
+    /// Rank by the stored scalar mean (the default).
     #[default]
     Mean,
     /// Rank by CVaR at the given tail mass `alpha` in `(0, 1]`:
@@ -352,10 +354,9 @@ impl MetricValues {
 
     /// Read one metric through its definition's [`Risk`] spec.
     ///
-    /// `Risk::Mean` returns the stored scalar unchanged (bit-for-bit the
-    /// legacy ranking input). The risk-sensitive variants consult the
-    /// distribution and degrade gracefully to the scalar when the trial
-    /// recorded none.
+    /// `Risk::Mean` returns the stored scalar unchanged. The risk-sensitive
+    /// variants consult the distribution and degrade gracefully to the
+    /// scalar when the trial recorded none.
     pub fn risk_value(&self, def: &MetricDef, spec: &BootstrapSpec) -> Option<f64> {
         self.sample(&def.name).map(|s| s.risk_value(def.direction, def.risk, spec))
     }

@@ -8,6 +8,8 @@ use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::trial::Trial;
 
+use super::spec::{resolve, Resolved};
+
 /// Exact 2-D hypervolume of the front of a trial set, measured against a
 /// reference point (at least as bad as every trial on both metrics,
 /// given in raw metric units).
@@ -17,8 +19,7 @@ use crate::trial::Trial;
 /// with the default `Risk::Mean` this is the plain front hypervolume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hypervolume {
-    x: MetricDef,
-    y: MetricDef,
+    axes: [MetricDef; 2],
     reference: (f64, f64),
     bootstrap: BootstrapSpec,
 }
@@ -26,7 +27,7 @@ pub struct Hypervolume {
 impl Hypervolume {
     /// Indicator over two metrics against a reference point.
     pub fn new(x: MetricDef, y: MetricDef, reference: (f64, f64)) -> Self {
-        Self { x, y, reference, bootstrap: BootstrapSpec::default() }
+        Self { axes: [x, y], reference, bootstrap: BootstrapSpec::default() }
     }
 
     /// Bootstrap parameters for `Risk::LowerCi` readings.
@@ -39,53 +40,37 @@ impl Hypervolume {
     /// eligible; trials worse than the reference on either metric
     /// contribute nothing.
     pub fn value(&self, trials: &[Trial]) -> f64 {
-        let pts: Vec<(f64, f64)> = trials
-            .iter()
-            .filter(|t| t.is_complete())
-            .filter_map(|t| {
-                let x = t.metrics.risk_value(&self.x, &self.bootstrap)?;
-                let y = t.metrics.risk_value(&self.y, &self.bootstrap)?;
-                self.orient(x, y)
-            })
-            .collect();
-        area(pts)
+        self.of_resolved(&resolve(trials, &self.axes, &self.bootstrap))
     }
 
-    /// Hypervolume over pre-resolved `[x, y]` metric readings (`None` =
-    /// ineligible trial) — shared with the [`super::spec::RankSpec`]
-    /// contribution ranking.
-    pub(crate) fn of_resolved(&self, resolved: &[Option<Vec<f64>>]) -> f64 {
-        let pts: Vec<(f64, f64)> =
-            resolved.iter().flatten().filter_map(|v| self.orient(v[0], v[1])).collect();
-        area(pts)
+    /// Hypervolume over resolved `[x, y]` readings.
+    pub(super) fn of_resolved(&self, rows: &Resolved) -> f64 {
+        area(rows.iter().flatten().filter_map(|v| self.orient(v[0], v[1])).collect())
     }
 
     /// Map raw metric values onto "bigger is better" axes with the
     /// reference at the origin; `None` for points outside the reference
     /// box.
     fn orient(&self, x: f64, y: f64) -> Option<(f64, f64)> {
-        let ox = self.x.direction.orient(x) - self.x.direction.orient(self.reference.0);
-        let oy = self.y.direction.orient(y) - self.y.direction.orient(self.reference.1);
+        let [dx, dy] = [self.axes[0].direction, self.axes[1].direction];
+        let ox = dx.orient(x) - dx.orient(self.reference.0);
+        let oy = dy.orient(y) - dy.orient(self.reference.1);
         (ox > 0.0 && oy > 0.0).then_some((ox, oy))
     }
 }
 
-/// Union area of the axis-aligned rectangles `[0, x] × [0, y]`.
-fn area(pts: Vec<(f64, f64)>) -> f64 {
-    if pts.is_empty() {
-        return 0.0;
-    }
-    // Sort ascending by x and sweep from the left, adding
-    // (x_i - x_prev) * max_y_of_points_with_x_ge_x_i.
-    let mut sorted = pts;
-    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let mut suffix_max_y = vec![0.0f64; sorted.len() + 1];
-    for i in (0..sorted.len()).rev() {
-        suffix_max_y[i] = suffix_max_y[i + 1].max(sorted[i].1);
+/// Union area of the axis-aligned rectangles `[0, x] × [0, y]`: sort
+/// ascending by x and sweep from the left, adding
+/// `(x_i - x_prev) * max_y_of_points_with_x_ge_x_i`.
+fn area(mut pts: Vec<(f64, f64)>) -> f64 {
+    pts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    let mut suffix_max_y = vec![0.0f64; pts.len() + 1];
+    for i in (0..pts.len()).rev() {
+        suffix_max_y[i] = suffix_max_y[i + 1].max(pts[i].1);
     }
     let mut hv = 0.0;
     let mut prev_x = 0.0;
-    for (i, &(x, _)) in sorted.iter().enumerate() {
+    for (i, &(x, _)) in pts.iter().enumerate() {
         hv += (x - prev_x) * suffix_max_y[i];
         prev_x = x;
     }

@@ -7,10 +7,11 @@
 //! textual alternatives, and the 2-D hypervolume indicator quantifies
 //! front quality.
 //!
-//! All methods are reachable uniformly through the [`RankSpec`] builder
-//! and [`Ranker`] trait ([`spec`]), which also unlock the risk-aware
-//! readings ([`crate::metrics::Risk`]): Pareto dominance under CVaR and
-//! CI-overlap-gated sorted ranking.
+//! One engine implements them all ([`spec`]), reading every metric
+//! through the [`crate::metrics::Risk`] spec on its def. [`RankSpec`]
+//! selects a method and returns a uniform [`Ranking`]; [`ParetoFront`],
+//! [`SortedRanking`], [`WeightedSum`] and [`Hypervolume`] are named
+//! presets of it that return their own shapes.
 
 pub mod hypervolume;
 pub mod pareto;
@@ -23,3 +24,6 @@ pub use pareto::ParetoFront;
 pub use sorted::SortedRanking;
 pub use spec::{RankSpec, Ranker, Ranking};
 pub use weighted::WeightedSum;
+
+#[cfg(test)]
+mod sweep;

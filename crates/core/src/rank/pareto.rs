@@ -1,29 +1,24 @@
-//! Pareto dominance, non-dominated fronts and crowding distance.
+//! Pareto dominance, non-dominated fronts and crowding distance: the
+//! dominance test itself, and the front-shaped views of the ranking
+//! engine in [`super::spec`].
 
+use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::trial::Trial;
 
+use super::spec::{front, layers, resolve};
+
 /// `a` Pareto-dominates `b` under the given metrics: `a` is no worse on
-/// every metric and strictly better on at least one.
+/// every metric and strictly better on at least one. False when either
+/// trial is not rankable under them.
 pub fn dominates(a: &Trial, b: &Trial, metrics: &[MetricDef]) -> bool {
-    let mut va = Vec::with_capacity(metrics.len());
-    let mut vb = Vec::with_capacity(metrics.len());
-    for m in metrics {
-        match (a.metrics.get(&m.name), b.metrics.get(&m.name)) {
-            (Some(x), Some(y)) => {
-                va.push(x);
-                vb.push(y);
-            }
-            _ => return false,
-        }
-    }
-    dominates_values(&va, &vb, metrics)
+    let rows = resolve([a, b], metrics, &BootstrapSpec::default());
+    matches!(rows.as_slice(), [Some(a), Some(b)] if dominates_values(a, b, metrics))
 }
 
 /// Value-level Pareto dominance: `a[i]`/`b[i]` are two trials' readings
-/// of `metrics[i]` (already resolved through whatever [`crate::metrics::Risk`]
-/// spec the caller chose). This is the comparison the risk-aware
-/// [`super::spec::RankSpec`] front shares with the scalar [`dominates`].
+/// of `metrics[i]`, already resolved through the defs' [`crate::metrics::Risk`]
+/// specs. The one comparison every front in the crate is built on.
 pub fn dominates_values(a: &[f64], b: &[f64], metrics: &[MetricDef]) -> bool {
     debug_assert_eq!(a.len(), metrics.len());
     debug_assert_eq!(b.len(), metrics.len());
@@ -48,25 +43,12 @@ pub struct ParetoFront {
 }
 
 impl ParetoFront {
-    /// Compute the front over `trials` for the given metrics. Incomplete
-    /// trials and trials missing a metric are never on the front.
+    /// Compute the front over `trials` for the given metrics, each read
+    /// through its def's risk spec. Incomplete trials and trials missing
+    /// a metric are never on the front; with no metrics nothing dominates
+    /// and every complete trial is on it.
     pub fn compute(trials: &[Trial], metrics: &[MetricDef]) -> Self {
-        let eligible: Vec<usize> = trials
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_complete() && t.metrics.covers(metrics))
-            .map(|(i, _)| i)
-            .collect();
-        let mut indices = Vec::new();
-        'outer: for &i in &eligible {
-            for &j in &eligible {
-                if i != j && dominates(&trials[j], &trials[i], metrics) {
-                    continue 'outer;
-                }
-            }
-            indices.push(i);
-        }
-        Self { indices }
+        Self { indices: front(&resolve(trials, metrics, &BootstrapSpec::default()), metrics) }
     }
 
     /// Indices (into the input slice) of the non-dominated trials.
@@ -90,79 +72,42 @@ impl ParetoFront {
     }
 }
 
-/// Fast non-dominated sorting (NSGA-II): partition trials into fronts
-/// `F1, F2, …` where `F1` is the Pareto front, `F2` the front after
-/// removing `F1`, and so on. Returns per-trial front ranks (0-based) for
-/// eligible trials, `None` for ineligible ones.
+/// Partition trials into fronts `F1, F2, …` where `F1` is the Pareto
+/// front, `F2` the front after removing `F1`, and so on: per-trial front
+/// ranks (0-based), `None` for ineligible trials.
 pub fn non_dominated_ranks(trials: &[Trial], metrics: &[MetricDef]) -> Vec<Option<usize>> {
-    let n = trials.len();
-    let eligible: Vec<bool> =
-        trials.iter().map(|t| t.is_complete() && t.metrics.covers(metrics)).collect();
-
-    let mut dominated_by = vec![0usize; n]; // count of dominators
-    let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        if !eligible[i] {
-            continue;
-        }
-        for j in 0..n {
-            if i == j || !eligible[j] {
-                continue;
-            }
-            if dominates(&trials[i], &trials[j], metrics) {
-                dominates_list[i].push(j);
-            } else if dominates(&trials[j], &trials[i], metrics) {
-                dominated_by[i] += 1;
-            }
-        }
-    }
-
-    let mut rank = vec![None; n];
-    let mut current: Vec<usize> = (0..n).filter(|&i| eligible[i] && dominated_by[i] == 0).collect();
-    let mut level = 0;
-    while !current.is_empty() {
-        let mut next = Vec::new();
-        for &i in &current {
+    let mut rank = vec![None; trials.len()];
+    let tiers = layers(&resolve(trials, metrics, &BootstrapSpec::default()), metrics);
+    for (level, tier) in tiers.iter().enumerate() {
+        for &i in tier {
             rank[i] = Some(level);
-            for &j in &dominates_list[i] {
-                dominated_by[j] -= 1;
-                if dominated_by[j] == 0 {
-                    next.push(j);
-                }
-            }
         }
-        current = next;
-        level += 1;
     }
     rank
 }
 
 /// NSGA-II crowding distance of each front member (higher = more
-/// isolated = more valuable for diversity). Boundary points get
-/// `f64::INFINITY`.
+/// isolated); boundary points get `f64::INFINITY`. `front` must be a front
+/// of `trials` under `metrics`: a member not rankable under them reads NaN.
 pub fn crowding_distance(trials: &[Trial], front: &ParetoFront, metrics: &[MetricDef]) -> Vec<f64> {
     let k = front.len();
-    let mut dist = vec![0.0; k];
     if k <= 2 {
         return vec![f64::INFINITY; k];
     }
-    for m in metrics {
+    let members = front.indices.iter().map(|&i| &trials[i]);
+    let rows = resolve(members, metrics, &BootstrapSpec::default());
+    let mut dist = vec![0.0; k];
+    for m in 0..metrics.len() {
+        let value = |a: usize| rows[a].as_ref().map_or(f64::NAN, |r| r[m]);
         let mut order: Vec<usize> = (0..k).collect();
-        order.sort_by(|&a, &b| {
-            let va = trials[front.indices[a]].metrics.get(&m.name).unwrap_or(f64::NAN);
-            let vb = trials[front.indices[b]].metrics.get(&m.name).unwrap_or(f64::NAN);
-            va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let lo = trials[front.indices[order[0]]].metrics.get(&m.name).unwrap_or(0.0);
-        let hi = trials[front.indices[order[k - 1]]].metrics.get(&m.name).unwrap_or(0.0);
-        let span = (hi - lo).abs().max(1e-12);
+        order
+            .sort_by(|&a, &b| value(a).partial_cmp(&value(b)).unwrap_or(std::cmp::Ordering::Equal));
+        let span = (value(order[k - 1]) - value(order[0])).abs().max(1e-12);
         dist[order[0]] = f64::INFINITY;
         dist[order[k - 1]] = f64::INFINITY;
         for w in 1..k - 1 {
-            let prev = trials[front.indices[order[w - 1]]].metrics.get(&m.name).unwrap_or(0.0);
-            let next = trials[front.indices[order[w + 1]]].metrics.get(&m.name).unwrap_or(0.0);
             if dist[order[w]].is_finite() {
-                dist[order[w]] += (next - prev).abs() / span;
+                dist[order[w]] += (value(order[w + 1]) - value(order[w - 1])).abs() / span;
             }
         }
     }

@@ -4,51 +4,42 @@
 use crate::metrics::MetricDef;
 use crate::trial::Trial;
 
+use super::spec::{RankSpec, Ranker, Ranking};
+
 /// Ranks trials by one primary metric, with optional tie-breaking
-/// metrics applied lexicographically.
+/// metrics applied lexicographically: [`RankSpec::sorted`] under a name
+/// that returns the bare order.
 #[derive(Debug, Clone)]
 pub struct SortedRanking {
-    keys: Vec<MetricDef>,
+    spec: RankSpec,
 }
 
 impl SortedRanking {
     /// Rank by a single metric.
     pub fn by(metric: MetricDef) -> Self {
-        Self { keys: vec![metric] }
+        Self { spec: RankSpec::sorted().metric(metric) }
     }
 
     /// Add a tie-breaking metric.
-    pub fn then_by(mut self, metric: MetricDef) -> Self {
-        self.keys.push(metric);
-        self
+    pub fn then_by(self, metric: MetricDef) -> Self {
+        Self { spec: self.spec.metric(metric) }
     }
 
     /// Indices of complete trials, best first. Trials missing any key
     /// metric are excluded.
     pub fn rank(&self, trials: &[Trial]) -> Vec<usize> {
-        let mut idx: Vec<usize> = trials
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_complete() && t.metrics.covers(&self.keys))
-            .map(|(i, _)| i)
-            .collect();
-        idx.sort_by(|&a, &b| {
-            for key in &self.keys {
-                let va = key.direction.orient(trials[a].metrics.get(&key.name).unwrap());
-                let vb = key.direction.orient(trials[b].metrics.get(&key.name).unwrap());
-                match vb.partial_cmp(&va) {
-                    Some(std::cmp::Ordering::Equal) | None => continue,
-                    Some(ord) => return ord,
-                }
-            }
-            a.cmp(&b) // stable, deterministic tie-break
-        });
-        idx
+        self.spec.ranking(trials).order
     }
 
     /// Best trial index, if any trial is rankable.
     pub fn best(&self, trials: &[Trial]) -> Option<usize> {
         self.rank(trials).first().copied()
+    }
+}
+
+impl Ranker for SortedRanking {
+    fn rank(&self, trials: &[Trial]) -> Ranking {
+        self.spec.ranking(trials)
     }
 }
 

@@ -1,11 +1,17 @@
-//! One entry point for every ranking method: the [`Ranker`] trait and
-//! the [`RankSpec`] builder.
+//! The ranking engine: one resolver, one implementation of each method,
+//! and the [`RankSpec`] builder / [`Ranker`] trait that select among them.
 //!
-//! The per-module types ([`super::pareto::ParetoFront`], [`SortedRanking`],
-//! [`WeightedSum`], [`Hypervolume`]) stay available for direct use, but
-//! callers that want to *select* a method — and read the metrics through
-//! a [`crate::metrics::Risk`] spec (mean, CVaR, or a bootstrap CI bound) — build a
-//! `RankSpec` and get a uniform [`Ranking`] back:
+//! Every ranking in the crate takes the same two steps. `resolve` turns
+//! `trials × metric defs` into a table of numbers, each metric read
+//! through the [`crate::metrics::Risk`] spec its [`MetricDef`] carries
+//! (mean, CVaR, or a bootstrap CI bound); a trial that is incomplete or
+//! lacks a finite scalar for some metric gets no row. Then one algorithm
+//! per method runs over that table: the non-dominated front, the
+//! non-dominated layers, the lexicographic sort and the min–max weighted
+//! score below, and the sweep in [`super::hypervolume`]. The per-method
+//! names (`ParetoFront`, `non_dominated_ranks`, `SortedRanking`,
+//! `WeightedSum`, `Hypervolume`) are presets over it with their own return
+//! shapes, so a def's risk spec means the same whichever name is called.
 //!
 //! ```
 //! use decision::prelude::*;
@@ -22,25 +28,145 @@
 //!     .rank(&trials);
 //! assert_eq!(ranking.front, vec![0, 1], "trade-off: both non-dominated");
 //! ```
-//!
-//! With `Risk::Mean` on every metric (the default), each method is
-//! exactly its legacy counterpart: the Pareto front equals
-//! [`super::pareto::ParetoFront::compute`], the sorted order equals
-//! [`SortedRanking::rank`], the weighted order equals
-//! [`WeightedSum::rank`]. Risk specs change only what number each metric
-//! contributes, never the comparison logic.
+
+use std::cmp::Ordering;
 
 use crate::distribution::{BootstrapSpec, Ci};
-use crate::metrics::MetricDef;
+use crate::metrics::{Direction, MetricDef};
 use crate::trial::Trial;
 
 use super::hypervolume::Hypervolume;
 use super::pareto::dominates_values;
-use super::sorted::SortedRanking;
-use super::weighted::WeightedSum;
 
-/// Anything that can rank a slice of trials. Implemented by the
-/// per-method types and by [`RankSpec`].
+/// Row `i` is trial `i`'s reading of each metric def, `None` when the
+/// trial cannot be ranked. The only thing a ranking algorithm sees.
+pub(super) type Resolved = Vec<Option<Vec<f64>>>;
+
+/// Read every trial through the defs' risk specs. A trial is eligible
+/// when it is complete and has a finite scalar for every def.
+pub(super) fn resolve<'a>(
+    trials: impl IntoIterator<Item = &'a Trial>,
+    defs: &[MetricDef],
+    bootstrap: &BootstrapSpec,
+) -> Resolved {
+    trials
+        .into_iter()
+        .map(|t| {
+            if !(t.is_complete() && t.metrics.covers(defs)) {
+                return None;
+            }
+            defs.iter().map(|d| t.metrics.risk_value(d, bootstrap)).collect()
+        })
+        .collect()
+}
+
+/// The eligible rows with their trial indices, ascending.
+fn eligible(rows: &Resolved) -> Vec<(usize, &[f64])> {
+    rows.iter().enumerate().filter_map(|(i, r)| Some((i, r.as_deref()?))).collect()
+}
+
+/// Indices of the rows no other row dominates, ascending.
+pub(super) fn front(rows: &Resolved, defs: &[MetricDef]) -> Vec<usize> {
+    let live = eligible(rows);
+    live.iter()
+        .filter(|(_, a)| !live.iter().any(|(_, b)| dominates_values(b, a, defs)))
+        .map(|&(i, _)| i)
+        .collect()
+}
+
+/// Fast non-dominated sorting (NSGA-II): layer 0 is the front, layer 1
+/// the front once layer 0 is removed, and so on; each layer ascending.
+pub(super) fn layers(rows: &Resolved, defs: &[MetricDef]) -> Vec<Vec<usize>> {
+    let live = eligible(rows);
+    let mut dominated_by = vec![0usize; rows.len()];
+    let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
+    for &(i, a) in &live {
+        for &(j, b) in &live {
+            if dominates_values(a, b, defs) {
+                dominates_list[i].push(j);
+                dominated_by[j] += 1;
+            }
+        }
+    }
+    let mut tiers = Vec::new();
+    let mut current: Vec<usize> =
+        live.iter().map(|&(i, _)| i).filter(|&i| dominated_by[i] == 0).collect();
+    while !current.is_empty() {
+        let mut next = Vec::new();
+        for &i in &current {
+            for &j in &dominates_list[i] {
+                dominated_by[j] -= 1;
+                if dominated_by[j] == 0 {
+                    next.push(j);
+                }
+            }
+        }
+        next.sort_unstable();
+        tiers.push(std::mem::replace(&mut current, next));
+    }
+    tiers
+}
+
+/// Eligible indices best first by the first def, later defs breaking
+/// ties lexicographically, the index breaking what is left.
+fn lexicographic(rows: &Resolved, defs: &[MetricDef]) -> Vec<usize> {
+    let mut live = eligible(rows);
+    live.sort_by(|&(a, ra), &(b, rb)| {
+        for (def, (&va, &vb)) in defs.iter().zip(ra.iter().zip(rb)) {
+            match def.direction.orient(vb).partial_cmp(&def.direction.orient(va)) {
+                Some(Ordering::Equal) | None => continue,
+                Some(ord) => return ord,
+            }
+        }
+        a.cmp(&b)
+    });
+    live.into_iter().map(|(i, _)| i).collect()
+}
+
+/// Weighted sum of the min–max normalised readings: every metric maps
+/// onto `[0, 1]` with 1 = best over the eligible rows (a constant metric
+/// reads 1), the score is `Σ w·norm / Σ w`. `None` for ineligible rows,
+/// and for every row when the weights sum to zero.
+fn weighted_scores(rows: &Resolved, defs: &[MetricDef], weights: &[f64]) -> Vec<Option<f64>> {
+    let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); defs.len()];
+    for vals in rows.iter().flatten() {
+        for (range, &v) in ranges.iter_mut().zip(vals) {
+            *range = (range.0.min(v), range.1.max(v));
+        }
+    }
+    let wsum: f64 = weights.iter().sum();
+    rows.iter()
+        .map(|row| {
+            let vals = row.as_ref().filter(|_| wsum != 0.0)?;
+            let mut score = 0.0;
+            for (((def, w), &(lo, hi)), &v) in defs.iter().zip(weights).zip(&ranges).zip(vals) {
+                let span = (hi - lo).abs();
+                let norm = if span < 1e-12 {
+                    1.0
+                } else {
+                    match def.direction {
+                        Direction::Maximize => (v - lo) / span,
+                        Direction::Minimize => (hi - v) / span,
+                    }
+                };
+                score += w * norm;
+            }
+            Some(score / wsum)
+        })
+        .collect()
+}
+
+/// Indices that have a score, highest first, ties by index.
+fn best_score_first(scores: &[Option<f64>]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).filter(|&i| scores[i].is_some()).collect();
+    order.sort_by(|&a, &b| {
+        scores[b].partial_cmp(&scores[a]).unwrap_or(Ordering::Equal).then(a.cmp(&b))
+    });
+    order
+}
+
+/// Anything that can rank a slice of trials. Implemented by
+/// [`RankSpec`] and the sorted / weighted presets.
 pub trait Ranker {
     /// Rank the trials; indices in the result refer into `trials`.
     fn rank(&self, trials: &[Trial]) -> Ranking;
@@ -73,12 +199,6 @@ impl Ranking {
     pub fn indistinguishable(&self, i: usize, j: usize) -> bool {
         self.tiers.iter().any(|t| t.contains(&i) && t.contains(&j))
     }
-
-    fn from_singleton_order(order: Vec<usize>) -> Self {
-        let tiers: Vec<Vec<usize>> = order.iter().map(|&i| vec![i]).collect();
-        let front = order.first().map(|&i| vec![i]).unwrap_or_default();
-        Self { order, tiers, front }
-    }
 }
 
 /// Which method a [`RankSpec`] dispatches to.
@@ -90,20 +210,27 @@ enum Method {
     Hypervolume { reference: (f64, f64) },
 }
 
-/// Builder selecting a ranking method, the metrics it reads (each with
-/// its own [`crate::metrics::Risk`] spec riding on the [`MetricDef`]), and the bootstrap
+/// Builder selecting a ranking method, the metrics it reads (each def
+/// carrying its own [`crate::metrics::Risk`] spec), and the bootstrap
 /// parameters behind CI-based readings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankSpec {
     method: Method,
-    metrics: Vec<(MetricDef, f64)>,
+    defs: Vec<MetricDef>,
+    weights: Vec<f64>,
     bootstrap: BootstrapSpec,
     ci_gate: Option<f64>,
 }
 
 impl RankSpec {
     fn new(method: Method) -> Self {
-        Self { method, metrics: Vec::new(), bootstrap: BootstrapSpec::default(), ci_gate: None }
+        Self {
+            method,
+            defs: Vec::new(),
+            weights: Vec::new(),
+            bootstrap: BootstrapSpec::default(),
+            ci_gate: None,
+        }
     }
 
     /// Pareto-front ranking: tiers are non-dominated layers (NSGA-II
@@ -133,14 +260,16 @@ impl RankSpec {
 
     /// Add a metric (risk spec rides on the def via
     /// [`MetricDef::with_risk`]; weight 1.0 for the weighted method).
-    pub fn metric(mut self, def: MetricDef) -> Self {
-        self.metrics.push((def, 1.0));
-        self
+    pub fn metric(self, def: MetricDef) -> Self {
+        self.weighted_metric(def, 1.0)
     }
 
-    /// Add a metric with an explicit weighted-sum weight.
+    /// Add a metric with an explicit weighted-sum weight (weights need
+    /// not sum to 1; a negative or non-finite one panics).
     pub fn weighted_metric(mut self, def: MetricDef, weight: f64) -> Self {
-        self.metrics.push((def, weight));
+        assert!(weight >= 0.0 && weight.is_finite(), "weights must be non-negative");
+        self.defs.push(def);
+        self.weights.push(weight);
         self
     }
 
@@ -160,237 +289,86 @@ impl RankSpec {
         self
     }
 
-    fn defs(&self) -> Vec<MetricDef> {
-        self.metrics.iter().map(|(d, _)| d.clone()).collect()
-    }
-
-    /// Per-trial metric readings resolved through each def's risk spec;
-    /// `None` marks trials the legacy paths would also exclude
-    /// (incomplete, or missing a finite scalar for some metric).
-    fn resolve(&self, trials: &[Trial]) -> Vec<Option<Vec<f64>>> {
-        let defs = self.defs();
-        trials
-            .iter()
-            .map(|t| {
-                if !t.is_complete() || !t.metrics.covers(&defs) {
-                    return None;
-                }
-                Some(
-                    defs.iter()
-                        .map(|d| t.metrics.risk_value(d, &self.bootstrap).unwrap())
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
     /// The non-dominated set under this spec's risk readings, in
-    /// ascending index order (equals [`super::pareto::ParetoFront::compute`] when every
-    /// risk is `Mean`).
+    /// ascending index order.
     pub fn pareto_front(&self, trials: &[Trial]) -> Vec<usize> {
-        let resolved = self.resolve(trials);
-        let defs = self.defs();
-        let eligible: Vec<usize> = (0..trials.len()).filter(|&i| resolved[i].is_some()).collect();
-        let mut front = Vec::new();
-        'outer: for &i in &eligible {
-            for &j in &eligible {
-                if i != j
-                    && dominates_values(
-                        resolved[j].as_ref().unwrap(),
-                        resolved[i].as_ref().unwrap(),
-                        &defs,
-                    )
-                {
-                    continue 'outer;
-                }
-            }
-            front.push(i);
-        }
-        front
+        front(&resolve(trials, &self.defs, &self.bootstrap), &self.defs)
     }
 
-    fn rank_pareto(&self, trials: &[Trial]) -> Ranking {
-        let resolved = self.resolve(trials);
-        let defs = self.defs();
-        let n = trials.len();
-        let eligible: Vec<usize> = (0..n).filter(|&i| resolved[i].is_some()).collect();
-
-        // Non-dominated sorting on the resolved values.
-        let mut dominated_by = vec![0usize; n];
-        let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &i in &eligible {
-            for &j in &eligible {
-                if i != j
-                    && dominates_values(
-                        resolved[i].as_ref().unwrap(),
-                        resolved[j].as_ref().unwrap(),
-                        &defs,
-                    )
-                {
-                    dominates_list[i].push(j);
-                    dominated_by[j] += 1;
-                }
-            }
-        }
-        let mut tiers = Vec::new();
-        let mut current: Vec<usize> =
-            eligible.iter().copied().filter(|&i| dominated_by[i] == 0).collect();
-        while !current.is_empty() {
-            let mut next = Vec::new();
-            for &i in &current {
-                for &j in &dominates_list[i] {
-                    dominated_by[j] -= 1;
-                    if dominated_by[j] == 0 {
-                        next.push(j);
-                    }
-                }
-            }
-            next.sort_unstable();
-            next.dedup();
-            tiers.push(std::mem::replace(&mut current, next));
-        }
-        let order: Vec<usize> = tiers.iter().flatten().copied().collect();
-        let front = tiers.first().cloned().unwrap_or_default();
-        Ranking { order, tiers, front }
+    /// Weighted-sum score of each trial under this spec's metrics and
+    /// weights (`None` for unrankable trials).
+    pub(super) fn scores(&self, trials: &[Trial]) -> Vec<Option<f64>> {
+        weighted_scores(&resolve(trials, &self.defs, &self.bootstrap), &self.defs, &self.weights)
     }
 
-    fn rank_sorted(&self, trials: &[Trial]) -> Ranking {
-        let resolved = self.resolve(trials);
-        let mut order: Vec<usize> = (0..trials.len()).filter(|&i| resolved[i].is_some()).collect();
-        order.sort_by(|&a, &b| {
-            let ra = resolved[a].as_ref().unwrap();
-            let rb = resolved[b].as_ref().unwrap();
-            for (k, (def, _)) in self.metrics.iter().enumerate() {
-                let (va, vb) = (def.direction.orient(ra[k]), def.direction.orient(rb[k]));
-                match vb.partial_cmp(&va) {
-                    Some(std::cmp::Ordering::Equal) | None => continue,
-                    Some(ord) => return ord,
+    /// [`Ranker::rank`] without its non-empty-metrics check: what the
+    /// presets call, for which an empty metric list is a valid input.
+    pub(super) fn ranking(&self, trials: &[Trial]) -> Ranking {
+        let rows = resolve(trials, &self.defs, &self.bootstrap);
+        let singletons = |order: Vec<usize>| order.into_iter().map(|i| vec![i]).collect();
+        let tiers: Vec<Vec<usize>> = match self.method {
+            Method::Pareto => layers(&rows, &self.defs),
+            Method::Sorted => {
+                let order = lexicographic(&rows, &self.defs);
+                match self.ci_gate {
+                    None => singletons(order),
+                    Some(level) => self.ci_tiers(trials, &order, level),
                 }
             }
-            a.cmp(&b)
-        });
-
-        let tiers = match self.ci_gate {
-            None => order.iter().map(|&i| vec![i]).collect::<Vec<_>>(),
-            Some(level) => {
-                // Group consecutive trials whose CIs on the primary
-                // metric overlap the group head's CI: within a tier the
-                // evidence cannot tell the trials apart.
-                let primary = &self.metrics[0].0;
-                let spec = BootstrapSpec { level, ..self.bootstrap };
-                let ci_of = |i: usize| -> Ci {
-                    let s = trials[i].metrics.sample(&primary.name).unwrap();
-                    s.ci(&spec).unwrap_or_else(|| Ci::point(s.value, level))
-                };
-                let mut tiers: Vec<Vec<usize>> = Vec::new();
-                let mut head_ci: Option<Ci> = None;
-                for &i in &order {
-                    let ci = ci_of(i);
-                    match (&mut tiers.last_mut(), &head_ci) {
-                        (Some(tier), Some(head)) if head.overlaps(&ci) => tier.push(i),
-                        _ => {
-                            tiers.push(vec![i]);
-                            head_ci = Some(ci);
-                        }
-                    }
-                }
-                tiers
+            Method::Weighted => {
+                singletons(best_score_first(&weighted_scores(&rows, &self.defs, &self.weights)))
+            }
+            Method::Hypervolume { reference } => {
+                assert_eq!(self.defs.len(), 2, "hypervolume ranking needs exactly two metrics");
+                let hv = Hypervolume::new(self.defs[0].clone(), self.defs[1].clone(), reference);
+                let total = hv.of_resolved(&rows);
+                // Exclusive contribution: the volume that vanishes without
+                // the trial. Dominated points lose nothing and sort by index.
+                let contributions: Vec<Option<f64>> = (0..rows.len())
+                    .map(|i| {
+                        rows[i].as_ref()?;
+                        let mut without = rows.clone();
+                        without[i] = None;
+                        Some(total - hv.of_resolved(&without))
+                    })
+                    .collect();
+                singletons(best_score_first(&contributions))
             }
         };
+        let order = tiers.iter().flatten().copied().collect();
         let mut front = tiers.first().cloned().unwrap_or_default();
         front.sort_unstable();
         Ranking { order, tiers, front }
     }
 
-    fn rank_weighted(&self, trials: &[Trial]) -> Ranking {
-        // Delegate the scoring math to `WeightedSum` over risk-resolved
-        // values by building shadow trials is wasteful; instead reuse its
-        // normalization logic inline on the resolved matrix.
-        let resolved = self.resolve(trials);
-        let eligible: Vec<usize> = (0..trials.len()).filter(|&i| resolved[i].is_some()).collect();
-        let m = self.metrics.len();
-        let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); m];
-        for &i in &eligible {
-            let vals = resolved[i].as_ref().unwrap();
-            for k in 0..m {
-                ranges[k].0 = ranges[k].0.min(vals[k]);
-                ranges[k].1 = ranges[k].1.max(vals[k]);
+    /// Group consecutive trials of `order` whose CIs on the primary
+    /// metric overlap the group head's CI: within a tier the evidence
+    /// cannot tell the trials apart.
+    fn ci_tiers(&self, trials: &[Trial], order: &[usize], level: f64) -> Vec<Vec<usize>> {
+        let primary = &self.defs[0];
+        let spec = BootstrapSpec { level, ..self.bootstrap };
+        let mut tiers: Vec<Vec<usize>> = Vec::new();
+        let mut head_ci: Option<Ci> = None;
+        for &i in order {
+            let s =
+                trials[i].metrics.sample(&primary.name).expect("a ranked trial has every metric");
+            let ci = s.ci(&spec).unwrap_or_else(|| Ci::point(s.value, level));
+            match (tiers.last_mut(), &head_ci) {
+                (Some(tier), Some(head)) if head.overlaps(&ci) => tier.push(i),
+                _ => {
+                    tiers.push(vec![i]);
+                    head_ci = Some(ci);
+                }
             }
         }
-        let wsum: f64 = self.metrics.iter().map(|(_, w)| w).sum();
-        let mut scored: Vec<(usize, f64)> = eligible
-            .iter()
-            .filter(|_| wsum != 0.0)
-            .map(|&i| {
-                let vals = resolved[i].as_ref().unwrap();
-                let mut score = 0.0;
-                for (k, (def, w)) in self.metrics.iter().enumerate() {
-                    let (lo, hi) = ranges[k];
-                    let span = (hi - lo).abs();
-                    let norm = if span < 1e-12 {
-                        1.0
-                    } else {
-                        match def.direction {
-                            crate::metrics::Direction::Maximize => (vals[k] - lo) / span,
-                            crate::metrics::Direction::Minimize => (hi - vals[k]) / span,
-                        }
-                    };
-                    score += w * norm;
-                }
-                (i, score / wsum)
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        Ranking::from_singleton_order(scored.into_iter().map(|(i, _)| i).collect())
-    }
-
-    fn rank_hypervolume(&self, trials: &[Trial], reference: (f64, f64)) -> Ranking {
-        assert_eq!(self.metrics.len(), 2, "hypervolume ranking needs exactly two metrics");
-        let hv = Hypervolume::new(self.metrics[0].0.clone(), self.metrics[1].0.clone(), reference)
-            .bootstrap(self.bootstrap);
-        let resolved = self.resolve(trials);
-        let eligible: Vec<usize> = (0..trials.len()).filter(|&i| resolved[i].is_some()).collect();
-        let total = hv.of_resolved(&resolved);
-        // Exclusive contribution: how much volume vanishes without the
-        // trial. Dominated points contribute zero and sort by index.
-        let mut scored: Vec<(usize, f64)> = eligible
-            .iter()
-            .map(|&i| {
-                let mut without = resolved.clone();
-                without[i] = None;
-                (i, total - hv.of_resolved(&without))
-            })
-            .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        Ranking::from_singleton_order(scored.into_iter().map(|(i, _)| i).collect())
+        tiers
     }
 }
 
 impl Ranker for RankSpec {
     fn rank(&self, trials: &[Trial]) -> Ranking {
-        assert!(!self.metrics.is_empty(), "RankSpec needs at least one metric");
-        match self.method {
-            Method::Pareto => self.rank_pareto(trials),
-            Method::Sorted => self.rank_sorted(trials),
-            Method::Weighted => self.rank_weighted(trials),
-            Method::Hypervolume { reference } => self.rank_hypervolume(trials, reference),
-        }
-    }
-}
-
-impl Ranker for SortedRanking {
-    fn rank(&self, trials: &[Trial]) -> Ranking {
-        Ranking::from_singleton_order(SortedRanking::rank(self, trials))
-    }
-}
-
-impl Ranker for WeightedSum {
-    fn rank(&self, trials: &[Trial]) -> Ranking {
-        Ranking::from_singleton_order(WeightedSum::rank(self, trials))
+        assert!(!self.defs.is_empty(), "RankSpec needs at least one metric");
+        self.ranking(trials)
     }
 }
 
@@ -399,8 +377,9 @@ mod tests {
     use super::*;
     use crate::distribution::Distribution;
     use crate::metrics::{MetricDef, MetricValues, Risk};
-    use crate::rank::pareto::ParetoFront;
-    use crate::trial::{Configuration, Trial};
+    use crate::rank::pareto::{dominates, non_dominated_ranks, ParetoFront};
+    use crate::rank::{SortedRanking, WeightedSum};
+    use crate::trial::{Configuration, Trial, TrialStatus};
 
     fn t(id: usize, reward: f64, time: f64) -> Trial {
         Trial::complete(
@@ -422,8 +401,11 @@ mod tests {
         (MetricDef::maximize("reward"), MetricDef::minimize("time_min"))
     }
 
+    /// The outputs of the last commit at which the presets and `RankSpec`
+    /// were separate implementations, on that commit's parity fixtures.
     #[test]
-    fn mean_pareto_front_matches_legacy() {
+    fn mean_rankings_are_pinned() {
+        let (r, m) = defs();
         let trials = vec![
             t(0, -0.78, 72.0),
             t(1, -0.65, 46.0),
@@ -432,31 +414,97 @@ mod tests {
             t(4, -0.45, 65.0),
             t(5, -0.52, 85.0),
         ];
-        let (r, m) = defs();
-        let legacy = ParetoFront::compute(&trials, &[r.clone(), m.clone()]);
-        let ranking = RankSpec::pareto().metric(r.clone()).metric(m.clone()).rank(&trials);
-        assert_eq!(ranking.front, legacy.indices());
-        assert_eq!(RankSpec::pareto().metric(r).metric(m).pareto_front(&trials), legacy.indices());
-    }
+        assert_eq!(ParetoFront::compute(&trials, &[r.clone(), m.clone()]).indices(), &[1, 2, 4]);
+        let spec = RankSpec::pareto().metric(r.clone()).metric(m.clone());
+        assert_eq!(spec.pareto_front(&trials), vec![1, 2, 4]);
+        let tiers = vec![vec![1, 2, 4], vec![3, 5], vec![0]];
+        let pinned = Ranking { order: vec![1, 2, 4, 3, 5, 0], front: vec![1, 2, 4], tiers };
+        assert_eq!(spec.rank(&trials), pinned);
 
-    #[test]
-    fn mean_sorted_order_matches_legacy() {
         let trials = vec![t(0, -0.65, 46.0), t(1, -0.45, 65.0), t(2, -0.78, 72.0)];
-        let (r, m) = defs();
-        let legacy = SortedRanking::by(r.clone()).then_by(m.clone()).rank(&trials);
-        let ranking = RankSpec::sorted().metric(r).metric(m).rank(&trials);
-        assert_eq!(ranking.order, legacy);
-        assert_eq!(ranking.best(), Some(1));
+        assert_eq!(SortedRanking::by(r.clone()).then_by(m.clone()).rank(&trials), vec![1, 0, 2]);
+        let tiers = vec![vec![1], vec![0], vec![2]];
+        let pinned = Ranking { order: vec![1, 0, 2], front: vec![1], tiers };
+        assert_eq!(RankSpec::sorted().metric(r.clone()).metric(m.clone()).rank(&trials), pinned);
+
+        let trials = vec![t(0, 0.0, 10.0), t(1, 1.0, 20.0), t(2, 0.4, 12.0)];
+        let preset = WeightedSum::new().weight(r.clone(), 0.3).weight(m.clone(), 0.7);
+        assert_eq!(preset.rank(&trials), vec![0, 2, 1]);
+        let bits: Vec<u64> = preset.scores(&trials).iter().map(|s| s.unwrap().to_bits()).collect();
+        assert_eq!(bits, vec![0x3FE6666666666666, 0x3FD3333333333333, 0x3FE5C28F5C28F5C2]);
+        let spec = RankSpec::weighted().weighted_metric(r, 0.3).weighted_metric(m, 0.7);
+        assert_eq!(spec.rank(&trials).order, vec![0, 2, 1]);
     }
 
     #[test]
-    fn mean_weighted_order_matches_legacy() {
-        let trials = vec![t(0, 0.0, 10.0), t(1, 1.0, 20.0), t(2, 0.4, 12.0)];
+    fn every_entry_point_honours_the_risk_on_a_def() {
+        // The gambler (trial 0) wins on mean reward, the steady trial 1 on
+        // the lower tail; equal time.
+        let trials = vec![
+            t_dist(0, vec![-20.0, 9.0, 10.0, 11.0, 40.0], 50.0),
+            t_dist(1, vec![8.0, 9.0, 9.0, 9.0, 9.0], 50.0),
+        ];
+        let (mean, time) = defs();
+        let cvar = mean.clone().with_risk(Risk::Cvar(0.2));
+        // (front, layers, best, weighted order) as the presets see a reward def.
+        let read = |reward: &MetricDef| {
+            let both = [reward.clone(), time.clone()];
+            let weighted = WeightedSum::new().weight(reward.clone(), 1.0).weight(time.clone(), 1.0);
+            (
+                ParetoFront::compute(&trials, &both).indices().to_vec(),
+                non_dominated_ranks(&trials, &both),
+                SortedRanking::by(reward.clone()).best(&trials),
+                weighted.rank(&trials),
+            )
+        };
+        assert_eq!(read(&mean), (vec![0], vec![Some(0), Some(1)], Some(0), vec![0, 1]));
+        let by_cvar = (vec![1], vec![Some(1), Some(0)], Some(1), vec![1, 0]);
+        assert_eq!(read(&cvar), by_cvar, "the presets read the def's risk spec");
+        assert!(dominates(&trials[1], &trials[0], &[cvar.clone(), time.clone()]));
+        assert!(dominates(&trials[0], &trials[1], &[mean, time.clone()]));
+
+        // And they say what `RankSpec` says on the same def.
+        let spec = |method: RankSpec| method.metric(cvar.clone()).metric(time.clone());
+        assert_eq!(spec(RankSpec::pareto()).pareto_front(&trials), by_cvar.0);
+        assert_eq!(spec(RankSpec::pareto()).rank(&trials).tiers, vec![vec![1], vec![0]]);
+        assert_eq!(spec(RankSpec::sorted()).rank(&trials).best(), by_cvar.2);
+        assert_eq!(spec(RankSpec::weighted()).rank(&trials).order, by_cvar.3);
+    }
+
+    #[test]
+    fn bad_weights_are_rejected_by_the_engine() {
+        for w in [-1.0, f64::NAN, f64::INFINITY] {
+            let add = || RankSpec::weighted().weighted_metric(MetricDef::maximize("reward"), w);
+            assert!(std::panic::catch_unwind(add).is_err(), "weight {w}");
+        }
+    }
+
+    #[test]
+    fn zero_weight_sum_ranks_nothing() {
+        let trials = vec![t(0, 0.0, 10.0), t(1, 1.0, 20.0)];
         let (r, m) = defs();
-        let legacy = WeightedSum::new().weight(r.clone(), 0.3).weight(m.clone(), 0.7).rank(&trials);
-        let ranking =
-            RankSpec::weighted().weighted_metric(r, 0.3).weighted_metric(m, 0.7).rank(&trials);
-        assert_eq!(ranking.order, legacy);
+        // No weights at all is the same zero sum, and no panic.
+        for preset in [WeightedSum::new(), WeightedSum::new().weight(r.clone(), 0.0)] {
+            assert_eq!(preset.scores(&trials), vec![None, None]);
+            assert!(preset.rank(&trials).is_empty());
+        }
+        let spec = RankSpec::weighted().weighted_metric(r, 0.0).weighted_metric(m, 0.0);
+        assert_eq!(spec.rank(&trials), Ranking { order: vec![], tiers: vec![], front: vec![] });
+    }
+
+    #[test]
+    fn no_metrics_puts_every_complete_trial_on_the_front() {
+        let mut failed = t(1, 9.0, 1.0);
+        failed.status = TrialStatus::Failed;
+        let trials = vec![t(0, -0.65, 46.0), failed, t(2, -0.78, 72.0)];
+        assert_eq!(ParetoFront::compute(&trials, &[]).indices(), &[0, 2]);
+        assert_eq!(non_dominated_ranks(&trials, &[]), vec![Some(0), None, Some(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one metric")]
+    fn rank_spec_itself_still_needs_a_metric() {
+        RankSpec::pareto().rank(&[t(0, -0.65, 46.0)]);
     }
 
     #[test]
@@ -500,14 +548,6 @@ mod tests {
         assert!(ranking.indistinguishable(0, 1));
         assert!(!ranking.indistinguishable(0, 2));
         assert_eq!(ranking.front, vec![0, 1]);
-    }
-
-    #[test]
-    fn sorted_without_gate_gives_singleton_tiers() {
-        let trials = vec![t(0, -0.65, 46.0), t(1, -0.45, 65.0)];
-        let (r, _) = defs();
-        let ranking = RankSpec::sorted().metric(r).rank(&trials);
-        assert_eq!(ranking.tiers, vec![vec![1], vec![0]]);
     }
 
     #[test]

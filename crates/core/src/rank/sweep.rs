@@ -1,0 +1,176 @@
+//! A seeded sweep of every ranking entry point against brute-force
+//! oracles written from the definitions, not from the engine. A plain
+//! `#[test]` on purpose: it needs no registry crate, so it runs wherever
+//! the crate compiles.
+
+use crate::metrics::{Direction, MetricDef, MetricValues};
+use crate::rank::pareto::non_dominated_ranks;
+use crate::rank::{ParetoFront, RankSpec, Ranker, SortedRanking, WeightedSum};
+use crate::trial::{Configuration, Trial, TrialStatus};
+
+/// Knuth's MMIX LCG; the high bits are the usable ones.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+}
+
+/// 1–60 trials over 1–3 metrics `m0..` with random directions and values
+/// on a coarse grid (ties), plus four hazards, each in about a third of
+/// the sets and reported in the flags: a trial missing a metric, a failed
+/// trial, a NaN, a ±∞.
+fn trial_set(rng: &mut Lcg) -> (Vec<Trial>, Vec<MetricDef>, [bool; 4]) {
+    let (n, m) = (1 + rng.below(60), 1 + rng.below(3));
+    let defs: Vec<MetricDef> = (0..m)
+        .map(|k| match rng.below(2) {
+            0 => MetricDef::maximize(format!("m{k}")),
+            _ => MetricDef::minimize(format!("m{k}")),
+        })
+        .collect();
+    let grid = 2 + rng.below(9);
+    let mut trials: Vec<Trial> = (0..n)
+        .map(|i| {
+            let mut v = MetricValues::new();
+            for def in &defs {
+                v.set(def.name.as_str(), rng.below(grid) as f64 * 0.25 - 1.0);
+            }
+            Trial::complete(i, Configuration::new(), v)
+        })
+        .collect();
+    let hazards = [(); 4].map(|_| rng.below(3) == 0);
+    if hazards[0] {
+        let (i, skip) = (rng.below(n), rng.below(m));
+        trials[i].metrics = MetricValues::new();
+        for (k, def) in defs.iter().enumerate().filter(|(k, _)| *k != skip) {
+            trials[i].metrics.set(def.name.as_str(), k as f64);
+        }
+    }
+    if hazards[1] {
+        trials[rng.below(n)].status = TrialStatus::Failed;
+    }
+    let inf = if rng.below(2) == 0 { f64::INFINITY } else { f64::NEG_INFINITY };
+    for (hazard, bad) in [(hazards[2], f64::NAN), (hazards[3], inf)] {
+        if hazard {
+            let (i, k) = (rng.below(n), rng.below(m));
+            trials[i].metrics.set(defs[k].name.as_str(), bad);
+        }
+    }
+    (trials, defs, hazards)
+}
+
+/// A rankable trial's readings turned so that bigger is better; `None`
+/// for a trial that is not complete or lacks a finite value.
+fn oriented(t: &Trial, defs: &[MetricDef]) -> Option<Vec<f64>> {
+    if t.status != TrialStatus::Complete {
+        return None;
+    }
+    defs.iter()
+        .map(|d| {
+            let v = t.metrics.get(&d.name).filter(|v| v.is_finite())?;
+            Some(if d.direction == Direction::Maximize { v } else { -v })
+        })
+        .collect()
+}
+
+fn dominates(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
+}
+
+/// Peel fronts off until nothing is left: layer `k` is whatever no
+/// remaining trial dominates once layers `0..k` are gone.
+fn oracle_layers(rows: &[Option<Vec<f64>>]) -> Vec<Vec<usize>> {
+    let mut left: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_some()).collect();
+    let row = |i: usize| rows[i].as_deref().unwrap();
+    let mut layers = Vec::new();
+    while !left.is_empty() {
+        let undominated = |&i: &usize| !left.iter().any(|&j| dominates(row(j), row(i)));
+        let layer: Vec<usize> = left.iter().copied().filter(undominated).collect();
+        left.retain(|i| !layer.contains(i));
+        layers.push(layer);
+    }
+    layers
+}
+
+/// Indices with a key, greatest key first, the lower index first among
+/// equals. A sorted array's key is the oriented readings read
+/// lexicographically, a weighted sum's is the score.
+fn best_first<K: PartialOrd>(keys: &[Option<K>]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..keys.len()).filter(|&i| keys[i].is_some()).collect();
+    order.sort_by(|&a, &b| keys[b].partial_cmp(&keys[a]).unwrap().then(a.cmp(&b)));
+    order
+}
+
+/// `Σ w·norm / Σ w` with `norm` the min–max position of the reading among
+/// the rankable trials, 1 = best, a constant metric reading 1.
+fn oracle_scores(rows: &[Option<Vec<f64>>], weights: &[f64]) -> Vec<Option<f64>> {
+    let column = |k: usize| rows.iter().flatten().map(move |r| r[k]);
+    let score = |row: &Vec<f64>| {
+        let weighted = weights.iter().enumerate().map(|(k, w)| {
+            let worst = column(k).fold(f64::INFINITY, f64::min);
+            let span = column(k).fold(f64::NEG_INFINITY, f64::max) - worst;
+            w * if span < 1e-12 { 1.0 } else { (row[k] - worst) / span }
+        });
+        weighted.sum::<f64>() / weights.iter().sum::<f64>()
+    };
+    rows.iter().map(|row| row.as_ref().map(score)).collect()
+}
+
+/// Every entry point against the oracles on one trial set; says whether
+/// the set had two rankable trials with equal readings.
+fn check(ctx: &str, trials: &[Trial], defs: &[MetricDef]) -> bool {
+    let rows: Vec<Option<Vec<f64>>> = trials.iter().map(|t| oriented(t, defs)).collect();
+
+    let layers = oracle_layers(&rows);
+    let front = layers.first().cloned().unwrap_or_default();
+    assert_eq!(ParetoFront::compute(trials, defs).indices(), front, "front, {ctx}");
+    let mut ranks = vec![None; trials.len()];
+    for (level, layer) in layers.iter().enumerate() {
+        layer.iter().for_each(|&i| ranks[i] = Some(level));
+    }
+    assert_eq!(non_dominated_ranks(trials, defs), ranks, "layers, {ctx}");
+    // `RankSpec` says the same in its own shape.
+    let pareto = defs.iter().cloned().fold(RankSpec::pareto(), RankSpec::metric);
+    assert_eq!(pareto.pareto_front(trials), front, "spec front, {ctx}");
+    let ranking = pareto.rank(trials);
+    assert_eq!((ranking.order, ranking.front), (layers.concat(), front), "spec order, {ctx}");
+    assert_eq!(ranking.tiers, layers, "spec tiers, {ctx}");
+
+    let sorted = best_first(&rows);
+    let by = SortedRanking::by(defs[0].clone());
+    let preset = defs[1..].iter().cloned().fold(by, SortedRanking::then_by);
+    assert_eq!(preset.rank(trials), sorted, "sorted order, {ctx}");
+    assert_eq!(preset.best(trials), sorted.first().copied(), "best, {ctx}");
+
+    let weights: Vec<f64> = (0..defs.len()).map(|k| 0.5 + k as f64).collect();
+    let scores = oracle_scores(&rows, &weights);
+    let weigh = |ws: WeightedSum, (d, &w): (&MetricDef, &f64)| ws.weight(d.clone(), w);
+    let preset = defs.iter().zip(&weights).fold(WeightedSum::new(), weigh);
+    assert_eq!(preset.scores(trials), scores, "weighted scores, {ctx}");
+    assert_eq!(preset.rank(trials), best_first(&scores), "weighted order, {ctx}");
+    sorted.windows(2).any(|w| rows[w[0]] == rows[w[1]])
+}
+
+#[test]
+fn every_method_matches_its_brute_force_oracle() {
+    let mut rng = Lcg(0x5EED);
+    let (mut seen, mut tied_sets) = ([0usize; 4], 0usize);
+    for set in 0..400 {
+        let (mut trials, defs, hazards) = trial_set(&mut rng);
+        for (count, hazard) in seen.iter_mut().zip(hazards) {
+            *count += hazard as usize;
+        }
+        let ctx = format!("set {set}: {} trials, {} metrics", trials.len(), defs.len());
+        tied_sets += check(&ctx, &trials, &defs) as usize;
+        if set % 40 == 0 {
+            // Nothing to rank, two ways: no trial is eligible, no trial at all.
+            trials.iter_mut().for_each(|t| t.status = TrialStatus::Failed);
+            check(&format!("{ctx}, all failed"), &trials, &defs);
+            check(&format!("{ctx}, emptied"), &[], &defs);
+        }
+    }
+    assert!(seen.iter().all(|&n| n >= 50), "every hazard is exercised: {seen:?}");
+    assert!(tied_sets >= 200, "ties are exercised: {tied_sets}");
+}

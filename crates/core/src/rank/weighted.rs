@@ -5,13 +5,22 @@
 //! onto `[0, 1]` with 1 = best, so weights are comparable across metrics
 //! with different units (minutes vs kJ vs reward).
 
-use crate::metrics::{Direction, MetricDef};
+use crate::metrics::MetricDef;
 use crate::trial::Trial;
 
-/// Weighted-sum ranking.
-#[derive(Debug, Clone, Default)]
+use super::spec::{RankSpec, Ranker, Ranking};
+
+/// Weighted-sum ranking: [`RankSpec::weighted`] under a name that also
+/// hands out the scores.
+#[derive(Debug, Clone)]
 pub struct WeightedSum {
-    weights: Vec<(MetricDef, f64)>,
+    spec: RankSpec,
+}
+
+impl Default for WeightedSum {
+    fn default() -> Self {
+        Self { spec: RankSpec::weighted() }
+    }
 }
 
 impl WeightedSum {
@@ -21,73 +30,25 @@ impl WeightedSum {
     }
 
     /// Add a metric with a weight (weights need not sum to 1).
-    pub fn weight(mut self, metric: MetricDef, w: f64) -> Self {
-        assert!(w >= 0.0, "weights must be non-negative");
-        self.weights.push((metric, w));
-        self
-    }
-
-    fn metric_defs(&self) -> Vec<MetricDef> {
-        self.weights.iter().map(|(m, _)| m.clone()).collect()
+    pub fn weight(self, metric: MetricDef, w: f64) -> Self {
+        Self { spec: self.spec.weighted_metric(metric, w) }
     }
 
     /// Scores for each trial (`None` for unrankable trials). 1 = ideal on
     /// every metric, 0 = worst on every metric.
     pub fn scores(&self, trials: &[Trial]) -> Vec<Option<f64>> {
-        let defs = self.metric_defs();
-        let eligible: Vec<bool> =
-            trials.iter().map(|t| t.is_complete() && t.metrics.covers(&defs)).collect();
-
-        // Min–max per metric over eligible trials.
-        let mut ranges = Vec::new();
-        for (m, _) in &self.weights {
-            let vals: Vec<f64> = trials
-                .iter()
-                .zip(&eligible)
-                .filter(|(_, e)| **e)
-                .map(|(t, _)| t.metrics.get(&m.name).unwrap())
-                .collect();
-            let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            ranges.push((lo, hi));
-        }
-
-        let wsum: f64 = self.weights.iter().map(|(_, w)| w).sum();
-        trials
-            .iter()
-            .zip(&eligible)
-            .map(|(t, &e)| {
-                if !e || wsum == 0.0 {
-                    return None;
-                }
-                let mut score = 0.0;
-                for ((m, w), (lo, hi)) in self.weights.iter().zip(&ranges) {
-                    let v = t.metrics.get(&m.name).unwrap();
-                    let span = (hi - lo).abs();
-                    let norm = if span < 1e-12 {
-                        1.0
-                    } else {
-                        match m.direction {
-                            Direction::Maximize => (v - lo) / span,
-                            Direction::Minimize => (hi - v) / span,
-                        }
-                    };
-                    score += w * norm;
-                }
-                Some(score / wsum)
-            })
-            .collect()
+        self.spec.scores(trials)
     }
 
     /// Indices of rankable trials, best score first.
     pub fn rank(&self, trials: &[Trial]) -> Vec<usize> {
-        let scores = self.scores(trials);
-        let mut idx: Vec<usize> =
-            scores.iter().enumerate().filter(|(_, s)| s.is_some()).map(|(i, _)| i).collect();
-        idx.sort_by(|&a, &b| {
-            scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-        });
-        idx
+        self.spec.ranking(trials).order
+    }
+}
+
+impl Ranker for WeightedSum {
+    fn rank(&self, trials: &[Trial]) -> Ranking {
+        self.spec.ranking(trials)
     }
 }
 

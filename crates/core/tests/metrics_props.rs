@@ -83,31 +83,30 @@ proptest! {
         prop_assert!(d.cvar_lower(0.1) <= d.cvar_lower(0.5) + 1e-9);
         prop_assert!(d.cvar_upper(0.1) >= d.cvar_upper(0.5) - 1e-9);
     }
+}
 
-    /// Risk::Mean never changes a ranking: the sorted order under the
-    /// distribution-first API equals the legacy scalar order even when
-    /// every trial carries a distribution.
-    #[test]
-    fn risk_mean_ranking_matches_legacy(
-        values in prop::collection::vec((-5.0f64..5.0, 0.1f64..10.0), 1..20),
-    ) {
-        let trials: Vec<Trial> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &(r, spread))| {
-                let mut m = MetricValues::new().with("reward", r);
-                m.set_distribution(
-                    "reward",
-                    vec![r - spread, r, r + spread].into(),
-                );
-                Trial::complete(i, Configuration::new(), m)
-            })
-            .collect();
-        let def = MetricDef::maximize("reward");
-        let legacy = SortedRanking::by(def.clone()).rank(&trials);
-        let risky = RankSpec::sorted().metric(def).rank(&trials);
-        prop_assert_eq!(legacy, risky.order);
-    }
+/// Risk::Mean never changes a ranking: the order is the scalar order
+/// even when every trial carries a distribution that, read through CVaR,
+/// would say otherwise. The literal is what the pre-engine
+/// `SortedRanking` returned on this fixture.
+#[test]
+fn risk_mean_ranks_by_the_scalar_whatever_the_distribution_says() {
+    let values = [(1.5, 9.0), (-2.0, 0.1), (4.0, 7.5), (1.5, 0.2), (3.25, 0.1), (-4.5, 3.0)];
+    let trials: Vec<Trial> = values
+        .iter()
+        .enumerate()
+        .map(|(i, &(r, spread))| {
+            let mut m = MetricValues::new().with("reward", r);
+            m.set_distribution("reward", vec![r - spread, r, r + spread].into());
+            Trial::complete(i, Configuration::new(), m)
+        })
+        .collect();
+    let def = MetricDef::maximize("reward");
+    assert_eq!(SortedRanking::by(def.clone()).rank(&trials), vec![2, 4, 0, 3, 1, 5]);
+    assert_eq!(RankSpec::sorted().metric(def.clone()).rank(&trials).order, vec![2, 4, 0, 3, 1, 5]);
+    // The distributions are not decoration: the lower tail reorders them.
+    let cvar = def.with_risk(Risk::Cvar(0.3));
+    assert_eq!(SortedRanking::by(cvar).rank(&trials), vec![4, 3, 1, 2, 0, 5]);
 }
 
 #[test]

@@ -17,7 +17,7 @@ use crate::runtime::{
     merge_wave, Collector, CollectorBlueprint, Driver, FaultPolicy, RngStream, Runtime,
     TransportConfig, WorkerSpec,
 };
-use crate::spec::{check_run, resolve_transport, Deployment, ExecSpec};
+use crate::spec::{check_run, Deployment, ExecSpec};
 use cluster_sim::{ClusterSession, NodeWork, SessionEvent};
 use gymrs::{Environment, Space, VecEnv};
 use rand::rngs::StdRng;
@@ -95,15 +95,16 @@ pub fn train(
     factory: &dyn EnvFactory,
     session: &mut ClusterSession,
 ) -> Result<ExecReport, String> {
-    spec.validate()?;
+    let arch = spec.framework.architecture();
+    let transport = check_run(&arch, spec.deployment, spec.total_steps, spec.transport.as_deref())?;
     let run = Run {
-        arch: spec.framework.architecture(),
+        arch,
         deployment: spec.deployment,
         total_steps: spec.total_steps,
         seed: spec.seed,
         fault: spec.fault,
         window: spec.window,
-        transport: resolve_transport(spec.transport.as_deref())?,
+        transport,
     };
     match spec.algorithm {
         Algorithm::Ppo => {
@@ -129,8 +130,7 @@ pub fn train_impala(
     session: &mut ClusterSession,
 ) -> Result<ExecReport, String> {
     let arch = Architecture::impala(opts.actor_sync_period);
-    let transport = opts.transport.as_deref();
-    check_run(&arch, opts.deployment, opts.total_steps, transport)?;
+    let transport = check_run(&arch, opts.deployment, opts.total_steps, opts.transport.as_deref())?;
     let run = Run {
         arch,
         deployment: opts.deployment,
@@ -138,7 +138,7 @@ pub fn train_impala(
         seed: opts.seed,
         fault: opts.fault,
         window: opts.window,
-        transport: resolve_transport(transport)?,
+        transport,
     };
     let impala = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
         OnPolicyLearner::impala(obs_dim, actions, opts.config.clone(), rng)

@@ -179,10 +179,9 @@ pub struct Runtime<'f> {
 
 impl<'f> Runtime<'f> {
     /// Spawn one long-lived worker per [`WorkerSpec`], each booting from
-    /// a clone of `initial_policy`, on the transport `RLDT_TRANSPORT`
-    /// selects (in-process when unset).
+    /// a clone of `initial_policy`, on the in-process transport.
     pub fn spawn(specs: Vec<WorkerSpec<'f>>, initial_policy: &ActorCritic) -> Self {
-        Self::spawn_with(specs, initial_policy, TransportConfig::from_env())
+        Self::spawn_with(specs, initial_policy, TransportConfig::InProcess)
     }
 
     /// [`Runtime::spawn`] with an explicit transport choice. A process
@@ -705,6 +704,7 @@ impl<'f> Runtime<'f> {
             .collect();
         let mut remaining = queue.len();
         let mut outstanding = 0usize;
+        let mut in_flight = vec![false; n];
         let recording = self.recorder.enabled();
         let deadline = self.deadline();
         while remaining > 0 {
@@ -726,6 +726,7 @@ impl<'f> Runtime<'f> {
                         reason: "worker is dead".to_string(),
                     });
                 }
+                in_flight[w] = true;
                 outstanding += 1;
                 dispatched += 1;
             }
@@ -733,7 +734,10 @@ impl<'f> Runtime<'f> {
                 self.recorder.counter_add(keys::RT_COMMANDS, dispatched);
             }
             let Some(ev) = self.transport.recv_deadline(deadline)? else {
-                return Err(RuntimeError::WorkerTimedOut { worker: usize::MAX, round });
+                // The round has one deadline, so every worker still in
+                // flight is overdue: name the first.
+                let worker = in_flight.iter().position(|&busy| busy).unwrap_or(usize::MAX);
+                return Err(RuntimeError::WorkerTimedOut { worker, round });
             };
             match ev {
                 Event::ReturnsReady { worker, round: r, returns, .. } => {
@@ -741,6 +745,7 @@ impl<'f> Runtime<'f> {
                         continue; // stale answer from an old order
                     }
                     results[worker] = returns;
+                    in_flight[worker] = false;
                     outstanding -= 1;
                     remaining -= 1;
                     if recording {
@@ -1033,6 +1038,35 @@ mod tests {
             }
             other => panic!("expected WorkerTimedOut, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn whatif_hang_names_the_overdue_worker() {
+        use gymrs::Action;
+        let _guard = PLAN_LOCK.lock();
+        install_plan(FaultPlan::new().fault(1, 7, FaultKind::Hang { millis: 120 }));
+        let (specs, policy) = specs(&[0, 0, 0]);
+        let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {
+            recv_timeout_ms: Some(40),
+            ..FaultPolicy::fail_fast()
+        });
+        clear_plan();
+        let blueprint = EnvBlueprint::Grid { n: 5 };
+        let mut env = blueprint.build(3);
+        env.reset();
+        let snapshot = env.snapshot().expect("grid worlds snapshot");
+        let chunks: Vec<Vec<WhatIfTask>> = (0..3)
+            .map(|w| vec![WhatIfTask { first_action: Action::Discrete(w), seed: w as u64 }])
+            .collect();
+        let hold = ContinuationPolicy::Hold;
+        let hung = rt.whatif_round(7, &blueprint, &snapshot, 10, &hold, chunks.clone());
+        assert_eq!(hung, Err(RuntimeError::WorkerTimedOut { worker: 1, round: 7 }));
+        // Once the hung worker wakes, its stale answer is discarded and
+        // the next round is whole.
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let returns =
+            rt.whatif_round(8, &blueprint, &snapshot, 10, &hold, chunks).expect("answers");
+        assert!(returns.iter().all(|r| r.len() == 1), "{returns:?}");
     }
 
     #[test]

@@ -86,15 +86,14 @@ impl TransportConfig {
         }
     }
 
-    /// Read `RLDT_TRANSPORT`; malformed values warn and fall back to
-    /// in-process rather than aborting a study.
-    pub fn from_env() -> Self {
+    /// Read `RLDT_TRANSPORT`: in-process when unset, an error when the
+    /// value is malformed — a run that asked for a wire must not be
+    /// measured without one.
+    pub fn from_env() -> Result<Self, String> {
         match std::env::var("RLDT_TRANSPORT") {
-            Ok(v) => TransportConfig::parse(&v).unwrap_or_else(|e| {
-                eprintln!("RLDT_TRANSPORT ignored: {e}");
-                TransportConfig::InProcess
-            }),
-            Err(_) => TransportConfig::InProcess,
+            Ok(v) => TransportConfig::parse(&v).map_err(|e| format!("RLDT_TRANSPORT: {e}")),
+            Err(std::env::VarError::NotPresent) => Ok(TransportConfig::InProcess),
+            Err(e) => Err(format!("RLDT_TRANSPORT: {e}")),
         }
     }
 }

@@ -194,9 +194,14 @@ impl WorkerState {
                 // env is rebuilt from the payload's blueprint, so a panic
                 // or a snapshot mismatch leaves the worker's rollout state
                 // intact and is reported as a contained failure.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    crate::runtime::whatif::run_whatif(&payload)
-                }));
+                #[cfg(any(test, feature = "fault-inject"))]
+                if let Some(FaultKind::Hang { millis }) = self.ctx.injected(worker, round) {
+                    // Answers after the driver's deadline, like a hung
+                    // collection; the other fault kinds are collection-only.
+                    std::thread::sleep(Duration::from_millis(millis));
+                }
+                let result =
+                    catch_unwind(AssertUnwindSafe(|| crate::runtime::whatif::run_whatif(&payload)));
                 let ev = match result {
                     Ok(Ok(returns)) => {
                         Event::ReturnsReady { worker, node: self.node, round, returns }

@@ -40,24 +40,19 @@ impl Deployment {
 
 /// The checks every training entry point applies before anything is
 /// spawned: a deployment the architecture admits, a positive step budget
-/// and a well-formed transport request.
+/// and a well-formed transport — the explicit request when there is one,
+/// else the `RLDT_TRANSPORT` environment variable. Returns the transport.
 pub(crate) fn check_run(
     arch: &Architecture,
     deployment: Deployment,
     total_steps: usize,
     transport: Option<&str>,
-) -> Result<(), String> {
+) -> Result<TransportConfig, String> {
     deployment.fits(arch)?;
     if total_steps == 0 {
         return Err("total_steps must be positive".into());
     }
-    transport.map_or(Ok(()), |t| TransportConfig::parse(t).map(drop))
-}
-
-/// Resolve a transport request: the explicit string when set, else the
-/// `RLDT_TRANSPORT` environment variable.
-pub(crate) fn resolve_transport(request: Option<&str>) -> Result<TransportConfig, String> {
-    request.map_or_else(|| Ok(TransportConfig::from_env()), TransportConfig::parse)
+    transport.map_or_else(TransportConfig::from_env, TransportConfig::parse)
 }
 
 /// A full training-execution request.
@@ -92,8 +87,8 @@ pub struct ExecSpec {
     pub window: Option<usize>,
     /// Transport override for the runtime, same grammar as the
     /// `RLDT_TRANSPORT` environment variable (`inproc`, `uds`, `tcp`,
-    /// `tcp:<addr>`). `None` defers to the environment; malformed values
-    /// are rejected by [`ExecSpec::validate`].
+    /// `tcp:<addr>`). `None` defers to the environment; a malformed value
+    /// in either place is rejected by [`ExecSpec::validate`].
     #[serde(default)]
     pub transport: Option<String>,
 }
@@ -138,7 +133,7 @@ impl ExecSpec {
     /// Check deployment/framework consistency.
     pub fn validate(&self) -> Result<(), String> {
         let arch = self.framework.architecture();
-        check_run(&arch, self.deployment, self.total_steps, self.transport.as_deref())
+        check_run(&arch, self.deployment, self.total_steps, self.transport.as_deref()).map(drop)
     }
 }
 

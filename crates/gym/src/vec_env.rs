@@ -5,23 +5,16 @@
 //! paper's §V-b and the §VI-C discussion of how the *number of vectorized
 //! environments* changes results). [`VecEnv`] reproduces that mechanism.
 //!
-//! [`VecEnv::step_parallel`] dispatches the per-env compute to the rayon
-//! global pool (reused across calls — no thread spawn per step) when the
-//! estimated work of a lockstep sweep exceeds a threshold, and falls back
-//! to the sequential [`VecEnv::step_all`] below it, where fork/join
-//! overhead would dominate cheap environments like `GridWorld`.
+//! A tick takes one of two paths: [`VecEnv::step_lockstep`] hands all
+//! lanes to the environment's batched stepper when one is installed (at
+//! and above the scalar/SIMD crossover), and otherwise steps the
+//! sub-environments one after another ([`VecEnv::step_all`]).
 
 use crate::env::{Action, Environment, Step};
 use crate::keys;
 use crate::space::Space;
 use std::any::Any;
 use telemetry::SharedRecorder;
-
-/// Default work-unit threshold (per lockstep sweep) above which
-/// [`VecEnv::step_parallel`] uses the rayon pool. One work unit is one
-/// derivative evaluation of the parachute dynamics — a few hundred of
-/// them outweigh the pool's fork/join cost.
-pub const DEFAULT_PARALLEL_THRESHOLD: u64 = 256;
 
 /// Random-access view over the sub-environments handed to an
 /// [`AnyLockstepBatcher`]. Each lane resolves through
@@ -162,7 +155,6 @@ pub struct VecEnv<E: Environment> {
     obs: Vec<Vec<f64>>,
     ep_return: Vec<f64>,
     ep_len: Vec<usize>,
-    parallel_threshold: u64,
     batcher: Option<Box<dyn AnyLockstepBatcher>>,
     tick: TickBatch,
     /// Total environment steps taken across all sub-envs.
@@ -216,7 +208,6 @@ impl<E: Environment> VecEnv<E> {
             obs: vec![Vec::new(); n],
             ep_return: vec![0.0; n],
             ep_len: vec![0; n],
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             batcher,
             tick: TickBatch::default(),
             total_steps: 0,
@@ -250,13 +241,6 @@ impl<E: Environment> VecEnv<E> {
                 ],
             );
         }
-    }
-
-    /// Override the work threshold at which [`VecEnv::step_parallel`]
-    /// engages the rayon pool (0 forces the parallel path, `u64::MAX`
-    /// forces the sequential fallback).
-    pub fn set_parallel_threshold(&mut self, units: u64) {
-        self.parallel_threshold = units;
     }
 
     /// Enable/disable the batched lockstep fast path. Toggle before
@@ -347,36 +331,9 @@ impl<E: Environment> VecEnv<E> {
         self.finish_batch(results)
     }
 
-    /// Step every sub-environment once, overlapping the per-env compute on
-    /// the rayon global pool.
-    ///
-    /// Semantically identical to [`VecEnv::step_all`] — the reference tests
-    /// assert this. When the estimated sweep cost (envs × average work per
-    /// step so far) is below the threshold, this *is* `step_all`: cheap
-    /// environments lose more to fork/join than they gain from overlap.
-    pub fn step_parallel(&mut self, actions: &[Action]) -> StepBatch {
-        assert_eq!(actions.len(), self.envs.len(), "one action per sub-env");
-        let avg_work = self.total_work.checked_div(self.total_steps).unwrap_or(1).max(1);
-        if (self.envs.len() as u64).saturating_mul(avg_work) < self.parallel_threshold {
-            return self.step_all(actions);
-        }
-        use rayon::prelude::*;
-        let results: Vec<(Step, u64)> = self
-            .envs
-            .par_iter_mut()
-            .zip(actions.par_iter())
-            .map(|(env, action)| {
-                let s = env.step(action);
-                let w = env.last_step_work();
-                (s, w)
-            })
-            .collect();
-        self.finish_batch(results)
-    }
-
     /// Step every sub-environment one control interval, preferring the
     /// batched fast path (one batched ODE step per substep across all
-    /// lanes) and falling back to [`VecEnv::step_parallel`] when no
+    /// lanes) and falling back to [`VecEnv::step_all`] when no
     /// batcher is installed or the sub-envs turn out heterogeneous.
     ///
     /// The result is available through [`VecEnv::last_tick`] — split off
@@ -403,7 +360,7 @@ impl<E: Environment> VecEnv<E> {
             // The batcher refused these lanes (heterogeneous set or a
             // foreign env type): drop it and stay scalar from now on.
         }
-        let batch = self.step_parallel(actions);
+        let batch = self.step_all(actions);
         self.tick.steps.clear();
         for (i, s) in batch.steps.iter().enumerate() {
             self.tick.steps.push(LaneStep {
@@ -465,9 +422,8 @@ impl<E: Environment> VecEnv<E> {
         }
     }
 
-    /// Shared bookkeeping: episode accounting, auto-reset, observation
-    /// cache. Keeping one merge path guarantees `step_all` and
-    /// `step_parallel` stay semantically identical.
+    /// Bookkeeping of the scalar path: episode accounting, auto-reset,
+    /// observation cache.
     fn finish_batch(&mut self, results: Vec<(Step, u64)>) -> StepBatch {
         let mut steps = Vec::with_capacity(results.len());
         let mut finished = Vec::new();
@@ -546,49 +502,6 @@ mod tests {
         // (normalized grid coordinates).
         assert_eq!(b.steps[0].obs, vec![0.0, 0.0]);
         assert_eq!(b.final_obs[0], Some(vec![1.0, 1.0]));
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let mut a = make(3);
-        let mut b = make(3);
-        let actions = vec![Action::Discrete(3), Action::Discrete(1), Action::Discrete(0)];
-        for _ in 0..6 {
-            let ba = a.step_all(&actions);
-            let bb = b.step_parallel(&actions);
-            assert_eq!(ba.steps, bb.steps);
-            assert_eq!(ba.finished, bb.finished);
-            assert_eq!(ba.final_obs, bb.final_obs);
-        }
-        assert_eq!(a.total_steps, b.total_steps);
-        assert_eq!(a.total_work, b.total_work);
-    }
-
-    #[test]
-    fn forced_pool_path_agrees_with_sequential() {
-        // Threshold 0 forces the rayon path even for cheap envs, so this
-        // exercises the pool merge, not the sequential fallback.
-        let mut a = make(3);
-        let mut b = make(3);
-        b.set_parallel_threshold(0);
-        let actions = vec![Action::Discrete(3), Action::Discrete(1), Action::Discrete(0)];
-        for _ in 0..6 {
-            let ba = a.step_all(&actions);
-            let bb = b.step_parallel(&actions);
-            assert_eq!(ba.steps, bb.steps);
-            assert_eq!(ba.finished, bb.finished);
-            assert_eq!(ba.final_obs, bb.final_obs);
-        }
-        assert_eq!(a.total_work, b.total_work);
-    }
-
-    #[test]
-    fn cheap_envs_take_the_sequential_fallback() {
-        // 3 GridWorlds at 1 work unit/step sit far below the default
-        // threshold; the check is indirect (semantics identical either
-        // way) but documents the intended regime.
-        let v = make(3);
-        assert!((v.len() as u64) < DEFAULT_PARALLEL_THRESHOLD);
     }
 
     #[test]

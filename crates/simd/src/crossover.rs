@@ -10,93 +10,13 @@
 //! `n >= batch_crossover()`. Explicit `set_batched(true)` calls bypass
 //! the gate so tests can still exercise the degenerate layouts.
 
-use std::sync::OnceLock;
-
-/// Default crossover: batches smaller than this run the scalar path.
-///
-/// `3` is the conservative compile-time default — `n = 1, 2` lose or
+/// Batches smaller than this run the scalar path: `n = 1, 2` lose or
 /// roughly tie under batching on every machine we measured, while
 /// `n >= 3` was never slower than scalar.
 pub const DEFAULT_BATCH_CROSSOVER: usize = 3;
 
-/// The process-wide crossover threshold, decided once on first use.
-///
-/// Reads the `RLDT_BATCH_CROSSOVER` environment variable (a batch size,
-/// `0`/`1` meaning "always batch") and falls back to
-/// [`DEFAULT_BATCH_CROSSOVER`]. Unparsable values are ignored.
+/// The crossover `VecEnv` gates on and run stamps record: a compile-time
+/// constant, not a per-process setting.
 pub fn batch_crossover() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("RLDT_BATCH_CROSSOVER")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_BATCH_CROSSOVER)
-    })
-}
-
-/// Measure an actual scalar/batched crossover by timing the caller's two
-/// closures at increasing batch sizes.
-///
-/// `scalar_ns(n)` and `batched_ns(n)` must return the per-env-step cost
-/// of stepping `n` environments on each path. Returns the smallest `n`
-/// in `candidates` from which batching never loses again, or
-/// `candidates.last() + 1` when batching always loses. This is the
-/// opt-in calibration hook behind `RLDT_BATCH_CROSSOVER` — production
-/// startup uses the compile-time default so it costs nothing.
-pub fn calibrate_batch_crossover(
-    candidates: &[usize],
-    mut scalar_ns: impl FnMut(usize) -> f64,
-    mut batched_ns: impl FnMut(usize) -> f64,
-) -> usize {
-    let mut crossover = candidates.last().map_or(1, |&n| n + 1);
-    // Walk from the largest candidate down: the crossover is the point
-    // below which a loss appears, so a single backwards scan suffices.
-    for &n in candidates.iter().rev() {
-        if batched_ns(n) <= scalar_ns(n) {
-            crossover = n;
-        } else {
-            break;
-        }
-    }
-    crossover
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_gates_tiny_batches_only() {
-        let threshold = batch_crossover();
-        assert!(threshold <= 8, "gate must not disable real batches");
-        assert!(threshold >= 1, "crossover must be a usable batch size");
-    }
-
-    #[test]
-    fn calibration_finds_the_crossover_point() {
-        // Synthetic cost model: batching wins from n = 4 onward.
-        let scalar = |_n: usize| 100.0;
-        let batched = |n: usize| if n >= 4 { 50.0 } else { 150.0 };
-        assert_eq!(calibrate_batch_crossover(&[1, 2, 4, 8, 16], scalar, batched), 4);
-    }
-
-    #[test]
-    fn calibration_handles_degenerate_outcomes() {
-        // Batching always wins → crossover is the smallest candidate.
-        assert_eq!(calibrate_batch_crossover(&[1, 2, 4], |_| 100.0, |_| 10.0), 1);
-        // Batching never wins → crossover is past the largest candidate.
-        assert_eq!(calibrate_batch_crossover(&[1, 2, 4], |_| 10.0, |_| 100.0), 5);
-        // No candidates → always batch.
-        assert_eq!(calibrate_batch_crossover(&[], |_| 1.0, |_| 1.0), 1);
-    }
-
-    #[test]
-    fn env_override_respects_numeric_values() {
-        // batch_crossover() itself is OnceLock-cached, so exercise the
-        // parsing logic it uses rather than mutating the process env.
-        let parse = |v: &str| v.trim().parse::<usize>().ok().unwrap_or(DEFAULT_BATCH_CROSSOVER);
-        assert_eq!(parse("8"), 8);
-        assert_eq!(parse(" 1 "), 1);
-        assert_eq!(parse("not-a-number"), DEFAULT_BATCH_CROSSOVER);
-    }
+    DEFAULT_BATCH_CROSSOVER
 }
