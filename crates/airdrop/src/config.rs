@@ -1,10 +1,9 @@
 //! Environment configuration — the paper's §IV-B parameters.
 
 use rk_ode::RkOrder;
-use serde::{Deserialize, Serialize};
 
 /// How the agent commands the canopy rotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionMode {
     /// Three choices: rotate left / keep straight / rotate right —
     /// the paper's "the agent selects a rotation direction".
@@ -18,7 +17,7 @@ pub enum ActionMode {
 ///
 /// The fields mirror §IV-B: wind activation, gust activation, gust
 /// probability, drop-altitude limits, and the Runge–Kutta order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AirdropConfig {
     /// Enable the constant wind field.
     pub wind_enabled: bool,
@@ -168,14 +167,5 @@ mod tests {
 
         let c = AirdropConfig { reward_scale: 0.0, ..AirdropConfig::default() };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = AirdropConfig::paper_study(RkOrder::Eight);
-        let json = serde_json::to_string(&c).expect("serialize");
-        let back: AirdropConfig = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back.rk_order, RkOrder::Eight);
-        assert_eq!(back.altitude_limits, c.altitude_limits);
     }
 }

@@ -24,13 +24,12 @@
 //! Wind adds to the air-relative equilibrium velocity.
 
 use rk_ode::System;
-use serde::{Deserialize, Serialize};
 
 /// State dimension of the parafoil model.
 pub const STATE_DIM: usize = 9;
 
 /// Aerodynamic and control-response parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ParafoilParams {
     /// Trim forward airspeed (units/s).
     pub va0: f64,

@@ -1,10 +1,9 @@
 //! Trajectory recording for analysis and visual debugging.
 
 use crate::dynamics::STATE_DIM;
-use serde::{Deserialize, Serialize};
 
 /// A time-stamped sample of the physical state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StateSample {
     /// Simulation time (s).
     pub t: f64,
@@ -13,7 +12,7 @@ pub struct StateSample {
 }
 
 /// Records the physical trajectory of an episode.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrajectoryRecorder {
     /// Recorded samples, in time order.
     pub samples: Vec<StateSample>,

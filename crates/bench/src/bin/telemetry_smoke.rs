@@ -29,8 +29,8 @@ use decision::prelude::{
 };
 use dist_exec::{run_recorded, Deployment, ExecSpec, FnEnvFactory};
 use gymrs::Environment;
-use serde_json::Value;
 use std::sync::Arc;
+use telemetry::json::{self, Json};
 
 /// The schema the trace is validated against, checked in next to the
 /// crate so CI diffs format changes explicitly.
@@ -95,11 +95,11 @@ fn main() {
 
     let snap = ring.snapshot();
     let trace = telemetry::export::to_json_lines(&snap);
-    let schema: Value = serde_json::from_str(SCHEMA).expect("schema file is valid JSON");
+    let schema = json::parse(SCHEMA).expect("schema file is valid JSON");
 
     let mut lines = 0usize;
     for (lineno, line) in trace.lines().enumerate() {
-        let value: Value = match serde_json::from_str(line) {
+        let value = match json::parse(line) {
             Ok(v) => v,
             Err(e) => fail(lineno, line, &format!("not valid JSON: {e}")),
         };
@@ -159,8 +159,8 @@ fn main() {
 /// then validate each log line against the WAL schema *and* the telemetry
 /// trace schema (the WAL is bit-exact telemetry event format), and replay
 /// both logs end to end.
-fn check_study_wal(trace_schema: &Value) {
-    let wal_schema: Value = serde_json::from_str(WAL_SCHEMA).expect("WAL schema is valid JSON");
+fn check_study_wal(trace_schema: &Json) {
+    let wal_schema = json::parse(WAL_SCHEMA).expect("WAL schema is valid JSON");
     let dir = std::env::temp_dir().join(format!("study_wal_smoke_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -198,7 +198,7 @@ fn check_study_wal(trace_schema: &Value) {
 
         let text = std::fs::read_to_string(&path).expect("WAL is readable");
         for (lineno, line) in text.lines().enumerate() {
-            let value: Value = match serde_json::from_str(line) {
+            let value = match json::parse(line) {
                 Ok(v) => v,
                 Err(e) => fail(lineno, line, &format!("WAL line is not valid JSON: {e}")),
             };
@@ -249,8 +249,8 @@ fn fail(lineno: usize, line: &str, why: &str) -> ! {
 /// Validate `value` against the subset of JSON Schema the checked-in
 /// trace schema uses: `type` (string or array), `const`, `enum`,
 /// `required`, `properties`, `oneOf` and `$ref` into `#/definitions/`.
-fn validate(root: &Value, schema: &Value, value: &Value) -> Result<(), String> {
-    if let Some(reference) = schema.get("$ref").and_then(Value::as_str) {
+fn validate(root: &Json, schema: &Json, value: &Json) -> Result<(), String> {
+    if let Some(reference) = schema.get("$ref").and_then(Json::as_str) {
         let name = reference
             .strip_prefix("#/definitions/")
             .ok_or_else(|| format!("unsupported $ref '{reference}'"))?;
@@ -262,38 +262,40 @@ fn validate(root: &Value, schema: &Value, value: &Value) -> Result<(), String> {
     }
     if let Some(expected) = schema.get("const") {
         if expected != value {
-            return Err(format!("expected {expected}, got {value}"));
+            return Err(format!("expected {expected:?}, got {value:?}"));
         }
     }
-    if let Some(options) = schema.get("enum").and_then(Value::as_array) {
+    if let Some(options) = schema.get("enum").and_then(Json::as_array) {
         if !options.contains(value) {
-            return Err(format!("{value} not in {options:?}"));
+            return Err(format!("{value:?} not in {options:?}"));
         }
     }
     if let Some(ty) = schema.get("type") {
         let names: Vec<&str> = match ty {
-            Value::String(s) => vec![s.as_str()],
-            Value::Array(a) => a.iter().filter_map(Value::as_str).collect(),
+            Json::Str(s) => vec![s.as_str()],
+            Json::Arr(a) => a.iter().filter_map(Json::as_str).collect(),
             _ => return Err("bad 'type' in schema".into()),
         };
-        if !names.iter().any(|n| type_matches(n, value)) {
-            return Err(format!("{value} is not of type {names:?}"));
+        // JSON Schema: every integer is also a number.
+        let kind = value.kind();
+        if !names.iter().any(|n| *n == kind || (*n == "number" && kind == "integer")) {
+            return Err(format!("{value:?} is not of type {names:?}"));
         }
     }
-    if let Some(variants) = schema.get("oneOf").and_then(Value::as_array) {
+    if let Some(variants) = schema.get("oneOf").and_then(Json::as_array) {
         let hits = variants.iter().filter(|v| validate(root, v, value).is_ok()).count();
         if hits != 1 {
             return Err(format!("matched {hits} of {} oneOf variants", variants.len()));
         }
     }
-    if let Some(required) = schema.get("required").and_then(Value::as_array) {
-        for name in required.iter().filter_map(Value::as_str) {
+    if let Some(required) = schema.get("required").and_then(Json::as_array) {
+        for name in required.iter().filter_map(Json::as_str) {
             if value.get(name).is_none() {
                 return Err(format!("missing required field '{name}'"));
             }
         }
     }
-    if let Some(props) = schema.get("properties").and_then(Value::as_object) {
+    if let Some(props) = schema.get("properties").and_then(Json::as_object) {
         for (name, sub) in props {
             if let Some(v) = value.get(name) {
                 validate(root, sub, v).map_err(|e| format!("field '{name}': {e}"))?;
@@ -301,17 +303,4 @@ fn validate(root: &Value, schema: &Value, value: &Value) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn type_matches(name: &str, value: &Value) -> bool {
-    match name {
-        "object" => value.is_object(),
-        "array" => value.is_array(),
-        "string" => value.is_string(),
-        "integer" => value.as_i64().is_some() || value.as_u64().is_some(),
-        "number" => value.is_number(),
-        "boolean" => value.is_boolean(),
-        "null" => value.is_null(),
-        _ => false,
-    }
 }

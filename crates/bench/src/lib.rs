@@ -5,9 +5,9 @@
 //!
 //! * `table1` — run the 18 configurations of Table I end-to-end and print
 //!   the measured vs. paper-reported table;
-//! * `fig4` / `fig5` / `fig6` — compute and render (SVG + CSV) the three
-//!   Pareto fronts; they reuse `table1`'s journal when present, so
-//!   `table1 && fig4 && fig5 && fig6` trains only once;
+//! * `fig <4|5|6>` — compute and render (SVG + CSV) one of the three
+//!   Pareto fronts; it reuses `table1`'s journal when present, so
+//!   `table1 && fig 4 && fig 5 && fig 6` trains only once;
 //! * `ablations` — the §VI-D single-factor sweeps (RK order, node count,
 //!   core count, vectorization);
 //! * `telemetry_smoke` — CI gate: one short recorded trial whose
@@ -15,11 +15,11 @@
 //!   `schemas/telemetry_trace.schema.json` and rolled back up to the
 //!   reported usage bit for bit.
 //!
-//! Criterion microbenches live in `benches/` (one per substrate cost the
-//! paper's evaluation leans on).
+//! What each substrate costs is a row of the decision-latency ledger
+//! (`bash benchmark/run.sh --workload W --seed 1 --trace 1`), not a bench
+//! in this crate.
 
 pub mod calibration;
-pub mod figdriver;
 pub mod harness;
 pub mod paper;
 

@@ -340,9 +340,43 @@ impl PaperRow {
     }
 }
 
-/// The figure axes of the paper's evaluation.
+/// The paper's three Pareto-front figures: axes, title and reported front.
 pub mod figures {
     use decision::prelude::*;
+
+    /// One figure of the paper's evaluation.
+    pub struct Figure {
+        /// The paper's figure number.
+        pub number: usize,
+        /// The plot title.
+        pub title: &'static str,
+        /// The `(x, y)` metric pair.
+        pub metrics: fn() -> (MetricDef, MetricDef),
+        /// The non-dominated solution ids the paper reports (§VI-A to C).
+        pub paper_front: &'static [usize],
+    }
+
+    /// Figures 4, 5 and 6.
+    pub const FIGURES: [Figure; 3] = [
+        Figure {
+            number: 4,
+            title: "Reward vs. Computation Time trade-off (Fig. 4)",
+            metrics: fig4_metrics,
+            paper_front: &[2, 5, 11, 16],
+        },
+        Figure {
+            number: 5,
+            title: "Power Consumption vs. Computation Time trade-off (Fig. 5)",
+            metrics: fig5_metrics,
+            paper_front: &[2, 5, 11],
+        },
+        Figure {
+            number: 6,
+            title: "Reward vs. Power Consumption trade-off (Fig. 6)",
+            metrics: fig6_metrics,
+            paper_front: &[11, 14, 16],
+        },
+    ];
 
     /// Figure 4: Reward vs. Computation Time.
     pub fn fig4_metrics() -> (MetricDef, MetricDef) {
@@ -415,42 +449,26 @@ mod tests {
     }
 
     #[test]
-    fn paper_fig4_front_is_2_5_11_16() {
+    fn paper_side_figures_reproduce_their_fronts() {
         // §VI-A: "The four non-dominated solutions are 2, 5, 11 and 16."
-        let trials: Vec<Trial> = TABLE1.iter().map(|r| r.to_paper_trial()).collect();
-        let front = ParetoFront::compute(
-            &trials,
-            &[MetricDef::maximize("reward"), MetricDef::minimize("time_min")],
-        );
-        let mut ids: Vec<usize> = front.indices().iter().map(|&i| i + 1).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![2, 5, 11, 16], "Fig. 4 front mismatch");
-    }
-
-    #[test]
-    fn paper_fig5_front_is_2_5_11() {
         // §VI-B: "Solutions 2, 5 and 11 are highlighted as best trade-offs."
-        let trials: Vec<Trial> = TABLE1.iter().map(|r| r.to_paper_trial()).collect();
-        let front = ParetoFront::compute(
-            &trials,
-            &[MetricDef::minimize("power_kj"), MetricDef::minimize("time_min")],
-        );
-        let mut ids: Vec<usize> = front.indices().iter().map(|&i| i + 1).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![2, 5, 11], "Fig. 5 front mismatch");
-    }
-
-    #[test]
-    fn paper_fig6_front_is_11_14_16() {
         // §VI-C: "Solutions 11, 14 and 16 are highlighted as non-dominated."
-        let trials: Vec<Trial> = TABLE1.iter().map(|r| r.to_paper_trial()).collect();
-        let front = ParetoFront::compute(
-            &trials,
-            &[MetricDef::maximize("reward"), MetricDef::minimize("power_kj")],
-        );
-        let mut ids: Vec<usize> = front.indices().iter().map(|&i| i + 1).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![11, 14, 16], "Fig. 6 front mismatch");
+        // Over all 18 rows and over the PPO rows the `fig` binary plots.
+        for ppo_only in [false, true] {
+            let trials: Vec<Trial> = TABLE1
+                .iter()
+                .filter(|r| !ppo_only || r.algorithm == Algorithm::Ppo)
+                .map(PaperRow::to_paper_trial)
+                .collect();
+            for figure in &figures::FIGURES {
+                let (x, y) = (figure.metrics)();
+                let front = ParetoFront::compute(&trials, &[x, y]);
+                let mut ids: Vec<usize> =
+                    front.indices().iter().map(|&i| trials[i].id + 1).collect();
+                ids.sort_unstable();
+                assert_eq!(ids, figure.paper_front, "Fig. {} front mismatch", figure.number);
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Hardware specifications of the simulated cluster.
 
-use serde::{Deserialize, Serialize};
-
 /// One compute node.
 ///
 /// The default models the paper's testbed machines: Intel Xeon W-2102
 /// (4 cores / 4 threads, 2.9 GHz, 120 W TDP class) with 16 GB of memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// Physical cores available to the training process.
     pub cores: usize,
@@ -58,7 +56,7 @@ impl NodeSpec {
 /// The inter-node interconnect.
 ///
 /// Default: the paper's 1 Gbps Ethernet switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkSpec {
     /// Usable bandwidth in bytes/second.
     pub bandwidth_bps: f64,
@@ -84,7 +82,7 @@ impl NetworkSpec {
 }
 
 /// A homogeneous cluster of `nodes` identical machines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of nodes in use (the paper's study uses 1 or 2).
     pub nodes: usize,
@@ -162,13 +160,5 @@ mod tests {
     #[should_panic]
     fn zero_node_cluster_rejected() {
         ClusterSpec::paper_testbed(0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = ClusterSpec::paper_testbed(2);
-        let json = serde_json::to_string(&c).expect("serialize");
-        let back: ClusterSpec = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, c);
     }
 }

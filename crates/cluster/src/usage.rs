@@ -1,9 +1,7 @@
 //! Aggregated resource-usage report of a simulated run.
 
-use serde::{Deserialize, Serialize};
-
 /// Resource usage accumulated by a [`crate::ClusterSession`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Usage {
     /// Simulated wall-clock time (s).
     pub wall_s: f64,
@@ -24,7 +22,6 @@ pub struct Usage {
     /// Real (measured, not simulated) bytes that crossed a worker
     /// transport's wire — zero on the in-process transport. Observational
     /// only: it never feeds the simulated clock or energy integral.
-    #[serde(default)]
     pub wire_bytes: u64,
 }
 

@@ -13,10 +13,9 @@
 
 use crate::param::ParamValue;
 use crate::trial::Trial;
-use serde::{Deserialize, Serialize};
 
 /// One feasibility requirement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Constraint {
     /// `metric ≤ bound`.
     MetricAtMost {
@@ -68,7 +67,7 @@ impl Constraint {
 }
 
 /// A conjunction of constraints.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConstraintSet {
     constraints: Vec<Constraint>,
 }

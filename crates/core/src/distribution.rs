@@ -20,8 +20,6 @@
 //! an inline SplitMix64 generator so a fixed seed produces bit-identical
 //! confidence intervals on every platform and from any thread.
 
-use serde::{Deserialize, Serialize};
-
 /// A per-trial sample store: the observations of one metric in the order
 /// they were recorded (the *stream* order, which [`max_drawdown`] needs)
 /// plus a sorted copy for exact quantile statistics.
@@ -30,12 +28,8 @@ use serde::{Deserialize, Serialize};
 /// statistic is well-defined; an empty distribution yields `NaN` from
 /// the statistical accessors.
 ///
-/// Serializes as a bare sample vector (stream order), so journals and
-/// bench artifacts stay schema-light.
-///
 /// [`max_drawdown`]: Distribution::max_drawdown
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(from = "Vec<f64>", into = "Vec<f64>")]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Distribution {
     samples: Vec<f64>,
     sorted: Vec<f64>,
@@ -44,12 +38,6 @@ pub struct Distribution {
 impl From<Vec<f64>> for Distribution {
     fn from(samples: Vec<f64>) -> Self {
         Self::from_samples(samples)
-    }
-}
-
-impl From<Distribution> for Vec<f64> {
-    fn from(d: Distribution) -> Self {
-        d.samples
     }
 }
 
@@ -245,7 +233,7 @@ impl Distribution {
 /// Bootstrap parameters: confidence level, resample count, and the RNG
 /// seed. Two equal specs produce bit-identical intervals from the same
 /// samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootstrapSpec {
     /// Two-sided confidence level in `(0, 1)` (e.g. `0.95`).
     pub level: f64,
@@ -270,7 +258,7 @@ impl BootstrapSpec {
 }
 
 /// A two-sided confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ci {
     /// Lower bound.
     pub lo: f64,
@@ -426,15 +414,5 @@ mod tests {
         assert!(a.overlaps(&b) && b.overlaps(&a), "shared endpoint counts");
         assert!(!a.overlaps(&c) && !c.overlaps(&a));
         assert!((a.width() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serde_round_trips_stream_order() {
-        let d = Distribution::from_samples(vec![3.0, 1.0, 2.0]);
-        let json = serde_json::to_string(&d).unwrap();
-        assert_eq!(json, "[3.0,1.0,2.0]", "serializes as the bare stream");
-        let back: Distribution = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(back.sorted(), &[1.0, 2.0, 3.0]);
     }
 }

@@ -17,7 +17,6 @@
 //! when no distribution was recorded.
 
 use crate::distribution::{BootstrapSpec, Ci, Distribution};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -85,7 +84,7 @@ pub mod keys {
 }
 
 /// Whether larger or smaller values are better.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Larger is better (Reward).
     Maximize,
@@ -130,7 +129,7 @@ impl Direction {
 /// recorded) and always resolve toward the *pessimistic* side of the
 /// metric's [`Direction`]: the lower tail / CI bound for `Maximize`, the
 /// upper for `Minimize`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Risk {
     /// Rank by the stored scalar mean (the default).
     #[default]
@@ -141,14 +140,6 @@ pub enum Risk {
     /// Rank by the pessimistic endpoint of a bootstrap confidence
     /// interval at the given `level` in `(0, 1)`.
     LowerCi(f64),
-}
-
-impl Risk {
-    /// True for the legacy scalar-mean reading (used to elide the
-    /// field from serialized metric definitions).
-    pub fn is_mean(&self) -> bool {
-        matches!(self, Risk::Mean)
-    }
 }
 
 // `Cvar`/`LowerCi` carry parameters that are always finite, user-chosen
@@ -173,7 +164,7 @@ impl Hash for Risk {
 }
 
 /// A named metric with an optimization direction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MetricDef {
     /// Metric name (key in [`MetricValues`]).
     pub name: String,
@@ -181,7 +172,6 @@ pub struct MetricDef {
     pub direction: Direction,
     /// How ranking reads this metric's evidence (defaults to the
     /// legacy scalar mean).
-    #[serde(default, skip_serializing_if = "Risk::is_mean")]
     pub risk: Risk,
 }
 
@@ -264,15 +254,14 @@ impl MetricSample<'_> {
 
 /// Metric values collected for one trial.
 ///
-/// Scalars live in their own map with an unchanged serialized shape, so
-/// every existing study journal, rollup and report reproduces bitwise;
-/// distributions ride in a separate side table that is skipped when
-/// empty and journaled by the WAL as separate `d.`-prefixed fields
-/// (see `wal::push_metrics`), leaving the legacy `m.` fields untouched.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// Scalars live in their own map, so every existing study journal,
+/// rollup and report reproduces bitwise; distributions ride in a
+/// separate side table, journaled by the WAL as separate `d.`-prefixed
+/// fields (see `wal::push_metrics`) that leave the legacy `m.` fields
+/// untouched.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricValues {
     values: BTreeMap<String, f64>,
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     dists: BTreeMap<String, Distribution>,
 }
 
@@ -519,6 +508,5 @@ mod tests {
         assert!(!set.contains(&MetricDef::maximize("r").with_risk(Risk::Cvar(0.2))));
         assert!(!set.contains(&MetricDef::maximize("r")));
         assert_eq!(Risk::default(), Risk::Mean);
-        assert!(Risk::Mean.is_mean() && !Risk::Cvar(0.1).is_mean());
     }
 }

@@ -6,10 +6,8 @@
 //! that tag; Table I groups its columns into *environment-dependent* and
 //! *environment-independent* parameters the same way.
 
-use serde::{Deserialize, Serialize};
-
 /// What part of the study a parameter configures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamKind {
     /// Case-study / environment parameter (e.g. the Runge–Kutta order,
     /// the wind setting).
@@ -22,7 +20,7 @@ pub enum ParamKind {
 }
 
 /// A parameter value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// Integer-valued.
     Int(i64),
@@ -81,7 +79,7 @@ impl std::fmt::Display for ParamValue {
 }
 
 /// The domain a parameter ranges over.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Domain {
     /// A finite set of choices.
     Categorical(Vec<ParamValue>),
@@ -138,7 +136,7 @@ impl Domain {
 }
 
 /// A named, typed, tagged parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamDef {
     /// Unique name within the space.
     pub name: String,

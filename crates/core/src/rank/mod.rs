@@ -26,4 +26,4 @@ pub use spec::{RankSpec, Ranker, Ranking};
 pub use weighted::WeightedSum;
 
 #[cfg(test)]
-mod sweep;
+pub(crate) mod sweep;

@@ -9,10 +9,10 @@ use crate::rank::{ParetoFront, RankSpec, Ranker, SortedRanking, WeightedSum};
 use crate::trial::{Configuration, Trial, TrialStatus};
 
 /// Knuth's MMIX LCG; the high bits are the usable ones.
-struct Lcg(u64);
+pub(crate) struct Lcg(pub(crate) u64);
 
 impl Lcg {
-    fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((self.0 >> 33) % n as u64) as usize
     }

@@ -3,10 +3,9 @@
 use crate::param::{Domain, ParamDef, ParamKind, ParamValue};
 use crate::trial::Configuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An ordered set of parameter definitions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParamSpace {
     params: Vec<ParamDef>,
 }

@@ -2,11 +2,10 @@
 
 use crate::metrics::MetricValues;
 use crate::param::ParamValue;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An assignment of values to parameters — one point of the search space.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Configuration {
     values: BTreeMap<String, ParamValue>,
 }
@@ -96,7 +95,7 @@ impl std::fmt::Display for Configuration {
 }
 
 /// The lifecycle state of a trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialStatus {
     /// Finished and produced metrics.
     Complete,
@@ -108,7 +107,7 @@ pub enum TrialStatus {
 }
 
 /// One evaluated configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trial {
     /// Sequential id within the study.
     pub id: usize,
@@ -124,7 +123,6 @@ pub struct Trial {
     pub error: Option<String>,
     /// True when the outcome was adopted from the reuse cache instead of
     /// executing the objective (recorded as a `trial.reused` WAL event).
-    #[serde(default)]
     pub reused: bool,
 }
 
@@ -190,17 +188,5 @@ mod tests {
         let mut p = t.clone();
         p.status = TrialStatus::Pruned;
         assert!(!p.is_complete());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = Trial::complete(
-            3,
-            Configuration::new().with("k", ParamValue::Int(8)),
-            MetricValues::new().with("reward", -0.45),
-        );
-        let json = serde_json::to_string(&t).expect("serialize");
-        let back: Trial = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, t);
     }
 }

@@ -610,6 +610,14 @@ mod tests {
     }
 
     #[test]
+    fn a_hundred_thousand_deep_line_is_an_error_not_a_crash() {
+        assert!(StudyEvent::from_line(&"{\"a\":".repeat(100_000)).is_err());
+        let started = "{\"ty\":\"event\",\"key\":\"trial.started\",\"t_ns\":0,\"thread\":0,";
+        let deep = format!("{started}\"fields\":{{\"trial\":{}", "[".repeat(100_000));
+        assert!(StudyEvent::from_line(&deep).is_err());
+    }
+
+    #[test]
     fn unknown_keys_are_errors() {
         assert!(StudyEvent::from_line(
             "{\"ty\":\"event\",\"key\":\"trial.exploded\",\"t_ns\":0,\"thread\":0,\"fields\":{}}"

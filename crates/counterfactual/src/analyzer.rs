@@ -12,7 +12,6 @@
 use decision::distribution::Distribution;
 use dist_exec::{ContinuationPolicy, EnvBlueprint, WhatIfPayload, WhatIfTask};
 use gymrs::{Action, EnvSnapshot, Space};
-use serde::Serialize;
 use telemetry::{SharedRecorder, Value};
 
 use crate::divergence::{js_divergence, wasserstein_1, Aggregate};
@@ -21,7 +20,7 @@ use crate::keys;
 
 /// Tuning knobs for one analysis run. `Default` is sized for tests;
 /// benches sweep `alternatives`/`horizon` and the fan-out width.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzerConfig {
     /// `K`: alternative first actions forked per decision point. For a
     /// discrete action space the alternatives are the first `K` actions
@@ -84,7 +83,7 @@ pub struct RecordedEpisode {
 }
 
 /// One alternative action's outcome at a decision point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlternativeOutcome {
     /// The forked first action.
     pub action: Action,
@@ -97,7 +96,7 @@ pub struct AlternativeOutcome {
 }
 
 /// Divergence scores of one decision point.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionPointReport {
     /// Step index within the episode.
     pub t: usize,
@@ -114,7 +113,7 @@ pub struct DecisionPointReport {
 }
 
 /// The full consequence trace of one episode.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeReport {
     /// Scored decision points, in step order.
     pub points: Vec<DecisionPointReport>,
@@ -406,12 +405,15 @@ mod tests {
                 .expect("runs")
                 .points
                 .iter()
-                .map(|p| p.w1_score)
+                .flat_map(|p| [p.js_score, p.w1_score])
                 .collect::<Vec<_>>()
         };
+        // JS and W1 of every decision point, interleaved.
         let mean = score(Aggregate::Mean);
         let weighted = score(Aggregate::WeightedMean);
         let max = score(Aggregate::Max);
+        assert!(!mean.is_empty(), "the episode has decision points");
+        assert!(max.iter().any(|&s| s > 0.0), "some alternative diverges");
         for i in 0..mean.len() {
             assert!(mean[i] <= weighted[i] + 1e-12 && weighted[i] <= max[i] + 1e-12);
         }

@@ -20,7 +20,6 @@
 //!   the saturating JS signal.
 
 use decision::distribution::Distribution;
-use serde::{Deserialize, Serialize};
 
 /// Upper bound of [`js_divergence`] (natural log): `ln 2`.
 pub const JS_BOUND: f64 = std::f64::consts::LN_2;
@@ -115,8 +114,7 @@ pub fn wasserstein_1(a: &Distribution, b: &Distribution) -> f64 {
 /// `mean ≤ weighted_mean ≤ max` (Cauchy–Schwarz gives the middle
 /// inequality), which the bench's jq gate asserts on every emitted
 /// decision point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregate {
     /// The single most consequential alternative.
     Max,
@@ -182,9 +180,7 @@ mod tests {
         // m = [3/4, 1/4].
         let a = dist(&[0.0, 0.25]);
         let b = dist(&[0.25, 1.0]);
-        let expected = 0.5 * (4.0f64 / 3.0).ln()
-            + 0.25 * (2.0f64 / 3.0).ln()
-            + 0.25 * 2.0f64.ln();
+        let expected = 0.5 * (4.0f64 / 3.0).ln() + 0.25 * (2.0f64 / 3.0).ln() + 0.25 * 2.0f64.ln();
         assert!((js_divergence(&a, &b, 2) - expected).abs() < 1e-12);
     }
 

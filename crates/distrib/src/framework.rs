@@ -8,10 +8,9 @@
 //! branches on which framework is running.
 
 use crate::runtime::SyncPolicy;
-use serde::{Deserialize, Serialize};
 
 /// The three frameworks of the paper's study (Table I column 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Framework {
     /// Ray RLlib — distributed actor–learner.
     RayRllib,
@@ -202,7 +201,7 @@ impl std::fmt::Display for Framework {
 
 /// Per-framework cost constants (calibrated against Table I anchors; see
 /// EXPERIMENTS.md for the calibration notes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameworkProfile {
     /// Glue/scheduling seconds charged per training iteration.
     pub per_iter_overhead_s: f64,

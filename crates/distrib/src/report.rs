@@ -4,7 +4,6 @@ use cluster_sim::Usage;
 use gymrs::{Action, Environment};
 use rl_algos::policy::ActorCritic;
 use rl_algos::sac::SacLearner;
-use serde::{Deserialize, Serialize};
 
 /// A trained model returned by a backend (evaluated later on the
 /// reference environment by the study harness).
@@ -99,7 +98,7 @@ impl ExecReport {
 }
 
 /// Serializable summary of an execution.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ExecSummary {
     /// Simulated minutes (Table I unit).
     pub minutes: f64,
@@ -112,7 +111,6 @@ pub struct ExecSummary {
     /// Mean of the last ≤20 training-episode returns.
     pub mean_train_return: f64,
     /// True when a worker quarantine degraded the execution.
-    #[serde(default)]
     pub degraded: bool,
 }
 

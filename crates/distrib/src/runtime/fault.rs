@@ -28,12 +28,11 @@
 //! The default policy is [`FaultPolicy::fail_fast`]: no retries, no
 //! quarantine — a failure surfaces as an `Err` (never a panic).
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// How the runtime reacts to worker failures. See the module docs for
 /// the recovery ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPolicy {
     /// Re-dispatch attempts per failed round-command before giving up
     /// (0 = first failure is terminal for that worker).

@@ -3,11 +3,10 @@
 use crate::framework::{Architecture, Framework};
 use crate::runtime::{FaultPolicy, TransportConfig};
 use rl_algos::{Algorithm, PpoConfig, SacConfig};
-use serde::{Deserialize, Serialize};
 
 /// The system-level deployment parameters of the study (§V-b): number of
 /// nodes and CPU cores per node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Deployment {
     /// Nodes in use (1 or 2 in the paper).
     pub nodes: usize,
@@ -56,7 +55,7 @@ pub(crate) fn check_run(
 }
 
 /// A full training-execution request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecSpec {
     /// Which framework architecture to use.
     pub framework: Framework,
@@ -75,7 +74,6 @@ pub struct ExecSpec {
     /// How the runtime reacts to worker failures. Defaults to
     /// [`FaultPolicy::fail_fast`] — the pre-fault-tolerance behavior,
     /// minus the panic: an unhandled failure becomes a study `Err`.
-    #[serde(default)]
     pub fault: FaultPolicy,
     /// Cap on in-flight collection commands per runtime
     /// (`Runtime::with_window`). `None` keeps the runtime default — the
@@ -83,13 +81,11 @@ pub struct ExecSpec {
     /// owns the machine. Studies multiplexed through a `StudyServer`
     /// set this so concurrently executing trials don't each dispatch as
     /// if they had every core to themselves.
-    #[serde(default)]
     pub window: Option<usize>,
     /// Transport override for the runtime, same grammar as the
     /// `RLDT_TRANSPORT` environment variable (`inproc`, `uds`, `tcp`,
     /// `tcp:<addr>`). `None` defers to the environment; a malformed value
     /// in either place is rejected by [`ExecSpec::validate`].
-    #[serde(default)]
     pub transport: Option<String>,
 }
 

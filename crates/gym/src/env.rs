@@ -1,10 +1,9 @@
 //! The [`Environment`] trait and step/action types.
 
 use crate::space::Space;
-use serde::{Deserialize, Serialize};
 
 /// An agent action: either a discrete index or a continuous vector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Index into a [`Space::Discrete`].
     Discrete(usize),
@@ -33,7 +32,7 @@ impl Action {
 /// A saved environment state, restorable via [`Environment::restore`].
 ///
 /// Snapshots are plain data — two flat buffers plus an RNG reseed — so
-/// they serialize trivially (serde, the dist-exec wire codec) and stay
+/// they serialize trivially (the dist-exec wire codec) and stay
 /// independent of any concrete environment type. Each environment defines
 /// its own layout for `f`/`u`; the `kind` tag guards against restoring a
 /// snapshot into the wrong environment.
@@ -53,7 +52,7 @@ impl Action {
 /// ```
 ///
 /// — identical observations, rewards and termination flags, bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvSnapshot {
     /// Environment kind tag (e.g. `"grid_world"`); checked on restore.
     pub kind: String,
@@ -88,7 +87,7 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// The result of one environment transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step {
     /// Observation after the transition.
     pub obs: Vec<f64>,

@@ -1,10 +1,9 @@
 //! Observation and action spaces.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A gym-style space describing valid observations or actions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Space {
     /// `n` discrete choices `{0, …, n-1}`.
     Discrete(usize),

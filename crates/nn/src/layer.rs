@@ -3,10 +3,9 @@
 use crate::init::Init;
 use crate::matrix::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Pointwise activation functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Identity (no activation) — used on output layers.
     Identity,
@@ -73,7 +72,7 @@ impl Activation {
 /// A fully-connected layer `y = act(x · W + b)` with gradient storage.
 ///
 /// `W` is `in_dim × out_dim`; inputs are batches with one sample per row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     /// Weights, `in_dim × out_dim`.
     pub w: Matrix,

@@ -21,8 +21,6 @@
 //! bitwise the same rows as evaluating each row on its own — the property
 //! the batched policy API (`act_batch` vs per-row `act`) relies on.
 
-use serde::{Deserialize, Serialize};
-
 /// Multiply-add count (`m·k·n`) above which the matmul kernels parallelise
 /// their row loop over the rayon global pool. Below it the sequential
 /// kernel wins: fork/join overhead is tens of microseconds, a 64×64×64
@@ -34,7 +32,7 @@ pub const PAR_THRESHOLD: usize = 1 << 20;
 /// A `1 × n` matrix doubles as a row vector; batches are stored one sample
 /// per row (`batch × features`), matching the convention of the Python
 /// frameworks the paper benchmarks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -4,7 +4,6 @@ use crate::init::Init;
 use crate::layer::{Activation, Linear};
 use crate::matrix::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A feed-forward network: a stack of [`Linear`] layers.
 ///
@@ -21,11 +20,10 @@ use serde::{Deserialize, Serialize};
 /// let out = net.infer(&Matrix::row(&[0.1, 0.2, 0.3, 0.4]));
 /// assert_eq!(out.shape(), (1, 2));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    /// Reused backprop buffers — never serialized, rebuilt lazily.
-    #[serde(skip)]
+    /// Reused backprop buffers, rebuilt lazily.
     scratch: Scratch,
 }
 
@@ -418,17 +416,5 @@ mod tests {
     #[test]
     fn sizes_round_trip() {
         assert_eq!(make(1).sizes(), vec![3, 8, 8, 2]);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_outputs() {
-        let net = make(10);
-        let json = serde_json::to_string(&net).expect("serialize");
-        let back: Mlp = serde_json::from_str(&json).expect("deserialize");
-        let x = Matrix::row(&[1.0, 2.0, 3.0]);
-        let (a, b) = (net.infer(&x), back.infer(&x));
-        for (u, v) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((u - v).abs() < 1e-12, "{u} vs {v}");
-        }
     }
 }

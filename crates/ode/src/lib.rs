@@ -54,14 +54,12 @@ pub use stepper::{
 pub use system::{FnSystem, System};
 pub use tableau::Tableau;
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated numerical work of an integration.
 ///
 /// `fn_evals` is the ground truth consumed by the cluster cost model: one
 /// right-hand-side evaluation of the parafoil dynamics is the atomic work
 /// unit of the simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Work {
     /// Number of right-hand-side (derivative) evaluations performed.
     pub fn_evals: u64,

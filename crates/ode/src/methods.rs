@@ -7,14 +7,13 @@
 use crate::extrapolation::Gbs8Factory;
 use crate::stepper::{FixedStepper, StepperFactory, TableauFactory};
 use crate::tableau::{BS23, DOPRI5};
-use serde::{Deserialize, Serialize};
 
 /// Runge–Kutta order selected for the parachute-dynamics integration.
 ///
 /// * `Three` → Bogacki–Shampine 3(2) (SciPy `RK23`)
 /// * `Five`  → Dormand–Prince 5(4) (SciPy `RK45`)
 /// * `Eight` → GBS extrapolation order 8 (stand-in for SciPy `DOP853`)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RkOrder {
     /// Order 3 — cheapest, least accurate.
     Three,

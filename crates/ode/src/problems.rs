@@ -1,8 +1,6 @@
 //! Reference ODE problems with known solutions.
 //!
-//! Used by unit/property tests (convergence-order measurements) and by the
-//! criterion benches that reproduce the paper's "Runge–Kutta order vs.
-//! computation time" relation in isolation.
+//! Used by unit/property tests (convergence-order measurements).
 
 use crate::system::System;
 

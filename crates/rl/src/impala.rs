@@ -17,10 +17,8 @@
 //!
 //! [`OnPolicyLearner::impala`]: crate::on_policy::OnPolicyLearner::impala
 
-use serde::{Deserialize, Serialize};
-
 /// IMPALA hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ImpalaConfig {
     /// Learning rate.
     pub lr: f64,

@@ -56,7 +56,7 @@ pub use vtrace::{vtrace, VtraceConfig, VtraceResult};
 
 /// Which of the paper's two algorithms a configuration uses (Table I's
 /// "Algorithm" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Proximal Policy Optimization.
     Ppo,

@@ -2,11 +2,10 @@
 
 use gymrs::{Action, Space};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tinynn::{Activation, Categorical, DiagGaussian, Matrix, Mlp};
 
 /// The action head kind, derived from the environment's action space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyHead {
     /// Softmax over `n` discrete actions.
     Categorical {
@@ -68,7 +67,7 @@ impl Dist {
 ///
 /// This is the Stable-Baselines default architecture (`MlpPolicy` with
 /// shared=False): two 64-unit tanh hidden layers each.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ActorCritic {
     /// Policy network: observation → logits (discrete) or mean (continuous).
     pub actor: Mlp,
@@ -76,8 +75,7 @@ pub struct ActorCritic {
     pub critic: Mlp,
     /// State-independent log standard deviations (Gaussian head only).
     pub log_std: Vec<f64>,
-    /// Accumulated gradient for `log_std` (serialized alongside the
-    /// parameters so a deserialized policy is immediately trainable).
+    /// Accumulated gradient for `log_std`.
     pub log_std_grad: Vec<f64>,
     head: PolicyHead,
 }
@@ -289,16 +287,6 @@ mod tests {
     fn param_bytes_include_log_std() {
         let p = gaussian_policy();
         assert_eq!(p.param_bytes(), p.actor.param_bytes() + p.critic.param_bytes() + 16);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_behaviour() {
-        let p = gaussian_policy();
-        let json = serde_json::to_string(&p).expect("serialize");
-        let q: ActorCritic = serde_json::from_str(&json).expect("deserialize");
-        let obs = [0.4, 0.4, -0.9];
-        assert!((p.value(&obs) - q.value(&obs)).abs() < 1e-12);
-        assert_eq!(q.log_std_grad.len(), q.log_std.len());
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! module holds its hyperparameters.
 
 use crate::on_policy::OnPolicyLearner;
-use serde::{Deserialize, Serialize};
 
 /// PPO hyperparameters (defaults follow the frameworks' shared defaults).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PpoConfig {
     /// Adam learning rate.
     pub lr: f64,

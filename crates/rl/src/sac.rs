@@ -11,14 +11,13 @@
 use crate::buffer::{ReplayBuffer, Transition};
 use gymrs::{Action, Space};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tinynn::dist::{SquashedGaussian, LOG_STD_MAX, LOG_STD_MIN};
 use tinynn::{
     backward_flops, clip_grad_norm, forward_flops, Activation, Adam, Matrix, Mlp, Optimizer, Tape,
 };
 
 /// SAC hyperparameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SacConfig {
     /// Adam learning rate (all networks).
     pub lr: f64,
@@ -83,7 +82,7 @@ impl SacConfig {
 }
 
 /// Diagnostics from one SAC update.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SacStats {
     /// Mean twin-critic TD loss.
     pub q_loss: f64,

@@ -3,11 +3,9 @@
 //! The paper's frameworks anneal PPO's learning rate linearly by default;
 //! the trainer applies a [`Schedule`] between updates.
 
-use serde::{Deserialize, Serialize};
-
 /// A scalar schedule evaluated at training progress `p ∈ [0, 1]`
 /// (0 = start, 1 = end of the step budget).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Schedule {
     /// Constant value.
     Constant(f64),

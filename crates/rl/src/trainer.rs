@@ -12,10 +12,9 @@ use gymrs::rollout::EpisodeStats;
 use gymrs::{Action, Environment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// What to train.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainSpec {
     /// PPO or SAC.
     pub algorithm: Algorithm,
@@ -48,7 +47,7 @@ impl TrainSpec {
 }
 
 /// Final-evaluation settings.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EvalSpec {
     /// Number of greedy evaluation episodes.
     pub episodes: usize,
@@ -63,7 +62,7 @@ impl Default for EvalSpec {
 }
 
 /// Periodic progress sample emitted during training.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainProgress {
     /// Environment steps so far.
     pub steps: u64,
@@ -73,7 +72,7 @@ pub struct TrainProgress {
 
 /// Outcome of a training run, including the work accounting the cluster
 /// simulator converts into time and energy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Greedy evaluation on the evaluation environment.
     pub eval_mean_return: f64,

@@ -1,13 +1,12 @@
 //! Snapshot exporter: the JSON-lines trace.
 //!
-//! The telemetry crate sits below the serde-using crates, so the JSON
-//! emitted and parsed here is hand-rolled for the one flat shape the
-//! trace needs: one object per line, string keys, and numbers typed by
-//! spelling — integers are written bare and doubles always carry a `.`
-//! or an exponent, so [`from_json_lines`] reconstructs the exact value
-//! kinds and [`to_json_lines`] → [`from_json_lines`] round-trips a
-//! [`Snapshot`] to equality (f64 text uses Rust's shortest round-trip
-//! formatting).
+//! The writer is hand-rolled for the one flat shape the trace needs: one
+//! object per line, string keys, and numbers typed by spelling — integers
+//! are written bare and doubles always carry a `.` or an exponent, so
+//! [`from_json_lines`] (reading through [`crate::json`]) reconstructs the
+//! exact value kinds and [`to_json_lines`] → [`from_json_lines`]
+//! round-trips a [`Snapshot`] to equality (f64 text uses Rust's shortest
+//! round-trip formatting).
 //!
 //! Record shapes (`ty` discriminates):
 //!
@@ -20,6 +19,7 @@
 //! {"ty":"event","key":"driver.iteration","t_ns":42,"thread":0,"fields":{"iteration":1}}
 //! ```
 
+use crate::json::{self, Json};
 use crate::snapshot::{FieldValue, GaugeStats, SnapEvent, SnapSpan, Snapshot};
 use std::fmt::Write as _;
 
@@ -141,219 +141,28 @@ pub fn to_json_lines(snap: &Snapshot) -> String {
     out
 }
 
-// ---------------------------------------------------------------- parser
+// ---------------------------------------------------------------- reader
 
-/// A parsed JSON value restricted to the subset the trace uses. Numbers
-/// keep their spelling-derived type: bare integers become `U64`,
-/// anything with a `.`, exponent, or sign becomes `F64`.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    U64(u64),
-    F64(f64),
-    Bool(bool),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, name: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// f64 view, accepting the string spellings of non-finite values.
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::F64(v) => Some(*v),
-            Json::U64(v) => Some(*v as f64),
-            Json::Str(s) => match s.as_str() {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(line: &'a str) -> Self {
-        Parser { bytes: line.as_bytes(), pos: 0 }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("telemetry trace parse error at byte {}: {what}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-borrow the full char (multi-byte UTF-8 safe).
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("unterminated"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        let float_spelled = text.contains(['.', 'e', 'E', '-']);
-        if !float_spelled {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::U64(v));
-            }
-        }
-        text.parse::<f64>().map(Json::F64).map_err(|_| self.err("invalid number"))
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'{' => self.object(),
-            b't' => self.keyword("true", Json::Bool(true)),
-            b'f' => self.keyword("false", Json::Bool(false)),
-            _ => self.number(),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err("unknown keyword"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let name = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((name, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
+/// Parse one trace line: a single JSON object, nothing after it.
 fn parse_line(line: &str) -> Result<Json, String> {
-    let mut p = Parser::new(line);
-    let v = p.object()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
+    match json::parse(line).map_err(|e| format!("telemetry trace: {e}"))? {
+        obj @ Json::Obj(_) => Ok(obj),
+        other => Err(format!("telemetry trace: a record must be an object, got {}", other.kind())),
     }
-    Ok(v)
 }
 
-fn field(obj: &Json, name: &str) -> Result<Json, String> {
-    obj.get(name).cloned().ok_or_else(|| format!("trace record missing field '{name}'"))
+/// The f64 a string field spells, for the three non-finite values.
+fn non_finite(s: &str) -> Option<f64> {
+    match s {
+        "NaN" => Some(f64::NAN),
+        "inf" => Some(f64::INFINITY),
+        "-inf" => Some(f64::NEG_INFINITY),
+        _ => None,
+    }
+}
+
+fn field<'a>(obj: &'a Json, name: &str) -> Result<&'a Json, String> {
+    obj.get(name).ok_or_else(|| format!("trace record missing field '{name}'"))
 }
 
 fn need_str(obj: &Json, name: &str) -> Result<String, String> {
@@ -367,35 +176,39 @@ fn need_u64(obj: &Json, name: &str) -> Result<u64, String> {
     field(obj, name)?.as_u64().ok_or_else(|| format!("trace field '{name}' must be an integer"))
 }
 
+/// f64 view, accepting the string spellings of non-finite values.
 fn need_f64(obj: &Json, name: &str) -> Result<f64, String> {
-    field(obj, name)?.as_f64().ok_or_else(|| format!("trace field '{name}' must be a number"))
+    let v = field(obj, name)?;
+    v.as_f64()
+        .or_else(|| v.as_str().and_then(non_finite))
+        .ok_or_else(|| format!("trace field '{name}' must be a number"))
 }
 
 /// Decode one parsed `"ty":"event"` object into a [`SnapEvent`].
 fn event_from_obj(obj: &Json) -> Result<SnapEvent, String> {
-    let fields = match field(obj, "fields")? {
-        Json::Obj(fields) => fields
-            .into_iter()
-            .map(|(name, v)| {
-                let fv = match v {
-                    Json::U64(x) => FieldValue::U64(x),
-                    Json::F64(x) => FieldValue::F64(x),
-                    Json::Bool(x) => FieldValue::Bool(x),
-                    Json::Str(s) => match s.as_str() {
-                        "NaN" => FieldValue::F64(f64::NAN),
-                        "inf" => FieldValue::F64(f64::INFINITY),
-                        "-inf" => FieldValue::F64(f64::NEG_INFINITY),
-                        _ => FieldValue::Str(s),
-                    },
-                    Json::Obj(_) => {
-                        return Err("nested objects not allowed in event fields".to_string())
-                    }
-                };
-                Ok((name, fv))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("event 'fields' must be an object".to_string()),
-    };
+    let fields = field(obj, "fields")?
+        .as_object()
+        .ok_or("event 'fields' must be an object")?
+        .iter()
+        .map(|(name, v)| {
+            let fv = match v {
+                Json::U64(x) => FieldValue::U64(*x),
+                // The writer spells integers unsigned, so a signed
+                // integer token is a float someone wrote without its `.0`.
+                Json::I64(x) => FieldValue::F64(*x as f64),
+                Json::F64(x) => FieldValue::F64(*x),
+                Json::Bool(x) => FieldValue::Bool(*x),
+                Json::Str(s) => match non_finite(s) {
+                    Some(x) => FieldValue::F64(x),
+                    None => FieldValue::Str(s.clone()),
+                },
+                Json::Null | Json::Arr(_) | Json::Obj(_) => {
+                    return Err(format!("event field '{name}' must be a scalar, got {}", v.kind()))
+                }
+            };
+            Ok((name.clone(), fv))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
     Ok(SnapEvent {
         t_ns: need_u64(obj, "t_ns")?,
         thread: need_u64(obj, "thread")? as usize,
@@ -568,6 +381,34 @@ mod tests {
         assert!(event_from_json_line("{\"ty\":\"counter\",\"key\":\"k\",\"value\":1}").is_err());
         assert!(event_from_json_line("{\"ty\":\"event\",\"key\":\"k\"").is_err());
         assert!(event_from_json_line("").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_naming_the_offset_not_a_stack_overflow() {
+        // A few hundred kB of `{"a":{"a":…` used to recurse once per level.
+        let deep = "{\"a\":".repeat(100_000);
+        let cap = crate::json::MAX_DEPTH;
+        let e = event_from_json_line(&deep).unwrap_err();
+        assert!(e.contains(&format!("at byte {}: nesting deeper than {cap}", 5 * cap)), "{e}");
+        assert!(from_json_lines(&deep).is_err());
+        let in_fields = format!(
+            "{{\"ty\":\"event\",\"key\":\"k\",\"t_ns\":0,\"thread\":0,\"fields\":{{\"x\":{}",
+            "[".repeat(100_000)
+        );
+        assert!(event_from_json_line(&in_fields).is_err());
+    }
+
+    #[test]
+    fn event_fields_stay_scalar() {
+        for value in ["null", "[1]", "{}"] {
+            let line = format!(
+                "{{\"ty\":\"event\",\"key\":\"k\",\"t_ns\":0,\"thread\":0,\
+                 \"fields\":{{\"x\":{value}}}}}"
+            );
+            let e = event_from_json_line(&line).unwrap_err();
+            assert!(e.contains("'x' must be a scalar"), "{e}");
+        }
+        assert!(from_json_lines("[]").unwrap_err().contains("must be an object"));
     }
 
     #[test]

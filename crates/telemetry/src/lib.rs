@@ -21,14 +21,15 @@
 //!    f64 accumulators apply deltas in call order, so a single recording
 //!    thread reproduces the instrumented code's own sums bit for bit.
 //! 3. **No dependencies.** The crate sits below every other crate in the
-//!    workspace, including the serde-using ones; its exporter
-//!    ([`export`]) hand-rolls the tiny JSON subset it needs.
+//!    workspace; its exporter ([`export`]) writes the trace by hand and
+//!    reads it back through [`json`], the one JSON reader in the tree.
 //!
 //! A snapshot of everything recorded is taken with
 //! [`RingRecorder::snapshot`], giving a [`Snapshot`] that [`export`]
 //! serializes as a JSON-lines trace and that per-trial rollups consume.
 
 pub mod export;
+pub mod json;
 pub mod ring;
 pub mod snapshot;
 

@@ -30,7 +30,7 @@ const MANIFEST: &str = r#"{
 }"#;
 
 fn main() -> Result<(), String> {
-    let manifest: StudyManifest = serde_json::from_str(MANIFEST).map_err(|e| e.to_string())?;
+    let manifest = StudyManifest::from_json(MANIFEST).map_err(|e| e.to_string())?;
     println!(
         "Loaded manifest `{}`: {} parameters, explorer {:?}\n",
         manifest.name,
