@@ -30,7 +30,12 @@ fn bits(s: &Step) -> (Vec<u64>, u64, bool, bool) {
     (s.obs.iter().map(|v| v.to_bits()).collect(), s.reward.to_bits(), s.terminated, s.truncated)
 }
 
-fn stream(env: &mut AirdropEnv, seed: u64, start_t: usize, n: usize) -> Vec<(Vec<u64>, u64, bool, bool)> {
+fn stream(
+    env: &mut AirdropEnv,
+    seed: u64,
+    start_t: usize,
+    n: usize,
+) -> Vec<(Vec<u64>, u64, bool, bool)> {
     let mut out = Vec::new();
     for i in 0..n {
         let s = env.step(&steer(seed, start_t + i));
@@ -146,30 +151,25 @@ fn restoring_a_terminal_snapshot_preserves_done() {
     // the snapshotted RNG stream, same as the live env would.
     let a = other.reset();
     env.reset();
-    let live_obs: Vec<u64> = env
-        .step(&steer(9, 0))
-        .obs
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
+    let live_obs: Vec<u64> = env.step(&steer(9, 0)).obs.iter().map(|v| v.to_bits()).collect();
     let _ = a;
-    let restored_obs: Vec<u64> =
-        other.step(&steer(9, 0)).obs.iter().map(|v| v.to_bits()).collect();
+    let restored_obs: Vec<u64> = other.step(&steer(9, 0)).obs.iter().map(|v| v.to_bits()).collect();
     assert_eq!(live_obs, restored_obs, "post-restore resets follow the same RNG stream");
 }
 
-// CI fuzz pass over the same property (the offline proptest stub swallows
-// these bodies; the deterministic sweeps above always run).
-proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn prop_round_trips_plain(seed in 0u64..1_000_000, capture_at in 0usize..8) {
+// A seeded sweep over the same property, past the grids above.
+#[test]
+fn round_trips_plain_across_a_sweep() {
+    testkit::sweep(24, 0x54A9, |g| {
+        let (seed, capture_at) = (g.int_in(0u64..1_000_000), g.below(8));
         assert_round_trip(AirdropConfig::fast_test(), seed, capture_at);
-    }
+    });
+}
 
-    #[test]
-    fn prop_round_trips_gusty(seed in 0u64..1_000_000, capture_at in 0usize..8) {
+#[test]
+fn round_trips_gusty_across_a_sweep() {
+    testkit::sweep(24, 0x54A9, |g| {
+        let (seed, capture_at) = (g.int_in(0u64..1_000_000), g.below(8));
         assert_round_trip(gusty_config(), seed, capture_at);
-    }
+    });
 }

@@ -69,7 +69,7 @@ impl ParamEffect {
             .collect();
         let distinct = {
             let mut v = float_vals.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            v.sort_by(f64::total_cmp);
             v.dedup();
             v.len()
         };
@@ -150,7 +150,7 @@ impl ParamEffect {
         vals: &[f64],
     ) -> Self {
         let mut sorted = vals.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by(f64::total_cmp);
         let q = |p: f64| sorted[((sorted.len() - 1) as f64 * p).round() as usize];
         let edges = [sorted[0], q(0.25), q(0.5), q(0.75), sorted[sorted.len() - 1]];
         let bin_of = |x: f64| -> usize {

@@ -20,9 +20,9 @@
 
 use crate::metrics::MetricValues;
 use crate::trial::{Configuration, Trial, TrialStatus};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A cached trial outcome (identity-free: the adopting study assigns its
 /// own trial id).
@@ -76,6 +76,11 @@ impl TrialCache {
         format!("{}|{fingerprint}|{seed}", config.canonical_key())
     }
 
+    /// The map, poisoned or not: a panicking trial must not wedge the cache.
+    fn map(&self) -> MutexGuard<'_, HashMap<String, CachedOutcome>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Look up a configuration; counts a hit or miss.
     pub fn lookup(
         &self,
@@ -83,7 +88,7 @@ impl TrialCache {
         fingerprint: &str,
         seed: u64,
     ) -> Option<CachedOutcome> {
-        let found = self.map.lock().get(&Self::key(config, fingerprint, seed)).cloned();
+        let found = self.map().get(&Self::key(config, fingerprint, seed)).cloned();
         match found {
             Some(hit) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -107,7 +112,7 @@ impl TrialCache {
             metrics: trial.metrics.clone(),
             intermediate: trial.intermediate.clone(),
         };
-        self.map.lock().insert(Self::key(&trial.config, fingerprint, seed), outcome);
+        self.map().insert(Self::key(&trial.config, fingerprint, seed), outcome);
     }
 
     /// Warm the cache from a set of finished trials (e.g. a replayed
@@ -120,12 +125,12 @@ impl TrialCache {
 
     /// Number of cached outcomes.
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.map().len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty()
+        self.map().is_empty()
     }
 
     /// `(hits, misses)` since construction.

@@ -270,18 +270,18 @@ impl Explorer for TpeLite {
         }
         self.proposed += 1;
 
-        let mut scored: Vec<&Trial> = history
-            .iter()
-            .filter(|t| t.is_complete() && t.metrics.get(&self.metric).is_some())
-            .collect();
+        // Like the rankers, only complete trials with a finite reading
+        // count: a diverged trial's NaN has no place in the order.
+        let value = |t: &Trial| {
+            let reading = t.metrics.get(&self.metric).filter(|v| v.is_finite());
+            reading.map(|v| self.direction.orient(v))
+        };
+        let mut scored: Vec<&Trial> =
+            history.iter().filter(|t| t.is_complete() && value(t).is_some()).collect();
         if scored.len() < self.warmup {
             return Some(space.sample(&mut rng));
         }
-        scored.sort_by(|a, b| {
-            let va = self.direction.orient(a.metrics.get(&self.metric).unwrap_or(f64::NAN));
-            let vb = self.direction.orient(b.metrics.get(&self.metric).unwrap_or(f64::NAN));
-            vb.partial_cmp(&va).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        scored.sort_by(|a, b| value(b).partial_cmp(&value(a)).expect("finite readings order"));
         let split = ((scored.len() as f64 * self.gamma).ceil() as usize).clamp(1, scored.len() - 1);
         let (good, bad) = scored.split_at(split);
 
@@ -411,6 +411,29 @@ mod tests {
         let s = space();
         // No history at all: must still propose.
         assert!(ex.propose(&s, &[], &mut rng).is_some());
+    }
+
+    #[test]
+    fn tpe_leaves_a_nan_reading_out_of_the_order() {
+        // 40 complete trials, one of them diverged: the proposal is the one
+        // the other 39 alone would get, and sorting them does not panic.
+        let s = space();
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut history: Vec<Trial> = (0..40)
+            .map(|i| {
+                let cfg = s.sample(&mut rng);
+                let loss = (cfg.float("x").unwrap() - 0.3).abs();
+                Trial::complete(i, cfg, MetricValues::new().with("loss", loss))
+            })
+            .collect();
+        history[23].metrics.set("loss", f64::NAN);
+        let propose = |history: &[Trial]| {
+            let mut ex = TpeLite::new(100, "loss", Direction::Minimize);
+            ex.propose(&s, history, &mut StdRng::seed_from_u64(5)).expect("within budget")
+        };
+        let with_nan = propose(&history);
+        history.remove(23);
+        assert_eq!(with_nan, propose(&history));
     }
 
     #[test]

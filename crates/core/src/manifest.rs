@@ -541,9 +541,9 @@ fn read_pruner(v: &Json, path: &str) -> Result<PrunerSpec, ManifestError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::sweep::Lcg;
     use crate::trial::Trial;
     use std::fmt::Write as _;
+    use testkit::Gen;
 
     fn manifest_json() -> &'static str {
         r#"{
@@ -886,7 +886,7 @@ mod tests {
         let tree = json::parse(base).unwrap();
         let nodes = node_count(&tree);
 
-        let mut rng = Lcg(0x5eed);
+        let mut rng = Gen::new(0x5eed);
         let (mut ok, mut err) = (0, [0usize; 4]);
         for round in 0..480 {
             let kind = round % 4;

@@ -1,8 +1,8 @@
 //! Trial pruning — the Optuna-style extension discussed in §III-C
 //! ("pruning algorithms which automatically stop unpromising trials").
 
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
 /// Decides whether a running trial should stop early based on its
 /// intermediate objective reports.
@@ -31,6 +31,9 @@ impl Pruner for NopPruner {
 
 /// Optuna's `MedianPruner`: stop a trial whose intermediate value is
 /// below the median of the values other trials reported at the same step.
+/// As there, a NaN report (a diverged trial) prunes the trial that made it
+/// once the protections below have passed, and counts for nothing in any
+/// other trial's median or startup quota.
 pub struct MedianPruner {
     /// Trials that may not be pruned (warmup), counted per distinct trial.
     pub n_startup_trials: usize,
@@ -60,17 +63,21 @@ impl Default for MedianPruner {
 
 impl Pruner for MedianPruner {
     fn should_prune(&self, trial: usize, step: u64, value: f64) -> bool {
-        let mut h = self.history.lock();
+        let mut h = self.history.lock().unwrap_or_else(PoisonError::into_inner);
         let at_step = h.entry(step).or_default();
-        let others: Vec<f64> =
+        let mut sorted: Vec<f64> =
             at_step.iter().filter(|(t, _)| **t != trial).map(|(_, v)| *v).collect();
-        at_step.insert(trial, value);
+        if !value.is_nan() {
+            at_step.insert(trial, value);
+        }
 
-        if step < self.n_warmup_steps || others.len() < self.n_startup_trials {
+        if step < self.n_warmup_steps || sorted.len() < self.n_startup_trials {
             return false;
         }
-        let mut sorted = others;
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        if value.is_nan() {
+            return true;
+        }
+        sorted.sort_by(f64::total_cmp);
         let median = if sorted.len() % 2 == 1 {
             sorted[sorted.len() / 2]
         } else {
@@ -113,6 +120,31 @@ mod tests {
         // Median of {10, 20, 30, 40} is 25.
         assert!(p.should_prune(4, 1, 5.0), "5 < median 25 must prune");
         assert!(!p.should_prune(5, 1, 35.0), "35 > median must survive");
+    }
+
+    #[test]
+    fn a_nan_report_prunes_its_trial_and_touches_no_other_verdict() {
+        // 30 trials report at one step and trial 17 has diverged. Wherever
+        // its report lands among the others', the 30 verdicts are the same
+        // (and sorting 29 values with a NaN among them does not panic).
+        let verdicts = |nan_lands_at: usize| {
+            let p = MedianPruner::new();
+            let mut order: Vec<usize> = (0..30).filter(|&t| t != 17).collect();
+            order.insert(nan_lands_at, 17);
+            let mut pruned = [false; 30];
+            for t in order {
+                let value = if t == 17 { f64::NAN } else { (t * 7 % 30) as f64 };
+                pruned[t] = p.should_prune(t, 1, value);
+            }
+            pruned
+        };
+        let early = verdicts(4);
+        assert!(early[17], "the diverged trial is pruned");
+        assert!((5..25).contains(&early.iter().filter(|&&v| v).count()), "{early:?}");
+        assert_eq!(verdicts(15), early);
+        assert_eq!(verdicts(29), early);
+        // The startup quota protects every trial, a diverged one included.
+        assert!(!verdicts(0)[17]);
     }
 
     #[test]

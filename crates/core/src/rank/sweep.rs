@@ -1,28 +1,17 @@
 //! A seeded sweep of every ranking entry point against brute-force
-//! oracles written from the definitions, not from the engine. A plain
-//! `#[test]` on purpose: it needs no registry crate, so it runs wherever
-//! the crate compiles.
+//! oracles written from the definitions, not from the engine.
 
 use crate::metrics::{Direction, MetricDef, MetricValues};
 use crate::rank::pareto::non_dominated_ranks;
 use crate::rank::{ParetoFront, RankSpec, Ranker, SortedRanking, WeightedSum};
 use crate::trial::{Configuration, Trial, TrialStatus};
-
-/// Knuth's MMIX LCG; the high bits are the usable ones.
-pub(crate) struct Lcg(pub(crate) u64);
-
-impl Lcg {
-    pub(crate) fn below(&mut self, n: usize) -> usize {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((self.0 >> 33) % n as u64) as usize
-    }
-}
+use testkit::Gen;
 
 /// 1–60 trials over 1–3 metrics `m0..` with random directions and values
 /// on a coarse grid (ties), plus four hazards, each in about a third of
 /// the sets and reported in the flags: a trial missing a metric, a failed
 /// trial, a NaN, a ±∞.
-fn trial_set(rng: &mut Lcg) -> (Vec<Trial>, Vec<MetricDef>, [bool; 4]) {
+fn trial_set(rng: &mut Gen) -> (Vec<Trial>, Vec<MetricDef>, [bool; 4]) {
     let (n, m) = (1 + rng.below(60), 1 + rng.below(3));
     let defs: Vec<MetricDef> = (0..m)
         .map(|k| match rng.below(2) {
@@ -155,7 +144,7 @@ fn check(ctx: &str, trials: &[Trial], defs: &[MetricDef]) -> bool {
 
 #[test]
 fn every_method_matches_its_brute_force_oracle() {
-    let mut rng = Lcg(0x5EED);
+    let mut rng = Gen::new(0x5EED);
     let (mut seen, mut tied_sets) = ([0usize; 4], 0usize);
     for set in 0..400 {
         let (mut trials, defs, hazards) = trial_set(&mut rng);

@@ -2,32 +2,33 @@
 //!
 //! The paper's workflow is service-like — experts *submit* studies and a
 //! shared execution substrate works through them — so the crate exposes a
-//! [`StudyServer`] that owns one execution runtime (a rayon wave pool plus
-//! a shared telemetry recorder) and interleaves trials from every
-//! submitted study instead of running studies back to back.
+//! [`StudyServer`] that interleaves trials from every submitted study
+//! instead of running studies back to back. Its wave loop is the crate's
+//! only driver: [`Study::run`] is the same loop at width 1 over one
+//! study, [`Study::run_parallel`] at width `p`.
 //!
 //! Scheduling is by **fair waves**: each wave is filled round-robin, one
-//! slot per study per pass, until either the server's global width or
-//! every study's own [`StudyBuilder::max_concurrent_trials`] cap is
-//! reached; the wave then executes concurrently and results are absorbed
-//! back into each study's session in id order. Fairness is positional,
-//! not probabilistic — a two-study server with width 4 runs 2+2 trials
-//! per wave while both have work, and the survivor widens to 4 once the
-//! other is exhausted.
+//! slot per study per pass, until the width is reached; the wave then
+//! executes concurrently and results are absorbed back into each study's
+//! session in id order. Fairness is positional, not probabilistic — a
+//! two-study server with width 4 runs 2+2 trials per wave while both have
+//! work, and the survivor widens to 4 once the other is exhausted.
 //!
 //! Every study keeps its own journal, explorer state, and resume
-//! semantics (sessions replay their WALs exactly as [`Study::run`] does),
-//! so killing a server and resubmitting the same studies resumes all of
-//! them. Studies sharing a [`crate::cache::TrialCache`] reuse each
-//! other's finished trials across submissions.
+//! semantics (sessions replay their WALs), so killing a server and
+//! resubmitting the same studies resumes all of them. Studies sharing a
+//! [`crate::cache::TrialCache`] reuse each other's finished trials across
+//! submissions.
 //!
-//! [`StudyBuilder::max_concurrent_trials`]: crate::study::StudyBuilder::max_concurrent_trials
 //! [`Study::run`]: crate::study::Study::run
+//! [`Study::run_parallel`]: crate::study::Study::run_parallel
 
 use crate::study::{Session, Slot, Study};
-use crate::trial::Trial;
-use rayon::prelude::*;
-use telemetry::{Key, SharedRecorder, Value};
+use crate::trial::{Configuration, Trial};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Mutex, PoisonError};
+use telemetry::{Key, Recorder, SharedRecorder, Value};
 
 /// Telemetry keys recorded by [`StudyServer`].
 pub mod server_keys {
@@ -67,10 +68,172 @@ pub struct StudyServer {
 struct Lane<'a> {
     session: Session<'a>,
     span: telemetry::SpanId,
-    /// Slots handed into the current wave (bounded by the study's cap).
-    in_wave: usize,
     /// The session returned `None` during the current fill pass.
     idle: bool,
+}
+
+/// A trial to run: its position in the wave, then what `Study::run_one` takes.
+type Job<'a> = (usize, &'a Study, usize, Configuration);
+
+/// A job's position in the wave and its trial, or the panic that ended it.
+type Done = (usize, std::thread::Result<Trial>);
+
+fn run_job((at, study, id, config): Job<'_>) -> Done {
+    (at, catch_unwind(AssertUnwindSafe(|| study.run_one(id, config))))
+}
+
+/// Execute a wave: adopted slots are trials already; of those to run, the
+/// last runs here and each of the others on a worker. Results come back
+/// in wave order; a trial's panic resumes here once every other trial of
+/// the wave has ended.
+fn run_wave<'a>(
+    wave: Vec<(usize, Slot)>,
+    studies: &[&'a Study],
+    jobs: &Sender<Job<'a>>,
+    done: &Receiver<Done>,
+) -> Vec<(usize, Trial)> {
+    let mut out: Vec<(usize, Option<Trial>)> = Vec::with_capacity(wave.len());
+    let (mut own, mut sent) = (None, 0);
+    for (lane, slot) in wave {
+        match slot {
+            Slot::Done(trial) => out.push((lane, Some(trial))),
+            Slot::Run { id, config } => {
+                // Keep the latest for this thread, post the one kept so far.
+                if let Some(job) = own.replace((out.len(), studies[lane], id, config)) {
+                    jobs.send(job).expect("the workers outlive the wave loop");
+                    sent += 1;
+                }
+                out.push((lane, None));
+            }
+        }
+    }
+    let posted = (0..sent).map(|_| done.recv().expect("a worker reports every job it takes"));
+    let mut panic = None;
+    for (at, result) in own.map(run_job).into_iter().chain(posted) {
+        match result {
+            Ok(trial) => out[at].1 = Some(trial),
+            Err(payload) => panic = panic.or(Some(payload)),
+        }
+    }
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+    out.into_iter().map(|(lane, trial)| (lane, trial.expect("every slot reported"))).collect()
+}
+
+/// The one wave loop: run every study to completion, at most `width`
+/// trials at once; outcomes are in the order given. A wave with at most
+/// one trial to run needs no worker, so a call of width 1 never starts a
+/// thread; a wider one keeps the scoped workers it starts (at most
+/// `width - 1`, as waves need them) until it returns — per call, never per
+/// wave, because a `RingRecorder` keeps a ring for every thread that ever
+/// recorded into it. `recorder` is the scheduler's own; studies keep theirs.
+pub(crate) fn run_waves(
+    studies: &[&Study],
+    width: usize,
+    recorder: &dyn Recorder,
+) -> Vec<StudyOutcome> {
+    assert!(width > 0, "a wave holds at least one trial");
+    let mut outcomes: Vec<StudyOutcome> = studies
+        .iter()
+        .map(|s| StudyOutcome { name: s.name().to_string(), trials: Vec::new(), error: None })
+        .collect();
+    let mut lanes: Vec<Option<Lane<'_>>> = Vec::with_capacity(studies.len());
+    for (study, outcome) in studies.iter().zip(&mut outcomes) {
+        lanes.push(match Session::start(study) {
+            Ok(session) => {
+                Some(Lane { session, span: recorder.span_begin(server_keys::STUDY), idle: false })
+            }
+            Err(e) => {
+                outcome.error = Some(e);
+                None
+            }
+        });
+    }
+
+    let (jobs, posted) = channel::<Job<'_>>();
+    let posted = Mutex::new(posted);
+    let (report, done) = channel::<Done>();
+    std::thread::scope(|scope| {
+        // Dropped when this closure ends, by return or by unwinding: the
+        // workers' `recv` fails and they leave.
+        let jobs = jobs;
+        let mut hired = 0;
+        let mut wave_no: u64 = 0;
+        while lanes.iter().any(Option::is_some) {
+            // Fill the wave round-robin: one slot per open lane per pass.
+            let mut wave: Vec<(usize, Slot)> = Vec::with_capacity(width);
+            loop {
+                let mut pulled = false;
+                for (i, entry) in lanes.iter_mut().enumerate() {
+                    if wave.len() == width {
+                        break;
+                    }
+                    let Some(lane) = entry else { continue };
+                    if lane.idle {
+                        continue;
+                    }
+                    match lane.session.next_slot() {
+                        Some(slot) => {
+                            wave.push((i, slot));
+                            pulled = true;
+                        }
+                        None => lane.idle = true,
+                    }
+                }
+                if !pulled || wave.len() == width {
+                    break;
+                }
+            }
+
+            // An empty wave skips to the close: every open lane is out of work.
+            let ran = !wave.is_empty();
+            if ran {
+                wave_no += 1;
+                recorder.event(
+                    server_keys::WAVE,
+                    &[
+                        (Key("wave"), Value::U64(wave_no)),
+                        (Key("trials"), Value::U64(wave.len() as u64)),
+                    ],
+                );
+                recorder.counter_add(server_keys::TRIALS, wave.len() as u64);
+
+                let runs = wave.iter().filter(|(_, slot)| matches!(slot, Slot::Run { .. })).count();
+                while hired + 1 < runs {
+                    let (posted, report) = (&posted, report.clone());
+                    scope.spawn(move || loop {
+                        // A statement of its own: the lock goes before the trial runs.
+                        let job = posted.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                        match job {
+                            Ok(job) => drop(report.send(run_job(job))),
+                            Err(_) => return,
+                        }
+                    });
+                    hired += 1;
+                }
+                // Wave order is id order within each study.
+                for (i, trial) in run_wave(wave, studies, &jobs, &done) {
+                    let lane = lanes[i].as_mut().expect("a lane with a slot in flight is open");
+                    lane.session.absorb(trial);
+                }
+            }
+
+            // A session that has once said `None` has nothing more to say:
+            // its lane closes now that its last slots are absorbed.
+            let stop = ran
+                && (recorder.should_stop() || studies.iter().any(|s| s.recorder().should_stop()));
+            for (i, entry) in lanes.iter_mut().enumerate() {
+                if let Some(lane) = entry.take_if(|lane| stop || lane.idle) {
+                    let session = lane.session;
+                    outcomes[i].trials =
+                        if stop { session.into_trials() } else { session.finish() };
+                    recorder.span_end(lane.span);
+                }
+            }
+        }
+    });
+    outcomes
 }
 
 impl StudyServer {
@@ -116,112 +279,7 @@ impl StudyServer {
     /// trials stay durable in each journal) and partial outcomes are
     /// returned — resubmitting the same studies resumes them.
     pub fn run_all(&self) -> Vec<StudyOutcome> {
-        let mut outcomes: Vec<StudyOutcome> = self
-            .studies
-            .iter()
-            .map(|s| StudyOutcome { name: s.name().to_string(), trials: Vec::new(), error: None })
-            .collect();
-        let mut lanes: Vec<Option<Lane<'_>>> = Vec::with_capacity(self.studies.len());
-        for (i, study) in self.studies.iter().enumerate() {
-            match Session::start(study) {
-                Ok(session) => lanes.push(Some(Lane {
-                    session,
-                    span: self.recorder.span_begin(server_keys::STUDY),
-                    in_wave: 0,
-                    idle: false,
-                })),
-                Err(e) => {
-                    outcomes[i].error = Some(e);
-                    lanes.push(None);
-                }
-            }
-        }
-
-        let mut wave_no: u64 = 0;
-        while lanes.iter().any(Option::is_some) {
-            // Fill the wave round-robin: one slot per open lane per pass.
-            let mut wave: Vec<(usize, Slot)> = Vec::with_capacity(self.width);
-            loop {
-                let mut pulled = false;
-                for (i, entry) in lanes.iter_mut().enumerate() {
-                    if wave.len() == self.width {
-                        break;
-                    }
-                    let Some(lane) = entry else { continue };
-                    let cap = self.studies[i].max_concurrent_trials().unwrap_or(self.width);
-                    if lane.idle || lane.in_wave >= cap.max(1) {
-                        continue;
-                    }
-                    match lane.session.next_slot() {
-                        Some(slot) => {
-                            lane.in_wave += 1;
-                            wave.push((i, slot));
-                            pulled = true;
-                        }
-                        None => lane.idle = true,
-                    }
-                }
-                if !pulled || wave.len() == self.width {
-                    break;
-                }
-            }
-
-            if wave.is_empty() {
-                // Every open lane is out of work: close them all.
-                for (i, entry) in lanes.iter_mut().enumerate() {
-                    if let Some(lane) = entry.take() {
-                        outcomes[i].trials = lane.session.finish();
-                        self.recorder.span_end(lane.span);
-                    }
-                }
-                break;
-            }
-
-            wave_no += 1;
-            self.recorder.event(
-                server_keys::WAVE,
-                &[
-                    (Key("wave"), Value::U64(wave_no)),
-                    (Key("trials"), Value::U64(wave.len() as u64)),
-                ],
-            );
-            self.recorder.counter_add(server_keys::TRIALS, wave.len() as u64);
-
-            let studies = &self.studies;
-            let results: Vec<(usize, Trial)> =
-                wave.into_par_iter().map(|(i, slot)| (i, studies[i].execute(slot))).collect();
-
-            // Absorb per lane, in id order within each study.
-            let mut per_lane: Vec<Vec<Trial>> = (0..lanes.len()).map(|_| Vec::new()).collect();
-            for (i, trial) in results {
-                per_lane[i].push(trial);
-            }
-            let stop = self.recorder.should_stop()
-                || self.studies.iter().any(|s| s.recorder().should_stop());
-            for (i, entry) in lanes.iter_mut().enumerate() {
-                let Some(lane) = entry else { continue };
-                lane.session.absorb(std::mem::take(&mut per_lane[i]));
-                lane.in_wave = 0;
-                if stop {
-                    let lane = entry.take().unwrap();
-                    outcomes[i].trials = lane.session.into_trials();
-                    self.recorder.span_end(lane.span);
-                } else if lane.idle {
-                    // Re-poll after absorbing: an idle lane may be truly
-                    // exhausted or just momentarily out of proposals.
-                    lane.idle = false;
-                    if lane.session.is_exhausted() {
-                        let lane = entry.take().unwrap();
-                        outcomes[i].trials = lane.session.finish();
-                        self.recorder.span_end(lane.span);
-                    }
-                }
-            }
-            if stop {
-                break;
-            }
-        }
-        outcomes
+        run_waves(&self.studies.iter().collect::<Vec<_>>(), self.width, self.recorder.as_ref())
     }
 }
 
@@ -262,7 +320,9 @@ mod tests {
     }
 
     #[test]
-    fn waves_interleave_fairly_and_respect_per_study_caps() {
+    fn waves_interleave_fairly() {
+        // Two studies with work share a width-4 wave 2+2, so neither ever
+        // has more than two trials in flight.
         let live = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
         let peak = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
         let mk = |idx: usize| {
@@ -271,7 +331,6 @@ mod tests {
                 .space(ParamSpace::builder().categorical_int("k", 0..8).build())
                 .explorer(GridSearch::new())
                 .metric(MetricDef::minimize("loss"))
-                .max_concurrent_trials(2)
                 .objective(move |cfg, _| {
                     let now = live[idx].fetch_add(1, Ordering::SeqCst) + 1;
                     peak[idx].fetch_max(now, Ordering::SeqCst);
@@ -282,17 +341,14 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let mut server = StudyServer::new(8);
+        let mut server = StudyServer::new(4);
         server.submit(mk(0));
         server.submit(mk(1));
         let outcomes = server.run_all();
         assert!(outcomes.iter().all(|o| o.trials.len() == 8));
         for (i, p) in peak.iter().enumerate() {
-            assert!(
-                p.load(Ordering::SeqCst) <= 2,
-                "study {i} ran {} trials concurrently despite a cap of 2",
-                p.load(Ordering::SeqCst)
-            );
+            let p = p.load(Ordering::SeqCst);
+            assert!(p <= 2, "study {i} ran {p} trials at once in its half of a width-4 wave");
         }
     }
 

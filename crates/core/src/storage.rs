@@ -22,10 +22,10 @@
 //! benign tear into mid-file corruption.
 
 use crate::wal::StudyEvent;
-use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// How hard [`Journal::append`] pushes each event toward the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,13 +129,18 @@ impl Journal {
         self.durability
     }
 
+    /// The writer, poisoned or not: the journal outlives a panicking trial.
+    fn writer(&self) -> MutexGuard<'_, Option<WalWriter>> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Append one event; returns its sequence number. The line is written
     /// with a single `write_all` on an `O_APPEND` descriptor, so
     /// concurrent appends from parallel trial waves cannot interleave
     /// within a line. The first append repairs a torn tail left by a
     /// previous crash (see the module docs).
     pub fn append(&self, event: &StudyEvent) -> Result<u64, JournalError> {
-        let mut guard = self.writer.lock();
+        let mut guard = self.writer();
         let writer = match guard.as_mut() {
             Some(w) => w,
             None => guard.insert(self.open_writer()?),
@@ -164,7 +169,7 @@ impl Journal {
     /// Push any buffered lines to the OS (meaningful under
     /// [`Durability::Buffered`]; a no-op otherwise).
     pub fn flush(&self) -> Result<(), JournalError> {
-        if let Some(w) = self.writer.lock().as_mut() {
+        if let Some(w) = self.writer().as_mut() {
             if !w.buf.is_empty() {
                 let buf = std::mem::take(&mut w.buf);
                 w.file.write_all(&buf)?;
@@ -176,7 +181,7 @@ impl Journal {
     /// Flush and `fdatasync` the log.
     pub fn sync(&self) -> Result<(), JournalError> {
         self.flush()?;
-        if let Some(w) = self.writer.lock().as_mut() {
+        if let Some(w) = self.writer().as_mut() {
             w.file.sync_data()?;
         }
         Ok(())
@@ -255,7 +260,7 @@ impl Journal {
 
     /// Delete the journal file if it exists (drops any open writer).
     pub fn clear(&self) -> Result<(), JournalError> {
-        *self.writer.lock() = None;
+        *self.writer() = None;
         if self.path.exists() {
             std::fs::remove_file(&self.path)?;
         }

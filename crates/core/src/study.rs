@@ -34,12 +34,10 @@ use crate::space::ParamSpace;
 use crate::storage::{Durability, Journal};
 use crate::trial::{Configuration, Trial, TrialStatus};
 use crate::wal::{Replay, StudyEvent};
-use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use telemetry::SharedRecorder;
 
 /// Telemetry keys for the trial lifecycle recorded by [`Study`].
@@ -121,8 +119,6 @@ pub struct Study {
     prune_metric_direction: Direction,
     journal: Option<Journal>,
     seed: u64,
-    /// Upper bound on concurrent trials in [`Study::run_parallel`].
-    max_concurrent_trials: Option<usize>,
     recorder: SharedRecorder,
     reuse_cache: Option<Arc<TrialCache>>,
     objective_fingerprint: String,
@@ -143,10 +139,11 @@ pub(crate) enum Slot {
 }
 
 /// Live run state of one study: the explorer lock, the exploration RNG,
-/// the accumulated history, and the replayed journal state. Both the
-/// in-process drivers ([`Study::run`] / [`Study::run_parallel`]) and the
-/// multi-study [`crate::server::StudyServer`] pull [`Slot`]s from a
-/// session, execute the runnable ones, and feed results back in id order.
+/// the accumulated history, and the replayed journal state. The wave loop
+/// (`crate::server::run_waves`, under [`Study::run`],
+/// [`Study::run_parallel`] and [`crate::server::StudyServer`]) pulls
+/// [`Slot`]s from a session, executes the runnable ones, and feeds results
+/// back in id order.
 pub(crate) struct Session<'a> {
     study: &'a Study,
     explorer: MutexGuard<'a, Box<dyn Explorer>>,
@@ -175,7 +172,7 @@ impl<'a> Session<'a> {
             replay = Replay::from_events(load.events)?;
             for ckpt in &replay.checkpoints {
                 if let StudyEvent::Checkpoint { study: s, seed, explorer, fingerprint, .. } = ckpt {
-                    let explorer_name = study.explorer.lock().name().to_string();
+                    let explorer_name = study.explorer().name().to_string();
                     if *s != study.name
                         || *seed != study.seed
                         || *explorer != explorer_name
@@ -195,7 +192,7 @@ impl<'a> Session<'a> {
             }
         }
         let session = Session {
-            explorer: study.explorer.lock(),
+            explorer: study.explorer(),
             rng: StdRng::seed_from_u64(study.seed),
             trials: Vec::new(),
             finished: replay.finished,
@@ -228,8 +225,8 @@ impl<'a> Session<'a> {
     }
 
     /// Hand out the next slot. Proposals see the history as of the last
-    /// [`Session::absorb`], so filling a wave of slots reproduces the
-    /// wave semantics of `run_parallel` exactly.
+    /// [`Session::absorb`]: every slot of a wave is proposed against the
+    /// trials of the waves before it.
     pub(crate) fn next_slot(&mut self) -> Option<Slot> {
         let id = self.trials.len() + self.handed;
         if let Some(t) = self.finished.remove(&id) {
@@ -279,21 +276,13 @@ impl<'a> Session<'a> {
         Some(Slot::Run { id, config })
     }
 
-    /// Whether the explorer has no further proposals (and nothing is left
-    /// to adopt from the journal).
-    pub(crate) fn is_exhausted(&self) -> bool {
-        self.exhausted && self.finished.is_empty() && self.in_flight.is_empty()
-    }
-
-    /// Feed back one wave of results (every slot handed out since the
-    /// previous absorb). Results are merged in id order so the history —
-    /// and therefore every later explorer proposal — is deterministic
-    /// regardless of completion order.
-    pub(crate) fn absorb(&mut self, mut results: Vec<Trial>) {
-        debug_assert!(results.len() <= self.handed);
-        results.sort_by_key(|t| t.id);
-        self.handed -= results.len();
-        self.trials.extend(results);
+    /// Feed back the result of a slot handed out earlier. Results come in
+    /// id order whatever order they completed in, so the history — and
+    /// therefore every later explorer proposal — is deterministic.
+    pub(crate) fn absorb(&mut self, trial: Trial) {
+        debug_assert_eq!(trial.id, self.trials.len(), "results are absorbed in id order");
+        self.handed -= 1;
+        self.trials.push(trial);
     }
 
     /// Close the session after a normal (exhausted) finish: append a
@@ -322,7 +311,6 @@ impl Study {
             journal: None,
             durability: None,
             seed: 0,
-            max_concurrent_trials: None,
             recorder: telemetry::null_recorder(),
             reuse_cache: None,
             objective_fingerprint: String::new(),
@@ -349,12 +337,12 @@ impl Study {
         &self.objective_fingerprint
     }
 
-    pub(crate) fn max_concurrent_trials(&self) -> Option<usize> {
-        self.max_concurrent_trials
-    }
-
     pub(crate) fn recorder(&self) -> &SharedRecorder {
         &self.recorder
+    }
+
+    fn explorer(&self) -> MutexGuard<'_, Box<dyn Explorer>> {
+        self.explorer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn journal_event(&self, ev: &StudyEvent) {
@@ -454,13 +442,6 @@ impl Study {
         trial
     }
 
-    pub(crate) fn execute(&self, slot: Slot) -> Trial {
-        match slot {
-            Slot::Done(t) => t,
-            Slot::Run { id, config } => self.run_one(id, config),
-        }
-    }
-
     /// Run trials sequentially until the explorer's budget is exhausted.
     ///
     /// Resumes from the journal when one is configured: already-stored
@@ -471,15 +452,7 @@ impl Study {
     /// gracefully between trials — everything already finished is durable
     /// and a later run picks up where it left off.
     pub fn run(&self) -> Result<Vec<Trial>, String> {
-        let mut session = Session::start(self)?;
-        while let Some(slot) = session.next_slot() {
-            let trial = self.execute(slot);
-            session.absorb(vec![trial]);
-            if self.recorder.should_stop() {
-                return Ok(session.into_trials());
-            }
-        }
-        Ok(session.finish())
+        self.run_parallel(1)
     }
 
     /// Explicit crash-resume entry point: identical to [`Study::run`]
@@ -493,42 +466,19 @@ impl Study {
         self.run()
     }
 
-    /// Run trials in waves of `parallelism` on a rayon pool.
+    /// Run trials in waves of `parallelism`, on that many threads.
     ///
     /// Exploration stays sequential between waves (adaptive explorers see
     /// the history of all previous waves), while objective evaluations
     /// within a wave run concurrently — the "distributed hyperparameter
-    /// search" §III-C attributes to Optuna/Hyperopt.
-    ///
-    /// The requested `parallelism` is clamped by the builder's
-    /// [`StudyBuilder::max_concurrent_trials`] cap when one is set: each
-    /// trial spins up its own simulated cluster (worker actors pinned to
-    /// threads), so an uncapped wave would oversubscribe the host.
+    /// search" §III-C attributes to Optuna/Hyperopt. Each trial of a
+    /// distributed backend spins up its own simulated cluster (worker
+    /// actors pinned to threads), so keep `parallelism` near the host's
+    /// core count.
     pub fn run_parallel(&self, parallelism: usize) -> Result<Vec<Trial>, String> {
-        assert!(parallelism > 0);
-        let parallelism = match self.max_concurrent_trials {
-            Some(cap) => parallelism.min(cap.max(1)),
-            None => parallelism,
-        };
-        let mut session = Session::start(self)?;
-        loop {
-            let mut wave = Vec::with_capacity(parallelism);
-            while wave.len() < parallelism {
-                match session.next_slot() {
-                    Some(slot) => wave.push(slot),
-                    None => break,
-                }
-            }
-            if wave.is_empty() {
-                break;
-            }
-            let results: Vec<Trial> = wave.into_par_iter().map(|slot| self.execute(slot)).collect();
-            session.absorb(results);
-            if self.recorder.should_stop() {
-                return Ok(session.into_trials());
-            }
-        }
-        Ok(session.finish())
+        let outcome =
+            crate::server::run_waves(&[self], parallelism, &telemetry::NullRecorder).remove(0);
+        outcome.error.map_or(Ok(outcome.trials), Err)
     }
 }
 
@@ -543,7 +493,6 @@ pub struct StudyBuilder {
     journal: Option<Journal>,
     durability: Option<Durability>,
     seed: u64,
-    max_concurrent_trials: Option<usize>,
     recorder: SharedRecorder,
     reuse_cache: Option<Arc<TrialCache>>,
     objective_fingerprint: String,
@@ -614,17 +563,6 @@ impl StudyBuilder {
         self
     }
 
-    /// Cap the number of trials evaluated concurrently by
-    /// [`Study::run_parallel`], regardless of the parallelism it is
-    /// called with. Each trial owns a full simulated cluster whose
-    /// worker actors occupy real threads, so studies driving the
-    /// distributed backends should cap waves near the host's core
-    /// count. Values below 1 are treated as 1.
-    pub fn max_concurrent_trials(mut self, cap: usize) -> Self {
-        self.max_concurrent_trials = Some(cap);
-        self
-    }
-
     /// Install a telemetry recorder. The study opens a
     /// [`study_keys::TRIAL`] span around every objective evaluation and
     /// counts trial outcomes under the [`study_keys`] counters. Defaults
@@ -677,7 +615,6 @@ impl StudyBuilder {
             prune_metric_direction,
             journal,
             seed: self.seed,
-            max_concurrent_trials: self.max_concurrent_trials,
             recorder: self.recorder,
             reuse_cache: self.reuse_cache,
             objective_fingerprint: self.objective_fingerprint,
@@ -747,45 +684,6 @@ mod tests {
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.config, b.config);
             assert_eq!(a.metrics, b.metrics);
-        }
-    }
-
-    #[test]
-    fn max_concurrent_trials_caps_the_wave_width() {
-        use std::sync::atomic::AtomicUsize as Au;
-        let live = Arc::new(Au::new(0));
-        let peak = Arc::new(Au::new(0));
-        let (l, p) = (live.clone(), peak.clone());
-        let study = Study::builder("t")
-            .space(ParamSpace::builder().categorical_int("k", 0..12).build())
-            .explorer(GridSearch::new())
-            .metric(MetricDef::minimize("loss"))
-            .max_concurrent_trials(2)
-            .objective(move |cfg, _| {
-                let now = l.fetch_add(1, Ordering::SeqCst) + 1;
-                peak_update(&p, now);
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                l.fetch_sub(1, Ordering::SeqCst);
-                Ok(MetricValues::new().with("loss", cfg.int("k").unwrap() as f64))
-            })
-            .build()
-            .unwrap();
-        let trials = study.run_parallel(8).unwrap();
-        assert_eq!(trials.len(), 12);
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "observed {} concurrent trials despite a cap of 2",
-            peak.load(Ordering::SeqCst)
-        );
-
-        fn peak_update(p: &Au, now: usize) {
-            let mut seen = p.load(Ordering::SeqCst);
-            while now > seen {
-                match p.compare_exchange(seen, now, Ordering::SeqCst, Ordering::SeqCst) {
-                    Ok(_) => break,
-                    Err(s) => seen = s,
-                }
-            }
         }
     }
 

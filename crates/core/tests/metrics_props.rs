@@ -1,37 +1,36 @@
-//! Property and closed-form tests for the distribution-first metrics:
+//! Seeded-sweep and closed-form tests for the distribution-first metrics:
 //! bootstrap determinism (including across thread counts) and exact
 //! agreement of CVaR / IQR / drawdown with hand-computed values.
 
 use decision::prelude::*;
-use proptest::prelude::*;
+use testkit::sweep;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const SEED: u64 = 0xB007;
 
-    /// A bootstrap CI is a pure function of (samples, spec): repeated
-    /// calls are bit-identical.
-    #[test]
-    fn bootstrap_ci_is_deterministic(
-        samples in prop::collection::vec(-100.0f64..100.0, 2..60),
-        seed in 0u64..1_000,
-        resamples in 10usize..200,
-    ) {
+/// A bootstrap CI is a pure function of (samples, spec): repeated
+/// calls are bit-identical.
+#[test]
+fn bootstrap_ci_is_deterministic() {
+    sweep(48, SEED, |g| {
+        let samples = g.vec(2..60, |g| g.f64_in(-100.0..100.0));
+        let (seed, resamples) = (g.int_in(0u64..1_000), g.int_in(10usize..200));
         let d = Distribution::from_samples(samples);
         let spec = BootstrapSpec { level: 0.9, resamples, seed };
         let a = d.bootstrap_ci(&spec);
         let b = d.bootstrap_ci(&spec);
-        prop_assert_eq!(a.lo.to_bits(), b.lo.to_bits());
-        prop_assert_eq!(a.hi.to_bits(), b.hi.to_bits());
-    }
+        assert_eq!(a.lo.to_bits(), b.lo.to_bits());
+        assert_eq!(a.hi.to_bits(), b.hi.to_bits());
+    });
+}
 
-    /// The same (seed, resamples) gives the same interval no matter how
-    /// many threads compute it concurrently: the resampler's RNG state is
-    /// local to the call, never shared or work-stealing-dependent.
-    #[test]
-    fn bootstrap_ci_is_thread_count_invariant(
-        samples in prop::collection::vec(-50.0f64..50.0, 4..40),
-        seed in 0u64..1_000,
-    ) {
+/// The same (seed, resamples) gives the same interval no matter how
+/// many threads compute it concurrently: the resampler's RNG state is
+/// local to the call, never shared or work-stealing-dependent.
+#[test]
+fn bootstrap_ci_is_thread_count_invariant() {
+    sweep(48, SEED, |g| {
+        let samples = g.vec(4..40, |g| g.f64_in(-50.0..50.0));
+        let seed = g.int_in(0u64..1_000);
         let d = Distribution::from_samples(samples);
         let spec = BootstrapSpec { level: 0.95, resamples: 64, seed };
         let reference = d.bootstrap_ci(&spec);
@@ -50,39 +49,41 @@ proptest! {
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
             for (lo, hi) in bits {
-                prop_assert_eq!(lo, reference.lo.to_bits(), "{threads} threads");
-                prop_assert_eq!(hi, reference.hi.to_bits(), "{threads} threads");
+                assert_eq!(lo, reference.lo.to_bits(), "{threads} threads");
+                assert_eq!(hi, reference.hi.to_bits(), "{threads} threads");
             }
         }
-    }
+    });
+}
 
-    /// Percentile-bootstrap bounds of the mean are ordered and stay
-    /// inside the sample range (every resampled mean does).
-    #[test]
-    fn bootstrap_ci_is_ordered_and_bounded(
-        samples in prop::collection::vec(-10.0f64..10.0, 2..50),
-        seed in 0u64..100,
-    ) {
+/// Percentile-bootstrap bounds of the mean are ordered and stay
+/// inside the sample range (every resampled mean does).
+#[test]
+fn bootstrap_ci_is_ordered_and_bounded() {
+    sweep(48, SEED, |g| {
+        let samples = g.vec(2..50, |g| g.f64_in(-10.0..10.0));
+        let seed = g.int_in(0u64..100);
         let d = Distribution::from_samples(samples);
         let spec = BootstrapSpec { level: 0.95, resamples: 50, seed };
         let ci = d.bootstrap_ci(&spec);
-        prop_assert!(ci.lo <= ci.hi);
-        prop_assert!(ci.lo >= d.min() - 1e-12);
-        prop_assert!(ci.hi <= d.max() + 1e-12);
-    }
+        assert!(ci.lo <= ci.hi);
+        assert!(ci.lo >= d.min() - 1e-12);
+        assert!(ci.hi <= d.max() + 1e-12);
+    });
+}
 
-    /// CVaR tails bracket the mean and tighten monotonically: a smaller
-    /// alpha keeps only worse outcomes.
-    #[test]
-    fn cvar_tails_bracket_the_mean(
-        samples in prop::collection::vec(-100.0f64..100.0, 1..60),
-    ) {
+/// CVaR tails bracket the mean and tighten monotonically: a smaller
+/// alpha keeps only worse outcomes.
+#[test]
+fn cvar_tails_bracket_the_mean() {
+    sweep(48, SEED, |g| {
+        let samples = g.vec(1..60, |g| g.f64_in(-100.0..100.0));
         let d = Distribution::from_samples(samples);
-        prop_assert!(d.cvar_lower(0.1) <= d.mean() + 1e-9);
-        prop_assert!(d.cvar_upper(0.1) >= d.mean() - 1e-9);
-        prop_assert!(d.cvar_lower(0.1) <= d.cvar_lower(0.5) + 1e-9);
-        prop_assert!(d.cvar_upper(0.1) >= d.cvar_upper(0.5) - 1e-9);
-    }
+        assert!(d.cvar_lower(0.1) <= d.mean() + 1e-9);
+        assert!(d.cvar_upper(0.1) >= d.mean() - 1e-9);
+        assert!(d.cvar_lower(0.1) <= d.cvar_lower(0.5) + 1e-9);
+        assert!(d.cvar_upper(0.1) >= d.cvar_upper(0.5) - 1e-9);
+    });
 }
 
 /// Risk::Mean never changes a ranking: the order is the scalar order

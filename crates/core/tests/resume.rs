@@ -215,10 +215,10 @@ fn warm_cache_resubmission_executes_zero_trials() {
     Journal::new(&path).clear().unwrap();
 }
 
-mod proptests {
+mod sweeps {
     use super::*;
     use decision::param::ParamValue;
-    use proptest::prelude::*;
+    use testkit::sweep;
 
     /// Fold arbitrary `(op, step, value)` triples into a semantically
     /// valid event sequence (starts precede reports/finishes, ids are
@@ -294,20 +294,15 @@ mod proptests {
         events
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// replay(load(append(events))) round-trips: appending any valid
-        /// event sequence and loading it back yields the same events, a
-        /// clean (non-torn) log, and an identical replayed state.
-        #[test]
-        fn wal_append_load_replay_round_trips(
-            ops in prop::collection::vec(
-                (0u8..12, 0u64..1000, -1.0e9f64..1.0e9),
-                0..60,
-            ),
-            case in 0u64..u64::MAX,
-        ) {
+    /// replay(load(append(events))) round-trips: appending any valid
+    /// event sequence and loading it back yields the same events, a
+    /// clean (non-torn) log, and an identical replayed state.
+    #[test]
+    fn wal_append_load_replay_round_trips() {
+        sweep(64, 0x3A1, |g| {
+            let ops = g
+                .vec(0..60, |g| (g.int_in(0u8..12), g.int_in(0u64..1000), g.f64_in(-1.0e9..1.0e9)));
+            let case = g.u64();
             let events = build_events(&ops);
             let mut path = std::env::temp_dir();
             path.push(format!("decision-wal-prop-{}-{case}", std::process::id()));
@@ -318,15 +313,15 @@ mod proptests {
             }
             drop(journal);
             let load = Journal::new(&path).load().unwrap();
-            prop_assert!(!load.torn_tail);
-            prop_assert_eq!(format!("{:?}", load.events), format!("{events:?}"));
+            assert!(!load.torn_tail);
+            assert_eq!(format!("{:?}", load.events), format!("{events:?}"));
             let replayed = Replay::from_events(load.events).unwrap();
             let original = Replay::from_events(events).unwrap();
-            prop_assert_eq!(
+            assert_eq!(
                 format!("{:?}", (&replayed.finished, &replayed.in_flight)),
                 format!("{:?}", (&original.finished, &original.in_flight))
             );
             Journal::new(&path).clear().unwrap();
-        }
+        });
     }
 }

@@ -1,11 +1,11 @@
-//! Symmetry/bounds properties of the counterfactual divergences,
-//! mirroring the `metrics_props.rs` style: deterministic seed sweeps
-//! carry the assertions everywhere, `proptest!` blocks fuzz the same
-//! properties in CI.
+//! Symmetry/bounds properties of the counterfactual divergences: fixed
+//! seed grids first, then seeded sweeps that draw the samples themselves.
 
 use counterfactual::{js_divergence, wasserstein_1, Aggregate, JS_BOUND};
 use decision::distribution::Distribution;
-use proptest::prelude::*;
+use testkit::sweep;
+
+const SEED: u64 = 0xD1FF;
 
 /// SplitMix64 step, the repo's dependency-free deterministic stream.
 fn mix(state: &mut u64) -> u64 {
@@ -61,7 +61,9 @@ fn aggregate_ordering_holds_across_a_seed_sweep() {
         let max = Aggregate::Max.apply(&scores);
         assert!(mean <= weighted + 1e-12, "mean ≤ weighted_mean (Cauchy–Schwarz)");
         assert!(weighted <= max + 1e-12, "weighted_mean ≤ max");
-        assert!(Aggregate::Max.apply(&scores) >= scores.iter().copied().fold(0.0, f64::max) - 1e-12);
+        assert!(
+            Aggregate::Max.apply(&scores) >= scores.iter().copied().fold(0.0, f64::max) - 1e-12
+        );
     }
 }
 
@@ -71,65 +73,64 @@ fn w1_shift_invariance_across_a_seed_sweep() {
     for seed in 0..12u64 {
         let raw_a = samples(seed, 6, 4.0, 0.0);
         let raw_b = samples(seed ^ 99, 6, 4.0, 1.0);
-        let d = |v: &[f64], c: f64| {
-            Distribution::from_samples(v.iter().map(|x| x + c).collect())
-        };
+        let d = |v: &[f64], c: f64| Distribution::from_samples(v.iter().map(|x| x + c).collect());
         let base = wasserstein_1(&d(&raw_a, 0.0), &d(&raw_b, 0.0));
         let shifted = wasserstein_1(&d(&raw_a, 100.0), &d(&raw_b, 100.0));
         assert!((base - shifted).abs() < 1e-9, "shift-invariant: {base} vs {shifted}");
     }
 }
 
-proptest::proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// JS is symmetric to addition-order noise, bounded by ln 2, zero on
-    /// itself; W1 is exactly symmetric and non-negative.
-    #[test]
-    fn divergences_are_symmetric_and_bounded(
-        a in prop::collection::vec(-50.0f64..50.0, 1..40),
-        b in prop::collection::vec(-50.0f64..50.0, 1..40),
-        bins in 1usize..64,
-    ) {
+/// JS is symmetric to addition-order noise, bounded by ln 2, zero on
+/// itself; W1 is exactly symmetric and non-negative.
+#[test]
+fn divergences_are_symmetric_and_bounded() {
+    sweep(64, SEED, |g| {
+        let a = g.vec(1..40, |g| g.f64_in(-50.0..50.0));
+        let b = g.vec(1..40, |g| g.f64_in(-50.0..50.0));
+        let bins = g.int_in(1usize..64);
         let da = Distribution::from_samples(a);
         let db = Distribution::from_samples(b);
         let js_ab = js_divergence(&da, &db, bins);
         let js_ba = js_divergence(&db, &da, bins);
-        prop_assert!((js_ab - js_ba).abs() < 1e-12);
-        prop_assert!((0.0..=JS_BOUND + 1e-12).contains(&js_ab));
-        prop_assert_eq!(js_divergence(&da, &da, bins), 0.0);
+        assert!((js_ab - js_ba).abs() < 1e-12);
+        assert!((0.0..=JS_BOUND + 1e-12).contains(&js_ab));
+        assert_eq!(js_divergence(&da, &da, bins), 0.0);
         let w_ab = wasserstein_1(&da, &db);
-        prop_assert_eq!(w_ab.to_bits(), wasserstein_1(&db, &da).to_bits());
-        prop_assert!(w_ab >= 0.0);
-        prop_assert_eq!(wasserstein_1(&da, &da), 0.0);
-    }
+        assert_eq!(w_ab.to_bits(), wasserstein_1(&db, &da).to_bits());
+        assert!(w_ab >= 0.0);
+        assert_eq!(wasserstein_1(&da, &da), 0.0);
+    });
+}
 
-    /// W1 carries scale: it is bounded by the union support span and is
-    /// translation-invariant.
-    #[test]
-    fn w1_is_span_bounded_and_shift_invariant(
-        a in prop::collection::vec(-20.0f64..20.0, 1..30),
-        b in prop::collection::vec(-20.0f64..20.0, 1..30),
-        shift in -100.0f64..100.0,
-    ) {
+/// W1 carries scale: it is bounded by the union support span and is
+/// translation-invariant.
+#[test]
+fn w1_is_span_bounded_and_shift_invariant() {
+    sweep(64, SEED, |g| {
+        let a = g.vec(1..30, |g| g.f64_in(-20.0..20.0));
+        let b = g.vec(1..30, |g| g.f64_in(-20.0..20.0));
+        let shift = g.f64_in(-100.0..100.0);
         let da = Distribution::from_samples(a.clone());
         let db = Distribution::from_samples(b.clone());
         let w = wasserstein_1(&da, &db);
         let span = da.max().max(db.max()) - da.min().min(db.min());
-        prop_assert!(w <= span + 1e-12);
+        assert!(w <= span + 1e-12);
         let sa = Distribution::from_samples(a.iter().map(|x| x + shift).collect());
         let sb = Distribution::from_samples(b.iter().map(|x| x + shift).collect());
-        prop_assert!((wasserstein_1(&sa, &sb) - w).abs() < 1e-9);
-    }
+        assert!((wasserstein_1(&sa, &sb) - w).abs() < 1e-9);
+    });
+}
 
-    /// Aggregation rules stay ordered mean ≤ weighted_mean ≤ max on
-    /// non-negative scores.
-    #[test]
-    fn aggregates_stay_ordered(scores in prop::collection::vec(0.0f64..10.0, 0..20)) {
+/// Aggregation rules stay ordered mean ≤ weighted_mean ≤ max on
+/// non-negative scores.
+#[test]
+fn aggregates_stay_ordered() {
+    sweep(64, SEED, |g| {
+        let scores = g.vec(0..20, |g| g.f64_in(0.0..10.0));
         let mean = Aggregate::Mean.apply(&scores);
         let weighted = Aggregate::WeightedMean.apply(&scores);
         let max = Aggregate::Max.apply(&scores);
-        prop_assert!(mean <= weighted + 1e-12);
-        prop_assert!(weighted <= max + 1e-12);
-    }
+        assert!(mean <= weighted + 1e-12);
+        assert!(weighted <= max + 1e-12);
+    });
 }

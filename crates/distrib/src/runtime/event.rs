@@ -28,6 +28,9 @@ use rl_algos::policy::ActorCritic;
 pub const WILDCARD_ROUND: u64 = u64::MAX;
 
 /// A driver-issued order to one worker actor.
+// The big variant carries an `RngStream` (a whole ChaCha12 block buffer)
+// by value, like `Event::SegmentReady`; the two fields stay one type.
+#[allow(clippy::large_enum_variant)]
 pub enum Command {
     /// Collect a segment for `round`: `steps` collector-native steps
     /// (env steps for per-env workers, lockstep ticks for vectorized
@@ -64,6 +67,10 @@ pub enum Command {
 }
 
 /// A worker-emitted event.
+// The big variant carries an `RngStream` (a whole ChaCha12 block buffer)
+// by value. `benchmark/src/probes.rs` writes `Event::SegmentReady { rng, .. }`
+// out field by field, so boxing it is a change to the measuring stick.
+#[allow(clippy::large_enum_variant)]
 pub enum Event {
     /// A collection order finished.
     SegmentReady {

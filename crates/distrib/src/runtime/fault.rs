@@ -349,7 +349,7 @@ mod inject {
         }
     }
 
-    use parking_lot::Mutex;
+    use std::sync::{Mutex, PoisonError};
 
     static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
 
@@ -357,16 +357,16 @@ mod inject {
     /// afterwards snapshots it (tests serialize on their own lock, as
     /// with `test_hooks::set_stagger_ms`).
     pub fn install_plan(plan: FaultPlan) {
-        *PLAN.lock() = Some(Arc::new(plan));
+        *PLAN.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(plan));
     }
 
     /// Remove the installed plan.
     pub fn clear_plan() {
-        *PLAN.lock() = None;
+        *PLAN.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     pub(crate) fn current_plan() -> Option<Arc<FaultPlan>> {
-        PLAN.lock().clone()
+        PLAN.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 

@@ -808,7 +808,7 @@ impl Drop for Runtime<'_> {
 /// are independent of worker completion order.
 #[doc(hidden)]
 pub mod test_hooks {
-    use parking_lot::Mutex;
+    use std::sync::{Mutex, PoisonError};
     use std::time::Duration;
 
     static STAGGER_MS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
@@ -817,16 +817,17 @@ pub mod test_hooks {
     /// beyond the slice are undelayed). Global: affects every runtime
     /// spawned afterwards in this process.
     pub fn set_stagger_ms(ms: Vec<u64>) {
-        *STAGGER_MS.lock() = ms;
+        *STAGGER_MS.lock().unwrap_or_else(PoisonError::into_inner) = ms;
     }
 
     /// Remove all injected delays.
     pub fn clear_stagger() {
-        STAGGER_MS.lock().clear();
+        STAGGER_MS.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
 
     pub(super) fn stagger_for(worker: usize) -> Option<Duration> {
-        STAGGER_MS.lock().get(worker).copied().filter(|&ms| ms > 0).map(Duration::from_millis)
+        let stagger = STAGGER_MS.lock().unwrap_or_else(PoisonError::into_inner);
+        stagger.get(worker).copied().filter(|&ms| ms > 0).map(Duration::from_millis)
     }
 }
 
@@ -836,9 +837,9 @@ mod tests {
     use super::*;
     use gymrs::envs::GridWorld;
     use gymrs::{Environment, Space};
-    use parking_lot::Mutex;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::{Mutex, PoisonError};
 
     /// Serializes tests that touch the process-global fault plan.
     static PLAN_LOCK: Mutex<()> = Mutex::new(());
@@ -940,7 +941,7 @@ mod tests {
 
     #[test]
     fn failure_without_policy_is_an_err_not_a_panic() {
-        let _guard = PLAN_LOCK.lock();
+        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         install_plan(FaultPlan::new().fault(1, 0, FaultKind::Panic));
         let (specs, policy) = specs(&[0, 0]);
         let mut rt = Runtime::spawn(specs, &policy);
@@ -959,7 +960,7 @@ mod tests {
 
     #[test]
     fn retry_absorbs_a_contained_panic() {
-        let _guard = PLAN_LOCK.lock();
+        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         install_plan(FaultPlan::new().fault(0, 1, FaultKind::Panic));
         let (specs, policy) = specs(&[0, 0]);
         let mut rt = Runtime::spawn(specs, &policy)
@@ -980,7 +981,7 @@ mod tests {
 
     #[test]
     fn respawn_recovers_a_dead_thread() {
-        let _guard = PLAN_LOCK.lock();
+        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         install_plan(FaultPlan::new().fault(1, 0, FaultKind::Crash));
         let (mut specs, policy) = specs(&[0, 0]);
         specs[1] = WorkerSpec::new(0, grid_collector(2)).with_respawn(|| grid_collector(2));
@@ -998,7 +999,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_quarantine_and_degrade() {
-        let _guard = PLAN_LOCK.lock();
+        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         install_plan(FaultPlan::new().fault(2, 0, FaultKind::Panic));
         let (specs, policy) = specs(&[0, 0, 0]);
         let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {
@@ -1023,7 +1024,7 @@ mod tests {
 
     #[test]
     fn injected_hang_surfaces_as_worker_timed_out() {
-        let _guard = PLAN_LOCK.lock();
+        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         install_plan(FaultPlan::new().fault(0, 0, FaultKind::Hang { millis: 300 }));
         let (specs, policy) = specs(&[0, 0]);
         let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {
@@ -1043,7 +1044,7 @@ mod tests {
     #[test]
     fn whatif_hang_names_the_overdue_worker() {
         use gymrs::Action;
-        let _guard = PLAN_LOCK.lock();
+        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         install_plan(FaultPlan::new().fault(1, 7, FaultKind::Hang { millis: 120 }));
         let (specs, policy) = specs(&[0, 0, 0]);
         let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {
@@ -1071,7 +1072,7 @@ mod tests {
 
     #[test]
     fn hang_quarantine_drops_the_stale_answer() {
-        let _guard = PLAN_LOCK.lock();
+        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         install_plan(FaultPlan::new().fault(0, 0, FaultKind::Hang { millis: 120 }));
         let (specs, policy) = specs(&[0, 0]);
         let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {

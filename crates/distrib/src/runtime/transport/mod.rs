@@ -180,7 +180,7 @@ pub(crate) trait Transport: Send {
 
 // ------------------------------------------------------- worker binary
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 static WORKER_BIN_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
 
@@ -189,7 +189,7 @@ static WORKER_BIN_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
 /// process-global but thread-safe (unlike `std::env::set_var`).
 #[doc(hidden)]
 pub fn set_worker_bin_for_tests(path: impl Into<PathBuf>) {
-    *WORKER_BIN_OVERRIDE.lock() = Some(path.into());
+    *WORKER_BIN_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) = Some(path.into());
 }
 
 /// Locate the `rldt-worker` binary: the test override, then
@@ -197,7 +197,7 @@ pub fn set_worker_bin_for_tests(path: impl Into<PathBuf>) {
 /// itself in `target/<profile>/`, or one directory up for test
 /// executables living in `deps/`).
 pub(crate) fn resolve_worker_bin() -> Option<PathBuf> {
-    if let Some(p) = WORKER_BIN_OVERRIDE.lock().clone() {
+    if let Some(p) = WORKER_BIN_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner).clone() {
         return p.is_file().then_some(p);
     }
     if let Ok(p) = std::env::var("RLDT_WORKER_BIN") {

@@ -154,6 +154,8 @@ struct WireCounters {
 
 // -------------------------------------------------------- reader threads
 
+// `Event` is big for the reason given on it.
+#[allow(clippy::large_enum_variant)]
 enum ReaderItem {
     Event(Event),
     Eof,

@@ -32,12 +32,12 @@ use dist_exec::runtime::{
 use dist_exec::{train_impala, Deployment, ExecSpec, Framework, ImpalaOpts};
 use gymrs::envs::GridWorld;
 use gymrs::{Environment, Space};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_algos::policy::ActorCritic;
 use rl_algos::Algorithm;
 use std::sync::{Arc, Mutex};
+use testkit::sweep;
 
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
@@ -289,14 +289,13 @@ fn failures_error_instead_of_panicking_on_every_backend() {
 
 // ---- chaos sweep ------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// 16 seeded random fault schedules × 4 backends = 64 chaos runs,
-    /// each executed twice: none may abort, and each pair must agree
-    /// bitwise (the telemetry reconciliation runs inside `run_target`).
-    #[test]
-    fn random_fault_schedules_never_abort_and_stay_deterministic(seed in 0u64..1 << 16) {
+/// 16 seeded random fault schedules × 4 backends = 64 chaos runs,
+/// each executed twice: none may abort, and each pair must agree
+/// bitwise (the telemetry reconciliation runs inside `run_target`).
+#[test]
+fn random_fault_schedules_never_abort_and_stay_deterministic() {
+    sweep(16, 0xFA17, |g| {
+        let seed = g.int_in(0u64..1 << 16);
         let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for target in TARGETS {
             let plan = FaultPlan::random(seed, target.workers(), target.rounds(), 2);
@@ -307,8 +306,8 @@ proptest! {
             let (b, degraded_b) = run_target(target, chaos_policy())
                 .unwrap_or_else(|e| panic!("{target:?} seed {seed}: repeat aborted: {e}"));
             clear_plan();
-            prop_assert_eq!(&a, &b, "{:?} seed {}: chaos runs must be bitwise identical", target, seed);
-            prop_assert_eq!(degraded_a, degraded_b);
+            assert_eq!(&a, &b, "{:?} seed {}: chaos runs must be bitwise identical", target, seed);
+            assert_eq!(degraded_a, degraded_b);
         }
-    }
+    });
 }

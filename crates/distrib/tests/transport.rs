@@ -8,8 +8,8 @@
 //!
 //! Also here: wire-codec round-trips over adversarial payload shapes
 //! (empty rollouts, varint boundary values, NaN/infinity bit patterns,
-//! unicode reasons) checked by exact re-encoding, plus `proptest!`
-//! versions that fuzz the same properties in CI.
+//! unicode reasons) checked by exact re-encoding, plus seeded sweeps
+//! of the same properties over drawn fields.
 
 use dist_exec::backend::run;
 use dist_exec::backends::common::Segment;
@@ -216,24 +216,32 @@ fn frames_survive_byte_dribble() {
     assert_eq!(reenc, original);
 }
 
-// CI fuzz pass over the same properties (the offline proptest stub
-// swallows these bodies; the deterministic cases above always run).
-proptest::proptest! {
-    #[test]
-    fn collect_commands_round_trip_fuzzed(round in 0u64.., steps in 0usize..1_000_000, seed in 0u64.., draws in 0usize..512) {
+// Seeded sweeps over the same properties, past the cases above.
+#[test]
+fn collect_commands_round_trip_fuzzed() {
+    testkit::sweep(256, 0xC0DEC, |g| {
+        let (round, steps) = (g.u64(), g.int_in(0usize..1_000_000));
+        let (seed, draws) = (g.u64(), g.int_in(0usize..512));
         let mut w = FrameWriter::new();
         let mut cmd = Command::Collect { round, steps, rng: advanced_stream(seed, draws) };
         let frame = encode_command(&mut w, &mut cmd, &mut RngCache::new()).to_vec();
-        proptest::prop_assert_eq!(reencode_command(&frame), frame);
-    }
+        assert_eq!(reencode_command(&frame), frame);
+    });
+}
 
-    #[test]
-    fn worker_failed_round_trips_fuzzed(worker in 0usize..1024, round in 0u64.., reason in ".*", fatal: bool) {
+#[test]
+fn worker_failed_round_trips_fuzzed() {
+    testkit::sweep(256, 0xC0DEC, |g| {
+        let (worker, round, fatal) = (g.int_in(0usize..1024), g.u64(), g.bool());
+        // Any scalar values, surrogates mapped to U+FFFD, up to 32 of them.
+        let scalar =
+            |g: &mut testkit::Gen| char::from_u32(g.int_in(0u32..0x11_0000)).unwrap_or('\u{FFFD}');
+        let reason: String = g.vec(0..33, scalar).into_iter().collect();
         let mut w = FrameWriter::new();
         let mut ev = Event::WorkerFailed { worker, round, reason, fatal };
         let frame = encode_event(&mut w, &mut ev, &mut RngCache::new()).to_vec();
-        proptest::prop_assert_eq!(reencode_event(&frame), frame);
-    }
+        assert_eq!(reencode_event(&frame), frame);
+    });
 }
 
 // ---- cross-transport determinism --------------------------------------
@@ -282,12 +290,8 @@ fn run_impala(transport: Option<&str>) -> (Vec<u64>, u64) {
         ..Default::default()
     };
     let mut session = cluster_sim::ClusterSession::new(cluster_sim::ClusterSpec::paper_testbed(2));
-    let report = dist_exec::train_impala(
-        &opts,
-        &EnvBlueprint::Grid { n: 3 },
-        &mut session,
-    )
-    .expect("impala runs");
+    let report = dist_exec::train_impala(&opts, &EnvBlueprint::Grid { n: 3 }, &mut session)
+        .expect("impala runs");
     let usage = session.finish();
     (fingerprint(&report.train_returns, usage.wall_s, usage.energy_j), usage.wire_bytes)
 }

@@ -44,7 +44,7 @@ impl Action {
 /// (recorded in [`EnvSnapshot::rng_seed`]) and drops any hidden
 /// integrator caches (FSAL derivatives), so that after the call the live
 /// environment and any restored copy are in bitwise-identical states.
-/// The guaranteed property, which the snapshot round-trip proptests pin
+/// The guaranteed property, which the snapshot round-trip sweeps pin
 /// down for every snapshot-capable environment:
 ///
 /// ```text

@@ -340,7 +340,7 @@ impl<E: Environment> VecEnv<E> {
     /// from the call so the tick buffers can be reused allocation-free
     /// (the batched path performs zero heap allocations on ticks where no
     /// episode ends). Batched and scalar paths are bitwise-identical; the
-    /// ODE-level proptests and the backend determinism regression pin
+    /// ODE-level sweeps and the backend determinism regression pin
     /// that down.
     pub fn step_lockstep(&mut self, actions: &[Action]) {
         assert_eq!(actions.len(), self.envs.len(), "one action per sub-env");

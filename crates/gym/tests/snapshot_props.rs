@@ -6,11 +6,13 @@
 //! uninterrupted `step^n` stream exactly — observations, rewards and
 //! termination flags, bit for bit — at any capture point, under any seed.
 //!
-//! Deterministic sweeps cover a seed × capture-point grid so the property
-//! always runs; the proptest blocks fuzz the same invariant in CI.
+//! Grids cover a seed × capture-point product; seeded sweeps draw both
+//! from the whole range.
 
 use gymrs::envs::{GridWorld, Pendulum, PointMass};
 use gymrs::{Action, Environment, SnapshotError, Step};
+
+const SEED: u64 = 0x6A11;
 
 /// SplitMix64 — deterministic per-step action source without an RNG dep.
 fn mix(mut z: u64) -> u64 {
@@ -22,8 +24,7 @@ fn mix(mut z: u64) -> u64 {
 
 /// A value in [-1, 1] derived from `(seed, t)`.
 fn unit_f64(seed: u64, t: usize) -> f64 {
-    (mix(seed ^ (t as u64).wrapping_mul(0x517c_c1b7_2722_0a95)) >> 11) as f64
-        / (1u64 << 53) as f64
+    (mix(seed ^ (t as u64).wrapping_mul(0x517c_c1b7_2722_0a95)) >> 11) as f64 / (1u64 << 53) as f64
         * 2.0
         - 1.0
 }
@@ -188,28 +189,32 @@ fn boxed_env_forwards_snapshot_and_restore() {
     assert!(boxed.restore(&snap).is_ok());
 }
 
-// CI fuzz pass over the same property (the offline proptest stub swallows
-// these bodies; the deterministic sweeps above always run).
-proptest::proptest! {
-    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn prop_grid_world_round_trips(seed in 0u64..1_000_000, capture_at in 0usize..12) {
+// Seeded sweeps over the same property, past the grids above.
+#[test]
+fn grid_world_round_trips_across_a_sweep() {
+    testkit::sweep(48, SEED, |g| {
+        let (seed, capture_at) = (g.int_in(0u64..1_000_000), g.below(12));
         let make = || {
             let mut e = GridWorld::new(5);
             e.slip = 0.35;
             e
         };
         assert_round_trip(&make, &grid_action(seed), seed, capture_at, 24);
-    }
+    });
+}
 
-    #[test]
-    fn prop_point_mass_round_trips(seed in 0u64..1_000_000, capture_at in 0usize..40) {
+#[test]
+fn point_mass_round_trips_across_a_sweep() {
+    testkit::sweep(48, SEED, |g| {
+        let (seed, capture_at) = (g.int_in(0u64..1_000_000), g.below(40));
         assert_round_trip(&PointMass::new, &planar_action(seed), seed, capture_at, 40);
-    }
+    });
+}
 
-    #[test]
-    fn prop_pendulum_round_trips(seed in 0u64..1_000_000, capture_at in 0usize..60) {
+#[test]
+fn pendulum_round_trips_across_a_sweep() {
+    testkit::sweep(48, SEED, |g| {
+        let (seed, capture_at) = (g.int_in(0u64..1_000_000), g.below(60));
         assert_round_trip(&Pendulum::new, &scalar_action(seed), seed, capture_at, 60);
-    }
+    });
 }

@@ -21,9 +21,9 @@
 //! Networks are small (the paper's policies are the default 64×64 MLPs of
 //! the Python frameworks) but they are evaluated millions of times per
 //! study, so the dense kernels are register-blocked (`i-k-j` order with
-//! the `k` loop unrolled 4×), parallelised with rayon above a size
-//! threshold, and every hot path has an `_into` variant that reuses
-//! caller-held buffers — see the "Performance" section of DESIGN.md.
+//! the `k` loop unrolled 4×) and every hot path has an `_into` variant
+//! that reuses caller-held buffers — see the "Performance" section of
+//! DESIGN.md.
 
 pub mod dist;
 pub mod init;
@@ -35,7 +35,7 @@ pub mod optim;
 
 pub use dist::{Categorical, DiagGaussian, SquashedGaussian};
 pub use layer::{Activation, Linear};
-pub use matrix::{Matrix, PAR_THRESHOLD};
+pub use matrix::Matrix;
 pub use mlp::{Mlp, Tape};
 pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
 

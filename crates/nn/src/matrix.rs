@@ -10,22 +10,13 @@
 //! with four partial sums. What is fixed is the reduction order *of one
 //! output element*; the vector tiers put neighbouring elements in their
 //! lanes and evaluate the same expression tree in each, so results are
-//! bit-identical to the scalar loops on every tier. Above
-//! [`PAR_THRESHOLD`] multiply-add operations the row loop is split across
-//! the rayon global pool.
+//! bit-identical to the scalar loops on every tier.
 //!
 //! Determinism contract: the accumulation order for an output row depends
 //! only on the shared dimensions (`k`, `n`), never on the number of rows
-//! `m` being multiplied, and the parallel path assigns whole rows to
-//! threads. Evaluating a `batch × features` matrix therefore produces
-//! bitwise the same rows as evaluating each row on its own — the property
-//! the batched policy API (`act_batch` vs per-row `act`) relies on.
-
-/// Multiply-add count (`m·k·n`) above which the matmul kernels parallelise
-/// their row loop over the rayon global pool. Below it the sequential
-/// kernel wins: fork/join overhead is tens of microseconds, a 64×64×64
-/// product is single-digit microseconds.
-pub const PAR_THRESHOLD: usize = 1 << 20;
+//! `m` being multiplied. Evaluating a `batch × features` matrix therefore
+//! produces bitwise the same rows as evaluating each row on its own — the
+//! property the batched policy API (`act_batch` vs per-row `act`) relies on.
 
 /// A dense `rows × cols` matrix, row-major.
 ///
@@ -203,8 +194,7 @@ impl Matrix {
     ///
     /// Register-blocked `i-k-j` kernel: the `k` loop is unrolled 4× so the
     /// inner sweep performs four multiply-adds per accumulator traffic,
-    /// streaming contiguous rows of `rhs` and `out`. Rows are distributed
-    /// over the rayon pool above [`PAR_THRESHOLD`] multiply-adds.
+    /// streaming contiguous rows of `rhs` and `out`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
@@ -212,19 +202,10 @@ impl Matrix {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
-        if m > 1 && m * k * n >= PAR_THRESHOLD {
-            use rayon::prelude::*;
-            let b = &rhs.data;
-            out.data
-                .par_chunks_mut(n)
-                .zip(self.data.par_chunks(k))
-                .for_each(|(out_row, a_row)| row_matmul_acc(a_row, b, out_row, k, n));
-        } else {
-            for i in 0..m {
-                let a_row = &self.data[i * k..(i + 1) * k];
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                row_matmul_acc(a_row, &rhs.data, out_row, k, n);
-            }
+        for i in 0..m {
+            let a_row = &self.data[i * k..(i + 1) * k];
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            row_matmul_acc(a_row, &rhs.data, out_row, k, n);
         }
     }
 
@@ -242,31 +223,15 @@ impl Matrix {
     /// tail), vectorised across the output columns of one row. The vector
     /// tiers read `rhs` column-wise, so it is transposed once per call into
     /// `panel` — scratch the caller keeps between calls, grown here when
-    /// needed. Row-parallel above [`PAR_THRESHOLD`].
+    /// needed.
     pub fn matmul_transpose_rhs_into(&self, rhs: &Matrix, panel: &mut Vec<f64>, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.cols, "matmul_transpose_rhs shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         out.resize_for_overwrite(m, n);
         let isa = simd_kernels::Isa::cached();
         simd_kernels::nnf64::pack_transposed(isa, &rhs.data, n, k, panel);
-        let (b, bt) = (&rhs.data, &*panel);
-        if m > 1 && m * k * n >= PAR_THRESHOLD {
-            use rayon::prelude::*;
-            out.data.par_chunks_mut(n).zip(self.data.par_chunks(k)).for_each(|(out_row, a_row)| {
-                simd_kernels::nnf64::matmul_transpose_rhs(isa, a_row, b, bt, out_row, 1, k, n)
-            });
-        } else {
-            simd_kernels::nnf64::matmul_transpose_rhs(
-                isa,
-                &self.data,
-                b,
-                bt,
-                &mut out.data,
-                m,
-                k,
-                n,
-            );
-        }
+        let (a, b) = (&self.data, &rhs.data);
+        simd_kernels::nnf64::matmul_transpose_rhs(isa, a, b, panel, &mut out.data, m, k, n);
     }
 
     /// `selfᵀ · rhs` without materialising the transpose.
@@ -614,20 +579,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_sequential_rows() {
-        // 128×128×128 = 2M multiply-adds: crosses PAR_THRESHOLD, so this
-        // exercises the rayon row split. Each row must still be bitwise
-        // identical to its single-row product.
+    fn large_products_match_their_single_rows() {
+        // 128×128×128: well past any batch the learners build. Each row
+        // must still be bitwise identical to its single-row product.
         let a = lcg_matrix(128, 128, 1);
         let b = lcg_matrix(128, 128, 2);
-        assert!(a.rows() * a.cols() * b.cols() >= PAR_THRESHOLD);
         let big = a.matmul(&b);
         for r in [0, 63, 127] {
             let single = Matrix::row(a.row_slice(r)).matmul(&b);
             assert_eq!(single.as_slice(), big.row_slice(r));
         }
-        // Same for `a · bᵀ`: the rayon row split shares one packed panel
-        // and must equal the sequential kernel on every row.
+        // Same for `a · bᵀ`, whose rows share one packed panel.
         let tr = a.matmul_transpose_rhs(&b);
         for r in 0..a.rows() {
             let single = Matrix::row(a.row_slice(r)).matmul_transpose_rhs(&b);

@@ -7,8 +7,7 @@
 //! allocation. A counting global allocator pins this down. Counting is
 //! **thread-scoped** (see `crates/airdrop/tests/zero_alloc.rs`): the
 //! libtest harness keeps threads of its own alive that allocate at
-//! unpredictable times, and the batch here is far below the rayon
-//! threshold, so the path under test is single-threaded.
+//! unpredictable times; the path under test is single-threaded.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -16,7 +16,7 @@
 //! accumulations never mix lanes, stage combinations accumulate in the
 //! same stage order, and FSAL caches are tracked per lane. Batched results
 //! are therefore *bitwise identical* to `n` independent scalar
-//! integrations; the proptests in `tests/proptests.rs` pin this down for
+//! integrations; the sweeps in `tests/proptests.rs` pin this down for
 //! every tableau and the order-8 extrapolation method.
 //!
 //! Lanes can be masked inactive (e.g. an environment that already

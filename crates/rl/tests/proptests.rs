@@ -1,4 +1,4 @@
-//! Property-based tests for the batched policy-evaluation path.
+//! Properties of the batched policy-evaluation path, each a seeded sweep.
 //!
 //! The batched kernels in `tinynn` are row-deterministic — a row of a
 //! batched product is bitwise identical to the same row multiplied on
@@ -7,15 +7,18 @@
 //! head, or observation contents.
 
 use gymrs::{Action, Space};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_algos::policy::ActorCritic;
+use testkit::{sweep, Gen};
 use tinynn::Matrix;
 
-fn obs_batch(batch: usize, dim: usize) -> impl Strategy<Value = Matrix> {
-    prop::collection::vec(-5.0f64..5.0, batch * dim)
-        .prop_map(move |data| Matrix::from_vec(batch, dim, data))
+const SEED: u64 = 0xAC7;
+
+/// `1..=max_batch` observation rows of 2–4 features in `[-5, 5)`.
+fn obs_batch(g: &mut Gen, max_batch: usize) -> Matrix {
+    let (batch, dim) = (g.int_in(1..max_batch + 1), g.int_in(2usize..5));
+    Matrix::from_vec(batch, dim, g.f64s(batch * dim, -5.0..5.0))
 }
 
 fn actions_match(a: &Action, b: &Action, tol: f64) -> bool {
@@ -28,18 +31,14 @@ fn actions_match(a: &Action, b: &Action, tol: f64) -> bool {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Discrete head: `act_batch` with one rng stream reproduces per-row
-    /// `act` with an identically seeded stream to 1e-12 (the same draws
-    /// happen in the same order; values/log-probs are deterministic).
-    #[test]
-    fn act_batch_matches_per_row_act_discrete(
-        obs in (1usize..=8, 2usize..=4).prop_flat_map(|(b, d)| obs_batch(b, d)),
-        policy_seed in 0u64..1000,
-        act_seed in 0u64..1000,
-    ) {
+/// Discrete head: `act_batch` with one rng stream reproduces per-row
+/// `act` with an identically seeded stream to 1e-12 (the same draws
+/// happen in the same order; values/log-probs are deterministic).
+#[test]
+fn act_batch_matches_per_row_act_discrete() {
+    sweep(32, SEED, |g| {
+        let obs = obs_batch(g, 8);
+        let (policy_seed, act_seed) = (g.int_in(0u64..1000), g.int_in(0u64..1000));
         let dim = obs.cols();
         let policy = ActorCritic::new(
             dim,
@@ -51,39 +50,39 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(act_seed);
         for (i, (ba, blp, bv)) in batched.iter().enumerate() {
             let (a, lp, v) = policy.act(obs.row_slice(i), &mut rng);
-            prop_assert!(actions_match(ba, &a, 1e-12));
-            prop_assert!((blp - lp).abs() < 1e-12, "log_prob {blp} vs {lp}");
-            prop_assert!((bv - v).abs() < 1e-12, "value {bv} vs {v}");
+            assert!(actions_match(ba, &a, 1e-12));
+            assert!((blp - lp).abs() < 1e-12, "log_prob {blp} vs {lp}");
+            assert!((bv - v).abs() < 1e-12, "value {bv} vs {v}");
         }
-    }
+    });
+}
 
-    /// Continuous (diagonal Gaussian) head: same contract.
-    #[test]
-    fn act_batch_matches_per_row_act_continuous(
-        obs in (1usize..=8, 2usize..=4).prop_flat_map(|(b, d)| obs_batch(b, d)),
-        policy_seed in 0u64..1000,
-        act_seed in 0u64..1000,
-    ) {
+/// Continuous (diagonal Gaussian) head: same contract.
+#[test]
+fn act_batch_matches_per_row_act_continuous() {
+    sweep(32, SEED, |g| {
+        let obs = obs_batch(g, 8);
+        let (policy_seed, act_seed) = (g.int_in(0u64..1000), g.int_in(0u64..1000));
         let dim = obs.cols();
         let space = Space::Box { low: vec![-1.0; 2], high: vec![1.0; 2] };
-        let policy =
-            ActorCritic::new(dim, &space, &[8], &mut StdRng::seed_from_u64(policy_seed));
+        let policy = ActorCritic::new(dim, &space, &[8], &mut StdRng::seed_from_u64(policy_seed));
         let batched = policy.act_batch(&obs, &mut StdRng::seed_from_u64(act_seed));
         let mut rng = StdRng::seed_from_u64(act_seed);
         for (i, (ba, blp, bv)) in batched.iter().enumerate() {
             let (a, lp, v) = policy.act(obs.row_slice(i), &mut rng);
-            prop_assert!(actions_match(ba, &a, 1e-12));
-            prop_assert!((blp - lp).abs() < 1e-12, "log_prob {blp} vs {lp}");
-            prop_assert!((bv - v).abs() < 1e-12, "value {bv} vs {v}");
+            assert!(actions_match(ba, &a, 1e-12));
+            assert!((blp - lp).abs() < 1e-12, "log_prob {blp} vs {lp}");
+            assert!((bv - v).abs() < 1e-12, "value {bv} vs {v}");
         }
-    }
+    });
+}
 
-    /// `value_batch` consumes no randomness and matches per-row `value`.
-    #[test]
-    fn value_batch_matches_per_row_value(
-        obs in (1usize..=12, 2usize..=4).prop_flat_map(|(b, d)| obs_batch(b, d)),
-        policy_seed in 0u64..1000,
-    ) {
+/// `value_batch` consumes no randomness and matches per-row `value`.
+#[test]
+fn value_batch_matches_per_row_value() {
+    sweep(32, SEED, |g| {
+        let obs = obs_batch(g, 12);
+        let policy_seed = g.int_in(0u64..1000);
         let dim = obs.cols();
         let policy = ActorCritic::new(
             dim,
@@ -92,10 +91,10 @@ proptest! {
             &mut StdRng::seed_from_u64(policy_seed),
         );
         let batched = policy.value_batch(&obs);
-        prop_assert_eq!(batched.len(), obs.rows());
+        assert_eq!(batched.len(), obs.rows());
         for (i, bv) in batched.iter().enumerate() {
             let v = policy.value(obs.row_slice(i));
-            prop_assert!((bv - v).abs() < 1e-12, "value {bv} vs {v}");
+            assert!((bv - v).abs() < 1e-12, "value {bv} vs {v}");
         }
-    }
+    });
 }

@@ -11,7 +11,7 @@
 //! with `0.0` and add `coeff * k` terms in ascending stage order, and no
 //! kernel uses FMA. All operations are IEEE-754 exact-rounded, so the
 //! AVX2 and AVX-512 tiers return bit-identical results to the scalar
-//! tier; the tests at the bottom and the cross-ISA proptests pin this
+//! tier; the tests at the bottom and the cross-ISA sweeps pin this
 //! down.
 
 use crate::Isa;

@@ -1,4 +1,4 @@
-//! Property-based bitwise-parity suite: every microkernel, on every ISA
+//! Bitwise-parity suite, seeded sweeps: every microkernel, on every ISA
 //! tier the CPU supports, must reproduce its scalar reference bit for
 //! bit on randomized shapes and values.
 //!
@@ -8,16 +8,12 @@
 //! tails, half vectors, and multi-vector bodies for both the 4-lane and
 //! 8-lane `f64` tiers.
 
-// When built against an offline proptest stand-in that compiles the
-// `proptest!` bodies away, everything below looks unused; the real
-// dependency uses all of it.
-#![allow(dead_code, unused_imports)]
-
-use proptest::prelude::*;
 use simd_kernels::{nnf64, odef64, Isa};
+use testkit::{sweep, Gen};
 
-/// Deterministic (non-property) smoke check so this target exercises the
-/// kernels even when the property bodies are compiled out.
+const SEED: u64 = 0x51D;
+
+/// One fixed shape through `stage_update`, before the sweeps.
 #[test]
 fn smoke_stage_update_parity() {
     let y: Vec<f64> = (0..19).map(|i| i as f64 * 0.3 - 2.0).collect();
@@ -95,24 +91,18 @@ fn ref_matmul_transpose_rhs(a: &[f64], b: &[f64], m: usize, k: usize, n: usize) 
     out
 }
 
-fn vecs(len: core::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(-2.0f64..2.0, len)
+fn vecs(g: &mut Gen, len: core::ops::Range<usize>) -> Vec<f64> {
+    g.vec(len, |g| g.f64_in(-2.0..2.0))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn ode_stage_update_matches_scalar(
-        y in vecs(1..67),
-        coeffs in vecs(1..8),
-        h in 1e-4f64..1.0,
-        kseed in vecs(1..2),
-    ) {
+#[test]
+fn ode_stage_update_matches_scalar() {
+    sweep(64, SEED, |g| {
+        let (y, coeffs) = (vecs(g, 1..67), vecs(g, 1..8));
+        let (h, kseed) = (g.f64_in(1e-4..1.0), vecs(g, 1..2));
         let len = y.len();
-        let k: Vec<f64> = (0..coeffs.len() * len)
-            .map(|i| kseed[0] * ((i % 17) as f64 - 8.0) * 0.25)
-            .collect();
+        let k: Vec<f64> =
+            (0..coeffs.len() * len).map(|i| kseed[0] * ((i % 17) as f64 - 8.0) * 0.25).collect();
         let mut reference = vec![0.0; len];
         for e in 0..len {
             reference[e] = y[e] + h * ref_weighted_sum(&coeffs, &k, len, e);
@@ -120,20 +110,18 @@ proptest! {
         for isa in tiers() {
             let mut out = vec![f64::NAN; len];
             odef64::stage_update(isa, &coeffs, &k, &y, h, &mut out);
-            prop_assert!(bits_eq(&out, &reference), "stage_update diverged on {}", isa);
+            assert!(bits_eq(&out, &reference), "stage_update diverged on {}", isa);
         }
-    }
+    });
+}
 
-    #[test]
-    fn ode_combine_kernels_match_scalar(
-        y0 in vecs(1..67),
-        coeffs in vecs(1..8),
-        h in 1e-4f64..1.0,
-    ) {
+#[test]
+fn ode_combine_kernels_match_scalar() {
+    sweep(64, SEED, |g| {
+        let (y0, coeffs, h) = (vecs(g, 1..67), vecs(g, 1..8), g.f64_in(1e-4..1.0));
         let len = y0.len();
-        let k: Vec<f64> = (0..coeffs.len() * len)
-            .map(|i| ((i * 2654435761) % 97) as f64 * 0.03 - 1.4)
-            .collect();
+        let k: Vec<f64> =
+            (0..coeffs.len() * len).map(|i| ((i * 2654435761) % 97) as f64 * 0.03 - 1.4).collect();
         let mut y_ref = y0.clone();
         let mut upd_ref = vec![0.0; len];
         for e in 0..len {
@@ -144,19 +132,18 @@ proptest! {
         for isa in tiers() {
             let mut y = y0.clone();
             odef64::combine_inplace(isa, &coeffs, &k, h, &mut y);
-            prop_assert!(bits_eq(&y, &y_ref), "combine_inplace diverged on {}", isa);
+            assert!(bits_eq(&y, &y_ref), "combine_inplace diverged on {}", isa);
             let mut upd = vec![f64::NAN; len];
             odef64::combine_scaled(isa, &coeffs, &k, h, &mut upd);
-            prop_assert!(bits_eq(&upd, &upd_ref), "combine_scaled diverged on {}", isa);
+            assert!(bits_eq(&upd, &upd_ref), "combine_scaled diverged on {}", isa);
         }
-    }
+    });
+}
 
-    #[test]
-    fn ode_elementwise_kernels_match_scalar(
-        a in vecs(1..67),
-        s in -4.0f64..4.0,
-        h in 1e-4f64..1.0,
-    ) {
+#[test]
+fn ode_elementwise_kernels_match_scalar() {
+    sweep(64, SEED, |g| {
+        let (a, s, h) = (vecs(g, 1..67), g.f64_in(-4.0..4.0), g.f64_in(1e-4..1.0));
         let len = a.len();
         let b: Vec<f64> = a.iter().map(|v| v * 0.7 - 0.1).collect();
         let c: Vec<f64> = a.iter().map(|v| 1.3 - v).collect();
@@ -171,24 +158,23 @@ proptest! {
         for isa in tiers() {
             let mut out = vec![f64::NAN; len];
             odef64::axpy_const(isa, &a, s, &b, &mut out);
-            prop_assert!(bits_eq(&out, &axpy_ref), "axpy_const diverged on {}", isa);
+            assert!(bits_eq(&out, &axpy_ref), "axpy_const diverged on {}", isa);
 
             let mut out = vec![f64::NAN; len];
             odef64::gragg_smooth(isa, &a, &b, h, &c, &mut out);
-            prop_assert!(bits_eq(&out, &gragg_ref), "gragg_smooth diverged on {}", isa);
+            assert!(bits_eq(&out, &gragg_ref), "gragg_smooth diverged on {}", isa);
 
             let mut cur = a.clone();
             odef64::neville_update(isa, &mut cur, &b, 3.0);
-            prop_assert!(bits_eq(&cur, &nev_ref), "neville_update diverged on {}", isa);
+            assert!(bits_eq(&cur, &nev_ref), "neville_update diverged on {}", isa);
         }
-    }
+    });
+}
 
-    #[test]
-    fn nn_row_matmul_matches_scalar(
-        a_row in vecs(1..13),
-        n in 1usize..67,
-        out0 in vecs(1..2),
-    ) {
+#[test]
+fn nn_row_matmul_matches_scalar() {
+    sweep(64, SEED, |g| {
+        let (a_row, n, out0) = (vecs(g, 1..13), g.int_in(1usize..67), vecs(g, 1..2));
         let k = a_row.len();
         let b: Vec<f64> = (0..k * n).map(|i| ((i * 31) % 23) as f64 * 0.09 - 1.0).collect();
         let seed_out = vec![out0[0]; n];
@@ -215,16 +201,15 @@ proptest! {
         for isa in tiers() {
             let mut out = seed_out.clone();
             nnf64::row_matmul_acc(isa, &a_row, &b, &mut out, k, n);
-            prop_assert!(bits_eq(&out, &reference), "row_matmul_acc diverged on {}", isa);
+            assert!(bits_eq(&out, &reference), "row_matmul_acc diverged on {}", isa);
         }
-    }
+    });
+}
 
-    #[test]
-    fn nn_transpose_matmul_matches_scalar(
-        k in 1usize..10,
-        m in 1usize..6,
-        n in 1usize..35,
-    ) {
+#[test]
+fn nn_transpose_matmul_matches_scalar() {
+    sweep(64, SEED, |g| {
+        let (k, m, n) = (g.int_in(1usize..10), g.int_in(1usize..6), g.int_in(1usize..35));
         let a: Vec<f64> = (0..k * m).map(|i| ((i * 7) % 11) as f64 * 0.2 - 1.0).collect();
         let b: Vec<f64> = (0..k * n).map(|i| ((i * 13) % 17) as f64 * 0.1 - 0.8).collect();
         let mut reference = vec![0.25; m * n];
@@ -252,18 +237,18 @@ proptest! {
         for isa in tiers() {
             let mut out = vec![0.25; m * n];
             nnf64::transpose_matmul_acc(isa, &a, &b, &mut out, k, m, n);
-            prop_assert!(bits_eq(&out, &reference), "transpose_matmul_acc diverged on {}", isa);
+            assert!(bits_eq(&out, &reference), "transpose_matmul_acc diverged on {}", isa);
         }
-    }
+    });
+}
 
-    #[test]
-    fn nn_matmul_transpose_rhs_matches_scalar_dot(
-        m in 1usize..9,
-        k in 1usize..67,
-        n in 1usize..67,
-        scale in 0.1f64..2.0,
-    ) {
-        let a: Vec<f64> = (0..m * k).map(|i| scale * (((i * 29) % 31) as f64 * 0.07 - 1.0)).collect();
+#[test]
+fn nn_matmul_transpose_rhs_matches_scalar_dot() {
+    sweep(64, SEED, |g| {
+        let (m, k, n) = (g.int_in(1usize..9), g.int_in(1usize..67), g.int_in(1usize..67));
+        let scale = g.f64_in(0.1..2.0);
+        let a: Vec<f64> =
+            (0..m * k).map(|i| scale * (((i * 29) % 31) as f64 * 0.07 - 1.0)).collect();
         let b: Vec<f64> = (0..n * k).map(|i| ((i * 37) % 41) as f64 * 0.05 - 1.0).collect();
         let reference = ref_matmul_transpose_rhs(&a, &b, m, k, n);
         for isa in tiers() {
@@ -271,18 +256,21 @@ proptest! {
             nnf64::pack_transposed(isa, &b, n, k, &mut bt);
             let mut out = vec![f64::NAN; m * n];
             nnf64::matmul_transpose_rhs(isa, &a, &b, &bt, &mut out, m, k, n);
-            prop_assert!(bits_eq(&out, &reference), "matmul_transpose_rhs diverged on {}", isa);
+            assert!(bits_eq(&out, &reference), "matmul_transpose_rhs diverged on {}", isa);
         }
-    }
+    });
+}
 
-    #[test]
-    fn nn_axpy_matches_scalar(x in vecs(1..67), alpha in -2.0f64..2.0) {
+#[test]
+fn nn_axpy_matches_scalar() {
+    sweep(64, SEED, |g| {
+        let (x, alpha) = (vecs(g, 1..67), g.f64_in(-2.0..2.0));
         let y0: Vec<f64> = x.iter().map(|v| 0.5 - v).collect();
         let reference: Vec<f64> = (0..x.len()).map(|e| y0[e] + alpha * x[e]).collect();
         for isa in tiers() {
             let mut y = y0.clone();
             nnf64::axpy(isa, alpha, &x, &mut y);
-            prop_assert!(bits_eq(&y, &reference), "nn axpy diverged on {}", isa);
+            assert!(bits_eq(&y, &reference), "nn axpy diverged on {}", isa);
         }
-    }
+    });
 }

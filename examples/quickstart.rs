@@ -50,7 +50,7 @@ fn main() -> Result<(), String> {
         })
         .build()?;
 
-    // Run (sequentially here; `run_parallel(n)` fans trials out on rayon).
+    // Run (sequentially here; `run_parallel(n)` runs waves of n trials at once).
     let trials = study.run()?;
 
     // Stage (e): rank.

@@ -1,11 +1,23 @@
-//! Property-based tests on the workspace's core invariants.
+//! The workspace's core invariants, each a seeded sweep.
 
-use proptest::prelude::*;
 use rl_decision_tools::decision::prelude::*;
 use rl_decision_tools::decision::rank::pareto::{dominates, non_dominated_ranks};
 use rl_decision_tools::rk_ode::{integrate_fixed, FnSystem, RkOrder};
 use rl_decision_tools::rl_algos::gae::gae;
 use rl_decision_tools::tinynn::ops;
+use testkit::{sweep, Gen};
+
+const SEED: u64 = 0x1417;
+
+/// `len` points `(reward, time_min)` drawn from the two ranges.
+fn points(
+    g: &mut Gen,
+    len: std::ops::Range<usize>,
+    reward: std::ops::Range<f64>,
+    time: std::ops::Range<f64>,
+) -> Vec<(f64, f64)> {
+    g.vec(len, |g| (g.f64_in(reward.clone()), g.f64_in(time.clone())))
+}
 
 fn trial(i: usize, reward: f64, time: f64) -> Trial {
     Trial::complete(
@@ -19,36 +31,38 @@ fn metrics() -> Vec<MetricDef> {
     vec![MetricDef::maximize("reward"), MetricDef::minimize("time_min")]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// No front member is dominated; every non-member is dominated by a
-    /// member.
-    #[test]
-    fn pareto_front_invariants(points in prop::collection::vec((-1.0f64..1.0, 1.0f64..100.0), 1..40)) {
+/// No front member is dominated; every non-member is dominated by a
+/// member.
+#[test]
+fn pareto_front_invariants() {
+    sweep(64, SEED, |g| {
+        let points = points(g, 1..40, -1.0..1.0, 1.0..100.0);
         let trials: Vec<Trial> =
             points.iter().enumerate().map(|(i, &(r, t))| trial(i, r, t)).collect();
         let m = metrics();
         let front = ParetoFront::compute(&trials, &m);
-        prop_assert!(!front.is_empty());
+        assert!(!front.is_empty());
         for &i in front.indices() {
             for (j, other) in trials.iter().enumerate() {
                 if i != j {
-                    prop_assert!(!dominates(other, &trials[i], &m));
+                    assert!(!dominates(other, &trials[i], &m));
                 }
             }
         }
         for (j, t) in trials.iter().enumerate() {
             if !front.contains(j) {
-                prop_assert!(front.indices().iter().any(|&i| dominates(&trials[i], t, &m)));
+                assert!(front.indices().iter().any(|&i| dominates(&trials[i], t, &m)));
             }
         }
-    }
+    });
+}
 
-    /// Non-dominated sorting produces ranks consistent with dominance:
-    /// a dominator always has a strictly lower rank.
-    #[test]
-    fn nds_ranks_respect_dominance(points in prop::collection::vec((-1.0f64..1.0, 1.0f64..100.0), 2..30)) {
+/// Non-dominated sorting produces ranks consistent with dominance:
+/// a dominator always has a strictly lower rank.
+#[test]
+fn nds_ranks_respect_dominance() {
+    sweep(64, SEED, |g| {
+        let points = points(g, 2..30, -1.0..1.0, 1.0..100.0);
         let trials: Vec<Trial> =
             points.iter().enumerate().map(|(i, &(r, t))| trial(i, r, t)).collect();
         let m = metrics();
@@ -56,19 +70,20 @@ proptest! {
         for i in 0..trials.len() {
             for j in 0..trials.len() {
                 if i != j && dominates(&trials[i], &trials[j], &m) {
-                    prop_assert!(ranks[i].unwrap() < ranks[j].unwrap());
+                    assert!(ranks[i].unwrap() < ranks[j].unwrap());
                 }
             }
         }
-    }
+    });
+}
 
-    /// GAE with λ=1, no dones: advantages + values telescope to the
-    /// discounted reward sum plus the bootstrap tail.
-    #[test]
-    fn gae_lambda_one_telescopes(
-        rewards in prop::collection::vec(-1.0f64..1.0, 1..20),
-        gamma in 0.5f64..0.999,
-    ) {
+/// GAE with λ=1, no dones: advantages + values telescope to the
+/// discounted reward sum plus the bootstrap tail.
+#[test]
+fn gae_lambda_one_telescopes() {
+    sweep(64, SEED, |g| {
+        let rewards = g.vec(1..20, |g| g.f64_in(-1.0..1.0));
+        let gamma = g.f64_in(0.5..0.999);
         let n = rewards.len();
         let values: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut next_values: Vec<f64> = values[1..].to_vec();
@@ -81,28 +96,34 @@ proptest! {
             mc += gamma.powi(k as i32) * r;
         }
         mc += gamma.powi(n as i32) * next_values[n - 1];
-        prop_assert!((rets[0] - mc).abs() < 1e-9, "ret {} vs mc {}", rets[0], mc);
-        prop_assert!((adv[0] - (mc - values[0])).abs() < 1e-9);
-    }
+        assert!((rets[0] - mc).abs() < 1e-9, "ret {} vs mc {}", rets[0], mc);
+        assert!((adv[0] - (mc - values[0])).abs() < 1e-9);
+    });
+}
 
-    /// Softmax + log-softmax consistency for arbitrary logits.
-    #[test]
-    fn softmax_consistency(logits in prop::collection::vec(-30.0f64..30.0, 2..8)) {
+/// Softmax + log-softmax consistency for arbitrary logits.
+#[test]
+fn softmax_consistency() {
+    sweep(64, SEED, |g| {
+        let logits = g.vec(2..8, |g| g.f64_in(-30.0..30.0));
         let p = ops::softmax(&logits);
-        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
+        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
         let lp = ops::log_softmax(&logits);
         for (a, b) in p.iter().zip(&lp) {
-            prop_assert!((a.ln() - b).abs() < 1e-9);
+            assert!((a.ln() - b).abs() < 1e-9);
         }
         let h = ops::categorical_entropy(&p);
-        prop_assert!(h >= -1e-12 && h <= (logits.len() as f64).ln() + 1e-9);
-    }
+        assert!(h >= -1e-12 && h <= (logits.len() as f64).ln() + 1e-9);
+    });
+}
 
-    /// Space sampling always produces contained configurations, and grids
-    /// enumerate exactly the cardinality.
-    #[test]
-    fn space_sample_contained(seed in 0u64..1000, k in 2usize..5) {
+/// Space sampling always produces contained configurations, and grids
+/// enumerate exactly the cardinality.
+#[test]
+fn space_sample_contained() {
+    sweep(64, SEED, |g| {
+        let (seed, k) = (g.int_in(0u64..1000), g.int_in(2usize..5));
         use rand::SeedableRng;
         let space = ParamSpace::builder()
             .categorical_int("a", 0..k as i64)
@@ -111,13 +132,16 @@ proptest! {
             .build();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let cfg = space.sample(&mut rng);
-        prop_assert!(space.contains(&cfg));
-    }
+        assert!(space.contains(&cfg));
+    });
+}
 
-    /// Higher RK order never yields larger error on a smooth reference
-    /// problem (fixed step, same cost budget not required).
-    #[test]
-    fn rk_order_error_monotonicity(lambda in 0.2f64..2.0) {
+/// Higher RK order never yields larger error on a smooth reference
+/// problem (fixed step, same cost budget not required).
+#[test]
+fn rk_order_error_monotonicity() {
+    sweep(64, SEED, |g| {
+        let lambda = g.f64_in(0.2..2.0);
         let sys = FnSystem::new(1, move |_t, y: &[f64], dy: &mut [f64]| dy[0] = -lambda * y[0]);
         let exact = (-lambda * 1.0f64).exp();
         let mut errs = Vec::new();
@@ -126,29 +150,37 @@ proptest! {
             integrate_fixed(order.factory().as_ref(), &sys, &mut y, 0.0, 1.0, 0.2);
             errs.push((y[0] - exact).abs());
         }
-        prop_assert!(errs[0] >= errs[1] * 0.99, "order 3 err {} vs order 5 err {}", errs[0], errs[1]);
-        prop_assert!(errs[1] >= errs[2] * 0.99, "order 5 err {} vs order 8 err {}", errs[1], errs[2]);
-    }
+        assert!(errs[0] >= errs[1] * 0.99, "order 3 err {} vs order 5 err {}", errs[0], errs[1]);
+        assert!(errs[1] >= errs[2] * 0.99, "order 5 err {} vs order 8 err {}", errs[1], errs[2]);
+    });
+}
 
-    /// Cluster compute-time monotonicity: more work never takes less
-    /// time; more streams never take more time.
-    #[test]
-    fn cluster_monotonicity(units in 1.0f64..1e6, streams in 1usize..8) {
-        use rl_decision_tools::cluster_sim::{ClusterSession, ClusterSpec};
+/// Cluster compute-time monotonicity: more work never takes less
+/// time; more streams never take more time.
+#[test]
+fn cluster_monotonicity() {
+    use rl_decision_tools::cluster_sim::{ClusterSession, ClusterSpec};
+    let check = |units: f64, streams: usize| {
         let s = ClusterSession::new(ClusterSpec::paper_testbed(1));
         let t1 = s.compute_duration(units, streams);
         let t2 = s.compute_duration(units * 2.0, streams);
-        prop_assert!(t2 >= t1);
+        assert!(t2 >= t1);
         let t3 = s.compute_duration(units, streams + 1);
         // Stream scaling helps only up to the core count and divisibility:
         // going from 4 to 5 streams on 4 cores packs 2 streams onto one
         // core (ratio (2/5)/(1/4) = 1.6), the worst uneven-packing case.
-        prop_assert!(t3 <= t1 * 1.61, "t3 {} vs t1 {}", t3, t1);
-    }
+        assert!(t3 <= t1 * 1.61, "t3 {} vs t1 {}", t3, t1);
+    };
+    // That 4 → 5 packing case itself, at the smallest unit of work.
+    check(1.0, 4);
+    sweep(64, SEED, |g| check(g.f64_in(1.0..1e6), g.int_in(1usize..8)));
+}
 
-    /// Hypervolume is monotone under adding points.
-    #[test]
-    fn hypervolume_monotone(points in prop::collection::vec((0.1f64..1.0, 1.0f64..99.0), 1..20)) {
+/// Hypervolume is monotone under adding points.
+#[test]
+fn hypervolume_monotone() {
+    sweep(64, SEED, |g| {
+        let points = points(g, 1..20, 0.1..1.0, 1.0..99.0);
         use rl_decision_tools::decision::rank::Hypervolume;
         let m = metrics();
         let all: Vec<Trial> =
@@ -157,6 +189,6 @@ proptest! {
         let measure = Hypervolume::new(m[0].clone(), m[1].clone(), (0.0, 100.0));
         let hv_all = measure.value(&all);
         let hv_half = measure.value(&half);
-        prop_assert!(hv_all + 1e-12 >= hv_half);
-    }
+        assert!(hv_all + 1e-12 >= hv_half);
+    });
 }
