@@ -100,7 +100,7 @@ impl ParafoilParams {
 /// ([`crate::batch::BatchedAirdropDynamics`]) — the scalar/batched
 /// bitwise-parity contract reduces to "both paths call this function
 /// with the same inputs". The body is branch-free straight-line
-/// arithmetic (including [`crate::fastmath::sin_cos`]) so the batched
+/// arithmetic (including [`simd_kernels::mathf64::sin_cos`]) so the batched
 /// lane loop vectorizes.
 ///
 /// Returns the non-trivial components `(v̇x, v̇y, v̇z, ψ̈, δ̇)`; the
@@ -117,7 +117,7 @@ pub(crate) fn deriv_lane(
 ) -> (f64, f64, f64, f64, f64) {
     let va = p.airspeed(delta);
     let vzr = p.sink_rate(delta);
-    let (spsi, cpsi) = crate::fastmath::sin_cos(psi);
+    let (spsi, cpsi) = simd_kernels::mathf64::sin_cos(psi);
 
     // Aerodynamic equilibrium velocity (air mass frame + wind).
     let vdx = va * cpsi + wind.0;

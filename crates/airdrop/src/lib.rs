@@ -41,7 +41,6 @@ pub mod batch;
 pub mod config;
 pub mod dynamics;
 pub mod env;
-pub mod fastmath;
 pub mod trajectory;
 pub mod wind;
 

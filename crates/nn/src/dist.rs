@@ -11,6 +11,10 @@
 use crate::init::standard_normal;
 use crate::ops;
 use rand::Rng;
+use simd_kernels::mathf64::{exp, ln, tanh};
+
+/// `½·ln 2πe`, the entropy of a unit-variance Gaussian dimension.
+const HALF_LN_2PI_E: f64 = 1.418_938_533_204_672_7;
 
 /// Categorical distribution over `n` discrete actions, built from logits.
 #[derive(Debug, Clone)]
@@ -54,7 +58,7 @@ impl Categorical {
 
     /// `log p(action)`.
     pub fn log_prob(&self, action: usize) -> f64 {
-        self.probs[action].max(1e-300).ln()
+        ln(self.probs[action].max(1e-300))
     }
 
     /// Shannon entropy.
@@ -98,7 +102,7 @@ impl DiagGaussian {
         self.mean
             .iter()
             .zip(&self.log_std)
-            .map(|(&m, &ls)| m + ls.exp() * standard_normal(rng))
+            .map(|(&m, &ls)| m + exp(ls) * standard_normal(rng))
             .collect()
     }
 
@@ -110,7 +114,7 @@ impl DiagGaussian {
             .zip(&self.log_std)
             .zip(action)
             .map(|((&m, &ls), &a)| {
-                let std = ls.exp();
+                let std = exp(ls);
                 ops::log_normal_pdf((a - m) / std) - ls
             })
             .sum()
@@ -118,14 +122,13 @@ impl DiagGaussian {
 
     /// Differential entropy `Σ (log σ + ½ log 2πe)`.
     pub fn entropy(&self) -> f64 {
-        let c = 0.5 * (2.0 * std::f64::consts::PI * std::f64::consts::E).ln();
-        self.log_std.iter().map(|&ls| ls + c).sum()
+        self.log_std.iter().map(|&ls| ls + HALF_LN_2PI_E).sum()
     }
 
     /// `d log p / d mean` into `out`: `(a - μ) / σ²`.
     pub fn d_log_prob_d_mean(&self, action: &[f64], out: &mut [f64]) {
         for i in 0..self.mean.len() {
-            let var = (2.0 * self.log_std[i]).exp();
+            let var = exp(2.0 * self.log_std[i]);
             out[i] = (action[i] - self.mean[i]) / var;
         }
     }
@@ -133,7 +136,7 @@ impl DiagGaussian {
     /// `d log p / d log_std` into `out`: `((a-μ)/σ)² - 1`.
     pub fn d_log_prob_d_log_std(&self, action: &[f64], out: &mut [f64]) {
         for i in 0..self.mean.len() {
-            let z = (action[i] - self.mean[i]) / self.log_std[i].exp();
+            let z = (action[i] - self.mean[i]) / exp(self.log_std[i]);
             out[i] = z * z - 1.0;
         }
     }
@@ -147,7 +150,7 @@ impl DiagGaussian {
 /// Tanh-squashed Gaussian — SAC's action distribution.
 ///
 /// `a = tanh(u)` with `u ~ N(μ, σ)`; actions live in `(-1, 1)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SquashedGaussian {
     /// Pre-squash mean (network output).
     pub mean: Vec<f64>,
@@ -161,7 +164,7 @@ pub const LOG_STD_MIN: f64 = -20.0;
 pub const LOG_STD_MAX: f64 = 2.0;
 
 /// A reparameterised sample from a [`SquashedGaussian`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SquashedSample {
     /// Squashed action `tanh(u)`.
     pub action: Vec<f64>,
@@ -176,32 +179,45 @@ pub struct SquashedSample {
 impl SquashedGaussian {
     /// Construct, clamping `log_std` into `[LOG_STD_MIN, LOG_STD_MAX]`.
     pub fn new(mean: &[f64], log_std: &[f64]) -> Self {
-        Self {
-            mean: mean.to_vec(),
-            log_std: log_std.iter().map(|&l| l.clamp(LOG_STD_MIN, LOG_STD_MAX)).collect(),
-        }
+        let mut d = Self::default();
+        d.assign(mean, log_std);
+        d
+    }
+
+    /// [`SquashedGaussian::new`] into `self`, reusing its vectors.
+    pub fn assign(&mut self, mean: &[f64], log_std: &[f64]) {
+        self.mean.clear();
+        self.mean.extend_from_slice(mean);
+        self.log_std.clear();
+        self.log_std.extend(log_std.iter().map(|&l| l.clamp(LOG_STD_MIN, LOG_STD_MAX)));
     }
 
     /// Reparameterised sample (`rsample` in PyTorch terms).
     pub fn rsample(&self, rng: &mut impl Rng) -> SquashedSample {
-        let n = self.mean.len();
-        let mut noise = Vec::with_capacity(n);
-        let mut pre = Vec::with_capacity(n);
-        let mut act = Vec::with_capacity(n);
-        for i in 0..n {
+        let mut s = SquashedSample::default();
+        self.rsample_into(rng, &mut s);
+        s
+    }
+
+    /// [`SquashedGaussian::rsample`] into `s`, reusing its vectors: the
+    /// SAC update draws two samples per batch row.
+    pub fn rsample_into(&self, rng: &mut impl Rng, s: &mut SquashedSample) {
+        s.noise.clear();
+        s.pre_tanh.clear();
+        s.action.clear();
+        for i in 0..self.mean.len() {
             let e = standard_normal(rng);
-            let u = self.mean[i] + self.log_std[i].exp() * e;
-            noise.push(e);
-            pre.push(u);
-            act.push(u.tanh());
+            let u = self.mean[i] + exp(self.log_std[i]) * e;
+            s.noise.push(e);
+            s.pre_tanh.push(u);
+            s.action.push(tanh(u));
         }
-        let log_prob = self.log_prob_pre_tanh(&pre);
-        SquashedSample { action: act, pre_tanh: pre, noise, log_prob }
+        s.log_prob = self.log_prob_pre_tanh(&s.pre_tanh);
     }
 
     /// Deterministic action `tanh(μ)` (evaluation mode).
     pub fn mode(&self) -> Vec<f64> {
-        self.mean.iter().map(|m| m.tanh()).collect()
+        self.mean.iter().map(|&m| tanh(m)).collect()
     }
 
     /// `log π(a)` given the pre-squash value `u` (numerically stable form:
@@ -209,7 +225,7 @@ impl SquashedGaussian {
     pub fn log_prob_pre_tanh(&self, pre_tanh: &[f64]) -> f64 {
         let mut lp = 0.0;
         for i in 0..self.mean.len() {
-            let std = self.log_std[i].exp();
+            let std = exp(self.log_std[i]);
             let z = (pre_tanh[i] - self.mean[i]) / std;
             lp += ops::log_normal_pdf(z) - self.log_std[i];
             let u = pre_tanh[i];
@@ -226,14 +242,22 @@ impl SquashedGaussian {
     /// * `dlogπ/dμ`, `dlogπ/dlogσ` — total derivatives including the path
     ///   through `u`.
     pub fn pathwise_partials(&self, s: &SquashedSample) -> PathwisePartials {
-        let n = self.mean.len();
-        let mut da_dmean = Vec::with_capacity(n);
-        let mut da_dlogstd = Vec::with_capacity(n);
-        let mut dlp_dmean = Vec::with_capacity(n);
-        let mut dlp_dlogstd = Vec::with_capacity(n);
-        for i in 0..n {
+        let mut parts = PathwisePartials::default();
+        self.pathwise_partials_into(s, &mut parts);
+        parts
+    }
+
+    /// [`SquashedGaussian::pathwise_partials`] into `out`, reusing its
+    /// vectors.
+    pub fn pathwise_partials_into(&self, s: &SquashedSample, out: &mut PathwisePartials) {
+        let PathwisePartials { da_dmean, da_dlogstd, dlp_dmean, dlp_dlogstd } = out;
+        da_dmean.clear();
+        da_dlogstd.clear();
+        dlp_dmean.clear();
+        dlp_dlogstd.clear();
+        for i in 0..self.mean.len() {
             let a = s.action[i];
-            let sig = self.log_std[i].exp();
+            let sig = exp(self.log_std[i]);
             let e = s.noise[i];
             let one_m_a2 = 1.0 - a * a;
             da_dmean.push(one_m_a2);
@@ -251,12 +275,11 @@ impl SquashedGaussian {
             dlp_dmean.push(2.0 * a);
             dlp_dlogstd.push(2.0 * a * sig * e - 1.0);
         }
-        PathwisePartials { da_dmean, da_dlogstd, dlp_dmean, dlp_dlogstd }
     }
 }
 
 /// Partial derivatives returned by [`SquashedGaussian::pathwise_partials`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PathwisePartials {
     /// `∂a_i/∂μ_i`.
     pub da_dmean: Vec<f64>,
@@ -271,12 +294,14 @@ pub struct PathwisePartials {
 /// Numerically stable `log(1 + e^x)`.
 pub fn softplus(x: f64) -> f64 {
     if x > 30.0 {
-        x
-    } else if x < -30.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
+        return x;
     }
+    // ln(1 + e) with the rounding error of the sum put back, so a small
+    // `e` keeps its relative precision (what `ln_1p` is for): below
+    // x ≈ −36.7 the sum is 1 and the result is `e` itself.
+    let e = exp(x);
+    let u = 1.0 + e;
+    ln(u) + (e - (u - 1.0)) / u
 }
 
 #[cfg(test)]
@@ -432,6 +457,30 @@ mod tests {
         let (am, lpm) = eval(mean[0], log_std[0] - eps);
         assert!(((ap - am) / (2.0 * eps) - parts.da_dlogstd[0]).abs() < 1e-5);
         assert!(((lpp - lpm) / (2.0 * eps) - parts.dlp_dlogstd[0]).abs() < 1e-5);
+    }
+
+    #[test]
+    fn reused_buffers_are_fully_overwritten() {
+        // The `_into` forms on buffers left over from a wider
+        // distribution must give exactly what the allocating forms give.
+        let wide = SquashedGaussian::new(&[0.3, -0.2, 0.9], &[0.1, -0.5, 50.0]);
+        let mut d = wide.clone();
+        let mut s = wide.rsample(&mut StdRng::seed_from_u64(4));
+        let mut parts = wide.pathwise_partials(&s);
+
+        d.assign(&[0.2, -1.1], &[-0.4, -50.0]);
+        let fresh = SquashedGaussian::new(&[0.2, -1.1], &[-0.4, -50.0]);
+        assert_eq!((&d.mean, &d.log_std), (&fresh.mean, &fresh.log_std));
+
+        d.rsample_into(&mut StdRng::seed_from_u64(5), &mut s);
+        let want = fresh.rsample(&mut StdRng::seed_from_u64(5));
+        assert_eq!((&s.action, &s.pre_tanh, &s.noise), (&want.action, &want.pre_tanh, &want.noise));
+        assert_eq!(s.log_prob.to_bits(), want.log_prob.to_bits());
+
+        d.pathwise_partials_into(&s, &mut parts);
+        let want = fresh.pathwise_partials(&want);
+        assert_eq!((&parts.da_dmean, &parts.da_dlogstd), (&want.da_dmean, &want.da_dlogstd));
+        assert_eq!((&parts.dlp_dmean, &parts.dlp_dlogstd), (&want.dlp_dmean, &want.dlp_dlogstd));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::matrix::Matrix;
 use rand::Rng;
+use simd_kernels::mathf64;
 
 /// Initialisation scheme for a `fan_in × fan_out` weight matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,7 +50,8 @@ pub fn standard_normal(rng: &mut impl Rng) -> f64 {
             continue;
         }
         let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        let (_, cos) = mathf64::sin_cos(2.0 * std::f64::consts::PI * u2);
+        return (-2.0 * mathf64::ln(u1)).sqrt() * cos;
     }
 }
 

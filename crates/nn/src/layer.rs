@@ -3,6 +3,7 @@
 use crate::init::Init;
 use crate::matrix::Matrix;
 use rand::Rng;
+use simd_kernels::{mathf64, Isa};
 
 /// Pointwise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +22,7 @@ impl Activation {
     pub fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Identity => x,
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => mathf64::tanh(x),
             Activation::Relu => x.max(0.0),
         }
     }
@@ -29,18 +30,16 @@ impl Activation {
     /// Apply the activation to a whole buffer.
     ///
     /// Hoists the variant match out of the sweep so each arm is a tight
-    /// loop. Tanh stays a `libm` call per element (vectorizing it would
-    /// change the bits); relu keeps `f64::max` for its IEEE `-0.0`/NaN
-    /// semantics. Identity is a no-op.
+    /// loop. Tanh is the in-tree `mathf64::tanh` swept at the process's
+    /// SIMD tier: straight-line exact-rounded arithmetic, so every tier —
+    /// and [`Activation::apply`] on one element — returns the same bits,
+    /// and those bits do not depend on the host's `libm`. Relu keeps
+    /// `f64::max` for its IEEE `-0.0`/NaN semantics. Identity is a no-op.
     #[inline]
     pub fn apply_batch(self, xs: &mut [f64]) {
         match self {
             Activation::Identity => {}
-            Activation::Tanh => {
-                for v in xs {
-                    *v = v.tanh();
-                }
-            }
+            Activation::Tanh => mathf64::tanh_inplace(Isa::cached(), xs),
             Activation::Relu => {
                 for v in xs {
                     *v = v.max(0.0);

@@ -1,13 +1,19 @@
 //! Numerically-stable softmax family with backward helpers.
 
+use simd_kernels::mathf64::{self, exp, ln};
+use simd_kernels::Isa;
+
+/// `½·ln 2π`, the normalisation of the standard normal log-density.
+const HALF_LN_2PI: f64 = 0.918_938_533_204_672_8;
+
 /// In-place softmax over a single row (stable: shifts by the max).
 pub fn softmax_inplace(logits: &mut [f64]) {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let mut sum = 0.0;
     for v in logits.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+        *v -= max;
     }
+    mathf64::exp_inplace(Isa::cached(), logits);
+    let sum: f64 = logits.iter().sum();
     for v in logits.iter_mut() {
         *v /= sum;
     }
@@ -23,7 +29,7 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
 /// Log-softmax of a row (stable log-sum-exp).
 pub fn log_softmax(logits: &[f64]) -> Vec<f64> {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let lse = logits.iter().map(|&v| (v - max).exp()).sum::<f64>().ln() + max;
+    let lse = ln(logits.iter().map(|&v| exp(v - max)).sum::<f64>()) + max;
     logits.iter().map(|&v| v - lse).collect()
 }
 
@@ -33,7 +39,7 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     if max.is_infinite() {
         return max;
     }
-    xs.iter().map(|&v| (v - max).exp()).sum::<f64>().ln() + max
+    ln(xs.iter().map(|&v| exp(v - max)).sum::<f64>()) + max
 }
 
 /// Gradient of `log p(a)` w.r.t. the logits: `onehot(a) - softmax(logits)`.
@@ -47,7 +53,7 @@ pub fn d_log_prob_d_logits(probs: &[f64], action: usize, out: &mut [f64]) {
 
 /// Entropy of a categorical distribution given its probabilities.
 pub fn categorical_entropy(probs: &[f64]) -> f64 {
-    -probs.iter().filter(|&&p| p > 0.0).map(|&p| p * p.ln()).sum::<f64>()
+    -probs.iter().filter(|&&p| p > 0.0).map(|&p| p * ln(p)).sum::<f64>()
 }
 
 /// Gradient of the entropy w.r.t. the logits:
@@ -55,13 +61,13 @@ pub fn categorical_entropy(probs: &[f64]) -> f64 {
 pub fn d_entropy_d_logits(probs: &[f64], out: &mut [f64]) {
     let h = categorical_entropy(probs);
     for (o, &p) in out.iter_mut().zip(probs) {
-        *o = if p > 0.0 { -p * (p.ln() + h) } else { 0.0 };
+        *o = if p > 0.0 { -p * (ln(p) + h) } else { 0.0 };
     }
 }
 
 /// Natural log of the standard normal density at `z`.
 pub fn log_normal_pdf(z: f64) -> f64 {
-    -0.5 * z * z - 0.5 * (2.0 * std::f64::consts::PI).ln()
+    -0.5 * z * z - HALF_LN_2PI
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 // Index loops here co-index several arrays; zip chains would obscure them.
 #![allow(clippy::needless_range_loop)]
 use crate::mlp::Mlp;
+use simd_kernels::nnf64::{self, AdamStep};
+use simd_kernels::Isa;
 
 /// A parameter-update rule operating on an [`Mlp`]'s `(param, grad)` pairs.
 pub trait Optimizer: Send {
@@ -89,14 +91,31 @@ impl Adam {
     pub fn with_betas(lr: f64, beta1: f64, beta2: f64, eps: f64) -> Self {
         Self { lr, beta1, beta2, eps, t: 0, m: Vec::new(), v: Vec::new() }
     }
+
+    /// Update number `t` (the first is 1), at this optimizer's rate and
+    /// decays, of a parameter vector that lives outside any [`Mlp`] and
+    /// whose moments `m`, `v` the caller holds — PPO's free log-std.
+    /// [`Optimizer::step`] is this on every tensor of the network.
+    pub fn step_tensor(
+        &self,
+        t: u64,
+        params: &mut [f64],
+        grads: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+    ) {
+        nnf64::adam_step(Isa::cached(), &self.constants(t), params, grads, m, v);
+    }
+
+    fn constants(&self, t: u64) -> AdamStep {
+        AdamStep::new(self.lr, self.beta1, self.beta2, self.eps, t)
+    }
 }
 
 impl Optimizer for Adam {
     fn step(&mut self, net: &mut Mlp) {
         self.t += 1;
-        let (b1, b2, eps, lr, t) = (self.beta1, self.beta2, self.eps, self.lr, self.t);
-        let bc1 = 1.0 - b1.powi(t as i32);
-        let bc2 = 1.0 - b2.powi(t as i32);
+        let (isa, step) = (Isa::cached(), self.constants(self.t));
         let mut idx = 0;
         let (ms, vs) = (&mut self.m, &mut self.v);
         net.visit_params(|params, grads| {
@@ -104,16 +123,7 @@ impl Optimizer for Adam {
                 ms.push(vec![0.0; params.len()]);
                 vs.push(vec![0.0; params.len()]);
             }
-            let m = &mut ms[idx];
-            let v = &mut vs[idx];
-            for i in 0..params.len() {
-                let g = grads[i];
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let mh = m[i] / bc1;
-                let vh = v[i] / bc2;
-                params[i] -= lr * mh / (vh.sqrt() + eps);
-            }
+            nnf64::adam_step(isa, &step, params, grads, &mut ms[idx], &mut vs[idx]);
             idx += 1;
         });
     }

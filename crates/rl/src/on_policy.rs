@@ -30,6 +30,7 @@ use crate::vtrace::{vtrace, VtraceConfig};
 use gymrs::{Action, Environment, Space};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use simd_kernels::mathf64::exp;
 use tinynn::{backward_flops, clip_grad_norm, forward_flops, Adam, Matrix, Optimizer, Tape};
 
 /// Where advantages and the critic's regression targets come from.
@@ -248,7 +249,7 @@ impl OnPolicyLearner {
                     // dL/dlogp, the per-row weight on ∂log π.
                     let dlp = match self.surrogate {
                         Surrogate::Clipped { clip, .. } => {
-                            let ratio = (lp_new - lp_old).exp();
+                            let ratio = exp(lp_new - lp_old);
                             let clipped = ratio.clamp(1.0 - clip, 1.0 + clip);
                             stats.policy_loss += -(ratio * a).min(clipped * a);
                             if (ratio - clipped).abs() > 1e-12 {
@@ -351,25 +352,17 @@ impl OnPolicyLearner {
         }
     }
 
-    /// Adam step for the free log_std vector at the actor's current rate,
-    /// clamped to a sane range.
+    /// Adam step for the free log_std vector — one more tensor of the
+    /// actor's optimizer, at its current rate — clamped to a sane range.
     fn step_log_std(&mut self, grad: &[f64]) {
         if grad.is_empty() {
             return;
         }
         self.ls_t += 1;
-        let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
-        let t = self.ls_t.min(i32::MAX as u64) as i32;
-        let bc1 = 1.0 - b1.powi(t);
-        let bc2 = 1.0 - b2.powi(t);
-        let lr = self.actor_opt.lr();
-        for i in 0..grad.len() {
-            self.ls_m[i] = b1 * self.ls_m[i] + (1.0 - b1) * grad[i];
-            self.ls_v[i] = b2 * self.ls_v[i] + (1.0 - b2) * grad[i] * grad[i];
-            let mh = self.ls_m[i] / bc1;
-            let vh = self.ls_v[i] / bc2;
-            self.policy.log_std[i] =
-                (self.policy.log_std[i] - lr * mh / (vh.sqrt() + eps)).clamp(-4.0, 1.0);
+        let log_std = &mut self.policy.log_std;
+        self.actor_opt.step_tensor(self.ls_t, log_std, grad, &mut self.ls_m, &mut self.ls_v);
+        for l in log_std {
+            *l = l.clamp(-4.0, 1.0);
         }
     }
 }

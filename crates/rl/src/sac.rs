@@ -11,7 +11,8 @@
 use crate::buffer::{ReplayBuffer, Transition};
 use gymrs::{Action, Space};
 use rand::Rng;
-use tinynn::dist::{SquashedGaussian, LOG_STD_MAX, LOG_STD_MIN};
+use simd_kernels::mathf64::{exp, ln};
+use tinynn::dist::{PathwisePartials, SquashedGaussian, SquashedSample, LOG_STD_MAX, LOG_STD_MIN};
 use tinynn::{
     backward_flops, clip_grad_norm, forward_flops, Activation, Adam, Matrix, Mlp, Optimizer, Tape,
 };
@@ -145,8 +146,12 @@ struct Scratch {
     dactor: Matrix,
     /// TD targets.
     y: Vec<f64>,
-    /// `log π(a'|s')` of the sampled next actions.
-    logps: Vec<f64>,
+    /// Per batch row, the policy distribution and the action drawn from
+    /// it: at the next observations, then at the observations.
+    dists: Vec<SquashedGaussian>,
+    samples: Vec<SquashedSample>,
+    /// Pathwise partials of the row being turned into actor gradient.
+    parts: PathwisePartials,
 }
 
 impl SacLearner {
@@ -174,7 +179,7 @@ impl SacLearner {
             q2,
             q1_target,
             q2_target,
-            log_alpha: cfg.init_alpha.ln(),
+            log_alpha: ln(cfg.init_alpha),
             actor_opt: Adam::new(cfg.lr),
             q1_opt: Adam::new(cfg.lr),
             q2_opt: Adam::new(cfg.lr),
@@ -197,7 +202,7 @@ impl SacLearner {
 
     /// Current temperature α.
     pub fn alpha(&self) -> f64 {
-        self.log_alpha.exp()
+        exp(self.log_alpha)
     }
 
     /// Policy distribution for an observation.
@@ -247,22 +252,33 @@ impl SacLearner {
         let gamma = self.cfg.gamma;
         let alpha = self.alpha();
         let (obs_dim, act_dim) = (self.obs_dim, self.act_dim);
-        let Scratch { actor_tape, q1_tape, q2_tape, obs_in, q_in, dq, dactor, y, logps } =
-            &mut self.scratch;
+        let Scratch {
+            actor_tape,
+            q1_tape,
+            q2_tape,
+            obs_in,
+            q_in,
+            dq,
+            dactor,
+            y,
+            dists,
+            samples,
+            parts,
+        } = &mut self.scratch;
+        dists.resize_with(b, SquashedGaussian::default);
+        samples.resize_with(b, SquashedSample::default);
 
         // ---- 1. Targets: y = r + γ(1-d)(min Q_t(s',a') - α log π(a'|s'))
         fill_rows(obs_in, &batch, obs_dim, |t| &t.next_obs);
         let next_out = self.actor.infer_into(obs_in, actor_tape);
         q_in.resize_zeroed(b, obs_dim + act_dim);
-        logps.clear();
         for i in 0..b {
             let row = next_out.row_slice(i);
-            let d = SquashedGaussian::new(&row[..act_dim], &row[act_dim..]);
-            let s = d.rsample(rng);
-            logps.push(s.log_prob);
+            dists[i].assign(&row[..act_dim], &row[act_dim..]);
+            dists[i].rsample_into(rng, &mut samples[i]);
             let dst = q_in.row_slice_mut(i);
             dst[..obs_dim].copy_from_slice(&batch[i].next_obs);
-            dst[obs_dim..].copy_from_slice(&s.action);
+            dst[obs_dim..].copy_from_slice(&samples[i].action);
         }
         let q1t = self.q1_target.infer_into(q_in, q1_tape);
         let q2t = self.q2_target.infer_into(q_in, q2_tape);
@@ -270,7 +286,7 @@ impl SacLearner {
         for i in 0..b {
             let qmin = q1t.get(i, 0).min(q2t.get(i, 0));
             let not_done = if batch[i].terminated { 0.0 } else { 1.0 };
-            y.push(batch[i].reward + gamma * not_done * (qmin - alpha * logps[i]));
+            y.push(batch[i].reward + gamma * not_done * (qmin - alpha * samples[i].log_prob));
         }
 
         // ---- 2. Actor update (before the critic step so the critic's
@@ -278,17 +294,13 @@ impl SacLearner {
         fill_rows(obs_in, &batch, obs_dim, |t| &t.obs);
         self.actor.forward_into(obs_in, actor_tape);
         let actor_out = actor_tape.output();
-        let mut samples = Vec::with_capacity(b);
-        let mut dists = Vec::with_capacity(b);
         for i in 0..b {
             let row = actor_out.row_slice(i);
-            let d = SquashedGaussian::new(&row[..act_dim], &row[act_dim..]);
-            let s = d.rsample(rng);
+            dists[i].assign(&row[..act_dim], &row[act_dim..]);
+            dists[i].rsample_into(rng, &mut samples[i]);
             let dst = q_in.row_slice_mut(i);
             dst[..obs_dim].copy_from_slice(&batch[i].obs);
-            dst[obs_dim..].copy_from_slice(&s.action);
-            samples.push(s);
-            dists.push(d);
+            dst[obs_dim..].copy_from_slice(&samples[i].action);
         }
         // dQmin/da via the critics' input gradients.
         self.q1.forward_into(q_in, q1_tape);
@@ -310,7 +322,7 @@ impl SacLearner {
             let use_q1 = q1v.get(i, 0) <= q2v.get(i, 0);
             let din = if use_q1 { din1.row_slice(i) } else { din2.row_slice(i) };
             let dq_da = &din[obs_dim..];
-            let parts = dists[i].pathwise_partials(&samples[i]);
+            dists[i].pathwise_partials_into(&samples[i], parts);
             let raw_ls = &actor_out.row_slice(i)[act_dim..];
             let drow = dactor.row_slice_mut(i);
             for k in 0..act_dim {

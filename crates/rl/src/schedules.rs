@@ -3,6 +3,8 @@
 //! The paper's frameworks anneal PPO's learning rate linearly by default;
 //! the trainer applies a [`Schedule`] between updates.
 
+use simd_kernels::mathf64::{exp, ln};
+
 /// A scalar schedule evaluated at training progress `p ∈ [0, 1]`
 /// (0 = start, 1 = end of the step budget).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +46,7 @@ impl Schedule {
             Schedule::Linear { from, to } => from + (to - from) * p,
             Schedule::Exponential { from, to } => {
                 debug_assert!(from * to > 0.0, "exponential schedule needs same-sign endpoints");
-                from * (to / from).powf(p)
+                from * exp(p * ln(to / from))
             }
             Schedule::WarmholdLinear { from, to, frac } => {
                 if p <= frac {

@@ -24,6 +24,8 @@
 //! cuts the trace at segment/episode boundaries, so concatenated worker
 //! segments are handled exactly like the GAE path.
 
+use simd_kernels::mathf64::exp;
+
 /// Clipping thresholds (the IMPALA paper's defaults are both 1.0).
 #[derive(Debug, Clone, Copy)]
 pub struct VtraceConfig {
@@ -80,7 +82,7 @@ pub fn vtrace(
     let mut rhos = Vec::with_capacity(n);
     let mut cs = Vec::with_capacity(n);
     for t in 0..n {
-        let ratio = (target_log_probs[t] - behaviour_log_probs[t]).exp();
+        let ratio = exp(target_log_probs[t] - behaviour_log_probs[t]);
         rhos.push(ratio.min(cfg.rho_clip));
         cs.push(ratio.min(cfg.c_clip));
     }

@@ -25,6 +25,15 @@
 //! `RLDT_SIMD=scalar` runs must reproduce AVX-512 runs bit for bit —
 //! CI runs the kernel test suites under both settings.
 //!
+//! Transcendentals are in-tree; result bits do not depend on the host
+//! `libm`. [`mathf64`] holds `sin_cos`, `exp`, `ln` and `tanh` as
+//! straight-line functions built from those same exact-rounded
+//! operations, and its slice entry points compile that one body per tier
+//! inside `#[target_feature]` wrappers rather than carrying a
+//! hand-written body per tier — as does [`nnf64::adam_step`], whose
+//! divides and square root are exact-rounded at every lane width. So the
+//! contract also holds across machines: same seed, same policy.
+//!
 //! ## Crossover
 //!
 //! Batching only pays once enough lanes share a sweep; at `n = 1–2` the
@@ -38,6 +47,7 @@
 pub mod buffer;
 pub mod crossover;
 mod isa;
+pub mod mathf64;
 pub mod nnf64;
 pub mod odef64;
 

@@ -819,6 +819,99 @@ pub fn axpy(isa: Isa, alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// The constants of one Adam update (Kingma & Ba, 2015): step size, decay
+/// rates, `ε`, and the bias corrections `1 − βᵗ` of its step count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AdamStep {
+    lr: f64,
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    bc1: f64,
+    bc2: f64,
+}
+
+impl AdamStep {
+    /// The constants of update number `t` (the first update is `t = 1`).
+    ///
+    /// `powi` takes an `i32`; a count past `i32::MAX` is clamped to it
+    /// rather than cast, where both corrections have long since reached 1
+    /// (a wrapping cast would make them `1 − β^(negative)` or `1 − β⁰ = 0`).
+    pub fn new(lr: f64, beta1: f64, beta2: f64, eps: f64, t: u64) -> Self {
+        let t = t.min(i32::MAX as u64) as i32;
+        Self { lr, beta1, beta2, eps, bc1: 1.0 - beta1.powi(t), bc2: 1.0 - beta2.powi(t) }
+    }
+}
+
+/// The Adam update of every element — the one copy of the formula, and
+/// the scalar tier. Division and square root are exact-rounded like the
+/// other operations, so the vector tiers below return these bits.
+#[inline(always)]
+fn adam_step_elements(
+    c: &AdamStep,
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) {
+    for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+        *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+        *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+        let mh = *m / c.bc1;
+        let vh = *v / c.bc2;
+        *p -= c.lr * mh / (vh.sqrt() + c.eps);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn adam_step_avx2(
+    c: &AdamStep,
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) {
+    adam_step_elements(c, params, grads, m, v);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn adam_step_avx512(
+    c: &AdamStep,
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) {
+    adam_step_elements(c, params, grads, m, v);
+}
+
+/// One Adam update of a flat tensor: first and second moments `m`, `v`
+/// decay toward `grads` and `grads²`, and `params` move by
+/// `lr · m̂ / (√v̂ + ε)` with `m̂ = m / bc₁`, `v̂ = v / bc₂`.
+#[inline]
+pub fn adam_step(
+    isa: Isa,
+    c: &AdamStep,
+    params: &mut [f64],
+    grads: &[f64],
+    m: &mut [f64],
+    v: &mut [f64],
+) {
+    let n = params.len();
+    assert!(grads.len() == n && m.len() == n && v.len() == n, "adam_step: length mismatch");
+    match clamp(isa) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: clamp() verified the CPU supports this tier.
+        Isa::Avx512 => unsafe { adam_step_avx512(c, params, grads, m, v) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: clamp() verified the CPU supports this tier.
+        Isa::Avx2 => unsafe { adam_step_avx2(c, params, grads, m, v) },
+        _ => adam_step_elements(c, params, grads, m, v),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -941,6 +1034,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn adam_step_counts_past_i32_max_stay_finite() {
+        // The corrections reached 1 long before; a wrapping cast would
+        // give `1 − β^(−2³¹)` = −∞ one past the limit and `1 − β⁰` = 0 at 2³².
+        let limit = i32::MAX as u64;
+        for t in [limit - 1, limit, limit + 1, 1 << 32, (1 << 32) + 7, u64::MAX] {
+            let step = AdamStep::new(1e-3, 0.9, 0.999, 1e-8, t);
+            assert_eq!((step.bc1, step.bc2), (1.0, 1.0), "t = {t}");
+            let (mut p, mut m, mut v) = ([0.5, -0.25], [0.1, 0.0], [0.01, 0.0]);
+            adam_step(Isa::cached(), &step, &mut p, &[0.3, -0.2], &mut m, &mut v);
+            assert!(p.iter().all(|x| x.is_finite() && x.abs() < 1.0), "t = {t}: {p:?}");
+        }
+        assert_eq!(AdamStep::new(1e-3, 0.9, 0.999, 1e-8, 1).bc1, 1.0 - 0.9);
     }
 
     #[test]

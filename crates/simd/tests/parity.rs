@@ -274,3 +274,48 @@ fn nn_axpy_matches_scalar() {
         }
     });
 }
+
+/// Several Adam updates in a row, against the textbook loop written out
+/// here: moments, bias corrections `1 − βᵗ`, then `lr·m̂/(√v̂ + ε)`. About
+/// one gradient in four is exactly zero, and an all-zero tensor with zero
+/// moments must not move at all.
+#[test]
+fn nn_adam_step_matches_scalar() {
+    let (lr, b1, b2, eps) = (3e-4, 0.9f64, 0.999f64, 1e-8);
+    sweep(64, SEED, |g| {
+        let p0 = vecs(g, 0..67);
+        let len = p0.len();
+        let steps: Vec<Vec<f64>> = (0..3)
+            .map(|_| {
+                (0..len).map(|_| if g.below(4) == 0 { 0.0 } else { g.f64_in(-2.0..2.0) }).collect()
+            })
+            .collect();
+        let t0 = g.int_in(0..5000u64);
+
+        let (mut p, mut m, mut v) = (p0.clone(), vec![0.0; len], vec![0.0; len]);
+        for (i, grads) in steps.iter().enumerate() {
+            let t = (t0 + i as u64 + 1) as i32;
+            let (bc1, bc2) = (1.0 - b1.powi(t), 1.0 - b2.powi(t));
+            for e in 0..len {
+                m[e] = b1 * m[e] + (1.0 - b1) * grads[e];
+                v[e] = b2 * v[e] + (1.0 - b2) * grads[e] * grads[e];
+                p[e] -= lr * (m[e] / bc1) / ((v[e] / bc2).sqrt() + eps);
+            }
+        }
+
+        for isa in tiers() {
+            let (mut pi, mut mi, mut vi) = (p0.clone(), vec![0.0; len], vec![0.0; len]);
+            for (i, grads) in steps.iter().enumerate() {
+                let step = nnf64::AdamStep::new(lr, b1, b2, eps, t0 + i as u64 + 1);
+                nnf64::adam_step(isa, &step, &mut pi, grads, &mut mi, &mut vi);
+            }
+            assert!(bits_eq(&pi, &p), "nn adam_step params diverged on {isa}");
+            assert!(bits_eq(&mi, &m) && bits_eq(&vi, &v), "nn adam_step moments diverged on {isa}");
+
+            let (mut still, mut mz, mut vz) = (p0.clone(), vec![0.0; len], vec![0.0; len]);
+            let step = nnf64::AdamStep::new(lr, b1, b2, eps, t0 + 1);
+            nnf64::adam_step(isa, &step, &mut still, &vec![0.0; len], &mut mz, &mut vz);
+            assert!(bits_eq(&still, &p0), "zero gradients moved parameters on {isa}");
+        }
+    });
+}
