@@ -124,8 +124,7 @@ fn main() {
             Box::new(env) as Box<dyn Environment>
         });
         let mut session = ClusterSession::new(ClusterSpec::paper_testbed(2));
-        let report = train_impala(&impala, &factory, &mut session)
-            .expect("impala trains");
+        let report = train_impala(&impala, &factory, &mut session).expect("impala trains");
         let usage = session.finish();
         let mut eval_env = AirdropEnv::new(
             AirdropConfig { altitude_limits: alt, ..AirdropConfig::default() }.reference(),

@@ -116,7 +116,7 @@ impl PhaseEvent {
 ///
 /// Every accounting update is mirrored into the session's
 /// [`telemetry::Recorder`] (a [`telemetry::NullRecorder`] by default) in
-/// the same arithmetic order, so [`crate::rollup::Usage::from_snapshot`]
+/// the same arithmetic order, so [`crate::usage::Usage::from_snapshot`]
 /// rebuilds [`ClusterSession::finish`]'s report bit for bit from a
 /// recorded snapshot.
 #[derive(Clone)]

@@ -115,20 +115,10 @@ impl Distribution {
     /// statistics (Hyndman–Fan type 7, the default of R and NumPy):
     /// `q(p)` interpolates at rank `(n-1)·p`. `p` is clamped to `[0, 1]`.
     pub fn quantile(&self, p: f64) -> f64 {
-        let n = self.sorted.len();
-        if n == 0 {
+        if self.sorted.is_empty() {
             return f64::NAN;
         }
-        let p = p.clamp(0.0, 1.0);
-        let h = (n - 1) as f64 * p;
-        let lo = h.floor() as usize;
-        let hi = h.ceil() as usize;
-        if lo == hi {
-            self.sorted[lo]
-        } else {
-            let w = h - lo as f64;
-            self.sorted[lo] * (1.0 - w) + self.sorted[hi] * w
-        }
+        Rank::of(self.sorted.len(), p).read(&self.sorted)
     }
 
     /// Median (`quantile(0.5)`).
@@ -195,38 +185,37 @@ impl Distribution {
         dd
     }
 
-    /// Seeded percentile-bootstrap confidence interval for the mean.
-    ///
-    /// Draws `spec.resamples` resamples (with replacement, `n` draws
-    /// each) using a SplitMix64 stream seeded with `spec.seed`, computes
-    /// each resample's mean, and reads the `(1±level)/2` percentiles off
-    /// the sorted resample means. Deterministic: a fixed
-    /// `(seed, resamples)` pair yields bit-identical bounds regardless
-    /// of platform or calling thread.
-    ///
-    /// A single-sample distribution yields the degenerate interval
-    /// `[x, x]`; an empty one yields `[NaN, NaN]`.
+    /// Seeded percentile-bootstrap confidence interval for the mean:
+    /// [`Bootstrap::ci`] on a resampler built for this one call. A loop
+    /// over many distributions builds one [`Bootstrap`] and reuses it.
     pub fn bootstrap_ci(&self, spec: &BootstrapSpec) -> Ci {
-        let n = self.samples.len();
-        if n == 0 {
-            return Ci { lo: f64::NAN, hi: f64::NAN, level: spec.level };
+        Bootstrap::new(*spec).ci(self)
+    }
+}
+
+/// Where the type-7 quantile `p` of `n ≥ 1` order statistics sits: rank
+/// `(n-1)·p` lies between statistics `lo` and `hi`, `w` of the way up.
+struct Rank {
+    lo: usize,
+    hi: usize,
+    w: f64,
+}
+
+impl Rank {
+    fn of(n: usize, p: f64) -> Self {
+        let h = (n - 1) as f64 * p.clamp(0.0, 1.0);
+        let lo = h.floor() as usize;
+        Self { lo, hi: h.ceil() as usize, w: h - lo as f64 }
+    }
+
+    /// The quantile, from a slice holding its `lo`-th and `hi`-th order
+    /// statistics at those positions.
+    fn read(&self, placed: &[f64]) -> f64 {
+        if self.lo == self.hi {
+            placed[self.lo]
+        } else {
+            placed[self.lo] * (1.0 - self.w) + placed[self.hi] * self.w
         }
-        if n == 1 || spec.resamples == 0 {
-            return Ci { lo: self.samples[0], hi: self.samples[0], level: spec.level };
-        }
-        let mut rng = SplitMix64::new(spec.seed);
-        let mut means = Vec::with_capacity(spec.resamples);
-        for _ in 0..spec.resamples {
-            let mut sum = 0.0;
-            for _ in 0..n {
-                sum += self.samples[rng.below(n)];
-            }
-            means.push(sum / n as f64);
-        }
-        means.sort_by(f64::total_cmp);
-        let boot = Distribution { samples: Vec::new(), sorted: means };
-        let tail = (1.0 - spec.level.clamp(0.0, 1.0)) / 2.0;
-        Ci { lo: boot.quantile(tail), hi: boot.quantile(1.0 - tail), level: spec.level }
     }
 }
 
@@ -255,6 +244,119 @@ impl BootstrapSpec {
     pub fn level(level: f64) -> Self {
         Self { level, ..Self::default() }
     }
+}
+
+/// The seeded percentile bootstrap of the mean, as a kernel that is built
+/// once and run over many distributions.
+///
+/// [`Self::ci`] draws `spec.resamples` resamples (with replacement, `n`
+/// draws each) from a SplitMix64 stream seeded with `spec.seed`, takes
+/// each resample's mean, and reads the `(1±level)/2` type-7 percentiles
+/// of those means. Deterministic: equal specs give bit-identical bounds
+/// from equal samples, on every platform and from any thread.
+///
+/// ## The plan, and what sharing it means
+///
+/// The resample indices depend on `(seed, resamples, n)` and never on
+/// the samples. So they are drawn once per sample count `n` — the
+/// *plan*, `resamples × n` indices of four bytes (`4·R·n` bytes: 51 kB
+/// at R = 200, n = 64; 40 MB at R = 10³, n = 10⁴) — and kept for the
+/// next distribution of the same length; a different length redraws it.
+/// A caller walking a column of trials builds one `Bootstrap` for the
+/// pass and reuses it row after row.
+///
+/// Equal-length distributions under one spec therefore see the *same*
+/// index sequence (common random numbers). That is harmless for one
+/// interval per trial and is what every report and the CI gate have
+/// always computed. It is wrong for anything that compares resamples
+/// *across* trials: a front-stability loop (ROADMAP item 1) needs an
+/// independent stream per (trial, metric) and must construct its own
+/// `Bootstrap`, with its own seed, per stream rather than reuse one.
+#[derive(Debug, Clone)]
+pub struct Bootstrap {
+    spec: BootstrapSpec,
+    /// `resamples` rows of `n` sample indices each, in draw order.
+    plan: Vec<u32>,
+    /// The sample count `plan` was drawn for.
+    n: usize,
+    /// The resample means of the last call (scratch, kept for its
+    /// allocation).
+    means: Vec<f64>,
+}
+
+impl Bootstrap {
+    /// A resampler for `spec`. Allocates nothing until the first
+    /// [`Self::ci`].
+    pub fn new(spec: BootstrapSpec) -> Self {
+        Self { spec, plan: Vec::new(), n: 0, means: Vec::new() }
+    }
+
+    /// Confidence interval for the mean of `dist`.
+    ///
+    /// A single-sample distribution (or zero resamples) yields the
+    /// degenerate interval `[x, x]`; an empty one yields `[NaN, NaN]`.
+    pub fn ci(&mut self, dist: &Distribution) -> Ci {
+        let BootstrapSpec { level, resamples, .. } = self.spec;
+        let x = dist.samples();
+        let n = x.len();
+        if n == 0 {
+            return Ci::point(f64::NAN, level);
+        }
+        if n == 1 || resamples == 0 {
+            return Ci::point(x[0], level);
+        }
+        if n != self.n {
+            self.draw_plan(n);
+        }
+        self.means.clear();
+        // Four resamples at a time: each sum still adds its own draws in
+        // draw order (the bits of every mean are those of a serial loop),
+        // but the four add chains overlap.
+        let mut blocks = self.plan.chunks_exact(4 * n);
+        for block in &mut blocks {
+            self.means.extend(resample_means::<4>(x, block));
+        }
+        for row in blocks.remainder().chunks_exact(n) {
+            self.means.extend(resample_means::<1>(x, row));
+        }
+        // Two quantiles need at most four order statistics, not a sort.
+        // Placed highest first: a selection leaves everything below it in
+        // front of it, so the next one only looks there.
+        let tail = (1.0 - level.clamp(0.0, 1.0)) / 2.0;
+        let (lo, hi) = (Rank::of(resamples, tail), Rank::of(resamples, 1.0 - tail));
+        let mut ranks = [lo.lo, lo.hi, hi.lo, hi.hi];
+        ranks.sort_unstable();
+        let mut end = self.means.len();
+        for k in ranks.into_iter().rev() {
+            if k < end {
+                self.means[..end].select_nth_unstable_by(k, f64::total_cmp);
+                end = k;
+            }
+        }
+        Ci { lo: lo.read(&self.means), hi: hi.read(&self.means), level }
+    }
+
+    fn draw_plan(&mut self, n: usize) {
+        assert!(u32::try_from(n).is_ok(), "a resample plan indexes at most 2^32 samples");
+        let draws = self.spec.resamples.checked_mul(n).expect("resamples × n overflows usize");
+        let mut rng = SplitMix64::new(self.spec.seed);
+        self.plan.clear();
+        self.plan.extend((0..draws).map(|_| rng.below(n) as u32));
+        self.n = n;
+    }
+}
+
+/// The means of `L` resamples of `x`; `rows` holds their `L × x.len()`
+/// indices, one resample after the other.
+fn resample_means<const L: usize>(x: &[f64], rows: &[u32]) -> [f64; L] {
+    let n = x.len();
+    let mut sums = [0.0; L];
+    for j in 0..n {
+        for (l, sum) in sums.iter_mut().enumerate() {
+            *sum += x[rows[l * n + j] as usize];
+        }
+    }
+    sums.map(|sum| sum / n as f64)
 }
 
 /// A two-sided confidence interval.
@@ -317,8 +419,107 @@ impl SplitMix64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use testkit::{sweep, Gen};
+
+    /// The loop [`Bootstrap::ci`] replaced, kept as its oracle: one serial
+    /// sum per resample straight off the generator, a full sort of the
+    /// means, two type-7 reads.
+    pub(crate) fn oracle_ci(dist: &Distribution, spec: &BootstrapSpec) -> Ci {
+        let n = dist.samples.len();
+        if n == 0 {
+            return Ci { lo: f64::NAN, hi: f64::NAN, level: spec.level };
+        }
+        if n == 1 || spec.resamples == 0 {
+            return Ci { lo: dist.samples[0], hi: dist.samples[0], level: spec.level };
+        }
+        let mut rng = SplitMix64::new(spec.seed);
+        let mut means = Vec::with_capacity(spec.resamples);
+        for _ in 0..spec.resamples {
+            let mut sum = 0.0;
+            for _ in 0..n {
+                sum += dist.samples[rng.below(n)];
+            }
+            means.push(sum / n as f64);
+        }
+        means.sort_by(f64::total_cmp);
+        let quantile = |p: f64| {
+            let h = (means.len() - 1) as f64 * p.clamp(0.0, 1.0);
+            let (lo, hi) = (h.floor() as usize, h.ceil() as usize);
+            if lo == hi {
+                means[lo]
+            } else {
+                let w = h - lo as f64;
+                means[lo] * (1.0 - w) + means[hi] * w
+            }
+        };
+        let tail = (1.0 - spec.level.clamp(0.0, 1.0)) / 2.0;
+        Ci { lo: quantile(tail), hi: quantile(1.0 - tail), level: spec.level }
+    }
+
+    fn bits(ci: Ci) -> (u64, u64, u64) {
+        (ci.lo.to_bits(), ci.hi.to_bits(), ci.level.to_bits())
+    }
+
+    /// `n` samples of one of three kinds: spread over ±100 (the sum's last
+    /// bits depend on the order of the adds), a four-value grid holding
+    /// both zeros (repeats; a mean of −0.0s), or magnitudes twelve decades
+    /// apart (an add out of order shows in the leading bits).
+    fn samples(g: &mut Gen, n: usize) -> Vec<f64> {
+        match g.below(3) {
+            0 => g.f64s(n, -100.0..100.0),
+            1 => (0..n).map(|_| *g.pick(&[-0.0, 0.0, 1.5, -2.25])).collect(),
+            _ => (0..n).map(|_| g.f64_in(-1.0..1.0) * *g.pick(&[1e-6, 1.0, 1e6])).collect(),
+        }
+    }
+
+    #[test]
+    fn bootstrap_equals_the_serial_oracle_bit_for_bit() {
+        const RESAMPLES: [usize; 8] = [1, 2, 3, 7, 50, 200, 201, 1000];
+        const LEVELS: [f64; 5] = [0.0, 0.5, 0.9, 0.95, 1.0];
+        // Every length once, with 64 met again after other lengths (the
+        // plan is redrawn) and 3 and 64 met twice running (it is kept).
+        const LENGTHS: [usize; 13] = [64, 2, 3, 3, 5, 8, 20, 63, 64, 64, 65, 256, 64];
+        let mut case = 0;
+        sweep(RESAMPLES.len() * LEVELS.len(), 0xB007_57A9, |g| {
+            let (resamples, level) = (RESAMPLES[case % 8], LEVELS[case / 8]);
+            case += 1;
+            let spec = BootstrapSpec { level, resamples, seed: g.u64() };
+            let mut reused = Bootstrap::new(spec);
+            for n in LENGTHS {
+                let dist = Distribution::from_samples(samples(g, n));
+                let expected = bits(oracle_ci(&dist, &spec));
+                let ctx = format!("n {n}, {spec:?}");
+                assert_eq!(bits(reused.ci(&dist)), expected, "reused resampler, {ctx}");
+                assert_eq!(bits(dist.bootstrap_ci(&spec)), expected, "fresh resampler, {ctx}");
+            }
+        });
+        assert_eq!(case, 40);
+    }
+
+    #[test]
+    fn bootstrap_edge_inputs_match_the_oracle() {
+        let spec = BootstrapSpec { level: 0.9, resamples: 50, seed: 3 };
+        let mut reused = Bootstrap::new(spec);
+        // Empty and single-sample distributions between two real ones
+        // leave the kept plan alone.
+        for samples in [vec![1.0, 2.0, 4.0], vec![], vec![7.5], vec![-0.0; 3], vec![3.0, 1.0, 2.0]]
+        {
+            let dist = Distribution::from_samples(samples);
+            assert_eq!(
+                bits(reused.ci(&dist)),
+                bits(oracle_ci(&dist, &spec)),
+                "{:?}",
+                dist.samples()
+            );
+        }
+        let dist = Distribution::from_samples(vec![1.0, 2.0, 4.0]);
+        for (level, resamples) in [(f64::NAN, 50), (-1.0, 50), (2.0, 50), (0.9, 0)] {
+            let spec = BootstrapSpec { level, resamples, ..spec };
+            assert_eq!(bits(dist.bootstrap_ci(&spec)), bits(oracle_ci(&dist, &spec)), "{spec:?}");
+        }
+    }
 
     fn grid_1_to_100() -> Distribution {
         Distribution::from_samples((1..=100).map(|i| i as f64).collect())

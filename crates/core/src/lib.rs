@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::analysis::{all_effects, ParamEffect};
     pub use crate::cache::{CachedOutcome, TrialCache};
     pub use crate::constraint::{Constraint, ConstraintSet};
-    pub use crate::distribution::{BootstrapSpec, Ci, Distribution};
+    pub use crate::distribution::{Bootstrap, BootstrapSpec, Ci, Distribution};
     pub use crate::explore::{Explorer, GridSearch, PresetList, RandomSearch, TpeLite};
     pub use crate::metrics::{
         keys as metric_keys, Direction, MetricDef, MetricKey, MetricSample, MetricValues, Risk,

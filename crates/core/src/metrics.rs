@@ -16,7 +16,7 @@
 //! [`MetricValues::risk_value`], which degrades gracefully to the scalar
 //! when no distribution was recorded.
 
-use crate::distribution::{BootstrapSpec, Ci, Distribution};
+use crate::distribution::{Bootstrap, BootstrapSpec, Ci, Distribution};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -142,6 +142,18 @@ pub enum Risk {
     LowerCi(f64),
 }
 
+impl Risk {
+    /// The resampler for a column read through this risk: `spec` at the
+    /// `LowerCi` level (the other readings never resample).
+    pub(crate) fn bootstrap(self, spec: &BootstrapSpec) -> Bootstrap {
+        let level = match self {
+            Risk::LowerCi(level) => level,
+            Risk::Mean | Risk::Cvar(_) => spec.level,
+        };
+        Bootstrap::new(BootstrapSpec { level, ..*spec })
+    }
+}
+
 // `Cvar`/`LowerCi` carry parameters that are always finite, user-chosen
 // constants, so bit-level equality is the right equivalence and `Risk`
 // can participate in `MetricDef`'s derived `Eq`/`Hash`.
@@ -227,6 +239,18 @@ pub struct MetricSample<'a> {
 impl MetricSample<'_> {
     /// Read this sample through a risk spec (see [`MetricValues::risk_value`]).
     pub fn risk_value(&self, direction: Direction, risk: Risk, spec: &BootstrapSpec) -> f64 {
+        self.risk_value_with(direction, risk, &mut risk.bootstrap(spec))
+    }
+
+    /// [`Self::risk_value`] with the resampler passed in, so that a walk
+    /// down a column of trials shares one resample plan. `boot` must come
+    /// from [`Risk::bootstrap`] of the same `risk`.
+    pub(crate) fn risk_value_with(
+        &self,
+        direction: Direction,
+        risk: Risk,
+        boot: &mut Bootstrap,
+    ) -> f64 {
         let dist = match (risk, self.distribution) {
             (Risk::Mean, _) | (_, None) => return self.value,
             (_, Some(d)) if d.is_empty() => return self.value,
@@ -236,19 +260,19 @@ impl MetricSample<'_> {
             (Risk::Mean, _) => self.value,
             (Risk::Cvar(alpha), Direction::Maximize) => dist.cvar_lower(alpha),
             (Risk::Cvar(alpha), Direction::Minimize) => dist.cvar_upper(alpha),
-            (Risk::LowerCi(level), dir) => {
-                let ci = dist.bootstrap_ci(&BootstrapSpec { level, ..*spec });
-                match dir {
-                    Direction::Maximize => ci.lo,
-                    Direction::Minimize => ci.hi,
-                }
-            }
+            (Risk::LowerCi(_), Direction::Maximize) => boot.ci(dist).lo,
+            (Risk::LowerCi(_), Direction::Minimize) => boot.ci(dist).hi,
         }
     }
 
     /// Bootstrap CI of the sample mean, when a distribution is present.
     pub fn ci(&self, spec: &BootstrapSpec) -> Option<Ci> {
-        self.distribution.filter(|d| !d.is_empty()).map(|d| d.bootstrap_ci(spec))
+        self.ci_with(&mut Bootstrap::new(*spec))
+    }
+
+    /// [`Self::ci`] from a resampler the caller keeps from trial to trial.
+    pub(crate) fn ci_with(&self, boot: &mut Bootstrap) -> Option<Ci> {
+        self.distribution.filter(|d| !d.is_empty()).map(|d| boot.ci(d))
     }
 }
 

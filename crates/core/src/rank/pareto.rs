@@ -18,7 +18,8 @@ pub fn dominates(a: &Trial, b: &Trial, metrics: &[MetricDef]) -> bool {
 
 /// Value-level Pareto dominance: `a[i]`/`b[i]` are two trials' readings
 /// of `metrics[i]`, already resolved through the defs' [`crate::metrics::Risk`]
-/// specs. The one comparison every front in the crate is built on.
+/// specs. The comparison the front is built on; the layering tests the
+/// same relation on readings it has oriented once.
 pub fn dominates_values(a: &[f64], b: &[f64], metrics: &[MetricDef]) -> bool {
     debug_assert_eq!(a.len(), metrics.len());
     debug_assert_eq!(b.len(), metrics.len());
@@ -51,14 +52,15 @@ impl ParetoFront {
         Self { indices: front(&resolve(trials, metrics, &BootstrapSpec::default()), metrics) }
     }
 
-    /// Indices (into the input slice) of the non-dominated trials.
+    /// Indices (into the input slice) of the non-dominated trials,
+    /// ascending by construction ([`Self::contains`] bisects them).
     pub fn indices(&self) -> &[usize] {
         &self.indices
     }
 
     /// Whether trial `i` is on the front.
     pub fn contains(&self, i: usize) -> bool {
-        self.indices.contains(&i)
+        self.indices.binary_search(&i).is_ok()
     }
 
     /// Number of non-dominated trials.

@@ -31,7 +31,7 @@
 
 use std::cmp::Ordering;
 
-use crate::distribution::{BootstrapSpec, Ci};
+use crate::distribution::{Bootstrap, BootstrapSpec, Ci};
 use crate::metrics::{Direction, MetricDef};
 use crate::trial::Trial;
 
@@ -43,19 +43,28 @@ use super::pareto::dominates_values;
 pub(super) type Resolved = Vec<Option<Vec<f64>>>;
 
 /// Read every trial through the defs' risk specs. A trial is eligible
-/// when it is complete and has a finite scalar for every def.
+/// when it is complete and has a finite scalar for every def. Each
+/// column has one resampler, so a `LowerCi` column draws its resample
+/// plan once and not once a row.
 pub(super) fn resolve<'a>(
     trials: impl IntoIterator<Item = &'a Trial>,
     defs: &[MetricDef],
     bootstrap: &BootstrapSpec,
 ) -> Resolved {
+    let mut boots: Vec<Bootstrap> = defs.iter().map(|d| d.risk.bootstrap(bootstrap)).collect();
     trials
         .into_iter()
         .map(|t| {
             if !(t.is_complete() && t.metrics.covers(defs)) {
                 return None;
             }
-            defs.iter().map(|d| t.metrics.risk_value(d, bootstrap)).collect()
+            defs.iter()
+                .zip(&mut boots)
+                .map(|(d, boot)| {
+                    let sample = t.metrics.sample(&d.name);
+                    sample.map(|s| s.risk_value_with(d.direction, d.risk, boot))
+                })
+                .collect()
         })
         .collect()
 }
@@ -74,36 +83,48 @@ pub(super) fn front(rows: &Resolved, defs: &[MetricDef]) -> Vec<usize> {
         .collect()
 }
 
-/// Fast non-dominated sorting (NSGA-II): layer 0 is the front, layer 1
-/// the front once layer 0 is removed, and so on; each layer ascending.
+/// Non-dominated sorting: layer 0 is the front, layer 1 the front once
+/// layer 0 is removed, and so on; each layer ascending.
+///
+/// The rows are sorted lexicographically best first, so that a row can
+/// only be dominated by rows before it, and each goes into the first
+/// layer none of whose members dominates it. Every member of layer `k+1`
+/// is dominated by a member of layer `k` and dominance is transitive, so
+/// "some member of layer `k` dominates this row" holds for a prefix of
+/// the layers and the first layer where it fails is found by bisection.
 pub(super) fn layers(rows: &Resolved, defs: &[MetricDef]) -> Vec<Vec<usize>> {
-    let live = eligible(rows);
-    let mut dominated_by = vec![0usize; rows.len()];
-    let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); rows.len()];
-    for &(i, a) in &live {
-        for &(j, b) in &live {
-            if dominates_values(a, b, defs) {
-                dominates_list[i].push(j);
-                dominated_by[j] += 1;
-            }
+    // Row `i`'s readings at `i·m..`, turned so that bigger is better.
+    // `+ 0.0` turns the −0.0 a minimised 0.0 orients to back into 0.0:
+    // the two compare equal under dominance and must sort as equal.
+    let m = defs.len();
+    let mut oriented = vec![0.0; rows.len() * m];
+    let mut order = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let Some(row) = row else { continue };
+        for ((slot, def), &v) in oriented[i * m..].iter_mut().zip(defs).zip(row) {
+            *slot = def.direction.orient(v) + 0.0;
+        }
+        order.push(i);
+    }
+    let at = |i: usize| &oriented[i * m..(i + 1) * m];
+    let best_first = |&a: &usize, &b: &usize| {
+        let mut by_reading = at(b).iter().zip(at(a)).map(|(y, x)| y.total_cmp(x));
+        by_reading.find(|ord| ord.is_ne()).unwrap_or(a.cmp(&b))
+    };
+    order.sort_unstable_by(best_first);
+
+    let dominates = |a: &[f64], b: &[f64]| {
+        a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
+    };
+    let mut tiers: Vec<Vec<usize>> = Vec::new();
+    for i in order {
+        let k = tiers.partition_point(|tier| tier.iter().any(|&j| dominates(at(j), at(i))));
+        match tiers.get_mut(k) {
+            Some(tier) => tier.push(i),
+            None => tiers.push(vec![i]),
         }
     }
-    let mut tiers = Vec::new();
-    let mut current: Vec<usize> =
-        live.iter().map(|&(i, _)| i).filter(|&i| dominated_by[i] == 0).collect();
-    while !current.is_empty() {
-        let mut next = Vec::new();
-        for &i in &current {
-            for &j in &dominates_list[i] {
-                dominated_by[j] -= 1;
-                if dominated_by[j] == 0 {
-                    next.push(j);
-                }
-            }
-        }
-        next.sort_unstable();
-        tiers.push(std::mem::replace(&mut current, next));
-    }
+    tiers.iter_mut().for_each(|tier| tier.sort_unstable());
     tiers
 }
 
@@ -323,15 +344,17 @@ impl RankSpec {
                 let hv = Hypervolume::new(self.defs[0].clone(), self.defs[1].clone(), reference);
                 let total = hv.of_resolved(&rows);
                 // Exclusive contribution: the volume that vanishes without
-                // the trial. Dominated points lose nothing and sort by index.
-                let contributions: Vec<Option<f64>> = (0..rows.len())
-                    .map(|i| {
-                        rows[i].as_ref()?;
-                        let mut without = rows.clone();
-                        without[i] = None;
-                        Some(total - hv.of_resolved(&without))
-                    })
-                    .collect();
+                // the trial. Only a front member can have one; every other
+                // trial reads exactly 0.0 (not the rounding noise of a
+                // difference of two sums), so the tail sorts by index.
+                let mut contributions: Vec<Option<f64>> =
+                    rows.iter().map(|row| row.as_ref().map(|_| 0.0)).collect();
+                let mut rows = rows;
+                for i in front(&rows, &self.defs) {
+                    let row = rows[i].take();
+                    contributions[i] = Some(total - hv.of_resolved(&rows));
+                    rows[i] = row;
+                }
                 singletons(best_score_first(&contributions))
             }
         };
@@ -346,13 +369,13 @@ impl RankSpec {
     /// cannot tell the trials apart.
     fn ci_tiers(&self, trials: &[Trial], order: &[usize], level: f64) -> Vec<Vec<usize>> {
         let primary = &self.defs[0];
-        let spec = BootstrapSpec { level, ..self.bootstrap };
+        let mut boot = Bootstrap::new(BootstrapSpec { level, ..self.bootstrap });
         let mut tiers: Vec<Vec<usize>> = Vec::new();
         let mut head_ci: Option<Ci> = None;
         for &i in order {
             let s =
                 trials[i].metrics.sample(&primary.name).expect("a ranked trial has every metric");
-            let ci = s.ci(&spec).unwrap_or_else(|| Ci::point(s.value, level));
+            let ci = s.ci_with(&mut boot).unwrap_or_else(|| Ci::point(s.value, level));
             match (tiers.last_mut(), &head_ci) {
                 (Some(tier), Some(head)) if head.overlaps(&ci) => tier.push(i),
                 _ => {
@@ -558,6 +581,23 @@ mod tests {
         // Trial 2 is dominated by 0: zero exclusive contribution.
         assert_eq!(*ranking.order.last().unwrap(), 2);
         assert_eq!(ranking.order.len(), 3);
+    }
+
+    #[test]
+    fn hypervolume_ranks_every_front_member_ahead_of_an_index_ordered_tail() {
+        let (r, m) = defs();
+        let mut rng = testkit::Gen::new(0x200);
+        let trials: Vec<Trial> =
+            (0..200).map(|i| t(i, rng.f64_in(0.0..10.0), rng.f64_in(0.0..100.0))).collect();
+        let spec = RankSpec::hypervolume((0.0, 100.0)).metric(r).metric(m);
+        let front = spec.pareto_front(&trials);
+        let order = spec.rank(&trials).order;
+        assert_eq!(order.len(), 200);
+        let (head, tail) = order.split_at(front.len());
+        let mut head = head.to_vec();
+        head.sort_unstable();
+        assert_eq!(head, front, "the front members come first");
+        assert!(tail.windows(2).all(|w| w[0] < w[1]), "a dominated trial loses nothing: {tail:?}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 
 use crate::metrics::{Direction, MetricDef, MetricValues};
 use crate::rank::pareto::non_dominated_ranks;
+use crate::rank::spec::layers;
 use crate::rank::{ParetoFront, RankSpec, Ranker, SortedRanking, WeightedSum};
 use crate::trial::{Configuration, Trial, TrialStatus};
-use testkit::Gen;
+use testkit::{sweep, Gen};
 
 /// 1–60 trials over 1–3 metrics `m0..` with random directions and values
 /// on a coarse grid (ties), plus four hazards, each in about a third of
@@ -162,4 +163,97 @@ fn every_method_matches_its_brute_force_oracle() {
     }
     assert!(seen.iter().all(|&n| n >= 50), "every hazard is exercised: {seen:?}");
     assert!(tied_sets >= 200, "ties are exercised: {tied_sets}");
+}
+
+/// Complete trials reading `rows[i][k]` for metric `mk`.
+fn trials_of(rows: &[Vec<f64>]) -> Vec<Trial> {
+    let trial = |(i, row): (usize, &Vec<f64>)| {
+        let mut v = MetricValues::new();
+        row.iter().enumerate().for_each(|(k, &x)| v.set(format!("m{k}"), x));
+        Trial::complete(i, Configuration::new(), v)
+    };
+    rows.iter().enumerate().map(trial).collect()
+}
+
+/// The paper's three directions over `m0, m1, m2`.
+fn max_min_min() -> Vec<MetricDef> {
+    vec![MetricDef::maximize("m0"), MetricDef::minimize("m1"), MetricDef::minimize("m2")]
+}
+
+/// The shapes that decide what the layering costs and whether its
+/// bisection is sound, each through every entry point.
+#[test]
+fn layering_matches_the_oracle_on_its_extreme_shapes() {
+    let defs = max_min_min();
+    let n = 150;
+    // A chain: every row dominates the next, n layers of one.
+    let chain: Vec<Vec<f64>> = (0..n).map(|i| vec![-(i as f64), i as f64, i as f64]).collect();
+    // An anti-chain: what m0 gains m1 pays for, one layer of n.
+    let anti: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, i as f64, 1.0]).collect();
+    // All equal, both zeros among the readings: nothing dominates.
+    let equal: Vec<Vec<f64>> = (0..n).map(|i| vec![1.0, [0.0, -0.0][i % 2], 2.0]).collect();
+    for (name, mut rows, depth) in
+        [("chain", chain, n), ("anti-chain", anti, 1), ("equal", equal, 1)]
+    {
+        for pass in ["in order", "reversed"] {
+            let trials = trials_of(&rows);
+            check(&format!("{name}, {pass}"), &trials, &defs);
+            let deepest = non_dominated_ranks(&trials, &defs).into_iter().flatten().max();
+            assert_eq!(deepest, Some(depth - 1), "{name}, {pass}");
+            rows.reverse();
+        }
+    }
+}
+
+/// The `study_core` pool in small: 72 configurations on a time × energy
+/// grid, each met 16 times, shuffled. With one reward a configuration the
+/// 16 are exact copies (72 distinct points); with 8 they are 8 rewards
+/// twice over the configuration's one time and energy, which is what
+/// stacks the workload's layers hundreds deep.
+#[test]
+fn layering_matches_the_oracle_on_the_pooled_study_shape() {
+    let defs = max_min_min();
+    for rewards in [1, 8] {
+        let mut rng = Gen::new(0x7216);
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for config in 0..72 {
+            let (time, energy) = ((config % 12) as f64 * 5.0, (config / 12) as f64 * 0.5);
+            let met: Vec<f64> = (0..rewards).map(|_| -0.4 - 0.01 * rng.below(30) as f64).collect();
+            rows.extend((0..16).map(|copy| vec![met[copy % rewards], time, energy]));
+        }
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, rng.below(i + 1));
+        }
+        let distinct: std::collections::BTreeSet<Vec<u64>> =
+            rows.iter().map(|r| r.iter().map(|x| x.to_bits()).collect()).collect();
+        assert!(rows.len() == 1152 && (rewards > 1 || distinct.len() == 72));
+        check(&format!("{rewards} rewards a configuration"), &trials_of(&rows), &defs);
+    }
+}
+
+/// Readings no trial can carry through `covers` but a risk reading could
+/// produce: ±∞ compare like any number, a NaN row neither dominates nor
+/// is dominated and sits in layer 0.
+#[test]
+fn layering_orders_infinities_and_isolates_nan() {
+    let defs = max_min_min();
+    sweep(100, 0x1AF, |rng| {
+        let n = 1 + rng.below(40);
+        let odd = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -0.0];
+        let reading = |rng: &mut Gen| match rng.below(3) {
+            0 => *rng.pick(&odd),
+            _ => rng.below(4) as f64 - 1.0,
+        };
+        let rows: Vec<Option<Vec<f64>>> = (0..n)
+            .map(|_| (rng.below(8) != 0).then(|| (0..3).map(|_| reading(rng)).collect()))
+            .collect();
+        let oriented: Vec<Option<Vec<f64>>> = rows
+            .iter()
+            .map(|row| {
+                row.as_ref()
+                    .map(|r| r.iter().zip(&defs).map(|(&v, d)| d.direction.orient(v)).collect())
+            })
+            .collect();
+        assert_eq!(layers(&rows, &defs), oracle_layers(&oriented));
+    });
 }

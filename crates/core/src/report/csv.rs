@@ -1,5 +1,6 @@
 //! CSV export of trials (for external plotting/analysis tools).
 
+use super::{Intervals, PerColumn};
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::trial::{Trial, TrialStatus};
@@ -22,21 +23,21 @@ pub fn trials_to_csv_with_dispersion(
     metrics: &[MetricDef],
     spec: &BootstrapSpec,
 ) -> String {
-    render(trials, params, metrics, Some(spec))
+    render(trials, params, metrics, Some(&mut PerColumn::new(spec, metrics.len())))
 }
 
-fn render(
+pub(super) fn render(
     trials: &[Trial],
     params: &[&str],
     metrics: &[MetricDef],
-    spec: Option<&BootstrapSpec>,
+    mut cis: Option<&mut dyn Intervals>,
 ) -> String {
     let mut out = String::new();
     let mut header: Vec<String> = vec!["id".into()];
     header.extend(params.iter().map(|p| p.to_string()));
     for m in metrics {
         header.push(m.name.clone());
-        if spec.is_some() {
+        if cis.is_some() {
             for suffix in ["std", "iqr", "ci_lo", "ci_hi"] {
                 header.push(format!("{}_{suffix}", m.name));
             }
@@ -51,12 +52,12 @@ fn render(
         for p in params {
             row.push(t.config.get(p).map(|v| v.to_string()).unwrap_or_default());
         }
-        for m in metrics {
+        for (column, m) in metrics.iter().enumerate() {
             row.push(t.metrics.get(&m.name).map(|v| format!("{v}")).unwrap_or_default());
-            if let Some(spec) = spec {
+            if let Some(cis) = &mut cis {
                 match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
                     Some(d) => {
-                        let ci = d.bootstrap_ci(spec);
+                        let ci = cis.ci(column, d);
                         row.push(format!("{}", d.std()));
                         row.push(format!("{}", d.iqr()));
                         row.push(format!("{}", ci.lo));

@@ -1,5 +1,6 @@
 //! Markdown rendering of study results (for READMEs / experiment logs).
 
+use super::{Intervals, PerColumn};
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::rank::pareto::ParetoFront;
@@ -27,15 +28,15 @@ pub fn trials_to_markdown_with_ci(
     front: Option<&ParetoFront>,
     spec: &BootstrapSpec,
 ) -> String {
-    render(trials, params, metrics, front, Some(spec))
+    render(trials, params, metrics, front, Some(&mut PerColumn::new(spec, metrics.len())))
 }
 
-fn render(
+pub(super) fn render(
     trials: &[Trial],
     params: &[&str],
     metrics: &[MetricDef],
     front: Option<&ParetoFront>,
-    spec: Option<&BootstrapSpec>,
+    mut cis: Option<&mut dyn Intervals>,
 ) -> String {
     let mut out = String::new();
     out.push_str("| # |");
@@ -43,8 +44,8 @@ fn render(
         out.push_str(&format!(" {p} |"));
     }
     for m in metrics {
-        match spec {
-            Some(spec) => out.push_str(&format!(" {} ({:.0}% CI) |", m.name, spec.level * 100.0)),
+        match &cis {
+            Some(cis) => out.push_str(&format!(" {} ({:.0}% CI) |", m.name, cis.level() * 100.0)),
             None => out.push_str(&format!(" {} |", m.name)),
         }
     }
@@ -62,11 +63,11 @@ fn render(
             let v = t.config.get(p).map(|v| v.to_string()).unwrap_or_else(|| "-".into());
             out.push_str(&format!(" {emph}{v}{emph} |"));
         }
-        for m in metrics {
-            let dist = spec.zip(t.metrics.distribution(&m.name).filter(|d| !d.is_empty()));
-            let v = match (t.metrics.get(&m.name), dist) {
-                (Some(v), Some((spec, d))) => {
-                    let ci = d.bootstrap_ci(spec);
+        for (column, m) in metrics.iter().enumerate() {
+            let dist = t.metrics.distribution(&m.name).filter(|d| !d.is_empty());
+            let v = match (t.metrics.get(&m.name), cis.as_mut().zip(dist)) {
+                (Some(v), Some((cis, d))) => {
+                    let ci = cis.ci(column, d);
                     format!("{v:.2} [{:.2}, {:.2}]", ci.lo, ci.hi)
                 }
                 (Some(v), None) => format!("{v:.2}"),

@@ -1,6 +1,8 @@
 //! Rendering study results: ASCII tables (Table I), CSV exports, and SVG
 //! scatter plots of Pareto fronts (Figures 4–6).
 
+use crate::distribution::{Bootstrap, BootstrapSpec, Ci, Distribution};
+
 pub mod csv;
 pub mod markdown;
 pub mod svg;
@@ -10,3 +12,121 @@ pub use csv::trials_to_csv;
 pub use markdown::trials_to_markdown;
 pub use svg::ScatterPlot;
 pub use table::render_table;
+
+/// Where a report's confidence intervals come from. The renderers ask
+/// for one by metric column; what answers is [`PerColumn`] behind every
+/// public entry point and the serial reference loop in this module's
+/// tests.
+trait Intervals {
+    /// The confidence level the intervals are computed at.
+    fn level(&self) -> f64;
+
+    /// The interval of `dist`, a cell of metric column `column`.
+    fn ci(&mut self, column: usize, dist: &Distribution) -> Ci;
+}
+
+/// One [`Bootstrap`] per metric column, so that a column's resample plan
+/// is drawn once and shared down the rows (a column's distributions have
+/// one length as a rule; two columns' need not).
+struct PerColumn {
+    level: f64,
+    columns: Vec<Bootstrap>,
+}
+
+impl PerColumn {
+    fn new(spec: &BootstrapSpec, columns: usize) -> Self {
+        Self { level: spec.level, columns: vec![Bootstrap::new(*spec); columns] }
+    }
+}
+
+impl Intervals for PerColumn {
+    fn level(&self) -> f64 {
+        self.level
+    }
+
+    fn ci(&mut self, column: usize, dist: &Distribution) -> Ci {
+        self.columns[column].ci(dist)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distribution::tests::oracle_ci;
+    use crate::metrics::{MetricDef, MetricValues};
+    use crate::param::ParamValue;
+    use crate::rank::ParetoFront;
+    use crate::trial::{Configuration, Trial, TrialStatus};
+    use testkit::Gen;
+
+    /// The interval every report printed before the resampler was shared:
+    /// the serial loop, afresh for every cell.
+    struct Oracle(BootstrapSpec);
+
+    impl Intervals for Oracle {
+        fn level(&self) -> f64 {
+            self.0.level
+        }
+
+        fn ci(&mut self, _column: usize, dist: &Distribution) -> Ci {
+            oracle_ci(dist, &self.0)
+        }
+    }
+
+    /// 300 trials: reward samples whose count changes every few rows (a
+    /// column's plan is redrawn mid-report), time samples on every third
+    /// trial at a length of their own, no energy samples, one failure.
+    fn fixture() -> Vec<Trial> {
+        let mut rng = Gen::new(0x300);
+        let trial = |id: usize| {
+            let reward =
+                Distribution::from_samples(rng.f64s([64, 20, 1, 33][id / 7 % 4], -1.0..0.0));
+            let mut metrics = MetricValues::new()
+                .with("reward", reward.mean())
+                .with("time_min", rng.f64_in(40.0..90.0))
+                .with("power_kj", rng.f64_in(1.0..9.0))
+                .with_distribution("reward", reward);
+            if id.is_multiple_of(3) {
+                metrics.set_distribution("time_min", rng.f64s(12, 40.0..90.0).into());
+            }
+            let config = Configuration::new().with("cores", ParamValue::Int(1 + id as i64 % 8));
+            let mut trial = Trial::complete(id, config, metrics);
+            if id == 17 {
+                trial.status = TrialStatus::Failed;
+            }
+            trial
+        };
+        (0..300).map(trial).collect()
+    }
+
+    #[test]
+    fn every_report_is_byte_identical_to_its_render_from_the_serial_intervals() {
+        let trials = fixture();
+        let (reward, time) = (MetricDef::maximize("reward"), MetricDef::minimize("time_min"));
+        let metrics = [reward.clone(), time.clone(), MetricDef::minimize("power_kj")];
+        let params = ["cores"];
+        let spec = BootstrapSpec { level: 0.9, resamples: 150, seed: 0x5EED };
+        let front = ParetoFront::compute(&trials, &[time.clone(), reward.clone()]);
+        let oracle = || Oracle(spec);
+
+        let shared = table::render_table_with_dispersion(&trials, &params, &metrics, &spec);
+        assert_eq!(shared, table::render(&trials, &params, &metrics, Some(&mut oracle())));
+        assert!(shared.contains('['), "the table carries intervals");
+
+        let shared = csv::trials_to_csv_with_dispersion(&trials, &params, &metrics, &spec);
+        assert_eq!(shared, csv::render(&trials, &params, &metrics, Some(&mut oracle())));
+
+        let with_front = Some(&front);
+        let shared =
+            markdown::trials_to_markdown_with_ci(&trials, &params, &metrics, with_front, &spec);
+        let serial = markdown::render(&trials, &params, &metrics, with_front, Some(&mut oracle()));
+        assert_eq!(shared, serial);
+        assert!(shared.contains("(90% CI)") && shared.contains("**"));
+
+        let plot = ScatterPlot::new("fixture", time, reward).with_whiskers(spec);
+        let shared = plot.render(&trials, &front);
+        assert_eq!(shared, plot.render_with(&trials, &front, Some(&mut oracle())));
+        // A reward whisker for every complete trial, a time whisker for every third.
+        assert_eq!(shared.matches("stroke=\"#7f7f7f\"").count(), 299 + 100);
+    }
+}

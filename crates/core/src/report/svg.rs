@@ -1,6 +1,7 @@
 //! SVG scatter plots with Pareto-front highlighting — the graphical
 //! ranking output of the methodology (Figures 4, 5 and 6 of the paper).
 
+use super::{Intervals, PerColumn};
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::rank::pareto::ParetoFront;
@@ -51,6 +52,20 @@ impl ScatterPlot {
     /// are drawn as filled squares joined by a step line, dominated
     /// points as circles), and return the SVG document.
     pub fn render(&self, trials: &[Trial], front: &ParetoFront) -> String {
+        match &self.whiskers {
+            Some(spec) => self.render_with(trials, front, Some(&mut PerColumn::new(spec, 2))),
+            None => self.render_with(trials, front, None),
+        }
+    }
+
+    /// [`Self::render`] with the whiskers' intervals (column 0 the x
+    /// metric's, column 1 the y metric's) from `whiskers`.
+    pub(super) fn render_with(
+        &self,
+        trials: &[Trial],
+        front: &ParetoFront,
+        mut whiskers: Option<&mut dyn Intervals>,
+    ) -> String {
         let pts: Vec<(usize, f64, f64)> = trials
             .iter()
             .enumerate()
@@ -159,12 +174,12 @@ impl ScatterPlot {
 
         // CI whiskers (under the points so markers stay readable): one
         // segment per axis whose metric has a sample distribution.
-        if let Some(spec) = &self.whiskers {
+        if let Some(cis) = &mut whiskers {
             for (i, x, y) in &pts {
                 let (px, py) = (sx(*x), sy(*y));
                 let t = &trials[*i];
                 if let Some(d) = t.metrics.distribution(&self.x.name).filter(|d| !d.is_empty()) {
-                    let ci = d.bootstrap_ci(spec);
+                    let ci = cis.ci(0, d);
                     s.push_str(&format!(
                         r##"<line x1="{:.1}" y1="{py:.1}" x2="{:.1}" y2="{py:.1}" stroke="#7f7f7f" stroke-width="1.2"/>"##,
                         sx(ci.lo),
@@ -173,7 +188,7 @@ impl ScatterPlot {
                     s.push('\n');
                 }
                 if let Some(d) = t.metrics.distribution(&self.y.name).filter(|d| !d.is_empty()) {
-                    let ci = d.bootstrap_ci(spec);
+                    let ci = cis.ci(1, d);
                     s.push_str(&format!(
                         r##"<line x1="{px:.1}" y1="{:.1}" x2="{px:.1}" y2="{:.1}" stroke="#7f7f7f" stroke-width="1.2"/>"##,
                         sy(ci.lo),

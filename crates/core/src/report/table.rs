@@ -1,5 +1,6 @@
 //! Table-I-style ASCII rendering.
 
+use super::{Intervals, PerColumn};
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::trial::{Trial, TrialStatus};
@@ -23,20 +24,20 @@ pub fn render_table_with_dispersion(
     metrics: &[MetricDef],
     spec: &BootstrapSpec,
 ) -> String {
-    render(trials, params, metrics, Some(spec))
+    render(trials, params, metrics, Some(&mut PerColumn::new(spec, metrics.len())))
 }
 
-fn render(
+pub(super) fn render(
     trials: &[Trial],
     params: &[&str],
     metrics: &[MetricDef],
-    spec: Option<&BootstrapSpec>,
+    mut cis: Option<&mut dyn Intervals>,
 ) -> String {
     let mut header: Vec<String> = vec!["#".to_string()];
     header.extend(params.iter().map(|p| p.to_string()));
     for m in metrics {
         header.push(m.name.clone());
-        if spec.is_some() {
+        if cis.is_some() {
             header.push(format!("{} std", m.name));
             header.push(format!("{} CI", m.name));
         }
@@ -49,14 +50,14 @@ fn render(
         for p in params {
             row.push(t.config.get(p).map(|v| v.to_string()).unwrap_or_else(|| "-".into()));
         }
-        for m in metrics {
+        for (column, m) in metrics.iter().enumerate() {
             row.push(
                 t.metrics.get(&m.name).map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()),
             );
-            if let Some(spec) = spec {
+            if let Some(cis) = &mut cis {
                 match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
                     Some(d) => {
-                        let ci = d.bootstrap_ci(spec);
+                        let ci = cis.ci(column, d);
                         row.push(format!("{:.2}", d.std()));
                         row.push(format!("[{:.2}, {:.2}]", ci.lo, ci.hi));
                     }

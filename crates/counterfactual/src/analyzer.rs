@@ -125,9 +125,7 @@ impl EpisodeReport {
     /// The decision point with the largest 1-Wasserstein score — "the
     /// decision that mattered most", scale-aware.
     pub fn most_consequential(&self) -> Option<&DecisionPointReport> {
-        self.points
-            .iter()
-            .max_by(|a, b| a.w1_score.total_cmp(&b.w1_score))
+        self.points.iter().max_by(|a, b| a.w1_score.total_cmp(&b.w1_score))
     }
 }
 
@@ -137,11 +135,9 @@ impl EpisodeReport {
 /// `[-1, 1]` so the grid stays finite).
 pub fn alternatives_for(space: &Space, factual: &Action, k: usize) -> Vec<Action> {
     match space {
-        Space::Discrete(n) => (0..*n)
-            .map(Action::Discrete)
-            .filter(|a| a != factual)
-            .take(k)
-            .collect(),
+        Space::Discrete(n) => {
+            (0..*n).map(Action::Discrete).filter(|a| a != factual).take(k).collect()
+        }
         Space::Box { low, high } => (0..k)
             .map(|j| {
                 let t = (j as f64 + 1.0) / (k as f64 + 1.0);
@@ -242,8 +238,7 @@ impl CounterfactualAnalyzer {
             let alts = alternatives_for(&action_space, &point.factual_action, cfg.alternatives);
             // Common random numbers: every action replays under the same
             // seed set, so the distributions differ only through the fork.
-            let seeds: Vec<u64> =
-                (0..n).map(|j| continuation_seed(cfg.seed, point.t, j)).collect();
+            let seeds: Vec<u64> = (0..n).map(|j| continuation_seed(cfg.seed, point.t, j)).collect();
             let mut tasks = Vec::with_capacity((alts.len() + 1) * n);
             for action in std::iter::once(&point.factual_action).chain(alts.iter()) {
                 for &seed in &seeds {
@@ -397,7 +392,12 @@ mod tests {
 
     #[test]
     fn aggregates_stay_ordered_on_real_scores() {
-        let mk = |aggregate| AnalyzerConfig { rollouts: 6, horizon: 20, aggregate, ..Default::default() };
+        let mk = |aggregate| AnalyzerConfig {
+            rollouts: 6,
+            horizon: 20,
+            aggregate,
+            ..Default::default()
+        };
         let episode = analyzer(mk(Aggregate::Mean)).record_episode(4, 5, hold_right);
         let score = |aggregate| {
             analyzer(mk(aggregate))
@@ -438,10 +438,7 @@ mod tests {
     #[test]
     fn alternatives_cover_both_space_kinds() {
         let discrete = alternatives_for(&Space::Discrete(4), &Action::Discrete(2), 3);
-        assert_eq!(
-            discrete,
-            vec![Action::Discrete(0), Action::Discrete(1), Action::Discrete(3)]
-        );
+        assert_eq!(discrete, vec![Action::Discrete(0), Action::Discrete(1), Action::Discrete(3)]);
         assert_eq!(alternatives_for(&Space::Discrete(1), &Action::Discrete(0), 3), vec![]);
         let boxed = alternatives_for(
             &Space::Box { low: vec![-2.0], high: vec![2.0] },
@@ -457,11 +454,8 @@ mod tests {
             ]
         );
         // Unbounded axes clamp to [-1, 1].
-        let unbounded = alternatives_for(
-            &Space::unbounded_box(1),
-            &Action::Continuous(vec![0.0]),
-            1,
-        );
+        let unbounded =
+            alternatives_for(&Space::unbounded_box(1), &Action::Continuous(vec![0.0]), 1);
         assert_eq!(unbounded, vec![Action::Continuous(vec![0.0])]);
     }
 

@@ -98,8 +98,7 @@ pub fn run_whatif_batched(
     let mut returns = vec![0.0f64; n];
     let mut live = vec![true; n];
     let mut remaining = n;
-    let mut actions: Vec<Action> =
-        payload.tasks.iter().map(|t| t.first_action.clone()).collect();
+    let mut actions: Vec<Action> = payload.tasks.iter().map(|t| t.first_action.clone()).collect();
     for _ in 0..payload.horizon {
         venv.step_lockstep(&actions);
         let tick = venv.last_tick();

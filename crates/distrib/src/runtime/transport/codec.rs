@@ -893,10 +893,7 @@ mod tests {
             snapshot: env.snapshot().expect("snapshot"),
             horizon: 10,
             policy: ContinuationPolicy::Greedy(Box::new(policy)),
-            tasks: vec![WhatIfTask {
-                first_action: Action::Continuous(vec![0.5]),
-                seed: 3,
-            }],
+            tasks: vec![WhatIfTask { first_action: Action::Continuous(vec![0.5]), seed: 3 }],
         };
         let mut cmd = Command::WhatIf { round: 1, payload: Box::new(payload) };
         match round_trip_command(&mut cmd) {
@@ -913,8 +910,7 @@ mod tests {
     #[test]
     fn returns_ready_round_trips_bit_exact() {
         let returns = vec![0.0, -0.45, f64::MIN_POSITIVE, -1e-300];
-        let mut ev =
-            Event::ReturnsReady { worker: 2, node: 1, round: 9, returns: returns.clone() };
+        let mut ev = Event::ReturnsReady { worker: 2, node: 1, round: 9, returns: returns.clone() };
         match round_trip_event(&mut ev) {
             Event::ReturnsReady { worker, node, round, returns: got } => {
                 assert_eq!((worker, node, round), (2, 1, 9));

@@ -4,11 +4,11 @@
 //! [`Command`]s to workers and drains typed [`Event`]s, merging results
 //! in worker-index order. This module provides the seam:
 //!
-//! * [`channel`] — the default in-process transport: one long-lived
+//! * `channel` — the default in-process transport: one long-lived
 //!   thread per worker, `mpsc` channels, values moved by ownership.
 //!   Bitwise-identical to the pre-transport runtime (it *is* that
 //!   runtime, behind the trait).
-//! * [`process`] — workers as spawned child processes speaking the
+//! * `process` — workers as spawned child processes speaking the
 //!   [`codec`] wire format over Unix domain sockets (or TCP via
 //!   `RLDT_TRANSPORT=tcp[:<addr>]`).
 //!

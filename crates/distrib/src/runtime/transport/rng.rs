@@ -16,7 +16,7 @@
 //! the test stub and rand 0.8's ChaCha12), so equality-stepping always
 //! converges.
 //!
-//! The in-process transport never serializes, so [`RngStream::sync`] is
+//! The in-process transport never serializes, so `RngStream::sync` is
 //! never called there and the live generator behaves exactly like the bare
 //! `StdRng` it replaces — bitwise-identical results, zero overhead.
 

@@ -6,9 +6,9 @@
 //! their environment and observation state across rounds, exactly like
 //! the persistent rollout workers of the real frameworks.
 //!
-//! The state machine is transport-neutral: [`WorkerState::handle`] maps
+//! The state machine is transport-neutral: `WorkerState::handle` maps
 //! one command to events via an `emit` callback, and the two transports
-//! wrap it differently — [`worker_loop`] runs it on an in-process mpsc
+//! wrap it differently — `worker_loop` runs it on an in-process mpsc
 //! pair, the `rldt-worker` child process runs it over a socket.
 //!
 //! Fault containment: a panic inside a collection is caught, reported as

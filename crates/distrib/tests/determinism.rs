@@ -60,8 +60,7 @@ fn run_impala_two_nodes() -> Vec<u64> {
         ..Default::default()
     };
     let mut session = cluster_sim::ClusterSession::new(cluster_sim::ClusterSpec::paper_testbed(2));
-    let report =
-        train_impala(&opts, &grid_factory(), &mut session).expect("impala runs");
+    let report = train_impala(&opts, &grid_factory(), &mut session).expect("impala runs");
     let usage = session.finish();
     fingerprint(&report.train_returns, usage.wall_s, usage.energy_j)
 }
@@ -141,8 +140,7 @@ fn run_airdrop_impala() -> Vec<u64> {
         ..Default::default()
     };
     let mut session = cluster_sim::ClusterSession::new(cluster_sim::ClusterSpec::paper_testbed(2));
-    let report = train_impala(&opts, &airdrop_factory(), &mut session)
-        .expect("impala runs");
+    let report = train_impala(&opts, &airdrop_factory(), &mut session).expect("impala runs");
     let usage = session.finish();
     fingerprint(&report.train_returns, usage.wall_s, usage.energy_j)
 }

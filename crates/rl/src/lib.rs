@@ -8,7 +8,7 @@
 //! Layout:
 //!
 //! * [`gae`] — generalized advantage estimation;
-//! * [`vtrace`] — V-trace off-policy correction (the IMPALA targets);
+//! * [`mod@vtrace`] — V-trace off-policy correction (the IMPALA targets);
 //! * [`buffer`] — on-policy rollout storage and the off-policy replay
 //!   ring buffer;
 //! * [`collect`] — the per-step collection loop and its lockstep batched
