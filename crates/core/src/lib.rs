@@ -11,7 +11,7 @@
 //! | (b) learning configurations | [`param`], [`space`] — typed parameter spaces, split into environment-dependent and -independent parameters |
 //! | (c) exploratory method | [`explore`] — Random Search, Grid Search, a TPE-like sampler, plus Optuna-style pruning ([`pruner`]) |
 //! | (d) evaluation metrics | [`metrics`] — named metrics with optimization directions, each optionally carrying a per-trial sample [`distribution`] read through a [`metrics::Risk`] spec (mean, CVaR, bootstrap-CI bound) |
-//! | (e) ranking method | [`rank`] — Pareto fronts (with crowding distance and 2-D hypervolume), sorted arrays, weighted sums: one engine behind [`rank::RankSpec`] and the per-method names, every metric read through its risk spec, plus a CI-gated sort |
+//! | (e) ranking method | [`rank`] — Pareto fronts (with 2-D hypervolume), sorted arrays, weighted sums: one engine behind [`rank::RankSpec`] and the per-method names, every metric read through its risk spec, plus a CI-gated sort |
 //!
 //! [`study::Study`] wires the stages together and journals every trial to
 //! disk ([`storage`]); [`report`] renders Table-I-style ASCII tables, CSV,

@@ -1,6 +1,5 @@
-//! Pareto dominance, non-dominated fronts and crowding distance: the
-//! dominance test itself, and the front-shaped views of the ranking
-//! engine in [`super::spec`].
+//! Pareto dominance and non-dominated fronts: the dominance test itself,
+//! and the front-shaped views of the ranking engine in [`super::spec`].
 
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
@@ -86,34 +85,6 @@ pub fn non_dominated_ranks(trials: &[Trial], metrics: &[MetricDef]) -> Vec<Optio
         }
     }
     rank
-}
-
-/// NSGA-II crowding distance of each front member (higher = more
-/// isolated); boundary points get `f64::INFINITY`. `front` must be a front
-/// of `trials` under `metrics`: a member not rankable under them reads NaN.
-pub fn crowding_distance(trials: &[Trial], front: &ParetoFront, metrics: &[MetricDef]) -> Vec<f64> {
-    let k = front.len();
-    if k <= 2 {
-        return vec![f64::INFINITY; k];
-    }
-    let members = front.indices.iter().map(|&i| &trials[i]);
-    let rows = resolve(members, metrics, &BootstrapSpec::default());
-    let mut dist = vec![0.0; k];
-    for m in 0..metrics.len() {
-        let value = |a: usize| rows[a].as_ref().map_or(f64::NAN, |r| r[m]);
-        let mut order: Vec<usize> = (0..k).collect();
-        order
-            .sort_by(|&a, &b| value(a).partial_cmp(&value(b)).unwrap_or(std::cmp::Ordering::Equal));
-        let span = (value(order[k - 1]) - value(order[0])).abs().max(1e-12);
-        dist[order[0]] = f64::INFINITY;
-        dist[order[k - 1]] = f64::INFINITY;
-        for w in 1..k - 1 {
-            if dist[order[w]].is_finite() {
-                dist[order[w]] += (value(order[w + 1]) - value(order[w - 1])).abs() / span;
-            }
-        }
-    }
-    dist
 }
 
 #[cfg(test)]
@@ -232,26 +203,5 @@ mod tests {
         for (i, r) in ranks.iter().enumerate() {
             assert_eq!(*r == Some(0), front.contains(i));
         }
-    }
-
-    #[test]
-    fn crowding_boundary_points_are_infinite() {
-        let trials = vec![t(0, -0.7, 40.0), t(1, -0.6, 50.0), t(2, -0.5, 60.0), t(3, -0.4, 70.0)];
-        let m = metrics();
-        let front = ParetoFront::compute(&trials, &m);
-        assert_eq!(front.len(), 4);
-        let d = crowding_distance(&trials, &front, &m);
-        assert!(d[0].is_infinite());
-        assert!(d[3].is_infinite());
-        assert!(d[1].is_finite() && d[1] > 0.0);
-    }
-
-    #[test]
-    fn crowding_small_fronts_are_all_infinite() {
-        let trials = vec![t(0, -0.5, 40.0), t(1, -0.4, 70.0)];
-        let m = metrics();
-        let front = ParetoFront::compute(&trials, &m);
-        let d = crowding_distance(&trials, &front, &m);
-        assert!(d.iter().all(|x| x.is_infinite()));
     }
 }

@@ -6,7 +6,7 @@ use crate::backend::{run, run_recorded, EnvFactory, FnEnvFactory};
 use crate::backends::{train, train_impala, ImpalaOpts};
 use crate::framework::{Architecture, Collectors, Framework, Inference, Sampling};
 use crate::report::{ExecReport, TrainedModel};
-use crate::runtime::SyncPolicy;
+use crate::runtime::{FaultKind, FaultPlan, FaultPolicy, SyncPolicy};
 use crate::spec::{Deployment, ExecSpec};
 use cluster_sim::{ClusterSession, ClusterSpec, PhaseEvent, Usage};
 use gymrs::envs::{GridWorld, PointMass};
@@ -268,6 +268,30 @@ fn runs_are_reproducible() {
         assert_eq!(a.train_returns, b.train_returns, "{framework:?} {nodes}x{cores}");
         assert_eq!(a.usage.wall_s.to_bits(), b.usage.wall_s.to_bits(), "{framework:?}");
     }
+}
+
+#[test]
+fn one_faulted_spec_run_twice_suffers_the_same_faults_twice() {
+    // The spec holds the schedule and every run arms its own clone of it:
+    // were arming shared instead, the second run would find every crash
+    // already spent and come back clean.
+    let mut s = spec(Framework::RayRllib, Algorithm::Ppo, 2, 2, 1024);
+    s.fault = FaultPolicy::resilient();
+    s.fault_plan = FaultPlan::new().repeated(3, 1, FaultKind::Crash, s.fault.max_retries + 1);
+    let bits = |r: &ExecReport| -> Vec<u64> {
+        let usage = [r.usage.wall_s, r.usage.energy_j];
+        r.train_returns.iter().chain(&usage).map(|v| v.to_bits()).collect()
+    };
+    let first = run(&s, &grid_factory()).expect("degrades, completes");
+    let second = run(&s, &grid_factory()).expect("degrades, completes");
+    assert!(first.degraded && second.degraded, "worker 3 is quarantined in both runs");
+    assert_eq!(bits(&first), bits(&second), "and both report the same bits");
+    assert!(s.clone().fault_plan.take(3, 1).is_some(), "a cloned spec starts armed");
+
+    s.fault_plan = FaultPlan::new();
+    let clean = run(&s, &grid_factory()).expect("runs");
+    assert!(!clean.degraded);
+    assert_ne!(bits(&clean), bits(&first), "the faults were real");
 }
 
 #[test]

@@ -15,7 +15,7 @@ use crate::framework::{Architecture, Collectors, FrameworkProfile, Inference, Sa
 use crate::report::{ExecReport, TrainedModel};
 use crate::runtime::{
     merge_wave, Collector, CollectorBlueprint, Driver, FaultPolicy, RngStream, Runtime,
-    TransportConfig, WorkerSpec,
+    TransportConfig, WorkerCtx, WorkerSpec,
 };
 use crate::spec::{check_run, Deployment, ExecSpec};
 use cluster_sim::{ClusterSession, NodeWork, SessionEvent};
@@ -51,6 +51,10 @@ pub struct ImpalaOpts {
     /// Transport override (`inproc`, `uds`, `tcp`, `tcp:<addr>`); `None`
     /// defers to `RLDT_TRANSPORT`.
     pub transport: Option<String>,
+    /// Faults to inject into this run's runtime; a schedule, armed afresh
+    /// by every run (see `ExecSpec::fault_plan`).
+    #[cfg(any(test, feature = "fault-inject"))]
+    pub fault_plan: crate::runtime::FaultPlan,
 }
 
 impl Default for ImpalaOpts {
@@ -64,6 +68,8 @@ impl Default for ImpalaOpts {
             fault: FaultPolicy::default(),
             window: None,
             transport: None,
+            #[cfg(any(test, feature = "fault-inject"))]
+            fault_plan: Default::default(),
         }
     }
 }
@@ -78,6 +84,8 @@ struct Run {
     fault: FaultPolicy,
     window: Option<usize>,
     transport: TransportConfig,
+    /// The hooks value the run's runtime is spawned with.
+    hooks: WorkerCtx,
 }
 
 /// Train `spec` on environments from `factory`, narrating costs to
@@ -105,7 +113,10 @@ pub fn train(
         fault: spec.fault,
         window: spec.window,
         transport,
+        hooks: WorkerCtx::default(),
     };
+    #[cfg(any(test, feature = "fault-inject"))]
+    let run = Run { hooks: WorkerCtx::armed(spec.fault_plan.clone()), ..run };
     match spec.algorithm {
         Algorithm::Ppo => {
             let ppo = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
@@ -139,7 +150,10 @@ pub fn train_impala(
         fault: opts.fault,
         window: opts.window,
         transport,
+        hooks: WorkerCtx::default(),
     };
+    #[cfg(any(test, feature = "fault-inject"))]
+    let run = Run { hooks: WorkerCtx::armed(opts.fault_plan.clone()), ..run };
     let impala = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
         OnPolicyLearner::impala(obs_dim, actions, opts.config.clone(), rng)
     };
@@ -234,8 +248,9 @@ fn train_on_policy(
     let recorder = session.recorder();
     let specs = collectors(&arch, deployment, seed, factory, recorder.clone());
     let n_workers = specs.len();
-    let mut runtime = Runtime::spawn_with(specs, &learner.policy, run.transport.clone())
-        .with_fault_policy(run.fault);
+    let mut runtime =
+        Runtime::spawn_hooked(specs, &learner.policy, run.transport.clone(), run.hooks.clone())
+            .with_fault_policy(run.fault);
     if let Some(w) = run.window {
         runtime = runtime.with_window(w);
     }

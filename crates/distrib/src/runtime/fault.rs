@@ -2,7 +2,9 @@
 //! [`FaultPolicy`], the per-round [`FaultLog`] accounting, the
 //! [`RuntimeError`] surfaced when a failure cannot be absorbed, and the
 //! deterministic `FaultPlan` injection layer the chaos tests drive
-//! (gated behind `cfg(any(test, feature = "fault-inject"))`).
+//! (gated behind `cfg(any(test, feature = "fault-inject"))`). A plan is
+//! a value: each runtime arms its own copy, so concurrent runtimes never
+//! see each other's faults.
 //!
 //! Recovery ladder, in order:
 //!
@@ -222,41 +224,44 @@ impl From<RuntimeError> for String {
     }
 }
 
+/// What an injected fault does to the worker when its `(worker, round)`
+/// address comes up. The worker state machine matches on this in every
+/// build; only a `FaultPlan` can schedule one, and that type is compiled
+/// for tests and the `fault-inject` feature alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// Panic inside the collection (caught; the thread survives and
+    /// can be retried).
+    Panic,
+    /// Kill the worker thread outright (only a respawn recovers it).
+    Crash,
+    /// Sleep without answering, so the driver's receive timeout
+    /// fires. The thread wakes afterwards and its late events must
+    /// be dropped as stale.
+    Hang {
+        /// Real milliseconds to sleep.
+        millis: u64,
+    },
+    /// Delay the answer without failing (scheduling adversary; the
+    /// merge must stay bitwise identical).
+    Slow {
+        /// Real milliseconds to sleep before collecting.
+        millis: u64,
+    },
+}
+
 /// Deterministic fault injection: what to break, where. Compiled only
 /// for tests and the `fault-inject` feature.
 #[cfg(any(test, feature = "fault-inject"))]
-pub use inject::{clear_plan, install_plan, FaultKind, FaultPlan, InjectedFault};
+pub use inject::{FaultPlan, InjectedFault};
 
 #[cfg(any(test, feature = "fault-inject"))]
 mod inject {
+    use super::super::transport::codec::fault_tag;
+    use super::FaultKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    /// What an injected fault does to the worker when its `(worker,
-    /// round)` address comes up.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum FaultKind {
-        /// Panic inside the collection (caught; the thread survives and
-        /// can be retried).
-        Panic,
-        /// Kill the worker thread outright (only a respawn recovers it).
-        Crash,
-        /// Sleep without answering, so the driver's receive timeout
-        /// fires. The thread wakes afterwards and its late events must
-        /// be dropped as stale.
-        Hang {
-            /// Real milliseconds to sleep.
-            millis: u64,
-        },
-        /// Delay the answer without failing (scheduling adversary; the
-        /// merge must stay bitwise identical).
-        Slow {
-            /// Real milliseconds to sleep before collecting.
-            millis: u64,
-        },
-    }
 
     /// One schedule-addressable fault. Fires exactly once: N entries at
     /// the same address model N consecutive failures (retry exhaustion).
@@ -271,8 +276,11 @@ mod inject {
         armed: AtomicBool,
     }
 
-    /// A seeded fault schedule. Install with [`install_plan`]; the next
-    /// spawned runtime snapshots it and hands it to its workers.
+    /// A seeded fault schedule, handed by value to the one runtime that
+    /// should suffer it: the `fault_plan` field of an `ExecSpec` /
+    /// `ImpalaOpts`, or `Runtime::spawn_faulted` directly. The spawn arms
+    /// its own clone and shares that one copy among its workers, so no
+    /// other runtime in the process can consume an entry.
     #[derive(Debug, Default)]
     pub struct FaultPlan {
         faults: Vec<InjectedFault>,
@@ -288,6 +296,12 @@ mod inject {
         pub fn fault(mut self, worker: usize, round: u64, kind: FaultKind) -> Self {
             self.faults.push(InjectedFault { worker, round, kind, armed: AtomicBool::new(true) });
             self
+        }
+
+        /// Add `times` faults at one address: `times` consecutive
+        /// failures there, which is how a retry budget gets exhausted.
+        pub fn repeated(self, worker: usize, round: u64, kind: FaultKind, times: u32) -> Self {
+            (0..times).fold(self, |plan, _| plan.fault(worker, round, kind))
         }
 
         /// A seeded random schedule: `n_faults` faults over `workers`
@@ -315,18 +329,6 @@ mod inject {
             &self.faults
         }
 
-        /// Snapshot the still-armed entries as `(worker, round, kind)`
-        /// triples. The process transport ships these to a freshly
-        /// spawned child so a respawn doesn't re-arm faults that already
-        /// fired.
-        pub fn armed(&self) -> Vec<(usize, u64, FaultKind)> {
-            self.faults
-                .iter()
-                .filter(|f| f.armed.load(Ordering::SeqCst))
-                .map(|f| (f.worker, f.round, f.kind))
-                .collect()
-        }
-
         /// Consume (disarm) the first still-armed fault addressed to
         /// `(worker, round)`, if any.
         pub fn take(&self, worker: usize, round: u64) -> Option<FaultKind> {
@@ -336,10 +338,48 @@ mod inject {
                 .find(|f| f.armed.swap(false, Ordering::SeqCst))
                 .map(|f| f.kind)
         }
+
+        /// The still-armed entries addressed to `worker` as the
+        /// `(worker, round, kind tag, millis)` tuples a `Hello` carries,
+        /// so a respawned child doesn't re-arm faults that already fired.
+        pub(crate) fn to_wire(&self, worker: usize) -> Vec<(usize, u64, u8, u64)> {
+            self.faults
+                .iter()
+                .filter(|f| f.worker == worker && f.armed.load(Ordering::SeqCst))
+                .map(|f| {
+                    let (tag, millis) = match f.kind {
+                        FaultKind::Panic => (fault_tag::PANIC, 0),
+                        FaultKind::Crash => (fault_tag::CRASH, 0),
+                        FaultKind::Hang { millis } => (fault_tag::HANG, millis),
+                        FaultKind::Slow { millis } => (fault_tag::SLOW, millis),
+                    };
+                    (f.worker, f.round, tag, millis)
+                })
+                .collect()
+        }
+
+        /// The child's side of [`Self::to_wire`]; unknown tags are skipped.
+        pub(crate) fn from_wire(faults: &[(usize, u64, u8, u64)]) -> Self {
+            let mut plan = Self::new();
+            for &(worker, round, tag, millis) in faults {
+                let kind = match tag {
+                    fault_tag::PANIC => FaultKind::Panic,
+                    fault_tag::CRASH => FaultKind::Crash,
+                    fault_tag::HANG => FaultKind::Hang { millis },
+                    fault_tag::SLOW => FaultKind::Slow { millis },
+                    _ => continue,
+                };
+                plan = plan.fault(worker, round, kind);
+            }
+            plan
+        }
     }
 
     impl Clone for FaultPlan {
-        /// Clones re-arm every fault (fresh schedule for a repeat run).
+        /// A clone is the same schedule with every fault armed again,
+        /// whatever has fired on `self` — which is what lets one spec be
+        /// run twice. To *share* arming (a runtime and its workers), clone
+        /// an `Arc<FaultPlan>` instead.
         fn clone(&self) -> Self {
             let mut plan = Self::new();
             for f in &self.faults {
@@ -348,30 +388,7 @@ mod inject {
             plan
         }
     }
-
-    use std::sync::{Mutex, PoisonError};
-
-    static PLAN: Mutex<Option<Arc<FaultPlan>>> = Mutex::new(None);
-
-    /// Install a process-global fault plan. Every runtime spawned
-    /// afterwards snapshots it (tests serialize on their own lock, as
-    /// with `test_hooks::set_stagger_ms`).
-    pub fn install_plan(plan: FaultPlan) {
-        *PLAN.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(plan));
-    }
-
-    /// Remove the installed plan.
-    pub fn clear_plan() {
-        *PLAN.lock().unwrap_or_else(PoisonError::into_inner) = None;
-    }
-
-    pub(crate) fn current_plan() -> Option<Arc<FaultPlan>> {
-        PLAN.lock().unwrap_or_else(PoisonError::into_inner).clone()
-    }
 }
-
-#[cfg(any(test, feature = "fault-inject"))]
-pub(super) use inject::current_plan;
 
 #[cfg(test)]
 mod tests {

@@ -43,16 +43,16 @@ pub use driver::{
     merge_wave, report_mean, Driver, DriverStats, SyncPolicy, WaveOutcome, REPORT_WINDOW,
 };
 pub use event::{Command, Event, WILDCARD_ROUND};
+pub use fault::{FaultCause, FaultKind, FaultLog, FaultPolicy, Quarantine, RuntimeError};
 #[cfg(any(test, feature = "fault-inject"))]
-pub use fault::{clear_plan, install_plan, FaultKind, FaultPlan, InjectedFault};
-pub use fault::{FaultCause, FaultLog, FaultPolicy, Quarantine, RuntimeError};
+pub use fault::{FaultPlan, InjectedFault};
 pub use transport::process::run_worker_process;
 pub use transport::{
-    set_worker_bin_for_tests, CollectorBlueprint, EnvBlueprint, RngStream, TransportConfig,
-    TransportKind, TransportStats,
+    CollectorBlueprint, EnvBlueprint, RngStream, TransportConfig, TransportKind, TransportStats,
 };
 pub use whatif::{run_whatif, ContinuationPolicy, WhatIfPayload, WhatIfTask};
 pub use worker::Collector;
+pub(crate) use worker::WorkerCtx;
 
 use crate::backends::common::Segment;
 use crate::keys;
@@ -189,13 +189,35 @@ impl<'f> Runtime<'f> {
     /// an error — when a spec has no blueprint, the `rldt-worker` binary
     /// cannot be found, or the children fail to connect.
     pub fn spawn_with(
-        mut specs: Vec<WorkerSpec<'f>>,
+        specs: Vec<WorkerSpec<'f>>,
         initial_policy: &ActorCritic,
         config: TransportConfig,
     ) -> Self {
+        Self::spawn_hooked(specs, initial_policy, config, WorkerCtx::default())
+    }
+
+    /// [`Runtime::spawn_with`] for a runtime that suffers `plan`: the
+    /// plan moves in, this runtime's workers (respawned ones included)
+    /// consume it, and no other runtime can see it.
+    #[cfg(any(test, feature = "fault-inject"))]
+    pub fn spawn_faulted(
+        specs: Vec<WorkerSpec<'f>>,
+        initial_policy: &ActorCritic,
+        config: TransportConfig,
+        plan: FaultPlan,
+    ) -> Self {
+        Self::spawn_hooked(specs, initial_policy, config, WorkerCtx::armed(plan))
+    }
+
+    /// The one spawn: `ctx` is this runtime's hooks value, cloned into
+    /// whichever transport ends up hosting the workers.
+    pub(crate) fn spawn_hooked(
+        mut specs: Vec<WorkerSpec<'f>>,
+        initial_policy: &ActorCritic,
+        config: TransportConfig,
+        ctx: WorkerCtx,
+    ) -> Self {
         assert!(!specs.is_empty(), "runtime needs at least one worker");
-        #[cfg(any(test, feature = "fault-inject"))]
-        let plan = fault::current_plan();
         let nodes: Vec<usize> = specs.iter().map(|s| s.node).collect();
         let respawners: Vec<Option<RespawnFn<'f>>> =
             specs.iter_mut().map(|s| s.respawn.take()).collect();
@@ -212,8 +234,7 @@ impl<'f> Runtime<'f> {
                         bps,
                         nodes.clone(),
                         initial_policy,
-                        #[cfg(any(test, feature = "fault-inject"))]
-                        plan.clone(),
+                        ctx.clone(),
                     ) {
                         Ok(t) => selected = Some(Box::new(t)),
                         Err(e) => eprintln!(
@@ -235,8 +256,7 @@ impl<'f> Runtime<'f> {
             Box::new(ChannelTransport::spawn(
                 specs.into_iter().map(|s| (s.node, s.collector)).collect(),
                 initial_policy,
-                #[cfg(any(test, feature = "fault-inject"))]
-                plan.clone(),
+                ctx,
             ))
         });
 
@@ -801,48 +821,13 @@ impl Drop for Runtime<'_> {
     }
 }
 
-/// Test-only scheduling hooks.
-///
-/// Hidden from docs and semver guarantees; integration tests use this to
-/// inject artificial per-worker completion delays and prove that reports
-/// are independent of worker completion order.
-#[doc(hidden)]
-pub mod test_hooks {
-    use std::sync::{Mutex, PoisonError};
-    use std::time::Duration;
-
-    static STAGGER_MS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-
-    /// Delay worker `i`'s collections by `ms[i]` milliseconds (workers
-    /// beyond the slice are undelayed). Global: affects every runtime
-    /// spawned afterwards in this process.
-    pub fn set_stagger_ms(ms: Vec<u64>) {
-        *STAGGER_MS.lock().unwrap_or_else(PoisonError::into_inner) = ms;
-    }
-
-    /// Remove all injected delays.
-    pub fn clear_stagger() {
-        STAGGER_MS.lock().unwrap_or_else(PoisonError::into_inner).clear();
-    }
-
-    pub(super) fn stagger_for(worker: usize) -> Option<Duration> {
-        let stagger = STAGGER_MS.lock().unwrap_or_else(PoisonError::into_inner);
-        stagger.get(worker).copied().filter(|&ms| ms > 0).map(Duration::from_millis)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::fault::{clear_plan, install_plan, FaultKind, FaultPlan};
     use super::*;
     use gymrs::envs::GridWorld;
     use gymrs::{Environment, Space};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::{Mutex, PoisonError};
-
-    /// Serializes tests that touch the process-global fault plan.
-    static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
     fn grid_collector(seed: u64) -> Collector {
         let mut env = GridWorld::new(3);
@@ -862,6 +847,16 @@ mod tests {
 
     fn streams(n: u64) -> Vec<RngStream> {
         (0..n).map(RngStream::fresh).collect()
+    }
+
+    /// An in-process runtime that suffers `plan` — and is the only one
+    /// that does.
+    fn faulted<'f>(
+        specs: Vec<WorkerSpec<'f>>,
+        policy: &ActorCritic,
+        plan: FaultPlan,
+    ) -> Runtime<'f> {
+        Runtime::spawn_faulted(specs, policy, TransportConfig::InProcess, plan)
     }
 
     #[test]
@@ -941,11 +936,9 @@ mod tests {
 
     #[test]
     fn failure_without_policy_is_an_err_not_a_panic() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install_plan(FaultPlan::new().fault(1, 0, FaultKind::Panic));
+        let plan = FaultPlan::new().fault(1, 0, FaultKind::Panic);
         let (specs, policy) = specs(&[0, 0]);
-        let mut rt = Runtime::spawn(specs, &policy);
-        clear_plan();
+        let mut rt = faulted(specs, &policy, plan);
         let err = rt.collect_round(0, 8, streams(2)).expect_err("fail-fast surfaces the failure");
         match err {
             RuntimeError::WorkerFailed { worker, round, ref reason } => {
@@ -960,12 +953,10 @@ mod tests {
 
     #[test]
     fn retry_absorbs_a_contained_panic() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install_plan(FaultPlan::new().fault(0, 1, FaultKind::Panic));
+        let plan = FaultPlan::new().fault(0, 1, FaultKind::Panic);
         let (specs, policy) = specs(&[0, 0]);
-        let mut rt = Runtime::spawn(specs, &policy)
+        let mut rt = faulted(specs, &policy, plan)
             .with_fault_policy(FaultPolicy { max_retries: 1, ..FaultPolicy::resilient() });
-        clear_plan();
         let clean = rt.collect_round(0, 8, streams(2));
         assert!(clean.expect("round 0 is clean").faults.is_clean());
         let outcome = rt.collect_round(1, 8, streams(2)).expect("retried");
@@ -981,13 +972,11 @@ mod tests {
 
     #[test]
     fn respawn_recovers_a_dead_thread() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install_plan(FaultPlan::new().fault(1, 0, FaultKind::Crash));
+        let plan = FaultPlan::new().fault(1, 0, FaultKind::Crash);
         let (mut specs, policy) = specs(&[0, 0]);
         specs[1] = WorkerSpec::new(0, grid_collector(2)).with_respawn(|| grid_collector(2));
-        let mut rt = Runtime::spawn(specs, &policy)
+        let mut rt = faulted(specs, &policy, plan)
             .with_fault_policy(FaultPolicy { max_retries: 1, ..FaultPolicy::resilient() });
-        clear_plan();
         let outcome = rt.collect_round(0, 8, streams(2)).expect("respawned");
         assert_eq!(outcome.segments.len(), 2);
         assert_eq!(outcome.faults.respawns, 1);
@@ -999,15 +988,13 @@ mod tests {
 
     #[test]
     fn exhausted_retries_quarantine_and_degrade() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install_plan(FaultPlan::new().fault(2, 0, FaultKind::Panic));
+        let plan = FaultPlan::new().fault(2, 0, FaultKind::Panic);
         let (specs, policy) = specs(&[0, 0, 0]);
-        let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {
+        let mut rt = faulted(specs, &policy, plan).with_fault_policy(FaultPolicy {
             max_retries: 0,
             quarantine: true,
             ..FaultPolicy::resilient()
         });
-        clear_plan();
         let outcome = rt.collect_round(0, 8, streams(3)).expect("degrades");
         assert_eq!(outcome.segments.len(), 2, "survivors still merge");
         let order: Vec<usize> = outcome.segments.iter().map(|s| s.worker).collect();
@@ -1022,16 +1009,79 @@ mod tests {
         assert_eq!(later.segments.len(), 2);
     }
 
+    /// Everything round 0 produced, as raw bits in merge order.
+    fn round_bits(outcome: &RoundOutcome) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for s in &outcome.segments {
+            let r = &s.segment.rollout;
+            bits.push(s.worker as u64);
+            bits.extend(r.actions.iter().map(|a| a.discrete() as u64));
+            for xs in [&r.rewards, &r.values, &r.log_probs] {
+                bits.extend(xs.iter().map(|x| x.to_bits()));
+            }
+        }
+        bits
+    }
+
+    /// Spawn a two-worker runtime that suffers `plan`, pass `gate` twice
+    /// (if there is one) between the spawn and the collection, then
+    /// collect round 0 under a one-retry policy.
+    fn suffer(plan: FaultPlan, gate: Option<&std::sync::Barrier>) -> (FaultLog, Vec<u64>) {
+        let (mut specs, policy) = specs(&[0, 0]);
+        specs[1] = WorkerSpec::new(0, grid_collector(2)).with_respawn(|| grid_collector(2));
+        let mut rt = faulted(specs, &policy, plan)
+            .with_fault_policy(FaultPolicy { max_retries: 1, ..FaultPolicy::resilient() });
+        if let Some(gate) = gate {
+            gate.wait(); // every faulted runtime is spawned and armed
+            gate.wait(); // the plan-free runtime has come and gone
+        }
+        let outcome = rt.collect_round(0, 8, streams(2)).expect("the policy absorbs one fault");
+        let bits = round_bits(&outcome);
+        (outcome.faults, bits)
+    }
+
+    #[test]
+    fn concurrent_runtimes_suffer_exactly_their_own_plans() {
+        // Three runtimes alive at once, all addressed at round 0 of the
+        // same two workers: one plan panics worker 0, the other crashes
+        // worker 1, the third runtime has no plan. The barrier forces the
+        // interleaving a shared plan could not survive — the plan-free
+        // runtime collects while both plans are armed and unfired, then
+        // the two faulted ones collect side by side.
+        let panic_plan = || FaultPlan::new().fault(0, 0, FaultKind::Panic);
+        let crash_plan = || FaultPlan::new().fault(1, 0, FaultKind::Crash);
+        let solo_panic = suffer(panic_plan(), None);
+        let solo_crash = suffer(crash_plan(), None);
+        let solo_clean = suffer(FaultPlan::new(), None);
+
+        let gate = std::sync::Barrier::new(3);
+        let (with_panic, with_crash, clean) = std::thread::scope(|s| {
+            let a = s.spawn(|| suffer(panic_plan(), Some(&gate)));
+            let b = s.spawn(|| suffer(crash_plan(), Some(&gate)));
+            gate.wait();
+            let clean = suffer(FaultPlan::new(), None);
+            gate.wait();
+            (a.join().expect("no panic"), b.join().expect("no panic"), clean)
+        });
+
+        let backoff_s = FaultPolicy::resilient().backoff_s(0);
+        let retried = FaultLog { retries: 1, backoff_s, ..FaultLog::default() };
+        assert_eq!(with_panic.0, retried, "one contained panic, one retry, nothing else");
+        assert_eq!(with_crash.0, FaultLog { respawns: 1, ..retried }, "one crash, one respawn");
+        assert_eq!(clean.0, FaultLog::default(), "no plan, no fault");
+        assert_eq!(with_panic, solo_panic, "the same bits as the same plan run alone");
+        assert_eq!(with_crash, solo_crash);
+        assert_eq!(clean, solo_clean);
+    }
+
     #[test]
     fn injected_hang_surfaces_as_worker_timed_out() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install_plan(FaultPlan::new().fault(0, 0, FaultKind::Hang { millis: 300 }));
+        let plan = FaultPlan::new().fault(0, 0, FaultKind::Hang { millis: 300 });
         let (specs, policy) = specs(&[0, 0]);
-        let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {
+        let mut rt = faulted(specs, &policy, plan).with_fault_policy(FaultPolicy {
             recv_timeout_ms: Some(40),
             ..FaultPolicy::fail_fast()
         });
-        clear_plan();
         let err = rt.collect_round(0, 8, streams(2));
         match err.expect_err("the hang must time out") {
             RuntimeError::WorkerTimedOut { worker, round } => {
@@ -1044,14 +1094,12 @@ mod tests {
     #[test]
     fn whatif_hang_names_the_overdue_worker() {
         use gymrs::Action;
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install_plan(FaultPlan::new().fault(1, 7, FaultKind::Hang { millis: 120 }));
+        let plan = FaultPlan::new().fault(1, 7, FaultKind::Hang { millis: 120 });
         let (specs, policy) = specs(&[0, 0, 0]);
-        let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {
+        let mut rt = faulted(specs, &policy, plan).with_fault_policy(FaultPolicy {
             recv_timeout_ms: Some(40),
             ..FaultPolicy::fail_fast()
         });
-        clear_plan();
         let blueprint = EnvBlueprint::Grid { n: 5 };
         let mut env = blueprint.build(3);
         env.reset();
@@ -1072,15 +1120,13 @@ mod tests {
 
     #[test]
     fn hang_quarantine_drops_the_stale_answer() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        install_plan(FaultPlan::new().fault(0, 0, FaultKind::Hang { millis: 120 }));
+        let plan = FaultPlan::new().fault(0, 0, FaultKind::Hang { millis: 120 });
         let (specs, policy) = specs(&[0, 0]);
-        let mut rt = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy {
+        let mut rt = faulted(specs, &policy, plan).with_fault_policy(FaultPolicy {
             recv_timeout_ms: Some(40),
             quarantine: true,
             ..FaultPolicy::resilient()
         });
-        clear_plan();
         let outcome = rt.collect_round(0, 8, streams(2)).expect("degrades");
         assert_eq!(outcome.segments.len(), 1, "only the healthy worker contributes");
         assert_eq!(outcome.faults.timeouts, 1);

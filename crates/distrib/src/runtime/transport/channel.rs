@@ -15,11 +15,6 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-#[cfg(any(test, feature = "fault-inject"))]
-use super::super::fault::FaultPlan;
-#[cfg(any(test, feature = "fault-inject"))]
-use std::sync::Arc;
-
 struct ChannelWorker {
     commands: mpsc::Sender<Command>,
     join: Option<JoinHandle<()>>,
@@ -30,17 +25,17 @@ pub(crate) struct ChannelTransport {
     workers: Vec<ChannelWorker>,
     events: mpsc::Receiver<Event>,
     event_tx: mpsc::Sender<Event>,
-    #[cfg(any(test, feature = "fault-inject"))]
-    plan: Option<Arc<FaultPlan>>,
+    /// This runtime's hooks; respawned workers get a clone.
+    ctx: WorkerCtx,
 }
 
 impl ChannelTransport {
     /// Spawn one `rt-worker-{i}` thread per `(node, collector)` pair,
-    /// each booting from a clone of `initial_policy`.
+    /// each booting from a clone of `initial_policy` and of `ctx`.
     pub(crate) fn spawn(
         workers: Vec<(usize, Collector)>,
         initial_policy: &ActorCritic,
-        #[cfg(any(test, feature = "fault-inject"))] plan: Option<Arc<FaultPlan>>,
+        ctx: WorkerCtx,
     ) -> Self {
         let (event_tx, events) = mpsc::channel::<Event>();
         let workers = workers
@@ -50,11 +45,7 @@ impl ChannelTransport {
                 let (commands, cmd_rx) = mpsc::channel::<Command>();
                 let tx = event_tx.clone();
                 let policy = initial_policy.clone();
-                let ctx = WorkerCtx {
-                    stagger: super::super::test_hooks::stagger_for(i),
-                    #[cfg(any(test, feature = "fault-inject"))]
-                    plan: plan.clone(),
-                };
+                let ctx = ctx.clone();
                 let join = std::thread::Builder::new()
                     .name(format!("rt-worker-{i}"))
                     .spawn(move || worker::worker_loop(i, node, collector, policy, cmd_rx, tx, ctx))
@@ -62,13 +53,7 @@ impl ChannelTransport {
                 ChannelWorker { commands, join: Some(join), node }
             })
             .collect();
-        Self {
-            workers,
-            events,
-            event_tx,
-            #[cfg(any(test, feature = "fault-inject"))]
-            plan,
-        }
+        Self { workers, events, event_tx, ctx }
     }
 }
 
@@ -121,11 +106,7 @@ impl Transport for ChannelTransport {
         let tx = self.event_tx.clone();
         let policy = policy.clone();
         let node = self.workers[worker].node;
-        let ctx = WorkerCtx {
-            stagger: super::super::test_hooks::stagger_for(worker),
-            #[cfg(any(test, feature = "fault-inject"))]
-            plan: self.plan.clone(),
-        };
+        let ctx = self.ctx.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("rt-worker-{worker}"))
             .spawn(move || worker::worker_loop(worker, node, collector, policy, cmd_rx, tx, ctx));

@@ -180,26 +180,11 @@ pub(crate) trait Transport: Send {
 
 // ------------------------------------------------------- worker binary
 
-use std::sync::{Mutex, PoisonError};
-
-static WORKER_BIN_OVERRIDE: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Point the process transport at a specific worker binary. Integration
-/// tests use this with `env!("CARGO_BIN_EXE_rldt-worker")`; it is
-/// process-global but thread-safe (unlike `std::env::set_var`).
-#[doc(hidden)]
-pub fn set_worker_bin_for_tests(path: impl Into<PathBuf>) {
-    *WORKER_BIN_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) = Some(path.into());
-}
-
-/// Locate the `rldt-worker` binary: the test override, then
-/// `RLDT_WORKER_BIN`, then siblings of the current executable (the bin
-/// itself in `target/<profile>/`, or one directory up for test
-/// executables living in `deps/`).
+/// Locate the `rldt-worker` binary: `RLDT_WORKER_BIN`, then siblings of
+/// the current executable (the bin itself in `target/<profile>/`, or one
+/// directory up for test executables living in `deps/` — which is where
+/// cargo puts the freshly built bin an integration test runs against).
 pub(crate) fn resolve_worker_bin() -> Option<PathBuf> {
-    if let Some(p) = WORKER_BIN_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner).clone() {
-        return p.is_file().then_some(p);
-    }
     if let Ok(p) = std::env::var("RLDT_WORKER_BIN") {
         let p = PathBuf::from(p);
         return p.is_file().then_some(p);

@@ -44,9 +44,6 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use telemetry::SharedRecorder;
 
-#[cfg(any(test, feature = "fault-inject"))]
-use super::super::fault::FaultPlan;
-
 /// How long the driver waits for a spawned child to connect and
 /// identify itself before declaring the spawn failed.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -228,8 +225,8 @@ pub(crate) struct ProcessTransport {
     counters: Arc<WireCounters>,
     recorder: SharedRecorder,
     kind: TransportKind,
-    #[cfg(any(test, feature = "fault-inject"))]
-    plan: Option<Arc<FaultPlan>>,
+    /// This runtime's hooks: what each child's `Hello` arms.
+    ctx: WorkerCtx,
 }
 
 static SOCKET_ID: AtomicU64 = AtomicU64::new(0);
@@ -245,7 +242,7 @@ impl ProcessTransport {
         blueprints: Vec<CollectorBlueprint>,
         nodes: Vec<usize>,
         initial_policy: &ActorCritic,
-        #[cfg(any(test, feature = "fault-inject"))] plan: Option<Arc<FaultPlan>>,
+        ctx: WorkerCtx,
     ) -> io::Result<Self> {
         let (listener, connect_spec, socket_path, kind) = match config {
             TransportConfig::Uds => {
@@ -303,8 +300,7 @@ impl ProcessTransport {
             counters: Arc::new(WireCounters::default()),
             recorder: telemetry::null_recorder(),
             kind,
-            #[cfg(any(test, feature = "fault-inject"))]
-            plan,
+            ctx,
         };
 
         // Spawn everyone first, then collect the handshakes: children
@@ -407,39 +403,12 @@ impl ProcessTransport {
         worker: usize,
         policy: &ActorCritic,
     ) -> io::Result<()> {
-        // Injected faults ride along only in fault-inject builds: the
-        // child binary is always compiled without cfg(test), so a
-        // test-only plan would name kinds the child can't arm.
-        #[cfg(feature = "fault-inject")]
-        let faults: Vec<(usize, u64, u8, u64)> = self
-            .plan
-            .as_deref()
-            .map(|p| {
-                p.armed()
-                    .into_iter()
-                    .filter(|&(w, _, _)| w == worker)
-                    .map(|(w, round, kind)| {
-                        use super::super::fault::FaultKind;
-                        let (tag, millis) = match kind {
-                            FaultKind::Panic => (codec::fault_tag::PANIC, 0),
-                            FaultKind::Crash => (codec::fault_tag::CRASH, 0),
-                            FaultKind::Hang { millis } => (codec::fault_tag::HANG, millis),
-                            FaultKind::Slow { millis } => (codec::fault_tag::SLOW, millis),
-                        };
-                        (w, round, tag, millis)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        #[cfg(not(feature = "fault-inject"))]
-        let faults = Vec::new();
-
         let mut hello = Hello {
             worker,
             node: self.nodes[worker],
             policy: policy.clone(),
             blueprint: self.blueprints[worker].clone(),
-            faults,
+            faults: self.ctx.hello_faults(worker),
         };
         let frame = codec::encode_hello(&mut self.writer, &mut hello);
         self.counters.frames_out.fetch_add(1, Ordering::Relaxed);
@@ -522,14 +491,11 @@ impl Transport for ProcessTransport {
                     // injected fault fires over there, disarm the same
                     // entry here so a respawn Hello doesn't re-ship it.
                     // (The channel transport must NOT do this — its plan
-                    // Arc is shared with the worker threads, which have
+                    // is shared with the worker threads, which have
                     // already disarmed the entry themselves.)
-                    #[cfg(any(test, feature = "fault-inject"))]
                     if let Event::WorkerFailed { worker: w, round, .. } = &ev {
                         if *round != WILDCARD_ROUND {
-                            if let Some(plan) = self.plan.as_deref() {
-                                plan.take(*w, *round);
-                            }
+                            self.ctx.take(*w, *round);
                         }
                     }
                     return Ok(Some(ev));
@@ -697,13 +663,7 @@ pub fn run_worker_process<I: IntoIterator<Item = String>>(args: I) -> Result<(),
         return Err(format!("Hello addressed to worker {}, I am {worker}", hello.worker));
     }
 
-    #[cfg(any(test, feature = "fault-inject"))]
-    let plan = plan_from_hello(&hello);
-    let ctx = WorkerCtx {
-        stagger: None,
-        #[cfg(any(test, feature = "fault-inject"))]
-        plan,
-    };
+    let ctx = WorkerCtx::from_hello(&hello.faults);
     let collector = hello.blueprint.build();
     let mut state = WorkerState::new(worker, hello.node, collector, hello.policy, ctx);
 
@@ -746,33 +706,5 @@ pub fn run_worker_process<I: IntoIterator<Item = String>>(args: I) -> Result<(),
                 std::process::exit(3);
             }
         }
-    }
-}
-
-#[cfg(any(test, feature = "fault-inject"))]
-fn plan_from_hello(hello: &Hello) -> Option<Arc<FaultPlan>> {
-    #[cfg(feature = "fault-inject")]
-    {
-        use super::super::fault::FaultKind;
-        if hello.faults.is_empty() {
-            return None;
-        }
-        let mut plan = FaultPlan::new();
-        for &(w, round, kind, millis) in &hello.faults {
-            let kind = match kind {
-                codec::fault_tag::PANIC => FaultKind::Panic,
-                codec::fault_tag::CRASH => FaultKind::Crash,
-                codec::fault_tag::HANG => FaultKind::Hang { millis },
-                codec::fault_tag::SLOW => FaultKind::Slow { millis },
-                _ => continue,
-            };
-            plan = plan.fault(w, round, kind);
-        }
-        Some(Arc::new(plan))
-    }
-    #[cfg(not(feature = "fault-inject"))]
-    {
-        let _ = hello;
-        None
     }
 }

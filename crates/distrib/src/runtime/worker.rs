@@ -19,8 +19,7 @@
 //! dead event channel) ends the worker.
 
 use super::event::{panic_text, Command, Event};
-#[cfg(any(test, feature = "fault-inject"))]
-use super::fault::{FaultKind, FaultPlan};
+use super::fault::FaultKind;
 use crate::backends::common::{collect_segment, collect_segment_vec, Segment};
 use gymrs::{Environment, VecEnv};
 use rl_algos::policy::ActorCritic;
@@ -76,19 +75,51 @@ impl Collector {
     }
 }
 
-/// Per-worker context the runtime threads into a [`WorkerState`]: the
-/// test-hook stagger delay and (in fault-inject builds) the worker's
-/// view of the installed `FaultPlan`.
+/// The hooks a runtime hands every worker it hosts — one value per
+/// runtime, never process-wide. In test and `fault-inject` builds that is
+/// the runtime's own armed `FaultPlan` (clones share it, so a respawned
+/// worker cannot re-suffer a fault that already fired); otherwise nothing.
+#[derive(Clone, Default)]
 pub(crate) struct WorkerCtx {
-    pub(crate) stagger: Option<Duration>,
     #[cfg(any(test, feature = "fault-inject"))]
-    pub(crate) plan: Option<std::sync::Arc<FaultPlan>>,
+    plan: std::sync::Arc<super::fault::FaultPlan>,
 }
 
+#[cfg(any(test, feature = "fault-inject"))]
 impl WorkerCtx {
-    #[cfg(any(test, feature = "fault-inject"))]
-    fn injected(&self, worker: usize, round: u64) -> Option<FaultKind> {
-        self.plan.as_ref().and_then(|p| p.take(worker, round))
+    /// Hand `plan` to one runtime.
+    pub(crate) fn armed(plan: super::fault::FaultPlan) -> Self {
+        Self { plan: std::sync::Arc::new(plan) }
+    }
+
+    /// Consume the first still-armed fault addressed to `(worker, round)`.
+    pub(crate) fn take(&self, worker: usize, round: u64) -> Option<FaultKind> {
+        self.plan.take(worker, round)
+    }
+
+    /// `worker`'s still-armed faults, as a `Hello` carries them.
+    pub(crate) fn hello_faults(&self, worker: usize) -> Vec<(usize, u64, u8, u64)> {
+        self.plan.to_wire(worker)
+    }
+
+    /// The child's side of [`Self::hello_faults`].
+    pub(crate) fn from_hello(faults: &[(usize, u64, u8, u64)]) -> Self {
+        Self::armed(super::fault::FaultPlan::from_wire(faults))
+    }
+}
+
+#[cfg(not(any(test, feature = "fault-inject")))]
+impl WorkerCtx {
+    pub(crate) fn take(&self, _worker: usize, _round: u64) -> Option<FaultKind> {
+        None
+    }
+
+    pub(crate) fn hello_faults(&self, _worker: usize) -> Vec<(usize, u64, u8, u64)> {
+        Vec::new()
+    }
+
+    pub(crate) fn from_hello(_faults: &[(usize, u64, u8, u64)]) -> Self {
+        Self::default()
     }
 }
 
@@ -100,9 +131,7 @@ pub(crate) enum Flow {
     Exit,
     /// An injected crash: the hosting loop must report a *fatal*
     /// [`Event::WorkerFailed`] with this round/reason and then die the
-    /// way its transport dies (thread return / process exit). Only
-    /// constructed when fault injection is compiled in.
-    #[cfg_attr(not(any(test, feature = "fault-inject")), allow(dead_code))]
+    /// way its transport dies (thread return / process exit).
     Died { round: u64, reason: String },
 }
 
@@ -132,12 +161,7 @@ impl WorkerState {
         let worker = self.worker;
         match cmd {
             Command::Collect { round, steps, mut rng } => {
-                if let Some(delay) = self.ctx.stagger {
-                    std::thread::sleep(delay);
-                }
-                #[cfg(any(test, feature = "fault-inject"))]
-                let fault = self.ctx.injected(worker, round);
-                #[cfg(any(test, feature = "fault-inject"))]
+                let fault = self.ctx.take(worker, round);
                 match fault {
                     Some(FaultKind::Slow { millis }) | Some(FaultKind::Hang { millis }) => {
                         // A slow worker answers late; a hung worker
@@ -157,7 +181,6 @@ impl WorkerState {
                 let collector = &mut self.collector;
                 let policy = &self.policy;
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    #[cfg(any(test, feature = "fault-inject"))]
                     if matches!(fault, Some(FaultKind::Panic)) {
                         panic!("injected panic in round {round}");
                     }
@@ -194,8 +217,7 @@ impl WorkerState {
                 // env is rebuilt from the payload's blueprint, so a panic
                 // or a snapshot mismatch leaves the worker's rollout state
                 // intact and is reported as a contained failure.
-                #[cfg(any(test, feature = "fault-inject"))]
-                if let Some(FaultKind::Hang { millis }) = self.ctx.injected(worker, round) {
+                if let Some(FaultKind::Hang { millis }) = self.ctx.take(worker, round) {
                     // Answers after the driver's deadline, like a hung
                     // collection; the other fault kinds are collection-only.
                     std::thread::sleep(Duration::from_millis(millis));

@@ -87,6 +87,14 @@ pub struct ExecSpec {
     /// `tcp:<addr>`). `None` defers to the environment; a malformed value
     /// in either place is rejected by [`ExecSpec::validate`].
     pub transport: Option<String>,
+    /// Faults to inject into this spec's runtime (empty by default). The
+    /// spec holds the plan by value — the *schedule*, not shared arming:
+    /// `FaultPlan::clone` re-arms, and every run arms its own clone, so
+    /// running one spec twice injects the same faults twice and a cloned
+    /// spec starts fully armed. Only the runtime and its workers share
+    /// one armed copy (an `Arc`), which is what a fault fires on.
+    #[cfg(any(test, feature = "fault-inject"))]
+    pub fault_plan: crate::runtime::FaultPlan,
 }
 
 impl ExecSpec {
@@ -109,6 +117,8 @@ impl ExecSpec {
             fault: FaultPolicy::default(),
             window: None,
             transport: None,
+            #[cfg(any(test, feature = "fault-inject"))]
+            fault_plan: Default::default(),
         }
     }
 

@@ -15,7 +15,6 @@
 //! changes (a 2x frame bloat or a dropped transfer class).
 
 use dist_exec::backend::run;
-use dist_exec::runtime::set_worker_bin_for_tests;
 use dist_exec::spec::{Deployment, ExecSpec};
 use dist_exec::{EnvBlueprint, Framework};
 use rl_algos::Algorithm;
@@ -37,7 +36,6 @@ fn pinned_spec() -> ExecSpec {
 
 #[test]
 fn simulated_traffic_tracks_measured_wire_bytes_within_the_calibrated_band() {
-    set_worker_bin_for_tests(env!("CARGO_BIN_EXE_rldt-worker"));
     let report = run(&pinned_spec(), &EnvBlueprint::Grid { n: 3 }).expect("backend runs");
     let simulated = report.usage.bytes_moved;
     let measured = report.usage.wire_bytes;
@@ -68,7 +66,6 @@ fn simulated_traffic_tracks_measured_wire_bytes_within_the_calibrated_band() {
 fn the_calibration_workload_is_deterministic() {
     // The band only means something if the pinned workload reproduces:
     // both counters must be bit-stable across runs.
-    set_worker_bin_for_tests(env!("CARGO_BIN_EXE_rldt-worker"));
     let a = run(&pinned_spec(), &EnvBlueprint::Grid { n: 3 }).expect("backend runs");
     let b = run(&pinned_spec(), &EnvBlueprint::Grid { n: 3 }).expect("backend runs");
     assert_eq!(a.usage.bytes_moved, b.usage.bytes_moved);

@@ -11,17 +11,12 @@
 //! bits here.
 
 use counterfactual::{AnalyzerConfig, CounterfactualAnalyzer, EpisodeReport, Exec};
-use dist_exec::runtime::{set_worker_bin_for_tests, CollectorBlueprint, WorkerSpec};
+use dist_exec::runtime::{CollectorBlueprint, WorkerSpec};
 use dist_exec::{ContinuationPolicy, EnvBlueprint, Runtime, TransportConfig, TransportKind};
 use gymrs::{Action, Space};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_algos::policy::ActorCritic;
-
-/// Point every runtime in this binary at the freshly built worker bin.
-fn worker_bin() {
-    set_worker_bin_for_tests(env!("CARGO_BIN_EXE_rldt-worker"));
-}
 
 /// Every f64 the report carries, as raw bits, in a fixed traversal
 /// order — equality here is bitwise equality of the whole analysis.
@@ -55,7 +50,6 @@ fn runtime(blueprint: &EnvBlueprint, config: TransportConfig) -> Runtime<'static
 }
 
 fn analyze_everywhere(blueprint: EnvBlueprint, policy: ContinuationPolicy, action: Action) {
-    worker_bin();
     let config = AnalyzerConfig { alternatives: 3, rollouts: 5, horizon: 20, ..Default::default() };
     let analyzer = CounterfactualAnalyzer::new(blueprint.clone(), config);
     let episode = analyzer.record_episode(13, 5, |_, _| action.clone());

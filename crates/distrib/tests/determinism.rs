@@ -3,26 +3,77 @@
 //! The runtime drains worker segments into worker-index order before any
 //! learner sees them, so training must be bitwise reproducible no matter
 //! how the OS schedules the worker threads. These tests force adversarial
-//! schedules with the runtime's test-only stagger hook (artificial
-//! per-worker delays injected before each collect) and assert that the
-//! multi-node RLlib-like and IMPALA-like backends report *identical*
-//! rewards, simulated wall-clock and energy with and without the skew.
-//!
-//! The stagger hook is process-global, so every test that touches it
-//! serializes on [`HOOK_LOCK`].
+//! schedules from the test's side of the `Environment` interface (a
+//! wrapper that naps before each step, longest for the lowest worker
+//! index) and assert that the multi-node RLlib-like and IMPALA-like
+//! backends report *identical* rewards, simulated wall-clock and energy
+//! with and without the skew. Nothing process-wide is involved: the skew
+//! belongs to the factory a run is given, so the tests run side by side.
 
 mod common;
 
 use common::grid_factory;
 use dist_exec::backend::{run, EnvFactory, FnEnvFactory};
-use dist_exec::runtime::test_hooks;
+use dist_exec::backends::common::worker_seed;
 use dist_exec::spec::{Deployment, ExecSpec};
 use dist_exec::{train_impala, Framework, ImpalaOpts};
-use gymrs::Environment;
+use gymrs::envs::GridWorld;
+use gymrs::{Action, Environment, Space, Step};
 use rl_algos::Algorithm;
-use std::sync::Mutex;
+use std::time::Duration;
 
-static HOOK_LOCK: Mutex<()> = Mutex::new(());
+/// A test-side [`Environment`] newtype: the stepping interface goes
+/// straight through to `inner`, after a nap per step. `as_any_mut` and
+/// `lockstep_batcher` keep their defaults, so a `VecEnv` of these steps
+/// every lane on the scalar path whatever `inner` could batch.
+struct Wrapped<E> {
+    inner: E,
+    nap: Duration,
+}
+
+impl<E: Environment> Environment for Wrapped<E> {
+    fn observation_space(&self) -> Space {
+        self.inner.observation_space()
+    }
+    fn action_space(&self) -> Space {
+        self.inner.action_space()
+    }
+    fn seed(&mut self, seed: u64) {
+        self.inner.seed(seed)
+    }
+    fn reset(&mut self) -> Vec<f64> {
+        self.inner.reset()
+    }
+    fn step(&mut self, action: &Action) -> Step {
+        std::thread::sleep(self.nap);
+        self.inner.step(action)
+    }
+    fn last_step_work(&self) -> u64 {
+        self.inner.last_step_work()
+    }
+}
+
+/// Master seed of the two grid-world runs below; the skewed factory
+/// recognises worker `w`'s environment by `worker_seed(SEED, w, 0)`.
+const SEED: u64 = 13;
+
+/// Per-step naps (µs) of workers 0–3. Worker 0 is slowest, so segments
+/// complete in the reverse of index order — the worst case for a merge
+/// that must end up in index order. At 32–64 steps a round the skew is
+/// tens of milliseconds a round.
+const NAPS_US: [u64; 4] = [1_000, 750, 500, 250];
+
+/// [`grid_factory`] with the [`NAPS_US`] skew.
+fn skewed_grid_factory() -> impl EnvFactory {
+    FnEnvFactory(|seed| {
+        let nap = (0..NAPS_US.len())
+            .find(|&w| worker_seed(SEED, w, 0) == seed)
+            .map_or(Duration::ZERO, |w| Duration::from_micros(NAPS_US[w]));
+        let mut inner = GridWorld::new(3);
+        inner.seed(seed);
+        Box::new(Wrapped { inner, nap }) as Box<dyn Environment>
+    })
+}
 
 /// Bitwise fingerprint of a training run: every training return plus the
 /// simulated wall-clock and energy, all as raw bits.
@@ -33,24 +84,24 @@ fn fingerprint(returns: &[f64], wall_s: f64, energy_j: f64) -> Vec<u64> {
     bits
 }
 
-fn run_rllib_two_nodes() -> Vec<u64> {
+fn run_rllib_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
     let mut spec = ExecSpec::new(
         Framework::RayRllib,
         Algorithm::Ppo,
         Deployment { nodes: 2, cores_per_node: 2 },
         512,
-        13,
+        SEED,
     );
     spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
-    let report = run(&spec, &grid_factory()).expect("rllib runs");
+    let report = run(&spec, factory).expect("rllib runs");
     fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
 }
 
-fn run_impala_two_nodes() -> Vec<u64> {
+fn run_impala_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
     let opts = ImpalaOpts {
         deployment: Deployment { nodes: 2, cores_per_node: 4 },
         total_steps: 1_024,
-        seed: 13,
+        seed: SEED,
         config: rl_algos::impala::ImpalaConfig {
             hidden: vec![16, 16],
             n_steps: 256,
@@ -60,21 +111,16 @@ fn run_impala_two_nodes() -> Vec<u64> {
         ..Default::default()
     };
     let mut session = cluster_sim::ClusterSession::new(cluster_sim::ClusterSpec::paper_testbed(2));
-    let report = train_impala(&opts, &grid_factory(), &mut session).expect("impala runs");
+    let report = train_impala(&opts, factory, &mut session).expect("impala runs");
     let usage = session.finish();
     fingerprint(&report.train_returns, usage.wall_s, usage.energy_j)
 }
 
-/// Run `f` with workers skewed so that *later* workers answer *first*
-/// (reversed delays), then with no skew, and demand identical bits.
-fn assert_schedule_independent(label: &str, f: fn() -> Vec<u64>) {
-    let _guard = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Worker 0 is slowest: completion order is the reverse of index
-    // order, the worst case for a merge that must end up in index order.
-    test_hooks::set_stagger_ms(vec![40, 30, 20, 10, 0, 0, 0, 0]);
-    let skewed = f();
-    test_hooks::clear_stagger();
-    let clean = f();
+/// Run `f` with workers skewed so that *later* workers answer *first*,
+/// then with no skew, and demand identical bits.
+fn assert_schedule_independent(label: &str, f: fn(&dyn EnvFactory) -> Vec<u64>) {
+    let skewed = f(&skewed_grid_factory());
+    let clean = f(&grid_factory());
     assert_eq!(
         skewed, clean,
         "{label}: reports must be bitwise identical regardless of worker completion order"
@@ -93,10 +139,9 @@ fn impala_reports_are_independent_of_worker_completion_order() {
 
 #[test]
 fn repeated_runs_are_bitwise_identical() {
-    let _guard = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    test_hooks::clear_stagger();
-    assert_eq!(run_rllib_two_nodes(), run_rllib_two_nodes());
-    assert_eq!(run_impala_two_nodes(), run_impala_two_nodes());
+    let factory = grid_factory();
+    assert_eq!(run_rllib_two_nodes(&factory), run_rllib_two_nodes(&factory));
+    assert_eq!(run_impala_two_nodes(&factory), run_impala_two_nodes(&factory));
 }
 
 // ---- batched ODE fast path -------------------------------------------
@@ -104,29 +149,35 @@ fn repeated_runs_are_bitwise_identical() {
 // The backends drive airdrop environments through `VecEnv`s of boxed
 // envs; with batching auto-detected those take one SoA integrator call
 // per substep instead of n scalar integrations. The fast path promises
-// bitwise-identical training — these regressions run each backend with
-// the batcher enabled and disabled (the `gymrs` auto-batch test hook,
-// process-global, hence HOOK_LOCK) and demand identical report bits.
+// bitwise-identical training — these regressions run each backend on
+// plain airdrop environments (batcher auto-detected) and on the same
+// environments behind [`Wrapped`] (no batcher to detect: the scalar
+// path) and demand identical report bits.
 
-fn airdrop_factory() -> impl EnvFactory {
-    FnEnvFactory(|seed| {
+/// Airdrop environments, bare (`batchable`) or behind [`Wrapped`].
+fn airdrop_factory(batchable: bool) -> impl EnvFactory {
+    FnEnvFactory(move |seed| {
         let mut e = airdrop_sim::AirdropEnv::new(airdrop_sim::AirdropConfig::fast_test());
         e.seed(seed);
-        Box::new(e) as Box<dyn Environment>
+        if batchable {
+            Box::new(e) as Box<dyn Environment>
+        } else {
+            Box::new(Wrapped { inner: e, nap: Duration::ZERO })
+        }
     })
 }
 
-fn run_airdrop(framework: Framework) -> Vec<u64> {
+fn run_airdrop(framework: Framework, batchable: bool) -> Vec<u64> {
     // SB3 and TF-Agents parallelize on one node only (paper §V-b).
     let nodes = if framework == Framework::RayRllib { 2 } else { 1 };
     let mut spec =
         ExecSpec::new(framework, Algorithm::Ppo, Deployment { nodes, cores_per_node: 2 }, 384, 17);
     spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
-    let report = run(&spec, &airdrop_factory()).expect("backend runs");
+    let report = run(&spec, &airdrop_factory(batchable)).expect("backend runs");
     fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
 }
 
-fn run_airdrop_impala() -> Vec<u64> {
+fn run_airdrop_impala(batchable: bool) -> Vec<u64> {
     let opts = ImpalaOpts {
         deployment: Deployment { nodes: 2, cores_per_node: 2 },
         total_steps: 512,
@@ -140,21 +191,17 @@ fn run_airdrop_impala() -> Vec<u64> {
         ..Default::default()
     };
     let mut session = cluster_sim::ClusterSession::new(cluster_sim::ClusterSpec::paper_testbed(2));
-    let report = train_impala(&opts, &airdrop_factory(), &mut session).expect("impala runs");
+    let report =
+        train_impala(&opts, &airdrop_factory(batchable), &mut session).expect("impala runs");
     let usage = session.finish();
     fingerprint(&report.train_returns, usage.wall_s, usage.energy_j)
 }
 
-/// Run `f` with the batched lockstep fast path enabled and disabled and
-/// demand bitwise-identical reports. Restores the hook either way.
-fn assert_batching_invisible(label: &str, f: fn() -> Vec<u64>) {
-    let _guard = HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    test_hooks::clear_stagger();
-    gymrs::vec_env::test_hooks::set_auto_batch(true);
-    let batched = f();
-    gymrs::vec_env::test_hooks::set_auto_batch(false);
-    let scalar = f();
-    gymrs::vec_env::test_hooks::set_auto_batch(true);
+/// Run `f(batchable)` with the batched lockstep fast path available and
+/// hidden and demand bitwise-identical reports.
+fn assert_batching_invisible(label: &str, f: impl Fn(bool) -> Vec<u64>) {
+    let batched = f(true);
+    let scalar = f(false);
     assert_eq!(
         batched, scalar,
         "{label}: the batched ODE fast path must not change a single bit of the report"
@@ -163,17 +210,19 @@ fn assert_batching_invisible(label: &str, f: fn() -> Vec<u64>) {
 
 #[test]
 fn sb3_airdrop_report_is_independent_of_ode_batching() {
-    assert_batching_invisible("sb3 1n2c ppo airdrop", || run_airdrop(Framework::StableBaselines));
+    assert_batching_invisible("sb3 1n2c ppo airdrop", |b| {
+        run_airdrop(Framework::StableBaselines, b)
+    });
 }
 
 #[test]
 fn tfa_airdrop_report_is_independent_of_ode_batching() {
-    assert_batching_invisible("tfa 1n2c ppo airdrop", || run_airdrop(Framework::TfAgents));
+    assert_batching_invisible("tfa 1n2c ppo airdrop", |b| run_airdrop(Framework::TfAgents, b));
 }
 
 #[test]
 fn rllib_airdrop_report_is_independent_of_ode_batching() {
-    assert_batching_invisible("rllib 2n2c ppo airdrop", || run_airdrop(Framework::RayRllib));
+    assert_batching_invisible("rllib 2n2c ppo airdrop", |b| run_airdrop(Framework::RayRllib, b));
 }
 
 #[test]
@@ -190,29 +239,23 @@ fn impala_airdrop_report_is_independent_of_ode_batching() {
 // fault-inject` (the CI chaos job runs it).
 
 #[cfg(feature = "fault-inject")]
-fn run_rllib_with_midstudy_quarantine() -> Vec<u64> {
-    use dist_exec::runtime::{clear_plan, install_plan, FaultKind, FaultPlan};
+fn run_rllib_with_midstudy_quarantine(factory: &dyn EnvFactory) -> Vec<u64> {
+    use dist_exec::runtime::{FaultKind, FaultPlan};
     use dist_exec::FaultPolicy;
-
-    // Enough consecutive crashes at (worker 3, round 1) to exhaust the
-    // resilient policy's retries and quarantine the worker mid-study.
-    let mut plan = FaultPlan::new();
-    for _ in 0..=FaultPolicy::resilient().max_retries {
-        plan = plan.fault(3, 1, FaultKind::Crash);
-    }
-    install_plan(plan);
 
     let mut spec = ExecSpec::new(
         Framework::RayRllib,
         Algorithm::Ppo,
         Deployment { nodes: 2, cores_per_node: 2 },
         1_024,
-        13,
+        SEED,
     );
     spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
     spec.fault = FaultPolicy::resilient();
-    let report = run(&spec, &grid_factory()).expect("the degraded study must still complete");
-    clear_plan();
+    // Enough consecutive crashes at (worker 3, round 1) to exhaust the
+    // resilient policy's retries and quarantine the worker mid-study.
+    spec.fault_plan = FaultPlan::new().repeated(3, 1, FaultKind::Crash, spec.fault.max_retries + 1);
+    let report = run(&spec, factory).expect("the degraded study must still complete");
     assert!(report.degraded, "the quarantine must be reported");
     fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
 }

@@ -1,7 +1,9 @@
 //! Chaos suite for the fault-tolerant execution runtime.
 //!
-//! Every test installs a deterministic [`FaultPlan`] (schedule-addressed
-//! worker panics, crashes, hangs and slowdowns), runs real training
+//! Every test hands a deterministic [`FaultPlan`] (schedule-addressed
+//! worker panics, crashes, hangs and slowdowns) to the run that should
+//! suffer it — on its `ExecSpec` / `ImpalaOpts`, or at `Runtime` spawn —
+//! so the tests run side by side; each runs real training
 //! through the public backend entry points, and asserts the three
 //! invariants the fault policy promises:
 //!
@@ -14,9 +16,6 @@
 //! 3. **Accounting reconciliation** — the telemetry snapshot rolls up to
 //!    the cluster session's usage bit for bit even when retry backoff
 //!    and quarantines land in the books mid-trial.
-//!
-//! The fault plan is process-global (like the stagger test hook), so
-//! every test serializes on [`PLAN_LOCK`].
 
 #![cfg(feature = "fault-inject")]
 
@@ -26,20 +25,17 @@ use cluster_sim::{ClusterSession, ClusterSpec, Usage};
 use common::grid_factory;
 use dist_exec::backend::run_recorded;
 use dist_exec::runtime::{
-    clear_plan, install_plan, Collector, FaultKind, FaultPlan, FaultPolicy, RngStream, Runtime,
-    RuntimeError, WorkerSpec,
+    Collector, FaultKind, FaultPlan, FaultPolicy, RngStream, Runtime, RuntimeError, WorkerSpec,
 };
-use dist_exec::{train_impala, Deployment, ExecSpec, Framework, ImpalaOpts};
+use dist_exec::{train_impala, Deployment, ExecSpec, Framework, ImpalaOpts, TransportConfig};
 use gymrs::envs::GridWorld;
 use gymrs::{Environment, Space};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_algos::policy::ActorCritic;
 use rl_algos::Algorithm;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use testkit::sweep;
-
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Bitwise fingerprint of one training run.
 fn fingerprint(returns: &[f64], usage: &Usage) -> Vec<u64> {
@@ -85,10 +81,14 @@ impl Target {
     }
 }
 
-/// Run one full training on `target` under the currently installed
-/// fault plan, assert the telemetry rollup reconciles with the session
-/// accounting bitwise, and return `(fingerprint, degraded)`.
-fn run_target(target: Target, fault: FaultPolicy) -> Result<(Vec<u64>, bool), String> {
+/// Run one full training on `target` under `plan`, assert the telemetry
+/// rollup reconciles with the session accounting bitwise, and return
+/// `(fingerprint, degraded)`.
+fn run_target(
+    target: Target,
+    fault: FaultPolicy,
+    plan: &FaultPlan,
+) -> Result<(Vec<u64>, bool), String> {
     let deployment = Deployment { nodes: target.nodes(), cores_per_node: 2 };
     let ring = Arc::new(telemetry::RingRecorder::new());
     let (returns, usage, degraded) = match target {
@@ -106,6 +106,7 @@ fn run_target(target: Target, fault: FaultPolicy) -> Result<(Vec<u64>, bool), St
                 fault,
                 window: None,
                 transport: None,
+                fault_plan: plan.clone(),
             };
             let mut session =
                 ClusterSession::with_recorder(ClusterSpec::paper_testbed(2), ring.clone());
@@ -121,6 +122,7 @@ fn run_target(target: Target, fault: FaultPolicy) -> Result<(Vec<u64>, bool), St
             let mut spec = ExecSpec::new(framework, Algorithm::Ppo, deployment, 1_024, 23);
             spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
             spec.fault = fault;
+            spec.fault_plan = plan.clone();
             let report = run_recorded(&spec, &grid_factory(), ring.clone())?;
             (report.train_returns, report.usage, report.degraded)
         }
@@ -160,27 +162,20 @@ fn chaos_policy() -> FaultPolicy {
 /// through [`FaultPolicy::resilient`]'s retry budget and quarantine the
 /// worker even though a respawn factory is available.
 fn lethal_plan(worker: usize, round: u64) -> FaultPlan {
-    let retries = FaultPolicy::resilient().max_retries as usize;
-    let mut plan = FaultPlan::new();
-    for _ in 0..=retries {
-        plan = plan.fault(worker, round, FaultKind::Crash);
-    }
-    plan
+    let crashes = FaultPolicy::resilient().max_retries + 1;
+    FaultPlan::new().repeated(worker, round, FaultKind::Crash, crashes)
 }
 
 // ---- tentpole acceptance: kill one worker at round k ------------------
 
 #[test]
 fn killed_worker_degrades_but_completes_and_reproduces() {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let plan = lethal_plan(1, 1);
     for target in [Target::Rllib, Target::Impala] {
-        install_plan(lethal_plan(1, 1));
-        let (a, degraded_a) = run_target(target, FaultPolicy::resilient())
+        let (a, degraded_a) = run_target(target, FaultPolicy::resilient(), &plan)
             .unwrap_or_else(|e| panic!("{target:?}: study aborted: {e}"));
-        install_plan(lethal_plan(1, 1));
-        let (b, degraded_b) = run_target(target, FaultPolicy::resilient())
+        let (b, degraded_b) = run_target(target, FaultPolicy::resilient(), &plan)
             .unwrap_or_else(|e| panic!("{target:?}: study aborted: {e}"));
-        clear_plan();
         assert!(degraded_a, "{target:?}: a quarantine must set the DegradedResult flag");
         assert_eq!(degraded_a, degraded_b);
         assert_eq!(a, b, "{target:?}: a degraded run must still be bitwise reproducible");
@@ -192,7 +187,6 @@ fn quarantined_merge_matches_a_smaller_clean_runtime() {
     // Runtime-level form of the acceptance bar: kill the *last* of three
     // workers and the surviving merge must be bitwise the one a clean
     // two-worker runtime produces — same segments, same order.
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let policy = ActorCritic::new(2, &Space::Discrete(4), &[8], &mut StdRng::seed_from_u64(5));
     let collector = |w: u64| {
         let mut env = GridWorld::new(3);
@@ -204,10 +198,10 @@ fn quarantined_merge_matches_a_smaller_clean_runtime() {
         (0..n).map(|w| RngStream::fresh(100 * round + w as u64)).collect()
     };
 
-    install_plan(lethal_plan(2, 0));
     let specs = (0..3).map(|w| WorkerSpec::new(0, collector(w))).collect();
-    let mut faulted = Runtime::spawn(specs, &policy).with_fault_policy(FaultPolicy::resilient());
-    clear_plan();
+    let mut faulted =
+        Runtime::spawn_faulted(specs, &policy, TransportConfig::InProcess, lethal_plan(2, 0))
+            .with_fault_policy(FaultPolicy::resilient());
 
     let specs = (0..2).map(|w| WorkerSpec::new(0, collector(w))).collect();
     let mut clean = Runtime::spawn(specs, &policy);
@@ -247,21 +241,19 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 #[test]
 fn hung_worker_is_quarantined_under_a_resilient_policy() {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    install_plan(FaultPlan::new().fault(3, 1, FaultKind::Hang { millis: 600 }));
+    let plan = FaultPlan::new().fault(3, 1, FaultKind::Hang { millis: 600 });
     let policy = FaultPolicy { recv_timeout_ms: Some(100), ..FaultPolicy::resilient() };
-    let (_, degraded) = run_target(Target::Rllib, policy).expect("the study must survive a hang");
-    clear_plan();
+    let (_, degraded) =
+        run_target(Target::Rllib, policy, &plan).expect("the study must survive a hang");
     assert!(degraded, "a timed-out worker is a quarantine, hence a degraded result");
 }
 
 #[test]
 fn hung_worker_fails_fast_by_default() {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    install_plan(FaultPlan::new().fault(3, 1, FaultKind::Hang { millis: 600 }));
+    let plan = FaultPlan::new().fault(3, 1, FaultKind::Hang { millis: 600 });
     let policy = FaultPolicy { recv_timeout_ms: Some(100), ..FaultPolicy::fail_fast() };
-    let err = run_target(Target::Rllib, policy).expect_err("fail-fast must surface the hang");
-    clear_plan();
+    let err =
+        run_target(Target::Rllib, policy, &plan).expect_err("fail-fast must surface the hang");
     assert!(err.contains("timed out"), "error names the hang: {err}");
     assert_eq!(
         err,
@@ -274,17 +266,15 @@ fn hung_worker_fails_fast_by_default() {
 
 #[test]
 fn failures_error_instead_of_panicking_on_every_backend() {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let plan = FaultPlan::new().fault(0, 0, FaultKind::Crash);
     for target in TARGETS {
-        install_plan(FaultPlan::new().fault(0, 0, FaultKind::Crash));
-        let err = run_target(target, FaultPolicy::fail_fast())
+        let err = run_target(target, FaultPolicy::fail_fast(), &plan)
             .expect_err("fail-fast turns the crash into an Err");
         assert!(
             err.contains("worker 0") && err.contains("round 0"),
             "{target:?}: error locates the failure: {err}"
         );
     }
-    clear_plan();
 }
 
 // ---- chaos sweep ------------------------------------------------------
@@ -296,16 +286,12 @@ fn failures_error_instead_of_panicking_on_every_backend() {
 fn random_fault_schedules_never_abort_and_stay_deterministic() {
     sweep(16, 0xFA17, |g| {
         let seed = g.int_in(0u64..1 << 16);
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for target in TARGETS {
             let plan = FaultPlan::random(seed, target.workers(), target.rounds(), 2);
-            install_plan(plan.clone());
-            let (a, degraded_a) = run_target(target, chaos_policy())
+            let (a, degraded_a) = run_target(target, chaos_policy(), &plan)
                 .unwrap_or_else(|e| panic!("{target:?} seed {seed}: study aborted: {e}"));
-            install_plan(plan);
-            let (b, degraded_b) = run_target(target, chaos_policy())
+            let (b, degraded_b) = run_target(target, chaos_policy(), &plan)
                 .unwrap_or_else(|e| panic!("{target:?} seed {seed}: repeat aborted: {e}"));
-            clear_plan();
             assert_eq!(&a, &b, "{:?} seed {}: chaos runs must be bitwise identical", target, seed);
             assert_eq!(degraded_a, degraded_b);
         }

@@ -17,9 +17,7 @@ use dist_exec::runtime::transport::codec::{
     self, decode_command, decode_event, encode_command, encode_event, FrameReader, FrameWriter,
 };
 use dist_exec::runtime::transport::RngCache;
-use dist_exec::runtime::{
-    set_worker_bin_for_tests, Command, EnvBlueprint, Event, RngStream, WILDCARD_ROUND,
-};
+use dist_exec::runtime::{Command, EnvBlueprint, Event, RngStream, WILDCARD_ROUND};
 use dist_exec::spec::{Deployment, ExecSpec};
 use dist_exec::Framework;
 use gymrs::Space;
@@ -27,11 +25,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl_algos::policy::ActorCritic;
 use rl_algos::Algorithm;
-
-/// Point every runtime in this binary at the freshly built worker bin.
-fn worker_bin() {
-    set_worker_bin_for_tests(env!("CARGO_BIN_EXE_rldt-worker"));
-}
 
 // ---- codec round-trips ------------------------------------------------
 //
@@ -301,7 +294,6 @@ fn run_impala(transport: Option<&str>) -> (Vec<u64>, u64) {
 /// crossed the wire.
 #[test]
 fn uds_training_is_bitwise_identical_to_in_process() {
-    worker_bin();
     for framework in Framework::ALL {
         let (inproc, inproc_wire) = run_framework(framework, None);
         let (uds, uds_wire) = run_framework(framework, Some("uds"));
@@ -316,7 +308,6 @@ fn uds_training_is_bitwise_identical_to_in_process() {
 
 #[test]
 fn uds_impala_is_bitwise_identical_to_in_process() {
-    worker_bin();
     let (inproc, inproc_wire) = run_impala(None);
     let (uds, uds_wire) = run_impala(Some("uds"));
     assert_eq!(inproc, uds, "impala: UDS workers must reproduce the in-process report");
@@ -327,7 +318,6 @@ fn uds_impala_is_bitwise_identical_to_in_process() {
 /// Loopback-TCP smoke: one backend, same bitwise contract.
 #[test]
 fn tcp_smoke_matches_in_process() {
-    worker_bin();
     let (inproc, _) = run_framework(Framework::StableBaselines, None);
     let (tcp, tcp_wire) = run_framework(Framework::StableBaselines, Some("tcp"));
     assert_eq!(inproc, tcp, "loopback TCP must reproduce the in-process report bit for bit");
@@ -338,7 +328,6 @@ fn tcp_smoke_matches_in_process() {
 fn closure_factories_fall_back_to_in_process() {
     // A factory without a blueprint cannot cross a process boundary; the
     // runtime must warn and run in process rather than fail.
-    worker_bin();
     use dist_exec::backend::FnEnvFactory;
     use gymrs::Environment;
     let factory = FnEnvFactory(|seed| {
@@ -364,47 +353,33 @@ fn closure_factories_fall_back_to_in_process() {
 #[cfg(feature = "fault-inject")]
 mod process_faults {
     use super::*;
-    use dist_exec::runtime::{clear_plan, install_plan, FaultKind, FaultPlan};
+    use dist_exec::runtime::{FaultKind, FaultPlan};
     use dist_exec::FaultPolicy;
-    use std::sync::Mutex;
 
-    /// The fault plan is process-global; serialize the tests that use it.
-    static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-    fn crash_spec() -> ExecSpec {
+    fn crash_spec(crashes: u32) -> ExecSpec {
         let mut spec = spec_for(Framework::RayRllib, Some("uds"));
         spec.total_steps = 512;
         spec.fault = FaultPolicy::resilient();
+        spec.fault_plan = FaultPlan::new().repeated(1, 1, FaultKind::Crash, crashes);
         spec
     }
 
     #[test]
     fn crashed_child_is_respawned_and_the_study_completes() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        worker_bin();
-        install_plan(FaultPlan::new().fault(1, 1, FaultKind::Crash));
-        let report = run(&crash_spec(), &EnvBlueprint::Grid { n: 3 })
+        let report = run(&crash_spec(1), &EnvBlueprint::Grid { n: 3 })
             .expect("one crash is absorbed by a respawn");
-        clear_plan();
         assert!(!report.degraded, "a single crash must not quarantine the worker");
         assert!(report.usage.wire_bytes > 0, "the study ran on the process transport");
     }
 
     #[test]
     fn repeated_child_crashes_exhaust_the_ladder_into_quarantine() {
-        let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        worker_bin();
         // More crashes at (worker 1, round 1) than the policy has
         // retries: every respawned child re-arms the remaining entries
         // from its Hello and dies again, until quarantine.
-        let mut plan = FaultPlan::new();
-        for _ in 0..=FaultPolicy::resilient().max_retries {
-            plan = plan.fault(1, 1, FaultKind::Crash);
-        }
-        install_plan(plan);
-        let report = run(&crash_spec(), &EnvBlueprint::Grid { n: 3 })
+        let spec = crash_spec(FaultPolicy::resilient().max_retries + 1);
+        let report = run(&spec, &EnvBlueprint::Grid { n: 3 })
             .expect("the degraded study must still complete");
-        clear_plan();
         assert!(report.degraded, "exhausting the ladder must quarantine the worker");
     }
 }

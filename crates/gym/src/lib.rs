@@ -9,9 +9,8 @@
 //! * [`mod@env`] — the [`Environment`] trait (reset/step/seed) with per-step
 //!   work accounting for the cluster cost model;
 //! * [`vec_env`] — synchronous vectorized environments (the Stable
-//!   Baselines mechanism: one sub-environment per CPU core) and a
-//!   thread-parallel variant;
-//! * [`wrappers`] — `TimeLimit`, `NormalizeObs`, `RewardScale`, `Monitor`;
+//!   Baselines mechanism: one sub-environment per CPU core);
+//! * [`wrappers`] — `TimeLimit`;
 //! * [`rollout`] — episode runners and trajectory capture;
 //! * [`envs`] — small reference environments (`GridWorld`, `PointMass`)
 //!   used to validate the RL algorithms independently of the airdrop
@@ -29,4 +28,4 @@ pub use env::{Action, EnvSnapshot, Environment, SnapshotError, Step};
 pub use rollout::{run_episode, run_episodes_vec, EpisodeStats, Trajectory};
 pub use space::Space;
 pub use vec_env::{AnyLockstepBatcher, EnvLanes, LaneStep, StepBatch, TickBatch, VecEnv};
-pub use wrappers::{Monitor, NormalizeObs, NormalizeReward, RewardScale, TimeLimit};
+pub use wrappers::TimeLimit;

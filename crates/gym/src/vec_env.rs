@@ -124,25 +124,6 @@ pub trait AnyLockstepBatcher: Send {
     fn reset_lane(&mut self, lane: usize);
 }
 
-/// Test-only process switches.
-pub mod test_hooks {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static AUTO_BATCH: AtomicBool = AtomicBool::new(true);
-
-    /// Toggle automatic batcher detection in [`super::VecEnv`]
-    /// constructors (default on). Regression tests flip this to compare
-    /// the batched fast path against the scalar path in-process.
-    pub fn set_auto_batch(on: bool) {
-        AUTO_BATCH.store(on, Ordering::SeqCst);
-    }
-
-    /// Current auto-batch setting.
-    pub fn auto_batch() -> bool {
-        AUTO_BATCH.load(Ordering::SeqCst)
-    }
-}
-
 /// A set of sub-environments stepped in lockstep.
 ///
 /// Episodes auto-reset: when a sub-environment finishes, its next
@@ -197,8 +178,7 @@ impl<E: Environment> VecEnv<E> {
         // scalar/SIMD crossover: tiny batches (n = 1–2 by default) pay
         // more in SoA bookkeeping than they gain in lane parallelism.
         // `set_batched(true)` bypasses the gate for explicit opt-in.
-        let batcher = if test_hooks::auto_batch() && n >= simd_kernels::crossover::batch_crossover()
-        {
+        let batcher = if n >= simd_kernels::crossover::batch_crossover() {
             envs[0].lockstep_batcher(n)
         } else {
             None

@@ -1,8 +1,5 @@
-//! Environment wrappers: time limits, observation normalization, reward
-//! scaling and episode monitoring.
+//! Environment wrappers: the episode time limit.
 
-// Index loops here co-index several arrays; zip chains would obscure them.
-#![allow(clippy::needless_range_loop)]
 use crate::env::{Action, Environment, Step};
 use crate::space::Space;
 
@@ -53,259 +50,6 @@ impl<E: Environment> Environment for TimeLimit<E> {
     }
 }
 
-/// Online observation normalization with running mean/variance
-/// (Welford's algorithm), as the paper's frameworks apply by default.
-pub struct NormalizeObs<E: Environment> {
-    inner: E,
-    count: f64,
-    mean: Vec<f64>,
-    m2: Vec<f64>,
-    /// Clip normalized observations into `[-clip, clip]`.
-    pub clip: f64,
-    /// Freeze statistics (evaluation mode).
-    pub frozen: bool,
-}
-
-impl<E: Environment> NormalizeObs<E> {
-    /// Wrap `inner`; statistics start empty and update on every obs.
-    pub fn new(inner: E) -> Self {
-        let dim = inner.observation_space().dim();
-        Self {
-            inner,
-            count: 0.0,
-            mean: vec![0.0; dim],
-            m2: vec![0.0; dim],
-            clip: 10.0,
-            frozen: false,
-        }
-    }
-
-    fn update(&mut self, obs: &[f64]) {
-        if self.frozen {
-            return;
-        }
-        self.count += 1.0;
-        for i in 0..obs.len() {
-            let delta = obs[i] - self.mean[i];
-            self.mean[i] += delta / self.count;
-            self.m2[i] += delta * (obs[i] - self.mean[i]);
-        }
-    }
-
-    fn normalize(&self, obs: &mut [f64]) {
-        if self.count < 2.0 {
-            return;
-        }
-        for i in 0..obs.len() {
-            let var = (self.m2[i] / (self.count - 1.0)).max(1e-8);
-            obs[i] = ((obs[i] - self.mean[i]) / var.sqrt()).clamp(-self.clip, self.clip);
-        }
-    }
-
-    /// Current running mean (exposed for checkpointing).
-    pub fn running_mean(&self) -> &[f64] {
-        &self.mean
-    }
-}
-
-impl<E: Environment> Environment for NormalizeObs<E> {
-    fn observation_space(&self) -> Space {
-        Space::unbounded_box(self.inner.observation_space().dim())
-    }
-    fn action_space(&self) -> Space {
-        self.inner.action_space()
-    }
-    fn seed(&mut self, seed: u64) {
-        self.inner.seed(seed)
-    }
-    fn reset(&mut self) -> Vec<f64> {
-        let mut obs = self.inner.reset();
-        self.update(&obs);
-        self.normalize(&mut obs);
-        obs
-    }
-    fn step(&mut self, action: &Action) -> Step {
-        let mut s = self.inner.step(action);
-        self.update(&s.obs);
-        self.normalize(&mut s.obs);
-        s
-    }
-    fn last_step_work(&self) -> u64 {
-        self.inner.last_step_work()
-    }
-}
-
-/// Multiply rewards by a constant factor.
-pub struct RewardScale<E: Environment> {
-    inner: E,
-    scale: f64,
-}
-
-impl<E: Environment> RewardScale<E> {
-    /// Wrap `inner`, scaling rewards by `scale`.
-    pub fn new(inner: E, scale: f64) -> Self {
-        Self { inner, scale }
-    }
-}
-
-impl<E: Environment> Environment for RewardScale<E> {
-    fn observation_space(&self) -> Space {
-        self.inner.observation_space()
-    }
-    fn action_space(&self) -> Space {
-        self.inner.action_space()
-    }
-    fn seed(&mut self, seed: u64) {
-        self.inner.seed(seed)
-    }
-    fn reset(&mut self) -> Vec<f64> {
-        self.inner.reset()
-    }
-    fn step(&mut self, action: &Action) -> Step {
-        let mut s = self.inner.step(action);
-        s.reward *= self.scale;
-        s
-    }
-    fn last_step_work(&self) -> u64 {
-        self.inner.last_step_work()
-    }
-}
-
-/// Normalize rewards by the running standard deviation of the discounted
-/// return (Stable Baselines' `VecNormalize` reward path).
-///
-/// Keeps reward magnitudes near unit scale regardless of the
-/// environment's native scaling — which is how the paper's frameworks can
-/// share hyperparameters across tasks.
-pub struct NormalizeReward<E: Environment> {
-    inner: E,
-    gamma: f64,
-    running_return: f64,
-    count: f64,
-    mean: f64,
-    m2: f64,
-    /// Clip normalized rewards into `[-clip, clip]`.
-    pub clip: f64,
-    /// Freeze statistics (evaluation mode).
-    pub frozen: bool,
-}
-
-impl<E: Environment> NormalizeReward<E> {
-    /// Wrap `inner` with discount `gamma` (match the learner's γ).
-    pub fn new(inner: E, gamma: f64) -> Self {
-        Self {
-            inner,
-            gamma,
-            running_return: 0.0,
-            count: 0.0,
-            mean: 0.0,
-            m2: 0.0,
-            clip: 10.0,
-            frozen: false,
-        }
-    }
-
-    /// Current running standard deviation of the discounted return.
-    pub fn return_std(&self) -> f64 {
-        if self.count < 2.0 {
-            1.0
-        } else {
-            (self.m2 / (self.count - 1.0)).sqrt().max(1e-8)
-        }
-    }
-}
-
-impl<E: Environment> Environment for NormalizeReward<E> {
-    fn observation_space(&self) -> Space {
-        self.inner.observation_space()
-    }
-    fn action_space(&self) -> Space {
-        self.inner.action_space()
-    }
-    fn seed(&mut self, seed: u64) {
-        self.inner.seed(seed)
-    }
-    fn reset(&mut self) -> Vec<f64> {
-        self.running_return = 0.0;
-        self.inner.reset()
-    }
-    fn step(&mut self, action: &Action) -> Step {
-        let mut s = self.inner.step(action);
-        if !self.frozen {
-            self.running_return = self.gamma * self.running_return + s.reward;
-            self.count += 1.0;
-            let delta = self.running_return - self.mean;
-            self.mean += delta / self.count;
-            self.m2 += delta * (self.running_return - self.mean);
-        }
-        s.reward = (s.reward / self.return_std()).clamp(-self.clip, self.clip);
-        if s.done() {
-            self.running_return = 0.0;
-        }
-        s
-    }
-    fn last_step_work(&self) -> u64 {
-        self.inner.last_step_work()
-    }
-}
-
-/// Records per-episode returns and lengths (gym's `Monitor`).
-pub struct Monitor<E: Environment> {
-    inner: E,
-    cur_return: f64,
-    cur_len: usize,
-    /// Completed episode returns.
-    pub returns: Vec<f64>,
-    /// Completed episode lengths.
-    pub lengths: Vec<usize>,
-}
-
-impl<E: Environment> Monitor<E> {
-    /// Wrap `inner` with episode bookkeeping.
-    pub fn new(inner: E) -> Self {
-        Self { inner, cur_return: 0.0, cur_len: 0, returns: Vec::new(), lengths: Vec::new() }
-    }
-
-    /// Mean of the last `n` episode returns (all if fewer).
-    pub fn mean_return(&self, n: usize) -> Option<f64> {
-        if self.returns.is_empty() {
-            return None;
-        }
-        let tail = &self.returns[self.returns.len().saturating_sub(n)..];
-        Some(tail.iter().sum::<f64>() / tail.len() as f64)
-    }
-}
-
-impl<E: Environment> Environment for Monitor<E> {
-    fn observation_space(&self) -> Space {
-        self.inner.observation_space()
-    }
-    fn action_space(&self) -> Space {
-        self.inner.action_space()
-    }
-    fn seed(&mut self, seed: u64) {
-        self.inner.seed(seed)
-    }
-    fn reset(&mut self) -> Vec<f64> {
-        self.cur_return = 0.0;
-        self.cur_len = 0;
-        self.inner.reset()
-    }
-    fn step(&mut self, action: &Action) -> Step {
-        let s = self.inner.step(action);
-        self.cur_return += s.reward;
-        self.cur_len += 1;
-        if s.done() {
-            self.returns.push(self.cur_return);
-            self.lengths.push(self.cur_len);
-        }
-        s
-    }
-    fn last_step_work(&self) -> u64 {
-        self.inner.last_step_work()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,153 +75,8 @@ mod tests {
     }
 
     #[test]
-    fn normalize_obs_centers_data() {
-        let mut env = NormalizeObs::new(PointMass::new());
-        env.seed(1);
-        let mut acc = [0.0; 4];
-        let mut n = 0.0;
-        for _ in 0..20 {
-            env.reset();
-            loop {
-                let s = env.step(&Action::Continuous(vec![0.3, -0.3]));
-                for i in 0..4 {
-                    acc[i] += s.obs[i];
-                }
-                n += 1.0;
-                if s.done() {
-                    break;
-                }
-            }
-        }
-        for i in 0..2 {
-            assert!((acc[i] / n).abs() < 1.0, "dim {i} mean {}", acc[i] / n);
-        }
-    }
-
-    #[test]
-    fn normalize_obs_clips() {
-        let mut env = NormalizeObs::new(PointMass::new());
-        env.clip = 0.5;
-        env.seed(2);
-        env.reset();
-        for _ in 0..100 {
-            let s = env.step(&Action::Continuous(vec![1.0, 1.0]));
-            assert!(s.obs.iter().all(|v| v.abs() <= 0.5));
-            if s.done() {
-                env.reset();
-            }
-        }
-    }
-
-    #[test]
-    fn frozen_normalizer_stops_updating() {
-        let mut env = NormalizeObs::new(PointMass::new());
-        env.seed(3);
-        env.reset();
-        for _ in 0..10 {
-            env.step(&Action::Continuous(vec![0.5, 0.5]));
-        }
-        env.frozen = true;
-        let mean_before = env.running_mean().to_vec();
-        for _ in 0..10 {
-            env.step(&Action::Continuous(vec![0.5, 0.5]));
-        }
-        assert_eq!(mean_before, env.running_mean());
-    }
-
-    #[test]
-    fn reward_scale_multiplies() {
-        let mut raw = GridWorld::new(3);
-        raw.reset();
-        let r_raw = raw.step(&Action::Discrete(3)).reward;
-        let mut scaled = RewardScale::new(GridWorld::new(3), 10.0);
-        scaled.reset();
-        let r_scaled = scaled.step(&Action::Discrete(3)).reward;
-        assert!((r_scaled - 10.0 * r_raw).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_reward_approaches_unit_scale() {
-        // A large constant reward stream must be squashed toward ~1.
-        struct Const;
-        impl Environment for Const {
-            fn observation_space(&self) -> Space {
-                Space::unbounded_box(1)
-            }
-            fn action_space(&self) -> Space {
-                Space::Discrete(1)
-            }
-            fn seed(&mut self, _seed: u64) {}
-            fn reset(&mut self) -> Vec<f64> {
-                vec![0.0]
-            }
-            fn step(&mut self, _a: &Action) -> Step {
-                Step { obs: vec![0.0], reward: 50.0, terminated: false, truncated: false }
-            }
-        }
-        let mut env = NormalizeReward::new(Const, 0.99);
-        env.reset();
-        let mut last = f64::MAX;
-        for _ in 0..500 {
-            last = env.step(&Action::Discrete(0)).reward;
-        }
-        assert!(last < 1.0, "normalized reward {last} should be below 1 for γ=0.99");
-        assert!(last > 0.0);
-        assert!(env.return_std() > 100.0, "discounted return std grows toward 50/(1-γ)");
-    }
-
-    #[test]
-    fn normalize_reward_frozen_stops_updating() {
-        let mut env = NormalizeReward::new(GridWorld::new(3), 0.99);
-        env.reset();
-        for _ in 0..50 {
-            if env.step(&Action::Discrete(3)).done() {
-                env.reset();
-            }
-        }
-        env.frozen = true;
-        let std_before = env.return_std();
-        for _ in 0..50 {
-            if env.step(&Action::Discrete(1)).done() {
-                env.reset();
-            }
-        }
-        assert_eq!(std_before, env.return_std());
-    }
-
-    #[test]
-    fn normalize_reward_preserves_sign_and_order() {
-        let mut env = NormalizeReward::new(GridWorld::new(2), 0.99);
-        env.reset();
-        let step_cost = env.step(&Action::Discrete(0)).reward; // wall bump: -0.04
-        env.reset();
-        env.step(&Action::Discrete(3));
-        let goal = env.step(&Action::Discrete(1)).reward; // +1 at goal
-        assert!(step_cost < 0.0);
-        assert!(goal > 0.0);
-        assert!(goal > step_cost);
-    }
-
-    #[test]
-    fn monitor_records_episodes() {
-        let mut env = Monitor::new(GridWorld::new(2));
-        env.reset();
-        env.step(&Action::Discrete(3));
-        env.step(&Action::Discrete(1)); // reaches goal
-        assert_eq!(env.returns.len(), 1);
-        assert_eq!(env.lengths, vec![2]);
-        assert!((env.mean_return(10).expect("one episode") - (1.0 - 0.04)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn monitor_mean_return_empty_is_none() {
-        let env = Monitor::new(GridWorld::new(2));
-        assert!(env.mean_return(5).is_none());
-    }
-
-    #[test]
-    fn wrappers_pass_work_through() {
-        let env = TimeLimit::new(Monitor::new(GridWorld::new(3)), 10);
+    fn time_limit_passes_work_through() {
+        let env = TimeLimit::new(GridWorld::new(3), 10);
         assert_eq!(env.last_step_work(), 1);
     }
 }

@@ -11,8 +11,7 @@
 //! * [`layer`] — fully-connected layers with manual backprop;
 //! * [`mlp`] — sequential networks with forward tapes and gradient
 //!   accumulation;
-//! * [`optim`] — SGD (with momentum) and Adam, plus global-norm gradient
-//!   clipping;
+//! * [`optim`] — Adam, plus global-norm gradient clipping;
 //! * [`init`] — Xavier/He initialisation from a seedable RNG;
 //! * [`dist`] — categorical, diagonal-Gaussian and tanh-squashed-Gaussian
 //!   policy distributions with log-prob/entropy gradients;
@@ -37,7 +36,7 @@ pub use dist::{Categorical, DiagGaussian, SquashedGaussian};
 pub use layer::{Activation, Linear};
 pub use matrix::Matrix;
 pub use mlp::{Mlp, Tape};
-pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
+pub use optim::{clip_grad_norm, Adam, Optimizer};
 
 /// Count of floating-point operations for a forward pass of an MLP with
 /// the given layer sizes and batch size — consumed by the cluster cost

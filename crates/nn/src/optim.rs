@@ -1,5 +1,4 @@
-//! First-order optimizers: SGD (with momentum) and Adam, plus global
-//! gradient-norm clipping.
+//! The first-order optimizer (Adam) and global gradient-norm clipping.
 
 // Index loops here co-index several arrays; zip chains would obscure them.
 #![allow(clippy::needless_range_loop)]
@@ -17,55 +16,6 @@ pub trait Optimizer: Send {
 
     /// Replace the learning rate.
     fn set_lr(&mut self, lr: f64);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f64) -> Self {
-        Self { lr, momentum: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with heavy-ball momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Self { lr, momentum, velocity: Vec::new() }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Mlp) {
-        let mut idx = 0;
-        let lr = self.lr;
-        let mu = self.momentum;
-        let velocity = &mut self.velocity;
-        net.visit_params(|params, grads| {
-            if velocity.len() <= idx {
-                velocity.push(vec![0.0; params.len()]);
-            }
-            let v = &mut velocity[idx];
-            debug_assert_eq!(v.len(), params.len());
-            for ((p, &g), vel) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-                *vel = mu * *vel + g;
-                *p -= lr * *vel;
-            }
-            idx += 1;
-        });
-    }
-
-    fn lr(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction — the default optimizer
@@ -167,7 +117,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Train y = 2x - 1 on a 1-layer net; both optimizers must converge.
+    /// Train y = 2x - 1 on a 1-layer net; the optimizer must converge.
     fn fit_line(mut opt: impl Optimizer) -> f64 {
         let mut rng = StdRng::seed_from_u64(11);
         let mut net = Mlp::new(&[1, 1], Activation::Identity, Activation::Identity, &mut rng);
@@ -190,16 +140,6 @@ mod tests {
             opt.step(&mut net);
         }
         loss
-    }
-
-    #[test]
-    fn sgd_fits_a_line() {
-        assert!(fit_line(Sgd::new(0.1)) < 1e-8);
-    }
-
-    #[test]
-    fn sgd_momentum_fits_a_line() {
-        assert!(fit_line(Sgd::with_momentum(0.05, 0.9)) < 1e-8);
     }
 
     #[test]

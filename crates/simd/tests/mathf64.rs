@@ -13,6 +13,12 @@ use testkit::sweep;
 
 const SEED: u64 = 0x7A4;
 
+/// A scalar function under test, its in-place slice form, and eight
+/// `(argument, result bits)` known answers for one.
+type Scalar = fn(f64) -> f64;
+type InPlace = fn(Isa, &mut [f64]);
+type KnownAnswers = [(f64, u64); 8];
+
 /// Position of `x` on the line of all doubles: adjacent values differ by
 /// one, and `−0` and `+0` coincide.
 fn ordinal(x: f64) -> i64 {
@@ -186,8 +192,7 @@ fn slices_return_the_scalar_functions_bits_on_every_tier() {
                     _ => *g.pick(&[0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, 20.0]),
                 })
                 .collect();
-            let inplace: [(fn(Isa, &mut [f64]), fn(f64) -> f64); 2] =
-                [(tanh_inplace, tanh), (exp_inplace, exp)];
+            let inplace: [(InPlace, Scalar); 2] = [(tanh_inplace, tanh), (exp_inplace, exp)];
             for (slice_fn, f) in inplace {
                 let want: Vec<u64> = xs.iter().map(|&x| f(x).to_bits()).collect();
                 for isa in Isa::ALL {
@@ -206,7 +211,7 @@ fn slices_return_the_scalar_functions_bits_on_every_tier() {
 /// operation order or a reduction shows up here first.
 #[test]
 fn known_answers_are_pinned_bit_for_bit() {
-    let pinned: [(&str, fn(f64) -> f64, [(f64, u64); 8]); 3] = [
+    let pinned: [(&str, Scalar, KnownAnswers); 3] = [
         (
             "tanh",
             tanh,
@@ -251,7 +256,7 @@ fn known_answers_are_pinned_bit_for_bit() {
                 (1e-310, 0xc0864e69394d9508),
                 (1e300, 0x4085963447f87fb5),
                 // The mantissa split, √2.
-                (1.4142135623730951, 0x3fd62e42fefa39f0),
+                (std::f64::consts::SQRT_2, 0x3fd62e42fefa39f0),
             ],
         ),
     ];
