@@ -193,11 +193,12 @@ impl AnyLockstepBatcher for AirdropBatch {
         &mut self,
         lanes: &mut dyn EnvLanes,
         actions: &[Action],
-        obs: &mut [Vec<f64>],
+        mut obs: Option<&mut [Vec<f64>]>,
         steps: &mut [LaneStep],
     ) -> bool {
         let n = self.n;
-        if lanes.len() != n || actions.len() != n || obs.len() != n || steps.len() != n {
+        let obs_len = obs.as_ref().map_or(n, |o| o.len());
+        if lanes.len() != n || actions.len() != n || obs_len != n || steps.len() != n {
             return false;
         }
         if !self.verified {
@@ -257,7 +258,9 @@ impl AnyLockstepBatcher for AirdropBatch {
             }
         }
 
-        // Scatter states back and close every lane's interval.
+        // Scatter states back and close every lane's interval. The
+        // observation (atan2, sin/cos, two square roots per lane) is a
+        // view of the state computed only for a caller that reads it.
         for i in 0..n {
             let env = Self::lane(lanes, i);
             let state = env.state_mut();
@@ -267,10 +270,12 @@ impl AnyLockstepBatcher for AirdropBatch {
             let (reward, terminated, truncated) =
                 env.interval_finish(self.landed[i], self.work[i].fn_evals);
             steps[i] = LaneStep { reward, terminated, truncated, work: self.work[i].fn_evals };
-            if obs[i].len() != AirdropEnv::OBS_DIM {
-                obs[i].resize(AirdropEnv::OBS_DIM, 0.0);
+            if let Some(obs) = obs.as_deref_mut() {
+                if obs[i].len() != AirdropEnv::OBS_DIM {
+                    obs[i].resize(AirdropEnv::OBS_DIM, 0.0);
+                }
+                env.write_observation(&mut obs[i]);
             }
-            env.write_observation(&mut obs[i]);
         }
         true
     }
@@ -345,6 +350,6 @@ mod tests {
         let actions = vec![Action::Continuous(vec![0.0]); 2];
         let mut obs = vec![vec![0.0; AirdropEnv::OBS_DIM]; 2];
         let mut steps = vec![LaneStep::default(); 2];
-        assert!(!batch.step_lockstep(&mut Lanes(&mut envs), &actions, &mut obs, &mut steps));
+        assert!(!batch.step_lockstep(&mut Lanes(&mut envs), &actions, Some(&mut obs), &mut steps));
     }
 }

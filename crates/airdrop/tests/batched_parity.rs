@@ -12,7 +12,7 @@
 //! bit patterns are platform-dependent.
 
 use airdrop_sim::{AirdropConfig, AirdropEnv};
-use gymrs::{Action, VecEnv};
+use gymrs::{Action, Environment, VecEnv};
 use rk_ode::RkOrder;
 
 fn venv(cfg: &AirdropConfig, n: usize, batched: bool) -> VecEnv<AirdropEnv> {
@@ -21,6 +21,20 @@ fn venv(cfg: &AirdropConfig, n: usize, batched: bool) -> VecEnv<AirdropEnv> {
     v.set_batched(batched);
     v.reset_all();
     v
+}
+
+/// One tick's per-lane results and episode endings, as bits.
+fn tick_bits(v: &VecEnv<AirdropEnv>) -> Vec<u64> {
+    let tick = v.last_tick();
+    let mut fp = Vec::new();
+    for s in &tick.steps {
+        let flags = u64::from(s.terminated) | u64::from(s.truncated) << 1;
+        fp.extend([s.reward.to_bits(), flags, s.work]);
+    }
+    for (i, ret, len) in &tick.finished {
+        fp.extend([*i as u64, ret.to_bits(), *len as u64]);
+    }
+    fp
 }
 
 /// Drive `v` for `ticks` lockstep sweeps with a deterministic steering
@@ -33,18 +47,8 @@ fn fingerprint(v: &mut VecEnv<AirdropEnv>, ticks: usize) -> Vec<u64> {
             .map(|i| Action::Continuous(vec![((tick * 7 + i * 3) as f64 * 0.21).sin()]))
             .collect();
         v.step_lockstep(&actions);
-        let batch = v.last_tick();
-        for s in &batch.steps {
-            fp.push(s.reward.to_bits());
-            fp.push(u64::from(s.terminated) | u64::from(s.truncated) << 1);
-            fp.push(s.work);
-        }
-        for (i, ret, len) in &batch.finished {
-            fp.push(*i as u64);
-            fp.push(ret.to_bits());
-            fp.push(*len as u64);
-        }
-        for o in batch.final_obs.iter().flatten() {
+        fp.extend(tick_bits(v));
+        for o in v.last_tick().final_obs.iter().flatten() {
             fp.extend(o.iter().map(|x| x.to_bits()));
         }
         for o in v.observations() {
@@ -102,4 +106,69 @@ fn single_lane_batch_matches_scalar() {
     let mut scalar = venv(&cfg, 1, false);
     let mut batched = venv(&cfg, 1, true);
     assert_eq!(fingerprint(&mut scalar, 150), fingerprint(&mut batched, 150));
+}
+
+fn obs_bits(obs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    obs.iter().map(|o| o.iter().map(|x| x.to_bits()).collect()).collect()
+}
+
+#[test]
+fn unobserved_ticks_change_nothing_but_the_observations_they_skip() {
+    // K unobserved ticks then one observed tick against K + 1 observed
+    // ticks, round after round: a skipped observation write must leave
+    // rewards, done flags, work, lane state and RNG position alone, and
+    // the next observed tick must rewrite every lane. Gusts draw from the
+    // lane RNG every interval and low drops end episodes inside the run,
+    // so a wrong skip (a lost draw, a stale FSAL cache, a missed reset)
+    // shows as flipped bits.
+    const K: usize = 6;
+    for order in RkOrder::ALL {
+        for batched in [true, false] {
+            let cfg = AirdropConfig {
+                rk_order: order,
+                altitude_limits: (20.0, 45.0),
+                gusts_enabled: true,
+                gust_probability: 0.25,
+                gust_strength: 2.0,
+                ..AirdropConfig::default()
+            };
+            let n = 5;
+            let mut seen = venv(&cfg, n, batched);
+            let mut blind = venv(&cfg, n, batched);
+            let (mut ended_unobserved, mut ended_observed) = (0, 0);
+            for tick in 0..18 * (K + 1) {
+                let actions: Vec<Action> = (0..n)
+                    .map(|i| Action::Continuous(vec![((tick * 7 + i * 3) as f64 * 0.21).sin()]))
+                    .collect();
+                let observe = tick % (K + 1) == K;
+                seen.step_lockstep(&actions);
+                if observe {
+                    blind.step_lockstep(&actions);
+                } else {
+                    blind.step_unobserved(&actions);
+                }
+                assert_eq!(tick_bits(&seen), tick_bits(&blind), "{order} tick {tick}");
+                let ended = seen.last_tick().finished.len();
+                if observe {
+                    ended_observed += ended;
+                    assert_eq!(seen.last_tick().final_obs, blind.last_tick().final_obs);
+                    assert_eq!(obs_bits(seen.observations()), obs_bits(blind.observations()));
+                } else {
+                    ended_unobserved += ended;
+                    assert!(blind.last_tick().final_obs.iter().all(Option::is_none));
+                    // A lane that just reset shows its first observation.
+                    for &(i, _, _) in &seen.last_tick().finished {
+                        assert_eq!(seen.observations()[i], blind.observations()[i]);
+                    }
+                }
+            }
+            assert!(ended_unobserved > 0 && ended_observed > 0, "{order}: no episode end covered");
+            assert_eq!((seen.total_steps, seen.total_work), (blind.total_steps, blind.total_work));
+            // Lane state and, through the snapshot's drawn re-key, RNG position.
+            for (mut a, mut b) in seen.into_envs().into_iter().zip(blind.into_envs()) {
+                assert_eq!(a.state().map(f64::to_bits), b.state().map(f64::to_bits));
+                assert_eq!(a.snapshot(), b.snapshot(), "{order}: lane RNG or counters diverged");
+            }
+        }
+    }
 }

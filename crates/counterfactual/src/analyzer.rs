@@ -28,7 +28,11 @@ pub struct AnalyzerConfig {
     /// spaced along the (bound-clamped) box diagonal.
     pub alternatives: usize,
     /// `N`: continuation rollouts per action — the sample count of each
-    /// return [`Distribution`].
+    /// return [`Distribution`]. `N > 1` only buys information when the
+    /// environment or the continuation is stochastic: with the paper's
+    /// §V-a airdrop scenario (wind and gusts off) under `Hold` or `Greedy`
+    /// nothing reads the rollout seed, and the `N` samples are `N` copies
+    /// of one number.
     pub rollouts: usize,
     /// Continuation step budget per rollout (forked step included).
     pub horizon: usize,
@@ -89,7 +93,11 @@ pub struct AlternativeOutcome {
     pub action: Action,
     /// Return distribution of its continuations.
     pub returns: Distribution,
-    /// Jensen–Shannon divergence from the factual distribution.
+    /// Jensen–Shannon divergence from the factual distribution. It
+    /// saturates on zero-spread distributions: two point masses read `0`
+    /// or [`JS_BOUND`](crate::JS_BOUND) however near they are, so on a
+    /// noise-free environment every alternative that changes the return at
+    /// all ties at the bound and only [`Self::w1`] ranks them.
     pub js: f64,
     /// 1-Wasserstein distance from the factual distribution.
     pub w1: f64,
@@ -224,8 +232,28 @@ impl CounterfactualAnalyzer {
     /// Score every decision point of `episode`: fork the alternatives,
     /// fan `(K+1)·N` continuations out through `exec`, and compare each
     /// alternative's return distribution against the factual one.
+    ///
+    /// The decision points are independent of each other and are handed
+    /// to the executor together; `Exec::Batched` answers them on up to
+    /// [`std::thread::available_parallelism`] threads, none of which
+    /// outlives this call. Reports, `cf.point` events and the first error
+    /// are taken in point order once every point is answered, so neither
+    /// the report nor the trace depends on how many threads ran.
     pub fn analyze(
         &self,
+        episode: &RecordedEpisode,
+        policy: &ContinuationPolicy,
+        exec: &mut Exec<'_, '_>,
+    ) -> Result<EpisodeReport, CfError> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.analyze_on(threads, episode, policy, exec)
+    }
+
+    /// [`Self::analyze`] with the thread count given instead of read from
+    /// the host.
+    pub(crate) fn analyze_on(
+        &self,
+        threads: usize,
         episode: &RecordedEpisode,
         policy: &ContinuationPolicy,
         exec: &mut Exec<'_, '_>,
@@ -233,7 +261,8 @@ impl CounterfactualAnalyzer {
         let cfg = &self.config;
         let n = cfg.rollouts.max(1);
         let action_space = self.blueprint.build(0).action_space();
-        let mut reports = Vec::with_capacity(episode.points.len());
+        let mut forks = Vec::with_capacity(episode.points.len());
+        let mut payloads = Vec::with_capacity(episode.points.len());
         for point in &episode.points {
             let alts = alternatives_for(&action_space, &point.factual_action, cfg.alternatives);
             // Common random numbers: every action replays under the same
@@ -245,16 +274,21 @@ impl CounterfactualAnalyzer {
                     tasks.push(WhatIfTask { first_action: action.clone(), seed });
                 }
             }
-            let n_tasks = tasks.len();
-            let payload = WhatIfPayload {
+            payloads.push(WhatIfPayload {
                 env: self.blueprint.clone(),
                 snapshot: point.snapshot.clone(),
                 horizon: cfg.horizon,
                 policy: policy.clone(),
                 tasks,
-            };
-            let returns = exec.run(&payload)?;
-            debug_assert_eq!(returns.len(), n_tasks);
+            });
+            forks.push(alts);
+        }
+        let answers = exec.run_all(&payloads, threads);
+        let mut reports = Vec::with_capacity(episode.points.len());
+        for ((point, alts), answer) in episode.points.iter().zip(forks).zip(answers) {
+            let returns = answer?;
+            let n_tasks = returns.len();
+            debug_assert_eq!(n_tasks, (alts.len() + 1) * n);
             let factual_returns = Distribution::from_samples(returns[..n].to_vec());
             let mut alternatives = Vec::with_capacity(alts.len());
             let mut js_scores = Vec::with_capacity(alts.len());
@@ -326,6 +360,8 @@ fn continuation_seed(base: u64, t: usize, j: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::divergence::JS_BOUND;
+    use gymrs::SnapshotError;
     use std::sync::Arc;
     use telemetry::RingRecorder;
 
@@ -433,6 +469,99 @@ mod tests {
             snap.events.iter().filter(|e| e.key == keys::CF_POINT.name()).collect();
         assert_eq!(events.len(), report.points.len(), "one trace event per decision point");
         assert!(snap.events.iter().any(|e| e.key == keys::CF_EPISODE.name()));
+    }
+
+    fn steer(_t: usize, _obs: &[f64]) -> Action {
+        Action::Continuous(vec![0.3])
+    }
+
+    /// The consequence trace as recorded: key and fields of every event.
+    fn trace(recorder: &RingRecorder) -> Vec<(String, Vec<(String, telemetry::FieldValue)>)> {
+        recorder.snapshot().events.into_iter().map(|e| (e.key, e.fields)).collect()
+    }
+
+    #[test]
+    fn the_fan_out_width_leaves_no_mark_on_report_or_trace() {
+        // Airdrop lanes, so every thread drives a real SIMD batcher.
+        let cfg = AnalyzerConfig { rollouts: 4, horizon: 12, ..Default::default() };
+        let mut an = CounterfactualAnalyzer::new(EnvBlueprint::AirdropFast, cfg);
+        let episode = an.record_episode(5, 11, steer);
+        assert_eq!(episode.points.len(), 11);
+        let mut run = |threads: usize| {
+            let recorder = Arc::new(RingRecorder::new());
+            an.set_recorder(recorder.clone());
+            let exec = &mut Exec::Batched { force: None };
+            let report =
+                an.analyze_on(threads, &episode, &ContinuationPolicy::Hold, exec).expect("runs");
+            (report, trace(&recorder))
+        };
+        let (one, one_trace) = run(1);
+        assert_eq!(one_trace.len(), 12, "eleven cf.point events and the cf.episode event");
+        for threads in [2, 5] {
+            let (report, events) = run(threads);
+            assert_eq!(report, one, "{threads} threads against one");
+            assert_eq!(events, one_trace, "{threads} threads against one");
+        }
+        let scalar = an.analyze(&episode, &ContinuationPolicy::Hold, &mut Exec::Scalar);
+        assert_eq!(scalar.expect("runs"), one, "the public entry, scalar, against one thread");
+    }
+
+    #[test]
+    fn the_first_bad_point_in_point_order_is_the_error() {
+        let cfg = AnalyzerConfig { rollouts: 4, horizon: 12, ..Default::default() };
+        let mut an = CounterfactualAnalyzer::new(EnvBlueprint::AirdropFast, cfg);
+        let mut episode = an.record_episode(5, 11, steer);
+        // Two points that cannot be restored, the later one failing for a
+        // different reason: whichever thread meets which first, the error
+        // is point 5's and the trace stops before it.
+        episode.points[5].snapshot.kind = "pendulum".into();
+        episode.points[8].snapshot.f.pop();
+        for threads in [1, 2, 5] {
+            let recorder = Arc::new(RingRecorder::new());
+            an.set_recorder(recorder.clone());
+            let exec = &mut Exec::Batched { force: None };
+            let failed = an.analyze_on(threads, &episode, &ContinuationPolicy::Hold, exec);
+            assert!(
+                matches!(failed, Err(CfError::Snapshot(SnapshotError::Mismatch("kind")))),
+                "{threads} threads: {failed:?}"
+            );
+            let events = trace(&recorder);
+            assert_eq!(events.len(), 5, "{threads} threads: points 0..5 and nothing after");
+            assert!(events.iter().all(|(key, _)| key == keys::CF_POINT.name()));
+        }
+    }
+
+    #[test]
+    fn without_noise_every_rollout_of_an_action_is_the_same_number() {
+        // The paper's §V-a environment has wind and gusts off, so nothing
+        // reads the rollout seed before touchdown: under `Hold` the N
+        // rollouts of an action are N copies of one return. JS over two
+        // such point masses can only read 0 or its bound, however near the
+        // two returns are; W1 still carries the distance and the order.
+        let cfg = AnalyzerConfig { rollouts: 16, horizon: 16, ..Default::default() };
+        let an = CounterfactualAnalyzer::new(EnvBlueprint::AirdropPaper, cfg);
+        let episode = an.record_episode(3, 6, steer);
+        let exec = &mut Exec::Batched { force: None };
+        let report = an.analyze(&episode, &ContinuationPolicy::Hold, exec).expect("runs");
+        assert!(!report.points.is_empty());
+        for point in &report.points {
+            let factual = &point.factual_returns;
+            assert_eq!(factual.len(), 16);
+            assert_eq!(factual.min().to_bits(), factual.max().to_bits(), "sixteen copies");
+            assert_eq!(point.alternatives.len(), 3);
+            for alt in &point.alternatives {
+                assert_eq!(alt.returns.min().to_bits(), alt.returns.max().to_bits());
+                let gap = (alt.returns.min() - factual.min()).abs();
+                assert!(gap > 0.0, "a different steering command lands elsewhere");
+                assert!((alt.js - JS_BOUND).abs() < 1e-12, "JS saturates: {}", alt.js);
+                assert!((alt.w1 - gap).abs() < 1e-12, "W1 is the gap: {} vs {gap}", alt.w1);
+            }
+            // JS calls the three alternatives equally different (a tie at
+            // the bound); W1 still puts them in a strict order.
+            let mut w1: Vec<f64> = point.alternatives.iter().map(|a| a.w1).collect();
+            w1.sort_by(f64::total_cmp);
+            assert!(w1.windows(2).all(|w| w[1] - w[0] > 1e-6), "W1 orders them: {w1:?}");
+        }
     }
 
     #[test]

@@ -1,17 +1,30 @@
-//! Fan-out executors for what-if task sets: one batched lockstep runner
-//! plus the [`Exec`] switch that makes the scalar loop, the batched path
-//! and the distributed runtime interchangeable.
+//! The [`Exec`] switch that makes the scalar loop, the lockstep runner
+//! and the distributed runtime interchangeable, and the thread fan-out
+//! that answers an episode's decision points on every core.
 //!
 //! The contract all three share is set by [`dist_exec::run_whatif`]: a
 //! task's return depends only on `(snapshot, first_action, seed,
-//! policy)`. The batched runner reproduces it bitwise because each task
-//! gets its *own* environment lane (restored and reseeded exactly like
-//! the scalar loop) and the lockstep batcher is bit-compatible with
+//! policy)`. [`run_whatif_batched`] reproduces it bitwise because each
+//! task gets its *own* environment lane (restored and reseeded exactly
+//! like the scalar loop) and the lockstep batcher is bit-compatible with
 //! scalar stepping by the `VecEnv` parity guarantees; the distributed
-//! path reproduces it because workers literally call `run_whatif`.
+//! path reproduces it because every worker answers its chunk through
+//! that same runner.
+//!
+//! Grain of parallelism: the decision point. Every payload of an episode
+//! is independent of every other, so `Exec::Batched` answers them on
+//! scoped threads that pull the next payload from a shared index; inside
+//! a payload the lanes advance in SIMD lockstep on one thread. Results
+//! land in per-point slots and are read in point order after the join,
+//! so no bit and no trace event depends on the thread count.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use dist_exec::{run_whatif, Runtime, RuntimeError, WhatIfPayload, WhatIfTask};
-use gymrs::{Action, Environment, SnapshotError, VecEnv};
+use gymrs::SnapshotError;
+
+pub use dist_exec::run_whatif_batched;
 
 /// Why a counterfactual fan-out failed.
 #[derive(Debug)]
@@ -56,90 +69,22 @@ impl From<RuntimeError> for CfError {
     }
 }
 
-/// Replay every task of `payload` through the batched lockstep path:
-/// one `VecEnv` lane per task, each restored from the shared snapshot
-/// and reseeded with its task seed, all lanes advanced together by
-/// [`VecEnv::step_lockstep`] (which engages the SIMD ODE batcher for
-/// homogeneous airdrop lanes above the calibrated crossover).
-///
-/// `force_batched` overrides the auto-detected batcher: `Some(true)`
-/// installs it regardless of lane count, `Some(false)` forces the
-/// scalar lockstep fallback, `None` keeps the crossover heuristic.
-///
-/// Returns one undiscounted return per task, in task order, bitwise
-/// equal to [`dist_exec::run_whatif`] on the same payload: a lane stops
-/// accumulating at its first `done` tick (the auto-reset episodes that
-/// keep a finished lane steppable are ignored), and the continuation
-/// action is computed from the lane's own post-step observation exactly
-/// as the scalar loop does.
-pub fn run_whatif_batched(
-    payload: &WhatIfPayload,
-    force_batched: Option<bool>,
-) -> Result<Vec<f64>, SnapshotError> {
-    let n = payload.tasks.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    if payload.horizon == 0 {
-        return Ok(vec![0.0; n]);
-    }
-    let mut envs: Vec<Box<dyn Environment>> = Vec::with_capacity(n);
-    for task in &payload.tasks {
-        let mut env = payload.env.build(0);
-        env.restore(&payload.snapshot)?;
-        env.seed(task.seed);
-        envs.push(env);
-    }
-    // new_preseeded keeps the restored state — reset_all would wipe it.
-    let mut venv = VecEnv::new_preseeded(envs);
-    if let Some(on) = force_batched {
-        venv.set_batched(on);
-    }
-    let mut returns = vec![0.0f64; n];
-    let mut live = vec![true; n];
-    let mut remaining = n;
-    let mut actions: Vec<Action> = payload.tasks.iter().map(|t| t.first_action.clone()).collect();
-    for _ in 0..payload.horizon {
-        venv.step_lockstep(&actions);
-        let tick = venv.last_tick();
-        for i in 0..n {
-            if !live[i] {
-                continue; // auto-reset follow-on episode: not this task's return
-            }
-            returns[i] += tick.steps[i].reward;
-            if tick.steps[i].done() {
-                live[i] = false;
-                remaining -= 1;
-            }
-        }
-        if remaining == 0 {
-            break;
-        }
-        let obs = venv.observations();
-        for i in 0..n {
-            if live[i] {
-                actions[i] = payload.policy.next_action(&payload.tasks[i].first_action, &obs[i]);
-            }
-            // Finished lanes keep their last action; whatever the reset
-            // episode does with it is discarded above.
-        }
-    }
-    Ok(returns)
-}
-
 /// Which machinery answers a what-if payload. All variants are bitwise
 /// interchangeable (the parity suite pins this); they differ only in
 /// wall-clock shape.
 pub enum Exec<'rt, 'f> {
     /// The reference loop: one env, tasks in sequence.
     Scalar,
-    /// [`run_whatif_batched`]: one `VecEnv` lane per task.
+    /// [`run_whatif_batched`]: one `VecEnv` lane per task, and — when
+    /// an analysis hands over an episode's payloads together — one
+    /// payload per thread at a time.
     Batched {
         /// Batcher override, as in [`run_whatif_batched`].
         force: Option<bool>,
     },
     /// [`Runtime::whatif_round`]: tasks split into contiguous per-worker
-    /// chunks, answered over whatever transport the runtime runs on.
+    /// chunks, each answered by [`run_whatif_batched`] on its worker, over
+    /// whatever transport the runtime runs on.
     Distributed {
         /// The worker pool to fan out over.
         runtime: &'rt mut Runtime<'f>,
@@ -177,6 +122,64 @@ impl Exec<'_, '_> {
             }
         }
     }
+
+    /// Answer `payloads` (one per decision point), in payload order. The
+    /// result either has one entry per payload or ends with the first
+    /// error met. `Batched` spreads the payloads over up to `threads`
+    /// threads, none of which outlives the call; the other two answer
+    /// them one after another and stop at the first failure.
+    pub(crate) fn run_all(
+        &mut self,
+        payloads: &[WhatIfPayload],
+        threads: usize,
+    ) -> Vec<Result<Vec<f64>, CfError>> {
+        if let Exec::Batched { force } = self {
+            return fan_out(payloads, *force, threads);
+        }
+        let mut answers = Vec::with_capacity(payloads.len());
+        for payload in payloads {
+            let answer = self.run(payload);
+            let failed = answer.is_err();
+            answers.push(answer);
+            if failed {
+                break;
+            }
+        }
+        answers
+    }
+}
+
+/// [`run_whatif_batched`] over every payload on `threads.min(payloads)`
+/// threads — the caller's plus scoped ones, so one thread spawns nothing.
+/// Each thread claims the next unanswered index and fills that index's
+/// slot; which thread answered a payload leaves no mark on its returns.
+fn fan_out(
+    payloads: &[WhatIfPayload],
+    force: Option<bool>,
+    threads: usize,
+) -> Vec<Result<Vec<f64>, CfError>> {
+    // Relaxed: the index publishes no data. The payloads are shared
+    // borrows, a slot synchronises its own write, and the scope's join
+    // orders every write before the reads below.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<Result<Vec<f64>, SnapshotError>>> =
+        payloads.iter().map(|_| OnceLock::new()).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(payload) = payloads.get(i) else { break };
+        let fresh = slots[i].set(run_whatif_batched(payload, force)).is_ok();
+        debug_assert!(fresh, "index {i} was handed out twice");
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(payloads.len()) {
+            scope.spawn(work);
+        }
+        work();
+    });
+    slots
+        .into_iter()
+        .map(|slot| Ok(slot.into_inner().expect("every index below the length was answered")?))
+        .collect()
 }
 
 /// Split `tasks` into `n` contiguous chunks whose concatenation is the
@@ -201,6 +204,7 @@ fn split_contiguous(tasks: &[WhatIfTask], n: usize) -> Vec<Vec<WhatIfTask>> {
 mod tests {
     use super::*;
     use dist_exec::{ContinuationPolicy, EnvBlueprint};
+    use gymrs::Action;
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
@@ -227,47 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_scalar_on_every_blueprint() {
-        for blueprint in [
-            EnvBlueprint::Grid { n: 5 },
-            EnvBlueprint::PointMass,
-            EnvBlueprint::Pendulum,
-            EnvBlueprint::AirdropFast,
-        ] {
-            let p = payload(blueprint, 6, 25);
-            let scalar = run_whatif(&p).expect("scalar runs");
-            let batched = run_whatif_batched(&p, Some(true)).expect("batched runs");
-            let fallback = run_whatif_batched(&p, Some(false)).expect("fallback runs");
-            assert_eq!(bits(&scalar), bits(&batched), "forced batcher must match scalar");
-            assert_eq!(bits(&scalar), bits(&fallback), "lockstep fallback must match scalar");
-        }
-    }
-
-    #[test]
-    fn batched_respects_per_task_seeds() {
-        let mut p = payload(EnvBlueprint::Grid { n: 6 }, 3, 40);
-        p.tasks[1].seed = p.tasks[0].seed;
-        let r = run_whatif_batched(&p, None).expect("runs");
-        assert_eq!(r[0].to_bits(), r[1].to_bits(), "shared seed, shared return");
-    }
-
-    #[test]
-    fn batched_degenerate_payloads() {
-        let mut p = payload(EnvBlueprint::PointMass, 4, 12);
-        p.horizon = 0;
-        assert_eq!(run_whatif_batched(&p, None).expect("runs"), vec![0.0; 4]);
-        p.tasks.clear();
-        assert!(run_whatif_batched(&p, None).expect("runs").is_empty());
-    }
-
-    #[test]
-    fn batched_surfaces_snapshot_mismatch() {
-        let mut p = payload(EnvBlueprint::Grid { n: 5 }, 2, 10);
-        p.env = EnvBlueprint::Pendulum;
-        assert_eq!(run_whatif_batched(&p, None), Err(SnapshotError::Mismatch("kind")));
-    }
-
-    #[test]
     fn contiguous_split_preserves_order_and_balance() {
         let tasks: Vec<WhatIfTask> =
             (0..7).map(|i| WhatIfTask { first_action: Action::Discrete(0), seed: i }).collect();
@@ -278,6 +241,41 @@ mod tests {
         // More workers than tasks: trailing chunks are empty, order kept.
         let chunks = split_contiguous(&tasks[..2], 4);
         assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), vec![1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn fan_out_answers_in_payload_order_at_any_width() {
+        let payloads: Vec<WhatIfPayload> =
+            (3..6).map(|n_tasks| payload(EnvBlueprint::AirdropFast, n_tasks, 10)).collect();
+        let one_by_one: Vec<Vec<u64>> =
+            payloads.iter().map(|p| bits(&run_whatif(p).expect("scalar"))).collect();
+        // One thread, fewer threads than payloads, more threads than payloads.
+        for threads in [1, 2, 8] {
+            let answers: Vec<Vec<u64>> = Exec::Batched { force: None }
+                .run_all(&payloads, threads)
+                .into_iter()
+                .map(|a| bits(&a.expect("runs")))
+                .collect();
+            assert_eq!(answers, one_by_one, "{threads} threads");
+        }
+        assert!(Exec::Batched { force: None }.run_all(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn in_order_executors_stop_at_the_first_failure() {
+        let mut payloads: Vec<WhatIfPayload> =
+            (0..4).map(|_| payload(EnvBlueprint::Grid { n: 5 }, 2, 10)).collect();
+        payloads[1].env = EnvBlueprint::Pendulum;
+        let answers = Exec::Scalar.run_all(&payloads, 4);
+        assert_eq!(answers.len(), 2, "nothing is run past the failure");
+        assert!(answers[0].is_ok());
+        assert!(matches!(answers[1], Err(CfError::Snapshot(SnapshotError::Mismatch("kind")))));
+        // The thread fan-out answers everything and keeps the failure in its slot.
+        let answers = Exec::Batched { force: None }.run_all(&payloads, 2);
+        assert_eq!(
+            answers.iter().map(Result::is_ok).collect::<Vec<_>>(),
+            [true, false, true, true]
+        );
     }
 
     #[test]

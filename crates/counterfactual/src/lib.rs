@@ -20,14 +20,17 @@
 //!    action. All actions at a point share the same `N` continuation
 //!    seeds (common random numbers), so the distributions differ only
 //!    through the forked action.
-//! 3. **Fan out** the `(K+1)·N` short rollouts through one of three
-//!    interchangeable executors ([`Exec`]): the scalar reference loop
-//!    ([`dist_exec::run_whatif`]), the batched lockstep path
-//!    ([`run_whatif_batched`] over [`gymrs::VecEnv`], which engages the
-//!    SIMD ODE batcher for airdrop lanes), or the distributed runtime
-//!    ([`dist_exec::Runtime::whatif_round`], in-process, UDS or TCP).
-//!    The three paths are bitwise interchangeable — the parity suite
-//!    pins that down.
+//! 3. **Fan out** the `(K+1)·N` short rollouts of every decision point
+//!    through one of three interchangeable executors ([`Exec`]): the
+//!    scalar reference loop ([`dist_exec::run_whatif`]), the lockstep
+//!    runner ([`run_whatif_batched`] over [`gymrs::VecEnv`], which
+//!    engages the SIMD ODE batcher for airdrop lanes) with the episode's
+//!    decision points spread over the host's cores, or the distributed
+//!    runtime ([`dist_exec::Runtime::whatif_round`], in-process, UDS or
+//!    TCP — each worker answers its chunk through the same lockstep
+//!    runner). A continuation that does not read observations does not
+//!    pay for them. The three paths are bitwise interchangeable — the
+//!    parity suite pins that down.
 //! 4. **Score** each point with Jensen–Shannon and 1-Wasserstein
 //!    divergence between the factual return distribution and each
 //!    alternative's ([`divergence`]), aggregated across alternatives by

@@ -42,8 +42,8 @@ pub use backends::{train, train_impala, ImpalaOpts};
 pub use framework::{Architecture, Collectors, Framework, FrameworkProfile, Inference, Sampling};
 pub use report::{ExecReport, TrainedModel};
 pub use runtime::{
-    report_mean, run_whatif, run_worker_process, ContinuationPolicy, EnvBlueprint, FaultCause,
-    FaultLog, FaultPolicy, Runtime, RuntimeError, SyncPolicy, TransportConfig, TransportKind,
-    TransportStats, WhatIfPayload, WhatIfTask, REPORT_WINDOW,
+    report_mean, run_whatif, run_whatif_batched, run_worker_process, ContinuationPolicy,
+    EnvBlueprint, FaultCause, FaultLog, FaultPolicy, Runtime, RuntimeError, SyncPolicy,
+    TransportConfig, TransportKind, TransportStats, WhatIfPayload, WhatIfTask, REPORT_WINDOW,
 };
 pub use spec::{Deployment, ExecSpec};

@@ -12,11 +12,20 @@
 //! env is restored from the snapshot and then reseeded, so a task's
 //! return depends only on `(snapshot, first_action, seed, policy)` and
 //! never on which worker, transport or batch lane executed it. The
-//! scalar runner here is the reference semantics; the batched fan-out in
-//! the `counterfactual` crate and the process transport must agree with
-//! it bit for bit.
+//! scalar runner [`run_whatif`] is the reference semantics; the lockstep
+//! runner [`run_whatif_batched`] — what `Exec::Batched` of the
+//! `counterfactual` crate and every worker's [`Command::WhatIf`] arm
+//! answer through — must agree with it bit for bit, on every transport.
+//!
+//! Observations are the harness's view of the model, produced when a
+//! continuation asks for them: [`ContinuationPolicy::reads_observations`]
+//! says whether it does, and a continuation that does not read them does
+//! not pay for them — the lockstep runner then steps through
+//! [`VecEnv::step_unobserved`] and builds its action list once.
+//!
+//! [`Command::WhatIf`]: super::event::Command::WhatIf
 
-use gymrs::{Action, EnvSnapshot, Environment, SnapshotError};
+use gymrs::{Action, EnvSnapshot, Environment, SnapshotError, VecEnv};
 use rl_algos::policy::ActorCritic;
 
 use super::transport::EnvBlueprint;
@@ -50,6 +59,16 @@ impl ContinuationPolicy {
             ContinuationPolicy::Greedy(policy) => policy.act_greedy(obs),
         }
     }
+
+    /// Whether [`Self::next_action`] depends on the observation it is
+    /// handed. An open-loop continuation (`Hold`) does not, so a runner
+    /// that knows its environment can skip producing observations for it.
+    pub fn reads_observations(&self) -> bool {
+        match self {
+            ContinuationPolicy::Hold => false,
+            ContinuationPolicy::Greedy(_) => true,
+        }
+    }
 }
 
 /// A complete counterfactual order for one worker.
@@ -70,9 +89,9 @@ pub struct WhatIfPayload {
 /// tasks (each restore fully overwrites the previous task's state).
 /// Returns one undiscounted return per task, in task order.
 ///
-/// This is the reference execution path: the in-process worker, the
-/// `rldt-worker` child process and the batched lockstep runner all defer
-/// to (or must bitwise agree with) this function.
+/// This is the reference execution path (`Exec::Scalar`, and the oracle
+/// of the parity suites): [`run_whatif_batched`], which the workers and
+/// `Exec::Batched` run, must bitwise agree with this function.
 pub fn run_whatif(payload: &WhatIfPayload) -> Result<Vec<f64>, SnapshotError> {
     let mut env = payload.env.build(0);
     let mut returns = Vec::with_capacity(payload.tasks.len());
@@ -101,6 +120,87 @@ pub fn run_one(
         action = payload.policy.next_action(&task.first_action, &step.obs);
     }
     Ok(ret)
+}
+
+/// Replay every task of `payload` in lockstep: one `VecEnv` lane per
+/// task, each restored from the shared snapshot and reseeded with its
+/// task seed, all lanes advanced together (which engages the SIMD ODE
+/// batcher for homogeneous airdrop lanes above the calibrated crossover).
+///
+/// `force_batched` overrides the auto-detected batcher: `Some(true)`
+/// installs it regardless of lane count, `Some(false)` forces the
+/// scalar lockstep fallback, `None` keeps the crossover heuristic.
+///
+/// Returns one undiscounted return per task, in task order, bitwise
+/// equal to [`run_whatif`] on the same payload: a lane stops
+/// accumulating at its first `done` tick (the auto-reset episodes that
+/// keep a finished lane steppable are ignored). A continuation that
+/// reads observations gets each lane's own post-step observation exactly
+/// as the scalar loop hands it over; one that does not
+/// ([`ContinuationPolicy::reads_observations`]) keeps the action list it
+/// started with and steps unobserved — no observation write and no
+/// action clone per lane-tick.
+pub fn run_whatif_batched(
+    payload: &WhatIfPayload,
+    force_batched: Option<bool>,
+) -> Result<Vec<f64>, SnapshotError> {
+    let n = payload.tasks.len();
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    if payload.horizon == 0 {
+        return Ok(vec![0.0; n]);
+    }
+    let mut envs: Vec<Box<dyn Environment>> = Vec::with_capacity(n);
+    for task in &payload.tasks {
+        let mut env = payload.env.build(0);
+        env.restore(&payload.snapshot)?;
+        env.seed(task.seed);
+        envs.push(env);
+    }
+    // new_preseeded keeps the restored state — reset_all would wipe it.
+    let mut venv = VecEnv::new_preseeded(envs);
+    if let Some(on) = force_batched {
+        venv.set_batched(on);
+    }
+    let observed = payload.policy.reads_observations();
+    let mut returns = vec![0.0f64; n];
+    let mut live = vec![true; n];
+    let mut remaining = n;
+    let mut actions: Vec<Action> = payload.tasks.iter().map(|t| t.first_action.clone()).collect();
+    for _ in 0..payload.horizon {
+        if observed {
+            venv.step_lockstep(&actions);
+        } else {
+            venv.step_unobserved(&actions);
+        }
+        let tick = venv.last_tick();
+        for i in 0..n {
+            if !live[i] {
+                continue; // auto-reset follow-on episode: not this task's return
+            }
+            returns[i] += tick.steps[i].reward;
+            if tick.steps[i].done() {
+                live[i] = false;
+                remaining -= 1;
+            }
+        }
+        if remaining == 0 {
+            break;
+        }
+        if observed {
+            let obs = venv.observations();
+            for i in 0..n {
+                if live[i] {
+                    actions[i] =
+                        payload.policy.next_action(&payload.tasks[i].first_action, &obs[i]);
+                }
+                // Finished lanes keep their last action; whatever the
+                // reset episode does with it is discarded above.
+            }
+        }
+    }
+    Ok(returns)
 }
 
 #[cfg(test)]
@@ -171,6 +271,81 @@ mod tests {
         );
         payload.env = EnvBlueprint::PointMass; // kind mismatch
         assert_eq!(run_whatif(&payload), Err(SnapshotError::Mismatch("kind")));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A mid-range action of `blueprint`'s action space.
+    fn first_action(blueprint: &EnvBlueprint) -> Action {
+        match blueprint.build(0).action_space() {
+            Space::Discrete(_) => Action::Discrete(1),
+            Space::Box { low, high } => Action::Continuous(
+                low.iter().zip(&high).map(|(&l, &h)| 0.5 * (l.max(-1.0) + h.min(1.0))).collect(),
+            ),
+        }
+    }
+
+    /// `n_tasks` forks of one action, one step into an episode of `blueprint`.
+    fn payload(blueprint: EnvBlueprint, n_tasks: usize, horizon: usize) -> WhatIfPayload {
+        let mut env = blueprint.build(7);
+        env.reset();
+        env.step(&first_action(&blueprint));
+        let snapshot = env.snapshot().expect("blueprint envs snapshot");
+        let tasks = (0..n_tasks)
+            .map(|i| WhatIfTask { first_action: first_action(&blueprint), seed: 100 + i as u64 })
+            .collect();
+        WhatIfPayload { env: blueprint, snapshot, horizon, policy: ContinuationPolicy::Hold, tasks }
+    }
+
+    #[test]
+    fn batched_matches_scalar_on_every_blueprint() {
+        for blueprint in [
+            EnvBlueprint::Grid { n: 5 },
+            EnvBlueprint::PointMass,
+            EnvBlueprint::Pendulum,
+            EnvBlueprint::AirdropFast,
+        ] {
+            let p = payload(blueprint, 6, 25);
+            let scalar = run_whatif(&p).expect("scalar runs");
+            let batched = run_whatif_batched(&p, Some(true)).expect("batched runs");
+            let fallback = run_whatif_batched(&p, Some(false)).expect("fallback runs");
+            assert_eq!(bits(&scalar), bits(&batched), "forced batcher must match scalar");
+            assert_eq!(bits(&scalar), bits(&fallback), "lockstep fallback must match scalar");
+        }
+    }
+
+    #[test]
+    fn batched_respects_per_task_seeds() {
+        let mut p = payload(EnvBlueprint::Grid { n: 6 }, 3, 40);
+        p.tasks[1].seed = p.tasks[0].seed;
+        let r = run_whatif_batched(&p, None).expect("runs");
+        assert_eq!(r[0].to_bits(), r[1].to_bits(), "shared seed, shared return");
+    }
+
+    #[test]
+    fn batched_degenerate_payloads() {
+        let mut p = payload(EnvBlueprint::PointMass, 4, 12);
+        p.horizon = 0;
+        assert_eq!(run_whatif_batched(&p, None).expect("runs"), vec![0.0; 4]);
+        p.tasks.clear();
+        assert!(run_whatif_batched(&p, None).expect("runs").is_empty());
+    }
+
+    #[test]
+    fn batched_surfaces_snapshot_mismatch() {
+        let mut p = payload(EnvBlueprint::Grid { n: 5 }, 2, 10);
+        p.env = EnvBlueprint::Pendulum;
+        assert_eq!(run_whatif_batched(&p, None), Err(SnapshotError::Mismatch("kind")));
+    }
+
+    #[test]
+    fn only_an_open_loop_continuation_skips_observations() {
+        assert!(!ContinuationPolicy::Hold.reads_observations());
+        let mut rng = StdRng::seed_from_u64(4);
+        let policy = ActorCritic::new(2, &Space::Discrete(4), &[8], &mut rng);
+        assert!(ContinuationPolicy::Greedy(Box::new(policy)).reads_observations());
     }
 
     #[test]

@@ -214,16 +214,19 @@ impl WorkerState {
             }
             Command::WhatIf { round, payload } => {
                 // Counterfactual replay never touches the collector: the
-                // env is rebuilt from the payload's blueprint, so a panic
+                // envs are rebuilt from the payload's blueprint, so a panic
                 // or a snapshot mismatch leaves the worker's rollout state
-                // intact and is reported as a contained failure.
+                // intact and is reported as a contained failure. The chunk
+                // runs in lockstep, one lane per task — the executor
+                // `Exec::Batched` runs, bit-equal to the scalar loop.
                 if let Some(FaultKind::Hang { millis }) = self.ctx.take(worker, round) {
                     // Answers after the driver's deadline, like a hung
                     // collection; the other fault kinds are collection-only.
                     std::thread::sleep(Duration::from_millis(millis));
                 }
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| crate::runtime::whatif::run_whatif(&payload)));
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    crate::runtime::whatif::run_whatif_batched(&payload, None)
+                }));
                 let ev = match result {
                     Ok(Ok(returns)) => {
                         Event::ReturnsReady { worker, node: self.node, round, returns }

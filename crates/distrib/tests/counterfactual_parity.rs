@@ -113,3 +113,19 @@ fn airdrop_scores_agree_across_all_paths() {
         Action::Continuous(vec![0.25]),
     );
 }
+
+#[test]
+fn greedy_airdrop_continuations_agree_across_all_paths() {
+    // The one place a skipped observation would change an action: a
+    // closed-loop continuation on an environment with a lockstep batcher
+    // (`Grid` has none). The forced batcher, the lockstep fallback and
+    // every worker chunk must hand the policy the observations the scalar
+    // loop hands it.
+    let mut rng = StdRng::seed_from_u64(22);
+    let policy = ActorCritic::new(11, &Space::symmetric_box(1, 1.0), &[8], &mut rng);
+    analyze_everywhere(
+        EnvBlueprint::AirdropFast,
+        ContinuationPolicy::Greedy(Box::new(policy)),
+        Action::Continuous(vec![-0.4]),
+    );
+}

@@ -101,9 +101,12 @@ impl TickBatch {
 ///
 /// * apply `actions[i]` to lane `i`, leaving the environment's own state
 ///   (RNG, episode counters, …) exactly as its scalar `step` would;
-/// * write the post-step observation into `obs[i]` (resizing only on the
-///   first call) and fill `steps[i]` — but do **not** auto-reset done
-///   lanes; the `VecEnv` owns episode bookkeeping;
+/// * fill `steps[i]` and, when the caller passes an observation buffer,
+///   write the post-step observation into `obs[i]` (resizing only on the
+///   first call); with `None` nobody reads this tick's observations and
+///   the batcher skips computing them — everything else (state, RNG,
+///   `steps`) is the same either way. Do **not** auto-reset done lanes;
+///   the `VecEnv` owns episode bookkeeping;
 /// * return `false` without mutating anything if the lanes are not the
 ///   homogeneous environment set the batcher was built for — the `VecEnv`
 ///   then drops the batcher and falls back to the scalar path.
@@ -114,7 +117,7 @@ pub trait AnyLockstepBatcher: Send {
         &mut self,
         lanes: &mut dyn EnvLanes,
         actions: &[Action],
-        obs: &mut [Vec<f64>],
+        obs: Option<&mut [Vec<f64>]>,
         steps: &mut [LaneStep],
     ) -> bool;
 
@@ -275,9 +278,17 @@ impl<E: Environment> VecEnv<E> {
         &self.obs
     }
 
-    /// Current observations (valid after `reset_all`/`step_all`).
+    /// Current observations (valid after `reset_all`, `step_all` and
+    /// `step_lockstep`; after [`VecEnv::step_unobserved`] only the lanes
+    /// that just reset are fresh).
     pub fn observations(&self) -> &[Vec<f64>] {
         &self.obs
+    }
+
+    /// Give the sub-environments back, in lane order — what a test reads
+    /// lane state and RNG position from once the stepping is over.
+    pub fn into_envs(self) -> Vec<E> {
+        self.envs
     }
 
     /// Write the current observations into `out` as one flat row-major
@@ -323,18 +334,35 @@ impl<E: Environment> VecEnv<E> {
     /// ODE-level sweeps and the backend determinism regression pin
     /// that down.
     pub fn step_lockstep(&mut self, actions: &[Action]) {
+        self.tick(actions, true);
+    }
+
+    /// [`VecEnv::step_lockstep`] for a caller that reads no observation
+    /// of this tick (an open-loop rollout): the same body, counters and
+    /// auto-reset, but the batcher is not asked for observations, so
+    /// afterwards [`VecEnv::observations`] is fresh only for lanes that
+    /// just reset (their first observation) and stale for every other
+    /// lane, and [`TickBatch::final_obs`] stays `None` throughout.
+    /// Rewards, done flags, work, environment state and RNG position are
+    /// those of the observed tick, so observed and unobserved ticks mix
+    /// freely — the next observed tick rewrites every lane.
+    pub fn step_unobserved(&mut self, actions: &[Action]) {
+        self.tick(actions, false);
+    }
+
+    fn tick(&mut self, actions: &[Action], observe: bool) {
         assert_eq!(actions.len(), self.envs.len(), "one action per sub-env");
         if let Some(mut b) = self.batcher.take() {
             self.tick.begin(self.envs.len());
             let ok = b.step_lockstep(
                 &mut SliceLanes(&mut self.envs),
                 actions,
-                &mut self.obs,
+                observe.then_some(self.obs.as_mut_slice()),
                 &mut self.tick.steps,
             );
             if ok {
                 self.batcher = Some(b);
-                self.settle_tick();
+                self.settle_tick(observe);
                 return;
             }
             // The batcher refused these lanes (heterogeneous set or a
@@ -352,17 +380,24 @@ impl<E: Environment> VecEnv<E> {
         }
         self.tick.finished = batch.finished;
         self.tick.final_obs = batch.final_obs;
+        if !observe {
+            // A scalar `step` returns its observation regardless; keep the
+            // unobserved contract the same on both paths.
+            self.tick.final_obs.fill(None);
+        }
     }
 
-    /// Result of the most recent [`VecEnv::step_lockstep`] call.
+    /// Result of the most recent [`VecEnv::step_lockstep`] or
+    /// [`VecEnv::step_unobserved`] call.
     pub fn last_tick(&self) -> &TickBatch {
         &self.tick
     }
 
     /// Episode bookkeeping for the batched path: totals, auto-reset,
     /// integrator-cache invalidation for reset lanes. Mirrors
-    /// [`VecEnv::finish_batch`] exactly.
-    fn settle_tick(&mut self) {
+    /// [`VecEnv::finish_batch`] exactly; on an unobserved tick the
+    /// pre-reset observation was never written, so it is not kept.
+    fn settle_tick(&mut self, observed: bool) {
         let mut tick_work = 0u64;
         for i in 0..self.envs.len() {
             let s = self.tick.steps[i];
@@ -375,8 +410,10 @@ impl<E: Environment> VecEnv<E> {
                 self.tick.finished.push((i, self.ep_return[i], self.ep_len[i]));
                 self.ep_return[i] = 0.0;
                 self.ep_len[i] = 0;
-                let fresh = self.envs[i].reset();
-                self.tick.final_obs[i] = Some(std::mem::replace(&mut self.obs[i], fresh));
+                let ended_in = std::mem::replace(&mut self.obs[i], self.envs[i].reset());
+                if observed {
+                    self.tick.final_obs[i] = Some(ended_in);
+                }
                 if let Some(b) = &mut self.batcher {
                     b.reset_lane(i);
                 }
@@ -482,6 +519,22 @@ mod tests {
         // (normalized grid coordinates).
         assert_eq!(b.steps[0].obs, vec![0.0, 0.0]);
         assert_eq!(b.final_obs[0], Some(vec![1.0, 1.0]));
+    }
+
+    #[test]
+    fn an_unobserved_tick_keeps_the_books_and_reports_no_final_obs() {
+        // GridWorld has no batcher: the scalar fallback of the unobserved
+        // tick. Same steps, same finished list, same auto-reset.
+        let (mut seen, mut blind) = (make(1), make(1));
+        for a in [3, 3, 1, 1, 3] {
+            seen.step_lockstep(&[Action::Discrete(a)]);
+            blind.step_unobserved(&[Action::Discrete(a)]);
+            assert_eq!(seen.last_tick().steps, blind.last_tick().steps);
+            assert_eq!(seen.last_tick().finished, blind.last_tick().finished);
+            assert_eq!(blind.last_tick().final_obs, vec![None]);
+        }
+        assert_eq!(seen.total_steps, blind.total_steps);
+        assert_eq!(blind.into_envs().len(), 1);
     }
 
     #[test]
