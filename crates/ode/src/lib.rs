@@ -16,7 +16,6 @@
 //!   the modified midpoint rule ([`extrapolation`]) — formally an explicit
 //!   RK method, used where the paper uses `DOP853` (see DESIGN.md for the
 //!   substitution note);
-//! * embedded-error adaptive stepping with a PI controller ([`adaptive`]);
 //! * function-evaluation counting ([`Work`]) so that downstream cost
 //!   models (the `cluster-sim` crate) can convert numerical work into
 //!   simulated wall-clock time and energy;
@@ -35,7 +34,6 @@
 //! assert!(work.fn_evals > 0);
 //! ```
 
-pub mod adaptive;
 pub mod batch;
 pub mod extrapolation;
 pub mod keys;
@@ -45,7 +43,6 @@ pub mod stepper;
 pub mod system;
 pub mod tableau;
 
-pub use adaptive::{AdaptiveOptions, AdaptiveStepper};
 pub use batch::{AnyBatchStepper, BatchGbs8Stepper, BatchSystem, BatchTableauStepper};
 pub use methods::RkOrder;
 pub use stepper::{
@@ -65,7 +62,9 @@ pub struct Work {
     pub fn_evals: u64,
     /// Number of accepted steps.
     pub steps: u64,
-    /// Number of rejected (retried) steps — only adaptive steppers reject.
+    /// Number of rejected (retried) steps. Every stepper in this crate is
+    /// fixed-step and reports 0; the field stays because the wire format
+    /// and the ledger carry it.
     pub rejected: u64,
 }
 

@@ -59,7 +59,7 @@ impl Harmonic {
 }
 
 /// The Van der Pol oscillator, mildly stiff for large μ. No closed form;
-/// used for cost benchmarking and adaptive-stepper stress tests.
+/// a nonlinear system for cost and stability checks.
 #[derive(Debug, Clone, Copy)]
 pub struct VanDerPol {
     /// Nonlinearity/stiffness parameter μ.

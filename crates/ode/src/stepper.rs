@@ -82,36 +82,9 @@ impl TableauStepper {
 
     /// Monomorphized step: like [`FixedStepper::step`] but generic over the
     /// system, so the derivative evaluation inlines into the stage loops.
+    /// The `&dyn` entry point instantiates this with `S = dyn System`, so
+    /// both paths execute identical floating-point operations.
     pub fn step_sys<S: System + ?Sized>(&mut self, sys: &S, t: f64, h: f64, y: &mut [f64]) -> Work {
-        self.step_with_error_sys(sys, t, h, y, None)
-    }
-
-    /// Perform one step and additionally write the embedded error estimate
-    /// (scaled by `h`) into `err` if the tableau has an embedded pair.
-    ///
-    /// Returns the work done. Used by the adaptive driver.
-    pub fn step_with_error(
-        &mut self,
-        sys: &dyn System,
-        t: f64,
-        h: f64,
-        y: &mut [f64],
-        err: Option<&mut [f64]>,
-    ) -> Work {
-        self.step_with_error_sys(sys, t, h, y, err)
-    }
-
-    /// Generic form of [`TableauStepper::step_with_error`]; the `&dyn`
-    /// entry points instantiate this with `S = dyn System`, so both paths
-    /// execute identical floating-point operations.
-    pub fn step_with_error_sys<S: System + ?Sized>(
-        &mut self,
-        sys: &S,
-        t: f64,
-        h: f64,
-        y: &mut [f64],
-        err: Option<&mut [f64]>,
-    ) -> Work {
         let n = self.dim;
         debug_assert_eq!(y.len(), n);
         let s = self.tab.stages;
@@ -140,17 +113,6 @@ impl TableauStepper {
             let (_, rest) = self.k.split_at_mut(i * n);
             sys.deriv(t + self.tab.c[i] * h, &self.ytmp, &mut rest[..n]);
             work.fn_evals += 1;
-        }
-
-        // Error estimate before overwriting y.
-        if let (Some(err), Some(be)) = (err, self.tab.b_err) {
-            for d in 0..n {
-                let mut acc = 0.0;
-                for (i, &w) in be.iter().enumerate() {
-                    acc += w * self.k[i * n + d];
-                }
-                err[d] = h * acc;
-            }
         }
 
         // Combine stages into the new state.
@@ -186,7 +148,7 @@ impl FixedStepper for TableauStepper {
     }
 
     fn step(&mut self, sys: &dyn System, t: f64, h: f64, y: &mut [f64]) -> Work {
-        self.step_with_error_sys(sys, t, h, y, None)
+        self.step_sys(sys, t, h, y)
     }
 
     fn reset(&mut self) {
@@ -489,21 +451,6 @@ mod tests {
                 tab.name
             );
         }
-    }
-
-    #[test]
-    fn step_with_error_estimates_local_error_scale() {
-        // On y' = -y the embedded estimate should be within a couple of
-        // orders of magnitude of the true local error.
-        let sys = decay();
-        let mut st = TableauStepper::new(&DOPRI5, 1);
-        let mut y = vec![1.0];
-        let mut err = vec![0.0];
-        let h = 0.2;
-        st.step_with_error(&sys, 0.0, h, &mut y, Some(&mut err));
-        let true_err = (y[0] - (-h).exp()).abs();
-        assert!(err[0].abs() > true_err / 100.0);
-        assert!(err[0].abs() < 1e-4);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Butcher tableaus for explicit Runge–Kutta methods.
 //!
-//! A tableau holds the coefficients `(a, b, c)` of an explicit RK method
-//! plus, optionally, a second weight row `b_err` giving an embedded
-//! lower-order solution for error estimation (stored as the *difference*
-//! `b - b̂` so the error estimate is a single weighted sum of stages).
+//! A tableau holds the coefficients `(a, b, c)` of an explicit RK method.
+//! Integration here is fixed-step, so the embedded pairs (Bogacki–Shampine,
+//! Dormand–Prince) carry their propagated solution only.
 
 /// Butcher tableau of an explicit Runge–Kutta method.
 ///
@@ -24,8 +23,6 @@ pub struct Tableau {
     pub b: &'static [f64],
     /// Stage nodes.
     pub c: &'static [f64],
-    /// `b - b̂`: weights of the embedded error estimate, if any.
-    pub b_err: Option<&'static [f64]>,
     /// First-Same-As-Last: the last stage equals `f(t+h, y_{n+1})` and can
     /// seed the first stage of the next step.
     pub fsal: bool,
@@ -60,11 +57,6 @@ impl Tableau {
                 s * (s - 1) / 2
             ));
         }
-        if let Some(e) = self.b_err {
-            if e.len() != s {
-                return Err(format!("{}: b_err has {} entries, want {}", self.name, e.len(), s));
-            }
-        }
         // Row-sum condition.
         for i in 0..s {
             let sum: f64 = (0..i).map(|j| self.a(i, j)).sum();
@@ -80,28 +72,13 @@ impl Tableau {
         if (bsum - 1.0).abs() > 1e-12 {
             return Err(format!("{}: sum(b) = {bsum}, want 1", self.name));
         }
-        // Error weights of an embedded pair must sum to 0 (b and b̂ both sum to 1).
-        if let Some(e) = self.b_err {
-            let esum: f64 = e.iter().sum();
-            if esum.abs() > 1e-12 {
-                return Err(format!("{}: sum(b_err) = {esum}, want 0", self.name));
-            }
-        }
         Ok(())
     }
 }
 
 /// Forward Euler — order 1, one stage.
-pub const EULER: Tableau = Tableau {
-    name: "Euler",
-    order: 1,
-    stages: 1,
-    a: &[],
-    b: &[1.0],
-    c: &[0.0],
-    b_err: None,
-    fsal: false,
-};
+pub const EULER: Tableau =
+    Tableau { name: "Euler", order: 1, stages: 1, a: &[], b: &[1.0], c: &[0.0], fsal: false };
 
 /// Heun's method (explicit trapezoid) — order 2, two stages.
 pub const HEUN2: Tableau = Tableau {
@@ -111,7 +88,6 @@ pub const HEUN2: Tableau = Tableau {
     a: &[1.0],
     b: &[0.5, 0.5],
     c: &[0.0, 1.0],
-    b_err: None,
     fsal: false,
 };
 
@@ -135,8 +111,6 @@ pub const BS23: Tableau = Tableau {
     ],
     b: &[2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0, 0.0],
     c: &[0.0, 0.5, 0.75, 1.0],
-    // b - b̂ with b̂ = [7/24, 1/4, 1/3, 1/8]
-    b_err: Some(&[2.0 / 9.0 - 7.0 / 24.0, 1.0 / 3.0 - 0.25, 4.0 / 9.0 - 1.0 / 3.0, -0.125]),
     fsal: true,
 };
 
@@ -152,7 +126,6 @@ pub const RK4: Tableau = Tableau {
     ],
     b: &[1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
     c: &[0.0, 0.5, 0.5, 1.0],
-    b_err: None,
     fsal: false,
 };
 
@@ -194,64 +167,11 @@ pub const DOPRI5: Tableau = Tableau {
     ],
     b: &[35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0],
     c: &[0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0],
-    // b - b̂ with b̂ = [5179/57600, 0, 7571/16695, 393/640, -92097/339200, 187/2100, 1/40]
-    b_err: Some(&[
-        35.0 / 384.0 - 5179.0 / 57600.0,
-        0.0,
-        500.0 / 1113.0 - 7571.0 / 16695.0,
-        125.0 / 192.0 - 393.0 / 640.0,
-        -2187.0 / 6784.0 + 92097.0 / 339200.0,
-        11.0 / 84.0 - 187.0 / 2100.0,
-        -1.0 / 40.0,
-    ]),
     fsal: true,
 };
 
-/// Cash–Karp 5(4) — order 5, six stages (no FSAL). An alternative
-/// embedded pair with the same order as Dormand–Prince, kept for
-/// cross-validating the adaptive driver against a second coefficient set.
-pub const CASH_KARP: Tableau = Tableau {
-    name: "Cash-Karp 5(4)",
-    order: 5,
-    stages: 6,
-    a: &[
-        // stage 1
-        0.2,
-        // stage 2
-        3.0 / 40.0,
-        9.0 / 40.0,
-        // stage 3
-        0.3,
-        -0.9,
-        1.2,
-        // stage 4
-        -11.0 / 54.0,
-        2.5,
-        -70.0 / 27.0,
-        35.0 / 27.0,
-        // stage 5
-        1631.0 / 55296.0,
-        175.0 / 512.0,
-        575.0 / 13824.0,
-        44275.0 / 110592.0,
-        253.0 / 4096.0,
-    ],
-    b: &[37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0],
-    c: &[0.0, 0.2, 0.3, 0.6, 1.0, 0.875],
-    // b - b̂ with b̂ = [2825/27648, 0, 18575/48384, 13525/55296, 277/14336, 1/4]
-    b_err: Some(&[
-        37.0 / 378.0 - 2825.0 / 27648.0,
-        0.0,
-        250.0 / 621.0 - 18575.0 / 48384.0,
-        125.0 / 594.0 - 13525.0 / 55296.0,
-        -277.0 / 14336.0,
-        512.0 / 1771.0 - 0.25,
-    ]),
-    fsal: false,
-};
-
 /// All built-in tableaus, for enumeration in tests and benches.
-pub const ALL_TABLEAUS: &[&Tableau] = &[&EULER, &HEUN2, &BS23, &RK4, &DOPRI5, &CASH_KARP];
+pub const ALL_TABLEAUS: &[&Tableau] = &[&EULER, &HEUN2, &BS23, &RK4, &DOPRI5];
 
 #[cfg(test)]
 mod tests {
@@ -293,28 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn cash_karp_and_dopri5_agree_at_order_five() {
-        // Two independent coefficient sets of the same order must agree
-        // to high accuracy on a smooth problem — a strong typo check.
-        use crate::stepper::{integrate_fixed, TableauFactory};
-        use crate::system::FnSystem;
-        let sys = FnSystem::new(2, |_t, y: &[f64], dy: &mut [f64]| {
-            dy[0] = y[1];
-            dy[1] = -y[0];
-        });
-        let run = |tab: &'static Tableau| {
-            let mut y = vec![1.0, 0.0];
-            integrate_fixed(&TableauFactory(tab), &sys, &mut y, 0.0, 3.0, 0.05);
-            y
-        };
-        let a = run(&DOPRI5);
-        let b = run(&CASH_KARP);
-        assert!((a[0] - b[0]).abs() < 1e-8 && (a[1] - b[1]).abs() < 1e-8);
-        // And both near the exact solution (cos 3, -sin 3).
-        assert!((a[0] - 3.0f64.cos()).abs() < 1e-8);
-    }
-
-    #[test]
     fn validate_catches_bad_row_sum() {
         const BAD: Tableau = Tableau {
             name: "bad",
@@ -323,7 +221,6 @@ mod tests {
             a: &[0.9],
             b: &[0.5, 0.5],
             c: &[0.0, 1.0],
-            b_err: None,
             fsal: false,
         };
         assert!(BAD.validate().is_err());
@@ -338,7 +235,6 @@ mod tests {
             a: &[],
             b: &[0.9],
             c: &[0.0],
-            b_err: None,
             fsal: false,
         };
         assert!(BAD.validate().is_err());

@@ -1,4 +1,5 @@
-//! Runtime ISA detection and the process-wide dispatch decision.
+//! Runtime ISA detection, the process-wide dispatch decision, and the
+//! `tiered!` macro through which a kernel body enters a tier.
 
 use std::sync::OnceLock;
 
@@ -11,9 +12,9 @@ use std::sync::OnceLock;
 pub enum Isa {
     /// Portable scalar fallback — the reference implementation.
     Scalar,
-    /// 256-bit vectors: 4 × f64 / 8 × f32 lanes (requires AVX2 + FMA).
+    /// 256-bit vectors: 4 × f64 lanes (requires AVX2).
     Avx2,
-    /// 512-bit vectors: 8 × f64 / 16 × f32 lanes (requires AVX-512F).
+    /// 512-bit vectors: 8 × f64 lanes (requires AVX-512F).
     Avx512,
 }
 
@@ -38,9 +39,7 @@ impl Isa {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return Isa::Avx512;
             }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
+            if std::arch::is_x86_feature_detected!("avx2") {
                 return Isa::Avx2;
             }
         }
@@ -103,6 +102,54 @@ impl std::fmt::Display for Isa {
         f.write_str(self.name())
     }
 }
+
+/// The one way a kernel enters a tier: the body is written once, safe,
+/// and compiled three times — as it stands for the scalar tier, and
+/// inlined into an `avx2` and an `avx512f` `#[target_feature]` wrapper,
+/// where the compiler vectorises it at that tier's width. The generated
+/// `pub fn name(isa, args…)` clamps `isa` to what the CPU supports, so it
+/// is sound for any [`Isa`] value, and calls the matching compilation.
+///
+/// A body may use only IEEE exact-rounded operations (`+ − × ÷ √`,
+/// compares, bit moves), which round alike at every width — so every tier
+/// returns the scalar tier's bits and there is no second body to compare.
+///
+/// The wrappers are named functions and the body is `#[inline(always)]`:
+/// a closure handed to a generic `run(isa, || …)` is not certain to be
+/// compiled with the wrapper's features (measured 1.5–2.3× slower).
+macro_rules! tiered {
+    ($(#[$attr:meta])* pub fn $name:ident(isa $(, $arg:ident: $ty:ty)* $(,)?) $body:block) => {
+        $(#[$attr])*
+        #[inline]
+        pub fn $name(isa: $crate::Isa $(, $arg: $ty)*) {
+            #[inline(always)]
+            fn body($($arg: $ty),*) $body
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) {
+                body($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            fn avx512($($arg: $ty),*) {
+                body($($arg),*)
+            }
+
+            match isa.min($crate::Isa::detect()) {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the clamp verified the CPU supports this tier.
+                $crate::Isa::Avx512 => unsafe { avx512($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the clamp verified the CPU supports this tier.
+                $crate::Isa::Avx2 => unsafe { avx2($($arg),*) },
+                _ => body($($arg),*),
+            }
+        }
+    };
+}
+pub(crate) use tiered;
 
 #[cfg(test)]
 mod tests {

@@ -1,25 +1,36 @@
-//! Explicit SIMD microkernels for the workspace's two hot paths, with
-//! runtime ISA dispatch and a calibrated scalar/batched crossover.
+//! SIMD microkernels for the workspace's two hot paths, with runtime ISA
+//! dispatch and a calibrated scalar/batched crossover.
 //!
 //! The batched SoA integrator (`rk-ode`) and the MLP matrix kernels
-//! (`tinynn`) previously relied on LLVM autovectorizing their inner loops
-//! inside `#[target_feature(enable = "avx2")]` wrappers. This crate
-//! replaces those inner loops with *explicit* `std::arch` microkernels —
-//! 8-lane `f64` on AVX-512F, 4-lane `f64` on AVX2, plus an 8-lane `f32`
-//! FMA set — selected once at startup by [`Isa::cached`] and overridable
-//! with the `RLDT_SIMD` environment variable.
+//! (`tinynn`) call their inner loops here, with the tier — 8-lane `f64`
+//! on AVX-512F, 4-lane on AVX2, or scalar — selected once at startup by
+//! [`Isa::cached`] and overridable with the `RLDT_SIMD` environment
+//! variable.
+//!
+//! One idiom: a kernel is one safe body, compiled per tier. The
+//! crate-private `tiered!` macro (`isa.rs`) turns the body into the public
+//! `fn(isa, …)`, the `avx2` and `avx512f` `#[target_feature]` wrappers it
+//! is inlined into, and the one clamped `match` that picks between them;
+//! the compiler vectorises the body at each wrapper's width. All of
+//! [`odef64`], [`mathf64`]'s slice forms and [`nnf64::axpy`] /
+//! [`nnf64::adam_step`] are written that way. Hand-written `std::arch`
+//! bodies remain only where they measured faster than the compiled body:
+//! the three matmul kernels of [`nnf64`], whose register blocking and
+//! masked column tails the compiler does not reproduce (DESIGN.md, "SIMD
+//! microkernels & dispatch", has the ratios).
 //!
 //! ## Determinism contract
 //!
-//! Every `f64` kernel is **bitwise identical** to its scalar reference:
-//! the vector body performs, per element, exactly the multiply/add/divide
-//! sequence of the scalar loop (same association, same stage order), and
+//! Every `f64` kernel is **bitwise identical** on every tier: each
+//! output element sees exactly one multiply/add/divide sequence (same
+//! association, same stage order) whatever shares its register, and
 //! every operation used — `mul`, `add`, `sub`, `div`, broadcast — is
 //! IEEE-754 exact-rounded, so an 8-wide evaluation returns the same bits
-//! as a 1-wide one. No `f64` kernel uses FMA: a fused multiply-add rounds
-//! once where the scalar reference rounds twice, which would break the
-//! scalar/batched bitwise-parity contract the integration and policy
-//! layers are built on (see `DESIGN.md`, "SIMD microkernels & dispatch").
+//! as a 1-wide one. No `f64` kernel uses FMA, and the compiler contracts
+//! none: a fused multiply-add rounds once where a multiply and an add
+//! round twice, which would break the scalar/batched bitwise-parity
+//! contract the integration and policy layers are built on (see
+//! `DESIGN.md`, "SIMD microkernels & dispatch").
 //!
 //! The practical consequence: the ISA choice is unobservable in results.
 //! `RLDT_SIMD=scalar` runs must reproduce AVX-512 runs bit for bit —
@@ -28,11 +39,8 @@
 //! Transcendentals are in-tree; result bits do not depend on the host
 //! `libm`. [`mathf64`] holds `sin_cos`, `exp`, `ln` and `tanh` as
 //! straight-line functions built from those same exact-rounded
-//! operations, and its slice entry points compile that one body per tier
-//! inside `#[target_feature]` wrappers rather than carrying a
-//! hand-written body per tier — as does [`nnf64::adam_step`], whose
-//! divides and square root are exact-rounded at every lane width. So the
-//! contract also holds across machines: same seed, same policy.
+//! operations (as are [`nnf64::adam_step`]'s divides and square root), so
+//! the contract also holds across machines: same seed, same policy.
 //!
 //! ## Crossover
 //!

@@ -16,10 +16,10 @@
 //! Every operation involved is IEEE-754 exact-rounded and nothing is
 //! fused, so a function returns bitwise-identical results whether it is
 //! compiled scalar, SSE2, AVX2 or wider. The slice entry points
-//! ([`tanh_inplace`], [`exp_inplace`]) instantiate that *one* body per
-//! tier inside `#[target_feature]` wrappers; the scalar/vector parity
-//! contract therefore reduces to "every path calls this function", for
-//! the network as it already did for the airdrop fast path.
+//! ([`tanh_inplace`], [`exp_inplace`]) compile that *one* body per tier
+//! (the crate's `tiered!` idiom); the scalar/vector parity contract
+//! therefore reduces to "every path calls this function", for the
+//! network as it already did for the airdrop fast path.
 //!
 //! Accuracy against `libm` (`tests/mathf64.rs` prints the measured
 //! maxima): [`exp`] and [`ln`] within 1 ulp, [`tanh`] within 3 ulp over
@@ -33,7 +33,7 @@
 // digit, a few digits past what f64 parsing needs.
 #![allow(clippy::excessive_precision)]
 
-use crate::Isa;
+use crate::isa::tiered;
 
 /// 1.5 · 2^52: adding this to a `f64` in ±2^51 rounds it to the nearest
 /// integer (ties to even) while the low mantissa bits of the sum hold
@@ -236,56 +236,26 @@ pub fn ln(x: f64) -> f64 {
     }
 }
 
-/// `xs[i] = f(xs[i])`; inlined into each tier's wrapper below so the
-/// compiler vectorizes it at that tier's width.
-#[inline(always)]
-fn map_inplace(xs: &mut [f64], f: impl Fn(f64) -> f64) {
-    for v in xs {
-        *v = f(*v);
+// The slice forms: the one loop over the one scalar body, compiled per
+// tier and vectorised at that tier's width.
+
+tiered! {
+    /// `xs[i] = tanh(xs[i])` — the activation sweep of a tanh layer.
+    pub fn tanh_inplace(isa, xs: &mut [f64]) {
+        for v in xs {
+            *v = tanh(*v);
+        }
     }
 }
 
-/// The slice form of a function above: the one loop over the one scalar
-/// body, instantiated per tier. Same body, exact-rounded operations only:
-/// every tier returns the scalar function's bits.
-macro_rules! inplace {
-    ($(#[$doc:meta])* $name:ident, $f:ident, $avx2:ident, $avx512:ident) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2(xs: &mut [f64]) {
-            map_inplace(xs, $f);
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        unsafe fn $avx512(xs: &mut [f64]) {
-            map_inplace(xs, $f);
-        }
-
-        $(#[$doc])*
-        #[inline]
-        pub fn $name(isa: Isa, xs: &mut [f64]) {
-            match isa.min(Isa::detect()) {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: the clamp verified the CPU supports this tier.
-                Isa::Avx512 => unsafe { $avx512(xs) },
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: the clamp verified the CPU supports this tier.
-                Isa::Avx2 => unsafe { $avx2(xs) },
-                _ => map_inplace(xs, $f),
-            }
-        }
-    };
-}
-
-inplace!(
-    /// `xs[i] = tanh(xs[i])` — the activation sweep of a tanh layer.
-    tanh_inplace, tanh, tanh_avx2, tanh_avx512
-);
-inplace!(
+tiered! {
     /// `xs[i] = exp(xs[i])` — the numerators of a softmax row.
-    exp_inplace, exp, exp_avx2, exp_avx512
-);
+    pub fn exp_inplace(isa, xs: &mut [f64]) {
+        for v in xs {
+            *v = exp(*v);
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,19 @@
 //! coefficients, multiply then add, no FMA), so every tier produces
 //! identical bits and the forward/backward passes remain batch-size
 //! invariant.
+//!
+//! These three are the crate's only hand-written `std::arch` bodies. The
+//! same loops as safe bodies compiled per tier (the `tiered!` idiom)
+//! measured, on AVX-512 at batch 64, 1.0–1.13× the explicit time on
+//! full-width shapes for the two rank-4 kernels, 1.36× for
+//! `matmul_transpose_rhs`, and 1.3–2.9× wherever a row is narrower than a
+//! vector or ends in a ragged tail (`n` = 2, 3, 4, 11 — the action heads
+//! and the observation width): the register-resident masked tail is not
+//! something the compiler derives from the streaming loop. So they keep
+//! their intrinsics and their `unsafe`; [`axpy`] and [`adam_step`] lost
+//! nothing as plain loops and are `tiered!`.
 
+use crate::isa::tiered;
 use crate::Isa;
 
 #[cfg(target_arch = "x86_64")]
@@ -759,63 +771,13 @@ pub fn matmul_transpose_rhs(
     }
 }
 
-#[inline(always)]
-fn axpy_tail(alpha: f64, x: &[f64], y: &mut [f64], from: usize) {
-    for e in from..y.len() {
-        y[e] += alpha * x[e];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
-    let len = y.len();
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let av = _mm256_set1_pd(alpha);
-    let mut e = 0;
-    while e + 4 <= len {
-        // SAFETY: e + 3 < len for both slices (dispatcher asserts).
-        unsafe {
-            let xv = _mm256_loadu_pd(xp.add(e));
-            let yv = _mm256_loadu_pd(yp.add(e));
-            _mm256_storeu_pd(yp.add(e), _mm256_add_pd(yv, _mm256_mul_pd(av, xv)));
+tiered! {
+    /// `y[e] += alpha · x[e]` (the SGD/Adam parameter update sweep).
+    pub fn axpy(isa, alpha: f64, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
+        for (y, &x) in y.iter_mut().zip(x) {
+            *y += alpha * x;
         }
-        e += 4;
-    }
-    axpy_tail(alpha, x, y, e);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn axpy_avx512(alpha: f64, x: &[f64], y: &mut [f64]) {
-    let len = y.len();
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let av = _mm512_set1_pd(alpha);
-    let mut e = 0;
-    while e + 8 <= len {
-        // SAFETY: e + 7 < len for both slices (dispatcher asserts).
-        unsafe {
-            let xv = _mm512_loadu_pd(xp.add(e));
-            let yv = _mm512_loadu_pd(yp.add(e));
-            _mm512_storeu_pd(yp.add(e), _mm512_add_pd(yv, _mm512_mul_pd(av, xv)));
-        }
-        e += 8;
-    }
-    axpy_tail(alpha, x, y, e);
-}
-
-/// `y[e] += alpha · x[e]` (the SGD/Adam parameter update sweep).
-#[inline]
-pub fn axpy(isa: Isa, alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    match clamp(isa) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx512 => unsafe { axpy_avx512(alpha, x, y) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx2 => unsafe { axpy_avx2(alpha, x, y) },
-        _ => axpy_tail(alpha, x, y, 0),
     }
 }
 
@@ -843,72 +805,29 @@ impl AdamStep {
     }
 }
 
-/// The Adam update of every element — the one copy of the formula, and
-/// the scalar tier. Division and square root are exact-rounded like the
-/// other operations, so the vector tiers below return these bits.
-#[inline(always)]
-fn adam_step_elements(
-    c: &AdamStep,
-    params: &mut [f64],
-    grads: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-) {
-    for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
-        *m = c.beta1 * *m + (1.0 - c.beta1) * g;
-        *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
-        let mh = *m / c.bc1;
-        let vh = *v / c.bc2;
-        *p -= c.lr * mh / (vh.sqrt() + c.eps);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn adam_step_avx2(
-    c: &AdamStep,
-    params: &mut [f64],
-    grads: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-) {
-    adam_step_elements(c, params, grads, m, v);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn adam_step_avx512(
-    c: &AdamStep,
-    params: &mut [f64],
-    grads: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-) {
-    adam_step_elements(c, params, grads, m, v);
-}
-
-/// One Adam update of a flat tensor: first and second moments `m`, `v`
-/// decay toward `grads` and `grads²`, and `params` move by
-/// `lr · m̂ / (√v̂ + ε)` with `m̂ = m / bc₁`, `v̂ = v / bc₂`.
-#[inline]
-pub fn adam_step(
-    isa: Isa,
-    c: &AdamStep,
-    params: &mut [f64],
-    grads: &[f64],
-    m: &mut [f64],
-    v: &mut [f64],
-) {
-    let n = params.len();
-    assert!(grads.len() == n && m.len() == n && v.len() == n, "adam_step: length mismatch");
-    match clamp(isa) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx512 => unsafe { adam_step_avx512(c, params, grads, m, v) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx2 => unsafe { adam_step_avx2(c, params, grads, m, v) },
-        _ => adam_step_elements(c, params, grads, m, v),
+tiered! {
+    /// One Adam update of a flat tensor: first and second moments `m`, `v`
+    /// decay toward `grads` and `grads²`, and `params` move by
+    /// `lr · m̂ / (√v̂ + ε)` with `m̂ = m / bc₁`, `v̂ = v / bc₂`. Division and
+    /// square root are exact-rounded like the other operations, so every
+    /// tier returns the same bits.
+    pub fn adam_step(
+        isa,
+        c: &AdamStep,
+        params: &mut [f64],
+        grads: &[f64],
+        m: &mut [f64],
+        v: &mut [f64],
+    ) {
+        let n = params.len();
+        assert!(grads.len() == n && m.len() == n && v.len() == n, "adam_step: length mismatch");
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+            *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+            *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+            let mh = *m / c.bc1;
+            let vh = *v / c.bc2;
+            *p -= c.lr * mh / (vh.sqrt() + c.eps);
+        }
     }
 }
 
@@ -1023,8 +942,7 @@ mod tests {
         for &len in &[1usize, 4, 7, 15, 33, 256] {
             let x = lcg(len as u64, len);
             let y0 = lcg(3 + len as u64, len);
-            let mut reference = y0.clone();
-            axpy_tail(0.73, &x, &mut reference, 0);
+            let reference: Vec<f64> = y0.iter().zip(&x).map(|(y, x)| y + 0.73 * x).collect();
             for isa in tiers() {
                 let mut y = y0.clone();
                 axpy(isa, 0.73, &x, &mut y);
