@@ -11,11 +11,11 @@
 
 use decision::distribution::Distribution;
 use dist_exec::{ContinuationPolicy, EnvBlueprint, WhatIfPayload, WhatIfTask};
-use gymrs::{Action, EnvSnapshot, Space};
+use gymrs::{Action, EnvSnapshot, SnapshotError, Space};
 use telemetry::{SharedRecorder, Value};
 
 use crate::divergence::{js_divergence, wasserstein_1, Aggregate};
-use crate::fanout::{CfError, Exec};
+use crate::fanout::Exec;
 use crate::keys;
 
 /// Tuning knobs for one analysis run. `Default` is sized for tests;
@@ -243,8 +243,8 @@ impl CounterfactualAnalyzer {
         &self,
         episode: &RecordedEpisode,
         policy: &ContinuationPolicy,
-        exec: &mut Exec<'_, '_>,
-    ) -> Result<EpisodeReport, CfError> {
+        exec: &mut Exec,
+    ) -> Result<EpisodeReport, SnapshotError> {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         self.analyze_on(threads, episode, policy, exec)
     }
@@ -256,8 +256,8 @@ impl CounterfactualAnalyzer {
         threads: usize,
         episode: &RecordedEpisode,
         policy: &ContinuationPolicy,
-        exec: &mut Exec<'_, '_>,
-    ) -> Result<EpisodeReport, CfError> {
+        exec: &mut Exec,
+    ) -> Result<EpisodeReport, SnapshotError> {
         let cfg = &self.config;
         let n = cfg.rollouts.max(1);
         let action_space = self.blueprint.build(0).action_space();
@@ -361,7 +361,6 @@ fn continuation_seed(base: u64, t: usize, j: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::divergence::JS_BOUND;
-    use gymrs::SnapshotError;
     use std::sync::Arc;
     use telemetry::RingRecorder;
 
@@ -522,7 +521,7 @@ mod tests {
             let exec = &mut Exec::Batched { force: None };
             let failed = an.analyze_on(threads, &episode, &ContinuationPolicy::Hold, exec);
             assert!(
-                matches!(failed, Err(CfError::Snapshot(SnapshotError::Mismatch("kind")))),
+                matches!(failed, Err(SnapshotError::Mismatch("kind"))),
                 "{threads} threads: {failed:?}"
             );
             let events = trace(&recorder);

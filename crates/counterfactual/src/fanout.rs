@@ -1,15 +1,13 @@
-//! The [`Exec`] switch that makes the scalar loop, the lockstep runner
-//! and the distributed runtime interchangeable, and the thread fan-out
-//! that answers an episode's decision points on every core.
+//! The [`Exec`] switch between the scalar loop and the lockstep runner,
+//! and the thread fan-out that answers an episode's decision points on
+//! every core.
 //!
-//! The contract all three share is set by [`dist_exec::run_whatif`]: a
-//! task's return depends only on `(snapshot, first_action, seed,
-//! policy)`. [`run_whatif_batched`] reproduces it bitwise because each
-//! task gets its *own* environment lane (restored and reseeded exactly
-//! like the scalar loop) and the lockstep batcher is bit-compatible with
-//! scalar stepping by the `VecEnv` parity guarantees; the distributed
-//! path reproduces it because every worker answers its chunk through
-//! that same runner.
+//! The contract both share is set by [`dist_exec::run_whatif`]: a task's
+//! return depends only on `(snapshot, first_action, seed, policy)`.
+//! [`run_whatif_batched`] reproduces it bitwise because each task gets
+//! its *own* environment lane (restored and reseeded exactly like the
+//! scalar loop) and the lockstep batcher is bit-compatible with scalar
+//! stepping by the `VecEnv` parity guarantees.
 //!
 //! Grain of parallelism: the decision point. Every payload of an episode
 //! is independent of every other, so `Exec::Batched` answers them on
@@ -21,58 +19,15 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use dist_exec::{run_whatif, Runtime, RuntimeError, WhatIfPayload, WhatIfTask};
+use dist_exec::{run_whatif, WhatIfPayload};
 use gymrs::SnapshotError;
 
 pub use dist_exec::run_whatif_batched;
 
-/// Why a counterfactual fan-out failed.
-#[derive(Debug)]
-pub enum CfError {
-    /// A snapshot did not fit the environment it was restored into.
-    Snapshot(SnapshotError),
-    /// The distributed runtime lost or timed out a worker.
-    Runtime(RuntimeError),
-    /// The distributed runtime answered fewer returns than tasks sent —
-    /// some chunk landed on a quarantined worker and was skipped.
-    Incomplete {
-        /// Tasks dispatched.
-        expected: usize,
-        /// Returns received.
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for CfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CfError::Snapshot(e) => write!(f, "counterfactual replay rejected: {e}"),
-            CfError::Runtime(e) => write!(f, "counterfactual fan-out failed: {e}"),
-            CfError::Incomplete { expected, got } => {
-                write!(f, "counterfactual fan-out incomplete: {got} of {expected} returns")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CfError {}
-
-impl From<SnapshotError> for CfError {
-    fn from(e: SnapshotError) -> Self {
-        CfError::Snapshot(e)
-    }
-}
-
-impl From<RuntimeError> for CfError {
-    fn from(e: RuntimeError) -> Self {
-        CfError::Runtime(e)
-    }
-}
-
-/// Which machinery answers a what-if payload. All variants are bitwise
+/// Which machinery answers a what-if payload. Both variants are bitwise
 /// interchangeable (the parity suite pins this); they differ only in
 /// wall-clock shape.
-pub enum Exec<'rt, 'f> {
+pub enum Exec {
     /// The reference loop: one env, tasks in sequence.
     Scalar,
     /// [`run_whatif_batched`]: one `VecEnv` lane per task, and — when
@@ -82,57 +37,27 @@ pub enum Exec<'rt, 'f> {
         /// Batcher override, as in [`run_whatif_batched`].
         force: Option<bool>,
     },
-    /// [`Runtime::whatif_round`]: tasks split into contiguous per-worker
-    /// chunks, each answered by [`run_whatif_batched`] on its worker, over
-    /// whatever transport the runtime runs on.
-    Distributed {
-        /// The worker pool to fan out over.
-        runtime: &'rt mut Runtime<'f>,
-        /// Order counter; bumped before each round so stale answers from
-        /// earlier rounds are discarded. Start anywhere.
-        round: u64,
-    },
 }
 
-impl Exec<'_, '_> {
+impl Exec {
     /// Run one payload, returning per-task returns in task order.
-    pub fn run(&mut self, payload: &WhatIfPayload) -> Result<Vec<f64>, CfError> {
+    pub fn run(&mut self, payload: &WhatIfPayload) -> Result<Vec<f64>, SnapshotError> {
         match self {
-            Exec::Scalar => Ok(run_whatif(payload)?),
-            Exec::Batched { force } => Ok(run_whatif_batched(payload, *force)?),
-            Exec::Distributed { runtime, round } => {
-                *round += 1;
-                let chunks = split_contiguous(&payload.tasks, runtime.n_workers());
-                let merged = runtime.whatif_round(
-                    *round,
-                    &payload.env,
-                    &payload.snapshot,
-                    payload.horizon,
-                    &payload.policy,
-                    chunks,
-                )?;
-                let returns: Vec<f64> = merged.into_iter().flatten().collect();
-                if returns.len() != payload.tasks.len() {
-                    return Err(CfError::Incomplete {
-                        expected: payload.tasks.len(),
-                        got: returns.len(),
-                    });
-                }
-                Ok(returns)
-            }
+            Exec::Scalar => run_whatif(payload),
+            Exec::Batched { force } => run_whatif_batched(payload, *force),
         }
     }
 
     /// Answer `payloads` (one per decision point), in payload order. The
     /// result either has one entry per payload or ends with the first
     /// error met. `Batched` spreads the payloads over up to `threads`
-    /// threads, none of which outlives the call; the other two answer
-    /// them one after another and stop at the first failure.
+    /// threads, none of which outlives the call; `Scalar` answers them
+    /// one after another and stops at the first failure.
     pub(crate) fn run_all(
         &mut self,
         payloads: &[WhatIfPayload],
         threads: usize,
-    ) -> Vec<Result<Vec<f64>, CfError>> {
+    ) -> Vec<Result<Vec<f64>, SnapshotError>> {
         if let Exec::Batched { force } = self {
             return fan_out(payloads, *force, threads);
         }
@@ -157,7 +82,7 @@ fn fan_out(
     payloads: &[WhatIfPayload],
     force: Option<bool>,
     threads: usize,
-) -> Vec<Result<Vec<f64>, CfError>> {
+) -> Vec<Result<Vec<f64>, SnapshotError>> {
     // Relaxed: the index publishes no data. The payloads are shared
     // borrows, a slot synchronises its own write, and the scope's join
     // orders every write before the reads below.
@@ -178,32 +103,14 @@ fn fan_out(
     });
     slots
         .into_iter()
-        .map(|slot| Ok(slot.into_inner().expect("every index below the length was answered")?))
+        .map(|slot| slot.into_inner().expect("every index below the length was answered"))
         .collect()
-}
-
-/// Split `tasks` into `n` contiguous chunks whose concatenation is the
-/// original order (the first `len % n` chunks are one task longer), so
-/// the worker-index-ordered merge of [`Runtime::whatif_round`] restores
-/// task order by plain flattening.
-fn split_contiguous(tasks: &[WhatIfTask], n: usize) -> Vec<Vec<WhatIfTask>> {
-    assert!(n > 0, "need at least one worker");
-    let base = tasks.len() / n;
-    let extra = tasks.len() % n;
-    let mut chunks = Vec::with_capacity(n);
-    let mut at = 0;
-    for w in 0..n {
-        let take = base + usize::from(w < extra);
-        chunks.push(tasks[at..at + take].to_vec());
-        at += take;
-    }
-    chunks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dist_exec::{ContinuationPolicy, EnvBlueprint};
+    use dist_exec::{ContinuationPolicy, EnvBlueprint, WhatIfTask};
     use gymrs::Action;
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -228,19 +135,6 @@ mod tests {
                 low.iter().zip(&high).map(|(&l, &h)| 0.5 * (l.max(-1.0) + h.min(1.0))).collect(),
             ),
         }
-    }
-
-    #[test]
-    fn contiguous_split_preserves_order_and_balance() {
-        let tasks: Vec<WhatIfTask> =
-            (0..7).map(|i| WhatIfTask { first_action: Action::Discrete(0), seed: i }).collect();
-        let chunks = split_contiguous(&tasks, 3);
-        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), vec![3, 2, 2]);
-        let flat: Vec<u64> = chunks.into_iter().flatten().map(|t| t.seed).collect();
-        assert_eq!(flat, (0..7).collect::<Vec<u64>>());
-        // More workers than tasks: trailing chunks are empty, order kept.
-        let chunks = split_contiguous(&tasks[..2], 4);
-        assert_eq!(chunks.iter().map(Vec::len).collect::<Vec<_>>(), vec![1, 1, 0, 0]);
     }
 
     #[test]
@@ -269,7 +163,7 @@ mod tests {
         let answers = Exec::Scalar.run_all(&payloads, 4);
         assert_eq!(answers.len(), 2, "nothing is run past the failure");
         assert!(answers[0].is_ok());
-        assert!(matches!(answers[1], Err(CfError::Snapshot(SnapshotError::Mismatch("kind")))));
+        assert_eq!(answers[1], Err(SnapshotError::Mismatch("kind")));
         // The thread fan-out answers everything and keeps the failure in its slot.
         let answers = Exec::Batched { force: None }.run_all(&payloads, 2);
         assert_eq!(

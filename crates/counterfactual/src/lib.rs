@@ -21,16 +21,13 @@
 //!    seeds (common random numbers), so the distributions differ only
 //!    through the forked action.
 //! 3. **Fan out** the `(K+1)·N` short rollouts of every decision point
-//!    through one of three interchangeable executors ([`Exec`]): the
-//!    scalar reference loop ([`dist_exec::run_whatif`]), the lockstep
+//!    through one of two interchangeable executors ([`Exec`]): the
+//!    scalar reference loop ([`dist_exec::run_whatif`]) or the lockstep
 //!    runner ([`run_whatif_batched`] over [`gymrs::VecEnv`], which
 //!    engages the SIMD ODE batcher for airdrop lanes) with the episode's
-//!    decision points spread over the host's cores, or the distributed
-//!    runtime ([`dist_exec::Runtime::whatif_round`], in-process, UDS or
-//!    TCP — each worker answers its chunk through the same lockstep
-//!    runner). A continuation that does not read observations does not
-//!    pay for them. The three paths are bitwise interchangeable — the
-//!    parity suite pins that down.
+//!    decision points spread over the host's cores. A continuation that
+//!    does not read observations does not pay for them. The two paths
+//!    are bitwise interchangeable — the parity suite pins that down.
 //! 4. **Score** each point with Jensen–Shannon and 1-Wasserstein
 //!    divergence between the factual return distribution and each
 //!    alternative's ([`divergence`]), aggregated across alternatives by
@@ -50,4 +47,4 @@ pub use analyzer::{
     DecisionPointReport, EpisodeReport, RecordedEpisode,
 };
 pub use divergence::{js_divergence, wasserstein_1, Aggregate, JS_BOUND};
-pub use fanout::{run_whatif_batched, CfError, Exec};
+pub use fanout::{run_whatif_batched, Exec};

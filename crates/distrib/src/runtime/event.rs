@@ -13,12 +13,12 @@
 //!
 //! Every event echoes the round of the command that caused it. The
 //! driver uses that echo to drop *stale* events — a quarantined-then-woken
-//! worker may answer long after its round closed — and
-//! [`Event::order_key`] defines the deterministic merge order
-//! (`(round, worker)`) the runtime drains segments into.
+//! worker may answer long after its round closed. Events carry their
+//! worker index too: the runtime files each segment under that index and
+//! reads the round's segments back in worker-index order, so completion
+//! order never reaches a report.
 
 use super::transport::RngStream;
-use super::whatif::WhatIfPayload;
 use crate::backends::common::Segment;
 use rl_algos::policy::ActorCritic;
 
@@ -52,16 +52,6 @@ pub enum Command {
         /// The new weights (boxed: policies are large).
         policy: Box<ActorCritic>,
     },
-    /// Evaluate counterfactual continuations from an environment
-    /// snapshot (see [`super::whatif`]). Answered with an
-    /// [`Event::ReturnsReady`]; does not touch the worker's collector.
-    WhatIf {
-        /// Correlation index (same role as a collection round).
-        round: u64,
-        /// The snapshot, forked actions and continuation policy (boxed:
-        /// payloads carry policies and state vectors).
-        payload: Box<WhatIfPayload>,
-    },
     /// Stop the worker loop; the thread exits.
     Shutdown,
 }
@@ -92,18 +82,6 @@ pub enum Event {
         /// Iteration index echoed from the command.
         round: u64,
     },
-    /// A counterfactual order finished: one undiscounted return per
-    /// [`super::whatif::WhatIfTask`], in task order.
-    ReturnsReady {
-        /// Worker index.
-        worker: usize,
-        /// Simulated node the worker is pinned to.
-        node: usize,
-        /// Iteration index echoed from the command.
-        round: u64,
-        /// Continuation returns, one per task.
-        returns: Vec<f64>,
-    },
     /// The worker's command panicked.
     WorkerFailed {
         /// Worker index.
@@ -117,35 +95,6 @@ pub enum Event {
         /// thread keeps serving commands (a retry suffices).
         fatal: bool,
     },
-}
-
-impl Event {
-    /// The emitting worker's index.
-    pub fn worker(&self) -> usize {
-        match self {
-            Event::SegmentReady { worker, .. }
-            | Event::Heartbeat { worker, .. }
-            | Event::ReturnsReady { worker, .. }
-            | Event::WorkerFailed { worker, .. } => *worker,
-        }
-    }
-
-    /// The round echoed from the causing command.
-    pub fn round(&self) -> u64 {
-        match self {
-            Event::SegmentReady { round, .. }
-            | Event::Heartbeat { round, .. }
-            | Event::ReturnsReady { round, .. }
-            | Event::WorkerFailed { round, .. } => *round,
-        }
-    }
-
-    /// The deterministic merge key: `(round, worker)`. Draining
-    /// segments into ascending `order_key` order is what makes reports
-    /// independent of completion order.
-    pub fn order_key(&self) -> (u64, usize) {
-        (self.round(), self.worker())
-    }
 }
 
 /// Render a caught panic payload as text: `&str` and `String` payloads
@@ -194,53 +143,5 @@ mod tests {
         assert_eq!(panic_text(payload.as_ref()), "worker panicked");
         let payload = capture_panic(|| panic_any(vec![1u8, 2, 3]));
         assert_eq!(panic_text(payload.as_ref()), "worker panicked");
-    }
-
-    fn segment_ready(worker: usize, round: u64) -> Event {
-        let segment = Segment {
-            rollout: rl_algos::buffer::RolloutBuffer::with_capacity(0),
-            env_work: 0,
-            episodes: Vec::new(),
-            infer_flops: 0,
-        };
-        Event::SegmentReady {
-            worker,
-            node: 0,
-            round,
-            segment: Box::new(segment),
-            rng: RngStream::fresh(0),
-        }
-    }
-
-    #[test]
-    fn events_echo_worker_and_round() {
-        let e = segment_ready(3, 9);
-        assert_eq!(e.worker(), 3);
-        assert_eq!(e.round(), 9);
-        let h = Event::Heartbeat { worker: 1, round: 4 };
-        assert_eq!((h.worker(), h.round()), (1, 4));
-        let f = Event::WorkerFailed { worker: 2, round: 5, reason: "x".into(), fatal: true };
-        assert_eq!((f.worker(), f.round()), (2, 5));
-    }
-
-    #[test]
-    fn order_key_sorts_rounds_before_workers() {
-        // The merge invariant: all of round r precedes all of round r+1,
-        // and within a round, worker index decides — regardless of the
-        // (scheduling-dependent) completion order the events arrived in.
-        let arrived = [
-            segment_ready(2, 1),
-            segment_ready(0, 1),
-            Event::Heartbeat { worker: 3, round: 0 },
-            segment_ready(1, 0),
-            Event::WorkerFailed { worker: 0, round: 0, reason: "x".into(), fatal: false },
-        ];
-        let mut keys: Vec<(u64, usize)> = arrived.iter().map(Event::order_key).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![(0, 0), (0, 1), (0, 3), (1, 0), (1, 2)]);
-        // Sorting is stable under permutation: same key set, same order.
-        let mut reversed: Vec<(u64, usize)> = arrived.iter().rev().map(Event::order_key).collect();
-        reversed.sort_unstable();
-        assert_eq!(keys, reversed);
     }
 }

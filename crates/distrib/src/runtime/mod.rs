@@ -572,8 +572,7 @@ impl<'f> Runtime<'f> {
                         self.recorder.counter_add(keys::RT_EVENTS, 1);
                     }
                 }
-                Event::Heartbeat { .. } => {}    // stray ack; ignore
-                Event::ReturnsReady { .. } => {} // stale what-if answer; ignore
+                Event::Heartbeat { .. } => {} // stray ack; ignore
                 Event::WorkerFailed { worker, round: r, reason, fatal } => {
                     // A transport that couldn't attribute the death (a
                     // child process found dead at EOF) names no round;
@@ -674,7 +673,7 @@ impl<'f> Runtime<'f> {
                         awaiting.retain(|&w| w != worker);
                     }
                 }
-                Event::SegmentReady { .. } | Event::ReturnsReady { .. } => {
+                Event::SegmentReady { .. } => {
                     // Stale: a hung worker's late answer to an old order.
                 }
                 Event::WorkerFailed { worker, round: r, reason, fatal } => {
@@ -692,100 +691,6 @@ impl<'f> Runtime<'f> {
             }
         }
         Ok(BroadcastOutcome { bytes, faults })
-    }
-
-    /// Fan a counterfactual order out across the worker pool: `chunks`
-    /// holds one task list per worker (empty lists are skipped); every
-    /// dispatched chunk replays from the same `snapshot` under the same
-    /// continuation `policy`. Results come back in worker-index order —
-    /// `returns[w]` is worker `w`'s chunk, task-ordered — regardless of
-    /// completion order, so the merged result is transport- and
-    /// scheduling-independent.
-    ///
-    /// Counterfactual queries are fail-fast: a worker failure or hang is
-    /// an error, not a retry (the caller can simply re-issue the round —
-    /// replays are side-effect free).
-    pub fn whatif_round(
-        &mut self,
-        round: u64,
-        env: &EnvBlueprint,
-        snapshot: &gymrs::EnvSnapshot,
-        horizon: usize,
-        policy: &ContinuationPolicy,
-        chunks: Vec<Vec<WhatIfTask>>,
-    ) -> Result<Vec<Vec<f64>>, RuntimeError> {
-        let n = self.nodes.len();
-        assert_eq!(chunks.len(), n, "one task chunk per worker");
-        let mut results: Vec<Vec<f64>> = (0..n).map(|_| Vec::new()).collect();
-        let mut queue: VecDeque<(usize, Vec<WhatIfTask>)> = chunks
-            .into_iter()
-            .enumerate()
-            .filter(|(w, tasks)| self.is_healthy(*w) && !tasks.is_empty())
-            .collect();
-        let mut remaining = queue.len();
-        let mut outstanding = 0usize;
-        let mut in_flight = vec![false; n];
-        let recording = self.recorder.enabled();
-        let deadline = self.deadline();
-        while remaining > 0 {
-            let mut dispatched = 0u64;
-            while outstanding < self.window {
-                let Some((w, tasks)) = queue.pop_front() else { break };
-                let payload = Box::new(WhatIfPayload {
-                    env: env.clone(),
-                    snapshot: snapshot.clone(),
-                    horizon,
-                    policy: policy.clone(),
-                    tasks,
-                });
-                if self.transport.send(w, Command::WhatIf { round, payload }).is_err() {
-                    self.reap(w);
-                    return Err(RuntimeError::WorkerFailed {
-                        worker: w,
-                        round,
-                        reason: "worker is dead".to_string(),
-                    });
-                }
-                in_flight[w] = true;
-                outstanding += 1;
-                dispatched += 1;
-            }
-            if recording && dispatched > 0 {
-                self.recorder.counter_add(keys::RT_COMMANDS, dispatched);
-            }
-            let Some(ev) = self.transport.recv_deadline(deadline)? else {
-                // The round has one deadline, so every worker still in
-                // flight is overdue: name the first.
-                let worker = in_flight.iter().position(|&busy| busy).unwrap_or(usize::MAX);
-                return Err(RuntimeError::WorkerTimedOut { worker, round });
-            };
-            match ev {
-                Event::ReturnsReady { worker, round: r, returns, .. } => {
-                    if r != round {
-                        continue; // stale answer from an old order
-                    }
-                    results[worker] = returns;
-                    in_flight[worker] = false;
-                    outstanding -= 1;
-                    remaining -= 1;
-                    if recording {
-                        self.recorder.counter_add(keys::RT_EVENTS, 1);
-                    }
-                }
-                Event::SegmentReady { .. } | Event::Heartbeat { .. } => {} // stale
-                Event::WorkerFailed { worker, round: r, reason, fatal } => {
-                    let r = if r == WILDCARD_ROUND { round } else { r };
-                    if fatal {
-                        self.reap(worker);
-                    }
-                    if r != round {
-                        continue; // stale failure
-                    }
-                    return Err(RuntimeError::WorkerFailed { worker, round, reason });
-                }
-            }
-        }
-        Ok(results)
     }
 
     fn shutdown_inner(&mut self) {
@@ -1089,33 +994,6 @@ mod tests {
             }
             other => panic!("expected WorkerTimedOut, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn whatif_hang_names_the_overdue_worker() {
-        use gymrs::Action;
-        let plan = FaultPlan::new().fault(1, 7, FaultKind::Hang { millis: 120 });
-        let (specs, policy) = specs(&[0, 0, 0]);
-        let mut rt = faulted(specs, &policy, plan).with_fault_policy(FaultPolicy {
-            recv_timeout_ms: Some(40),
-            ..FaultPolicy::fail_fast()
-        });
-        let blueprint = EnvBlueprint::Grid { n: 5 };
-        let mut env = blueprint.build(3);
-        env.reset();
-        let snapshot = env.snapshot().expect("grid worlds snapshot");
-        let chunks: Vec<Vec<WhatIfTask>> = (0..3)
-            .map(|w| vec![WhatIfTask { first_action: Action::Discrete(w), seed: w as u64 }])
-            .collect();
-        let hold = ContinuationPolicy::Hold;
-        let hung = rt.whatif_round(7, &blueprint, &snapshot, 10, &hold, chunks.clone());
-        assert_eq!(hung, Err(RuntimeError::WorkerTimedOut { worker: 1, round: 7 }));
-        // Once the hung worker wakes, its stale answer is discarded and
-        // the next round is whole.
-        std::thread::sleep(std::time::Duration::from_millis(300));
-        let returns =
-            rt.whatif_round(8, &blueprint, &snapshot, 10, &hold, chunks).expect("answers");
-        assert!(returns.iter().all(|r| r.len() == 1), "{returns:?}");
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl CollectorBlueprint {
     pub(super) fn decode(b: &mut Body<'_>) -> Result<Self, CodecError> {
         let env = EnvBlueprint::decode(b)?;
         let n = b.len()?;
-        let mut seeds = Vec::with_capacity(n.min(1 << 16));
+        let mut seeds = Vec::with_capacity(b.capacity(n, 1));
         for _ in 0..n {
             seeds.push(b.varint()?);
         }

@@ -21,9 +21,8 @@
 
 use super::rng::{RngCache, RngStream};
 use crate::runtime::event::{Command, Event};
-use crate::runtime::transport::blueprint::{CollectorBlueprint, EnvBlueprint};
-use crate::runtime::whatif::{ContinuationPolicy, WhatIfPayload, WhatIfTask};
-use gymrs::{Action, EnvSnapshot, Space};
+use crate::runtime::transport::blueprint::CollectorBlueprint;
+use gymrs::{Action, Space};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_algos::buffer::RolloutBuffer;
@@ -43,13 +42,9 @@ pub mod tag {
     pub const COLLECT: u8 = 2;
     pub const UPDATE_WEIGHTS: u8 = 3;
     pub const SHUTDOWN: u8 = 4;
-    /// Counterfactual continuation order (snapshot + forked actions).
-    pub const WHATIF: u8 = 5;
     pub const SEGMENT_READY: u8 = 16;
     pub const HEARTBEAT: u8 = 17;
     pub const WORKER_FAILED: u8 = 18;
-    /// Per-task continuation returns answering a WHATIF.
-    pub const RETURNS_READY: u8 = 19;
 }
 
 /// Upper bound on a single frame; guards against a corrupt length prefix
@@ -130,8 +125,21 @@ impl<'a> Body<'a> {
         Self { buf }
     }
 
-    fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// The end of a frame: a body with bytes left over is malformed.
+    fn end(&self) -> Result<(), CodecError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::BadValue("trailing bytes"))
+        }
+    }
+
+    /// Capacity to reserve for `n` elements of at least `min_bytes` wire
+    /// bytes each: `n` whenever the body can hold them, and never more
+    /// than the bytes left — a corrupt count cannot reserve memory the
+    /// frame does not back.
+    pub(super) fn capacity(&self, n: usize, min_bytes: usize) -> usize {
+        n.min(self.buf.len() / min_bytes)
     }
 
     pub(super) fn u8(&mut self) -> Result<u8, CodecError> {
@@ -153,6 +161,8 @@ impl<'a> Body<'a> {
     }
 
     pub(super) fn len(&mut self) -> Result<usize, CodecError> {
+        #[cfg(test)]
+        tests::LEN_READS.with(|at| at.borrow_mut().push(self.buf.as_ptr() as usize));
         let v = self.varint()?;
         usize::try_from(v).map_err(|_| CodecError::BadValue("length"))
     }
@@ -184,7 +194,7 @@ impl<'a> Body<'a> {
 
     fn f64s(&mut self) -> Result<Vec<f64>, CodecError> {
         let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
+        let mut out = Vec::with_capacity(self.capacity(n, 8));
         for _ in 0..n {
             out.push(self.f64()?);
         }
@@ -340,19 +350,40 @@ fn read_policy_arch(b: &mut Body<'_>) -> Result<ActorCritic, CodecError> {
     let obs_dim = b.len()?;
     let head_tag = b.u8()?;
     let head_n = b.len()?;
-    let space = match head_tag {
-        0 => Space::Discrete(head_n),
-        1 => Space::symmetric_box(head_n, 1.0),
-        _ => return Err(CodecError::BadValue("policy head")),
-    };
+    if head_tag > 1 {
+        return Err(CodecError::BadValue("policy head"));
+    }
     let n_hidden = b.len()?;
-    let mut hidden = Vec::with_capacity(n_hidden.min(64));
+    let mut hidden = Vec::with_capacity(b.capacity(n_hidden, 1));
     for _ in 0..n_hidden {
         hidden.push(b.len()?);
     }
+    // Every size above came off the wire. The parameters follow the
+    // architecture, 8 bytes each, so a shape the rest of the body cannot
+    // hold is refused before anything is allocated for it.
+    let log_std = if head_tag == 1 { head_n } else { 0 };
+    let param_bytes = || {
+        let actor = mlp_params(obs_dim, &hidden, head_n)?;
+        let critic = mlp_params(obs_dim, &hidden, 1)?;
+        actor.checked_add(critic)?.checked_add(log_std)?.checked_mul(8)
+    };
+    if param_bytes().is_none_or(|bytes| bytes > b.buf.len()) {
+        return Err(CodecError::BadValue("policy shape"));
+    }
+    let space =
+        if head_tag == 0 { Space::Discrete(head_n) } else { Space::symmetric_box(head_n, 1.0) };
     // Architecture only — every parameter is overwritten by the caller,
     // so the constructor seed is irrelevant.
     Ok(ActorCritic::new(obs_dim, &space, &hidden, &mut StdRng::seed_from_u64(0)))
+}
+
+/// Weights plus biases of an MLP `obs_dim → hidden… → out`; `None` when
+/// the count overflows.
+fn mlp_params(obs_dim: usize, hidden: &[usize], out: usize) -> Option<usize> {
+    let sizes = || std::iter::once(obs_dim).chain(hidden.iter().copied()).chain([out]);
+    sizes().zip(sizes().skip(1)).try_fold(0usize, |sum, (fan_in, fan_out)| {
+        sum.checked_add(fan_in.checked_mul(fan_out)?.checked_add(fan_out)?)
+    })
 }
 
 fn put_mlp_params(buf: &mut Vec<u8>, mlp: &mut tinynn::Mlp) {
@@ -388,74 +419,12 @@ fn put_policy_params(buf: &mut Vec<u8>, policy: &mut ActorCritic) {
 fn read_policy_params(b: &mut Body<'_>, policy: &mut ActorCritic) -> Result<(), CodecError> {
     read_mlp_params(b, &mut policy.actor)?;
     read_mlp_params(b, &mut policy.critic)?;
-    policy.log_std = b.f64s()?;
+    let log_std = b.f64s()?;
+    if log_std.len() != policy.log_std.len() {
+        return Err(CodecError::BadValue("policy shape"));
+    }
+    policy.log_std = log_std;
     Ok(())
-}
-
-// ----------------------------------------------------------- what-if payload
-
-fn put_snapshot(buf: &mut Vec<u8>, snap: &EnvSnapshot) {
-    put_str(buf, &snap.kind);
-    put_f64s(buf, &snap.f);
-    put_varint(buf, snap.u.len() as u64);
-    for &v in &snap.u {
-        put_varint(buf, v);
-    }
-    put_varint(buf, snap.rng_seed);
-}
-
-fn read_snapshot(b: &mut Body<'_>) -> Result<EnvSnapshot, CodecError> {
-    let kind = b.str()?.to_owned();
-    let f = b.f64s()?;
-    let n = b.len()?;
-    let mut u = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        u.push(b.varint()?);
-    }
-    let rng_seed = b.varint()?;
-    Ok(EnvSnapshot { kind, f, u, rng_seed })
-}
-
-fn put_whatif(buf: &mut Vec<u8>, payload: &mut WhatIfPayload) {
-    payload.env.encode(buf);
-    put_snapshot(buf, &payload.snapshot);
-    put_varint(buf, payload.horizon as u64);
-    match &mut payload.policy {
-        ContinuationPolicy::Hold => buf.push(0),
-        ContinuationPolicy::Greedy(policy) => {
-            buf.push(1);
-            put_policy_arch(buf, policy);
-            put_policy_params(buf, policy);
-        }
-    }
-    put_varint(buf, payload.tasks.len() as u64);
-    for task in &payload.tasks {
-        put_action(buf, &task.first_action);
-        put_varint(buf, task.seed);
-    }
-}
-
-fn read_whatif(b: &mut Body<'_>) -> Result<WhatIfPayload, CodecError> {
-    let env = EnvBlueprint::decode(b)?;
-    let snapshot = read_snapshot(b)?;
-    let horizon = b.len()?;
-    let policy = match b.u8()? {
-        0 => ContinuationPolicy::Hold,
-        1 => {
-            let mut policy = read_policy_arch(b)?;
-            read_policy_params(b, &mut policy)?;
-            ContinuationPolicy::Greedy(Box::new(policy))
-        }
-        _ => return Err(CodecError::BadValue("continuation policy")),
-    };
-    let n = b.len()?;
-    let mut tasks = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let first_action = read_action(b)?;
-        let seed = b.varint()?;
-        tasks.push(WhatIfTask { first_action, seed });
-    }
-    Ok(WhatIfPayload { env, snapshot, horizon, policy, tasks })
 }
 
 // --------------------------------------------------------------------- hello
@@ -488,7 +457,10 @@ pub fn encode_iam(w: &mut FrameWriter, worker: usize) -> &[u8] {
 }
 
 pub fn decode_iam(body: &[u8]) -> Result<usize, CodecError> {
-    Body::new(body).len()
+    let mut b = Body::new(body);
+    let worker = b.len()?;
+    b.end()?;
+    Ok(worker)
 }
 
 pub fn encode_hello<'w>(w: &'w mut FrameWriter, hello: &mut Hello) -> &'w [u8] {
@@ -520,7 +492,8 @@ pub fn decode_hello(body: &[u8]) -> Result<Hello, CodecError> {
     policy.log_std_grad = b.f64s()?;
     let blueprint = CollectorBlueprint::decode(&mut b)?;
     let n_faults = b.len()?;
-    let mut faults = Vec::with_capacity(n_faults.min(1024));
+    // worker, round and millis varints plus the kind byte: 4 bytes at least.
+    let mut faults = Vec::with_capacity(b.capacity(n_faults, 4));
     for _ in 0..n_faults {
         let fw = b.len()?;
         let round = b.varint()?;
@@ -528,6 +501,7 @@ pub fn decode_hello(body: &[u8]) -> Result<Hello, CodecError> {
         let millis = b.varint()?;
         faults.push((fw, round, kind, millis));
     }
+    b.end()?;
     Ok(Hello { worker, node, policy, blueprint, faults })
 }
 
@@ -557,11 +531,6 @@ pub fn encode_command<'w>(
             put_policy_arch(buf, policy);
             put_policy_params(buf, policy);
         }
-        Command::WhatIf { round, payload } => {
-            let buf = w.begin(tag::WHATIF);
-            put_varint(buf, *round);
-            put_whatif(buf, payload);
-        }
         Command::Shutdown => {
             w.begin(tag::SHUTDOWN);
         }
@@ -590,15 +559,10 @@ pub fn decode_command(
             read_policy_params(&mut b, &mut policy)?;
             Command::UpdateWeights { round, policy: Box::new(policy) }
         }
-        tag::WHATIF => {
-            let round = b.varint()?;
-            let payload = read_whatif(&mut b)?;
-            Command::WhatIf { round, payload: Box::new(payload) }
-        }
         tag::SHUTDOWN => Command::Shutdown,
         other => return Err(CodecError::BadTag(other)),
     };
-    debug_assert!(b.is_empty(), "trailing bytes in command body");
+    b.end()?;
     Ok(cmd)
 }
 
@@ -656,7 +620,9 @@ fn put_rollout(buf: &mut Vec<u8>, r: &RolloutBuffer) {
 
 fn read_rollout(b: &mut Body<'_>) -> Result<RolloutBuffer, CodecError> {
     let n = b.len()?;
-    let mut r = RolloutBuffer::with_capacity(n.min(1 << 20));
+    // A step is 37 bytes at least: an observation length, a tag and a
+    // varint for the action, four f64s and two flags.
+    let mut r = RolloutBuffer::with_capacity(b.capacity(n, 37));
     for _ in 0..n {
         r.obs.push(b.f64s()?);
     }
@@ -711,13 +677,6 @@ pub fn encode_event<'w>(w: &'w mut FrameWriter, ev: &mut Event, cache: &mut RngC
             put_varint(buf, *worker as u64);
             put_varint(buf, *round);
         }
-        Event::ReturnsReady { worker, node, round, returns } => {
-            let buf = w.begin(tag::RETURNS_READY);
-            put_varint(buf, *worker as u64);
-            put_varint(buf, *node as u64);
-            put_varint(buf, *round);
-            put_f64s(buf, returns);
-        }
         Event::WorkerFailed { worker, round, reason, fatal } => {
             let buf = w.begin(tag::WORKER_FAILED);
             put_varint(buf, *worker as u64);
@@ -742,7 +701,7 @@ pub fn decode_event(frame_tag: u8, body: &[u8], cache: &mut RngCache) -> Result<
             let rollout = read_rollout(&mut b)?;
             let env_work = b.varint()?;
             let n_eps = b.len()?;
-            let mut episodes = Vec::with_capacity(n_eps.min(1 << 16));
+            let mut episodes = Vec::with_capacity(b.capacity(n_eps, 9));
             for _ in 0..n_eps {
                 let ret = b.f64()?;
                 let len = b.len()?;
@@ -757,13 +716,6 @@ pub fn decode_event(frame_tag: u8, body: &[u8], cache: &mut RngCache) -> Result<
             let round = b.varint()?;
             Event::Heartbeat { worker, round }
         }
-        tag::RETURNS_READY => {
-            let worker = b.len()?;
-            let node = b.len()?;
-            let round = b.varint()?;
-            let returns = b.f64s()?;
-            Event::ReturnsReady { worker, node, round, returns }
-        }
         tag::WORKER_FAILED => {
             let worker = b.len()?;
             let round = b.varint()?;
@@ -773,7 +725,7 @@ pub fn decode_event(frame_tag: u8, body: &[u8], cache: &mut RngCache) -> Result<
         }
         other => return Err(CodecError::BadTag(other)),
     };
-    debug_assert!(b.is_empty(), "trailing bytes in event body");
+    b.end()?;
     Ok(ev)
 }
 
@@ -781,7 +733,30 @@ pub fn decode_event(frame_tag: u8, body: &[u8], cache: &mut RngCache) -> Result<
 mod tests {
     use super::*;
     use crate::runtime::event::WILDCARD_ROUND;
+    use crate::runtime::transport::blueprint::EnvBlueprint;
     use rand::Rng;
+    use std::cell::RefCell;
+    use testkit::Gen;
+
+    thread_local! {
+        /// Where each [`Body::len`] read on this thread started, as an
+        /// address: the length positions the mutation sweep splices into.
+        pub(super) static LEN_READS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every actor and critic parameter, then `log_std`, as raw bits.
+    fn policy_bits(policy: &mut ActorCritic) -> Vec<u64> {
+        let mut out = Vec::new();
+        for mlp in [&mut policy.actor, &mut policy.critic] {
+            mlp.visit_params(|p, _| out.extend(bits(p)));
+        }
+        out.extend(bits(&policy.log_std));
+        out
+    }
 
     fn round_trip_event(ev: &mut Event) -> Event {
         let mut w = FrameWriter::new();
@@ -848,77 +823,191 @@ mod tests {
     }
 
     #[test]
-    fn whatif_round_trips_with_snapshot_and_tasks() {
-        let mut env = EnvBlueprint::Grid { n: 4 }.build(7);
-        env.reset();
-        env.step(&Action::Discrete(2));
-        let snapshot = env.snapshot().expect("grid world snapshots");
-        let payload = WhatIfPayload {
-            env: EnvBlueprint::Grid { n: 4 },
-            snapshot: snapshot.clone(),
-            horizon: 25,
-            policy: ContinuationPolicy::Hold,
-            tasks: vec![
-                WhatIfTask { first_action: Action::Discrete(0), seed: 11 },
-                WhatIfTask { first_action: Action::Discrete(3), seed: u64::MAX },
-            ],
-        };
-        let mut cmd = Command::WhatIf { round: 6, payload: Box::new(payload) };
-        match round_trip_command(&mut cmd) {
-            Command::WhatIf { round, payload } => {
-                assert_eq!(round, 6);
-                assert_eq!(payload.env, EnvBlueprint::Grid { n: 4 });
-                assert_eq!(payload.snapshot, snapshot);
-                assert_eq!(payload.horizon, 25);
-                assert!(matches!(payload.policy, ContinuationPolicy::Hold));
-                assert_eq!(payload.tasks.len(), 2);
-                assert_eq!(payload.tasks[0].first_action, Action::Discrete(0));
-                assert_eq!(payload.tasks[1].seed, u64::MAX);
-            }
-            _ => panic!("variant changed in transit"),
-        }
-    }
-
-    #[test]
-    fn whatif_greedy_policy_crosses_the_wire() {
+    fn update_weights_round_trips_bit_exact() {
         let mut rng = StdRng::seed_from_u64(8);
-        let policy = ActorCritic::new(3, &Space::symmetric_box(1, 1.0), &[6], &mut rng);
-        let obs = vec![0.25, -0.5, 0.75];
-        let want = policy.act_greedy(&obs);
-
-        let mut env = EnvBlueprint::PointMass.build(1);
-        env.reset();
-        let payload = WhatIfPayload {
-            env: EnvBlueprint::PointMass,
-            snapshot: env.snapshot().expect("snapshot"),
-            horizon: 10,
-            policy: ContinuationPolicy::Greedy(Box::new(policy)),
-            tasks: vec![WhatIfTask { first_action: Action::Continuous(vec![0.5]), seed: 3 }],
-        };
-        let mut cmd = Command::WhatIf { round: 1, payload: Box::new(payload) };
-        match round_trip_command(&mut cmd) {
-            Command::WhatIf { payload, .. } => match payload.policy {
-                ContinuationPolicy::Greedy(decoded) => {
-                    assert_eq!(decoded.act_greedy(&obs), want, "weights survive bit-exact");
+        let mut gaussian = ActorCritic::new(3, &Space::symmetric_box(2, 1.0), &[6, 5], &mut rng);
+        gaussian.log_std = vec![-0.3, -1e-300];
+        let categorical = ActorCritic::new(4, &Space::Discrete(3), &[7], &mut rng);
+        for mut policy in [gaussian, categorical] {
+            let want = policy_bits(&mut policy);
+            let mut cmd = Command::UpdateWeights { round: 41, policy: Box::new(policy.clone()) };
+            match round_trip_command(&mut cmd) {
+                Command::UpdateWeights { round, policy: mut got } => {
+                    assert_eq!(round, 41);
+                    assert_eq!(got.head(), policy.head());
+                    assert_eq!(got.actor.sizes(), policy.actor.sizes());
+                    assert_eq!(got.critic.sizes(), policy.critic.sizes());
+                    assert_eq!(policy_bits(&mut got), want);
                 }
-                ContinuationPolicy::Hold => panic!("policy variant changed in transit"),
-            },
-            _ => panic!("variant changed in transit"),
+                _ => panic!("variant changed in transit"),
+            }
         }
     }
 
     #[test]
-    fn returns_ready_round_trips_bit_exact() {
-        let returns = vec![0.0, -0.45, f64::MIN_POSITIVE, -1e-300];
-        let mut ev = Event::ReturnsReady { worker: 2, node: 1, round: 9, returns: returns.clone() };
-        match round_trip_event(&mut ev) {
-            Event::ReturnsReady { worker, node, round, returns: got } => {
-                assert_eq!((worker, node, round), (2, 1, 9));
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&returns));
-            }
-            _ => panic!("variant changed in transit"),
+    fn hello_round_trips() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut policy = ActorCritic::new(2, &Space::symmetric_box(3, 1.0), &[4], &mut rng);
+        let grad = [0.5, -0.0, f64::MIN_POSITIVE];
+        policy.log_std_grad = grad.to_vec();
+        let want = policy_bits(&mut policy);
+        let blueprint =
+            CollectorBlueprint::vectorized(EnvBlueprint::AirdropFast, vec![3, u64::MAX]);
+        let faults = vec![(1, 4, fault_tag::HANG, 250), (1, u64::MAX, fault_tag::CRASH, 0)];
+        let mut hello = Hello {
+            worker: 1,
+            node: 2,
+            policy,
+            blueprint: blueprint.clone(),
+            faults: faults.clone(),
+        };
+        let frame = encode_hello(&mut FrameWriter::new(), &mut hello).to_vec();
+        assert_eq!(frame[4], tag::HELLO);
+        let mut got = decode_hello(&frame[5..]).expect("a valid Hello decodes");
+        assert_eq!((got.worker, got.node), (1, 2));
+        assert_eq!(policy_bits(&mut got.policy), want);
+        assert_eq!(bits(&got.policy.log_std_grad), bits(&grad));
+        assert_eq!(got.blueprint, blueprint);
+        assert_eq!(got.faults, faults);
+    }
+
+    /// Decode `body` the way the receiver of a `frame_tag` frame does.
+    fn decode(frame_tag: u8, body: &[u8]) -> Result<(), CodecError> {
+        let cache = &mut RngCache::new();
+        match frame_tag {
+            tag::IAM => decode_iam(body).map(drop),
+            tag::HELLO => decode_hello(body).map(drop),
+            t if t < tag::SEGMENT_READY => decode_command(t, body, cache).map(drop),
+            t => decode_event(t, body, cache).map(drop),
         }
+    }
+
+    /// One valid frame of every tag, shaped by `g`, as `(tag, body)`.
+    /// Every varint up to and including a stream's draw count is below
+    /// 128, so no single-bit flip asks the decoder to replay more than
+    /// 2^14 draws.
+    fn valid_frames(g: &mut Gen) -> Vec<(u8, Vec<u8>)> {
+        let small = |g: &mut Gen| g.int_in(0..128u64);
+        let mut rng = StdRng::seed_from_u64(g.u64());
+        let space = if g.bool() {
+            Space::Discrete(g.int_in(1..4))
+        } else {
+            Space::symmetric_box(g.int_in(1..3), 1.0)
+        };
+        let obs_dim = g.int_in(1..4);
+        let hidden = g.vec(0..3, |g| g.int_in(1..6));
+        let policy = ActorCritic::new(obs_dim, &space, &hidden, &mut rng);
+        let mut stream = RngStream::fresh(small(g));
+        for _ in 0..small(g) {
+            let _: f64 = stream.rng_mut().gen();
+        }
+        let mut rollout = RolloutBuffer::with_capacity(0);
+        for _ in 0..g.below(4) {
+            let obs = g.f64s(obs_dim, -1.0..1.0);
+            let (action, log_prob, value) = policy.act(&obs, &mut rng);
+            let done = g.bool();
+            rollout.push(obs, action, g.f64_in(-1.0..1.0), done, done, value, 0.5, log_prob);
+        }
+        let segment = Segment {
+            rollout,
+            env_work: g.u64(),
+            episodes: g.vec(0..3, |g| (g.f64_in(-9.0..9.0), g.below(500))),
+            infer_flops: g.u64(),
+        };
+        let blueprint = if g.bool() {
+            CollectorBlueprint::per_env(EnvBlueprint::Grid { n: g.int_in(2..9) }, g.u64())
+        } else {
+            CollectorBlueprint::vectorized(EnvBlueprint::PointMass, g.vec(1..4, Gen::u64))
+        };
+        let faults = g.vec(0..3, |g| (g.below(4), g.u64(), fault_tag::SLOW, small(g)));
+
+        let (w, cache) = (&mut FrameWriter::new(), &mut RngCache::new());
+        let mut frames = vec![encode_iam(w, g.below(1000)).to_vec()];
+        let mut hello = Hello {
+            worker: g.below(8),
+            node: g.below(8),
+            policy: policy.clone(),
+            blueprint,
+            faults,
+        };
+        frames.push(encode_hello(w, &mut hello).to_vec());
+        let (round, steps) = (small(g), small(g) as usize);
+        let collect = &mut Command::Collect { round, steps, rng: stream.clone() };
+        frames.push(encode_command(w, collect, cache).to_vec());
+        let update = &mut Command::UpdateWeights { round: g.u64(), policy: Box::new(policy) };
+        frames.push(encode_command(w, update, cache).to_vec());
+        frames.push(encode_command(w, &mut Command::Shutdown, cache).to_vec());
+        let (worker, node) = (small(g) as usize, small(g) as usize);
+        let segment = Box::new(segment);
+        let ready = &mut Event::SegmentReady { worker, node, round, segment, rng: stream };
+        frames.push(encode_event(w, ready, cache).to_vec());
+        let beat = &mut Event::Heartbeat { worker: g.below(8), round: g.u64() };
+        frames.push(encode_event(w, beat, cache).to_vec());
+        let reason = format!("boom in round {}", g.u64());
+        let failed = &mut Event::WorkerFailed { worker: 1, round, reason, fatal: g.bool() };
+        frames.push(encode_event(w, failed, cache).to_vec());
+        frames.into_iter().map(|f| (f[4], f[5..].to_vec())).collect()
+    }
+
+    #[test]
+    fn malformed_frames_decode_to_an_error_never_a_panic() {
+        // A value no allocation survives, one past every bound, and a
+        // varint that never ends.
+        let oversized: Vec<Vec<u8>> = [u64::MAX, 1 << 40]
+            .map(|v| {
+                let mut buf = Vec::new();
+                put_varint(&mut buf, v);
+                buf
+            })
+            .into_iter()
+            .chain([[[0xff; 10].as_slice(), &[1]].concat()])
+            .collect();
+        testkit::sweep(8, 0xC0DEC, |g| {
+            for (frame_tag, body) in valid_frames(g) {
+                LEN_READS.with(|at| at.borrow_mut().clear());
+                assert_eq!(decode(frame_tag, &body), Ok(()), "tag {frame_tag}: valid frame");
+                let start = body.as_ptr() as usize;
+                let lengths: Vec<usize> =
+                    LEN_READS.with(|at| at.take()).into_iter().map(|a| a - start).collect();
+                let trailing = [body.as_slice(), &[0]].concat();
+                assert_eq!(
+                    decode(frame_tag, &trailing),
+                    Err(CodecError::BadValue("trailing bytes"))
+                );
+                for end in 0..body.len() {
+                    assert!(
+                        decode(frame_tag, &body[..end]).is_err(),
+                        "tag {frame_tag}: cut at {end}"
+                    );
+                }
+                for bit in 0..body.len() * 8 {
+                    let mut flipped = body.clone();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    let _ = decode(frame_tag, &flipped);
+                }
+                for &at in &lengths {
+                    let mut rest = Body::new(&body[at..]);
+                    rest.varint().expect("a length the valid frame read");
+                    let after = body.len() - rest.buf.len();
+                    for huge in &oversized {
+                        let _ = decode(frame_tag, &[&body[..at], huge, &body[after..]].concat());
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_policy_the_body_cannot_hold_is_refused_before_it_is_built() {
+        // Round 0, obs_dim 2, a Gaussian head of 2^40 dims, no hidden
+        // layers — ten bytes that once asked for 2^43 and aborted.
+        let head = [2, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20, 0];
+        let update = [&[0], head.as_slice()].concat();
+        assert_eq!(update.len(), 10);
+        let shape = Err(CodecError::BadValue("policy shape"));
+        assert_eq!(decode(tag::UPDATE_WEIGHTS, &update), shape);
+        // A child's Hello reaches the same constructor: worker 0, node 0.
+        assert_eq!(decode(tag::HELLO, &[&[0, 0], head.as_slice()].concat()), shape);
     }
 
     #[test]

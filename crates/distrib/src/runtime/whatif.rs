@@ -1,29 +1,26 @@
 //! Counterfactual continuation orders: "from this snapshot, what if the
 //! agent had done X?"
 //!
-//! A [`WhatIfPayload`] names everything a worker needs to answer without
-//! touching its collector state: the environment recipe, the captured
+//! A [`WhatIfPayload`] names everything a runner needs to answer without
+//! touching any collector state: the environment recipe, the captured
 //! [`EnvSnapshot`] of the decision point, the forked first actions (one
 //! [`WhatIfTask`] each), the continuation policy and a step budget. The
-//! worker replays each task from the snapshot and answers with one
-//! undiscounted return per task ([`super::event::Event::ReturnsReady`]).
+//! runner replays each task from the snapshot and answers with one
+//! undiscounted return per task.
 //!
 //! Determinism: every task carries its own plain `u64` seed — the replay
 //! env is restored from the snapshot and then reseeded, so a task's
 //! return depends only on `(snapshot, first_action, seed, policy)` and
-//! never on which worker, transport or batch lane executed it. The
-//! scalar runner [`run_whatif`] is the reference semantics; the lockstep
-//! runner [`run_whatif_batched`] — what `Exec::Batched` of the
-//! `counterfactual` crate and every worker's [`Command::WhatIf`] arm
-//! answer through — must agree with it bit for bit, on every transport.
+//! never on which thread or batch lane executed it. The scalar runner
+//! [`run_whatif`] is the reference semantics; the lockstep runner
+//! [`run_whatif_batched`] — what `Exec::Batched` of the `counterfactual`
+//! crate answers through — must agree with it bit for bit.
 //!
 //! Observations are the harness's view of the model, produced when a
 //! continuation asks for them: [`ContinuationPolicy::reads_observations`]
 //! says whether it does, and a continuation that does not read them does
 //! not pay for them — the lockstep runner then steps through
 //! [`VecEnv::step_unobserved`] and builds its action list once.
-//!
-//! [`Command::WhatIf`]: super::event::Command::WhatIf
 
 use gymrs::{Action, EnvSnapshot, Environment, SnapshotError, VecEnv};
 use rl_algos::policy::ActorCritic;
@@ -71,7 +68,7 @@ impl ContinuationPolicy {
     }
 }
 
-/// A complete counterfactual order for one worker.
+/// A complete counterfactual order for one decision point.
 pub struct WhatIfPayload {
     /// How to rebuild the environment.
     pub env: EnvBlueprint,
@@ -90,8 +87,8 @@ pub struct WhatIfPayload {
 /// Returns one undiscounted return per task, in task order.
 ///
 /// This is the reference execution path (`Exec::Scalar`, and the oracle
-/// of the parity suites): [`run_whatif_batched`], which the workers and
-/// `Exec::Batched` run, must bitwise agree with this function.
+/// of the parity suites): [`run_whatif_batched`], which `Exec::Batched`
+/// runs, must bitwise agree with this function.
 pub fn run_whatif(payload: &WhatIfPayload) -> Result<Vec<f64>, SnapshotError> {
     let mut env = payload.env.build(0);
     let mut returns = Vec::with_capacity(payload.tasks.len());

@@ -212,43 +212,6 @@ impl WorkerState {
                 }
                 Flow::Continue
             }
-            Command::WhatIf { round, payload } => {
-                // Counterfactual replay never touches the collector: the
-                // envs are rebuilt from the payload's blueprint, so a panic
-                // or a snapshot mismatch leaves the worker's rollout state
-                // intact and is reported as a contained failure. The chunk
-                // runs in lockstep, one lane per task — the executor
-                // `Exec::Batched` runs, bit-equal to the scalar loop.
-                if let Some(FaultKind::Hang { millis }) = self.ctx.take(worker, round) {
-                    // Answers after the driver's deadline, like a hung
-                    // collection; the other fault kinds are collection-only.
-                    std::thread::sleep(Duration::from_millis(millis));
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    crate::runtime::whatif::run_whatif_batched(&payload, None)
-                }));
-                let ev = match result {
-                    Ok(Ok(returns)) => {
-                        Event::ReturnsReady { worker, node: self.node, round, returns }
-                    }
-                    Ok(Err(e)) => Event::WorkerFailed {
-                        worker,
-                        round,
-                        reason: format!("what-if snapshot rejected: {e}"),
-                        fatal: false,
-                    },
-                    Err(payload) => Event::WorkerFailed {
-                        worker,
-                        round,
-                        reason: panic_text(payload.as_ref()),
-                        fatal: false,
-                    },
-                };
-                if !emit(ev) {
-                    return Flow::Exit;
-                }
-                Flow::Continue
-            }
             Command::UpdateWeights { round, policy: fresh } => {
                 self.policy.copy_params_from(&fresh);
                 if !emit(Event::Heartbeat { worker, round }) {
