@@ -283,6 +283,12 @@ impl Environment for AirdropEnv {
         self.last_work
     }
 
+    /// `WindModel::sample` draws only when gusts are on; the drop point
+    /// is drawn in `reset`.
+    fn steps_read_rng(&self) -> bool {
+        self.config.gusts_enabled
+    }
+
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
     }

@@ -1,8 +1,8 @@
 //! Zero-overhead contract of disabled telemetry, and zero *allocation*
 //! of enabled telemetry on the warm path.
 //!
-//! The instrumented `VecEnv` tick must stay allocation-free (same
-//! counting-allocator technique as `zero_alloc.rs`) in two regimes:
+//! The instrumented `VecEnv` tick must stay allocation-free (counted by
+//! `testkit::alloc`, as in `zero_alloc.rs`) in two regimes:
 //!
 //! * **null recorder** (the default): instrumentation reduces to one
 //!   `enabled()` branch per tick — nothing else may run, and in
@@ -11,50 +11,15 @@
 //!   slot on first touch; after that, a counter add is a single atomic
 //!   `fetch_add` with no allocation.
 //!
-//! Counting is **per-thread**: the two tests here may run concurrently
-//! on different harness threads, and libtest's own threads allocate at
-//! unpredictable times (the slow-test watchdog in particular), so a
-//! process-global counter flakes. Each test thread reads only its own
-//! tally — exact, because the lockstep path under test is
-//! single-threaded.
+//! The two tests here may run concurrently on different harness threads;
+//! each reads only its own thread's tally — exact, because the lockstep
+//! path under test is single-threaded.
 
 use airdrop_sim::{AirdropConfig, AirdropEnv};
 use gymrs::{Action, VecEnv};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 use telemetry::RingRecorder;
-
-struct CountingAllocator;
-
-thread_local! {
-    // `const` init: plain static TLS, so bumping the counter inside the
-    // allocator never itself allocates (lazy TLS init could).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // try_with: a thread whose TLS is already torn down just skips.
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn my_allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use testkit::alloc::{allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -81,12 +46,12 @@ fn measure_warm_ticks(v: &mut VecEnv<AirdropEnv>, actions: &[Action]) -> u64 {
     for _ in 0..10 {
         v.step_lockstep(actions); // warm-up: grows tick buffers once
     }
-    let before = my_allocations();
+    let before = allocations();
     for _ in 0..50 {
         v.step_lockstep(actions);
         assert!(v.last_tick().finished.is_empty(), "window must stay mid-episode");
     }
-    my_allocations() - before
+    allocations() - before
 }
 
 #[test]

@@ -4,60 +4,20 @@
 //! decode, wind draw, SoA gather, the batched integrator call per
 //! substep, scatter, reward bookkeeping, observation write — performs no
 //! heap allocation as long as no episode ends (auto-reset legitimately
-//! allocates a fresh episode). A counting global allocator pins this
-//! down. Counting is **thread-scoped**: the libtest harness keeps its
-//! own threads alive during the measured window and they allocate at
-//! unpredictable times (the slow-test watchdog in particular), so a
-//! process-global counter flakes. Only the test thread opts into
-//! counting, which is exact — the batched lockstep path under test is
-//! single-threaded.
+//! allocates a fresh episode). `testkit::alloc`'s thread-scoped counting
+//! allocator pins this down; the batched lockstep path under test is
+//! single-threaded, so the test thread's count is exact.
 
 use airdrop_sim::{AirdropConfig, AirdropEnv};
 use gymrs::{Action, VecEnv};
 use rk_ode::RkOrder;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // `const` init: plain static TLS, so reading the flag inside the
-    // allocator never itself allocates (lazy TLS init could).
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count() {
-    // Threads that never opt in (harness, watchdog) skip the counter.
-    let _ = COUNTING.try_with(|c| {
-        if c.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use testkit::alloc::{allocations, CountingAllocator};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
 #[test]
 fn warm_batched_ticks_do_not_allocate() {
-    COUNTING.with(|c| c.set(true));
     // n = 4 and n = 8 bracket the SIMD microkernel widths (one full AVX2
     // vector; one AVX-512 vector / two AVX2 vectors) so both the vector
     // bodies and their remainder handling stay allocation-free, at every
@@ -87,13 +47,12 @@ fn warm_batched_ticks_do_not_allocate() {
                 v.step_lockstep(&actions); // warm-up: grows tick buffers once
             }
 
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let before = allocations();
             for _ in 0..50 {
                 v.step_lockstep(&actions);
                 assert!(v.last_tick().finished.is_empty(), "window must stay mid-episode");
             }
-            let after = ALLOCATIONS.load(Ordering::SeqCst);
-            assert_eq!(after - before, 0, "{order} n={n}: warm batched ticks allocated");
+            assert_eq!(allocations() - before, 0, "{order} n={n}: warm batched ticks allocated");
         }
     }
 }

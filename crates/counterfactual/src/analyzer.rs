@@ -14,7 +14,7 @@ use dist_exec::{ContinuationPolicy, EnvBlueprint, WhatIfPayload, WhatIfTask};
 use gymrs::{Action, EnvSnapshot, SnapshotError, Space};
 use telemetry::{SharedRecorder, Value};
 
-use crate::divergence::{js_divergence, wasserstein_1, Aggregate};
+use crate::divergence::{js_unless_point_masses, wasserstein_1, Aggregate};
 use crate::fanout::Exec;
 use crate::keys;
 
@@ -30,9 +30,9 @@ pub struct AnalyzerConfig {
     /// `N`: continuation rollouts per action — the sample count of each
     /// return [`Distribution`]. `N > 1` only buys information when the
     /// environment or the continuation is stochastic: with the paper's
-    /// §V-a airdrop scenario (wind and gusts off) under `Hold` or `Greedy`
-    /// nothing reads the rollout seed, and the `N` samples are `N` copies
-    /// of one number.
+    /// §V-a airdrop scenario (wind and gusts off) `step` reads no RNG
+    /// ([`gymrs::Environment::steps_read_rng`]), so the `N` samples are
+    /// `N` copies of one number — which `Exec::Batched` computes once.
     pub rollouts: usize,
     /// Continuation step budget per rollout (forked step included).
     pub horizon: usize,
@@ -93,12 +93,11 @@ pub struct AlternativeOutcome {
     pub action: Action,
     /// Return distribution of its continuations.
     pub returns: Distribution,
-    /// Jensen–Shannon divergence from the factual distribution. It
-    /// saturates on zero-spread distributions: two point masses read `0`
+    /// Jensen–Shannon divergence from the factual distribution, `None`
+    /// when both have zero spread: two point masses could only read `0`
     /// or [`JS_BOUND`](crate::JS_BOUND) however near they are, so on a
-    /// noise-free environment every alternative that changes the return at
-    /// all ties at the bound and only [`Self::w1`] ranks them.
-    pub js: f64,
+    /// noise-free environment only [`Self::w1`] ranks the alternatives.
+    pub js: Option<f64>,
     /// 1-Wasserstein distance from the factual distribution.
     pub w1: f64,
 }
@@ -114,7 +113,8 @@ pub struct DecisionPointReport {
     pub factual_returns: Distribution,
     /// Every forked alternative with its distribution and divergences.
     pub alternatives: Vec<AlternativeOutcome>,
-    /// Aggregated Jensen–Shannon score ([`AnalyzerConfig::aggregate`]).
+    /// Aggregated Jensen–Shannon score ([`AnalyzerConfig::aggregate`])
+    /// over the alternatives whose JS is defined; `0` when none is.
     pub js_score: f64,
     /// Aggregated 1-Wasserstein score.
     pub w1_score: f64,
@@ -285,7 +285,9 @@ impl CounterfactualAnalyzer {
         }
         let answers = exec.run_all(&payloads, threads);
         let mut reports = Vec::with_capacity(episode.points.len());
-        for ((point, alts), answer) in episode.points.iter().zip(forks).zip(answers) {
+        for (((point, alts), payload), answer) in
+            episode.points.iter().zip(forks).zip(&payloads).zip(answers)
+        {
             let returns = answer?;
             let n_tasks = returns.len();
             debug_assert_eq!(n_tasks, (alts.len() + 1) * n);
@@ -296,9 +298,9 @@ impl CounterfactualAnalyzer {
             for (i, action) in alts.iter().enumerate() {
                 let slice = &returns[(i + 1) * n..(i + 2) * n];
                 let dist = Distribution::from_samples(slice.to_vec());
-                let js = js_divergence(&factual_returns, &dist, cfg.bins);
+                let js = js_unless_point_masses(&factual_returns, &dist, cfg.bins);
                 let w1 = wasserstein_1(&factual_returns, &dist);
-                js_scores.push(js);
+                js_scores.extend(js);
                 w1_scores.push(w1);
                 alternatives.push(AlternativeOutcome {
                     action: action.clone(),
@@ -311,6 +313,11 @@ impl CounterfactualAnalyzer {
             let w1_score = cfg.aggregate.apply(&w1_scores);
             self.recorder.counter_add(keys::CF_POINTS, 1);
             self.recorder.counter_add(keys::CF_ROLLOUTS, n_tasks as u64);
+            if self.recorder.enabled() {
+                // Counted from the payload, not the executor, so the trace
+                // reads the same whichever one answered.
+                self.recorder.counter_add(keys::CF_LANES, payload.lane_plan().lanes() as u64);
+            }
             self.recorder.event(
                 keys::CF_POINT,
                 &[
@@ -360,7 +367,6 @@ fn continuation_seed(base: u64, t: usize, j: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::divergence::JS_BOUND;
     use std::sync::Arc;
     use telemetry::RingRecorder;
 
@@ -531,18 +537,34 @@ mod tests {
     }
 
     #[test]
-    fn without_noise_every_rollout_of_an_action_is_the_same_number() {
-        // The paper's §V-a environment has wind and gusts off, so nothing
-        // reads the rollout seed before touchdown: under `Hold` the N
-        // rollouts of an action are N copies of one return. JS over two
-        // such point masses can only read 0 or its bound, however near the
-        // two returns are; W1 still carries the distance and the order.
-        let cfg = AnalyzerConfig { rollouts: 16, horizon: 16, ..Default::default() };
-        let an = CounterfactualAnalyzer::new(EnvBlueprint::AirdropPaper, cfg);
+    fn without_noise_every_rollout_of_an_action_is_one_number_computed_once() {
+        // The paper's §V-a environment has wind and gusts off, so `step`
+        // reads no RNG: under `Hold` the N rollouts of an action are N
+        // copies of one return, and the lockstep runner steps one lane for
+        // them. JS between two such point masses could only read 0 or its
+        // bound however near the returns are, so it is absent; W1 still
+        // carries the distance and the order.
+        let (k, n) = (3, 16);
+        let cfg =
+            AnalyzerConfig { alternatives: k, rollouts: n, horizon: 16, ..Default::default() };
+        let mut an = CounterfactualAnalyzer::new(EnvBlueprint::AirdropPaper, cfg);
         let episode = an.record_episode(3, 6, steer);
+        let points = episode.points.len() as u64;
+        assert!(points > 0);
+        let mut counted = Vec::new();
+        for mut exec in [Exec::Batched { force: None }, Exec::Scalar] {
+            let recorder = Arc::new(RingRecorder::new());
+            an.set_recorder(recorder.clone());
+            an.analyze(&episode, &ContinuationPolicy::Hold, &mut exec).expect("runs");
+            let snap = recorder.snapshot();
+            counted.push([keys::CF_ROLLOUTS, keys::CF_LANES].map(|key| snap.counter(key.name())));
+        }
+        let (k, n) = (k as u64, n as u64);
+        let expected = [Some((k + 1) * n * points), Some((k + 1) * points)];
+        assert_eq!(counted, [expected, expected], "rollouts and lanes, batched then scalar");
+
         let exec = &mut Exec::Batched { force: None };
         let report = an.analyze(&episode, &ContinuationPolicy::Hold, exec).expect("runs");
-        assert!(!report.points.is_empty());
         for point in &report.points {
             let factual = &point.factual_returns;
             assert_eq!(factual.len(), 16);
@@ -552,11 +574,10 @@ mod tests {
                 assert_eq!(alt.returns.min().to_bits(), alt.returns.max().to_bits());
                 let gap = (alt.returns.min() - factual.min()).abs();
                 assert!(gap > 0.0, "a different steering command lands elsewhere");
-                assert!((alt.js - JS_BOUND).abs() < 1e-12, "JS saturates: {}", alt.js);
+                assert_eq!(alt.js, None, "two point masses: no JS to report");
                 assert!((alt.w1 - gap).abs() < 1e-12, "W1 is the gap: {} vs {gap}", alt.w1);
             }
-            // JS calls the three alternatives equally different (a tie at
-            // the bound); W1 still puts them in a strict order.
+            assert_eq!(point.js_score, 0.0, "no JS to aggregate");
             let mut w1: Vec<f64> = point.alternatives.iter().map(|a| a.w1).collect();
             w1.sort_by(f64::total_cmp);
             assert!(w1.windows(2).all(|w| w[1] - w[0] > 1e-6), "W1 orders them: {w1:?}");

@@ -12,7 +12,8 @@
 //!   histogram of the union support. Natural log, so it is bounded by
 //!   `ln 2` ([`JS_BOUND`]); symmetric; `0` iff the histograms coincide.
 //!   Binning makes it a *density* comparison: it saturates for disjoint
-//!   supports no matter how far apart they are.
+//!   supports no matter how far apart they are, so between two point
+//!   masses it says nothing and [`js_unless_point_masses`] declines.
 //! * [`wasserstein_1`] — the 1-Wasserstein (earth mover's) distance
 //!   between the empirical CDFs, `∫ |F_a − F_b| dx`. Unbounded and
 //!   scale-carrying: it grows with *how far* the returns moved, which is
@@ -73,6 +74,19 @@ pub fn js_divergence(a: &Distribution, b: &Distribution, bins: usize) -> f64 {
     js.max(0.0)
 }
 
+/// [`js_divergence`] where it can say something: `None` when both sides
+/// have zero spread. Two point masses share a histogram cell or they do
+/// not, so JS would read `0` or [`JS_BOUND`] however near the two values
+/// are; their [`wasserstein_1`] distance is the gap itself.
+pub fn js_unless_point_masses(a: &Distribution, b: &Distribution, bins: usize) -> Option<f64> {
+    let point_mass = |d: &Distribution| d.min() == d.max();
+    if point_mass(a) && point_mass(b) {
+        None
+    } else {
+        Some(js_divergence(a, b, bins))
+    }
+}
+
 /// 1-Wasserstein distance between two empirical distributions: the area
 /// between their CDFs, `∫ |F_a(x) − F_b(x)| dx`, computed exactly by
 /// walking the merged sorted sample values.
@@ -112,8 +126,9 @@ pub fn wasserstein_1(a: &Distribution, b: &Distribution) -> f64 {
 ///
 /// For non-negative inputs the three rules are ordered
 /// `mean ≤ weighted_mean ≤ max` (Cauchy–Schwarz gives the middle
-/// inequality), which the bench's jq gate asserts on every emitted
-/// decision point.
+/// inequality), which
+/// `analyzer::tests::aggregates_stay_ordered_on_real_scores` asserts on
+/// every decision point of a recorded episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregate {
     /// The single most consequential alternative.
@@ -190,6 +205,38 @@ mod tests {
         assert_eq!(js_divergence(&at(2.0), &at(2.0), 16), 0.0, "same point: zero-width support");
         // Distinct point masses are disjoint in any binning with ≥ 2 cells.
         assert!((js_divergence(&at(0.0), &at(1.0), 2) - JS_BOUND).abs() < 1e-12);
+    }
+
+    #[test]
+    fn js_of_two_point_masses_is_none() {
+        let at = |v: f64| dist(&[v, v, v]);
+        assert_eq!(js_unless_point_masses(&at(0.0), &at(1e-4), 16), None);
+        assert_eq!(js_unless_point_masses(&at(2.0), &at(2.0), 16), None);
+    }
+
+    #[test]
+    fn js_of_a_point_mass_against_a_two_point_uniform() {
+        // Two bins over [0, 1]: p = [1, 0], q = [1/2, 1/2], m = [3/4, 1/4].
+        let point = dist(&[0.0, 0.0]);
+        let uniform = dist(&[0.0, 1.0]);
+        let expected = 0.5 * (4.0f64 / 3.0).ln() + 0.25 * (2.0f64 / 3.0).ln() + 0.25 * 2.0f64.ln();
+        for js in [
+            js_unless_point_masses(&point, &uniform, 2),
+            js_unless_point_masses(&uniform, &point, 2),
+        ] {
+            assert!((js.expect("one side has spread") - expected).abs() < 1e-12, "{js:?}");
+        }
+    }
+
+    #[test]
+    fn js_of_two_shifted_uniforms() {
+        // Uniform on {0,1,2,3} against {1,2,3,4}, five bins over [0, 4]:
+        // p = [¼,¼,¼,¼,0], q = [0,¼,¼,¼,¼]. Only the two end cells differ,
+        // each adding ½·¼·ln 2, so JS = ¼ ln 2.
+        let a = dist(&[0.0, 1.0, 2.0, 3.0]);
+        let b = dist(&[1.0, 2.0, 3.0, 4.0]);
+        let js = js_unless_point_masses(&a, &b, 5).expect("both sides have spread");
+        assert!((js - 0.25 * JS_BOUND).abs() < 1e-12, "{js}");
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //!
 //! The contract both share is set by [`dist_exec::run_whatif`]: a task's
 //! return depends only on `(snapshot, first_action, seed, policy)`.
-//! [`run_whatif_batched`] reproduces it bitwise because each task gets
-//! its *own* environment lane (restored and reseeded exactly like the
-//! scalar loop) and the lockstep batcher is bit-compatible with scalar
-//! stepping by the `VecEnv` parity guarantees.
+//! [`run_whatif_batched`] reproduces it bitwise because each distinct
+//! continuation gets its *own* environment lane (restored and reseeded
+//! exactly like the scalar loop), the tasks sharing a lane could not have
+//! differed ([`dist_exec::LanePlan`]), and the lockstep batcher is
+//! bit-compatible with scalar stepping by the `VecEnv` parity guarantees.
 //!
 //! Grain of parallelism: the decision point. Every payload of an episode
 //! is independent of every other, so `Exec::Batched` answers them on
@@ -30,7 +31,8 @@ pub use dist_exec::run_whatif_batched;
 pub enum Exec {
     /// The reference loop: one env, tasks in sequence.
     Scalar,
-    /// [`run_whatif_batched`]: one `VecEnv` lane per task, and — when
+    /// [`run_whatif_batched`]: one `VecEnv` lane per distinct
+    /// continuation, and — when
     /// an analysis hands over an episode's payloads together — one
     /// payload per thread at a time.
     Batched {

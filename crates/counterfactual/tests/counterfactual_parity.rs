@@ -6,7 +6,9 @@
 //! The task seeds make this a real statement: each continuation's
 //! return depends only on `(snapshot, first_action, seed, policy)`, so
 //! any scheduling, lane or thread effect would show up as flipped bits
-//! here.
+//! here. The scalar loop runs every task; the lockstep runner runs one
+//! lane per distinct continuation, so these suites also check that the
+//! tasks it merges were bound to be equal.
 
 use counterfactual::{AnalyzerConfig, CounterfactualAnalyzer, EpisodeReport, Exec};
 use dist_exec::{ContinuationPolicy, EnvBlueprint};
@@ -25,7 +27,8 @@ fn report_bits(r: &EpisodeReport) -> Vec<u64> {
         bits.push(p.w1_score.to_bits());
         bits.extend(p.factual_returns.samples().iter().map(|x| x.to_bits()));
         for alt in &p.alternatives {
-            bits.push(alt.js.to_bits());
+            bits.push(alt.js.is_some() as u64);
+            bits.push(alt.js.map_or(0, f64::to_bits));
             bits.push(alt.w1.to_bits());
             bits.extend(alt.returns.samples().iter().map(|x| x.to_bits()));
         }

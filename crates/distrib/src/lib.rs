@@ -43,7 +43,7 @@ pub use framework::{Architecture, Collectors, Framework, FrameworkProfile, Infer
 pub use report::{ExecReport, TrainedModel};
 pub use runtime::{
     report_mean, run_whatif, run_whatif_batched, run_worker_process, ContinuationPolicy,
-    EnvBlueprint, FaultCause, FaultLog, FaultPolicy, Runtime, RuntimeError, SyncPolicy,
+    EnvBlueprint, FaultCause, FaultLog, FaultPolicy, LanePlan, Runtime, RuntimeError, SyncPolicy,
     TransportConfig, TransportKind, TransportStats, WhatIfPayload, WhatIfTask, REPORT_WINDOW,
 };
 pub use spec::{Deployment, ExecSpec};

@@ -50,7 +50,9 @@ pub use transport::process::run_worker_process;
 pub use transport::{
     CollectorBlueprint, EnvBlueprint, RngStream, TransportConfig, TransportKind, TransportStats,
 };
-pub use whatif::{run_whatif, run_whatif_batched, ContinuationPolicy, WhatIfPayload, WhatIfTask};
+pub use whatif::{
+    run_whatif, run_whatif_batched, ContinuationPolicy, LanePlan, WhatIfPayload, WhatIfTask,
+};
 pub use worker::Collector;
 pub(crate) use worker::WorkerCtx;
 

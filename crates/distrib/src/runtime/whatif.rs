@@ -16,11 +16,17 @@
 //! [`run_whatif_batched`] — what `Exec::Batched` of the `counterfactual`
 //! crate answers through — must agree with it bit for bit.
 //!
-//! Observations are the harness's view of the model, produced when a
-//! continuation asks for them: [`ContinuationPolicy::reads_observations`]
-//! says whether it does, and a continuation that does not read them does
-//! not pay for them — the lockstep runner then steps through
-//! [`VecEnv::step_unobserved`] and builds its action list once.
+//! The harness pays only for what the model reads (Sim-Env, PAPERS.md).
+//! Observations are produced when a continuation asks for them:
+//! [`ContinuationPolicy::reads_observations`] says whether it does, and
+//! one that does not makes the lockstep runner step through
+//! [`VecEnv::step_unobserved`] with an action list built once. Seeds
+//! matter only when `step` reads the RNG
+//! ([`Environment::steps_read_rng`]): the lockstep runner steps one lane
+//! per distinct continuation ([`LanePlan`]) and copies its return to every
+//! task that shares it.
+
+use std::cmp::Ordering;
 
 use gymrs::{Action, EnvSnapshot, Environment, SnapshotError, VecEnv};
 use rl_algos::policy::ActorCritic;
@@ -82,6 +88,85 @@ pub struct WhatIfPayload {
     pub tasks: Vec<WhatIfTask>,
 }
 
+impl WhatIfPayload {
+    /// The lanes [`run_whatif_batched`] steps for this payload: one per
+    /// distinct continuation, the seed counting only when the
+    /// environment's `step` reads its RNG.
+    pub fn lane_plan(&self) -> LanePlan {
+        LanePlan::new(&self.tasks, self.env.build(0).steps_read_rng())
+    }
+}
+
+/// Which lane answers each task of a payload. Two tasks share a lane when
+/// their continuations cannot differ: the same first action bit for bit
+/// and, if `step` reads the RNG, the same seed — the payload already fixes
+/// the snapshot and the policy. Lanes are numbered in the task order of
+/// their first task.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LanePlan {
+    /// Per task, the lane that answers it.
+    lane_of: Vec<usize>,
+    /// Per lane, its first task, whose action and seed the lane runs.
+    leaders: Vec<usize>,
+}
+
+impl LanePlan {
+    /// The plan for `tasks`; `seeded` puts the seed into the key.
+    pub(crate) fn new(tasks: &[WhatIfTask], seeded: bool) -> Self {
+        let same = |a: usize, b: usize| lane_key_cmp(&tasks[a], &tasks[b], seeded).is_eq();
+        // A stable sort puts equal keys side by side, each run headed by
+        // its lowest task index: O(n log n), never pairwise.
+        let mut order: Vec<usize> = (0..tasks.len()).collect();
+        order.sort_by(|&a, &b| lane_key_cmp(&tasks[a], &tasks[b], seeded));
+        // First pass: each task's leader. Second, in task order: leaders
+        // open lanes, everyone else takes the leader's (already numbered).
+        let mut lane_of = vec![0; tasks.len()];
+        let mut prev = None;
+        for &i in &order {
+            lane_of[i] = match prev {
+                Some(p) if same(p, i) => lane_of[p],
+                _ => i,
+            };
+            prev = Some(i);
+        }
+        let mut leaders = Vec::new();
+        for i in 0..tasks.len() {
+            lane_of[i] = if lane_of[i] == i {
+                leaders.push(i);
+                leaders.len() - 1
+            } else {
+                lane_of[lane_of[i]]
+            };
+        }
+        LanePlan { lane_of, leaders }
+    }
+
+    /// Number of lanes — distinct continuations.
+    pub fn lanes(&self) -> usize {
+        self.leaders.len()
+    }
+
+    /// Per-lane results copied out to task order.
+    fn scatter(&self, per_lane: &[f64]) -> Vec<f64> {
+        self.lane_of.iter().map(|&lane| per_lane[lane]).collect()
+    }
+}
+
+/// Orders tasks by lane key: the seed when `seeded`, then the first action
+/// bit for bit — `0.0` and `-0.0` differ, and a NaN matches only a NaN of
+/// the same bits.
+fn lane_key_cmp(a: &WhatIfTask, b: &WhatIfTask, seeded: bool) -> Ordering {
+    let seeds = if seeded { a.seed.cmp(&b.seed) } else { Ordering::Equal };
+    seeds.then_with(|| match (&a.first_action, &b.first_action) {
+        (Action::Discrete(x), Action::Discrete(y)) => x.cmp(y),
+        (Action::Continuous(x), Action::Continuous(y)) => {
+            x.iter().map(|v| v.to_bits()).cmp(y.iter().map(|v| v.to_bits()))
+        }
+        (Action::Discrete(_), Action::Continuous(_)) => Ordering::Less,
+        (Action::Continuous(_), Action::Discrete(_)) => Ordering::Greater,
+    })
+}
+
 /// Replay every task from the snapshot, scalar, one env reused across
 /// tasks (each restore fully overwrites the previous task's state).
 /// Returns one undiscounted return per task, in task order.
@@ -119,10 +204,11 @@ pub fn run_one(
     Ok(ret)
 }
 
-/// Replay every task of `payload` in lockstep: one `VecEnv` lane per
-/// task, each restored from the shared snapshot and reseeded with its
-/// task seed, all lanes advanced together (which engages the SIMD ODE
-/// batcher for homogeneous airdrop lanes above the calibrated crossover).
+/// Replay every distinct continuation of `payload` in lockstep: one
+/// `VecEnv` lane per lane of [`WhatIfPayload::lane_plan`], each restored
+/// from the shared snapshot and reseeded with its first task's seed, all
+/// lanes advanced together (which engages the SIMD ODE batcher for
+/// homogeneous airdrop lanes above the calibrated crossover).
 ///
 /// `force_batched` overrides the auto-detected batcher: `Some(true)`
 /// installs it regardless of lane count, `Some(false)` forces the
@@ -131,25 +217,27 @@ pub fn run_one(
 /// Returns one undiscounted return per task, in task order, bitwise
 /// equal to [`run_whatif`] on the same payload: a lane stops
 /// accumulating at its first `done` tick (the auto-reset episodes that
-/// keep a finished lane steppable are ignored). A continuation that
-/// reads observations gets each lane's own post-step observation exactly
-/// as the scalar loop hands it over; one that does not
-/// ([`ContinuationPolicy::reads_observations`]) keeps the action list it
-/// started with and steps unobserved — no observation write and no
-/// action clone per lane-tick.
+/// keep a finished lane steppable are ignored), and its return is copied
+/// to every task it answers. A continuation that reads observations gets
+/// each lane's own post-step observation exactly as the scalar loop hands
+/// it over; one that does not ([`ContinuationPolicy::reads_observations`])
+/// keeps the action list it started with and steps unobserved — no
+/// observation write and no action clone per lane-tick.
 pub fn run_whatif_batched(
     payload: &WhatIfPayload,
     force_batched: Option<bool>,
 ) -> Result<Vec<f64>, SnapshotError> {
-    let n = payload.tasks.len();
-    if n == 0 {
+    if payload.tasks.is_empty() {
         return Ok(Vec::new());
     }
     if payload.horizon == 0 {
-        return Ok(vec![0.0; n]);
+        return Ok(vec![0.0; payload.tasks.len()]);
     }
+    let plan = payload.lane_plan();
+    let tasks: Vec<&WhatIfTask> = plan.leaders.iter().map(|&t| &payload.tasks[t]).collect();
+    let n = tasks.len();
     let mut envs: Vec<Box<dyn Environment>> = Vec::with_capacity(n);
-    for task in &payload.tasks {
+    for task in &tasks {
         let mut env = payload.env.build(0);
         env.restore(&payload.snapshot)?;
         env.seed(task.seed);
@@ -164,7 +252,7 @@ pub fn run_whatif_batched(
     let mut returns = vec![0.0f64; n];
     let mut live = vec![true; n];
     let mut remaining = n;
-    let mut actions: Vec<Action> = payload.tasks.iter().map(|t| t.first_action.clone()).collect();
+    let mut actions: Vec<Action> = tasks.iter().map(|t| t.first_action.clone()).collect();
     for _ in 0..payload.horizon {
         if observed {
             venv.step_lockstep(&actions);
@@ -174,7 +262,7 @@ pub fn run_whatif_batched(
         let tick = venv.last_tick();
         for i in 0..n {
             if !live[i] {
-                continue; // auto-reset follow-on episode: not this task's return
+                continue; // auto-reset follow-on episode: not this lane's return
             }
             returns[i] += tick.steps[i].reward;
             if tick.steps[i].done() {
@@ -189,20 +277,21 @@ pub fn run_whatif_batched(
             let obs = venv.observations();
             for i in 0..n {
                 if live[i] {
-                    actions[i] =
-                        payload.policy.next_action(&payload.tasks[i].first_action, &obs[i]);
+                    actions[i] = payload.policy.next_action(&tasks[i].first_action, &obs[i]);
                 }
                 // Finished lanes keep their last action; whatever the
                 // reset episode does with it is discarded above.
             }
         }
     }
-    Ok(returns)
+    Ok(plan.scatter(&returns))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use airdrop_sim::{AirdropConfig, AirdropEnv};
+    use gymrs::envs::GridWorld;
     use gymrs::Space;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -352,5 +441,171 @@ mod tests {
         payload.horizon = 0;
         let r = run_whatif(&payload).expect("runs");
         assert_eq!(r[0], 0.0, "zero horizon accumulates nothing");
+    }
+
+    // ---- steps_read_rng declarations -----------------------------
+
+    /// `count` snapshots along an episode of `blueprint` holding its
+    /// mid-range action, resetting whenever the episode ends.
+    fn snapshots(blueprint: &EnvBlueprint, count: usize) -> Vec<EnvSnapshot> {
+        let mut env = blueprint.build(11);
+        env.reset();
+        (0..count)
+            .map(|_| {
+                let snapshot = env.snapshot().expect("blueprint envs snapshot");
+                if env.step(&first_action(blueprint)).done() {
+                    env.reset();
+                }
+                snapshot
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_env_that_declares_a_seed_free_step_replays_every_seed_alike() {
+        for blueprint in [
+            EnvBlueprint::Grid { n: 5 },
+            EnvBlueprint::PointMass,
+            EnvBlueprint::Pendulum,
+            EnvBlueprint::AirdropFast,
+            EnvBlueprint::AirdropPaper,
+        ] {
+            let env = blueprint.build(0);
+            assert!(!env.steps_read_rng(), "{blueprint:?} declares a seed-free step");
+            let mut rng = StdRng::seed_from_u64(5);
+            let actor = ActorCritic::new(
+                env.observation_space().dim(),
+                &env.action_space(),
+                &[8],
+                &mut rng,
+            );
+            for policy in [ContinuationPolicy::Hold, ContinuationPolicy::Greedy(Box::new(actor))] {
+                for snapshot in snapshots(&blueprint, 8) {
+                    let tasks = (0..8)
+                        .map(|s| WhatIfTask {
+                            first_action: first_action(&blueprint),
+                            seed: s * 7919,
+                        })
+                        .collect();
+                    let payload = WhatIfPayload {
+                        env: blueprint.clone(),
+                        snapshot,
+                        horizon: 24,
+                        policy: policy.clone(),
+                        tasks,
+                    };
+                    let returns = bits(&run_whatif(&payload).expect("runs"));
+                    assert!(returns.iter().all(|&r| r == returns[0]), "{blueprint:?}: {returns:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_env_whose_step_draws_says_so_and_its_seeds_disagree() {
+        let mut slippery = GridWorld::new(5);
+        slippery.slip = 0.2;
+        assert!(slippery.steps_read_rng());
+        let gusty = AirdropConfig {
+            altitude_limits: (300.0, 300.0),
+            gusts_enabled: true,
+            gust_probability: 0.3,
+            gust_strength: 2.0,
+            ..AirdropConfig::default()
+        };
+        let mut env = AirdropEnv::new(gusty);
+        assert!(env.steps_read_rng());
+        env.seed(3);
+        env.reset();
+        let payload = WhatIfPayload {
+            env: EnvBlueprint::AirdropPaper, // never built: `run_one` drives `env`
+            snapshot: env.snapshot().expect("airdrop snapshots"),
+            horizon: 24,
+            policy: ContinuationPolicy::Hold,
+            tasks: (0..8)
+                .map(|s| WhatIfTask { first_action: Action::Continuous(vec![0.0]), seed: s })
+                .collect(),
+        };
+        let mut returns: Vec<u64> = payload
+            .tasks
+            .iter()
+            .map(|task| run_one(&mut env, &payload, task).expect("restores").to_bits())
+            .collect();
+        returns.sort_unstable();
+        returns.dedup();
+        assert!(returns.len() >= 2, "gusts make the seed matter: {returns:?}");
+    }
+
+    // ---- the lane plan -------------------------------------------
+
+    fn task(action: f64, seed: u64) -> WhatIfTask {
+        WhatIfTask { first_action: Action::Continuous(vec![action]), seed }
+    }
+
+    #[test]
+    fn a_seeded_key_keeps_distinct_action_seed_pairs_apart() {
+        let tasks = [task(0.5, 1), task(0.5, 2), task(-0.5, 1), task(0.5, 1)];
+        let plan = LanePlan::new(&tasks, true);
+        assert_eq!(plan.lane_of, [0, 1, 2, 0]);
+        assert_eq!(plan.leaders, [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_seed_free_key_merges_them() {
+        let tasks = [task(0.5, 1), task(0.5, 2), task(-0.5, 1), task(0.5, 1)];
+        let plan = LanePlan::new(&tasks, false);
+        assert_eq!(plan.lane_of, [0, 0, 1, 0]);
+        assert_eq!(plan.leaders, [0, 2]);
+        assert_eq!(plan.scatter(&[3.0, 4.0]), [3.0, 3.0, 4.0, 3.0]);
+    }
+
+    #[test]
+    fn a_factual_action_equal_to_an_alternative_shares_its_lane() {
+        // The analyzer's layout: N = 2 rollouts of the factual 0.0, then of
+        // the K = 3 box grid, whose middle point is 0.0 again.
+        let tasks: Vec<WhatIfTask> =
+            [0.0, -0.5, 0.0, 0.5].into_iter().flat_map(|a| [task(a, 10), task(a, 11)]).collect();
+        let plan = LanePlan::new(&tasks, false);
+        assert_eq!(plan.lanes(), 3);
+        assert_eq!(plan.lane_of, [0, 0, 1, 1, 0, 0, 2, 2]);
+    }
+
+    #[test]
+    fn the_key_is_bitwise() {
+        let plan = LanePlan::new(&[task(0.0, 1), task(-0.0, 1)], false);
+        assert_eq!(plan.lanes(), 2, "0.0 == -0.0, but not bit for bit");
+        let discrete = WhatIfTask { first_action: Action::Discrete(0), seed: 1 };
+        assert_eq!(LanePlan::new(&[task(0.0, 1), discrete], false).lanes(), 2);
+    }
+
+    #[test]
+    fn a_nan_action_gets_its_own_lane() {
+        let nan = f64::NAN;
+        let tasks = [task(nan, 1), task(0.0, 1), task(1.0, 1), task(nan, 2), task(-nan, 1)];
+        let plan = LanePlan::new(&tasks, false);
+        // Apart from every number and from the NaN of the other sign; its
+        // exact bits again replay exactly, so they share its lane.
+        assert_eq!(plan.lane_of, [0, 1, 2, 0, 3]);
+        // Both runners agree on it, bit for bit.
+        let mut p = payload(EnvBlueprint::PointMass, 0, 12);
+        p.tasks = tasks
+            .iter()
+            .map(|t| {
+                let a = t.first_action.continuous()[0];
+                WhatIfTask { first_action: Action::Continuous(vec![a, a]), seed: t.seed }
+            })
+            .collect();
+        assert_eq!(
+            bits(&run_whatif_batched(&p, None).expect("runs")),
+            bits(&run_whatif(&p).expect("runs"))
+        );
+    }
+
+    #[test]
+    fn the_payload_plans_from_its_environment() {
+        // Six seeds of one action: one lane where the step reads no RNG.
+        let p = payload(EnvBlueprint::Grid { n: 5 }, 6, 25);
+        assert_eq!(p.lane_plan(), LanePlan::new(&p.tasks, false));
+        assert_eq!(p.lane_plan().lanes(), 1);
     }
 }

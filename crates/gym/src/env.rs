@@ -136,6 +136,15 @@ pub trait Environment: Send {
         1
     }
 
+    /// Whether `step` may draw from the RNG that [`Environment::seed`]
+    /// keys. When it does not, two copies restored from one snapshot and
+    /// fed the same actions step identically whatever their seeds, so a
+    /// harness may run one of them for both. The default, `true`, is
+    /// always safe; override it only where `step` visibly reads no RNG.
+    fn steps_read_rng(&self) -> bool {
+        true
+    }
+
     /// Downcast hook for the batched lockstep fast path. Environments
     /// that participate in batched integration override this to return
     /// `Some(self)`; the default opts out.
@@ -191,6 +200,9 @@ impl Environment for Box<dyn Environment> {
     }
     fn last_step_work(&self) -> u64 {
         (**self).last_step_work()
+    }
+    fn steps_read_rng(&self) -> bool {
+        (**self).steps_read_rng()
     }
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         (**self).as_any_mut()

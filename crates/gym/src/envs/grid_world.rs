@@ -99,6 +99,11 @@ impl Environment for GridWorld {
         }
     }
 
+    /// Only a slip draws from the RNG.
+    fn steps_read_rng(&self) -> bool {
+        self.slip > 0.0
+    }
+
     fn snapshot(&mut self) -> Option<EnvSnapshot> {
         let rng_seed = self.rng.gen::<u64>();
         self.seed(rng_seed);

@@ -96,6 +96,11 @@ impl Environment for Pendulum {
         Step { obs: self.obs(), reward, terminated: false, truncated: self.t >= self.horizon }
     }
 
+    /// The RNG places the start in `reset`; `step` never reads it.
+    fn steps_read_rng(&self) -> bool {
+        false
+    }
+
     fn snapshot(&mut self) -> Option<EnvSnapshot> {
         let rng_seed = self.rng.gen::<u64>();
         self.seed(rng_seed);

@@ -5,6 +5,11 @@
 //! runs wherever the crate compiles and fails the same way everywhere.
 //! There is no shrinking: a failure names its case and seed, and
 //! [`Gen::case`] replays that one case alone.
+//!
+//! [`alloc`] holds the counting allocator the allocation-budget tests
+//! install.
+
+pub mod alloc;
 
 use std::ops::Range;
 
