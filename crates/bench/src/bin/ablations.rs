@@ -106,7 +106,6 @@ fn main() {
         run("RLlib-like (PPO)", &base(RkOrder::Three, Framework::RayRllib, Algorithm::Ppo, 2, 4));
         // IMPALA-like: much staler actors, V-trace corrected.
         use airdrop_sim::{AirdropConfig, AirdropEnv};
-        use cluster_sim::{ClusterSession, ClusterSpec};
         use dist_exec::{train_impala, Deployment, FnEnvFactory, ImpalaOpts};
         use gymrs::Environment;
         let impala = ImpalaOpts {
@@ -123,9 +122,9 @@ fn main() {
             env.seed(seed);
             Box::new(env) as Box<dyn Environment>
         });
-        let mut session = ClusterSession::new(ClusterSpec::paper_testbed(2));
-        let report = train_impala(&impala, &factory, &mut session).expect("impala trains");
-        let usage = session.finish();
+        let report =
+            train_impala(&impala, &factory, telemetry::null_recorder()).expect("impala trains");
+        let usage = report.usage;
         let mut eval_env = AirdropEnv::new(
             AirdropConfig { altitude_limits: alt, ..AirdropConfig::default() }.reference(),
         );

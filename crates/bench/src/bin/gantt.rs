@@ -1,6 +1,6 @@
 //! Render Gantt charts of one short training per framework architecture
-//! (execution traces from the cluster simulator) — a visual companion to
-//! the Table I computation-time column.
+//! — a view over each run's recorded session events, and a visual
+//! companion to the Table I computation-time column.
 //!
 //! ```text
 //! cargo run --release -p bench --bin gantt -- [--out DIR] [--steps N]
@@ -8,11 +8,13 @@
 
 use airdrop_sim::{AirdropConfig, AirdropEnv};
 use bench::HarnessOpts;
-use cluster_sim::{render_gantt, ClusterSession, ClusterSpec};
-use dist_exec::{train, Deployment, ExecSpec, FnEnvFactory, Framework};
+use cluster_sim::{render_gantt, ClusterSpec};
+use dist_exec::{run_recorded, Deployment, ExecSpec, FnEnvFactory, Framework};
 use gymrs::Environment;
 use rl_algos::ppo::PpoConfig;
 use rl_algos::Algorithm;
+use std::sync::Arc;
+use telemetry::RingRecorder;
 
 fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
@@ -48,21 +50,25 @@ fn main() {
             env.seed(seed);
             Box::new(env) as Box<dyn Environment>
         });
-        let cluster = ClusterSpec::paper_testbed(nodes);
-        let mut session = ClusterSession::new(cluster.clone()).with_trace();
-        train(&spec, &factory, &mut session).expect("trains");
-        let trace = session.trace().to_vec();
-        let usage = session.finish();
+        let ring = Arc::new(RingRecorder::new());
+        let usage = run_recorded(&spec, &factory, ring.clone()).expect("trains").usage;
         let title = format!(
             "{framework} PPO, {nodes} node(s) x 4 cores — {:.1} simulated min",
             usage.minutes()
         );
-        let svg = render_gantt(&cluster, &trace, &title, None);
+        let svg = match render_gantt(&ClusterSpec::paper_testbed(nodes), &ring.snapshot(), &title) {
+            Ok(svg) => svg,
+            Err(e) => {
+                eprintln!("error: {framework}: {e}");
+                std::process::exit(1);
+            }
+        };
         let path = out.join(format!("{name}.svg"));
         std::fs::write(&path, svg).expect("write svg");
         println!(
-            "{framework:<18} {nodes} node(s): {:>3} phases, {:>6.1} simulated s -> {}",
-            trace.len(),
+            "{framework:<18} {nodes} node(s): {:>3} compute phases, {:>3} transfers, {:>6.1} simulated s -> {}",
+            usage.compute_phases,
+            usage.transfers,
             usage.wall_s,
             path.display()
         );

@@ -2,7 +2,8 @@
 //! [`telemetry::RingRecorder`] attached, export the JSON-lines trace,
 //! validate every line against the checked-in schema
 //! (`crates/bench/schemas/telemetry_trace.schema.json`), and verify the
-//! round-tripped trace rolls up to the exact usage the backend reported.
+//! round-tripped trace rolls up to the exact usage the backend reported
+//! and renders as a Gantt chart with at least one compute bar.
 //!
 //! The same binary also smokes the study write-ahead log: a small
 //! journaled study engineered to hit every [`decision::wal::StudyEvent`]
@@ -22,7 +23,7 @@ use airdrop_sim::{AirdropConfig, AirdropEnv};
 use bench::harness::{harness_ppo, harness_sac};
 use bench::paper::PaperRow;
 use bench::HarnessOpts;
-use cluster_sim::{ClusterSpec, Usage};
+use cluster_sim::{render_gantt, ClusterSpec, Usage};
 use decision::prelude::{
     wal_keys, GridSearch, Journal, MedianPruner, MetricDef, MetricValues, ParamSpace, Replay,
     Study, TrialCache,
@@ -39,6 +40,9 @@ const SCHEMA: &str = include_str!("../../schemas/telemetry_trace.schema.json");
 /// The study WAL schema: every journal line must parse as one of the
 /// seven `decision::wal::StudyEvent` shapes.
 const WAL_SCHEMA: &str = include_str!("../../schemas/study_wal.schema.json");
+
+/// The fill `cluster_sim::render_gantt` gives compute bars.
+const COMPUTE_BAR: &str = "fill=\"#1f77b4\"";
 
 fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
@@ -123,7 +127,8 @@ fn main() {
         eprintln!("error: JSON-lines round trip changed the snapshot");
         std::process::exit(1);
     }
-    let rolled = Usage::from_snapshot(&back, &ClusterSpec::paper_testbed(row.nodes));
+    let cluster = ClusterSpec::paper_testbed(row.nodes);
+    let rolled = Usage::from_snapshot(&back, &cluster);
     if rolled.wall_s.to_bits() != report.usage.wall_s.to_bits()
         || rolled.energy_j.to_bits() != report.usage.energy_j.to_bits()
     {
@@ -132,6 +137,20 @@ fn main() {
             rolled.wall_s, rolled.energy_j, report.usage.wall_s, report.usage.energy_j
         );
         std::process::exit(1);
+    }
+
+    // The recorded events are the run's execution record: the Gantt view
+    // must draw from them alone.
+    match render_gantt(&cluster, &back, "telemetry_smoke") {
+        Ok(svg) if svg.contains(COMPUTE_BAR) => {}
+        Ok(_) => {
+            eprintln!("error: the Gantt chart of the recorded trace has no compute bar");
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("error: the recorded trace does not render as a Gantt chart: {e}");
+            std::process::exit(1);
+        }
     }
 
     check_study_wal(&schema);
@@ -146,8 +165,8 @@ fn main() {
     }
 
     println!(
-        "telemetry_smoke PASS: {lines} trace lines valid, rollup bitwise-equal \
-         (wall {:.3}s, {:.1} kJ, {} env steps)",
+        "telemetry_smoke PASS: {lines} trace lines valid, rollup bitwise-equal, \
+         Gantt drawn (wall {:.3}s, {:.1} kJ, {} env steps)",
         rolled.wall_s,
         rolled.energy_j / 1e3,
         report.env_steps

@@ -1,38 +1,97 @@
-//! Gantt-chart rendering of a session's execution trace.
+//! Gantt-chart view of a session's recorded execution.
 //!
 //! One lane per node plus a network lane; compute phases are drawn as
 //! bars shaded by stream utilization, transfers and overhead in their
 //! own colors. Useful for *seeing* why a deployment is slow — e.g. the
 //! RLlib-like backend's learner phases serializing after every
 //! collection wave, or the second node idling through them.
+//!
+//! The chart is drawn from a telemetry [`Snapshot`] of the session's
+//! recorder: a [`keys::PHASE`] event with a node is that node's share of
+//! a compute phase, one without is overhead, and a [`keys::TRANSFER`]
+//! event is a transfer (see [`crate::ClusterSession`] for the ordering
+//! the events arrive in).
 
-use crate::session::PhaseEvent;
+use crate::keys;
 use crate::spec::ClusterSpec;
+use telemetry::{Key, SnapEvent, Snapshot};
 
-/// Render a trace as an SVG Gantt chart.
+/// What one drawn phase was.
+enum Kind {
+    /// One concurrent compute phase: `(node, busy cores)` per node.
+    Compute(Vec<(u64, f64)>),
+    /// A blocking transfer of this many bytes.
+    Transfer(u64),
+    /// Framework overhead.
+    Overhead,
+}
+
+/// One drawn phase: start, duration (the slowest node's, for compute)
+/// and kind.
+type Phase = (f64, f64, Kind);
+
+/// Regroup the session's recorded events into phases. Consecutive node
+/// events with one start form one concurrent compute phase; a node seen
+/// again opens a new one, so back-to-back phases of zero duration stay
+/// apart.
+fn phases(snap: &Snapshot) -> Result<Vec<Phase>, String> {
+    if snap.dropped_events > 0 {
+        return Err(format!(
+            "the event ring dropped {} event(s); refusing to draw a partial chart",
+            snap.dropped_events
+        ));
+    }
+    let missing = |e: &SnapEvent, field: Key| format!("{} event without '{field}'", e.key);
+    let number =
+        |e: &SnapEvent, field: Key| e.field_f64(field.name()).ok_or_else(|| missing(e, field));
+    let mut out: Vec<Phase> = Vec::new();
+    for e in &snap.events {
+        let is_transfer = e.key == keys::TRANSFER.name();
+        if !is_transfer && e.key != keys::PHASE.name() {
+            continue;
+        }
+        let start = number(e, keys::PHASE_START_S)?;
+        let seconds = number(e, keys::PHASE_SECONDS)?;
+        if is_transfer {
+            let bytes = e
+                .field_u64(keys::TRANSFER_BYTES.name())
+                .ok_or_else(|| missing(e, keys::TRANSFER_BYTES))?;
+            out.push((start, seconds, Kind::Transfer(bytes)));
+            continue;
+        }
+        let Some(node) = e.field_u64(keys::PHASE_NODE.name()) else {
+            out.push((start, seconds, Kind::Overhead));
+            continue;
+        };
+        let busy = number(e, keys::PHASE_BUSY)?;
+        match out.last_mut() {
+            Some((s, wall, Kind::Compute(nodes)))
+                if *s == start && nodes.iter().all(|&(n, _)| n != node) =>
+            {
+                *wall = wall.max(seconds);
+                nodes.push((node, busy));
+            }
+            _ => out.push((start, seconds, Kind::Compute(vec![(node, busy)]))),
+        }
+    }
+    Ok(out)
+}
+
+/// Render a session's recorded execution as an SVG Gantt chart.
 ///
-/// `span` limits the rendered window to the first `span` seconds of the
-/// run (`None` renders everything — fine for short traces, huge for full
-/// trainings).
-///
-/// The trace must satisfy the [`PhaseEvent`] ordering invariant
-/// (non-overlapping, sorted by `start_s`): rendering stops at the first
-/// phase past the window, so out-of-order traces would drop phases.
-/// Traces recorded by `ClusterSession` uphold this by construction.
-pub fn render_gantt(
-    spec: &ClusterSpec,
-    trace: &[PhaseEvent],
-    title: &str,
-    span: Option<f64>,
-) -> String {
-    let total: f64 = trace.iter().map(|e| e.start_end().1).fold(0.0, f64::max).max(1e-9);
-    let window = span.unwrap_or(total).min(total).max(1e-9);
+/// `snap` must hold the events of one [`crate::ClusterSession`] on
+/// `spec`. A snapshot whose ring dropped events is refused with an error
+/// naming the count: a chart missing its oldest phases would misstate
+/// the run.
+pub fn render_gantt(spec: &ClusterSpec, snap: &Snapshot, title: &str) -> Result<String, String> {
+    let phases = phases(snap)?;
+    let total = phases.iter().map(|(start, d, _)| start + d).fold(0.0, f64::max).max(1e-9);
 
     let lanes = spec.nodes + 1; // nodes + network/overhead lane
     let (w, lane_h, ml, mt) = (900.0, 34.0, 90.0, 48.0);
     let plot_w = w - ml - 20.0;
     let h = mt + lanes as f64 * lane_h + 40.0;
-    let sx = |t: f64| ml + (t / window) * plot_w;
+    let sx = |t: f64| ml + (t / total) * plot_w;
 
     let mut s = String::new();
     s.push_str(&format!(
@@ -61,51 +120,38 @@ pub fn render_gantt(
     }
 
     // Phases.
-    for e in trace {
-        let (start, end) = e.start_end();
-        if start > window {
-            break;
-        }
-        let x0 = sx(start);
-        let x1 = sx(end.min(window));
-        let bw = (x1 - x0).max(0.5);
-        match e {
-            PhaseEvent::Compute { work, .. } => {
-                for (node, _units, streams) in work {
-                    if *node >= spec.nodes {
+    let bh = lane_h - 8.0;
+    let net_y = mt + spec.nodes as f64 * lane_h + 4.0;
+    for (start, seconds, kind) in &phases {
+        let x0 = sx(*start);
+        let bw = (sx(start + seconds) - x0).max(0.5);
+        match kind {
+            Kind::Compute(nodes) => {
+                for &(node, busy) in nodes {
+                    if node >= spec.nodes as u64 {
                         continue;
                     }
-                    let u = (*streams as f64 / spec.node.cores as f64).min(1.0);
-                    let y = mt + *node as f64 * lane_h + 4.0;
+                    let y = mt + node as f64 * lane_h + 4.0;
                     // Utilization shades the bar from light to saturated.
-                    let alpha = 0.35 + 0.65 * u;
+                    let alpha = 0.35 + 0.65 * (busy / spec.node.cores as f64);
                     s.push_str(&format!(
-                        r##"<rect x="{x0:.1}" y="{y:.1}" width="{bw:.1}" height="{bh:.1}" fill="#1f77b4" fill-opacity="{alpha:.2}"/>"##,
-                        bh = lane_h - 8.0
+                        r##"<rect x="{x0:.1}" y="{y:.1}" width="{bw:.1}" height="{bh:.1}" fill="#1f77b4" fill-opacity="{alpha:.2}"/>"##
                     ));
                 }
             }
-            PhaseEvent::Transfer { bytes, .. } => {
-                let y = mt + spec.nodes as f64 * lane_h + 4.0;
-                s.push_str(&format!(
-                    r##"<rect x="{x0:.1}" y="{y:.1}" width="{bw:.1}" height="{bh:.1}" fill="#d62728"><title>{bytes} B</title></rect>"##,
-                    bh = lane_h - 8.0
-                ));
-            }
-            PhaseEvent::Overhead { .. } => {
-                let y = mt + spec.nodes as f64 * lane_h + 4.0;
-                s.push_str(&format!(
-                    r##"<rect x="{x0:.1}" y="{y:.1}" width="{bw:.1}" height="{bh:.1}" fill="#7f7f7f" fill-opacity="0.6"/>"##,
-                    bh = lane_h - 8.0
-                ));
-            }
+            Kind::Transfer(bytes) => s.push_str(&format!(
+                r##"<rect x="{x0:.1}" y="{net_y:.1}" width="{bw:.1}" height="{bh:.1}" fill="#d62728"><title>{bytes} B</title></rect>"##
+            )),
+            Kind::Overhead => s.push_str(&format!(
+                r##"<rect x="{x0:.1}" y="{net_y:.1}" width="{bw:.1}" height="{bh:.1}" fill="#7f7f7f" fill-opacity="0.6"/>"##
+            )),
         }
     }
 
     // Time axis.
     let y_axis = mt + lanes as f64 * lane_h + 8.0;
     for k in 0..=4 {
-        let t = window * k as f64 / 4.0;
+        let t = total * k as f64 / 4.0;
         s.push_str(&format!(
             r#"<text x="{:.1}" y="{:.1}" font-family="sans-serif" font-size="11" text-anchor="middle">{:.1}s</text>"#,
             sx(t),
@@ -114,18 +160,7 @@ pub fn render_gantt(
         ));
     }
     s.push_str("</svg>\n");
-    s
-}
-
-impl PhaseEvent {
-    /// `(start, end)` times of the phase.
-    pub fn start_end(&self) -> (f64, f64) {
-        match self {
-            PhaseEvent::Compute { start_s, duration_s, .. }
-            | PhaseEvent::Transfer { start_s, duration_s, .. }
-            | PhaseEvent::Overhead { start_s, duration_s } => (*start_s, start_s + duration_s),
-        }
-    }
+    Ok(s)
 }
 
 fn xml_escape(s: &str) -> String {
@@ -136,11 +171,15 @@ fn xml_escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::session::{ClusterSession, NodeWork};
-    use crate::spec::ClusterSpec;
+    use std::sync::Arc;
+    use telemetry::RingRecorder;
 
-    fn traced_session() -> (ClusterSpec, Vec<PhaseEvent>) {
+    /// A 2-node session narrating into a ring of `capacity` events per
+    /// thread; the spec, the snapshot and the finished wall time.
+    fn recorded(capacity: usize) -> (ClusterSpec, Snapshot, f64) {
         let spec = ClusterSpec::paper_testbed(2);
-        let mut s = ClusterSession::new(spec.clone()).with_trace();
+        let ring = Arc::new(RingRecorder::with_capacity(capacity));
+        let mut s = ClusterSession::with_recorder(spec.clone(), ring.clone());
         s.concurrent(&[
             NodeWork { node: 0, units: 1000.0, streams: 4 },
             NodeWork { node: 1, units: 800.0, streams: 4 },
@@ -148,13 +187,13 @@ mod tests {
         s.transfer(250_000);
         s.compute(0, 300.0, 2);
         s.overhead(0.4);
-        (spec, s.trace().to_vec())
+        (spec, ring.snapshot(), s.finish().wall_s)
     }
 
     #[test]
     fn gantt_is_well_formed() {
-        let (spec, trace) = traced_session();
-        let svg = render_gantt(&spec, &trace, "RLlib-like iteration", None);
+        let (spec, snap, _) = recorded(64);
+        let svg = render_gantt(&spec, &snap, "RLlib-like iteration").expect("complete record");
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         assert!(svg.contains("node 0"));
@@ -164,8 +203,8 @@ mod tests {
 
     #[test]
     fn gantt_draws_one_bar_per_phase_lane() {
-        let (spec, trace) = traced_session();
-        let svg = render_gantt(&spec, &trace, "t", None);
+        let (spec, snap, _) = recorded(64);
+        let svg = render_gantt(&spec, &snap, "t").expect("complete record");
         // background + 2 concurrent-compute bars + 1 transfer + 1 compute
         // + 1 overhead = 6 rects.
         assert_eq!(svg.matches("<rect").count(), 6, "{svg}");
@@ -173,30 +212,50 @@ mod tests {
     }
 
     #[test]
-    fn span_clips_the_window() {
-        let (spec, trace) = traced_session();
-        let full = render_gantt(&spec, &trace, "t", None);
-        let clipped = render_gantt(&spec, &trace, "t", Some(trace[0].duration() * 0.5));
-        // Later phases are skipped: fewer rects.
-        assert!(clipped.matches("<rect").count() < full.matches("<rect").count());
-    }
-
-    #[test]
-    fn start_end_tile_the_clock() {
-        let (_, trace) = traced_session();
-        let mut prev_end = 0.0;
-        for e in &trace {
-            let (start, end) = e.start_end();
-            assert!((start - prev_end).abs() < 1e-12, "phases must be contiguous");
-            assert!(end >= start);
-            prev_end = end;
+    fn recorded_phases_tile_the_clock() {
+        let (_, snap, wall_s) = recorded(64);
+        let phases = phases(&snap).expect("complete record");
+        assert_eq!(phases.len(), 4, "the two-node compute is one phase");
+        let mut clock = 0.0;
+        for (start, seconds, _) in &phases {
+            assert_eq!(*start, clock, "each phase starts where the last ended");
+            clock = start + seconds;
         }
+        assert_eq!(clock.to_bits(), wall_s.to_bits());
     }
 
     #[test]
-    fn empty_trace_renders() {
+    fn a_node_seen_again_opens_a_new_phase() {
+        let ring = Arc::new(RingRecorder::new());
+        let mut s = ClusterSession::with_recorder(ClusterSpec::paper_testbed(2), ring.clone());
+        s.compute(0, 0.0, 1);
+        s.concurrent(&[
+            NodeWork { node: 0, units: 0.0, streams: 1 },
+            NodeWork { node: 1, units: 0.0, streams: 1 },
+        ]);
+        let phases = phases(&ring.snapshot()).expect("complete record");
+        let nodes: Vec<usize> = phases
+            .iter()
+            .map(|(_, _, kind)| match kind {
+                Kind::Compute(nodes) => nodes.len(),
+                _ => 0,
+            })
+            .collect();
+        assert_eq!(nodes, [1, 2], "zero-duration phases at one start stay apart");
+    }
+
+    #[test]
+    fn a_wrapped_ring_is_refused_with_the_dropped_count() {
+        let (spec, snap, _) = recorded(4);
+        assert_eq!(snap.dropped_events, 1, "five events through a ring of four");
+        let err = render_gantt(&spec, &snap, "t").expect_err("a partial record");
+        assert!(err.contains("dropped 1 event"), "{err}");
+    }
+
+    #[test]
+    fn empty_record_renders() {
         let spec = ClusterSpec::paper_testbed(1);
-        let svg = render_gantt(&spec, &[], "empty", None);
+        let svg = render_gantt(&spec, &Snapshot::default(), "empty").expect("nothing dropped");
         assert!(svg.contains("</svg>"));
     }
 }

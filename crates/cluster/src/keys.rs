@@ -35,17 +35,32 @@ pub const WIRE_BYTES: Key = Key("session.wire_bytes");
 /// Counter: number of compute phases.
 pub const COMPUTE_PHASES: Key = Key("session.compute_phases");
 
-/// Event: one busy interval on one node. Fields: [`PHASE_BUSY`] (busy
-/// cores, f64) and [`PHASE_SECONDS`] (duration). Replaying these through
+/// Event: one busy interval. Fields: [`PHASE_NODE`] (absent on
+/// overhead), [`PHASE_BUSY`] (busy cores, f64), [`PHASE_SECONDS`]
+/// (duration) and [`PHASE_START_S`]. Replaying busy/seconds through
 /// [`crate::PowerModel::active_joules`] reproduces the session's active
-/// energy exactly.
+/// energy exactly; the nodes of one concurrent compute phase are
+/// consecutive events sharing a start.
 pub const PHASE: Key = Key("session.phase");
+
+/// Event field on [`PHASE`]: the node (u64) of a compute interval.
+pub const PHASE_NODE: Key = Key("node");
 
 /// Event field on [`PHASE`]: busy cores during the interval.
 pub const PHASE_BUSY: Key = Key("busy");
 
-/// Event field on [`PHASE`]: interval duration in seconds.
+/// Event field on [`PHASE`] and [`TRANSFER`]: duration in seconds.
 pub const PHASE_SECONDS: Key = Key("seconds");
+
+/// Event field on [`PHASE`] and [`TRANSFER`]: simulated start time (s).
+pub const PHASE_START_S: Key = Key("start_s");
+
+/// Event: one blocking transfer. Fields: [`TRANSFER_BYTES`] (u64),
+/// [`PHASE_SECONDS`] and [`PHASE_START_S`].
+pub const TRANSFER: Key = Key("session.transfer");
+
+/// Event field on [`TRANSFER`]: payload size.
+pub const TRANSFER_BYTES: Key = Key("bytes");
 
 /// Gauge: per-interval busy fraction of one node (`busy / cores`),
 /// sampled once per busy interval.

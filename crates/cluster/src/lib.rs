@@ -44,6 +44,6 @@ pub mod usage;
 
 pub use gantt::render_gantt;
 pub use power::PowerModel;
-pub use session::{ClusterSession, NodeWork, PhaseEvent, SessionEvent};
+pub use session::{ClusterSession, NodeWork, SessionEvent};
 pub use spec::{ClusterSpec, NetworkSpec, NodeSpec};
 pub use usage::Usage;

@@ -38,8 +38,8 @@ pub struct NodeWork {
 ///
 /// Execution runtimes emit these instead of calling the imperative
 /// [`ClusterSession`] methods directly; [`ClusterSession::apply`] folds
-/// them into the clock, the energy integral and (when tracing is on) the
-/// [`PhaseEvent`] trace. One event maps to exactly one phase, so a trace
+/// them into the clock, the energy integral and the recorded
+/// `session.*` events. One event maps to exactly one phase, so a record
 /// replayed from a stream of events is identical to one narrated
 /// imperatively.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,64 +61,16 @@ pub enum SessionEvent {
     },
 }
 
-/// One recorded phase of a session — the execution trace entry.
-///
-/// # Trace ordering invariant
-///
-/// The session clock only moves forward, so recorded phases are
-/// **non-overlapping and sorted by `start_s`**: each phase starts exactly
-/// where the previous one ended. Consumers such as
-/// [`crate::gantt::render_gantt`] rely on this to stop scanning at the
-/// first phase past their window; [`ClusterSession`] debug-asserts it on
-/// every push.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhaseEvent {
-    /// A compute phase: per-node `(node, units, streams)` demands, with
-    /// the phase's start time and duration.
-    Compute {
-        /// Simulated start time (s).
-        start_s: f64,
-        /// Phase duration (s).
-        duration_s: f64,
-        /// The per-node demands.
-        work: Vec<(usize, f64, usize)>,
-    },
-    /// A network transfer.
-    Transfer {
-        /// Simulated start time (s).
-        start_s: f64,
-        /// Duration (s).
-        duration_s: f64,
-        /// Payload size.
-        bytes: u64,
-    },
-    /// Framework overhead time.
-    Overhead {
-        /// Simulated start time (s).
-        start_s: f64,
-        /// Duration (s).
-        duration_s: f64,
-    },
-}
-
-impl PhaseEvent {
-    /// The phase duration in seconds.
-    pub fn duration(&self) -> f64 {
-        match self {
-            PhaseEvent::Compute { duration_s, .. }
-            | PhaseEvent::Transfer { duration_s, .. }
-            | PhaseEvent::Overhead { duration_s, .. } => *duration_s,
-        }
-    }
-}
-
 /// Simulated execution of one training run on the cluster.
 ///
 /// Every accounting update is mirrored into the session's
 /// [`telemetry::Recorder`] (a [`telemetry::NullRecorder`] by default) in
 /// the same arithmetic order, so [`crate::usage::Usage::from_snapshot`]
 /// rebuilds [`ClusterSession::finish`]'s report bit for bit from a
-/// recorded snapshot.
+/// recorded snapshot. The recorded [`keys::PHASE`] and [`keys::TRANSFER`]
+/// events are the session's execution record: each carries its start on
+/// the simulated clock, which only moves forward, so they arrive sorted
+/// by start and tile the clock ([`crate::render_gantt`] draws them).
 #[derive(Clone)]
 pub struct ClusterSession {
     spec: ClusterSpec,
@@ -126,8 +78,6 @@ pub struct ClusterSession {
     clock_s: f64,
     active_j: f64,
     usage: Usage,
-    trace: Vec<PhaseEvent>,
-    trace_enabled: bool,
     recorder: SharedRecorder,
 }
 
@@ -138,7 +88,6 @@ impl fmt::Debug for ClusterSession {
             .field("clock_s", &self.clock_s)
             .field("active_j", &self.active_j)
             .field("usage", &self.usage)
-            .field("trace_enabled", &self.trace_enabled)
             .finish_non_exhaustive()
     }
 }
@@ -153,40 +102,13 @@ impl ClusterSession {
     /// [`crate::keys`] for the instruments written).
     pub fn with_recorder(spec: ClusterSpec, recorder: SharedRecorder) -> Self {
         let power = PowerModel::new(spec.node);
-        Self {
-            spec,
-            power,
-            clock_s: 0.0,
-            active_j: 0.0,
-            usage: Usage::default(),
-            trace: Vec::new(),
-            trace_enabled: false,
-            recorder,
-        }
-    }
-
-    /// Replace the session's recorder (phases already narrated are not
-    /// re-recorded).
-    pub fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.recorder = recorder;
+        Self { spec, power, clock_s: 0.0, active_j: 0.0, usage: Usage::default(), recorder }
     }
 
     /// A clone of the session's recorder handle, for sharing with the
     /// other instrumented layers of a run (drivers, runtimes, envs).
     pub fn recorder(&self) -> SharedRecorder {
         self.recorder.clone()
-    }
-
-    /// Enable phase tracing (off by default — long trainings produce many
-    /// thousands of phases).
-    pub fn with_trace(mut self) -> Self {
-        self.trace_enabled = true;
-        self
-    }
-
-    /// The recorded execution trace (empty unless tracing was enabled).
-    pub fn trace(&self) -> &[PhaseEvent] {
-        &self.trace
     }
 
     /// The cluster spec.
@@ -210,21 +132,6 @@ impl ClusterSession {
                 *seconds
             }
         }
-    }
-
-    /// Push a trace entry, upholding the ordering invariant documented on
-    /// [`PhaseEvent`]: phases tile the clock, so each new phase must start
-    /// where the previous one ended.
-    fn record(&mut self, event: PhaseEvent) {
-        debug_assert!(
-            self.trace.last().map(|prev| {
-                let (_, prev_end) = prev.start_end();
-                let (start, _) = event.start_end();
-                start >= prev_end - 1e-9
-            }) != Some(false),
-            "trace phases must be non-overlapping and sorted by start_s"
-        );
-        self.trace.push(event);
     }
 
     /// Duration of `units` of work over `streams` streams on one node.
@@ -262,17 +169,15 @@ impl ClusterSession {
             self.recorder.accum_add(keys::ACTIVE_J, joules);
             self.recorder.event(
                 keys::PHASE,
-                &[(keys::PHASE_BUSY, Value::F64(busy)), (keys::PHASE_SECONDS, Value::F64(d))],
+                &[
+                    (keys::PHASE_NODE, Value::U64(w.node as u64)),
+                    (keys::PHASE_BUSY, Value::F64(busy)),
+                    (keys::PHASE_SECONDS, Value::F64(d)),
+                    (keys::PHASE_START_S, Value::F64(self.clock_s)),
+                ],
             );
             self.recorder.gauge_set(keys::BUSY_FRACTION, busy / self.spec.node.cores as f64);
             wall = wall.max(d);
-        }
-        if self.trace_enabled {
-            self.record(PhaseEvent::Compute {
-                start_s: self.clock_s,
-                duration_s: wall,
-                work: work.iter().map(|w| (w.node, w.units, w.streams)).collect(),
-            });
         }
         self.clock_s += wall;
         self.usage.compute_s += wall;
@@ -291,9 +196,14 @@ impl ClusterSession {
     pub fn transfer(&mut self, bytes: u64) -> f64 {
         let wire = self.spec.network.transfer_time(bytes);
         let t = if self.spec.nodes > 1 { wire } else { wire / 20.0 };
-        if self.trace_enabled {
-            self.record(PhaseEvent::Transfer { start_s: self.clock_s, duration_s: t, bytes });
-        }
+        self.recorder.event(
+            keys::TRANSFER,
+            &[
+                (keys::TRANSFER_BYTES, Value::U64(bytes)),
+                (keys::PHASE_SECONDS, Value::F64(t)),
+                (keys::PHASE_START_S, Value::F64(self.clock_s)),
+            ],
+        );
         self.clock_s += t;
         self.usage.network_s += t;
         self.usage.bytes_moved += bytes;
@@ -309,9 +219,7 @@ impl ClusterSession {
     /// the originals), charged at one active core on node 0.
     pub fn overhead(&mut self, seconds: f64) {
         assert!(seconds >= 0.0);
-        if self.trace_enabled {
-            self.record(PhaseEvent::Overhead { start_s: self.clock_s, duration_s: seconds });
-        }
+        let start_s = self.clock_s;
         let joules = self.power.active_joules(1.0, seconds);
         self.active_j += joules;
         self.clock_s += seconds;
@@ -319,7 +227,11 @@ impl ClusterSession {
         self.recorder.accum_add(keys::ACTIVE_J, joules);
         self.recorder.event(
             keys::PHASE,
-            &[(keys::PHASE_BUSY, Value::F64(1.0)), (keys::PHASE_SECONDS, Value::F64(seconds))],
+            &[
+                (keys::PHASE_BUSY, Value::F64(1.0)),
+                (keys::PHASE_SECONDS, Value::F64(seconds)),
+                (keys::PHASE_START_S, Value::F64(start_s)),
+            ],
         );
         self.recorder.accum_add(keys::WALL_S, seconds);
         self.recorder.accum_add(keys::COMPUTE_S, seconds);
@@ -348,6 +260,8 @@ impl ClusterSession {
 mod tests {
     use super::*;
     use crate::spec::{NetworkSpec, NodeSpec};
+    use std::sync::Arc;
+    use telemetry::{FieldValue, RingRecorder};
 
     fn session(nodes: usize) -> ClusterSession {
         ClusterSession::new(ClusterSpec::paper_testbed(nodes))
@@ -471,45 +385,55 @@ mod tests {
         assert_eq!(u.compute_phases, 2);
     }
 
-    #[test]
-    fn trace_is_empty_unless_enabled() {
-        let mut s = session(1);
-        s.compute(0, 100.0, 2);
-        s.transfer(1_000);
-        assert!(s.trace().is_empty());
+    type Record = Vec<(String, Vec<(String, FieldValue)>)>;
+
+    /// Narrate `f` on a 2-node session recording into a ring; the
+    /// recorded events as `(key, fields)` and the finished usage.
+    fn recorded(f: impl FnOnce(&mut ClusterSession)) -> (Record, Usage) {
+        let ring = Arc::new(RingRecorder::new());
+        let mut s = ClusterSession::with_recorder(ClusterSpec::paper_testbed(2), ring.clone());
+        f(&mut s);
+        let events = ring.snapshot().events.into_iter().map(|e| (e.key, e.fields)).collect();
+        (events, s.finish())
+    }
+
+    fn field(fields: &[(String, FieldValue)], key: telemetry::Key) -> Option<&FieldValue> {
+        fields.iter().find(|(n, _)| n == key.name()).map(|(_, v)| v)
     }
 
     #[test]
-    fn trace_records_phases_in_order() {
-        let mut s = ClusterSession::new(ClusterSpec::paper_testbed(2)).with_trace();
-        s.compute(0, 1_000.0, 4);
-        s.transfer(5_000);
-        s.overhead(0.5);
-        let trace = s.trace().to_vec();
-        assert_eq!(trace.len(), 3);
-        assert!(matches!(trace[0], PhaseEvent::Compute { .. }));
-        assert!(matches!(trace[1], PhaseEvent::Transfer { bytes: 5_000, .. }));
-        assert!(matches!(trace[2], PhaseEvent::Overhead { .. }));
-        // Start times are strictly ordered and durations tile the clock.
-        let total: f64 = trace.iter().map(|e| e.duration()).sum();
-        let u = s.finish();
+    fn records_phases_in_order() {
+        let (events, u) = recorded(|s| {
+            s.compute(0, 1_000.0, 4);
+            s.transfer(5_000);
+            s.overhead(0.5);
+        });
+        let names: Vec<&str> = events.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, [keys::PHASE.name(), keys::TRANSFER.name(), keys::PHASE.name()]);
+        assert_eq!(field(&events[0].1, keys::PHASE_NODE), Some(&FieldValue::U64(0)));
+        assert_eq!(field(&events[1].1, keys::TRANSFER_BYTES), Some(&FieldValue::U64(5_000)));
+        assert_eq!(field(&events[2].1, keys::PHASE_NODE), None, "overhead runs on no node");
+        // Durations tile the clock.
+        let total: f64 =
+            events.iter().filter_map(|(_, f)| field(f, keys::PHASE_SECONDS)?.as_f64()).sum();
         assert!((total - u.wall_s).abs() < 1e-12);
     }
 
     #[test]
-    fn trace_compute_carries_node_demands() {
-        let mut s = ClusterSession::new(ClusterSpec::paper_testbed(2)).with_trace();
-        s.concurrent(&[
-            NodeWork { node: 0, units: 100.0, streams: 4 },
-            NodeWork { node: 1, units: 50.0, streams: 2 },
-        ]);
-        match &s.trace()[0] {
-            PhaseEvent::Compute { work, .. } => {
-                assert_eq!(work.len(), 2);
-                assert_eq!(work[0], (0, 100.0, 4));
-                assert_eq!(work[1], (1, 50.0, 2));
-            }
-            other => panic!("expected compute, got {other:?}"),
+    fn compute_events_carry_node_demands() {
+        let (events, _) = recorded(|s| {
+            s.compute(0, 10.0, 1);
+            s.concurrent(&[
+                NodeWork { node: 0, units: 100.0, streams: 4 },
+                NodeWork { node: 1, units: 50.0, streams: 2 },
+            ]);
+        });
+        let start = field(&events[1].1, keys::PHASE_START_S).and_then(FieldValue::as_f64);
+        assert!(start > Some(0.0), "the concurrent phase starts after the first");
+        for ((_, fields), (node, busy)) in events[1..].iter().zip([(0, 4.0), (1, 2.0)]) {
+            assert_eq!(field(fields, keys::PHASE_NODE), Some(&FieldValue::U64(node)));
+            assert_eq!(field(fields, keys::PHASE_BUSY), Some(&FieldValue::F64(busy)));
+            assert_eq!(field(fields, keys::PHASE_START_S).and_then(FieldValue::as_f64), start);
         }
     }
 
@@ -523,7 +447,7 @@ mod tests {
     #[test]
     fn apply_matches_imperative_narration() {
         // The event-sourced path must be indistinguishable from calling
-        // the narration methods directly — same usage, same trace.
+        // the narration methods directly — same usage, same record.
         let events = [
             SessionEvent::Compute {
                 work: vec![
@@ -535,44 +459,27 @@ mod tests {
             SessionEvent::Compute { work: vec![NodeWork { node: 0, units: 900.0, streams: 2 }] },
             SessionEvent::Overhead { seconds: 0.7 },
         ];
-        let mut folded = ClusterSession::new(ClusterSpec::paper_testbed(2)).with_trace();
-        for e in &events {
-            folded.apply(e);
-        }
+        let (folded, uf) = recorded(|s| {
+            for e in &events {
+                s.apply(e);
+            }
+        });
+        let (narrated, un) = recorded(|s| {
+            s.concurrent(&[
+                NodeWork { node: 0, units: 12_000.0, streams: 4 },
+                NodeWork { node: 1, units: 7_000.0, streams: 2 },
+            ]);
+            s.transfer(300_000);
+            s.compute(0, 900.0, 2);
+            s.overhead(0.7);
+        });
 
-        let mut narrated = ClusterSession::new(ClusterSpec::paper_testbed(2)).with_trace();
-        narrated.concurrent(&[
-            NodeWork { node: 0, units: 12_000.0, streams: 4 },
-            NodeWork { node: 1, units: 7_000.0, streams: 2 },
-        ]);
-        narrated.transfer(300_000);
-        narrated.compute(0, 900.0, 2);
-        narrated.overhead(0.7);
-
-        assert_eq!(folded.trace(), narrated.trace());
-        let (uf, un) = (folded.finish(), narrated.finish());
+        assert_eq!(folded.len(), 5, "two node phases, a transfer, a phase, an overhead");
+        assert_eq!(folded, narrated);
         assert_eq!(uf.wall_s.to_bits(), un.wall_s.to_bits());
         assert_eq!(uf.energy_j.to_bits(), un.energy_j.to_bits());
         assert_eq!(uf.bytes_moved, un.bytes_moved);
         assert_eq!(uf.compute_phases, un.compute_phases);
-    }
-
-    #[test]
-    fn trace_is_sorted_and_non_overlapping() {
-        // The PhaseEvent ordering invariant render_gantt relies on.
-        let mut s = ClusterSession::new(ClusterSpec::paper_testbed(2)).with_trace();
-        for k in 1..=5u64 {
-            s.concurrent(&[NodeWork { node: 0, units: 500.0 * k as f64, streams: 4 }]);
-            s.transfer(10_000 * k);
-            s.overhead(0.1);
-        }
-        let trace = s.trace();
-        for pair in trace.windows(2) {
-            let (_, prev_end) = pair[0].start_end();
-            let (start, end) = pair[1].start_end();
-            assert!(start >= prev_end - 1e-9, "phases overlap: {pair:?}");
-            assert!(end >= start);
-        }
     }
 
     #[test]

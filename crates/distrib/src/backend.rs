@@ -3,7 +3,6 @@
 use crate::backends::train;
 use crate::report::ExecReport;
 use crate::spec::ExecSpec;
-use cluster_sim::{ClusterSession, ClusterSpec};
 use gymrs::Environment;
 use telemetry::SharedRecorder;
 
@@ -45,10 +44,11 @@ pub fn run(spec: &ExecSpec, factory: &dyn EnvFactory) -> Result<ExecReport, Stri
 }
 
 /// [`run`] with a telemetry recorder tapping the whole stack: the cluster
-/// session's accounting, the driver's [`crate::keys::TRIAL_ITERATION`]
-/// events and step counters, the runtime's dispatch traffic and the
-/// vectorized environments' tick counters all land on `recorder`. A
-/// recorder answering `true` from
+/// session's accounting and execution record (the `session.*` events a
+/// Gantt chart is drawn from), the driver's
+/// [`crate::keys::TRIAL_ITERATION`] events and step counters, the
+/// runtime's dispatch traffic and the vectorized environments' tick
+/// counters all land on `recorder`. A recorder answering `true` from
 /// [`should_stop`](telemetry::Recorder::should_stop) ends the trial at
 /// the next iteration boundary — this is how pruners tap a running trial.
 pub fn run_recorded(
@@ -56,10 +56,5 @@ pub fn run_recorded(
     factory: &dyn EnvFactory,
     recorder: SharedRecorder,
 ) -> Result<ExecReport, String> {
-    spec.validate()?;
-    let cluster = ClusterSpec::paper_testbed(spec.deployment.nodes);
-    let mut session = ClusterSession::with_recorder(cluster, recorder);
-    let mut report = train(spec, factory, &mut session)?;
-    report.usage = session.finish();
-    Ok(report)
+    train(spec, factory, recorder)
 }

@@ -7,4 +7,5 @@ mod train;
 #[cfg(test)]
 mod tests;
 
-pub use train::{train, train_impala, ImpalaOpts};
+pub(crate) use train::train;
+pub use train::{train_impala, ImpalaOpts};

@@ -3,12 +3,12 @@
 //! asserted against the [`Architecture`] table.
 
 use crate::backend::{run, run_recorded, EnvFactory, FnEnvFactory};
-use crate::backends::{train, train_impala, ImpalaOpts};
+use crate::backends::{train_impala, ImpalaOpts};
 use crate::framework::{Architecture, Collectors, Framework, Inference, Sampling};
 use crate::report::{ExecReport, TrainedModel};
 use crate::runtime::{FaultKind, FaultPlan, FaultPolicy, SyncPolicy};
 use crate::spec::{Deployment, ExecSpec};
-use cluster_sim::{ClusterSession, ClusterSpec, PhaseEvent, Usage};
+use cluster_sim::{keys as session_keys, ClusterSpec, Usage};
 use gymrs::envs::{GridWorld, PointMass};
 use gymrs::Environment;
 use rl_algos::impala::ImpalaConfig;
@@ -62,10 +62,8 @@ fn sac(framework: Framework, nodes: usize, cores: usize, steps: usize) -> ExecRe
     run(&spec(framework, Algorithm::Sac, nodes, cores, steps), &point_factory()).expect("runs")
 }
 
-fn impala(opts: &ImpalaOpts) -> (ExecReport, Usage) {
-    let mut session = ClusterSession::new(ClusterSpec::paper_testbed(opts.deployment.nodes));
-    let report = train_impala(opts, &grid_factory(), &mut session).expect("runs");
-    (report, session.finish())
+fn impala(opts: &ImpalaOpts) -> ExecReport {
+    train_impala(opts, &grid_factory(), telemetry::null_recorder()).expect("runs")
 }
 
 fn policy_bits(report: &mut ExecReport) -> Vec<u64> {
@@ -159,8 +157,8 @@ fn bad_inputs_are_rejected_before_anything_is_built() {
             assert!(run(&s, &untouched).is_err(), "{framework:?}: {what}");
         }
         let opts = ImpalaOpts { deployment, total_steps, transport, ..Default::default() };
-        let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
-        assert!(train_impala(&opts, &untouched, &mut session).is_err(), "IMPALA: {what}");
+        let refused = train_impala(&opts, &untouched, telemetry::null_recorder());
+        assert!(refused.is_err(), "IMPALA: {what}");
     }
     for framework in [Framework::StableBaselines, Framework::TfAgents] {
         let s = spec(framework, Algorithm::Ppo, 2, 4, 512);
@@ -191,8 +189,7 @@ fn malformed_env_transport_child() {
         s.transport = Some("inproc".into());
         assert_eq!(s.validate(), Ok(()));
     }
-    let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
-    let err = train_impala(&ImpalaOpts::default(), &untouched, &mut session).err();
+    let err = train_impala(&ImpalaOpts::default(), &untouched, telemetry::null_recorder()).err();
     assert!(err.expect("IMPALA reads it too").contains("RLDT_TRANSPORT"));
 }
 
@@ -342,19 +339,28 @@ fn rllib_two_nodes_trade_traffic_and_power_for_time() {
 
 #[test]
 fn two_node_trace_interleaves_compute_and_transfers() {
-    // Narration structure: each iteration produces a concurrent compute
-    // phase across both nodes, experience transfers, a learner phase and
-    // overhead.
+    // Narration structure, read off the recorded session events: each
+    // iteration produces a concurrent compute phase across both nodes,
+    // experience transfers, a learner phase and overhead.
+    let ring = Arc::new(telemetry::RingRecorder::new());
     let spec = spec(Framework::RayRllib, Algorithm::Ppo, 2, 2, 512);
-    let mut session = ClusterSession::new(ClusterSpec::paper_testbed(2)).with_trace();
-    train(&spec, &grid_factory(), &mut session).expect("runs");
-    let trace = session.trace();
-    let computes = trace.iter().filter(|e| matches!(e, PhaseEvent::Compute { .. })).count();
-    let transfers = trace.iter().filter(|e| matches!(e, PhaseEvent::Transfer { .. })).count();
-    assert!(computes >= 2, "collection + learner phases per iteration");
+    run_recorded(&spec, &grid_factory(), ring.clone()).expect("runs");
+    let snap = ring.snapshot();
+    // Per compute event: (node, start). Nodes of one phase share a start.
+    let computes: Vec<(u64, f64)> = snap
+        .events_named(session_keys::PHASE.name())
+        .filter_map(|e| {
+            let node = e.field_u64(session_keys::PHASE_NODE.name())?;
+            Some((node, e.field_f64(session_keys::PHASE_START_S.name())?))
+        })
+        .collect();
+    let phase_starts: std::collections::BTreeSet<u64> =
+        computes.iter().map(|(_, start)| start.to_bits()).collect();
+    assert!(phase_starts.len() >= 2, "collection + learner phases per iteration");
+    let transfers = snap.events_named(session_keys::TRANSFER.name()).count();
     assert!(transfers >= 1, "experience/weights must cross the wire");
     let has_two_node_phase =
-        trace.iter().any(|e| matches!(e, PhaseEvent::Compute { work, .. } if work.len() == 2));
+        computes.windows(2).any(|w| w[0].0 == 0 && w[1].0 == 1 && w[0].1 == w[1].1);
     assert!(has_two_node_phase, "concurrent collection spans both nodes");
 }
 
@@ -381,6 +387,14 @@ fn recorded_rollup_reproduces_report_usage_bitwise() {
         let iterations = snap.events_named(crate::keys::TRIAL_ITERATION.name()).count();
         assert!(iterations > 0, "{framework:?}: trial lifecycle events recorded");
     }
+    // IMPALA narrates to a session of its own and reports its usage.
+    let ring = Arc::new(telemetry::RingRecorder::new());
+    let report =
+        train_impala(&small_impala(2, 256, 1_024), &grid_factory(), ring.clone()).expect("runs");
+    assert!(report.usage.wall_s > 0.0 && report.usage.bytes_moved > 0, "IMPALA usage is real");
+    let rolled = Usage::from_snapshot(&ring.snapshot(), &ClusterSpec::paper_testbed(2));
+    assert_eq!(rolled.wall_s.to_bits(), report.usage.wall_s.to_bits(), "IMPALA wall-clock");
+    assert_eq!(rolled.energy_j.to_bits(), report.usage.energy_j.to_bits(), "IMPALA energy");
 }
 
 #[test]
@@ -406,10 +420,10 @@ fn small_impala(nodes: usize, n_steps: usize, total_steps: usize) -> ImpalaOpts 
 
 #[test]
 fn impala_completes_on_two_nodes_with_traffic() {
-    let (report, usage) = impala(&small_impala(2, 256, 2_048));
+    let report = impala(&small_impala(2, 256, 2_048));
     assert!(report.env_steps >= 2_048);
     assert!(report.updates > 0);
-    assert!(usage.bytes_moved > 0, "remote actors ship experience");
+    assert!(report.usage.bytes_moved > 0, "remote actors ship experience");
 }
 
 #[test]
@@ -420,7 +434,7 @@ fn impala_learns_despite_extreme_staleness() {
         actor_sync_period: 6,
         ..small_impala(1, 512, 24_000)
     };
-    let (report, _) = impala(&opts);
+    let report = impala(&opts);
     let tail = &report.train_returns[report.train_returns.len().saturating_sub(15)..];
     let mean = tail.iter().sum::<f64>() / tail.len().max(1) as f64;
     // Random wandering scores far below zero on the 3x3 grid; a
@@ -432,8 +446,8 @@ fn impala_learns_despite_extreme_staleness() {
 #[test]
 fn longer_sync_period_ships_fewer_weight_broadcasts() {
     let base = small_impala(2, 512, 4_096);
-    let (_, frequent) = impala(&ImpalaOpts { actor_sync_period: 1, ..base.clone() });
-    let (_, rare) = impala(&ImpalaOpts { actor_sync_period: 8, ..base });
+    let frequent = impala(&ImpalaOpts { actor_sync_period: 1, ..base.clone() }).usage;
+    let rare = impala(&ImpalaOpts { actor_sync_period: 8, ..base }).usage;
     assert!(
         rare.bytes_moved < frequent.bytes_moved,
         "rare sync {} must ship less than frequent {}",
@@ -445,9 +459,8 @@ fn longer_sync_period_ships_fewer_weight_broadcasts() {
 #[test]
 fn impala_multi_worker_runs_are_bitwise_reproducible() {
     let opts = small_impala(2, 256, 2_048);
-    let (a, ua) = impala(&opts);
-    let (b, ub) = impala(&opts);
+    let (a, b) = (impala(&opts), impala(&opts));
     assert_eq!(a.train_returns, b.train_returns);
-    assert_eq!(ua.wall_s.to_bits(), ub.wall_s.to_bits());
-    assert_eq!(ua.energy_j.to_bits(), ub.energy_j.to_bits());
+    assert_eq!(a.usage.wall_s.to_bits(), b.usage.wall_s.to_bits());
+    assert_eq!(a.usage.energy_j.to_bits(), b.usage.energy_j.to_bits());
 }

@@ -18,7 +18,7 @@ use crate::runtime::{
     TransportConfig, WorkerCtx, WorkerSpec,
 };
 use crate::spec::{check_run, Deployment, ExecSpec};
-use cluster_sim::{ClusterSession, NodeWork, SessionEvent};
+use cluster_sim::{ClusterSession, ClusterSpec, NodeWork, SessionEvent};
 use gymrs::{Environment, Space, VecEnv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,20 +88,13 @@ struct Run {
     hooks: WorkerCtx,
 }
 
-/// Train `spec` on environments from `factory`, narrating costs to
-/// `session` ([`crate::run`] without the session set-up, for callers
-/// that want a traced session). Per-iteration progress lands on the
-/// session's telemetry recorder as [`crate::keys::TRIAL_ITERATION`]
-/// events, and the recorder's
-/// [`should_stop`](telemetry::Recorder::should_stop) answer may stop the
-/// trial early (e.g. for pruning).
-///
-/// Worker failures the spec's [`FaultPolicy`] cannot absorb surface as
-/// `Err` — training never panics the study.
-pub fn train(
+/// Train `spec` on environments from `factory` (the body of
+/// [`crate::run_recorded`]). Worker failures the spec's [`FaultPolicy`]
+/// cannot absorb surface as `Err` — training never panics the study.
+pub(crate) fn train(
     spec: &ExecSpec,
     factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
+    recorder: SharedRecorder,
 ) -> Result<ExecReport, String> {
     let arch = spec.framework.architecture();
     let transport = check_run(&arch, spec.deployment, spec.total_steps, spec.transport.as_deref())?;
@@ -122,9 +115,9 @@ pub fn train(
             let ppo = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
                 OnPolicyLearner::new(obs_dim, actions, spec.ppo.clone(), rng)
             };
-            train_on_policy(&run, ppo, factory, session)
+            train_on_policy(&run, ppo, factory, recorder)
         }
-        Algorithm::Sac => Ok(train_sac(&run, &spec.sac, factory, session)),
+        Algorithm::Sac => Ok(train_sac(&run, &spec.sac, factory, recorder)),
     }
 }
 
@@ -133,12 +126,15 @@ pub fn train(
 /// [`ImpalaOpts::actor_sync_period`] iterations and the learner corrects
 /// the off-policyness with V-trace — the paper's §VI-D trade-off
 /// (distribute ⇒ faster but less accurate) attacked at the algorithm
-/// level instead of the deployment level. Worker failures the
-/// [`FaultPolicy`] cannot absorb surface as `Err`.
+/// level instead of the deployment level. Shaped like
+/// [`crate::run_recorded`]: the session's accounting, and every other
+/// layer's telemetry, land on `recorder`, and the report's `usage` is
+/// the session's. Worker failures the [`FaultPolicy`] cannot absorb
+/// surface as `Err`.
 pub fn train_impala(
     opts: &ImpalaOpts,
     factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
+    recorder: SharedRecorder,
 ) -> Result<ExecReport, String> {
     let arch = Architecture::impala(opts.actor_sync_period);
     let transport = check_run(&arch, opts.deployment, opts.total_steps, opts.transport.as_deref())?;
@@ -157,7 +153,7 @@ pub fn train_impala(
     let impala = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
         OnPolicyLearner::impala(obs_dim, actions, opts.config.clone(), rng)
     };
-    train_on_policy(&run, impala, factory, session)
+    train_on_policy(&run, impala, factory, recorder)
 }
 
 /// Build the worker set `arch` prescribes. Sub-environment `i` is seeded
@@ -224,11 +220,13 @@ fn learner_compute(driver: &mut Driver<'_>, profile: &FrameworkProfile, flops: u
 
 /// `make_learner(obs_dim, action_space, rng)` picks the setting of the one
 /// on-policy learner (PPO or IMPALA-style); the loop is the same for both.
+/// Like [`train_sac`], it narrates to a session of its own on `recorder`
+/// and reports that session's usage.
 fn train_on_policy(
     run: &Run,
     make_learner: impl FnOnce(usize, &Space, &mut StdRng) -> OnPolicyLearner,
     factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
+    recorder: SharedRecorder,
 ) -> Result<ExecReport, String> {
     let Run { arch, deployment, total_steps, seed, .. } = *run;
     let profile = arch.profile;
@@ -245,7 +243,6 @@ fn train_on_policy(
     drop(probe);
     let mut learner = make_learner(obs_dim, &actions, rng.rng_mut());
 
-    let recorder = session.recorder();
     let specs = collectors(&arch, deployment, seed, factory, recorder.clone());
     let n_workers = specs.len();
     let mut runtime =
@@ -254,8 +251,9 @@ fn train_on_policy(
     if let Some(w) = run.window {
         runtime = runtime.with_window(w);
     }
-    runtime.set_recorder(recorder);
-    let mut driver = Driver::new(session);
+    runtime.set_recorder(recorder.clone());
+    let mut session = ClusterSession::with_recorder(ClusterSpec::paper_testbed(nodes), recorder);
+    let mut driver = Driver::new(&mut session);
     let batch = learner.n_steps();
     let mut infer_total = 0u64;
 
@@ -331,7 +329,7 @@ fn train_on_policy(
     let stats = driver.finish();
     Ok(ExecReport {
         model: TrainedModel::Ppo(Box::new(learner.policy.clone())),
-        usage: Default::default(),
+        usage: session.finish(),
         env_steps: stats.env_steps,
         env_work: stats.env_work,
         learn_flops: learner.flops + infer_total,
@@ -350,7 +348,7 @@ fn train_sac(
     run: &Run,
     cfg: &SacConfig,
     factory: &dyn EnvFactory,
-    session: &mut ClusterSession,
+    recorder: SharedRecorder,
 ) -> ExecReport {
     let profile = run.arch.profile;
     let nodes = run.deployment.nodes;
@@ -367,7 +365,8 @@ fn train_sac(
     let mut obs: Vec<Vec<f64>> = envs.iter_mut().map(|e| e.reset()).collect();
     let mut ep_rets = vec![0.0; n_workers];
 
-    let mut driver = Driver::new(session);
+    let mut session = ClusterSession::with_recorder(ClusterSpec::paper_testbed(nodes), recorder);
+    let mut driver = Driver::new(&mut session);
     // Round size: lockstep sweeps over the environments per iteration.
     let round = 32usize;
     // Approximate per-transition payload for the experience shipping.
@@ -432,7 +431,7 @@ fn train_sac(
         learn_flops: learner.flops,
         updates: learner.updates,
         model: TrainedModel::Sac(Box::new(learner)),
-        usage: Default::default(),
+        usage: session.finish(),
         env_steps: stats.env_steps,
         env_work: stats.env_work,
         train_returns: stats.train_returns,

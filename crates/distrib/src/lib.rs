@@ -6,7 +6,7 @@
 //! [`Framework::architecture`] returns the [`Architecture`] (collector
 //! shape, weight-sync policy, sampling streams, where inference is
 //! charged, cost constants — the table in [`framework`]) and one training
-//! loop ([`train`], under [`run`]) reads it.
+//! loop (under [`run`]) reads it.
 //!
 //! Every architecture *really* runs the training (worker threads collect
 //! experience from real environments; the shared `rl-algos` learners do
@@ -38,12 +38,12 @@ pub mod runtime;
 pub mod spec;
 
 pub use backend::{run, run_recorded, EnvFactory, FnEnvFactory};
-pub use backends::{train, train_impala, ImpalaOpts};
+pub use backends::{train_impala, ImpalaOpts};
 pub use framework::{Architecture, Collectors, Framework, FrameworkProfile, Inference, Sampling};
 pub use report::{ExecReport, TrainedModel};
 pub use runtime::{
-    report_mean, run_whatif, run_whatif_batched, run_worker_process, ContinuationPolicy,
-    EnvBlueprint, FaultCause, FaultLog, FaultPolicy, LanePlan, Runtime, RuntimeError, SyncPolicy,
+    run_whatif, run_whatif_batched, run_worker_process, ContinuationPolicy, EnvBlueprint,
+    FaultCause, FaultLog, FaultPolicy, LanePlan, Runtime, RuntimeError, SyncPolicy,
     TransportConfig, TransportKind, TransportStats, WhatIfPayload, WhatIfTask, REPORT_WINDOW,
 };
 pub use spec::{Deployment, ExecSpec};

@@ -83,37 +83,6 @@ pub struct ExecReport {
     pub degraded: bool,
 }
 
-impl ExecReport {
-    /// Summary row for logs.
-    pub fn summary(&self) -> ExecSummary {
-        ExecSummary {
-            minutes: self.usage.minutes(),
-            kilojoules: self.usage.kilojoules(),
-            env_steps: self.env_steps,
-            updates: self.updates,
-            mean_train_return: crate::runtime::report_mean(&self.train_returns),
-            degraded: self.degraded,
-        }
-    }
-}
-
-/// Serializable summary of an execution.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecSummary {
-    /// Simulated minutes (Table I unit).
-    pub minutes: f64,
-    /// Simulated kJ (Table I unit).
-    pub kilojoules: f64,
-    /// Environment steps.
-    pub env_steps: u64,
-    /// Gradient updates.
-    pub updates: u64,
-    /// Mean of the last ≤20 training-episode returns.
-    pub mean_train_return: f64,
-    /// True when a worker quarantine degraded the execution.
-    pub degraded: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,44 +116,5 @@ mod tests {
         assert_eq!(mean.to_bits(), scalar.to_bits(), "same stream, same sum order");
         assert_eq!(eps.len(), 3);
         assert!(eps.iter().all(|r| r.is_finite()));
-    }
-
-    #[test]
-    fn summary_handles_empty_returns() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let policy = ActorCritic::new(2, &Space::Discrete(4), &[8], &mut rng);
-        let report = ExecReport {
-            model: TrainedModel::Ppo(Box::new(policy)),
-            usage: Usage { wall_s: 60.0, energy_j: 3_000.0, ..Usage::default() },
-            env_steps: 10,
-            env_work: 10,
-            learn_flops: 0,
-            train_returns: vec![],
-            updates: 0,
-            degraded: false,
-        };
-        let s = report.summary();
-        assert!((s.minutes - 1.0).abs() < 1e-12);
-        assert!((s.kilojoules - 3.0).abs() < 1e-12);
-        assert!(s.mean_train_return.is_nan());
-    }
-
-    #[test]
-    fn summary_means_last_twenty() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let policy = ActorCritic::new(2, &Space::Discrete(4), &[8], &mut rng);
-        let mut returns: Vec<f64> = vec![100.0; 5];
-        returns.extend(vec![1.0; 20]);
-        let report = ExecReport {
-            model: TrainedModel::Ppo(Box::new(policy)),
-            usage: Usage::default(),
-            env_steps: 0,
-            env_work: 0,
-            learn_flops: 0,
-            train_returns: returns,
-            updates: 0,
-            degraded: false,
-        };
-        assert!((report.summary().mean_train_return - 1.0).abs() < 1e-12);
     }
 }

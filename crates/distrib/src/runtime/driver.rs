@@ -32,7 +32,7 @@ pub const REPORT_WINDOW: usize = 20;
 
 /// Mean of the last [`REPORT_WINDOW`] returns; NaN before the first
 /// finished episode.
-pub fn report_mean(returns: &[f64]) -> f64 {
+fn report_mean(returns: &[f64]) -> f64 {
     let tail = &returns[returns.len().saturating_sub(REPORT_WINDOW)..];
     tail.iter().sum::<f64>() / tail.len() as f64
 }
@@ -178,11 +178,6 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// The recorder trial-level telemetry is routed to (the session's).
-    pub fn recorder(&self) -> SharedRecorder {
-        self.recorder.clone()
-    }
-
     /// The simulated cluster being narrated to.
     pub fn cluster(&self) -> &ClusterSpec {
         self.session.spec()
@@ -196,11 +191,6 @@ impl<'a> Driver<'a> {
     /// Environment steps consumed.
     pub fn env_steps(&self) -> u64 {
         self.env_steps
-    }
-
-    /// Returns logged so far.
-    pub fn returns(&self) -> &[f64] {
-        &self.train_returns
     }
 
     /// Narrate one event to the cluster session. Returns the simulated
@@ -312,6 +302,14 @@ impl<'a> Driver<'a> {
 mod tests {
     use super::*;
     use cluster_sim::ClusterSpec;
+
+    #[test]
+    fn report_mean_averages_the_trailing_window() {
+        assert!(report_mean(&[]).is_nan(), "no finished episode yet");
+        let mut returns = vec![100.0; 5];
+        returns.extend([1.0; REPORT_WINDOW]);
+        assert_eq!(report_mean(&returns), 1.0, "only the last {REPORT_WINDOW} count");
+    }
 
     #[test]
     fn every_round_refreshes_everyone() {

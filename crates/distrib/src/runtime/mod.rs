@@ -39,9 +39,7 @@ pub mod transport;
 pub mod whatif;
 pub mod worker;
 
-pub use driver::{
-    merge_wave, report_mean, Driver, DriverStats, SyncPolicy, WaveOutcome, REPORT_WINDOW,
-};
+pub use driver::{merge_wave, Driver, DriverStats, SyncPolicy, WaveOutcome, REPORT_WINDOW};
 pub use event::{Command, Event, WILDCARD_ROUND};
 pub use fault::{FaultCause, FaultKind, FaultLog, FaultPolicy, Quarantine, RuntimeError};
 #[cfg(any(test, feature = "fault-inject"))]

@@ -110,10 +110,8 @@ fn run_impala_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
         actor_sync_period: 4,
         ..Default::default()
     };
-    let mut session = cluster_sim::ClusterSession::new(cluster_sim::ClusterSpec::paper_testbed(2));
-    let report = train_impala(&opts, factory, &mut session).expect("impala runs");
-    let usage = session.finish();
-    fingerprint(&report.train_returns, usage.wall_s, usage.energy_j)
+    let report = train_impala(&opts, factory, telemetry::null_recorder()).expect("impala runs");
+    fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
 }
 
 /// Run `f` with workers skewed so that *later* workers answer *first*,
@@ -190,11 +188,9 @@ fn run_airdrop_impala(batchable: bool) -> Vec<u64> {
         actor_sync_period: 4,
         ..Default::default()
     };
-    let mut session = cluster_sim::ClusterSession::new(cluster_sim::ClusterSpec::paper_testbed(2));
-    let report =
-        train_impala(&opts, &airdrop_factory(batchable), &mut session).expect("impala runs");
-    let usage = session.finish();
-    fingerprint(&report.train_returns, usage.wall_s, usage.energy_j)
+    let report = train_impala(&opts, &airdrop_factory(batchable), telemetry::null_recorder())
+        .expect("impala runs");
+    fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
 }
 
 /// Run `f(batchable)` with the batched lockstep fast path available and

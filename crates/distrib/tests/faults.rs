@@ -21,7 +21,7 @@
 
 mod common;
 
-use cluster_sim::{ClusterSession, ClusterSpec, Usage};
+use cluster_sim::{ClusterSpec, Usage};
 use common::grid_factory;
 use dist_exec::backend::run_recorded;
 use dist_exec::runtime::{
@@ -108,10 +108,8 @@ fn run_target(
                 transport: None,
                 fault_plan: plan.clone(),
             };
-            let mut session =
-                ClusterSession::with_recorder(ClusterSpec::paper_testbed(2), ring.clone());
-            let report = train_impala(&opts, &grid_factory(), &mut session)?;
-            (report.train_returns, session.finish(), report.degraded)
+            let report = train_impala(&opts, &grid_factory(), ring.clone())?;
+            (report.train_returns, report.usage, report.degraded)
         }
         _ => {
             let framework = match target {

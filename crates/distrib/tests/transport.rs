@@ -282,10 +282,10 @@ fn run_impala(transport: Option<&str>) -> (Vec<u64>, u64) {
         transport: transport.map(str::to_owned),
         ..Default::default()
     };
-    let mut session = cluster_sim::ClusterSession::new(cluster_sim::ClusterSpec::paper_testbed(2));
-    let report = dist_exec::train_impala(&opts, &EnvBlueprint::Grid { n: 3 }, &mut session)
-        .expect("impala runs");
-    let usage = session.finish();
+    let report =
+        dist_exec::train_impala(&opts, &EnvBlueprint::Grid { n: 3 }, telemetry::null_recorder())
+            .expect("impala runs");
+    let usage = report.usage;
     (fingerprint(&report.train_returns, usage.wall_s, usage.energy_j), usage.wire_bytes)
 }
 
