@@ -20,6 +20,9 @@
 //! an inline SplitMix64 generator so a fixed seed produces bit-identical
 //! confidence intervals on every platform and from any thread.
 
+use std::fmt;
+use std::sync::OnceLock;
+
 /// A per-trial sample store: the observations of one metric in the order
 /// they were recorded (the *stream* order, which [`max_drawdown`] needs)
 /// plus a sorted copy for exact quantile statistics.
@@ -28,11 +31,34 @@
 /// statistic is well-defined; an empty distribution yields `NaN` from
 /// the statistical accessors.
 ///
+/// The first bootstrap interval asked of it ([`Bootstrap::ci`]) is kept
+/// with its spec, so that the next reader under the same spec gets it
+/// without resampling. Like the sorted copy it is derived from the
+/// samples: equality compares the samples alone, and a clone carries it.
+///
 /// [`max_drawdown`]: Distribution::max_drawdown
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Distribution {
     samples: Vec<f64>,
     sorted: Vec<f64>,
+    /// The first computed interval and its spec. Boxed, so that a
+    /// distribution nobody bootstraps grows by 16 bytes rather than 56.
+    interval: OnceLock<Box<(BootstrapSpec, Ci)>>,
+}
+
+impl PartialEq for Distribution {
+    fn eq(&self, other: &Self) -> bool {
+        self.samples == other.samples
+    }
+}
+
+impl fmt::Debug for Distribution {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Distribution")
+            .field("samples", &self.samples)
+            .field("sorted", &self.sorted)
+            .finish()
+    }
 }
 
 impl From<Vec<f64>> for Distribution {
@@ -54,7 +80,7 @@ impl Distribution {
         let samples: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
         let mut sorted = samples.clone();
         sorted.sort_by(f64::total_cmp);
-        Self { samples, sorted }
+        Self { samples, sorted, interval: OnceLock::new() }
     }
 
     /// Number of (finite) observations.
@@ -295,6 +321,10 @@ impl Bootstrap {
     ///
     /// A single-sample distribution (or zero resamples) yields the
     /// degenerate interval `[x, x]`; an empty one yields `[NaN, NaN]`.
+    ///
+    /// The interval `dist` keeps is returned when it was computed under
+    /// this exact spec (`level` to the bit); otherwise the interval is
+    /// resampled, and kept if `dist` keeps none yet.
     pub fn ci(&mut self, dist: &Distribution) -> Ci {
         let BootstrapSpec { level, resamples, .. } = self.spec;
         let x = dist.samples();
@@ -305,6 +335,23 @@ impl Bootstrap {
         if n == 1 || resamples == 0 {
             return Ci::point(x[0], level);
         }
+        let key = |spec: &BootstrapSpec| (spec.level.to_bits(), spec.resamples, spec.seed);
+        match dist.interval.get() {
+            Some(kept) if key(&kept.0) == key(&self.spec) => return kept.1,
+            Some(_) => return self.resample(x),
+            None => {}
+        }
+        let ci = self.resample(x);
+        // A racing reader may have kept its own first: either way the
+        // slot holds an interval true to its spec.
+        let _ = dist.interval.set(Box::new((self.spec, ci)));
+        ci
+    }
+
+    /// The interval of `x` (at least two samples, at least one resample).
+    fn resample(&mut self, x: &[f64]) -> Ci {
+        let BootstrapSpec { level, resamples, .. } = self.spec;
+        let n = x.len();
         if n != self.n {
             self.draw_plan(n);
         }
@@ -492,7 +539,9 @@ pub(crate) mod tests {
                 let expected = bits(oracle_ci(&dist, &spec));
                 let ctx = format!("n {n}, {spec:?}");
                 assert_eq!(bits(reused.ci(&dist)), expected, "reused resampler, {ctx}");
-                assert_eq!(bits(dist.bootstrap_ci(&spec)), expected, "fresh resampler, {ctx}");
+                assert_eq!(bits(dist.bootstrap_ci(&spec)), expected, "kept interval, {ctx}");
+                let unread = Distribution::from_samples(dist.samples().to_vec());
+                assert_eq!(bits(unread.bootstrap_ci(&spec)), expected, "fresh resampler, {ctx}");
             }
         });
         assert_eq!(case, 40);
@@ -518,6 +567,76 @@ pub(crate) mod tests {
         for (level, resamples) in [(f64::NAN, 50), (-1.0, 50), (2.0, 50), (0.9, 0)] {
             let spec = BootstrapSpec { level, resamples, ..spec };
             assert_eq!(bits(dist.bootstrap_ci(&spec)), bits(oracle_ci(&dist, &spec)), "{spec:?}");
+        }
+    }
+
+    /// The spec of the interval `dist` keeps, if it keeps one.
+    pub(crate) fn kept_spec(dist: &Distribution) -> Option<BootstrapSpec> {
+        dist.interval.get().map(|kept| kept.0)
+    }
+
+    #[test]
+    fn a_kept_interval_is_the_oracle_cold_and_warm_and_per_spec() {
+        sweep(40, 0x0CE_1A57, |g| {
+            let n = 2 + g.below(100);
+            let dist = Distribution::from_samples(samples(g, n));
+            let first = BootstrapSpec { level: 0.9, resamples: 1 + g.below(300), seed: g.u64() };
+            // Differs from `first` in one field only, `level` by one ulp.
+            let second = match g.below(3) {
+                0 => BootstrapSpec { level: f64::from_bits(0.9f64.to_bits() + 1), ..first },
+                1 => BootstrapSpec { resamples: first.resamples + 1, ..first },
+                _ => BootstrapSpec { seed: first.seed ^ 1, ..first },
+            };
+            let (want_first, want_second) = (oracle_ci(&dist, &first), oracle_ci(&dist, &second));
+            assert_eq!(kept_spec(&dist), None);
+            let mut boot = Bootstrap::new(first);
+            assert_eq!(bits(boot.ci(&dist)), bits(want_first), "cold");
+            assert_eq!(kept_spec(&dist), Some(first));
+            assert_eq!(bits(boot.ci(&dist)), bits(want_first), "warm, same resampler");
+            assert_eq!(bits(dist.bootstrap_ci(&first)), bits(want_first), "warm, fresh");
+            for _ in 0..2 {
+                assert_eq!(bits(dist.bootstrap_ci(&second)), bits(want_second), "{second:?}");
+                assert_eq!(kept_spec(&dist), Some(first), "the first interval stays");
+            }
+            assert_eq!(bits(boot.ci(&dist)), bits(want_first), "after the second spec");
+        });
+    }
+
+    #[test]
+    fn a_clone_carries_the_kept_interval_and_equality_ignores_it() {
+        let spec = BootstrapSpec { level: 0.95, resamples: 100, seed: 11 };
+        let read = grid_1_to_100();
+        let ci = read.bootstrap_ci(&spec);
+        let copy = read.clone();
+        assert_eq!(kept_spec(&copy), Some(spec));
+        assert_eq!(bits(copy.bootstrap_ci(&spec)), bits(ci));
+        let unread = grid_1_to_100();
+        assert_eq!(kept_spec(&unread), None);
+        assert!(read == unread && unread == copy, "samples alone decide equality");
+        assert_eq!(format!("{read:?}"), format!("{unread:?}"));
+        assert_ne!(read, Distribution::from_samples(vec![1.0, 2.0]));
+    }
+
+    #[test]
+    fn racing_readers_of_one_distribution_agree_bit_for_bit() {
+        let spec = BootstrapSpec { level: 0.9, resamples: 400, seed: 5 };
+        let want = bits(oracle_ci(&grid_1_to_100(), &spec));
+        for _ in 0..8 {
+            let dist = grid_1_to_100();
+            let barrier = std::sync::Barrier::new(2);
+            let got: Vec<_> = std::thread::scope(|s| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            bits(dist.bootstrap_ci(&spec))
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert_eq!(got, [want, want]);
+            assert_eq!(bits(dist.bootstrap_ci(&spec)), want, "whichever racer kept it");
         }
     }
 

@@ -7,7 +7,7 @@
 //! in §III-C) are provided as alternatives.
 
 use crate::metrics::Direction;
-use crate::param::Domain;
+use crate::param::{Domain, ParamDef, ParamValue};
 use crate::space::ParamSpace;
 use crate::trial::{Configuration, Trial};
 use std::collections::BTreeSet;
@@ -191,7 +191,9 @@ impl Explorer for PresetList {
 /// fraction ("good") and the rest; `candidates` random configurations are
 /// scored by a per-parameter density ratio (Laplace-smoothed counts for
 /// finite domains, nearest-neighbour distance ratios for continuous
-/// ones), and the best-scoring candidate is proposed.
+/// ones), and the best-scoring candidate is proposed. The history is
+/// tallied once per proposal, one tally per parameter, and every
+/// candidate is scored from the tallies.
 pub struct TpeLite {
     budget: usize,
     proposed: usize,
@@ -218,36 +220,27 @@ impl TpeLite {
         }
     }
 
-    fn score(
-        &self,
-        cfg: &Configuration,
-        good: &[&Trial],
-        bad: &[&Trial],
-        space: &ParamSpace,
-    ) -> f64 {
+    /// The density-ratio score of `cfg`, one term per parameter it sets.
+    /// `tallies[i]` is the tally of `space.params()[i]`; `sizes` holds the
+    /// good and bad set sizes.
+    fn score(cfg: &Configuration, space: &ParamSpace, tallies: &[Tally], sizes: [usize; 2]) -> f64 {
         let mut score = 0.0;
-        for p in space.params() {
+        for (p, tally) in space.params().iter().zip(tallies) {
             let v = match cfg.get(&p.name) {
                 Some(v) => v,
                 None => continue,
             };
-            match &p.domain {
-                Domain::Categorical(_) | Domain::IntRange { .. } => {
-                    let count = |set: &[&Trial]| {
-                        set.iter().filter(|t| t.config.get(&p.name) == Some(v)).count() as f64
-                    };
-                    let l = (count(good) + 1.0) / (good.len() as f64 + 2.0);
-                    let g = (count(bad) + 1.0) / (bad.len() as f64 + 2.0);
+            match tally {
+                Tally::Counts(counts) => {
+                    let [good, bad] = counts.iter().find(|(u, _)| *u == v).map_or([0, 0], |c| c.1);
+                    let l = (good as f64 + 1.0) / (sizes[0] as f64 + 2.0);
+                    let g = (bad as f64 + 1.0) / (sizes[1] as f64 + 2.0);
                     score += (l / g).ln();
                 }
-                Domain::FloatRange { lo, hi, .. } => {
+                Tally::Readings { span, good, bad } => {
                     let x = v.as_float().unwrap_or(0.0);
-                    let span = (hi - lo).max(1e-12);
-                    let nearest = |set: &[&Trial]| {
-                        set.iter()
-                            .filter_map(|t| t.config.float(&p.name))
-                            .map(|y| ((y - x) / span).abs())
-                            .fold(1.0f64, f64::min)
+                    let nearest = |ys: &[f64]| {
+                        ys.iter().map(|y| ((y - x) / span).abs()).fold(1.0f64, f64::min)
                     };
                     // Closer to good points and farther from bad is better.
                     score += (nearest(bad) + 1e-3).ln() - (nearest(good) + 1e-3).ln();
@@ -255,6 +248,45 @@ impl TpeLite {
             }
         }
         score
+    }
+}
+
+/// What scoring needs of one parameter's history, gathered in one pass
+/// over the good and the bad trials.
+enum Tally<'a> {
+    /// Finite domains: each distinct value with its good and bad counts.
+    Counts(Vec<(&'a ParamValue, [usize; 2])>),
+    /// Float ranges: the domain's span and the good and bad readings, in
+    /// history order.
+    Readings { span: f64, good: Vec<f64>, bad: Vec<f64> },
+}
+
+impl<'a> Tally<'a> {
+    fn of(p: &ParamDef, good: &[&'a Trial], bad: &[&'a Trial]) -> Self {
+        match &p.domain {
+            Domain::Categorical(_) | Domain::IntRange { .. } => {
+                let mut counts: Vec<(&ParamValue, [usize; 2])> = Vec::new();
+                for (side, set) in [good, bad].into_iter().enumerate() {
+                    for v in set.iter().filter_map(|t| t.config.get(&p.name)) {
+                        let i = counts.iter().position(|(u, _)| *u == v).unwrap_or_else(|| {
+                            counts.push((v, [0, 0]));
+                            counts.len() - 1
+                        });
+                        counts[i].1[side] += 1;
+                    }
+                }
+                Tally::Counts(counts)
+            }
+            Domain::FloatRange { lo, hi, .. } => {
+                let readings =
+                    |set: &[&Trial]| set.iter().filter_map(|t| t.config.float(&p.name)).collect();
+                Tally::Readings {
+                    span: (hi - lo).max(1e-12),
+                    good: readings(good),
+                    bad: readings(bad),
+                }
+            }
+        }
     }
 }
 
@@ -276,19 +308,24 @@ impl Explorer for TpeLite {
             let reading = t.metrics.get(&self.metric).filter(|v| v.is_finite());
             reading.map(|v| self.direction.orient(v))
         };
-        let mut scored: Vec<&Trial> =
-            history.iter().filter(|t| t.is_complete() && value(t).is_some()).collect();
+        let mut scored: Vec<(f64, &Trial)> = history
+            .iter()
+            .filter(|t| t.is_complete())
+            .filter_map(|t| Some((value(t)?, t)))
+            .collect();
         if scored.len() < self.warmup {
             return Some(space.sample(&mut rng));
         }
-        scored.sort_by(|a, b| value(b).partial_cmp(&value(a)).expect("finite readings order"));
-        let split = ((scored.len() as f64 * self.gamma).ceil() as usize).clamp(1, scored.len() - 1);
-        let (good, bad) = scored.split_at(split);
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite readings order"));
+        let ranked: Vec<&Trial> = scored.into_iter().map(|(_, t)| t).collect();
+        let split = ((ranked.len() as f64 * self.gamma).ceil() as usize).clamp(1, ranked.len() - 1);
+        let (good, bad) = ranked.split_at(split);
+        let tallies: Vec<Tally> = space.params().iter().map(|p| Tally::of(p, good, bad)).collect();
 
         let mut best: Option<(f64, Configuration)> = None;
         for _ in 0..self.candidates {
             let cand = space.sample(&mut rng);
-            let s = self.score(&cand, good, bad, space);
+            let s = Self::score(&cand, space, &tallies, [good.len(), bad.len()]);
             if best.as_ref().map(|(bs, _)| s > *bs).unwrap_or(true) {
                 best = Some((s, cand));
             }
@@ -305,8 +342,10 @@ impl Explorer for TpeLite {
 mod tests {
     use super::*;
     use crate::metrics::MetricValues;
+    use crate::trial::TrialStatus;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+    use testkit::{sweep, Gen};
 
     fn space() -> ParamSpace {
         ParamSpace::builder().categorical_int("k", [1, 2, 3, 4]).float("x", 0.0, 1.0).build()
@@ -434,6 +473,153 @@ mod tests {
         let with_nan = propose(&history);
         history.remove(23);
         assert_eq!(with_nan, propose(&history));
+    }
+
+    /// The per-candidate scan [`TpeLite::propose`] replaced, kept as its
+    /// oracle: the history sorted on two metric reads per comparison, and
+    /// every candidate rescanning every trial for every parameter.
+    fn oracle_propose(
+        tpe: &mut TpeLite,
+        space: &ParamSpace,
+        history: &[Trial],
+        mut rng: &mut dyn rand::RngCore,
+    ) -> Option<Configuration> {
+        if tpe.proposed >= tpe.budget {
+            return None;
+        }
+        tpe.proposed += 1;
+        let value = |t: &Trial| {
+            let reading = t.metrics.get(&tpe.metric).filter(|v| v.is_finite());
+            reading.map(|v| tpe.direction.orient(v))
+        };
+        let mut scored: Vec<&Trial> =
+            history.iter().filter(|t| t.is_complete() && value(t).is_some()).collect();
+        if scored.len() < tpe.warmup {
+            return Some(space.sample(&mut rng));
+        }
+        scored.sort_by(|a, b| value(b).partial_cmp(&value(a)).expect("finite readings order"));
+        let split = ((scored.len() as f64 * tpe.gamma).ceil() as usize).clamp(1, scored.len() - 1);
+        let (good, bad) = scored.split_at(split);
+        let score = |cfg: &Configuration| {
+            let mut score = 0.0;
+            for p in space.params() {
+                let Some(v) = cfg.get(&p.name) else { continue };
+                match &p.domain {
+                    Domain::Categorical(_) | Domain::IntRange { .. } => {
+                        let count = |set: &[&Trial]| {
+                            set.iter().filter(|t| t.config.get(&p.name) == Some(v)).count() as f64
+                        };
+                        let l = (count(good) + 1.0) / (good.len() as f64 + 2.0);
+                        let g = (count(bad) + 1.0) / (bad.len() as f64 + 2.0);
+                        score += (l / g).ln();
+                    }
+                    Domain::FloatRange { lo, hi, .. } => {
+                        let x = v.as_float().unwrap_or(0.0);
+                        let span = (hi - lo).max(1e-12);
+                        let nearest = |set: &[&Trial]| {
+                            set.iter()
+                                .filter_map(|t| t.config.float(&p.name))
+                                .map(|y| ((y - x) / span).abs())
+                                .fold(1.0f64, f64::min)
+                        };
+                        score += (nearest(bad) + 1e-3).ln() - (nearest(good) + 1e-3).ln();
+                    }
+                }
+            }
+            score
+        };
+        let mut best: Option<(f64, Configuration)> = None;
+        for _ in 0..tpe.candidates {
+            let cand = space.sample(&mut rng);
+            let s = score(&cand);
+            if best.as_ref().map(|(bs, _)| s > *bs).unwrap_or(true) {
+                best = Some((s, cand));
+            }
+        }
+        best.map(|(_, c)| c)
+    }
+
+    /// A space with a string and an int `Categorical`, an `IntRange` and a
+    /// `FloatRange` (linear or log), each of a drawn size.
+    fn mixed_space(g: &mut Gen) -> ParamSpace {
+        let lo = g.int_in(-3i64..3);
+        let builder = ParamSpace::builder()
+            .categorical("algo", ["PPO", "SAC", "A2C"][..1 + g.below(3)].to_vec())
+            .categorical_int("cores", [1, 2, 4, 8][..1 + g.below(4)].to_vec())
+            .int("nodes", lo, lo + g.int_in(0i64..5));
+        if g.bool() {
+            builder.float("x", -1.0, g.f64_in(-1.0..2.0)).build()
+        } else {
+            builder.log_float("x", 1e-4, 1e-1).build()
+        }
+    }
+
+    /// A drawn history over `space`: some parameters missing, some values
+    /// outside their domain (NaN, a float where an int belongs, an unknown
+    /// label), readings that are NaN, infinite or absent, and pruned and
+    /// failed trials among the complete ones.
+    fn mixed_history(g: &mut Gen, space: &ParamSpace) -> Vec<Trial> {
+        let mut rng = StdRng::seed_from_u64(g.u64());
+        let len = g.below(80);
+        (0..len)
+            .map(|id| {
+                let mut config = Configuration::new();
+                for (name, v) in space.sample(&mut rng).iter() {
+                    match g.below(12) {
+                        0 => {}
+                        1 => config.set(name, ParamValue::Float(f64::NAN)),
+                        2 => config.set(name, ParamValue::Float(1.0)),
+                        3 => config.set(name, ParamValue::Str("TD3".into())),
+                        _ => config.set(name, v.clone()),
+                    }
+                }
+                let reading = match g.below(10) {
+                    0 => Some(f64::NAN),
+                    1 => Some(f64::INFINITY),
+                    2 => None,
+                    // A coarse grid, so that readings tie.
+                    _ => Some(g.below(8) as f64 * 0.25),
+                };
+                let metrics = match reading {
+                    Some(r) => MetricValues::new().with("reward", r),
+                    None => MetricValues::new(),
+                };
+                let mut trial = Trial::complete(id, config, metrics);
+                trial.status = *g.pick(&[
+                    TrialStatus::Complete,
+                    TrialStatus::Complete,
+                    TrialStatus::Complete,
+                    TrialStatus::Pruned,
+                    TrialStatus::Failed,
+                ]);
+                trial
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tpe_proposals_equal_the_per_candidate_scan() {
+        sweep(200, 0x7BE_1173, |g| {
+            let space = mixed_space(g);
+            let history = mixed_history(g, &space);
+            let direction = *g.pick(&[Direction::Maximize, Direction::Minimize]);
+            let budget = g.below(5);
+            let seed = g.u64();
+            let mut tallied = TpeLite::new(budget, "reward", direction);
+            let mut scanned = TpeLite::new(budget, "reward", direction);
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            for k in 0..budget + 1 {
+                let ctx = format!("proposal {k}, {} trials, {space:?}", history.len());
+                let proposal = tallied.propose(&space, &history, &mut a);
+                assert_eq!(
+                    proposal,
+                    oracle_propose(&mut scanned, &space, &history, &mut b),
+                    "{ctx}"
+                );
+                assert_eq!(proposal.is_none(), k == budget, "{ctx}");
+                assert_eq!(a.next_u64(), b.next_u64(), "next draw after {ctx}");
+            }
+        });
     }
 
     #[test]

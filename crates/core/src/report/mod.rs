@@ -52,7 +52,7 @@ impl Intervals for PerColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::tests::oracle_ci;
+    use crate::distribution::tests::{kept_spec, oracle_ci};
     use crate::metrics::{MetricDef, MetricValues};
     use crate::param::ParamValue;
     use crate::rank::ParetoFront;
@@ -128,5 +128,34 @@ mod tests {
         assert_eq!(shared, plot.render_with(&trials, &front, Some(&mut oracle())));
         // A reward whisker for every complete trial, a time whisker for every third.
         assert_eq!(shared.matches("stroke=\"#7f7f7f\"").count(), 299 + 100);
+    }
+
+    #[test]
+    fn the_reports_render_the_same_bytes_from_kept_intervals() {
+        let trials = fixture();
+        let (reward, time) = (MetricDef::maximize("reward"), MetricDef::minimize("time_min"));
+        let metrics = [reward.clone(), time.clone(), MetricDef::minimize("power_kj")];
+        let spec = BootstrapSpec { level: 0.95, resamples: 120, seed: 0xC0DE };
+        let front = ParetoFront::compute(&trials, &[time.clone(), reward.clone()]);
+        let plot = ScatterPlot::new("fixture", time, reward).with_whiskers(spec);
+        let render = |trials: &[Trial]| {
+            [
+                table::render_table_with_dispersion(trials, &["cores"], &metrics, &spec),
+                csv::trials_to_csv_with_dispersion(trials, &["cores"], &metrics, &spec),
+                markdown::trials_to_markdown_with_ci(trials, &["cores"], &metrics, None, &spec),
+                plot.render(trials, &front),
+            ]
+        };
+        let cold = render(&trials);
+        let mut resampled = trials
+            .iter()
+            .filter(|t| t.is_complete())
+            .filter_map(|t| t.metrics.distribution("reward").filter(|d| d.len() > 1));
+        assert!(resampled.clone().count() > 200);
+        assert!(resampled.all(|d| kept_spec(d) == Some(spec)), "the first pass kept its intervals");
+        // A second pass over the same trials reads every interval it prints.
+        assert_eq!(render(&trials), cold);
+        // And a clone of the trials, carrying the kept intervals, too.
+        assert_eq!(render(&trials.clone()), cold);
     }
 }

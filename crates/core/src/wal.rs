@@ -238,16 +238,16 @@ impl StudyEvent {
             }),
             wal_keys::TRIAL_COMPLETED => Ok(StudyEvent::TrialCompleted {
                 trial: need_u64(ev, "trial")? as usize,
-                metrics: take_metrics(ev),
+                metrics: take_metrics(ev)?,
             }),
             wal_keys::TRIAL_PRUNED => Ok(StudyEvent::TrialPruned {
                 trial: need_u64(ev, "trial")? as usize,
-                metrics: take_metrics(ev),
+                metrics: take_metrics(ev)?,
             }),
             wal_keys::TRIAL_FAILED => Ok(StudyEvent::TrialFailed {
                 trial: need_u64(ev, "trial")? as usize,
                 error: need_str(ev, "error")?,
-                metrics: take_metrics(ev),
+                metrics: take_metrics(ev)?,
             }),
             wal_keys::TRIAL_REUSED => {
                 let status = match need_str(ev, "status")?.as_str() {
@@ -273,7 +273,7 @@ impl StudyEvent {
                     trial: need_u64(ev, "trial")? as usize,
                     config: take_config(ev)?,
                     status,
-                    metrics: take_metrics(ev),
+                    metrics: take_metrics(ev)?,
                     intermediate,
                 })
             }
@@ -346,26 +346,36 @@ fn push_metrics(fields: &mut Vec<(String, FieldValue)>, metrics: &MetricValues) 
     }
 }
 
-fn take_metrics(ev: &SnapEvent) -> MetricValues {
+/// The `m.` and `d.` fields of `ev`. A field the writer could not have
+/// written — a metric that is not a number, a sample that is not a
+/// finite number — is an error, never a skipped value: a distribution
+/// one sample short would load as a different ranking.
+fn take_metrics(ev: &SnapEvent) -> Result<MetricValues, String> {
     let mut m = MetricValues::new();
     for (name, value) in &ev.fields {
         if let Some(metric) = name.strip_prefix("m.") {
             match value {
                 FieldValue::F64(v) => m.set(metric, *v),
                 FieldValue::U64(v) => m.set(metric, *v as f64),
-                _ => {}
+                _ => return Err(format!("metric field '{name}' must be a number")),
             }
         } else if let Some(metric) = name.strip_prefix("d.") {
-            if let FieldValue::Str(s) = value {
-                let samples: Vec<f64> = s.split(',').filter_map(|x| x.parse().ok()).collect();
-                m.set_distribution(
-                    metric,
-                    crate::distribution::Distribution::from_samples(samples),
-                );
-            }
+            let FieldValue::Str(s) = value else {
+                return Err(format!("distribution field '{name}' must be a string"));
+            };
+            // `""` is the empty distribution.
+            let samples = s
+                .split(',')
+                .filter(|_| !s.is_empty())
+                .map(|x| match x.parse::<f64>() {
+                    Ok(v) if v.is_finite() => Ok(v),
+                    _ => Err(format!("distribution field '{name}' holds '{x}', not a sample")),
+                })
+                .collect::<Result<Vec<f64>, String>>()?;
+            m.set_distribution(metric, crate::distribution::Distribution::from_samples(samples));
         }
     }
-    m
+    Ok(m)
 }
 
 fn need_field<'a>(ev: &'a SnapEvent, name: &str) -> Result<&'a FieldValue, String> {
@@ -506,6 +516,7 @@ impl Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::Distribution;
     use crate::param::ParamValue;
 
     fn cfg(k: i64) -> Configuration {
@@ -615,6 +626,76 @@ mod tests {
         let started = "{\"ty\":\"event\",\"key\":\"trial.started\",\"t_ns\":0,\"thread\":0,";
         let deep = format!("{started}\"fields\":{{\"trial\":{}", "[".repeat(100_000));
         assert!(StudyEvent::from_line(&deep).is_err());
+    }
+
+    fn with_reward_samples(trial: usize, samples: Vec<f64>) -> StudyEvent {
+        let reward = Distribution::from_samples(samples);
+        let metrics = MetricValues::new().with("reward", reward.mean());
+        StudyEvent::TrialCompleted { trial, metrics: metrics.with_distribution("reward", reward) }
+    }
+
+    #[test]
+    fn an_empty_distribution_round_trips() {
+        let ev = with_reward_samples(0, vec![]);
+        let line = ev.to_line(0);
+        assert!(line.contains("\"d.reward\":\"\""), "{line}");
+        let back = StudyEvent::from_line(&line).unwrap();
+        let StudyEvent::TrialCompleted { metrics, .. } = &back else { panic!("{back:?}") };
+        assert!(metrics.distribution("reward").expect("kept").is_empty());
+        assert_eq!(format!("{back:?}"), format!("{ev:?}"));
+    }
+
+    #[test]
+    fn a_field_the_writer_cannot_write_is_an_error() {
+        let line = with_reward_samples(0, vec![1.5, 2.25]).to_line(0);
+        for (from, to) in [
+            ("2.25", "2.2b"),
+            ("2.25", "NaN"),
+            ("1.5,", "1.5,,"),
+            ("\"d.reward\":\"1.5,2.25\"", "\"d.reward\":2.25"),
+            ("\"m.reward\":1.875", "\"m.reward\":\"1.875\""),
+        ] {
+            assert!(line.contains(from), "{line}");
+            let bad = line.replacen(from, to, 1);
+            assert!(StudyEvent::from_line(&bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_letter_in_a_distribution_is_corrupt_mid_file_and_torn_at_the_tail() {
+        use crate::storage::{Journal, JournalError};
+        let path = std::env::temp_dir().join(format!("decision-wal-flip-{}", std::process::id()));
+        let journal = Journal::new(&path);
+        journal.clear().unwrap();
+        let events = [
+            StudyEvent::TrialStarted { trial: 0, config: cfg(1) },
+            with_reward_samples(0, vec![1.5, 2.25, 4.0]),
+            StudyEvent::TrialStarted { trial: 1, config: cfg(2) },
+            with_reward_samples(1, vec![4.5, 2.25, 6.0]),
+        ];
+        for ev in &events {
+            journal.append(ev).unwrap();
+        }
+        drop(journal);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let flip = |line: &str| line.replacen("2.25", "2.2b", 1);
+
+        // Line 2 of 4: valid JSON, and not a tear a crash could leave.
+        let mid = [lines[0], &flip(lines[1]), lines[2], lines[3]].join("\n") + "\n";
+        std::fs::write(&path, mid).unwrap();
+        match Journal::new(&path).load() {
+            Err(JournalError::Corrupt { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected Corrupt at line 2, got {other:?}"),
+        }
+
+        // The unterminated last line: a torn append, dropped.
+        let tail = [lines[0], lines[1], lines[2], &flip(lines[3])].join("\n");
+        std::fs::write(&path, tail).unwrap();
+        let load = Journal::new(&path).load().unwrap();
+        assert!(load.torn_tail);
+        assert_eq!(load.events, events[..3]);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
