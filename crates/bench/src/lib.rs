@@ -13,7 +13,12 @@
 //! * `telemetry_smoke` — CI gate: one short recorded trial whose
 //!   JSON-lines trace is validated against
 //!   `schemas/telemetry_trace.schema.json` and rolled back up to the
-//!   reported usage bit for bit.
+//!   reported usage bit for bit;
+//! * `fingerprints` (no flags) — the determinism contract as one command:
+//!   the kernel tier in effect, then one `path hash` line per small run of
+//!   each contract path (learner updates, training on every backend,
+//!   what-if, a journalled study with its rankings and reports). CI diffs
+//!   it across `RLDT_SIMD` tiers and against the merge base.
 //!
 //! What each substrate costs is a row of the decision-latency ledger
 //! (`bash benchmark/run.sh --workload W --seed 1 --trace 1`), not a bench

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::grid_factory;
+use common::{fingerprint, grid_factory, impala_opts, ppo_spec};
 use dist_exec::backend::{run, EnvFactory, FnEnvFactory};
 use dist_exec::backends::common::worker_seed;
 use dist_exec::spec::{Deployment, ExecSpec};
@@ -75,15 +75,6 @@ fn skewed_grid_factory() -> impl EnvFactory {
     })
 }
 
-/// Bitwise fingerprint of a training run: every training return plus the
-/// simulated wall-clock and energy, all as raw bits.
-fn fingerprint(returns: &[f64], wall_s: f64, energy_j: f64) -> Vec<u64> {
-    let mut bits: Vec<u64> = returns.iter().map(|v| v.to_bits()).collect();
-    bits.push(wall_s.to_bits());
-    bits.push(energy_j.to_bits());
-    bits
-}
-
 fn run_rllib_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
     let mut spec = ExecSpec::new(
         Framework::RayRllib,
@@ -94,7 +85,7 @@ fn run_rllib_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
     );
     spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
     let report = run(&spec, factory).expect("rllib runs");
-    fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
+    fingerprint(&report.train_returns, &report.usage)
 }
 
 fn run_impala_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
@@ -111,7 +102,7 @@ fn run_impala_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
         ..Default::default()
     };
     let report = train_impala(&opts, factory, telemetry::null_recorder()).expect("impala runs");
-    fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
+    fingerprint(&report.train_returns, &report.usage)
 }
 
 /// Run `f` with workers skewed so that *later* workers answer *first*,
@@ -166,31 +157,16 @@ fn airdrop_factory(batchable: bool) -> impl EnvFactory {
 }
 
 fn run_airdrop(framework: Framework, batchable: bool) -> Vec<u64> {
-    // SB3 and TF-Agents parallelize on one node only (paper §V-b).
-    let nodes = if framework == Framework::RayRllib { 2 } else { 1 };
-    let mut spec =
-        ExecSpec::new(framework, Algorithm::Ppo, Deployment { nodes, cores_per_node: 2 }, 384, 17);
-    spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
-    let report = run(&spec, &airdrop_factory(batchable)).expect("backend runs");
-    fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
+    let report =
+        run(&ppo_spec(framework, None), &airdrop_factory(batchable)).expect("backend runs");
+    fingerprint(&report.train_returns, &report.usage)
 }
 
 fn run_airdrop_impala(batchable: bool) -> Vec<u64> {
-    let opts = ImpalaOpts {
-        deployment: Deployment { nodes: 2, cores_per_node: 2 },
-        total_steps: 512,
-        seed: 17,
-        config: rl_algos::impala::ImpalaConfig {
-            hidden: vec![16, 16],
-            n_steps: 128,
-            ..Default::default()
-        },
-        actor_sync_period: 4,
-        ..Default::default()
-    };
-    let report = train_impala(&opts, &airdrop_factory(batchable), telemetry::null_recorder())
-        .expect("impala runs");
-    fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
+    let report =
+        train_impala(&impala_opts(None), &airdrop_factory(batchable), telemetry::null_recorder())
+            .expect("impala runs");
+    fingerprint(&report.train_returns, &report.usage)
 }
 
 /// Run `f(batchable)` with the batched lockstep fast path available and
@@ -253,7 +229,7 @@ fn run_rllib_with_midstudy_quarantine(factory: &dyn EnvFactory) -> Vec<u64> {
     spec.fault_plan = FaultPlan::new().repeated(3, 1, FaultKind::Crash, spec.fault.max_retries + 1);
     let report = run(&spec, factory).expect("the degraded study must still complete");
     assert!(report.degraded, "the quarantine must be reported");
-    fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j)
+    fingerprint(&report.train_returns, &report.usage)
 }
 
 #[cfg(feature = "fault-inject")]

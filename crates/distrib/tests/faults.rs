@@ -22,7 +22,7 @@
 mod common;
 
 use cluster_sim::{ClusterSpec, Usage};
-use common::grid_factory;
+use common::{fingerprint, grid_factory};
 use dist_exec::backend::run_recorded;
 use dist_exec::runtime::{
     Collector, FaultKind, FaultPlan, FaultPolicy, RngStream, Runtime, RuntimeError, WorkerSpec,
@@ -36,15 +36,6 @@ use rl_algos::policy::ActorCritic;
 use rl_algos::Algorithm;
 use std::sync::Arc;
 use testkit::sweep;
-
-/// Bitwise fingerprint of one training run.
-fn fingerprint(returns: &[f64], usage: &Usage) -> Vec<u64> {
-    let mut bits: Vec<u64> = returns.iter().map(|v| v.to_bits()).collect();
-    bits.push(usage.wall_s.to_bits());
-    bits.push(usage.energy_j.to_bits());
-    bits.push(usage.bytes_moved);
-    bits
-}
 
 /// The four backends, addressed uniformly for the chaos sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -11,6 +11,9 @@
 //! unicode reasons) checked by exact re-encoding, plus seeded sweeps
 //! of the same properties over drawn fields.
 
+mod common;
+
+use common::{fingerprint, impala_opts, ppo_spec};
 use dist_exec::backend::run;
 use dist_exec::backends::common::Segment;
 use dist_exec::runtime::transport::codec::{
@@ -18,13 +21,11 @@ use dist_exec::runtime::transport::codec::{
 };
 use dist_exec::runtime::transport::RngCache;
 use dist_exec::runtime::{Command, EnvBlueprint, Event, RngStream, WILDCARD_ROUND};
-use dist_exec::spec::{Deployment, ExecSpec};
 use dist_exec::Framework;
 use gymrs::Space;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rl_algos::policy::ActorCritic;
-use rl_algos::Algorithm;
 
 // ---- codec round-trips ------------------------------------------------
 //
@@ -239,54 +240,20 @@ fn worker_failed_round_trips_fuzzed() {
 
 // ---- cross-transport determinism --------------------------------------
 
-/// Bitwise fingerprint of a report: returns + simulated wall/energy.
-fn fingerprint(returns: &[f64], wall_s: f64, energy_j: f64) -> Vec<u64> {
-    let mut bits: Vec<u64> = returns.iter().map(|v| v.to_bits()).collect();
-    bits.push(wall_s.to_bits());
-    bits.push(energy_j.to_bits());
-    bits
-}
-
-fn spec_for(framework: Framework, transport: Option<&str>) -> ExecSpec {
-    // SB3 and TF-Agents parallelize on one node only (paper §V-b).
-    let nodes = if framework == Framework::RayRllib { 2 } else { 1 };
-    let mut spec =
-        ExecSpec::new(framework, Algorithm::Ppo, Deployment { nodes, cores_per_node: 2 }, 384, 17);
-    spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
-    if let Some(t) = transport {
-        spec = spec.with_transport(t);
-    }
-    spec
-}
-
 fn run_framework(framework: Framework, transport: Option<&str>) -> (Vec<u64>, u64) {
     let report =
-        run(&spec_for(framework, transport), &EnvBlueprint::Grid { n: 3 }).expect("backend runs");
-    (
-        fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j),
-        report.usage.wire_bytes,
-    )
+        run(&ppo_spec(framework, transport), &EnvBlueprint::Grid { n: 3 }).expect("backend runs");
+    (fingerprint(&report.train_returns, &report.usage), report.usage.wire_bytes)
 }
 
 fn run_impala(transport: Option<&str>) -> (Vec<u64>, u64) {
-    let opts = dist_exec::ImpalaOpts {
-        deployment: Deployment { nodes: 2, cores_per_node: 2 },
-        total_steps: 512,
-        seed: 17,
-        config: rl_algos::impala::ImpalaConfig {
-            hidden: vec![16, 16],
-            n_steps: 128,
-            ..Default::default()
-        },
-        actor_sync_period: 4,
-        transport: transport.map(str::to_owned),
-        ..Default::default()
-    };
-    let report =
-        dist_exec::train_impala(&opts, &EnvBlueprint::Grid { n: 3 }, telemetry::null_recorder())
-            .expect("impala runs");
-    let usage = report.usage;
-    (fingerprint(&report.train_returns, usage.wall_s, usage.energy_j), usage.wire_bytes)
+    let report = dist_exec::train_impala(
+        &impala_opts(transport),
+        &EnvBlueprint::Grid { n: 3 },
+        telemetry::null_recorder(),
+    )
+    .expect("impala runs");
+    (fingerprint(&report.train_returns, &report.usage), report.usage.wire_bytes)
 }
 
 /// The tentpole acceptance test: for every backend, a UDS process-worker
@@ -335,12 +302,12 @@ fn closure_factories_fall_back_to_in_process() {
         e.seed(seed);
         Box::new(e) as Box<dyn Environment>
     });
-    let spec = spec_for(Framework::StableBaselines, Some("uds"));
+    let spec = ppo_spec(Framework::StableBaselines, Some("uds"));
     let report = run(&spec, &factory).expect("falls back and runs");
     assert_eq!(report.usage.wire_bytes, 0, "fallback run must not report wire traffic");
     let (inproc, _) = run_framework(Framework::StableBaselines, None);
     // Same bits as any in-process run: the fallback is the default path.
-    let fb = fingerprint(&report.train_returns, report.usage.wall_s, report.usage.energy_j);
+    let fb = fingerprint(&report.train_returns, &report.usage);
     assert_eq!(fb, inproc);
 }
 
@@ -354,10 +321,11 @@ fn closure_factories_fall_back_to_in_process() {
 mod process_faults {
     use super::*;
     use dist_exec::runtime::{FaultKind, FaultPlan};
+    use dist_exec::spec::ExecSpec;
     use dist_exec::FaultPolicy;
 
     fn crash_spec(crashes: u32) -> ExecSpec {
-        let mut spec = spec_for(Framework::RayRllib, Some("uds"));
+        let mut spec = ppo_spec(Framework::RayRllib, Some("uds"));
         spec.total_steps = 512;
         spec.fault = FaultPolicy::resilient();
         spec.fault_plan = FaultPlan::new().repeated(1, 1, FaultKind::Crash, crashes);
