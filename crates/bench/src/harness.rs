@@ -27,7 +27,8 @@ use std::sync::{Arc, Mutex};
 /// The paper's training budget (§V-a).
 pub const PAPER_STEPS: usize = 200_000;
 
-/// Harness options shared by the `table1` / `fig*` binaries.
+/// Harness options shared by the `experiments` binary, the benchmark and
+/// the tests.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
     /// Environment steps per training (default: scaled-down budget).
@@ -89,11 +90,8 @@ impl HarnessOpts {
         }
     }
 
-    /// Parse CLI arguments (shared by all harness binaries).
-    ///
-    /// Supported flags: `--steps N`, `--seed N`, `--paper`, `--smoke`,
-    /// `--out DIR`, `--only 2,5,11,16`, `--eval-episodes N`,
-    /// `--replicas N`, `--prune`.
+    /// Parse the `gantt` and `telemetry_smoke` command lines: `--steps N`,
+    /// `--seed N`, `--out DIR`, `--no-out`.
     pub fn from_args(args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut opts = Self::default();
         let mut args = args.peekable();
@@ -102,56 +100,14 @@ impl HarnessOpts {
                 args.next().ok_or_else(|| format!("{name} needs a value"))
             };
             match arg.as_str() {
-                "--paper" => {
-                    // Scale presets replace the scale fields only; output
-                    // and replica choices made on the command line persist
-                    // regardless of flag order.
-                    opts = Self {
-                        out_dir: opts.out_dir.clone(),
-                        replicas: opts.replicas,
-                        seed: opts.seed,
-                        prune: opts.prune,
-                        ..Self::paper()
-                    };
-                }
-                "--smoke" => {
-                    opts = Self {
-                        out_dir: opts.out_dir.clone(),
-                        replicas: opts.replicas,
-                        seed: opts.seed,
-                        prune: opts.prune,
-                        ..Self::smoke()
-                    };
-                }
-                "--prune" => opts.prune = true,
                 "--steps" => opts.steps = take("--steps")?.parse().map_err(|e| format!("{e}"))?,
                 "--seed" => opts.seed = take("--seed")?.parse().map_err(|e| format!("{e}"))?,
-                "--eval-episodes" => {
-                    opts.eval_episodes =
-                        take("--eval-episodes")?.parse().map_err(|e| format!("{e}"))?
-                }
                 "--out" => opts.out_dir = Some(PathBuf::from(take("--out")?)),
                 "--no-out" => opts.out_dir = None,
-                "--replicas" => {
-                    opts.replicas = take("--replicas")?.parse().map_err(|e| format!("{e}"))?;
-                    if opts.replicas == 0 {
-                        return Err("--replicas must be at least 1".into());
-                    }
-                }
-                "--only" => {
-                    let ids: Result<Vec<usize>, _> =
-                        take("--only")?.split(',').map(|s| s.trim().parse()).collect();
-                    opts.only = Some(ids.map_err(|e| format!("--only: {e}"))?);
-                }
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
         Ok(opts)
-    }
-
-    /// Scale factor from the configured budget to the paper's 200k steps.
-    pub fn extrapolation(&self) -> f64 {
-        PAPER_STEPS as f64 / self.steps as f64
     }
 
     fn journal_path(&self) -> Option<PathBuf> {
@@ -484,14 +440,24 @@ fn run_row_once(
     Ok(m)
 }
 
-/// Run the full Table I study (or the `--only` subset) through the
+/// Run the full Table I study (or the `only` subset) through the
 /// `decision` crate, journaling to the output directory when set.
+///
+/// The journal's objective fingerprint reads `steps S altitudes (A, B)
+/// eval E replicas R prune P rows [ids]`, so a journal recorded under
+/// other options is refused with the study's "belongs to a different
+/// study" error instead of served.
 pub fn run_table1_study(opts: &HarnessOpts) -> Result<Vec<Trial>, String> {
     let rows: Vec<&PaperRow> = crate::paper::TABLE1
         .iter()
         .filter(|r| opts.only.as_ref().map(|ids| ids.contains(&r.id)).unwrap_or(true))
         .collect();
     let configs: Vec<Configuration> = rows.iter().map(|r| r.to_config()).collect();
+    let ids: Vec<usize> = rows.iter().map(|r| r.id).collect();
+    let fingerprint = format!(
+        "steps {} altitudes {:?} eval {} replicas {} prune {} rows {ids:?}",
+        opts.steps, opts.altitude_limits, opts.eval_episodes, opts.replicas, opts.prune
+    );
 
     if let Some(dir) = &opts.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
@@ -505,6 +471,7 @@ pub fn run_table1_study(opts: &HarnessOpts) -> Result<Vec<Trial>, String> {
         .metric(MetricDef::minimize_key(metric_keys::TIME_MIN))
         .metric(MetricDef::minimize_key(metric_keys::POWER_KJ))
         .seed(opts.seed)
+        .objective_fingerprint(fingerprint)
         .objective(move |cfg: &Configuration, ctx: &mut TrialContext| {
             let row = PaperRow::from_config(cfg)?;
             let canonical =
@@ -572,7 +539,6 @@ mod tests {
     fn default_opts_are_scaled_down() {
         let o = HarnessOpts::default();
         assert!(o.steps < PAPER_STEPS);
-        assert!(o.extrapolation() > 1.0);
     }
 
     #[test]
@@ -580,20 +546,16 @@ mod tests {
         let o = HarnessOpts::paper();
         assert_eq!(o.steps, PAPER_STEPS);
         assert_eq!(o.altitude_limits, (30.0, 1000.0));
-        assert!((o.extrapolation() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn arg_parsing_round_trip() {
         let o = HarnessOpts::from_args(
-            ["--steps", "5000", "--seed", "7", "--only", "2,5", "--out", "/tmp/x"]
-                .iter()
-                .map(|s| s.to_string()),
+            ["--steps", "5000", "--seed", "7", "--out", "/tmp/x"].iter().map(|s| s.to_string()),
         )
         .unwrap();
         assert_eq!(o.steps, 5000);
         assert_eq!(o.seed, 7);
-        assert_eq!(o.only, Some(vec![2, 5]));
         assert_eq!(o.out_dir, Some(PathBuf::from("/tmp/x")));
     }
 
@@ -601,30 +563,6 @@ mod tests {
     fn arg_parsing_rejects_unknown_flags() {
         assert!(HarnessOpts::from_args(["--bogus".to_string()].into_iter()).is_err());
         assert!(HarnessOpts::from_args(["--steps".to_string()].into_iter()).is_err());
-    }
-
-    #[test]
-    fn replicas_flag_parses_and_rejects_zero() {
-        let o = HarnessOpts::from_args(["--replicas", "3"].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(o.replicas, 3);
-        assert!(HarnessOpts::from_args(["--replicas", "0"].iter().map(|s| s.to_string())).is_err());
-    }
-
-    #[test]
-    fn smoke_flag_is_recognized() {
-        let o = HarnessOpts::from_args(["--smoke".to_string()].into_iter()).unwrap();
-        assert_eq!(o.steps, HarnessOpts::smoke().steps);
-    }
-
-    #[test]
-    fn scale_presets_preserve_earlier_flags() {
-        let o = HarnessOpts::from_args(
-            ["--replicas", "3", "--seed", "9", "--paper"].iter().map(|s| s.to_string()),
-        )
-        .unwrap();
-        assert_eq!(o.steps, PAPER_STEPS);
-        assert_eq!(o.replicas, 3);
-        assert_eq!(o.seed, 9);
     }
 
     #[test]

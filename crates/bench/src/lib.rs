@@ -1,15 +1,15 @@
 //! # bench — reproduction harnesses for the paper's evaluation
 //!
-//! Binaries (each accepts `--steps N`, `--seed N`, `--paper`, `--smoke`,
-//! `--only 2,5,11`, `--out DIR`, `--no-out`, `--eval-episodes N`):
+//! Binaries:
 //!
-//! * `table1` — run the 18 configurations of Table I end-to-end and print
-//!   the measured vs. paper-reported table;
-//! * `fig <4|5|6>` — compute and render (SVG + CSV) one of the three
-//!   Pareto fronts; it reuses `table1`'s journal when present, so
-//!   `table1 && fig 4 && fig 5 && fig 6` trains only once;
-//! * `ablations` — the §VI-D single-factor sweeps (RK order, node count,
-//!   core count, vectorization);
+//! * `experiments` (only flag `--paper`) — the Table I and §VI-D ablation
+//!   studies as journalled, resumable studies under `journals/scaled/`,
+//!   and every results block of EXPERIMENTS.md (Table I, the §VI shape
+//!   checks, the Fig. 4–6 fronts with their SVG/CSV, the ablations, the
+//!   §VII explorer table) rewritten from those journals; over complete
+//!   journals it only reads;
+//! * `gantt` (`--steps N`, `--seed N`, `--out DIR`) — Gantt charts drawn
+//!   from each run's recorded session events;
 //! * `telemetry_smoke` — CI gate: one short recorded trial whose
 //!   JSON-lines trace is validated against
 //!   `schemas/telemetry_trace.schema.json` and rolled back up to the

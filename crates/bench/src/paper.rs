@@ -453,7 +453,7 @@ mod tests {
         // §VI-A: "The four non-dominated solutions are 2, 5, 11 and 16."
         // §VI-B: "Solutions 2, 5 and 11 are highlighted as best trade-offs."
         // §VI-C: "Solutions 11, 14 and 16 are highlighted as non-dominated."
-        // Over all 18 rows and over the PPO rows the `fig` binary plots.
+        // Over all 18 rows and over the PPO rows the figures plot.
         for ppo_only in [false, true] {
             let trials: Vec<Trial> = TABLE1
                 .iter()

@@ -72,6 +72,17 @@ fn journal_resume_skips_finished_rows() {
     assert_eq!(count(wal_keys::TRIAL_STARTED), 1, "resume must not re-run the trial");
     assert_eq!(count(wal_keys::TRIAL_COMPLETED), 1, "resume must not append duplicates");
     assert!(count(wal_keys::CHECKPOINT) >= 2, "each run checkpoints the log");
+
+    // The file name keys on steps, seed and replicas only: a journal
+    // recorded under other altitudes or another row list shares it, and
+    // the objective fingerprint refuses it instead of serving its rows.
+    for other in [
+        HarnessOpts { altitude_limits: (20.0, 80.0), ..opts.clone() },
+        HarnessOpts { only: Some(vec![14]), ..opts.clone() },
+    ] {
+        let err = run_table1_study(&other).expect_err("a foreign journal is refused");
+        assert!(err.contains("belongs to a different study"), "unexpected error: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
