@@ -158,19 +158,37 @@ impl Linear {
         dx: Option<&mut Matrix>,
     ) {
         debug_assert_eq!(x.shape(), (dy.rows(), self.in_dim()));
-        debug_assert_eq!(dy.shape(), (x.rows(), self.out_dim()));
-        // dz = dy ⊙ act'(y)
-        dz.copy_resize_from(dy);
-        if self.act != Activation::Identity {
-            for (g, &out) in dz.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                *g *= self.act.deriv_from_output(out);
-            }
-        }
+        self.pre_activation_grad(y, dy, dz);
         // gw += xᵀ · dz ; gb += Σ_rows dz ; dx = dz · Wᵀ
         x.transpose_matmul_acc(dz, &mut self.gw);
         dz.sum_rows_into(&mut self.gb);
         if let Some(dx) = dx {
             dz.matmul_transpose_rhs_into(&self.w, wt, dx);
+        }
+    }
+
+    /// [`Linear::backward_into`] for the input gradient alone: `gw`/`gb`
+    /// are left as they are, and `dx` gets the same bits.
+    pub(crate) fn backward_input_into(
+        &self,
+        y: &Matrix,
+        dy: &Matrix,
+        dz: &mut Matrix,
+        wt: &mut Vec<f64>,
+        dx: &mut Matrix,
+    ) {
+        self.pre_activation_grad(y, dy, dz);
+        dz.matmul_transpose_rhs_into(&self.w, wt, dx);
+    }
+
+    /// `dz = dy ⊙ act'(y)`.
+    fn pre_activation_grad(&self, y: &Matrix, dy: &Matrix, dz: &mut Matrix) {
+        debug_assert_eq!(dy.cols(), self.out_dim());
+        dz.copy_resize_from(dy);
+        if self.act != Activation::Identity {
+            for (g, &out) in dz.as_mut_slice().iter_mut().zip(y.as_slice()) {
+                *g *= self.act.deriv_from_output(out);
+            }
         }
     }
 

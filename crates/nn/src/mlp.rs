@@ -184,6 +184,21 @@ impl Mlp {
         self.backward_impl(tape, dout, false);
     }
 
+    /// [`Mlp::backward`] without the parameter gradients: every layer's
+    /// `gw`/`gb` is left untouched (no `xᵀ·dz`, no bias sums) and the
+    /// input gradient — the same bits [`Mlp::backward`] returns — is lent
+    /// out of the scratch buffers instead of cloned. SAC's `∂Q/∂a`.
+    pub fn backward_input(&mut self, tape: &Tape, dout: &Matrix) -> &Matrix {
+        debug_assert_eq!(tape.acts.len(), self.layers.len() + 1);
+        let Scratch { dz, wt, grad, next } = &mut self.scratch;
+        grad.copy_resize_from(dout);
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            layer.backward_input_into(&tape.acts[i + 1], grad, dz, wt, next);
+            std::mem::swap(grad, next);
+        }
+        &self.scratch.grad
+    }
+
     /// The one backward loop; leaves the input gradient in `scratch.grad`
     /// when `need_input_grad` is set.
     fn backward_impl(&mut self, tape: &Tape, dout: &Matrix, need_input_grad: bool) {
@@ -372,6 +387,33 @@ mod tests {
                     assert_eq!(bits(a.gw.as_slice()), bits(b.gw.as_slice()), "{hidden:?} gw");
                     assert_eq!(bits(&a.gb), bits(&b.gb), "{hidden:?} gb");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn backward_input_returns_backwards_input_gradient_and_leaves_gradients_alone() {
+        let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let grads = |net: &Mlp| -> Vec<Vec<u64>> {
+            net.layers.iter().flat_map(|l| [bits(l.gw.as_slice()), bits(&l.gb)]).collect()
+        };
+        for hidden in [Activation::Tanh, Activation::Relu] {
+            let mut rng = StdRng::seed_from_u64(22);
+            let mut full = Mlp::new(&[6, 16, 16, 1], hidden, Activation::Identity, &mut rng);
+            let mut input_only = full.clone();
+            let x = Matrix::from_vec(9, 6, (0..54).map(|i| (i as f64 * 0.41).sin()).collect());
+            let dout = Matrix::from_vec(9, 1, (0..9).map(|i| (i as f64 * 0.29).cos()).collect());
+            let tape = full.forward(&x);
+            // Gradients left over from an earlier pass must survive.
+            input_only.backward_params(&tape, &dout);
+            let held = grads(&input_only);
+            assert!(held.iter().flatten().any(|&g| g != 0), "{hidden:?}: nothing held");
+            for round in 0..2 {
+                let want = full.backward(&tape, &dout);
+                let got = input_only.backward_input(&tape, &dout);
+                assert_eq!(got.shape(), (9, 6), "{hidden:?} round {round}");
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{hidden:?} dx");
+                assert_eq!(grads(&input_only), held, "{hidden:?} gw/gb moved");
             }
         }
     }

@@ -27,10 +27,11 @@ pub struct ReplayBuffer {
 }
 
 impl ReplayBuffer {
-    /// A buffer holding at most `capacity` transitions.
+    /// A buffer holding at most `capacity` transitions; its storage grows
+    /// with the pushes, up to that.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
-        Self { data: Vec::with_capacity(capacity.min(1 << 20)), capacity, head: 0, filled: false }
+        Self { data: Vec::new(), capacity, head: 0, filled: false }
     }
 
     /// Number of stored transitions.
@@ -185,7 +186,7 @@ impl RolloutBuffer {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn tr(x: f64) -> Transition {
         Transition {
@@ -218,6 +219,44 @@ mod tests {
         let rewards: std::collections::BTreeSet<i64> =
             rb.sample(200, &mut rng).iter().map(|t| t.reward as i64).collect();
         assert_eq!(rewards, [2, 3, 4].into_iter().collect());
+    }
+
+    fn slots(rb: &ReplayBuffer) -> Vec<i64> {
+        rb.data.iter().map(|t| t.reward as i64).collect()
+    }
+
+    #[test]
+    fn replay_overwrites_the_oldest_slot_at_capacity() {
+        let mut rb = ReplayBuffer::new(3);
+        for i in 0..3 {
+            rb.push(tr(i as f64));
+        }
+        assert_eq!(slots(&rb), [0, 1, 2]);
+        for (i, want) in [(3, [3, 1, 2]), (4, [3, 4, 2]), (5, [3, 4, 5]), (6, [6, 4, 5])] {
+            rb.push(tr(i as f64));
+            assert_eq!(slots(&rb), want, "after pushing {i}");
+            assert_eq!(rb.len(), 3);
+        }
+    }
+
+    #[test]
+    fn replay_sample_draws_one_index_per_row() {
+        // Row k of a sample is the slot `gen_range(0..len)` names on the
+        // k-th draw, filling or full: a seeded sequence is fixed by the
+        // slot layout above and the rng alone.
+        for (pushes, layout) in [(3, vec![0, 1, 2]), (9, vec![5, 6, 7, 8, 4])] {
+            let mut rb = ReplayBuffer::new(5);
+            for i in 0..pushes {
+                rb.push(tr(i as f64));
+            }
+            assert_eq!(slots(&rb), layout);
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut twin = rng.clone();
+            let got: Vec<i64> = rb.sample(40, &mut rng).iter().map(|t| t.reward as i64).collect();
+            let want: Vec<i64> = (0..40).map(|_| layout[twin.gen_range(0..layout.len())]).collect();
+            assert_eq!(got, want, "{pushes} pushes");
+            assert_eq!(rng.next_u64(), twin.next_u64());
+        }
     }
 
     #[test]

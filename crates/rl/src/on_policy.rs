@@ -31,7 +31,7 @@ use gymrs::{Action, Environment, Space};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simd_kernels::mathf64::exp;
-use tinynn::{backward_flops, clip_grad_norm, forward_flops, Adam, Matrix, Optimizer, Tape};
+use tinynn::{backward_flops, clip_grad_norm, forward_flops, Adam, Matrix, Mlp, Optimizer, Tape};
 
 /// Where advantages and the critic's regression targets come from.
 #[derive(Debug, Clone, Copy)]
@@ -66,6 +66,7 @@ pub struct UpdateStats {
 }
 
 /// The on-policy learner: policy + optimizers + work accounting.
+#[derive(Clone)]
 pub struct OnPolicyLearner {
     /// The actor-critic being trained.
     pub policy: ActorCritic,
@@ -74,23 +75,61 @@ pub struct OnPolicyLearner {
     cfg: PpoConfig,
     targets: Targets,
     surrogate: Surrogate,
-    actor_opt: Adam,
-    critic_opt: Adam,
-    // Adam state for the free log_std vector.
-    ls_m: Vec<f64>,
-    ls_v: Vec<f64>,
-    ls_t: u64,
     /// Number of gradient updates performed.
     pub updates: u64,
     /// Accumulated learning FLOPs (forward + backward), for the cost model.
     pub flops: u64,
-    // Forward tapes and minibatch buffers — allocated once, resized per
-    // minibatch.
-    atape: Tape,
-    vtape: Tape,
+    // Every pass's row order: one permutation of the rollout per epoch.
+    order: Vec<usize>,
+    actor: ActorFit,
+    critic: CriticFit,
+}
+
+/// The actor's side of an update: its optimizer, the Adam state of the
+/// free log-std, and the tape and minibatch buffers of its passes (and of
+/// the V-trace target forward) — allocated once, resized per minibatch.
+#[derive(Clone)]
+struct ActorFit {
+    opt: Adam,
+    ls_m: Vec<f64>,
+    ls_v: Vec<f64>,
+    ls_t: u64,
+    tape: Tape,
     x: Matrix,
     dout: Matrix,
+}
+
+/// The critic's side: regression toward targets fixed before the first
+/// pass. It shares nothing with the actor's side but the rollout and the
+/// row order, so it runs on a thread of its own; its buffers live here, so
+/// that thread allocates nothing once they have grown.
+#[derive(Clone)]
+struct CriticFit {
+    opt: Adam,
+    tape: Tape,
+    x: Matrix,
     dv: Matrix,
+}
+
+/// What both sides of one update read.
+struct Passes<'a> {
+    rollout: &'a RolloutBuffer,
+    /// Epoch after epoch, a permutation of `0..rollout.len()`.
+    order: &'a [usize],
+    minibatch: usize,
+    surrogate: Surrogate,
+    adv: &'a [f64],
+    targets: &'a [f64],
+    cfg: &'a PpoConfig,
+}
+
+impl<'a> Passes<'a> {
+    /// The minibatches in pass order: each epoch's rows cut into
+    /// `minibatch`-row chunks, the last of an epoch possibly shorter.
+    fn minibatches(&self) -> impl Iterator<Item = &'a [usize]> {
+        let (n, minibatch) = (self.rollout.len(), self.minibatch);
+        self.order.chunks(n).flat_map(move |epoch| epoch.chunks(minibatch))
+    }
 }
 
 impl OnPolicyLearner {
@@ -107,19 +146,25 @@ impl OnPolicyLearner {
                 epochs: cfg.epochs,
                 minibatch: cfg.minibatch,
             },
-            actor_opt: Adam::new(cfg.lr),
-            critic_opt: Adam::new(cfg.lr),
+            actor: ActorFit {
+                opt: Adam::new(cfg.lr),
+                ls_m: vec![0.0; k],
+                ls_v: vec![0.0; k],
+                ls_t: 0,
+                tape: Tape::new(),
+                x: Matrix::default(),
+                dout: Matrix::default(),
+            },
+            critic: CriticFit {
+                opt: Adam::new(cfg.lr),
+                tape: Tape::new(),
+                x: Matrix::default(),
+                dv: Matrix::default(),
+            },
             cfg,
-            ls_m: vec![0.0; k],
-            ls_v: vec![0.0; k],
-            ls_t: 0,
             updates: 0,
             flops: 0,
-            atape: Tape::new(),
-            vtape: Tape::new(),
-            x: Matrix::default(),
-            dout: Matrix::default(),
-            dv: Matrix::default(),
+            order: Vec::new(),
         }
     }
 
@@ -174,23 +219,32 @@ impl OnPolicyLearner {
 
     /// One update over a rollout: every pass the surrogate prescribes,
     /// each a gradient step on actor, log-std and critic.
+    ///
+    /// The critic's steps run on a scoped thread while this one takes the
+    /// actor's and log-std's, joined once at the end. Every shuffle is
+    /// drawn before the first pass, so the rng, the parameters and the
+    /// returned statistics get the bits of running the passes in turn.
     pub fn update(&mut self, rollout: &RolloutBuffer, rng: &mut impl Rng) -> UpdateStats {
         let n = rollout.len();
         assert!(n > 0, "cannot update from an empty rollout");
         let a_sizes = self.policy.actor.sizes();
         let c_sizes = self.policy.critic.sizes();
-        let mut idx: Vec<usize> = (0..n).collect();
+        let head = self.policy.head();
         let mut stats = UpdateStats { mean_rho: 1.0, ..UpdateStats::default() };
+        self.order.clear();
+        self.order.extend(0..n);
 
         let (mut adv, targets) = match self.targets {
             Targets::Gae { lambda } => rollout.advantages(self.cfg.gamma, lambda),
             Targets::Vtrace { rho_clip, c_clip } => {
                 // Target log-probs under the current policy: one more
-                // actor forward over the whole rollout.
-                fill_rows(&mut self.x, rollout, &idx);
-                self.policy.actor.forward_into(&self.x, &mut self.atape);
+                // actor forward over the whole rollout, in order (`order`
+                // is `0..n` until the shuffles below).
+                let ActorFit { tape, x, .. } = &mut self.actor;
+                fill_rows(x, rollout, &self.order);
+                self.policy.actor.forward_into(x, tape);
                 self.flops += forward_flops(&a_sizes, n);
-                let out = self.atape.output();
+                let out = tape.output();
                 let target_lp: Vec<f64> = (0..n)
                     .map(|i| {
                         let d = self.policy.dist_from_actor_row(out.row_slice(i));
@@ -214,114 +268,39 @@ impl OnPolicyLearner {
             gae::normalize(&mut adv);
         }
 
-        let act_dim = match self.policy.head() {
-            PolicyHead::Categorical { n } => n,
-            PolicyHead::Gaussian { dim } => dim,
-        };
-        let mut g = vec![0.0; act_dim];
-        let mut dls = vec![0.0; self.policy.log_std.len()];
         let (epochs, minibatch, shuffle) = match self.surrogate {
             Surrogate::Clipped { epochs, minibatch, .. } => (epochs, minibatch, true),
             Surrogate::Plain => (1, n, false),
         };
-
-        for _epoch in 0..epochs {
-            if shuffle {
-                idx.shuffle(rng);
+        // Every epoch's shuffle (each permuting the one before), drawn
+        // before any pass runs: no pass reads the rng, so these are the
+        // draws of shuffling at the top of each epoch, in the same order.
+        for e in 0..epochs {
+            if e > 0 {
+                self.order.extend_from_within((e - 1) * n..e * n);
             }
-            for chunk in idx.chunks(minibatch) {
-                let mb = chunk.len();
-                let inv_mb = 1.0 / mb as f64;
-                fill_rows(&mut self.x, rollout, chunk);
-
-                // ---- Actor pass ----
-                self.policy.actor.forward_into(&self.x, &mut self.atape);
-                let out = self.atape.output();
-                self.dout.resize_zeroed(mb, act_dim);
-                dls.fill(0.0);
-
-                for (r, &i) in chunk.iter().enumerate() {
-                    let d = self.policy.dist_from_actor_row(out.row_slice(r));
-                    let action = &rollout.actions[i];
-                    let lp_new = d.log_prob(action);
-                    let lp_old = rollout.log_probs[i];
-                    let a = adv[i];
-                    // dL/dlogp, the per-row weight on ∂log π.
-                    let dlp = match self.surrogate {
-                        Surrogate::Clipped { clip, .. } => {
-                            let ratio = exp(lp_new - lp_old);
-                            let clipped = ratio.clamp(1.0 - clip, 1.0 + clip);
-                            stats.policy_loss += -(ratio * a).min(clipped * a);
-                            if (ratio - clipped).abs() > 1e-12 {
-                                stats.clip_fraction += 1.0;
-                            }
-                            // Gradient of -min(r A, clip(r) A).
-                            if ratio * a <= clipped * a {
-                                -a * ratio
-                            } else {
-                                0.0
-                            }
-                        }
-                        Surrogate::Plain => {
-                            stats.policy_loss += -lp_new * a;
-                            -a
-                        }
-                    };
-                    stats.entropy += d.entropy();
-                    stats.approx_kl += lp_old - lp_new;
-
-                    let drow = self.dout.row_slice_mut(r);
-                    match (&d, action) {
-                        (Dist::Categorical(c), Action::Discrete(act)) => {
-                            c.d_log_prob_d_logits(*act, &mut g);
-                            for (o, gi) in drow.iter_mut().zip(&g) {
-                                *o += dlp * gi * inv_mb;
-                            }
-                            if self.cfg.ent_coef != 0.0 {
-                                c.d_entropy_d_logits(&mut g);
-                                for (o, gi) in drow.iter_mut().zip(&g) {
-                                    *o -= self.cfg.ent_coef * gi * inv_mb;
-                                }
-                            }
-                        }
-                        (Dist::Gaussian(gss), Action::Continuous(act)) => {
-                            gss.d_log_prob_d_mean(act, &mut g);
-                            for (o, gi) in drow.iter_mut().zip(&g) {
-                                *o += dlp * gi * inv_mb;
-                            }
-                            gss.d_log_prob_d_log_std(act, &mut g);
-                            for (o, gi) in dls.iter_mut().zip(&g) {
-                                // Entropy gradient w.r.t. log_std is 1.
-                                *o += (dlp * gi - self.cfg.ent_coef) * inv_mb;
-                            }
-                        }
-                        _ => unreachable!("head/action mismatch"),
-                    }
-                }
-
-                self.policy.actor.zero_grad();
-                self.policy.actor.backward_params(&self.atape, &self.dout);
-                clip_grad_norm(&mut self.policy.actor, self.cfg.max_grad_norm);
-                self.actor_opt.step(&mut self.policy.actor);
-                self.step_log_std(&dls);
-
-                // ---- Critic pass ----
-                self.policy.critic.forward_into(&self.x, &mut self.vtape);
-                let v = self.vtape.output();
-                self.dv.resize_zeroed(mb, 1);
-                for (r, &i) in chunk.iter().enumerate() {
-                    let err = v.get(r, 0) - targets[i];
-                    stats.value_loss += 0.5 * err * err;
-                    self.dv.set(r, 0, self.cfg.vf_coef * err * inv_mb);
-                }
-                self.policy.critic.zero_grad();
-                self.policy.critic.backward_params(&self.vtape, &self.dv);
-                clip_grad_norm(&mut self.policy.critic, self.cfg.max_grad_norm);
-                self.critic_opt.step(&mut self.policy.critic);
-
-                self.updates += 1;
+            if shuffle {
+                self.order[e * n..].shuffle(rng);
             }
         }
+
+        let passes = Passes {
+            rollout,
+            order: &self.order,
+            minibatch,
+            surrogate: self.surrogate,
+            adv: &adv,
+            targets: &targets,
+            cfg: &self.cfg,
+        };
+        let ActorCritic { actor, critic, log_std, .. } = &mut self.policy;
+        let (actor_fit, critic_fit) = (&mut self.actor, &mut self.critic);
+        stats.value_loss = std::thread::scope(|s| {
+            let critic = s.spawn(|| critic_fit.fit(critic, &passes));
+            actor_fit.fit(actor, log_std, head, &passes, &mut stats);
+            critic.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        self.updates += (epochs * n.div_ceil(minibatch)) as u64;
 
         // Learning cost: forward + backward over both networks for every
         // pass over the whole rollout.
@@ -347,23 +326,140 @@ impl OnPolicyLearner {
     pub fn anneal(&mut self, progress: f64) {
         if let Some(schedule) = self.cfg.lr_schedule {
             let lr = schedule.at(progress).max(0.0);
-            self.actor_opt.set_lr(lr);
-            self.critic_opt.set_lr(lr);
+            self.actor.opt.set_lr(lr);
+            self.critic.opt.set_lr(lr);
+        }
+    }
+}
+
+impl ActorFit {
+    /// Every minibatch step of the actor and the log-std, adding each
+    /// row's policy diagnostics to `stats`.
+    fn fit(
+        &mut self,
+        net: &mut Mlp,
+        log_std: &mut [f64],
+        head: PolicyHead,
+        p: &Passes,
+        stats: &mut UpdateStats,
+    ) {
+        let act_dim = net.out_dim();
+        let mut g = vec![0.0; act_dim];
+        let mut dls = vec![0.0; log_std.len()];
+        for chunk in p.minibatches() {
+            let mb = chunk.len();
+            let inv_mb = 1.0 / mb as f64;
+            fill_rows(&mut self.x, p.rollout, chunk);
+            net.forward_into(&self.x, &mut self.tape);
+            let out = self.tape.output();
+            self.dout.resize_zeroed(mb, act_dim);
+            dls.fill(0.0);
+
+            for (r, &i) in chunk.iter().enumerate() {
+                let d = Dist::from_actor_row(head, out.row_slice(r), log_std);
+                let action = &p.rollout.actions[i];
+                let lp_new = d.log_prob(action);
+                let lp_old = p.rollout.log_probs[i];
+                let a = p.adv[i];
+                // dL/dlogp, the per-row weight on ∂log π.
+                let dlp = match p.surrogate {
+                    Surrogate::Clipped { clip, .. } => {
+                        let ratio = exp(lp_new - lp_old);
+                        let clipped = ratio.clamp(1.0 - clip, 1.0 + clip);
+                        stats.policy_loss += -(ratio * a).min(clipped * a);
+                        if (ratio - clipped).abs() > 1e-12 {
+                            stats.clip_fraction += 1.0;
+                        }
+                        // Gradient of -min(r A, clip(r) A).
+                        if ratio * a <= clipped * a {
+                            -a * ratio
+                        } else {
+                            0.0
+                        }
+                    }
+                    Surrogate::Plain => {
+                        stats.policy_loss += -lp_new * a;
+                        -a
+                    }
+                };
+                stats.entropy += d.entropy();
+                stats.approx_kl += lp_old - lp_new;
+
+                let ent_coef = p.cfg.ent_coef;
+                let drow = self.dout.row_slice_mut(r);
+                match (&d, action) {
+                    (Dist::Categorical(c), Action::Discrete(act)) => {
+                        c.d_log_prob_d_logits(*act, &mut g);
+                        for (o, gi) in drow.iter_mut().zip(&g) {
+                            *o += dlp * gi * inv_mb;
+                        }
+                        if ent_coef != 0.0 {
+                            c.d_entropy_d_logits(&mut g);
+                            for (o, gi) in drow.iter_mut().zip(&g) {
+                                *o -= ent_coef * gi * inv_mb;
+                            }
+                        }
+                    }
+                    (Dist::Gaussian(gss), Action::Continuous(act)) => {
+                        gss.d_log_prob_d_mean(act, &mut g);
+                        for (o, gi) in drow.iter_mut().zip(&g) {
+                            *o += dlp * gi * inv_mb;
+                        }
+                        gss.d_log_prob_d_log_std(act, &mut g);
+                        for (o, gi) in dls.iter_mut().zip(&g) {
+                            // Entropy gradient w.r.t. log_std is 1.
+                            *o += (dlp * gi - ent_coef) * inv_mb;
+                        }
+                    }
+                    _ => unreachable!("head/action mismatch"),
+                }
+            }
+
+            net.zero_grad();
+            net.backward_params(&self.tape, &self.dout);
+            clip_grad_norm(net, p.cfg.max_grad_norm);
+            self.opt.step(net);
+            self.step_log_std(log_std, &dls);
         }
     }
 
     /// Adam step for the free log_std vector — one more tensor of the
     /// actor's optimizer, at its current rate — clamped to a sane range.
-    fn step_log_std(&mut self, grad: &[f64]) {
+    fn step_log_std(&mut self, log_std: &mut [f64], grad: &[f64]) {
         if grad.is_empty() {
             return;
         }
         self.ls_t += 1;
-        let log_std = &mut self.policy.log_std;
-        self.actor_opt.step_tensor(self.ls_t, log_std, grad, &mut self.ls_m, &mut self.ls_v);
+        self.opt.step_tensor(self.ls_t, log_std, grad, &mut self.ls_m, &mut self.ls_v);
         for l in log_std {
             *l = l.clamp(-4.0, 1.0);
         }
+    }
+}
+
+impl CriticFit {
+    /// Every minibatch step of the critic toward `p.targets`; returns the
+    /// value loss summed in row order.
+    fn fit(&mut self, net: &mut Mlp, p: &Passes) -> f64 {
+        let mut loss = 0.0;
+        for chunk in p.minibatches() {
+            let mb = chunk.len();
+            let inv_mb = 1.0 / mb as f64;
+            fill_rows(&mut self.x, p.rollout, chunk);
+            net.forward_into(&self.x, &mut self.tape);
+            let v = self.tape.output();
+            self.dv.resize_zeroed(mb, 1);
+            for (r, &i) in chunk.iter().enumerate() {
+                let err = v.get(r, 0) - p.targets[i];
+                loss += 0.5 * err * err;
+                self.dv.set(r, 0, p.cfg.vf_coef * err * inv_mb);
+            }
+            net.zero_grad();
+            net.backward_params(&self.tape, &self.dv);
+            clip_grad_norm(net, p.cfg.max_grad_norm);
+            self.opt.step(net);
+        }
+        loss
     }
 }
 
@@ -453,6 +549,77 @@ mod tests {
         let mut untouched = rng.clone();
         learner.update(&rollout.rollout, &mut rng);
         assert_eq!(rng.next_u64(), untouched.next_u64());
+    }
+
+    #[test]
+    fn update_draws_exactly_the_epoch_shuffles() {
+        // 100 rows in minibatches of 64: every epoch ends on a short one.
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut env = PointMass::new();
+        env.seed(12);
+        let mut learner = ppo(&env, PpoConfig::fast_test(), &mut rng);
+        let mut obs = env.reset();
+        let out = learner.collect(&mut env, &mut obs, 100, &mut rng);
+        let mut twin = rng.clone();
+        learner.update(&out.rollout, &mut rng);
+
+        let mut idx: Vec<usize> = (0..100).collect();
+        let mut order = Vec::new();
+        for _ in 0..PpoConfig::fast_test().epochs {
+            idx.shuffle(&mut twin);
+            order.extend_from_slice(&idx);
+        }
+        assert_eq!(learner.order, order);
+        assert_eq!(rng.next_u64(), twin.next_u64());
+    }
+
+    fn stat_bits(s: &UpdateStats) -> [u64; 6] {
+        [s.policy_loss, s.value_loss, s.entropy, s.approx_kl, s.clip_fraction, s.mean_rho]
+            .map(f64::to_bits)
+    }
+
+    fn param_bits(l: &mut OnPolicyLearner) -> Vec<u64> {
+        let mut bits: Vec<u64> = l.policy.log_std.iter().map(|x| x.to_bits()).collect();
+        for net in [&mut l.policy.actor, &mut l.policy.critic] {
+            net.visit_params(|p, _| bits.extend(p.iter().map(|x| x.to_bits())));
+        }
+        bits
+    }
+
+    /// Two clones of `learner`, each updated twice over `rollout` from
+    /// equal rngs, must agree bit for bit: statistics, parameters and rng.
+    fn assert_clones_agree(learner: OnPolicyLearner, rollout: &RolloutBuffer, seed: u64) {
+        let (mut a, mut b) = (learner.clone(), learner);
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        for round in 0..2 {
+            let (sa, sb) = (a.update(rollout, &mut rng_a), b.update(rollout, &mut rng_b));
+            assert_eq!(stat_bits(&sa), stat_bits(&sb), "stats, round {round}");
+            assert_eq!(param_bits(&mut a), param_bits(&mut b), "params, round {round}");
+            assert_eq!(a.updates, b.updates);
+        }
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+    }
+
+    #[test]
+    fn clones_updated_alike_agree_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut point = PointMass::new();
+        point.seed(13);
+        let mut grid = GridWorld::new(3);
+        grid.seed(13);
+        let cfg = PpoConfig { ent_coef: 0.01, ..PpoConfig::fast_test() };
+        for env in [&mut point as &mut dyn Environment, &mut grid] {
+            let mut learner = ppo(env, cfg.clone(), &mut rng);
+            let mut obs = env.reset();
+            let out = learner.collect(env, &mut obs, 150, &mut rng);
+            assert_clones_agree(learner, &out.rollout, 14);
+
+            let cfg = ImpalaConfig { hidden: vec![16], ..ImpalaConfig::default() };
+            let dim = env.observation_space().dim();
+            let learner = OnPolicyLearner::impala(dim, &env.action_space(), cfg, &mut rng);
+            let rollout = collect_steps(&learner.policy, env, &mut obs, 96, &mut rng);
+            assert_clones_agree(learner, &rollout.rollout, 15);
+        }
     }
 
     #[test]

@@ -29,6 +29,15 @@ pub enum Dist {
 }
 
 impl Dist {
+    /// The distribution `head` reads off one actor output row; `log_std`
+    /// is the Gaussian head's free log-std.
+    pub(crate) fn from_actor_row(head: PolicyHead, row: &[f64], log_std: &[f64]) -> Self {
+        match head {
+            PolicyHead::Categorical { .. } => Dist::Categorical(Categorical::from_logits(row)),
+            PolicyHead::Gaussian { .. } => Dist::Gaussian(DiagGaussian::new(row, log_std)),
+        }
+    }
+
     /// Sample an action.
     pub fn sample(&self, rng: &mut impl Rng) -> Action {
         match self {
@@ -130,10 +139,7 @@ impl ActorCritic {
 
     /// Distribution given a precomputed actor output row.
     pub fn dist_from_actor_row(&self, row: &[f64]) -> Dist {
-        match self.head {
-            PolicyHead::Categorical { .. } => Dist::Categorical(Categorical::from_logits(row)),
-            PolicyHead::Gaussian { .. } => Dist::Gaussian(DiagGaussian::new(row, &self.log_std)),
-        }
+        Dist::from_actor_row(self.head, row, &self.log_std)
     }
 
     /// Critic value of a single observation.

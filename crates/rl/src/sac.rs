@@ -289,8 +289,8 @@ impl SacLearner {
             y.push(batch[i].reward + gamma * not_done * (qmin - alpha * samples[i].log_prob));
         }
 
-        // ---- 2. Actor update (before the critic step so the critic's
-        // gradient buffers can be safely reused below).
+        // ---- 2. Actor update (before the critic step: `din1`/`din2` are
+        // lent from the critics' backward buffers, which step 4 reuses).
         fill_rows(obs_in, &batch, obs_dim, |t| &t.obs);
         self.actor.forward_into(obs_in, actor_tape);
         let actor_out = actor_tape.output();
@@ -309,10 +309,8 @@ impl SacLearner {
         let q2v = q2_tape.output();
         dq.resize_zeroed(b, 1);
         dq.as_mut_slice().fill(1.0);
-        self.q1.zero_grad();
-        self.q2.zero_grad();
-        let din1 = self.q1.backward(q1_tape, dq);
-        let din2 = self.q2.backward(q2_tape, dq);
+        let din1 = self.q1.backward_input(q1_tape, dq);
+        let din2 = self.q2.backward_input(q2_tape, dq);
 
         dactor.resize_zeroed(b, 2 * act_dim);
         let mut actor_loss = 0.0;
