@@ -283,6 +283,21 @@ impl AnyLockstepBatcher for AirdropBatch {
     fn reset_lane(&mut self, lane: usize) {
         self.stepper.reset_lane(lane);
     }
+
+    /// Only the stepper's FSAL caches outlive a tick; every other buffer
+    /// is refilled from the lanes, so it is just resized.
+    fn retain_lanes(&mut self, keep: &[bool]) {
+        assert_eq!(keep.len(), self.n, "one flag per lane");
+        self.stepper.retain_lanes(keep);
+        let n = keep.iter().filter(|&&k| k).count();
+        self.n = n;
+        self.dyns = BatchedAirdropDynamics::new(self.dyns.params, n);
+        self.y = simd_kernels::AlignedF64::zeroed(STATE_DIM * n);
+        self.prev_xyz = vec![0.0; 3 * n];
+        self.active = vec![false; n];
+        self.landed = vec![false; n];
+        self.work = vec![Work::default(); n];
+    }
 }
 
 #[cfg(test)]

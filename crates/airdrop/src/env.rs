@@ -340,6 +340,26 @@ impl Environment for AirdropEnv {
         self.seed(snapshot.rng_seed);
         Ok(())
     }
+
+    /// Every field copied but the stepper, rebuilt from the config with
+    /// an empty FSAL cache — the cache `reset` leaves.
+    fn duplicate(&self) -> Option<Box<dyn Environment>> {
+        Some(Box::new(AirdropEnv {
+            config: self.config.clone(),
+            params: self.params,
+            state: self.state,
+            stepper: self.config.rk_order.stepper_for(STATE_DIM),
+            wind: self.wind.clone(),
+            rng: self.rng.clone(),
+            t: self.t,
+            max_steps: self.max_steps,
+            prev_potential: self.prev_potential,
+            drop_distance: self.drop_distance,
+            last_work: self.last_work,
+            total_work: self.total_work,
+            done: self.done,
+        }))
+    }
 }
 
 #[cfg(test)]

@@ -172,3 +172,95 @@ fn unobserved_ticks_change_nothing_but_the_observations_they_skip() {
         }
     }
 }
+
+/// Lanes over a plain vector of environments.
+struct Lanes<'a>(&'a mut Vec<AirdropEnv>);
+
+impl gymrs::vec_env::EnvLanes for Lanes<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn lane(&mut self, i: usize) -> Option<&mut dyn std::any::Any> {
+        self.0[i].as_any_mut()
+    }
+}
+
+#[test]
+fn retired_lanes_leave_the_batch_and_the_rest_step_on_bitwise() {
+    // Five episodes from one reset each; a lane retires when its episode
+    // ends, and lane 2 is retired early, while every cache is warm. Each
+    // kept lane must step as its own scalar environment does.
+    use gymrs::vec_env::LaneStep;
+    for order in RkOrder::ALL {
+        let cfg = AirdropConfig {
+            rk_order: order,
+            altitude_limits: (20.0, 60.0),
+            gusts_enabled: true,
+            gust_probability: 0.25,
+            gust_strength: 2.0,
+            ..AirdropConfig::default()
+        };
+        let fresh = |i: u64| {
+            let mut env = AirdropEnv::new(cfg.clone());
+            env.seed(37 + i);
+            let obs = env.reset();
+            (env, obs)
+        };
+        let mut scalar: Vec<Vec<u64>> = Vec::new();
+        for i in 0..5 {
+            let (mut env, mut obs) = fresh(i);
+            let mut fp = Vec::new();
+            for tick in 0.. {
+                let s = env.step(&Action::Continuous(vec![(obs[1] * 0.7 + 0.1 * i as f64).sin()]));
+                let flags = u64::from(s.terminated) | u64::from(s.truncated) << 1;
+                fp.extend([s.reward.to_bits(), flags, env.last_step_work()]);
+                fp.extend(s.obs.iter().map(|x| x.to_bits()));
+                if s.done() || (i == 2 && tick == 3) {
+                    break;
+                }
+                obs = s.obs;
+            }
+            scalar.push(fp);
+        }
+
+        let (mut envs, mut obs): (Vec<AirdropEnv>, Vec<Vec<f64>>) = (0..5).map(fresh).unzip();
+        let mut ids: Vec<u64> = (0..5).collect();
+        let mut batched = vec![Vec::new(); 5];
+        let mut batcher = envs[0].lockstep_batcher(5).expect("airdrop batches");
+        for tick in 0.. {
+            if envs.is_empty() {
+                break;
+            }
+            let actions: Vec<Action> = ids
+                .iter()
+                .zip(&obs)
+                .map(|(&i, o)| Action::Continuous(vec![(o[1] * 0.7 + 0.1 * i as f64).sin()]))
+                .collect();
+            let mut steps = vec![LaneStep::default(); envs.len()];
+            assert!(batcher.step_lockstep(
+                &mut Lanes(&mut envs),
+                &actions,
+                Some(&mut obs),
+                &mut steps
+            ));
+            let mut keep = Vec::new();
+            for (j, s) in steps.iter().enumerate() {
+                let flags = u64::from(s.terminated) | u64::from(s.truncated) << 1;
+                let fp = &mut batched[ids[j] as usize];
+                fp.extend([s.reward.to_bits(), flags, s.work]);
+                fp.extend(obs[j].iter().map(|x| x.to_bits()));
+                keep.push(!(s.done() || (ids[j] == 2 && tick == 3)));
+            }
+            let mut flags = keep.iter();
+            envs.retain(|_| *flags.next().unwrap());
+            let mut flags = keep.iter();
+            obs.retain(|_| *flags.next().unwrap());
+            let mut flags = keep.iter();
+            ids.retain(|_| *flags.next().unwrap());
+            if !envs.is_empty() {
+                batcher.retain_lanes(&keep);
+            }
+        }
+        assert_eq!(batched, scalar, "{order}: a retiring batch diverged from scalar");
+    }
+}

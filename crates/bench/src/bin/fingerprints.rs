@@ -16,6 +16,7 @@
 //! (`counterfactual_parity.rs`), resumed = fresh (`resume.rs`) — so the
 //! bin re-asserts none of them.
 
+use airdrop_sim::{AirdropConfig, AirdropEnv};
 use cluster_sim::{render_gantt, ClusterSpec};
 use counterfactual::{AnalyzerConfig, CounterfactualAnalyzer, Exec};
 use decision::prelude::*;
@@ -205,6 +206,45 @@ fn whatif(rows: &mut Rows) {
     }
 }
 
+/// `eval.<algorithm>.<env>`: seven greedy episodes of an untrained
+/// policy through `TrainedModel::evaluate_episodes`, as the bits of the
+/// mean and of every episode's return — on the order-8 airdrop reference
+/// (lockstep lanes) and on a plain and a slippery grid (lanes, then width
+/// 1: slips read the RNG).
+fn eval(rows: &mut Rows) {
+    let returns = |model: &TrainedModel, env: &mut dyn Environment| {
+        let (mean, returns) = model.evaluate_episodes(env, 7, 100_000);
+        std::iter::once(mean).chain(returns).flat_map(|x| x.to_bits().to_le_bytes()).collect()
+    };
+    let reference = || {
+        let mut env = AirdropEnv::new(AirdropConfig::fast_test().reference());
+        env.seed(31);
+        env
+    };
+    let unit_box = Space::symmetric_box(1, 1.0);
+    let net = ActorCritic::new(11, &unit_box, &[16, 16], &mut StdRng::seed_from_u64(32));
+    rows.push((
+        "eval.ppo.airdrop".into(),
+        returns(&TrainedModel::Ppo(Box::new(net)), &mut reference()),
+    ));
+    let cfg = SacConfig { hidden: vec![16, 16], ..SacConfig::fast_test() };
+    let sac = SacLearner::new(11, &unit_box, cfg, &mut StdRng::seed_from_u64(33));
+    rows.push((
+        "eval.sac.airdrop".into(),
+        returns(&TrainedModel::Sac(Box::new(sac)), &mut reference()),
+    ));
+    let net = ActorCritic::new(2, &Space::Discrete(4), &[16], &mut StdRng::seed_from_u64(34));
+    let model = TrainedModel::Ppo(Box::new(net));
+    let mut bytes = Vec::new();
+    for slip in [0.0, 0.3] {
+        let mut grid = GridWorld::new(4);
+        grid.slip = slip;
+        grid.seed(35);
+        bytes.extend(returns(&model, &mut grid));
+    }
+    rows.push(("eval.ppo.grid".into(), bytes));
+}
+
 /// A 16-trial study journalled to a WAL, with pruned trials and a failing
 /// one, then its rankings and every public report renderer.
 fn study(rows: &mut Rows) {
@@ -275,6 +315,7 @@ fn rows() -> Rows {
     let mut rows = Rows::new();
     updates(&mut rows);
     training(&mut rows);
+    eval(&mut rows);
     whatif(&mut rows);
     study(&mut rows);
     rows.sort();

@@ -1,9 +1,10 @@
 //! Backend training outcomes.
 
 use cluster_sim::Usage;
-use gymrs::{Action, Environment};
+use gymrs::Environment;
 use rl_algos::policy::ActorCritic;
 use rl_algos::sac::SacLearner;
+use rl_algos::Greedy;
 
 /// A trained model returned by a backend (evaluated later on the
 /// reference environment by the study harness).
@@ -15,11 +16,11 @@ pub enum TrainedModel {
 }
 
 impl TrainedModel {
-    /// Greedy action for evaluation rollouts.
-    pub fn act_greedy(&self, obs: &[f64]) -> Action {
+    /// The greedy policy the evaluator runs.
+    pub fn greedy(&self) -> Greedy<'_> {
         match self {
-            TrainedModel::Ppo(p) => p.act_greedy(obs),
-            TrainedModel::Sac(l) => l.act_greedy(obs),
+            TrainedModel::Ppo(p) => Greedy::Ppo(p),
+            TrainedModel::Sac(l) => Greedy::Sac(l),
         }
     }
 
@@ -28,37 +29,24 @@ impl TrainedModel {
         self.evaluate_episodes(env, episodes, max_steps).0
     }
 
-    /// Evaluate the greedy policy, keeping the per-episode returns.
+    /// Evaluate the greedy policy (see [`rl_algos::eval`]), keeping the
+    /// per-episode returns.
     ///
-    /// Returns `(mean, per_episode_returns)`. The mean is accumulated in
-    /// one continuous sum across every step of every episode — the exact
-    /// summation order of the original scalar [`Self::evaluate`] — so it
-    /// is bit-identical to that path, while the per-episode vector feeds
-    /// the distribution-first metrics (dispersion, CVaR, bootstrap CIs).
+    /// Returns `(mean, per_episode_returns)`. The mean folds every step
+    /// reward of every episode, in episode order, into one sum — the
+    /// summation order of the one-episode-after-another loop — while the
+    /// per-episode vector feeds the distribution-first metrics
+    /// (dispersion, CVaR, bootstrap CIs).
     pub fn evaluate_episodes(
         &self,
         env: &mut dyn Environment,
         episodes: usize,
         max_steps: usize,
     ) -> (f64, Vec<f64>) {
-        let mut total = 0.0;
-        let mut per_episode = Vec::with_capacity(episodes);
-        for _ in 0..episodes {
-            let mut obs = env.reset();
-            let mut episode = 0.0;
-            for _ in 0..max_steps {
-                let s = env.step(&self.act_greedy(&obs));
-                total += s.reward;
-                episode += s.reward;
-                let done = s.done();
-                obs = s.obs;
-                if done {
-                    break;
-                }
-            }
-            per_episode.push(episode);
-        }
-        (total / episodes as f64, per_episode)
+        let rewards = self.greedy().episode_rewards(env, episodes, max_steps);
+        let total = rewards.iter().flatten().fold(0.0, |sum, r| sum + r);
+        let per_episode = rewards.iter().map(|steps| steps.iter().fold(0.0, |sum, r| sum + r));
+        (total / episodes as f64, per_episode.collect())
     }
 }
 

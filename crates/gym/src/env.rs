@@ -179,6 +179,17 @@ pub trait Environment: Send {
         let _ = snapshot;
         Err(SnapshotError::Unsupported)
     }
+
+    /// An independent copy with the same configuration, episode state and
+    /// RNG position, which fed the same actions steps bit for bit like
+    /// `self` — or `None`, the default, when the environment cannot copy
+    /// itself. Hidden integrator caches (FSAL) start empty in the copy, as
+    /// they are right after [`Environment::reset`]: that is where to take
+    /// it. Unlike [`Environment::snapshot`] this is no sequence point;
+    /// `self` is untouched.
+    fn duplicate(&self) -> Option<Box<dyn Environment>> {
+        None
+    }
 }
 
 /// Blanket impl so `Box<dyn Environment>` is itself an `Environment`.
@@ -218,6 +229,9 @@ impl Environment for Box<dyn Environment> {
     }
     fn restore(&mut self, snapshot: &EnvSnapshot) -> Result<(), SnapshotError> {
         (**self).restore(snapshot)
+    }
+    fn duplicate(&self) -> Option<Box<dyn Environment>> {
+        (**self).duplicate()
     }
 }
 

@@ -15,6 +15,7 @@ use rand::{Rng, SeedableRng};
 pub const ACTIONS: [(i32, i32); 4] = [(0, -1), (0, 1), (-1, 0), (1, 0)]; // up, down, left, right
 
 /// Deterministic grid world; see the module docs.
+#[derive(Clone)]
 pub struct GridWorld {
     n: usize,
     x: usize,
@@ -127,6 +128,10 @@ impl Environment for GridWorld {
         self.steps = snapshot.u[2] as usize;
         self.seed(snapshot.rng_seed);
         Ok(())
+    }
+
+    fn duplicate(&self) -> Option<Box<dyn Environment>> {
+        Some(Box::new(self.clone()))
     }
 }
 

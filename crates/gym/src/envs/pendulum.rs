@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Pendulum swing-up; see the module docs.
+#[derive(Clone)]
 pub struct Pendulum {
     theta: f64,
     theta_dot: f64,
@@ -124,6 +125,10 @@ impl Environment for Pendulum {
         self.t = snapshot.u[0] as usize;
         self.seed(snapshot.rng_seed);
         Ok(())
+    }
+
+    fn duplicate(&self) -> Option<Box<dyn Environment>> {
+        Some(Box::new(self.clone()))
     }
 }
 

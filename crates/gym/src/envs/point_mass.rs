@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Continuous point-mass task; see the module docs.
+#[derive(Clone)]
 pub struct PointMass {
     pos: [f64; 2],
     vel: [f64; 2],
@@ -115,6 +116,10 @@ impl Environment for PointMass {
         self.t = snapshot.u[0] as usize;
         self.seed(snapshot.rng_seed);
         Ok(())
+    }
+
+    fn duplicate(&self) -> Option<Box<dyn Environment>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -125,6 +125,11 @@ pub trait AnyLockstepBatcher: Send {
     /// environment was reset — mirrors the scalar stepper reset inside
     /// `Environment::reset`.
     fn reset_lane(&mut self, lane: usize);
+
+    /// Drop every lane `i` with `!keep[i]`: the batcher now serves the
+    /// kept lanes, in their order, and each keeps its integrator caches.
+    /// `keep` has one entry per lane and at least one `true`.
+    fn retain_lanes(&mut self, keep: &[bool]);
 }
 
 /// A set of sub-environments stepped in lockstep.

@@ -48,6 +48,10 @@ impl<E: Environment> Environment for TimeLimit<E> {
     fn last_step_work(&self) -> u64 {
         self.inner.last_step_work()
     }
+    fn duplicate(&self) -> Option<Box<dyn Environment>> {
+        let inner = self.inner.duplicate()?;
+        Some(Box::new(TimeLimit { inner, max_steps: self.max_steps, t: self.t }))
+    }
 }
 
 #[cfg(test)]

@@ -286,6 +286,21 @@ impl BatchTableauStepper {
     pub fn reset_all(&mut self) {
         self.fsal_valid.fill(false);
     }
+
+    /// Keep only the lanes with `keep[e]`, in order, each with its FSAL
+    /// cache (see [`AnyBatchStepper::retain_lanes`]).
+    pub fn retain_lanes(&mut self, keep: &[bool]) {
+        assert_eq!(keep.len(), self.n, "one flag per lane");
+        let m = keep.iter().filter(|&&k| k).count();
+        let mut next = Self::with_isa(self.tab, self.dim, m, self.isa);
+        for (j, e) in (0..self.n).filter(|&e| keep[e]).enumerate() {
+            next.fsal_valid[j] = self.fsal_valid[e];
+            for d in 0..self.dim {
+                next.fsal[d * m + j] = self.fsal[d * self.n + e];
+            }
+        }
+        *self = next;
+    }
 }
 
 /// Batched order-8 stepper: GBS extrapolation of the modified midpoint
@@ -547,6 +562,20 @@ impl AnyBatchStepper {
             st.reset_all();
         }
     }
+
+    /// Keep only the lanes with `keep[e]` (at least one), in order: lane
+    /// `e`'s FSAL cache moves with it, so every kept lane steps on exactly
+    /// as it would have in the wider batch.
+    pub fn retain_lanes(&mut self, keep: &[bool]) {
+        match self {
+            AnyBatchStepper::Tableau(st) => st.retain_lanes(keep),
+            AnyBatchStepper::Gbs8(st) => {
+                assert_eq!(keep.len(), st.n, "one flag per lane");
+                let m = keep.iter().filter(|&&k| k).count();
+                *st = BatchGbs8Stepper::with_isa(st.dim, m, st.isa);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -718,6 +747,48 @@ mod tests {
         st.step(&sys, 0.1, 0.1, &mut y, &active, &mut work2);
         assert_eq!(work2[0].fn_evals, 6, "cached lane pays stages-1");
         assert_eq!(work2[1].fn_evals, 7, "reset lane pays the full cost");
+    }
+
+    #[test]
+    fn retained_lanes_step_on_as_in_the_wide_batch() {
+        // Warm every FSAL cache, drop lanes 1 and 3, then step on: the
+        // kept lanes must match the same lanes of a batch that kept all
+        // four, in state bits and in work (a lost cache costs one eval).
+        let (dim, coeffs) = (2, vec![0.7, -0.4, 1.3, 0.05]);
+        let lanes: Vec<Vec<f64>> =
+            (0..4).map(|e| vec![0.3 + 0.2 * e as f64, -0.1 * e as f64]).collect();
+        let keep = [true, false, true, false];
+        for order in RkOrder::ALL {
+            let wide_sys = TestBatch { dim, coeffs: coeffs.clone() };
+            let mut wide = AnyBatchStepper::new(order, dim, 4);
+            let mut y = soa_from_lanes(&lanes);
+            let mut work = vec![Work::default(); 4];
+            for s in 0..2 {
+                wide.step(&wide_sys, 0.1 * s as f64, 0.1, &mut y, &[true; 4], &mut work);
+            }
+            let mut narrow = AnyBatchStepper::new(order, dim, 4);
+            let mut yn = soa_from_lanes(&lanes);
+            let mut wn = vec![Work::default(); 4];
+            for s in 0..2 {
+                narrow.step(&wide_sys, 0.1 * s as f64, 0.1, &mut yn, &[true; 4], &mut wn);
+            }
+            narrow.retain_lanes(&keep);
+            let kept = [0, 2];
+            let narrow_sys = TestBatch { dim, coeffs: kept.iter().map(|&e| coeffs[e]).collect() };
+            let mut yk: Vec<f64> = (0..dim).flat_map(|d| kept.map(|e| yn[d * 4 + e])).collect();
+            let mut wk = vec![Work::default(); 2];
+            let mut ww = vec![Work::default(); 4];
+            for s in 2..5 {
+                wide.step(&wide_sys, 0.1 * s as f64, 0.1, &mut y, &[true; 4], &mut ww);
+                narrow.step(&narrow_sys, 0.1 * s as f64, 0.1, &mut yk, &[true; 2], &mut wk);
+            }
+            for (j, &e) in kept.iter().enumerate() {
+                for d in 0..dim {
+                    assert_eq!(yk[d * 2 + j].to_bits(), y[d * 4 + e].to_bits(), "{order} lane {e}");
+                }
+                assert_eq!(wk[j], ww[e], "{order} lane {e} work");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * [`collect`] — the per-step collection loop and its lockstep batched
 //!   counterpart over vectorized envs (one actor/critic forward per tick,
 //!   however many sub-envs);
+//! * [`eval`] — greedy evaluation, every episode a lane of a lockstep
+//!   batch split over two threads;
 //! * [`policy`] — actor-critic policy heads (categorical / diagonal
 //!   Gaussian) shared by the trainers;
 //! * [`on_policy`] — the one on-policy actor-critic learner; its update
@@ -33,6 +35,7 @@
 
 pub mod buffer;
 pub mod collect;
+pub mod eval;
 pub mod gae;
 pub mod impala;
 pub mod on_policy;
@@ -45,6 +48,7 @@ pub mod vtrace;
 
 pub use buffer::{ReplayBuffer, RolloutBuffer, Transition};
 pub use collect::{collect_lockstep, collect_steps, Collected};
+pub use eval::Greedy;
 pub use impala::ImpalaConfig;
 pub use on_policy::{OnPolicyLearner, UpdateStats};
 pub use policy::{ActorCritic, PolicyHead};

@@ -2,7 +2,7 @@
 
 use gymrs::{Action, Space};
 use rand::Rng;
-use tinynn::{Activation, Categorical, DiagGaussian, Matrix, Mlp};
+use tinynn::{Activation, Categorical, DiagGaussian, Matrix, Mlp, Tape};
 
 /// The action head kind, derived from the environment's action space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,9 +195,11 @@ impl ActorCritic {
         self.dist(obs).mode()
     }
 
-    /// Greedy actions for a batch of observations (batched evaluation).
-    pub fn act_greedy_batch(&self, obs: &Matrix) -> Vec<Action> {
-        self.dists_batch(obs).iter().map(Dist::mode).collect()
+    /// Greedy actions for a batch of observations, one actor forward on
+    /// `tape` — PPO's half of [`crate::Greedy::act_batch`].
+    pub fn act_greedy_batch(&self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
+        let out = self.actor.infer_into(obs, tape);
+        (0..out.rows()).map(|r| self.dist_from_actor_row(out.row_slice(r)).mode()).collect()
     }
 
     /// Zero gradients on all components.
@@ -338,7 +340,7 @@ mod tests {
         let p = categorical_policy();
         let rows: [&[f64]; 2] = [&[0.1, 0.1, 0.1], &[-0.5, 0.3, 0.8]];
         let obs = Matrix::from_rows(&rows);
-        let batched = p.act_greedy_batch(&obs);
+        let batched = p.act_greedy_batch(&obs, &mut Tape::new());
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(batched[i], p.act_greedy(row), "row {i}");
         }

@@ -228,6 +228,19 @@ impl SacLearner {
         Action::Continuous(self.policy_dist(obs).mode())
     }
 
+    /// [`SacLearner::act_greedy`] for every row of `obs`, one actor
+    /// forward on `tape` — SAC's half of [`crate::Greedy::act_batch`].
+    pub fn act_greedy_batch(&self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
+        let out = self.actor.infer_into(obs, tape);
+        (0..out.rows())
+            .map(|r| {
+                let row = out.row_slice(r);
+                let dist = SquashedGaussian::new(&row[..self.act_dim], &row[self.act_dim..]);
+                Action::Continuous(dist.mode())
+            })
+            .collect()
+    }
+
     /// Record a transition and run any due updates. Returns stats when at
     /// least one update ran.
     pub fn observe(&mut self, t: Transition, rng: &mut impl Rng) -> Option<SacStats> {

@@ -5,11 +5,12 @@
 //! learners.
 
 use crate::buffer::Transition;
+use crate::eval::Greedy;
 use crate::ppo::{PpoConfig, PpoLearner};
 use crate::sac::{SacConfig, SacLearner};
 use crate::Algorithm;
 use gymrs::rollout::EpisodeStats;
-use gymrs::{Action, Environment};
+use gymrs::Environment;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -101,38 +102,27 @@ pub enum TrainedPolicy<'a> {
 }
 
 impl TrainedPolicy<'_> {
-    /// Greedy action.
-    pub fn act_greedy(&self, obs: &[f64]) -> Action {
+    /// The greedy policy the evaluator runs.
+    pub fn greedy(&self) -> Greedy<'_> {
         match self {
-            TrainedPolicy::Ppo(l) => l.policy.act_greedy(obs),
-            TrainedPolicy::Sac(l) => l.act_greedy(obs),
+            TrainedPolicy::Ppo(l) => Greedy::Ppo(&l.policy),
+            TrainedPolicy::Sac(l) => Greedy::Sac(l),
         }
     }
 }
 
-/// Evaluate a greedy policy on `env`.
+/// Evaluate a greedy policy on `env` (see [`crate::eval`]).
 pub fn evaluate(
     policy: &TrainedPolicy<'_>,
     env: &mut dyn Environment,
     spec: &EvalSpec,
 ) -> EpisodeStats {
-    let mut episodes = Vec::with_capacity(spec.episodes);
-    for _ in 0..spec.episodes {
-        let mut obs = env.reset();
-        let mut ret = 0.0;
-        let mut len = 0usize;
-        for _ in 0..spec.max_steps {
-            let s = env.step(&policy.act_greedy(&obs));
-            ret += s.reward;
-            len += 1;
-            let done = s.done();
-            obs = s.obs;
-            if done {
-                break;
-            }
-        }
-        episodes.push((ret, len));
-    }
+    let episodes: Vec<(f64, usize)> = policy
+        .greedy()
+        .episode_rewards(env, spec.episodes, spec.max_steps)
+        .iter()
+        .map(|steps| (steps.iter().fold(0.0, |ret, r| ret + r), steps.len()))
+        .collect();
     EpisodeStats::from_episodes(&episodes)
 }
 
