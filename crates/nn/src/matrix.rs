@@ -2,21 +2,24 @@
 //!
 //! The three matmul kernels ([`Matrix::matmul_into`],
 //! [`Matrix::matmul_transpose_rhs_into`], [`Matrix::transpose_matmul_into`])
-//! all dispatch to the explicit `simd_kernels::nnf64` microkernels (8-lane
+//! are one call each of the `simd_kernels::nnf64` microkernels (8-lane
 //! f64 on AVX-512F, 4-lane on AVX2, scalar otherwise). The first and the
-//! last are rank-4 blocked over the shared `k` dimension, so every sweep
-//! over an output row performs four multiply-adds per load/store of the
-//! accumulator; the middle one gives every output element a dot product
-//! with four partial sums. What is fixed is the reduction order *of one
-//! output element*; the vector tiers put neighbouring elements in their
-//! lanes and evaluate the same expression tree in each, so results are
+//! last are rank-4 blocked over the shared `k` dimension, so every update
+//! of an accumulator folds in four multiply-adds; the middle one gives
+//! every output element a dot product with four partial sums. The vector
+//! tiers compute several output rows per register tile (four rank-4 rows,
+//! two dot rows), loading each vector of the right-hand operand once for
+//! all of them. What is fixed is the reduction order *of one output
+//! element*; the tiers choose only which elements share a register and
+//! evaluate the same expression tree in each, so results are
 //! bit-identical to the scalar loops on every tier.
 //!
-//! Determinism contract: the accumulation order for an output row depends
-//! only on the shared dimensions (`k`, `n`), never on the number of rows
-//! `m` being multiplied. Evaluating a `batch × features` matrix therefore
-//! produces bitwise the same rows as evaluating each row on its own — the
-//! property the batched policy API (`act_batch` vs per-row `act`) relies on.
+//! Determinism contract: the accumulation order for an output element
+//! depends only on the shared dimensions (`k`, `n`), never on the number
+//! of rows `m` being multiplied or on which tile a row lands in.
+//! Evaluating a `batch × features` matrix therefore produces bitwise the
+//! same rows as evaluating each row on its own — the property the batched
+//! policy API (`act_batch` vs per-row `act`) relies on.
 
 /// A dense `rows × cols` matrix, row-major.
 ///
@@ -28,17 +31,6 @@ pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
-}
-
-/// Accumulate `a_row · b` into `out_row` (which the caller has zeroed),
-/// rank-4 blocked over `k`. Dispatches to the explicit SIMD microkernel
-/// for the process's [`simd_kernels::Isa::cached`] tier; every tier
-/// computes the same expression tree per column, so the accumulation
-/// order still depends only on `k`/`n` — see the module-level
-/// determinism contract.
-#[inline]
-fn row_matmul_acc(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-    simd_kernels::nnf64::row_matmul_acc(simd_kernels::Isa::cached(), a_row, b, out_row, k, n);
 }
 
 impl Matrix {
@@ -192,21 +184,15 @@ impl Matrix {
     /// `out = self · rhs`, writing into `out` (resized and zeroed here, so
     /// a scratch buffer can be reused across calls of varying batch size).
     ///
-    /// Register-blocked `i-k-j` kernel: the `k` loop is unrolled 4× so the
-    /// inner sweep performs four multiply-adds per accumulator traffic,
-    /// streaming contiguous rows of `rhs` and `out`.
+    /// One call of the rank-4 kernel for the whole product: `k` blocked 4×
+    /// per accumulator update, four output rows per register tile on the
+    /// vector tiers.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         out.resize_zeroed(m, n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            row_matmul_acc(a_row, &rhs.data, out_row, k, n);
-        }
+        let isa = simd_kernels::Isa::cached();
+        simd_kernels::nnf64::matmul_acc(isa, &self.data, &rhs.data, &mut out.data, m, k, n);
     }
 
     /// `self · rhsᵀ`; allocates the output and the kernel's panel.
@@ -409,6 +395,36 @@ mod tests {
         let batched = a.matmul(&b);
         for r in 0..a.rows() {
             let single = Matrix::row(a.row_slice(r)).matmul(&b);
+            assert_eq!(single.as_slice(), batched.row_slice(r));
+        }
+    }
+
+    #[test]
+    fn nine_row_products_are_batch_invariant_across_tile_boundaries() {
+        // Nine rows are two 4-row rank-4 tiles and a 1-row one, or four
+        // 2-row dot tiles and a 1-row one; k = 67 crosses a k panel and
+        // n = 29 ends in a ragged column tail on both vector tiers. Each
+        // output row must equal the product of its own row alone.
+        let (m, k, n) = (9, 67, 29);
+        let x = lcg_matrix(m, k, 46);
+        let w = lcg_matrix(k, n, 47);
+        let batched = x.matmul(&w);
+        for r in 0..m {
+            assert_eq!(Matrix::row(x.row_slice(r)).matmul(&w).as_slice(), batched.row_slice(r));
+        }
+        let wt = lcg_matrix(n, k, 48);
+        let batched = x.matmul_transpose_rhs(&wt);
+        for r in 0..m {
+            let single = Matrix::row(x.row_slice(r)).matmul_transpose_rhs(&wt);
+            assert_eq!(single.as_slice(), batched.row_slice(r));
+        }
+        // `xᵀ · δ`: output row r is column r of `x` against `δ`.
+        let xt = lcg_matrix(k, m, 49);
+        let delta = lcg_matrix(k, n, 50);
+        let batched = xt.transpose_matmul(&delta);
+        for r in 0..m {
+            let column: Vec<f64> = (0..k).map(|p| xt.get(p, r)).collect();
+            let single = Matrix::from_vec(k, 1, column).transpose_matmul(&delta);
             assert_eq!(single.as_slice(), batched.row_slice(r));
         }
     }

@@ -15,9 +15,9 @@
 //! [`odef64`], [`mathf64`]'s slice forms and [`nnf64::axpy`] /
 //! [`nnf64::adam_step`] are written that way. Hand-written `std::arch`
 //! bodies remain only where they measured faster than the compiled body:
-//! the three matmul kernels of [`nnf64`], whose register blocking and
-//! masked column tails the compiler does not reproduce (DESIGN.md, "SIMD
-//! microkernels & dispatch", has the ratios).
+//! the register tiles of [`nnf64`]'s three matmuls, written once and
+//! stamped per tier, whose masked column tails the compiler does not
+//! reproduce (DESIGN.md, "SIMD microkernels & dispatch", has the ratios).
 //!
 //! ## Determinism contract
 //!

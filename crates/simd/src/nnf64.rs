@@ -7,7 +7,7 @@
 //! element's sum. Two trees exist:
 //!
 //! ```text
-//! row_matmul_acc, transpose_matmul_acc (rank-4 panels, rank-1 tail):
+//! matmul_acc, row_matmul_acc, transpose_matmul_acc (rank-4 blocks, rank-1 tail):
 //!     out[j] += ((c0·b0[j] + c1·b1[j]) + c2·b2[j]) + c3·b3[j]
 //! matmul_transpose_rhs (the 4-accumulator dot):
 //!     s_q = Σ a[p]·b[j][p] over p ≡ q (mod 4);  out[j] = ((s0 + s1) + s2) + s3
@@ -19,455 +19,127 @@
 //! identical bits and the forward/backward passes remain batch-size
 //! invariant.
 //!
-//! These three are the crate's only hand-written `std::arch` bodies. The
-//! same loops as safe bodies compiled per tier (the `tiered!` idiom)
-//! measured, on AVX-512 at batch 64, 1.0–1.13× the explicit time on
-//! full-width shapes for the two rank-4 kernels, 1.36× for
-//! `matmul_transpose_rhs`, and 1.3–2.9× wherever a row is narrower than a
-//! vector or ends in a ragged tail (`n` = 2, 3, 4, 11 — the action heads
-//! and the observation width): the register-resident masked tail is not
-//! something the compiler derives from the streaming loop. So they keep
-//! their intrinsics and their `unsafe`; [`axpy`] and [`adam_step`] lost
-//! nothing as plain loops and are `tiered!`.
+//! The vector tiers run both trees as register tiles: a tile holds the
+//! accumulators of `R` output rows × `V` vectors of columns in registers
+//! for its whole `k` sweep and loads each `B` vector once for all `R`
+//! rows. One rank-4 tile serves `A · B` and `Aᵀ · B`, which differ only in
+//! where a row's coefficient `p` lives; the dot tile serves `A · Bᵀ` over
+//! a packed `Bᵀ` panel. The tiles are written once (`tiles!`) and stamped
+//! into an AVX-512 and an AVX2 module over five lane primitives each, the
+//! ragged `n % lanes` columns under a lane mask. These are the crate's
+//! only hand-written `std::arch` bodies: the same tile as a safe
+//! `[f64; 4]`-array body compiled for AVX2 ran 0.54–0.62× on full-width
+//! shapes and 0.08–0.10× on the narrow action and value heads, where the
+//! masked, register-resident tail is everything (DESIGN.md, "SIMD
+//! microkernels"). [`axpy`] and [`adam_step`] lost nothing as plain loops
+//! and are `tiered!`. The scalar tier is the reference the tiles are
+//! tested against.
 
 use crate::isa::tiered;
 use crate::Isa;
-
-#[cfg(target_arch = "x86_64")]
-use core::arch::x86_64::*;
 
 #[inline]
 fn clamp(isa: Isa) -> Isa {
     isa.min(Isa::detect())
 }
 
-/// Mask selecting the low `r` of eight lanes, `1 <= r <= 8`.
-#[cfg(target_arch = "x86_64")]
+/// Register tile shapes, output rows × vectors of columns, chosen by
+/// in-process timing against the streaming kernels on both vector tiers
+/// (DESIGN.md, "SIMD microkernels"). Rank-4 tiles of four rows hold eight
+/// accumulators; a leftover row runs as a 1-row tile four vectors wide so
+/// that it still has four independent add chains. Dot tiles of two rows
+/// hold sixteen partial sums; four rows measured mixed (0.75–2.13×).
+const RANK4_ROWS: usize = 4;
+const RANK4_VECS: usize = 2;
+const ROW_VECS: usize = 4;
+const DOT_ROWS: usize = 2;
+const DOT_VECS: usize = 2;
+
+/// Rows of `B` one rank-4 sweep covers before its accumulators return to
+/// `out`. A multiple of 4, so an element's sequence of rank-4 blocks is
+/// unchanged. It keeps the weight gradient's `B` panel in L1 at the
+/// paper's `k = 256`: one unbroken sweep ran 1.32–1.39× the streaming
+/// kernel there against 1.52–1.55× with the panel (a 1-vector prototype
+/// without it ran 0.80×).
+const K_PANEL: usize = 64;
+
+/// One rank-4 column sweep: the scalar tier's step.
 #[inline(always)]
-fn low_lanes(r: usize) -> __mmask8 {
-    debug_assert!((1..=8).contains(&r));
-    0xFF >> (8 - r)
+fn rank4_cols(c: [f64; 4], b: [&[f64]; 4], out: &mut [f64]) {
+    for (j, o) in out.iter_mut().enumerate() {
+        *o += c[0] * b[0][j] + c[1] * b[1][j] + c[2] * b[2][j] + c[3] * b[3][j];
+    }
 }
 
-/// Scalar reference for one rank-4 column sweep (also the AVX2 tail).
-#[inline(always)]
-fn rank4_cols_tail(
-    c: (f64, f64, f64, f64),
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
+/// The scalar tier of the rank-4 kernels and the tree the tiles match:
+/// `out += A · B` with `A` `m × k`, or with `AT` `out += Aᵀ · B` with `A`
+/// `k × m`; `lda` is `A`'s row stride, `B` is `k × n` and `out` `m × n`.
+fn rank4_scalar<const AT: bool>(
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
     out: &mut [f64],
-    from: usize,
+    (m, k, n): (usize, usize, usize),
 ) {
-    for j in from..out.len() {
-        out[j] += c.0 * b0[j] + c.1 * b1[j] + c.2 * b2[j] + c.3 * b3[j];
-    }
-}
-
-/// Scalar reference for one rank-1 column sweep (also the AVX2 tail).
-#[inline(always)]
-fn rank1_cols_tail(c: f64, b_row: &[f64], out: &mut [f64], from: usize) {
-    for j in from..out.len() {
-        out[j] += c * b_row[j];
-    }
-}
-
-fn row_matmul_acc_scalar(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-    let mut p = 0;
-    while p + 4 <= k {
-        let c = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-        rank4_cols_tail(
-            c,
-            &b[p * n..(p + 1) * n],
-            &b[(p + 1) * n..(p + 2) * n],
-            &b[(p + 2) * n..(p + 3) * n],
-            &b[(p + 3) * n..(p + 4) * n],
-            out_row,
-            0,
-        );
-        p += 4;
-    }
-    while p < k {
-        rank1_cols_tail(a_row[p], &b[p * n..(p + 1) * n], out_row, 0);
-        p += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn row_matmul_acc_avx2(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-    let bp = b.as_ptr();
-    let op = out_row.as_mut_ptr();
-    let mut p = 0;
-    while p + 4 <= k {
-        let c = (a_row[p], a_row[p + 1], a_row[p + 2], a_row[p + 3]);
-        let v0 = _mm256_set1_pd(c.0);
-        let v1 = _mm256_set1_pd(c.1);
-        let v2 = _mm256_set1_pd(c.2);
-        let v3 = _mm256_set1_pd(c.3);
-        let mut j = 0;
-        while j + 4 <= n {
-            // SAFETY: (p + 3)·n + j + 3 < k·n = b.len(); j + 3 < n.
-            unsafe {
-                let x0 = _mm256_loadu_pd(bp.add(p * n + j));
-                let x1 = _mm256_loadu_pd(bp.add((p + 1) * n + j));
-                let x2 = _mm256_loadu_pd(bp.add((p + 2) * n + j));
-                let x3 = _mm256_loadu_pd(bp.add((p + 3) * n + j));
-                let t = _mm256_add_pd(
-                    _mm256_add_pd(
-                        _mm256_add_pd(_mm256_mul_pd(v0, x0), _mm256_mul_pd(v1, x1)),
-                        _mm256_mul_pd(v2, x2),
-                    ),
-                    _mm256_mul_pd(v3, x3),
-                );
-                _mm256_storeu_pd(op.add(j), _mm256_add_pd(_mm256_loadu_pd(op.add(j)), t));
-            }
-            j += 4;
-        }
-        rank4_cols_tail(
-            c,
-            &b[p * n..(p + 1) * n],
-            &b[(p + 1) * n..(p + 2) * n],
-            &b[(p + 2) * n..(p + 3) * n],
-            &b[(p + 3) * n..(p + 4) * n],
-            out_row,
-            j,
-        );
-        p += 4;
-    }
-    while p < k {
-        let c = a_row[p];
-        let cv = _mm256_set1_pd(c);
-        let mut j = 0;
-        while j + 4 <= n {
-            // SAFETY: p·n + j + 3 < k·n = b.len(); j + 3 < n.
-            unsafe {
-                let x = _mm256_loadu_pd(bp.add(p * n + j));
-                let t = _mm256_mul_pd(cv, x);
-                _mm256_storeu_pd(op.add(j), _mm256_add_pd(_mm256_loadu_pd(op.add(j)), t));
-            }
-            j += 4;
-        }
-        rank1_cols_tail(c, &b[p * n..(p + 1) * n], out_row, j);
-        p += 1;
-    }
-}
-
-/// The `n % 8` rightmost columns of one output row of either rank-4
-/// kernel, under a lane mask. Unlike the full-vector sweeps, which stream
-/// `out` through memory once per rank-4 block, the accumulator stays in a
-/// register for the whole `k` sweep: a masked store is not forwarded to
-/// the masked load of the next block, and a narrow head (`n < 8`) is
-/// nothing but this tail. Per lane the sequence is unchanged — `out[j]`
-/// takes block 0's tree, then block 1's, …, then the rank-1 leftovers.
-///
-/// Coefficient `p` is read from `a.add(p * a_stride)`.
-///
-/// # Safety
-/// Requires AVX-512F and `n % 8 != 0`; `a` must be valid for reads at
-/// `p * a_stride` for every `p < k`, `b` for `k·n` reads and `out_row`
-/// for `n` reads and writes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn rank4_cols_tail_avx512(
-    a: *const f64,
-    a_stride: usize,
-    b: *const f64,
-    out_row: *mut f64,
-    k: usize,
-    n: usize,
-) {
-    let j = n & !7;
-    let tail = low_lanes(n - j);
-    // SAFETY: the n − j selected lanes are columns j..n of a row p < k of b
-    // or of out_row; masked-off lanes are not accessed. Coefficient reads
-    // are the caller's bound on `a`.
-    unsafe {
-        let mut acc = _mm512_maskz_loadu_pd(tail, out_row.add(j));
+    let b_row = |p: usize| &b[p * n..(p + 1) * n];
+    for (i, out_row) in out.chunks_exact_mut(n).take(m).enumerate() {
+        let c = |p: usize| if AT { a[p * lda + i] } else { a[i * lda + p] };
         let mut p = 0;
         while p + 4 <= k {
-            let v0 = _mm512_set1_pd(*a.add(p * a_stride));
-            let v1 = _mm512_set1_pd(*a.add((p + 1) * a_stride));
-            let v2 = _mm512_set1_pd(*a.add((p + 2) * a_stride));
-            let v3 = _mm512_set1_pd(*a.add((p + 3) * a_stride));
-            let x0 = _mm512_maskz_loadu_pd(tail, b.add(p * n + j));
-            let x1 = _mm512_maskz_loadu_pd(tail, b.add((p + 1) * n + j));
-            let x2 = _mm512_maskz_loadu_pd(tail, b.add((p + 2) * n + j));
-            let x3 = _mm512_maskz_loadu_pd(tail, b.add((p + 3) * n + j));
-            let t = _mm512_add_pd(
-                _mm512_add_pd(
-                    _mm512_add_pd(_mm512_mul_pd(v0, x0), _mm512_mul_pd(v1, x1)),
-                    _mm512_mul_pd(v2, x2),
-                ),
-                _mm512_mul_pd(v3, x3),
-            );
-            acc = _mm512_add_pd(acc, t);
+            let b4 = [b_row(p), b_row(p + 1), b_row(p + 2), b_row(p + 3)];
+            rank4_cols([c(p), c(p + 1), c(p + 2), c(p + 3)], b4, out_row);
             p += 4;
         }
         while p < k {
-            let cv = _mm512_set1_pd(*a.add(p * a_stride));
-            let x = _mm512_maskz_loadu_pd(tail, b.add(p * n + j));
-            acc = _mm512_add_pd(acc, _mm512_mul_pd(cv, x));
+            for (o, &x) in out_row.iter_mut().zip(b_row(p)) {
+                *o += c(p) * x;
+            }
             p += 1;
         }
-        _mm512_mask_storeu_pd(out_row.add(j), tail, acc);
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn row_matmul_acc_avx512(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-    let bp = b.as_ptr();
-    let op = out_row.as_mut_ptr();
-    let mut p = 0;
-    // Full vectors only; with n < 8 the row is all tail and both sweeps
-    // are skipped.
-    while n >= 8 && p + 4 <= k {
-        let v0 = _mm512_set1_pd(a_row[p]);
-        let v1 = _mm512_set1_pd(a_row[p + 1]);
-        let v2 = _mm512_set1_pd(a_row[p + 2]);
-        let v3 = _mm512_set1_pd(a_row[p + 3]);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: (p + 3)·n + j + 7 < k·n = b.len(); j + 7 < n.
-            unsafe {
-                let x0 = _mm512_loadu_pd(bp.add(p * n + j));
-                let x1 = _mm512_loadu_pd(bp.add((p + 1) * n + j));
-                let x2 = _mm512_loadu_pd(bp.add((p + 2) * n + j));
-                let x3 = _mm512_loadu_pd(bp.add((p + 3) * n + j));
-                let t = _mm512_add_pd(
-                    _mm512_add_pd(
-                        _mm512_add_pd(_mm512_mul_pd(v0, x0), _mm512_mul_pd(v1, x1)),
-                        _mm512_mul_pd(v2, x2),
-                    ),
-                    _mm512_mul_pd(v3, x3),
-                );
-                _mm512_storeu_pd(op.add(j), _mm512_add_pd(_mm512_loadu_pd(op.add(j)), t));
-            }
-            j += 8;
-        }
-        p += 4;
-    }
-    while n >= 8 && p < k {
-        let cv = _mm512_set1_pd(a_row[p]);
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: p·n + j + 7 < k·n = b.len(); j + 7 < n.
-            unsafe {
-                let x = _mm512_loadu_pd(bp.add(p * n + j));
-                let t = _mm512_mul_pd(cv, x);
-                _mm512_storeu_pd(op.add(j), _mm512_add_pd(_mm512_loadu_pd(op.add(j)), t));
-            }
-            j += 8;
-        }
-        p += 1;
-    }
-    if !n.is_multiple_of(8) {
-        // SAFETY: a_row holds k coefficients at stride 1, b holds k·n
-        // values and out_row n (dispatcher asserts).
-        unsafe { rank4_cols_tail_avx512(a_row.as_ptr(), 1, bp, op, k, n) };
-    }
-}
-
-/// One output row of a row-major matmul, accumulated in place:
-/// `out_row += a_row · B` where `B` is `k × n` row-major. Rank-4 blocked
-/// over `k` with the exact scalar expression tree per column.
+/// The one dispatcher of the rank-4 kernels (arguments as for
+/// [`rank4_scalar`]). The callers have asserted the slice lengths.
 #[inline]
-pub fn row_matmul_acc(isa: Isa, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-    assert!(a_row.len() >= k && b.len() >= k * n && out_row.len() >= n, "row_matmul_acc: shape");
-    let out_row = &mut out_row[..n];
+fn rank4_acc<const AT: bool>(
+    isa: Isa,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    out: &mut [f64],
+    (m, k, n): (usize, usize, usize),
+) {
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
     match clamp(isa) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx512 => unsafe { row_matmul_acc_avx512(a_row, b, out_row, k, n) },
+        Isa::Avx512 => unsafe { avx512::rank4::<AT>(a, lda, b, out, m, k, n) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx2 => unsafe { row_matmul_acc_avx2(a_row, b, out_row, k, n) },
-        _ => row_matmul_acc_scalar(a_row, b, out_row, k, n),
+        Isa::Avx2 => unsafe { avx2::rank4::<AT>(a, lda, b, out, m, k, n) },
+        _ => rank4_scalar::<AT>(a, lda, b, out, (m, k, n)),
     }
 }
 
-fn transpose_matmul_acc_scalar(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    let mut p = 0;
-    while p + 4 <= k {
-        let a0 = &a[p * m..(p + 1) * m];
-        let a1 = &a[(p + 1) * m..(p + 2) * m];
-        let a2 = &a[(p + 2) * m..(p + 3) * m];
-        let a3 = &a[(p + 3) * m..(p + 4) * m];
-        for i in 0..m {
-            let c = (a0[i], a1[i], a2[i], a3[i]);
-            rank4_cols_tail(
-                c,
-                &b[p * n..(p + 1) * n],
-                &b[(p + 1) * n..(p + 2) * n],
-                &b[(p + 2) * n..(p + 3) * n],
-                &b[(p + 3) * n..(p + 4) * n],
-                &mut out[i * n..(i + 1) * n],
-                0,
-            );
-        }
-        p += 4;
-    }
-    while p < k {
-        let a_row = &a[p * m..(p + 1) * m];
-        for (i, &c) in a_row.iter().enumerate() {
-            rank1_cols_tail(c, &b[p * n..(p + 1) * n], &mut out[i * n..(i + 1) * n], 0);
-        }
-        p += 1;
-    }
+/// Accumulating row-major matmul: `out += A · B` where `A` is `m × k`,
+/// `B` is `k × n` and `out` is `m × n`. Rank-4 blocked over `k` with the
+/// exact scalar expression tree per element, in tiles of four rows.
+#[inline]
+pub fn matmul_acc(isa: Isa, a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n, "matmul_acc: shape");
+    rank4_acc::<false>(isa, a, k, b, out, (m, k, n));
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn transpose_matmul_acc_avx2(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    let bp = b.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut p = 0;
-    while p + 4 <= k {
-        for i in 0..m {
-            let c = (a[p * m + i], a[(p + 1) * m + i], a[(p + 2) * m + i], a[(p + 3) * m + i]);
-            let v0 = _mm256_set1_pd(c.0);
-            let v1 = _mm256_set1_pd(c.1);
-            let v2 = _mm256_set1_pd(c.2);
-            let v3 = _mm256_set1_pd(c.3);
-            let mut j = 0;
-            while j + 4 <= n {
-                // SAFETY: (p + 3)·n + j + 3 < k·n = b.len();
-                // i·n + j + 3 < m·n = out.len().
-                unsafe {
-                    let x0 = _mm256_loadu_pd(bp.add(p * n + j));
-                    let x1 = _mm256_loadu_pd(bp.add((p + 1) * n + j));
-                    let x2 = _mm256_loadu_pd(bp.add((p + 2) * n + j));
-                    let x3 = _mm256_loadu_pd(bp.add((p + 3) * n + j));
-                    let t = _mm256_add_pd(
-                        _mm256_add_pd(
-                            _mm256_add_pd(_mm256_mul_pd(v0, x0), _mm256_mul_pd(v1, x1)),
-                            _mm256_mul_pd(v2, x2),
-                        ),
-                        _mm256_mul_pd(v3, x3),
-                    );
-                    let o = op.add(i * n + j);
-                    _mm256_storeu_pd(o, _mm256_add_pd(_mm256_loadu_pd(o), t));
-                }
-                j += 4;
-            }
-            rank4_cols_tail(
-                c,
-                &b[p * n..(p + 1) * n],
-                &b[(p + 1) * n..(p + 2) * n],
-                &b[(p + 2) * n..(p + 3) * n],
-                &b[(p + 3) * n..(p + 4) * n],
-                &mut out[i * n..(i + 1) * n],
-                j,
-            );
-        }
-        p += 4;
-    }
-    while p < k {
-        for i in 0..m {
-            let c = a[p * m + i];
-            let cv = _mm256_set1_pd(c);
-            let mut j = 0;
-            while j + 4 <= n {
-                // SAFETY: p·n + j + 3 < k·n; i·n + j + 3 < m·n.
-                unsafe {
-                    let x = _mm256_loadu_pd(bp.add(p * n + j));
-                    let o = op.add(i * n + j);
-                    _mm256_storeu_pd(o, _mm256_add_pd(_mm256_loadu_pd(o), _mm256_mul_pd(cv, x)));
-                }
-                j += 4;
-            }
-            rank1_cols_tail(c, &b[p * n..(p + 1) * n], &mut out[i * n..(i + 1) * n], j);
-        }
-        p += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn transpose_matmul_acc_avx512(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    k: usize,
-    m: usize,
-    n: usize,
-) {
-    let bp = b.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut p = 0;
-    // Full vectors only; with n < 8 every row is all tail and both sweeps
-    // are skipped.
-    while n >= 8 && p + 4 <= k {
-        for i in 0..m {
-            let v0 = _mm512_set1_pd(a[p * m + i]);
-            let v1 = _mm512_set1_pd(a[(p + 1) * m + i]);
-            let v2 = _mm512_set1_pd(a[(p + 2) * m + i]);
-            let v3 = _mm512_set1_pd(a[(p + 3) * m + i]);
-            let mut j = 0;
-            while j + 8 <= n {
-                // SAFETY: (p + 3)·n + j + 7 < k·n = b.len();
-                // i·n + j + 7 < m·n = out.len().
-                unsafe {
-                    let x0 = _mm512_loadu_pd(bp.add(p * n + j));
-                    let x1 = _mm512_loadu_pd(bp.add((p + 1) * n + j));
-                    let x2 = _mm512_loadu_pd(bp.add((p + 2) * n + j));
-                    let x3 = _mm512_loadu_pd(bp.add((p + 3) * n + j));
-                    let t = _mm512_add_pd(
-                        _mm512_add_pd(
-                            _mm512_add_pd(_mm512_mul_pd(v0, x0), _mm512_mul_pd(v1, x1)),
-                            _mm512_mul_pd(v2, x2),
-                        ),
-                        _mm512_mul_pd(v3, x3),
-                    );
-                    let o = op.add(i * n + j);
-                    _mm512_storeu_pd(o, _mm512_add_pd(_mm512_loadu_pd(o), t));
-                }
-                j += 8;
-            }
-        }
-        p += 4;
-    }
-    while n >= 8 && p < k {
-        for i in 0..m {
-            let cv = _mm512_set1_pd(a[p * m + i]);
-            let mut j = 0;
-            while j + 8 <= n {
-                // SAFETY: p·n + j + 7 < k·n; i·n + j + 7 < m·n.
-                unsafe {
-                    let x = _mm512_loadu_pd(bp.add(p * n + j));
-                    let o = op.add(i * n + j);
-                    _mm512_storeu_pd(o, _mm512_add_pd(_mm512_loadu_pd(o), _mm512_mul_pd(cv, x)));
-                }
-                j += 8;
-            }
-        }
-        p += 1;
-    }
-    if !n.is_multiple_of(8) {
-        for i in 0..m {
-            // SAFETY: column i of a is k coefficients at stride m, the
-            // last at (k − 1)·m + i < k·m = a.len(); b holds k·n values
-            // and row i of out ends at (i + 1)·n <= m·n (dispatcher
-            // asserts).
-            unsafe { rank4_cols_tail_avx512(a.as_ptr().add(i), m, bp, op.add(i * n), k, n) };
-        }
-    }
+/// One output row of a row-major matmul, accumulated in place:
+/// `out_row += a_row · B` where `B` is `k × n` row-major — [`matmul_acc`]
+/// with one row, which runs as the 1-row band of the tile.
+#[inline]
+pub fn row_matmul_acc(isa: Isa, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
+    assert!(a_row.len() >= k && b.len() >= k * n && out_row.len() >= n, "row_matmul_acc: shape");
+    rank4_acc::<false>(isa, a_row, k, b, out_row, (1, k, n));
 }
 
 /// Accumulating transposed-LHS matmul: `out += Aᵀ · B` where `A` is
@@ -487,25 +159,14 @@ pub fn transpose_matmul_acc(
         a.len() >= k * m && b.len() >= k * n && out.len() >= m * n,
         "transpose_matmul_acc: shape"
     );
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    match clamp(isa) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx512 => unsafe { transpose_matmul_acc_avx512(a, b, out, k, m, n) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx2 => unsafe { transpose_matmul_acc_avx2(a, b, out, k, m, n) },
-        _ => transpose_matmul_acc_scalar(a, b, out, k, m, n),
-    }
+    rank4_acc::<true>(isa, a, m, b, out, (m, k, n));
 }
 
 /// The reduction tree of every [`matmul_transpose_rhs`] output element:
 /// four partial sums over `p ≡ 0..3 (mod 4)`, combined
 /// `((s0 + s1) + s2) + s3`, then the `k % 4` leftover products added in
-/// order. This is the scalar tier and the AVX2 column tail; the vector
-/// tiers run the same tree in every lane.
+/// order. This is the scalar tier; the vector tiers run the same tree in
+/// every lane.
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     let k = a.len().min(b.len());
@@ -524,178 +185,6 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
         p += 1;
     }
     acc
-}
-
-/// Columns `from..n` of output row `a_row · Bᵀ`, one [`dot`] each over
-/// the contiguous rows of `b` (`n × k`).
-#[inline(always)]
-fn dot_cols_tail(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, from: usize) {
-    for (j, o) in out_row.iter_mut().enumerate().skip(from) {
-        *o = dot(a_row, &b[j * k..(j + 1) * k]);
-    }
-}
-
-/// `V` four-lane column vectors of one output row, starting at column
-/// `j`: lane `l` of vector `v` runs [`dot`]'s tree for column
-/// `j + 4v + l`, reading that column from the transposed panel `bt`
-/// (`k × n`). `V = 2` keeps eight independent add chains in flight.
-///
-/// # Safety
-/// Requires AVX2; `bt` must be valid for `k·n` reads, `out_row` for `n`
-/// writes, `a_row.len() == k` and `j + 4·V <= n`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_cols_avx2<const V: usize>(
-    a_row: &[f64],
-    bt: *const f64,
-    out_row: *mut f64,
-    n: usize,
-    j: usize,
-) {
-    let k = a_row.len();
-    let mut s = [[_mm256_setzero_pd(); 4]; V];
-    let mut p = 0;
-    while p + 4 <= k {
-        for q in 0..4 {
-            let c = _mm256_set1_pd(a_row[p + q]);
-            for (v, sv) in s.iter_mut().enumerate() {
-                // SAFETY: (p + q)·n + j + 4v + 3 < k·n since p + q < k
-                // and j + 4V <= n.
-                let x = unsafe { _mm256_loadu_pd(bt.add((p + q) * n + j + 4 * v)) };
-                sv[q] = _mm256_add_pd(sv[q], _mm256_mul_pd(c, x));
-            }
-        }
-        p += 4;
-    }
-    let mut acc = [_mm256_setzero_pd(); V];
-    for (av, sv) in acc.iter_mut().zip(&s) {
-        *av = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(sv[0], sv[1]), sv[2]), sv[3]);
-    }
-    while p < k {
-        let c = _mm256_set1_pd(a_row[p]);
-        for (v, av) in acc.iter_mut().enumerate() {
-            // SAFETY: p·n + j + 4v + 3 < k·n since p < k and j + 4V <= n.
-            let x = unsafe { _mm256_loadu_pd(bt.add(p * n + j + 4 * v)) };
-            *av = _mm256_add_pd(*av, _mm256_mul_pd(c, x));
-        }
-        p += 1;
-    }
-    for (v, av) in acc.iter().enumerate() {
-        // SAFETY: j + 4v + 3 < n, the caller's bound on `out_row`.
-        unsafe { _mm256_storeu_pd(out_row.add(j + 4 * v), *av) };
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_transpose_rhs_avx2(
-    a: &[f64],
-    b: &[f64],
-    bt: &[f64],
-    out: &mut [f64],
-    k: usize,
-    n: usize,
-) {
-    let btp = bt.as_ptr();
-    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        let op = out_row.as_mut_ptr();
-        let mut j = 0;
-        while j + 8 <= n {
-            // SAFETY: bt holds k·n values (dispatcher asserts), out_row n,
-            // a_row k, and j + 8 <= n.
-            unsafe { dot_cols_avx2::<2>(a_row, btp, op, n, j) };
-            j += 8;
-        }
-        if j + 4 <= n {
-            // SAFETY: as above with j + 4 <= n.
-            unsafe { dot_cols_avx2::<1>(a_row, btp, op, n, j) };
-            j += 4;
-        }
-        dot_cols_tail(a_row, b, out_row, k, j);
-    }
-}
-
-/// `V` eight-lane column vectors of one output row, starting at column
-/// `j`, the last of them under the lane mask `last` (all ones for a full
-/// vector): lane `l` of vector `v` runs [`dot`]'s tree for column
-/// `j + 8v + l`, reading that column from the transposed panel `bt`
-/// (`k × n`). `V = 2` keeps eight independent add chains in flight.
-///
-/// # Safety
-/// Requires AVX-512F; `bt` must be valid for `k·n` reads, `out_row` for
-/// `n` writes, `a_row.len() == k`, and the selected lanes must end at or
-/// before column `n`: `j + 8·(V − 1) + popcount(last) <= n` with `last`
-/// a low-lanes mask.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dot_cols_avx512<const V: usize>(
-    a_row: &[f64],
-    bt: *const f64,
-    out_row: *mut f64,
-    n: usize,
-    j: usize,
-    last: __mmask8,
-) {
-    let k = a_row.len();
-    let mask = |v: usize| if v + 1 == V { last } else { 0xFF };
-    let mut s = [[_mm512_setzero_pd(); 4]; V];
-    let mut p = 0;
-    while p + 4 <= k {
-        for q in 0..4 {
-            let c = _mm512_set1_pd(a_row[p + q]);
-            for (v, sv) in s.iter_mut().enumerate() {
-                // SAFETY: the lanes selected by mask(v) are columns
-                // j + 8v + l < n of panel row p + q < k, inside bt; masked-off
-                // lanes are not accessed.
-                let x = unsafe { _mm512_maskz_loadu_pd(mask(v), bt.add((p + q) * n + j + 8 * v)) };
-                sv[q] = _mm512_add_pd(sv[q], _mm512_mul_pd(c, x));
-            }
-        }
-        p += 4;
-    }
-    let mut acc = [_mm512_setzero_pd(); V];
-    for (av, sv) in acc.iter_mut().zip(&s) {
-        *av = _mm512_add_pd(_mm512_add_pd(_mm512_add_pd(sv[0], sv[1]), sv[2]), sv[3]);
-    }
-    while p < k {
-        let c = _mm512_set1_pd(a_row[p]);
-        for (v, av) in acc.iter_mut().enumerate() {
-            // SAFETY: as above for panel row p < k.
-            let x = unsafe { _mm512_maskz_loadu_pd(mask(v), bt.add(p * n + j + 8 * v)) };
-            *av = _mm512_add_pd(*av, _mm512_mul_pd(c, x));
-        }
-        p += 1;
-    }
-    for (v, av) in acc.iter().enumerate() {
-        // SAFETY: the selected lanes are columns j + 8v + l < n of
-        // out_row; masked-off lanes are not written.
-        unsafe { _mm512_mask_storeu_pd(out_row.add(j + 8 * v), mask(v), *av) };
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn matmul_transpose_rhs_avx512(a: &[f64], bt: &[f64], out: &mut [f64], k: usize, n: usize) {
-    let btp = bt.as_ptr();
-    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        let op = out_row.as_mut_ptr();
-        let mut j = 0;
-        while j + 16 <= n {
-            // SAFETY: bt holds k·n values (dispatcher asserts), out_row n,
-            // a_row k, and j + 16 <= n.
-            unsafe { dot_cols_avx512::<2>(a_row, btp, op, n, j, 0xFF) };
-            j += 16;
-        }
-        let r = n - j;
-        if r > 8 {
-            // SAFETY: as above; the second vector selects r − 8 lanes, so
-            // the last column touched is j + r − 1 = n − 1.
-            unsafe { dot_cols_avx512::<2>(a_row, btp, op, n, j, low_lanes(r - 8)) };
-        } else if r > 0 {
-            // SAFETY: as above; r lanes from column j end at n − 1.
-            unsafe { dot_cols_avx512::<1>(a_row, btp, op, n, j, low_lanes(r)) };
-        }
-    }
 }
 
 /// Write `bt = bᵀ` (`k × n` from the `n × k` row-major `b`): the panel
@@ -728,8 +217,7 @@ pub fn pack_transposed(isa: Isa, b: &[f64], n: usize, k: usize, bt: &mut Vec<f64
 /// `m × n`, all row-major — the input-gradient kernel `∂x = δ · Wᵀ`.
 /// `bt` is `B` packed by [`pack_transposed`] for the same `isa`. Every
 /// output element follows the 4-accumulator tree of the module docs on
-/// every tier; the vector tiers run it for 16 (AVX-512) or 8 (AVX2)
-/// columns of one output row at a time.
+/// every tier; the vector tiers run it in tiles of two output rows.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_transpose_rhs(
@@ -759,16 +247,408 @@ pub fn matmul_transpose_rhs(
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx512 => unsafe { matmul_transpose_rhs_avx512(a, bt, out, k, n) },
+        Isa::Avx512 => unsafe { avx512::dot(a, bt, out, m, k, n) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamp() verified the CPU supports this tier.
-        Isa::Avx2 => unsafe { matmul_transpose_rhs_avx2(a, b, bt, out, k, n) },
+        Isa::Avx2 => unsafe { avx2::dot(a, bt, out, m, k, n) },
         _ => {
             for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-                dot_cols_tail(a_row, b, out_row, k, 0);
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o = dot(a_row, &b[j * k..(j + 1) * k]);
+                }
             }
         }
     }
+}
+
+/// The register tiles, written once and stamped into each vector tier's
+/// module with that tier's `target_feature`. They call the module's lane
+/// primitives: `N` lanes, `splat`, `add`, `mul`, and `load` / `store`,
+/// which touch only the low `lanes` lanes when `TAIL` is set (a ragged
+/// `n % N` column tail) and a full vector otherwise.
+///
+/// The tiles are safe functions that `assert!` the bounds of every
+/// pointer they form; the entry points `debug_assert!` their shapes.
+#[cfg(target_arch = "x86_64")]
+macro_rules! tiles {
+    ($feature:literal) => {
+        use super::{DOT_ROWS, DOT_VECS, K_PANEL, RANK4_ROWS, RANK4_VECS, ROW_VECS};
+
+        /// Rows `0..R` × `V` vectors of columns of a rank-4 kernel — or,
+        /// with `TAIL`, one vector of `lanes` columns — over rows `p0..p1`
+        /// of `b`: `out[r·n + c] +=` coefficient `p` of row `r` times
+        /// `b[p·n + c]`, in rank-4 blocks then rank-1 steps. The
+        /// coefficient is `a[r·lda + p]` for `A · B` and `a[p·lda + r]`
+        /// for `Aᵀ · B` (`AT`). The accumulators stay in registers for the
+        /// sweep and each `b` vector serves all `R` rows.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn rank4_tile<const R: usize, const V: usize, const TAIL: bool, const AT: bool>(
+            a: &[f64],
+            lda: usize,
+            b: &[f64],
+            out: &mut [f64],
+            n: usize,
+            (p0, p1): (usize, usize),
+            lanes: usize,
+        ) {
+            assert!(p0 < p1 && (1..=N).contains(&lanes) && if TAIL { V == 1 } else { lanes == N });
+            let cols = (V - 1) * N + lanes;
+            let last = if AT { (p1 - 1) * lda + R - 1 } else { (R - 1) * lda + p1 - 1 };
+            assert!(
+                last < a.len() && (p1 - 1) * n + cols <= b.len() && (R - 1) * n + cols <= out.len(),
+                "rank4_tile: bounds"
+            );
+            let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+            // SAFETY: coefficient reads are at r·lda + p or p·lda + r for
+            // r < R and p < p1, at most `last`; vector reads at p·n + v·N
+            // for p < p1 and out accesses at r·n + v·N for r < R, `lanes`
+            // values per vector: all inside the slices by the asserts.
+            // `load`/`store` touch no other lane.
+            unsafe {
+                let coef =
+                    |r: usize, p: usize| if AT { *a.add(p * lda + r) } else { *a.add(r * lda + p) };
+                let mut acc = [[splat(0.0); V]; R];
+                for (r, ar) in acc.iter_mut().enumerate() {
+                    for (v, av) in ar.iter_mut().enumerate() {
+                        *av = load::<TAIL>(out.add(r * n + v * N), lanes);
+                    }
+                }
+                let mut p = p0;
+                while p + 4 <= p1 {
+                    for v in 0..V {
+                        let x = |q: usize| load::<TAIL>(b.add((p + q) * n + v * N), lanes);
+                        let (x0, x1, x2, x3) = (x(0), x(1), x(2), x(3));
+                        for (r, ar) in acc.iter_mut().enumerate() {
+                            let c = |q: usize| splat(coef(r, p + q));
+                            let t = add(
+                                add(add(mul(c(0), x0), mul(c(1), x1)), mul(c(2), x2)),
+                                mul(c(3), x3),
+                            );
+                            ar[v] = add(ar[v], t);
+                        }
+                    }
+                    p += 4;
+                }
+                while p < p1 {
+                    for v in 0..V {
+                        let x = load::<TAIL>(b.add(p * n + v * N), lanes);
+                        for (r, ar) in acc.iter_mut().enumerate() {
+                            ar[v] = add(ar[v], mul(splat(coef(r, p)), x));
+                        }
+                    }
+                    p += 1;
+                }
+                for (r, ar) in acc.iter().enumerate() {
+                    for (v, &av) in ar.iter().enumerate() {
+                        store::<TAIL>(out.add(r * n + v * N), lanes, av);
+                    }
+                }
+            }
+        }
+
+        /// One band of `R` output rows of a rank-4 kernel over the panel
+        /// `p0..p1`: `V`-vector tiles, then single vectors, then the masked
+        /// column tail.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn rank4_band<const R: usize, const V: usize, const AT: bool>(
+            a: &[f64],
+            lda: usize,
+            b: &[f64],
+            out: &mut [f64],
+            n: usize,
+            panel: (usize, usize),
+        ) {
+            let mut j = 0;
+            while j + V * N <= n {
+                rank4_tile::<R, V, false, AT>(a, lda, &b[j..], &mut out[j..], n, panel, N);
+                j += V * N;
+            }
+            while j + N <= n {
+                rank4_tile::<R, 1, false, AT>(a, lda, &b[j..], &mut out[j..], n, panel, N);
+                j += N;
+            }
+            if j < n {
+                rank4_tile::<R, 1, true, AT>(a, lda, &b[j..], &mut out[j..], n, panel, n - j);
+            }
+        }
+
+        /// `out += A · B` (`A` is `m × k` with row stride `lda`) or, with
+        /// `AT`, `out += Aᵀ · B` (`A` is `k × m`, row stride `lda`); `B` is
+        /// `k × n` and `out` `m × n`. `k` in panels of [`K_PANEL`], each
+        /// over bands of [`RANK4_ROWS`] rows and then single rows.
+        #[target_feature(enable = $feature)]
+        pub(super) fn rank4<const AT: bool>(
+            a: &[f64],
+            lda: usize,
+            b: &[f64],
+            out: &mut [f64],
+            m: usize,
+            k: usize,
+            n: usize,
+        ) {
+            debug_assert!(m > 0 && k > 0 && n > 0, "rank4: empty product");
+            debug_assert!(
+                (if AT { (k - 1) * lda + m } else { (m - 1) * lda + k }) <= a.len()
+                    && k * n <= b.len()
+                    && m * n <= out.len(),
+                "rank4: shape"
+            );
+            let row = |i: usize| if AT { i } else { i * lda };
+            let mut p0 = 0;
+            while p0 < k {
+                let p1 = if k - p0 > K_PANEL { p0 + K_PANEL } else { k };
+                let mut i = 0;
+                while i + RANK4_ROWS <= m {
+                    let (a, o) = (&a[row(i)..], &mut out[i * n..]);
+                    rank4_band::<RANK4_ROWS, RANK4_VECS, AT>(a, lda, b, o, n, (p0, p1));
+                    i += RANK4_ROWS;
+                }
+                while i < m {
+                    let (a, o) = (&a[row(i)..], &mut out[i * n..]);
+                    rank4_band::<1, ROW_VECS, AT>(a, lda, b, o, n, (p0, p1));
+                    i += 1;
+                }
+                p0 = p1;
+            }
+        }
+
+        /// Rows `0..R` × `V` vectors of columns of `out = A · Bᵀ` — or,
+        /// with `TAIL`, one vector of `lanes` columns: lane `l` of vector
+        /// `v` in row `r` runs the 4-partial-sum tree over `a[r·k..][..k]`
+        /// and column `v·N + l` of the packed panel `bt` (`bt[p·n + …]`).
+        /// Each panel vector serves all `R` rows.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn dot_tile<const R: usize, const V: usize, const TAIL: bool>(
+            a: &[f64],
+            k: usize,
+            bt: &[f64],
+            out: &mut [f64],
+            n: usize,
+            lanes: usize,
+        ) {
+            assert!(k > 0 && (1..=N).contains(&lanes) && if TAIL { V == 1 } else { lanes == N });
+            let cols = (V - 1) * N + lanes;
+            assert!(
+                R * k <= a.len()
+                    && (k - 1) * n + cols <= bt.len()
+                    && (R - 1) * n + cols <= out.len(),
+                "dot_tile: bounds"
+            );
+            let (a, bt, out) = (a.as_ptr(), bt.as_ptr(), out.as_mut_ptr());
+            // SAFETY: coefficient reads are at r·k + p < R·k, panel reads
+            // at p·n + v·N for p < k and out accesses at r·n + v·N for
+            // r < R, `lanes` values per vector: all inside the slices by
+            // the asserts. `load`/`store` touch no other lane.
+            unsafe {
+                let mut s = [[[splat(0.0); 4]; V]; R];
+                let mut x = [splat(0.0); V];
+                let mut p = 0;
+                while p + 4 <= k {
+                    for q in 0..4 {
+                        for (v, x) in x.iter_mut().enumerate() {
+                            *x = load::<TAIL>(bt.add((p + q) * n + v * N), lanes);
+                        }
+                        for (r, sr) in s.iter_mut().enumerate() {
+                            let c = splat(*a.add(r * k + p + q));
+                            for (sv, &x) in sr.iter_mut().zip(&x) {
+                                sv[q] = add(sv[q], mul(c, x));
+                            }
+                        }
+                    }
+                    p += 4;
+                }
+                let mut acc = [[splat(0.0); V]; R];
+                for (ar, sr) in acc.iter_mut().zip(&s) {
+                    for (av, sv) in ar.iter_mut().zip(sr) {
+                        *av = add(add(add(sv[0], sv[1]), sv[2]), sv[3]);
+                    }
+                }
+                while p < k {
+                    for (v, x) in x.iter_mut().enumerate() {
+                        *x = load::<TAIL>(bt.add(p * n + v * N), lanes);
+                    }
+                    for (r, ar) in acc.iter_mut().enumerate() {
+                        let c = splat(*a.add(r * k + p));
+                        for (av, &x) in ar.iter_mut().zip(&x) {
+                            *av = add(*av, mul(c, x));
+                        }
+                    }
+                    p += 1;
+                }
+                for (r, ar) in acc.iter().enumerate() {
+                    for (v, &av) in ar.iter().enumerate() {
+                        store::<TAIL>(out.add(r * n + v * N), lanes, av);
+                    }
+                }
+            }
+        }
+
+        /// One band of `R` output rows of `A · Bᵀ`: [`DOT_VECS`]-vector
+        /// tiles, then single vectors, then the masked column tail.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn dot_band<const R: usize>(a: &[f64], k: usize, bt: &[f64], out: &mut [f64], n: usize) {
+            let mut j = 0;
+            while j + DOT_VECS * N <= n {
+                dot_tile::<R, DOT_VECS, false>(a, k, &bt[j..], &mut out[j..], n, N);
+                j += DOT_VECS * N;
+            }
+            while j + N <= n {
+                dot_tile::<R, 1, false>(a, k, &bt[j..], &mut out[j..], n, N);
+                j += N;
+            }
+            if j < n {
+                dot_tile::<R, 1, true>(a, k, &bt[j..], &mut out[j..], n, n - j);
+            }
+        }
+
+        /// `out = A · Bᵀ` (`A` is `m × k`, `bt` the `k × n` packed `Bᵀ`)
+        /// over bands of [`DOT_ROWS`] rows and then single rows.
+        #[target_feature(enable = $feature)]
+        pub(super) fn dot(a: &[f64], bt: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+            debug_assert!(m > 0 && k > 0 && n > 0, "dot: empty product");
+            debug_assert!(
+                m * k <= a.len() && k * n <= bt.len() && m * n <= out.len(),
+                "dot: shape"
+            );
+            let mut i = 0;
+            while i + DOT_ROWS <= m {
+                dot_band::<DOT_ROWS>(&a[i * k..], k, bt, &mut out[i * n..], n);
+                i += DOT_ROWS;
+            }
+            while i < m {
+                dot_band::<1>(&a[i * k..], k, bt, &mut out[i * n..], n);
+                i += 1;
+            }
+        }
+    };
+}
+
+/// The AVX-512 tier: eight lanes, ragged tails under a `__mmask8`.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use core::arch::x86_64::*;
+
+    const N: usize = 8;
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn splat(x: f64) -> __m512d {
+        _mm512_set1_pd(x)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn add(x: __m512d, y: __m512d) -> __m512d {
+        _mm512_add_pd(x, y)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn mul(x: __m512d, y: __m512d) -> __m512d {
+        _mm512_mul_pd(x, y)
+    }
+
+    /// # Safety
+    /// `p` is valid for reading `lanes` values (all `N` unless `TAIL`).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load<const TAIL: bool>(p: *const f64, lanes: usize) -> __m512d {
+        // SAFETY: the caller's bound; a masked-off lane is not accessed.
+        unsafe {
+            if TAIL {
+                _mm512_maskz_loadu_pd(0xFF >> (N - lanes), p)
+            } else {
+                _mm512_loadu_pd(p)
+            }
+        }
+    }
+
+    /// # Safety
+    /// `p` is valid for writing `lanes` values (all `N` unless `TAIL`).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn store<const TAIL: bool>(p: *mut f64, lanes: usize, x: __m512d) {
+        // SAFETY: the caller's bound; a masked-off lane is not accessed.
+        unsafe {
+            if TAIL {
+                _mm512_mask_storeu_pd(p, 0xFF >> (N - lanes), x)
+            } else {
+                _mm512_storeu_pd(p, x)
+            }
+        }
+    }
+
+    tiles!("avx512f");
+}
+
+/// The AVX2 tier: four lanes, ragged tails under `vmaskmovpd`.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use core::arch::x86_64::*;
+
+    const N: usize = 4;
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn splat(x: f64) -> __m256d {
+        _mm256_set1_pd(x)
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn add(x: __m256d, y: __m256d) -> __m256d {
+        _mm256_add_pd(x, y)
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn mul(x: __m256d, y: __m256d) -> __m256d {
+        _mm256_mul_pd(x, y)
+    }
+
+    /// The `vmaskmovpd` mask selecting the low `lanes` lanes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn low(lanes: usize) -> __m256i {
+        let on = |l: usize| if l < lanes { -1 } else { 0 };
+        _mm256_setr_epi64x(on(0), on(1), on(2), on(3))
+    }
+
+    /// # Safety
+    /// `p` is valid for reading `lanes` values (all `N` unless `TAIL`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load<const TAIL: bool>(p: *const f64, lanes: usize) -> __m256d {
+        // SAFETY: the caller's bound; a masked-off lane is not accessed.
+        unsafe {
+            if TAIL {
+                _mm256_maskload_pd(p, low(lanes))
+            } else {
+                _mm256_loadu_pd(p)
+            }
+        }
+    }
+
+    /// # Safety
+    /// `p` is valid for writing `lanes` values (all `N` unless `TAIL`).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store<const TAIL: bool>(p: *mut f64, lanes: usize, x: __m256d) {
+        // SAFETY: the caller's bound; a masked-off lane is not accessed.
+        unsafe {
+            if TAIL {
+                _mm256_maskstore_pd(p, low(lanes), x)
+            } else {
+                _mm256_storeu_pd(p, x)
+            }
+        }
+    }
+
+    tiles!("avx2");
 }
 
 tiered! {
@@ -849,74 +729,63 @@ mod tests {
         Isa::ALL.into_iter().filter(|t| t.available()).collect()
     }
 
-    /// k values cover rank-4 blocks plus every tail length; n values
-    /// cover full vectors, half vectors and scalar column tails.
-    const KS: [usize; 5] = [1, 3, 4, 9, 12];
-    const NS: [usize; 6] = [1, 3, 5, 8, 13, 64];
+    /// k values cover no rank-4 block, rank-4 blocks, every tail length and
+    /// a second `K_PANEL`; n values cover full vectors and every masked tail
+    /// of both widths, alone and after a full vector; m covers every row
+    /// count modulo both tile heights.
+    const KS: [usize; 7] = [1, 2, 3, 4, 9, 12, 67];
+    const NS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 64];
+    const MS: std::ops::Range<usize> = 0..10;
 
-    #[test]
-    fn row_matmul_acc_is_bitwise_identical_across_tiers() {
-        for &k in &KS {
-            for &n in &NS {
-                let a_row = lcg(k as u64, k);
-                let b = lcg((k * n) as u64, k * n);
-                let seed_out = lcg(7, n);
-                let mut reference = seed_out.clone();
-                row_matmul_acc_scalar(&a_row, &b, &mut reference, k, n);
-                for isa in tiers() {
-                    let mut out = seed_out.clone();
-                    row_matmul_acc(isa, &a_row, &b, &mut out, k, n);
-                    assert!(
-                        out.iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "row_matmul_acc {isa} k={k} n={n}"
-                    );
-                }
-            }
-        }
+    /// Every `(m, k, n)` of the grid above.
+    fn shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        KS.into_iter().flat_map(|k| NS.into_iter().flat_map(move |n| MS.map(move |m| (m, k, n))))
+    }
+
+    fn bits_eq(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     #[test]
-    fn transpose_matmul_acc_is_bitwise_identical_across_tiers() {
-        for &k in &KS {
-            for &n in &NS {
-                let m = 5;
-                let a = lcg((k * m) as u64, k * m);
-                let b = lcg((k * n + 1) as u64, k * n);
-                let seed_out = lcg(11, m * n);
-                let mut reference = seed_out.clone();
-                transpose_matmul_acc_scalar(&a, &b, &mut reference, k, m, n);
-                for isa in tiers() {
-                    let mut out = seed_out.clone();
-                    transpose_matmul_acc(isa, &a, &b, &mut out, k, m, n);
-                    assert!(
-                        out.iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "transpose_matmul_acc {isa} k={k} m={m} n={n}"
-                    );
+    fn rank4_kernels_are_bitwise_identical_across_tiers() {
+        for (m, k, n) in shapes() {
+            let a = lcg((k * m) as u64, k * m);
+            let b = lcg((k * n + 1) as u64, k * n);
+            let seed_out = lcg(11, m * n);
+            let mut fwd = seed_out.clone();
+            rank4_scalar::<false>(&a, k, &b, &mut fwd, (m, k, n));
+            let mut grad = seed_out.clone();
+            rank4_scalar::<true>(&a, m, &b, &mut grad, (m, k, n));
+            for isa in tiers() {
+                let mut out = seed_out.clone();
+                matmul_acc(isa, &a, &b, &mut out, m, k, n);
+                assert!(bits_eq(&out, &fwd), "matmul_acc {isa} m={m} k={k} n={n}");
+                let mut out = seed_out.clone();
+                transpose_matmul_acc(isa, &a, &b, &mut out, k, m, n);
+                assert!(bits_eq(&out, &grad), "transpose_matmul_acc {isa} m={m} k={k} n={n}");
+                let mut out = seed_out.clone();
+                for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                    row_matmul_acc(isa, a_row, &b, out_row, k, n);
                 }
+                assert!(bits_eq(&out, &fwd), "row_matmul_acc {isa} m={m} k={k} n={n}");
             }
         }
     }
 
     #[test]
     fn matmul_transpose_rhs_is_bitwise_identical_across_tiers() {
-        for &k in &KS {
-            for &n in &NS {
-                let m = 3;
-                let a = lcg((k * m + 5) as u64, m * k);
-                let b = lcg((k * n + 2) as u64, n * k);
-                // The scalar tier is the reference; it reads no panel.
-                let mut reference = vec![f64::NAN; m * n];
-                matmul_transpose_rhs(Isa::Scalar, &a, &b, &[], &mut reference, m, k, n);
-                for isa in tiers() {
-                    let mut bt = Vec::new();
-                    pack_transposed(isa, &b, n, k, &mut bt);
-                    let mut out = vec![f64::NAN; m * n];
-                    matmul_transpose_rhs(isa, &a, &b, &bt, &mut out, m, k, n);
-                    assert!(
-                        out.iter().zip(&reference).all(|(x, y)| x.to_bits() == y.to_bits()),
-                        "matmul_transpose_rhs {isa} k={k} n={n}"
-                    );
-                }
+        for (m, k, n) in shapes() {
+            let a = lcg((k * m + 5) as u64, m * k);
+            let b = lcg((k * n + 2) as u64, n * k);
+            // The scalar tier is the reference; it reads no panel.
+            let mut reference = vec![f64::NAN; m * n];
+            matmul_transpose_rhs(Isa::Scalar, &a, &b, &[], &mut reference, m, k, n);
+            for isa in tiers() {
+                let mut bt = Vec::new();
+                pack_transposed(isa, &b, n, k, &mut bt);
+                let mut out = vec![f64::NAN; m * n];
+                matmul_transpose_rhs(isa, &a, &b, &bt, &mut out, m, k, n);
+                assert!(bits_eq(&out, &reference), "matmul_transpose_rhs {isa} m={m} k={k} n={n}");
             }
         }
     }
@@ -973,20 +842,11 @@ mod tests {
     fn matmul_matches_naive_reference() {
         // Beyond tier parity: the blocked kernel must compute an actual
         // matrix product (approximately — association differs from naive).
-        let (m, k, n) = (3, 9, 5);
+        let (m, k, n) = (6, 9, 5);
         let a = lcg(1, m * k);
         let b = lcg(2, k * n);
         let mut out = vec![0.0; m * n];
-        for i in 0..m {
-            row_matmul_acc(
-                Isa::cached(),
-                &a[i * k..(i + 1) * k],
-                &b,
-                &mut out[i * n..(i + 1) * n],
-                k,
-                n,
-            );
-        }
+        matmul_acc(Isa::cached(), &a, &b, &mut out, m, k, n);
         for i in 0..m {
             for j in 0..n {
                 let naive: f64 = (0..k).map(|p| a[i * k + p] * b[p * n + j]).sum();

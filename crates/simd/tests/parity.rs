@@ -171,93 +171,122 @@ fn ode_elementwise_kernels_match_scalar() {
     });
 }
 
+/// The matmul shape grid: every `m mod 4` and `m mod 2` of the row tiles
+/// (and `m = 0`); `k` with and without rank-4 blocks, every rank-1 tail
+/// (`k = 2` has no block at all), and sweeps that cross one or three
+/// 64-row panels; `n` gives every masked tail of 1 to 7 lanes alone and
+/// after full 8-lane vectors (11 to 15, 17, 29, 47), every 4-lane tail
+/// after a full vector (5 to 7, 11, 13), the one-row band's four-vector
+/// tile followed by a vector and a tail (47), and exact multiples of both
+/// vector widths. 4 and 11 are the models' action head and observation width.
+const MS: core::ops::Range<usize> = 0..10;
+const KS: [usize; 10] = [0, 1, 2, 3, 4, 9, 64, 67, 130, 256];
+const NS: [usize; 18] = [1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 17, 29, 47, 64];
+
+/// Every shape of the grid, with fresh operands from `g`: about one value
+/// in eight is a signed zero, so the `+0` starts of the sums are checked too.
+fn matmul_grid(
+    g: &mut Gen,
+    mut check: impl FnMut(usize, usize, usize, Vec<f64>, Vec<f64>, Vec<f64>),
+) {
+    let draw = |g: &mut Gen, len: usize| -> Vec<f64> {
+        (0..len)
+            .map(|_| match g.below(16) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => g.f64_in(-2.0..2.0),
+            })
+            .collect()
+    };
+    for &k in &KS {
+        for &n in &NS {
+            for m in MS {
+                let (a, b, out) = (draw(g, m * k), draw(g, k * n), draw(g, m * n));
+                check(m, k, n, a, b, out);
+            }
+        }
+    }
+}
+
+/// `out += Â · B` by the documented rank-4 tree, one element at a time:
+/// `coef(i, p)` is coefficient `p` of output row `i`.
+fn ref_rank4(
+    coef: impl Fn(usize, usize) -> f64,
+    b: &[f64],
+    out: &mut [f64],
+    (m, k, n): (usize, usize, usize),
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = out[i * n + j];
+            let mut p = 0;
+            while p + 4 <= k {
+                acc += coef(i, p) * b[p * n + j]
+                    + coef(i, p + 1) * b[(p + 1) * n + j]
+                    + coef(i, p + 2) * b[(p + 2) * n + j]
+                    + coef(i, p + 3) * b[(p + 3) * n + j];
+                p += 4;
+            }
+            while p < k {
+                acc += coef(i, p) * b[p * n + j];
+                p += 1;
+            }
+            out[i * n + j] = acc;
+        }
+    }
+}
+
 #[test]
-fn nn_row_matmul_matches_scalar() {
-    sweep(64, SEED, |g| {
-        let (a_row, n, out0) = (vecs(g, 1..13), g.int_in(1usize..67), vecs(g, 1..2));
-        let k = a_row.len();
-        let b: Vec<f64> = (0..k * n).map(|i| ((i * 31) % 23) as f64 * 0.09 - 1.0).collect();
-        let seed_out = vec![out0[0]; n];
-
-        // Reference: the documented rank-4 blocked expression tree.
-        let mut reference = seed_out.clone();
-        let mut p = 0;
-        while p + 4 <= k {
-            for j in 0..n {
-                reference[j] += a_row[p] * b[p * n + j]
-                    + a_row[p + 1] * b[(p + 1) * n + j]
-                    + a_row[p + 2] * b[(p + 2) * n + j]
-                    + a_row[p + 3] * b[(p + 3) * n + j];
+fn nn_matmul_acc_matches_scalar_on_the_shape_grid() {
+    sweep(2, SEED, |g| {
+        matmul_grid(g, |m, k, n, a, b, out0| {
+            let mut reference = out0.clone();
+            ref_rank4(|i, p| a[i * k + p], &b, &mut reference, (m, k, n));
+            for isa in tiers() {
+                let mut out = out0.clone();
+                nnf64::matmul_acc(isa, &a, &b, &mut out, m, k, n);
+                assert!(bits_eq(&out, &reference), "matmul_acc {isa} m={m} k={k} n={n}");
+                // The public one-row entry is the 1-row band of the same tile.
+                let mut out = out0.clone();
+                for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+                    nnf64::row_matmul_acc(isa, &a[i * k..(i + 1) * k], &b, out_row, k, n);
+                }
+                assert!(bits_eq(&out, &reference), "row_matmul_acc {isa} m={m} k={k} n={n}");
             }
-            p += 4;
-        }
-        while p < k {
-            for j in 0..n {
-                reference[j] += a_row[p] * b[p * n + j];
-            }
-            p += 1;
-        }
-
-        for isa in tiers() {
-            let mut out = seed_out.clone();
-            nnf64::row_matmul_acc(isa, &a_row, &b, &mut out, k, n);
-            assert!(bits_eq(&out, &reference), "row_matmul_acc diverged on {}", isa);
-        }
+        });
     });
 }
 
 #[test]
-fn nn_transpose_matmul_matches_scalar() {
-    sweep(64, SEED, |g| {
-        let (k, m, n) = (g.int_in(1usize..10), g.int_in(1usize..6), g.int_in(1usize..35));
-        let a: Vec<f64> = (0..k * m).map(|i| ((i * 7) % 11) as f64 * 0.2 - 1.0).collect();
-        let b: Vec<f64> = (0..k * n).map(|i| ((i * 13) % 17) as f64 * 0.1 - 0.8).collect();
-        let mut reference = vec![0.25; m * n];
-        let mut p = 0;
-        while p + 4 <= k {
-            for i in 0..m {
-                for j in 0..n {
-                    reference[i * n + j] += a[p * m + i] * b[p * n + j]
-                        + a[(p + 1) * m + i] * b[(p + 1) * n + j]
-                        + a[(p + 2) * m + i] * b[(p + 2) * n + j]
-                        + a[(p + 3) * m + i] * b[(p + 3) * n + j];
-                }
+fn nn_transpose_matmul_acc_matches_scalar_on_the_shape_grid() {
+    sweep(2, SEED, |g| {
+        // Here `a` is `k × m`: the weight gradient `xᵀ · δ` over a batch of `k`.
+        matmul_grid(g, |m, k, n, a, b, out0| {
+            let mut reference = out0.clone();
+            ref_rank4(|i, p| a[p * m + i], &b, &mut reference, (m, k, n));
+            for isa in tiers() {
+                let mut out = out0.clone();
+                nnf64::transpose_matmul_acc(isa, &a, &b, &mut out, k, m, n);
+                assert!(bits_eq(&out, &reference), "transpose_matmul_acc {isa} m={m} k={k} n={n}");
             }
-            p += 4;
-        }
-        while p < k {
-            for i in 0..m {
-                for j in 0..n {
-                    reference[i * n + j] += a[p * m + i] * b[p * n + j];
-                }
-            }
-            p += 1;
-        }
-
-        for isa in tiers() {
-            let mut out = vec![0.25; m * n];
-            nnf64::transpose_matmul_acc(isa, &a, &b, &mut out, k, m, n);
-            assert!(bits_eq(&out, &reference), "transpose_matmul_acc diverged on {}", isa);
-        }
+        });
     });
 }
 
 #[test]
-fn nn_matmul_transpose_rhs_matches_scalar_dot() {
-    sweep(64, SEED, |g| {
-        let (m, k, n) = (g.int_in(1usize..9), g.int_in(1usize..67), g.int_in(1usize..67));
-        let scale = g.f64_in(0.1..2.0);
-        let a: Vec<f64> =
-            (0..m * k).map(|i| scale * (((i * 29) % 31) as f64 * 0.07 - 1.0)).collect();
-        let b: Vec<f64> = (0..n * k).map(|i| ((i * 37) % 41) as f64 * 0.05 - 1.0).collect();
-        let reference = ref_matmul_transpose_rhs(&a, &b, m, k, n);
-        for isa in tiers() {
-            let mut bt = Vec::new();
-            nnf64::pack_transposed(isa, &b, n, k, &mut bt);
-            let mut out = vec![f64::NAN; m * n];
-            nnf64::matmul_transpose_rhs(isa, &a, &b, &bt, &mut out, m, k, n);
-            assert!(bits_eq(&out, &reference), "matmul_transpose_rhs diverged on {}", isa);
-        }
+fn nn_matmul_transpose_rhs_matches_scalar_dot_on_the_shape_grid() {
+    sweep(2, SEED, |g| {
+        // `b` is `n × k` here; the grid's `k · n` values serve either way.
+        matmul_grid(g, |m, k, n, a, b, _| {
+            let reference = ref_matmul_transpose_rhs(&a, &b, m, k, n);
+            for isa in tiers() {
+                let mut bt = Vec::new();
+                nnf64::pack_transposed(isa, &b, n, k, &mut bt);
+                let mut out = vec![f64::NAN; m * n];
+                nnf64::matmul_transpose_rhs(isa, &a, &b, &bt, &mut out, m, k, n);
+                assert!(bits_eq(&out, &reference), "matmul_transpose_rhs {isa} m={m} k={k} n={n}");
+            }
+        });
     });
 }
 
