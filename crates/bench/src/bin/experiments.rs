@@ -16,6 +16,7 @@
 
 use airdrop_sim::{AirdropConfig, AirdropEnv};
 use bench::calibration::{predicted_kilojoules, predicted_minutes};
+use bench::harness::journal_identity;
 use bench::paper::figures::FIGURES;
 use bench::{run_row, run_table1_study, HarnessOpts, PaperRow, PAPER_STEPS, TABLE1};
 use decision::metrics::keys::{POWER_KJ, REWARD, REWARD_STD, TIME_MIN};
@@ -60,26 +61,20 @@ fn journal_dir(opts: &HarnessOpts) -> &Path {
     opts.out_dir.as_deref().expect("both studies journal")
 }
 
-/// The options a trial's bits depend on besides the seed, spelled as both
-/// studies' objective fingerprints begin.
-fn fingerprint(opts: &HarnessOpts) -> String {
-    let (steps, altitudes, eval) = (opts.steps, opts.altitude_limits, opts.eval_episodes);
-    format!("steps {steps} altitudes {altitudes:?} eval {eval} replicas {}", opts.replicas)
-}
-
 /// A study's journal, name and objective fingerprint.
 type Journalled = (PathBuf, &'static str, String);
 
-/// The journal `run_table1_study` keeps for all eighteen rows.
-fn table1_journal(opts: &HarnessOpts) -> Journalled {
-    let name = format!("trials_steps{}_seed{}_rep{}.jsonl", opts.steps, opts.seed, opts.replicas);
-    let ids: Vec<usize> = TABLE1.iter().map(|r| r.id).collect();
-    let fingerprint = format!("{} prune {} rows {ids:?}", fingerprint(opts), opts.prune);
-    (journal_dir(opts).join(name), "airdrop-table1", fingerprint)
+/// A study's journal in the journal directory: Table I's over `rows`, or
+/// the ablation study's for `None`, as [`journal_identity`] names them.
+fn journal(opts: &HarnessOpts, rows: Option<&[usize]>) -> Journalled {
+    let (study, file, fingerprint) = journal_identity(opts, rows);
+    (journal_dir(opts).join(file), study, fingerprint)
 }
 
-fn ablation_journal(opts: &HarnessOpts) -> Journalled {
-    (journal_dir(opts).join("ablations.jsonl"), "airdrop-ablations", fingerprint(opts))
+/// The journal `run_table1_study` keeps for all eighteen rows.
+fn table1_journal(opts: &HarnessOpts) -> Journalled {
+    let ids: Vec<usize> = TABLE1.iter().map(|r| r.id).collect();
+    journal(opts, Some(&ids))
 }
 
 /// The completed trials of a journal, in trial order, read without
@@ -155,7 +150,7 @@ fn levels() -> Vec<Configuration> {
 /// The ablation study. Its configurations lie outside Table I's space
 /// (row id 0, the IMPALA framework); a preset list proposes them as given.
 fn ablation_study(opts: &HarnessOpts) -> Result<Study, String> {
-    let (path, name, fingerprint) = ablation_journal(opts);
+    let (path, name, fingerprint) = journal(opts, None);
     let objective_opts = opts.clone();
     Study::builder(name)
         .space(PaperRow::space())
@@ -223,7 +218,7 @@ fn record(opts: &HarnessOpts) -> Result<(), String> {
     if read_journal(table1_journal(opts), opts.seed)?.len() < TABLE1.len() {
         run_table1_study(opts)?;
     }
-    if read_journal(ablation_journal(opts), opts.seed)?.len() < levels().len() {
+    if read_journal(journal(opts, None), opts.seed)?.len() < levels().len() {
         ablation_study(opts)?.run()?;
     }
     Ok(())
@@ -397,7 +392,7 @@ fn render(opts: &HarnessOpts) -> Result<(Blocks, Artefacts), String> {
         ("table1", table1_block(&rows, n)),
         ("shape-checks", shape_checks_block(&rows, n)),
         ("fronts", fronts),
-        ("ablations", ablations_block(&read_journal(ablation_journal(opts), opts.seed)?, n)?),
+        ("ablations", ablations_block(&read_journal(journal(opts, None), opts.seed)?, n)?),
         ("explorers", explorers_block()),
     ];
     Ok((blocks, artefacts))

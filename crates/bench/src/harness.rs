@@ -109,14 +109,31 @@ impl HarnessOpts {
         }
         Ok(opts)
     }
+}
 
-    fn journal_path(&self) -> Option<PathBuf> {
-        self.out_dir.as_ref().map(|d| {
-            d.join(format!(
-                "trials_steps{}_seed{}_rep{}.jsonl",
-                self.steps, self.seed, self.replicas
-            ))
-        })
+/// The identity a harness study's journal is checked against: the study
+/// name, the journal's file name under `out_dir`, and the objective
+/// fingerprint. `rows` are the Table I study's row ids; `None` names the
+/// §VI-D ablation study.
+///
+/// Both fingerprints begin `steps S altitudes (A, B) eval E replicas R`,
+/// the options a trial's bits depend on besides the seed; Table I's goes
+/// on ` prune P rows [ids]`. The checked-in journals' checkpoints hold
+/// these strings byte for byte, so any change here makes them refused.
+pub fn journal_identity(
+    opts: &HarnessOpts,
+    rows: Option<&[usize]>,
+) -> (&'static str, String, String) {
+    let (steps, seed, replicas) = (opts.steps, opts.seed, opts.replicas);
+    let (altitudes, eval) = (opts.altitude_limits, opts.eval_episodes);
+    let options = format!("steps {steps} altitudes {altitudes:?} eval {eval} replicas {replicas}");
+    match rows {
+        Some(ids) => (
+            "airdrop-table1",
+            format!("trials_steps{steps}_seed{seed}_rep{replicas}.jsonl"),
+            format!("{options} prune {} rows {ids:?}", opts.prune),
+        ),
+        None => ("airdrop-ablations", "ablations.jsonl".into(), options),
     }
 }
 
@@ -443,10 +460,9 @@ fn run_row_once(
 /// Run the full Table I study (or the `only` subset) through the
 /// `decision` crate, journaling to the output directory when set.
 ///
-/// The journal's objective fingerprint reads `steps S altitudes (A, B)
-/// eval E replicas R prune P rows [ids]`, so a journal recorded under
-/// other options is refused with the study's "belongs to a different
-/// study" error instead of served.
+/// The journal is named and fingerprinted by [`journal_identity`], so a
+/// journal recorded under other options is refused with the study's
+/// "belongs to a different study" error instead of served.
 pub fn run_table1_study(opts: &HarnessOpts) -> Result<Vec<Trial>, String> {
     let rows: Vec<&PaperRow> = crate::paper::TABLE1
         .iter()
@@ -454,17 +470,14 @@ pub fn run_table1_study(opts: &HarnessOpts) -> Result<Vec<Trial>, String> {
         .collect();
     let configs: Vec<Configuration> = rows.iter().map(|r| r.to_config()).collect();
     let ids: Vec<usize> = rows.iter().map(|r| r.id).collect();
-    let fingerprint = format!(
-        "steps {} altitudes {:?} eval {} replicas {} prune {} rows {ids:?}",
-        opts.steps, opts.altitude_limits, opts.eval_episodes, opts.replicas, opts.prune
-    );
+    let (name, file, fingerprint) = journal_identity(opts, Some(&ids));
 
     if let Some(dir) = &opts.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     }
 
     let opts2 = opts.clone();
-    let mut builder = Study::builder("airdrop-table1")
+    let mut builder = Study::builder(name)
         .space(PaperRow::space())
         .explorer(PresetList::new(configs))
         .metric(MetricDef::maximize_key(metric_keys::REWARD))
@@ -490,8 +503,8 @@ pub fn run_table1_study(opts: &HarnessOpts) -> Result<Vec<Trial>, String> {
     if opts.prune {
         builder = builder.pruner(MedianPruner::with_startup(5));
     }
-    if let Some(path) = opts.journal_path() {
-        builder = builder.journal(Journal::new(path));
+    if let Some(dir) = &opts.out_dir {
+        builder = builder.journal(Journal::new(dir.join(file)));
     }
     let study = builder.build()?;
     study.run()

@@ -44,12 +44,9 @@
 //! assert!(!front.indices().is_empty());
 //! ```
 
-pub mod analysis;
 pub mod cache;
-pub mod constraint;
 pub mod distribution;
 pub mod explore;
-pub mod manifest;
 pub mod metrics;
 pub mod param;
 pub mod pruner;
@@ -64,9 +61,7 @@ pub mod wal;
 
 /// Convenient glob import for downstream users.
 pub mod prelude {
-    pub use crate::analysis::{all_effects, ParamEffect};
     pub use crate::cache::{CachedOutcome, TrialCache};
-    pub use crate::constraint::{Constraint, ConstraintSet};
     pub use crate::distribution::{Bootstrap, BootstrapSpec, Ci, Distribution};
     pub use crate::explore::{Explorer, GridSearch, PresetList, RandomSearch, TpeLite};
     pub use crate::metrics::{

@@ -511,8 +511,9 @@ impl StudyBuilder {
         self
     }
 
-    /// Set a type-erased exploratory method (used by manifests, where the
-    /// explorer kind is decided at runtime).
+    /// Set a type-erased exploratory method, for callers that pick the
+    /// explorer kind at runtime (a table of explorers compared on one
+    /// objective, or a benchmark choosing one by name).
     pub fn explorer_boxed(mut self, explorer: Box<dyn Explorer>) -> Self {
         self.explorer = Some(explorer);
         self
@@ -896,6 +897,9 @@ mod tests {
         assert!(Study::builder("t").build().is_err());
         assert!(Study::builder("t").space(space()).build().is_err());
         assert!(Study::builder("t").space(space()).explorer(RandomSearch::new(1)).build().is_err());
+        let no_metric =
+            Study::builder("t").space(space()).explorer(RandomSearch::new(1)).objective(quadratic);
+        assert_eq!(no_metric.build().err().as_deref(), Some("study needs at least one metric"));
         assert!(Study::builder("t")
             .space(ParamSpace::builder().build())
             .explorer(RandomSearch::new(1))

@@ -1,12 +1,12 @@
 //! The tree's one JSON reader.
 //!
 //! [`parse`] turns one document into a [`Json`] value. The trace and WAL
-//! readers in [`crate::export`], `decision`'s manifest loader and the
-//! schema validator in `telemetry_smoke` all go through it. Numbers keep
-//! a spelling-derived type, which is what lets the trace round-trip bit
-//! for bit: a bare integer token is `U64` (or `I64` when negative) and
-//! never passes through an `f64`; anything with a `.` or an exponent, or
-//! too large for 64 bits, is `F64`.
+//! readers in [`crate::export`] and the schema validator in
+//! `telemetry_smoke` go through it. Numbers keep a spelling-derived type,
+//! which is what lets the trace round-trip bit for bit: a bare integer
+//! token is `U64` (or `I64` when negative) and never passes through an
+//! `f64`; anything with a `.` or an exponent, or too large for 64 bits,
+//! is `F64`.
 //!
 //! Nesting is capped at [`MAX_DEPTH`], so a hostile `{"a":{"a":…` line is
 //! an `Err` naming the byte offset rather than a stack overflow.
@@ -60,29 +60,12 @@ impl Json {
         }
     }
 
-    /// The value of an integer token that fits `i64`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::U64(v) => i64::try_from(*v).ok(),
-            Json::I64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Any number as an `f64` (integers converted).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::F64(v) => Some(*v),
             Json::U64(v) => Some(*v as f64),
             Json::I64(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// The boolean, when this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -363,8 +346,8 @@ mod tests {
     fn integers_are_exact_over_both_64_bit_ranges() {
         assert_eq!(parse("18446744073709551615").unwrap(), Json::U64(u64::MAX));
         assert_eq!(parse("-9223372036854775808").unwrap(), Json::I64(i64::MIN));
-        assert_eq!(parse("9223372036854775807").unwrap().as_i64(), Some(i64::MAX));
-        assert_eq!(parse("9223372036854775808").unwrap().as_i64(), None);
+        assert_eq!(parse("9223372036854775807").unwrap(), Json::U64(i64::MAX as u64));
+        assert_eq!(parse("-9223372036854775807").unwrap(), Json::I64(-i64::MAX));
         // One past either end is a float, not a wrapped integer.
         assert_eq!(parse("18446744073709551616").unwrap(), Json::F64(18446744073709551616.0));
         assert_eq!(parse("-9223372036854775809").unwrap(), Json::F64(-9223372036854775809.0));
@@ -418,6 +401,28 @@ mod tests {
         for open in ["{\"a\":", "["] {
             let e = parse(&open.repeat(100_000)).unwrap_err();
             assert_eq!(e.offset, open.len() * MAX_DEPTH, "{e}");
+        }
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_documents_are_ok_or_err_never_a_panic() {
+        let doc = r#"{"k":"name","v":[1,-2,3.5e-1,true,false,null],"o":{"s":"a\"\u00e9"}}"#;
+        assert!(parse(doc).is_ok());
+        // Every strict prefix leaves the outer object open.
+        for end in 0..doc.len() {
+            let e = parse(&doc[..end]).unwrap_err();
+            assert!(e.offset <= end, "{:?}: {e}", &doc[..end]);
+        }
+        // Every flip of one of an ASCII byte's low seven bits.
+        for i in 0..doc.len() {
+            for bit in 0..7 {
+                let mut bytes = doc.as_bytes().to_vec();
+                bytes[i] ^= 1 << bit;
+                let text = String::from_utf8(bytes).expect("still ASCII");
+                if let Err(e) = parse(&text) {
+                    assert!(e.offset <= text.len(), "{text:?}: {e}");
+                }
+            }
         }
     }
 }
