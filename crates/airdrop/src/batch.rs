@@ -2,7 +2,7 @@
 //!
 //! The scalar path integrates each sub-environment's control interval on
 //! its own — `n` dynamic dispatches and `n` passes over the (tiny)
-//! 9-dimensional state per substep. [`AirdropBatch`] instead advances all
+//! 9-dimensional state per substep. `AirdropBatch` instead advances all
 //! `n` lanes through one [`rk_ode::AnyBatchStepper`] call per substep on
 //! an SoA state block (`y[d * n + e]`), evaluating the canopy dynamics
 //! for every lane inside one monomorphized loop.
@@ -140,7 +140,7 @@ impl BatchSystem for BatchedAirdropDynamics {
 /// configuration. Owns the persistent batch stepper (per-lane FSAL caches
 /// survive across control intervals, as each env's scalar stepper would)
 /// and all integration buffers — steady-state ticks allocate nothing.
-pub struct AirdropBatch {
+pub(crate) struct AirdropBatch {
     config: AirdropConfig,
     n: usize,
     stepper: AnyBatchStepper,

@@ -66,17 +66,17 @@ impl Default for ParafoilParams {
 
 impl ParafoilParams {
     /// Glide ratio at trim (horizontal distance per unit altitude).
-    pub fn glide_ratio(&self) -> f64 {
+    pub(crate) fn glide_ratio(&self) -> f64 {
         self.va0 / self.vz0
     }
 
     /// Airspeed at deflection `delta`.
-    pub fn airspeed(&self, delta: f64) -> f64 {
+    pub(crate) fn airspeed(&self, delta: f64) -> f64 {
         self.va0 * (1.0 - self.brake_drag * delta.abs())
     }
 
     /// Sink rate at deflection `delta`.
-    pub fn sink_rate(&self, delta: f64) -> f64 {
+    pub(crate) fn sink_rate(&self, delta: f64) -> f64 {
         self.vz0 * (1.0 + self.brake_sink * delta * delta)
     }
 

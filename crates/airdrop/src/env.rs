@@ -110,7 +110,7 @@ impl AirdropEnv {
     /// Write the current observation into `out` (length
     /// [`AirdropEnv::OBS_DIM`]) without allocating — the buffer-reuse
     /// entry the batched lockstep path uses every tick.
-    pub fn write_observation(&self, out: &mut [f64]) {
+    pub(crate) fn write_observation(&self, out: &mut [f64]) {
         assert_eq!(out.len(), Self::OBS_DIM, "observation buffer size");
         let p = &self.params;
         let (x, y) = (self.state[0], self.state[1]);

@@ -41,12 +41,10 @@ pub mod batch;
 pub mod config;
 pub mod dynamics;
 pub mod env;
-pub mod trajectory;
+pub(crate) mod trajectory;
 pub mod wind;
 
-pub use batch::{AirdropBatch, BatchedAirdropDynamics};
+pub use batch::BatchedAirdropDynamics;
 pub use config::{ActionMode, AirdropConfig};
-pub use dynamics::{ParafoilDynamics, ParafoilParams, STATE_DIM};
 pub use env::AirdropEnv;
 pub use trajectory::TrajectoryRecorder;
-pub use wind::WindModel;

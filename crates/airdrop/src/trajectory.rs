@@ -2,20 +2,11 @@
 
 use crate::dynamics::STATE_DIM;
 
-/// A time-stamped sample of the physical state.
-#[derive(Debug, Clone)]
-pub struct StateSample {
-    /// Simulation time (s).
-    pub t: f64,
-    /// Full 9-component state.
-    pub state: [f64; STATE_DIM],
-}
-
 /// Records the physical trajectory of an episode.
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryRecorder {
-    /// Recorded samples, in time order.
-    pub samples: Vec<StateSample>,
+    /// Recorded full 9-component states, in time order.
+    pub samples: Vec<[f64; STATE_DIM]>,
 }
 
 impl TrajectoryRecorder {
@@ -25,8 +16,8 @@ impl TrajectoryRecorder {
     }
 
     /// Record a sample.
-    pub fn push(&mut self, t: f64, state: &[f64; STATE_DIM]) {
-        self.samples.push(StateSample { t, state: *state });
+    pub fn push(&mut self, state: &[f64; STATE_DIM]) {
+        self.samples.push(*state);
     }
 
     /// Clear all samples (start of a new episode).
@@ -34,23 +25,13 @@ impl TrajectoryRecorder {
         self.samples.clear();
     }
 
-    /// Ground track as `(x, y)` points.
-    pub fn ground_track(&self) -> Vec<(f64, f64)> {
-        self.samples.iter().map(|s| (s.state[0], s.state[1])).collect()
-    }
-
-    /// Altitude profile as `(t, z)` points.
-    pub fn altitude_profile(&self) -> Vec<(f64, f64)> {
-        self.samples.iter().map(|s| (s.t, s.state[2])).collect()
-    }
-
     /// Total ground-track length (diagnostic for spiral descents).
     pub fn track_length(&self) -> f64 {
         self.samples
             .windows(2)
             .map(|w| {
-                let dx = w[1].state[0] - w[0].state[0];
-                let dy = w[1].state[1] - w[0].state[1];
+                let dx = w[1][0] - w[0][0];
+                let dy = w[1][1] - w[0][1];
                 (dx * dx + dy * dy).sqrt()
             })
             .sum()
@@ -64,8 +45,8 @@ impl TrajectoryRecorder {
         if self.samples.is_empty() {
             return String::from("(empty trajectory)\n");
         }
-        let xs: Vec<f64> = self.samples.iter().map(|s| s.state[0]).chain([0.0]).collect();
-        let ys: Vec<f64> = self.samples.iter().map(|s| s.state[1]).chain([0.0]).collect();
+        let xs: Vec<f64> = self.samples.iter().map(|s| s[0]).chain([0.0]).collect();
+        let ys: Vec<f64> = self.samples.iter().map(|s| s[1]).chain([0.0]).collect();
         let (xmin, xmax) = bounds(&xs);
         let (ymin, ymax) = bounds(&ys);
         let mut grid = vec![vec![b' '; width]; height];
@@ -75,14 +56,14 @@ impl TrajectoryRecorder {
             (cx.min(width - 1), cy.min(height - 1))
         };
         for s in &self.samples {
-            let (cx, cy) = place(s.state[0], s.state[1]);
+            let (cx, cy) = place(s[0], s[1]);
             grid[cy][cx] = b'.';
         }
         let first = &self.samples[0];
         let last = self.samples.last().expect("non-empty");
-        let (cx, cy) = place(first.state[0], first.state[1]);
+        let (cx, cy) = place(first[0], first[1]);
         grid[cy][cx] = b'o';
-        let (cx, cy) = place(last.state[0], last.state[1]);
+        let (cx, cy) = place(last[0], last[1]);
         grid[cy][cx] = b'x';
         let (cx, cy) = place(0.0, 0.0);
         grid[cy][cx] = b'T';
@@ -109,12 +90,12 @@ fn bounds(v: &[f64]) -> (f64, f64) {
 mod tests {
     use super::*;
 
-    fn sample(t: f64, x: f64, y: f64, z: f64) -> StateSample {
+    fn sample(x: f64, y: f64, z: f64) -> [f64; STATE_DIM] {
         let mut state = [0.0; STATE_DIM];
         state[0] = x;
         state[1] = y;
         state[2] = z;
-        StateSample { t, state }
+        state
     }
 
     fn straight_line() -> TrajectoryRecorder {
@@ -122,9 +103,7 @@ mod tests {
         for i in 0..5 {
             // Offset from the origin so the drop marker does not coincide
             // with the target marker in the ASCII map test.
-            let s =
-                sample(i as f64, 30.0 + i as f64 * 3.0, 40.0 + i as f64 * 4.0, 100.0 - i as f64);
-            r.samples.push(s);
+            r.push(&sample(30.0 + i as f64 * 3.0, 40.0 + i as f64 * 4.0, 100.0 - i as f64));
         }
         r
     }
@@ -134,13 +113,6 @@ mod tests {
         let r = straight_line();
         // Each segment is a 3-4-5 triangle: length 5 per step, 4 steps.
         assert!((r.track_length() - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ground_track_and_altitude_profile_align() {
-        let r = straight_line();
-        assert_eq!(r.ground_track().len(), 5);
-        assert_eq!(r.altitude_profile()[4], (4.0, 96.0));
     }
 
     #[test]
@@ -164,15 +136,5 @@ mod tests {
         let mut r = straight_line();
         r.clear();
         assert!(r.samples.is_empty());
-    }
-
-    #[test]
-    fn push_appends_in_order() {
-        let mut r = TrajectoryRecorder::new();
-        let state = [1.0; STATE_DIM];
-        r.push(0.5, &state);
-        r.push(1.0, &state);
-        assert_eq!(r.samples.len(), 2);
-        assert!(r.samples[0].t < r.samples[1].t);
     }
 }

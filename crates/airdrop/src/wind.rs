@@ -10,7 +10,7 @@ use rand::Rng;
 
 /// Wind state advanced once per control interval.
 #[derive(Debug, Clone)]
-pub struct WindModel {
+pub(crate) struct WindModel {
     /// Constant wind component (zero when wind is disabled).
     pub base: (f64, f64),
     /// Probability that a new gust event starts at a control step.
@@ -76,7 +76,7 @@ impl WindModel {
     }
 
     /// Current gust component (diagnostics).
-    pub fn gust(&self) -> (f64, f64) {
+    pub(crate) fn gust(&self) -> (f64, f64) {
         self.gust
     }
 

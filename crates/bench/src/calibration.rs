@@ -70,7 +70,7 @@ pub fn predicted_minutes(row: &PaperRow) -> f64 {
 }
 
 /// Predicted mean power (W) for a row, from the utilization profile.
-pub fn predicted_mean_watts(row: &PaperRow) -> f64 {
+pub(crate) fn predicted_mean_watts(row: &PaperRow) -> f64 {
     let node = NodeSpec::default();
     let spec = ClusterSpec::paper_testbed(row.nodes);
     // Collection runs at full stream utilization; the learner phase at

@@ -271,7 +271,7 @@ pub fn run_row(row: &PaperRow, opts: &HarnessOpts) -> Result<MetricValues, Strin
 /// replica streams per-iteration returns to the study's pruner and the
 /// remaining replicas are skipped if it fires (the trial is recorded as
 /// pruned; partial averages are still returned).
-pub fn run_row_with(
+pub(crate) fn run_row_with(
     row: &PaperRow,
     opts: &HarnessOpts,
     mut ctx: Option<&mut TrialContext<'_>>,

@@ -28,5 +28,5 @@ pub mod calibration;
 pub mod harness;
 pub mod paper;
 
-pub use harness::{run_row, run_row_with, run_table1_study, HarnessOpts, PAPER_STEPS};
+pub use harness::{run_row, run_table1_study, HarnessOpts, PAPER_STEPS};
 pub use paper::{PaperRow, TABLE1};

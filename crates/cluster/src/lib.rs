@@ -45,5 +45,5 @@ pub mod usage;
 pub use gantt::render_gantt;
 pub use power::PowerModel;
 pub use session::{ClusterSession, NodeWork, SessionEvent};
-pub use spec::{ClusterSpec, NetworkSpec, NodeSpec};
+pub use spec::{ClusterSpec, NodeSpec};
 pub use usage::Usage;

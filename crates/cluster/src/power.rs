@@ -36,13 +36,9 @@ impl PowerModel {
                 * u.powf(self.spec.power_gamma)
     }
 
-    /// Energy (J) for `busy` cores active over `seconds`.
-    pub fn joules(&self, busy: f64, seconds: f64) -> f64 {
-        self.watts(busy) * seconds
-    }
-
-    /// Marginal energy above idle for the same interval.
-    pub fn active_joules(&self, busy: f64, seconds: f64) -> f64 {
+    /// Marginal energy (J) above idle for `busy` cores active over
+    /// `seconds`.
+    pub(crate) fn active_joules(&self, busy: f64, seconds: f64) -> f64 {
         (self.watts(busy) - self.spec.idle_watts) * seconds
     }
 }
@@ -101,10 +97,8 @@ mod tests {
     #[test]
     fn joules_scale_with_time() {
         let m = model();
-        assert!((m.joules(2.0, 10.0) - 10.0 * m.watts(2.0)).abs() < 1e-9);
-        assert!(
-            (m.active_joules(2.0, 10.0) - (m.joules(2.0, 10.0) - m.joules(0.0, 10.0))).abs() < 1e-9
-        );
+        let above_idle = 10.0 * (m.watts(2.0) - m.watts(0.0));
+        assert!((m.active_joules(2.0, 10.0) - above_idle).abs() < 1e-9);
     }
 
     #[test]

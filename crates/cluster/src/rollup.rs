@@ -11,10 +11,10 @@
 //!
 //! Active energy is recomputed by replaying the recorded
 //! [`keys::PHASE`] busy intervals through
-//! [`PowerModel::active_joules`] in trace order (same inputs, same f64
+//! `PowerModel::active_joules` in trace order (same inputs, same f64
 //! additions, same result). When the event ring wrapped and intervals
 //! are missing (`dropped_events > 0`), the rollup falls back to the
-//! [`keys::ACTIVE_J`] accumulator, which was itself built from the very
+//! `keys::ACTIVE_J` accumulator, which was itself built from the very
 //! same sequence of adds and is therefore also exact.
 
 use crate::keys;

@@ -371,7 +371,7 @@ mod tests {
         let u = s.finish();
         assert!((u.wall_s - 10.0).abs() < 1e-12);
         let m = PowerModel::new(NodeSpec::default());
-        assert!((u.energy_j - m.joules(1.0, 10.0)).abs() < 1e-9);
+        assert!((u.energy_j - m.watts(1.0) * 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -43,7 +43,7 @@ impl Default for NodeSpec {
 
 impl NodeSpec {
     /// Seconds for one core to retire `units` of work.
-    pub fn seconds_for(&self, units: f64) -> f64 {
+    pub(crate) fn seconds_for(&self, units: f64) -> f64 {
         units / self.units_per_sec_per_core
     }
 
@@ -76,7 +76,7 @@ impl Default for NetworkSpec {
 
 impl NetworkSpec {
     /// Transfer time for a message of `bytes`.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / self.bandwidth_bps
     }
 }

@@ -41,7 +41,7 @@ pub struct CachedOutcome {
 
 impl CachedOutcome {
     /// Materialize as a trial with the adopting study's id.
-    pub fn to_trial(&self, id: usize) -> Trial {
+    pub(crate) fn to_trial(&self, id: usize) -> Trial {
         Trial {
             id,
             config: self.config.clone(),

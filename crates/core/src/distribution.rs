@@ -24,19 +24,16 @@ use std::fmt;
 use std::sync::OnceLock;
 
 /// A per-trial sample store: the observations of one metric in the order
-/// they were recorded (the *stream* order, which [`max_drawdown`] needs)
-/// plus a sorted copy for exact quantile statistics.
+/// they were recorded plus a sorted copy for exact quantile statistics.
 ///
 /// Non-finite observations are dropped at construction so every
 /// statistic is well-defined; an empty distribution yields `NaN` from
 /// the statistical accessors.
 ///
-/// The first bootstrap interval asked of it ([`Bootstrap::ci`]) is kept
+/// The first bootstrap interval asked of it (`Bootstrap::ci`) is kept
 /// with its spec, so that the next reader under the same spec gets it
 /// without resampling. Like the sorted copy it is derived from the
 /// samples: equality compares the samples alone, and a clone carries it.
-///
-/// [`max_drawdown`]: Distribution::max_drawdown
 #[derive(Clone)]
 pub struct Distribution {
     samples: Vec<f64>,
@@ -191,29 +188,9 @@ impl Distribution {
         ((alpha * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len())
     }
 
-    /// Maximum drawdown over the recording-order stream: the largest
-    /// peak-to-trough drop `max_t (max_{s≤t} x_s − x_t)`. Zero for a
-    /// monotonically non-decreasing stream; `NaN` when empty.
-    ///
-    /// Meaningful when the samples are a learning curve (per-iteration
-    /// mean returns): it measures how much performance a run gives back
-    /// after its best point (Chan et al.'s long-term risk axis).
-    pub fn max_drawdown(&self) -> f64 {
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        let mut peak = f64::NEG_INFINITY;
-        let mut dd = 0.0f64;
-        for &x in &self.samples {
-            peak = peak.max(x);
-            dd = dd.max(peak - x);
-        }
-        dd
-    }
-
     /// Seeded percentile-bootstrap confidence interval for the mean:
-    /// [`Bootstrap::ci`] on a resampler built for this one call. A loop
-    /// over many distributions builds one [`Bootstrap`] and reuses it.
+    /// `Bootstrap::ci` on a resampler built for this one call. A loop
+    /// over many distributions builds one `Bootstrap` and reuses it.
     pub fn bootstrap_ci(&self, spec: &BootstrapSpec) -> Ci {
         Bootstrap::new(*spec).ci(self)
     }
@@ -299,7 +276,7 @@ impl BootstrapSpec {
 /// independent stream per (trial, metric) and must construct its own
 /// `Bootstrap`, with its own seed, per stream rather than reuse one.
 #[derive(Debug, Clone)]
-pub struct Bootstrap {
+pub(crate) struct Bootstrap {
     spec: BootstrapSpec,
     /// `resamples` rows of `n` sample indices each, in draw order.
     plan: Vec<u32>,
@@ -431,7 +408,7 @@ impl Ci {
     /// Whether the two intervals overlap (closed intervals; a shared
     /// endpoint counts as overlap). The CI-gated ranking refuses to
     /// order two trials apart when their intervals overlap.
-    pub fn overlaps(&self, other: &Ci) -> bool {
+    pub(crate) fn overlaps(&self, other: &Ci) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }
 }
@@ -678,14 +655,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn drawdown_measures_peak_to_trough() {
-        let d = Distribution::from_samples(vec![0.0, 10.0, 4.0, 8.0, 2.0, 12.0, 5.0]);
-        assert!((d.max_drawdown() - 8.0).abs() < 1e-12, "10 → 2 is the deepest drop");
-        let up = Distribution::from_samples(vec![1.0, 2.0, 3.0]);
-        assert_eq!(up.max_drawdown(), 0.0);
-    }
-
-    #[test]
     fn non_finite_samples_are_dropped() {
         let d = Distribution::from_samples(vec![1.0, f64::NAN, 2.0, f64::INFINITY]);
         assert_eq!(d.len(), 2);
@@ -695,7 +664,6 @@ pub(crate) mod tests {
         assert!(empty.mean().is_nan());
         assert!(empty.quantile(0.5).is_nan());
         assert!(empty.cvar_lower(0.1).is_nan());
-        assert!(empty.max_drawdown().is_nan());
     }
 
     #[test]

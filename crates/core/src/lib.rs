@@ -9,7 +9,7 @@
 //! |---|---|
 //! | (a) the case study | the user's objective function (see [`study`]) |
 //! | (b) learning configurations | [`param`], [`space`] — typed parameter spaces, split into environment-dependent and -independent parameters |
-//! | (c) exploratory method | [`explore`] — Random Search, Grid Search, a TPE-like sampler, plus Optuna-style pruning ([`pruner`]) |
+//! | (c) exploratory method | `explore` — Random Search, Grid Search, a TPE-like sampler, plus Optuna-style pruning ([`pruner`]) |
 //! | (d) evaluation metrics | [`metrics`] — named metrics with optimization directions, each optionally carrying a per-trial sample [`distribution`] read through a [`metrics::Risk`] spec (mean, CVaR, bootstrap-CI bound) |
 //! | (e) ranking method | [`rank`] — Pareto fronts (with 2-D hypervolume), sorted arrays, weighted sums: one engine behind [`rank::RankSpec`] and the per-method names, every metric read through its risk spec, plus a CI-gated sort |
 //!
@@ -46,7 +46,7 @@
 
 pub mod cache;
 pub mod distribution;
-pub mod explore;
+pub(crate) mod explore;
 pub mod metrics;
 pub mod param;
 pub mod pruner;
@@ -61,23 +61,23 @@ pub mod wal;
 
 /// Convenient glob import for downstream users.
 pub mod prelude {
-    pub use crate::cache::{CachedOutcome, TrialCache};
-    pub use crate::distribution::{Bootstrap, BootstrapSpec, Ci, Distribution};
+    pub use crate::cache::TrialCache;
+    pub use crate::distribution::{BootstrapSpec, Distribution};
     pub use crate::explore::{Explorer, GridSearch, PresetList, RandomSearch, TpeLite};
     pub use crate::metrics::{
-        keys as metric_keys, Direction, MetricDef, MetricKey, MetricSample, MetricValues, Risk,
+        keys as metric_keys, Direction, MetricDef, MetricKey, MetricValues, Risk,
     };
-    pub use crate::param::{Domain, ParamDef, ParamKind, ParamValue};
-    pub use crate::pruner::{MedianPruner, NopPruner, Pruner};
+    pub use crate::param::{ParamKind, ParamValue};
+    pub use crate::pruner::MedianPruner;
     pub use crate::rank::hypervolume::Hypervolume;
     pub use crate::rank::pareto::ParetoFront;
     pub use crate::rank::sorted::SortedRanking;
-    pub use crate::rank::spec::{RankSpec, Ranker, Ranking};
+    pub use crate::rank::spec::{RankSpec, Ranker};
     pub use crate::rank::weighted::WeightedSum;
-    pub use crate::server::{server_keys, StudyOutcome, StudyServer};
+    pub use crate::server::{StudyOutcome, StudyServer};
     pub use crate::space::ParamSpace;
-    pub use crate::storage::{Durability, Journal, JournalError, WalLoad};
-    pub use crate::study::{study_keys, Study, StudyBuilder, TrialContext};
+    pub use crate::storage::{Durability, Journal};
+    pub use crate::study::{study_keys, Study, TrialContext};
     pub use crate::trial::{Configuration, Trial, TrialStatus};
     pub use crate::wal::{wal_keys, Replay, StudyEvent};
 }

@@ -10,11 +10,10 @@
 //! Each metric value may carry a full per-trial [`Distribution`] next to
 //! its scalar: the scalar stays exactly what the legacy path computed
 //! (so Table I and the WAL reproduce bitwise), while the distribution
-//! feeds dispersion (IQR), tail risk (CVaR, drawdown) and bootstrap
-//! confidence intervals. A [`MetricDef`] optionally names a [`Risk`]
-//! spec; the ranking stage then reads trials through
-//! [`MetricValues::risk_value`], which degrades gracefully to the scalar
-//! when no distribution was recorded.
+//! feeds dispersion (IQR), tail risk (CVaR) and bootstrap confidence
+//! intervals. A [`MetricDef`] optionally names a [`Risk`] spec; the
+//! ranking stage then reads trials through it, degrading gracefully to the
+//! scalar when no distribution was recorded.
 
 use crate::distribution::{Bootstrap, BootstrapSpec, Ci, Distribution};
 use std::collections::BTreeMap;
@@ -102,7 +101,7 @@ impl Direction {
     }
 
     /// `a` is at least as good as `b`.
-    pub fn no_worse(self, a: f64, b: f64) -> bool {
+    pub(crate) fn no_worse(self, a: f64, b: f64) -> bool {
         match self {
             Direction::Maximize => a >= b,
             Direction::Minimize => a <= b,
@@ -110,7 +109,7 @@ impl Direction {
     }
 
     /// Map a value to "bigger is better" orientation.
-    pub fn orient(self, v: f64) -> f64 {
+    pub(crate) fn orient(self, v: f64) -> f64 {
         match self {
             Direction::Maximize => v,
             Direction::Minimize => -v,
@@ -237,14 +236,13 @@ pub struct MetricSample<'a> {
 }
 
 impl MetricSample<'_> {
-    /// Read this sample through a risk spec (see [`MetricValues::risk_value`]).
-    pub fn risk_value(&self, direction: Direction, risk: Risk, spec: &BootstrapSpec) -> f64 {
-        self.risk_value_with(direction, risk, &mut risk.bootstrap(spec))
-    }
-
-    /// [`Self::risk_value`] with the resampler passed in, so that a walk
-    /// down a column of trials shares one resample plan. `boot` must come
-    /// from [`Risk::bootstrap`] of the same `risk`.
+    /// Read this sample through a risk spec.
+    ///
+    /// `Risk::Mean` returns the stored scalar unchanged. The risk-sensitive
+    /// variants consult the distribution and degrade gracefully to the
+    /// scalar when the trial recorded none. The resampler is passed in, so
+    /// that a walk down a column of trials shares one resample plan;
+    /// `boot` must come from [`Risk::bootstrap`] of the same `risk`.
     pub(crate) fn risk_value_with(
         &self,
         direction: Direction,
@@ -360,22 +358,8 @@ impl MetricValues {
         self.get(name).map(|value| MetricSample { value, distribution: self.dists.get(name) })
     }
 
-    /// [`Self::sample`] under a typed key.
-    pub fn sample_key(&self, key: MetricKey) -> Option<MetricSample<'_>> {
-        self.sample(key.name())
-    }
-
-    /// Read one metric through its definition's [`Risk`] spec.
-    ///
-    /// `Risk::Mean` returns the stored scalar unchanged. The risk-sensitive
-    /// variants consult the distribution and degrade gracefully to the
-    /// scalar when the trial recorded none.
-    pub fn risk_value(&self, def: &MetricDef, spec: &BootstrapSpec) -> Option<f64> {
-        self.sample(&def.name).map(|s| s.risk_value(def.direction, def.risk, spec))
-    }
-
     /// Whether every given metric has a finite value here.
-    pub fn covers(&self, metrics: &[MetricDef]) -> bool {
+    pub(crate) fn covers(&self, metrics: &[MetricDef]) -> bool {
         metrics.iter().all(|m| self.get(&m.name).map(f64::is_finite).unwrap_or(false))
     }
 
@@ -385,7 +369,7 @@ impl MetricValues {
     }
 
     /// Iterate `(name, distribution)` in name order.
-    pub fn distributions(&self) -> impl Iterator<Item = (&str, &Distribution)> {
+    pub(crate) fn distributions(&self) -> impl Iterator<Item = (&str, &Distribution)> {
         self.dists.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -460,6 +444,13 @@ mod tests {
         (1..=100).map(f64::from).collect()
     }
 
+    /// One metric read through its def's risk spec, the way the ranking
+    /// engine reads it.
+    fn read(v: &MetricValues, def: &MetricDef) -> Option<f64> {
+        let mut boot = def.risk.bootstrap(&BootstrapSpec::default());
+        v.sample(&def.name).map(|s| s.risk_value_with(def.direction, def.risk, &mut boot))
+    }
+
     #[test]
     fn risk_mean_reads_stored_scalar_not_distribution_mean() {
         // The stored scalar deliberately disagrees with the distribution
@@ -467,7 +458,7 @@ mod tests {
         let mut v = MetricValues::new().with_key(keys::REWARD, 7.25);
         v.set_distribution_key(keys::REWARD, grid_dist());
         let def = MetricDef::maximize_key(keys::REWARD);
-        let got = v.risk_value(&def, &BootstrapSpec::default()).unwrap();
+        let got = read(&v, &def).unwrap();
         assert_eq!(got.to_bits(), 7.25f64.to_bits());
     }
 
@@ -475,31 +466,20 @@ mod tests {
     fn risk_cvar_orients_with_direction() {
         let mut v = MetricValues::new().with_key(keys::REWARD, 50.5);
         v.set_distribution_key(keys::REWARD, grid_dist());
-        let spec = BootstrapSpec::default();
         let max = MetricDef::maximize_key(keys::REWARD).with_risk(Risk::Cvar(0.1));
-        assert_eq!(v.risk_value(&max, &spec), Some(5.5), "worst tail for maximize is low");
+        assert_eq!(read(&v, &max), Some(5.5), "worst tail for maximize is low");
         let min = MetricDef::minimize_key(keys::REWARD).with_risk(Risk::Cvar(0.1));
-        assert_eq!(v.risk_value(&min, &spec), Some(95.5), "worst tail for minimize is high");
+        assert_eq!(read(&v, &min), Some(95.5), "worst tail for minimize is high");
     }
 
     #[test]
     fn risk_lower_ci_orients_with_direction() {
         let mut v = MetricValues::new().with_key(keys::REWARD, 50.5);
         v.set_distribution_key(keys::REWARD, grid_dist());
-        let spec = BootstrapSpec::default();
         let mean = grid_dist().mean();
-        let lo = v
-            .risk_value(
-                &MetricDef::maximize_key(keys::REWARD).with_risk(Risk::LowerCi(0.95)),
-                &spec,
-            )
-            .unwrap();
-        let hi = v
-            .risk_value(
-                &MetricDef::minimize_key(keys::REWARD).with_risk(Risk::LowerCi(0.95)),
-                &spec,
-            )
-            .unwrap();
+        let lo = read(&v, &MetricDef::maximize_key(keys::REWARD).with_risk(Risk::LowerCi(0.95)));
+        let hi = read(&v, &MetricDef::minimize_key(keys::REWARD).with_risk(Risk::LowerCi(0.95)));
+        let (lo, hi) = (lo.unwrap(), hi.unwrap());
         assert!(lo < mean && mean < hi, "{lo} < {mean} < {hi}");
     }
 
@@ -507,8 +487,8 @@ mod tests {
     fn risk_falls_back_to_scalar_without_distribution() {
         let v = MetricValues::new().with_key(keys::TIME_MIN, 46.0);
         let def = MetricDef::minimize_key(keys::TIME_MIN).with_risk(Risk::Cvar(0.25));
-        assert_eq!(v.risk_value(&def, &BootstrapSpec::default()), Some(46.0));
-        assert!(v.sample_key(keys::TIME_MIN).unwrap().distribution.is_none());
+        assert_eq!(read(&v, &def), Some(46.0));
+        assert!(v.sample(keys::TIME_MIN.name()).unwrap().distribution.is_none());
         assert!(v.sample("absent").is_none());
     }
 
@@ -519,7 +499,7 @@ mod tests {
         assert_eq!(v.get_key(keys::REWARD), Some(1.5));
         assert_eq!(v.distribution_key(keys::REWARD).unwrap().len(), 100);
         assert_eq!(v.len(), 1, "distribution does not add a scalar entry");
-        let s = v.sample_key(keys::REWARD).unwrap();
+        let s = v.sample(keys::REWARD.name()).unwrap();
         assert!(s.ci(&BootstrapSpec::default()).is_some());
     }
 

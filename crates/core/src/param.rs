@@ -34,7 +34,7 @@ pub enum ParamValue {
 
 impl ParamValue {
     /// Integer accessor.
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             ParamValue::Int(v) => Some(*v),
             _ => None,
@@ -42,7 +42,7 @@ impl ParamValue {
     }
 
     /// Float accessor (ints coerce).
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             ParamValue::Float(v) => Some(*v),
             ParamValue::Int(v) => Some(*v as f64),
@@ -103,15 +103,6 @@ pub enum Domain {
 }
 
 impl Domain {
-    /// Number of distinct values, if finite (float ranges are infinite).
-    pub fn cardinality(&self) -> Option<usize> {
-        match self {
-            Domain::Categorical(v) => Some(v.len()),
-            Domain::IntRange { lo, hi } => Some((hi - lo + 1).max(0) as usize),
-            Domain::FloatRange { .. } => None,
-        }
-    }
-
     /// Whether `v` belongs to the domain.
     pub fn contains(&self, v: &ParamValue) -> bool {
         match (self, v) {
@@ -171,13 +162,6 @@ mod tests {
     fn display_forms() {
         assert_eq!(ParamValue::Int(8).to_string(), "8");
         assert_eq!(ParamValue::Str("PPO".into()).to_string(), "PPO");
-    }
-
-    #[test]
-    fn cardinalities() {
-        assert_eq!(Domain::Categorical(vec![ParamValue::Int(1)]).cardinality(), Some(1));
-        assert_eq!(Domain::IntRange { lo: 2, hi: 4 }.cardinality(), Some(3));
-        assert_eq!(Domain::FloatRange { lo: 0.0, hi: 1.0, log: false }.cardinality(), None);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub trait Pruner: Send + Sync {
 }
 
 /// Never prunes.
-pub struct NopPruner;
+pub(crate) struct NopPruner;
 
 impl Pruner for NopPruner {
     fn should_prune(&self, _trial: usize, _step: u64, _value: f64) -> bool {

@@ -9,7 +9,7 @@
 //!
 //! One engine implements them all ([`spec`]), reading every metric
 //! through the [`crate::metrics::Risk`] spec on its def. [`RankSpec`]
-//! selects a method and returns a uniform [`Ranking`]; [`ParetoFront`],
+//! selects a method and returns a uniform [`spec::Ranking`]; [`ParetoFront`],
 //! [`SortedRanking`], [`WeightedSum`] and [`Hypervolume`] are named
 //! presets of it that return their own shapes.
 
@@ -22,7 +22,7 @@ pub mod weighted;
 pub use hypervolume::Hypervolume;
 pub use pareto::ParetoFront;
 pub use sorted::SortedRanking;
-pub use spec::{RankSpec, Ranker, Ranking};
+pub use spec::{RankSpec, Ranker};
 pub use weighted::WeightedSum;
 
 #[cfg(test)]

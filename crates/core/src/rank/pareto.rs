@@ -19,7 +19,7 @@ pub fn dominates(a: &Trial, b: &Trial, metrics: &[MetricDef]) -> bool {
 /// of `metrics[i]`, already resolved through the defs' [`crate::metrics::Risk`]
 /// specs. The comparison the front is built on; the layering tests the
 /// same relation on readings it has oriented once.
-pub fn dominates_values(a: &[f64], b: &[f64], metrics: &[MetricDef]) -> bool {
+pub(crate) fn dominates_values(a: &[f64], b: &[f64], metrics: &[MetricDef]) -> bool {
     debug_assert_eq!(a.len(), metrics.len());
     debug_assert_eq!(b.len(), metrics.len());
     let mut strictly_better = false;

@@ -6,9 +6,8 @@ use crate::trial::Trial;
 
 use super::spec::{RankSpec, Ranker, Ranking};
 
-/// Ranks trials by one primary metric, with optional tie-breaking
-/// metrics applied lexicographically: [`RankSpec::sorted`] under a name
-/// that returns the bare order.
+/// Ranks trials by one metric: [`RankSpec::sorted`] under a name that
+/// returns the bare order.
 #[derive(Debug, Clone)]
 pub struct SortedRanking {
     spec: RankSpec,
@@ -18,11 +17,6 @@ impl SortedRanking {
     /// Rank by a single metric.
     pub fn by(metric: MetricDef) -> Self {
         Self { spec: RankSpec::sorted().metric(metric) }
-    }
-
-    /// Add a tie-breaking metric.
-    pub fn then_by(self, metric: MetricDef) -> Self {
-        Self { spec: self.spec.metric(metric) }
     }
 
     /// Indices of complete trials, best first. Trials missing any key
@@ -75,10 +69,9 @@ mod tests {
     #[test]
     fn tie_break_applies_second_key() {
         let trials = vec![t(0, -0.5, 60.0), t(1, -0.5, 50.0), t(2, -0.4, 70.0)];
-        let r = SortedRanking::by(MetricDef::maximize("reward"))
-            .then_by(MetricDef::minimize("time_min"))
-            .rank(&trials);
-        assert_eq!(r, vec![2, 1, 0]);
+        let spec = RankSpec::sorted().metric(MetricDef::maximize("reward"));
+        let r = spec.metric(MetricDef::minimize("time_min")).rank(&trials);
+        assert_eq!(r.order, vec![2, 1, 0]);
     }
 
     #[test]

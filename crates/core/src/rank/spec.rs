@@ -214,12 +214,6 @@ impl Ranking {
     pub fn best(&self) -> Option<usize> {
         self.order.first().copied()
     }
-
-    /// Whether trials `i` and `j` landed in the same tier (the method
-    /// declined to order them apart).
-    pub fn indistinguishable(&self, i: usize, j: usize) -> bool {
-        self.tiers.iter().any(|t| t.contains(&i) && t.contains(&j))
-    }
 }
 
 /// Which method a [`RankSpec`] dispatches to.
@@ -266,7 +260,7 @@ impl RankSpec {
         Self::new(Method::Sorted)
     }
 
-    /// Weighted-sum scalarization (weights from [`Self::weighted_metric`],
+    /// Weighted-sum scalarization (weights from `Self::weighted_metric`,
     /// default 1.0).
     pub fn weighted() -> Self {
         Self::new(Method::Weighted)
@@ -287,7 +281,7 @@ impl RankSpec {
 
     /// Add a metric with an explicit weighted-sum weight (weights need
     /// not sum to 1; a negative or non-finite one panics).
-    pub fn weighted_metric(mut self, def: MetricDef, weight: f64) -> Self {
+    pub(crate) fn weighted_metric(mut self, def: MetricDef, weight: f64) -> Self {
         assert!(weight >= 0.0 && weight.is_finite(), "weights must be non-negative");
         self.defs.push(def);
         self.weights.push(weight);
@@ -308,12 +302,6 @@ impl RankSpec {
     pub fn ci_gate(mut self, level: f64) -> Self {
         self.ci_gate = Some(level);
         self
-    }
-
-    /// The non-dominated set under this spec's risk readings, in
-    /// ascending index order.
-    pub fn pareto_front(&self, trials: &[Trial]) -> Vec<usize> {
-        front(&resolve(trials, &self.defs, &self.bootstrap), &self.defs)
     }
 
     /// Weighted-sum score of each trial under this spec's metrics and
@@ -439,13 +427,11 @@ mod tests {
         ];
         assert_eq!(ParetoFront::compute(&trials, &[r.clone(), m.clone()]).indices(), &[1, 2, 4]);
         let spec = RankSpec::pareto().metric(r.clone()).metric(m.clone());
-        assert_eq!(spec.pareto_front(&trials), vec![1, 2, 4]);
         let tiers = vec![vec![1, 2, 4], vec![3, 5], vec![0]];
         let pinned = Ranking { order: vec![1, 2, 4, 3, 5, 0], front: vec![1, 2, 4], tiers };
         assert_eq!(spec.rank(&trials), pinned);
 
         let trials = vec![t(0, -0.65, 46.0), t(1, -0.45, 65.0), t(2, -0.78, 72.0)];
-        assert_eq!(SortedRanking::by(r.clone()).then_by(m.clone()).rank(&trials), vec![1, 0, 2]);
         let tiers = vec![vec![1], vec![0], vec![2]];
         let pinned = Ranking { order: vec![1, 0, 2], front: vec![1], tiers };
         assert_eq!(RankSpec::sorted().metric(r.clone()).metric(m.clone()).rank(&trials), pinned);
@@ -488,8 +474,8 @@ mod tests {
 
         // And they say what `RankSpec` says on the same def.
         let spec = |method: RankSpec| method.metric(cvar.clone()).metric(time.clone());
-        assert_eq!(spec(RankSpec::pareto()).pareto_front(&trials), by_cvar.0);
-        assert_eq!(spec(RankSpec::pareto()).rank(&trials).tiers, vec![vec![1], vec![0]]);
+        let pareto = spec(RankSpec::pareto()).rank(&trials);
+        assert_eq!((pareto.front, pareto.tiers), (by_cvar.0, vec![vec![1], vec![0]]));
         assert_eq!(spec(RankSpec::sorted()).rank(&trials).best(), by_cvar.2);
         assert_eq!(spec(RankSpec::weighted()).rank(&trials).order, by_cvar.3);
     }
@@ -539,12 +525,10 @@ mod tests {
             t_dist(1, vec![8.0, 9.0, 9.0, 9.0, 9.0], 50.0),
         ];
         let (r, m) = defs();
-        let mean_front =
-            RankSpec::pareto().metric(r.clone()).metric(m.clone()).pareto_front(&trials);
-        assert_eq!(mean_front, vec![0], "mean 10 beats mean 8.8 at equal time");
-        let cvar_front =
-            RankSpec::pareto().metric(r.with_risk(Risk::Cvar(0.2))).metric(m).pareto_front(&trials);
-        assert_eq!(cvar_front, vec![1], "CVaR(0.2): -20 loses to 8");
+        let mean_front = RankSpec::pareto().metric(r.clone()).metric(m.clone()).rank(&trials);
+        assert_eq!(mean_front.front, vec![0], "mean 10 beats mean 8.8 at equal time");
+        let cvar = RankSpec::pareto().metric(r.with_risk(Risk::Cvar(0.2))).metric(m);
+        assert_eq!(cvar.rank(&trials).front, vec![1], "CVaR(0.2): -20 loses to 8");
     }
 
     #[test]
@@ -554,7 +538,6 @@ mod tests {
         let ranking = RankSpec::pareto().metric(r).metric(m).rank(&trials);
         assert_eq!(ranking.tiers, vec![vec![0], vec![1], vec![2]]);
         assert_eq!(ranking.order, vec![0, 1, 2]);
-        assert!(!ranking.indistinguishable(0, 1));
     }
 
     #[test]
@@ -567,9 +550,11 @@ mod tests {
         let (r, _) = defs();
         let ranking = RankSpec::sorted().metric(r).ci_gate(0.95).rank(&trials);
         assert_eq!(ranking.order, vec![1, 0, 2]);
-        assert_eq!(ranking.tiers.len(), 2, "0 and 1 share a tier; 2 stands alone");
-        assert!(ranking.indistinguishable(0, 1));
-        assert!(!ranking.indistinguishable(0, 2));
+        assert_eq!(
+            ranking.tiers,
+            vec![vec![1, 0], vec![2]],
+            "0 and 1 share a tier; 2 stands alone"
+        );
         assert_eq!(ranking.front, vec![0, 1]);
     }
 
@@ -589,8 +574,8 @@ mod tests {
         let mut rng = testkit::Gen::new(0x200);
         let trials: Vec<Trial> =
             (0..200).map(|i| t(i, rng.f64_in(0.0..10.0), rng.f64_in(0.0..100.0))).collect();
+        let front = ParetoFront::compute(&trials, &[r.clone(), m.clone()]).indices().to_vec();
         let spec = RankSpec::hypervolume((0.0, 100.0)).metric(r).metric(m);
-        let front = spec.pareto_front(&trials);
         let order = spec.rank(&trials).order;
         assert_eq!(order.len(), 200);
         let (head, tail) = order.split_at(front.len());

@@ -8,11 +8,6 @@ pub mod markdown;
 pub mod svg;
 pub mod table;
 
-pub use csv::trials_to_csv;
-pub use markdown::trials_to_markdown;
-pub use svg::ScatterPlot;
-pub use table::render_table;
-
 /// Where a report's confidence intervals come from. The renderers ask
 /// for one by metric column; what answers is [`PerColumn`] behind every
 /// public entry point and the serial reference loop in this module's
@@ -57,6 +52,7 @@ mod tests {
     use crate::param::ParamValue;
     use crate::rank::ParetoFront;
     use crate::trial::{Configuration, Trial, TrialStatus};
+    use svg::ScatterPlot;
     use testkit::Gen;
 
     /// The interval every report printed before the resampler was shared:

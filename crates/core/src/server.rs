@@ -31,17 +31,17 @@ use std::sync::{Mutex, PoisonError};
 use telemetry::{Key, Recorder, SharedRecorder, Value};
 
 /// Telemetry keys recorded by [`StudyServer`].
-pub mod server_keys {
+pub(crate) mod server_keys {
     use telemetry::Key;
 
     /// Span: one submitted study, open from session start to drain.
-    pub const STUDY: Key = Key("server.study");
+    pub(crate) const STUDY: Key = Key("server.study");
 
     /// Event: one scheduling wave (`wave`, `trials` fields).
-    pub const WAVE: Key = Key("server.wave");
+    pub(crate) const WAVE: Key = Key("server.wave");
 
     /// Counter: trial slots executed (or adopted) across all studies.
-    pub const TRIALS: Key = Key("server.trials");
+    pub(crate) const TRIALS: Key = Key("server.trials");
 }
 
 /// The result of one submitted study after [`StudyServer::run_all`].
@@ -245,7 +245,7 @@ impl StudyServer {
     }
 
     /// Install a telemetry recorder for the scheduler itself (per-study
-    /// [`server_keys::STUDY`] spans, per-wave [`server_keys::WAVE`]
+    /// `server_keys::STUDY` spans, per-wave `server_keys::WAVE`
     /// events). Studies keep their own recorders.
     pub fn with_recorder(mut self, recorder: SharedRecorder) -> Self {
         self.recorder = recorder;

@@ -36,14 +36,6 @@ impl ParamSpace {
         self.params.is_empty()
     }
 
-    /// Total number of distinct configurations, if every domain is finite.
-    pub fn cardinality(&self) -> Option<usize> {
-        self.params
-            .iter()
-            .map(|p| p.domain.cardinality())
-            .try_fold(1usize, |acc, c| c.map(|c| acc.saturating_mul(c)))
-    }
-
     /// Sample a configuration uniformly at random (the Random Search
     /// primitive: "takes random combinations of parameters", §V-c).
     pub fn sample(&self, rng: &mut impl Rng) -> Configuration {
@@ -88,11 +80,6 @@ impl ParamSpace {
     /// Whether a configuration assigns a valid value to every parameter.
     pub fn contains(&self, cfg: &Configuration) -> bool {
         self.params.iter().all(|p| cfg.get(&p.name).map(|v| p.domain.contains(v)).unwrap_or(false))
-    }
-
-    /// Parameters with a given role tag.
-    pub fn by_kind(&self, kind: ParamKind) -> Vec<&ParamDef> {
-        self.params.iter().filter(|p| p.kind == kind).collect()
     }
 }
 
@@ -189,12 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_of_the_paper_space() {
-        // 3 × 3 × 2 × 2 × 2 = 72 possible configurations.
-        assert_eq!(paper_space().cardinality(), Some(72));
-    }
-
-    #[test]
     fn grid_enumerates_every_combination_once() {
         let grid = paper_space().grid();
         assert_eq!(grid.len(), 72);
@@ -218,14 +199,6 @@ mod tests {
         let a = space.sample(&mut StdRng::seed_from_u64(5));
         let b = space.sample(&mut StdRng::seed_from_u64(5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn kinds_partition_the_space() {
-        let space = paper_space();
-        assert_eq!(space.by_kind(ParamKind::Environment).len(), 1);
-        assert_eq!(space.by_kind(ParamKind::Algorithm).len(), 2);
-        assert_eq!(space.by_kind(ParamKind::System).len(), 2);
     }
 
     #[test]
@@ -260,12 +233,6 @@ mod tests {
     #[should_panic(expected = "duplicate parameter name")]
     fn duplicate_names_rejected() {
         ParamSpace::builder().int("x", 0, 1).int("x", 0, 1).build();
-    }
-
-    #[test]
-    fn float_cardinality_is_unbounded() {
-        let space = ParamSpace::builder().float("x", 0.0, 1.0).build();
-        assert_eq!(space.cardinality(), None);
     }
 
     #[test]

@@ -193,36 +193,26 @@ impl Journal {
         let mut seq = 0u64;
         if self.path.exists() {
             let mut f = OpenOptions::new().read(true).write(true).open(&self.path)?;
-            let mut text = String::new();
-            f.read_to_string(&mut text)?;
-            let keep = match text.rfind('\n') {
-                Some(last_nl) => {
-                    let tail = &text[last_nl + 1..];
-                    if tail.is_empty() || StudyEvent::from_line(tail).is_ok() {
-                        // A parseable unterminated tail only lost its
-                        // newline; keep the record, terminate the line.
-                        if !tail.is_empty() {
-                            f.seek(SeekFrom::End(0))?;
-                            f.write_all(b"\n")?;
-                            text.push('\n');
-                        }
-                        text.len()
-                    } else {
-                        last_nl + 1
-                    }
-                }
-                None if !text.is_empty() && StudyEvent::from_line(&text).is_ok() => {
-                    f.seek(SeekFrom::End(0))?;
-                    f.write_all(b"\n")?;
-                    text.push('\n');
-                    text.len()
-                }
-                None => 0,
+            let mut bytes = Vec::new();
+            f.read_to_end(&mut bytes)?;
+            let start = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+            let tail = &bytes[start..];
+            let keep = if tail.is_empty() {
+                bytes.len()
+            } else if decode(tail).is_ok() {
+                // A parseable unterminated tail only lost its newline;
+                // keep the record, terminate the line.
+                f.seek(SeekFrom::End(0))?;
+                f.write_all(b"\n")?;
+                bytes.push(b'\n');
+                bytes.len()
+            } else {
+                start
             };
-            if keep < text.len() {
+            if keep < bytes.len() {
                 f.set_len(keep as u64)?;
             }
-            seq = text[..keep].lines().filter(|l| !l.trim().is_empty()).count() as u64;
+            seq = lines(&bytes[..keep]).filter(|l| !l.trim_ascii().is_empty()).count() as u64;
         }
         let file = OpenOptions::new().create(true).append(true).open(&self.path)?;
         Ok(WalWriter { file, buf: Vec::new(), seq })
@@ -235,15 +225,15 @@ impl Journal {
         if !self.path.exists() {
             return Ok(WalLoad::default());
         }
-        let text = std::fs::read_to_string(&self.path)?;
-        let terminated = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
+        let bytes = std::fs::read(&self.path)?;
+        let terminated = bytes.ends_with(b"\n");
+        let lines: Vec<&[u8]> = lines(&bytes).collect();
         let mut load = WalLoad::default();
         for (i, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
+            if line.trim_ascii().is_empty() {
                 continue;
             }
-            match StudyEvent::from_line(line) {
+            match decode(line) {
                 Ok(ev) => load.events.push(ev),
                 Err(message) => {
                     let is_tail = i + 1 == lines.len() && !terminated;
@@ -266,6 +256,23 @@ impl Journal {
         }
         Ok(())
     }
+}
+
+/// The lines of a journal file as bytes, split like [`str::lines`]: on
+/// `\n`, a trailing `\r` dropped, no empty line after a final newline.
+/// The file is never decoded as a whole, so a tear inside a multi-byte
+/// character spoils only the record it cuts.
+fn lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    bytes.split_inclusive(|&b| b == b'\n').map(|line| {
+        let line = line.strip_suffix(b"\n").unwrap_or(line);
+        line.strip_suffix(b"\r").unwrap_or(line)
+    })
+}
+
+/// Decode one record: UTF-8 first, then the event codec.
+fn decode(line: &[u8]) -> Result<StudyEvent, String> {
+    let text = std::str::from_utf8(line).map_err(|e| format!("invalid UTF-8: {e}"))?;
+    StudyEvent::from_line(text)
 }
 
 #[cfg(test)]
@@ -416,5 +423,55 @@ mod tests {
         j.clear().unwrap();
         assert!(!path.exists());
         j.clear().unwrap(); // idempotent
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_journals_load_or_report_corruption() {
+        // A short real journal with a non-ASCII field in two records.
+        let path = tmp("hostile");
+        let j = Journal::new(&path);
+        j.clear().unwrap();
+        j.append(&started(0)).unwrap();
+        j.append(&StudyEvent::TrialFailed {
+            trial: 0,
+            error: "single node only (paper §V-b)".into(),
+            metrics: MetricValues::new(),
+        })
+        .unwrap();
+        let config = Configuration::new().with("stage", ParamValue::Str("§VI-D".into()));
+        j.append(&StudyEvent::TrialStarted { trial: 1, config }).unwrap();
+        j.append(&completed(1)).unwrap();
+        drop(j);
+        let journal = std::fs::read(&path).unwrap();
+        assert!(!journal.is_ascii());
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            let load = Journal::new(&path).load();
+            if let Ok(load) = &load {
+                let unterminated = !bytes.is_empty() && !bytes.ends_with(b"\n");
+                assert!(!load.torn_tail || unterminated, "{:?}", String::from_utf8_lossy(bytes));
+            }
+            load
+        };
+        assert_eq!(load(&journal).unwrap().events.len(), 4);
+        // Every prefix is a crash mid-append: a torn tail at worst.
+        for end in 0..journal.len() {
+            let complete = journal[..end].iter().filter(|&&b| b == b'\n').count();
+            let events = load(&journal[..end]).unwrap().events.len();
+            assert!(events == complete || events == complete + 1, "prefix {end}");
+        }
+        // Every flip of one of a byte's low seven bits: a load or a
+        // `Corrupt`, never an I/O error.
+        for i in 0..journal.len() {
+            for bit in 0..7 {
+                let mut bytes = journal.clone();
+                bytes[i] ^= 1 << bit;
+                match load(&bytes) {
+                    Ok(_) | Err(JournalError::Corrupt { .. }) => {}
+                    Err(e) => panic!("byte {i} bit {bit}: {e}"),
+                }
+            }
+        }
+        Journal::new(&path).clear().unwrap();
     }
 }

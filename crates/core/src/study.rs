@@ -51,7 +51,7 @@ pub mod study_keys {
     pub const TRIALS_COMPLETE: Key = Key("study.trials_complete");
 
     /// Counter: trials stopped early by the pruner.
-    pub const TRIALS_PRUNED: Key = Key("study.trials_pruned");
+    pub(crate) const TRIALS_PRUNED: Key = Key("study.trials_pruned");
 
     /// Counter: trials that errored or missed a study metric.
     pub const TRIALS_FAILED: Key = Key("study.trials_failed");
@@ -104,7 +104,7 @@ impl TrialContext<'_> {
 }
 
 /// The objective: evaluates one configuration into metric values.
-pub type Objective =
+pub(crate) type Objective =
     dyn Fn(&Configuration, &mut TrialContext<'_>) -> Result<MetricValues, String> + Send + Sync;
 
 /// A fully-specified decision-analysis study.
@@ -817,7 +817,8 @@ mod tests {
         let completed = load.events.iter().filter(|e| e.key() == wal_keys::TRIAL_COMPLETED).count();
         assert_eq!(completed, 24);
         let replayed = Replay::from_events(load.events).unwrap();
-        assert_eq!(replayed.contiguous_prefix().unwrap(), trials);
+        assert!(replayed.in_flight.is_empty());
+        assert_eq!(replayed.finished.into_values().collect::<Vec<_>>(), trials);
         Journal::new(&path).clear().unwrap();
     }
 

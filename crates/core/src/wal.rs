@@ -170,7 +170,7 @@ impl StudyEvent {
     /// the log) is stored in the `t_ns` slot so the format carries no
     /// wall-clock dependence: re-writing the same study produces a
     /// byte-identical log.
-    pub fn to_snap(&self, seq: u64) -> SnapEvent {
+    pub(crate) fn to_snap(&self, seq: u64) -> SnapEvent {
         let mut fields: Vec<(String, FieldValue)> = Vec::new();
         match self {
             StudyEvent::Checkpoint { study, seed, explorer, fingerprint, trials } => {
@@ -218,7 +218,7 @@ impl StudyEvent {
     }
 
     /// Decode a telemetry event record back into a [`StudyEvent`].
-    pub fn from_snap(ev: &SnapEvent) -> Result<StudyEvent, String> {
+    pub(crate) fn from_snap(ev: &SnapEvent) -> Result<StudyEvent, String> {
         match ev.key.as_str() {
             wal_keys::CHECKPOINT => Ok(StudyEvent::Checkpoint {
                 study: need_str(ev, "study")?,
@@ -282,7 +282,7 @@ impl StudyEvent {
     }
 
     /// Serialize as one WAL line (no trailing newline).
-    pub fn to_line(&self, seq: u64) -> String {
+    pub(crate) fn to_line(&self, seq: u64) -> String {
         telemetry::export::event_to_json_line(&self.to_snap(seq))
     }
 
@@ -496,21 +496,6 @@ impl Replay {
         );
         Ok(())
     }
-
-    /// The finished trials, provided they form a gap-free prefix
-    /// `0..n` with nothing in flight — the shape a clean sequential run
-    /// leaves behind. Returns `None` otherwise (resume handles gaps).
-    pub fn contiguous_prefix(&self) -> Option<Vec<Trial>> {
-        if !self.in_flight.is_empty() {
-            return None;
-        }
-        for (want, have) in self.finished.keys().enumerate() {
-            if want != *have {
-                return None;
-            }
-        }
-        Some(self.finished.values().cloned().collect())
-    }
 }
 
 #[cfg(test)]
@@ -581,8 +566,7 @@ mod tests {
         assert!(t2.reused);
         assert_eq!(t2.status, TrialStatus::Pruned);
         assert_eq!(t2.intermediate[1], (3, f64::INFINITY));
-        let trials = replay.contiguous_prefix().expect("clean prefix");
-        assert_eq!(trials.iter().map(|t| t.id).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(replay.finished.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -593,7 +577,6 @@ mod tests {
         let replay = Replay::from_events(events.clone()).unwrap();
         assert_eq!(replay.in_flight.len(), 1);
         assert_eq!(replay.in_flight[&3].1, vec![(1, 1.0)]);
-        assert!(replay.contiguous_prefix().is_none());
 
         // The resumed run re-starts trial 3: the fresh start wins.
         events.push(StudyEvent::TrialStarted { trial: 3, config: cfg(9) });

@@ -134,14 +134,3 @@ fn quantiles_match_type7_interpolation() {
     assert!((single.median() - 7.0).abs() < 1e-12);
     assert!((single.iqr() - 0.0).abs() < 1e-12);
 }
-
-#[test]
-fn max_drawdown_matches_hand_trace() {
-    // Stream 0,10,4,8,2,12,5: running peaks 0,10,10,10,10,12,12 give
-    // drawdowns 0,0,6,2,8,0,7 — the worst is 10 -> 2.
-    let d = Distribution::from_samples(vec![0.0, 10.0, 4.0, 8.0, 2.0, 12.0, 5.0]);
-    assert!((d.max_drawdown() - 8.0).abs() < 1e-12);
-    // Monotone improvement never draws down.
-    let up: Distribution = (1..=10).map(f64::from).collect();
-    assert!(up.max_drawdown().abs() < 1e-12);
-}

@@ -22,6 +22,11 @@ fn tmp(name: &str) -> PathBuf {
 /// event kind: intermediate reports, pruned trials (descending k walks
 /// under the running median), and one failing configuration.
 fn study(path: &Path, calls: Arc<AtomicUsize>) -> Study {
+    study_failing_with(path, calls, "unlucky configuration")
+}
+
+/// [`study`] with the failing configuration's error message.
+fn study_failing_with(path: &Path, calls: Arc<AtomicUsize>, error: &'static str) -> Study {
     Study::builder("killpoints")
         .space(
             ParamSpace::builder()
@@ -48,7 +53,7 @@ fn study(path: &Path, calls: Arc<AtomicUsize>) -> Study {
             // An early configuration (inside the pruner's startup window,
             // so it cannot be pruned first) that always errors.
             if k == 15 && j == 1 {
-                return Err("unlucky configuration".into());
+                return Err(error.into());
             }
             Ok(MetricValues::new().with("score", kf * 10.0 + jf))
         })
@@ -139,6 +144,33 @@ fn a_torn_final_record_is_discarded_and_resume_still_matches() {
         let repaired = Journal::new(&path).load().unwrap();
         assert!(!repaired.torn_tail, "resume must repair the torn tail");
     }
+    Journal::new(&refpath).clear().unwrap();
+    Journal::new(&path).clear().unwrap();
+}
+
+/// A failed trial journals its error message, and a message may carry
+/// non-ASCII text (`dist_exec`'s deployment check cites "paper §V-b"). A
+/// crash that tears the record inside such a character leaves invalid
+/// UTF-8 at the end of the file: a torn tail like any other.
+#[test]
+fn a_tear_inside_a_multi_byte_character_is_a_torn_tail() {
+    const ERROR: &str = "single node only (paper §V-b)";
+    let refpath = tmp("utf8-ref");
+    let path = tmp("utf8");
+    Journal::new(&refpath).clear().unwrap();
+    let reference =
+        study_failing_with(&refpath, Arc::new(AtomicUsize::new(0)), ERROR).run().unwrap();
+    let wal = std::fs::read(&refpath).unwrap();
+    let at = wal.windows(2).position(|w| w == "§".as_bytes()).expect("the failure is journalled");
+    // Keep the first byte of `§` and lose everything after it.
+    std::fs::write(&path, &wal[..=at]).unwrap();
+    let load = Journal::new(&path).load().unwrap();
+    assert!(load.torn_tail, "a tear inside a character is a torn tail");
+    assert_eq!(load.events.len(), wal[..at].iter().filter(|&&b| b == b'\n').count());
+
+    let resumed = study_failing_with(&path, Arc::new(AtomicUsize::new(0)), ERROR).resume().unwrap();
+    assert_eq!(format!("{resumed:?}"), format!("{reference:?}"));
+    assert!(!Journal::new(&path).load().unwrap().torn_tail, "resume must repair the torn tail");
     Journal::new(&refpath).clear().unwrap();
     Journal::new(&path).clear().unwrap();
 }

@@ -132,7 +132,7 @@ pub struct EpisodeReport {
 impl EpisodeReport {
     /// The decision point with the largest 1-Wasserstein score — "the
     /// decision that mattered most", scale-aware.
-    pub fn most_consequential(&self) -> Option<&DecisionPointReport> {
+    pub(crate) fn most_consequential(&self) -> Option<&DecisionPointReport> {
         self.points.iter().max_by(|a, b| a.w1_score.total_cmp(&b.w1_score))
     }
 }

@@ -78,7 +78,11 @@ pub fn js_divergence(a: &Distribution, b: &Distribution, bins: usize) -> f64 {
 /// have zero spread. Two point masses share a histogram cell or they do
 /// not, so JS would read `0` or [`JS_BOUND`] however near the two values
 /// are; their [`wasserstein_1`] distance is the gap itself.
-pub fn js_unless_point_masses(a: &Distribution, b: &Distribution, bins: usize) -> Option<f64> {
+pub(crate) fn js_unless_point_masses(
+    a: &Distribution,
+    b: &Distribution,
+    bins: usize,
+) -> Option<f64> {
     let point_mass = |d: &Distribution| d.min() == d.max();
     if point_mass(a) && point_mass(b) {
         None

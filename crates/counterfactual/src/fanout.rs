@@ -20,10 +20,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use dist_exec::{run_whatif, WhatIfPayload};
+use dist_exec::{run_whatif, run_whatif_batched, WhatIfPayload};
 use gymrs::SnapshotError;
-
-pub use dist_exec::run_whatif_batched;
 
 /// Which machinery answers a what-if payload. Both variants are bitwise
 /// interchangeable (the parity suite pins this); they differ only in

@@ -1,7 +1,7 @@
 //! Telemetry instrument names for the consequence trace.
 //!
-//! One [`CF_POINT`] event per analyzed decision point and one
-//! [`CF_EPISODE`] event per episode make the analyzer's output
+//! One `CF_POINT` event per analyzed decision point and one
+//! `CF_EPISODE` event per episode make the analyzer's output
 //! reconstructible from a telemetry snapshot alone — the per-episode
 //! "consequence trace". Counters account for the fan-out volume the
 //! dispatch machinery absorbed.
@@ -14,23 +14,23 @@ pub const CF_POINTS: Key = Key("cf.points");
 pub const CF_ROLLOUTS: Key = Key("cf.rollouts");
 /// Counter: distinct continuations among them — the lanes the lockstep
 /// runner steps ([`dist_exec::LanePlan`]), whichever executor ran.
-pub const CF_LANES: Key = Key("cf.lanes");
+pub(crate) const CF_LANES: Key = Key("cf.lanes");
 /// Event: one analyzed decision point (fields: [`F_T`], [`F_JS`],
 /// [`F_W1`], [`F_ALTS`]).
-pub const CF_POINT: Key = Key("cf.point");
+pub(crate) const CF_POINT: Key = Key("cf.point");
 /// Event: one analyzed episode (fields: [`F_POINTS`], [`F_JS`],
 /// [`F_W1`], [`F_RETURN`]).
-pub const CF_EPISODE: Key = Key("cf.episode");
+pub(crate) const CF_EPISODE: Key = Key("cf.episode");
 
 /// Decision-point step index within the episode.
-pub const F_T: Key = Key("t");
+pub(crate) const F_T: Key = Key("t");
 /// Aggregated Jensen–Shannon score.
-pub const F_JS: Key = Key("js");
+pub(crate) const F_JS: Key = Key("js");
 /// Aggregated 1-Wasserstein score.
-pub const F_W1: Key = Key("w1");
+pub(crate) const F_W1: Key = Key("w1");
 /// Number of alternative actions forked.
-pub const F_ALTS: Key = Key("alts");
+pub(crate) const F_ALTS: Key = Key("alts");
 /// Number of decision points in the episode.
-pub const F_POINTS: Key = Key("points");
+pub(crate) const F_POINTS: Key = Key("points");
 /// The recorded episode's factual return.
-pub const F_RETURN: Key = Key("ret");
+pub(crate) const F_RETURN: Key = Key("ret");

@@ -23,18 +23,18 @@
 //! 3. **Fan out** the `(K+1)·N` short rollouts of every decision point
 //!    through one of two interchangeable executors ([`Exec`]): the
 //!    scalar reference loop ([`dist_exec::run_whatif`]) or the lockstep
-//!    runner ([`run_whatif_batched`] over [`gymrs::VecEnv`], which
+//!    runner ([`dist_exec::run_whatif_batched`] over [`gymrs::VecEnv`], which
 //!    engages the SIMD ODE batcher for airdrop lanes) with the episode's
 //!    decision points spread over the host's cores. A continuation that
 //!    does not read observations does not pay for them, and the lockstep
 //!    runner steps each distinct continuation once
-//!    ([`dist_exec::LanePlan`]): where `step` reads no RNG the `N`
+//!    ([`dist_exec::runtime::whatif::LanePlan`]): where `step` reads no RNG the `N`
 //!    rollouts of an action are one lane, reported as `N` equal samples.
 //!    The two paths are bitwise interchangeable — the parity suite pins
 //!    that down.
 //! 4. **Score** each point with Jensen–Shannon and 1-Wasserstein
 //!    divergence between the factual return distribution and each
-//!    alternative's ([`divergence`]; JS is absent between two point
+//!    alternative's (`divergence`; JS is absent between two point
 //!    masses), aggregated across alternatives by
 //!    an [`Aggregate`] rule, and emit a consequence trace through the
 //!    telemetry recorder ([`keys`]).
@@ -43,13 +43,10 @@
 //! bit-identical reports on every executor, platform and thread count.
 
 pub mod analyzer;
-pub mod divergence;
-pub mod fanout;
+pub(crate) mod divergence;
+pub(crate) mod fanout;
 pub mod keys;
 
-pub use analyzer::{
-    alternatives_for, AlternativeOutcome, AnalyzerConfig, CounterfactualAnalyzer, DecisionPoint,
-    DecisionPointReport, EpisodeReport, RecordedEpisode,
-};
-pub use divergence::{js_divergence, js_unless_point_masses, wasserstein_1, Aggregate, JS_BOUND};
-pub use fanout::{run_whatif_batched, Exec};
+pub use analyzer::{AnalyzerConfig, CounterfactualAnalyzer, EpisodeReport, RecordedEpisode};
+pub use divergence::{js_divergence, wasserstein_1, Aggregate, JS_BOUND};
+pub use fanout::Exec;

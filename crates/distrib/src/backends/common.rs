@@ -35,7 +35,7 @@ impl Segment {
 /// [`collect_steps`] with the segment tail closed. If the final step did
 /// not end its episode, it is marked `done` with its bootstrap value
 /// kept, so concatenated segments never leak advantage across workers.
-pub fn collect_segment(
+pub(crate) fn collect_segment(
     policy: &ActorCritic,
     env: &mut dyn Environment,
     obs: &mut Vec<f64>,
@@ -55,7 +55,7 @@ pub fn collect_segment(
 /// vectorization, TF-Agents-style batched drivers). Segment tails are
 /// closed per sub-env by the collector, so the merged rollout
 /// concatenates into learner updates exactly like per-env segments.
-pub fn collect_segment_vec<E: Environment>(
+pub(crate) fn collect_segment_vec<E: Environment>(
     policy: &ActorCritic,
     venv: &mut VecEnv<E>,
     ticks: usize,
@@ -67,7 +67,7 @@ pub fn collect_segment_vec<E: Environment>(
 /// One SAC interaction step: act, step the env, feed the learner.
 ///
 /// Returns `(env_work, finished_episode_return)`.
-pub fn sac_step(
+pub(crate) fn sac_step(
     learner: &mut SacLearner,
     env: &mut dyn Environment,
     obs: &mut Vec<f64>,

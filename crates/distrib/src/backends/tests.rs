@@ -164,33 +164,6 @@ fn bad_inputs_are_rejected_before_anything_is_built() {
         let s = spec(framework, Algorithm::Ppo, 2, 4, 512);
         assert!(run(&s, &untouched).is_err(), "{framework:?}: single node only");
     }
-    // A malformed `RLDT_TRANSPORT` is the same mistake made in the
-    // environment. The variable is set on a child re-running this binary,
-    // never in this threaded process.
-    let child = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["--exact", "backends::tests::malformed_env_transport_child", "--ignored"])
-        .env("RLDT_TRANSPORT", "smoke-signals")
-        .output()
-        .expect("re-run the test binary");
-    let out = String::from_utf8_lossy(&child.stdout);
-    assert!(child.status.success() && out.contains("1 passed"), "child run:\n{out}");
-}
-
-#[test]
-#[ignore = "run by bad_inputs_are_rejected_before_anything_is_built, which sets RLDT_TRANSPORT"]
-fn malformed_env_transport_child() {
-    let untouched = FnEnvFactory(|_| -> Box<dyn Environment> { panic!("nothing may be built") });
-    for framework in Framework::ALL {
-        let mut s = spec(framework, Algorithm::Ppo, 1, 2, 512);
-        let err = run(&s, &untouched).err().expect("the variable is malformed");
-        assert!(err.contains("RLDT_TRANSPORT") && err.contains("smoke-signals"), "{err}");
-        assert_eq!(s.validate().expect_err("validate reads it too"), err);
-        // An explicit request is the one consulted.
-        s.transport = Some("inproc".into());
-        assert_eq!(s.validate(), Ok(()));
-    }
-    let err = train_impala(&ImpalaOpts::default(), &untouched, telemetry::null_recorder()).err();
-    assert!(err.expect("IMPALA reads it too").contains("RLDT_TRANSPORT"));
 }
 
 #[test]

@@ -48,8 +48,8 @@ pub struct ImpalaOpts {
     /// Cap on in-flight collection commands (`Runtime::with_window`);
     /// `None` keeps the host-parallelism default.
     pub window: Option<usize>,
-    /// Transport override (`inproc`, `uds`, `tcp`, `tcp:<addr>`); `None`
-    /// defers to `RLDT_TRANSPORT`.
+    /// Transport (`inproc`, `uds`, `tcp`, `tcp:<addr>`); `None` is
+    /// in-process.
     pub transport: Option<String>,
     /// Faults to inject into this run's runtime; a schedule, armed afresh
     /// by every run (see `ExecSpec::fault_plan`).
@@ -121,7 +121,7 @@ pub(crate) fn train(
     }
 }
 
-/// Train with the IMPALA-like architecture ([`Architecture::impala`]):
+/// Train with the IMPALA-like architecture (`Architecture::impala`):
 /// actors refresh their snapshot only every
 /// [`ImpalaOpts::actor_sync_period`] iterations and the learner corrects
 /// the off-policyness with V-trace — the paper's §VI-D trade-off

@@ -1,10 +1,10 @@
-//! Framework identities and the [`Architecture`] each one stands for.
+//! Framework identities and the `Architecture` each one stands for.
 //!
 //! The paper's frameworks differ in *architecture* — who collects, who
 //! infers, when weights travel — and that difference is data: one
-//! [`Architecture`] value per framework, read by the one training loop in
-//! [`crate::backends`]. [`Framework::architecture`] and
-//! [`Architecture::impala`] are the table; nothing else in the crate
+//! `Architecture` value per framework, read by the one training loop in
+//! [`crate::backends`]. `Framework::architecture` and
+//! `Architecture::impala` are the table; nothing else in the crate
 //! branches on which framework is running.
 
 use crate::runtime::SyncPolicy;
@@ -25,13 +25,6 @@ impl Framework {
     pub const ALL: [Framework; 3] =
         [Framework::RayRllib, Framework::StableBaselines, Framework::TfAgents];
 
-    /// Whether the framework can spread training over multiple nodes
-    /// (§V-b: "Distributed training on 2 nodes is available with RLlib;
-    /// TF-Agents and Stable-Baselines parallelize on a single node").
-    pub fn supports_multi_node(self) -> bool {
-        self.architecture().multi_node
-    }
-
     /// The cost profile used by the cluster narration.
     pub fn profile(self) -> FrameworkProfile {
         self.architecture().profile
@@ -45,7 +38,7 @@ impl Framework {
     /// takes only ~26% longer than configuration 2, order 3, at equal
     /// deployment), so the overheads here are large relative to the
     /// ~7–43 derivative evaluations a control step costs.
-    pub fn architecture(self) -> Architecture {
+    pub(crate) fn architecture(self) -> Architecture {
         match self {
             // Ray: rollout actors pinned to nodes ship experience to a
             // central learner; remote nodes get fresh weights only every
@@ -117,7 +110,7 @@ impl Framework {
 /// How a framework spreads work over cores and nodes: everything the
 /// training loop needs to know to behave like that framework.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Architecture {
+pub(crate) struct Architecture {
     /// Cost constants for the cluster narration.
     pub profile: FrameworkProfile,
     /// Shape of the worker set.
@@ -155,7 +148,7 @@ impl Architecture {
 
 /// Shape of a framework's worker set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Collectors {
+pub(crate) enum Collectors {
     /// One worker on node 0 stepping `cores` sub-environments in
     /// lockstep with batched policy evaluation; a round's step count is
     /// in ticks.
@@ -168,7 +161,7 @@ pub enum Collectors {
 
 /// Where a collection round's sampling randomness comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sampling {
+pub(crate) enum Sampling {
     /// The learner's master stream rides the collect command and comes
     /// back advanced: collect, then update, on one stream. One stream
     /// serves one worker, so this goes with [`Collectors::Vectorized`].
@@ -184,7 +177,7 @@ pub enum Sampling {
 
 /// Where collection-time policy inference is charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Inference {
+pub(crate) enum Inference {
     /// Its own compute phase on the learner's streams, serialized with
     /// the loop.
     OnLearner,
@@ -220,9 +213,11 @@ mod tests {
 
     #[test]
     fn only_rllib_is_multi_node() {
-        assert!(Framework::RayRllib.supports_multi_node());
-        assert!(!Framework::StableBaselines.supports_multi_node());
-        assert!(!Framework::TfAgents.supports_multi_node());
+        // §V-b: "Distributed training on 2 nodes is available with RLlib;
+        // TF-Agents and Stable-Baselines parallelize on a single node".
+        assert!(Framework::RayRllib.architecture().multi_node);
+        assert!(!Framework::StableBaselines.architecture().multi_node);
+        assert!(!Framework::TfAgents.architecture().multi_node);
     }
 
     #[test]

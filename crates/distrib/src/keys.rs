@@ -1,13 +1,13 @@
 //! Telemetry keys recorded by the execution [`runtime`](crate::runtime).
 //!
 //! `driver.*` names describe trial-level progress emitted by
-//! [`Driver`](crate::runtime::Driver); `runtime.*` names describe the
+//! `runtime::Driver`; `runtime.*` names describe the
 //! actor pool's channel traffic.
 
 use telemetry::Key;
 
 /// Event: one completed training iteration. Fields: [`F_ITERATION`],
-/// [`F_ENV_STEPS`], [`F_WALL_S`], [`F_MEAN_RETURN`].
+/// `F_ENV_STEPS`, `F_WALL_S`, [`F_MEAN_RETURN`].
 pub const TRIAL_ITERATION: Key = Key("driver.iteration");
 
 /// Counter: environment steps consumed (mirrors `Driver::env_steps`).
@@ -20,13 +20,13 @@ pub const ENV_WORK: Key = Key("driver.env_work");
 pub const F_ITERATION: Key = Key("iteration");
 
 /// [`TRIAL_ITERATION`] field: environment steps consumed so far.
-pub const F_ENV_STEPS: Key = Key("env_steps");
+pub(crate) const F_ENV_STEPS: Key = Key("env_steps");
 
 /// [`TRIAL_ITERATION`] field: simulated wall-clock seconds elapsed.
-pub const F_WALL_S: Key = Key("wall_s");
+pub(crate) const F_WALL_S: Key = Key("wall_s");
 
 /// [`TRIAL_ITERATION`] field: mean of the last
-/// [`REPORT_WINDOW`](crate::runtime::driver::REPORT_WINDOW) training
+/// `runtime::driver::REPORT_WINDOW` training
 /// returns (NaN before the first finished episode).
 pub const F_MEAN_RETURN: Key = Key("mean_return");
 
@@ -50,16 +50,16 @@ pub const RT_BROADCAST_BYTES: Key = Key("runtime.broadcast_bytes");
 pub const RT_RETRIES: Key = Key("runtime.retries");
 
 /// Counter: dead worker threads rebuilt from their respawn factory.
-pub const RT_RESPAWNS: Key = Key("runtime.respawns");
+pub(crate) const RT_RESPAWNS: Key = Key("runtime.respawns");
 
 /// Counter: commands that outlived the fault policy's receive timeout.
-pub const RT_TIMEOUTS: Key = Key("runtime.timeouts");
+pub(crate) const RT_TIMEOUTS: Key = Key("runtime.timeouts");
 
 /// Counter: workers quarantined after the recovery ladder was exhausted.
 pub const RT_QUARANTINES: Key = Key("runtime.quarantines");
 
 /// Accumulator: simulated seconds of retry backoff charged to the trial.
-pub const RT_BACKOFF_S: Key = Key("runtime.backoff_s");
+pub(crate) const RT_BACKOFF_S: Key = Key("runtime.backoff_s");
 
 /// Counter: wire frames encoded for workers (process transport only;
 /// recorded once as a trial total at runtime shutdown).
@@ -82,17 +82,17 @@ pub const RT_WIRE_FLUSH: Key = Key("runtime.wire.flush");
 
 /// Event: a worker left the active set for good. Fields: [`F_WORKER`],
 /// [`F_NODE`], [`F_ROUND`], [`F_CAUSE`].
-pub const WORKER_QUARANTINED: Key = Key("worker.quarantined");
+pub(crate) const WORKER_QUARANTINED: Key = Key("worker.quarantined");
 
 /// [`WORKER_QUARANTINED`] field: worker index.
-pub const F_WORKER: Key = Key("worker");
+pub(crate) const F_WORKER: Key = Key("worker");
 
 /// [`WORKER_QUARANTINED`] field: the worker's simulated node.
-pub const F_NODE: Key = Key("node");
+pub(crate) const F_NODE: Key = Key("node");
 
 /// [`WORKER_QUARANTINED`] field: the round the quarantine happened in.
-pub const F_ROUND: Key = Key("round");
+pub(crate) const F_ROUND: Key = Key("round");
 
 /// [`WORKER_QUARANTINED`] field: why — see
 /// [`FaultCause::as_str`](crate::runtime::FaultCause::as_str).
-pub const F_CAUSE: Key = Key("cause");
+pub(crate) const F_CAUSE: Key = Key("cause");

@@ -3,7 +3,7 @@
 //! The paper compares three RL frameworks — Ray RLlib, Stable Baselines,
 //! TF-Agents — whose *architectures* differ in how they spread work over
 //! CPU cores and nodes (§V-b, §VI-D). Here a framework is a data value:
-//! [`Framework::architecture`] returns the [`Architecture`] (collector
+//! `Framework::architecture` returns the `Architecture` (collector
 //! shape, weight-sync policy, sampling streams, where inference is
 //! charged, cost constants — the table in [`framework`]) and one training
 //! loop (under [`run`]) reads it.
@@ -25,7 +25,7 @@
 //!
 //! Collection executes on one actor-style [`runtime`]: long-lived worker
 //! threads (or child processes) pinned to simulated nodes, typed
-//! command/event channels, and a [`runtime::Driver`] that owns the
+//! command/event channels, and a `runtime::Driver` that owns the
 //! iteration bookkeeping and narrates every cost as a
 //! `cluster_sim::SessionEvent`.
 
@@ -39,11 +39,10 @@ pub mod spec;
 
 pub use backend::{run, run_recorded, EnvFactory, FnEnvFactory};
 pub use backends::{train_impala, ImpalaOpts};
-pub use framework::{Architecture, Collectors, Framework, FrameworkProfile, Inference, Sampling};
+pub use framework::Framework;
 pub use report::{ExecReport, TrainedModel};
 pub use runtime::{
     run_whatif, run_whatif_batched, run_worker_process, ContinuationPolicy, EnvBlueprint,
-    FaultCause, FaultLog, FaultPolicy, LanePlan, Runtime, RuntimeError, SyncPolicy,
-    TransportConfig, TransportKind, TransportStats, WhatIfPayload, WhatIfTask, REPORT_WINDOW,
+    FaultPolicy, RuntimeError, TransportConfig, TransportKind, WhatIfPayload, WhatIfTask,
 };
 pub use spec::{Deployment, ExecSpec};

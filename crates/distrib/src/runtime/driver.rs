@@ -1,10 +1,10 @@
 //! The driver side of the runtime: weight-sync policies, deterministic
 //! wave merging and iteration bookkeeping.
 //!
-//! A [`Driver`] wraps the trial's `ClusterSession` and owns the
+//! A `Driver` wraps the trial's `ClusterSession` and owns the
 //! bookkeeping of a training loop: environment step/work counters, the
 //! training-return log, and the iteration index. Costs are narrated
-//! exclusively through [`Driver::apply`] — one [`SessionEvent`] per phase
+//! exclusively through `Driver::apply` — one [`SessionEvent`] per phase
 //! — so the cluster trace and the per-iteration reward reports come from
 //! one code path. Study-level concerns (pruning, live reward curves) tap
 //! the loop through the session's telemetry recorder: every iteration
@@ -12,8 +12,8 @@
 //! `true` from [`should_stop`](telemetry::Recorder::should_stop) ends the
 //! trial at the next iteration boundary.
 //!
-//! Which [`SyncPolicy`] keeps which framework's workers fresh is a column
-//! of the [`Architecture`](crate::framework::Architecture) table in
+//! Which `SyncPolicy` keeps which framework's workers fresh is a column
+//! of the `Architecture` table in
 //! [`crate::framework`].
 
 use super::fault::{FaultLog, RuntimeError};
@@ -28,7 +28,7 @@ use telemetry::{SharedRecorder, Value};
 /// How many trailing training returns the per-iteration progress reports
 /// average over (the [`keys::TRIAL_ITERATION`] `mean_return` field uses
 /// this window).
-pub const REPORT_WINDOW: usize = 20;
+pub(crate) const REPORT_WINDOW: usize = 20;
 
 /// Mean of the last [`REPORT_WINDOW`] returns; NaN before the first
 /// finished episode.
@@ -39,7 +39,7 @@ fn report_mean(returns: &[f64]) -> f64 {
 
 /// When a driver pushes fresh weights to which workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncPolicy {
+pub(crate) enum SyncPolicy {
     /// Every worker, every round (strict synchrony).
     EveryRound,
     /// Workers on the learner's node (node 0) every round; workers on
@@ -59,7 +59,7 @@ pub enum SyncPolicy {
 impl SyncPolicy {
     /// Worker indices to refresh before collection round `round`, given
     /// each worker's node assignment.
-    pub fn recipients(&self, round: u64, worker_nodes: &[usize]) -> Vec<usize> {
+    pub(crate) fn recipients(&self, round: u64, worker_nodes: &[usize]) -> Vec<usize> {
         match self {
             SyncPolicy::EveryRound => (0..worker_nodes.len()).collect(),
             SyncPolicy::RemotePeriodic { period } => {
@@ -87,7 +87,7 @@ impl SyncPolicy {
 
 /// A collection round merged into learner-ready form, deterministically
 /// (worker-index order, regardless of completion order).
-pub struct WaveOutcome {
+pub(crate) struct WaveOutcome {
     /// All segments concatenated in worker-index order.
     pub merged: RolloutBuffer,
     /// Finished-episode returns in merge order.
@@ -98,14 +98,12 @@ pub struct WaveOutcome {
     pub node_infer_flops: Vec<u64>,
     /// Experience bytes shipped from remote nodes to the learner.
     pub shipped_bytes: u64,
-    /// Worker indices in completion order (for asynchrony narration).
-    pub arrival: Vec<usize>,
     /// Each worker's sampling rng stream, advanced past its segment.
     pub rngs: Vec<RngStream>,
 }
 
 /// Merge a [`RoundOutcome`] into a [`WaveOutcome`].
-pub fn merge_wave(outcome: RoundOutcome, nodes: usize) -> WaveOutcome {
+pub(crate) fn merge_wave(outcome: RoundOutcome, nodes: usize) -> WaveOutcome {
     let total: usize = outcome.segments.iter().map(|s| s.segment.rollout.len()).sum();
     let mut merged = RolloutBuffer::with_capacity(total);
     let mut returns = Vec::new();
@@ -124,20 +122,12 @@ pub fn merge_wave(outcome: RoundOutcome, nodes: usize) -> WaveOutcome {
         merged.extend(ws.segment.rollout);
         rngs.push(ws.rng);
     }
-    WaveOutcome {
-        merged,
-        returns,
-        node_env_work,
-        node_infer_flops,
-        shipped_bytes,
-        arrival: outcome.arrival,
-        rngs,
-    }
+    WaveOutcome { merged, returns, node_env_work, node_infer_flops, shipped_bytes, rngs }
 }
 
 /// Per-trial driver state: the session and the counters every training
 /// loop needs. See the module docs.
-pub struct Driver<'a> {
+pub(crate) struct Driver<'a> {
     session: &'a mut ClusterSession,
     recorder: SharedRecorder,
     iteration: u64,
@@ -148,7 +138,7 @@ pub struct Driver<'a> {
 }
 
 /// The driver's accumulated counters, surrendered by [`Driver::finish`].
-pub struct DriverStats {
+pub(crate) struct DriverStats {
     /// Total environment steps.
     pub env_steps: u64,
     /// Total environment work units.
@@ -223,7 +213,7 @@ impl<'a> Driver<'a> {
     /// touches the simulated clock or energy — Table I's calibrated
     /// `bytes_moved` stays the *modeled* interconnect traffic, identical
     /// across transports.
-    pub fn note_wire(&mut self, bytes: u64) {
+    pub(crate) fn note_wire(&mut self, bytes: u64) {
         if bytes > 0 {
             self.session.observe_wire(bytes);
         }
@@ -233,7 +223,7 @@ impl<'a> Driver<'a> {
     /// backoff is charged to simulated time as [`SessionEvent::Overhead`]
     /// (so `Usage::from_snapshot` and `session.finish()` keep agreeing
     /// bitwise), and any quarantine latches the degraded flag.
-    pub fn note_faults(&mut self, faults: &FaultLog) {
+    pub(crate) fn note_faults(&mut self, faults: &FaultLog) {
         if faults.backoff_s > 0.0 {
             self.apply(&SessionEvent::Overhead { seconds: faults.backoff_s });
         }
@@ -242,13 +232,8 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// True once any worker has been quarantined this trial.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Account a batch of environment steps and their work units.
-    pub fn note_steps(&mut self, steps: u64, work: u64) {
+    pub(crate) fn note_steps(&mut self, steps: u64, work: u64) {
         self.env_steps += steps;
         self.env_work += work;
         if self.recorder.enabled() {
@@ -258,12 +243,12 @@ impl<'a> Driver<'a> {
     }
 
     /// Log one finished-episode return.
-    pub fn note_return(&mut self, ret: f64) {
+    pub(crate) fn note_return(&mut self, ret: f64) {
         self.train_returns.push(ret);
     }
 
     /// Log a batch of finished-episode returns (merge order).
-    pub fn note_returns<I: IntoIterator<Item = f64>>(&mut self, rets: I) {
+    pub(crate) fn note_returns<I: IntoIterator<Item = f64>>(&mut self, rets: I) {
         self.train_returns.extend(rets);
     }
 
@@ -271,7 +256,7 @@ impl<'a> Driver<'a> {
     /// [`keys::TRIAL_ITERATION`] event. Returns `true` if the recorder —
     /// via [`should_stop`](telemetry::Recorder::should_stop) — wants the
     /// trial stopped early (e.g. a pruner decided it is hopeless).
-    pub fn end_iteration(&mut self) -> bool {
+    pub(crate) fn end_iteration(&mut self) -> bool {
         self.iteration += 1;
         if self.recorder.enabled() {
             self.recorder.event(
@@ -387,10 +372,10 @@ mod tests {
         use super::super::fault::{FaultCause, Quarantine};
         let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
         let mut driver = Driver::new(&mut session);
-        assert!(!driver.is_degraded());
+        assert!(!driver.degraded);
         let mut faults = FaultLog { retries: 1, backoff_s: 0.5, ..FaultLog::default() };
         driver.note_faults(&faults);
-        assert!(!driver.is_degraded(), "retries alone do not degrade the result");
+        assert!(!driver.degraded, "retries alone do not degrade the result");
         faults.quarantined.push(Quarantine {
             worker: 1,
             node: 0,
@@ -398,7 +383,7 @@ mod tests {
             cause: FaultCause::Panicked,
         });
         driver.note_faults(&faults);
-        assert!(driver.is_degraded());
+        assert!(driver.degraded);
         driver.end_iteration();
         let stats = driver.finish();
         assert!(stats.degraded);

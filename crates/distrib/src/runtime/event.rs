@@ -88,7 +88,7 @@ pub enum Event {
         worker: usize,
         /// Iteration index of the failed command.
         round: u64,
-        /// Panic payload rendered to text (see [`panic_text`]).
+        /// Panic payload rendered to text (see `panic_text`).
         reason: String,
         /// `true` when the worker thread is exiting (only a respawn can
         /// recover it); `false` when the panic was contained and the
@@ -99,7 +99,7 @@ pub enum Event {
 
 /// Render a caught panic payload as text: `&str` and `String` payloads
 /// verbatim, anything else as an opaque marker.
-pub fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -6,7 +6,7 @@
 //! default in-process transport runs workers as threads over mpsc
 //! channels, the process transport runs them as spawned `rldt-worker`
 //! child processes over Unix domain sockets or TCP
-//! (`RLDT_TRANSPORT=uds` / `tcp[:<addr>]`). Workers are spawned **once
+//! (`ExecSpec::transport` = `uds` / `tcp[:<addr>]`). Workers are spawned **once
 //! per trial** and keep their environment, observation and
 //! policy-snapshot state across iterations; the per-iteration
 //! `std::thread::scope` + channel churn of the old backends is gone.
@@ -27,7 +27,7 @@
 //! Fault tolerance: worker failures never panic the driver. A
 //! [`FaultPolicy`] decides between bounded retry (with deterministic
 //! exponential backoff charged to *simulated* time), respawn (thread or
-//! child process, via [`WorkerSpec::with_respawn`] / the worker's
+//! child process, via `WorkerSpec::with_respawn` / the worker's
 //! blueprint) and quarantine-with-degradation; hung workers surface
 //! through the policy's receive timeout. See [`fault`] for the recovery
 //! ladder and the test-only injection layer.
@@ -39,33 +39,30 @@ pub mod transport;
 pub mod whatif;
 pub mod worker;
 
-pub use driver::{merge_wave, Driver, DriverStats, SyncPolicy, WaveOutcome, REPORT_WINDOW};
+pub(crate) use driver::{merge_wave, Driver, SyncPolicy};
 pub use event::{Command, Event, WILDCARD_ROUND};
-pub use fault::{FaultCause, FaultKind, FaultLog, FaultPolicy, Quarantine, RuntimeError};
 #[cfg(any(test, feature = "fault-inject"))]
-pub use fault::{FaultPlan, InjectedFault};
+pub use fault::FaultPlan;
+pub use fault::{FaultKind, FaultPolicy, RuntimeError};
 pub use transport::process::run_worker_process;
-pub use transport::{
-    CollectorBlueprint, EnvBlueprint, RngStream, TransportConfig, TransportKind, TransportStats,
-};
-pub use whatif::{
-    run_whatif, run_whatif_batched, ContinuationPolicy, LanePlan, WhatIfPayload, WhatIfTask,
-};
+pub use transport::{CollectorBlueprint, EnvBlueprint, RngStream, TransportConfig, TransportKind};
+pub use whatif::{run_whatif, run_whatif_batched, ContinuationPolicy, WhatIfPayload, WhatIfTask};
 pub use worker::Collector;
 pub(crate) use worker::WorkerCtx;
 
 use crate::backends::common::Segment;
 use crate::keys;
+use fault::{FaultCause, FaultLog, Quarantine};
 use rl_algos::policy::ActorCritic;
 use std::collections::VecDeque;
 use std::time::Instant;
 use telemetry::{SharedRecorder, Value};
 use transport::channel::ChannelTransport;
 use transport::process::ProcessTransport;
-use transport::Transport;
+use transport::{Transport, TransportStats};
 
 /// Rebuilds a worker's [`Collector`] after its thread died.
-pub type RespawnFn<'f> = Box<dyn Fn() -> Collector + 'f>;
+pub(crate) type RespawnFn<'f> = Box<dyn Fn() -> Collector + 'f>;
 
 /// Blueprint for one worker actor.
 pub struct WorkerSpec<'f> {
@@ -83,7 +80,7 @@ impl<'f> WorkerSpec<'f> {
 
     /// Attach a factory that rebuilds the collector if the worker thread
     /// dies; without one, a dead thread can only be quarantined.
-    pub fn with_respawn(mut self, factory: impl Fn() -> Collector + 'f) -> Self {
+    pub(crate) fn with_respawn(mut self, factory: impl Fn() -> Collector + 'f) -> Self {
         self.respawn = Some(Box::new(factory));
         self
     }
@@ -124,7 +121,7 @@ pub struct RoundOutcome {
     /// Worker indices in completion order (scheduling-dependent).
     pub arrival: Vec<usize>,
     /// What the fault policy absorbed during this round. Hand to
-    /// [`Driver::note_faults`] so backoff lands in the accounting.
+    /// `Driver::note_faults` so backoff lands in the accounting.
     pub faults: FaultLog,
 }
 
@@ -298,7 +295,7 @@ impl<'f> Runtime<'f> {
     }
 
     /// Node assignment of every worker, by worker index.
-    pub fn worker_nodes(&self) -> &[usize] {
+    pub(crate) fn worker_nodes(&self) -> &[usize] {
         &self.nodes
     }
 
@@ -308,7 +305,7 @@ impl<'f> Runtime<'f> {
     }
 
     /// Override the dispatch window (tests; clamped to ≥ 1).
-    pub fn with_window(mut self, window: usize) -> Self {
+    pub(crate) fn with_window(mut self, window: usize) -> Self {
         self.window = window.max(1);
         self
     }
@@ -319,13 +316,8 @@ impl<'f> Runtime<'f> {
         self
     }
 
-    /// The active fault policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.policy
-    }
-
     /// Is `worker` still receiving commands?
-    pub fn is_healthy(&self, worker: usize) -> bool {
+    pub(crate) fn is_healthy(&self, worker: usize) -> bool {
         self.health[worker] == Health::Healthy
     }
 
@@ -773,7 +765,7 @@ mod tests {
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert_eq!(outcome.segments[2].node, 1);
         assert_eq!(outcome.arrival.len(), 4);
-        assert!(outcome.faults.is_clean());
+        assert_eq!(outcome.faults, FaultLog::default());
         for s in &outcome.segments {
             assert_eq!(s.segment.rollout.len(), 16);
         }
@@ -813,7 +805,7 @@ mod tests {
         assert_eq!(local.bytes, 0, "node 0 is local");
         let both = rt.broadcast_weights(0, &policy, &[0, 1]).expect("acks");
         assert_eq!(both.bytes, policy.param_bytes());
-        assert!(both.faults.is_clean());
+        assert_eq!(both.faults, FaultLog::default());
     }
 
     #[test]
@@ -860,16 +852,16 @@ mod tests {
     fn retry_absorbs_a_contained_panic() {
         let plan = FaultPlan::new().fault(0, 1, FaultKind::Panic);
         let (specs, policy) = specs(&[0, 0]);
-        let mut rt = faulted(specs, &policy, plan)
-            .with_fault_policy(FaultPolicy { max_retries: 1, ..FaultPolicy::resilient() });
+        let retry_once = FaultPolicy { max_retries: 1, ..FaultPolicy::resilient() };
+        let mut rt = faulted(specs, &policy, plan).with_fault_policy(retry_once);
         let clean = rt.collect_round(0, 8, streams(2));
-        assert!(clean.expect("round 0 is clean").faults.is_clean());
+        assert_eq!(clean.expect("round 0 is clean").faults, FaultLog::default());
         let outcome = rt.collect_round(1, 8, streams(2)).expect("retried");
         assert_eq!(outcome.segments.len(), 2, "both workers contribute after the retry");
         assert_eq!(outcome.faults.retries, 1);
         assert_eq!(
             outcome.faults.backoff_s.to_bits(),
-            rt.fault_policy().backoff_s(0).to_bits(),
+            retry_once.backoff_s(0).to_bits(),
             "first attempt charges the base backoff"
         );
         assert!(!rt.is_degraded());
@@ -888,7 +880,7 @@ mod tests {
         assert!(!rt.is_degraded());
         // The respawned worker keeps serving later rounds.
         let again = rt.collect_round(1, 8, streams(2));
-        assert!(again.expect("healthy").faults.is_clean());
+        assert_eq!(again.expect("healthy").faults, FaultLog::default());
     }
 
     #[test]
@@ -1015,6 +1007,6 @@ mod tests {
         let later = rt.collect_round(1, 8, streams(2)).expect("collects");
         assert_eq!(later.segments.len(), 1);
         assert_eq!(later.segments[0].worker, 1);
-        assert!(later.faults.is_clean());
+        assert_eq!(later.faults, FaultLog::default());
     }
 }

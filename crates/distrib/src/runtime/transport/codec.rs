@@ -36,15 +36,15 @@ use crate::backends::common::Segment;
 /// (worker → driver) start at 16.
 pub mod tag {
     /// Worker self-identification, first frame on a fresh connection.
-    pub const IAM: u8 = 0;
+    pub(crate) const IAM: u8 = 0;
     /// Driver → worker bootstrap: policy, collector blueprint, faults.
-    pub const HELLO: u8 = 1;
-    pub const COLLECT: u8 = 2;
-    pub const UPDATE_WEIGHTS: u8 = 3;
-    pub const SHUTDOWN: u8 = 4;
-    pub const SEGMENT_READY: u8 = 16;
-    pub const HEARTBEAT: u8 = 17;
-    pub const WORKER_FAILED: u8 = 18;
+    pub(crate) const HELLO: u8 = 1;
+    pub(crate) const COLLECT: u8 = 2;
+    pub(crate) const UPDATE_WEIGHTS: u8 = 3;
+    pub(crate) const SHUTDOWN: u8 = 4;
+    pub(crate) const SEGMENT_READY: u8 = 16;
+    pub(crate) const HEARTBEAT: u8 = 17;
+    pub(crate) const WORKER_FAILED: u8 = 18;
 }
 
 /// Upper bound on a single frame; guards against a corrupt length prefix
@@ -259,7 +259,7 @@ impl FrameReader {
 
     /// True when bytes beyond the last returned frame are already
     /// buffered — i.e. another frame is (at least partially) queued.
-    pub fn has_buffered(&self) -> bool {
+    pub(crate) fn has_buffered(&self) -> bool {
         self.end > self.start
     }
 
@@ -432,7 +432,7 @@ fn read_policy_params(b: &mut Body<'_>, policy: &mut ActorCritic) -> Result<(), 
 /// Bootstrap payload for a freshly spawned worker process: identity,
 /// starting policy, how to rebuild its environments, and any still-armed
 /// injected faults addressed to it.
-pub struct Hello {
+pub(crate) struct Hello {
     pub worker: usize,
     pub node: usize,
     pub policy: ActorCritic,
@@ -443,11 +443,12 @@ pub struct Hello {
 }
 
 /// Fault kind wire tags inside a Hello body.
-pub mod fault_tag {
-    pub const PANIC: u8 = 0;
-    pub const CRASH: u8 = 1;
-    pub const HANG: u8 = 2;
-    pub const SLOW: u8 = 3;
+#[cfg(any(test, feature = "fault-inject"))]
+pub(crate) mod fault_tag {
+    pub(crate) const PANIC: u8 = 0;
+    pub(crate) const CRASH: u8 = 1;
+    pub(crate) const HANG: u8 = 2;
+    pub(crate) const SLOW: u8 = 3;
 }
 
 pub fn encode_iam(w: &mut FrameWriter, worker: usize) -> &[u8] {
@@ -463,7 +464,7 @@ pub fn decode_iam(body: &[u8]) -> Result<usize, CodecError> {
     Ok(worker)
 }
 
-pub fn encode_hello<'w>(w: &'w mut FrameWriter, hello: &mut Hello) -> &'w [u8] {
+pub(crate) fn encode_hello<'w>(w: &'w mut FrameWriter, hello: &mut Hello) -> &'w [u8] {
     let buf = w.begin(tag::HELLO);
     put_varint(buf, hello.worker as u64);
     put_varint(buf, hello.node as u64);
@@ -483,7 +484,7 @@ pub fn encode_hello<'w>(w: &'w mut FrameWriter, hello: &mut Hello) -> &'w [u8] {
     w.finish()
 }
 
-pub fn decode_hello(body: &[u8]) -> Result<Hello, CodecError> {
+pub(crate) fn decode_hello(body: &[u8]) -> Result<Hello, CodecError> {
     let mut b = Body::new(body);
     let worker = b.len()?;
     let node = b.len()?;

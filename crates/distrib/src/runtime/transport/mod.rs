@@ -9,8 +9,8 @@
 //!   Bitwise-identical to the pre-transport runtime (it *is* that
 //!   runtime, behind the trait).
 //! * `process` — workers as spawned child processes speaking the
-//!   [`codec`] wire format over Unix domain sockets (or TCP via
-//!   `RLDT_TRANSPORT=tcp[:<addr>]`).
+//!   [`codec`] wire format over Unix domain sockets (or TCP,
+//!   `tcp[:<addr>]`).
 //!
 //! Because both transports run the same worker state machine on the
 //! same RNG streams and the driver merges by worker index, a study
@@ -71,7 +71,7 @@ pub enum TransportConfig {
 }
 
 impl TransportConfig {
-    /// Parse a `RLDT_TRANSPORT`-style string: `inproc`/`channel`,
+    /// Parse a transport request: `inproc`/`channel`,
     /// `uds`/`unix`, `tcp` or `tcp:<addr>`.
     pub fn parse(s: &str) -> Result<Self, String> {
         let s = s.trim();
@@ -83,17 +83,6 @@ impl TransportConfig {
                 Some(addr) if !addr.is_empty() => Ok(TransportConfig::Tcp { addr: addr.into() }),
                 _ => Err(format!("unknown transport {s:?} (use inproc, uds, tcp or tcp:<addr>)")),
             },
-        }
-    }
-
-    /// Read `RLDT_TRANSPORT`: in-process when unset, an error when the
-    /// value is malformed — a run that asked for a wire must not be
-    /// measured without one.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("RLDT_TRANSPORT") {
-            Ok(v) => TransportConfig::parse(&v).map_err(|e| format!("RLDT_TRANSPORT: {e}")),
-            Err(std::env::VarError::NotPresent) => Ok(TransportConfig::InProcess),
-            Err(e) => Err(format!("RLDT_TRANSPORT: {e}")),
         }
     }
 }

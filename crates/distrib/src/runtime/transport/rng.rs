@@ -116,7 +116,7 @@ impl RngCache {
 
     /// Produce the generator equal to `seed` advanced by `draws` draws,
     /// and remember it so the next frame only pays the delta.
-    pub fn materialize(&mut self, seed: u64, draws: u64) -> StdRng {
+    pub(crate) fn materialize(&mut self, seed: u64, draws: u64) -> StdRng {
         if self.seed != seed || self.draws > draws {
             self.seed = seed;
             self.draws = 0;
@@ -131,7 +131,7 @@ impl RngCache {
 
     /// Seed the cache from an encode-side stream that was just synced, so
     /// a later round-trip of the same stream is a no-op materialization.
-    pub fn adopt(&mut self, stream: &RngStream) {
+    pub(crate) fn adopt(&mut self, stream: &RngStream) {
         self.seed = stream.seed;
         self.draws = stream.draws;
         self.rng = stream.live.clone();

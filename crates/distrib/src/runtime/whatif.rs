@@ -18,7 +18,7 @@
 //!
 //! The harness pays only for what the model reads (Sim-Env, PAPERS.md).
 //! Observations are produced when a continuation asks for them:
-//! [`ContinuationPolicy::reads_observations`] says whether it does, and
+//! `ContinuationPolicy::reads_observations` says whether it does, and
 //! one that does not makes the lockstep runner step through
 //! [`VecEnv::step_unobserved`] with an action list built once. Seeds
 //! matter only when `step` reads the RNG
@@ -66,7 +66,7 @@ impl ContinuationPolicy {
     /// Whether [`Self::next_action`] depends on the observation it is
     /// handed. An open-loop continuation (`Hold`) does not, so a runner
     /// that knows its environment can skip producing observations for it.
-    pub fn reads_observations(&self) -> bool {
+    pub(crate) fn reads_observations(&self) -> bool {
         match self {
             ContinuationPolicy::Hold => false,
             ContinuationPolicy::Greedy(_) => true,
@@ -220,7 +220,7 @@ pub fn run_one(
 /// keep a finished lane steppable are ignored), and its return is copied
 /// to every task it answers. A continuation that reads observations gets
 /// each lane's own post-step observation exactly as the scalar loop hands
-/// it over; one that does not ([`ContinuationPolicy::reads_observations`])
+/// it over; one that does not (`ContinuationPolicy::reads_observations`)
 /// keeps the action list it started with and steps unobserved — no
 /// observation write and no action clone per lane-tick.
 pub fn run_whatif_batched(

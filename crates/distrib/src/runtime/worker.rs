@@ -31,7 +31,7 @@ use std::time::Duration;
 /// observation (distributed rollout workers), or a whole vectorized
 /// environment (single-node lockstep drivers).
 pub enum Collector {
-    /// One environment stepped by [`collect_segment`]; `steps` in a
+    /// One environment stepped by `collect_segment`; `steps` in a
     /// [`Command::Collect`] counts environment steps.
     PerEnv {
         /// The worker's environment.
@@ -40,7 +40,7 @@ pub enum Collector {
         obs: Vec<f64>,
     },
     /// A vectorized environment stepped in lockstep by
-    /// [`collect_segment_vec`]; `steps` counts lockstep ticks (each tick
+    /// `collect_segment_vec`; `steps` counts lockstep ticks (each tick
     /// advances every sub-environment once).
     Vectorized {
         /// The vectorized environment.

@@ -39,8 +39,8 @@ impl Deployment {
 
 /// The checks every training entry point applies before anything is
 /// spawned: a deployment the architecture admits, a positive step budget
-/// and a well-formed transport — the explicit request when there is one,
-/// else the `RLDT_TRANSPORT` environment variable. Returns the transport.
+/// and a well-formed transport request, in-process when there is none.
+/// Returns the transport.
 pub(crate) fn check_run(
     arch: &Architecture,
     deployment: Deployment,
@@ -51,7 +51,7 @@ pub(crate) fn check_run(
     if total_steps == 0 {
         return Err("total_steps must be positive".into());
     }
-    transport.map_or_else(TransportConfig::from_env, TransportConfig::parse)
+    transport.map_or(Ok(TransportConfig::InProcess), TransportConfig::parse)
 }
 
 /// A full training-execution request.
@@ -82,10 +82,9 @@ pub struct ExecSpec {
     /// set this so concurrently executing trials don't each dispatch as
     /// if they had every core to themselves.
     pub window: Option<usize>,
-    /// Transport override for the runtime, same grammar as the
-    /// `RLDT_TRANSPORT` environment variable (`inproc`, `uds`, `tcp`,
-    /// `tcp:<addr>`). `None` defers to the environment; a malformed value
-    /// in either place is rejected by [`ExecSpec::validate`].
+    /// Transport for the runtime (`inproc`, `uds`, `tcp`, `tcp:<addr>`).
+    /// `None` is in-process; a malformed value is rejected by
+    /// [`ExecSpec::validate`].
     pub transport: Option<String>,
     /// Faults to inject into this spec's runtime (empty by default). The
     /// spec holds the plan by value — the *schedule*, not shared arming:
@@ -122,15 +121,8 @@ impl ExecSpec {
         }
     }
 
-    /// Cap the runtime's dispatch window (clamped to at least 1 when the
-    /// runtime applies it).
-    pub fn with_window(mut self, window: usize) -> Self {
-        self.window = Some(window);
-        self
-    }
-
     /// Request a specific transport (`inproc`, `uds`, `tcp`,
-    /// `tcp:<addr>`), overriding `RLDT_TRANSPORT`.
+    /// `tcp:<addr>`).
     pub fn with_transport(mut self, transport: impl Into<String>) -> Self {
         self.transport = Some(transport.into());
         self

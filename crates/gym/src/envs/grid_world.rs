@@ -3,8 +3,9 @@
 //! The agent starts in the top-left corner of an `n × n` grid and must
 //! reach the bottom-right goal. Reward is `-0.04` per move (living cost)
 //! and `+1` on reaching the goal. Observations are the normalized `(x, y)`
-//! position. Optimal return from the start is
-//! `1 - 0.04 · (2 (n-1))` with the shortest path.
+//! position. The shortest path takes `2 (n-1)` moves, the last of which
+//! earns `+1` instead of the cost, so the optimal return is
+//! `1 - 0.04 · (2n - 3)`.
 
 use crate::env::{Action, EnvSnapshot, Environment, SnapshotError, Step};
 use crate::space::Space;
@@ -12,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Movement actions.
-pub const ACTIONS: [(i32, i32); 4] = [(0, -1), (0, 1), (-1, 0), (1, 0)]; // up, down, left, right
+pub(crate) const ACTIONS: [(i32, i32); 4] = [(0, -1), (0, 1), (-1, 0), (1, 0)]; // up, down, left, right
 
 /// Deterministic grid world; see the module docs.
 #[derive(Clone)]
@@ -50,12 +51,6 @@ impl GridWorld {
     fn obs(&self) -> Vec<f64> {
         let d = (self.n - 1) as f64;
         vec![self.x as f64 / d, self.y as f64 / d]
-    }
-
-    /// Best possible episode return: the shortest path takes `2(n-1)`
-    /// moves, the last of which earns `+1` instead of the `-0.04` cost.
-    pub fn optimal_return(&self) -> f64 {
-        1.0 - 0.04 * (2 * (self.n - 1) - 1) as f64
     }
 }
 
@@ -152,7 +147,7 @@ mod tests {
             done = s.done();
         }
         assert!(done);
-        assert!((total - env.optimal_return()).abs() < 1e-12);
+        assert!((total - (1.0 - 0.04 * 5.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl Pendulum {
     }
 
     /// Angle from upright, wrapped into `(-π, π]`.
-    pub fn angle_error(&self) -> f64 {
+    pub(crate) fn angle_error(&self) -> f64 {
         let mut a = self.theta % std::f64::consts::TAU;
         if a > std::f64::consts::PI {
             a -= std::f64::consts::TAU;

@@ -129,7 +129,7 @@ mod tests {
 
     /// A proportional-derivative controller that solves the task — used to
     /// bound what "good" looks like for the learning tests.
-    pub fn pd_action(obs: &[f64]) -> Action {
+    pub(crate) fn pd_action(obs: &[f64]) -> Action {
         let ax = (-2.0 * obs[0] - 2.5 * obs[2]).clamp(-1.0, 1.0);
         let ay = (-2.0 * obs[1] - 2.5 * obs[3]).clamp(-1.0, 1.0);
         Action::Continuous(vec![ax, ay])

@@ -20,23 +20,23 @@ pub const BATCHED_TICKS: Key = Key("vecenv.batched_ticks");
 
 /// Counter: lockstep ticks served by the scalar per-env path (no batcher
 /// installed, or the batch size sits below the SIMD crossover).
-pub const SCALAR_TICKS: Key = Key("vecenv.scalar_ticks");
+pub(crate) const SCALAR_TICKS: Key = Key("vecenv.scalar_ticks");
 
 /// Event: the kernel dispatch decision, emitted once when a recorder is
 /// attached. Fields: [`DISPATCH_ISA`], [`DISPATCH_LANES`],
 /// [`DISPATCH_CROSSOVER`], [`DISPATCH_BATCHED`] (the ring recorder keeps
 /// at most four fields per event).
-pub const DISPATCH: Key = Key("vecenv.dispatch");
+pub(crate) const DISPATCH: Key = Key("vecenv.dispatch");
 
 /// Dispatch event field: detected/overridden ISA tier name
 /// (`"scalar"` | `"avx2"` | `"avx512"`).
-pub const DISPATCH_ISA: Key = Key("isa");
+pub(crate) const DISPATCH_ISA: Key = Key("isa");
 
 /// Dispatch event field: `f64` lanes per vector register on that tier.
-pub const DISPATCH_LANES: Key = Key("f64_lanes");
+pub(crate) const DISPATCH_LANES: Key = Key("f64_lanes");
 
 /// Dispatch event field: the scalar/batched crossover batch size.
-pub const DISPATCH_CROSSOVER: Key = Key("batch_crossover");
+pub(crate) const DISPATCH_CROSSOVER: Key = Key("batch_crossover");
 
 /// Dispatch event field: whether the batched fast path is installed.
-pub const DISPATCH_BATCHED: Key = Key("batched");
+pub(crate) const DISPATCH_BATCHED: Key = Key("batched");

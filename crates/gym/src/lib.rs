@@ -11,7 +11,7 @@
 //! * [`vec_env`] — synchronous vectorized environments (the Stable
 //!   Baselines mechanism: one sub-environment per CPU core);
 //! * [`wrappers`] — `TimeLimit`;
-//! * [`rollout`] — episode runners and trajectory capture;
+//! * [`rollout`] — episode statistics;
 //! * [`envs`] — small reference environments (`GridWorld`, `PointMass`)
 //!   used to validate the RL algorithms independently of the airdrop
 //!   simulator.
@@ -25,7 +25,6 @@ pub mod vec_env;
 pub mod wrappers;
 
 pub use env::{Action, EnvSnapshot, Environment, SnapshotError, Step};
-pub use rollout::{run_episode, run_episodes_vec, EpisodeStats, Trajectory};
 pub use space::Space;
-pub use vec_env::{AnyLockstepBatcher, EnvLanes, LaneStep, StepBatch, TickBatch, VecEnv};
+pub use vec_env::VecEnv;
 pub use wrappers::TimeLimit;

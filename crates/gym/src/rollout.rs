@@ -1,45 +1,4 @@
-//! Episode runners and trajectory capture.
-
-use crate::env::{Action, Environment, Step};
-use crate::vec_env::VecEnv;
-
-/// A recorded episode: aligned vectors of observations, actions, rewards.
-///
-/// `observations.len() == actions.len() + 1` (the final observation has no
-/// action taken from it).
-#[derive(Debug, Clone, Default)]
-pub struct Trajectory {
-    /// Visited observations, including the terminal one.
-    pub observations: Vec<Vec<f64>>,
-    /// Actions taken.
-    pub actions: Vec<Action>,
-    /// Rewards received.
-    pub rewards: Vec<f64>,
-    /// True when the final transition terminated (vs. truncated).
-    pub terminated: bool,
-}
-
-impl Trajectory {
-    /// Total (undiscounted) return.
-    pub fn ret(&self) -> f64 {
-        self.rewards.iter().sum()
-    }
-
-    /// Episode length in steps.
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// True for a freshly-created trajectory.
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// Discounted return with factor `gamma`.
-    pub fn discounted_return(&self, gamma: f64) -> f64 {
-        self.rewards.iter().rev().fold(0.0, |acc, &r| r + gamma * acc)
-    }
-}
+//! Episode statistics.
 
 /// Aggregate statistics over a batch of episodes.
 #[derive(Debug, Clone, Copy, Default)]
@@ -78,119 +37,9 @@ impl EpisodeStats {
     }
 }
 
-/// Run one episode with `policy`, recording the full trajectory.
-///
-/// `max_steps` guards against environments that never terminate.
-///
-/// ```
-/// use gymrs::{run_episode, Action};
-/// use gymrs::envs::GridWorld;
-/// use gymrs::env::Environment;
-///
-/// let mut env = GridWorld::new(3);
-/// env.seed(0);
-/// let traj = run_episode(&mut env, |_obs| Action::Discrete(3), 100);
-/// assert_eq!(traj.observations.len(), traj.actions.len() + 1);
-/// ```
-pub fn run_episode<E: Environment>(
-    env: &mut E,
-    mut policy: impl FnMut(&[f64]) -> Action,
-    max_steps: usize,
-) -> Trajectory {
-    let mut traj = Trajectory::default();
-    let mut obs = env.reset();
-    traj.observations.push(obs.clone());
-    for _ in 0..max_steps {
-        let action = policy(&obs);
-        let Step { obs: next, reward, terminated, truncated } = env.step(&action);
-        traj.actions.push(action);
-        traj.rewards.push(reward);
-        traj.observations.push(next.clone());
-        obs = next;
-        if terminated || truncated {
-            traj.terminated = terminated;
-            break;
-        }
-    }
-    traj
-}
-
-/// Run episodes on a vectorized environment with a *batched* policy: each
-/// lockstep tick hands the whole observation batch to `policy`, which
-/// returns one action per sub-environment (typically one batched network
-/// forward — the fast evaluation path).
-///
-/// Collects until `episodes` episodes have finished or `max_ticks`
-/// lockstep sweeps have elapsed, whichever comes first; surplus episodes
-/// finishing on the final tick are discarded deterministically (env-index
-/// order within the tick).
-pub fn run_episodes_vec<E: Environment>(
-    venv: &mut VecEnv<E>,
-    mut policy: impl FnMut(&[Vec<f64>]) -> Vec<Action>,
-    episodes: usize,
-    max_ticks: usize,
-) -> EpisodeStats {
-    venv.reset_all();
-    let mut done: Vec<(f64, usize)> = Vec::with_capacity(episodes);
-    for _ in 0..max_ticks {
-        if done.len() >= episodes {
-            break;
-        }
-        let actions = policy(venv.observations());
-        let batch = venv.step_all(&actions);
-        done.extend(batch.finished.iter().map(|&(_, r, l)| (r, l)));
-    }
-    done.truncate(episodes);
-    EpisodeStats::from_episodes(&done)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envs::GridWorld;
-
-    #[test]
-    fn trajectory_alignment_invariant() {
-        let mut env = GridWorld::new(3);
-        env.seed(0);
-        let t = run_episode(&mut env, |_| Action::Discrete(3), 50);
-        assert_eq!(t.observations.len(), t.actions.len() + 1);
-        assert_eq!(t.rewards.len(), t.actions.len());
-    }
-
-    #[test]
-    fn shortest_path_trajectory() {
-        let mut env = GridWorld::new(3);
-        env.seed(0);
-        let mut plan = vec![3usize, 3, 1, 1].into_iter();
-        let t = run_episode(&mut env, |_| Action::Discrete(plan.next().expect("plan")), 10);
-        assert_eq!(t.len(), 4);
-        assert!(t.terminated);
-        assert!((t.ret() - (1.0 - 0.04 * 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn discounted_return_telescopes() {
-        let t = Trajectory {
-            observations: vec![vec![], vec![], vec![], vec![]],
-            actions: vec![Action::Discrete(0); 3],
-            rewards: vec![1.0, 2.0, 4.0],
-            terminated: true,
-        };
-        // 1 + 0.5*(2 + 0.5*4) = 3
-        assert!((t.discounted_return(0.5) - 3.0).abs() < 1e-12);
-        // gamma = 1 reduces to the plain return.
-        assert!((t.discounted_return(1.0) - t.ret()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_steps_bounds_episode() {
-        let mut env = GridWorld::new(5);
-        env.seed(0);
-        let t = run_episode(&mut env, |_| Action::Discrete(0), 7);
-        assert_eq!(t.len(), 7);
-        assert!(!t.terminated);
-    }
 
     #[test]
     fn stats_from_episodes() {
@@ -208,38 +57,5 @@ mod tests {
         let s = EpisodeStats::from_episodes(&[]);
         assert_eq!(s.episodes, 0);
         assert_eq!(s.mean_return, 0.0);
-    }
-
-    #[test]
-    fn vectorized_runner_matches_single_env_episodes() {
-        // A scripted optimal policy on deterministic GridWorlds: every
-        // episode is the 4-step shortest path, so the batched runner must
-        // report the same stats as the single-env runner.
-        let script = |obs: &[f64]| {
-            if obs[0] < 1.0 {
-                Action::Discrete(3) // move right until the last column
-            } else {
-                Action::Discrete(1) // then down
-            }
-        };
-        let mut venv = VecEnv::new((0..3).map(|_| GridWorld::new(3)).collect::<Vec<_>>(), 0);
-        let stats =
-            run_episodes_vec(&mut venv, |batch| batch.iter().map(|o| script(o)).collect(), 6, 100);
-        assert_eq!(stats.episodes, 6);
-        assert!((stats.mean_length - 4.0).abs() < 1e-12);
-        let mut env = GridWorld::new(3);
-        env.seed(0);
-        let t = run_episode(&mut env, script, 100);
-        assert!((stats.mean_return - t.ret()).abs() < 1e-12);
-        assert!(stats.std_return.abs() < 1e-12);
-    }
-
-    #[test]
-    fn vectorized_runner_respects_tick_budget() {
-        let mut venv = VecEnv::new(vec![GridWorld::new(5)], 0);
-        // A policy that never reaches the goal: stats stay empty.
-        let stats = run_episodes_vec(&mut venv, |b| vec![Action::Discrete(0); b.len()], 2, 7);
-        assert_eq!(stats.episodes, 0);
-        assert_eq!(venv.total_steps, 7);
     }
 }

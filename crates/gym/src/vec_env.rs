@@ -8,7 +8,7 @@
 //! A tick takes one of two paths: [`VecEnv::step_lockstep`] hands all
 //! lanes to the environment's batched stepper when one is installed (at
 //! and above the scalar/SIMD crossover), and otherwise steps the
-//! sub-environments one after another ([`VecEnv::step_all`]).
+//! sub-environments one after another (`VecEnv::step_all`).
 
 use crate::env::{Action, Environment, Step};
 use crate::keys;
@@ -136,8 +136,8 @@ pub trait AnyLockstepBatcher: Send {
 ///
 /// Episodes auto-reset: when a sub-environment finishes, its next
 /// observation is the first observation of a fresh episode, the finished
-/// episode's return is reported in [`StepBatch::finished`], and the raw
-/// pre-reset observation is preserved in [`StepBatch::final_obs`] so
+/// episode's return is reported in `StepBatch::finished`, and the raw
+/// pre-reset observation is preserved in `StepBatch::final_obs` so
 /// collectors can bootstrap truncated episodes correctly.
 pub struct VecEnv<E: Environment> {
     envs: Vec<E>,
@@ -155,7 +155,7 @@ pub struct VecEnv<E: Environment> {
 
 /// Result of stepping every sub-environment once.
 #[derive(Debug, Clone)]
-pub struct StepBatch {
+pub(crate) struct StepBatch {
     /// Per-env step results (with auto-reset observations substituted).
     pub steps: Vec<Step>,
     /// `(env_index, episode_return, episode_length)` for episodes that
@@ -208,7 +208,7 @@ impl<E: Environment> VecEnv<E> {
     /// Defaults to the null recorder, which keeps the step path free of
     /// instrumentation cost beyond one branch per tick.
     ///
-    /// Attaching an enabled recorder also emits one [`keys::DISPATCH`]
+    /// Attaching an enabled recorder also emits one `keys::DISPATCH`
     /// event capturing the kernel dispatch decision: the ISA tier the
     /// SIMD microkernels run on, its `f64` lane width, the scalar/batched
     /// crossover, and whether this `VecEnv` took the batched path.
@@ -312,7 +312,7 @@ impl<E: Environment> VecEnv<E> {
     }
 
     /// Step every sub-environment once, sequentially.
-    pub fn step_all(&mut self, actions: &[Action]) -> StepBatch {
+    pub(crate) fn step_all(&mut self, actions: &[Action]) -> StepBatch {
         assert_eq!(actions.len(), self.envs.len(), "one action per sub-env");
         let results: Vec<(Step, u64)> = self
             .envs
@@ -329,7 +329,7 @@ impl<E: Environment> VecEnv<E> {
 
     /// Step every sub-environment one control interval, preferring the
     /// batched fast path (one batched ODE step per substep across all
-    /// lanes) and falling back to [`VecEnv::step_all`] when no
+    /// lanes) and falling back to `VecEnv::step_all` when no
     /// batcher is installed or the sub-envs turn out heterogeneous.
     ///
     /// The result is available through [`VecEnv::last_tick`] — split off

@@ -140,11 +140,6 @@ impl DiagGaussian {
             out[i] = z * z - 1.0;
         }
     }
-
-    /// `d entropy / d log_std` is 1 for every dimension.
-    pub fn d_entropy_d_log_std(&self, out: &mut [f64]) {
-        out.fill(1.0);
-    }
 }
 
 /// Tanh-squashed Gaussian — SAC's action distribution.
@@ -222,7 +217,7 @@ impl SquashedGaussian {
 
     /// `log π(a)` given the pre-squash value `u` (numerically stable form:
     /// `log(1 - tanh²u) = 2 (log 2 - u - softplus(-2u))`).
-    pub fn log_prob_pre_tanh(&self, pre_tanh: &[f64]) -> f64 {
+    pub(crate) fn log_prob_pre_tanh(&self, pre_tanh: &[f64]) -> f64 {
         let mut lp = 0.0;
         for i in 0..self.mean.len() {
             let std = exp(self.log_std[i]);
@@ -234,21 +229,14 @@ impl SquashedGaussian {
         lp
     }
 
-    /// Pathwise partials for the SAC actor loss.
+    /// Pathwise partials for the SAC actor loss into `out`, reusing its
+    /// vectors.
     ///
     /// With `u = μ + σ ε` and `a = tanh(u)`:
     /// * `da/dμ = 1 - a²`
     /// * `da/dlogσ = (1 - a²) · σ ε`
     /// * `dlogπ/dμ`, `dlogπ/dlogσ` — total derivatives including the path
     ///   through `u`.
-    pub fn pathwise_partials(&self, s: &SquashedSample) -> PathwisePartials {
-        let mut parts = PathwisePartials::default();
-        self.pathwise_partials_into(s, &mut parts);
-        parts
-    }
-
-    /// [`SquashedGaussian::pathwise_partials`] into `out`, reusing its
-    /// vectors.
     pub fn pathwise_partials_into(&self, s: &SquashedSample, out: &mut PathwisePartials) {
         let PathwisePartials { da_dmean, da_dlogstd, dlp_dmean, dlp_dlogstd } = out;
         da_dmean.clear();
@@ -278,7 +266,7 @@ impl SquashedGaussian {
     }
 }
 
-/// Partial derivatives returned by [`SquashedGaussian::pathwise_partials`].
+/// Partial derivatives written by [`SquashedGaussian::pathwise_partials_into`].
 #[derive(Debug, Clone, Default)]
 pub struct PathwisePartials {
     /// `∂a_i/∂μ_i`.
@@ -292,7 +280,7 @@ pub struct PathwisePartials {
 }
 
 /// Numerically stable `log(1 + e^x)`.
-pub fn softplus(x: f64) -> f64 {
+pub(crate) fn softplus(x: f64) -> f64 {
     if x > 30.0 {
         return x;
     }
@@ -430,6 +418,13 @@ mod tests {
         assert!((lp - naive).abs() < 1e-10, "{lp} vs {naive}");
     }
 
+    /// The partials into fresh vectors: the reference for reused ones.
+    fn partials(d: &SquashedGaussian, s: &SquashedSample) -> PathwisePartials {
+        let mut parts = PathwisePartials::default();
+        d.pathwise_partials_into(s, &mut parts);
+        parts
+    }
+
     #[test]
     fn squashed_pathwise_partials_match_finite_differences() {
         // Perturb μ and logσ with ε held fixed; compare action & logπ.
@@ -438,7 +433,7 @@ mod tests {
         let d = SquashedGaussian::new(&mean, &log_std);
         let mut rng = StdRng::seed_from_u64(9);
         let s = d.rsample(&mut rng);
-        let parts = d.pathwise_partials(&s);
+        let parts = partials(&d, &s);
         let eps = 1e-6;
 
         let eval = |m: f64, ls: f64| -> (f64, f64) {
@@ -466,7 +461,7 @@ mod tests {
         let wide = SquashedGaussian::new(&[0.3, -0.2, 0.9], &[0.1, -0.5, 50.0]);
         let mut d = wide.clone();
         let mut s = wide.rsample(&mut StdRng::seed_from_u64(4));
-        let mut parts = wide.pathwise_partials(&s);
+        let mut parts = partials(&wide, &s);
 
         d.assign(&[0.2, -1.1], &[-0.4, -50.0]);
         let fresh = SquashedGaussian::new(&[0.2, -1.1], &[-0.4, -50.0]);
@@ -478,7 +473,7 @@ mod tests {
         assert_eq!(s.log_prob.to_bits(), want.log_prob.to_bits());
 
         d.pathwise_partials_into(&s, &mut parts);
-        let want = fresh.pathwise_partials(&want);
+        let want = partials(&fresh, &want);
         assert_eq!((&parts.da_dmean, &parts.da_dlogstd), (&want.da_dmean, &want.da_dlogstd));
         assert_eq!((&parts.dlp_dmean, &parts.dlp_dlogstd), (&want.dlp_dmean, &want.dlp_dlogstd));
     }

@@ -20,8 +20,6 @@ pub enum Init {
     /// Small uniform `U(±scale)` — used for final policy layers so the
     /// initial policy is near-uniform (a standard PPO trick).
     Uniform(f64),
-    /// All zeros (biases).
-    Zero,
 }
 
 impl Init {
@@ -31,7 +29,6 @@ impl Init {
             Init::XavierUniform => (6.0 / (rows + cols) as f64).sqrt(),
             Init::HeUniform => (6.0 / rows as f64).sqrt(),
             Init::Uniform(s) => s,
-            Init::Zero => return Matrix::zeros(rows, cols),
         };
         let mut m = Matrix::zeros(rows, cols);
         for v in m.as_mut_slice() {
@@ -43,7 +40,7 @@ impl Init {
 
 /// Draw a standard normal via Box–Muller (keeps `rand_distr` out of the
 /// dependency tree).
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut impl Rng) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();
         if u1 <= f64::MIN_POSITIVE {
@@ -75,13 +72,6 @@ mod tests {
         let m = Init::HeUniform.sample(8, 4, &mut rng);
         let limit = (6.0f64 / 8.0).sqrt();
         assert!(m.as_slice().iter().all(|&v| v.abs() <= limit));
-    }
-
-    #[test]
-    fn zero_init_is_zero() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let m = Init::Zero.sample(3, 3, &mut rng);
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Activation {
     /// and those bits do not depend on the host's `libm`. Relu keeps
     /// `f64::max` for its IEEE `-0.0`/NaN semantics. Identity is a no-op.
     #[inline]
-    pub fn apply_batch(self, xs: &mut [f64]) {
+    pub(crate) fn apply_batch(self, xs: &mut [f64]) {
         match self {
             Activation::Identity => {}
             Activation::Tanh => mathf64::tanh_inplace(Isa::cached(), xs),
@@ -53,7 +53,7 @@ impl Activation {
     /// (For tanh, `f' = 1 - y²`; for relu, `f' = [y > 0]`; both avoid
     /// keeping the pre-activation around.)
     #[inline]
-    pub fn deriv_from_output(self, y: f64) -> f64 {
+    pub(crate) fn deriv_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Identity => 1.0,
             Activation::Tanh => 1.0 - y * y,
@@ -104,7 +104,7 @@ impl Linear {
     }
 
     /// Input dimension.
-    pub fn in_dim(&self) -> usize {
+    pub(crate) fn in_dim(&self) -> usize {
         self.w.rows()
     }
 
@@ -148,7 +148,7 @@ impl Linear {
     /// every layer and every update without reallocating. With `dx: None`
     /// only `gw`/`gb` are accumulated — the first layer of a network whose
     /// input gradient nobody reads skips its `dz · Wᵀ`.
-    pub fn backward_into(
+    pub(crate) fn backward_into(
         &mut self,
         x: &Matrix,
         y: &Matrix,

@@ -11,7 +11,7 @@
 //! * [`layer`] — fully-connected layers with manual backprop;
 //! * [`mlp`] — sequential networks with forward tapes and gradient
 //!   accumulation;
-//! * [`optim`] — Adam, plus global-norm gradient clipping;
+//! * `optim` — Adam, plus global-norm gradient clipping;
 //! * [`init`] — Xavier/He initialisation from a seedable RNG;
 //! * [`dist`] — categorical, diagonal-Gaussian and tanh-squashed-Gaussian
 //!   policy distributions with log-prob/entropy gradients;
@@ -30,10 +30,10 @@ pub mod layer;
 pub mod matrix;
 pub mod mlp;
 pub mod ops;
-pub mod optim;
+pub(crate) mod optim;
 
-pub use dist::{Categorical, DiagGaussian, SquashedGaussian};
-pub use layer::{Activation, Linear};
+pub use dist::{Categorical, DiagGaussian};
+pub use layer::Activation;
 pub use matrix::Matrix;
 pub use mlp::{Mlp, Tape};
 pub use optim::{clip_grad_norm, Adam, Optimizer};

@@ -1,7 +1,7 @@
 //! Dense row-major matrix of `f64` with the operations the MLPs require.
 //!
 //! The three matmul kernels ([`Matrix::matmul_into`],
-//! [`Matrix::matmul_transpose_rhs_into`], [`Matrix::transpose_matmul_into`])
+//! `Matrix::matmul_transpose_rhs_into`, `Matrix::transpose_matmul_into`)
 //! are one call each of the `simd_kernels::nnf64` microkernels (8-lane
 //! f64 on AVX-512F, 4-lane on AVX2, scalar otherwise). The first and the
 //! last are rank-4 blocked over the shared `k` dimension, so every update
@@ -136,7 +136,7 @@ impl Matrix {
     }
 
     /// Set every element to zero (reuses the allocation).
-    pub fn fill_zero(&mut self) {
+    pub(crate) fn fill_zero(&mut self) {
         self.data.fill(0.0);
     }
 
@@ -157,7 +157,7 @@ impl Matrix {
     }
 
     /// Become a copy of `src`, reusing the allocation.
-    pub fn copy_resize_from(&mut self, src: &Matrix) {
+    pub(crate) fn copy_resize_from(&mut self, src: &Matrix) {
         self.rows = src.rows;
         self.cols = src.cols;
         self.data.clear();
@@ -210,7 +210,12 @@ impl Matrix {
     /// tiers read `rhs` column-wise, so it is transposed once per call into
     /// `panel` — scratch the caller keeps between calls, grown here when
     /// needed.
-    pub fn matmul_transpose_rhs_into(&self, rhs: &Matrix, panel: &mut Vec<f64>, out: &mut Matrix) {
+    pub(crate) fn matmul_transpose_rhs_into(
+        &self,
+        rhs: &Matrix,
+        panel: &mut Vec<f64>,
+        out: &mut Matrix,
+    ) {
         assert_eq!(self.cols, rhs.cols, "matmul_transpose_rhs shape mismatch");
         let (m, k, n) = (self.rows, self.cols, rhs.rows);
         out.resize_for_overwrite(m, n);
@@ -228,7 +233,7 @@ impl Matrix {
     }
 
     /// `out = selfᵀ · rhs` without materialising the transpose.
-    pub fn transpose_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn transpose_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "transpose_matmul shape mismatch");
         out.resize_zeroed(self.cols, rhs.cols);
         self.transpose_matmul_acc_impl(rhs, out);
@@ -290,7 +295,7 @@ impl Matrix {
     }
 
     /// Add a row vector to every row (bias broadcast).
-    pub fn add_row_broadcast(&mut self, bias: &[f64]) {
+    pub(crate) fn add_row_broadcast(&mut self, bias: &[f64]) {
         assert_eq!(bias.len(), self.cols, "bias broadcast length mismatch");
         for i in 0..self.rows {
             for (x, b) in self.row_slice_mut(i).iter_mut().zip(bias) {
@@ -299,26 +304,14 @@ impl Matrix {
         }
     }
 
-    /// Sum over rows, producing a `cols`-length vector (bias gradient).
-    pub fn sum_rows(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.sum_rows_into(&mut out);
-        out
-    }
-
     /// Accumulate the column sums into `out` (`out += Σ_rows self`).
-    pub fn sum_rows_into(&self, out: &mut [f64]) {
+    pub(crate) fn sum_rows_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.cols, "sum_rows_into length mismatch");
         for i in 0..self.rows {
             for (o, x) in out.iter_mut().zip(self.row_slice(i)) {
                 *o += x;
             }
         }
-    }
-
-    /// Frobenius norm.
-    pub fn frob_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Mean of all elements (0 for an empty matrix).
@@ -537,10 +530,12 @@ mod tests {
 
     #[test]
     fn bias_broadcast_and_sum_rows_are_adjoint() {
-        // sum_rows is the gradient of add_row_broadcast: check shapes/values.
+        // Summing rows is the gradient of add_row_broadcast: check shapes/values.
         let mut a = Matrix::zeros(3, 2);
         a.add_row_broadcast(&[1.0, -2.0]);
-        assert_eq!(a.sum_rows(), vec![3.0, -6.0]);
+        let mut sums = vec![0.0; 2];
+        a.sum_rows_into(&mut sums);
+        assert_eq!(sums, vec![3.0, -6.0]);
     }
 
     #[test]
@@ -571,12 +566,6 @@ mod tests {
         assert_eq!(a, Matrix::full(2, 2, 2.0));
         a.scale(-1.0);
         assert_eq!(a, Matrix::full(2, 2, -2.0));
-    }
-
-    #[test]
-    fn frob_norm_of_unit_vectors() {
-        let a = Matrix::from_rows(&[&[3.0, 4.0]]);
-        assert!((a.frob_norm() - 5.0).abs() < 1e-15);
     }
 
     #[test]

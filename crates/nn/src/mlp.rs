@@ -8,15 +8,15 @@ use rand::Rng;
 /// A feed-forward network: a stack of [`Linear`] layers.
 ///
 /// The paper's frameworks all default to two 64-unit hidden layers for
-/// both policy and value networks; [`Mlp::policy_default`] mirrors that.
+/// both policy and value networks.
 ///
 /// ```
-/// use tinynn::{Matrix, Mlp};
+/// use tinynn::{Activation, Matrix, Mlp};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
-/// let net = Mlp::policy_default(4, 2, &mut rng);
+/// let net = Mlp::new(&[4, 64, 64, 2], Activation::Tanh, Activation::Identity, &mut rng);
 /// let out = net.infer(&Matrix::row(&[0.1, 0.2, 0.3, 0.4]));
 /// assert_eq!(out.shape(), (1, 2));
 /// ```
@@ -96,22 +96,11 @@ impl Mlp {
         Self { layers, scratch: Scratch::default() }
     }
 
-    /// The standard 64×64 tanh policy/value trunk used by the paper's
-    /// frameworks: `in_dim → 64 → 64 → out_dim`.
-    pub fn policy_default(in_dim: usize, out_dim: usize, rng: &mut impl Rng) -> Self {
-        Self::new(&[in_dim, 64, 64, out_dim], Activation::Tanh, Activation::Identity, rng)
-    }
-
     /// Layer sizes `[in, h1, ..., out]` (for FLOP accounting).
     pub fn sizes(&self) -> Vec<usize> {
         let mut s: Vec<usize> = self.layers.iter().map(|l| l.in_dim()).collect();
         s.push(self.layers.last().expect("non-empty").out_dim());
         s
-    }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.layers[0].in_dim()
     }
 
     /// Output dimension.
@@ -228,7 +217,7 @@ impl Mlp {
     }
 
     /// Visit gradient slices mutably (for clipping).
-    pub fn visit_grads_mut(&mut self, mut f: impl FnMut(&mut [f64])) {
+    pub(crate) fn visit_grads_mut(&mut self, mut f: impl FnMut(&mut [f64])) {
         for layer in &mut self.layers {
             f(layer.gw.as_mut_slice());
             f(&mut layer.gb);

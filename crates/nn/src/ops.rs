@@ -7,7 +7,7 @@ use simd_kernels::Isa;
 const HALF_LN_2PI: f64 = 0.918_938_533_204_672_8;
 
 /// In-place softmax over a single row (stable: shifts by the max).
-pub fn softmax_inplace(logits: &mut [f64]) {
+pub(crate) fn softmax_inplace(logits: &mut [f64]) {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     for v in logits.iter_mut() {
         *v -= max;
@@ -66,7 +66,7 @@ pub fn d_entropy_d_logits(probs: &[f64], out: &mut [f64]) {
 }
 
 /// Natural log of the standard normal density at `z`.
-pub fn log_normal_pdf(z: f64) -> f64 {
+pub(crate) fn log_normal_pdf(z: f64) -> f64 {
     -0.5 * z * z - HALF_LN_2PI
 }
 

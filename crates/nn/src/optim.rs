@@ -37,11 +37,6 @@ impl Adam {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Fully parameterised constructor.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64, eps: f64) -> Self {
-        Self { lr, beta1, beta2, eps, t: 0, m: Vec::new(), v: Vec::new() }
-    }
-
     /// Update number `t` (the first is 1), at this optimizer's rate and
     /// decays, of a parameter vector that lives outside any [`Mlp`] and
     /// whose moments `m`, `v` the caller holds — PPO's free log-std.

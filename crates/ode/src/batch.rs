@@ -82,7 +82,7 @@ impl BatchTableauStepper {
     /// Like [`Self::new`] with an explicit ISA tier. Requests above what
     /// the CPU supports are clamped, so any value is safe to pass.
     #[doc(hidden)]
-    pub fn with_isa(tab: &'static Tableau, dim: usize, n: usize, isa: Isa) -> Self {
+    pub(crate) fn with_isa(tab: &'static Tableau, dim: usize, n: usize, isa: Isa) -> Self {
         debug_assert!(tab.validate().is_ok());
         assert!(n > 0, "batched stepper needs at least one lane");
         Self {
@@ -331,7 +331,7 @@ impl BatchGbs8Stepper {
     /// Like [`Self::new`] with an explicit ISA tier. Requests above what
     /// the CPU supports are clamped, so any value is safe to pass.
     #[doc(hidden)]
-    pub fn with_isa(dim: usize, n: usize, isa: Isa) -> Self {
+    pub(crate) fn with_isa(dim: usize, n: usize, isa: Isa) -> Self {
         assert!(n > 0, "batched stepper needs at least one lane");
         Self {
             dim,
@@ -507,7 +507,7 @@ impl AnyBatchStepper {
     /// Like [`Self::new`] with an explicit ISA tier (clamped to what the
     /// CPU supports).
     #[doc(hidden)]
-    pub fn with_isa(order: RkOrder, dim: usize, n: usize, isa: Isa) -> Self {
+    pub(crate) fn with_isa(order: RkOrder, dim: usize, n: usize, isa: Isa) -> Self {
         match order {
             RkOrder::Three => AnyBatchStepper::Tableau(BatchTableauStepper::with_isa(
                 &crate::tableau::BS23,

@@ -155,7 +155,7 @@ impl FixedStepper for Gbs8Stepper {
 
 /// Factory for [`Gbs8Stepper`] (used by [`crate::methods::RkOrder::Eight`]).
 #[derive(Debug, Clone, Copy)]
-pub struct Gbs8Factory;
+pub(crate) struct Gbs8Factory;
 
 impl StepperFactory for Gbs8Factory {
     fn instantiate(&self, dim: usize) -> Box<dyn FixedStepper> {

@@ -6,7 +6,7 @@ use telemetry::Key;
 pub const STEPS: Key = Key("ode.steps");
 
 /// Counter: right-hand-side (derivative) evaluations.
-pub const FN_EVALS: Key = Key("ode.fn_evals");
+pub(crate) const FN_EVALS: Key = Key("ode.fn_evals");
 
 /// Counter: rejected (retried) steps — always zero for fixed-step runs.
-pub const REJECTED: Key = Key("ode.rejected");
+pub(crate) const REJECTED: Key = Key("ode.rejected");

@@ -18,8 +18,7 @@
 //!   substitution note);
 //! * function-evaluation counting ([`Work`]) so that downstream cost
 //!   models (the `cluster-sim` crate) can convert numerical work into
-//!   simulated wall-clock time and energy;
-//! * reference test problems with closed-form solutions ([`problems`]).
+//!   simulated wall-clock time and energy.
 //!
 //! ## Quick example
 //!
@@ -38,18 +37,19 @@ pub mod batch;
 pub mod extrapolation;
 pub mod keys;
 pub mod methods;
-pub mod problems;
 pub mod stepper;
 pub mod system;
 pub mod tableau;
 
-pub use batch::{AnyBatchStepper, BatchGbs8Stepper, BatchSystem, BatchTableauStepper};
+/// Reference problems with closed-form solutions: oracles for the
+/// integrator tests.
+#[cfg(test)]
+mod problems;
+
+pub use batch::{AnyBatchStepper, BatchSystem};
 pub use methods::RkOrder;
-pub use stepper::{
-    integrate_fixed, integrate_fixed_with, FixedStepper, Integration, TableauStepper,
-};
+pub use stepper::{integrate_fixed, FixedStepper, Integration};
 pub use system::{FnSystem, System};
-pub use tableau::Tableau;
 
 /// Accumulated numerical work of an integration.
 ///

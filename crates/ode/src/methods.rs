@@ -71,12 +71,6 @@ impl RkOrder {
     pub fn batch_stepper(self, dim: usize, n_lanes: usize) -> crate::batch::AnyBatchStepper {
         crate::batch::AnyBatchStepper::new(self, dim, n_lanes)
     }
-
-    /// Derivative evaluations per integration step — the work-unit cost the
-    /// cluster simulator charges per simulator step.
-    pub fn cost_per_step(self) -> u64 {
-        self.factory().cost_per_step()
-    }
 }
 
 impl std::fmt::Display for RkOrder {
@@ -99,7 +93,7 @@ mod tests {
 
     #[test]
     fn cost_increases_with_order() {
-        let costs: Vec<u64> = RkOrder::ALL.iter().map(|o| o.cost_per_step()).collect();
+        let costs: Vec<u64> = RkOrder::ALL.iter().map(|o| o.factory().cost_per_step()).collect();
         assert!(costs.windows(2).all(|w| w[0] < w[1]), "{costs:?}");
     }
 

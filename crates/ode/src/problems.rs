@@ -1,12 +1,11 @@
-//! Reference ODE problems with known solutions.
-//!
-//! Used by unit/property tests (convergence-order measurements).
+//! Reference ODE problems with known solutions, the oracles of the
+//! integrator tests.
 
 use crate::system::System;
 
 /// Exponential decay `y' = -λ y`, solution `y(t) = y0 e^{-λ t}`.
 #[derive(Debug, Clone, Copy)]
-pub struct Decay {
+pub(crate) struct Decay {
     /// Decay rate λ.
     pub lambda: f64,
 }
@@ -29,7 +28,7 @@ impl Decay {
 
 /// Harmonic oscillator `x'' = -ω² x` as a first-order system `[x, v]`.
 #[derive(Debug, Clone, Copy)]
-pub struct Harmonic {
+pub(crate) struct Harmonic {
     /// Angular frequency ω.
     pub omega: f64,
 }
@@ -61,7 +60,7 @@ impl Harmonic {
 /// The Van der Pol oscillator, mildly stiff for large μ. No closed form;
 /// a nonlinear system for cost and stability checks.
 #[derive(Debug, Clone, Copy)]
-pub struct VanDerPol {
+pub(crate) struct VanDerPol {
     /// Nonlinearity/stiffness parameter μ.
     pub mu: f64,
 }

@@ -157,8 +157,7 @@ impl FixedStepper for TableauStepper {
 }
 
 /// Builder-style configuration of a fixed-step integration run: the
-/// single entry point behind the historical `integrate_fixed` /
-/// `integrate_fixed_with` pair.
+/// single entry point behind [`integrate_fixed`].
 ///
 /// The builder separates the three orthogonal choices those free
 /// functions conflated — the *method* (a [`StepperFactory`]), the *step
@@ -181,7 +180,7 @@ impl FixedStepper for TableauStepper {
 /// ```
 #[derive(Clone, Copy)]
 pub struct Integration<'a> {
-    factory: Option<&'a dyn StepperFactory>,
+    factory: &'a dyn StepperFactory,
     h: f64,
     recorder: Option<&'a dyn Recorder>,
 }
@@ -190,14 +189,7 @@ impl<'a> Integration<'a> {
     /// An integration using `factory`'s method. The step size defaults to
     /// unset; call [`Integration::step`] before running.
     pub fn new(factory: &'a dyn StepperFactory) -> Self {
-        Integration { factory: Some(factory), h: 0.0, recorder: None }
-    }
-
-    /// An integration with no method of its own, for driving a
-    /// caller-owned stepper via [`Integration::run_with`] only
-    /// ([`Integration::run`] panics without a factory).
-    pub fn reusing() -> Self {
-        Integration { factory: None, h: 0.0, recorder: None }
+        Integration { factory, h: 0.0, recorder: None }
     }
 
     /// Set the (approximately) fixed step size; the final step shrinks to
@@ -221,8 +213,7 @@ impl<'a> Integration<'a> {
     /// [`Integration::run_with`] instead — it reuses the scratch buffers
     /// instead of re-allocating them on every call.
     pub fn run(&self, sys: &dyn System, y: &mut [f64], t0: f64, t1: f64) -> Work {
-        let factory = self.factory.expect("Integration::run requires a stepper factory");
-        let mut st = factory.instantiate(y.len());
+        let mut st = self.factory.instantiate(y.len());
         self.run_with(st.as_mut(), sys, y, t0, t1)
     }
 
@@ -262,7 +253,7 @@ impl<'a> Integration<'a> {
 /// shrinking the final step to land exactly on `t1`.
 ///
 /// Thin wrapper over [`Integration`]; prefer the builder in new code (it
-/// also takes a recorder and a reusable stepper).
+/// also takes a recorder and a caller-owned stepper).
 pub fn integrate_fixed(
     stepper: &dyn StepperFactory,
     sys: &dyn System,
@@ -272,19 +263,6 @@ pub fn integrate_fixed(
     h: f64,
 ) -> Work {
     Integration::new(stepper).step(h).run(sys, y, t0, t1)
-}
-
-/// [`integrate_fixed`] over a caller-owned stepper — a thin wrapper over
-/// [`Integration::run_with`]; see there for the reset contract.
-pub fn integrate_fixed_with(
-    st: &mut dyn FixedStepper,
-    sys: &dyn System,
-    y: &mut [f64],
-    t0: f64,
-    t1: f64,
-    h: f64,
-) -> Work {
-    Integration::reusing().step(h).run_with(st, sys, y, t0, t1)
 }
 
 /// Factory producing fresh steppers of a fixed method for a given dimension.
@@ -391,14 +369,16 @@ mod tests {
     }
 
     #[test]
-    fn integrate_fixed_with_reuses_the_stepper() {
+    fn run_with_reuses_the_stepper() {
         let sys = decay();
+        let factory = TableauFactory(&DOPRI5);
+        let runner = Integration::new(&factory).step(0.1);
         let mut st = TableauStepper::new(&DOPRI5, 1);
         let mut y = vec![1.0];
-        let w1 = integrate_fixed_with(&mut st, &sys, &mut y, 0.0, 1.0, 0.1);
+        let w1 = runner.run_with(&mut st, &sys, &mut y, 0.0, 1.0);
         // Second call continues the same trajectory: the FSAL cache is
         // still warm, so the first step saves one evaluation.
-        let w2 = integrate_fixed_with(&mut st, &sys, &mut y, 1.0, 2.0, 0.1);
+        let w2 = runner.run_with(&mut st, &sys, &mut y, 1.0, 2.0);
         assert_eq!(w1.steps, w2.steps);
         assert_eq!(w2.fn_evals, w1.fn_evals - 1, "warm FSAL saves the first eval");
 
@@ -406,8 +386,8 @@ mod tests {
         let mut y2 = vec![1.0];
         let mut z = vec![1.0];
         let mut st2 = TableauStepper::new(&DOPRI5, 1);
-        integrate_fixed_with(&mut st2, &sys, &mut y2, 0.0, 1.0, 0.1);
-        integrate_fixed(&TableauFactory(&DOPRI5), &sys, &mut z, 0.0, 1.0, 0.1);
+        runner.run_with(&mut st2, &sys, &mut y2, 0.0, 1.0);
+        integrate_fixed(&factory, &sys, &mut z, 0.0, 1.0, 0.1);
         assert_eq!(y2[0].to_bits(), z[0].to_bits());
     }
 
@@ -470,18 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn integration_reusing_drives_a_caller_owned_stepper() {
-        let sys = decay();
-        let mut st = TableauStepper::new(&RK4, 1);
-        let mut y = vec![1.0];
-        let runner = Integration::reusing().step(0.01);
-        let w1 = runner.run_with(&mut st, &sys, &mut y, 0.0, 0.5);
-        let w2 = runner.run_with(&mut st, &sys, &mut y, 0.5, 1.0);
-        assert!((y[0] - (-1.0f64).exp()).abs() < 1e-9);
-        assert_eq!((w1 + w2).steps, 100);
-    }
-
-    #[test]
     fn integration_records_work_counters() {
         let sys = decay();
         let ring = telemetry::RingRecorder::new();
@@ -492,12 +460,5 @@ mod tests {
         assert_eq!(snap.counter(keys::STEPS.name()), Some(work.steps));
         assert_eq!(snap.counter(keys::FN_EVALS.name()), Some(work.fn_evals));
         assert_eq!(snap.counter(keys::REJECTED.name()), Some(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a stepper factory")]
-    fn integration_run_without_factory_panics() {
-        let sys = decay();
-        Integration::reusing().step(0.1).run(&sys, &mut [1.0f64], 0.0, 1.0);
     }
 }

@@ -77,11 +77,11 @@ impl Tableau {
 }
 
 /// Forward Euler — order 1, one stage.
-pub const EULER: Tableau =
+pub(crate) const EULER: Tableau =
     Tableau { name: "Euler", order: 1, stages: 1, a: &[], b: &[1.0], c: &[0.0], fsal: false };
 
 /// Heun's method (explicit trapezoid) — order 2, two stages.
-pub const HEUN2: Tableau = Tableau {
+pub(crate) const HEUN2: Tableau = Tableau {
     name: "Heun 2",
     order: 2,
     stages: 2,
@@ -94,7 +94,7 @@ pub const HEUN2: Tableau = Tableau {
 /// Bogacki–Shampine 3(2) — order 3, four stages, FSAL.
 ///
 /// This is SciPy's `RK23`; the paper's "3rd order Runge–Kutta".
-pub const BS23: Tableau = Tableau {
+pub(crate) const BS23: Tableau = Tableau {
     name: "Bogacki-Shampine 3(2)",
     order: 3,
     stages: 4,
@@ -115,7 +115,7 @@ pub const BS23: Tableau = Tableau {
 };
 
 /// Classic Runge–Kutta — order 4, four stages.
-pub const RK4: Tableau = Tableau {
+pub(crate) const RK4: Tableau = Tableau {
     name: "Classic RK4",
     order: 4,
     stages: 4,

@@ -23,7 +23,7 @@
 //! results (the critic is deterministic and draws nothing from the rng).
 //! Only truncated episodes need an extra critic row (their bootstrap state
 //! is the *pre-reset* observation, preserved by
-//! [`gymrs::TickBatch::final_obs`]).
+//! [`gymrs::vec_env::TickBatch::final_obs`]).
 //!
 //! Lockstep stepping goes through [`VecEnv::step_lockstep`], which takes
 //! the batched ODE fast path when the sub-environments support it (one

@@ -47,7 +47,7 @@ pub fn gae(
 }
 
 /// Normalize advantages to zero mean / unit variance (PPO batch trick).
-pub fn normalize(adv: &mut [f64]) {
+pub(crate) fn normalize(adv: &mut [f64]) {
     if adv.len() < 2 {
         return;
     }

@@ -46,17 +46,14 @@ pub mod schedules;
 pub mod trainer;
 pub mod vtrace;
 
-pub use buffer::{ReplayBuffer, RolloutBuffer, Transition};
-pub use collect::{collect_lockstep, collect_steps, Collected};
+pub use buffer::Transition;
+pub use collect::collect_lockstep;
 pub use eval::Greedy;
-pub use impala::ImpalaConfig;
-pub use on_policy::{OnPolicyLearner, UpdateStats};
-pub use policy::{ActorCritic, PolicyHead};
+pub use on_policy::OnPolicyLearner;
+pub use policy::ActorCritic;
 pub use ppo::{PpoConfig, PpoLearner};
-pub use sac::{SacConfig, SacLearner, SacStats};
-pub use schedules::Schedule;
-pub use trainer::{train, EvalSpec, TrainProgress, TrainReport, TrainSpec};
-pub use vtrace::{vtrace, VtraceConfig, VtraceResult};
+pub use sac::{SacConfig, SacLearner};
+pub use trainer::train;
 
 /// Which of the paper's two algorithms a configuration uses (Table I's
 /// "Algorithm" column).

@@ -7,7 +7,7 @@
 //!
 //! * **targets** — where advantages and critic targets come from:
 //!   GAE-λ on the values recorded at collection, or V-trace against the
-//!   current policy ([`crate::vtrace()`]);
+//!   current policy ([`crate::vtrace::vtrace`]);
 //! * **surrogate** — the policy loss and its passes over the rollout:
 //!   the clipped ratio over shuffled epochs × minibatches, or plain
 //!   `−Â·log π` in one step over the whole rollout in order (which

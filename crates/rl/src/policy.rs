@@ -138,7 +138,7 @@ impl ActorCritic {
     }
 
     /// Distribution given a precomputed actor output row.
-    pub fn dist_from_actor_row(&self, row: &[f64]) -> Dist {
+    pub(crate) fn dist_from_actor_row(&self, row: &[f64]) -> Dist {
         Dist::from_actor_row(self.head, row, &self.log_std)
     }
 
@@ -149,7 +149,7 @@ impl ActorCritic {
 
     /// Distributions for a batch of observations (one per matrix row),
     /// derived from a single batched actor forward pass.
-    pub fn dists_batch(&self, obs: &Matrix) -> Vec<Dist> {
+    pub(crate) fn dists_batch(&self, obs: &Matrix) -> Vec<Dist> {
         let out = self.actor.infer(obs);
         (0..out.rows()).map(|r| self.dist_from_actor_row(out.row_slice(r))).collect()
     }
@@ -197,7 +197,7 @@ impl ActorCritic {
 
     /// Greedy actions for a batch of observations, one actor forward on
     /// `tape` — PPO's half of [`crate::Greedy::act_batch`].
-    pub fn act_greedy_batch(&self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
+    pub(crate) fn act_greedy_batch(&self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
         let out = self.actor.infer_into(obs, tape);
         (0..out.rows()).map(|r| self.dist_from_actor_row(out.row_slice(r)).mode()).collect()
     }

@@ -230,7 +230,7 @@ impl SacLearner {
 
     /// [`SacLearner::act_greedy`] for every row of `obs`, one actor
     /// forward on `tape` — SAC's half of [`crate::Greedy::act_batch`].
-    pub fn act_greedy_batch(&self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
+    pub(crate) fn act_greedy_batch(&self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
         let out = self.actor.infer_into(obs, tape);
         (0..out.rows())
             .map(|r| {

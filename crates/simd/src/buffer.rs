@@ -28,7 +28,7 @@ unsafe impl Sync for AlignedF64 {}
 
 impl AlignedF64 {
     /// Cache-line alignment of the buffer base.
-    pub const ALIGN: usize = 64;
+    pub(crate) const ALIGN: usize = 64;
 
     /// An all-zero buffer of `len` elements.
     pub fn zeroed(len: usize) -> Self {
@@ -43,7 +43,7 @@ impl AlignedF64 {
     }
 
     /// An aligned copy of `src`.
-    pub fn from_slice(src: &[f64]) -> Self {
+    pub(crate) fn from_slice(src: &[f64]) -> Self {
         let mut buf = Self::zeroed(src.len());
         buf.copy_from_slice(src);
         buf

@@ -13,7 +13,7 @@
 /// Batches smaller than this run the scalar path: `n = 1, 2` lose or
 /// roughly tie under batching on every machine we measured, while
 /// `n >= 3` was never slower than scalar.
-pub const DEFAULT_BATCH_CROSSOVER: usize = 3;
+pub(crate) const DEFAULT_BATCH_CROSSOVER: usize = 3;
 
 /// The crossover `VecEnv` gates on and run stamps record: a compile-time
 /// constant, not a per-process setting.

@@ -8,13 +8,13 @@
 //! `f64`; anything with a `.` or an exponent, or too large for 64 bits,
 //! is `F64`.
 //!
-//! Nesting is capped at [`MAX_DEPTH`], so a hostile `{"a":{"a":…` line is
+//! Nesting is capped at `MAX_DEPTH`, so a hostile `{"a":{"a":…` line is
 //! an `Err` naming the byte offset rather than a stack overflow.
 
 use std::fmt;
 
 /// Deepest nesting of arrays and objects [`parse`] accepts.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Object fields keep document order (duplicates
 /// included; [`Json::get`] returns the first).
@@ -53,7 +53,7 @@ impl Json {
     }
 
     /// The value of a non-negative integer token.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::U64(v) => Some(*v),
             _ => None,

@@ -34,7 +34,7 @@ pub mod ring;
 pub mod snapshot;
 
 pub use ring::RingRecorder;
-pub use snapshot::{FieldValue, GaugeStats, SnapEvent, SnapSpan, Snapshot};
+pub use snapshot::{FieldValue, SnapEvent, Snapshot};
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -118,7 +118,7 @@ pub trait Recorder {
     fn span_end(&self, id: SpanId);
 
     /// Record a structured event with up to
-    /// [`ring::MAX_EVENT_FIELDS`] key/value fields (extra fields are
+    /// `ring::MAX_EVENT_FIELDS` key/value fields (extra fields are
     /// dropped).
     fn event(&self, key: Key, fields: &[(Key, Value)]);
 

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 /// Maximum number of fields kept per structured event; extras are
 /// silently dropped so the hot path never allocates.
-pub const MAX_EVENT_FIELDS: usize = 4;
+pub(crate) const MAX_EVENT_FIELDS: usize = 4;
 
 /// Number of slots in each aggregate table (distinct keys per instrument
 /// family). The stack uses a couple dozen; overflowing keys are dropped.

@@ -60,7 +60,7 @@ impl FieldValue {
     }
 
     /// The value as u64 if it is an unsigned integer.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             FieldValue::U64(v) => Some(*v),
             _ => None,

@@ -29,13 +29,11 @@ fn main() {
     env.seed(2024);
     let mut obs = env.reset();
     let mut recorder = TrajectoryRecorder::new();
-    let mut t = 0.0;
-    recorder.push(t, env.state());
+    recorder.push(env.state());
     let mut steps = 0;
     let reward = loop {
         let s = env.step(&controller(&obs));
-        t += env.config().control_dt;
-        recorder.push(t, env.state());
+        recorder.push(env.state());
         let done = s.done();
         let r = s.reward;
         obs = s.obs;
