@@ -95,6 +95,8 @@ struct WalWriter {
     file: File,
     /// Pending lines under [`Durability::Buffered`].
     buf: Vec<u8>,
+    /// The line being appended, cleared and reused by every append.
+    line: String,
     /// Next event sequence number (= line index in the file).
     seq: u64,
 }
@@ -146,7 +148,9 @@ impl Journal {
             None => guard.insert(self.open_writer()?),
         };
         let seq = writer.seq;
-        let mut line = event.to_line(seq);
+        let line = &mut writer.line;
+        line.clear();
+        event.push_line(seq, line);
         line.push('\n');
         match self.durability {
             Durability::Buffered => {
@@ -215,7 +219,7 @@ impl Journal {
             seq = lines(&bytes[..keep]).filter(|l| !l.trim_ascii().is_empty()).count() as u64;
         }
         let file = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        Ok(WalWriter { file, buf: Vec::new(), seq })
+        Ok(WalWriter { file, buf: Vec::new(), line: String::new(), seq })
     }
 
     /// Load and decode the full event log (empty when the file does not

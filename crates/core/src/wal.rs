@@ -2,7 +2,7 @@
 //!
 //! A study's durable record is an append-only sequence of [`StudyEvent`]s,
 //! one per line, serialized as telemetry `"ty":"event"` JSON records
-//! (`telemetry::export::event_to_json_line`). Reusing that format buys the
+//! (`telemetry::export::push_event_line`). Reusing that format buys the
 //! WAL the exporter's bit-exactness guarantees for free: integers stay
 //! bare, f64 values use shortest round-trip text, and non-finite values
 //! travel as the `"NaN"`/`"inf"`/`"-inf"` string spellings — so replaying
@@ -44,6 +44,7 @@ use crate::metrics::MetricValues;
 use crate::param::ParamValue;
 use crate::trial::{Configuration, Trial, TrialStatus};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use telemetry::{FieldValue, SnapEvent};
 
 /// Event keys used by the study WAL (also validated by the bench
@@ -281,9 +282,17 @@ impl StudyEvent {
         }
     }
 
-    /// Serialize as one WAL line (no trailing newline).
+    /// Append this event to `out` as one WAL line (no trailing newline).
+    pub(crate) fn push_line(&self, seq: u64, out: &mut String) {
+        telemetry::export::push_event_line(out, &self.to_snap(seq));
+    }
+
+    /// This event as one WAL line (no trailing newline).
+    #[cfg(test)]
     pub(crate) fn to_line(&self, seq: u64) -> String {
-        telemetry::export::event_to_json_line(&self.to_snap(seq))
+        let mut line = String::new();
+        self.push_line(seq, &mut line);
+        line
     }
 
     /// Parse one WAL line.
@@ -302,7 +311,7 @@ fn push_config(fields: &mut Vec<(String, FieldValue)>, config: &Configuration) {
             ParamValue::Int(i) => FieldValue::Str(format!("i:{i}")),
             ParamValue::Str(s) => FieldValue::Str(format!("s:{s}")),
         };
-        fields.push((format!("c.{name}"), fv));
+        fields.push((["c.", name].concat(), fv));
     }
 }
 
@@ -334,15 +343,24 @@ fn take_config(ev: &SnapEvent) -> Result<Configuration, String> {
 
 fn push_metrics(fields: &mut Vec<(String, FieldValue)>, metrics: &MetricValues) {
     for (name, value) in metrics.iter() {
-        fields.push((format!("m.{name}"), FieldValue::F64(value)));
+        fields.push((["m.", name].concat(), FieldValue::F64(value)));
     }
     // Sample distributions ride as separate `d.` fields so the scalar
     // `m.` fields stay byte-identical to pre-distribution journals.
     // Rust's shortest-round-trip float formatting makes the encoding
     // lossless, so resumed studies adopt bit-identical distributions.
+    // Each field is written into one buffer, reserved at 24 bytes a
+    // sample: a 17-digit sample with its sign, point and comma fits.
     for (name, dist) in metrics.distributions() {
-        let joined = dist.samples().iter().map(f64::to_string).collect::<Vec<_>>().join(",");
-        fields.push((format!("d.{name}"), FieldValue::Str(joined)));
+        let samples = dist.samples();
+        let mut joined = String::with_capacity(24 * samples.len());
+        for (i, x) in samples.iter().enumerate() {
+            if i > 0 {
+                joined.push(',');
+            }
+            let _ = write!(joined, "{x}");
+        }
+        fields.push((["d.", name].concat(), FieldValue::Str(joined)));
     }
 }
 
@@ -679,6 +697,116 @@ mod tests {
         assert!(load.torn_tail);
         assert_eq!(load.events, events[..3]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every line of the checked-in journals decodes, and re-encodes with
+    /// its line index as `seq` to the same bytes: the WAL format is pinned
+    /// by the data written under it.
+    #[test]
+    fn the_checked_in_journals_re_encode_byte_for_byte() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../journals/scaled");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "jsonl") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            for (seq, line) in text.lines().enumerate() {
+                let ev = StudyEvent::from_line(line).unwrap();
+                assert_eq!(ev.to_line(seq as u64), line, "{} line {}", path.display(), seq + 1);
+                checked += 1;
+            }
+        }
+        assert!(checked >= 1_000, "only {checked} journal lines found under {}", dir.display());
+    }
+
+    /// A random event of every kind: names and messages that need
+    /// escapes, non-finite metrics, empty and 64-sample distributions.
+    fn any_event(g: &mut testkit::Gen) -> StudyEvent {
+        const NAMES: [&str; 5] = ["lr", "rk_order", "naïve \"q\"", "tab\there", "§"];
+        let name = |g: &mut testkit::Gen| g.pick(&NAMES).to_string();
+        let float = |g: &mut testkit::Gen| match g.below(5) {
+            0 => f64::NAN,
+            1 => *g.pick(&[f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0]),
+            2 => g.f64_in(-10.0..10.0).round(),
+            _ => finite(g),
+        };
+        let config = |g: &mut testkit::Gen| {
+            let mut config = Configuration::new();
+            for _ in 0..g.below(5) {
+                let value = match g.below(4) {
+                    0 => ParamValue::Int(g.int_in(i64::MIN..i64::MAX)),
+                    1 => ParamValue::Str(name(g)),
+                    2 => ParamValue::Float(finite(g)),
+                    _ => ParamValue::Bool(g.bool()),
+                };
+                config.set(&name(g), value);
+            }
+            config
+        };
+        let metrics = |g: &mut testkit::Gen| {
+            let mut m = MetricValues::new();
+            for _ in 0..g.below(4) {
+                m.set(name(g), float(g));
+            }
+            for _ in 0..g.below(3) {
+                let len = *g.pick(&[0, 1, 64]);
+                let samples = (0..len).map(|_| finite(g)).collect();
+                m.set_distribution(name(g), Distribution::from_samples(samples));
+            }
+            m
+        };
+        let trial = g.below(10_000);
+        match g.below(7) {
+            0 => StudyEvent::Checkpoint {
+                study: name(g),
+                seed: g.u64(),
+                explorer: name(g),
+                fingerprint: name(g),
+                trials: g.u64(),
+            },
+            1 => StudyEvent::TrialStarted { trial, config: config(g) },
+            2 => StudyEvent::TrialReport { trial, step: g.u64(), value: float(g) },
+            3 => StudyEvent::TrialCompleted { trial, metrics: metrics(g) },
+            4 => StudyEvent::TrialPruned { trial, metrics: metrics(g) },
+            5 => StudyEvent::TrialFailed {
+                trial,
+                error: format!("objective said \"§{}\"\nat step {}", name(g), g.below(9)),
+                metrics: metrics(g),
+            },
+            _ => StudyEvent::TrialReused {
+                trial,
+                config: config(g),
+                status: *g.pick(&[TrialStatus::Complete, TrialStatus::Pruned, TrialStatus::Failed]),
+                metrics: metrics(g),
+                intermediate: g.vec(0..4, |g| (g.u64(), float(g))),
+            },
+        }
+    }
+
+    /// Any finite f64, the extreme exponents included.
+    fn finite(g: &mut testkit::Gen) -> f64 {
+        loop {
+            let x = f64::from_bits(g.u64());
+            if x.is_finite() {
+                return x;
+            }
+        }
+    }
+
+    #[test]
+    fn every_event_kind_round_trips_both_ways() {
+        testkit::sweep(400, 0x3A1_F0A7, |g| {
+            let ev = any_event(g);
+            let seq = g.u64();
+            let line = ev.to_line(seq);
+            let back = StudyEvent::from_line(&line).unwrap();
+            // NaN forbids plain equality; Debug prints every f64 as its
+            // shortest round-trip text, so equal text is equal bits.
+            assert_eq!(format!("{back:?}"), format!("{ev:?}"), "line: {line}");
+            assert_eq!(back.to_line(seq), line);
+        });
     }
 
     #[test]

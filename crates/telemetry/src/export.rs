@@ -25,40 +25,53 @@ use std::fmt::Write as _;
 
 // ---------------------------------------------------------------- writer
 
-/// Format an f64 so the parser reads it back as an f64 (never a bare
-/// integer) and bit-for-bit equal: shortest round-trip text, with `.0`
-/// appended when it would otherwise look integral. Non-finite values are
-/// written as JSON strings.
-fn fmt_f64(x: f64) -> String {
+/// Append an f64 the parser reads back as an f64 (never a bare integer)
+/// and bit-for-bit equal: shortest round-trip text, written in place,
+/// with `.0` appended when it would otherwise look integral. Non-finite
+/// values are written as JSON strings.
+fn push_f64(out: &mut String, x: f64) {
     if x.is_nan() {
-        return "\"NaN\"".to_string();
-    }
-    if x.is_infinite() {
-        return if x > 0.0 { "\"inf\"" } else { "\"-inf\"" }.to_string();
-    }
-    let s = format!("{x}");
-    if s.contains(['.', 'e', 'E']) {
-        s
+        out.push_str("\"NaN\"");
+    } else if x.is_infinite() {
+        out.push_str(if x > 0.0 { "\"inf\"" } else { "\"-inf\"" });
     } else {
-        format!("{s}.0")
+        let start = out.len();
+        let _ = write!(out, "{x}");
+        if !out.as_bytes()[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+            out.push_str(".0");
+        }
     }
 }
 
+/// Append `s` as a JSON string, copying the runs between escapes whole.
+/// Every byte that needs an escape is ASCII, so each run ends on a
+/// character boundary.
 fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    // Branch-free over every byte, so it vectorises: a string with
+    // nothing to escape, the common case, skips the loop.
+    if s.bytes().fold(false, |any, b| any | (b < 0x20) | (b == b'"') | (b == b'\\')) {
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&s[run..i]);
+            if escape.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.push_str(escape);
             }
-            c => out.push(c),
+            run = i + 1;
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -67,34 +80,31 @@ fn push_field_value(out: &mut String, v: &FieldValue) {
         FieldValue::U64(x) => {
             let _ = write!(out, "{x}");
         }
-        FieldValue::F64(x) => out.push_str(&fmt_f64(*x)),
-        FieldValue::Bool(x) => {
-            let _ = write!(out, "{x}");
-        }
+        FieldValue::F64(x) => push_f64(out, *x),
+        FieldValue::Bool(x) => out.push_str(if *x { "true" } else { "false" }),
         FieldValue::Str(s) => push_json_string(out, s),
     }
 }
 
-/// Serialize one event record as a single JSON line (no trailing
+/// Append one event record to `out` as a single JSON line (no trailing
 /// newline), in the exact spelling [`to_json_lines`] uses for its
 /// `"ty":"event"` records. This is the unit the `decision` crate's
 /// write-ahead log appends: one durable event per line, bit-exact through
-/// [`event_from_json_line`].
-pub fn event_to_json_line(e: &SnapEvent) -> String {
-    let mut out = String::new();
+/// [`event_from_json_line`]. The caller owns the buffer, so a writer that
+/// clears and reuses one allocates nothing per line once it has grown.
+pub fn push_event_line(out: &mut String, e: &SnapEvent) {
     out.push_str("{\"ty\":\"event\",\"key\":");
-    push_json_string(&mut out, &e.key);
+    push_json_string(out, &e.key);
     let _ = write!(out, ",\"t_ns\":{},\"thread\":{},\"fields\":{{", e.t_ns, e.thread);
     for (i, (name, value)) in e.fields.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_json_string(&mut out, name);
+        push_json_string(out, name);
         out.push(':');
-        push_field_value(&mut out, value);
+        push_field_value(out, value);
     }
     out.push_str("}}");
-    out
 }
 
 /// Serialize a snapshot as a JSON-lines trace: a `meta` line, then every
@@ -110,20 +120,22 @@ pub fn to_json_lines(snap: &Snapshot) -> String {
     for (key, value) in &snap.accums {
         out.push_str("{\"ty\":\"accum\",\"key\":");
         push_json_string(&mut out, key);
-        let _ = writeln!(out, ",\"value\":{}}}", fmt_f64(*value));
+        out.push_str(",\"value\":");
+        push_f64(&mut out, *value);
+        out.push_str("}\n");
     }
     for (key, g) in &snap.gauges {
         out.push_str("{\"ty\":\"gauge\",\"key\":");
         push_json_string(&mut out, key);
-        let _ = writeln!(
-            out,
-            ",\"last\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-            fmt_f64(g.last),
-            g.count,
-            fmt_f64(g.sum),
-            fmt_f64(g.min),
-            fmt_f64(g.max)
-        );
+        out.push_str(",\"last\":");
+        push_f64(&mut out, g.last);
+        let _ = write!(out, ",\"count\":{},\"sum\":", g.count);
+        push_f64(&mut out, g.sum);
+        out.push_str(",\"min\":");
+        push_f64(&mut out, g.min);
+        out.push_str(",\"max\":");
+        push_f64(&mut out, g.max);
+        out.push_str("}\n");
     }
     for s in &snap.spans {
         out.push_str("{\"ty\":\"span\",\"key\":");
@@ -135,7 +147,7 @@ pub fn to_json_lines(snap: &Snapshot) -> String {
         );
     }
     for e in &snap.events {
-        out.push_str(&event_to_json_line(e));
+        push_event_line(&mut out, e);
         out.push('\n');
     }
     out
@@ -165,11 +177,8 @@ fn field<'a>(obj: &'a Json, name: &str) -> Result<&'a Json, String> {
     obj.get(name).ok_or_else(|| format!("trace record missing field '{name}'"))
 }
 
-fn need_str(obj: &Json, name: &str) -> Result<String, String> {
-    field(obj, name)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("trace field '{name}' must be a string"))
+fn need_str<'a>(obj: &'a Json, name: &str) -> Result<&'a str, String> {
+    field(obj, name)?.as_str().ok_or_else(|| format!("trace field '{name}' must be a string"))
 }
 
 fn need_u64(obj: &Json, name: &str) -> Result<u64, String> {
@@ -184,55 +193,71 @@ fn need_f64(obj: &Json, name: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("trace field '{name}' must be a number"))
 }
 
-/// Decode one parsed `"ty":"event"` object into a [`SnapEvent`].
-fn event_from_obj(obj: &Json) -> Result<SnapEvent, String> {
-    let fields = field(obj, "fields")?
-        .as_object()
-        .ok_or("event 'fields' must be an object")?
-        .iter()
+/// Move the first field called `name` out of a parsed record, leaving
+/// `null` in its place.
+fn take_field(obj: &mut Json, name: &str) -> Result<Json, String> {
+    let Json::Obj(fields) = obj else {
+        return Err(format!("trace record missing field '{name}'"));
+    };
+    fields
+        .iter_mut()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| std::mem::replace(v, Json::Null))
+        .ok_or_else(|| format!("trace record missing field '{name}'"))
+}
+
+/// Decode one parsed `"ty":"event"` object into a [`SnapEvent`]. Names
+/// and strings move out of the tree, so a long string field is copied
+/// once, by the parser, and never again.
+fn event_from_obj(mut obj: Json) -> Result<SnapEvent, String> {
+    let Json::Obj(fields) = take_field(&mut obj, "fields")? else {
+        return Err("event 'fields' must be an object".into());
+    };
+    let fields = fields
+        .into_iter()
         .map(|(name, v)| {
             let fv = match v {
-                Json::U64(x) => FieldValue::U64(*x),
+                Json::U64(x) => FieldValue::U64(x),
                 // The writer spells integers unsigned, so a signed
                 // integer token is a float someone wrote without its `.0`.
-                Json::I64(x) => FieldValue::F64(*x as f64),
-                Json::F64(x) => FieldValue::F64(*x),
-                Json::Bool(x) => FieldValue::Bool(*x),
-                Json::Str(s) => match non_finite(s) {
+                Json::I64(x) => FieldValue::F64(x as f64),
+                Json::F64(x) => FieldValue::F64(x),
+                Json::Bool(x) => FieldValue::Bool(x),
+                Json::Str(s) => match non_finite(&s) {
                     Some(x) => FieldValue::F64(x),
-                    None => FieldValue::Str(s.clone()),
+                    None => FieldValue::Str(s),
                 },
                 Json::Null | Json::Arr(_) | Json::Obj(_) => {
                     return Err(format!("event field '{name}' must be a scalar, got {}", v.kind()))
                 }
             };
-            Ok((name.clone(), fv))
+            Ok((name, fv))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    Ok(SnapEvent {
-        t_ns: need_u64(obj, "t_ns")?,
-        thread: need_u64(obj, "thread")? as usize,
-        key: need_str(obj, "key")?,
-        fields,
-    })
+    let t_ns = need_u64(&obj, "t_ns")?;
+    let thread = need_u64(&obj, "thread")? as usize;
+    let Json::Str(key) = take_field(&mut obj, "key")? else {
+        return Err("trace field 'key' must be a string".into());
+    };
+    Ok(SnapEvent { t_ns, thread, key, fields })
 }
 
-/// Parse one JSON line written by [`event_to_json_line`] back into a
+/// Parse one JSON line written by [`push_event_line`] back into a
 /// [`SnapEvent`]. Field values round-trip exactly (f64 bits included, via
 /// the string spellings of non-finite values). Errors on any non-`event`
 /// record or malformed line.
 pub fn event_from_json_line(line: &str) -> Result<SnapEvent, String> {
     let obj = parse_line(line)?;
-    let ty = need_str(&obj, "ty")?;
-    if ty != "event" {
-        return Err(format!("expected an event record, got ty '{ty}'"));
+    match need_str(&obj, "ty")? {
+        "event" => event_from_obj(obj),
+        ty => Err(format!("expected an event record, got ty '{ty}'")),
     }
-    event_from_obj(&obj)
 }
 
 /// Parse a JSON-lines trace produced by [`to_json_lines`] back into a
 /// [`Snapshot`]. Values round-trip exactly: counters stay integers and
-/// f64 text re-parses to the identical bits.
+/// f64 text re-parses to the identical bits. `meta` lines add up their
+/// `dropped_events`; a sum past `u64::MAX` is an error.
 pub fn from_json_lines(text: &str) -> Result<Snapshot, String> {
     let mut snap = Snapshot::default();
     for line in text.lines() {
@@ -240,14 +265,19 @@ pub fn from_json_lines(text: &str) -> Result<Snapshot, String> {
             continue;
         }
         let obj = parse_line(line)?;
-        let ty = need_str(&obj, "ty")?;
-        match ty.as_str() {
-            "meta" => snap.dropped_events += need_u64(&obj, "dropped_events")?,
+        let key = || need_str(&obj, "key").map(str::to_string);
+        match need_str(&obj, "ty")? {
+            "meta" => {
+                snap.dropped_events = snap
+                    .dropped_events
+                    .checked_add(need_u64(&obj, "dropped_events")?)
+                    .ok_or("trace meta lines drop more than u64::MAX events in all")?;
+            }
             "counter" => {
-                snap.counters.insert(need_str(&obj, "key")?, need_u64(&obj, "value")?);
+                snap.counters.insert(key()?, need_u64(&obj, "value")?);
             }
             "accum" => {
-                snap.accums.insert(need_str(&obj, "key")?, need_f64(&obj, "value")?);
+                snap.accums.insert(key()?, need_f64(&obj, "value")?);
             }
             "gauge" => {
                 let stats = GaugeStats {
@@ -257,15 +287,15 @@ pub fn from_json_lines(text: &str) -> Result<Snapshot, String> {
                     min: need_f64(&obj, "min")?,
                     max: need_f64(&obj, "max")?,
                 };
-                snap.gauges.insert(need_str(&obj, "key")?, stats);
+                snap.gauges.insert(key()?, stats);
             }
             "span" => snap.spans.push(SnapSpan {
-                key: need_str(&obj, "key")?,
+                key: key()?,
                 thread: need_u64(&obj, "thread")? as usize,
                 begin_ns: need_u64(&obj, "begin_ns")?,
                 end_ns: need_u64(&obj, "end_ns")?,
             }),
-            "event" => snap.events.push(event_from_obj(&obj)?),
+            "event" => snap.events.push(event_from_obj(obj)?),
             other => return Err(format!("unknown trace record type '{other}'")),
         }
     }
@@ -358,7 +388,8 @@ mod tests {
                 ("reused".into(), FieldValue::Bool(true)),
             ],
         };
-        let line = event_to_json_line(&e);
+        let mut line = String::new();
+        push_event_line(&mut line, &e);
         assert!(!line.contains('\n'), "one event must stay on one line");
         let back = event_from_json_line(&line).unwrap();
         // NaN breaks PartialEq; compare everything else then the bits.
@@ -372,6 +403,23 @@ mod tests {
                     assert_eq!(b.to_bits(), e.to_bits(), "field {bn}");
                 }
                 _ => assert_eq!(bv, ev, "field {bn}"),
+            }
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_with_an_escape_at_every_offset() {
+        // Both the writer's and the reader's runs are cut at escapes and
+        // the reader scans in 16-byte blocks: put one at every offset.
+        for len in 0..40 {
+            for at in 0..len {
+                for special in ['"', '\\', '\n', '\u{1}', '\u{1f}', 'é', '/'] {
+                    let s: String = (0..len).map(|i| if i == at { special } else { 'a' }).collect();
+                    let mut text = String::new();
+                    push_json_string(&mut text, &s);
+                    assert!(!text.bytes().any(|b| b < 0x20), "raw control byte in {text:?}");
+                    assert_eq!(json::parse(&text).unwrap().as_str(), Some(s.as_str()), "{text}");
+                }
             }
         }
     }
@@ -409,6 +457,42 @@ mod tests {
             assert!(e.contains("'x' must be a scalar"), "{e}");
         }
         assert!(from_json_lines("[]").unwrap_err().contains("must be an object"));
+    }
+
+    const OVERFLOWING_METAS: &str = "{\"ty\":\"meta\",\"dropped_events\":18446744073709551615}\n\
+                                     {\"ty\":\"meta\",\"dropped_events\":1}\n";
+
+    #[test]
+    fn dropped_events_past_u64_max_are_an_error_not_an_overflow() {
+        let e = from_json_lines(OVERFLOWING_METAS).unwrap_err();
+        assert!(e.contains("u64::MAX"), "{e}");
+        let one = OVERFLOWING_METAS.lines().next().unwrap();
+        assert_eq!(from_json_lines(one).unwrap().dropped_events, u64::MAX);
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_traces_are_ok_or_err_never_a_panic() {
+        let mut snap = sample_snapshot();
+        snap.events[0].fields.push(("site".into(), FieldValue::Str("Zürich §7 ✓".into())));
+        let trace = to_json_lines(&snap);
+        assert_eq!(from_json_lines(&trace).unwrap(), snap);
+        // A tear inside a multi-byte character reads back lossily, as a
+        // file read that way would.
+        let read = |bytes: &[u8]| {
+            let _ = from_json_lines(&String::from_utf8_lossy(bytes));
+        };
+        let bytes = trace.as_bytes();
+        for end in 0..bytes.len() {
+            read(&bytes[..end]);
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..7 {
+                let mut flipped = bytes.to_vec();
+                flipped[i] ^= 1 << bit;
+                read(&flipped);
+            }
+        }
+        read(OVERFLOWING_METAS.as_bytes());
     }
 
     #[test]

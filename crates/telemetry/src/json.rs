@@ -165,43 +165,35 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // The run up to the next quote or backslash is copied whole.
+            // Both are ASCII, so the run ends on a character boundary.
+            let end = self.pos + plain_run(&self.bytes[self.pos..]);
+            out.push_str(self.text.get(self.pos..end).ok_or_else(|| self.err("invalid utf-8"))?);
+            self.pos = end;
             let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.text.get(self.pos..self.pos + 4);
-                            let code = hex.and_then(|hex| u32::from_str_radix(hex, 16).ok());
-                            let c = code.and_then(char::from_u32);
-                            out.push(c.ok_or_else(|| self.err("bad \\u escape"))?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self.text.get(self.pos..self.pos + 4);
+                    let code = hex.and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                    let c = code.and_then(char::from_u32);
+                    out.push(c.ok_or_else(|| self.err("bad \\u escape"))?);
+                    self.pos += 4;
                 }
-                _ if b.is_ascii() => out.push(b as char),
-                _ => {
-                    // The input is a `str` and `pos` only ever advances by
-                    // whole characters, so this is the multi-byte char at
-                    // `pos - 1`, found without re-validating the rest.
-                    self.pos -= 1;
-                    let c = self.text.get(self.pos..).and_then(|rest| rest.chars().next());
-                    let c = c.ok_or_else(|| self.err("invalid utf-8"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -313,6 +305,21 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+/// The length of the run before the first `"` or `\` in `bytes` (all of
+/// it when there is none). Whole 16-byte blocks are tested branch-free,
+/// which vectorises, so a long string costs one branch per block.
+fn plain_run(bytes: &[u8]) -> usize {
+    let special = |b: u8| (b == b'"') | (b == b'\\');
+    let mut at = 0;
+    for block in bytes.chunks_exact(16) {
+        if block.iter().fold(false, |any, &b| any | special(b)) {
+            break;
+        }
+        at += 16;
+    }
+    at + bytes[at..].iter().position(|&b| special(b)).unwrap_or(bytes.len() - at)
 }
 
 #[cfg(test)]
