@@ -159,7 +159,7 @@ pub(crate) struct AirdropBatch {
 
 impl AirdropBatch {
     /// Batcher for `n` environments configured like `config`.
-    pub fn new(config: AirdropConfig, n: usize) -> Self {
+    pub(crate) fn new(config: AirdropConfig, n: usize) -> Self {
         // All AirdropEnvs share default physical parameters today; the
         // verification pass copies lane 0's params so a future
         // configurable-params change degrades loudly (state divergence in

@@ -101,7 +101,7 @@ impl AirdropConfig {
     }
 
     /// Validate ranges; returns the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.altitude_limits.0 > 0.0 && self.altitude_limits.1 >= self.altitude_limits.0) {
             return Err(format!("invalid altitude limits {:?}", self.altitude_limits));
         }

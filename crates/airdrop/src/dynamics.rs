@@ -32,21 +32,21 @@ pub const STATE_DIM: usize = 9;
 #[derive(Debug, Clone, Copy)]
 pub struct ParafoilParams {
     /// Trim forward airspeed (units/s).
-    pub va0: f64,
+    pub(crate) va0: f64,
     /// Trim sink rate (units/s).
-    pub vz0: f64,
+    pub(crate) vz0: f64,
     /// Airspeed loss per unit |δ|.
-    pub brake_drag: f64,
+    pub(crate) brake_drag: f64,
     /// Sink-rate increase per unit δ².
-    pub brake_sink: f64,
+    pub(crate) brake_sink: f64,
     /// Peak commanded heading rate (rad/s) at full deflection.
-    pub k_turn: f64,
+    pub(crate) k_turn: f64,
     /// Yaw response time constant (s).
-    pub tau_psi: f64,
+    pub(crate) tau_psi: f64,
     /// Brake actuator time constant (s).
-    pub tau_delta: f64,
+    pub(crate) tau_delta: f64,
     /// Velocity relaxation time constant (s).
-    pub tau_v: f64,
+    pub(crate) tau_v: f64,
 }
 
 impl Default for ParafoilParams {

@@ -72,12 +72,12 @@ impl AirdropEnv {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &AirdropConfig {
+    pub(crate) fn config(&self) -> &AirdropConfig {
         &self.config
     }
 
     /// The physical parameters.
-    pub fn params(&self) -> &ParafoilParams {
+    pub(crate) fn params(&self) -> &ParafoilParams {
         &self.params
     }
 

@@ -6,7 +6,7 @@ use crate::dynamics::STATE_DIM;
 #[derive(Debug, Clone, Default)]
 pub struct TrajectoryRecorder {
     /// Recorded full 9-component states, in time order.
-    pub samples: Vec<[f64; STATE_DIM]>,
+    pub(crate) samples: Vec<[f64; STATE_DIM]>,
 }
 
 impl TrajectoryRecorder {
@@ -18,11 +18,6 @@ impl TrajectoryRecorder {
     /// Record a sample.
     pub fn push(&mut self, state: &[f64; STATE_DIM]) {
         self.samples.push(*state);
-    }
-
-    /// Clear all samples (start of a new episode).
-    pub fn clear(&mut self) {
-        self.samples.clear();
     }
 
     /// Total ground-track length (diagnostic for spiral descents).
@@ -129,12 +124,5 @@ mod tests {
         let r = TrajectoryRecorder::new();
         assert!(r.ascii_ground_track(10, 5).contains("empty"));
         assert_eq!(r.track_length(), 0.0);
-    }
-
-    #[test]
-    fn clear_resets_samples() {
-        let mut r = straight_line();
-        r.clear();
-        assert!(r.samples.is_empty());
     }
 }

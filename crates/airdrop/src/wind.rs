@@ -12,21 +12,21 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub(crate) struct WindModel {
     /// Constant wind component (zero when wind is disabled).
-    pub base: (f64, f64),
+    pub(crate) base: (f64, f64),
     /// Probability that a new gust event starts at a control step.
-    pub gust_probability: f64,
+    pub(crate) gust_probability: f64,
     /// Peak gust speed.
-    pub gust_strength: f64,
+    pub(crate) gust_strength: f64,
     /// Gust decay factor per control step (0 < decay < 1).
-    pub gust_decay: f64,
+    pub(crate) gust_decay: f64,
     /// Whether gusts are active at all.
-    pub gusts_enabled: bool,
+    pub(crate) gusts_enabled: bool,
     gust: (f64, f64),
 }
 
 impl WindModel {
     /// Disabled wind (the paper's §V-a study configuration).
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Self {
             base: (0.0, 0.0),
             gust_probability: 0.0,
@@ -38,7 +38,7 @@ impl WindModel {
     }
 
     /// Constant wind plus optional gusts.
-    pub fn new(
+    pub(crate) fn new(
         base: (f64, f64),
         gusts_enabled: bool,
         gust_probability: f64,
@@ -60,7 +60,7 @@ impl WindModel {
     }
 
     /// Advance one control interval and return the wind vector to hold.
-    pub fn sample(&mut self, rng: &mut impl Rng) -> (f64, f64) {
+    pub(crate) fn sample(&mut self, rng: &mut impl Rng) -> (f64, f64) {
         if self.gusts_enabled {
             // Decay the running gust, possibly superposing a new event.
             self.gust.0 *= self.gust_decay;

@@ -22,7 +22,7 @@ pub(crate) const COMPUTE_S: Key = Key("session.compute_s");
 pub(crate) const NETWORK_S: Key = Key("session.network_s");
 
 /// Counter: payload bytes moved between processes.
-pub const BYTES_MOVED: Key = Key("session.bytes_moved");
+pub(crate) const BYTES_MOVED: Key = Key("session.bytes_moved");
 
 /// Counter: number of blocking transfers.
 pub(crate) const TRANSFERS: Key = Key("session.transfers");
@@ -30,7 +30,7 @@ pub(crate) const TRANSFERS: Key = Key("session.transfers");
 /// Counter: real bytes measured on a worker transport's wire
 /// ([`crate::ClusterSession::observe_wire`]); observational, charged no
 /// simulated time or energy.
-pub const WIRE_BYTES: Key = Key("session.wire_bytes");
+pub(crate) const WIRE_BYTES: Key = Key("session.wire_bytes");
 
 /// Counter: number of compute phases.
 pub(crate) const COMPUTE_PHASES: Key = Key("session.compute_phases");

@@ -4,11 +4,11 @@
 //!
 //! * [`ClusterSession::compute`] — `units` of work spread over `streams`
 //!   parallel streams on one node;
-//! * [`ClusterSession::concurrent`] — compute proceeding on several nodes
+//! * `ClusterSession::concurrent` — compute proceeding on several nodes
 //!   at once (the distributed rollout phase), advancing the clock by the
 //!   slowest participant;
 //! * [`ClusterSession::transfer`] — a blocking inter-node message;
-//! * [`ClusterSession::overhead`] — framework bookkeeping time charged at
+//! * `ClusterSession::overhead` — framework bookkeeping time charged at
 //!   single-core activity.
 //!
 //! Idle power of every allocated node accrues for the full wall time, so
@@ -23,7 +23,7 @@ use crate::usage::Usage;
 use std::fmt;
 use telemetry::{SharedRecorder, Value};
 
-/// A compute demand on one node (used by [`ClusterSession::concurrent`]).
+/// A compute demand on one node (used by `ClusterSession::concurrent`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeWork {
     /// Node index (`< spec.nodes`).
@@ -157,7 +157,7 @@ impl ClusterSession {
     /// Run compute on several nodes at once; the clock advances by the
     /// slowest node, each node's active energy accrues for its own busy
     /// duration.
-    pub fn concurrent(&mut self, work: &[NodeWork]) -> f64 {
+    pub(crate) fn concurrent(&mut self, work: &[NodeWork]) -> f64 {
         assert!(!work.is_empty());
         let mut wall = 0.0f64;
         for w in work {
@@ -217,7 +217,7 @@ impl ClusterSession {
 
     /// Framework bookkeeping time (sampling batches, Python-side glue in
     /// the originals), charged at one active core on node 0.
-    pub fn overhead(&mut self, seconds: f64) {
+    pub(crate) fn overhead(&mut self, seconds: f64) {
         assert!(seconds >= 0.0);
         let start_s = self.clock_s;
         let joules = self.power.active_joules(1.0, seconds);
@@ -239,7 +239,7 @@ impl ClusterSession {
 
     /// Record real bytes measured on a worker transport's wire. Purely
     /// observational: the counter lands in [`Usage::wire_bytes`] (and the
-    /// [`keys::WIRE_BYTES`] instrument) but never moves the simulated
+    /// `keys::WIRE_BYTES` instrument) but never moves the simulated
     /// clock or the energy integral — the interconnect model is
     /// calibrated against the paper's testbed, not the host's sockets.
     pub fn observe_wire(&mut self, bytes: u64) {

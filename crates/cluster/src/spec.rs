@@ -17,10 +17,10 @@ pub struct NodeSpec {
     /// Idle package power (W).
     pub idle_watts: f64,
     /// Additional power per fully-busy core (W).
-    pub active_watts_per_core: f64,
+    pub(crate) active_watts_per_core: f64,
     /// Exponent of the utilization→power curve (1 = linear; <1 models the
     /// concave "consumption curve" shape of real CPUs).
-    pub power_gamma: f64,
+    pub(crate) power_gamma: f64,
 }
 
 impl Default for NodeSpec {
@@ -57,11 +57,11 @@ impl NodeSpec {
 ///
 /// Default: the paper's 1 Gbps Ethernet switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetworkSpec {
+pub(crate) struct NetworkSpec {
     /// Usable bandwidth in bytes/second.
-    pub bandwidth_bps: f64,
+    pub(crate) bandwidth_bps: f64,
     /// Per-message latency in seconds.
-    pub latency_s: f64,
+    pub(crate) latency_s: f64,
 }
 
 impl Default for NetworkSpec {
@@ -85,11 +85,11 @@ impl NetworkSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Number of nodes in use (the paper's study uses 1 or 2).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Per-node hardware.
     pub node: NodeSpec,
     /// Interconnect between nodes.
-    pub network: NetworkSpec,
+    pub(crate) network: NetworkSpec,
 }
 
 impl ClusterSpec {
@@ -97,11 +97,6 @@ impl ClusterSpec {
     pub fn paper_testbed(nodes: usize) -> Self {
         assert!(nodes >= 1);
         Self { nodes, node: NodeSpec::default(), network: NetworkSpec::default() }
-    }
-
-    /// Total cores across the cluster.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.node.cores
     }
 
     /// Combined idle power of all allocated nodes (W).
@@ -152,7 +147,6 @@ mod tests {
     #[test]
     fn cluster_totals() {
         let c = ClusterSpec::paper_testbed(2);
-        assert_eq!(c.total_cores(), 8);
         assert!((c.total_idle_watts() - 2.0 * c.node.idle_watts).abs() < 1e-12);
     }
 

@@ -10,7 +10,7 @@ pub struct Usage {
     /// Time spent in compute phases (s). Phases on different nodes that
     /// overlap count once (wall time), but `compute_s` sums the maxima of
     /// each concurrent group.
-    pub compute_s: f64,
+    pub(crate) compute_s: f64,
     /// Time spent blocked on network transfers (s).
     pub network_s: f64,
     /// Bytes moved across the interconnect.

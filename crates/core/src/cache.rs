@@ -29,14 +29,14 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedOutcome {
     /// The evaluated configuration.
-    pub config: Configuration,
+    pub(crate) config: Configuration,
     /// `Complete` or `Pruned`.
-    pub status: TrialStatus,
+    pub(crate) status: TrialStatus,
     /// Final metric values.
-    pub metrics: MetricValues,
+    pub(crate) metrics: MetricValues,
     /// Intermediate reports, replayed into the adopting study's pruner so
     /// warm and cold runs prune identically.
-    pub intermediate: Vec<(u64, f64)>,
+    pub(crate) intermediate: Vec<(u64, f64)>,
 }
 
 impl CachedOutcome {
@@ -72,7 +72,7 @@ impl TrialCache {
 
     /// The cache key for a configuration under an objective fingerprint
     /// and study seed.
-    pub fn key(config: &Configuration, fingerprint: &str, seed: u64) -> String {
+    pub(crate) fn key(config: &Configuration, fingerprint: &str, seed: u64) -> String {
         format!("{}|{fingerprint}|{seed}", config.canonical_key())
     }
 
@@ -102,7 +102,7 @@ impl TrialCache {
     }
 
     /// Store a finished trial's outcome. `Failed` trials are ignored.
-    pub fn store(&self, trial: &Trial, fingerprint: &str, seed: u64) {
+    pub(crate) fn store(&self, trial: &Trial, fingerprint: &str, seed: u64) {
         if trial.status == TrialStatus::Failed {
             return;
         }

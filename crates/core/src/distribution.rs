@@ -111,7 +111,7 @@ impl Distribution {
     }
 
     /// Population variance (`Σ (x - mean)² / n`).
-    pub fn var(&self) -> f64 {
+    pub(crate) fn var(&self) -> f64 {
         if self.samples.is_empty() {
             return f64::NAN;
         }
@@ -290,7 +290,7 @@ pub(crate) struct Bootstrap {
 impl Bootstrap {
     /// A resampler for `spec`. Allocates nothing until the first
     /// [`Self::ci`].
-    pub fn new(spec: BootstrapSpec) -> Self {
+    pub(crate) fn new(spec: BootstrapSpec) -> Self {
         Self { spec, plan: Vec::new(), n: 0, means: Vec::new() }
     }
 
@@ -391,18 +391,13 @@ pub struct Ci {
     /// Upper bound.
     pub hi: f64,
     /// The confidence level the interval was computed at.
-    pub level: f64,
+    pub(crate) level: f64,
 }
 
 impl Ci {
     /// A degenerate point interval `[v, v]`.
-    pub fn point(v: f64, level: f64) -> Self {
+    pub(crate) fn point(v: f64, level: f64) -> Self {
         Self { lo: v, hi: v, level }
-    }
-
-    /// Interval width (`hi - lo`).
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
     }
 
     /// Whether the two intervals overlap (closed intervals; a shared
@@ -701,6 +696,5 @@ pub(crate) mod tests {
         let c = Ci { lo: 1.1, hi: 2.0, level: 0.95 };
         assert!(a.overlaps(&b) && b.overlaps(&a), "shared endpoint counts");
         assert!(!a.overlaps(&c) && !c.overlaps(&a));
-        assert!((a.width() - 1.0).abs() < 1e-12);
     }
 }

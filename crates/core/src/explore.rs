@@ -148,11 +148,6 @@ impl PresetList {
     pub fn new(configs: impl IntoIterator<Item = Configuration>) -> Self {
         Self { configs: configs.into_iter().collect() }
     }
-
-    /// Remaining proposals.
-    pub fn remaining(&self) -> usize {
-        self.configs.len()
-    }
 }
 
 impl Explorer for PresetList {
@@ -198,9 +193,9 @@ pub struct TpeLite {
     budget: usize,
     proposed: usize,
     /// Metric the sampler optimizes.
-    pub metric: String,
+    pub(crate) metric: String,
     /// Direction of that metric.
-    pub direction: Direction,
+    pub(crate) direction: Direction,
     warmup: usize,
     gamma: f64,
     candidates: usize,
@@ -647,14 +642,12 @@ mod tests {
             .map(|i| Configuration::new().with("k", crate::param::ParamValue::Int(i)))
             .collect();
         let mut ex = PresetList::new(cfgs.clone());
-        assert_eq!(ex.remaining(), 3);
         let mut rng = StdRng::seed_from_u64(0);
         let s = space();
         for want in &cfgs {
             assert_eq!(ex.propose(&s, &[], &mut rng).as_ref(), Some(want));
         }
         assert!(ex.propose(&s, &[], &mut rng).is_none());
-        assert_eq!(ex.remaining(), 0);
         assert_eq!(PresetList::new([]).name(), "preset-list");
     }
 

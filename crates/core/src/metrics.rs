@@ -93,7 +93,7 @@ pub enum Direction {
 
 impl Direction {
     /// `a` is better than `b` under this direction.
-    pub fn better(self, a: f64, b: f64) -> bool {
+    pub(crate) fn better(self, a: f64, b: f64) -> bool {
         match self {
             Direction::Maximize => a > b,
             Direction::Minimize => a < b,
@@ -228,11 +228,11 @@ impl MetricDef {
 /// WAL record, plus the sample distribution behind it when the trial
 /// captured one.
 #[derive(Debug, Clone, Copy)]
-pub struct MetricSample<'a> {
+pub(crate) struct MetricSample<'a> {
     /// The legacy scalar value (exactly what the scalar path stored).
-    pub value: f64,
+    pub(crate) value: f64,
     /// The per-trial sample distribution, when recorded.
-    pub distribution: Option<&'a Distribution>,
+    pub(crate) distribution: Option<&'a Distribution>,
 }
 
 impl MetricSample<'_> {
@@ -263,12 +263,8 @@ impl MetricSample<'_> {
         }
     }
 
-    /// Bootstrap CI of the sample mean, when a distribution is present.
-    pub fn ci(&self, spec: &BootstrapSpec) -> Option<Ci> {
-        self.ci_with(&mut Bootstrap::new(*spec))
-    }
-
-    /// [`Self::ci`] from a resampler the caller keeps from trial to trial.
+    /// Bootstrap CI of the sample mean, when a distribution is present,
+    /// from a resampler the caller keeps from trial to trial.
     pub(crate) fn ci_with(&self, boot: &mut Bootstrap) -> Option<Ci> {
         self.distribution.filter(|d| !d.is_empty()).map(|d| boot.ci(d))
     }
@@ -300,7 +296,7 @@ impl MetricValues {
     }
 
     /// Insert a value.
-    pub fn set(&mut self, name: impl Into<String>, v: f64) {
+    pub(crate) fn set(&mut self, name: impl Into<String>, v: f64) {
         self.values.insert(name.into(), v);
     }
 
@@ -343,18 +339,18 @@ impl MetricValues {
     }
 
     /// The sample distribution recorded for a metric, if any.
-    pub fn distribution(&self, name: &str) -> Option<&Distribution> {
+    pub(crate) fn distribution(&self, name: &str) -> Option<&Distribution> {
         self.dists.get(name)
     }
 
-    /// [`Self::distribution`] under a typed key.
+    /// `Self::distribution` under a typed key.
     pub fn distribution_key(&self, key: MetricKey) -> Option<&Distribution> {
         self.distribution(key.name())
     }
 
     /// Scalar + distribution view of one metric (`None` when not even a
     /// scalar was recorded).
-    pub fn sample(&self, name: &str) -> Option<MetricSample<'_>> {
+    pub(crate) fn sample(&self, name: &str) -> Option<MetricSample<'_>> {
         self.get(name).map(|value| MetricSample { value, distribution: self.dists.get(name) })
     }
 
@@ -500,7 +496,7 @@ mod tests {
         assert_eq!(v.distribution_key(keys::REWARD).unwrap().len(), 100);
         assert_eq!(v.len(), 1, "distribution does not add a scalar entry");
         let s = v.sample(keys::REWARD.name()).unwrap();
-        assert!(s.ci(&BootstrapSpec::default()).is_some());
+        assert_eq!(s.distribution.map(Distribution::len), Some(100));
     }
 
     #[test]

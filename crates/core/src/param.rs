@@ -51,17 +51,9 @@ impl ParamValue {
     }
 
     /// String accessor.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             ParamValue::Str(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Bool accessor.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            ParamValue::Bool(v) => Some(*v),
             _ => None,
         }
     }
@@ -80,7 +72,7 @@ impl std::fmt::Display for ParamValue {
 
 /// The domain a parameter ranges over.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Domain {
+pub(crate) enum Domain {
     /// A finite set of choices.
     Categorical(Vec<ParamValue>),
     /// Integers in `[lo, hi]` inclusive.
@@ -104,7 +96,7 @@ pub enum Domain {
 
 impl Domain {
     /// Whether `v` belongs to the domain.
-    pub fn contains(&self, v: &ParamValue) -> bool {
+    pub(crate) fn contains(&self, v: &ParamValue) -> bool {
         match (self, v) {
             (Domain::Categorical(set), v) => set.contains(v),
             (Domain::IntRange { lo, hi }, ParamValue::Int(i)) => lo <= i && i <= hi,
@@ -115,7 +107,7 @@ impl Domain {
 
     /// Enumerate finite domains (panics on float ranges — grid search
     /// over continuous parameters requires explicit discretization).
-    pub fn enumerate(&self) -> Vec<ParamValue> {
+    pub(crate) fn enumerate(&self) -> Vec<ParamValue> {
         match self {
             Domain::Categorical(v) => v.clone(),
             Domain::IntRange { lo, hi } => (*lo..=*hi).map(ParamValue::Int).collect(),
@@ -128,18 +120,18 @@ impl Domain {
 
 /// A named, typed, tagged parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParamDef {
+pub(crate) struct ParamDef {
     /// Unique name within the space.
-    pub name: String,
+    pub(crate) name: String,
     /// Study-role tag.
-    pub kind: ParamKind,
+    pub(crate) kind: ParamKind,
     /// Value domain.
-    pub domain: Domain,
+    pub(crate) domain: Domain,
 }
 
 impl ParamDef {
     /// Create a definition.
-    pub fn new(name: impl Into<String>, kind: ParamKind, domain: Domain) -> Self {
+    pub(crate) fn new(name: impl Into<String>, kind: ParamKind, domain: Domain) -> Self {
         Self { name: name.into(), kind, domain }
     }
 }
@@ -154,7 +146,6 @@ mod tests {
         assert_eq!(ParamValue::Int(3).as_float(), Some(3.0));
         assert_eq!(ParamValue::Float(0.5).as_float(), Some(0.5));
         assert_eq!(ParamValue::Str("x".into()).as_str(), Some("x"));
-        assert_eq!(ParamValue::Bool(true).as_bool(), Some(true));
         assert_eq!(ParamValue::Str("x".into()).as_int(), None);
     }
 

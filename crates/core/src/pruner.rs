@@ -36,9 +36,9 @@ impl Pruner for NopPruner {
 /// other trial's median or startup quota.
 pub struct MedianPruner {
     /// Trials that may not be pruned (warmup), counted per distinct trial.
-    pub n_startup_trials: usize,
+    pub(crate) n_startup_trials: usize,
     /// Steps within a trial before pruning may trigger.
-    pub n_warmup_steps: u64,
+    pub(crate) n_warmup_steps: u64,
     // step -> per-trial latest value at that step
     history: Mutex<BTreeMap<u64, BTreeMap<usize, f64>>>,
 }

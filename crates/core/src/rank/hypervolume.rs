@@ -8,7 +8,7 @@ use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::trial::Trial;
 
-use super::spec::{resolve, Resolved};
+use super::spec::resolve;
 
 /// Exact 2-D hypervolume of the front of a trial set, measured against a
 /// reference point (at least as bad as every trial on both metrics,
@@ -21,30 +21,20 @@ use super::spec::{resolve, Resolved};
 pub struct Hypervolume {
     axes: [MetricDef; 2],
     reference: (f64, f64),
-    bootstrap: BootstrapSpec,
 }
 
 impl Hypervolume {
     /// Indicator over two metrics against a reference point.
     pub fn new(x: MetricDef, y: MetricDef, reference: (f64, f64)) -> Self {
-        Self { axes: [x, y], reference, bootstrap: BootstrapSpec::default() }
-    }
-
-    /// Bootstrap parameters for `Risk::LowerCi` readings.
-    pub fn bootstrap(mut self, spec: BootstrapSpec) -> Self {
-        self.bootstrap = spec;
-        self
+        Self { axes: [x, y], reference }
     }
 
     /// Hypervolume of the given trials. Returns 0 when no trial is
     /// eligible; trials worse than the reference on either metric
-    /// contribute nothing.
+    /// contribute nothing. `Risk::LowerCi` readings use the default
+    /// [`BootstrapSpec`].
     pub fn value(&self, trials: &[Trial]) -> f64 {
-        self.of_resolved(&resolve(trials, &self.axes, &self.bootstrap))
-    }
-
-    /// Hypervolume over resolved `[x, y]` readings.
-    pub(super) fn of_resolved(&self, rows: &Resolved) -> f64 {
+        let rows = resolve(trials, &self.axes, &BootstrapSpec::default());
         area(rows.iter().flatten().filter_map(|v| self.orient(v[0], v[1])).collect())
     }
 

@@ -35,7 +35,6 @@ use crate::distribution::{Bootstrap, BootstrapSpec, Ci};
 use crate::metrics::{Direction, MetricDef};
 use crate::trial::Trial;
 
-use super::hypervolume::Hypervolume;
 use super::pareto::dominates_values;
 
 /// Row `i` is trial `i`'s reading of each metric def, `None` when the
@@ -209,20 +208,12 @@ pub struct Ranking {
     pub front: Vec<usize>,
 }
 
-impl Ranking {
-    /// Best trial index, if any trial was rankable.
-    pub fn best(&self) -> Option<usize> {
-        self.order.first().copied()
-    }
-}
-
 /// Which method a [`RankSpec`] dispatches to.
 #[derive(Debug, Clone, PartialEq)]
 enum Method {
     Pareto,
     Sorted,
     Weighted,
-    Hypervolume { reference: (f64, f64) },
 }
 
 /// Builder selecting a ranking method, the metrics it reads (each def
@@ -262,15 +253,8 @@ impl RankSpec {
 
     /// Weighted-sum scalarization (weights from `Self::weighted_metric`,
     /// default 1.0).
-    pub fn weighted() -> Self {
+    pub(crate) fn weighted() -> Self {
         Self::new(Method::Weighted)
-    }
-
-    /// Hypervolume-contribution ranking over exactly two metrics,
-    /// measured against `reference` (raw metric units, at least as bad
-    /// as every trial).
-    pub fn hypervolume(reference: (f64, f64)) -> Self {
-        Self::new(Method::Hypervolume { reference })
     }
 
     /// Add a metric (risk spec rides on the def via
@@ -305,7 +289,9 @@ impl RankSpec {
     }
 
     /// Weighted-sum score of each trial under this spec's metrics and
-    /// weights (`None` for unrankable trials).
+    /// weights (`None` for unrankable trials): what the tests hold
+    /// against the brute-force oracle.
+    #[cfg(test)]
     pub(super) fn scores(&self, trials: &[Trial]) -> Vec<Option<f64>> {
         weighted_scores(&resolve(trials, &self.defs, &self.bootstrap), &self.defs, &self.weights)
     }
@@ -326,24 +312,6 @@ impl RankSpec {
             }
             Method::Weighted => {
                 singletons(best_score_first(&weighted_scores(&rows, &self.defs, &self.weights)))
-            }
-            Method::Hypervolume { reference } => {
-                assert_eq!(self.defs.len(), 2, "hypervolume ranking needs exactly two metrics");
-                let hv = Hypervolume::new(self.defs[0].clone(), self.defs[1].clone(), reference);
-                let total = hv.of_resolved(&rows);
-                // Exclusive contribution: the volume that vanishes without
-                // the trial. Only a front member can have one; every other
-                // trial reads exactly 0.0 (not the rounding noise of a
-                // difference of two sums), so the tail sorts by index.
-                let mut contributions: Vec<Option<f64>> =
-                    rows.iter().map(|row| row.as_ref().map(|_| 0.0)).collect();
-                let mut rows = rows;
-                for i in front(&rows, &self.defs) {
-                    let row = rows[i].take();
-                    contributions[i] = Some(total - hv.of_resolved(&rows));
-                    rows[i] = row;
-                }
-                singletons(best_score_first(&contributions))
             }
         };
         let order = tiers.iter().flatten().copied().collect();
@@ -439,9 +407,9 @@ mod tests {
         let trials = vec![t(0, 0.0, 10.0), t(1, 1.0, 20.0), t(2, 0.4, 12.0)];
         let preset = WeightedSum::new().weight(r.clone(), 0.3).weight(m.clone(), 0.7);
         assert_eq!(preset.rank(&trials), vec![0, 2, 1]);
-        let bits: Vec<u64> = preset.scores(&trials).iter().map(|s| s.unwrap().to_bits()).collect();
-        assert_eq!(bits, vec![0x3FE6666666666666, 0x3FD3333333333333, 0x3FE5C28F5C28F5C2]);
         let spec = RankSpec::weighted().weighted_metric(r, 0.3).weighted_metric(m, 0.7);
+        let bits: Vec<u64> = spec.scores(&trials).iter().map(|s| s.unwrap().to_bits()).collect();
+        assert_eq!(bits, vec![0x3FE6666666666666, 0x3FD3333333333333, 0x3FE5C28F5C28F5C2]);
         assert_eq!(spec.rank(&trials).order, vec![0, 2, 1]);
     }
 
@@ -476,7 +444,7 @@ mod tests {
         let spec = |method: RankSpec| method.metric(cvar.clone()).metric(time.clone());
         let pareto = spec(RankSpec::pareto()).rank(&trials);
         assert_eq!((pareto.front, pareto.tiers), (by_cvar.0, vec![vec![1], vec![0]]));
-        assert_eq!(spec(RankSpec::sorted()).rank(&trials).best(), by_cvar.2);
+        assert_eq!(spec(RankSpec::sorted()).rank(&trials).order.first().copied(), by_cvar.2);
         assert_eq!(spec(RankSpec::weighted()).rank(&trials).order, by_cvar.3);
     }
 
@@ -493,8 +461,12 @@ mod tests {
         let trials = vec![t(0, 0.0, 10.0), t(1, 1.0, 20.0)];
         let (r, m) = defs();
         // No weights at all is the same zero sum, and no panic.
-        for preset in [WeightedSum::new(), WeightedSum::new().weight(r.clone(), 0.0)] {
-            assert_eq!(preset.scores(&trials), vec![None, None]);
+        let zero = || RankSpec::weighted().weighted_metric(r.clone(), 0.0);
+        for (preset, spec) in [
+            (WeightedSum::new(), RankSpec::weighted()),
+            (WeightedSum::new().weight(r.clone(), 0.0), zero()),
+        ] {
+            assert_eq!(spec.scores(&trials), vec![None, None]);
             assert!(preset.rank(&trials).is_empty());
         }
         let spec = RankSpec::weighted().weighted_metric(r, 0.0).weighted_metric(m, 0.0);
@@ -556,33 +528,6 @@ mod tests {
             "0 and 1 share a tier; 2 stands alone"
         );
         assert_eq!(ranking.front, vec![0, 1]);
-    }
-
-    #[test]
-    fn hypervolume_ranks_by_exclusive_contribution() {
-        let (r, m) = defs();
-        let trials = vec![t(0, 2.0, 30.0), t(1, 3.0, 60.0), t(2, 1.0, 50.0)];
-        let ranking = RankSpec::hypervolume((0.0, 100.0)).metric(r).metric(m).rank(&trials);
-        // Trial 2 is dominated by 0: zero exclusive contribution.
-        assert_eq!(*ranking.order.last().unwrap(), 2);
-        assert_eq!(ranking.order.len(), 3);
-    }
-
-    #[test]
-    fn hypervolume_ranks_every_front_member_ahead_of_an_index_ordered_tail() {
-        let (r, m) = defs();
-        let mut rng = testkit::Gen::new(0x200);
-        let trials: Vec<Trial> =
-            (0..200).map(|i| t(i, rng.f64_in(0.0..10.0), rng.f64_in(0.0..100.0))).collect();
-        let front = ParetoFront::compute(&trials, &[r.clone(), m.clone()]).indices().to_vec();
-        let spec = RankSpec::hypervolume((0.0, 100.0)).metric(r).metric(m);
-        let order = spec.rank(&trials).order;
-        assert_eq!(order.len(), 200);
-        let (head, tail) = order.split_at(front.len());
-        let mut head = head.to_vec();
-        head.sort_unstable();
-        assert_eq!(head, front, "the front members come first");
-        assert!(tail.windows(2).all(|w| w[0] < w[1]), "a dominated trial loses nothing: {tail:?}");
     }
 
     #[test]

@@ -140,7 +140,9 @@ fn check(ctx: &str, trials: &[Trial], defs: &[MetricDef]) -> bool {
     let scores = oracle_scores(&rows, &weights);
     let weigh = |ws: WeightedSum, (d, &w): (&MetricDef, &f64)| ws.weight(d.clone(), w);
     let preset = defs.iter().zip(&weights).fold(WeightedSum::new(), weigh);
-    assert_eq!(preset.scores(trials), scores, "weighted scores, {ctx}");
+    let weigh = |spec: RankSpec, (d, &w): (&MetricDef, &f64)| spec.weighted_metric(d.clone(), w);
+    let spec = defs.iter().zip(&weights).fold(RankSpec::weighted(), weigh);
+    assert_eq!(spec.scores(trials), scores, "weighted scores, {ctx}");
     assert_eq!(preset.rank(trials), best_first(&scores), "weighted order, {ctx}");
     sorted.windows(2).any(|w| rows[w[0]] == rows[w[1]])
 }

@@ -10,8 +10,9 @@ use crate::trial::Trial;
 
 use super::spec::{RankSpec, Ranker, Ranking};
 
-/// Weighted-sum ranking: [`RankSpec::weighted`] under a name that also
-/// hands out the scores.
+/// Weighted-sum ranking: `RankSpec::weighted` under a name that returns
+/// the order alone. Scores are `Σ w_m · normalized_m / Σ w_m`: 1 = ideal
+/// on every metric, 0 = worst on every metric.
 #[derive(Debug, Clone)]
 pub struct WeightedSum {
     spec: RankSpec,
@@ -32,12 +33,6 @@ impl WeightedSum {
     /// Add a metric with a weight (weights need not sum to 1).
     pub fn weight(self, metric: MetricDef, w: f64) -> Self {
         Self { spec: self.spec.weighted_metric(metric, w) }
-    }
-
-    /// Scores for each trial (`None` for unrankable trials). 1 = ideal on
-    /// every metric, 0 = worst on every metric.
-    pub fn scores(&self, trials: &[Trial]) -> Vec<Option<f64>> {
-        self.spec.scores(trials)
     }
 
     /// Indices of rankable trials, best score first.
@@ -75,7 +70,7 @@ mod tests {
     #[test]
     fn ideal_point_scores_one() {
         let trials = vec![t(0, 1.0, 10.0), t(1, 0.0, 20.0)];
-        let s = scalarizer(1.0, 1.0).scores(&trials);
+        let s = scalarizer(1.0, 1.0).spec.scores(&trials);
         assert!((s[0].unwrap() - 1.0).abs() < 1e-12, "best on both metrics");
         assert!((s[1].unwrap() - 0.0).abs() < 1e-12, "worst on both metrics");
     }
@@ -91,7 +86,7 @@ mod tests {
     #[test]
     fn constant_metric_normalizes_to_one() {
         let trials = vec![t(0, 0.5, 10.0), t(1, 0.5, 20.0)];
-        let s = scalarizer(1.0, 1.0).scores(&trials);
+        let s = scalarizer(1.0, 1.0).spec.scores(&trials);
         // Reward is constant: both get 1.0 on it; time splits them.
         assert!(s[0].unwrap() > s[1].unwrap());
         assert!((s[0].unwrap() - 1.0).abs() < 1e-12);
@@ -102,7 +97,7 @@ mod tests {
         let partial =
             Trial::complete(0, Configuration::new(), MetricValues::new().with("reward", 0.5));
         let trials = vec![partial, t(1, 0.5, 10.0)];
-        let s = scalarizer(1.0, 1.0).scores(&trials);
+        let s = scalarizer(1.0, 1.0).spec.scores(&trials);
         assert!(s[0].is_none());
         assert!(s[1].is_some());
         assert_eq!(scalarizer(1.0, 1.0).rank(&trials), vec![1]);

@@ -10,22 +10,22 @@ use crate::trial::Trial;
 /// A 2-D scatter-plot description.
 pub struct ScatterPlot {
     /// Plot title (e.g. "Reward vs. Computation Time trade-off").
-    pub title: String,
+    pub(crate) title: String,
     /// X-axis metric.
-    pub x: MetricDef,
+    pub(crate) x: MetricDef,
     /// Y-axis metric.
-    pub y: MetricDef,
+    pub(crate) y: MetricDef,
     /// Canvas width in px.
-    pub width: u32,
+    pub(crate) width: u32,
     /// Canvas height in px.
-    pub height: u32,
+    pub(crate) height: u32,
     /// Label points with their 1-based trial id (as the paper's figures
     /// label solutions).
-    pub label_points: bool,
+    pub(crate) label_points: bool,
     /// When set, draw bootstrap-CI whiskers on every point whose trial
     /// carries a sample distribution for the axis metric. `None` (the
     /// default) renders exactly the legacy scalar plot.
-    pub whiskers: Option<BootstrapSpec>,
+    pub(crate) whiskers: Option<BootstrapSpec>,
 }
 
 impl ScatterPlot {

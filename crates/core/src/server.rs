@@ -47,8 +47,6 @@ pub(crate) mod server_keys {
 /// The result of one submitted study after [`StudyServer::run_all`].
 #[derive(Debug)]
 pub struct StudyOutcome {
-    /// The study's name, in submission order.
-    pub name: String,
     /// Its trials (empty when the session failed to start).
     pub trials: Vec<Trial>,
     /// Why the study produced no trials, if it didn't (e.g. its journal
@@ -134,10 +132,8 @@ pub(crate) fn run_waves(
     recorder: &dyn Recorder,
 ) -> Vec<StudyOutcome> {
     assert!(width > 0, "a wave holds at least one trial");
-    let mut outcomes: Vec<StudyOutcome> = studies
-        .iter()
-        .map(|s| StudyOutcome { name: s.name().to_string(), trials: Vec::new(), error: None })
-        .collect();
+    let mut outcomes: Vec<StudyOutcome> =
+        studies.iter().map(|_| StudyOutcome { trials: Vec::new(), error: None }).collect();
     let mut lanes: Vec<Option<Lane<'_>>> = Vec::with_capacity(studies.len());
     for (study, outcome) in studies.iter().zip(&mut outcomes) {
         lanes.push(match Session::start(study) {
@@ -310,7 +306,6 @@ mod tests {
         server.submit(grid_study("b", 5));
         let outcomes = server.run_all();
         assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].name, "a");
         assert!(outcomes.iter().all(|o| o.error.is_none()));
 
         let solo_a = grid_study("a", 7).run_parallel(4).unwrap();

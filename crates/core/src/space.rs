@@ -17,13 +17,8 @@ impl ParamSpace {
     }
 
     /// The definitions, in declaration order.
-    pub fn params(&self) -> &[ParamDef] {
+    pub(crate) fn params(&self) -> &[ParamDef] {
         &self.params
-    }
-
-    /// Look a parameter up by name.
-    pub fn get(&self, name: &str) -> Option<&ParamDef> {
-        self.params.iter().find(|p| p.name == name)
     }
 
     /// Number of parameters.
@@ -144,11 +139,6 @@ impl ParamSpaceBuilder {
         self.push(name, Domain::FloatRange { lo, hi, log: true })
     }
 
-    /// Add a boolean parameter.
-    pub fn bool(self, name: impl Into<String>) -> Self {
-        self.push(name, Domain::Categorical(vec![ParamValue::Bool(false), ParamValue::Bool(true)]))
-    }
-
     /// Finish.
     pub fn build(self) -> ParamSpace {
         ParamSpace { params: self.params }
@@ -233,13 +223,5 @@ mod tests {
     #[should_panic(expected = "duplicate parameter name")]
     fn duplicate_names_rejected() {
         ParamSpace::builder().int("x", 0, 1).int("x", 0, 1).build();
-    }
-
-    #[test]
-    fn bool_parameter_round_trips() {
-        let space = ParamSpace::builder().bool("wind").build();
-        let mut rng = StdRng::seed_from_u64(3);
-        let cfg = space.sample(&mut rng);
-        assert!(cfg.bool("wind").is_some());
     }
 }

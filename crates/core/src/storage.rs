@@ -31,8 +31,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// Accumulate lines in a process-local buffer; bytes reach the OS on
-    /// [`Journal::flush`] or when the buffer fills. Fastest; a crash can
-    /// lose every buffered event.
+    /// [`Journal::flush`], when the buffer fills, or when a study session
+    /// ends. Fastest; a crash can lose every buffered event.
     Buffered,
     /// One `write(2)` per event (the default): the event survives a
     /// process crash as soon as `append` returns, but not a power loss.
@@ -122,13 +122,8 @@ impl Journal {
     }
 
     /// The backing file path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The configured durability policy.
-    pub fn durability(&self) -> Durability {
-        self.durability
     }
 
     /// The writer, poisoned or not: the journal outlives a panicking trial.
@@ -178,15 +173,6 @@ impl Journal {
                 let buf = std::mem::take(&mut w.buf);
                 w.file.write_all(&buf)?;
             }
-        }
-        Ok(())
-    }
-
-    /// Flush and `fdatasync` the log.
-    pub fn sync(&self) -> Result<(), JournalError> {
-        self.flush()?;
-        if let Some(w) = self.writer().as_mut() {
-            w.file.sync_data()?;
         }
         Ok(())
     }

@@ -31,7 +31,7 @@ use crate::explore::Explorer;
 use crate::metrics::{Direction, MetricDef, MetricValues};
 use crate::pruner::{NopPruner, Pruner};
 use crate::space::ParamSpace;
-use crate::storage::{Durability, Journal};
+use crate::storage::Journal;
 use crate::trial::{Configuration, Trial, TrialStatus};
 use crate::wal::{Replay, StudyEvent};
 use rand::rngs::StdRng;
@@ -289,11 +289,18 @@ impl<'a> Session<'a> {
     /// final checkpoint and return the trials.
     pub(crate) fn finish(self) -> Vec<Trial> {
         self.study.journal_event(&self.checkpoint_event());
-        self.trials
+        self.into_trials()
     }
 
-    /// Return the trials without a closing checkpoint (early drain).
+    /// Return the trials without a closing checkpoint (early drain). Every
+    /// session ends here, so this is where a [`crate::Durability::Buffered`]
+    /// journal's pending lines reach the OS.
     pub(crate) fn into_trials(self) -> Vec<Trial> {
+        if let Some(j) = &self.study.journal {
+            if let Err(e) = j.flush() {
+                eprintln!("[decision] journal flush failed: {e}");
+            }
+        }
         self.trials
     }
 }
@@ -309,7 +316,6 @@ impl Study {
             objective: None,
             pruner: Arc::new(NopPruner),
             journal: None,
-            durability: None,
             seed: 0,
             recorder: telemetry::null_recorder(),
             reuse_cache: None,
@@ -325,16 +331,6 @@ impl Study {
     /// The metric definitions.
     pub fn metrics(&self) -> Vec<MetricDef> {
         self.metrics.clone()
-    }
-
-    /// The parameter space.
-    pub fn space(&self) -> &ParamSpace {
-        &self.space
-    }
-
-    /// The objective fingerprint used for cache keying.
-    pub fn objective_fingerprint(&self) -> &str {
-        &self.objective_fingerprint
     }
 
     pub(crate) fn recorder(&self) -> &SharedRecorder {
@@ -491,7 +487,6 @@ pub struct StudyBuilder {
     objective: Option<Arc<Objective>>,
     pruner: Arc<dyn Pruner>,
     journal: Option<Journal>,
-    durability: Option<Durability>,
     seed: u64,
     recorder: SharedRecorder,
     reuse_cache: Option<Arc<TrialCache>>,
@@ -551,13 +546,6 @@ impl StudyBuilder {
         self
     }
 
-    /// Set the journal's append durability (default
-    /// [`Durability::Flush`]); see [`Durability`] for the ladder.
-    pub fn durability(mut self, durability: Durability) -> Self {
-        self.durability = Some(durability);
-        self
-    }
-
     /// Seed for the exploration RNG.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -602,10 +590,6 @@ impl StudyBuilder {
         }
         let objective = self.objective.ok_or("study needs an objective")?;
         let prune_metric_direction = self.metrics[0].direction;
-        let journal = match (self.journal, self.durability) {
-            (Some(j), Some(d)) => Some(j.with_durability(d)),
-            (j, _) => j,
-        };
         Ok(Study {
             name: self.name,
             space,
@@ -614,7 +598,7 @@ impl StudyBuilder {
             objective,
             pruner: self.pruner,
             prune_metric_direction,
-            journal,
+            journal: self.journal,
             seed: self.seed,
             recorder: self.recorder,
             reuse_cache: self.reuse_cache,

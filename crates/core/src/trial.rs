@@ -17,7 +17,7 @@ impl Configuration {
     }
 
     /// Assign a value.
-    pub fn set(&mut self, name: &str, v: ParamValue) {
+    pub(crate) fn set(&mut self, name: &str, v: ParamValue) {
         self.values.insert(name.to_string(), v);
     }
 
@@ -28,7 +28,7 @@ impl Configuration {
     }
 
     /// Raw value lookup.
-    pub fn get(&self, name: &str) -> Option<&ParamValue> {
+    pub(crate) fn get(&self, name: &str) -> Option<&ParamValue> {
         self.values.get(name)
     }
 
@@ -47,13 +47,8 @@ impl Configuration {
         self.get(name).and_then(ParamValue::as_str)
     }
 
-    /// Typed bool lookup.
-    pub fn bool(&self, name: &str) -> Option<bool> {
-        self.get(name).and_then(ParamValue::as_bool)
-    }
-
     /// Iterate `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
         self.values.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -160,7 +155,6 @@ mod tests {
         assert_eq!(cfg.int("a"), Some(3));
         assert_eq!(cfg.float("a"), Some(3.0));
         assert_eq!(cfg.str("b"), Some("PPO"));
-        assert_eq!(cfg.bool("c"), Some(true));
         assert_eq!(cfg.float("d"), Some(0.5));
         assert_eq!(cfg.int("missing"), None);
         assert_eq!(cfg.len(), 4);

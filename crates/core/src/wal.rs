@@ -141,19 +141,6 @@ pub enum StudyEvent {
 }
 
 impl StudyEvent {
-    /// The trial id this event concerns (`None` for study-level events).
-    pub fn trial(&self) -> Option<usize> {
-        match self {
-            StudyEvent::Checkpoint { .. } => None,
-            StudyEvent::TrialStarted { trial, .. }
-            | StudyEvent::TrialReport { trial, .. }
-            | StudyEvent::TrialCompleted { trial, .. }
-            | StudyEvent::TrialPruned { trial, .. }
-            | StudyEvent::TrialFailed { trial, .. }
-            | StudyEvent::TrialReused { trial, .. } => Some(*trial),
-        }
-    }
-
     /// The WAL key this event serializes under.
     pub fn key(&self) -> &'static str {
         match self {
@@ -449,7 +436,7 @@ impl Replay {
     }
 
     /// Apply one event.
-    pub fn apply(&mut self, ev: StudyEvent) -> Result<(), String> {
+    pub(crate) fn apply(&mut self, ev: StudyEvent) -> Result<(), String> {
         match ev {
             StudyEvent::Checkpoint { .. } => self.checkpoints.push(ev),
             StudyEvent::TrialStarted { trial, config } => {

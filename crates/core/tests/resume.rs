@@ -18,15 +18,18 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
+/// Every durability level a journal can append at.
+const LEVELS: [Durability; 3] = [Durability::Buffered, Durability::Flush, Durability::Sync];
+
 /// A 32-trial study (k in 15..=0 × j in 0..2) whose log contains every
 /// event kind: intermediate reports, pruned trials (descending k walks
 /// under the running median), and one failing configuration.
 fn study(path: &Path, calls: Arc<AtomicUsize>) -> Study {
-    study_failing_with(path, calls, "unlucky configuration")
+    study_on(Journal::new(path), calls, "unlucky configuration")
 }
 
-/// [`study`] with the failing configuration's error message.
-fn study_failing_with(path: &Path, calls: Arc<AtomicUsize>, error: &'static str) -> Study {
+/// [`study`] on `journal`, with the failing configuration's error message.
+fn study_on(journal: Journal, calls: Arc<AtomicUsize>, error: &'static str) -> Study {
     Study::builder("killpoints")
         .space(
             ParamSpace::builder()
@@ -38,7 +41,7 @@ fn study_failing_with(path: &Path, calls: Arc<AtomicUsize>, error: &'static str)
         .metric(MetricDef::maximize("score"))
         .pruner(MedianPruner::with_startup(4))
         .seed(11)
-        .journal(Journal::new(path))
+        .journal(journal)
         .objective(move |cfg, ctx| {
             calls.fetch_add(1, Ordering::SeqCst);
             let k = cfg.int("k").unwrap();
@@ -76,42 +79,54 @@ fn finish_events(lines: &[&str]) -> usize {
         .count()
 }
 
+/// At every durability level: the reference run leaves the same log on
+/// disk, a finished study resumes without running anything, and every
+/// kill point resumes to the reference.
 #[test]
 fn killing_the_study_at_every_event_boundary_resumes_bitwise_identically() {
+    const ERROR: &str = "unlucky configuration";
     let refpath = tmp("boundary-ref");
     let path = tmp("boundary");
-    Journal::new(&refpath).clear().unwrap();
-    let ref_calls = Arc::new(AtomicUsize::new(0));
-    let reference = study(&refpath, ref_calls.clone()).run().unwrap();
-    assert_eq!(reference.len(), 32);
-    assert_eq!(ref_calls.load(Ordering::SeqCst), 32);
-    assert!(reference.iter().any(|t| t.status == TrialStatus::Pruned), "suite needs pruned trials");
-    assert!(
-        reference.iter().any(|t| t.status == TrialStatus::Failed),
-        "suite needs a failed trial"
-    );
+    let mut first_wal: Option<String> = None;
+    for level in LEVELS {
+        let journal = |path: &Path| Journal::new(path).with_durability(level);
+        Journal::new(&refpath).clear().unwrap();
+        let ref_calls = Arc::new(AtomicUsize::new(0));
+        let reference = study_on(journal(&refpath), ref_calls.clone(), ERROR).run().unwrap();
+        assert_eq!(reference.len(), 32);
+        assert_eq!(ref_calls.load(Ordering::SeqCst), 32);
+        assert!(reference.iter().any(|t| t.status == TrialStatus::Pruned), "needs pruned trials");
+        assert!(reference.iter().any(|t| t.status == TrialStatus::Failed), "needs a failed trial");
 
-    let wal = std::fs::read_to_string(&refpath).unwrap();
-    let lines: Vec<&str> = wal.lines().collect();
-    assert!(lines.len() >= 98, "expected a rich log, got {} lines", lines.len());
+        let wal = std::fs::read_to_string(&refpath).unwrap();
+        let lines: Vec<&str> = wal.lines().collect();
+        assert!(lines.len() >= 98, "{level:?}: expected a rich log, got {} lines", lines.len());
+        let first = first_wal.get_or_insert_with(|| wal.clone());
+        assert!(*first == wal, "{level:?}: the log differs from the {:?} one", LEVELS[0]);
 
-    for cut in 0..=lines.len() {
-        let prefix: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
-        std::fs::write(&path, &prefix).unwrap();
         let calls = Arc::new(AtomicUsize::new(0));
-        let resumed = study(&path, calls.clone()).resume().unwrap();
-        // Debug text compares NaN-safely and to full float precision.
-        assert_eq!(
-            format!("{resumed:?}"),
-            format!("{reference:?}"),
-            "kill point {cut}/{} diverged",
-            lines.len()
-        );
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            32 - finish_events(&lines[..cut]),
-            "kill point {cut}: resume re-ran already-finished trials"
-        );
+        let again = study_on(journal(&refpath), calls.clone(), ERROR).resume().unwrap();
+        assert_eq!(format!("{again:?}"), format!("{reference:?}"), "{level:?}: finished resume");
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "{level:?}: a finished study re-ran trials");
+
+        for cut in 0..=lines.len() {
+            let prefix: String = lines[..cut].iter().map(|l| format!("{l}\n")).collect();
+            std::fs::write(&path, &prefix).unwrap();
+            let calls = Arc::new(AtomicUsize::new(0));
+            let resumed = study_on(journal(&path), calls.clone(), ERROR).resume().unwrap();
+            // Debug text compares NaN-safely and to full float precision.
+            assert_eq!(
+                format!("{resumed:?}"),
+                format!("{reference:?}"),
+                "{level:?}: kill point {cut}/{} diverged",
+                lines.len()
+            );
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                32 - finish_events(&lines[..cut]),
+                "{level:?}: kill point {cut}: resume re-ran already-finished trials"
+            );
+        }
     }
     Journal::new(&refpath).clear().unwrap();
     Journal::new(&path).clear().unwrap();
@@ -159,7 +174,7 @@ fn a_tear_inside_a_multi_byte_character_is_a_torn_tail() {
     let path = tmp("utf8");
     Journal::new(&refpath).clear().unwrap();
     let reference =
-        study_failing_with(&refpath, Arc::new(AtomicUsize::new(0)), ERROR).run().unwrap();
+        study_on(Journal::new(&refpath), Arc::new(AtomicUsize::new(0)), ERROR).run().unwrap();
     let wal = std::fs::read(&refpath).unwrap();
     let at = wal.windows(2).position(|w| w == "§".as_bytes()).expect("the failure is journalled");
     // Keep the first byte of `§` and lose everything after it.
@@ -168,7 +183,8 @@ fn a_tear_inside_a_multi_byte_character_is_a_torn_tail() {
     assert!(load.torn_tail, "a tear inside a character is a torn tail");
     assert_eq!(load.events.len(), wal[..at].iter().filter(|&&b| b == b'\n').count());
 
-    let resumed = study_failing_with(&path, Arc::new(AtomicUsize::new(0)), ERROR).resume().unwrap();
+    let resumed =
+        study_on(Journal::new(&path), Arc::new(AtomicUsize::new(0)), ERROR).resume().unwrap();
     assert_eq!(format!("{resumed:?}"), format!("{reference:?}"));
     assert!(!Journal::new(&path).load().unwrap().torn_tail, "resume must repair the torn tail");
     Journal::new(&refpath).clear().unwrap();

@@ -68,8 +68,6 @@ pub struct DecisionPoint {
     pub t: usize,
     /// Environment state immediately before the factual action.
     pub snapshot: EnvSnapshot,
-    /// Observation the factual action was chosen from.
-    pub obs: Vec<f64>,
     /// The action the recorded episode actually took.
     pub factual_action: Action,
 }
@@ -81,7 +79,7 @@ pub struct RecordedEpisode {
     /// Decision points in step order.
     pub points: Vec<DecisionPoint>,
     /// Undiscounted return of the recorded episode.
-    pub factual_return: f64,
+    pub(crate) factual_return: f64,
     /// Episode length in steps.
     pub len: usize,
 }
@@ -90,7 +88,7 @@ pub struct RecordedEpisode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlternativeOutcome {
     /// The forked first action.
-    pub action: Action,
+    pub(crate) action: Action,
     /// Return distribution of its continuations.
     pub returns: Distribution,
     /// Jensen–Shannon divergence from the factual distribution, `None`
@@ -108,7 +106,7 @@ pub struct DecisionPointReport {
     /// Step index within the episode.
     pub t: usize,
     /// The recorded action.
-    pub factual_action: Action,
+    pub(crate) factual_action: Action,
     /// Return distribution of the factual action's continuations.
     pub factual_returns: Distribution,
     /// Every forked alternative with its distribution and divergences.
@@ -183,11 +181,6 @@ impl CounterfactualAnalyzer {
         self.recorder = recorder;
     }
 
-    /// The analyzer's configuration.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
-    }
-
     /// Run one episode under `act` (step index and observation in,
     /// action out), snapshotting every [`AnalyzerConfig::stride`]-th
     /// step as a decision point. Snapshot capture re-keys the episode's
@@ -210,12 +203,7 @@ impl CounterfactualAnalyzer {
             let action = act(t, &obs);
             if t % stride == 0 {
                 if let Some(snapshot) = env.snapshot() {
-                    points.push(DecisionPoint {
-                        t,
-                        snapshot,
-                        obs: obs.clone(),
-                        factual_action: action.clone(),
-                    });
+                    points.push(DecisionPoint { t, snapshot, factual_action: action.clone() });
                 }
             }
             let step = env.step(&action);
@@ -386,7 +374,6 @@ mod tests {
         for (i, p) in episode.points.iter().enumerate() {
             assert_eq!(p.t, 2 * i, "stride-2 capture points");
             assert_eq!(p.factual_action, Action::Discrete(1));
-            assert!(!p.obs.is_empty());
         }
         assert!(episode.points.len() <= episode.len.div_ceil(2) + 1);
     }

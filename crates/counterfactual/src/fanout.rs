@@ -7,8 +7,9 @@
 //! [`run_whatif_batched`] reproduces it bitwise because each distinct
 //! continuation gets its *own* environment lane (restored and reseeded
 //! exactly like the scalar loop), the tasks sharing a lane could not have
-//! differed ([`dist_exec::LanePlan`]), and the lockstep batcher is
-//! bit-compatible with scalar stepping by the `VecEnv` parity guarantees.
+//! differed ([`LanePlan`](dist_exec::runtime::whatif::LanePlan)), and the
+//! lockstep batcher is bit-compatible with scalar stepping by the `VecEnv`
+//! parity guarantees.
 //!
 //! Grain of parallelism: the decision point. Every payload of an episode
 //! is independent of every other, so `Exec::Batched` answers them on

@@ -13,7 +13,8 @@ pub const CF_POINTS: Key = Key("cf.points");
 /// Counter: continuation rollouts answered (tasks dispatched).
 pub const CF_ROLLOUTS: Key = Key("cf.rollouts");
 /// Counter: distinct continuations among them — the lanes the lockstep
-/// runner steps ([`dist_exec::LanePlan`]), whichever executor ran.
+/// runner steps ([`LanePlan`](dist_exec::runtime::whatif::LanePlan)),
+/// whichever executor ran.
 pub(crate) const CF_LANES: Key = Key("cf.lanes");
 /// Event: one analyzed decision point (fields: [`F_T`], [`F_JS`],
 /// [`F_W1`], [`F_ALTS`]).

@@ -112,19 +112,19 @@ impl Framework {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Architecture {
     /// Cost constants for the cluster narration.
-    pub profile: FrameworkProfile,
+    pub(crate) profile: FrameworkProfile,
     /// Shape of the worker set.
-    pub collectors: Collectors,
+    pub(crate) collectors: Collectors,
     /// When fresh weights reach which workers.
-    pub sync: SyncPolicy,
+    pub(crate) sync: SyncPolicy,
     /// Where a round's sampling randomness comes from.
-    pub sampling: Sampling,
+    pub(crate) sampling: Sampling,
     /// Where collection-time policy inference is charged.
-    pub inference: Inference,
+    pub(crate) inference: Inference,
     /// Whether a deployment may span more than one node.
-    pub multi_node: bool,
+    pub(crate) multi_node: bool,
     /// Round salt of the SAC environments' `worker_seed`.
-    pub sac_seed_salt: u64,
+    pub(crate) sac_seed_salt: u64,
 }
 
 impl Architecture {
@@ -132,7 +132,7 @@ impl Architecture {
     /// Table I's space is the paper's: RLlib's worker set with *every*
     /// actor refreshed only each `actor_sync_period`-th iteration, the
     /// V-trace learner absorbing the lag. Ray-class cost constants.
-    pub fn impala(actor_sync_period: u64) -> Self {
+    pub(crate) fn impala(actor_sync_period: u64) -> Self {
         Architecture {
             profile: FrameworkProfile {
                 per_iter_overhead_s: 0.5,
@@ -197,14 +197,14 @@ impl std::fmt::Display for Framework {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameworkProfile {
     /// Glue/scheduling seconds charged per training iteration.
-    pub per_iter_overhead_s: f64,
+    pub(crate) per_iter_overhead_s: f64,
     /// Extra work units charged per environment step (serialization,
     /// Python-side bookkeeping in the originals).
     pub per_step_overhead_units: f64,
     /// Cores the learner's linear algebra uses.
     pub learner_streams: usize,
     /// Display name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
 }
 
 #[cfg(test)]

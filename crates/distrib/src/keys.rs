@@ -94,5 +94,5 @@ pub(crate) const F_NODE: Key = Key("node");
 pub(crate) const F_ROUND: Key = Key("round");
 
 /// [`WORKER_QUARANTINED`] field: why — see
-/// [`FaultCause::as_str`](crate::runtime::FaultCause::as_str).
+/// [`FaultCause::as_str`](crate::runtime::fault::FaultCause::as_str).
 pub(crate) const F_CAUSE: Key = Key("cause");

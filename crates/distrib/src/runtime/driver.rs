@@ -89,17 +89,17 @@ impl SyncPolicy {
 /// (worker-index order, regardless of completion order).
 pub(crate) struct WaveOutcome {
     /// All segments concatenated in worker-index order.
-    pub merged: RolloutBuffer,
+    pub(crate) merged: RolloutBuffer,
     /// Finished-episode returns in merge order.
-    pub returns: Vec<f64>,
+    pub(crate) returns: Vec<f64>,
     /// Environment work units per node.
-    pub node_env_work: Vec<u64>,
+    pub(crate) node_env_work: Vec<u64>,
     /// Collection-inference FLOPs per node.
-    pub node_infer_flops: Vec<u64>,
+    pub(crate) node_infer_flops: Vec<u64>,
     /// Experience bytes shipped from remote nodes to the learner.
-    pub shipped_bytes: u64,
+    pub(crate) shipped_bytes: u64,
     /// Each worker's sampling rng stream, advanced past its segment.
-    pub rngs: Vec<RngStream>,
+    pub(crate) rngs: Vec<RngStream>,
 }
 
 /// Merge a [`RoundOutcome`] into a [`WaveOutcome`].
@@ -140,14 +140,14 @@ pub(crate) struct Driver<'a> {
 /// The driver's accumulated counters, surrendered by [`Driver::finish`].
 pub(crate) struct DriverStats {
     /// Total environment steps.
-    pub env_steps: u64,
+    pub(crate) env_steps: u64,
     /// Total environment work units.
-    pub env_work: u64,
+    pub(crate) env_work: u64,
     /// All logged training returns.
-    pub train_returns: Vec<f64>,
+    pub(crate) train_returns: Vec<f64>,
     /// True when any worker was quarantined mid-trial: the result is
     /// real but came from a reduced worker set.
-    pub degraded: bool,
+    pub(crate) degraded: bool,
 }
 
 impl<'a> Driver<'a> {
@@ -155,7 +155,7 @@ impl<'a> Driver<'a> {
     /// recorder, so trial-level telemetry ([`keys::TRIAL_ITERATION`]
     /// events, step/work counters) lands in the same stream as the
     /// cluster accounting.
-    pub fn new(session: &'a mut ClusterSession) -> Self {
+    pub(crate) fn new(session: &'a mut ClusterSession) -> Self {
         let recorder = session.recorder();
         Self {
             session,
@@ -169,23 +169,23 @@ impl<'a> Driver<'a> {
     }
 
     /// The simulated cluster being narrated to.
-    pub fn cluster(&self) -> &ClusterSpec {
+    pub(crate) fn cluster(&self) -> &ClusterSpec {
         self.session.spec()
     }
 
     /// Iterations completed.
-    pub fn iteration(&self) -> u64 {
+    pub(crate) fn iteration(&self) -> u64 {
         self.iteration
     }
 
     /// Environment steps consumed.
-    pub fn env_steps(&self) -> u64 {
+    pub(crate) fn env_steps(&self) -> u64 {
         self.env_steps
     }
 
     /// Narrate one event to the cluster session. Returns the simulated
     /// duration of the phase.
-    pub fn apply(&mut self, event: &SessionEvent) -> f64 {
+    pub(crate) fn apply(&mut self, event: &SessionEvent) -> f64 {
         self.session.apply(event)
     }
 
@@ -193,7 +193,7 @@ impl<'a> Driver<'a> {
     /// weights crossing to remote nodes become one [`SessionEvent::Transfer`].
     /// Faults absorbed mid-broadcast land in the accounting via
     /// [`Self::note_faults`].
-    pub fn broadcast(
+    pub(crate) fn broadcast(
         &mut self,
         runtime: &mut Runtime<'_>,
         policy: &ActorCritic,
@@ -273,7 +273,7 @@ impl<'a> Driver<'a> {
     }
 
     /// Surrender the accumulated counters.
-    pub fn finish(self) -> DriverStats {
+    pub(crate) fn finish(self) -> DriverStats {
         DriverStats {
             env_steps: self.env_steps,
             env_work: self.env_work,

@@ -99,7 +99,7 @@ impl Default for FaultPolicy {
 
 /// Why a worker was quarantined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultCause {
+pub(crate) enum FaultCause {
     /// The worker's collection panicked (thread survived).
     Panicked,
     /// No event arrived before the receive timeout.
@@ -110,7 +110,7 @@ pub enum FaultCause {
 
 impl FaultCause {
     /// Stable text used in telemetry event fields.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             FaultCause::Panicked => "panicked",
             FaultCause::TimedOut => "timed_out",
@@ -125,11 +125,11 @@ pub struct Quarantine {
     /// Worker index.
     pub worker: usize,
     /// The worker's node.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Round in which the worker was quarantined.
-    pub round: u64,
+    pub(crate) round: u64,
     /// Why.
-    pub cause: FaultCause,
+    pub(crate) cause: FaultCause,
 }
 
 /// Fault accounting for one runtime operation (a collection round or a
@@ -139,26 +139,15 @@ pub struct Quarantine {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultLog {
     /// Commands re-dispatched after a non-fatal failure.
-    pub retries: u32,
+    pub(crate) retries: u32,
     /// Worker threads rebuilt from their respawn factory.
-    pub respawns: u32,
+    pub(crate) respawns: u32,
     /// Workers that blew the receive timeout.
-    pub timeouts: u32,
+    pub(crate) timeouts: u32,
     /// Simulated seconds of retry backoff accumulated.
-    pub backoff_s: f64,
+    pub(crate) backoff_s: f64,
     /// Workers quarantined during this operation.
     pub quarantined: Vec<Quarantine>,
-}
-
-impl FaultLog {
-    /// Fold another log into this one.
-    pub fn absorb(&mut self, other: FaultLog) {
-        self.retries += other.retries;
-        self.respawns += other.respawns;
-        self.timeouts += other.timeouts;
-        self.backoff_s += other.backoff_s;
-        self.quarantined.extend(other.quarantined);
-    }
 }
 
 /// A failure the [`FaultPolicy`] could not absorb. The runtime never
@@ -257,13 +246,13 @@ mod inject {
     /// One schedule-addressable fault. Fires exactly once: N entries at
     /// the same address model N consecutive failures (retry exhaustion).
     #[derive(Debug)]
-    pub struct InjectedFault {
+    pub(crate) struct InjectedFault {
         /// Target worker index.
-        pub worker: usize,
+        pub(crate) worker: usize,
         /// Target round.
-        pub round: u64,
+        pub(crate) round: u64,
         /// What happens.
-        pub kind: FaultKind,
+        pub(crate) kind: FaultKind,
         armed: AtomicBool,
     }
 
@@ -315,14 +304,9 @@ mod inject {
             plan
         }
 
-        /// The scheduled faults.
-        pub fn faults(&self) -> &[InjectedFault] {
-            &self.faults
-        }
-
         /// Consume (disarm) the first still-armed fault addressed to
         /// `(worker, round)`, if any.
-        pub fn take(&self, worker: usize, round: u64) -> Option<FaultKind> {
+        pub(crate) fn take(&self, worker: usize, round: u64) -> Option<FaultKind> {
             self.faults
                 .iter()
                 .filter(|f| f.worker == worker && f.round == round)
@@ -403,14 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_log_absorbs() {
-        let mut a = FaultLog::default();
-        let b = FaultLog { retries: 2, backoff_s: 1.5, ..Default::default() };
-        a.absorb(b.clone());
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn injected_faults_fire_exactly_once_per_entry() {
         let plan = FaultPlan::new()
             .fault(1, 3, FaultKind::Panic)
@@ -429,11 +405,21 @@ mod tests {
     fn random_plans_are_seed_deterministic() {
         let a = FaultPlan::random(42, 4, 8, 3);
         let b = FaultPlan::random(42, 4, 8, 3);
+        // Every fault the plan fires, in address order.
         let sig = |p: &FaultPlan| -> Vec<(usize, u64, FaultKind)> {
-            p.faults().iter().map(|f| (f.worker, f.round, f.kind)).collect()
+            let mut fired = Vec::new();
+            for worker in 0..4 {
+                for round in 0..8 {
+                    while let Some(kind) = p.take(worker, round) {
+                        fired.push((worker, round, kind));
+                    }
+                }
+            }
+            fired
         };
-        assert_eq!(sig(&a), sig(&b));
-        assert_eq!(a.faults().len(), 3);
+        let fired = sig(&a);
+        assert_eq!(fired, sig(&b));
+        assert_eq!(fired.len(), 3);
     }
 
     #[test]

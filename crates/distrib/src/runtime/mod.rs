@@ -16,10 +16,10 @@
 //! explicitly passed rng stream (see [`crate::backends::common::worker_seed`]).
 //! Reports are therefore bitwise independent of thread scheduling *and*
 //! of the transport in use; the *completion* order is still observable
-//! via [`RoundOutcome::arrival`] for backends that want to narrate
+//! via `RoundOutcome::arrival` for backends that want to narrate
 //! asynchrony (IMPALA-style).
 //!
-//! Concurrency: at most [`Runtime::window`] collection commands are in
+//! Concurrency: a dispatch window bounds the collection commands in
 //! flight at once, capped by `std::thread::available_parallelism` — a
 //! 2×4 deployment on a 4-core host no longer oversubscribes the machine
 //! with 8 simultaneously-collecting threads.
@@ -93,11 +93,6 @@ impl<'f> WorkerSpec<'f> {
         self.blueprint = Some(blueprint);
         self
     }
-
-    /// The simulated node this worker is pinned to.
-    pub fn node(&self) -> usize {
-        self.node
-    }
 }
 
 /// One worker's contribution to a collection round.
@@ -119,7 +114,7 @@ pub struct RoundOutcome {
     /// holds fewer than `n_workers` entries — still index-ordered.
     pub segments: Vec<WorkerSegment>,
     /// Worker indices in completion order (scheduling-dependent).
-    pub arrival: Vec<usize>,
+    pub(crate) arrival: Vec<usize>,
     /// What the fault policy absorbed during this round. Hand to
     /// `Driver::note_faults` so backoff lands in the accounting.
     pub faults: FaultLog,
@@ -140,9 +135,9 @@ impl std::fmt::Debug for RoundOutcome {
 pub struct BroadcastOutcome {
     /// Bytes that crossed the interconnect (one policy payload per
     /// healthy recipient on a node other than 0).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// What the fault policy absorbed during the broadcast.
-    pub faults: FaultLog,
+    pub(crate) faults: FaultLog,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,11 +292,6 @@ impl<'f> Runtime<'f> {
     /// Node assignment of every worker, by worker index.
     pub(crate) fn worker_nodes(&self) -> &[usize] {
         &self.nodes
-    }
-
-    /// Maximum collection commands in flight at once.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Override the dispatch window (tests; clamped to ≥ 1).
@@ -472,7 +462,7 @@ impl<'f> Runtime<'f> {
     }
 
     /// Run one collection round: dispatch a [`Command::Collect`] to every
-    /// healthy worker (at most [`Self::window`] outstanding at a time),
+    /// healthy worker (at most the dispatch window outstanding at a time),
     /// drain the [`Event::SegmentReady`]s, and return the segments in
     /// worker-index order. `rngs` supplies one sampling stream per worker
     /// (quarantined workers' streams are skipped, keeping indexing
@@ -596,7 +586,7 @@ impl<'f> Runtime<'f> {
     }
 
     /// Send fresh weights to `recipients` (worker indices) and wait for
-    /// their [`Event::Heartbeat`] acks. [`BroadcastOutcome::bytes`]
+    /// their [`Event::Heartbeat`] acks. `BroadcastOutcome::bytes`
     /// counts the interconnect traffic: one policy payload per healthy
     /// recipient on a node other than 0 (the learner's node).
     ///
@@ -776,7 +766,6 @@ mod tests {
     fn narrow_window_limits_dispatch_but_completes() {
         let (specs, policy) = specs(&[0, 0, 0]);
         let mut rt = Runtime::spawn(specs, &policy).with_window(1);
-        assert_eq!(rt.window(), 1);
         let outcome = rt.collect_round(0, 8, streams(3)).expect("collects");
         // Serial dispatch: completion order IS worker order.
         assert_eq!(outcome.arrival, vec![0, 1, 2]);
@@ -784,9 +773,10 @@ mod tests {
 
     #[test]
     fn window_is_clamped_to_one() {
-        let (specs, policy) = specs(&[0]);
-        let rt = Runtime::spawn(specs, &policy).with_window(0);
-        assert_eq!(rt.window(), 1);
+        let (specs, policy) = specs(&[0, 0, 0]);
+        let mut rt = Runtime::spawn(specs, &policy).with_window(0);
+        let outcome = rt.collect_round(0, 8, streams(3)).expect("collects");
+        assert_eq!(outcome.arrival, vec![0, 1, 2], "dispatched one at a time");
     }
 
     #[test]

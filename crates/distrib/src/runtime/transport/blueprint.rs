@@ -91,17 +91,17 @@ impl EnvFactory for EnvBlueprint {
 /// built from the closure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectorBlueprint {
-    pub env: EnvBlueprint,
+    pub(crate) env: EnvBlueprint,
     /// One seed per sub-environment (`vectorized`) or exactly one seed
     /// (per-env collector).
-    pub seeds: Vec<u64>,
+    pub(crate) seeds: Vec<u64>,
     /// `true` → `Collector::Vectorized` over a `VecEnv`; `false` →
     /// `Collector::PerEnv`.
-    pub vectorized: bool,
+    pub(crate) vectorized: bool,
 }
 
 impl CollectorBlueprint {
-    pub fn vectorized(env: EnvBlueprint, seeds: Vec<u64>) -> Self {
+    pub(crate) fn vectorized(env: EnvBlueprint, seeds: Vec<u64>) -> Self {
         Self { env, seeds, vectorized: true }
     }
 

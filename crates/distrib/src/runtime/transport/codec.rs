@@ -433,13 +433,13 @@ fn read_policy_params(b: &mut Body<'_>, policy: &mut ActorCritic) -> Result<(), 
 /// starting policy, how to rebuild its environments, and any still-armed
 /// injected faults addressed to it.
 pub(crate) struct Hello {
-    pub worker: usize,
-    pub node: usize,
-    pub policy: ActorCritic,
-    pub blueprint: CollectorBlueprint,
+    pub(crate) worker: usize,
+    pub(crate) node: usize,
+    pub(crate) policy: ActorCritic,
+    pub(crate) blueprint: CollectorBlueprint,
     /// `(worker, round, kind, millis)` tuples; kind is the wire tag used
     /// by [`encode_hello`]. Only meaningful under `fault-inject`.
-    pub faults: Vec<(usize, u64, u8, u64)>,
+    pub(crate) faults: Vec<(usize, u64, u8, u64)>,
 }
 
 /// Fault kind wire tags inside a Hello body.

@@ -73,7 +73,7 @@ pub enum TransportConfig {
 impl TransportConfig {
     /// Parse a transport request: `inproc`/`channel`,
     /// `uds`/`unix`, `tcp` or `tcp:<addr>`.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         let s = s.trim();
         match s {
             "" | "inproc" | "channel" | "thread" => Ok(TransportConfig::InProcess),
@@ -92,15 +92,15 @@ impl TransportConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Frames encoded for workers (commands + handshakes).
-    pub frames_out: u64,
+    pub(crate) frames_out: u64,
     /// Frames decoded from workers (events + handshakes).
-    pub frames_in: u64,
+    pub(crate) frames_in: u64,
     /// Bytes encoded for workers, including frame headers.
-    pub bytes_out: u64,
+    pub(crate) bytes_out: u64,
     /// Bytes decoded from workers, including frame headers.
-    pub bytes_in: u64,
+    pub(crate) bytes_in: u64,
     /// Socket writes — batched frames amortize these.
-    pub flushes: u64,
+    pub(crate) flushes: u64,
 }
 
 impl TransportStats {

@@ -184,7 +184,7 @@ pub fn run_whatif(payload: &WhatIfPayload) -> Result<Vec<f64>, SnapshotError> {
 }
 
 /// One task's continuation return on a caller-provided env.
-pub fn run_one(
+pub(crate) fn run_one(
     env: &mut dyn Environment,
     payload: &WhatIfPayload,
     task: &WhatIfTask,

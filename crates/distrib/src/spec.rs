@@ -66,7 +66,7 @@ pub struct ExecSpec {
     /// Total environment steps (the paper uses 200,000).
     pub total_steps: usize,
     /// Master seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// PPO hyperparameters.
     pub ppo: PpoConfig,
     /// SAC hyperparameters.
@@ -81,11 +81,11 @@ pub struct ExecSpec {
     /// owns the machine. Studies multiplexed through a `StudyServer`
     /// set this so concurrently executing trials don't each dispatch as
     /// if they had every core to themselves.
-    pub window: Option<usize>,
+    pub(crate) window: Option<usize>,
     /// Transport for the runtime (`inproc`, `uds`, `tcp`, `tcp:<addr>`).
     /// `None` is in-process; a malformed value is rejected by
-    /// [`ExecSpec::validate`].
-    pub transport: Option<String>,
+    /// [`dist_exec::run`](crate::run).
+    pub(crate) transport: Option<String>,
     /// Faults to inject into this spec's runtime (empty by default). The
     /// spec holds the plan by value — the *schedule*, not shared arming:
     /// `FaultPlan::clone` re-arms, and every run arms its own clone, so
@@ -127,12 +127,6 @@ impl ExecSpec {
         self.transport = Some(transport.into());
         self
     }
-
-    /// Check deployment/framework consistency.
-    pub fn validate(&self) -> Result<(), String> {
-        let arch = self.framework.architecture();
-        check_run(&arch, self.deployment, self.total_steps, self.transport.as_deref()).map(drop)
-    }
 }
 
 #[cfg(test)]
@@ -162,16 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn spec_validation_covers_steps() {
-        let mut s = ExecSpec::new(
-            Framework::TfAgents,
-            Algorithm::Ppo,
-            Deployment { nodes: 1, cores_per_node: 4 },
-            1000,
-            0,
-        );
-        assert!(s.validate().is_ok());
-        s.total_steps = 0;
-        assert!(s.validate().is_err());
+    fn run_check_covers_steps() {
+        let arch = Framework::TfAgents.architecture();
+        let d = Deployment { nodes: 1, cores_per_node: 4 };
+        assert!(check_run(&arch, d, 1000, None).is_ok());
+        assert!(check_run(&arch, d, 0, None).is_err());
     }
 }

@@ -43,11 +43,6 @@ impl GridWorld {
         }
     }
 
-    /// Grid side length.
-    pub fn side(&self) -> usize {
-        self.n
-    }
-
     fn obs(&self) -> Vec<f64> {
         let d = (self.n - 1) as f64;
         vec![self.x as f64 / d, self.y as f64 / d]

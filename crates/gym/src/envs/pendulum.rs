@@ -16,11 +16,11 @@ pub struct Pendulum {
     theta_dot: f64,
     t: usize,
     /// Episode length (gym default 200).
-    pub horizon: usize,
+    pub(crate) horizon: usize,
     /// Maximum torque.
-    pub max_torque: f64,
+    pub(crate) max_torque: f64,
     /// Gravity.
-    pub g: f64,
+    pub(crate) g: f64,
     rng: StdRng,
 }
 

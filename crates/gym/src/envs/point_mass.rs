@@ -20,9 +20,9 @@ pub struct PointMass {
     vel: [f64; 2],
     t: usize,
     /// Episode length.
-    pub horizon: usize,
+    pub(crate) horizon: usize,
     /// Integration step.
-    pub dt: f64,
+    pub(crate) dt: f64,
     rng: StdRng,
 }
 

@@ -157,14 +157,14 @@ pub struct VecEnv<E: Environment> {
 #[derive(Debug, Clone)]
 pub(crate) struct StepBatch {
     /// Per-env step results (with auto-reset observations substituted).
-    pub steps: Vec<Step>,
+    pub(crate) steps: Vec<Step>,
     /// `(env_index, episode_return, episode_length)` for episodes that
     /// ended on this tick.
-    pub finished: Vec<(usize, f64, usize)>,
+    pub(crate) finished: Vec<(usize, f64, usize)>,
     /// For sub-envs whose episode ended on this tick, the observation the
     /// episode actually ended in (before the auto-reset replaced
     /// `steps[i].obs`); `None` for envs that did not finish.
-    pub final_obs: Vec<Option<Vec<f64>>>,
+    pub(crate) final_obs: Vec<Option<Vec<f64>>>,
 }
 
 impl<E: Environment> VecEnv<E> {

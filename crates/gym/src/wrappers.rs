@@ -16,11 +16,6 @@ impl<E: Environment> TimeLimit<E> {
         assert!(max_steps > 0);
         Self { inner, max_steps, t: 0 }
     }
-
-    /// The wrapped environment.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
 }
 
 impl<E: Environment> Environment for TimeLimit<E> {

@@ -28,11 +28,6 @@ impl Categorical {
         Self { probs: ops::softmax(logits) }
     }
 
-    /// Probability vector.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
     /// Sample an action index by inverse CDF.
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
         let u: f64 = rng.gen();
@@ -87,7 +82,7 @@ pub struct DiagGaussian {
     /// Mean vector (network output).
     pub mean: Vec<f64>,
     /// Log standard deviations.
-    pub log_std: Vec<f64>,
+    pub(crate) log_std: Vec<f64>,
 }
 
 impl DiagGaussian {
@@ -148,9 +143,9 @@ impl DiagGaussian {
 #[derive(Debug, Clone, Default)]
 pub struct SquashedGaussian {
     /// Pre-squash mean (network output).
-    pub mean: Vec<f64>,
+    pub(crate) mean: Vec<f64>,
     /// Pre-squash log standard deviation (network output, clamped).
-    pub log_std: Vec<f64>,
+    pub(crate) log_std: Vec<f64>,
 }
 
 /// Clamp range for SAC log-std network outputs (standard practice).
@@ -164,9 +159,9 @@ pub struct SquashedSample {
     /// Squashed action `tanh(u)`.
     pub action: Vec<f64>,
     /// Pre-squash value `u = μ + σ ε`.
-    pub pre_tanh: Vec<f64>,
+    pub(crate) pre_tanh: Vec<f64>,
     /// The standard-normal noise `ε` used (for pathwise gradients).
-    pub noise: Vec<f64>,
+    pub(crate) noise: Vec<f64>,
     /// `log π(a|s)` including the tanh change-of-variables correction.
     pub log_prob: f64,
 }
@@ -309,7 +304,7 @@ mod tests {
         }
         for i in 0..3 {
             let freq = counts[i] as f64 / n as f64;
-            assert!((freq - d.probs()[i]).abs() < 0.02, "i={i}: {freq} vs {}", d.probs()[i]);
+            assert!((freq - d.probs[i]).abs() < 0.02, "i={i}: {freq} vs {}", d.probs[i]);
         }
     }
 
@@ -323,7 +318,7 @@ mod tests {
     fn categorical_log_prob_consistent_with_probs() {
         let d = Categorical::from_logits(&[0.2, -0.7, 1.5]);
         for a in 0..3 {
-            assert!((d.log_prob(a) - d.probs()[a].ln()).abs() < 1e-12);
+            assert!((d.log_prob(a) - d.probs[a].ln()).abs() < 1e-12);
         }
     }
 

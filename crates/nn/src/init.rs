@@ -11,7 +11,7 @@ use simd_kernels::mathf64;
 
 /// Initialisation scheme for a `fan_in × fan_out` weight matrix.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Init {
+pub(crate) enum Init {
     /// Xavier/Glorot uniform: `U(±sqrt(6/(fan_in+fan_out)))` — default for
     /// tanh networks (the paper's frameworks use tanh MLPs for PPO).
     XavierUniform,
@@ -24,7 +24,7 @@ pub enum Init {
 
 impl Init {
     /// Sample a `rows × cols` matrix (`rows = fan_in`, `cols = fan_out`).
-    pub fn sample(self, rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
+    pub(crate) fn sample(self, rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
         let limit = match self {
             Init::XavierUniform => (6.0 / (rows + cols) as f64).sqrt(),
             Init::HeUniform => (6.0 / rows as f64).sqrt(),

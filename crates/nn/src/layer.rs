@@ -17,23 +17,13 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply the activation elementwise.
-    #[inline]
-    pub fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::Identity => x,
-            Activation::Tanh => mathf64::tanh(x),
-            Activation::Relu => x.max(0.0),
-        }
-    }
-
     /// Apply the activation to a whole buffer.
     ///
     /// Hoists the variant match out of the sweep so each arm is a tight
     /// loop. Tanh is the in-tree `mathf64::tanh` swept at the process's
-    /// SIMD tier: straight-line exact-rounded arithmetic, so every tier —
-    /// and [`Activation::apply`] on one element — returns the same bits,
-    /// and those bits do not depend on the host's `libm`. Relu keeps
+    /// SIMD tier: straight-line exact-rounded arithmetic, so every tier
+    /// returns the same bits, and those bits do not depend on the host's
+    /// `libm`. Relu keeps
     /// `f64::max` for its IEEE `-0.0`/NaN semantics. Identity is a no-op.
     #[inline]
     pub(crate) fn apply_batch(self, xs: &mut [f64]) {
@@ -72,22 +62,22 @@ impl Activation {
 ///
 /// `W` is `in_dim × out_dim`; inputs are batches with one sample per row.
 #[derive(Debug, Clone)]
-pub struct Linear {
+pub(crate) struct Linear {
     /// Weights, `in_dim × out_dim`.
-    pub w: Matrix,
+    pub(crate) w: Matrix,
     /// Bias, length `out_dim`.
-    pub b: Vec<f64>,
+    pub(crate) b: Vec<f64>,
     /// Activation applied after the affine map.
-    pub act: Activation,
+    pub(crate) act: Activation,
     /// Accumulated weight gradient (same shape as `w`).
-    pub gw: Matrix,
+    pub(crate) gw: Matrix,
     /// Accumulated bias gradient.
-    pub gb: Vec<f64>,
+    pub(crate) gb: Vec<f64>,
 }
 
 impl Linear {
     /// Create a layer with the given initialisation.
-    pub fn new(
+    pub(crate) fn new(
         in_dim: usize,
         out_dim: usize,
         act: Activation,
@@ -109,39 +99,23 @@ impl Linear {
     }
 
     /// Output dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.w.cols()
     }
 
-    /// Forward pass; returns the activated output (`batch × out_dim`).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    /// Forward pass writing into a reusable output buffer (resized here).
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+    /// Forward pass writing the activated output (`batch × out_dim`) into
+    /// a reusable buffer (resized here).
+    pub(crate) fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_into(&self.w, out);
         out.add_row_broadcast(&self.b);
         self.act.apply_batch(out.as_mut_slice());
     }
 
-    /// Backward pass.
+    /// Backward pass: `x` is the input that produced `y` (`batch ×
+    /// in_dim`), `y` the forward output (`batch × out_dim`) and `dy` the
+    /// gradient of the loss w.r.t. `y`. Accumulates into `gw`/`gb`.
     ///
-    /// * `x` — the input that produced `y` (`batch × in_dim`);
-    /// * `y` — the forward output (`batch × out_dim`);
-    /// * `dy` — gradient of the loss w.r.t. `y`.
-    ///
-    /// Accumulates into `gw`/`gb` and returns the gradient w.r.t. `x`.
-    pub fn backward(&mut self, x: &Matrix, y: &Matrix, dy: &Matrix) -> Matrix {
-        let mut dz = Matrix::default();
-        let mut dx = Matrix::default();
-        self.backward_into(x, y, dy, &mut dz, &mut Vec::new(), Some(&mut dx));
-        dx
-    }
-
-    /// Backward pass using caller-provided scratch: `dz` holds the
+    /// Caller-provided scratch: `dz` holds the
     /// pre-activation gradient, `wt` the transposed-weight panel of the
     /// `dz · Wᵀ` kernel, `dx` receives the input gradient. All are resized
     /// here, so an [`Mlp`](crate::Mlp) can thread the same buffers through
@@ -193,13 +167,13 @@ impl Linear {
     }
 
     /// Zero the accumulated gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.gw.fill_zero();
         self.gb.fill(0.0);
     }
 
     /// Number of scalar parameters.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.w.len() + self.b.len()
     }
 }
@@ -210,18 +184,31 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn forward(layer: &Linear, x: &Matrix) -> Matrix {
+        let mut y = Matrix::default();
+        layer.forward_into(x, &mut y);
+        y
+    }
+
+    /// Accumulates the gradients and returns the one w.r.t. `x`.
+    fn backward(layer: &mut Linear, x: &Matrix, y: &Matrix, dy: &Matrix) -> Matrix {
+        let mut dx = Matrix::default();
+        layer.backward_into(x, y, dy, &mut Matrix::default(), &mut Vec::new(), Some(&mut dx));
+        dx
+    }
+
     fn finite_diff_check(act: Activation) {
         // Compare analytic gradients against central finite differences for
         // the scalar loss L = Σ y.
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = Linear::new(3, 2, act, Init::XavierUniform, &mut rng);
         let x = Matrix::from_rows(&[&[0.3, -0.8, 0.5], &[1.2, 0.1, -0.4]]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         let dy = Matrix::full(2, 2, 1.0);
         layer.zero_grad();
-        let dx = layer.backward(&x, &y, &dy);
+        let dx = backward(&mut layer, &x, &y, &dy);
 
-        let loss = |l: &Linear, x: &Matrix| -> f64 { l.forward(x).as_slice().iter().sum() };
+        let loss = |l: &Linear, x: &Matrix| -> f64 { forward(l, x).as_slice().iter().sum() };
         let eps = 1e-6;
 
         // Weight gradients.
@@ -278,13 +265,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut layer = Linear::new(2, 2, Activation::Identity, Init::XavierUniform, &mut rng);
         let x = Matrix::row(&[1.0, 2.0]);
-        let y = layer.forward(&x);
+        let y = forward(&layer, &x);
         let dy = Matrix::full(1, 2, 1.0);
-        layer.backward(&x, &y, &dy);
+        backward(&mut layer, &x, &y, &dy);
         let g1 = layer.gw.clone();
-        layer.backward(&x, &y, &dy);
+        backward(&mut layer, &x, &y, &dy);
         let mut doubled = g1.clone();
-        doubled.scale(2.0);
+        doubled.axpy(1.0, &g1);
         assert_eq!(layer.gw, doubled);
         layer.zero_grad();
         assert!(layer.gw.as_slice().iter().all(|&g| g == 0.0));

@@ -242,7 +242,7 @@ impl Matrix {
     /// `out += selfᵀ · rhs` — accumulating form used for weight gradients
     /// (`gw += xᵀ · dz`), eliminating the temporary + `axpy` round trip.
     /// `out` must already have shape `self.cols × rhs.cols`.
-    pub fn transpose_matmul_acc(&self, rhs: &Matrix, out: &mut Matrix) {
+    pub(crate) fn transpose_matmul_acc(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "transpose_matmul shape mismatch");
         assert_eq!(out.shape(), (self.cols, rhs.cols), "transpose_matmul_acc out shape mismatch");
         self.transpose_matmul_acc_impl(rhs, out);
@@ -282,18 +282,6 @@ impl Matrix {
         simd_kernels::nnf64::axpy(simd_kernels::Isa::cached(), alpha, &other.data, &mut self.data);
     }
 
-    /// Elementwise in-place scale.
-    pub fn scale(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
-        }
-    }
-
-    /// Elementwise map into a new matrix.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
-    }
-
     /// Add a row vector to every row (bias broadcast).
     pub(crate) fn add_row_broadcast(&mut self, bias: &[f64]) {
         assert_eq!(bias.len(), self.cols, "bias broadcast length mismatch");
@@ -314,17 +302,8 @@ impl Matrix {
         }
     }
 
-    /// Mean of all elements (0 for an empty matrix).
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.data.iter().sum::<f64>() / self.data.len() as f64
-        }
-    }
-
     /// True when any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
+    pub(crate) fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
     }
 }
@@ -514,7 +493,7 @@ mod tests {
         let mut acc = once.clone();
         a.transpose_matmul_acc(&b, &mut acc);
         let mut doubled = once.clone();
-        doubled.scale(2.0);
+        doubled.axpy(1.0, &once);
         // Accumulating into a non-zero buffer associates partial sums
         // differently than a fresh product, so compare with a tolerance.
         for (x, y) in acc.as_slice().iter().zip(doubled.as_slice()) {
@@ -559,13 +538,11 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn axpy_adds_a_multiple() {
         let mut a = Matrix::full(2, 2, 1.0);
         let b = Matrix::full(2, 2, 2.0);
         a.axpy(0.5, &b);
         assert_eq!(a, Matrix::full(2, 2, 2.0));
-        a.scale(-1.0);
-        assert_eq!(a, Matrix::full(2, 2, -2.0));
     }
 
     #[test]
@@ -608,11 +585,5 @@ mod tests {
         assert!(!a.has_non_finite());
         a.set(0, 1, f64::NAN);
         assert!(a.has_non_finite());
-    }
-
-    #[test]
-    fn mean_handles_empty() {
-        assert_eq!(Matrix::zeros(0, 0).mean(), 0.0);
-        assert_eq!(Matrix::from_rows(&[&[1.0, 3.0]]).mean(), 2.0);
     }
 }

@@ -5,7 +5,7 @@ use crate::layer::{Activation, Linear};
 use crate::matrix::Matrix;
 use rand::Rng;
 
-/// A feed-forward network: a stack of [`Linear`] layers.
+/// A feed-forward network: a stack of `Linear` layers.
 ///
 /// The paper's frameworks all default to two 64-unit hidden layers for
 /// both policy and value networks.

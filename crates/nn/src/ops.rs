@@ -58,7 +58,7 @@ pub fn categorical_entropy(probs: &[f64]) -> f64 {
 
 /// Gradient of the entropy w.r.t. the logits:
 /// `dH/dlogit_i = -p_i (log p_i + H)`.
-pub fn d_entropy_d_logits(probs: &[f64], out: &mut [f64]) {
+pub(crate) fn d_entropy_d_logits(probs: &[f64], out: &mut [f64]) {
     let h = categorical_entropy(probs);
     for (o, &p) in out.iter_mut().zip(probs) {
         *o = if p > 0.0 { -p * (ln(p) + h) } else { 0.0 };

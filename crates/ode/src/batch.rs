@@ -98,16 +98,6 @@ impl BatchTableauStepper {
         }
     }
 
-    /// The tableau backing this stepper.
-    pub fn tableau(&self) -> &'static Tableau {
-        self.tab
-    }
-
-    /// The ISA tier this stepper's kernels dispatch to.
-    pub fn isa(&self) -> Isa {
-        self.isa
-    }
-
     /// Advance every *active* lane of `y` (SoA, `dim × n_lanes`) from `t`
     /// to `t + h`, accumulating each lane's cost into `work[e]`.
     ///
@@ -282,11 +272,6 @@ impl BatchTableauStepper {
         self.fsal_valid[e] = false;
     }
 
-    /// Forget every lane's FSAL cache.
-    pub fn reset_all(&mut self) {
-        self.fsal_valid.fill(false);
-    }
-
     /// Keep only the lanes with `keep[e]`, in order, each with its FSAL
     /// cache (see [`AnyBatchStepper::retain_lanes`]).
     pub fn retain_lanes(&mut self, keep: &[bool]) {
@@ -344,11 +329,6 @@ impl BatchGbs8Stepper {
             scratch: AlignedF64::zeroed(dim * n),
             isa: isa.min(Isa::detect()),
         }
-    }
-
-    /// The ISA tier this stepper's kernels dispatch to.
-    pub fn isa(&self) -> Isa {
-        self.isa
     }
 
     /// See [`BatchTableauStepper::step`]; identical contract, order-8 math.
@@ -525,14 +505,6 @@ impl AnyBatchStepper {
         }
     }
 
-    /// The ISA tier this stepper's kernels dispatch to.
-    pub fn isa(&self) -> Isa {
-        match self {
-            AnyBatchStepper::Tableau(st) => st.isa(),
-            AnyBatchStepper::Gbs8(st) => st.isa(),
-        }
-    }
-
     /// See [`BatchTableauStepper::step`].
     pub fn step<S: BatchSystem>(
         &mut self,
@@ -553,13 +525,6 @@ impl AnyBatchStepper {
     pub fn reset_lane(&mut self, e: usize) {
         if let AnyBatchStepper::Tableau(st) = self {
             st.reset_lane(e);
-        }
-    }
-
-    /// Forget every lane's FSAL cache.
-    pub fn reset_all(&mut self) {
-        if let AnyBatchStepper::Tableau(st) = self {
-            st.reset_all();
         }
     }
 
@@ -813,7 +778,11 @@ mod tests {
                 }
                 let sys = TestBatch { dim, coeffs: coeffs.clone() };
                 let mut st = AnyBatchStepper::with_isa(order, dim, n, isa);
-                assert_eq!(st.isa(), isa);
+                let tier = match &st {
+                    AnyBatchStepper::Tableau(st) => st.isa,
+                    AnyBatchStepper::Gbs8(st) => st.isa,
+                };
+                assert_eq!(tier, isa);
                 let mut y = soa_from_lanes(&lanes);
                 let mut work = vec![Work::default(); n];
                 for s in 0..4 {
@@ -849,7 +818,6 @@ mod tests {
             assert_ne!(y, before, "{order}: states must advance");
             assert!(work[0].fn_evals > 0 && work[1].fn_evals > 0);
             st.reset_lane(0);
-            st.reset_all();
         }
     }
 }

@@ -35,7 +35,6 @@
 
 pub mod batch;
 pub mod extrapolation;
-pub mod keys;
 pub mod methods;
 pub mod stepper;
 pub mod system;
@@ -65,21 +64,7 @@ pub struct Work {
     /// Number of rejected (retried) steps. Every stepper in this crate is
     /// fixed-step and reports 0; the field stays because the wire format
     /// and the ledger carry it.
-    pub rejected: u64,
-}
-
-impl Work {
-    /// A zeroed work counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Merge another counter into this one.
-    pub fn absorb(&mut self, other: Work) {
-        self.fn_evals += other.fn_evals;
-        self.steps += other.steps;
-        self.rejected += other.rejected;
-    }
+    pub(crate) rejected: u64,
 }
 
 impl core::ops::Add for Work {
@@ -112,17 +97,8 @@ mod tests {
     }
 
     #[test]
-    fn work_absorb_matches_add() {
-        let mut a = Work { fn_evals: 10, steps: 5, rejected: 2 };
-        let b = Work { fn_evals: 1, steps: 1, rejected: 1 };
-        let sum = a + b;
-        a.absorb(b);
-        assert_eq!(a, sum);
-    }
-
-    #[test]
     fn work_default_is_zero() {
-        let w = Work::new();
+        let w = Work::default();
         assert_eq!(w.fn_evals, 0);
         assert_eq!(w.steps, 0);
         assert_eq!(w.rejected, 0);

@@ -55,11 +55,6 @@ impl RkOrder {
         }
     }
 
-    /// Convenience: a stepper for `dim = 1`; see [`RkOrder::stepper_for`].
-    pub fn stepper(self) -> Box<dyn FixedStepper> {
-        self.stepper_for(1)
-    }
-
     /// Build a stepper for `dim`-dimensional systems.
     pub fn stepper_for(self, dim: usize) -> Box<dyn FixedStepper> {
         self.factory().instantiate(dim)

@@ -16,11 +16,9 @@
 
 // Index loops here co-index several arrays; zip chains would obscure them.
 #![allow(clippy::needless_range_loop)]
-use crate::keys;
 use crate::system::System;
 use crate::tableau::Tableau;
 use crate::Work;
-use telemetry::Recorder;
 
 /// A stepper that advances a state by one fixed step `h`.
 ///
@@ -73,11 +71,6 @@ impl TableauStepper {
             fsal_valid: false,
             dim,
         }
-    }
-
-    /// The tableau backing this stepper.
-    pub fn tableau(&self) -> &'static Tableau {
-        self.tab
     }
 
     /// Monomorphized step: like [`FixedStepper::step`] but generic over the
@@ -159,11 +152,10 @@ impl FixedStepper for TableauStepper {
 /// Builder-style configuration of a fixed-step integration run: the
 /// single entry point behind [`integrate_fixed`].
 ///
-/// The builder separates the three orthogonal choices those free
-/// functions conflated — the *method* (a [`StepperFactory`]), the *step
-/// size*, and the *observer* (a [`telemetry::Recorder`]) — and offers
-/// both execution modes over one loop: [`Integration::run`] instantiates
-/// a fresh stepper, [`Integration::run_with`] drives a caller-owned,
+/// The builder separates the two orthogonal choices — the *method* (a
+/// [`StepperFactory`]) and the *step size* — and offers both execution
+/// modes over one loop: [`Integration::run`] instantiates
+/// a fresh stepper, `Integration::run_with` drives a caller-owned,
 /// reusable one.
 ///
 /// ```
@@ -182,14 +174,13 @@ impl FixedStepper for TableauStepper {
 pub struct Integration<'a> {
     factory: &'a dyn StepperFactory,
     h: f64,
-    recorder: Option<&'a dyn Recorder>,
 }
 
 impl<'a> Integration<'a> {
     /// An integration using `factory`'s method. The step size defaults to
     /// unset; call [`Integration::step`] before running.
     pub fn new(factory: &'a dyn StepperFactory) -> Self {
-        Integration { factory, h: 0.0, recorder: None }
+        Integration { factory, h: 0.0 }
     }
 
     /// Set the (approximately) fixed step size; the final step shrinks to
@@ -199,18 +190,10 @@ impl<'a> Integration<'a> {
         self
     }
 
-    /// Report the run's aggregate [`Work`] to `recorder` (see
-    /// [`crate::keys`]). Counters are recorded once per run, after the
-    /// loop, so instrumentation adds nothing to the per-step cost.
-    pub fn recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
     /// Integrate `sys` from `t0` to `t1`, instantiating a fresh stepper.
     ///
     /// Callers integrating repeatedly should hold a stepper and use
-    /// [`Integration::run_with`] instead — it reuses the scratch buffers
+    /// `Integration::run_with` instead — it reuses the scratch buffers
     /// instead of re-allocating them on every call.
     pub fn run(&self, sys: &dyn System, y: &mut [f64], t0: f64, t1: f64) -> Work {
         let mut st = self.factory.instantiate(y.len());
@@ -223,7 +206,7 @@ impl<'a> Integration<'a> {
     /// The stepper is *not* reset on entry; callers integrating a
     /// different trajectory (or after a state jump) must call
     /// [`FixedStepper::reset`] first, exactly as with manual stepping.
-    pub fn run_with(
+    pub(crate) fn run_with(
         &self,
         st: &mut dyn FixedStepper,
         sys: &dyn System,
@@ -240,11 +223,6 @@ impl<'a> Integration<'a> {
             work += st.step(sys, t, step, y);
             t += step;
         }
-        if let Some(recorder) = self.recorder {
-            recorder.counter_add(keys::STEPS, work.steps);
-            recorder.counter_add(keys::FN_EVALS, work.fn_evals);
-            recorder.counter_add(keys::REJECTED, work.rejected);
-        }
         work
     }
 }
@@ -252,8 +230,7 @@ impl<'a> Integration<'a> {
 /// Integrate `sys` from `t0` to `t1` with (approximately) fixed step `h`,
 /// shrinking the final step to land exactly on `t1`.
 ///
-/// Thin wrapper over [`Integration`]; prefer the builder in new code (it
-/// also takes a recorder and a caller-owned stepper).
+/// Thin wrapper over [`Integration`].
 pub fn integrate_fixed(
     stepper: &dyn StepperFactory,
     sys: &dyn System,
@@ -447,18 +424,5 @@ mod tests {
 
         assert_eq!(y_free[0].to_bits(), y_builder[0].to_bits());
         assert_eq!(work_free, work_builder);
-    }
-
-    #[test]
-    fn integration_records_work_counters() {
-        let sys = decay();
-        let ring = telemetry::RingRecorder::new();
-        let factory = TableauFactory(&RK4);
-        let work =
-            Integration::new(&factory).step(0.1).recorder(&ring).run(&sys, &mut [1.0f64], 0.0, 1.0);
-        let snap = ring.snapshot();
-        assert_eq!(snap.counter(keys::STEPS.name()), Some(work.steps));
-        assert_eq!(snap.counter(keys::FN_EVALS.name()), Some(work.fn_evals));
-        assert_eq!(snap.counter(keys::REJECTED.name()), Some(0));
     }
 }

@@ -16,22 +16,22 @@ pub struct Tableau {
     /// Classical order of the higher-order solution.
     pub order: u32,
     /// Number of stages.
-    pub stages: usize,
+    pub(crate) stages: usize,
     /// Lower-triangular stage coefficients, flattened.
-    pub a: &'static [f64],
+    pub(crate) a: &'static [f64],
     /// Weights of the propagated (higher-order) solution.
-    pub b: &'static [f64],
+    pub(crate) b: &'static [f64],
     /// Stage nodes.
-    pub c: &'static [f64],
+    pub(crate) c: &'static [f64],
     /// First-Same-As-Last: the last stage equals `f(t+h, y_{n+1})` and can
     /// seed the first stage of the next step.
-    pub fsal: bool,
+    pub(crate) fsal: bool,
 }
 
 impl Tableau {
     /// Coefficient `a[i][j]` (stage `i`, `0 <= j < i`).
     #[inline]
-    pub fn a(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn a(&self, i: usize, j: usize) -> f64 {
         debug_assert!(j < i && i < self.stages);
         self.a[i * (i - 1) / 2 + j]
     }
@@ -41,7 +41,7 @@ impl Tableau {
     /// Returns a description of the first violated property, or `Ok(())`.
     /// The row-sum condition `c_i = Σ_j a_ij` holds for all standard
     /// explicit methods and is a cheap guard against coefficient typos.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let s = self.stages;
         if self.b.len() != s {
             return Err(format!("{}: b has {} entries, want {}", self.name, self.b.len(), s));

@@ -48,9 +48,9 @@ pub struct Collected {
     /// `(return, length)` of episodes that finished, in step order.
     pub episodes: Vec<(f64, usize)>,
     /// Observation rows pushed through the actor (FLOP accounting).
-    pub actor_rows: u64,
+    pub(crate) actor_rows: u64,
     /// Observation rows pushed through the critic (FLOP accounting).
-    pub critic_rows: u64,
+    pub(crate) critic_rows: u64,
 }
 
 impl Collected {

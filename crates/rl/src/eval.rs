@@ -40,7 +40,7 @@ pub enum Greedy<'a> {
 impl Greedy<'_> {
     /// Greedy actions for the rows of `obs`, from one actor forward on
     /// `tape`; row for row the bits of the policies' `act_greedy`.
-    pub fn act_batch(self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
+    pub(crate) fn act_batch(self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
         match self {
             Greedy::Ppo(p) => p.act_greedy_batch(obs, tape),
             Greedy::Sac(l) => l.act_greedy_batch(obs, tape),

@@ -11,7 +11,7 @@
 ///   the bootstrap;
 /// * `dones[t]` — the trajectory stops after step `t` (termination,
 ///   truncation, or the closed tail of a concatenated segment). It cuts
-///   only the λ-chain, exactly as in [`crate::vtrace::vtrace`], so a
+///   only the λ-chain, exactly as in `crate::vtrace::vtrace`, so a
 ///   cut-off is never scored as a termination.
 ///
 /// Returns `(advantages, returns)` with `returns[t] = adv[t] + values[t]`.

@@ -5,7 +5,7 @@
 //! (V-trace, plain) setting of the one on-policy learner — consumes
 //! rollouts collected by *stale* policy snapshots (the regime the
 //! RLlib-like backend creates on two nodes) and corrects them with
-//! [`crate::vtrace::vtrace`], so throughput can scale without the reward
+//! `crate::vtrace::vtrace`, so throughput can scale without the reward
 //! degradation the paper observes for naive distribution (§VI-D, configs
 //! 7 vs 8). This module holds its hyperparameters.
 //!

@@ -7,7 +7,7 @@
 //!
 //! * **targets** — where advantages and critic targets come from:
 //!   GAE-λ on the values recorded at collection, or V-trace against the
-//!   current policy ([`crate::vtrace::vtrace`]);
+//!   current policy (`crate::vtrace::vtrace`);
 //! * **surrogate** — the policy loss and its passes over the rollout:
 //!   the clipped ratio over shuffled epochs × minibatches, or plain
 //!   `−Â·log π` in one step over the whole rollout in order (which
@@ -51,18 +51,18 @@ enum Surrogate {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateStats {
     /// Mean policy loss (clipped surrogate, or `−Â·log π`).
-    pub policy_loss: f64,
+    pub(crate) policy_loss: f64,
     /// Mean value loss toward the targets.
-    pub value_loss: f64,
+    pub(crate) value_loss: f64,
     /// Mean policy entropy.
-    pub entropy: f64,
+    pub(crate) entropy: f64,
     /// Mean approximate KL between the behaviour and the current policy.
-    pub approx_kl: f64,
+    pub(crate) approx_kl: f64,
     /// Fraction of samples whose ratio was clipped (0 without clipping).
-    pub clip_fraction: f64,
+    pub(crate) clip_fraction: f64,
     /// Mean clipped V-trace importance weight (1 = on-policy; 1 under GAE,
     /// which applies none).
-    pub mean_rho: f64,
+    pub(crate) mean_rho: f64,
 }
 
 /// The on-policy learner: policy + optimizers + work accounting.

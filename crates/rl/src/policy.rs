@@ -21,7 +21,7 @@ pub enum PolicyHead {
 
 /// A sampled-or-evaluated action distribution for one observation.
 #[derive(Debug, Clone)]
-pub enum Dist {
+pub(crate) enum Dist {
     /// Discrete head.
     Categorical(Categorical),
     /// Continuous head.
@@ -39,7 +39,7 @@ impl Dist {
     }
 
     /// Sample an action.
-    pub fn sample(&self, rng: &mut impl Rng) -> Action {
+    pub(crate) fn sample(&self, rng: &mut impl Rng) -> Action {
         match self {
             Dist::Categorical(c) => Action::Discrete(c.sample(rng)),
             Dist::Gaussian(g) => Action::Continuous(g.sample(rng)),
@@ -47,7 +47,7 @@ impl Dist {
     }
 
     /// Most likely action (greedy evaluation).
-    pub fn mode(&self) -> Action {
+    pub(crate) fn mode(&self) -> Action {
         match self {
             Dist::Categorical(c) => Action::Discrete(c.mode()),
             Dist::Gaussian(g) => Action::Continuous(g.mean.clone()),
@@ -55,7 +55,7 @@ impl Dist {
     }
 
     /// `log π(a|s)`.
-    pub fn log_prob(&self, action: &Action) -> f64 {
+    pub(crate) fn log_prob(&self, action: &Action) -> f64 {
         match (self, action) {
             (Dist::Categorical(c), Action::Discrete(a)) => c.log_prob(*a),
             (Dist::Gaussian(g), Action::Continuous(a)) => g.log_prob(a),
@@ -64,7 +64,7 @@ impl Dist {
     }
 
     /// Distribution entropy.
-    pub fn entropy(&self) -> f64 {
+    pub(crate) fn entropy(&self) -> f64 {
         match self {
             Dist::Categorical(c) => c.entropy(),
             Dist::Gaussian(g) => g.entropy(),
@@ -132,7 +132,7 @@ impl ActorCritic {
     }
 
     /// Distribution for a single observation.
-    pub fn dist(&self, obs: &[f64]) -> Dist {
+    pub(crate) fn dist(&self, obs: &[f64]) -> Dist {
         let out = self.actor.infer(&Matrix::row(obs));
         self.dist_from_actor_row(out.row_slice(0))
     }
@@ -200,13 +200,6 @@ impl ActorCritic {
     pub(crate) fn act_greedy_batch(&self, obs: &Matrix, tape: &mut Tape) -> Vec<Action> {
         let out = self.actor.infer_into(obs, tape);
         (0..out.rows()).map(|r| self.dist_from_actor_row(out.row_slice(r)).mode()).collect()
-    }
-
-    /// Zero gradients on all components.
-    pub fn zero_grad(&mut self) {
-        self.actor.zero_grad();
-        self.critic.zero_grad();
-        self.log_std_grad.fill(0.0);
     }
 
     /// Copy all parameters from a structurally identical policy (weight

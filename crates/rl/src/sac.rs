@@ -82,19 +82,6 @@ impl SacConfig {
     }
 }
 
-/// Diagnostics from one SAC update.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SacStats {
-    /// Mean twin-critic TD loss.
-    pub q_loss: f64,
-    /// Mean actor loss `α log π - Q`.
-    pub actor_loss: f64,
-    /// Current temperature α.
-    pub alpha: f64,
-    /// Mean `-log π` (entropy estimate).
-    pub entropy: f64,
-}
-
 /// The SAC learner.
 pub struct SacLearner {
     /// Actor network: obs → `[mean | log_std]` (2 × action dim outputs).
@@ -195,11 +182,6 @@ impl SacLearner {
         }
     }
 
-    /// The hyperparameters.
-    pub fn config(&self) -> &SacConfig {
-        &self.cfg
-    }
-
     /// Current temperature α.
     pub fn alpha(&self) -> f64 {
         exp(self.log_alpha)
@@ -241,25 +223,22 @@ impl SacLearner {
             .collect()
     }
 
-    /// Record a transition and run any due updates. Returns stats when at
-    /// least one update ran.
-    pub fn observe(&mut self, t: Transition, rng: &mut impl Rng) -> Option<SacStats> {
+    /// Record a transition and run any due updates.
+    pub fn observe(&mut self, t: Transition, rng: &mut impl Rng) {
         self.replay.push(t);
         self.steps_observed += 1;
         let warm = (self.steps_observed as usize) >= self.cfg.start_steps.max(self.cfg.batch);
         let due = self.steps_observed.is_multiple_of(self.cfg.update_every as u64);
         if !(warm && due) {
-            return None;
+            return;
         }
-        let mut stats = SacStats::default();
         for _ in 0..self.cfg.updates_per_step {
-            stats = self.update_from_batch(rng);
+            self.update_from_batch(rng);
         }
-        Some(stats)
     }
 
     /// One gradient update from a replay sample.
-    pub fn update_from_batch(&mut self, rng: &mut impl Rng) -> SacStats {
+    pub fn update_from_batch(&mut self, rng: &mut impl Rng) {
         let batch = self.replay.sample(self.cfg.batch, rng);
         let b = batch.len();
         let gamma = self.cfg.gamma;
@@ -326,8 +305,6 @@ impl SacLearner {
         let din2 = self.q2.backward_input(q2_tape, dq);
 
         dactor.resize_zeroed(b, 2 * act_dim);
-        let mut actor_loss = 0.0;
-        let mut entropy_sum = 0.0;
         let inv_b = 1.0 / b as f64;
         for i in 0..b {
             let use_q1 = q1v.get(i, 0) <= q2v.get(i, 0);
@@ -347,9 +324,6 @@ impl SacLearner {
                 drow[k] = dmean * inv_b;
                 drow[act_dim + k] = dls * inv_b;
             }
-            let qmin = q1v.get(i, 0).min(q2v.get(i, 0));
-            actor_loss += (alpha * samples[i].log_prob - qmin) * inv_b;
-            entropy_sum += -samples[i].log_prob * inv_b;
         }
         self.actor.zero_grad();
         self.actor.backward_params(actor_tape, dactor);
@@ -367,13 +341,11 @@ impl SacLearner {
             dst[..obs_dim].copy_from_slice(&batch[i].obs);
             dst[obs_dim..].copy_from_slice(&batch[i].action);
         }
-        let mut q_loss = 0.0;
         for (q, opt) in [(&mut self.q1, &mut self.q1_opt), (&mut self.q2, &mut self.q2_opt)] {
             q.forward_into(q_in, q1_tape);
             let out = q1_tape.output();
             for i in 0..b {
                 let err = out.get(i, 0) - y[i];
-                q_loss += 0.5 * err * err * inv_b * 0.5;
                 dq.set(i, 0, err * inv_b);
             }
             q.zero_grad();
@@ -396,8 +368,6 @@ impl SacLearner {
             + 4 * forward_flops(&q_sizes, b)
             + 4 * backward_flops(&q_sizes, b)
             + 2 * forward_flops(&q_sizes, b);
-
-        SacStats { q_loss, actor_loss, alpha: self.alpha(), entropy: entropy_sum }
     }
 
     /// Serialized parameter bytes (for network-payload accounting).
@@ -463,7 +433,7 @@ mod tests {
         let mut learner = make_learner(5);
         let mut rng = StdRng::seed_from_u64(6);
         for i in 0..100 {
-            let out = learner.observe(
+            learner.observe(
                 Transition {
                     obs: vec![0.0; 4],
                     action: vec![0.0; 2],
@@ -473,19 +443,17 @@ mod tests {
                 },
                 &mut rng,
             );
-            assert!(out.is_none(), "update fired too early at step {i}");
+            assert_eq!(learner.updates, 0, "update fired too early at step {i}");
         }
-        assert_eq!(learner.updates, 0);
     }
 
     #[test]
     fn updates_fire_after_warmup_and_stay_finite() {
         let mut learner = make_learner(7);
         let mut rng = StdRng::seed_from_u64(8);
-        let mut fired = false;
         for i in 0..600 {
             let x = (i as f64 * 0.01).sin();
-            let out = learner.observe(
+            learner.observe(
                 Transition {
                     obs: vec![x; 4],
                     action: vec![0.1, -0.1],
@@ -495,15 +463,8 @@ mod tests {
                 },
                 &mut rng,
             );
-            if let Some(stats) = out {
-                fired = true;
-                assert!(stats.q_loss.is_finite());
-                assert!(stats.actor_loss.is_finite());
-                assert!(stats.alpha > 0.0);
-            }
         }
-        assert!(fired, "updates must fire after warmup");
-        assert!(learner.updates > 0);
+        assert!(learner.updates > 0, "updates must fire after warmup");
         assert!(!learner.actor.has_non_finite());
         assert!(!learner.q1.has_non_finite());
         assert!(learner.flops > 0);

@@ -39,7 +39,7 @@ pub enum Schedule {
 
 impl Schedule {
     /// Evaluate at progress `p` (clamped into `[0, 1]`).
-    pub fn at(&self, p: f64) -> f64 {
+    pub(crate) fn at(&self, p: f64) -> f64 {
         let p = p.clamp(0.0, 1.0);
         match *self {
             Schedule::Constant(v) => v,

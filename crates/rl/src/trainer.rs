@@ -29,24 +29,6 @@ pub struct TrainSpec {
     pub seed: u64,
 }
 
-impl TrainSpec {
-    /// PPO with defaults.
-    pub fn ppo(total_steps: usize, seed: u64) -> Self {
-        Self {
-            algorithm: Algorithm::Ppo,
-            total_steps,
-            ppo: PpoConfig::default(),
-            sac: SacConfig::default(),
-            seed,
-        }
-    }
-
-    /// SAC with defaults.
-    pub fn sac(total_steps: usize, seed: u64) -> Self {
-        Self { algorithm: Algorithm::Sac, ..Self::ppo(total_steps, seed) }
-    }
-}
-
 /// Final-evaluation settings.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalSpec {
@@ -62,35 +44,15 @@ impl Default for EvalSpec {
     }
 }
 
-/// Periodic progress sample emitted during training.
-#[derive(Debug, Clone, Copy)]
-pub struct TrainProgress {
-    /// Environment steps so far.
-    pub steps: u64,
-    /// Mean return of recent finished episodes, if any finished.
-    pub recent_return: Option<f64>,
-}
-
-/// Outcome of a training run, including the work accounting the cluster
-/// simulator converts into time and energy.
+/// Outcome of a training run.
 #[derive(Debug, Clone)]
 pub struct TrainReport {
-    /// Greedy evaluation on the evaluation environment.
+    /// Mean return of the greedy evaluation on the evaluation environment.
     pub eval_mean_return: f64,
-    /// Standard deviation of evaluation returns.
-    pub eval_std_return: f64,
     /// Environment steps executed.
     pub env_steps: u64,
-    /// Environment work units (derivative evaluations) consumed.
-    pub env_work: u64,
-    /// Learning FLOPs spent (forward+backward passes).
-    pub learn_flops: u64,
-    /// Gradient updates performed.
-    pub updates: u64,
     /// Returns of training episodes, in completion order.
     pub train_returns: Vec<f64>,
-    /// Progress samples.
-    pub progress: Vec<TrainProgress>,
 }
 
 /// A trained policy wrapper for greedy evaluation.
@@ -103,7 +65,7 @@ pub enum TrainedPolicy<'a> {
 
 impl TrainedPolicy<'_> {
     /// The greedy policy the evaluator runs.
-    pub fn greedy(&self) -> Greedy<'_> {
+    pub(crate) fn greedy(&self) -> Greedy<'_> {
         match self {
             TrainedPolicy::Ppo(l) => Greedy::Ppo(&l.policy),
             TrainedPolicy::Sac(l) => Greedy::Sac(l),
@@ -144,11 +106,9 @@ pub fn train(
     let aspace = env.action_space();
 
     let mut env_steps = 0u64;
-    let mut env_work = 0u64;
     let mut train_returns = Vec::new();
-    let mut progress = Vec::new();
 
-    let report = match spec.algorithm {
+    let stats = match spec.algorithm {
         Algorithm::Ppo => {
             let mut learner = PpoLearner::new(obs_dim, &aspace, spec.ppo.clone(), &mut rng);
             let mut obs = env.reset();
@@ -157,16 +117,10 @@ pub fn train(
                 let n = spec.ppo.n_steps.min(spec.total_steps - env_steps as usize);
                 let out = learner.collect(env, &mut obs, n, &mut rng);
                 env_steps += n as u64;
-                env_work += out.env_work;
                 train_returns.extend(out.episodes.iter().map(|e| e.0));
                 learner.update(&out.rollout, &mut rng);
-                progress.push(TrainProgress {
-                    steps: env_steps,
-                    recent_return: mean_tail(&train_returns, 10),
-                });
             }
-            let stats = evaluate(&TrainedPolicy::Ppo(&learner), eval_env, eval);
-            (stats, learner.flops, learner.updates)
+            evaluate(&TrainedPolicy::Ppo(&learner), eval_env, eval)
         }
         Algorithm::Sac => {
             let mut learner = SacLearner::new(obs_dim, &aspace, spec.sac.clone(), &mut rng);
@@ -176,7 +130,6 @@ pub fn train(
                 let a = learner.act(&obs, &mut rng);
                 let s = env.step(&a);
                 env_steps += 1;
-                env_work += env.last_step_work();
                 ep_ret += s.reward;
                 let t = Transition {
                     obs: std::mem::take(&mut obs),
@@ -193,37 +146,11 @@ pub fn train(
                 } else {
                     obs = s.obs;
                 }
-                if env_steps.is_multiple_of(1000) {
-                    progress.push(TrainProgress {
-                        steps: env_steps,
-                        recent_return: mean_tail(&train_returns, 10),
-                    });
-                }
             }
-            let stats = evaluate(&TrainedPolicy::Sac(&learner), eval_env, eval);
-            (stats, learner.flops, learner.updates)
+            evaluate(&TrainedPolicy::Sac(&learner), eval_env, eval)
         }
     };
-
-    let (stats, learn_flops, updates) = report;
-    TrainReport {
-        eval_mean_return: stats.mean_return,
-        eval_std_return: stats.std_return,
-        env_steps,
-        env_work,
-        learn_flops,
-        updates,
-        train_returns,
-        progress,
-    }
-}
-
-fn mean_tail(xs: &[f64], n: usize) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let tail = &xs[xs.len().saturating_sub(n)..];
-    Some(tail.iter().sum::<f64>() / tail.len() as f64)
+    TrainReport { eval_mean_return: stats.mean_return, env_steps, train_returns }
 }
 
 #[cfg(test)]
@@ -231,17 +158,18 @@ mod tests {
     use super::*;
     use gymrs::envs::{GridWorld, PointMass};
 
+    fn spec(algorithm: Algorithm, total_steps: usize, seed: u64) -> TrainSpec {
+        let (ppo, sac) = (PpoConfig::fast_test(), SacConfig::fast_test());
+        TrainSpec { algorithm, total_steps, ppo, sac, seed }
+    }
+
     #[test]
     fn ppo_train_loop_produces_consistent_report() {
         let mut env = GridWorld::new(3);
         let mut eval_env = GridWorld::new(3);
-        let spec = TrainSpec { ppo: PpoConfig::fast_test(), ..TrainSpec::ppo(1024, 3) };
+        let spec = spec(Algorithm::Ppo, 1024, 3);
         let report = train(&mut env, &mut eval_env, &spec, &EvalSpec::default());
         assert_eq!(report.env_steps, 1024);
-        assert_eq!(report.env_work, 1024);
-        assert!(report.updates > 0);
-        assert!(report.learn_flops > 0);
-        assert!(!report.progress.is_empty());
         assert!(report.eval_mean_return.is_finite());
     }
 
@@ -249,14 +177,11 @@ mod tests {
     fn sac_train_loop_produces_consistent_report() {
         let mut env = PointMass::new();
         let mut eval_env = PointMass::new();
-        let spec = TrainSpec {
-            sac: SacConfig { start_steps: 100, ..SacConfig::fast_test() },
-            ..TrainSpec::sac(600, 5)
-        };
+        let mut spec = spec(Algorithm::Sac, 600, 5);
+        spec.sac.start_steps = 100;
         let report =
             train(&mut env, &mut eval_env, &spec, &EvalSpec { episodes: 3, max_steps: 100 });
         assert_eq!(report.env_steps, 600);
-        assert!(report.updates > 0);
         assert!(report.eval_mean_return.is_finite());
         assert!(!report.train_returns.is_empty());
     }
@@ -266,7 +191,7 @@ mod tests {
         let run = || {
             let mut env = GridWorld::new(3);
             let mut eval_env = GridWorld::new(3);
-            let spec = TrainSpec { ppo: PpoConfig::fast_test(), ..TrainSpec::ppo(512, 9) };
+            let spec = spec(Algorithm::Ppo, 512, 9);
             train(&mut env, &mut eval_env, &spec, &EvalSpec { episodes: 3, max_steps: 200 })
         };
         let a = run();
@@ -280,7 +205,7 @@ mod tests {
         let run = |seed| {
             let mut env = GridWorld::new(3);
             let mut eval_env = GridWorld::new(3);
-            let spec = TrainSpec { ppo: PpoConfig::fast_test(), ..TrainSpec::ppo(512, seed) };
+            let spec = spec(Algorithm::Ppo, 512, seed);
             train(&mut env, &mut eval_env, &spec, &EvalSpec { episodes: 3, max_steps: 200 })
         };
         assert_ne!(run(1).train_returns, run(2).train_returns);
@@ -291,19 +216,11 @@ mod tests {
         use crate::schedules::Schedule;
         let mut env = GridWorld::new(3);
         let mut eval_env = GridWorld::new(3);
-        let mut spec = TrainSpec { ppo: PpoConfig::fast_test(), ..TrainSpec::ppo(768, 3) };
+        let mut spec = spec(Algorithm::Ppo, 768, 3);
         spec.ppo.lr_schedule = Some(Schedule::linear_to_zero(spec.ppo.lr));
         // Training must complete and remain finite under annealing.
         let report =
             train(&mut env, &mut eval_env, &spec, &EvalSpec { episodes: 2, max_steps: 100 });
         assert!(report.eval_mean_return.is_finite());
-        assert!(report.updates > 0);
-    }
-
-    #[test]
-    fn mean_tail_behaviour() {
-        assert_eq!(mean_tail(&[], 5), None);
-        assert_eq!(mean_tail(&[2.0, 4.0], 5), Some(3.0));
-        assert_eq!(mean_tail(&[0.0, 0.0, 6.0], 1), Some(6.0));
     }
 }

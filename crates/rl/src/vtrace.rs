@@ -28,13 +28,13 @@ use simd_kernels::mathf64::exp;
 
 /// Clipping thresholds (the IMPALA paper's defaults are both 1.0).
 #[derive(Debug, Clone, Copy)]
-pub struct VtraceConfig {
+pub(crate) struct VtraceConfig {
     /// Discount γ.
-    pub gamma: f64,
+    pub(crate) gamma: f64,
     /// Importance-weight clip ρ̄ (controls the fixed point).
-    pub rho_clip: f64,
+    pub(crate) rho_clip: f64,
     /// Trace-cut clip c̄ (controls contraction speed).
-    pub c_clip: f64,
+    pub(crate) c_clip: f64,
 }
 
 impl Default for VtraceConfig {
@@ -45,13 +45,13 @@ impl Default for VtraceConfig {
 
 /// V-trace outputs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VtraceResult {
+pub(crate) struct VtraceResult {
     /// Corrected value targets `v_t` (length n).
-    pub vs: Vec<f64>,
+    pub(crate) vs: Vec<f64>,
     /// Policy-gradient advantages `ρ_t (r_t + γ v_{t+1} - V(s_t))`.
-    pub pg_advantages: Vec<f64>,
+    pub(crate) pg_advantages: Vec<f64>,
     /// The clipped ρ weights actually used.
-    pub rhos: Vec<f64>,
+    pub(crate) rhos: Vec<f64>,
 }
 
 /// Compute V-trace targets for (possibly concatenated) trajectory
@@ -63,7 +63,7 @@ pub struct VtraceResult {
 /// * `next_values[t]` — `V(s_{t+1})` (0 where the episode terminated;
 ///   the stored bootstrap for truncated/segment tails);
 /// * `dones[t]` — cut the trace after step `t` (episode or segment end).
-pub fn vtrace(
+pub(crate) fn vtrace(
     behaviour_log_probs: &[f64],
     target_log_probs: &[f64],
     rewards: &[f64],

@@ -69,7 +69,7 @@ impl Isa {
     }
 
     /// Parse an `RLDT_SIMD` value; `None` for unrecognized strings.
-    pub fn parse(s: &str) -> Option<Isa> {
+    pub(crate) fn parse(s: &str) -> Option<Isa> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Isa::Scalar),
             "avx2" => Some(Isa::Avx2),

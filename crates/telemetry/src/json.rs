@@ -61,7 +61,7 @@ impl Json {
     }
 
     /// Any number as an `f64` (integers converted).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::F64(v) => Some(*v),
             Json::U64(v) => Some(*v as f64),
@@ -105,9 +105,9 @@ impl Json {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset the parser had reached.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// What it found wrong there.
-    pub what: String,
+    pub(crate) what: String,
 }
 
 impl fmt::Display for JsonError {

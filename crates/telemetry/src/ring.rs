@@ -521,7 +521,6 @@ mod tests {
         assert_eq!(g.sum, 11.0);
         assert_eq!(g.min, -1.0);
         assert_eq!(g.max, 7.0);
-        assert_eq!(g.mean(), 2.75);
     }
 
     #[test]

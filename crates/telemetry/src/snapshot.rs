@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaugeStats {
     /// The most recently recorded sample.
-    pub last: f64,
+    pub(crate) last: f64,
     /// How many samples were recorded.
     pub count: u64,
     /// Sum of all samples (mean = `sum / count`).
@@ -21,17 +21,6 @@ pub struct GaugeStats {
     pub min: f64,
     /// Largest sample seen.
     pub max: f64,
-}
-
-impl GaugeStats {
-    /// Mean of the recorded samples, or `NaN` when no sample was taken.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
 }
 
 /// An owned event field value; the snapshot-side mirror of
@@ -103,13 +92,13 @@ impl SnapEvent {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapSpan {
     /// The span's key name.
-    pub key: String,
+    pub(crate) key: String,
     /// Dense index of the thread that opened the span.
     pub thread: usize,
     /// Start, nanoseconds since the recorder was created.
-    pub begin_ns: u64,
+    pub(crate) begin_ns: u64,
     /// End, nanoseconds since the recorder was created.
-    pub end_ns: u64,
+    pub(crate) end_ns: u64,
 }
 
 impl SnapSpan {
@@ -132,13 +121,13 @@ pub struct Snapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
     /// f64 accumulators by name.
-    pub accums: BTreeMap<String, f64>,
+    pub(crate) accums: BTreeMap<String, f64>,
     /// Gauge statistics by name.
-    pub gauges: BTreeMap<String, GaugeStats>,
+    pub(crate) gauges: BTreeMap<String, GaugeStats>,
     /// Structured events in timestamp order.
     pub events: Vec<SnapEvent>,
     /// Completed spans in start-time order.
-    pub spans: Vec<SnapSpan>,
+    pub(crate) spans: Vec<SnapSpan>,
     /// Events lost to ring-buffer wrap-around.
     pub dropped_events: u64,
 }
@@ -173,14 +162,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gauge_mean_handles_empty() {
-        let g = GaugeStats { last: 0.0, count: 0, sum: 0.0, min: 0.0, max: 0.0 };
-        assert!(g.mean().is_nan());
-        let g = GaugeStats { last: 3.0, count: 2, sum: 8.0, min: 3.0, max: 5.0 };
-        assert_eq!(g.mean(), 4.0);
-    }
 
     #[test]
     fn event_field_lookups() {
