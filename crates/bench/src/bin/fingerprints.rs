@@ -56,11 +56,8 @@ fn params(model: &mut TrainedModel) -> Vec<u8> {
             push(&p.log_std);
         }
         TrainedModel::Sac(s) => {
-            let alpha = s.alpha();
-            for net in [&mut s.actor, &mut s.q1, &mut s.q2] {
-                net.visit_params(|w, _| push(w));
-            }
-            push(&[alpha]);
+            s.visit_params(|w, _| push(w));
+            push(&[s.alpha()]);
         }
     }
     bytes

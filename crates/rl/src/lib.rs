@@ -24,7 +24,9 @@
 //!   `−Â·log π` in one step);
 //! * [`ppo`], [`impala`] — the hyperparameters of its two settings:
 //!   PPO = (GAE, clipped), IMPALA-style = (V-trace, plain);
-//! * [`sac`] — twin-critic SAC with automatic entropy temperature;
+//! * [`sac`] — twin-critic SAC with automatic entropy temperature; critic
+//!   2's passes and the actor's pass over s′ run on the process's one
+//!   helper thread (`helper`);
 //! * [`trainer`] — a single-node training loop driving either algorithm
 //!   on any environment (the distributed drivers live in `dist-exec`).
 //!
@@ -37,6 +39,7 @@ pub mod buffer;
 pub mod collect;
 pub mod eval;
 pub mod gae;
+mod helper;
 pub mod impala;
 pub mod on_policy;
 pub mod policy;

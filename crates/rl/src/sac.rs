@@ -9,9 +9,11 @@
 // Index loops here co-index several arrays; zip chains would obscure them.
 #![allow(clippy::needless_range_loop)]
 use crate::buffer::{ReplayBuffer, Transition};
+use crate::helper::Lane;
 use gymrs::{Action, Space};
 use rand::Rng;
 use simd_kernels::mathf64::{exp, ln};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tinynn::dist::{PathwisePartials, SquashedGaussian, SquashedSample, LOG_STD_MAX, LOG_STD_MIN};
 use tinynn::{
     backward_flops, clip_grad_norm, forward_flops, Activation, Adam, Matrix, Mlp, Optimizer, Tape,
@@ -84,19 +86,16 @@ impl SacConfig {
 
 /// The SAC learner.
 pub struct SacLearner {
-    /// Actor network: obs → `[mean | log_std]` (2 × action dim outputs).
-    pub actor: Mlp,
+    /// Actor network: obs → `[mean | log_std]` (2 × action dim outputs),
+    /// shared with the helper's pass over s'.
+    actor: Arc<Mlp>,
     /// First critic: `[obs | act]` → Q.
-    pub q1: Mlp,
-    /// Second critic.
-    pub q2: Mlp,
-    q1_target: Mlp,
-    q2_target: Mlp,
+    q1: Critic,
+    /// The helper's share of an update, critic 2 with it.
+    share: Arc<Mutex<Share>>,
     log_alpha: f64,
     cfg: SacConfig,
     actor_opt: Adam,
-    q1_opt: Adam,
-    q2_opt: Adam,
     act_dim: usize,
     obs_dim: usize,
     target_entropy: f64,
@@ -111,24 +110,108 @@ pub struct SacLearner {
     scratch: Scratch,
 }
 
+/// One of the twin critics: online and target network, optimizer, and the
+/// buffers of its share of an update, each phase of which reads only
+/// these and its input, so the two critics' phases run in either order.
+struct Critic {
+    net: Mlp,
+    target: Mlp,
+    opt: Adam,
+    /// Where the action columns of the critic input start.
+    obs_dim: usize,
+    max_grad_norm: f64,
+    tau: f64,
+    /// The target pass on `[s' | a']`, then the online passes on
+    /// `[s | a_π]` and `[s | a]`.
+    tape: Tape,
+    /// `b × 1` output gradient: all ones, then the TD errors.
+    dq: Matrix,
+    /// `b × act_dim`: ∂Q/∂a at the actor's actions.
+    dq_da: Matrix,
+}
+
+/// What the helper's jobs read and write (`helper::Lane`): the actor
+/// pass over the next observations, then critic 2's passes on its own
+/// copy of the critic input and the TD targets.
+struct Share {
+    /// `b × obs_dim` next observations.
+    next_obs: Matrix,
+    actor_tape: Tape,
+    critic: Critic,
+    /// The critic input: `[s' | a']`, then `[s | a_π]`, then `[s | a]`.
+    x: Matrix,
+    /// TD targets.
+    y: Vec<f64>,
+}
+
+impl Critic {
+    fn new(net: Mlp, obs_dim: usize, cfg: &SacConfig) -> Self {
+        Self {
+            target: net.clone(),
+            net,
+            opt: Adam::new(cfg.lr),
+            obs_dim,
+            max_grad_norm: cfg.max_grad_norm,
+            tau: cfg.tau,
+            tape: Tape::default(),
+            dq: Matrix::default(),
+            dq_da: Matrix::default(),
+        }
+    }
+
+    /// The last pass's output column.
+    fn q(&self) -> &Matrix {
+        self.tape.output()
+    }
+
+    /// The target network on `x = [s' | a']`.
+    fn target_pass(&mut self, x: &Matrix) {
+        self.target.forward_into(x, &mut self.tape);
+    }
+
+    /// Q on `x = [s | a_π]` and its gradient in the action columns.
+    fn actor_path(&mut self, x: &Matrix) {
+        let (b, obs_dim) = (x.rows(), self.obs_dim);
+        self.net.forward_into(x, &mut self.tape);
+        self.dq.resize_zeroed(b, 1);
+        self.dq.as_mut_slice().fill(1.0);
+        let din = self.net.backward_input(&self.tape, &self.dq);
+        self.dq_da.resize_zeroed(b, x.cols() - obs_dim);
+        for i in 0..b {
+            self.dq_da.row_slice_mut(i).copy_from_slice(&din.row_slice(i)[obs_dim..]);
+        }
+    }
+
+    /// One regression step toward `y` on the stored pairs `x = [s | a]`,
+    /// then the Polyak step of the target network.
+    fn regress(&mut self, x: &Matrix, y: &[f64]) {
+        let inv_b = 1.0 / x.rows() as f64;
+        self.dq.resize_zeroed(x.rows(), 1);
+        self.net.forward_into(x, &mut self.tape);
+        let out = self.tape.output();
+        for (i, y) in y.iter().enumerate() {
+            self.dq.set(i, 0, (out.get(i, 0) - y) * inv_b);
+        }
+        self.net.zero_grad();
+        self.net.backward_params(&self.tape, &self.dq);
+        clip_grad_norm(&mut self.net, self.max_grad_norm);
+        self.opt.step(&mut self.net);
+        self.target.polyak_from(&self.net, self.tau);
+    }
+}
+
 /// Forward tapes and batch matrices of one update, held on the learner
 /// (the way `PpoLearner` holds its tapes) and resized in place, so a
 /// warmed-up update builds none of them afresh. Each is reused as soon as
 /// its previous contents have been consumed.
 #[derive(Default)]
 struct Scratch {
-    /// Actor pass over the next observations, then over the observations.
+    /// Actor pass over the observations.
     actor_tape: Tape,
-    /// Target critic 1 on `[s' | a']`, then critic 1 on `[s | a_π]` and `[s | a]`.
-    q1_tape: Tape,
-    /// The same for critic 2.
-    q2_tape: Tape,
-    /// `b × obs_dim`: next observations, then observations.
+    /// `b × obs_dim` observations.
     obs_in: Matrix,
     /// `b × (obs_dim + act_dim)`: `[s' | a']`, then `[s | a_π]`, then `[s | a]`.
     q_in: Matrix,
-    /// `b × 1` critic output gradient: all ones, then the TD errors.
-    dq: Matrix,
     /// `b × 2·act_dim` actor output gradient.
     dactor: Matrix,
     /// TD targets.
@@ -158,18 +241,18 @@ impl SacLearner {
         let actor = Mlp::new(&actor_sizes, Activation::Relu, Activation::Identity, rng);
         let q1 = Mlp::new(&q_sizes, Activation::Relu, Activation::Identity, rng);
         let q2 = Mlp::new(&q_sizes, Activation::Relu, Activation::Identity, rng);
-        let q1_target = q1.clone();
-        let q2_target = q2.clone();
         Self {
-            actor,
-            q1,
-            q2,
-            q1_target,
-            q2_target,
+            actor: Arc::new(actor),
+            q1: Critic::new(q1, obs_dim, &cfg),
+            share: Arc::new(Mutex::new(Share {
+                next_obs: Matrix::default(),
+                actor_tape: Tape::default(),
+                critic: Critic::new(q2, obs_dim, &cfg),
+                x: Matrix::default(),
+                y: Vec::new(),
+            })),
             log_alpha: ln(cfg.init_alpha),
             actor_opt: Adam::new(cfg.lr),
-            q1_opt: Adam::new(cfg.lr),
-            q2_opt: Adam::new(cfg.lr),
             act_dim,
             obs_dim,
             target_entropy: cfg.target_entropy.unwrap_or(-(act_dim as f64)),
@@ -185,6 +268,14 @@ impl SacLearner {
     /// Current temperature α.
     pub fn alpha(&self) -> f64 {
         exp(self.log_alpha)
+    }
+
+    /// Visit `(param, grad)` slices of every tensor of the actor, then
+    /// critic 1, then critic 2.
+    pub fn visit_params(&mut self, mut f: impl FnMut(&mut [f64], &[f64])) {
+        Arc::make_mut(&mut self.actor).visit_params(&mut f);
+        self.q1.net.visit_params(&mut f);
+        lock(&self.share).critic.net.visit_params(&mut f);
     }
 
     /// Policy distribution for an observation.
@@ -238,53 +329,70 @@ impl SacLearner {
     }
 
     /// One gradient update from a replay sample.
+    ///
+    /// Critic 2's phases run on the process's helper thread when this
+    /// update can hold it, else inline; the bits are the same either way.
     pub fn update_from_batch(&mut self, rng: &mut impl Rng) {
+        self.update_on(&mut Lane::claim(), rng);
+    }
+
+    /// [`SacLearner::update_from_batch`] with the helper's share on
+    /// `lane`: critic 2's passes and the actor pass over s'. This thread
+    /// keeps every other pass, every RNG draw and critic 1.
+    fn update_on(&mut self, lane: &mut Lane, rng: &mut impl Rng) {
         let batch = self.replay.sample(self.cfg.batch, rng);
         let b = batch.len();
         let gamma = self.cfg.gamma;
         let alpha = self.alpha();
         let (obs_dim, act_dim) = (self.obs_dim, self.act_dim);
-        let Scratch {
-            actor_tape,
-            q1_tape,
-            q2_tape,
-            obs_in,
-            q_in,
-            dq,
-            dactor,
-            y,
-            dists,
-            samples,
-            parts,
-        } = &mut self.scratch;
+        let Scratch { actor_tape, obs_in, q_in, dactor, y, dists, samples, parts } =
+            &mut self.scratch;
         dists.resize_with(b, SquashedGaussian::default);
         samples.resize_with(b, SquashedSample::default);
+        let share = &self.share;
+        // Hand critic 2 a copy of `q_in` and start `phase` on it.
+        let start_critic = |lane: &mut Lane, q_in: &Matrix, phase: fn(&mut Share)| {
+            lock(share).x.copy_from_flat(b, obs_dim + act_dim, q_in.as_slice());
+            start(lane, share, phase);
+        };
 
-        // ---- 1. Targets: y = r + γ(1-d)(min Q_t(s',a') - α log π(a'|s'))
-        fill_rows(obs_in, &batch, obs_dim, |t| &t.next_obs);
-        let next_out = self.actor.infer_into(obs_in, actor_tape);
-        q_in.resize_zeroed(b, obs_dim + act_dim);
-        for i in 0..b {
-            let row = next_out.row_slice(i);
-            dists[i].assign(&row[..act_dim], &row[act_dim..]);
-            dists[i].rsample_into(rng, &mut samples[i]);
-            let dst = q_in.row_slice_mut(i);
-            dst[..obs_dim].copy_from_slice(&batch[i].next_obs);
-            dst[obs_dim..].copy_from_slice(&samples[i].action);
-        }
-        let q1t = self.q1_target.infer_into(q_in, q1_tape);
-        let q2t = self.q2_target.infer_into(q_in, q2_tape);
-        y.clear();
-        for i in 0..b {
-            let qmin = q1t.get(i, 0).min(q2t.get(i, 0));
-            let not_done = if batch[i].terminated { 0.0 } else { 1.0 };
-            y.push(batch[i].reward + gamma * not_done * (qmin - alpha * samples[i].log_prob));
-        }
-
-        // ---- 2. Actor update (before the critic step: `din1`/`din2` are
-        // lent from the critics' backward buffers, which step 4 reuses).
+        // ---- 1. Targets: y = r + γ(1-d)(min Q_t(s',a') - α log π(a'|s')).
+        // The actor pass over s' runs beside the one over s that step 2 reads.
+        fill_rows(&mut lock(share).next_obs, &batch, obs_dim, |t| &t.next_obs);
+        let actor = Arc::clone(&self.actor);
+        start(lane, share, move |s| actor.forward_into(&s.next_obs, &mut s.actor_tape));
         fill_rows(obs_in, &batch, obs_dim, |t| &t.obs);
         self.actor.forward_into(obs_in, actor_tape);
+        lane.join();
+        q_in.resize_zeroed(b, obs_dim + act_dim);
+        {
+            let next_out = &lock(share).actor_tape;
+            for i in 0..b {
+                let row = next_out.output().row_slice(i);
+                dists[i].assign(&row[..act_dim], &row[act_dim..]);
+                dists[i].rsample_into(rng, &mut samples[i]);
+                let dst = q_in.row_slice_mut(i);
+                dst[..obs_dim].copy_from_slice(&batch[i].next_obs);
+                dst[obs_dim..].copy_from_slice(&samples[i].action);
+            }
+        }
+        start_critic(lane, q_in, |s| s.critic.target_pass(&s.x));
+        self.q1.target_pass(q_in);
+        lane.join();
+        {
+            let s = &mut *lock(share);
+            let (q1t, q2t) = (self.q1.q(), s.critic.q());
+            y.clear();
+            for i in 0..b {
+                let qmin = q1t.get(i, 0).min(q2t.get(i, 0));
+                let not_done = if batch[i].terminated { 0.0 } else { 1.0 };
+                y.push(batch[i].reward + gamma * not_done * (qmin - alpha * samples[i].log_prob));
+            }
+            s.y.clone_from(y);
+        }
+
+        // ---- 2. Actor update, from dQmin/da via the critics' input
+        // gradients at a_π ~ π(·|s).
         let actor_out = actor_tape.output();
         for i in 0..b {
             let row = actor_out.row_slice(i);
@@ -294,75 +402,64 @@ impl SacLearner {
             dst[..obs_dim].copy_from_slice(&batch[i].obs);
             dst[obs_dim..].copy_from_slice(&samples[i].action);
         }
-        // dQmin/da via the critics' input gradients.
-        self.q1.forward_into(q_in, q1_tape);
-        self.q2.forward_into(q_in, q2_tape);
-        let q1v = q1_tape.output();
-        let q2v = q2_tape.output();
-        dq.resize_zeroed(b, 1);
-        dq.as_mut_slice().fill(1.0);
-        let din1 = self.q1.backward_input(q1_tape, dq);
-        let din2 = self.q2.backward_input(q2_tape, dq);
+        start_critic(lane, q_in, |s| s.critic.actor_path(&s.x));
+        self.q1.actor_path(q_in);
+        lane.join();
 
         dactor.resize_zeroed(b, 2 * act_dim);
         let inv_b = 1.0 / b as f64;
-        for i in 0..b {
-            let use_q1 = q1v.get(i, 0) <= q2v.get(i, 0);
-            let din = if use_q1 { din1.row_slice(i) } else { din2.row_slice(i) };
-            let dq_da = &din[obs_dim..];
-            dists[i].pathwise_partials_into(&samples[i], parts);
-            let raw_ls = &actor_out.row_slice(i)[act_dim..];
-            let drow = dactor.row_slice_mut(i);
-            for k in 0..act_dim {
-                // L = α log π - Q_min
-                let dmean = alpha * parts.dlp_dmean[k] - dq_da[k] * parts.da_dmean[k];
-                let mut dls = alpha * parts.dlp_dlogstd[k] - dq_da[k] * parts.da_dlogstd[k];
-                // Clamp in SquashedGaussian::new has zero gradient outside.
-                if raw_ls[k] <= LOG_STD_MIN || raw_ls[k] >= LOG_STD_MAX {
-                    dls = 0.0;
+        {
+            let s = lock(share);
+            let (q1, q2) = (&self.q1, &s.critic);
+            for i in 0..b {
+                let use_q1 = q1.q().get(i, 0) <= q2.q().get(i, 0);
+                let dq_da = if use_q1 { q1.dq_da.row_slice(i) } else { q2.dq_da.row_slice(i) };
+                dists[i].pathwise_partials_into(&samples[i], parts);
+                let raw_ls = &actor_out.row_slice(i)[act_dim..];
+                let drow = dactor.row_slice_mut(i);
+                for k in 0..act_dim {
+                    // L = α log π - Q_min
+                    let dmean = alpha * parts.dlp_dmean[k] - dq_da[k] * parts.da_dmean[k];
+                    let mut dls = alpha * parts.dlp_dlogstd[k] - dq_da[k] * parts.da_dlogstd[k];
+                    // Clamp in SquashedGaussian::new has zero gradient outside.
+                    if raw_ls[k] <= LOG_STD_MIN || raw_ls[k] >= LOG_STD_MAX {
+                        dls = 0.0;
+                    }
+                    drow[k] = dmean * inv_b;
+                    drow[act_dim + k] = dls * inv_b;
                 }
-                drow[k] = dmean * inv_b;
-                drow[act_dim + k] = dls * inv_b;
             }
         }
-        self.actor.zero_grad();
-        self.actor.backward_params(actor_tape, dactor);
-        clip_grad_norm(&mut self.actor, self.cfg.max_grad_norm);
-        self.actor_opt.step(&mut self.actor);
 
-        // ---- 3. Temperature update: dL/dlogα = -(log π + target_H).
-        let mean_logp: f64 = samples.iter().map(|s| s.log_prob).sum::<f64>() * inv_b;
-        self.log_alpha -= self.cfg.alpha_lr * (mean_logp + self.target_entropy);
-        self.log_alpha = self.log_alpha.clamp(-10.0, 2.0);
-
-        // ---- 4. Critic update on the stored (s, a) pairs.
+        // ---- 3. Critic regression on the stored (s, a) pairs, critic 2's
+        // beside the actor's step and critic 1's.
         for i in 0..b {
             let dst = q_in.row_slice_mut(i);
             dst[..obs_dim].copy_from_slice(&batch[i].obs);
             dst[obs_dim..].copy_from_slice(&batch[i].action);
         }
-        for (q, opt) in [(&mut self.q1, &mut self.q1_opt), (&mut self.q2, &mut self.q2_opt)] {
-            q.forward_into(q_in, q1_tape);
-            let out = q1_tape.output();
-            for i in 0..b {
-                let err = out.get(i, 0) - y[i];
-                dq.set(i, 0, err * inv_b);
-            }
-            q.zero_grad();
-            q.backward_params(q1_tape, dq);
-            clip_grad_norm(q, self.cfg.max_grad_norm);
-            opt.step(q);
-        }
+        start_critic(lane, q_in, |s| s.critic.regress(&s.x, &s.y));
 
-        // ---- 5. Polyak-average the targets.
-        self.q1_target.polyak_from(&self.q1, self.cfg.tau);
-        self.q2_target.polyak_from(&self.q2, self.cfg.tau);
+        // The helper's actor pass has ended, so the actor is this thread's.
+        let actor = Arc::make_mut(&mut self.actor);
+        actor.zero_grad();
+        actor.backward_params(actor_tape, dactor);
+        clip_grad_norm(actor, self.cfg.max_grad_norm);
+        self.actor_opt.step(actor);
+
+        // ---- 4. Temperature update: dL/dlogα = -(log π + target_H).
+        let mean_logp: f64 = samples.iter().map(|s| s.log_prob).sum::<f64>() * inv_b;
+        self.log_alpha -= self.cfg.alpha_lr * (mean_logp + self.target_entropy);
+        self.log_alpha = self.log_alpha.clamp(-10.0, 2.0);
+
+        self.q1.regress(q_in, y);
+        lane.join();
 
         self.updates += 1;
         // Work accounting: actor fwd+bwd, critics 2×(fwd+bwd) + target fwd
         // + actor-path fwd/bwd.
         let a_sizes = self.actor.sizes();
-        let q_sizes = self.q1.sizes();
+        let q_sizes = self.q1.net.sizes();
         self.flops += forward_flops(&a_sizes, 2 * b)
             + backward_flops(&a_sizes, b)
             + 4 * forward_flops(&q_sizes, b)
@@ -372,8 +469,25 @@ impl SacLearner {
 
     /// Serialized parameter bytes (for network-payload accounting).
     pub fn param_bytes(&self) -> u64 {
-        self.actor.param_bytes() + self.q1.param_bytes() + self.q2.param_bytes()
+        // The twin critics share a shape.
+        self.actor.param_bytes() + 2 * self.q1.net.param_bytes()
     }
+}
+
+/// Lock the helper's share of an update. Only a job that panicked
+/// poisons it, and the update that ran the job re-raised that panic.
+fn lock(share: &Mutex<Share>) -> MutexGuard<'_, Share> {
+    share.lock().expect("a job on the helper's share panicked in an earlier update")
+}
+
+/// Start `phase` on the helper's share of an update, in `lane`.
+fn start(
+    lane: &mut Lane,
+    share: &Arc<Mutex<Share>>,
+    phase: impl FnOnce(&mut Share) + Send + 'static,
+) {
+    let share = Arc::clone(share);
+    lane.start(move || phase(&mut lock(&share)));
 }
 
 /// Make `m` the `b × dim` matrix of one field of every sampled transition.
@@ -466,7 +580,7 @@ mod tests {
         }
         assert!(learner.updates > 0, "updates must fire after warmup");
         assert!(!learner.actor.has_non_finite());
-        assert!(!learner.q1.has_non_finite());
+        assert!(!learner.q1.net.has_non_finite());
         assert!(learner.flops > 0);
     }
 
@@ -493,7 +607,7 @@ mod tests {
         }
         let mut input = Matrix::zeros(1, 6);
         input.row_slice_mut(0).copy_from_slice(&[0.5, 0.5, 0.5, 0.5, 0.0, 0.0]);
-        let q = learner.q1.infer(&input).get(0, 0);
+        let q = learner.q1.net.infer(&input).get(0, 0);
         assert!((q - 1.0).abs() < 0.15, "Q = {q}, want ≈ 1");
     }
 
@@ -556,5 +670,81 @@ mod tests {
         learner.log_alpha = 100.0;
         learner.log_alpha = learner.log_alpha.clamp(-10.0, 2.0);
         assert!(learner.alpha() <= (2.0f64).exp());
+    }
+
+    /// A learner at `batch` over a replay twice the batch (at least 128
+    /// transitions), and the rng its updates draw from.
+    fn filled(batch: usize, seed: u64) -> (SacLearner, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cfg = SacConfig { batch, ..SacConfig::default() };
+        let mut learner = SacLearner::new(4, &Space::symmetric_box(2, 1.0), cfg, &mut rng);
+        for i in 0..(2 * batch).max(128) {
+            let x = (i as f64 * 0.05).sin();
+            learner.replay.push(Transition {
+                obs: vec![x, -x, 0.5 * x, 0.1],
+                action: vec![(i as f64 * 0.3).cos(), -x],
+                reward: -x.abs(),
+                next_obs: vec![x + 0.01, -x, 0.5 * x - 0.01, 0.1],
+                terminated: i % 64 == 63,
+            });
+        }
+        (learner, rng)
+    }
+
+    /// Every parameter, α and the rng's next draw, as bits.
+    fn bits(learner: &mut SacLearner, rng: &mut StdRng) -> Vec<u64> {
+        let mut out = Vec::new();
+        learner.visit_params(|w, _| out.extend(w.iter().map(|x| x.to_bits())));
+        out.push(learner.alpha().to_bits());
+        out.push(rng.gen());
+        out
+    }
+
+    #[test]
+    fn updates_on_the_helper_equal_updates_inline() {
+        for (batch, n) in [(1, 12), (3, 12), (64, 8), (256, 4)] {
+            let (mut helped, mut rng_h) = filled(batch, 21);
+            let (mut inline, mut rng_i) = filled(batch, 21);
+            // While this test holds the helper, `inline` cannot claim it.
+            let mut lane = crate::helper::tests::helper_lane();
+            for _ in 0..n {
+                inline.update_from_batch(&mut rng_i);
+            }
+            for _ in 0..n {
+                match &mut lane {
+                    Some(lane) => helped.update_on(lane, &mut rng_h),
+                    None => helped.update_from_batch(&mut rng_h),
+                }
+            }
+            drop(lane);
+            assert_eq!(helped.updates, n as u64);
+            assert_eq!(helped.flops, inline.flops);
+            assert!(
+                bits(&mut helped, &mut rng_h) == bits(&mut inline, &mut rng_i),
+                "batch {batch}: the helper's update moved bits"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_learners_equal_their_sequential_runs() {
+        let run = |seed, start: &std::sync::Barrier| {
+            let (mut learner, mut rng) = filled(64, seed);
+            start.wait();
+            for _ in 0..10 {
+                learner.update_from_batch(&mut rng);
+            }
+            bits(&mut learner, &mut rng)
+        };
+        let alone = std::sync::Barrier::new(1);
+        let sequential = [run(31, &alone), run(32, &alone)];
+        // Both learners start updating together, one on each thread.
+        let together = std::sync::Barrier::new(2);
+        let concurrent = std::thread::scope(|s| {
+            let a = s.spawn(|| run(31, &together));
+            let b = run(32, &together);
+            [a.join().unwrap(), b]
+        });
+        assert!(sequential == concurrent, "a concurrent learner moved bits");
     }
 }
