@@ -76,7 +76,9 @@ impl Distribution {
     pub fn from_samples(samples: Vec<f64>) -> Self {
         let samples: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
         let mut sorted = samples.clone();
-        sorted.sort_by(f64::total_cmp);
+        // Keys equal under `total_cmp` are bit-identical, so an unstable
+        // sort yields the same `sorted` as a stable one.
+        sorted.sort_unstable_by(f64::total_cmp);
         Self { samples, sorted, interval: OnceLock::new() }
     }
 

@@ -7,7 +7,7 @@
 //! in §III-C) are provided as alternatives.
 
 use crate::metrics::Direction;
-use crate::param::{Domain, ParamDef, ParamValue};
+use crate::param::{Domain, Draw, ParamDef, ParamValue};
 use crate::space::ParamSpace;
 use crate::trial::{Configuration, Trial};
 use std::collections::BTreeSet;
@@ -186,9 +186,10 @@ impl Explorer for PresetList {
 /// fraction ("good") and the rest; `candidates` random configurations are
 /// scored by a per-parameter density ratio (Laplace-smoothed counts for
 /// finite domains, nearest-neighbour distance ratios for continuous
-/// ones), and the best-scoring candidate is proposed. The history is
-/// tallied once per proposal, one tally per parameter, and every
-/// candidate is scored from the tallies.
+/// ones), and the best-scoring candidate is proposed. Each trial is read
+/// once, into a row that later proposals reuse while the history only
+/// grows; every proposal tallies the rows once per parameter, scores each
+/// candidate as its draws, and builds a configuration for the winner only.
 pub struct TpeLite {
     budget: usize,
     proposed: usize,
@@ -199,6 +200,7 @@ pub struct TpeLite {
     warmup: usize,
     gamma: f64,
     candidates: usize,
+    rows: Rows,
 }
 
 impl TpeLite {
@@ -212,28 +214,29 @@ impl TpeLite {
             warmup: 8,
             gamma: 0.3,
             candidates: 24,
+            rows: Rows::default(),
         }
     }
 
-    /// The density-ratio score of `cfg`, one term per parameter it sets.
-    /// `tallies[i]` is the tally of `space.params()[i]`; `sizes` holds the
-    /// good and bad set sizes.
-    fn score(cfg: &Configuration, space: &ParamSpace, tallies: &[Tally], sizes: [usize; 2]) -> f64 {
+    /// The density-ratio score of one candidate, one term per parameter.
+    /// `tallies[i]` is the tally of `space.params()[i]`, drawn as
+    /// `draws[i]`.
+    fn score(draws: &[Draw], tallies: &[Tally]) -> f64 {
         let mut score = 0.0;
-        for (p, tally) in space.params().iter().zip(tallies) {
-            let v = match cfg.get(&p.name) {
-                Some(v) => v,
-                None => continue,
-            };
+        for (&draw, tally) in draws.iter().zip(tallies) {
             match tally {
-                Tally::Counts(counts) => {
-                    let [good, bad] = counts.iter().find(|(u, _)| *u == v).map_or([0, 0], |c| c.1);
-                    let l = (good as f64 + 1.0) / (sizes[0] as f64 + 2.0);
-                    let g = (bad as f64 + 1.0) / (sizes[1] as f64 + 2.0);
-                    score += (l / g).ln();
+                Tally::Counts { terms, unseen, choices, values } => {
+                    let slot = match draw {
+                        Draw::Choice(i) => choices[i],
+                        Draw::Int(v) => values.iter().position(|u| *u == ParamValue::Int(v)),
+                        // A finite domain draws no float.
+                        Draw::Float(_) => None,
+                    };
+                    score += slot.map_or(*unseen, |k| terms[k]);
                 }
                 Tally::Readings { span, good, bad } => {
-                    let x = v.as_float().unwrap_or(0.0);
+                    let x = if let Draw::Float(x) = draw { x } else { 0.0 };
+                    // NaN (no reading) never wins a `min`.
                     let nearest = |ys: &[f64]| {
                         ys.iter().map(|y| ((y - x) / span).abs()).fold(1.0f64, f64::min)
                     };
@@ -246,40 +249,132 @@ impl TpeLite {
     }
 }
 
-/// What scoring needs of one parameter's history, gathered in one pass
-/// over the good and the bad trials.
+/// What proposals read of the history: one row per trial, appended as the
+/// history grows, and read again from the start when it is not an
+/// extension of the trials already read (by their ids) or the space
+/// changed.
+#[derive(Default)]
+struct Rows {
+    /// The space the columns follow.
+    space: ParamSpace,
+    /// The ids of the trials read, in history order.
+    ids: Vec<usize>,
+    /// `(oriented reading, row)` of every complete trial with a finite
+    /// reading, best first; ties keep history order.
+    ranked: Vec<(f64, usize)>,
+    /// One column per parameter of `space`, one entry per row.
+    columns: Vec<Column>,
+}
+
+/// One parameter's values, one per row.
+enum Column {
+    /// A finite domain: each row's value as an index into `values`, the
+    /// distinct values in first-seen order, or `None` when it has none a
+    /// draw could equal (missing, or NaN).
+    Keys { values: Vec<ParamValue>, keys: Vec<Option<u32>> },
+    /// A float range: its span, and each row's reading, NaN when missing.
+    Floats { span: f64, readings: Vec<f64> },
+}
+
+impl Rows {
+    /// Read the trials of `history` not read yet; `reading` is a trial's
+    /// oriented reading when it counts.
+    fn sync(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Trial],
+        reading: impl Fn(&Trial) -> Option<f64>,
+    ) {
+        let extends = *space == self.space
+            && history.len() >= self.ids.len()
+            && history.iter().zip(&self.ids).all(|(t, &id)| t.id == id);
+        if !extends {
+            self.space = space.clone();
+            self.ids.clear();
+            self.ranked.clear();
+            self.columns = space
+                .params()
+                .iter()
+                .map(|p| match p.domain {
+                    Domain::FloatRange { lo, hi, .. } => {
+                        Column::Floats { span: (hi - lo).max(1e-12), readings: Vec::new() }
+                    }
+                    _ => Column::Keys { values: Vec::new(), keys: Vec::new() },
+                })
+                .collect();
+        }
+        for t in &history[self.ids.len()..] {
+            let row = self.ids.len();
+            self.ids.push(t.id);
+            if let Some(r) = reading(t) {
+                let at = self.ranked.partition_point(|&(s, _)| s >= r);
+                self.ranked.insert(at, (r, row));
+            }
+            for (p, column) in space.params().iter().zip(&mut self.columns) {
+                match column {
+                    Column::Keys { values, keys } => {
+                        let v = t.config.get(&p.name);
+                        let v = v.filter(|v| !matches!(v, ParamValue::Float(x) if x.is_nan()));
+                        keys.push(v.map(|v| {
+                            let k = values.iter().position(|u| u == v).unwrap_or_else(|| {
+                                values.push(v.clone());
+                                values.len() - 1
+                            });
+                            k as u32
+                        }));
+                    }
+                    Column::Floats { readings, .. } => {
+                        readings.push(t.config.float(&p.name).unwrap_or(f64::NAN));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// What scoring needs of one parameter's rows, gathered in one pass over
+/// the good and the bad ones.
 enum Tally<'a> {
-    /// Finite domains: each distinct value with its good and bad counts.
-    Counts(Vec<(&'a ParamValue, [usize; 2])>),
+    /// Finite domains: the score term of each distinct value, from its
+    /// Laplace-smoothed good and bad counts, and of a value no row holds;
+    /// for a categorical domain, the slot of each choice.
+    Counts { terms: Vec<f64>, unseen: f64, choices: Vec<Option<usize>>, values: &'a [ParamValue] },
     /// Float ranges: the domain's span and the good and bad readings, in
-    /// history order.
+    /// ranked order.
     Readings { span: f64, good: Vec<f64>, bad: Vec<f64> },
 }
 
 impl<'a> Tally<'a> {
-    fn of(p: &ParamDef, good: &[&'a Trial], bad: &[&'a Trial]) -> Self {
-        match &p.domain {
-            Domain::Categorical(_) | Domain::IntRange { .. } => {
-                let mut counts: Vec<(&ParamValue, [usize; 2])> = Vec::new();
+    fn of(p: &ParamDef, column: &'a Column, good: &[(f64, usize)], bad: &[(f64, usize)]) -> Self {
+        match column {
+            Column::Keys { values, keys } => {
+                let mut counts = vec![[0, 0]; values.len()];
                 for (side, set) in [good, bad].into_iter().enumerate() {
-                    for v in set.iter().filter_map(|t| t.config.get(&p.name)) {
-                        let i = counts.iter().position(|(u, _)| *u == v).unwrap_or_else(|| {
-                            counts.push((v, [0, 0]));
-                            counts.len() - 1
-                        });
-                        counts[i].1[side] += 1;
+                    for k in set.iter().filter_map(|&(_, row)| keys[row]) {
+                        counts[k as usize][side] += 1;
                     }
                 }
-                Tally::Counts(counts)
-            }
-            Domain::FloatRange { lo, hi, .. } => {
-                let readings =
-                    |set: &[&Trial]| set.iter().filter_map(|t| t.config.float(&p.name)).collect();
-                Tally::Readings {
-                    span: (hi - lo).max(1e-12),
-                    good: readings(good),
-                    bad: readings(bad),
+                let term = |[g, b]: [usize; 2]| {
+                    let l = (g as f64 + 1.0) / (good.len() as f64 + 2.0);
+                    let g = (b as f64 + 1.0) / (bad.len() as f64 + 2.0);
+                    (l / g).ln()
+                };
+                let choices = match &p.domain {
+                    Domain::Categorical(set) => {
+                        set.iter().map(|c| values.iter().position(|u| u == c)).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                Tally::Counts {
+                    terms: counts.into_iter().map(term).collect(),
+                    unseen: term([0, 0]),
+                    choices,
+                    values,
                 }
+            }
+            Column::Floats { span, readings } => {
+                let of = |set: &[(f64, usize)]| set.iter().map(|&(_, row)| readings[row]).collect();
+                Tally::Readings { span: *span, good: of(good), bad: of(bad) }
             }
         }
     }
@@ -299,33 +394,36 @@ impl Explorer for TpeLite {
 
         // Like the rankers, only complete trials with a finite reading
         // count: a diverged trial's NaN has no place in the order.
-        let value = |t: &Trial| {
-            let reading = t.metrics.get(&self.metric).filter(|v| v.is_finite());
-            reading.map(|v| self.direction.orient(v))
-        };
-        let mut scored: Vec<(f64, &Trial)> = history
-            .iter()
-            .filter(|t| t.is_complete())
-            .filter_map(|t| Some((value(t)?, t)))
-            .collect();
-        if scored.len() < self.warmup {
+        let (metric, direction) = (&self.metric, self.direction);
+        self.rows.sync(space, history, |t| {
+            let reading = t.metrics.get(metric).filter(|v| v.is_finite() && t.is_complete());
+            reading.map(|v| direction.orient(v))
+        });
+        let ranked = &self.rows.ranked;
+        if ranked.len() < self.warmup {
             return Some(space.sample(&mut rng));
         }
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite readings order"));
-        let ranked: Vec<&Trial> = scored.into_iter().map(|(_, t)| t).collect();
         let split = ((ranked.len() as f64 * self.gamma).ceil() as usize).clamp(1, ranked.len() - 1);
         let (good, bad) = ranked.split_at(split);
-        let tallies: Vec<Tally> = space.params().iter().map(|p| Tally::of(p, good, bad)).collect();
+        let tallies: Vec<Tally> = space
+            .params()
+            .iter()
+            .zip(&self.rows.columns)
+            .map(|(p, column)| Tally::of(p, column, good, bad))
+            .collect();
 
-        let mut best: Option<(f64, Configuration)> = None;
+        // The same draws, in the same order, as `space.sample` makes.
+        let mut draws = Vec::with_capacity(space.len());
+        let mut best: Option<(f64, Vec<Draw>)> = None;
         for _ in 0..self.candidates {
-            let cand = space.sample(&mut rng);
-            let s = Self::score(&cand, space, &tallies, [good.len(), bad.len()]);
+            draws.clear();
+            draws.extend(space.params().iter().map(|p| p.domain.draw(&mut rng)));
+            let s = Self::score(&draws, &tallies);
             if best.as_ref().map(|(bs, _)| s > *bs).unwrap_or(true) {
-                best = Some((s, cand));
+                best = Some((s, draws.clone()));
             }
         }
-        best.map(|(_, c)| c)
+        best.map(|(_, draws)| space.configuration(&draws))
     }
 
     fn name(&self) -> &'static str {
@@ -596,19 +694,32 @@ mod tests {
     fn tpe_proposals_equal_the_per_candidate_scan() {
         sweep(200, 0x7BE_1173, |g| {
             let space = mixed_space(g);
-            let history = mixed_history(g, &space);
+            let grown = mixed_history(g, &space);
+            // Another history over the same space, with ids of its own.
+            let mut other = mixed_history(g, &space);
+            other.iter_mut().for_each(|t| t.id += 1_000);
             let direction = *g.pick(&[Direction::Maximize, Direction::Minimize]);
-            let budget = g.below(5);
+            let budget = g.below(9);
             let seed = g.u64();
             let mut tallied = TpeLite::new(budget, "reward", direction);
             let mut scanned = TpeLite::new(budget, "reward", direction);
             let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let half = budget / 2;
             for k in 0..budget + 1 {
+                // One explorer sees a history that grows between proposals,
+                // then switches between it and a different one.
+                let history: &[Trial] = if k <= half {
+                    &grown[..grown.len() * (k + 1) / (half + 1)]
+                } else if k % 2 == 1 {
+                    &other
+                } else {
+                    &grown
+                };
                 let ctx = format!("proposal {k}, {} trials, {space:?}", history.len());
-                let proposal = tallied.propose(&space, &history, &mut a);
+                let proposal = tallied.propose(&space, history, &mut a);
                 assert_eq!(
                     proposal,
-                    oracle_propose(&mut scanned, &space, &history, &mut b),
+                    oracle_propose(&mut scanned, &space, history, &mut b),
                     "{ctx}"
                 );
                 assert_eq!(proposal.is_none(), k == budget, "{ctx}");

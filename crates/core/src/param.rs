@@ -6,6 +6,8 @@
 //! that tag; Table I groups its columns into *environment-dependent* and
 //! *environment-independent* parameters the same way.
 
+use rand::Rng;
+
 /// What part of the study a parameter configures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParamKind {
@@ -94,7 +96,41 @@ pub(crate) enum Domain {
     },
 }
 
+/// One parameter's random draw, before it becomes a [`ParamValue`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Draw {
+    /// An index into a categorical domain's choices.
+    Choice(usize),
+    /// An integer of an integer range.
+    Int(i64),
+    /// A real of a float range.
+    Float(f64),
+}
+
 impl Domain {
+    /// Draw uniformly at random (log-uniformly for a log float range).
+    pub(crate) fn draw(&self, rng: &mut impl Rng) -> Draw {
+        match self {
+            Domain::Categorical(set) => Draw::Choice(rng.gen_range(0..set.len())),
+            Domain::IntRange { lo, hi } => Draw::Int(rng.gen_range(*lo..=*hi)),
+            Domain::FloatRange { lo, hi, log: true } => {
+                let (l, h) = (lo.ln(), hi.ln());
+                Draw::Float(rng.gen_range(l..=h).exp())
+            }
+            Domain::FloatRange { lo, hi, log: false } => Draw::Float(rng.gen_range(*lo..=*hi)),
+        }
+    }
+
+    /// The value a draw from this domain stands for.
+    pub(crate) fn value(&self, draw: Draw) -> ParamValue {
+        match (self, draw) {
+            (Domain::Categorical(set), Draw::Choice(i)) => set[i].clone(),
+            (_, Draw::Int(v)) => ParamValue::Int(v),
+            (_, Draw::Float(v)) => ParamValue::Float(v),
+            (_, Draw::Choice(_)) => unreachable!("a choice is drawn from a categorical domain"),
+        }
+    }
+
     /// Whether `v` belongs to the domain.
     pub(crate) fn contains(&self, v: &ParamValue) -> bool {
         match (self, v) {

@@ -3,10 +3,15 @@
 use super::{Intervals, PerColumn};
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
+use crate::param::ParamValue;
 use crate::trial::{Trial, TrialStatus};
+use std::borrow::Cow;
+use std::fmt::Write as _;
+use telemetry::push_shortest;
 
 /// Serialize trials as CSV with columns `id, <params…>, <metrics…>,
-/// status`. Fields containing commas or quotes are quoted per RFC 4180.
+/// status`. Fields containing commas, quotes or line breaks are quoted per
+/// RFC 4180.
 pub fn trials_to_csv(trials: &[Trial], params: &[&str], metrics: &[MetricDef]) -> String {
     render(trials, params, metrics, None)
 }
@@ -32,60 +37,72 @@ pub(super) fn render(
     metrics: &[MetricDef],
     mut cis: Option<&mut dyn Intervals>,
 ) -> String {
-    let mut out = String::new();
-    let mut header: Vec<String> = vec!["id".into()];
-    header.extend(params.iter().map(|p| p.to_string()));
+    let mut out = String::from("id");
+    for p in params {
+        out.push(',');
+        out.push_str(&escape(p));
+    }
     for m in metrics {
-        header.push(m.name.clone());
+        out.push(',');
+        out.push_str(&escape(&m.name));
         if cis.is_some() {
             for suffix in ["std", "iqr", "ci_lo", "ci_hi"] {
-                header.push(format!("{}_{suffix}", m.name));
+                out.push(',');
+                out.push_str(&escape(&format!("{}_{suffix}", m.name)));
             }
         }
     }
-    header.push("status".into());
-    out.push_str(&header.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
-    out.push('\n');
+    out.push_str(",status\n");
 
+    // Rows go straight into `out`. A number's text has no comma, quote or
+    // line break, so only labels need escaping.
     for t in trials {
-        let mut row: Vec<String> = vec![t.id.to_string()];
+        let _ = write!(out, "{}", t.id);
         for p in params {
-            row.push(t.config.get(p).map(|v| v.to_string()).unwrap_or_default());
+            out.push(',');
+            match t.config.get(p) {
+                Some(ParamValue::Float(v)) => push_shortest(&mut out, *v),
+                Some(ParamValue::Str(label)) => out.push_str(&escape(label)),
+                Some(v) => {
+                    let _ = write!(out, "{v}");
+                }
+                None => {}
+            }
         }
         for (column, m) in metrics.iter().enumerate() {
-            row.push(t.metrics.get(&m.name).map(|v| format!("{v}")).unwrap_or_default());
+            out.push(',');
+            if let Some(v) = t.metrics.get(&m.name) {
+                push_shortest(&mut out, v);
+            }
             if let Some(cis) = &mut cis {
                 match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
                     Some(d) => {
                         let ci = cis.ci(column, d);
-                        row.push(format!("{}", d.std()));
-                        row.push(format!("{}", d.iqr()));
-                        row.push(format!("{}", ci.lo));
-                        row.push(format!("{}", ci.hi));
+                        for x in [d.std(), d.iqr(), ci.lo, ci.hi] {
+                            out.push(',');
+                            push_shortest(&mut out, x);
+                        }
                     }
-                    None => row.extend((0..4).map(|_| String::new())),
+                    None => out.push_str(",,,,"),
                 }
             }
         }
-        row.push(
-            match t.status {
-                TrialStatus::Complete => "complete",
-                TrialStatus::Pruned => "pruned",
-                TrialStatus::Failed => "failed",
-            }
-            .into(),
-        );
-        out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
+        out.push_str(match t.status {
+            TrialStatus::Complete => ",complete\n",
+            TrialStatus::Pruned => ",pruned\n",
+            TrialStatus::Failed => ",failed\n",
+        });
     }
     out
 }
 
-fn escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
+/// `field` as one CSV field: quoted, with its quotes doubled, when it holds
+/// a comma, a quote or a line break (`\n` or `\r`, RFC 4180).
+fn escape(field: &str) -> Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", field.replace('"', "\"\"")))
     } else {
-        field.to_string()
+        Cow::Borrowed(field)
     }
 }
 
@@ -125,6 +142,39 @@ mod tests {
     fn quotes_are_doubled() {
         assert_eq!(escape("x\"y"), "\"x\"\"y\"");
         assert_eq!(escape("plain"), "plain");
+    }
+
+    #[test]
+    fn labels_with_a_carriage_return_are_quoted() {
+        // RFC 4180 quotes CR as it quotes LF: a bare one would end the
+        // record for a reader that takes CR LF or a lone CR as a break.
+        let trials = vec![Trial::complete(
+            0,
+            Configuration::new().with("fw", ParamValue::Str("Ray\rRLlib".into())),
+            MetricValues::new().with("reward", 1.0),
+        )];
+        let csv = trials_to_csv(&trials, &["fw"], &[MetricDef::maximize("reward")]);
+        assert_eq!(csv, "id,fw,reward,status\n0,\"Ray\rRLlib\",1,complete\n");
+        assert_eq!(escape("a\rb"), "\"a\rb\"");
+    }
+
+    #[test]
+    fn float_parameters_and_metrics_are_written_as_display_writes_them() {
+        let values = [0.1, -2.5e-7, 1e21, 123456.789, f64::NAN, f64::NEG_INFINITY, -0.0];
+        let trials: Vec<Trial> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let config = Configuration::new().with("lr", ParamValue::Float(v));
+                Trial::complete(i, config, MetricValues::new().with("reward", v))
+            })
+            .collect();
+        let csv = trials_to_csv(&trials, &["lr"], &[MetricDef::maximize("reward")]);
+        for (line, v) in csv.lines().skip(1).zip(values) {
+            let cells: Vec<&str> = line.split(',').collect();
+            assert_eq!(cells[1], format!("{v}"));
+            assert_eq!(cells[2], format!("{v}"));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Parameter spaces: the study's "learning configurations" stage.
 
-use crate::param::{Domain, ParamDef, ParamKind, ParamValue};
+use crate::param::{Domain, Draw, ParamDef, ParamKind, ParamValue};
 use crate::trial::Configuration;
 use rand::Rng;
 
@@ -36,19 +36,16 @@ impl ParamSpace {
     pub fn sample(&self, rng: &mut impl Rng) -> Configuration {
         let mut cfg = Configuration::new();
         for p in &self.params {
-            let v = match &p.domain {
-                Domain::Categorical(set) => set[rng.gen_range(0..set.len())].clone(),
-                Domain::IntRange { lo, hi } => ParamValue::Int(rng.gen_range(*lo..=*hi)),
-                Domain::FloatRange { lo, hi, log } => {
-                    if *log {
-                        let (l, h) = (lo.ln(), hi.ln());
-                        ParamValue::Float(rng.gen_range(l..=h).exp())
-                    } else {
-                        ParamValue::Float(rng.gen_range(*lo..=*hi))
-                    }
-                }
-            };
-            cfg.set(&p.name, v);
+            cfg.set(&p.name, p.domain.value(p.domain.draw(rng)));
+        }
+        cfg
+    }
+
+    /// The configuration of one draw per parameter, in declaration order.
+    pub(crate) fn configuration(&self, draws: &[Draw]) -> Configuration {
+        let mut cfg = Configuration::new();
+        for (p, &draw) in self.params.iter().zip(draws) {
+            cfg.set(&p.name, p.domain.value(draw));
         }
         cfg
     }

@@ -44,7 +44,6 @@ use crate::metrics::MetricValues;
 use crate::param::ParamValue;
 use crate::trial::{Configuration, Trial, TrialStatus};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use telemetry::{FieldValue, SnapEvent};
 
 /// Event keys used by the study WAL (also validated by the bench
@@ -334,18 +333,19 @@ fn push_metrics(fields: &mut Vec<(String, FieldValue)>, metrics: &MetricValues) 
     }
     // Sample distributions ride as separate `d.` fields so the scalar
     // `m.` fields stay byte-identical to pre-distribution journals.
-    // Rust's shortest-round-trip float formatting makes the encoding
-    // lossless, so resumed studies adopt bit-identical distributions.
-    // Each field is written into one buffer, reserved at 24 bytes a
-    // sample: a 17-digit sample with its sign, point and comma fits.
+    // Shortest-round-trip text (`telemetry::push_shortest`, `Display`'s
+    // bytes) makes the encoding lossless, so resumed studies adopt
+    // bit-identical distributions. Each field is written into one buffer,
+    // reserved at 24 bytes a sample: a 17-digit sample with its sign,
+    // point and comma fits.
     for (name, dist) in metrics.distributions() {
         let samples = dist.samples();
         let mut joined = String::with_capacity(24 * samples.len());
-        for (i, x) in samples.iter().enumerate() {
+        for (i, &x) in samples.iter().enumerate() {
             if i > 0 {
                 joined.push(',');
             }
-            let _ = write!(joined, "{x}");
+            telemetry::push_shortest(&mut joined, x);
         }
         fields.push((["d.", name].concat(), FieldValue::Str(joined)));
     }

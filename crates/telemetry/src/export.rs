@@ -5,8 +5,8 @@
 //! are written bare and doubles always carry a `.` or an exponent, so
 //! [`from_json_lines`] (reading through [`crate::json`]) reconstructs the
 //! exact value kinds and [`to_json_lines`] → [`from_json_lines`]
-//! round-trips a [`Snapshot`] to equality (f64 text uses Rust's shortest
-//! round-trip formatting).
+//! round-trips a [`Snapshot`] to equality (f64 text is the shortest
+//! round-trip spelling, [`push_shortest`]).
 //!
 //! Record shapes (`ty` discriminates):
 //!
@@ -20,15 +20,16 @@
 //! ```
 
 use crate::json::{self, Json};
+use crate::push_shortest;
 use crate::snapshot::{FieldValue, GaugeStats, SnapEvent, SnapSpan, Snapshot};
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------- writer
 
 /// Append an f64 the parser reads back as an f64 (never a bare integer)
-/// and bit-for-bit equal: shortest round-trip text, written in place,
-/// with `.0` appended when it would otherwise look integral. Non-finite
-/// values are written as JSON strings.
+/// and bit-for-bit equal: shortest round-trip text ([`push_shortest`]),
+/// written in place, with `.0` appended when it would otherwise look
+/// integral. Non-finite values are written as JSON strings.
 fn push_f64(out: &mut String, x: f64) {
     if x.is_nan() {
         out.push_str("\"NaN\"");
@@ -36,8 +37,10 @@ fn push_f64(out: &mut String, x: f64) {
         out.push_str(if x > 0.0 { "\"inf\"" } else { "\"-inf\"" });
     } else {
         let start = out.len();
-        let _ = write!(out, "{x}");
-        if !out.as_bytes()[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        push_shortest(out, x);
+        // The layout is positional: no exponent, so only a point marks a
+        // fraction.
+        if !out.as_bytes()[start..].contains(&b'.') {
             out.push_str(".0");
         }
     }

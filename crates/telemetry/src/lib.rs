@@ -31,9 +31,11 @@
 pub mod export;
 pub mod json;
 pub mod ring;
+mod shortest;
 pub mod snapshot;
 
 pub use ring::RingRecorder;
+pub use shortest::push_shortest;
 pub use snapshot::{FieldValue, SnapEvent, Snapshot};
 
 use std::fmt;
