@@ -5,7 +5,7 @@
 use crate::backend::{run, run_recorded, EnvFactory, FnEnvFactory};
 use crate::backends::{train_impala, ImpalaOpts};
 use crate::framework::{Architecture, Collectors, Framework, Inference, Sampling};
-use crate::report::{ExecReport, TrainedModel};
+use crate::report::ExecReport;
 use crate::runtime::{FaultKind, FaultPlan, FaultPolicy, SyncPolicy};
 use crate::spec::{Deployment, ExecSpec};
 use cluster_sim::{keys as session_keys, ClusterSpec, Usage};
@@ -14,7 +14,6 @@ use gymrs::Environment;
 use rl_algos::impala::ImpalaConfig;
 use rl_algos::ppo::PpoConfig;
 use rl_algos::sac::SacConfig;
-use rl_algos::schedules::Schedule;
 use rl_algos::Algorithm;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,14 +63,6 @@ fn sac(framework: Framework, nodes: usize, cores: usize, steps: usize) -> ExecRe
 
 fn impala(opts: &ImpalaOpts) -> ExecReport {
     train_impala(opts, &grid_factory(), telemetry::null_recorder()).expect("runs")
-}
-
-fn policy_bits(report: &mut ExecReport) -> Vec<u64> {
-    let TrainedModel::Ppo(policy) = &mut report.model else { panic!("a PPO model") };
-    let mut bits = Vec::new();
-    policy.actor.visit_params(|w, _| bits.extend(w.iter().map(|v| v.to_bits())));
-    policy.critic.visit_params(|w, _| bits.extend(w.iter().map(|v| v.to_bits())));
-    bits
 }
 
 /// A recorder that asks for a stop after two iteration events.
@@ -262,23 +253,6 @@ fn one_faulted_spec_run_twice_suffers_the_same_faults_twice() {
     let clean = run(&s, &grid_factory()).expect("runs");
     assert!(!clean.degraded);
     assert_ne!(bits(&clean), bits(&first), "the faults were real");
-}
-
-#[test]
-fn lr_schedule_is_honoured_by_every_framework() {
-    for framework in Framework::ALL {
-        let run_with = |schedule: Option<Schedule>| {
-            let mut s = spec(framework, Algorithm::Ppo, 1, 2, 1024);
-            s.ppo.lr_schedule = schedule;
-            let mut report = run(&s, &grid_factory()).expect("runs");
-            (policy_bits(&mut report), report.train_returns, report.usage.wall_s.to_bits())
-        };
-        let lr = PpoConfig::fast_test().lr;
-        let plain = run_with(None);
-        assert_eq!(run_with(Some(Schedule::Constant(lr))), plain, "{framework:?}: no-op schedule");
-        let annealed = run_with(Some(Schedule::linear_to_zero(lr)));
-        assert_ne!(annealed.0, plain.0, "{framework:?}: annealing must reach the optimizer");
-    }
 }
 
 #[test]

@@ -45,9 +45,6 @@ pub struct ImpalaOpts {
     pub actor_sync_period: u64,
     /// How the runtime reacts to actor failures.
     pub fault: FaultPolicy,
-    /// Cap on in-flight collection commands (`Runtime::with_window`);
-    /// `None` keeps the host-parallelism default.
-    pub window: Option<usize>,
     /// Transport (`inproc`, `uds`, `tcp`, `tcp:<addr>`); `None` is
     /// in-process.
     pub transport: Option<String>,
@@ -66,7 +63,6 @@ impl Default for ImpalaOpts {
             config: ImpalaConfig::default(),
             actor_sync_period: 4,
             fault: FaultPolicy::default(),
-            window: None,
             transport: None,
             #[cfg(any(test, feature = "fault-inject"))]
             fault_plan: Default::default(),
@@ -82,7 +78,6 @@ struct Run {
     total_steps: usize,
     seed: u64,
     fault: FaultPolicy,
-    window: Option<usize>,
     transport: TransportConfig,
     /// The hooks value the run's runtime is spawned with.
     hooks: WorkerCtx,
@@ -104,7 +99,6 @@ pub(crate) fn train(
         total_steps: spec.total_steps,
         seed: spec.seed,
         fault: spec.fault,
-        window: spec.window,
         transport,
         hooks: WorkerCtx::default(),
     };
@@ -144,7 +138,6 @@ pub fn train_impala(
         total_steps: opts.total_steps,
         seed: opts.seed,
         fault: opts.fault,
-        window: opts.window,
         transport,
         hooks: WorkerCtx::default(),
     };
@@ -248,9 +241,6 @@ fn train_on_policy(
     let mut runtime =
         Runtime::spawn_hooked(specs, &learner.policy, run.transport.clone(), run.hooks.clone())
             .with_fault_policy(run.fault);
-    if let Some(w) = run.window {
-        runtime = runtime.with_window(w);
-    }
     runtime.set_recorder(recorder.clone());
     let mut session = ClusterSession::with_recorder(ClusterSpec::paper_testbed(nodes), recorder);
     let mut driver = Driver::new(&mut session);
@@ -258,7 +248,6 @@ fn train_on_policy(
     let mut infer_total = 0u64;
 
     while (driver.env_steps() as usize) < total_steps {
-        learner.anneal(driver.env_steps() as f64 / total_steps as f64);
         // Weights crossing to remote nodes are narrated as one transfer;
         // workers the sync policy skips this round collect on a stale
         // snapshot.

@@ -30,8 +30,6 @@
 //! The default policy is [`FaultPolicy::fail_fast`]: no retries, no
 //! quarantine — a failure surfaces as an `Err` (never a panic).
 
-use std::time::Duration;
-
 /// How the runtime reacts to worker failures. See the module docs for
 /// the recovery ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,54 +37,38 @@ pub struct FaultPolicy {
     /// Re-dispatch attempts per failed round-command before giving up
     /// (0 = first failure is terminal for that worker).
     pub max_retries: u32,
-    /// Simulated seconds charged for the first retry.
+    /// Simulated seconds charged for the first retry; each later retry
+    /// charges twice the one before (`BACKOFF_FACTOR`).
     pub backoff_base_s: f64,
-    /// Multiplier applied per subsequent retry: attempt `k` (0-based)
-    /// charges `backoff_base_s * backoff_factor^k` simulated seconds.
-    pub backoff_factor: f64,
     /// When retries are exhausted (or a worker hangs), quarantine the
     /// worker and degrade instead of aborting the study.
     pub quarantine: bool,
     /// How long the driver waits for *any* worker event before declaring
-    /// the slowest outstanding worker hung (`None` = wait forever, the
-    /// pre-fault-policy behavior).
-    pub recv_timeout_ms: Option<u64>,
+    /// the slowest outstanding worker hung.
+    pub recv_timeout_ms: u64,
 }
+
+/// Multiplier applied per retry: attempt `k` (0-based) charges
+/// `backoff_base_s * BACKOFF_FACTOR^k` simulated seconds.
+pub(crate) const BACKOFF_FACTOR: f64 = 2.0;
 
 impl FaultPolicy {
     /// No retries, no quarantine: the first worker failure ends the
     /// trial with an `Err`. Hangs still surface after 30 s.
     pub fn fail_fast() -> Self {
-        Self {
-            max_retries: 0,
-            backoff_base_s: 0.0,
-            backoff_factor: 2.0,
-            quarantine: false,
-            recv_timeout_ms: Some(30_000),
-        }
+        Self { max_retries: 0, backoff_base_s: 0.0, quarantine: false, recv_timeout_ms: 30_000 }
     }
 
     /// Absorb faults: 2 retries with 0.5 s/2× exponential simulated
     /// backoff, then quarantine and degrade.
     pub fn resilient() -> Self {
-        Self {
-            max_retries: 2,
-            backoff_base_s: 0.5,
-            backoff_factor: 2.0,
-            quarantine: true,
-            recv_timeout_ms: Some(30_000),
-        }
+        Self { max_retries: 2, backoff_base_s: 0.5, quarantine: true, recv_timeout_ms: 30_000 }
     }
 
     /// Simulated seconds charged for retry attempt `attempt` (0-based):
-    /// `backoff_base_s * backoff_factor^attempt`.
+    /// `backoff_base_s * BACKOFF_FACTOR^attempt`.
     pub(crate) fn backoff_s(&self, attempt: u32) -> f64 {
-        self.backoff_base_s * self.backoff_factor.powi(attempt as i32)
-    }
-
-    /// The event-receive timeout as a [`Duration`], if bounded.
-    pub(crate) fn recv_timeout(&self) -> Option<Duration> {
-        self.recv_timeout_ms.map(Duration::from_millis)
+        self.backoff_base_s * BACKOFF_FACTOR.powi(attempt as i32)
     }
 }
 
@@ -371,8 +353,7 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_deterministic() {
-        let p =
-            FaultPolicy { backoff_base_s: 0.5, backoff_factor: 2.0, ..FaultPolicy::resilient() };
+        let p = FaultPolicy { backoff_base_s: 0.5, ..FaultPolicy::resilient() };
         assert_eq!(p.backoff_s(0).to_bits(), 0.5f64.to_bits());
         assert_eq!(p.backoff_s(1).to_bits(), 1.0f64.to_bits());
         assert_eq!(p.backoff_s(2).to_bits(), 2.0f64.to_bits());
@@ -383,7 +364,7 @@ mod tests {
         let p = FaultPolicy::default();
         assert_eq!(p.max_retries, 0);
         assert!(!p.quarantine);
-        assert!(p.recv_timeout().is_some(), "hangs still surface by default");
+        assert_eq!(p.recv_timeout_ms, 30_000, "hangs still surface by default");
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::keys;
 use fault::{FaultCause, FaultLog, Quarantine};
 use rl_algos::policy::ActorCritic;
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use telemetry::{SharedRecorder, Value};
 use transport::channel::ChannelTransport;
 use transport::process::ProcessTransport;
@@ -152,7 +152,7 @@ enum Health {
 struct InFlight {
     rng: RngStream,
     attempts: u32,
-    deadline: Option<Instant>,
+    deadline: Instant,
 }
 
 /// The worker actor pool behind a pluggable transport. See the module
@@ -294,7 +294,8 @@ impl<'f> Runtime<'f> {
         &self.nodes
     }
 
-    /// Override the dispatch window (tests; clamped to ≥ 1).
+    /// Override the dispatch window (clamped to ≥ 1).
+    #[cfg(test)]
     pub(crate) fn with_window(mut self, window: usize) -> Self {
         self.window = window.max(1);
         self
@@ -324,8 +325,8 @@ impl<'f> Runtime<'f> {
         self.active_workers() < self.nodes.len()
     }
 
-    fn deadline(&self) -> Option<Instant> {
-        self.policy.recv_timeout().map(|t| Instant::now() + t)
+    fn deadline(&self) -> Instant {
+        Instant::now() + Duration::from_millis(self.policy.recv_timeout_ms)
     }
 
     /// Rebuild a dead worker, booting it from the latest broadcast
@@ -515,7 +516,10 @@ impl<'f> Runtime<'f> {
             if remaining == 0 {
                 break;
             }
-            let next_deadline = in_flight.iter().flatten().filter_map(|f| f.deadline).min();
+            // A command is in flight whenever results remain; the fallback
+            // only keeps the wait bounded if that ever stops holding.
+            let next_deadline = in_flight.iter().flatten().map(|f| f.deadline).min();
+            let next_deadline = next_deadline.unwrap_or_else(|| self.deadline());
             let Some(ev) = self.transport.recv_deadline(next_deadline)? else {
                 // Deadline expired: every overdue worker is hung. No
                 // retry — the old thread may still wake and double-drive
@@ -525,7 +529,7 @@ impl<'f> Runtime<'f> {
                 let overdue: Vec<usize> = in_flight
                     .iter()
                     .enumerate()
-                    .filter(|(_, f)| f.as_ref().and_then(|f| f.deadline).is_some_and(|d| d <= now))
+                    .filter(|(_, f)| f.as_ref().is_some_and(|f| f.deadline <= now))
                     .map(|(w, _)| w)
                     .collect();
                 for w in overdue {
@@ -965,10 +969,8 @@ mod tests {
     fn injected_hang_surfaces_as_worker_timed_out() {
         let plan = FaultPlan::new().fault(0, 0, FaultKind::Hang { millis: 300 });
         let (specs, policy) = specs(&[0, 0]);
-        let mut rt = faulted(specs, &policy, plan).with_fault_policy(FaultPolicy {
-            recv_timeout_ms: Some(40),
-            ..FaultPolicy::fail_fast()
-        });
+        let mut rt = faulted(specs, &policy, plan)
+            .with_fault_policy(FaultPolicy { recv_timeout_ms: 40, ..FaultPolicy::fail_fast() });
         let err = rt.collect_round(0, 8, streams(2));
         match err.expect_err("the hang must time out") {
             RuntimeError::WorkerTimedOut { worker, round } => {
@@ -983,7 +985,7 @@ mod tests {
         let plan = FaultPlan::new().fault(0, 0, FaultKind::Hang { millis: 120 });
         let (specs, policy) = specs(&[0, 0]);
         let mut rt = faulted(specs, &policy, plan).with_fault_policy(FaultPolicy {
-            recv_timeout_ms: Some(40),
+            recv_timeout_ms: 40,
             quarantine: true,
             ..FaultPolicy::resilient()
         });

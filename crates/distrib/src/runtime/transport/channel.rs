@@ -66,10 +66,7 @@ impl Transport for ChannelTransport {
         self.workers[worker].commands.send(cmd).map_err(|_| SendError)
     }
 
-    fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Option<Event>, RuntimeError> {
-        let Some(deadline) = deadline else {
-            return self.events.recv().map(Some).map_err(|_| RuntimeError::Disconnected);
-        };
+    fn recv_deadline(&mut self, deadline: Instant) -> Result<Option<Event>, RuntimeError> {
         let now = Instant::now();
         if deadline <= now {
             return Ok(None);

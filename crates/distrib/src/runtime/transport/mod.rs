@@ -71,13 +71,11 @@ pub enum TransportConfig {
 }
 
 impl TransportConfig {
-    /// Parse a transport request: `inproc`/`channel`,
-    /// `uds`/`unix`, `tcp` or `tcp:<addr>`.
+    /// Parse a transport request: `inproc`, `uds`, `tcp` or `tcp:<addr>`.
     pub(crate) fn parse(s: &str) -> Result<Self, String> {
-        let s = s.trim();
         match s {
-            "" | "inproc" | "channel" | "thread" => Ok(TransportConfig::InProcess),
-            "uds" | "unix" => Ok(TransportConfig::Uds),
+            "inproc" => Ok(TransportConfig::InProcess),
+            "uds" => Ok(TransportConfig::Uds),
             "tcp" => Ok(TransportConfig::Tcp { addr: "127.0.0.1:0".into() }),
             _ => match s.strip_prefix("tcp:") {
                 Some(addr) if !addr.is_empty() => Ok(TransportConfig::Tcp { addr: addr.into() }),
@@ -142,7 +140,7 @@ pub(crate) trait Transport: Send {
 
     /// Wait for the next event; `Ok(None)` means the deadline expired.
     /// Flushes pending output before blocking.
-    fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Option<Event>, RuntimeError>;
+    fn recv_deadline(&mut self, deadline: Instant) -> Result<Option<Event>, RuntimeError>;
 
     /// Collect a dead worker's corpse (join the thread / wait the
     /// process). Safe to call repeatedly and on workers already reaped.
@@ -195,11 +193,8 @@ mod tests {
 
     #[test]
     fn transport_config_parses_the_documented_forms() {
-        assert_eq!(TransportConfig::parse(""), Ok(TransportConfig::InProcess));
         assert_eq!(TransportConfig::parse("inproc"), Ok(TransportConfig::InProcess));
-        assert_eq!(TransportConfig::parse("channel"), Ok(TransportConfig::InProcess));
         assert_eq!(TransportConfig::parse("uds"), Ok(TransportConfig::Uds));
-        assert_eq!(TransportConfig::parse("unix"), Ok(TransportConfig::Uds));
         assert_eq!(
             TransportConfig::parse("tcp"),
             Ok(TransportConfig::Tcp { addr: "127.0.0.1:0".into() })
@@ -210,6 +205,9 @@ mod tests {
         );
         assert!(TransportConfig::parse("smoke-signals").is_err());
         assert!(TransportConfig::parse("tcp:").is_err());
+        for alias in ["", "channel", "thread", "unix", " uds"] {
+            assert!(TransportConfig::parse(alias).is_err(), "{alias:?} is not a documented form");
+        }
     }
 
     #[test]

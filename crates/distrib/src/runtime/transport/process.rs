@@ -463,23 +463,18 @@ impl Transport for ProcessTransport {
         }
     }
 
-    fn recv_deadline(&mut self, deadline: Option<Instant>) -> Result<Option<Event>, RuntimeError> {
+    fn recv_deadline(&mut self, deadline: Instant) -> Result<Option<Event>, RuntimeError> {
         self.flush();
         loop {
-            let (worker, epoch, item) = match deadline {
-                None => self.events.recv().map_err(|_| RuntimeError::Disconnected)?,
-                Some(d) => {
-                    let now = Instant::now();
-                    if d <= now {
-                        return Ok(None);
-                    }
-                    match self.events.recv_timeout(d - now) {
-                        Ok(it) => it,
-                        Err(mpsc::RecvTimeoutError::Timeout) => return Ok(None),
-                        Err(mpsc::RecvTimeoutError::Disconnected) => {
-                            return Err(RuntimeError::Disconnected)
-                        }
-                    }
+            let now = Instant::now();
+            if deadline <= now {
+                return Ok(None);
+            }
+            let (worker, epoch, item) = match self.events.recv_timeout(deadline - now) {
+                Ok(it) => it,
+                Err(mpsc::RecvTimeoutError::Timeout) => return Ok(None),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(RuntimeError::Disconnected)
                 }
             };
             if epoch != self.children[worker].epoch {

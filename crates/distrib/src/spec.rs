@@ -75,13 +75,6 @@ pub struct ExecSpec {
     /// [`FaultPolicy::fail_fast`] — the pre-fault-tolerance behavior,
     /// minus the panic: an unhandled failure becomes a study `Err`.
     pub fault: FaultPolicy,
-    /// Cap on in-flight collection commands per runtime
-    /// (`Runtime::with_window`). `None` keeps the runtime default — the
-    /// host's available parallelism — which is right for a study that
-    /// owns the machine. Studies multiplexed through a `StudyServer`
-    /// set this so concurrently executing trials don't each dispatch as
-    /// if they had every core to themselves.
-    pub(crate) window: Option<usize>,
     /// Transport for the runtime (`inproc`, `uds`, `tcp`, `tcp:<addr>`).
     /// `None` is in-process; a malformed value is rejected by
     /// [`dist_exec::run`](crate::run).
@@ -114,7 +107,6 @@ impl ExecSpec {
             ppo: PpoConfig::default(),
             sac: SacConfig::default(),
             fault: FaultPolicy::default(),
-            window: None,
             transport: None,
             #[cfg(any(test, feature = "fault-inject"))]
             fault_plan: Default::default(),

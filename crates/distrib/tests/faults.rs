@@ -95,7 +95,6 @@ fn run_target(
                 },
                 actor_sync_period: 2,
                 fault,
-                window: None,
                 transport: None,
                 fault_plan: plan.clone(),
             };
@@ -138,13 +137,7 @@ fn run_target(
 /// A policy generous enough to absorb every chaos schedule: more
 /// retries than any schedule has faults at one address.
 fn chaos_policy() -> FaultPolicy {
-    FaultPolicy {
-        max_retries: 4,
-        backoff_base_s: 0.25,
-        backoff_factor: 2.0,
-        quarantine: true,
-        recv_timeout_ms: Some(5_000),
-    }
+    FaultPolicy { max_retries: 4, backoff_base_s: 0.25, quarantine: true, recv_timeout_ms: 5_000 }
 }
 
 /// Enough consecutive crashes at one `(worker, round)` address to blow
@@ -231,7 +224,7 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 #[test]
 fn hung_worker_is_quarantined_under_a_resilient_policy() {
     let plan = FaultPlan::new().fault(3, 1, FaultKind::Hang { millis: 600 });
-    let policy = FaultPolicy { recv_timeout_ms: Some(100), ..FaultPolicy::resilient() };
+    let policy = FaultPolicy { recv_timeout_ms: 100, ..FaultPolicy::resilient() };
     let (_, degraded) =
         run_target(Target::Rllib, policy, &plan).expect("the study must survive a hang");
     assert!(degraded, "a timed-out worker is a quarantine, hence a degraded result");
@@ -240,7 +233,7 @@ fn hung_worker_is_quarantined_under_a_resilient_policy() {
 #[test]
 fn hung_worker_fails_fast_by_default() {
     let plan = FaultPlan::new().fault(3, 1, FaultKind::Hang { millis: 600 });
-    let policy = FaultPolicy { recv_timeout_ms: Some(100), ..FaultPolicy::fail_fast() };
+    let policy = FaultPolicy { recv_timeout_ms: 100, ..FaultPolicy::fail_fast() };
     let err =
         run_target(Target::Rllib, policy, &plan).expect_err("fail-fast must surface the hang");
     assert!(err.contains("timed out"), "error names the hang: {err}");

@@ -10,12 +10,6 @@ use simd_kernels::Isa;
 pub trait Optimizer: Send {
     /// Apply one update from the currently accumulated gradients.
     fn step(&mut self, net: &mut Mlp);
-
-    /// Current learning rate (schedulers adjust it between steps).
-    fn lr(&self) -> f64;
-
-    /// Replace the learning rate.
-    fn set_lr(&mut self, lr: f64);
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction — the default optimizer
@@ -71,14 +65,6 @@ impl Optimizer for Adam {
             nnf64::adam_step(isa, &step, params, grads, &mut ms[idx], &mut vs[idx]);
             idx += 1;
         });
-    }
-
-    fn lr(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
     }
 }
 
@@ -140,14 +126,6 @@ mod tests {
     #[test]
     fn adam_fits_a_line() {
         assert!(fit_line(Adam::new(0.05)) < 1e-6);
-    }
-
-    #[test]
-    fn lr_get_set_round_trip() {
-        let mut opt = Adam::new(3e-4);
-        assert_eq!(opt.lr(), 3e-4);
-        opt.set_lr(1e-4);
-        assert_eq!(opt.lr(), 1e-4);
     }
 
     #[test]

@@ -61,20 +61,12 @@ pub struct Work {
     pub fn_evals: u64,
     /// Number of accepted steps.
     pub steps: u64,
-    /// Number of rejected (retried) steps. Every stepper in this crate is
-    /// fixed-step and reports 0; the field stays because the wire format
-    /// and the ledger carry it.
-    pub(crate) rejected: u64,
 }
 
 impl core::ops::Add for Work {
     type Output = Work;
     fn add(self, rhs: Work) -> Work {
-        Work {
-            fn_evals: self.fn_evals + rhs.fn_evals,
-            steps: self.steps + rhs.steps,
-            rejected: self.rejected + rhs.rejected,
-        }
+        Work { fn_evals: self.fn_evals + rhs.fn_evals, steps: self.steps + rhs.steps }
     }
 }
 
@@ -90,10 +82,10 @@ mod tests {
 
     #[test]
     fn work_add_is_componentwise() {
-        let a = Work { fn_evals: 3, steps: 1, rejected: 0 };
-        let b = Work { fn_evals: 4, steps: 2, rejected: 1 };
+        let a = Work { fn_evals: 3, steps: 1 };
+        let b = Work { fn_evals: 4, steps: 2 };
         let c = a + b;
-        assert_eq!(c, Work { fn_evals: 7, steps: 3, rejected: 1 });
+        assert_eq!(c, Work { fn_evals: 7, steps: 3 });
     }
 
     #[test]
@@ -101,6 +93,5 @@ mod tests {
         let w = Work::default();
         assert_eq!(w.fn_evals, 0);
         assert_eq!(w.steps, 0);
-        assert_eq!(w.rejected, 0);
     }
 }

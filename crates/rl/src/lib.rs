@@ -45,7 +45,6 @@ pub mod on_policy;
 pub mod policy;
 pub mod ppo;
 pub mod sac;
-pub mod schedules;
 pub mod trainer;
 pub mod vtrace;
 

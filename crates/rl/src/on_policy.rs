@@ -187,7 +187,6 @@ impl OnPolicyLearner {
             hidden: cfg.hidden,
             n_steps: cfg.n_steps,
             normalize_advantage: true,
-            lr_schedule: None,
             ..PpoConfig::default()
         };
         let mut learner = Self::new(obs_dim, action_space, shared, rng);
@@ -317,18 +316,6 @@ impl OnPolicyLearner {
         stats.approx_kl /= rows;
         stats.clip_fraction /= rows;
         stats
-    }
-
-    /// Apply the learning-rate schedule at training progress `p ∈ [0,1]`
-    /// to both networks and the log-std step.
-    ///
-    /// No-op when the config has no schedule.
-    pub fn anneal(&mut self, progress: f64) {
-        if let Some(schedule) = self.cfg.lr_schedule {
-            let lr = schedule.at(progress).max(0.0);
-            self.actor.opt.set_lr(lr);
-            self.critic.opt.set_lr(lr);
-        }
     }
 }
 
@@ -474,7 +461,6 @@ fn fill_rows(x: &mut Matrix, rollout: &RolloutBuffer, rows: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedules::Schedule;
     use gymrs::envs::{GridWorld, PointMass};
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
@@ -620,33 +606,5 @@ mod tests {
             let rollout = collect_steps(&learner.policy, env, &mut obs, 96, &mut rng);
             assert_clones_agree(learner, &rollout.rollout, 15);
         }
-    }
-
-    #[test]
-    fn log_std_follows_the_learning_rate_schedule() {
-        // At the end of a linear-to-zero schedule the networks stop, and
-        // so must the Gaussian head's log-std.
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut env = PointMass::new();
-        env.seed(9);
-        let lr = PpoConfig::default().lr;
-        let cfg =
-            PpoConfig { lr_schedule: Some(Schedule::linear_to_zero(lr)), ..PpoConfig::fast_test() };
-        let mut learner = ppo(&env, cfg, &mut rng);
-        let mut obs = env.reset();
-        let out = learner.collect(&mut env, &mut obs, 128, &mut rng);
-        let bits = |l: &OnPolicyLearner| -> Vec<u64> {
-            l.policy.log_std.iter().map(|x| x.to_bits()).collect()
-        };
-
-        learner.anneal(0.0);
-        let before = bits(&learner);
-        learner.update(&out.rollout, &mut rng);
-        let moved = bits(&learner);
-        assert_ne!(moved, before, "at the initial rate log-std moves");
-
-        learner.anneal(1.0);
-        learner.update(&out.rollout, &mut rng);
-        assert_eq!(bits(&learner), moved, "at rate zero it must not");
     }
 }

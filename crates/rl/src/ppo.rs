@@ -36,10 +36,6 @@ pub struct PpoConfig {
     pub n_steps: usize,
     /// Normalize advantages per batch.
     pub normalize_advantage: bool,
-    /// Optional learning-rate schedule over training progress (applied by
-    /// the training loops via [`PpoLearner::anneal`]); the frameworks'
-    /// default is linear annealing to zero.
-    pub lr_schedule: Option<crate::schedules::Schedule>,
 }
 
 impl Default for PpoConfig {
@@ -57,7 +53,6 @@ impl Default for PpoConfig {
             hidden: vec![64, 64],
             n_steps: 2048,
             normalize_advantage: true,
-            lr_schedule: None,
         }
     }
 }

@@ -113,7 +113,6 @@ pub fn train(
             let mut learner = PpoLearner::new(obs_dim, &aspace, spec.ppo.clone(), &mut rng);
             let mut obs = env.reset();
             while (env_steps as usize) < spec.total_steps {
-                learner.anneal(env_steps as f64 / spec.total_steps as f64);
                 let n = spec.ppo.n_steps.min(spec.total_steps - env_steps as usize);
                 let out = learner.collect(env, &mut obs, n, &mut rng);
                 env_steps += n as u64;
@@ -209,18 +208,5 @@ mod tests {
             train(&mut env, &mut eval_env, &spec, &EvalSpec { episodes: 3, max_steps: 200 })
         };
         assert_ne!(run(1).train_returns, run(2).train_returns);
-    }
-
-    #[test]
-    fn lr_schedule_is_applied_during_training() {
-        use crate::schedules::Schedule;
-        let mut env = GridWorld::new(3);
-        let mut eval_env = GridWorld::new(3);
-        let mut spec = spec(Algorithm::Ppo, 768, 3);
-        spec.ppo.lr_schedule = Some(Schedule::linear_to_zero(spec.ppo.lr));
-        // Training must complete and remain finite under annealing.
-        let report =
-            train(&mut env, &mut eval_env, &spec, &EvalSpec { episodes: 2, max_steps: 100 });
-        assert!(report.eval_mean_return.is_finite());
     }
 }

@@ -17,7 +17,8 @@
 //! bodies remain only where they measured faster than the compiled body:
 //! the register tiles of [`nnf64`]'s three matmuls, written once and
 //! stamped per tier, whose masked column tails the compiler does not
-//! reproduce (DESIGN.md, "SIMD microkernels & dispatch", has the ratios).
+//! reproduce ([`nnf64`] has the ratios; DESIGN.md, "SIMD microkernels &
+//! dispatch", the contract).
 //!
 //! ## Determinism contract
 //!

@@ -31,7 +31,7 @@
 //! `[f64; 4]`-array body compiled for AVX2 ran 0.54–0.62× on full-width
 //! shapes and 0.08–0.10× on the narrow action and value heads, where the
 //! masked, register-resident tail is everything (DESIGN.md, "SIMD
-//! microkernels"). [`axpy`] and [`adam_step`] lost nothing as plain loops
+//! microkernels & dispatch"). [`axpy`] and [`adam_step`] lost nothing as plain loops
 //! and are `tiered!`. The scalar tier is the reference the tiles are
 //! tested against.
 
@@ -45,7 +45,7 @@ fn clamp(isa: Isa) -> Isa {
 
 /// Register tile shapes, output rows × vectors of columns, chosen by
 /// in-process timing against the streaming kernels on both vector tiers
-/// (DESIGN.md, "SIMD microkernels"). Rank-4 tiles of four rows hold eight
+/// (DESIGN.md, "SIMD microkernels & dispatch"). Rank-4 tiles of four rows hold eight
 /// accumulators; a leftover row runs as a 1-row tile four vectors wide so
 /// that it still has four independent add chains. Dot tiles of two rows
 /// hold sixteen partial sums; four rows measured mixed (0.75–2.13×).
