@@ -20,6 +20,7 @@
 //! an inline SplitMix64 generator so a fixed seed produces bit-identical
 //! confidence intervals on every platform and from any thread.
 
+use crate::spread::map_blocks;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -190,6 +191,11 @@ impl Distribution {
         ((alpha * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len())
     }
 
+    /// Whether it keeps an interval, under any spec.
+    pub(crate) fn keeps_an_interval(&self) -> bool {
+        self.interval.get().is_some()
+    }
+
     /// Seeded percentile-bootstrap confidence interval for the mean:
     /// `Bootstrap::ci` on a resampler built for this one call. A loop
     /// over many distributions builds one `Bootstrap` and reuses it.
@@ -305,26 +311,29 @@ impl Bootstrap {
     /// this exact spec (`level` to the bit); otherwise the interval is
     /// resampled, and kept if `dist` keeps none yet.
     pub fn ci(&mut self, dist: &Distribution) -> Ci {
-        let BootstrapSpec { level, resamples, .. } = self.spec;
-        let x = dist.samples();
-        let n = x.len();
-        if n == 0 {
-            return Ci::point(f64::NAN, level);
+        if let Some(ci) = self.read(dist) {
+            return ci;
         }
-        if n == 1 || resamples == 0 {
-            return Ci::point(x[0], level);
-        }
-        let key = |spec: &BootstrapSpec| (spec.level.to_bits(), spec.resamples, spec.seed);
-        match dist.interval.get() {
-            Some(kept) if key(&kept.0) == key(&self.spec) => return kept.1,
-            Some(_) => return self.resample(x),
-            None => {}
-        }
-        let ci = self.resample(x);
-        // A racing reader may have kept its own first: either way the
-        // slot holds an interval true to its spec.
+        let ci = self.resample(dist.samples());
+        // Kept unless an interval is kept already: under another spec, or
+        // by a racing reader. Either way the slot holds one true to its spec.
         let _ = dist.interval.set(Box::new((self.spec, ci)));
         ci
+    }
+
+    /// [`Self::ci`] where it needs no resample: the degenerate intervals,
+    /// and the one `dist` keeps under this exact spec. `None` otherwise.
+    fn read(&self, dist: &Distribution) -> Option<Ci> {
+        let BootstrapSpec { level, resamples, .. } = self.spec;
+        let x = dist.samples();
+        match x.len() {
+            0 => return Some(Ci::point(f64::NAN, level)),
+            1 => return Some(Ci::point(x[0], level)),
+            _ if resamples == 0 => return Some(Ci::point(x[0], level)),
+            _ => {}
+        }
+        let key = |spec: &BootstrapSpec| (spec.level.to_bits(), spec.resamples, spec.seed);
+        dist.interval.get().filter(|kept| key(&kept.0) == key(&self.spec)).map(|kept| kept.1)
     }
 
     /// The interval of `x` (at least two samples, at least one resample).
@@ -370,6 +379,35 @@ impl Bootstrap {
         self.plan.extend((0..draws).map(|_| rng.below(n) as u32));
         self.n = n;
     }
+}
+
+/// Intervals a thread resamples per turn; as many or fewer to resample in
+/// all start no thread.
+const BLOCK: usize = 32;
+
+/// [`Bootstrap::ci`] under `spec` of each of `dists`, in order, with the
+/// resampling spread over the cores `available_parallelism` allows.
+///
+/// Degenerate and kept intervals are read here. The rest are resampled
+/// once each, in blocks of `BLOCK`, each thread with a `Bootstrap` of its
+/// own; as there, an interval is kept when its distribution keeps none
+/// yet. A plan depends on `(seed, resamples, n)` alone, so every interval
+/// has the bits of the serial loop's.
+pub(crate) fn intervals(dists: &[&Distribution], spec: &BootstrapSpec) -> Vec<Ci> {
+    let boot = Bootstrap::new(*spec);
+    let mut out: Vec<Option<Ci>> = dists.iter().map(|d| boot.read(d)).collect();
+    let pending: Vec<usize> = (0..dists.len()).filter(|&i| out[i].is_none()).collect();
+    let threads = match pending.len().div_ceil(BLOCK) {
+        0 | 1 => 1,
+        blocks => std::thread::available_parallelism().map_or(1, |p| p.get()).min(blocks),
+    };
+    let init = || Bootstrap::new(*spec);
+    let resampled =
+        map_blocks(pending.len(), threads, BLOCK, init, |boot, k| boot.ci(dists[pending[k]]));
+    for (&i, ci) in pending.iter().zip(resampled) {
+        out[i] = Some(ci);
+    }
+    out.into_iter().map(|ci| ci.expect("every interval is read or resampled")).collect()
 }
 
 /// The means of `L` resamples of `x`; `rows` holds their `L × x.len()`
@@ -589,6 +627,52 @@ pub(crate) mod tests {
         assert!(read == unread && unread == copy, "samples alone decide equality");
         assert_eq!(format!("{read:?}"), format!("{unread:?}"));
         assert_ne!(read, Distribution::from_samples(vec![1.0, 2.0]));
+    }
+
+    #[test]
+    fn intervals_equal_the_serial_oracle_and_keep_what_they_may() {
+        sweep(6, 0x1A7E_5CA1, |g| {
+            let spec = BootstrapSpec { level: 0.9, resamples: 1 + g.below(250), seed: g.u64() };
+            let other = BootstrapSpec { seed: spec.seed ^ 1, ..spec };
+            // Runs of one length between changes of length, so that every
+            // thread's blocks meet several plans; empty and one-sample
+            // distributions among them.
+            let mut dists = Vec::new();
+            while dists.len() < 10 * BLOCK {
+                let n = *g.pick(&[0, 1, 2, 5, 64, 64, 64, 100]);
+                for _ in 0..1 + g.below(2 * BLOCK) {
+                    dists.push(Distribution::from_samples(samples(g, n)));
+                }
+            }
+            // Some keep an interval already, under this spec or another.
+            let mut kept = Vec::new();
+            for (i, d) in dists.iter().enumerate().filter(|(_, d)| d.len() > 1) {
+                match g.below(8) {
+                    0 => kept.push((i, other, bits(d.bootstrap_ci(&other)))),
+                    1 => kept.push((i, spec, bits(d.bootstrap_ci(&spec)))),
+                    _ => {}
+                }
+            }
+            assert!(kept.iter().any(|k| k.1 == other) && kept.iter().any(|k| k.1 == spec));
+            let refs: Vec<&Distribution> = dists.iter().collect();
+            let got = intervals(&refs, &spec);
+            assert_eq!(got.len(), dists.len());
+            for (i, (d, ci)) in dists.iter().zip(&got).enumerate() {
+                assert_eq!(bits(*ci), bits(oracle_ci(d, &spec)), "distribution {i}, n {}", d.len());
+            }
+            for (i, d) in dists.iter().enumerate() {
+                let was = kept.iter().find(|k| k.0 == i);
+                let want = match was {
+                    Some(&(_, under, _)) => Some(under),
+                    None if d.len() > 1 => Some(spec),
+                    None => None,
+                };
+                assert_eq!(kept_spec(d), want, "distribution {i}, n {}", d.len());
+            }
+            for &(i, kept_under, ci) in &kept {
+                assert_eq!(bits(dists[i].bootstrap_ci(&kept_under)), ci, "distribution {i}");
+            }
+        });
     }
 
     #[test]

@@ -88,9 +88,10 @@ impl Explorer for RandomSearch {
     }
 }
 
-/// Grid Search: exhaustively enumerate the Cartesian product.
+/// Grid Search: exhaustively enumerate the Cartesian product, in the
+/// order of [`ParamSpace::grid`]. Each proposal computes its own point, so
+/// a limited search never builds the whole grid.
 pub struct GridSearch {
-    grid: Option<Vec<Configuration>>,
     cursor: usize,
     limit: Option<usize>,
 }
@@ -98,12 +99,12 @@ pub struct GridSearch {
 impl GridSearch {
     /// Visit the full grid.
     pub fn new() -> Self {
-        Self { grid: None, cursor: 0, limit: None }
+        Self { cursor: 0, limit: None }
     }
 
     /// Visit at most `limit` grid points.
     pub fn with_limit(limit: usize) -> Self {
-        Self { grid: None, cursor: 0, limit: Some(limit) }
+        Self { cursor: 0, limit: Some(limit) }
     }
 }
 
@@ -120,11 +121,10 @@ impl Explorer for GridSearch {
         _history: &[Trial],
         _rng: &mut dyn rand::RngCore,
     ) -> Option<Configuration> {
-        let grid = self.grid.get_or_insert_with(|| space.grid());
-        if self.cursor >= grid.len() || self.limit.is_some_and(|l| self.cursor >= l) {
+        if self.limit.is_some_and(|l| self.cursor >= l) {
             return None;
         }
-        let cfg = grid[self.cursor].clone();
+        let cfg = space.grid_point(self.cursor)?;
         self.cursor += 1;
         Some(cfg)
     }
@@ -490,6 +490,67 @@ mod tests {
         assert!(ex.propose(&s, &[], &mut rng).is_some());
         assert!(ex.propose(&s, &[], &mut rng).is_some());
         assert!(ex.propose(&s, &[], &mut rng).is_none());
+    }
+
+    /// The Cartesian product as `ParamSpace::grid` built it before points
+    /// were computed by index: one parameter at a time, each existing
+    /// prefix extended by every value, so the last parameter varies fastest.
+    fn oracle_grid(params: &[(String, Vec<ParamValue>)]) -> Vec<Configuration> {
+        let mut out = vec![Configuration::new()];
+        for (name, values) in params {
+            out = out
+                .iter()
+                .flat_map(|cfg| values.iter().map(|v| cfg.clone().with(name, v.clone())))
+                .collect();
+        }
+        out
+    }
+
+    #[test]
+    fn grid_proposals_equal_the_cartesian_product_prefix() {
+        sweep(60, 0x6_21D, |g| {
+            let mut builder = ParamSpace::builder();
+            let mut params = Vec::new();
+            for p in 0..1 + g.below(6) {
+                let (name, len) = (format!("p{p}"), 1 + g.below(4));
+                let values: Vec<ParamValue> = match g.below(3) {
+                    0 => {
+                        let lo = g.int_in(-5i64..5);
+                        builder = builder.int(&name, lo, lo + len as i64 - 1);
+                        (lo..lo + len as i64).map(ParamValue::Int).collect()
+                    }
+                    1 => {
+                        let ints: Vec<i64> =
+                            (0..len as i64).map(|k| 10 * k - g.int_in(0..5)).collect();
+                        builder = builder.categorical_int(&name, ints.clone());
+                        ints.into_iter().map(ParamValue::Int).collect()
+                    }
+                    _ => {
+                        let labels: Vec<String> = (0..len).map(|k| format!("v{k}")).collect();
+                        builder = builder.categorical(&name, labels.clone());
+                        labels.into_iter().map(ParamValue::Str).collect()
+                    }
+                };
+                params.push((name, values));
+            }
+            let space = builder.build();
+            let oracle = oracle_grid(&params);
+            assert_eq!(space.grid(), oracle);
+            let size = oracle.len();
+            for limit in [None, Some(0), Some(1), Some(size / 2), Some(size), Some(size + 3)] {
+                let mut ex = match limit {
+                    Some(l) => GridSearch::with_limit(l),
+                    None => GridSearch::new(),
+                };
+                let mut rng = StdRng::seed_from_u64(g.u64());
+                let proposed: Vec<Configuration> =
+                    std::iter::from_fn(|| ex.propose(&space, &[], &mut rng)).collect();
+                assert_eq!(proposed, oracle[..limit.unwrap_or(size).min(size)], "limit {limit:?}");
+                for _ in 0..2 {
+                    assert_eq!(ex.propose(&space, &[], &mut rng), None, "after the last point");
+                }
+            }
+        });
     }
 
     /// Synthetic objective: k=3 is best, x near 0.25 is best (minimize).

@@ -15,7 +15,7 @@
 //! ranking stage then reads trials through it, degrading gracefully to the
 //! scalar when no distribution was recorded.
 
-use crate::distribution::{Bootstrap, BootstrapSpec, Ci, Distribution};
+use crate::distribution::{Bootstrap, BootstrapSpec, Distribution};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -261,12 +261,6 @@ impl MetricSample<'_> {
             (Risk::LowerCi(_), Direction::Maximize) => boot.ci(dist).lo,
             (Risk::LowerCi(_), Direction::Minimize) => boot.ci(dist).hi,
         }
-    }
-
-    /// Bootstrap CI of the sample mean, when a distribution is present,
-    /// from a resampler the caller keeps from trial to trial.
-    pub(crate) fn ci_with(&self, boot: &mut Bootstrap) -> Option<Ci> {
-        self.distribution.filter(|d| !d.is_empty()).map(|d| boot.ci(d))
     }
 }
 

@@ -141,12 +141,25 @@ impl Domain {
         }
     }
 
-    /// Enumerate finite domains (panics on float ranges — grid search
-    /// over continuous parameters requires explicit discretization).
-    pub(crate) fn enumerate(&self) -> Vec<ParamValue> {
+    /// How many values a grid over the domain takes, `None` when that is
+    /// more than `usize::MAX`. Panics on a float range: grid search over a
+    /// continuous parameter requires explicit discretization.
+    pub(crate) fn grid_len(&self) -> Option<usize> {
         match self {
-            Domain::Categorical(v) => v.clone(),
-            Domain::IntRange { lo, hi } => (*lo..=*hi).map(ParamValue::Int).collect(),
+            Domain::Categorical(v) => Some(v.len()),
+            Domain::IntRange { lo, hi } => usize::try_from(hi.abs_diff(*lo)).ok()?.checked_add(1),
+            Domain::FloatRange { .. } => {
+                panic!("cannot enumerate a continuous domain; discretize it first")
+            }
+        }
+    }
+
+    /// The draw of the grid's `k`-th value (`k < grid_len`): the choices
+    /// in declaration order, an integer range ascending.
+    pub(crate) fn grid_draw(&self, k: usize) -> Draw {
+        match self {
+            Domain::Categorical(_) => Draw::Choice(k),
+            Domain::IntRange { lo, .. } => Draw::Int(lo.wrapping_add_unsigned(k as u64)),
             Domain::FloatRange { .. } => {
                 panic!("cannot enumerate a continuous domain; discretize it first")
             }
@@ -204,13 +217,18 @@ mod tests {
 
     #[test]
     fn enumerate_int_range() {
-        let vals = Domain::IntRange { lo: 2, hi: 4 }.enumerate();
+        let d = Domain::IntRange { lo: 2, hi: 4 };
+        assert_eq!(d.grid_len(), Some(3));
+        let vals: Vec<ParamValue> = (0..3).map(|k| d.value(d.grid_draw(k))).collect();
         assert_eq!(vals, vec![ParamValue::Int(2), ParamValue::Int(3), ParamValue::Int(4)]);
+        let widest = Domain::IntRange { lo: i64::MIN, hi: i64::MAX };
+        assert_eq!(widest.grid_len(), None, "2^64 values do not fit a usize");
+        assert_eq!(widest.value(widest.grid_draw(usize::MAX)), ParamValue::Int(i64::MAX));
     }
 
     #[test]
     #[should_panic(expected = "continuous domain")]
     fn enumerate_float_panics() {
-        Domain::FloatRange { lo: 0.0, hi: 1.0, log: false }.enumerate();
+        Domain::FloatRange { lo: 0.0, hi: 1.0, log: false }.grid_len();
     }
 }

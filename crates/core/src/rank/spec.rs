@@ -31,7 +31,7 @@
 
 use std::cmp::Ordering;
 
-use crate::distribution::{Bootstrap, BootstrapSpec, Ci};
+use crate::distribution::{intervals, Bootstrap, BootstrapSpec, Ci, Distribution};
 use crate::metrics::{Direction, MetricDef};
 use crate::trial::Trial;
 
@@ -322,16 +322,28 @@ impl RankSpec {
 
     /// Group consecutive trials of `order` whose CIs on the primary
     /// metric overlap the group head's CI: within a tier the evidence
-    /// cannot tell the trials apart.
+    /// cannot tell the trials apart. The intervals are computed first,
+    /// across cores; a trial without samples has the point interval of
+    /// its scalar.
     fn ci_tiers(&self, trials: &[Trial], order: &[usize], level: f64) -> Vec<Vec<usize>> {
         let primary = &self.defs[0];
-        let mut boot = Bootstrap::new(BootstrapSpec { level, ..self.bootstrap });
+        let samples: Vec<_> = order
+            .iter()
+            .map(|&i| {
+                let s = trials[i].metrics.sample(&primary.name);
+                let s = s.expect("a ranked trial has every metric");
+                (s.value, s.distribution.filter(|d| !d.is_empty()))
+            })
+            .collect();
+        let dists: Vec<&Distribution> = samples.iter().filter_map(|&(_, d)| d).collect();
+        let mut cis = intervals(&dists, &BootstrapSpec { level, ..self.bootstrap }).into_iter();
         let mut tiers: Vec<Vec<usize>> = Vec::new();
         let mut head_ci: Option<Ci> = None;
-        for &i in order {
-            let s =
-                trials[i].metrics.sample(&primary.name).expect("a ranked trial has every metric");
-            let ci = s.ci_with(&mut boot).unwrap_or_else(|| Ci::point(s.value, level));
+        for (&i, &(value, dist)) in order.iter().zip(&samples) {
+            let ci = match dist {
+                Some(_) => cis.next().expect("an interval per distribution"),
+                None => Ci::point(value, level),
+            };
             match (tiers.last_mut(), &head_ci) {
                 (Some(tier), Some(head)) if head.overlaps(&ci) => tier.push(i),
                 _ => {
@@ -528,6 +540,50 @@ mod tests {
             "0 and 1 share a tier; 2 stands alone"
         );
         assert_eq!(ranking.front, vec![0, 1]);
+    }
+
+    #[test]
+    fn ci_gate_tiers_equal_a_serial_walk_over_the_oracle_intervals() {
+        use crate::distribution::tests::oracle_ci;
+        let mut g = testkit::Gen::new(0x7_1E25);
+        // Means a little apart against a unit spread: tiers of many sizes.
+        // Every fifth trial has no reward samples and every seventh has one.
+        let trials: Vec<Trial> = (0..400)
+            .map(|id| match id % 35 {
+                0 | 5 | 10 | 15 | 20 | 25 | 30 => t(id, 0.01 * id as f64, 1.0),
+                7 | 14 | 21 | 28 => t_dist(id, vec![0.01 * id as f64], 1.0),
+                _ => {
+                    let n = *g.pick(&[8, 40, 64]);
+                    let centre = 0.01 * id as f64;
+                    t_dist(id, g.f64s(n, centre - 1.0..centre + 1.0), 1.0)
+                }
+            })
+            .collect();
+        let (r, _) = defs();
+        let spec = BootstrapSpec { level: 0.5, resamples: 120, seed: 0xB00 };
+        let gated = RankSpec::sorted().metric(r.clone()).bootstrap(spec).ci_gate(0.8);
+        let ranking = gated.rank(&trials);
+
+        let order = RankSpec::sorted().metric(r).rank(&trials).order;
+        let spec = BootstrapSpec { level: 0.8, ..spec };
+        let mut tiers: Vec<Vec<usize>> = Vec::new();
+        let mut head: Option<Ci> = None;
+        for i in order {
+            let s = trials[i].metrics.sample("reward").unwrap();
+            let ci = match s.distribution {
+                Some(d) => oracle_ci(d, &spec),
+                None => Ci::point(s.value, spec.level),
+            };
+            match (tiers.last_mut(), head) {
+                (Some(tier), Some(h)) if h.overlaps(&ci) => tier.push(i),
+                _ => {
+                    tiers.push(vec![i]);
+                    head = Some(ci);
+                }
+            }
+        }
+        assert!(tiers.len() > 10 && tiers.iter().any(|t| t.len() > 3), "{tiers:?}");
+        assert_eq!(ranking.tiers, tiers);
     }
 
     #[test]

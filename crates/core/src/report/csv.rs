@@ -28,7 +28,7 @@ pub fn trials_to_csv_with_dispersion(
     metrics: &[MetricDef],
     spec: &BootstrapSpec,
 ) -> String {
-    render(trials, params, metrics, Some(&mut PerColumn::new(spec, metrics.len())))
+    render(trials, params, metrics, Some(&mut PerColumn::for_metrics(spec, metrics, trials)))
 }
 
 pub(super) fn render(

@@ -28,7 +28,7 @@ pub fn trials_to_markdown_with_ci(
     front: Option<&ParetoFront>,
     spec: &BootstrapSpec,
 ) -> String {
-    render(trials, params, metrics, front, Some(&mut PerColumn::new(spec, metrics.len())))
+    render(trials, params, metrics, front, Some(&mut PerColumn::for_metrics(spec, metrics, trials)))
 }
 
 pub(super) fn render(

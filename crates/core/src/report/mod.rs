@@ -1,7 +1,9 @@
 //! Rendering study results: ASCII tables (Table I), CSV exports, and SVG
 //! scatter plots of Pareto fronts (Figures 4–6).
 
-use crate::distribution::{Bootstrap, BootstrapSpec, Ci, Distribution};
+use crate::distribution::{intervals, Bootstrap, BootstrapSpec, Ci, Distribution};
+use crate::metrics::MetricDef;
+use crate::trial::Trial;
 
 pub mod csv;
 pub mod markdown;
@@ -29,8 +31,28 @@ struct PerColumn {
 }
 
 impl PerColumn {
-    fn new(spec: &BootstrapSpec, columns: usize) -> Self {
-        Self { level: spec.level, columns: vec![Bootstrap::new(*spec); columns] }
+    /// The intervals of the metric columns `names` for the trials `rows`.
+    /// Every non-empty cell distribution that keeps no interval yet is
+    /// resampled here, across cores, and keeps its interval, so that the
+    /// render reads it. One that keeps an interval under another spec is
+    /// left to its column's resampler: it cannot keep a second.
+    fn new<'a>(
+        spec: &BootstrapSpec,
+        names: &[&str],
+        rows: impl Iterator<Item = &'a Trial> + Clone,
+    ) -> Self {
+        let cells = names.iter().flat_map(|name| {
+            rows.clone().filter_map(move |t| t.metrics.distribution(name).filter(|d| !d.is_empty()))
+        });
+        let fresh: Vec<&Distribution> = cells.filter(|d| !d.keeps_an_interval()).collect();
+        intervals(&fresh, spec);
+        Self { level: spec.level, columns: vec![Bootstrap::new(*spec); names.len()] }
+    }
+
+    /// [`Self::new`] for a report with a column per metric and a row per trial.
+    fn for_metrics(spec: &BootstrapSpec, metrics: &[MetricDef], trials: &[Trial]) -> Self {
+        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
+        Self::new(spec, &names, trials.iter())
     }
 }
 
@@ -153,5 +175,15 @@ mod tests {
         assert_eq!(render(&trials), cold);
         // And a clone of the trials, carrying the kept intervals, too.
         assert_eq!(render(&trials.clone()), cold);
+
+        // Under another spec every interval is resampled, and the kept
+        // ones stay.
+        let other = BootstrapSpec { seed: 0xC0DF, ..spec };
+        let table = table::render_table_with_dispersion(&trials, &["cores"], &metrics, &other);
+        let serial = table::render(&trials, &["cores"], &metrics, Some(&mut Oracle(other)));
+        assert_eq!(table, serial);
+        assert_ne!(table, cold[0]);
+        let mut resampled = trials.iter().filter_map(|t| t.metrics.distribution("reward"));
+        assert!(resampled.all(|d| d.len() < 2 || kept_spec(d) == Some(spec)));
     }
 }

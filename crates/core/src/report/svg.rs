@@ -53,9 +53,21 @@ impl ScatterPlot {
     /// points as circles), and return the SVG document.
     pub fn render(&self, trials: &[Trial], front: &ParetoFront) -> String {
         match &self.whiskers {
-            Some(spec) => self.render_with(trials, front, Some(&mut PerColumn::new(spec, 2))),
+            Some(spec) => {
+                let axes = [self.x.name.as_str(), self.y.name.as_str()];
+                let plotted = trials.iter().filter(|t| self.point(t).is_some());
+                self.render_with(trials, front, Some(&mut PerColumn::new(spec, &axes, plotted)))
+            }
             None => self.render_with(trials, front, None),
         }
+    }
+
+    /// The trial's `(x, y)`, when it is complete and both are finite: the
+    /// trials the plot draws.
+    fn point(&self, t: &Trial) -> Option<(f64, f64)> {
+        let x = t.metrics.get(&self.x.name)?;
+        let y = t.metrics.get(&self.y.name)?;
+        (t.is_complete() && x.is_finite() && y.is_finite()).then_some((x, y))
     }
 
     /// [`Self::render`] with the whiskers' intervals (column 0 the x
@@ -69,11 +81,7 @@ impl ScatterPlot {
         let pts: Vec<(usize, f64, f64)> = trials
             .iter()
             .enumerate()
-            .filter_map(|(i, t)| {
-                let x = t.metrics.get(&self.x.name)?;
-                let y = t.metrics.get(&self.y.name)?;
-                (t.is_complete() && x.is_finite() && y.is_finite()).then_some((i, x, y))
-            })
+            .filter_map(|(i, t)| self.point(t).map(|(x, y)| (i, x, y)))
             .collect();
 
         let (w, h) = (self.width as f64, self.height as f64);

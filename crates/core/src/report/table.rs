@@ -24,7 +24,7 @@ pub fn render_table_with_dispersion(
     metrics: &[MetricDef],
     spec: &BootstrapSpec,
 ) -> String {
-    render(trials, params, metrics, Some(&mut PerColumn::new(spec, metrics.len())))
+    render(trials, params, metrics, Some(&mut PerColumn::for_metrics(spec, metrics, trials)))
 }
 
 pub(super) fn render(

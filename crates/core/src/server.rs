@@ -23,8 +23,10 @@
 //! [`Study::run`]: crate::study::Study::run
 //! [`Study::run_parallel`]: crate::study::Study::run_parallel
 
-use crate::study::{Session, Slot, Study};
+use crate::spread::map_blocks;
+use crate::study::{Replayed, Session, Slot, Study};
 use crate::trial::{Configuration, Trial};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, PoisonError};
@@ -119,6 +121,27 @@ fn run_wave<'a>(
     out.into_iter().map(|(lane, trial)| (lane, trial.expect("every slot reported"))).collect()
 }
 
+/// Replay the studies' journals ahead of opening their sessions, on
+/// `min(width, studies)` threads (this one among them) that take study
+/// indices from a shared counter. Entry `i` is study `i`'s replay, or
+/// `None` when its journal file is an earlier study's too: that one it
+/// replays when its turn to open comes, after the earlier study's
+/// checkpoint is appended, as when the two open in turn.
+fn replay_ahead(studies: &[&Study], width: usize) -> Vec<Option<Result<Replayed, String>>> {
+    let mut paths = BTreeSet::new();
+    let ahead: Vec<usize> = (0..studies.len())
+        .filter(|&i| studies[i].journal_path().is_none_or(|p| paths.insert(p)))
+        .collect();
+    let threads = width.min(ahead.len());
+    let replayed =
+        map_blocks(ahead.len(), threads, 1, || (), |(), k| Replayed::load(studies[ahead[k]]));
+    let mut out: Vec<Option<Result<Replayed, String>>> = studies.iter().map(|_| None).collect();
+    for (&i, replayed) in ahead.iter().zip(replayed) {
+        out[i] = Some(replayed);
+    }
+    out
+}
+
 /// The one wave loop: run every study to completion, at most `width`
 /// trials at once; outcomes are in the order given. A wave with at most
 /// one trial to run needs no worker, so a call of width 1 never starts a
@@ -135,8 +158,11 @@ pub(crate) fn run_waves(
     let mut outcomes: Vec<StudyOutcome> =
         studies.iter().map(|_| StudyOutcome { trials: Vec::new(), error: None }).collect();
     let mut lanes: Vec<Option<Lane<'_>>> = Vec::with_capacity(studies.len());
-    for (study, outcome) in studies.iter().zip(&mut outcomes) {
-        lanes.push(match Session::start(study) {
+    // Journals replay across threads; sessions open in submission order.
+    let ahead = replay_ahead(studies, width);
+    for ((study, outcome), replayed) in studies.iter().zip(&mut outcomes).zip(ahead) {
+        let replayed = replayed.unwrap_or_else(|| Replayed::load(study));
+        lanes.push(match replayed.and_then(|r| Session::open(study, r)) {
             Ok(session) => {
                 Some(Lane { session, span: recorder.span_begin(server_keys::STUDY), idle: false })
             }

@@ -50,23 +50,32 @@ impl ParamSpace {
         cfg
     }
 
-    /// Enumerate the full Cartesian product (Grid Search). Panics when a
-    /// domain is continuous.
+    /// Enumerate the full Cartesian product (Grid Search), the last
+    /// parameter varying fastest: every `grid_point` in index order.
+    /// Panics when a domain is continuous.
     pub fn grid(&self) -> Vec<Configuration> {
-        let mut out = vec![Configuration::new()];
-        for p in &self.params {
-            let values = p.domain.enumerate();
-            let mut next = Vec::with_capacity(out.len() * values.len());
-            for cfg in &out {
-                for v in &values {
-                    let mut c = cfg.clone();
-                    c.set(&p.name, v.clone());
-                    next.push(c);
+        (0..).map_while(|i| self.grid_point(i)).collect()
+    }
+
+    /// Point `i` of the grid, `None` past the last one, computed from the
+    /// parameters' value lists alone: `i` counted in mixed radix, the last
+    /// parameter varying fastest. Panics when a domain is continuous.
+    pub(crate) fn grid_point(&self, mut i: usize) -> Option<Configuration> {
+        let mut draws = Vec::with_capacity(self.params.len());
+        for p in self.params.iter().rev() {
+            let k = match p.domain.grid_len() {
+                Some(len) => {
+                    let k = i % len;
+                    i /= len;
+                    k
                 }
-            }
-            out = next;
+                // More values than indices: the whole index is this digit.
+                None => std::mem::take(&mut i),
+            };
+            draws.push(p.domain.grid_draw(k));
         }
-        out
+        draws.reverse();
+        (i == 0).then(|| self.configuration(&draws))
     }
 
     /// Whether a configuration assigns a valid value to every parameter.

@@ -156,20 +156,38 @@ pub(crate) struct Session<'a> {
     exhausted: bool,
 }
 
+/// A study's journal, read and folded: what opening a [`Session`] needs
+/// of the file. Building one touches nothing but that file, so the
+/// journals of many studies can be replayed at once.
+#[derive(Default)]
+pub(crate) struct Replayed {
+    replay: Replay,
+    /// The load dropped a torn tail record.
+    torn_tail: bool,
+}
+
+impl Replayed {
+    /// Read and fold `study`'s journal; empty when it has none.
+    pub(crate) fn load(study: &Study) -> Result<Replayed, String> {
+        let Some(j) = &study.journal else { return Ok(Replayed::default()) };
+        let load = j.load().map_err(|e| e.to_string())?;
+        Ok(Replayed { replay: Replay::from_events(load.events)?, torn_tail: load.torn_tail })
+    }
+}
+
 impl<'a> Session<'a> {
-    /// Open a session: replay the journal (if any), validate that the log
-    /// belongs to this study, and append a `study.checkpoint` marker.
-    pub(crate) fn start(study: &'a Study) -> Result<Session<'a>, String> {
-        let mut replay = Replay::default();
+    /// Open a session over the study's replayed journal: validate that
+    /// the log belongs to this study, take the explorer lock, and append a
+    /// `study.checkpoint` marker.
+    pub(crate) fn open(study: &'a Study, replayed: Replayed) -> Result<Session<'a>, String> {
+        let Replayed { replay, torn_tail } = replayed;
         if let Some(j) = &study.journal {
-            let load = j.load().map_err(|e| e.to_string())?;
-            if load.torn_tail {
+            if torn_tail {
                 eprintln!(
                     "[decision] journal {}: dropped a torn tail record from an interrupted run",
                     j.path().display()
                 );
             }
-            replay = Replay::from_events(load.events)?;
             for ckpt in &replay.checkpoints {
                 if let StudyEvent::Checkpoint { study: s, seed, explorer, fingerprint, .. } = ckpt {
                     let explorer_name = study.explorer().name().to_string();
@@ -335,6 +353,11 @@ impl Study {
 
     pub(crate) fn recorder(&self) -> &SharedRecorder {
         &self.recorder
+    }
+
+    /// The file its journal writes to, if it has one.
+    pub(crate) fn journal_path(&self) -> Option<&std::path::Path> {
+        self.journal.as_ref().map(Journal::path)
     }
 
     fn explorer(&self) -> MutexGuard<'_, Box<dyn Explorer>> {

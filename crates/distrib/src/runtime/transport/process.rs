@@ -128,6 +128,31 @@ impl Listener {
             }),
         }
     }
+
+    /// Poll the nonblocking listener until a connection arrives or
+    /// `deadline` passes. The sleep between polls starts at 50 µs, which
+    /// catches a child that connects a millisecond after spawn, and doubles
+    /// up to 5 ms; it never runs past the deadline.
+    fn accept_by(&self, deadline: Instant) -> io::Result<Stream> {
+        let mut pause = Duration::from_micros(50);
+        loop {
+            match self.accept() {
+                Ok(s) => return Ok(s),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "worker process never connected",
+                        ));
+                    }
+                    std::thread::sleep(pause.min(deadline - now));
+                    pause = (pause * 2).min(Duration::from_millis(5));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// How children are told to reach the driver: `--uds <path>` or
@@ -366,24 +391,9 @@ impl ProcessTransport {
     /// Accept one connection and read its `Iam` frame, polling the
     /// nonblocking listener until `deadline`.
     fn accept_iam(&self, deadline: Instant) -> io::Result<(usize, Stream, FrameReader)> {
-        let stream = loop {
-            match self.listener.accept() {
-                Ok(s) => break s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "worker process never connected",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        };
+        let mut stream = self.listener.accept_by(deadline)?;
         stream.set_nonblocking(false)?;
         let mut reader = FrameReader::new();
-        let mut stream = stream;
         let (tag, body) = reader
             .next_frame(&mut stream)?
             .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
@@ -701,5 +711,31 @@ pub fn run_worker_process<I: IntoIterator<Item = String>>(args: I) -> Result<(),
                 std::process::exit(3);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_times_out_at_its_deadline_not_a_backoff_step_later() {
+        let listener = Listener::Tcp(TcpListener::bind("127.0.0.1:0").expect("bind loopback"));
+        listener.set_nonblocking(true).expect("nonblocking listener");
+        // 21 ms lies between two 5 ms steps of a sleep that ignored the
+        // deadline. The least lateness of three tries discounts a
+        // preempted wake-up.
+        let late = (0..3)
+            .map(|_| {
+                let deadline = Instant::now() + Duration::from_millis(21);
+                let err = listener.accept_by(deadline).err().expect("no client ever connects");
+                assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+                let now = Instant::now();
+                assert!(now >= deadline, "timed out early");
+                now - deadline
+            })
+            .min()
+            .expect("three tries");
+        assert!(late < Duration::from_micros(2_500), "timed out {late:?} after the deadline");
     }
 }
