@@ -307,6 +307,91 @@ fn study(rows: &mut Rows) {
     rows.extend(texts.map(|(name, text)| (format!("study.{name}"), text.into_bytes())));
 }
 
+/// A 48-trial study with a resampled metric: its CI gate and its
+/// interval report each resample 48 intervals, two blocks of
+/// `decision::distribution::intervals`, so the second block runs on
+/// another thread wherever two cores are allowed (64 samples and 1 000
+/// resamples make a block outlast the thread's start). Each side ranks
+/// its own clone, taken before either kept an interval.
+fn wide_study(rows: &mut Rows) {
+    let reward = MetricDef::maximize("reward");
+    let trials = Study::builder("fingerprints-wide")
+        .space(ParamSpace::builder().categorical_int("k", 0..24).categorical_int("j", 0..2).build())
+        .explorer(GridSearch::new())
+        .metric(reward.clone())
+        .seed(12)
+        .objective(|cfg, _| {
+            let (k, j) = (cfg.int("k").unwrap() as f64, cfg.int("j").unwrap() as f64);
+            let reward: Distribution = (0..64)
+                .map(|i| 0.1 * k + ((7.0 * k + 3.0 * j + f64::from(i)) % 11.0) / 4.0)
+                .collect();
+            Ok(MetricValues::new()
+                .with("reward", reward.mean())
+                .with_distribution("reward", reward))
+        })
+        .build()
+        .and_then(|study| study.run())
+        .expect("the wide study runs");
+    let spec = BootstrapSpec { level: 0.9, resamples: 1_000, seed: 0x5EED };
+    let gated = RankSpec::sorted().metric(reward.clone()).bootstrap(spec).ci_gate(spec.level);
+    let fresh = trials.clone();
+    let texts = [
+        ("trials", format!("{trials:?}")),
+        (
+            "report.csv_ci",
+            csv::trials_to_csv_with_dispersion(&trials, &["k", "j"], &[reward], &spec),
+        ),
+        ("ci_gate", format!("{:?}", gated.rank(&fresh))),
+    ];
+    rows.extend(texts.map(|(name, text)| (format!("study.wide.{name}"), text.into_bytes())));
+}
+
+/// Two half-finished journals served at width 2, so the server replays
+/// them on two threads (`decision::server`'s replay ahead of the
+/// sessions); then the trials and the journals' bytes it left.
+fn served_studies(rows: &mut Rows) {
+    let study = |name: &str, seed: u64, wal: &std::path::Path| {
+        Study::builder(name)
+            .space(ParamSpace::builder().categorical_int("k", 0..6).int("j", 0, 3).build())
+            .explorer(RandomSearch::new(12))
+            .metric(MetricDef::minimize("loss"))
+            .seed(seed)
+            .journal(Journal::new(wal))
+            .objective(|cfg, _| {
+                let (k, j) = (cfg.int("k").unwrap() as f64, cfg.int("j").unwrap() as f64);
+                Ok(MetricValues::new().with("loss", k / (1.0 + j) + 0.125 * (k * j % 5.0)))
+            })
+            .build()
+            .expect("the served study builds")
+    };
+    let wals: Vec<_> = ["a", "b"]
+        .map(|n| {
+            std::env::temp_dir().join(format!("rldt-fingerprints-{}-{n}.jsonl", std::process::id()))
+        })
+        .into();
+    let mut server = StudyServer::new(2);
+    for (i, wal) in wals.iter().enumerate() {
+        let name = format!("served-{i}");
+        Journal::new(wal).clear().expect("a fresh WAL");
+        study(&name, 21 + i as u64, wal).run().expect("the full run");
+        let text = std::fs::read_to_string(wal).expect("the WAL reads");
+        let lines: Vec<&str> = text.lines().collect();
+        let half: String = lines[..lines.len() / 2].iter().map(|l| format!("{l}\n")).collect();
+        std::fs::write(wal, half).expect("the WAL is cut");
+        server.submit(study(&name, 21 + i as u64, wal));
+    }
+    let outcomes = server.run_all();
+    assert!(outcomes.iter().all(|o| o.error.is_none()), "both journals resume");
+    let trials: Vec<_> = outcomes.iter().map(|o| &o.trials).collect();
+    let mut journals = Vec::new();
+    for wal in &wals {
+        journals.extend(std::fs::read(wal).expect("the WAL reads"));
+        Journal::new(wal).clear().expect("the WAL is removed");
+    }
+    rows.push(("study.served.trials".into(), format!("{trials:?}").into_bytes()));
+    rows.push(("study.served.journals".into(), journals));
+}
+
 /// Every row, sorted by path.
 fn rows() -> Rows {
     let mut rows = Rows::new();
@@ -315,6 +400,8 @@ fn rows() -> Rows {
     eval(&mut rows);
     whatif(&mut rows);
     study(&mut rows);
+    wide_study(&mut rows);
+    served_studies(&mut rows);
     rows.sort();
     rows
 }

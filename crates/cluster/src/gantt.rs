@@ -174,8 +174,8 @@ mod tests {
     use std::sync::Arc;
     use telemetry::RingRecorder;
 
-    /// A 2-node session narrating into a ring of `capacity` events per
-    /// thread; the spec, the snapshot and the finished wall time.
+    /// A 2-node session narrating into a ring of `capacity` events; the
+    /// spec, the snapshot and the finished wall time.
     fn recorded(capacity: usize) -> (ClusterSpec, Snapshot, f64) {
         let spec = ClusterSpec::paper_testbed(2);
         let ring = Arc::new(RingRecorder::with_capacity(capacity));

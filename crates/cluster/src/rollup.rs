@@ -155,6 +155,6 @@ mod tests {
     fn default_session_records_nothing() {
         let mut session = ClusterSession::new(ClusterSpec::paper_testbed(1));
         assert!(!session.recorder().enabled());
-        session.compute(0, 100.0, 2); // must not panic or allocate shards
+        session.compute(0, 100.0, 2); // must not panic or allocate
     }
 }

@@ -2,17 +2,21 @@
 //!
 //! The paper's workflow is service-like — experts *submit* studies and a
 //! shared execution substrate works through them — so the crate exposes a
-//! [`StudyServer`] that interleaves trials from every submitted study
-//! instead of running studies back to back. Its wave loop is the crate's
-//! only driver: [`Study::run`] is the same loop at width 1 over one
-//! study, [`Study::run_parallel`] at width `p`.
+//! [`StudyServer`] that runs every submitted study through one set of
+//! trial slots. Its wave loop is the crate's only driver: [`Study::run`]
+//! is the same loop at width 1 over one study, [`Study::run_parallel`] at
+//! width `p`.
 //!
-//! Scheduling is by **fair waves**: each wave is filled round-robin, one
-//! slot per study per pass, until the width is reached; the wave then
-//! executes concurrently and results are absorbed back into each study's
-//! session in id order. Fairness is positional, not probabilistic — a
-//! two-study server with width 4 runs 2+2 trials per wave while both have
-//! work, and the survivor widens to 4 once the other is exhausted.
+//! Scheduling is by **waves**: each wave is filled in passes over the open
+//! studies in submission order, one slot per study per pass, until the
+//! width is reached; the wave then executes concurrently and results are
+//! absorbed back into each study's session in id order. Every pass starts
+//! at the earliest open study, so the earliest studies fill a wave first.
+//! A two-study server with width 4 runs 2+2 trials per wave while both
+//! have work, and the survivor widens to 4 once the other is exhausted.
+//! With more open studies than `width`, the later studies get no slot
+//! until an earlier one finishes: studies past the width wait their turn
+//! rather than interleave.
 //!
 //! Every study keeps its own journal, explorer state, and resume
 //! semantics (sessions replay their WALs), so killing a server and
@@ -56,8 +60,8 @@ pub struct StudyOutcome {
     pub error: Option<String>,
 }
 
-/// A scheduler that interleaves trials from many studies through one
-/// execution runtime.
+/// A scheduler that runs many studies through one execution runtime, in
+/// waves filled from the earliest open study (see the module docs).
 pub struct StudyServer {
     width: usize,
     recorder: SharedRecorder,
@@ -147,8 +151,8 @@ fn replay_ahead(studies: &[&Study], width: usize) -> Vec<Option<Result<Replayed,
 /// one trial to run needs no worker, so a call of width 1 never starts a
 /// thread; a wider one keeps the scoped workers it starts (at most
 /// `width - 1`, as waves need them) until it returns — per call, never per
-/// wave, because a `RingRecorder` keeps a ring for every thread that ever
-/// recorded into it. `recorder` is the scheduler's own; studies keep theirs.
+/// wave, so a long run does not start a thread per wave. `recorder` is the
+/// scheduler's own; studies keep theirs.
 pub(crate) fn run_waves(
     studies: &[&Study],
     width: usize,
@@ -291,9 +295,11 @@ impl StudyServer {
         self.studies.is_empty()
     }
 
-    /// Run every submitted study to completion, interleaving their
-    /// trials in fair waves. Outcomes are in submission order. A study
-    /// whose session cannot start (corrupt or mismatched journal) is
+    /// Run every submitted study to completion in waves of at most
+    /// `width` trials, each filled one slot per open study per pass from
+    /// the earliest one; a study past the first `width` open ones starts
+    /// when an earlier one finishes. Outcomes are in submission order. A
+    /// study whose session cannot start (corrupt or mismatched journal) is
     /// reported in its outcome's `error` without sinking the others.
     ///
     /// When the server recorder's cooperative-stop flag trips, the
@@ -371,6 +377,45 @@ mod tests {
             let p = p.load(Ordering::SeqCst);
             assert!(p <= 2, "study {i} ran {p} trials at once in its half of a width-4 wave");
         }
+    }
+
+    #[test]
+    fn studies_past_the_width_wait_for_an_earlier_one_to_finish() {
+        // Each trial logs (study, started?) when it starts and ends.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let sizes = [3, 5, 4];
+        let mut server = StudyServer::new(2);
+        for (idx, n) in sizes.into_iter().enumerate() {
+            let log = log.clone();
+            server.submit(
+                Study::builder(format!("s{idx}"))
+                    .space(ParamSpace::builder().categorical_int("k", 0..n).build())
+                    .explorer(GridSearch::new())
+                    .metric(MetricDef::minimize("loss"))
+                    .objective(move |cfg, _| {
+                        log.lock().unwrap().push((idx, true));
+                        let loss = cfg.int("k").unwrap() as f64;
+                        log.lock().unwrap().push((idx, false));
+                        Ok(MetricValues::new().with("loss", loss))
+                    })
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let outcomes = server.run_all();
+        for (outcome, n) in outcomes.iter().zip(sizes) {
+            assert_eq!(outcome.trials.len(), n as usize);
+        }
+        let log = log.lock().unwrap();
+        let first = log.iter().position(|&(s, started)| s == 2 && started).unwrap();
+        let ended =
+            |s: usize| log[..first].iter().filter(|&&(t, started)| t == s && !started).count();
+        assert!(
+            ended(0) == 3 || ended(1) == 5,
+            "study 2 started after {} of 3 and {} of 5 trials of the studies before it",
+            ended(0),
+            ended(1)
+        );
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn recorded_study(trials: i64, recorder: &Arc<RingRecorder>) -> Study {
 
 #[test]
 fn five_hundred_waves_record_from_at_most_width_threads() {
-    // A thread per wave would leave the recorder a thousand rings.
+    // A thread per wave would start a thousand threads.
     let recorder = Arc::new(RingRecorder::new());
     let trials = recorded_study(1_500, &recorder).run_parallel(3).unwrap();
     assert_eq!(trials.len(), 1_500);

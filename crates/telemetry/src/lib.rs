@@ -5,17 +5,18 @@
 //! one uniform, cheap way to report what it did. This crate defines that
 //! layer: a [`Recorder`] trait with four primitive instrument families
 //! (monotonic counters, f64 accumulators, gauge samples, and structured
-//! events/spans), a lock-free [`RingRecorder`] implementation that
-//! aggregates counters in global atomic tables and streams events through
-//! per-thread ring buffers, and a [`NullRecorder`] whose methods compile
-//! to no-ops so instrumentation costs nothing when disabled.
+//! events/spans), a [`RingRecorder`] implementation that aggregates
+//! counters in atomic slot tables and keeps events and spans in one
+//! mutex-guarded ring per recorder, and a [`NullRecorder`] whose methods
+//! compile to no-ops so instrumentation costs nothing when disabled.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero allocation on the hot path.** Keys are `&'static str`
 //!    newtypes, event payloads are bounded `Copy` arrays, and the ring
-//!    recorder only allocates when a key or thread is seen for the first
-//!    time. The disabled path is a virtual call returning immediately.
+//!    recorder allocates its slot tables and its event ring when it is
+//!    built, never while recording. The disabled path is a virtual call
+//!    returning immediately.
 //! 2. **Determinism-preserving.** Recording never perturbs floating-point
 //!    evaluation order or RNG streams; all instruments are observe-only.
 //!    f64 accumulators apply deltas in call order, so a single recording

@@ -1,34 +1,33 @@
-//! The lock-free ring-buffer recorder.
+//! The ring-buffer recorder.
 //!
 //! [`RingRecorder`] splits its instruments by access pattern:
 //!
-//! - **Aggregates** (counters, f64 accumulators, gauges) live in global
-//!   fixed-capacity slot tables. A slot is claimed for a key on first
-//!   touch with a compare-and-swap on an `AtomicPtr`; afterwards every
-//!   update is a single atomic RMW on the slot — no locks, no
+//! - **Aggregates** (counters, f64 accumulators, gauges) live in
+//!   fixed-capacity slot tables. A slot claims its key on first touch
+//!   through a `OnceLock`; afterwards every update is one acquire load per
+//!   slot scanned and a single atomic RMW on the slot — no lock, no
 //!   allocation. f64 updates use a CAS loop over the value's bits.
-//! - **Events and spans** stream into per-thread single-writer ring
-//!   buffers ("shards"). The owning thread writes an entry and publishes
-//!   it with a release store of the head index; [`RingRecorder::snapshot`]
-//!   reads heads with acquire loads. When a ring wraps, the oldest
-//!   entries are overwritten and counted in `Snapshot::dropped_events`.
+//! - **Events and spans** go to one mutex-guarded ring per recorder,
+//!   reserved at its capacity when the recorder is built and written only
+//!   as entries arrive. Each entry carries its thread's dense index and a
+//!   timestamp taken under the lock, so the ring is in time order. When
+//!   the ring is full, the oldest entry is overwritten and counted in
+//!   `Snapshot::dropped_events`.
 //!
-//! The hot path allocates only on first touch: one small box per new
-//! key, one ring buffer per new (recorder, thread) pair. Steady-state
-//! recording is allocation-free, which the airdrop zero-overhead test
-//! pins down.
+//! Recording allocates nothing after construction, which the airdrop
+//! zero-overhead test pins down.
 //!
-//! Concurrency contract: any thread may record at any time; `snapshot()`
-//! may run concurrently with recording and sees a consistent prefix of
-//! each shard, but events beyond a wrapped ring are lost. Take snapshots
-//! at quiescent points (end of trial) for complete traces.
+//! Concurrency contract: any thread may record at any time, and
+//! `snapshot()` may run concurrently with recording: it copies the ring
+//! under the lock, so it holds every surviving entry recorded before it
+//! and none after. Take snapshots at quiescent points (end of trial) for
+//! complete traces.
 
 use crate::snapshot::{FieldValue, GaugeStats, SnapEvent, SnapSpan, Snapshot};
 use crate::{Key, Recorder, SpanId, Value};
-use std::cell::{RefCell, UnsafeCell};
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Maximum number of fields kept per structured event; extras are
@@ -39,7 +38,7 @@ pub(crate) const MAX_EVENT_FIELDS: usize = 4;
 /// family). The stack uses a couple dozen; overflowing keys are dropped.
 const TABLE_SLOTS: usize = 64;
 
-/// Default per-thread event ring capacity, in events.
+/// Default event ring capacity, in entries.
 const DEFAULT_RING_CAPACITY: usize = 16 * 1024;
 
 /// Sentinel-packed f64 cell: `0` means "never written", otherwise the
@@ -58,9 +57,10 @@ fn unpack(cell: u64) -> Option<f64> {
 }
 
 /// One aggregate slot: a claimed key plus five atomic registers whose
-/// meaning depends on the instrument family (see `Table`).
+/// meaning depends on the instrument family (see [`RingRecorder`]).
+#[derive(Default)]
 struct Slot {
-    key: AtomicPtr<Key>,
+    key: OnceLock<Key>,
     a: AtomicU64,
     b: AtomicU64,
     c: AtomicU64,
@@ -68,88 +68,27 @@ struct Slot {
     e: AtomicU64,
 }
 
-impl Slot {
-    fn empty() -> Self {
-        Slot {
-            key: AtomicPtr::new(ptr::null_mut()),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-            c: AtomicU64::new(0),
-            d: AtomicU64::new(0),
-            e: AtomicU64::new(0),
-        }
-    }
-
-    fn key_name(&self) -> Option<&'static str> {
-        let p = self.key.load(Ordering::Acquire);
-        // SAFETY: a non-null pointer was published by `Table::slot` from
-        // `Box::into_raw` and is only freed in `Table::drop`, which takes
-        // `&mut self` and therefore cannot race with this shared read.
-        if p.is_null() {
-            None
-        } else {
-            Some(unsafe { (*p).0 })
-        }
-    }
-}
-
-/// A fixed-capacity, lock-free key → slot table (linear scan; the key
-/// universe is a handful of static names, so scans stay short).
+/// A fixed-capacity key → slot table (linear scan; the key universe is a
+/// handful of static names, so scans stay short).
 struct Table {
     slots: Box<[Slot]>,
 }
 
 impl Table {
     fn new() -> Self {
-        Table { slots: (0..TABLE_SLOTS).map(|_| Slot::empty()).collect() }
+        Table { slots: (0..TABLE_SLOTS).map(|_| Slot::default()).collect() }
     }
 
     /// Find the slot for `key`, claiming the first empty slot when the
     /// key is new. Returns `None` when the table is full (the sample is
     /// dropped rather than blocking the hot path).
     fn slot(&self, key: Key) -> Option<&Slot> {
-        for s in self.slots.iter() {
-            let p = s.key.load(Ordering::Acquire);
-            if p.is_null() {
-                let claim = Box::into_raw(Box::new(key));
-                match s.key.compare_exchange(
-                    ptr::null_mut(),
-                    claim,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => return Some(s),
-                    Err(winner) => {
-                        // Lost the claim race: free our box and fall
-                        // through to checking the winner's key.
-                        // SAFETY: `claim` was never published.
-                        drop(unsafe { Box::from_raw(claim) });
-                        // SAFETY: `winner` is non-null and published (see
-                        // `key_name`).
-                        if unsafe { (*winner).0 } == key.0 {
-                            return Some(s);
-                        }
-                    }
-                }
-            // SAFETY: non-null published pointer (see `key_name`).
-            } else if unsafe { (*p).0 } == key.0 {
-                return Some(s);
-            }
-        }
-        None
+        self.slots.iter().find(|s| *s.key.get_or_init(|| key) == key)
     }
-}
 
-impl Drop for Table {
-    fn drop(&mut self) {
-        for s in self.slots.iter_mut() {
-            let p = *s.key.get_mut();
-            if !p.is_null() {
-                // SAFETY: published by `slot` from `Box::into_raw`;
-                // `&mut self` guarantees no concurrent reader.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
+    /// The claimed slots with their key names.
+    fn claimed(&self) -> impl Iterator<Item = (String, &Slot)> {
+        self.slots.iter().filter_map(|s| Some((s.key.get()?.0.to_string(), s)))
     }
 }
 
@@ -168,11 +107,12 @@ fn update_packed(cell: &AtomicU64, mut op: impl FnMut(Option<f64>) -> Option<f64
     }
 }
 
-/// One raw entry in a per-thread ring. `Copy` and field-bounded so a
-/// write is a plain memcpy.
+/// One raw entry in the event ring. `Copy` and field-bounded so a write
+/// is a plain memcpy.
 #[derive(Clone, Copy)]
 struct TraceEntry {
     t_ns: u64,
+    thread: usize,
     key: Key,
     kind: EntryKind,
     span: u64,
@@ -187,74 +127,12 @@ enum EntryKind {
     SpanEnd,
 }
 
-impl TraceEntry {
-    fn blank() -> Self {
-        TraceEntry {
-            t_ns: 0,
-            key: Key(""),
-            kind: EntryKind::Event,
-            span: 0,
-            n_fields: 0,
-            fields: [(Key(""), Value::U64(0)); MAX_EVENT_FIELDS],
-        }
-    }
+/// The event ring: the newest entries in recording order, and how many
+/// older ones they overwrote.
+struct Trace {
+    entries: VecDeque<TraceEntry>,
+    dropped: u64,
 }
-
-/// A single-writer ring buffer owned by one recording thread.
-///
-/// The owner writes `ring[head % cap]` and then publishes with a release
-/// store of `head + 1`; readers acquire-load `head` and read the
-/// published prefix. Entries older than `head - cap` have been
-/// overwritten and are reported as dropped.
-struct Shard {
-    thread: usize,
-    head: AtomicU64,
-    ring: UnsafeCell<Box<[TraceEntry]>>,
-}
-
-// SAFETY: the ring is written only by its owning thread (enforced by the
-// thread-local shard registry) and published via the release/acquire
-// `head` protocol; readers only touch published entries.
-unsafe impl Send for Shard {}
-unsafe impl Sync for Shard {}
-
-impl Shard {
-    fn new(thread: usize, capacity: usize) -> Self {
-        Shard {
-            thread,
-            head: AtomicU64::new(0),
-            ring: UnsafeCell::new(vec![TraceEntry::blank(); capacity].into_boxed_slice()),
-        }
-    }
-
-    /// Owner-thread-only append.
-    fn push(&self, entry: TraceEntry) {
-        let head = self.head.load(Ordering::Relaxed);
-        // SAFETY: only the owning thread calls `push` (the shard is found
-        // through thread-local storage), so this is the unique writer.
-        let ring = unsafe { &mut *self.ring.get() };
-        let cap = ring.len() as u64;
-        ring[(head % cap) as usize] = entry;
-        self.head.store(head + 1, Ordering::Release);
-    }
-
-    /// Reader-side drain of the currently published entries, oldest
-    /// first. Returns `(entries, dropped)`.
-    fn drain(&self) -> (Vec<TraceEntry>, u64) {
-        let head = self.head.load(Ordering::Acquire);
-        // SAFETY: shared read of published entries; concurrent writes
-        // only touch the unpublished `head % cap` cell.
-        let ring = unsafe { &*self.ring.get() };
-        let cap = ring.len() as u64;
-        let n = head.min(cap);
-        let start = head - n;
-        let out = (start..head).map(|i| ring[(i % cap) as usize]).collect();
-        (out, head - n)
-    }
-}
-
-/// A unique id per `RingRecorder`, keying the thread-local shard cache.
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Dense per-process thread indices for snapshot labelling.
 static NEXT_THREAD_INDEX: AtomicUsize = AtomicUsize::new(0);
@@ -262,127 +140,101 @@ static NEXT_THREAD_INDEX: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// This thread's dense index, assigned on first telemetry use.
     static THREAD_INDEX: usize = NEXT_THREAD_INDEX.fetch_add(1, Ordering::Relaxed);
-
-    /// Cache of (recorder id → shard) for rings this thread writes to.
-    /// Entries hold `Weak` references so a dropped recorder's rings are
-    /// freed promptly; dead entries are pruned on the next miss.
-    static LOCAL_SHARDS: RefCell<Vec<(u64, Weak<Shard>)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The lock-free aggregating + tracing [`Recorder`] implementation.
+/// The aggregating + tracing [`Recorder`] implementation.
 ///
 /// Aggregate semantics per table: counters use register `a` as the
 /// running sum; accumulators keep call-ordered f64 bits in `a`; gauges
 /// use `a`=last (packed), `b`=count, `c`=sum (packed), `d`=min (packed),
 /// `e`=max (packed).
 pub struct RingRecorder {
-    id: u64,
     capacity: usize,
     epoch: Instant,
     counters: Table,
     accums: Table,
     gauges: Table,
-    shards: Mutex<Vec<Arc<Shard>>>,
+    trace: Mutex<Trace>,
     next_span: AtomicU64,
 }
 
 impl RingRecorder {
-    /// A recorder with the default per-thread ring capacity.
+    /// A recorder with the default ring capacity.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_RING_CAPACITY)
     }
 
-    /// A recorder whose per-thread event rings hold `capacity` entries
-    /// before wrapping (dropped events are counted, never silently
-    /// reordered).
+    /// A recorder whose one event ring holds `capacity` entries before
+    /// wrapping. The capacity is per recorder, shared by every thread that
+    /// records events or spans into it (dropped events are counted, never
+    /// silently reordered).
     pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         RingRecorder {
-            id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-            capacity: capacity.max(1),
+            capacity,
             epoch: Instant::now(),
             counters: Table::new(),
             accums: Table::new(),
             gauges: Table::new(),
-            shards: Mutex::new(Vec::new()),
+            trace: Mutex::new(Trace { entries: VecDeque::with_capacity(capacity), dropped: 0 }),
             next_span: AtomicU64::new(1),
         }
     }
 
-    fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Run `f` against this thread's shard, creating and registering the
-    /// shard on first use (the only allocating path).
-    fn with_shard<R>(&self, f: impl FnOnce(&Shard) -> R) -> R {
-        LOCAL_SHARDS.with(|cell| {
-            let mut local = cell.borrow_mut();
-            if let Some(shard) =
-                local.iter().find(|(id, _)| *id == self.id).and_then(|(_, w)| w.upgrade())
-            {
-                return f(&shard);
-            }
-            local.retain(|(_, w)| w.strong_count() > 0);
-            let thread = THREAD_INDEX.with(|t| *t);
-            let shard = Arc::new(Shard::new(thread, self.capacity));
-            self.shards.lock().unwrap().push(shard.clone());
-            local.push((self.id, Arc::downgrade(&shard)));
-            f(&shard)
-        })
-    }
-
     fn push_entry(&self, key: Key, kind: EntryKind, span: u64, fields: &[(Key, Value)]) {
-        let mut entry = TraceEntry::blank();
-        entry.t_ns = self.now_ns();
-        entry.key = key;
-        entry.kind = kind;
-        entry.span = span;
         let n = fields.len().min(MAX_EVENT_FIELDS);
+        let mut entry = TraceEntry {
+            t_ns: 0,
+            thread: THREAD_INDEX.with(|t| *t),
+            key,
+            kind,
+            span,
+            n_fields: n as u8,
+            fields: [(Key(""), Value::U64(0)); MAX_EVENT_FIELDS],
+        };
         entry.fields[..n].copy_from_slice(&fields[..n]);
-        entry.n_fields = n as u8;
-        self.with_shard(|shard| shard.push(entry));
+        // Every update leaves the ring whole, so a poisoned lock is still
+        // a valid ring, and recording never panics.
+        let mut trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        entry.t_ns = self.epoch.elapsed().as_nanos() as u64;
+        if trace.entries.len() == self.capacity {
+            trace.entries.pop_front();
+            trace.dropped += 1;
+        }
+        trace.entries.push_back(entry);
     }
 
     /// Collect everything recorded so far into an owned [`Snapshot`].
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
 
-        for slot in self.counters.slots.iter() {
-            if let Some(name) = slot.key_name() {
-                snap.counters.insert(name.to_string(), slot.a.load(Ordering::Acquire));
-            }
+        for (name, slot) in self.counters.claimed() {
+            snap.counters.insert(name, slot.a.load(Ordering::Acquire));
         }
-        for slot in self.accums.slots.iter() {
-            if let Some(name) = slot.key_name() {
-                let v = unpack(slot.a.load(Ordering::Acquire)).unwrap_or(0.0);
-                snap.accums.insert(name.to_string(), v);
-            }
+        for (name, slot) in self.accums.claimed() {
+            snap.accums.insert(name, unpack(slot.a.load(Ordering::Acquire)).unwrap_or(0.0));
         }
-        for slot in self.gauges.slots.iter() {
-            if let Some(name) = slot.key_name() {
-                let stats = GaugeStats {
-                    last: unpack(slot.a.load(Ordering::Acquire)).unwrap_or(f64::NAN),
-                    count: slot.b.load(Ordering::Acquire),
-                    sum: unpack(slot.c.load(Ordering::Acquire)).unwrap_or(0.0),
-                    min: unpack(slot.d.load(Ordering::Acquire)).unwrap_or(f64::NAN),
-                    max: unpack(slot.e.load(Ordering::Acquire)).unwrap_or(f64::NAN),
-                };
-                snap.gauges.insert(name.to_string(), stats);
-            }
+        for (name, slot) in self.gauges.claimed() {
+            let stats = GaugeStats {
+                last: unpack(slot.a.load(Ordering::Acquire)).unwrap_or(f64::NAN),
+                count: slot.b.load(Ordering::Acquire),
+                sum: unpack(slot.c.load(Ordering::Acquire)).unwrap_or(0.0),
+                min: unpack(slot.d.load(Ordering::Acquire)).unwrap_or(f64::NAN),
+                max: unpack(slot.e.load(Ordering::Acquire)).unwrap_or(f64::NAN),
+            };
+            snap.gauges.insert(name, stats);
         }
 
-        // Merge shard streams: each shard is already in time order, and a
-        // stable sort keeps that FIFO order under timestamp ties.
-        let mut entries: Vec<(TraceEntry, usize)> = Vec::new();
-        for shard in self.shards.lock().unwrap().iter() {
-            let (drained, dropped) = shard.drain();
-            snap.dropped_events += dropped;
-            entries.extend(drained.into_iter().map(|e| (e, shard.thread)));
-        }
-        entries.sort_by_key(|(e, _)| e.t_ns);
+        // Copy the ring out, so that recorders wait for the copy only, not
+        // for the conversion to owned strings.
+        let entries: Vec<TraceEntry> = {
+            let trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+            snap.dropped_events = trace.dropped;
+            trace.entries.iter().copied().collect()
+        };
 
         let mut open: Vec<(u64, String, usize, u64)> = Vec::new();
-        for (entry, thread) in entries {
+        for entry in entries {
             match entry.kind {
                 EntryKind::Event => {
                     let fields = entry.fields[..entry.n_fields as usize]
@@ -399,13 +251,13 @@ impl RingRecorder {
                         .collect();
                     snap.events.push(SnapEvent {
                         t_ns: entry.t_ns,
-                        thread,
+                        thread: entry.thread,
                         key: entry.key.0.to_string(),
                         fields,
                     });
                 }
                 EntryKind::SpanBegin => {
-                    open.push((entry.span, entry.key.0.to_string(), thread, entry.t_ns));
+                    open.push((entry.span, entry.key.0.to_string(), entry.thread, entry.t_ns));
                 }
                 EntryKind::SpanEnd => {
                     if let Some(pos) = open.iter().rposition(|(id, ..)| *id == entry.span) {
@@ -432,10 +284,7 @@ impl Default for RingRecorder {
 
 impl std::fmt::Debug for RingRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RingRecorder")
-            .field("id", &self.id)
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
+        f.debug_struct("RingRecorder").field("capacity", &self.capacity).finish_non_exhaustive()
     }
 }
 
@@ -488,6 +337,7 @@ impl Recorder for RingRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn counters_and_accums_aggregate_in_order() {
@@ -554,6 +404,90 @@ mod tests {
         // The survivors are the newest entries, still in order.
         assert_eq!(snap.events[0].field_u64("i"), Some(12));
         assert_eq!(snap.events[7].field_u64("i"), Some(19));
+    }
+
+    /// Assert what every snapshot of one writer's `seq` stream into a
+    /// capacity-8 ring must hold, whenever it is taken: at most 8 events,
+    /// each with the fields it was recorded with, numbered consecutively
+    /// from the count of overwritten ones.
+    fn assert_consistent_tail(snap: &Snapshot) {
+        assert!(snap.events.len() <= 8, "{} events in a ring of 8", snap.events.len());
+        for (k, e) in snap.events.iter().enumerate() {
+            assert_eq!(e.key, "seq");
+            assert_eq!(e.field("tag"), Some(&FieldValue::Str("writer".into())));
+            assert_eq!(e.fields.len(), 2);
+            assert_eq!(e.field_u64("i"), Some(snap.dropped_events + k as u64));
+        }
+    }
+
+    #[test]
+    fn snapshots_taken_while_the_ring_wraps_see_whole_entries() {
+        const WRITTEN: u64 = 100_000;
+        let r = Arc::new(RingRecorder::with_capacity(8));
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let writer = {
+            let (r, start) = (r.clone(), start.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..WRITTEN {
+                    r.event(
+                        Key("seq"),
+                        &[(Key("i"), Value::U64(i)), (Key("tag"), Value::Str("writer"))],
+                    );
+                }
+            })
+        };
+        start.wait();
+        // Snapshot until one taken after the writer ended.
+        loop {
+            let done = writer.is_finished();
+            assert_consistent_tail(&r.snapshot());
+            if done {
+                break;
+            }
+        }
+        writer.join().unwrap();
+        let snap = r.snapshot();
+        assert_consistent_tail(&snap);
+        assert_eq!(snap.events.len() as u64 + snap.dropped_events, WRITTEN);
+    }
+
+    #[test]
+    fn two_writers_keep_their_own_order_and_thread_labels() {
+        const EACH: u64 = 2_000;
+        let r = Arc::new(RingRecorder::new());
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                let (r, start) = (r.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..EACH {
+                        r.event(
+                            Key("tick"),
+                            &[(Key("writer"), Value::U64(w)), (Key("i"), Value::U64(i))],
+                        );
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let snap = r.snapshot();
+        assert_eq!(snap.dropped_events, 0);
+        assert_eq!(snap.events.len() as u64, 2 * EACH);
+        assert!(snap.events.windows(2).all(|p| p[0].t_ns <= p[1].t_ns), "ring is in time order");
+        let mut labels = Vec::new();
+        for w in 0..2u64 {
+            let mine: Vec<_> =
+                snap.events.iter().filter(|e| e.field_u64("writer") == Some(w)).collect();
+            let seq: Vec<u64> = mine.iter().map(|e| e.field_u64("i").unwrap()).collect();
+            assert_eq!(seq, (0..EACH).collect::<Vec<_>>(), "writer {w} lost its FIFO order");
+            assert!(mine.iter().all(|e| e.thread == mine[0].thread), "writer {w} changed label");
+            labels.push(mine[0].thread);
+        }
+        assert_ne!(labels[0], labels[1], "two threads share one label");
     }
 
     #[test]

@@ -111,9 +111,9 @@ impl SnapSpan {
 /// Everything a recorder captured, in owned form.
 ///
 /// Aggregate instruments are keyed by name in sorted maps; the event
-/// stream is globally ordered by timestamp with each thread's FIFO order
-/// preserved (per-thread timestamps are monotonic, and the merge sort is
-/// stable). `dropped_events` counts ring-buffer overwrites: when it is
+/// stream is in recording order, which is timestamp order and keeps each
+/// thread's FIFO order (the recorder's one ring stamps each entry under
+/// its lock). `dropped_events` counts ring-buffer overwrites: when it is
 /// nonzero the oldest events are missing and replay-style consumers
 /// should fall back to the aggregates.
 #[derive(Debug, Clone, Default, PartialEq)]
