@@ -14,16 +14,14 @@
 //! objective fingerprint is refused, not rendered. The test re-renders
 //! from the checked-in journals and fails on any byte that drifted.
 
-use airdrop_sim::{AirdropConfig, AirdropEnv};
 use bench::calibration::{predicted_kilojoules, predicted_minutes};
 use bench::harness::journal_identity;
 use bench::paper::figures::FIGURES;
-use bench::{run_row, run_table1_study, HarnessOpts, PaperRow, PAPER_STEPS, TABLE1};
+use bench::{run_row, run_table1_study, HarnessOpts, PaperRow, TABLE1};
 use decision::metrics::keys::{POWER_KJ, REWARD, REWARD_STD, TIME_MIN};
 use decision::prelude::*;
 use decision::report::{csv::trials_to_csv, svg::ScatterPlot};
-use dist_exec::{train_impala, Deployment, FnEnvFactory, Framework, ImpalaOpts};
-use gymrs::Environment;
+use dist_exec::Framework;
 use rk_ode::RkOrder;
 use rl_algos::Algorithm;
 use std::path::{Path, PathBuf};
@@ -32,8 +30,6 @@ use std::path::{Path, PathBuf};
 const REPLICAS: usize = 5;
 /// Training seeds per configuration at the paper's budget.
 const PAPER_REPLICAS: usize = 3;
-/// The `framework` of the ablation study's IMPALA-like trial.
-const IMPALA: &str = "IMPALA";
 /// Trial budget and explorer seeds of the §VII explorer table.
 const BUDGET: usize = 18;
 const SEEDS: u64 = 20;
@@ -103,7 +99,6 @@ fn factors() -> Vec<(&'static str, Vec<(String, Configuration)>)> {
     let level = |rk_order, framework, algorithm, nodes, cores| {
         PaperRow { id: 0, rk_order, framework, algorithm, nodes, cores, ..TABLE1[0] }.to_config()
     };
-    let impala = level(Three, Ray, Ppo, 2, 4).with("framework", ParamValue::Str(IMPALA.into()));
     vec![
         (
             "Runge-Kutta order (SB, PPO, 1×4), §IV-B",
@@ -120,13 +115,6 @@ fn factors() -> Vec<(&'static str, Vec<(String, Configuration)>)> {
         (
             "Vectorized envs (SB, PPO, RK3), §VI-C",
             [2, 4].map(|c| (format!("{c} vectorized envs"), level(Three, Sb, Ppo, 1, c))).into(),
-        ),
-        (
-            "Staleness handling at 2 nodes (RK3, 4 cores/node), extension",
-            vec![
-                ("RLlib-like (PPO)".into(), level(Three, Ray, Ppo, 2, 4)),
-                ("IMPALA-like (V-trace)".into(), impala),
-            ],
         ),
         (
             "Algorithm (SB, RK3, 1×4), §VI-D",
@@ -147,8 +135,8 @@ fn levels() -> Vec<Configuration> {
     levels
 }
 
-/// The ablation study. Its configurations lie outside Table I's space
-/// (row id 0, the IMPALA framework); a preset list proposes them as given.
+/// The ablation study. Its configurations lie outside Table I's draws
+/// (row id 0); a preset list proposes them as given.
 fn ablation_study(opts: &HarnessOpts) -> Result<Study, String> {
     let (path, name, fingerprint) = journal(opts, None);
     let objective_opts = opts.clone();
@@ -161,54 +149,10 @@ fn ablation_study(opts: &HarnessOpts) -> Result<Study, String> {
         .seed(opts.seed)
         .objective_fingerprint(fingerprint)
         .journal(Journal::new(path))
-        .objective(move |cfg: &Configuration, _: &mut TrialContext| run_level(cfg, &objective_opts))
+        .objective(move |cfg: &Configuration, _: &mut TrialContext| {
+            run_row(&PaperRow::from_config(cfg)?, &objective_opts)
+        })
         .build()
-}
-
-/// One ablation trial: `run_row` on a Table I configuration, or the
-/// IMPALA-like backend.
-fn run_level(cfg: &Configuration, opts: &HarnessOpts) -> Result<MetricValues, String> {
-    if cfg.str("framework") == Some(IMPALA) {
-        return run_impala(opts);
-    }
-    run_row(&PaperRow::from_config(cfg)?, opts)
-}
-
-/// IMPALA-like training at 2 nodes × 4 cores, actors refreshed every 4
-/// iterations and V-trace correcting their staleness, on the seeds
-/// `run_row` gives row id 0, scored and averaged over replicas as
-/// `run_row` scores them.
-fn run_impala(opts: &HarnessOpts) -> Result<MetricValues, String> {
-    let env = AirdropConfig { altitude_limits: opts.altitude_limits, ..AirdropConfig::default() };
-    let train_env = env.clone();
-    let factory = FnEnvFactory(move |seed| {
-        let mut env = AirdropEnv::new(train_env.clone());
-        env.seed(seed);
-        Box::new(env) as Box<dyn Environment>
-    });
-    let (mut rewards, mut times, mut powers) = (Vec::new(), Vec::new(), Vec::new());
-    for replica in 0..opts.replicas as u64 {
-        let impala = ImpalaOpts {
-            deployment: Deployment { nodes: 2, cores_per_node: 4 },
-            total_steps: opts.steps,
-            seed: opts.seed.wrapping_add(replica * 77),
-            actor_sync_period: 4,
-            ..ImpalaOpts::default()
-        };
-        let report = train_impala(&impala, &factory, telemetry::null_recorder())?;
-        let mut eval_env = AirdropEnv::new(env.clone().reference());
-        eval_env.seed(opts.seed.wrapping_add(999));
-        rewards.push(report.model.evaluate(&mut eval_env, opts.eval_episodes, 100_000));
-        let scale = PAPER_STEPS as f64 / report.env_steps.max(1) as f64;
-        times.push(report.usage.minutes() * scale);
-        powers.push(report.usage.kilojoules() * scale);
-    }
-    let reward = Distribution::from_samples(rewards);
-    Ok(MetricValues::new()
-        .with_key(REWARD, reward.mean())
-        .with_key(REWARD_STD, reward.std())
-        .with_key(TIME_MIN, Distribution::from_samples(times).mean())
-        .with_key(POWER_KJ, Distribution::from_samples(powers).mean()))
 }
 
 /// Train whatever either journal is missing; a complete journal is not
@@ -354,8 +298,21 @@ fn fronts(table1: &[Trial], dir: &Path) -> (String, Artefacts) {
     (s + &plots, artefacts)
 }
 
-/// The §VI-D sweeps, every level of a factor on the same seeds.
+/// The §VI-D sweeps, every level of a factor on the same seeds. A journal
+/// whose completed trials are not exactly [`levels`], one each, is refused.
 fn ablations_block(trials: &[Trial], n: usize) -> Result<String, String> {
+    let sorted = |mut keys: Vec<String>| {
+        keys.sort_unstable();
+        keys
+    };
+    let have = sorted(trials.iter().map(|t| t.config.canonical_key()).collect());
+    let want = sorted(levels().iter().map(Configuration::canonical_key).collect());
+    if have != want {
+        let (have, want) = (have.len(), want.len());
+        return Err(format!(
+            "the ablation journal's {have} trials are not the study's {want} levels"
+        ));
+    }
     let mut s = format!(
         "| Factor | Level | Reward, mean ± sd over {n} seeds | Time (min) | Power (kJ) |\n\
          |---|---|---|---|---|\n"
@@ -535,17 +492,33 @@ mod tests {
     #[test]
     fn each_study_records_at_smoke_size() {
         // The objectives the render never runs: one Table I PPO row and
-        // the IMPALA ablation trial, at the smoke budget, journalling
-        // nothing.
+        // one ablation level, at the smoke budget, journalling nothing.
         let opts = HarnessOpts::smoke();
         let trials = run_table1_study(&HarnessOpts { only: Some(vec![16]), ..opts.clone() })
             .expect("the Table I study runs");
         assert_eq!(trials.len(), 1);
         assert!(trials[0].is_complete(), "{:?}", trials[0].error);
-        let impala = levels().into_iter().find(|c| c.str("framework") == Some(IMPALA));
-        let m = run_level(&impala.expect("an IMPALA level"), &opts).expect("IMPALA trains");
+        let two_nodes = levels().into_iter().find(|c| c.int("nodes") == Some(2));
+        let row = PaperRow::from_config(&two_nodes.expect("a two-node level")).expect("a row");
+        let m = run_row(&row, &opts).expect("the level trains");
         assert!(get(&m, REWARD).is_finite());
         assert!(get(&m, TIME_MIN) > 0.0 && get(&m, POWER_KJ) > 0.0);
         assert_eq!(get(&m, REWARD_STD), 0.0, "one replica has no spread");
+    }
+
+    #[test]
+    fn the_ablation_render_refuses_a_journal_that_is_not_its_levels() {
+        let trial = |(i, cfg)| Trial::complete(i, cfg, MetricValues::new().with_key(REWARD, 0.0));
+        let mut trials: Vec<Trial> = levels().into_iter().enumerate().map(trial).collect();
+        assert!(ablations_block(&trials, 1).is_ok(), "exactly the levels render");
+
+        let extra = PaperRow { id: 0, nodes: 2, ..TABLE1[0] }.to_config();
+        assert!(levels().iter().all(|l| l.canonical_key() != extra.canonical_key()));
+        trials.push(trial((trials.len(), extra)));
+        let err = ablations_block(&trials, 1).expect_err("an extra level is refused");
+        assert!(err.contains("10 trials are not the study's 9 levels"), "{err}");
+
+        trials.truncate(trials.len() - 2);
+        assert!(ablations_block(&trials, 1).is_err(), "a missing level is refused");
     }
 }

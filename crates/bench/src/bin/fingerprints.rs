@@ -22,18 +22,14 @@ use counterfactual::{AnalyzerConfig, CounterfactualAnalyzer, Exec};
 use decision::prelude::*;
 use decision::report::{csv, markdown, svg, table};
 use dist_exec::{
-    run_recorded, train_impala, ContinuationPolicy, Deployment, EnvBlueprint, ExecReport, ExecSpec,
-    Framework, ImpalaOpts, TrainedModel,
+    run_recorded, ContinuationPolicy, Deployment, EnvBlueprint, ExecReport, ExecSpec, Framework,
+    TrainedModel,
 };
 use gymrs::envs::{GridWorld, PointMass};
-use gymrs::{Action, Environment, Space, VecEnv};
+use gymrs::{Action, Environment, Space};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rl_algos::impala::ImpalaConfig;
-use rl_algos::{
-    collect_lockstep, ActorCritic, Algorithm, OnPolicyLearner, PpoConfig, PpoLearner, SacConfig,
-    SacLearner, Transition,
-};
+use rl_algos::{ActorCritic, Algorithm, PpoConfig, PpoLearner, SacConfig, SacLearner, Transition};
 use simd_kernels::{mathf64, Isa};
 use std::sync::Arc;
 use telemetry::RingRecorder;
@@ -65,10 +61,8 @@ fn params(model: &mut TrainedModel) -> Vec<u8> {
 
 /// `update.ppo_sac`: three PPO updates of the paper's 64×64 tanh trunks
 /// (Gaussian head, minibatches of 64) and twenty SAC updates of 64×64
-/// relu nets (batch 64) from fixed seeds. `update.vtrace`: three V-trace
-/// updates per policy head on two-segment rollouts a never-refreshed
-/// snapshot collects. Matmuls, tanh/exp/ln and the Adam step all lie
-/// under these parameters.
+/// relu nets (batch 64) from fixed seeds. Matmuls, tanh/exp/ln and the
+/// Adam step all lie under these parameters.
 fn updates(rows: &mut Rows) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut env = PointMass::new();
@@ -101,24 +95,6 @@ fn updates(rows: &mut Rows) {
     let mut bytes = params(&mut TrainedModel::Ppo(Box::new(ppo.policy)));
     bytes.extend(params(&mut TrainedModel::Sac(Box::new(sac))));
     rows.push(("update.ppo_sac".into(), bytes));
-
-    fn vtrace<E: Environment>(envs: Vec<E>, seed: u64) -> Vec<u8> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let (obs_dim, actions) = (envs[0].observation_space().dim(), envs[0].action_space());
-        let mut learner =
-            OnPolicyLearner::impala(obs_dim, &actions, ImpalaConfig::default(), &mut rng);
-        let stale = learner.policy.clone();
-        let mut venv = VecEnv::new(envs, seed);
-        venv.reset_all();
-        for _ in 0..3 {
-            let rollout = collect_lockstep(&stale, &mut venv, 64, &mut rng).rollout;
-            learner.update(&rollout, &mut rng);
-        }
-        params(&mut TrainedModel::Ppo(Box::new(learner.policy)))
-    }
-    let mut bytes = vtrace(vec![PointMass::new(), PointMass::new()], 11);
-    bytes.extend(vtrace(vec![GridWorld::new(3), GridWorld::new(3)], 12));
-    rows.push(("update.vtrace".into(), bytes));
 }
 
 /// What a training run reports, then every trained parameter.
@@ -130,10 +106,9 @@ fn report_bytes(mut r: ExecReport) -> Vec<u8> {
 }
 
 /// `train.<framework>.<algorithm>.<env>`, in process, with the shapes of
-/// the transport and determinism suites: each framework's PPO and
-/// IMPALA on the grid world and on airdrop (the batched ODE path), each
-/// framework's SAC on airdrop, and the Gantt chart of the two-node RLlib
-/// grid run.
+/// the transport and determinism suites: each framework's PPO on the grid
+/// world and on airdrop (the batched ODE path), each framework's SAC on
+/// airdrop, and the Gantt chart of the two-node RLlib grid run.
 fn training(rows: &mut Rows) {
     for (env, blueprint) in
         [("grid", EnvBlueprint::Grid { n: 3 }), ("airdrop", EnvBlueprint::AirdropFast)]
@@ -164,17 +139,6 @@ fn training(rows: &mut Rows) {
                 }
             }
         }
-        let opts = ImpalaOpts {
-            deployment: Deployment { nodes: 2, cores_per_node: 2 },
-            total_steps: 512,
-            seed: 17,
-            config: ImpalaConfig { hidden: vec![16, 16], n_steps: 128, ..Default::default() },
-            actor_sync_period: 4,
-            transport: Some("inproc".into()),
-            ..Default::default()
-        };
-        let report = train_impala(&opts, &blueprint, telemetry::null_recorder()).expect("trains");
-        rows.push((format!("train.impala.{env}"), report_bytes(report)));
     }
 }
 

@@ -8,4 +8,3 @@ mod train;
 mod tests;
 
 pub(crate) use train::train;
-pub use train::{train_impala, ImpalaOpts};

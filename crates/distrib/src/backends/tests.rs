@@ -3,7 +3,6 @@
 //! asserted against the [`Architecture`] table.
 
 use crate::backend::{run, run_recorded, EnvFactory, FnEnvFactory};
-use crate::backends::{train_impala, ImpalaOpts};
 use crate::framework::{Architecture, Collectors, Framework, Inference, Sampling};
 use crate::report::ExecReport;
 use crate::runtime::{FaultKind, FaultPlan, FaultPolicy, SyncPolicy};
@@ -11,7 +10,6 @@ use crate::spec::{Deployment, ExecSpec};
 use cluster_sim::{keys as session_keys, ClusterSpec, Usage};
 use gymrs::envs::{GridWorld, PointMass};
 use gymrs::Environment;
-use rl_algos::impala::ImpalaConfig;
 use rl_algos::ppo::PpoConfig;
 use rl_algos::sac::SacConfig;
 use rl_algos::Algorithm;
@@ -61,10 +59,6 @@ fn sac(framework: Framework, nodes: usize, cores: usize, steps: usize) -> ExecRe
     run(&spec(framework, Algorithm::Sac, nodes, cores, steps), &point_factory()).expect("runs")
 }
 
-fn impala(opts: &ImpalaOpts) -> ExecReport {
-    train_impala(opts, &grid_factory(), telemetry::null_recorder()).expect("runs")
-}
-
 /// A recorder that asks for a stop after two iteration events.
 #[derive(Default)]
 struct StopAfterTwo(AtomicU64);
@@ -94,12 +88,10 @@ fn architecture_table_matches_the_design_matrix() {
     let sb3 = Framework::StableBaselines.architecture();
     let tfa = Framework::TfAgents.architecture();
     let rllib = Framework::RayRllib.architecture();
-    let impala = Architecture::impala(4);
     let shape = |a: &Architecture| (a.sync, a.collectors, a.multi_node);
     assert_eq!(shape(&sb3), (SyncPolicy::EveryRound, Collectors::Vectorized, false));
     assert_eq!(shape(&tfa), (SyncPolicy::EveryRound, Collectors::Vectorized, false));
     assert_eq!(shape(&rllib), (SyncPolicy::RemotePeriodic { period: 2 }, Collectors::PerEnv, true));
-    assert_eq!(shape(&impala), (SyncPolicy::Periodic { period: 4 }, Collectors::PerEnv, true));
 
     // Workers left stale before an off-period round of a 2x2 worker set.
     let stale = |a: &Architecture| -> Vec<usize> {
@@ -108,19 +100,14 @@ fn architecture_table_matches_the_design_matrix() {
     };
     assert!(stale(&sb3).is_empty() && stale(&tfa).is_empty());
     assert_eq!(stale(&rllib), [2, 3], "remote nodes between periods");
-    assert_eq!(stale(&impala), [0, 1, 2, 3], "everyone between periods");
 
     // Only the SB3-like loop samples from the learner's stream and pays
     // for inference on the learner's threads.
-    for a in [&tfa, &rllib, &impala] {
+    for a in [&tfa, &rllib] {
         assert!(matches!(a.sampling, Sampling::PerRound { .. }));
         assert_eq!(a.inference, Inference::WithCollection);
     }
     assert_eq!((sb3.sampling, sb3.inference), (Sampling::Master, Inference::OnLearner));
-
-    // IMPALA is an extension, not one of Table I's frameworks.
-    assert_eq!(Framework::ALL.len(), 3);
-    assert!(Framework::ALL.iter().all(|f| f.architecture().profile.name != impala.profile.name));
 }
 
 #[test]
@@ -147,9 +134,6 @@ fn bad_inputs_are_rejected_before_anything_is_built() {
             s.transport = transport.clone();
             assert!(run(&s, &untouched).is_err(), "{framework:?}: {what}");
         }
-        let opts = ImpalaOpts { deployment, total_steps, transport, ..Default::default() };
-        let refused = train_impala(&opts, &untouched, telemetry::null_recorder());
-        assert!(refused.is_err(), "IMPALA: {what}");
     }
     for framework in [Framework::StableBaselines, Framework::TfAgents] {
         let s = spec(framework, Algorithm::Ppo, 2, 4, 512);
@@ -334,14 +318,6 @@ fn recorded_rollup_reproduces_report_usage_bitwise() {
         let iterations = snap.events_named(crate::keys::TRIAL_ITERATION.name()).count();
         assert!(iterations > 0, "{framework:?}: trial lifecycle events recorded");
     }
-    // IMPALA narrates to a session of its own and reports its usage.
-    let ring = Arc::new(telemetry::RingRecorder::new());
-    let report =
-        train_impala(&small_impala(2, 256, 1_024), &grid_factory(), ring.clone()).expect("runs");
-    assert!(report.usage.wall_s > 0.0 && report.usage.bytes_moved > 0, "IMPALA usage is real");
-    let rolled = Usage::from_snapshot(&ring.snapshot(), &ClusterSpec::paper_testbed(2));
-    assert_eq!(rolled.wall_s.to_bits(), report.usage.wall_s.to_bits(), "IMPALA wall-clock");
-    assert_eq!(rolled.energy_j.to_bits(), report.usage.energy_j.to_bits(), "IMPALA energy");
 }
 
 #[test]
@@ -354,60 +330,4 @@ fn recorder_should_stop_ends_the_trial_early() {
         assert!(stopped.env_steps < full.env_steps, "{framework:?}: stop consumed fewer steps");
         assert!(stopped.env_steps > 0);
     }
-}
-
-fn small_impala(nodes: usize, n_steps: usize, total_steps: usize) -> ImpalaOpts {
-    ImpalaOpts {
-        deployment: Deployment { nodes, cores_per_node: 4 },
-        total_steps,
-        config: ImpalaConfig { hidden: vec![16, 16], n_steps, ..Default::default() },
-        ..Default::default()
-    }
-}
-
-#[test]
-fn impala_completes_on_two_nodes_with_traffic() {
-    let report = impala(&small_impala(2, 256, 2_048));
-    assert!(report.env_steps >= 2_048);
-    assert!(report.updates > 0);
-    assert!(report.usage.bytes_moved > 0, "remote actors ship experience");
-}
-
-#[test]
-fn impala_learns_despite_extreme_staleness() {
-    let opts = ImpalaOpts {
-        seed: 9,
-        config: ImpalaConfig { hidden: vec![32, 32], n_steps: 512, ..Default::default() },
-        actor_sync_period: 6,
-        ..small_impala(1, 512, 24_000)
-    };
-    let report = impala(&opts);
-    let tail = &report.train_returns[report.train_returns.len().saturating_sub(15)..];
-    let mean = tail.iter().sum::<f64>() / tail.len().max(1) as f64;
-    // Random wandering scores far below zero on the 3x3 grid; a
-    // partially-converged policy sits well above it even with the
-    // six-iteration snapshot lag.
-    assert!(mean > 0.25, "recent mean return {mean}");
-}
-
-#[test]
-fn longer_sync_period_ships_fewer_weight_broadcasts() {
-    let base = small_impala(2, 512, 4_096);
-    let frequent = impala(&ImpalaOpts { actor_sync_period: 1, ..base.clone() }).usage;
-    let rare = impala(&ImpalaOpts { actor_sync_period: 8, ..base }).usage;
-    assert!(
-        rare.bytes_moved < frequent.bytes_moved,
-        "rare sync {} must ship less than frequent {}",
-        rare.bytes_moved,
-        frequent.bytes_moved
-    );
-}
-
-#[test]
-fn impala_multi_worker_runs_are_bitwise_reproducible() {
-    let opts = small_impala(2, 256, 2_048);
-    let (a, b) = (impala(&opts), impala(&opts));
-    assert_eq!(a.train_returns, b.train_returns);
-    assert_eq!(a.usage.wall_s.to_bits(), b.usage.wall_s.to_bits());
-    assert_eq!(a.usage.energy_j.to_bits(), b.usage.energy_j.to_bits());
 }

@@ -1,6 +1,5 @@
-//! The two training loops — on-policy (PPO for the three frameworks,
-//! V-trace for the IMPALA-like extension) and SAC — each written once and
-//! steered by an [`Architecture`] value.
+//! The two training loops — on-policy (PPO) and SAC — each written once
+//! and steered by the [`Architecture`] of the spec's framework.
 //!
 //! Every iteration narrates to the cluster session in a fixed order:
 //! weight broadcast `Transfer`, collection `Compute`, the learner-side
@@ -14,78 +13,23 @@ use crate::backends::common::{sac_step, worker_seed};
 use crate::framework::{Architecture, Collectors, FrameworkProfile, Inference, Sampling};
 use crate::report::{ExecReport, TrainedModel};
 use crate::runtime::{
-    merge_wave, Collector, CollectorBlueprint, Driver, FaultPolicy, RngStream, Runtime,
-    TransportConfig, WorkerCtx, WorkerSpec,
+    merge_wave, Collector, CollectorBlueprint, Driver, RngStream, Runtime, TransportConfig,
+    WorkerCtx, WorkerSpec,
 };
 use crate::spec::{check_run, Deployment, ExecSpec};
 use cluster_sim::{ClusterSession, ClusterSpec, NodeWork, SessionEvent};
-use gymrs::{Environment, Space, VecEnv};
+use gymrs::{Environment, VecEnv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rl_algos::impala::ImpalaConfig;
 use rl_algos::on_policy::OnPolicyLearner;
-use rl_algos::sac::{SacConfig, SacLearner};
+use rl_algos::sac::SacLearner;
 use rl_algos::Algorithm;
 use telemetry::SharedRecorder;
 
-/// IMPALA execution options.
-#[derive(Debug, Clone)]
-pub struct ImpalaOpts {
-    /// Node/core assignment (IMPALA scales across nodes by design).
-    pub deployment: Deployment,
-    /// Total environment steps.
-    pub total_steps: usize,
-    /// Master seed.
-    pub seed: u64,
-    /// Learner hyperparameters.
-    pub config: ImpalaConfig,
-    /// Iterations between actor snapshot refreshes (IMPALA tolerates
-    /// large values; the RLlib-like architecture uses 2 for its remote
-    /// nodes).
-    pub actor_sync_period: u64,
-    /// How the runtime reacts to actor failures.
-    pub fault: FaultPolicy,
-    /// Transport (`inproc`, `uds`, `tcp`, `tcp:<addr>`); `None` is
-    /// in-process.
-    pub transport: Option<String>,
-    /// Faults to inject into this run's runtime; a schedule, armed afresh
-    /// by every run (see `ExecSpec::fault_plan`).
-    #[cfg(any(test, feature = "fault-inject"))]
-    pub fault_plan: crate::runtime::FaultPlan,
-}
-
-impl Default for ImpalaOpts {
-    fn default() -> Self {
-        Self {
-            deployment: Deployment { nodes: 2, cores_per_node: 4 },
-            total_steps: 20_000,
-            seed: 0,
-            config: ImpalaConfig::default(),
-            actor_sync_period: 4,
-            fault: FaultPolicy::default(),
-            transport: None,
-            #[cfg(any(test, feature = "fault-inject"))]
-            fault_plan: Default::default(),
-        }
-    }
-}
-
-/// What one run needs besides its learner: the architecture plus the
-/// fields [`ExecSpec`] and [`ImpalaOpts`] share.
-struct Run {
-    arch: Architecture,
-    deployment: Deployment,
-    total_steps: usize,
-    seed: u64,
-    fault: FaultPolicy,
-    transport: TransportConfig,
-    /// The hooks value the run's runtime is spawned with.
-    hooks: WorkerCtx,
-}
-
 /// Train `spec` on environments from `factory` (the body of
-/// [`crate::run_recorded`]). Worker failures the spec's [`FaultPolicy`]
-/// cannot absorb surface as `Err` — training never panics the study.
+/// [`crate::run_recorded`]). Worker failures the spec's
+/// [`FaultPolicy`](crate::FaultPolicy) cannot absorb surface as `Err` —
+/// training never panics the study.
 pub(crate) fn train(
     spec: &ExecSpec,
     factory: &dyn EnvFactory,
@@ -93,60 +37,10 @@ pub(crate) fn train(
 ) -> Result<ExecReport, String> {
     let arch = spec.framework.architecture();
     let transport = check_run(&arch, spec.deployment, spec.total_steps, spec.transport.as_deref())?;
-    let run = Run {
-        arch,
-        deployment: spec.deployment,
-        total_steps: spec.total_steps,
-        seed: spec.seed,
-        fault: spec.fault,
-        transport,
-        hooks: WorkerCtx::default(),
-    };
-    #[cfg(any(test, feature = "fault-inject"))]
-    let run = Run { hooks: WorkerCtx::armed(spec.fault_plan.clone()), ..run };
     match spec.algorithm {
-        Algorithm::Ppo => {
-            let ppo = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
-                OnPolicyLearner::new(obs_dim, actions, spec.ppo.clone(), rng)
-            };
-            train_on_policy(&run, ppo, factory, recorder)
-        }
-        Algorithm::Sac => Ok(train_sac(&run, &spec.sac, factory, recorder)),
+        Algorithm::Ppo => train_on_policy(spec, &arch, transport, factory, recorder),
+        Algorithm::Sac => Ok(train_sac(spec, &arch, factory, recorder)),
     }
-}
-
-/// Train with the IMPALA-like architecture (`Architecture::impala`):
-/// actors refresh their snapshot only every
-/// [`ImpalaOpts::actor_sync_period`] iterations and the learner corrects
-/// the off-policyness with V-trace — the paper's §VI-D trade-off
-/// (distribute ⇒ faster but less accurate) attacked at the algorithm
-/// level instead of the deployment level. Shaped like
-/// [`crate::run_recorded`]: the session's accounting, and every other
-/// layer's telemetry, land on `recorder`, and the report's `usage` is
-/// the session's. Worker failures the [`FaultPolicy`] cannot absorb
-/// surface as `Err`.
-pub fn train_impala(
-    opts: &ImpalaOpts,
-    factory: &dyn EnvFactory,
-    recorder: SharedRecorder,
-) -> Result<ExecReport, String> {
-    let arch = Architecture::impala(opts.actor_sync_period);
-    let transport = check_run(&arch, opts.deployment, opts.total_steps, opts.transport.as_deref())?;
-    let run = Run {
-        arch,
-        deployment: opts.deployment,
-        total_steps: opts.total_steps,
-        seed: opts.seed,
-        fault: opts.fault,
-        transport,
-        hooks: WorkerCtx::default(),
-    };
-    #[cfg(any(test, feature = "fault-inject"))]
-    let run = Run { hooks: WorkerCtx::armed(opts.fault_plan.clone()), ..run };
-    let impala = |obs_dim: usize, actions: &Space, rng: &mut StdRng| {
-        OnPolicyLearner::impala(obs_dim, actions, opts.config.clone(), rng)
-    };
-    train_on_policy(&run, impala, factory, recorder)
 }
 
 /// Build the worker set `arch` prescribes. Sub-environment `i` is seeded
@@ -211,17 +105,16 @@ fn learner_compute(driver: &mut Driver<'_>, profile: &FrameworkProfile, flops: u
     driver.apply(&SessionEvent::Compute { work });
 }
 
-/// `make_learner(obs_dim, action_space, rng)` picks the setting of the one
-/// on-policy learner (PPO or IMPALA-style); the loop is the same for both.
-/// Like [`train_sac`], it narrates to a session of its own on `recorder`
-/// and reports that session's usage.
+/// PPO over the runtime's workers. Like [`train_sac`], it narrates to a
+/// session of its own on `recorder` and reports that session's usage.
 fn train_on_policy(
-    run: &Run,
-    make_learner: impl FnOnce(usize, &Space, &mut StdRng) -> OnPolicyLearner,
+    spec: &ExecSpec,
+    arch: &Architecture,
+    transport: TransportConfig,
     factory: &dyn EnvFactory,
     recorder: SharedRecorder,
 ) -> Result<ExecReport, String> {
-    let Run { arch, deployment, total_steps, seed, .. } = *run;
+    let ExecSpec { deployment, total_steps, seed, .. } = *spec;
     let profile = arch.profile;
     let nodes = deployment.nodes;
     let cores = deployment.cores_per_node;
@@ -234,13 +127,16 @@ fn train_on_policy(
     let obs_dim = probe.observation_space().dim();
     let actions = probe.action_space();
     drop(probe);
-    let mut learner = make_learner(obs_dim, &actions, rng.rng_mut());
+    let mut learner = OnPolicyLearner::new(obs_dim, &actions, spec.ppo.clone(), rng.rng_mut());
 
-    let specs = collectors(&arch, deployment, seed, factory, recorder.clone());
+    #[cfg(any(test, feature = "fault-inject"))]
+    let hooks = WorkerCtx::armed(spec.fault_plan.clone());
+    #[cfg(not(any(test, feature = "fault-inject")))]
+    let hooks = WorkerCtx::default();
+    let specs = collectors(arch, deployment, seed, factory, recorder.clone());
     let n_workers = specs.len();
-    let mut runtime =
-        Runtime::spawn_hooked(specs, &learner.policy, run.transport.clone(), run.hooks.clone())
-            .with_fault_policy(run.fault);
+    let mut runtime = Runtime::spawn_hooked(specs, &learner.policy, transport, hooks)
+        .with_fault_policy(spec.fault);
     runtime.set_recorder(recorder.clone());
     let mut session = ClusterSession::with_recorder(ClusterSpec::paper_testbed(nodes), recorder);
     let mut driver = Driver::new(&mut session);
@@ -334,23 +230,23 @@ fn train_on_policy(
 /// bookkeeping, and the narration keeps the deployment's shape
 /// (concurrent nodes, experience and weight traffic past node 0).
 fn train_sac(
-    run: &Run,
-    cfg: &SacConfig,
+    spec: &ExecSpec,
+    arch: &Architecture,
     factory: &dyn EnvFactory,
     recorder: SharedRecorder,
 ) -> ExecReport {
-    let profile = run.arch.profile;
-    let nodes = run.deployment.nodes;
-    let cores = run.deployment.cores_per_node;
+    let profile = arch.profile;
+    let nodes = spec.deployment.nodes;
+    let cores = spec.deployment.cores_per_node;
     let n_workers = nodes * cores;
-    let mut rng = StdRng::seed_from_u64(run.seed);
+    let mut rng = StdRng::seed_from_u64(spec.seed);
 
     let mut envs: Vec<Box<dyn Environment>> = (0..n_workers)
-        .map(|w| factory.make(worker_seed(run.seed, w, run.arch.sac_seed_salt)))
+        .map(|w| factory.make(worker_seed(spec.seed, w, arch.sac_seed_salt)))
         .collect();
     let obs_dim = envs[0].observation_space().dim();
     let actions = envs[0].action_space();
-    let mut learner = SacLearner::new(obs_dim, &actions, cfg.clone(), &mut rng);
+    let mut learner = SacLearner::new(obs_dim, &actions, spec.sac.clone(), &mut rng);
     let mut obs: Vec<Vec<f64>> = envs.iter_mut().map(|e| e.reset()).collect();
     let mut ep_rets = vec![0.0; n_workers];
 
@@ -361,14 +257,14 @@ fn train_sac(
     // Approximate per-transition payload for the experience shipping.
     let transition_bytes = (obs_dim * 2 + 4) as u64 * 8;
 
-    while (driver.env_steps() as usize) < run.total_steps {
+    while (driver.env_steps() as usize) < spec.total_steps {
         let flops_before = learner.flops;
         let mut node_env_work = vec![0u64; nodes];
         let mut remote_steps = 0u64;
         let mut iter_steps = 0u64;
         for _ in 0..round {
             for w in 0..n_workers {
-                if (driver.env_steps() + iter_steps) as usize >= run.total_steps {
+                if (driver.env_steps() + iter_steps) as usize >= spec.total_steps {
                     break;
                 }
                 let (units, fin) = sac_step(

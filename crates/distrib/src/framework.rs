@@ -3,9 +3,8 @@
 //! The paper's frameworks differ in *architecture* — who collects, who
 //! infers, when weights travel — and that difference is data: one
 //! `Architecture` value per framework, read by the one training loop in
-//! [`crate::backends`]. `Framework::architecture` and
-//! `Architecture::impala` are the table; nothing else in the crate
-//! branches on which framework is running.
+//! [`crate::backends`]. `Framework::architecture` is the table; nothing
+//! else in the crate branches on which framework is running.
 
 use crate::runtime::SyncPolicy;
 
@@ -125,25 +124,6 @@ pub(crate) struct Architecture {
     pub(crate) multi_node: bool,
     /// Round salt of the SAC environments' `worker_seed`.
     pub(crate) sac_seed_salt: u64,
-}
-
-impl Architecture {
-    /// The IMPALA-like extension (§II-A), outside [`Framework`] because
-    /// Table I's space is the paper's: RLlib's worker set with *every*
-    /// actor refreshed only each `actor_sync_period`-th iteration, the
-    /// V-trace learner absorbing the lag. Ray-class cost constants.
-    pub(crate) fn impala(actor_sync_period: u64) -> Self {
-        Architecture {
-            profile: FrameworkProfile {
-                per_iter_overhead_s: 0.5,
-                per_step_overhead_units: 120.0,
-                learner_streams: 2,
-                name: "IMPALA-like",
-            },
-            sync: SyncPolicy::Periodic { period: actor_sync_period },
-            ..Framework::RayRllib.architecture()
-        }
-    }
 }
 
 /// Shape of a framework's worker set.

@@ -38,7 +38,6 @@ pub mod runtime;
 pub mod spec;
 
 pub use backend::{run, run_recorded, EnvFactory, FnEnvFactory};
-pub use backends::{train_impala, ImpalaOpts};
 pub use framework::Framework;
 pub use report::{ExecReport, TrainedModel};
 pub use runtime::{

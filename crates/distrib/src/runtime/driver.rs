@@ -48,12 +48,6 @@ pub(crate) enum SyncPolicy {
         /// Rounds between remote-node refreshes.
         period: u64,
     },
-    /// All workers, but only when `round` is a multiple of `period`
-    /// (IMPALA-style bulk refresh; no one is fresh in between).
-    Periodic {
-        /// Rounds between bulk refreshes.
-        period: u64,
-    },
 }
 
 impl SyncPolicy {
@@ -72,13 +66,6 @@ impl SyncPolicy {
                         .filter(|(_, &node)| node == 0)
                         .map(|(w, _)| w)
                         .collect()
-                }
-            }
-            SyncPolicy::Periodic { period } => {
-                if round.is_multiple_of(*period) {
-                    (0..worker_nodes.len()).collect()
-                } else {
-                    Vec::new()
                 }
             }
         }
@@ -311,17 +298,6 @@ mod tests {
         assert_eq!(policy.recipients(0, &nodes), vec![0, 1, 2, 3], "sync round");
         assert_eq!(policy.recipients(1, &nodes), vec![0, 1], "stale round: node 0 only");
         assert_eq!(policy.recipients(2, &nodes), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn periodic_refreshes_nobody_between_syncs() {
-        let nodes = [0, 0, 1, 1];
-        let policy = SyncPolicy::Periodic { period: 4 };
-        assert_eq!(policy.recipients(0, &nodes), vec![0, 1, 2, 3]);
-        for round in 1..4 {
-            assert!(policy.recipients(round, &nodes).is_empty());
-        }
-        assert_eq!(policy.recipients(4, &nodes), vec![0, 1, 2, 3]);
     }
 
     /// A recorder that answers `should_stop` after seeing `limit`

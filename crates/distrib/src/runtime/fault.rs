@@ -239,8 +239,8 @@ mod inject {
     }
 
     /// A seeded fault schedule, handed by value to the one runtime that
-    /// should suffer it: the `fault_plan` field of an `ExecSpec` /
-    /// `ImpalaOpts`, or `Runtime::spawn_faulted` directly. The spawn arms
+    /// should suffer it: the `fault_plan` field of an `ExecSpec`, or
+    /// `Runtime::spawn_faulted` directly. The spawn arms
     /// its own clone and shares that one copy among its workers, so no
     /// other runtime in the process can consume an entry.
     #[derive(Debug, Default)]

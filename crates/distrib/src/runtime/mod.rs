@@ -16,8 +16,7 @@
 //! explicitly passed rng stream (see [`crate::backends::common::worker_seed`]).
 //! Reports are therefore bitwise independent of thread scheduling *and*
 //! of the transport in use; the *completion* order is still observable
-//! via `RoundOutcome::arrival` for backends that want to narrate
-//! asynchrony (IMPALA-style).
+//! via `RoundOutcome::arrival`.
 //!
 //! Concurrency: a dispatch window bounds the collection commands in
 //! flight at once, capped by `std::thread::available_parallelism` — a

@@ -5,7 +5,7 @@
 use cluster_sim::Usage;
 use dist_exec::backend::{EnvFactory, FnEnvFactory};
 use dist_exec::spec::{Deployment, ExecSpec};
-use dist_exec::{Framework, ImpalaOpts};
+use dist_exec::Framework;
 use gymrs::envs::GridWorld;
 use gymrs::Environment;
 use rl_algos::Algorithm;
@@ -40,21 +40,4 @@ pub fn ppo_spec(framework: Framework, transport: Option<&str>) -> ExecSpec {
         spec = spec.with_transport(t);
     }
     spec
-}
-
-/// A short IMPALA run on two nodes of two cores.
-pub fn impala_opts(transport: Option<&str>) -> ImpalaOpts {
-    ImpalaOpts {
-        deployment: Deployment { nodes: 2, cores_per_node: 2 },
-        total_steps: 512,
-        seed: 17,
-        config: rl_algos::impala::ImpalaConfig {
-            hidden: vec![16, 16],
-            n_steps: 128,
-            ..Default::default()
-        },
-        actor_sync_period: 4,
-        transport: transport.map(str::to_owned),
-        ..Default::default()
-    }
 }

@@ -5,18 +5,18 @@
 //! how the OS schedules the worker threads. These tests force adversarial
 //! schedules from the test's side of the `Environment` interface (a
 //! wrapper that naps before each step, longest for the lowest worker
-//! index) and assert that the multi-node RLlib-like and IMPALA-like
-//! backends report *identical* rewards, simulated wall-clock and energy
+//! index) and assert that the multi-node RLlib-like backend reports
+//! *identical* rewards, simulated wall-clock and energy
 //! with and without the skew. Nothing process-wide is involved: the skew
 //! belongs to the factory a run is given, so the tests run side by side.
 
 mod common;
 
-use common::{fingerprint, grid_factory, impala_opts, ppo_spec};
+use common::{fingerprint, grid_factory, ppo_spec};
 use dist_exec::backend::{run, EnvFactory, FnEnvFactory};
 use dist_exec::backends::common::worker_seed;
 use dist_exec::spec::{Deployment, ExecSpec};
-use dist_exec::{train_impala, Framework, ImpalaOpts};
+use dist_exec::Framework;
 use gymrs::envs::GridWorld;
 use gymrs::{Action, Environment, Space, Step};
 use rl_algos::Algorithm;
@@ -88,23 +88,6 @@ fn run_rllib_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
     fingerprint(&report.train_returns, &report.usage)
 }
 
-fn run_impala_two_nodes(factory: &dyn EnvFactory) -> Vec<u64> {
-    let opts = ImpalaOpts {
-        deployment: Deployment { nodes: 2, cores_per_node: 4 },
-        total_steps: 1_024,
-        seed: SEED,
-        config: rl_algos::impala::ImpalaConfig {
-            hidden: vec![16, 16],
-            n_steps: 256,
-            ..Default::default()
-        },
-        actor_sync_period: 4,
-        ..Default::default()
-    };
-    let report = train_impala(&opts, factory, telemetry::null_recorder()).expect("impala runs");
-    fingerprint(&report.train_returns, &report.usage)
-}
-
 /// Run `f` with workers skewed so that *later* workers answer *first*,
 /// then with no skew, and demand identical bits.
 fn assert_schedule_independent(label: &str, f: fn(&dyn EnvFactory) -> Vec<u64>) {
@@ -122,15 +105,9 @@ fn rllib_reports_are_independent_of_worker_completion_order() {
 }
 
 #[test]
-fn impala_reports_are_independent_of_worker_completion_order() {
-    assert_schedule_independent("impala 2n4c", run_impala_two_nodes);
-}
-
-#[test]
 fn repeated_runs_are_bitwise_identical() {
     let factory = grid_factory();
     assert_eq!(run_rllib_two_nodes(&factory), run_rllib_two_nodes(&factory));
-    assert_eq!(run_impala_two_nodes(&factory), run_impala_two_nodes(&factory));
 }
 
 // ---- batched ODE fast path -------------------------------------------
@@ -162,13 +139,6 @@ fn run_airdrop(framework: Framework, batchable: bool) -> Vec<u64> {
     fingerprint(&report.train_returns, &report.usage)
 }
 
-fn run_airdrop_impala(batchable: bool) -> Vec<u64> {
-    let report =
-        train_impala(&impala_opts(None), &airdrop_factory(batchable), telemetry::null_recorder())
-            .expect("impala runs");
-    fingerprint(&report.train_returns, &report.usage)
-}
-
 /// Run `f(batchable)` with the batched lockstep fast path available and
 /// hidden and demand bitwise-identical reports.
 fn assert_batching_invisible(label: &str, f: impl Fn(bool) -> Vec<u64>) {
@@ -195,11 +165,6 @@ fn tfa_airdrop_report_is_independent_of_ode_batching() {
 #[test]
 fn rllib_airdrop_report_is_independent_of_ode_batching() {
     assert_batching_invisible("rllib 2n2c ppo airdrop", |b| run_airdrop(Framework::RayRllib, b));
-}
-
-#[test]
-fn impala_airdrop_report_is_independent_of_ode_batching() {
-    assert_batching_invisible("impala 2n2c airdrop", run_airdrop_impala);
 }
 
 // ---- degraded runs ----------------------------------------------------

@@ -2,7 +2,7 @@
 //!
 //! Every test hands a deterministic [`FaultPlan`] (schedule-addressed
 //! worker panics, crashes, hangs and slowdowns) to the run that should
-//! suffer it — on its `ExecSpec` / `ImpalaOpts`, or at `Runtime` spawn —
+//! suffer it — on its `ExecSpec`, or at `Runtime` spawn —
 //! so the tests run side by side; each runs real training
 //! through the public backend entry points, and asserts the three
 //! invariants the fault policy promises:
@@ -27,7 +27,7 @@ use dist_exec::backend::run_recorded;
 use dist_exec::runtime::{
     Collector, FaultKind, FaultPlan, FaultPolicy, RngStream, Runtime, RuntimeError, WorkerSpec,
 };
-use dist_exec::{train_impala, Deployment, ExecSpec, Framework, ImpalaOpts, TransportConfig};
+use dist_exec::{Deployment, ExecSpec, Framework, TransportConfig};
 use gymrs::envs::GridWorld;
 use gymrs::{Environment, Space};
 use rand::rngs::StdRng;
@@ -37,89 +37,49 @@ use rl_algos::Algorithm;
 use std::sync::Arc;
 use testkit::sweep;
 
-/// The four backends, addressed uniformly for the chaos sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Target {
-    Sb3,
-    Tfa,
-    Rllib,
-    Impala,
-}
-
-const TARGETS: [Target; 4] = [Target::Sb3, Target::Tfa, Target::Rllib, Target::Impala];
-
-impl Target {
-    /// Runtime actors this target spawns (the fault plan's worker-index
-    /// address space). SB3/TF-Agents run one vectorized actor.
-    fn workers(self) -> usize {
-        match self {
-            Target::Sb3 | Target::Tfa => 1,
-            Target::Rllib | Target::Impala => 4,
-        }
-    }
-
-    fn nodes(self) -> usize {
-        match self {
-            Target::Sb3 | Target::Tfa => 1,
-            Target::Rllib | Target::Impala => 2,
-        }
-    }
-
-    /// Collection rounds each chaos run executes (1024 steps / 256 per
-    /// round) — the fault plan's round address space.
-    fn rounds(self) -> u64 {
+/// Runtime actors `framework` spawns on `nodes(framework)` nodes of two
+/// cores (the fault plan's worker-index address space). SB3/TF-Agents run
+/// one vectorized actor.
+fn workers(framework: Framework) -> usize {
+    if framework == Framework::RayRllib {
         4
+    } else {
+        1
     }
 }
+
+fn nodes(framework: Framework) -> usize {
+    if framework == Framework::RayRllib {
+        2
+    } else {
+        1
+    }
+}
+
+/// Collection rounds each chaos run executes (1024 steps / 256 per
+/// round) — the fault plan's round address space.
+const ROUNDS: u64 = 4;
 
 /// Run one full training on `target` under `plan`, assert the telemetry
 /// rollup reconciles with the session accounting bitwise, and return
 /// `(fingerprint, degraded)`.
 fn run_target(
-    target: Target,
+    target: Framework,
     fault: FaultPolicy,
     plan: &FaultPlan,
 ) -> Result<(Vec<u64>, bool), String> {
-    let deployment = Deployment { nodes: target.nodes(), cores_per_node: 2 };
+    let deployment = Deployment { nodes: nodes(target), cores_per_node: 2 };
     let ring = Arc::new(telemetry::RingRecorder::new());
-    let (returns, usage, degraded) = match target {
-        Target::Impala => {
-            let opts = ImpalaOpts {
-                deployment,
-                total_steps: 1_024,
-                seed: 23,
-                config: rl_algos::impala::ImpalaConfig {
-                    hidden: vec![16, 16],
-                    n_steps: 256,
-                    ..Default::default()
-                },
-                actor_sync_period: 2,
-                fault,
-                transport: None,
-                fault_plan: plan.clone(),
-            };
-            let report = train_impala(&opts, &grid_factory(), ring.clone())?;
-            (report.train_returns, report.usage, report.degraded)
-        }
-        _ => {
-            let framework = match target {
-                Target::Sb3 => Framework::StableBaselines,
-                Target::Tfa => Framework::TfAgents,
-                _ => Framework::RayRllib,
-            };
-            let mut spec = ExecSpec::new(framework, Algorithm::Ppo, deployment, 1_024, 23);
-            spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
-            spec.fault = fault;
-            spec.fault_plan = plan.clone();
-            let report = run_recorded(&spec, &grid_factory(), ring.clone())?;
-            (report.train_returns, report.usage, report.degraded)
-        }
-    };
+    let mut spec = ExecSpec::new(target, Algorithm::Ppo, deployment, 1_024, 23);
+    spec.ppo = rl_algos::ppo::PpoConfig::fast_test();
+    spec.fault = fault;
+    spec.fault_plan = plan.clone();
+    let report = run_recorded(&spec, &grid_factory(), ring.clone())?;
+    let (returns, usage, degraded) = (report.train_returns, report.usage, report.degraded);
 
     // Invariant 3: the recorder's view of the trial rolls up to the
     // session's usage bit for bit, faults and all.
-    let rolled =
-        Usage::from_snapshot(&ring.snapshot(), &ClusterSpec::paper_testbed(target.nodes()));
+    let rolled = Usage::from_snapshot(&ring.snapshot(), &ClusterSpec::paper_testbed(nodes(target)));
     assert_eq!(
         rolled.wall_s.to_bits(),
         usage.wall_s.to_bits(),
@@ -153,15 +113,14 @@ fn lethal_plan(worker: usize, round: u64) -> FaultPlan {
 #[test]
 fn killed_worker_degrades_but_completes_and_reproduces() {
     let plan = lethal_plan(1, 1);
-    for target in [Target::Rllib, Target::Impala] {
-        let (a, degraded_a) = run_target(target, FaultPolicy::resilient(), &plan)
-            .unwrap_or_else(|e| panic!("{target:?}: study aborted: {e}"));
-        let (b, degraded_b) = run_target(target, FaultPolicy::resilient(), &plan)
-            .unwrap_or_else(|e| panic!("{target:?}: study aborted: {e}"));
-        assert!(degraded_a, "{target:?}: a quarantine must set the DegradedResult flag");
-        assert_eq!(degraded_a, degraded_b);
-        assert_eq!(a, b, "{target:?}: a degraded run must still be bitwise reproducible");
-    }
+    let run = || {
+        run_target(Framework::RayRllib, FaultPolicy::resilient(), &plan)
+            .unwrap_or_else(|e| panic!("study aborted: {e}"))
+    };
+    let ((a, degraded_a), (b, degraded_b)) = (run(), run());
+    assert!(degraded_a, "a quarantine must set the DegradedResult flag");
+    assert_eq!(degraded_a, degraded_b);
+    assert_eq!(a, b, "a degraded run must still be bitwise reproducible");
 }
 
 #[test]
@@ -226,7 +185,7 @@ fn hung_worker_is_quarantined_under_a_resilient_policy() {
     let plan = FaultPlan::new().fault(3, 1, FaultKind::Hang { millis: 600 });
     let policy = FaultPolicy { recv_timeout_ms: 100, ..FaultPolicy::resilient() };
     let (_, degraded) =
-        run_target(Target::Rllib, policy, &plan).expect("the study must survive a hang");
+        run_target(Framework::RayRllib, policy, &plan).expect("the study must survive a hang");
     assert!(degraded, "a timed-out worker is a quarantine, hence a degraded result");
 }
 
@@ -234,8 +193,8 @@ fn hung_worker_is_quarantined_under_a_resilient_policy() {
 fn hung_worker_fails_fast_by_default() {
     let plan = FaultPlan::new().fault(3, 1, FaultKind::Hang { millis: 600 });
     let policy = FaultPolicy { recv_timeout_ms: 100, ..FaultPolicy::fail_fast() };
-    let err =
-        run_target(Target::Rllib, policy, &plan).expect_err("fail-fast must surface the hang");
+    let err = run_target(Framework::RayRllib, policy, &plan)
+        .expect_err("fail-fast must surface the hang");
     assert!(err.contains("timed out"), "error names the hang: {err}");
     assert_eq!(
         err,
@@ -249,7 +208,7 @@ fn hung_worker_fails_fast_by_default() {
 #[test]
 fn failures_error_instead_of_panicking_on_every_backend() {
     let plan = FaultPlan::new().fault(0, 0, FaultKind::Crash);
-    for target in TARGETS {
+    for target in Framework::ALL {
         let err = run_target(target, FaultPolicy::fail_fast(), &plan)
             .expect_err("fail-fast turns the crash into an Err");
         assert!(
@@ -261,15 +220,15 @@ fn failures_error_instead_of_panicking_on_every_backend() {
 
 // ---- chaos sweep ------------------------------------------------------
 
-/// 16 seeded random fault schedules × 4 backends = 64 chaos runs,
+/// 16 seeded random fault schedules × 3 backends = 48 chaos runs,
 /// each executed twice: none may abort, and each pair must agree
 /// bitwise (the telemetry reconciliation runs inside `run_target`).
 #[test]
 fn random_fault_schedules_never_abort_and_stay_deterministic() {
     sweep(16, 0xFA17, |g| {
         let seed = g.int_in(0u64..1 << 16);
-        for target in TARGETS {
-            let plan = FaultPlan::random(seed, target.workers(), target.rounds(), 2);
+        for target in Framework::ALL {
+            let plan = FaultPlan::random(seed, workers(target), ROUNDS, 2);
             let (a, degraded_a) = run_target(target, chaos_policy(), &plan)
                 .unwrap_or_else(|e| panic!("{target:?} seed {seed}: study aborted: {e}"));
             let (b, degraded_b) = run_target(target, chaos_policy(), &plan)

@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::{fingerprint, impala_opts, ppo_spec};
+use common::{fingerprint, ppo_spec};
 use dist_exec::backend::run;
 use dist_exec::backends::common::Segment;
 use dist_exec::runtime::transport::codec::{
@@ -246,16 +246,6 @@ fn run_framework(framework: Framework, transport: Option<&str>) -> (Vec<u64>, u6
     (fingerprint(&report.train_returns, &report.usage), report.usage.wire_bytes)
 }
 
-fn run_impala(transport: Option<&str>) -> (Vec<u64>, u64) {
-    let report = dist_exec::train_impala(
-        &impala_opts(transport),
-        &EnvBlueprint::Grid { n: 3 },
-        telemetry::null_recorder(),
-    )
-    .expect("impala runs");
-    (fingerprint(&report.train_returns, &report.usage), report.usage.wire_bytes)
-}
-
 /// The tentpole acceptance test: for every backend, a UDS process-worker
 /// run reports the same bits as the in-process run, and real bytes
 /// crossed the wire.
@@ -271,15 +261,6 @@ fn uds_training_is_bitwise_identical_to_in_process() {
         assert_eq!(inproc_wire, 0, "{framework:?}: in-process runs touch no socket");
         assert!(uds_wire > 0, "{framework:?}: process workers must move real bytes");
     }
-}
-
-#[test]
-fn uds_impala_is_bitwise_identical_to_in_process() {
-    let (inproc, inproc_wire) = run_impala(None);
-    let (uds, uds_wire) = run_impala(Some("uds"));
-    assert_eq!(inproc, uds, "impala: UDS workers must reproduce the in-process report");
-    assert_eq!(inproc_wire, 0);
-    assert!(uds_wire > 0);
 }
 
 /// Loopback-TCP smoke: one backend, same bitwise contract.

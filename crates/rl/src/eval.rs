@@ -31,7 +31,7 @@ use tinynn::{Matrix, Tape};
 /// A trained policy's greedy actions, a batch of rows at a time.
 #[derive(Clone, Copy)]
 pub enum Greedy<'a> {
-    /// PPO's (or IMPALA's) actor-critic: the head's mode.
+    /// PPO's actor-critic: the head's mode.
     Ppo(&'a ActorCritic),
     /// SAC's squashed Gaussian actor: `tanh` of the mean.
     Sac(&'a SacLearner),

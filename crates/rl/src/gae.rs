@@ -11,8 +11,7 @@
 ///   the bootstrap;
 /// * `dones[t]` — the trajectory stops after step `t` (termination,
 ///   truncation, or the closed tail of a concatenated segment). It cuts
-///   only the λ-chain, exactly as in `crate::vtrace::vtrace`, so a
-///   cut-off is never scored as a termination.
+///   only the λ-chain, so a cut-off is never scored as a termination.
 ///
 /// Returns `(advantages, returns)` with `returns[t] = adv[t] + values[t]`.
 ///
@@ -80,19 +79,19 @@ mod tests {
     }
 
     #[test]
-    fn lambda_one_matches_on_policy_vtrace_across_a_closed_tail() {
+    fn lambda_one_returns_are_discounted_sums_across_a_closed_tail() {
         // Two concatenated worker segments; the first tail is closed
         // mid-episode with its bootstrap kept, the second terminates.
         let rewards = [1.0, -0.5, 0.3, 0.8];
         let values = [0.5, 0.2, -0.1, 0.4];
         let next_values = [0.2, 0.7, 0.4, 0.0];
         let dones = [false, true, false, true];
-        let lp = [-0.5, -1.0, -0.2, -0.7];
-        let cfg = crate::vtrace::VtraceConfig { gamma: 0.9, rho_clip: 1.0, c_clip: 1.0 };
-        let vt = crate::vtrace::vtrace(&lp, &lp, &rewards, &values, &next_values, &dones, &cfg);
         let (_, returns) = gae(&rewards, &values, &dones, &next_values, 0.9, 1.0);
-        for (r, v) in returns.iter().zip(&vt.vs) {
-            assert!((r - v).abs() < 1e-12, "{r} vs {v}");
+        // Each segment's discounted reward sum, plus γ^k · V(s′) of its
+        // closed tail (the terminated one bootstraps nothing).
+        let want = [1.0 + 0.9 * -0.5 + 0.9 * 0.9 * 0.7, -0.5 + 0.9 * 0.7, 0.3 + 0.9 * 0.8, 0.8];
+        for (r, w) in returns.iter().zip(want) {
+            assert!((r - w).abs() < 1e-12, "{r} vs {w}");
         }
     }
 

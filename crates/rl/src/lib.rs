@@ -8,7 +8,6 @@
 //! Layout:
 //!
 //! * [`gae`] — generalized advantage estimation;
-//! * [`mod@vtrace`] — V-trace off-policy correction (the IMPALA targets);
 //! * [`buffer`] — on-policy rollout storage and the off-policy replay
 //!   ring buffer;
 //! * [`collect`] — the per-step collection loop and its lockstep batched
@@ -18,12 +17,9 @@
 //!   batch split over two threads;
 //! * [`policy`] — actor-critic policy heads (categorical / diagonal
 //!   Gaussian) shared by the trainers;
-//! * [`on_policy`] — the one on-policy actor-critic learner; its update
-//!   is written once and steered by two axes, *targets* (GAE-λ | V-trace)
-//!   and *surrogate* (clipped ratio over shuffled minibatch epochs | plain
-//!   `−Â·log π` in one step);
-//! * [`ppo`], [`impala`] — the hyperparameters of its two settings:
-//!   PPO = (GAE, clipped), IMPALA-style = (V-trace, plain);
+//! * [`on_policy`] — the on-policy actor-critic learner: GAE-λ targets
+//!   and the clipped surrogate over shuffled minibatch epochs;
+//! * [`ppo`] — its hyperparameters;
 //! * [`sac`] — twin-critic SAC with automatic entropy temperature; critic
 //!   2's passes and the actor's pass over s′ run on the process's one
 //!   helper thread (`helper`);
@@ -40,13 +36,11 @@ pub mod collect;
 pub mod eval;
 pub mod gae;
 mod helper;
-pub mod impala;
 pub mod on_policy;
 pub mod policy;
 pub mod ppo;
 pub mod sac;
 pub mod trainer;
-pub mod vtrace;
 
 pub use buffer::Transition;
 pub use collect::collect_lockstep;

@@ -1,56 +1,28 @@
-//! The one on-policy actor-critic learner.
+//! The on-policy actor-critic learner: PPO.
 //!
-//! PPO and the IMPALA-style learner are the same gradient step —
-//! assemble rows, actor forward, a per-row weight on ∂log π, the
+//! One update is GAE-λ targets on the values recorded at collection,
+//! then the clipped surrogate over shuffled epochs × minibatches — per
+//! minibatch an actor forward, a per-row weight on ∂log π, the
 //! categorical/Gaussian gradient fill, clip + Adam + the log-std step,
-//! critic regression toward the targets — steered by data on two axes:
-//!
-//! * **targets** — where advantages and critic targets come from:
-//!   GAE-λ on the values recorded at collection, or V-trace against the
-//!   current policy (`crate::vtrace::vtrace`);
-//! * **surrogate** — the policy loss and its passes over the rollout:
-//!   the clipped ratio over shuffled epochs × minibatches, or plain
-//!   `−Â·log π` in one step over the whole rollout in order (which
-//!   draws nothing from the rng).
-//!
-//! [`OnPolicyLearner::new`] is (GAE, clipped) = PPO;
-//! [`OnPolicyLearner::impala`] is (V-trace, plain). (GAE, plain) is A2C,
-//! which nothing in the workspace trains; it would be a third
-//! constructor, not a third learner.
+//! and critic regression toward the targets.
 
 // Index loops here co-index several arrays; zip chains would obscure them.
 #![allow(clippy::needless_range_loop)]
 use crate::buffer::RolloutBuffer;
 use crate::collect::{collect_steps, Collected};
 use crate::gae;
-use crate::impala::ImpalaConfig;
 use crate::policy::{ActorCritic, Dist, PolicyHead};
 use crate::ppo::PpoConfig;
-use crate::vtrace::{vtrace, VtraceConfig};
 use gymrs::{Action, Environment, Space};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simd_kernels::mathf64::exp;
 use tinynn::{backward_flops, clip_grad_norm, forward_flops, Adam, Matrix, Mlp, Optimizer, Tape};
 
-/// Where advantages and the critic's regression targets come from.
-#[derive(Debug, Clone, Copy)]
-enum Targets {
-    Gae { lambda: f64 },
-    Vtrace { rho_clip: f64, c_clip: f64 },
-}
-
-/// The policy loss and the passes it makes over one rollout.
-#[derive(Debug, Clone, Copy)]
-enum Surrogate {
-    Clipped { clip: f64, epochs: usize, minibatch: usize },
-    Plain,
-}
-
 /// Diagnostics from one update, averaged over every row of every pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpdateStats {
-    /// Mean policy loss (clipped surrogate, or `−Â·log π`).
+    /// Mean clipped-surrogate policy loss.
     pub(crate) policy_loss: f64,
     /// Mean value loss toward the targets.
     pub(crate) value_loss: f64,
@@ -58,11 +30,8 @@ pub struct UpdateStats {
     pub(crate) entropy: f64,
     /// Mean approximate KL between the behaviour and the current policy.
     pub(crate) approx_kl: f64,
-    /// Fraction of samples whose ratio was clipped (0 without clipping).
+    /// Fraction of samples whose ratio was clipped.
     pub(crate) clip_fraction: f64,
-    /// Mean clipped V-trace importance weight (1 = on-policy; 1 under GAE,
-    /// which applies none).
-    pub(crate) mean_rho: f64,
 }
 
 /// The on-policy learner: policy + optimizers + work accounting.
@@ -70,11 +39,7 @@ pub struct UpdateStats {
 pub struct OnPolicyLearner {
     /// The actor-critic being trained.
     pub policy: ActorCritic,
-    // The hyperparameters both settings share live in a `PpoConfig`; its
-    // λ/clip/epochs/minibatch are only read into the two axes by `new`.
     cfg: PpoConfig,
-    targets: Targets,
-    surrogate: Surrogate,
     /// Number of gradient updates performed.
     pub updates: u64,
     /// Accumulated learning FLOPs (forward + backward), for the cost model.
@@ -86,8 +51,8 @@ pub struct OnPolicyLearner {
 }
 
 /// The actor's side of an update: its optimizer, the Adam state of the
-/// free log-std, and the tape and minibatch buffers of its passes (and of
-/// the V-trace target forward) — allocated once, resized per minibatch.
+/// free log-std, and the tape and minibatch buffers of its passes —
+/// allocated once, resized per minibatch.
 #[derive(Clone)]
 struct ActorFit {
     opt: Adam,
@@ -116,8 +81,6 @@ struct Passes<'a> {
     rollout: &'a RolloutBuffer,
     /// Epoch after epoch, a permutation of `0..rollout.len()`.
     order: &'a [usize],
-    minibatch: usize,
-    surrogate: Surrogate,
     adv: &'a [f64],
     targets: &'a [f64],
     cfg: &'a PpoConfig,
@@ -125,27 +88,20 @@ struct Passes<'a> {
 
 impl<'a> Passes<'a> {
     /// The minibatches in pass order: each epoch's rows cut into
-    /// `minibatch`-row chunks, the last of an epoch possibly shorter.
+    /// `cfg.minibatch`-row chunks, the last of an epoch possibly shorter.
     fn minibatches(&self) -> impl Iterator<Item = &'a [usize]> {
-        let (n, minibatch) = (self.rollout.len(), self.minibatch);
+        let (n, minibatch) = (self.rollout.len(), self.cfg.minibatch);
         self.order.chunks(n).flat_map(move |epoch| epoch.chunks(minibatch))
     }
 }
 
 impl OnPolicyLearner {
-    /// A PPO learner for the given observation dim and action space:
-    /// GAE-λ targets, clipped surrogate.
+    /// A PPO learner for the given observation dim and action space.
     pub fn new(obs_dim: usize, action_space: &Space, cfg: PpoConfig, rng: &mut impl Rng) -> Self {
         let policy = ActorCritic::new(obs_dim, action_space, &cfg.hidden, rng);
         let k = policy.log_std.len();
         Self {
             policy,
-            targets: Targets::Gae { lambda: cfg.lambda },
-            surrogate: Surrogate::Clipped {
-                clip: cfg.clip,
-                epochs: cfg.epochs,
-                minibatch: cfg.minibatch,
-            },
             actor: ActorFit {
                 opt: Adam::new(cfg.lr),
                 ls_m: vec![0.0; k],
@@ -166,33 +122,6 @@ impl OnPolicyLearner {
             flops: 0,
             order: Vec::new(),
         }
-    }
-
-    /// An IMPALA-style learner: the same learner with both axes flipped
-    /// to V-trace targets and the plain surrogate, advantages always
-    /// normalised, no schedule. It consumes rollouts collected by *stale*
-    /// policy snapshots and corrects them (see [`crate::impala`]).
-    pub fn impala(
-        obs_dim: usize,
-        action_space: &Space,
-        cfg: ImpalaConfig,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let shared = PpoConfig {
-            lr: cfg.lr,
-            gamma: cfg.gamma,
-            ent_coef: cfg.ent_coef,
-            vf_coef: cfg.vf_coef,
-            max_grad_norm: cfg.max_grad_norm,
-            hidden: cfg.hidden,
-            n_steps: cfg.n_steps,
-            normalize_advantage: true,
-            ..PpoConfig::default()
-        };
-        let mut learner = Self::new(obs_dim, action_space, shared, rng);
-        learner.targets = Targets::Vtrace { rho_clip: cfg.rho_clip, c_clip: cfg.c_clip };
-        learner.surrogate = Surrogate::Plain;
-        learner
     }
 
     /// Steps collected per update (the configured rollout horizon).
@@ -216,8 +145,9 @@ impl OnPolicyLearner {
         out
     }
 
-    /// One update over a rollout: every pass the surrogate prescribes,
-    /// each a gradient step on actor, log-std and critic.
+    /// One update over a rollout: `cfg.epochs` shuffled passes in
+    /// `cfg.minibatch`-row minibatches, each a gradient step on actor,
+    /// log-std and critic.
     ///
     /// The critic's steps run on a scoped thread while this one takes the
     /// actor's and log-std's, joined once at the end. Every shuffle is
@@ -229,69 +159,26 @@ impl OnPolicyLearner {
         let a_sizes = self.policy.actor.sizes();
         let c_sizes = self.policy.critic.sizes();
         let head = self.policy.head();
-        let mut stats = UpdateStats { mean_rho: 1.0, ..UpdateStats::default() };
-        self.order.clear();
-        self.order.extend(0..n);
+        let mut stats = UpdateStats::default();
 
-        let (mut adv, targets) = match self.targets {
-            Targets::Gae { lambda } => rollout.advantages(self.cfg.gamma, lambda),
-            Targets::Vtrace { rho_clip, c_clip } => {
-                // Target log-probs under the current policy: one more
-                // actor forward over the whole rollout, in order (`order`
-                // is `0..n` until the shuffles below).
-                let ActorFit { tape, x, .. } = &mut self.actor;
-                fill_rows(x, rollout, &self.order);
-                self.policy.actor.forward_into(x, tape);
-                self.flops += forward_flops(&a_sizes, n);
-                let out = tape.output();
-                let target_lp: Vec<f64> = (0..n)
-                    .map(|i| {
-                        let d = self.policy.dist_from_actor_row(out.row_slice(i));
-                        d.log_prob(&rollout.actions[i])
-                    })
-                    .collect();
-                let vt = vtrace(
-                    &rollout.log_probs,
-                    &target_lp,
-                    &rollout.rewards,
-                    &rollout.values,
-                    &rollout.next_values,
-                    &rollout.dones,
-                    &VtraceConfig { gamma: self.cfg.gamma, rho_clip, c_clip },
-                );
-                stats.mean_rho = vt.rhos.iter().sum::<f64>() / n as f64;
-                (vt.pg_advantages, vt.vs)
-            }
-        };
-        if self.cfg.normalize_advantage {
-            gae::normalize(&mut adv);
-        }
+        let (mut adv, targets) = rollout.advantages(self.cfg.gamma, self.cfg.lambda);
+        gae::normalize(&mut adv);
 
-        let (epochs, minibatch, shuffle) = match self.surrogate {
-            Surrogate::Clipped { epochs, minibatch, .. } => (epochs, minibatch, true),
-            Surrogate::Plain => (1, n, false),
-        };
+        let epochs = self.cfg.epochs;
         // Every epoch's shuffle (each permuting the one before), drawn
         // before any pass runs: no pass reads the rng, so these are the
         // draws of shuffling at the top of each epoch, in the same order.
+        self.order.clear();
+        self.order.extend(0..n);
         for e in 0..epochs {
             if e > 0 {
                 self.order.extend_from_within((e - 1) * n..e * n);
             }
-            if shuffle {
-                self.order[e * n..].shuffle(rng);
-            }
+            self.order[e * n..].shuffle(rng);
         }
 
-        let passes = Passes {
-            rollout,
-            order: &self.order,
-            minibatch,
-            surrogate: self.surrogate,
-            adv: &adv,
-            targets: &targets,
-            cfg: &self.cfg,
-        };
+        let passes =
+            Passes { rollout, order: &self.order, adv: &adv, targets: &targets, cfg: &self.cfg };
         let ActorCritic { actor, critic, log_std, .. } = &mut self.policy;
         let (actor_fit, critic_fit) = (&mut self.actor, &mut self.critic);
         stats.value_loss = std::thread::scope(|s| {
@@ -299,7 +186,7 @@ impl OnPolicyLearner {
             actor_fit.fit(actor, log_std, head, &passes, &mut stats);
             critic.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
-        self.updates += (epochs * n.div_ceil(minibatch)) as u64;
+        self.updates += (epochs * n.div_ceil(self.cfg.minibatch)) as u64;
 
         // Learning cost: forward + backward over both networks for every
         // pass over the whole rollout.
@@ -348,27 +235,16 @@ impl ActorFit {
                 let lp_new = d.log_prob(action);
                 let lp_old = p.rollout.log_probs[i];
                 let a = p.adv[i];
-                // dL/dlogp, the per-row weight on ∂log π.
-                let dlp = match p.surrogate {
-                    Surrogate::Clipped { clip, .. } => {
-                        let ratio = exp(lp_new - lp_old);
-                        let clipped = ratio.clamp(1.0 - clip, 1.0 + clip);
-                        stats.policy_loss += -(ratio * a).min(clipped * a);
-                        if (ratio - clipped).abs() > 1e-12 {
-                            stats.clip_fraction += 1.0;
-                        }
-                        // Gradient of -min(r A, clip(r) A).
-                        if ratio * a <= clipped * a {
-                            -a * ratio
-                        } else {
-                            0.0
-                        }
-                    }
-                    Surrogate::Plain => {
-                        stats.policy_loss += -lp_new * a;
-                        -a
-                    }
-                };
+                let clip = p.cfg.clip;
+                let ratio = exp(lp_new - lp_old);
+                let clipped = ratio.clamp(1.0 - clip, 1.0 + clip);
+                stats.policy_loss += -(ratio * a).min(clipped * a);
+                if (ratio - clipped).abs() > 1e-12 {
+                    stats.clip_fraction += 1.0;
+                }
+                // dL/dlogp, the per-row weight on ∂log π: the gradient of
+                // -min(r A, clip(r) A).
+                let dlp = if ratio * a <= clipped * a { -a * ratio } else { 0.0 };
                 stats.entropy += d.entropy();
                 stats.approx_kl += lp_old - lp_new;
 
@@ -503,41 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn vtrace_update_is_one_step_and_charges_the_target_forward() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut env = GridWorld::new(3);
-        env.seed(6);
-        let cfg = ImpalaConfig { hidden: vec![16], ..ImpalaConfig::default() };
-        let mut learner = OnPolicyLearner::impala(2, &env.action_space(), cfg, &mut rng);
-        let mut obs = env.reset();
-        let rollout = collect_steps(&learner.policy.clone(), &mut env, &mut obs, 48, &mut rng);
-        learner.update(&rollout.rollout, &mut rng);
-        let (a, c) = (learner.policy.actor.sizes(), learner.policy.critic.sizes());
-        assert_eq!(
-            learner.flops,
-            2 * forward_flops(&a, 48)
-                + backward_flops(&a, 48)
-                + forward_flops(&c, 48)
-                + backward_flops(&c, 48)
-        );
-        assert_eq!(learner.updates, 1);
-    }
-
-    #[test]
-    fn plain_surrogate_update_leaves_the_rng_untouched() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut env = PointMass::new();
-        env.seed(4);
-        let mut learner =
-            OnPolicyLearner::impala(4, &env.action_space(), ImpalaConfig::default(), &mut rng);
-        let mut obs = env.reset();
-        let rollout = collect_steps(&learner.policy.clone(), &mut env, &mut obs, 64, &mut rng);
-        let mut untouched = rng.clone();
-        learner.update(&rollout.rollout, &mut rng);
-        assert_eq!(rng.next_u64(), untouched.next_u64());
-    }
-
-    #[test]
     fn update_draws_exactly_the_epoch_shuffles() {
         // 100 rows in minibatches of 64: every epoch ends on a short one.
         let mut rng = StdRng::seed_from_u64(12);
@@ -559,9 +400,8 @@ mod tests {
         assert_eq!(rng.next_u64(), twin.next_u64());
     }
 
-    fn stat_bits(s: &UpdateStats) -> [u64; 6] {
-        [s.policy_loss, s.value_loss, s.entropy, s.approx_kl, s.clip_fraction, s.mean_rho]
-            .map(f64::to_bits)
+    fn stat_bits(s: &UpdateStats) -> [u64; 5] {
+        [s.policy_loss, s.value_loss, s.entropy, s.approx_kl, s.clip_fraction].map(f64::to_bits)
     }
 
     fn param_bits(l: &mut OnPolicyLearner) -> Vec<u64> {
@@ -599,12 +439,6 @@ mod tests {
             let mut obs = env.reset();
             let out = learner.collect(env, &mut obs, 150, &mut rng);
             assert_clones_agree(learner, &out.rollout, 14);
-
-            let cfg = ImpalaConfig { hidden: vec![16], ..ImpalaConfig::default() };
-            let dim = env.observation_space().dim();
-            let learner = OnPolicyLearner::impala(dim, &env.action_space(), cfg, &mut rng);
-            let rollout = collect_steps(&learner.policy, env, &mut obs, 96, &mut rng);
-            assert_clones_agree(learner, &rollout.rollout, 15);
         }
     }
 }

@@ -3,8 +3,8 @@
 //! The on-policy algorithm of the paper's study. The semantics are the
 //! reference ones shared by Stable Baselines, RLlib and TF-Agents: GAE-λ
 //! advantages, ratio clipping, minibatched epochs over the rollout,
-//! entropy bonus and a separate value network. PPO is one setting of
-//! [`crate::on_policy::OnPolicyLearner`] — (GAE, clipped) — and this
+//! entropy bonus and a separate value network, advantages normalised per
+//! batch. [`crate::on_policy::OnPolicyLearner`] is the learner; this
 //! module holds its hyperparameters.
 
 use crate::on_policy::OnPolicyLearner;
@@ -34,8 +34,6 @@ pub struct PpoConfig {
     pub hidden: Vec<usize>,
     /// Rollout horizon (steps collected per update, per environment).
     pub n_steps: usize,
-    /// Normalize advantages per batch.
-    pub normalize_advantage: bool,
 }
 
 impl Default for PpoConfig {
@@ -52,7 +50,6 @@ impl Default for PpoConfig {
             max_grad_norm: 0.5,
             hidden: vec![64, 64],
             n_steps: 2048,
-            normalize_advantage: true,
         }
     }
 }
