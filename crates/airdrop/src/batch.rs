@@ -24,6 +24,7 @@ use crate::env::AirdropEnv;
 use gymrs::vec_env::{AnyLockstepBatcher, EnvLanes, LaneStep};
 use gymrs::Action;
 use rk_ode::{AnyBatchStepper, BatchSystem, Work};
+use simd_kernels::Isa;
 
 /// SoA right-hand side of the parafoil model: per-lane command and wind
 /// held constant over the interval (zero-order hold). Each lane runs the
@@ -50,18 +51,27 @@ impl BatchedAirdropDynamics {
         self.wind_x[e] = wind.0;
         self.wind_y[e] = wind.1;
     }
+}
 
-    /// The lane loop shared by every ISA version of the derivative.
-    #[inline(always)]
-    fn deriv_lanes(&self, y: &[f64], dydt: &mut [f64]) {
-        let p = &self.params;
-        let n = self.commands.len();
+simd_kernels::tiered! {
+    /// The derivative of every lane: SoA `y`/`dydt` (`[d * n + e]`), one
+    /// held command and wind per lane.
+    fn deriv_lanes(
+        isa,
+        p: &ParafoilParams,
+        commands: &[f64],
+        wind_x: &[f64],
+        wind_y: &[f64],
+        y: &[f64],
+        dydt: &mut [f64],
+    ) {
+        let n = commands.len();
         // Length facts let the compiler drop every bounds check in the
         // lane loop, which is what allows it to vectorize.
         assert_eq!(y.len(), STATE_DIM * n);
         assert_eq!(dydt.len(), STATE_DIM * n);
-        assert_eq!(self.wind_x.len(), n);
-        assert_eq!(self.wind_y.len(), n);
+        assert_eq!(wind_x.len(), n);
+        assert_eq!(wind_y.len(), n);
         // Hoisted out of the lane loop: the lanes share parameters, so
         // three divides replace 5·n and the loop body is division-free.
         let inv_taus = p.inv_taus();
@@ -71,8 +81,8 @@ impl BatchedAirdropDynamics {
             let (ax, ay, az, alpha, ddelta) = crate::dynamics::deriv_lane(
                 p,
                 inv_taus,
-                self.commands[e],
-                (self.wind_x[e], self.wind_y[e]),
+                commands[e],
+                (wind_x[e], wind_y[e]),
                 (vx, vy, vz),
                 (psi, psi_dot, delta),
             );
@@ -92,21 +102,6 @@ impl BatchedAirdropDynamics {
             dydt[8 * n + e] = ddelta;
         }
     }
-
-    /// 256-bit compilation of the lane loop, used on *both* AVX tiers.
-    /// `inline(never)` is load-bearing: it keeps this body from being
-    /// inlined back into the AVX-512 stepper, where LLVM would
-    /// re-vectorize it 512-bit — measured slower than 256-bit for this
-    /// body (the sin/cos quadrant fix-up is 64-bit integer work that
-    /// prices 512-bit vectors above 256-bit ones on current Xeons).
-    /// Every operation in the loop is IEEE exact-rounded, so each
-    /// compilation is bitwise-identical to the scalar one.
-    #[cfg(target_arch = "x86_64")]
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn deriv_lanes_avx2(&self, y: &[f64], dydt: &mut [f64]) {
-        self.deriv_lanes(y, dydt)
-    }
 }
 
 impl BatchSystem for BatchedAirdropDynamics {
@@ -119,20 +114,13 @@ impl BatchSystem for BatchedAirdropDynamics {
     }
 
     fn deriv_batch(&self, _t: f64, y: &[f64], dydt: &mut [f64]) {
-        // Dispatch once per call, not per lane. On any AVX tier the
-        // 256-bit compilation wins (see `deriv_lanes_avx2`), so the
-        // AVX-512 stepper deliberately runs its derivative at 256 bits
-        // while the stage microkernels stay at 512. Forced-scalar
-        // (`RLDT_SIMD=scalar`) takes the portable body; every tier
+        // At most 256 bits, on both AVX tiers: the `sin_cos` quadrant
+        // fix-up is 64-bit integer work that prices 512-bit vectors above
+        // 256-bit ones on current Xeons, so the AVX-512 stepper's stage
+        // kernels run at 512 bits and this derivative at 256. Every tier
         // produces identical bits.
-        #[cfg(target_arch = "x86_64")]
-        if simd_kernels::Isa::cached() >= simd_kernels::Isa::Avx2 {
-            // SAFETY: the Avx2 tier is only reported when the CPU has
-            // avx2 (Isa::cached clamps to Isa::detect).
-            unsafe { self.deriv_lanes_avx2(y, dydt) };
-            return;
-        }
-        self.deriv_lanes(y, dydt);
+        let isa = Isa::cached().min(Isa::Avx2);
+        deriv_lanes(isa, &self.params, &self.commands, &self.wind_x, &self.wind_y, y, dydt);
     }
 }
 
@@ -338,6 +326,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn deriv_lanes_returns_the_scalar_bits_at_every_tier() {
+        // Every tier this CPU runs, in one process: the AVX-512 build
+        // included, which `deriv_batch` never calls.
+        let params = ParafoilParams::default();
+        testkit::sweep(24, 0xDE21, |g| {
+            let n = g.int_in(1..40usize);
+            let commands = g.f64s(n, -1.5..1.5);
+            let (wind_x, wind_y) = (g.f64s(n, -6.0..6.0), g.f64s(n, -6.0..6.0));
+            // Rows: position, velocity, heading (many sin/cos quadrants),
+            // heading rate, deflection.
+            let ranges = [500.0, 500.0, 500.0, 20.0, 20.0, 20.0, 40.0, 3.0, 1.0];
+            let y: Vec<f64> = ranges.iter().flat_map(|&r| g.f64s(n, -r..r)).collect();
+            let mut expect = vec![0.0; STATE_DIM * n];
+            deriv_lanes(Isa::Scalar, &params, &commands, &wind_x, &wind_y, &y, &mut expect);
+            for isa in Isa::ALL.into_iter().filter(|isa| isa.available()) {
+                let mut got = vec![f64::NAN; STATE_DIM * n];
+                deriv_lanes(isa, &params, &commands, &wind_x, &wind_y, &y, &mut got);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expect), "{isa} at {n} lanes");
+            }
+        });
     }
 
     #[test]

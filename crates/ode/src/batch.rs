@@ -8,6 +8,11 @@
 //! the steppers are generic over the system type — no per-derivative
 //! virtual dispatch anywhere on the batched path.
 //!
+//! The steppers are compiled once. Their stage math enters its SIMD tier
+//! through `simd_kernels::odef64`'s `tiered!` kernels at the stepper's
+//! `isa`, and a system whose derivative is worth vectorising makes it a
+//! `tiered!` kernel of its own (airdrop's `BatchedAirdropDynamics`).
+//!
 //! ## Determinism contract
 //!
 //! For every lane, the batched steppers execute exactly the floating-point
@@ -69,7 +74,7 @@ pub struct BatchTableauStepper {
     /// Cached `f(t_{n+1}, y_{n+1})` per lane (SoA, `dim × n`).
     fsal: AlignedF64,
     fsal_valid: Vec<bool>,
-    /// ISA tier the stage microkernels dispatch to (fixed at build).
+    /// ISA tier the `odef64` stage kernels run at (fixed at build).
     isa: Isa,
 }
 
@@ -107,63 +112,6 @@ impl BatchTableauStepper {
     /// when another lane's cache miss forces a full-batch stage-0
     /// evaluation.
     pub fn step<S: BatchSystem>(
-        &mut self,
-        sys: &S,
-        t: f64,
-        h: f64,
-        y: &mut [f64],
-        active: &[bool],
-        work: &mut [Work],
-    ) {
-        match self.isa {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `self.isa` is clamped to the detected ISA at
-            // construction. The bodies perform only IEEE-exact operations,
-            // so the wide compilations are bitwise-identical to scalar.
-            Isa::Avx512 => unsafe { self.step_avx512(sys, t, h, y, active, work) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Isa::Avx2 => unsafe { self.step_avx2(sys, t, h, y, active, work) },
-            _ => self.step_inner(sys, t, h, y, active, work),
-        }
-    }
-
-    /// The stepper body compiled with AVX2 enabled: besides the explicit
-    /// stage microkernels, the system's `deriv_batch` inlines here and
-    /// autovectorizes 4-wide. Exactly [`Self::step_inner`] otherwise.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn step_avx2<S: BatchSystem>(
-        &mut self,
-        sys: &S,
-        t: f64,
-        h: f64,
-        y: &mut [f64],
-        active: &[bool],
-        work: &mut [Work],
-    ) {
-        self.step_inner(sys, t, h, y, active, work)
-    }
-
-    /// The stepper body compiled with AVX-512F enabled: `deriv_batch`
-    /// inlines here and autovectorizes 8-wide to match the 8-lane stage
-    /// microkernels.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,avx512f")]
-    unsafe fn step_avx512<S: BatchSystem>(
-        &mut self,
-        sys: &S,
-        t: f64,
-        h: f64,
-        y: &mut [f64],
-        active: &[bool],
-        work: &mut [Work],
-    ) {
-        self.step_inner(sys, t, h, y, active, work)
-    }
-
-    #[inline(always)]
-    fn step_inner<S: BatchSystem>(
         &mut self,
         sys: &S,
         t: f64,
@@ -303,7 +251,7 @@ pub struct BatchGbs8Stepper {
     z_next: AlignedF64,
     f0: AlignedF64,
     scratch: AlignedF64,
-    /// ISA tier the stage microkernels dispatch to (fixed at build).
+    /// ISA tier the `odef64` stage kernels run at (fixed at build).
     isa: Isa,
 }
 
@@ -333,61 +281,6 @@ impl BatchGbs8Stepper {
 
     /// See [`BatchTableauStepper::step`]; identical contract, order-8 math.
     pub fn step<S: BatchSystem>(
-        &mut self,
-        sys: &S,
-        t: f64,
-        bigh: f64,
-        y: &mut [f64],
-        active: &[bool],
-        work: &mut [Work],
-    ) {
-        match self.isa {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `self.isa` is clamped to the detected ISA at
-            // construction. The bodies perform only IEEE-exact operations,
-            // so the wide compilations are bitwise-identical to scalar.
-            Isa::Avx512 => unsafe { self.step_avx512(sys, t, bigh, y, active, work) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above.
-            Isa::Avx2 => unsafe { self.step_avx2(sys, t, bigh, y, active, work) },
-            _ => self.step_inner(sys, t, bigh, y, active, work),
-        }
-    }
-
-    /// The stepper body compiled with AVX2 enabled; see
-    /// [`BatchTableauStepper::step_avx2`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn step_avx2<S: BatchSystem>(
-        &mut self,
-        sys: &S,
-        t: f64,
-        bigh: f64,
-        y: &mut [f64],
-        active: &[bool],
-        work: &mut [Work],
-    ) {
-        self.step_inner(sys, t, bigh, y, active, work)
-    }
-
-    /// The stepper body compiled with AVX-512F enabled; see
-    /// [`BatchTableauStepper::step_avx512`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,avx512f")]
-    unsafe fn step_avx512<S: BatchSystem>(
-        &mut self,
-        sys: &S,
-        t: f64,
-        bigh: f64,
-        y: &mut [f64],
-        active: &[bool],
-        work: &mut [Work],
-    ) {
-        self.step_inner(sys, t, bigh, y, active, work)
-    }
-
-    #[inline(always)]
-    fn step_inner<S: BatchSystem>(
         &mut self,
         sys: &S,
         t: f64,

@@ -9,37 +9,34 @@
 //! block aligned. Alignment never changes a value, so this is invisible
 //! to the bitwise-parity contract.
 
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
-use std::ptr::NonNull;
 
 /// A heap `[f64]` whose base address is 64-byte aligned. Fixed length —
 /// the kernels never grow buffers mid-flight (that is what keeps the
 /// steady-state tick allocation-free).
+///
+/// It is a `Vec<f64>` of `len + PAD` elements viewed from the first
+/// element on a cache line: the allocation is at least 8-byte aligned,
+/// so that element is at most `PAD` elements in. The heap block does not
+/// move when the value does, so the offset stays valid.
 pub struct AlignedF64 {
-    ptr: NonNull<f64>,
-    len: usize,
+    buf: Vec<f64>,
+    start: usize,
 }
-
-// SAFETY: AlignedF64 owns its allocation exclusively, exactly like
-// Vec<f64>; sharing &AlignedF64 only shares &[f64].
-unsafe impl Send for AlignedF64 {}
-unsafe impl Sync for AlignedF64 {}
 
 impl AlignedF64 {
     /// Cache-line alignment of the buffer base.
     pub(crate) const ALIGN: usize = 64;
 
+    /// Elements that may precede the aligned base.
+    const PAD: usize = Self::ALIGN / std::mem::size_of::<f64>() - 1;
+
     /// An all-zero buffer of `len` elements.
     pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return Self { ptr: NonNull::dangling(), len: 0 };
-        }
-        let layout = Self::layout(len);
-        // SAFETY: layout has non-zero size (len > 0).
-        let raw = unsafe { alloc_zeroed(layout) }.cast::<f64>();
-        let Some(ptr) = NonNull::new(raw) else { handle_alloc_error(layout) };
-        Self { ptr, len }
+        let buf = vec![0.0; len + Self::PAD];
+        let misalign = buf.as_ptr() as usize % Self::ALIGN;
+        let start = (Self::ALIGN - misalign) % Self::ALIGN / std::mem::size_of::<f64>();
+        Self { buf, start }
     }
 
     /// An aligned copy of `src`.
@@ -48,35 +45,20 @@ impl AlignedF64 {
         buf.copy_from_slice(src);
         buf
     }
-
-    fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<f64>(), Self::ALIGN)
-            .expect("aligned buffer size overflows")
-    }
-}
-
-impl Drop for AlignedF64 {
-    fn drop(&mut self) {
-        if self.len > 0 {
-            // SAFETY: allocated in `zeroed` with this exact layout.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), Self::layout(self.len)) };
-        }
-    }
 }
 
 impl Deref for AlignedF64 {
     type Target = [f64];
     fn deref(&self) -> &[f64] {
-        // SAFETY: ptr/len describe the live allocation (or a dangling
-        // pointer with len 0, which is a valid empty slice).
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+        let len = self.buf.len() - Self::PAD;
+        &self.buf[self.start..][..len]
     }
 }
 
 impl DerefMut for AlignedF64 {
     fn deref_mut(&mut self) -> &mut [f64] {
-        // SAFETY: as above, plus &mut self guarantees exclusivity.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+        let len = self.buf.len() - Self::PAD;
+        &mut self.buf[self.start..][..len]
     }
 }
 
@@ -98,11 +80,19 @@ mod tests {
 
     #[test]
     fn base_is_cache_line_aligned() {
-        for len in [1usize, 7, 36, 288, 4096] {
-            let buf = AlignedF64::zeroed(len);
-            assert_eq!(buf.as_ptr() as usize % AlignedF64::ALIGN, 0, "len {len}");
-            assert_eq!(buf.len(), len);
-            assert!(buf.iter().all(|&x| x == 0.0));
+        let lens = (0usize..=17).chain([36, 288, 4096]);
+        for len in lens {
+            let src: Vec<f64> = (0..len).map(|i| i as f64 + 0.5).collect();
+            let zeroed = AlignedF64::zeroed(len);
+            assert!(zeroed.iter().all(|&x| x == 0.0));
+            let copied = AlignedF64::from_slice(&src);
+            assert_eq!(&copied[..], &src[..]);
+            let cloned = copied.clone();
+            assert_eq!(&cloned[..], &src[..]);
+            for (how, buf) in [("zeroed", &zeroed), ("from_slice", &copied), ("clone", &cloned)] {
+                assert_eq!(buf.as_ptr() as usize % AlignedF64::ALIGN, 0, "{how} len {len}");
+                assert_eq!(buf.len(), len, "{how}");
+            }
         }
     }
 

@@ -103,12 +103,14 @@ impl std::fmt::Display for Isa {
     }
 }
 
-/// The one way a kernel enters a tier: the body is written once, safe,
-/// and compiled three times — as it stands for the scalar tier, and
-/// inlined into an `avx2` and an `avx512f` `#[target_feature]` wrapper,
-/// where the compiler vectorises it at that tier's width. The generated
-/// `pub fn name(isa, args…)` clamps `isa` to what the CPU supports, so it
-/// is sound for any [`Isa`] value, and calls the matching compilation.
+/// The one way any crate's kernel enters a tier: the body is written
+/// once, safe, and compiled three times — as it stands for the scalar
+/// tier, and inlined into an `avx2` and an `avx512f` `#[target_feature]`
+/// wrapper, where the compiler vectorises it at that tier's width. The
+/// generated `fn name(isa, args…)` (with the visibility written before
+/// `fn`) clamps `isa` to what the CPU supports, so it is sound for any
+/// [`Isa`] value, and calls the matching compilation. A caller that wants
+/// a narrower build than the machine's best clamps the `isa` it passes.
 ///
 /// A body may use only IEEE exact-rounded operations (`+ − × ÷ √`,
 /// compares, bit moves), which round alike at every width — so every tier
@@ -117,11 +119,12 @@ impl std::fmt::Display for Isa {
 /// The wrappers are named functions and the body is `#[inline(always)]`:
 /// a closure handed to a generic `run(isa, || …)` is not certain to be
 /// compiled with the wrapper's features (measured 1.5–2.3× slower).
+#[macro_export]
 macro_rules! tiered {
-    ($(#[$attr:meta])* pub fn $name:ident(isa $(, $arg:ident: $ty:ty)* $(,)?) $body:block) => {
+    ($(#[$attr:meta])* $vis:vis fn $name:ident(isa $(, $arg:ident: $ty:ty)* $(,)?) $body:block) => {
         $(#[$attr])*
         #[inline]
-        pub fn $name(isa: $crate::Isa $(, $arg: $ty)*) {
+        $vis fn $name(isa: $crate::Isa $(, $arg: $ty)*) {
             #[inline(always)]
             fn body($($arg: $ty),*) $body
 
@@ -149,7 +152,6 @@ macro_rules! tiered {
         }
     };
 }
-pub(crate) use tiered;
 
 #[cfg(test)]
 mod tests {

@@ -7,18 +7,20 @@
 //! [`Isa::cached`] and overridable with the `RLDT_SIMD` environment
 //! variable.
 //!
-//! One idiom: a kernel is one safe body, compiled per tier. The
-//! crate-private `tiered!` macro (`isa.rs`) turns the body into the public
-//! `fn(isa, …)`, the `avx2` and `avx512f` `#[target_feature]` wrappers it
-//! is inlined into, and the one clamped `match` that picks between them;
-//! the compiler vectorises the body at each wrapper's width. All of
-//! [`odef64`], [`mathf64`]'s slice forms and [`nnf64::axpy`] /
-//! [`nnf64::adam_step`] are written that way. Hand-written `std::arch`
-//! bodies remain only where they measured faster than the compiled body:
-//! the register tiles of [`nnf64`]'s three matmuls, written once and
-//! stamped per tier, whose masked column tails the compiler does not
-//! reproduce ([`nnf64`] has the ratios; DESIGN.md, "SIMD microkernels &
-//! dispatch", the contract).
+//! One idiom: a kernel is one safe body, compiled per tier. The exported
+//! [`tiered!`] macro (`isa.rs`) turns the body into the `fn(isa, …)`, the
+//! `avx2` and `avx512f` `#[target_feature]` wrappers it is inlined into,
+//! and the one clamped `match` that picks between them; the compiler
+//! vectorises the body at each wrapper's width. All of [`odef64`],
+//! [`mathf64`]'s slice forms and [`nnf64::axpy`] / [`nnf64::adam_step`]
+//! are written that way, and it is the one way another crate enters a
+//! tier (airdrop's batched derivative, clamped to AVX2 at its call).
+//! Hand-written `std::arch` bodies remain only where they measured
+//! faster than the compiled body: the register tiles of [`nnf64`]'s three
+//! matmuls, written once and stamped per tier, whose masked column tails
+//! the compiler does not reproduce ([`nnf64`] has the ratios; DESIGN.md,
+//! "SIMD microkernels & dispatch", the contract). [`AlignedF64`] is safe
+//! Rust on a padded `Vec<f64>`.
 //!
 //! ## Determinism contract
 //!

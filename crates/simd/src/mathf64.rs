@@ -33,7 +33,7 @@
 // digit, a few digits past what f64 parsing needs.
 #![allow(clippy::excessive_precision)]
 
-use crate::isa::tiered;
+use crate::tiered;
 
 /// 1.5 · 2^52: adding this to a `f64` in ±2^51 rounds it to the nearest
 /// integer (ties to even) while the low mantissa bits of the sum hold

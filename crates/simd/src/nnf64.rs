@@ -35,7 +35,7 @@
 //! and are `tiered!`. The scalar tier is the reference the tiles are
 //! tested against.
 
-use crate::isa::tiered;
+use crate::tiered;
 use crate::Isa;
 
 #[inline]

@@ -16,7 +16,7 @@
 //! (element-outer, stage-inner), and the cross-ISA sweeps in
 //! `tests/parity.rs` do so on random shapes.
 
-use crate::isa::tiered;
+use crate::tiered;
 
 // ---------------------------------------------------------------------------
 // Weighted stage sums: acc_e = 0 + Σ_j coeffs[j] · k[j·len + e]
