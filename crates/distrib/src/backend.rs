@@ -47,8 +47,8 @@ pub fn run(spec: &ExecSpec, factory: &dyn EnvFactory) -> Result<ExecReport, Stri
 /// session's accounting and execution record (the `session.*` events a
 /// Gantt chart is drawn from), the driver's
 /// [`crate::keys::TRIAL_ITERATION`] events and step counters, the
-/// runtime's dispatch traffic and the vectorized environments' tick
-/// counters all land on `recorder`. A recorder answering `true` from
+/// runtime's dispatch traffic and the tick counters of every in-process
+/// worker's `VecEnv` all land on `recorder`. A recorder answering `true` from
 /// [`should_stop`](telemetry::Recorder::should_stop) ends the trial at
 /// the next iteration boundary — this is how pruners tap a running trial.
 pub fn run_recorded(

@@ -5,11 +5,16 @@
 use crate::backend::{run, run_recorded, EnvFactory, FnEnvFactory};
 use crate::framework::{Architecture, Collectors, Framework, Inference, Sampling};
 use crate::report::ExecReport;
-use crate::runtime::{FaultKind, FaultPlan, FaultPolicy, SyncPolicy};
+use crate::runtime::{
+    EnvBlueprint, FaultKind, FaultPlan, FaultPolicy, RngStream, Runtime, SyncPolicy,
+};
 use crate::spec::{Deployment, ExecSpec};
 use cluster_sim::{keys as session_keys, ClusterSpec, Usage};
 use gymrs::envs::{GridWorld, PointMass};
-use gymrs::Environment;
+use gymrs::{Environment, Space};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rl_algos::policy::ActorCritic;
 use rl_algos::ppo::PpoConfig;
 use rl_algos::sac::SacConfig;
 use rl_algos::Algorithm;
@@ -108,6 +113,41 @@ fn architecture_table_matches_the_design_matrix() {
         assert_eq!(a.inference, Inference::WithCollection);
     }
     assert_eq!((sb3.sampling, sb3.inference), (Sampling::Master, Inference::OnLearner));
+}
+
+#[test]
+fn an_rllib_worker_logs_an_episode_that_straddles_rounds_whole() {
+    // An RLlib rollout worker keeps its environment from round to round,
+    // so R rounds of n steps on one carried sampling stream must log the
+    // episodes one round of R·n steps logs — including the one that
+    // begins in one round and ends in a later one.
+    let arch = Framework::RayRllib.architecture();
+    let deployment = Deployment { nodes: 1, cores_per_node: 1 };
+    let factory = EnvBlueprint::Grid { n: 5 };
+    let policy = ActorCritic::new(2, &Space::Discrete(4), &[8], &mut StdRng::seed_from_u64(5));
+    let episodes = |rounds: u64, steps: usize| {
+        let specs =
+            super::train::collectors(&arch, deployment, 7, &factory, telemetry::null_recorder());
+        let mut runtime = Runtime::spawn(specs, &policy);
+        let mut stream = RngStream::fresh(3);
+        let mut episodes = Vec::new();
+        for round in 0..rounds {
+            let mut outcome = runtime.collect_round(round, steps, vec![stream]).expect("collects");
+            let worker = outcome.segments.pop().expect("one worker");
+            episodes.extend(worker.segment.episodes);
+            stream = worker.rng;
+        }
+        episodes
+    };
+    let whole = episodes(1, 400);
+    let mut start = 0;
+    let straddles = whole.iter().any(|&(_, len)| {
+        let (first, last) = (start, start + len - 1);
+        start += len;
+        first / 100 != last / 100
+    });
+    assert!(straddles, "an episode must cross a round boundary: {whole:?}");
+    assert_eq!(episodes(4, 100), whole);
 }
 
 #[test]

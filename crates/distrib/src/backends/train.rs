@@ -9,12 +9,12 @@
 //! order, so that order is part of the bitwise contract.
 
 use crate::backend::EnvFactory;
-use crate::backends::common::{sac_step, worker_seed};
-use crate::framework::{Architecture, Collectors, FrameworkProfile, Inference, Sampling};
+use crate::backends::common::worker_seed;
+use crate::framework::{Architecture, FrameworkProfile, Inference, Sampling};
 use crate::report::{ExecReport, TrainedModel};
 use crate::runtime::{
-    merge_wave, Collector, CollectorBlueprint, Driver, RngStream, Runtime, TransportConfig,
-    WorkerCtx, WorkerSpec,
+    merge_wave, CollectorBlueprint, Driver, RngStream, Runtime, TransportConfig, WorkerCtx,
+    WorkerSpec,
 };
 use crate::spec::{check_run, Deployment, ExecSpec};
 use cluster_sim::{ClusterSession, ClusterSpec, NodeWork, SessionEvent};
@@ -43,58 +43,42 @@ pub(crate) fn train(
     }
 }
 
-/// Build the worker set `arch` prescribes. Sub-environment `i` is seeded
-/// `worker_seed(seed, i, 0)`; every worker can be respawned from those
+/// Build the worker set `arch` prescribes: every worker a `VecEnv`, one
+/// lane per core for the vectorized worker and a single lane for each
+/// per-env worker. Lane `i` of the deployment is seeded
+/// `worker_seed(seed, i, 0)`; every worker can be respawned from its
 /// seeds after a thread death, and carries a blueprint (so it can run in
 /// a child process) when the factory has one.
-fn collectors<'f>(
+pub(super) fn collectors<'f>(
     arch: &Architecture,
     deployment: Deployment,
     seed: u64,
     factory: &'f dyn EnvFactory,
     recorder: SharedRecorder,
 ) -> Vec<WorkerSpec<'f>> {
-    fn worker<'f>(
-        node: usize,
-        spawn: impl Fn() -> Collector + 'f,
-        blueprint: Option<CollectorBlueprint>,
-    ) -> WorkerSpec<'f> {
-        let spec = WorkerSpec::new(node, spawn()).with_respawn(spawn);
-        match blueprint {
-            Some(bp) => spec.with_blueprint(bp),
-            None => spec,
-        }
-    }
-
-    let cores = deployment.cores_per_node;
-    let env_seed = move |i: usize| worker_seed(seed, i, 0);
-    match arch.collectors {
-        Collectors::Vectorized => {
+    let (workers, lanes) = arch.collectors.shape(deployment);
+    (0..workers)
+        .map(|w| {
+            let seeds: Vec<u64> =
+                (w * lanes..(w + 1) * lanes).map(|i| worker_seed(seed, i, 0)).collect();
+            let blueprint =
+                factory.blueprint().map(|env| CollectorBlueprint::lanes(env, seeds.clone()));
+            let recorder = recorder.clone();
             let spawn = move || {
-                let envs: Vec<_> = (0..cores).map(|i| factory.make(env_seed(i))).collect();
-                let mut venv = VecEnv::new_preseeded(envs);
+                let mut venv =
+                    VecEnv::new_preseeded(seeds.iter().map(|&s| factory.make(s)).collect());
                 venv.set_recorder(recorder.clone());
                 venv.reset_all();
-                Collector::Vectorized { venv }
+                venv
             };
-            let blueprint = factory
-                .blueprint()
-                .map(|env| CollectorBlueprint::vectorized(env, (0..cores).map(env_seed).collect()));
-            vec![worker(0, spawn, blueprint)]
-        }
-        Collectors::PerEnv => (0..deployment.total_cores())
-            .map(|w| {
-                let spawn = move || {
-                    let mut env = factory.make(env_seed(w));
-                    let obs = env.reset();
-                    Collector::PerEnv { env, obs }
-                };
-                let blueprint =
-                    factory.blueprint().map(|env| CollectorBlueprint::per_env(env, env_seed(w)));
-                worker(w / cores, spawn, blueprint)
-            })
-            .collect(),
-    }
+            let node = w * lanes / deployment.cores_per_node;
+            let spec = WorkerSpec::new(node, spawn()).with_respawn(spawn);
+            match blueprint {
+                Some(bp) => spec.with_blueprint(bp),
+                None => spec,
+            }
+        })
+        .collect()
 }
 
 /// Narrate `flops` of network arithmetic on the learner's node and
@@ -134,7 +118,7 @@ fn train_on_policy(
     #[cfg(not(any(test, feature = "fault-inject")))]
     let hooks = WorkerCtx::default();
     let specs = collectors(arch, deployment, seed, factory, recorder.clone());
-    let n_workers = specs.len();
+    let (n_workers, lanes) = arch.collectors.shape(deployment);
     let mut runtime = Runtime::spawn_hooked(specs, &learner.policy, transport, hooks)
         .with_fault_policy(spec.fault);
     runtime.set_recorder(recorder.clone());
@@ -149,14 +133,10 @@ fn train_on_policy(
         // snapshot.
         driver.broadcast(&mut runtime, &learner.policy, arch.sync)?;
 
-        // The round batch is divided across the *healthy* per-env
+        // The round batch is divided across the lanes of the *healthy*
         // workers, so a quarantined worker's share moves to the
         // survivors instead of shrinking the batch.
-        let per_worker = match arch.collectors {
-            Collectors::Vectorized => batch / cores,
-            Collectors::PerEnv => batch / runtime.active_workers().max(1),
-        }
-        .max(1);
+        let per_worker = (batch / (runtime.active_workers().max(1) * lanes)).max(1);
         let rngs = match arch.sampling {
             Sampling::Master => vec![rng.clone()],
             Sampling::PerRound { salt } => (0..n_workers)
@@ -267,13 +247,8 @@ fn train_sac(
                 if (driver.env_steps() + iter_steps) as usize >= spec.total_steps {
                     break;
                 }
-                let (units, fin) = sac_step(
-                    &mut learner,
-                    envs[w].as_mut(),
-                    &mut obs[w],
-                    &mut ep_rets[w],
-                    &mut rng,
-                );
+                let (units, fin) =
+                    learner.interact(envs[w].as_mut(), &mut obs[w], &mut ep_rets[w], &mut rng);
                 let node = w / cores;
                 node_env_work[node] += units;
                 if node != 0 {

@@ -7,6 +7,7 @@
 //! else in the crate branches on which framework is running.
 
 use crate::runtime::SyncPolicy;
+use crate::spec::Deployment;
 
 /// The three frameworks of the paper's study (Table I column 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,17 +127,28 @@ pub(crate) struct Architecture {
     pub(crate) sac_seed_salt: u64,
 }
 
-/// Shape of a framework's worker set.
+/// Shape of a framework's worker set. Either way every worker steps its
+/// lanes in lockstep with batched policy evaluation, and a round's step
+/// count is in ticks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Collectors {
-    /// One worker on node 0 stepping `cores` sub-environments in
-    /// lockstep with batched policy evaluation; a round's step count is
-    /// in ticks.
+    /// One worker on node 0 with one lane per core.
     Vectorized,
-    /// `nodes × cores` single-environment workers, worker `w` pinned to
-    /// node `w / cores`; a quarantined worker's share of the round moves
-    /// to the survivors.
+    /// `nodes × cores` single-lane workers (RLlib's rollout workers),
+    /// worker `w` pinned to node `w / cores`; a quarantined worker's
+    /// share of the round moves to the survivors.
     PerEnv,
+}
+
+impl Collectors {
+    /// `(workers, lanes per worker)` on `deployment`: every worker steps
+    /// a `VecEnv` of that many lanes.
+    pub(crate) fn shape(self, deployment: Deployment) -> (usize, usize) {
+        match self {
+            Collectors::Vectorized => (1, deployment.cores_per_node),
+            Collectors::PerEnv => (deployment.total_cores(), 1),
+        }
+    }
 }
 
 /// Where a collection round's sampling randomness comes from.

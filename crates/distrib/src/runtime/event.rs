@@ -32,13 +32,13 @@ pub const WILDCARD_ROUND: u64 = u64::MAX;
 // by value, like `Event::SegmentReady`; the two fields stay one type.
 #[allow(clippy::large_enum_variant)]
 pub enum Command {
-    /// Collect a segment for `round`: `steps` collector-native steps
-    /// (env steps for per-env workers, lockstep ticks for vectorized
-    /// ones), sampling from `rng`.
+    /// Collect a segment for `round`: `steps` lockstep ticks of the
+    /// worker's `VecEnv` (each advances every lane once), sampling from
+    /// `rng`.
     Collect {
         /// Iteration index (for event correlation).
         round: u64,
-        /// Steps/ticks to collect.
+        /// Ticks to collect.
         steps: usize,
         /// The action-sampling stream; returned in the matching
         /// [`Event::SegmentReady`].

@@ -717,16 +717,12 @@ impl Drop for Runtime<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gymrs::envs::GridWorld;
-    use gymrs::{Environment, Space};
+    use gymrs::Space;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn grid_collector(seed: u64) -> Collector {
-        let mut env = GridWorld::new(3);
-        env.seed(seed);
-        let obs = env.reset();
-        Collector::PerEnv { env: Box::new(env), obs }
+        CollectorBlueprint::per_env(EnvBlueprint::Grid { n: 3 }, seed).build()
     }
 
     fn specs(nodes: &[usize]) -> (Vec<WorkerSpec<'static>>, ActorCritic) {

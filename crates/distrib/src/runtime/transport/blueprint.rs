@@ -3,8 +3,8 @@
 //!
 //! The channel transport moves live `Box<dyn Environment>` values and
 //! closures; neither crosses a process boundary. A blueprint is the
-//! declarative equivalent: which environment, which seeds, and whether
-//! the worker drives them through a `VecEnv`. Worker specs without a
+//! declarative equivalent: which environment, and one seed per lane of
+//! the worker's `VecEnv`. Worker specs without a
 //! blueprint (custom closure factories) simply cannot use the process
 //! transport — the runtime falls back to the channel transport rather
 //! than guessing.
@@ -85,43 +85,34 @@ impl EnvFactory for EnvBlueprint {
 }
 
 /// How to rebuild one worker's [`Collector`] from scratch: the
-/// environment recipe, the per-env seeds, and the collector shape.
-/// Mirrors exactly what the backends' respawn closures do, so a child
-/// process built from a blueprint starts bitwise-identical to a thread
-/// built from the closure.
+/// environment recipe and one seed per lane (the collector's width is
+/// `seeds.len()`). Mirrors exactly what the backends' respawn closures
+/// do, so a child process built from a blueprint starts
+/// bitwise-identical to a thread built from the closure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectorBlueprint {
     pub(crate) env: EnvBlueprint,
-    /// One seed per sub-environment (`vectorized`) or exactly one seed
-    /// (per-env collector).
     pub(crate) seeds: Vec<u64>,
-    /// `true` → `Collector::Vectorized` over a `VecEnv`; `false` →
-    /// `Collector::PerEnv`.
-    pub(crate) vectorized: bool,
 }
 
 impl CollectorBlueprint {
-    pub(crate) fn vectorized(env: EnvBlueprint, seeds: Vec<u64>) -> Self {
-        Self { env, seeds, vectorized: true }
+    /// One lane per seed (at least one).
+    pub(crate) fn lanes(env: EnvBlueprint, seeds: Vec<u64>) -> Self {
+        Self { env, seeds }
     }
 
+    /// A single lane: an RLlib rollout worker's environment.
     pub fn per_env(env: EnvBlueprint, seed: u64) -> Self {
-        Self { env, seeds: vec![seed], vectorized: false }
+        Self::lanes(env, vec![seed])
     }
 
     /// Build the collector exactly the way the backends do in-process:
     /// pre-seeded envs, then an initial reset.
     pub fn build(&self) -> Collector {
-        if self.vectorized {
-            let envs: Vec<_> = self.seeds.iter().map(|&s| self.env.build(s)).collect();
-            let mut venv = VecEnv::new_preseeded(envs);
-            venv.reset_all();
-            Collector::Vectorized { venv }
-        } else {
-            let mut env = self.env.build(self.seeds[0]);
-            let obs = env.reset();
-            Collector::PerEnv { env, obs }
-        }
+        let envs: Vec<_> = self.seeds.iter().map(|&s| self.env.build(s)).collect();
+        let mut venv = VecEnv::new_preseeded(envs);
+        venv.reset_all();
+        venv
     }
 
     pub(super) fn encode(&self, buf: &mut Vec<u8>) {
@@ -130,18 +121,19 @@ impl CollectorBlueprint {
         for &s in &self.seeds {
             super::codec::put_varint(buf, s);
         }
-        buf.push(self.vectorized as u8);
     }
 
     pub(super) fn decode(b: &mut Body<'_>) -> Result<Self, CodecError> {
         let env = EnvBlueprint::decode(b)?;
         let n = b.len()?;
+        if n == 0 {
+            return Err(CodecError::BadValue("lane count"));
+        }
         let mut seeds = Vec::with_capacity(b.capacity(n, 1));
         for _ in 0..n {
             seeds.push(b.varint()?);
         }
-        let vectorized = b.bool()?;
-        Ok(Self { env, seeds, vectorized })
+        Ok(Self { env, seeds })
     }
 }
 
@@ -153,9 +145,9 @@ mod tests {
     fn blueprints_round_trip_through_the_codec() {
         let cases = [
             CollectorBlueprint::per_env(EnvBlueprint::Grid { n: 5 }, 42),
-            CollectorBlueprint::vectorized(EnvBlueprint::PointMass, vec![1, 2, 3, u64::MAX]),
+            CollectorBlueprint::lanes(EnvBlueprint::PointMass, vec![1, 2, 3, u64::MAX]),
             CollectorBlueprint::per_env(EnvBlueprint::Pendulum, 0),
-            CollectorBlueprint::vectorized(EnvBlueprint::AirdropFast, vec![7]),
+            CollectorBlueprint::lanes(EnvBlueprint::AirdropFast, vec![7, 8]),
             CollectorBlueprint::per_env(EnvBlueprint::AirdropPaper, 9),
         ];
         for bp in cases {
@@ -164,6 +156,15 @@ mod tests {
             let decoded = CollectorBlueprint::decode(&mut Body::new(&buf)).unwrap();
             assert_eq!(decoded, bp);
         }
+    }
+
+    #[test]
+    fn a_blueprint_without_lanes_is_rejected_on_decode() {
+        // The child would otherwise panic building an empty `VecEnv`.
+        let mut buf = Vec::new();
+        CollectorBlueprint { env: EnvBlueprint::PointMass, seeds: Vec::new() }.encode(&mut buf);
+        let got = CollectorBlueprint::decode(&mut Body::new(&buf));
+        assert!(matches!(got, Err(CodecError::BadValue("lane count"))));
     }
 
     #[test]

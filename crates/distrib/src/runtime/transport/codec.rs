@@ -852,8 +852,7 @@ mod tests {
         let grad = [0.5, -0.0, f64::MIN_POSITIVE];
         policy.log_std_grad = grad.to_vec();
         let want = policy_bits(&mut policy);
-        let blueprint =
-            CollectorBlueprint::vectorized(EnvBlueprint::AirdropFast, vec![3, u64::MAX]);
+        let blueprint = CollectorBlueprint::lanes(EnvBlueprint::AirdropFast, vec![3, u64::MAX]);
         let faults = vec![(1, 4, fault_tag::HANG, 250), (1, u64::MAX, fault_tag::CRASH, 0)];
         let mut hello = Hello {
             worker: 1,
@@ -918,7 +917,7 @@ mod tests {
         let blueprint = if g.bool() {
             CollectorBlueprint::per_env(EnvBlueprint::Grid { n: g.int_in(2..9) }, g.u64())
         } else {
-            CollectorBlueprint::vectorized(EnvBlueprint::PointMass, g.vec(1..4, Gen::u64))
+            CollectorBlueprint::lanes(EnvBlueprint::PointMass, g.vec(1..4, Gen::u64))
         };
         let faults = g.vec(0..3, |g| (g.below(4), g.u64(), fault_tag::SLOW, small(g)));
 

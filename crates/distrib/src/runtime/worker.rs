@@ -3,8 +3,13 @@
 //!
 //! Workers are spawned once per trial (not per iteration — the old
 //! backends re-spawned scoped threads every collection wave) and keep
-//! their environment and observation state across rounds, exactly like
-//! the persistent rollout workers of the real frameworks.
+//! their environments across rounds, exactly like the persistent rollout
+//! workers of the real frameworks. Every worker owns a [`Collector`] — a
+//! `VecEnv`, one lane per core for a vectorized worker and a single lane
+//! for an RLlib rollout worker — and collects through the one lockstep
+//! loop, `rl_algos::collect_lockstep`. The `VecEnv` keeps each lane's
+//! observation and open episode, so an episode that straddles rounds is
+//! logged whole in the round it ends in.
 //!
 //! The state machine is transport-neutral: `WorkerState::handle` maps
 //! one command to events via an `emit` callback, and the two transports
@@ -20,60 +25,20 @@
 
 use super::event::{panic_text, Command, Event};
 use super::fault::FaultKind;
-use crate::backends::common::{collect_segment, collect_segment_vec, Segment};
+use crate::backends::common::Segment;
 use gymrs::{Environment, VecEnv};
 use rl_algos::policy::ActorCritic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Duration;
 
-/// The environment state a worker owns: one environment with a carried
-/// observation (distributed rollout workers), or a whole vectorized
-/// environment (single-node lockstep drivers).
-pub enum Collector {
-    /// One environment stepped by `collect_segment`; `steps` in a
-    /// [`Command::Collect`] counts environment steps.
-    PerEnv {
-        /// The worker's environment.
-        env: Box<dyn Environment>,
-        /// Observation carried between rounds.
-        obs: Vec<f64>,
-    },
-    /// A vectorized environment stepped in lockstep by
-    /// `collect_segment_vec`; `steps` counts lockstep ticks (each tick
-    /// advances every sub-environment once).
-    Vectorized {
-        /// The vectorized environment.
-        venv: VecEnv<Box<dyn Environment>>,
-    },
-}
-
-impl Collector {
-    fn collect(
-        &mut self,
-        policy: &ActorCritic,
-        steps: usize,
-        rng: &mut rand::rngs::StdRng,
-    ) -> Segment {
-        match self {
-            Collector::PerEnv { env, obs } => {
-                collect_segment(policy, env.as_mut(), obs, steps, rng)
-            }
-            Collector::Vectorized { venv } => collect_segment_vec(policy, venv, steps, rng),
-        }
-    }
-
-    /// Re-enter a known-good state after a contained panic: reset the
-    /// environment(s) and the carried observation.
-    pub fn reset(&mut self) {
-        match self {
-            Collector::PerEnv { env, obs } => *obs = env.reset(),
-            Collector::Vectorized { venv } => {
-                venv.reset_all();
-            }
-        }
-    }
-}
+/// The environment state a worker owns: a vectorized environment whose
+/// lanes it steps in lockstep. A Stable-Baselines or TF-Agents worker
+/// has one lane per core, an RLlib rollout worker a single lane. The
+/// `VecEnv` carries every lane's observation and open episode from round
+/// to round, and `steps` in a [`Command::Collect`] counts lockstep ticks
+/// (each tick advances every lane once).
+pub type Collector = VecEnv<Box<dyn Environment>>;
 
 /// The hooks a runtime hands every worker it hosts — one value per
 /// runtime, never process-wide. In test and `fault-inject` builds that is
@@ -184,7 +149,7 @@ impl WorkerState {
                     if matches!(fault, Some(FaultKind::Panic)) {
                         panic!("injected panic in round {round}");
                     }
-                    collector.collect(policy, steps, rng.rng_mut())
+                    Segment::collect(policy, collector, steps, rng.rng_mut())
                 }));
                 match result {
                     Ok(segment) => {
@@ -203,7 +168,7 @@ impl WorkerState {
                         // Contained: reset to a known-good state and keep
                         // serving. The driver may retry this round.
                         let reason = panic_text(payload.as_ref());
-                        self.collector.reset();
+                        self.collector.reset_all();
                         let failed = Event::WorkerFailed { worker, round, reason, fatal: false };
                         if !emit(failed) {
                             return Flow::Exit;

@@ -25,11 +25,11 @@ use cluster_sim::{ClusterSpec, Usage};
 use common::{fingerprint, grid_factory};
 use dist_exec::backend::run_recorded;
 use dist_exec::runtime::{
-    Collector, FaultKind, FaultPlan, FaultPolicy, RngStream, Runtime, RuntimeError, WorkerSpec,
+    CollectorBlueprint, EnvBlueprint, FaultKind, FaultPlan, FaultPolicy, RngStream, Runtime,
+    RuntimeError, WorkerSpec,
 };
 use dist_exec::{Deployment, ExecSpec, Framework, TransportConfig};
-use gymrs::envs::GridWorld;
-use gymrs::{Environment, Space};
+use gymrs::Space;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rl_algos::policy::ActorCritic;
@@ -129,12 +129,8 @@ fn quarantined_merge_matches_a_smaller_clean_runtime() {
     // workers and the surviving merge must be bitwise the one a clean
     // two-worker runtime produces — same segments, same order.
     let policy = ActorCritic::new(2, &Space::Discrete(4), &[8], &mut StdRng::seed_from_u64(5));
-    let collector = |w: u64| {
-        let mut env = GridWorld::new(3);
-        env.seed(w + 1);
-        let obs = env.reset();
-        Collector::PerEnv { env: Box::new(env), obs }
-    };
+    let collector =
+        |w: u64| CollectorBlueprint::per_env(EnvBlueprint::Grid { n: 3 }, w + 1).build();
     let rngs = |n: usize, round: u64| -> Vec<RngStream> {
         (0..n).map(|w| RngStream::fresh(100 * round + w as u64)).collect()
     };

@@ -10,7 +10,6 @@
 //!   work accounting for the cluster cost model;
 //! * [`vec_env`] — synchronous vectorized environments (the Stable
 //!   Baselines mechanism: one sub-environment per CPU core);
-//! * [`wrappers`] — `TimeLimit`;
 //! * [`rollout`] — episode statistics;
 //! * [`envs`] — small reference environments (`GridWorld`, `PointMass`)
 //!   used to validate the RL algorithms independently of the airdrop
@@ -22,9 +21,7 @@ pub mod keys;
 pub mod rollout;
 pub mod space;
 pub mod vec_env;
-pub mod wrappers;
 
 pub use env::{Action, EnvSnapshot, Environment, SnapshotError, Step};
 pub use space::Space;
 pub use vec_env::VecEnv;
-pub use wrappers::TimeLimit;

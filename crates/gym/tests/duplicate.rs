@@ -1,10 +1,9 @@
-//! `Environment::duplicate` for the reference environments and the time
-//! limit: a copy taken right after `reset` and fed the same actions steps
-//! bit for bit like the original — observations, rewards, done flags —
-//! and its next `reset` (and the episode after it) equals the original's.
+//! `Environment::duplicate` for the reference environments: a copy
+//! taken right after `reset` and fed the same actions steps bit for bit
+//! like the original — observations, rewards, done flags — and its next
+//! `reset` (and the episode after it) equals the original's.
 
 use gymrs::envs::{GridWorld, Pendulum, PointMass};
-use gymrs::wrappers::TimeLimit;
 use gymrs::{Action, Environment, Step};
 
 fn step_bits(s: &Step) -> (Vec<u64>, u64, bool, bool) {
@@ -58,23 +57,4 @@ fn every_duplicate_steps_like_its_original() {
     let mut pendulum = Pendulum::new();
     pendulum.seed(5);
     copy_steps_alike("pendulum", &mut pendulum, |t| Action::Continuous(vec![(t as f64).sin()]));
-
-    let mut limited = TimeLimit::new(PointMass::new(), 7);
-    limited.seed(6);
-    copy_steps_alike("time limit", &mut limited, push);
-}
-
-#[test]
-fn a_copy_taken_mid_episode_keeps_the_step_count() {
-    // TimeLimit's own counter travels with the copy: both truncate at 7.
-    let mut env = TimeLimit::new(PointMass::new(), 7);
-    env.seed(1);
-    env.reset();
-    for t in 0..4 {
-        env.step(&push(t));
-    }
-    let mut copy = env.duplicate().expect("duplicates");
-    for t in 4..7 {
-        assert_eq!(step_bits(&copy.step(&push(t))), step_bits(&env.step(&push(t))));
-    }
 }

@@ -10,7 +10,7 @@
 //! from the whole range.
 
 use gymrs::envs::{GridWorld, Pendulum, PointMass};
-use gymrs::{Action, Environment, SnapshotError, Step};
+use gymrs::{Action, Environment, SnapshotError, Space, Step};
 
 const SEED: u64 = 0x6A11;
 
@@ -164,17 +164,36 @@ fn restore_rejects_a_malformed_layout() {
     assert_eq!(pm.restore(&snap), Err(SnapshotError::Mismatch("buffer layout")));
 }
 
+/// An environment that keeps every optional method's default.
+struct Bare;
+
+impl Environment for Bare {
+    fn observation_space(&self) -> Space {
+        Space::symmetric_box(1, 1.0)
+    }
+    fn action_space(&self) -> Space {
+        Space::Discrete(1)
+    }
+    fn seed(&mut self, _: u64) {}
+    fn reset(&mut self) -> Vec<f64> {
+        vec![0.0]
+    }
+    fn step(&mut self, _: &Action) -> Step {
+        Step { obs: vec![0.0], reward: 0.0, terminated: true, truncated: false }
+    }
+}
+
 #[test]
 fn unsupported_envs_default_to_none() {
-    // Wrappers do not forward snapshots (yet): the default impl opts out.
-    let inner = GridWorld::new(3);
-    let mut wrapped = gymrs::TimeLimit::new(inner, 10);
-    assert!(wrapped.snapshot().is_none());
+    // The default impls opt out of snapshots and copies.
+    let mut bare = Bare;
+    assert!(bare.snapshot().is_none());
+    assert!(bare.duplicate().is_none());
     let mut pm = PointMass::new();
     pm.seed(1);
     pm.reset();
     let snap = pm.snapshot().expect("snapshot");
-    assert_eq!(wrapped.restore(&snap), Err(SnapshotError::Unsupported));
+    assert_eq!(bare.restore(&snap), Err(SnapshotError::Unsupported));
 }
 
 #[test]

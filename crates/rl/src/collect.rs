@@ -1,20 +1,23 @@
 //! Collection: the per-step loop over one environment and the lockstep
 //! batched loop over a [`VecEnv`].
 //!
-//! [`collect_steps`] is the only scalar collection loop in the workspace:
-//! the single-node trainer charges its inference to the learner
-//! ([`crate::on_policy::OnPolicyLearner::collect`]) and the distributed
-//! per-env workers close its tail (`dist_exec`'s `collect_segment`).
+//! `collect_steps` is the single-node loop: [`crate::train`] carries
+//! its observation and open episode from round to round, and
+//! [`crate::on_policy::OnPolicyLearner::collect`] charges its inference
+//! to the learner.
 //!
-//! [`collect_lockstep`] is the fast path the paper's frameworks converge
-//! on (Stable Baselines' vectorized envs, TF-Agents' batched driver):
-//! instead of one network forward per environment per step, each lockstep
-//! tick performs **one** actor forward and **one** critic forward over the
-//! whole `n_envs × obs_dim` observation batch. The blocked matmul kernels
-//! in `tinynn` guarantee batched rows are bitwise identical to single-row
+//! [`collect_lockstep`] is the distributed workers' only loop, whatever
+//! the framework (`dist_exec`'s workers each own a `VecEnv`): Stable
+//! Baselines' vectorized envs and TF-Agents' batched driver step one lane
+//! per core, an RLlib rollout worker a single lane. Instead of one
+//! network forward per environment per step, each lockstep tick performs
+//! **one** actor forward and **one** critic forward over the whole
+//! `n_envs × obs_dim` observation batch. The blocked matmul kernels in
+//! `tinynn` guarantee batched rows are bitwise identical to single-row
 //! evaluation, so with one sub-environment it reproduces the
-//! [`collect_steps`] trajectory exactly (same rng draws, same values) —
-//! the tests pin that down.
+//! `collect_steps` trajectory exactly (same rng draws, same values,
+//! same episode log when both carry their open episode) — the tests pin
+//! that down.
 //!
 //! Critic economy, in both loops: the successor value computed for
 //! bootstrapping step `t` is exactly the current-state value of step
@@ -34,7 +37,7 @@ use crate::buffer::RolloutBuffer;
 use crate::policy::ActorCritic;
 use gymrs::{Environment, VecEnv};
 use rand::Rng;
-use tinynn::{forward_flops, Matrix};
+use tinynn::{forward_flops, Matrix, Tape};
 
 /// Result of one collection.
 #[derive(Debug)]
@@ -62,24 +65,28 @@ impl Collected {
 }
 
 /// Collect `n` steps from `env` with a fixed policy, starting at `*obs`
-/// (which is updated to the observation where collection stopped).
+/// (which is updated to the observation where collection stopped) with
+/// `*open` the `(return, length)` of the episode `*obs` belongs to so far
+/// (updated to the episode still open when collection stopped). A caller
+/// that carries both across calls logs an episode that spans several
+/// calls whole, as one long call would.
 ///
 /// Episode boundaries auto-reset. Terminated steps store a zero bootstrap
 /// value; truncated ones bootstrap from the (real) final state, and the
 /// final step from the carried observation. The tail is left open: a
 /// caller that concatenates segments closes it.
-pub fn collect_steps(
+pub(crate) fn collect_steps(
     policy: &ActorCritic,
     env: &mut dyn Environment,
     obs: &mut Vec<f64>,
+    open: &mut (f64, usize),
     n: usize,
     rng: &mut impl Rng,
 ) -> Collected {
     let mut rollout = RolloutBuffer::with_capacity(n);
     let mut env_work = 0u64;
     let mut episodes = Vec::new();
-    let mut ep_ret = 0.0;
-    let mut ep_len = 0usize;
+    let (ep_ret, ep_len) = open;
     let mut value = policy.value(obs);
     let mut critic_rows = 1u64;
     for _ in 0..n {
@@ -88,8 +95,8 @@ pub fn collect_steps(
         let log_prob = d.log_prob(&action);
         let s = env.step(&action);
         env_work += env.last_step_work();
-        ep_ret += s.reward;
-        ep_len += 1;
+        *ep_ret += s.reward;
+        *ep_len += 1;
         let done = s.done();
         let next_value = if s.terminated {
             0.0
@@ -108,9 +115,8 @@ pub fn collect_steps(
             log_prob,
         );
         if done {
-            episodes.push((ep_ret, ep_len));
-            ep_ret = 0.0;
-            ep_len = 0;
+            episodes.push((*ep_ret, *ep_len));
+            (*ep_ret, *ep_len) = (0.0, 0);
             *obs = env.reset();
             value = policy.value(obs);
             critic_rows += 1;
@@ -127,6 +133,8 @@ pub fn collect_steps(
 /// The caller must have called [`VecEnv::reset_all`] (or stepped the
 /// env before) so current observations are valid; collection continues
 /// from wherever the envs stand, exactly like the sequential collector.
+/// The `VecEnv` carries each lane's open episode across calls, so an
+/// episode that spans several calls is logged whole in the call it ends in.
 ///
 /// Actions are sampled env-by-env in index order from `rng`, so with one
 /// sub-environment the rng stream matches per-step collection.
@@ -144,34 +152,44 @@ pub fn collect_lockstep<E: Environment>(
     let mut actor_rows = 0u64;
     let mut critic_rows = 0u64;
 
-    // Reused batch buffers: zero steady-state allocation per tick.
+    // Batch scratch, grown once and reused every tick. Per tick, what
+    // still allocates is what the rollout keeps (each lane's observation
+    // row and sampled action), each lane's `Dist` (its probabilities, or
+    // its mean and log-std), and the `VecEnv`'s copy of a finished lane's
+    // final state.
     let mut flat = Vec::new();
     let mut obs_mat = Matrix::default();
     let mut next_mat = Matrix::default();
+    let mut trunc_mat = Matrix::default();
+    let mut trunc_flat = Vec::new();
+    let (mut actor_tape, mut critic_tape) = (Tape::new(), Tape::new());
+    let mut dists = Vec::with_capacity(n);
+    let mut actions = Vec::with_capacity(n);
+    let mut log_probs = Vec::with_capacity(n);
+    let mut next_vals = Vec::with_capacity(n);
+    let mut trunc_vals = Vec::with_capacity(n);
 
     // V(s) of the current lockstep observations, carried tick to tick.
     let (rows, cols) = venv.write_obs_flat(&mut flat);
     obs_mat.copy_from_flat(rows, cols, &flat);
-    let mut vals = policy.value_batch(&obs_mat);
+    let mut vals = policy.critic.infer_into(&obs_mat, &mut critic_tape).as_slice().to_vec();
     critic_rows += rows as u64;
 
     for _ in 0..ticks {
+        // `obs_mat` keeps the pre-step observations for the buffers.
         let (rows, cols) = venv.write_obs_flat(&mut flat);
         obs_mat.copy_from_flat(rows, cols, &flat);
-        let dists = policy.dists_batch(&obs_mat);
+        let out = policy.actor.infer_into(&obs_mat, &mut actor_tape);
+        dists.clear();
+        dists.extend((0..rows).map(|r| policy.dist_from_actor_row(out.row_slice(r))));
         actor_rows += rows as u64;
 
-        let mut actions = Vec::with_capacity(n);
-        let mut log_probs = Vec::with_capacity(n);
+        log_probs.clear();
         for d in &dists {
             let a = d.sample(rng);
             log_probs.push(d.log_prob(&a));
             actions.push(a);
         }
-
-        // The pre-step observations go into the buffers; grab them before
-        // the sweep overwrites the env cache.
-        let step_obs: Vec<Vec<f64>> = venv.observations().to_vec();
         venv.step_lockstep(&actions);
         let batch = venv.last_tick();
 
@@ -180,45 +198,42 @@ pub fn collect_lockstep<E: Environment>(
         // steps and the cached V(s) of the next tick.
         venv.write_obs_flat(&mut flat);
         next_mat.copy_from_flat(rows, cols, &flat);
-        let next_vals = policy.value_batch(&next_mat);
+        next_vals.clear();
+        let nv = policy.critic.infer_into(&next_mat, &mut critic_tape);
+        next_vals.extend_from_slice(nv.as_slice());
         critic_rows += rows as u64;
 
         // Truncated episodes bootstrap from the real final state, which
         // the auto-reset replaced; those rows need their own critic pass.
-        let trunc: Vec<usize> = (0..n)
-            .filter(|&i| {
-                let s = &batch.steps[i];
-                s.done() && !s.terminated
-            })
-            .collect();
-        let mut trunc_boot: Vec<Option<f64>> = vec![None; n];
-        if !trunc.is_empty() {
-            let final_rows: Vec<&[f64]> = trunc
-                .iter()
-                .map(|&i| {
-                    batch.final_obs[i].as_deref().expect("truncated env must record final_obs")
-                })
-                .collect();
-            let tv = policy.value_batch(&Matrix::from_rows(&final_rows));
-            critic_rows += trunc.len() as u64;
-            for (&i, v) in trunc.iter().zip(tv) {
-                trunc_boot[i] = Some(v);
+        trunc_flat.clear();
+        let mut truncated = 0;
+        for (s, fin) in batch.steps.iter().zip(&batch.final_obs) {
+            if s.done() && !s.terminated {
+                let fin = fin.as_deref().expect("truncated env must record final_obs");
+                trunc_flat.extend_from_slice(fin);
+                truncated += 1;
             }
         }
+        trunc_vals.clear();
+        if truncated > 0 {
+            trunc_mat.copy_from_flat(truncated, cols, &trunc_flat);
+            let tv = policy.critic.infer_into(&trunc_mat, &mut critic_tape);
+            trunc_vals.extend_from_slice(tv.as_slice());
+            critic_rows += truncated as u64;
+        }
 
-        for (i, ((obs_i, action), log_prob)) in
-            step_obs.into_iter().zip(actions).zip(log_probs).enumerate()
-        {
+        let mut boot = trunc_vals.iter();
+        for (i, (action, &log_prob)) in actions.drain(..).zip(&log_probs).enumerate() {
             let s = &batch.steps[i];
             let next_value = if s.terminated {
                 0.0
-            } else if let Some(v) = trunc_boot[i] {
-                v
+            } else if s.done() {
+                *boot.next().expect("one bootstrap value per truncation")
             } else {
                 next_vals[i]
             };
             buffers[i].push(
-                obs_i,
+                obs_mat.row_slice(i).to_vec(),
                 action,
                 s.reward,
                 s.terminated,
@@ -229,7 +244,7 @@ pub fn collect_lockstep<E: Environment>(
             );
         }
         episodes.extend(batch.finished.iter().map(|&(_, ret, len)| (ret, len)));
-        vals = next_vals;
+        std::mem::swap(&mut vals, &mut next_vals);
     }
 
     let mut rollout = RolloutBuffer::with_capacity(ticks * n);
@@ -335,7 +350,8 @@ mod tests {
         let mut env = GridWorld::new(3);
         env.seed(7);
         let mut obs = env.reset();
-        let seq = collect_steps(&p, &mut env, &mut obs, 200, &mut StdRng::seed_from_u64(33));
+        let open = &mut (0.0, 0);
+        let seq = collect_steps(&p, &mut env, &mut obs, open, 200, &mut StdRng::seed_from_u64(33));
 
         let mut venv = VecEnv::new(vec![GridWorld::new(3)], 7);
         venv.reset_all();
@@ -351,6 +367,36 @@ mod tests {
         assert_eq!(vec_out.episodes, seq.episodes);
         assert_eq!(vec_out.actor_rows, seq.actor_rows);
         assert!(seq.infer_flops(&p) > 0);
+    }
+
+    /// `(return, length)` of every episode `calls` calls of `steps` steps
+    /// each log on GridWorld(5), carrying the observation and the open
+    /// episode from call to call.
+    fn episodes_over_calls(calls: usize, steps: usize) -> Vec<(f64, usize)> {
+        let p = policy(4);
+        let mut env = GridWorld::new(5);
+        env.seed(7);
+        let (mut obs, mut open) = (env.reset(), (0.0, 0));
+        let mut rng = StdRng::seed_from_u64(11);
+        (0..calls)
+            .flat_map(|_| {
+                collect_steps(&p, &mut env, &mut obs, &mut open, steps, &mut rng).episodes
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_episode_spanning_calls_is_logged_whole() {
+        let whole = episodes_over_calls(1, 400);
+        // Some episode starts in one 100-step call and ends in a later one.
+        let mut start = 0;
+        let straddles = whole.iter().any(|&(_, len)| {
+            let (first, last) = (start, start + len - 1);
+            start += len;
+            first / 100 != last / 100
+        });
+        assert!(straddles, "the probe must cross a call boundary: {whole:?}");
+        assert_eq!(episodes_over_calls(4, 100), whole);
     }
 
     #[test]

@@ -131,8 +131,11 @@ impl OnPolicyLearner {
 
     /// Collect `n_steps` of experience from `env` starting at `*obs`
     /// (which is updated to the observation where collection stopped),
-    /// charging the inference to [`OnPolicyLearner::flops`]. See
-    /// [`collect_steps`] for the semantics.
+    /// charging the inference to [`OnPolicyLearner::flops`]. Episode
+    /// boundaries auto-reset and the tail is left open, as in
+    /// [`crate::train`]'s loop. An episode begun before the call is
+    /// counted from the call's first step: unlike that loop, this call
+    /// carries no open episode across calls.
     pub fn collect(
         &mut self,
         env: &mut dyn Environment,
@@ -140,7 +143,7 @@ impl OnPolicyLearner {
         n_steps: usize,
         rng: &mut impl Rng,
     ) -> Collected {
-        let out = collect_steps(&self.policy, env, obs, n_steps, rng);
+        let out = collect_steps(&self.policy, env, obs, &mut (0.0, 0), n_steps, rng);
         self.flops += out.infer_flops(&self.policy);
         out
     }

@@ -10,7 +10,7 @@
 #![allow(clippy::needless_range_loop)]
 use crate::buffer::{ReplayBuffer, Transition};
 use crate::helper::Lane;
-use gymrs::{Action, Space};
+use gymrs::{Action, Environment, Space};
 use rand::Rng;
 use simd_kernels::mathf64::{exp, ln};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -314,6 +314,39 @@ impl SacLearner {
             .collect()
     }
 
+    /// One interaction step: act on `*obs`, step `env`, observe the
+    /// transition, and advance the open episode. `*obs` becomes the next
+    /// observation (a fresh episode's first after a done step) and
+    /// `*ep_ret` the open episode's return. Returns the step's work units
+    /// and the return of the episode it finished, if any.
+    pub fn interact(
+        &mut self,
+        env: &mut dyn Environment,
+        obs: &mut Vec<f64>,
+        ep_ret: &mut f64,
+        rng: &mut impl Rng,
+    ) -> (u64, Option<f64>) {
+        let a = self.act(obs, rng);
+        let s = env.step(&a);
+        let work = env.last_step_work();
+        *ep_ret += s.reward;
+        let t = Transition {
+            obs: std::mem::take(obs),
+            action: a.continuous().to_vec(),
+            reward: s.reward,
+            next_obs: s.obs.clone(),
+            terminated: s.terminated,
+        };
+        self.observe(t, rng);
+        if s.done() {
+            *obs = env.reset();
+            (work, Some(std::mem::take(ep_ret)))
+        } else {
+            *obs = s.obs;
+            (work, None)
+        }
+    }
+
     /// Record a transition and run any due updates.
     pub fn observe(&mut self, t: Transition, rng: &mut impl Rng) {
         self.replay.push(t);
@@ -507,13 +540,29 @@ fn fill_rows(
 mod tests {
     use super::*;
     use gymrs::envs::PointMass;
-    use gymrs::Environment;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn make_learner(seed: u64) -> SacLearner {
         let mut rng = StdRng::seed_from_u64(seed);
         SacLearner::new(4, &Space::symmetric_box(2, 1.0), SacConfig::fast_test(), &mut rng)
+    }
+
+    #[test]
+    fn interact_feeds_the_learner_and_tracks_episodes() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut env = PointMass::new();
+        env.seed(4);
+        let mut learner = SacLearner::new(4, &env.action_space(), SacConfig::fast_test(), &mut rng);
+        let (mut obs, mut ep_ret) = (env.reset(), 0.0);
+        let mut finished = 0;
+        for _ in 0..130 {
+            let (w, fin) = learner.interact(&mut env, &mut obs, &mut ep_ret, &mut rng);
+            assert_eq!(w, 1);
+            finished += fin.is_some() as usize;
+        }
+        assert_eq!(learner.steps_observed, 130);
+        assert_eq!(finished, 2, "horizon 60 => two episodes in 130 steps");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! distributed drivers live in the `dist-exec` crate and reuse the same
 //! learners.
 
-use crate::buffer::Transition;
+use crate::collect::collect_steps;
 use crate::eval::Greedy;
 use crate::ppo::{PpoConfig, PpoLearner};
 use crate::sac::{SacConfig, SacLearner};
@@ -111,10 +111,12 @@ pub fn train(
     let stats = match spec.algorithm {
         Algorithm::Ppo => {
             let mut learner = PpoLearner::new(obs_dim, &aspace, spec.ppo.clone(), &mut rng);
-            let mut obs = env.reset();
+            // The observation and the open episode carry over from round
+            // to round, so an episode that spans rounds is logged whole.
+            let (mut obs, mut open) = (env.reset(), (0.0, 0));
             while (env_steps as usize) < spec.total_steps {
                 let n = spec.ppo.n_steps.min(spec.total_steps - env_steps as usize);
-                let out = learner.collect(env, &mut obs, n, &mut rng);
+                let out = collect_steps(&learner.policy, env, &mut obs, &mut open, n, &mut rng);
                 env_steps += n as u64;
                 train_returns.extend(out.episodes.iter().map(|e| e.0));
                 learner.update(&out.rollout, &mut rng);
@@ -123,28 +125,11 @@ pub fn train(
         }
         Algorithm::Sac => {
             let mut learner = SacLearner::new(obs_dim, &aspace, spec.sac.clone(), &mut rng);
-            let mut obs = env.reset();
-            let mut ep_ret = 0.0;
+            let (mut obs, mut ep_ret) = (env.reset(), 0.0);
             while (env_steps as usize) < spec.total_steps {
-                let a = learner.act(&obs, &mut rng);
-                let s = env.step(&a);
+                let (_, finished) = learner.interact(env, &mut obs, &mut ep_ret, &mut rng);
                 env_steps += 1;
-                ep_ret += s.reward;
-                let t = Transition {
-                    obs: std::mem::take(&mut obs),
-                    action: a.continuous().to_vec(),
-                    reward: s.reward,
-                    next_obs: s.obs.clone(),
-                    terminated: s.terminated,
-                };
-                learner.observe(t, &mut rng);
-                if s.done() {
-                    train_returns.push(ep_ret);
-                    ep_ret = 0.0;
-                    obs = env.reset();
-                } else {
-                    obs = s.obs;
-                }
+                train_returns.extend(finished);
             }
             evaluate(&TrainedPolicy::Sac(&learner), eval_env, eval)
         }
