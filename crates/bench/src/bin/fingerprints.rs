@@ -11,7 +11,7 @@
 //! the bytes of a report, the little-endian `to_bits` of parameters. No
 //! hash is pinned: CI diffs the output across tiers and against the merge
 //! base. Each row stands for a class the suites assert equal within a
-//! commit — in-process = UDS = TCP (`transport.rs`), skewed = clean and
+//! commit — in-process = UDS (`transport.rs`), skewed = clean and
 //! batched ODE = scalar (`determinism.rs`), what-if `Batched` = `Scalar`
 //! (`counterfactual_parity.rs`), resumed = fresh (`resume.rs`) — so the
 //! bin re-asserts none of them.

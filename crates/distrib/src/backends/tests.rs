@@ -160,11 +160,12 @@ fn factory_seeds_environments() {
 fn bad_inputs_are_rejected_before_anything_is_built() {
     let untouched = FnEnvFactory(|_| -> Box<dyn Environment> { panic!("nothing may be built") });
     let shape = |nodes, cores_per_node| Deployment { nodes, cores_per_node };
-    let cases: [(&str, Deployment, usize, Option<&str>); 4] = [
+    let cases: [(&str, Deployment, usize, Option<&str>); 5] = [
         ("no node", shape(0, 4), 512, None),
         ("no core", shape(1, 0), 512, None),
         ("no steps", shape(1, 2), 0, None),
         ("malformed transport", shape(1, 2), 512, Some("smoke-signals")),
+        ("tcp transport", shape(1, 2), 512, Some("tcp")),
     ];
     for (what, deployment, total_steps, transport) in cases {
         let transport = transport.map(str::to_owned);

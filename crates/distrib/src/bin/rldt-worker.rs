@@ -1,13 +1,14 @@
 //! Worker-process entry point for the multi-process execution transport.
 //!
-//! Spawned by the driver as `rldt-worker --worker <i> --uds <path>` (or
-//! `--tcp <addr>`); everything else — handshake, blueprint
-//! construction, the command/event loop — lives in the library so the
-//! binary stays a shim.
+//! Spawned by the driver as `rldt-worker --worker <i> --uds <path>`;
+//! everything else — handshake, blueprint construction, the
+//! command/event loop — lives in the library so the binary stays a shim.
+//! On a target without Unix domain sockets the runtime never spawns it,
+//! and it does nothing.
 
 fn main() {
-    let args = std::env::args().skip(1);
-    if let Err(e) = dist_exec::runtime::run_worker_process(args) {
+    #[cfg(unix)]
+    if let Err(e) = dist_exec::runtime::run_worker_process(std::env::args().skip(1)) {
         eprintln!("rldt-worker: {e}");
         std::process::exit(1);
     }

@@ -41,7 +41,7 @@ pub use backend::{run, run_recorded, EnvFactory, FnEnvFactory};
 pub use framework::Framework;
 pub use report::{ExecReport, TrainedModel};
 pub use runtime::{
-    run_whatif, run_whatif_batched, run_worker_process, ContinuationPolicy, EnvBlueprint,
-    FaultPolicy, RuntimeError, TransportConfig, TransportKind, WhatIfPayload, WhatIfTask,
+    run_whatif, run_whatif_batched, ContinuationPolicy, EnvBlueprint, FaultPolicy, RuntimeError,
+    TransportConfig, WhatIfPayload, WhatIfTask,
 };
 pub use spec::{Deployment, ExecSpec};

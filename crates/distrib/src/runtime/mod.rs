@@ -5,11 +5,11 @@
 //! wire behind that protocol is pluggable (see [`transport`]): the
 //! default in-process transport runs workers as threads over mpsc
 //! channels, the process transport runs them as spawned `rldt-worker`
-//! child processes over Unix domain sockets or TCP
-//! (`ExecSpec::transport` = `uds` / `tcp[:<addr>]`). Workers are spawned **once
-//! per trial** and keep their environment, observation and
-//! policy-snapshot state across iterations; the per-iteration
-//! `std::thread::scope` + channel churn of the old backends is gone.
+//! child processes over Unix domain sockets (`ExecSpec::transport` =
+//! `uds`). Workers are spawned **once per trial** and keep their
+//! environment, observation and policy-snapshot state across iterations;
+//! the per-iteration `std::thread::scope` + channel churn of the old
+//! backends is gone.
 //!
 //! Determinism: collection results are drained into worker-index order
 //! regardless of completion order, and every worker samples from an
@@ -42,6 +42,7 @@ pub use event::{Command, Event, WILDCARD_ROUND};
 #[cfg(any(test, feature = "fault-inject"))]
 pub use fault::FaultPlan;
 pub use fault::{FaultKind, FaultPolicy, RuntimeError};
+#[cfg(unix)]
 pub use transport::process::run_worker_process;
 pub use transport::{CollectorBlueprint, EnvBlueprint, RngStream, TransportConfig, TransportKind};
 pub use whatif::{run_whatif, run_whatif_batched, ContinuationPolicy, WhatIfPayload, WhatIfTask};
@@ -56,7 +57,6 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use telemetry::{SharedRecorder, Value};
 use transport::channel::ChannelTransport;
-use transport::process::ProcessTransport;
 use transport::{Transport, TransportStats};
 
 /// Rebuilds a worker's [`Collector`] after its thread died.
@@ -212,36 +212,14 @@ impl<'f> Runtime<'f> {
         let respawners: Vec<Option<RespawnFn<'f>>> =
             specs.iter_mut().map(|s| s.respawn.take()).collect();
 
-        let mut selected: Option<Box<dyn Transport>> = None;
-        if config != TransportConfig::InProcess {
-            let blueprints: Option<Vec<CollectorBlueprint>> =
-                specs.iter().map(|s| s.blueprint.clone()).collect();
-            match (blueprints, transport::resolve_worker_bin()) {
-                (Some(bps), Some(bin)) => {
-                    match ProcessTransport::connect(
-                        &config,
-                        bin,
-                        bps,
-                        nodes.clone(),
-                        initial_policy,
-                        ctx.clone(),
-                    ) {
-                        Ok(t) => selected = Some(Box::new(t)),
-                        Err(e) => eprintln!(
-                            "process transport unavailable ({e}); falling back to in-process"
-                        ),
-                    }
-                }
-                (None, _) => eprintln!(
-                    "process transport unavailable (a worker has no blueprint); \
-                     falling back to in-process"
-                ),
-                (_, None) => eprintln!(
-                    "process transport unavailable (rldt-worker binary not found); \
-                     falling back to in-process"
-                ),
-            }
-        }
+        let selected: Option<Box<dyn Transport>> = match config {
+            TransportConfig::InProcess => None,
+            TransportConfig::Uds => Self::connect_uds(&specs, &nodes, initial_policy, &ctx)
+                .map_err(|why| {
+                    eprintln!("process transport unavailable ({why}); falling back to in-process")
+                })
+                .ok(),
+        };
         let transport = selected.unwrap_or_else(|| {
             Box::new(ChannelTransport::spawn(
                 specs.into_iter().map(|s| (s.node, s.collector)).collect(),
@@ -266,6 +244,37 @@ impl<'f> Runtime<'f> {
         }
     }
 
+    /// The process transport for `specs`, or why it cannot host them.
+    fn connect_uds(
+        specs: &[WorkerSpec<'f>],
+        nodes: &[usize],
+        initial_policy: &ActorCritic,
+        ctx: &WorkerCtx,
+    ) -> Result<Box<dyn Transport>, String> {
+        let blueprints: Vec<CollectorBlueprint> = specs
+            .iter()
+            .map(|s| s.blueprint.clone())
+            .collect::<Option<_>>()
+            .ok_or("a worker has no blueprint")?;
+        let bin = transport::resolve_worker_bin().ok_or("rldt-worker binary not found")?;
+        #[cfg(unix)]
+        return transport::process::ProcessTransport::connect(
+            bin,
+            blueprints,
+            nodes.to_vec(),
+            initial_policy,
+            ctx.clone(),
+            transport::process::HANDSHAKE_TIMEOUT,
+        )
+        .map(|t| Box::new(t) as Box<dyn Transport>)
+        .map_err(|e| e.to_string());
+        #[cfg(not(unix))]
+        {
+            let _ = (blueprints, bin, nodes, initial_policy, ctx);
+            Err("no Unix domain sockets on this target".into())
+        }
+    }
+
     /// Route dispatch counters, the occupancy gauge and the transport's
     /// wire counters (see [`crate::keys`]) to `recorder`. Defaults to
     /// the null recorder.
@@ -275,7 +284,7 @@ impl<'f> Runtime<'f> {
     }
 
     /// Which wire this runtime is using.
-    pub fn transport_kind(&self) -> TransportKind {
+    pub fn transport_kind(&self) -> TransportConfig {
         self.transport.kind()
     }
 
@@ -785,7 +794,7 @@ mod tests {
     fn default_transport_is_in_process() {
         let (specs, policy) = specs(&[0]);
         let rt = Runtime::spawn(specs, &policy);
-        assert_eq!(rt.transport_kind(), TransportKind::InProcess);
+        assert_eq!(rt.transport_kind(), TransportConfig::InProcess);
         assert_eq!(rt.transport_stats(), TransportStats::default());
     }
 

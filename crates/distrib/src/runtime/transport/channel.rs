@@ -8,7 +8,7 @@
 use super::super::event::{Command, Event};
 use super::super::fault::RuntimeError;
 use super::super::worker::{self, Collector, WorkerCtx};
-use super::{SendError, Transport, TransportKind, TransportStats};
+use super::{SendError, Transport, TransportConfig, TransportStats};
 use rl_algos::policy::ActorCritic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -58,8 +58,8 @@ impl ChannelTransport {
 }
 
 impl Transport for ChannelTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::InProcess
+    fn kind(&self) -> TransportConfig {
+        TransportConfig::InProcess
     }
 
     fn send(&mut self, worker: usize, cmd: Command) -> Result<(), SendError> {

@@ -9,8 +9,8 @@
 //!   Bitwise-identical to the pre-transport runtime (it *is* that
 //!   runtime, behind the trait).
 //! * `process` — workers as spawned child processes speaking the
-//!   [`codec`] wire format over Unix domain sockets (or TCP,
-//!   `tcp[:<addr>]`).
+//!   [`codec`] wire format over Unix domain sockets (Unix targets only;
+//!   elsewhere a `uds` request runs in process).
 //!
 //! Because both transports run the same worker state machine on the
 //! same RNG streams and the driver merges by worker index, a study
@@ -22,6 +22,7 @@ pub mod codec;
 pub mod rng;
 
 pub(crate) mod channel;
+#[cfg(unix)]
 pub(crate) mod process;
 
 pub use blueprint::{CollectorBlueprint, EnvBlueprint};
@@ -35,52 +36,38 @@ use std::path::PathBuf;
 use std::time::Instant;
 use telemetry::SharedRecorder;
 
-/// Which wire a runtime is using.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
+/// Which wire a runtime runs on: what `ExecSpec::transport` requests
+/// and what [`Runtime::transport_kind`](super::Runtime::transport_kind)
+/// reports. A `uds` request runs in process when a worker spec has no
+/// blueprint (a closure-built environment), the `rldt-worker` binary is
+/// missing, the children fail to connect, or the target has no Unix
+/// domain sockets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TransportConfig {
     /// Threads + mpsc channels (default).
+    #[default]
     InProcess,
     /// Child processes over Unix domain sockets.
     Uds,
-    /// Child processes over loopback/LAN TCP.
-    Tcp,
 }
 
-impl TransportKind {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TransportKind::InProcess => "inproc",
-            TransportKind::Uds => "uds",
-            TransportKind::Tcp => "tcp",
-        }
-    }
-}
-
-/// Requested transport, before feasibility checks. Worker specs without
-/// blueprints (closure-built environments) force the in-process
-/// transport regardless of the request.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum TransportConfig {
-    #[default]
-    InProcess,
-    Uds,
-    /// Listen address for the driver side; workers connect to it.
-    Tcp {
-        addr: String,
-    },
-}
+/// The name `benchmark/src/probes.rs` gives a runtime's reported wire.
+pub type TransportKind = TransportConfig;
 
 impl TransportConfig {
-    /// Parse a transport request: `inproc`, `uds`, `tcp` or `tcp:<addr>`.
+    /// Parse a transport request: exactly `inproc` or `uds`.
     pub(crate) fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "inproc" => Ok(TransportConfig::InProcess),
-            "uds" => Ok(TransportConfig::Uds),
-            "tcp" => Ok(TransportConfig::Tcp { addr: "127.0.0.1:0".into() }),
-            _ => match s.strip_prefix("tcp:") {
-                Some(addr) if !addr.is_empty() => Ok(TransportConfig::Tcp { addr: addr.into() }),
-                _ => Err(format!("unknown transport {s:?} (use inproc, uds, tcp or tcp:<addr>)")),
-            },
+        [Self::InProcess, Self::Uds]
+            .into_iter()
+            .find(|kind| kind.as_str() == s)
+            .ok_or_else(|| format!("unknown transport {s:?} (use inproc or uds)"))
+    }
+
+    /// The name `parse` takes for this variant, and a bench column.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Self::InProcess => "inproc",
+            Self::Uds => "uds",
         }
     }
 }
@@ -126,7 +113,7 @@ pub(crate) struct SendError;
 ///   the round it is currently driving.
 /// * `reap` and `shutdown` are idempotent per worker.
 pub(crate) trait Transport: Send {
-    fn kind(&self) -> TransportKind;
+    fn kind(&self) -> TransportConfig;
 
     /// Route telemetry (wire counters, flush spans) to `recorder`.
     fn set_recorder(&mut self, _recorder: SharedRecorder) {}
@@ -195,16 +182,10 @@ mod tests {
     fn transport_config_parses_the_documented_forms() {
         assert_eq!(TransportConfig::parse("inproc"), Ok(TransportConfig::InProcess));
         assert_eq!(TransportConfig::parse("uds"), Ok(TransportConfig::Uds));
-        assert_eq!(
-            TransportConfig::parse("tcp"),
-            Ok(TransportConfig::Tcp { addr: "127.0.0.1:0".into() })
-        );
-        assert_eq!(
-            TransportConfig::parse("tcp:127.0.0.1:9000"),
-            Ok(TransportConfig::Tcp { addr: "127.0.0.1:9000".into() })
-        );
         assert!(TransportConfig::parse("smoke-signals").is_err());
-        assert!(TransportConfig::parse("tcp:").is_err());
+        for gone in ["tcp", "tcp:", "tcp:127.0.0.1:9000"] {
+            assert!(TransportConfig::parse(gone).is_err(), "{gone:?} is not a transport");
+        }
         for alias in ["", "channel", "thread", "unix", " uds"] {
             assert!(TransportConfig::parse(alias).is_err(), "{alias:?} is not a documented form");
         }
@@ -212,8 +193,7 @@ mod tests {
 
     #[test]
     fn kind_names_are_stable_bench_columns() {
-        assert_eq!(TransportKind::InProcess.as_str(), "inproc");
-        assert_eq!(TransportKind::Uds.as_str(), "uds");
-        assert_eq!(TransportKind::Tcp.as_str(), "tcp");
+        assert_eq!(TransportConfig::InProcess.as_str(), "inproc");
+        assert_eq!(TransportConfig::Uds.as_str(), "uds");
     }
 }

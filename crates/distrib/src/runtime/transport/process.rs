@@ -1,6 +1,6 @@
 //! The multi-process transport: workers as spawned `rldt-worker` child
 //! processes speaking the [`super::codec`] wire format over Unix domain
-//! sockets (or TCP).
+//! sockets.
 //!
 //! Topology: the driver binds one listener; every child connects to it
 //! and self-identifies with an `Iam` frame, then receives a `Hello`
@@ -23,19 +23,23 @@
 //! on — the runtime substitutes the round it is driving). Items are
 //! epoch-tagged so a respawned child's stream can't be confused with
 //! its predecessor's.
+//!
+//! Cleanup: a child is a [`WorkerProc`] from the moment it is spawned,
+//! and dropping one kills it, then waits for it. That drop is the one
+//! cleanup path for a failed `connect`, a failed `respawn` and the
+//! transport's own drop, which also unlinks the socket file.
 
 use super::super::event::{Command, Event, WILDCARD_ROUND};
 use super::super::fault::RuntimeError;
 use super::super::worker::{Collector, Flow, WorkerCtx, WorkerState};
 use super::codec::{self, FrameReader, FrameWriter, Hello};
 use super::rng::RngCache;
-use super::{SendError, Transport, TransportConfig, TransportKind, TransportStats};
+use super::{SendError, Transport, TransportConfig, TransportStats};
 use crate::keys;
 use crate::runtime::transport::CollectorBlueprint;
 use rl_algos::policy::ActorCritic;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
+use std::io::{self, Write};
+use std::ops::Range;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child as ChildProc, Stdio};
@@ -46,121 +50,56 @@ use telemetry::SharedRecorder;
 
 /// How long the driver waits for a spawned child to connect and
 /// identify itself before declaring the spawn failed.
-const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 
-// ----------------------------------------------------------- stream glue
+// ------------------------------------------------------------- children
 
-/// A connected byte stream to one worker, UDS or TCP.
-pub(crate) enum Stream {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
+/// A spawned `rldt-worker`. Dropping it kills the process and then waits
+/// for it, so every way out of a spawn — a failed handshake, a failed
+/// respawn, the transport's own drop — leaves no child running or
+/// unreaped.
+struct WorkerProc(ChildProc);
 
-impl Stream {
-    fn try_clone(&self) -> io::Result<Stream> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
-            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_nonblocking(nb),
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-        }
+impl WorkerProc {
+    /// Kill, then wait. Killing first matters: a child blocked writing
+    /// events would otherwise never exit (the driver no longer reads its
+    /// stream). Safe to repeat: a child already waited for is not
+    /// signalled again.
+    fn reap(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
 }
 
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
+impl Drop for WorkerProc {
+    fn drop(&mut self) {
+        self.reap();
     }
 }
 
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-enum Listener {
-    #[cfg(unix)]
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(nb),
-            Listener::Tcp(l) => l.set_nonblocking(nb),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Stream> {
-        match self {
-            #[cfg(unix)]
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nodelay(true);
-                Stream::Tcp(s)
-            }),
-        }
-    }
-
-    /// Poll the nonblocking listener until a connection arrives or
-    /// `deadline` passes. The sleep between polls starts at 50 µs, which
-    /// catches a child that connects a millisecond after spawn, and doubles
-    /// up to 5 ms; it never runs past the deadline.
-    fn accept_by(&self, deadline: Instant) -> io::Result<Stream> {
-        let mut pause = Duration::from_micros(50);
-        loop {
-            match self.accept() {
-                Ok(s) => return Ok(s),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "worker process never connected",
-                        ));
-                    }
-                    std::thread::sleep(pause.min(deadline - now));
-                    pause = (pause * 2).min(Duration::from_millis(5));
+/// Poll the nonblocking `listener` until a connection arrives or
+/// `deadline` passes. The sleep between polls starts at 50 µs, which
+/// catches a child that connects a millisecond after spawn, and doubles up
+/// to 5 ms; it never runs past the deadline.
+fn accept_by(listener: &UnixListener, deadline: Instant) -> io::Result<UnixStream> {
+    let mut pause = Duration::from_micros(50);
+    loop {
+        match listener.accept() {
+            Ok((s, _)) => return Ok(s),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                let now = Instant::now();
+                if now >= deadline {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "worker process never connected",
+                    ));
                 }
-                Err(e) => return Err(e),
+                std::thread::sleep(pause.min(deadline - now));
+                pause = (pause * 2).min(Duration::from_millis(5));
             }
+            Err(e) => return Err(e),
         }
     }
-}
-
-/// How children are told to reach the driver: `--uds <path>` or
-/// `--tcp <addr>` argv pairs.
-enum ConnectSpec {
-    #[cfg(unix)]
-    Uds(PathBuf),
-    Tcp(String),
 }
 
 // --------------------------------------------------------- wire counters
@@ -186,7 +125,7 @@ enum ReaderItem {
 fn reader_thread(
     worker: usize,
     epoch: u64,
-    mut stream: Stream,
+    mut stream: UnixStream,
     mut reader: FrameReader,
     tx: mpsc::Sender<(usize, u64, ReaderItem)>,
     counters: Arc<WireCounters>,
@@ -221,8 +160,8 @@ fn reader_thread(
 // ------------------------------------------------------- the transport
 
 struct ChildConn {
-    proc: ChildProc,
-    stream: Stream,
+    proc: WorkerProc,
+    stream: UnixStream,
     /// Frames queued for this child; hits the socket on `flush`.
     out: Vec<u8>,
     /// Bumped on respawn; reader items from older epochs are stale.
@@ -237,10 +176,11 @@ pub(crate) struct ProcessTransport {
     events: mpsc::Receiver<(usize, u64, ReaderItem)>,
     /// Kept so `recv` never sees a disconnect even with all readers gone.
     event_tx: mpsc::Sender<(usize, u64, ReaderItem)>,
-    listener: Listener,
-    connect_spec: ConnectSpec,
-    /// Socket file to unlink on drop (UDS only).
-    socket_path: Option<PathBuf>,
+    listener: UnixListener,
+    /// The listener's socket file: passed to every child, unlinked on drop.
+    socket_path: PathBuf,
+    /// How long a spawned child has to connect and send its `Iam`.
+    handshake: Duration,
     bin: PathBuf,
     blueprints: Vec<CollectorBlueprint>,
     nodes: Vec<usize>,
@@ -249,7 +189,6 @@ pub(crate) struct ProcessTransport {
     cmd_caches: Vec<RngCache>,
     counters: Arc<WireCounters>,
     recorder: SharedRecorder,
-    kind: TransportKind,
     /// This runtime's hooks: what each child's `Hello` arms.
     ctx: WorkerCtx,
 }
@@ -258,56 +197,25 @@ static SOCKET_ID: AtomicU64 = AtomicU64::new(0);
 
 impl ProcessTransport {
     /// Bind the listener, spawn one child per blueprint, and complete
-    /// the `Iam`/`Hello` handshake with each. Any failure tears down
-    /// what was spawned and returns the error (the runtime falls back
-    /// to the in-process transport).
+    /// the `Iam`/`Hello` handshake with each, giving every child
+    /// `handshake` to connect. On failure the error is returned (the
+    /// runtime falls back to the in-process transport) and the dropped
+    /// transport has reaped every child and unlinked its socket.
     pub(crate) fn connect(
-        config: &TransportConfig,
         bin: PathBuf,
         blueprints: Vec<CollectorBlueprint>,
         nodes: Vec<usize>,
         initial_policy: &ActorCritic,
         ctx: WorkerCtx,
+        handshake: Duration,
     ) -> io::Result<Self> {
-        let (listener, connect_spec, socket_path, kind) = match config {
-            TransportConfig::Uds => {
-                #[cfg(unix)]
-                {
-                    let path = std::env::temp_dir().join(format!(
-                        "rldt-{}-{}.sock",
-                        std::process::id(),
-                        SOCKET_ID.fetch_add(1, Ordering::Relaxed)
-                    ));
-                    let _ = std::fs::remove_file(&path);
-                    let l = UnixListener::bind(&path)?;
-                    (
-                        Listener::Unix(l),
-                        ConnectSpec::Uds(path.clone()),
-                        Some(path),
-                        TransportKind::Uds,
-                    )
-                }
-                #[cfg(not(unix))]
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "unix domain sockets unavailable on this platform",
-                    ));
-                }
-            }
-            TransportConfig::Tcp { addr } => {
-                let l = TcpListener::bind(addr)?;
-                let actual = l.local_addr()?;
-                (Listener::Tcp(l), ConnectSpec::Tcp(actual.to_string()), None, TransportKind::Tcp)
-            }
-            TransportConfig::InProcess => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "in-process config has no process transport",
-                ));
-            }
-        };
-        listener.set_nonblocking(true)?;
+        let socket_path = std::env::temp_dir().join(format!(
+            "rldt-{}-{}.sock",
+            std::process::id(),
+            SOCKET_ID.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_file(&socket_path);
+        let listener = UnixListener::bind(&socket_path)?;
         let (event_tx, events) = mpsc::channel();
         let n = blueprints.len();
         let mut transport = Self {
@@ -315,8 +223,8 @@ impl ProcessTransport {
             events,
             event_tx,
             listener,
-            connect_spec,
             socket_path,
+            handshake,
             bin,
             blueprints,
             nodes,
@@ -324,74 +232,76 @@ impl ProcessTransport {
             cmd_caches: (0..n).map(|_| RngCache::new()).collect(),
             counters: Arc::new(WireCounters::default()),
             recorder: telemetry::null_recorder(),
-            kind,
             ctx,
         };
-
-        // Spawn everyone first, then collect the handshakes: children
-        // may connect in any order, the Iam frame sorts them out.
-        let mut procs: Vec<Option<ChildProc>> = Vec::with_capacity(n);
-        for worker in 0..n {
-            procs.push(Some(transport.spawn_child(worker)?));
-        }
-        let mut conns: Vec<Option<(Stream, FrameReader)>> = (0..n).map(|_| None).collect();
-        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        for _ in 0..n {
-            let (worker, stream, reader) = match transport.accept_iam(deadline) {
-                Ok(hs) => hs,
-                Err(e) => {
-                    for p in procs.iter_mut().flatten() {
-                        let _ = p.kill();
-                        let _ = p.wait();
-                    }
-                    return Err(e);
-                }
-            };
-            if worker >= n || conns[worker].is_some() {
-                for p in procs.iter_mut().flatten() {
-                    let _ = p.kill();
-                    let _ = p.wait();
-                }
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "bad Iam worker index"));
-            }
-            conns[worker] = Some((stream, reader));
-        }
-        for (worker, conn) in conns.into_iter().enumerate() {
-            let (mut stream, reader) = conn.expect("all workers handshook");
-            transport.send_hello(&mut stream, worker, initial_policy)?;
-            let read_half = stream.try_clone()?;
-            let tx = transport.event_tx.clone();
-            let counters = transport.counters.clone();
-            std::thread::Builder::new()
-                .name(format!("rt-reader-{worker}"))
-                .spawn(move || reader_thread(worker, 0, read_half, reader, tx, counters))
-                .expect("spawn transport reader");
-            transport.children.push(ChildConn {
-                proc: procs[worker].take().expect("spawned"),
-                stream,
-                out: Vec::with_capacity(4096),
-                epoch: 0,
-                alive: true,
-            });
-        }
+        transport.listener.set_nonblocking(true)?;
+        transport.children = transport.launch(0..n, initial_policy, 0)?;
         Ok(transport)
     }
 
-    fn spawn_child(&self, worker: usize) -> io::Result<ChildProc> {
-        let mut cmd = std::process::Command::new(&self.bin);
-        cmd.arg("--worker").arg(worker.to_string());
-        match &self.connect_spec {
-            #[cfg(unix)]
-            ConnectSpec::Uds(path) => cmd.arg("--uds").arg(path),
-            ConnectSpec::Tcp(addr) => cmd.arg("--tcp").arg(addr),
-        };
-        cmd.stdin(Stdio::null()).spawn()
+    /// Spawn a child for each of `workers`, accept their `Iam`s in
+    /// whatever order they connect, and send each its `Hello` and start
+    /// its reader at `epoch`. Each child is a [`WorkerProc`] from its
+    /// spawn on, so an early return reaps every one spawned so far.
+    fn launch(
+        &mut self,
+        workers: Range<usize>,
+        policy: &ActorCritic,
+        epoch: u64,
+    ) -> io::Result<Vec<ChildConn>> {
+        let procs = workers.clone().map(|w| self.spawn_child(w)).collect::<io::Result<Vec<_>>>()?;
+        let mut conns: Vec<Option<(UnixStream, FrameReader)>> =
+            workers.clone().map(|_| None).collect();
+        let deadline = Instant::now() + self.handshake;
+        for _ in workers.clone() {
+            let (worker, stream, reader) = self.accept_iam(deadline)?;
+            let slot = worker
+                .checked_sub(workers.start)
+                .and_then(|i| conns.get_mut(i))
+                .filter(|slot| slot.is_none())
+                .ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidData, "bad Iam worker index")
+                })?;
+            *slot = Some((stream, reader));
+        }
+        // Every slot is filled: each accepted `Iam` took a distinct one.
+        let mut children = Vec::with_capacity(procs.len());
+        for ((worker, proc), (mut stream, reader)) in
+            workers.zip(procs).zip(conns.into_iter().flatten())
+        {
+            self.send_hello(&mut stream, worker, policy)?;
+            let read_half = stream.try_clone()?;
+            let tx = self.event_tx.clone();
+            let counters = self.counters.clone();
+            std::thread::Builder::new()
+                .name(format!("rt-reader-{worker}"))
+                .spawn(move || reader_thread(worker, epoch, read_half, reader, tx, counters))?;
+            children.push(ChildConn {
+                proc,
+                stream,
+                out: Vec::with_capacity(4096),
+                epoch,
+                alive: true,
+            });
+        }
+        Ok(children)
+    }
+
+    fn spawn_child(&self, worker: usize) -> io::Result<WorkerProc> {
+        std::process::Command::new(&self.bin)
+            .arg("--worker")
+            .arg(worker.to_string())
+            .arg("--uds")
+            .arg(&self.socket_path)
+            .stdin(Stdio::null())
+            .spawn()
+            .map(WorkerProc)
     }
 
     /// Accept one connection and read its `Iam` frame, polling the
     /// nonblocking listener until `deadline`.
-    fn accept_iam(&self, deadline: Instant) -> io::Result<(usize, Stream, FrameReader)> {
-        let mut stream = self.listener.accept_by(deadline)?;
+    fn accept_iam(&self, deadline: Instant) -> io::Result<(usize, UnixStream, FrameReader)> {
+        let mut stream = accept_by(&self.listener, deadline)?;
         stream.set_nonblocking(false)?;
         let mut reader = FrameReader::new();
         let (tag, body) = reader
@@ -409,7 +319,7 @@ impl ProcessTransport {
 
     fn send_hello(
         &mut self,
-        stream: &mut Stream,
+        stream: &mut UnixStream,
         worker: usize,
         policy: &ActorCritic,
     ) -> io::Result<()> {
@@ -429,8 +339,8 @@ impl ProcessTransport {
 }
 
 impl Transport for ProcessTransport {
-    fn kind(&self) -> TransportKind {
-        self.kind
+    fn kind(&self) -> TransportConfig {
+        TransportConfig::Uds
     }
 
     fn set_recorder(&mut self, recorder: SharedRecorder) {
@@ -525,11 +435,7 @@ impl Transport for ProcessTransport {
         let child = &mut self.children[worker];
         child.alive = false;
         child.out.clear();
-        // Kill before waiting: a child blocked writing events would
-        // otherwise never exit (the driver is not reading its stream
-        // anymore). No-op if it already exited.
-        let _ = child.proc.kill();
-        let _ = child.proc.wait();
+        child.proc.reap();
     }
 
     fn respawn(
@@ -539,36 +445,14 @@ impl Transport for ProcessTransport {
         policy: &ActorCritic,
     ) -> bool {
         self.reap(worker);
-        let Ok(proc) = self.spawn_child(worker) else {
-            return false;
-        };
-        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-        let (iam_worker, mut stream, reader) = match self.accept_iam(deadline) {
-            Ok(hs) => hs,
-            Err(_) => return false,
-        };
-        if iam_worker != worker {
-            return false;
-        }
-        if self.send_hello(&mut stream, worker, policy).is_err() {
-            return false;
-        }
-        let Ok(read_half) = stream.try_clone() else {
-            return false;
-        };
         let epoch = self.children[worker].epoch + 1;
-        let tx = self.event_tx.clone();
-        let counters = self.counters.clone();
-        if std::thread::Builder::new()
-            .name(format!("rt-reader-{worker}"))
-            .spawn(move || reader_thread(worker, epoch, read_half, reader, tx, counters))
-            .is_err()
-        {
-            return false;
+        match self.launch(worker..worker + 1, policy, epoch).map(|mut fresh| fresh.pop()) {
+            Ok(Some(child)) => {
+                self.children[worker] = child;
+                true
+            }
+            _ => false,
         }
-        self.children[worker] =
-            ChildConn { proc, stream, out: Vec::with_capacity(4096), epoch, alive: true };
-        true
     }
 
     fn shutdown(&mut self, skip: &[bool]) {
@@ -583,9 +467,10 @@ impl Transport for ProcessTransport {
                 // Hung (or already-dead) children don't get a graceful
                 // wait — mirror the channel transport leaking hung
                 // threads, minus the leak.
-                let _ = child.proc.kill();
+                child.proc.reap();
+            } else {
+                let _ = child.proc.0.wait();
             }
-            let _ = child.proc.wait();
             child.alive = false;
         }
     }
@@ -602,16 +487,10 @@ impl Transport for ProcessTransport {
 }
 
 impl Drop for ProcessTransport {
+    /// Unlink the socket file; the children, as [`WorkerProc`]s, reap
+    /// themselves when the fields drop.
     fn drop(&mut self) {
-        for child in &mut self.children {
-            if child.proc.try_wait().ok().flatten().is_none() {
-                let _ = child.proc.kill();
-                let _ = child.proc.wait();
-            }
-        }
-        if let Some(path) = self.socket_path.take() {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&self.socket_path);
     }
 }
 
@@ -620,35 +499,22 @@ impl Drop for ProcessTransport {
 /// Entry point for the `rldt-worker` binary: connect back to the
 /// driver, handshake, then serve commands until the stream closes.
 ///
-/// Expected argv (after the program name): `--worker <index>` plus one
-/// of `--uds <path>` / `--tcp <addr>`.
+/// Expected argv (after the program name): `--worker <index> --uds <path>`.
 pub fn run_worker_process<I: IntoIterator<Item = String>>(args: I) -> Result<(), String> {
     let mut worker: Option<usize> = None;
     let mut uds: Option<PathBuf> = None;
-    let mut tcp: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         let mut grab = || it.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
             "--worker" => worker = Some(grab()?.parse().map_err(|e| format!("--worker: {e}"))?),
             "--uds" => uds = Some(PathBuf::from(grab()?)),
-            "--tcp" => tcp = Some(grab()?),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
     let worker = worker.ok_or("missing --worker")?;
-    let mut stream = match (uds, tcp) {
-        #[cfg(unix)]
-        (Some(path), None) => {
-            Stream::Unix(UnixStream::connect(&path).map_err(|e| format!("connect {path:?}: {e}"))?)
-        }
-        (None, Some(addr)) => {
-            let s = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-            let _ = s.set_nodelay(true);
-            Stream::Tcp(s)
-        }
-        _ => return Err("exactly one of --uds / --tcp is required".into()),
-    };
+    let path = uds.ok_or("missing --uds")?;
+    let mut stream = UnixStream::connect(&path).map_err(|e| format!("connect {path:?}: {e}"))?;
 
     let mut writer = FrameWriter::new();
     stream
@@ -717,10 +583,70 @@ pub fn run_worker_process<I: IntoIterator<Item = String>>(args: I) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::EnvBlueprint;
+    use gymrs::Space;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::os::unix::fs::PermissionsExt;
+    use std::path::Path;
+
+    /// A directory of this test process's own under the temp dir,
+    /// removed on drop.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("rldt-{}-{name}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("scratch dir");
+            Self(dir)
+        }
+
+        /// A stand-in worker binary: a shell script that appends its pid
+        /// and the socket path it was given to `<script>.log`, then exits
+        /// without connecting.
+        fn silent_worker(&self) -> PathBuf {
+            let bin = self.0.join("worker");
+            std::fs::write(&bin, "#!/bin/sh\necho \"$$ $4\" >> \"$0.log\"\n").expect("script");
+            std::fs::set_permissions(&bin, std::fs::Permissions::from_mode(0o755))
+                .expect("executable script");
+            bin
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// `(pid, socket path)` of every stand-in started from `bin` so far.
+    fn started(bin: &Path) -> Vec<(u32, PathBuf)> {
+        let log = std::fs::read_to_string(bin.with_extension("log")).unwrap_or_default();
+        log.lines()
+            .filter_map(|line| line.split_once(' '))
+            .map(|(pid, path)| (pid.parse().expect("a pid"), PathBuf::from(path)))
+            .collect()
+    }
+
+    /// Whether `pid` is still in the process table: running, or exited
+    /// and never waited for. (Reads procfs; where there is none it reads
+    /// false.)
+    fn unreaped(pid: u32) -> bool {
+        Path::new(&format!("/proc/{pid}")).exists()
+    }
+
+    fn policy() -> ActorCritic {
+        ActorCritic::new(2, &Space::Discrete(4), &[8], &mut StdRng::seed_from_u64(5))
+    }
+
+    fn blueprints(n: u64) -> Vec<CollectorBlueprint> {
+        (0..n).map(|w| CollectorBlueprint::per_env(EnvBlueprint::Grid { n: 3 }, w)).collect()
+    }
 
     #[test]
     fn accept_times_out_at_its_deadline_not_a_backoff_step_later() {
-        let listener = Listener::Tcp(TcpListener::bind("127.0.0.1:0").expect("bind loopback"));
+        let scratch = Scratch::new("accept");
+        let listener = UnixListener::bind(scratch.0.join("listener.sock")).expect("bind");
         listener.set_nonblocking(true).expect("nonblocking listener");
         // 21 ms lies between two 5 ms steps of a sleep that ignored the
         // deadline. The least lateness of three tries discounts a
@@ -728,7 +654,7 @@ mod tests {
         let late = (0..3)
             .map(|_| {
                 let deadline = Instant::now() + Duration::from_millis(21);
-                let err = listener.accept_by(deadline).err().expect("no client ever connects");
+                let err = accept_by(&listener, deadline).expect_err("no client ever connects");
                 assert_eq!(err.kind(), io::ErrorKind::TimedOut);
                 let now = Instant::now();
                 assert!(now >= deadline, "timed out early");
@@ -737,5 +663,73 @@ mod tests {
             .min()
             .expect("three tries");
         assert!(late < Duration::from_micros(2_500), "timed out {late:?} after the deadline");
+    }
+
+    #[test]
+    fn a_failed_connect_reaps_every_child_and_unlinks_its_socket() {
+        let scratch = Scratch::new("connect");
+        let bin = scratch.silent_worker();
+        let handshake = Duration::from_secs(1);
+        let err = ProcessTransport::connect(
+            bin.clone(),
+            blueprints(2),
+            vec![0, 0],
+            &policy(),
+            WorkerCtx::default(),
+            handshake,
+        )
+        .err()
+        .expect("no child ever connects");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let started = started(&bin);
+        assert_eq!(started.len(), 2, "both stand-ins ran within the handshake: {started:?}");
+        for (pid, socket) in started {
+            assert!(!unreaped(pid), "child {pid} was left unreaped");
+            assert!(!socket.exists(), "{socket:?} was left behind");
+        }
+    }
+
+    #[test]
+    fn a_failed_respawn_reaps_the_child_it_spawned() {
+        let scratch = Scratch::new("respawn");
+        let bin = scratch.silent_worker();
+        // The test plays worker 0's side of the first handshake; the
+        // stand-in only tells it where the socket is.
+        let peer = {
+            let bin = bin.clone();
+            std::thread::spawn(move || {
+                let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+                let socket = loop {
+                    if let Some((_, socket)) = started(&bin).pop() {
+                        break socket;
+                    }
+                    assert!(Instant::now() < deadline, "the stand-in never ran");
+                    std::thread::sleep(Duration::from_millis(1));
+                };
+                let mut stream = UnixStream::connect(socket).expect("connect as worker 0");
+                stream.write_all(codec::encode_iam(&mut FrameWriter::new(), 0)).expect("Iam");
+                stream
+            })
+        };
+        let policy = policy();
+        let mut transport = ProcessTransport::connect(
+            bin.clone(),
+            blueprints(1),
+            vec![0],
+            &policy,
+            WorkerCtx::default(),
+            HANDSHAKE_TIMEOUT,
+        )
+        .expect("the test answered worker 0's handshake");
+        let _peer = peer.join().expect("peer thread");
+        transport.handshake = Duration::from_secs(1);
+        assert!(!transport.respawn(0, None, &policy), "the respawned stand-in never connects");
+        let started = started(&bin);
+        assert_eq!(started.len(), 2, "connect and respawn each ran a stand-in: {started:?}");
+        for &(pid, _) in &started {
+            assert!(!unreaped(pid), "child {pid} was left unreaped");
+        }
+        drop(transport);
+        assert!(!started[0].1.exists(), "the socket file was left behind");
     }
 }

@@ -75,7 +75,7 @@ pub struct ExecSpec {
     /// [`FaultPolicy::fail_fast`] — the pre-fault-tolerance behavior,
     /// minus the panic: an unhandled failure becomes a study `Err`.
     pub fault: FaultPolicy,
-    /// Transport for the runtime (`inproc`, `uds`, `tcp`, `tcp:<addr>`).
+    /// Transport for the runtime (`inproc` or `uds`).
     /// `None` is in-process; a malformed value is rejected by
     /// [`dist_exec::run`](crate::run).
     pub(crate) transport: Option<String>,
@@ -113,8 +113,7 @@ impl ExecSpec {
         }
     }
 
-    /// Request a specific transport (`inproc`, `uds`, `tcp`,
-    /// `tcp:<addr>`).
+    /// Request a specific transport (`inproc` or `uds`).
     pub fn with_transport(mut self, transport: impl Into<String>) -> Self {
         self.transport = Some(transport.into());
         self
