@@ -21,9 +21,10 @@ use cluster_sim::{render_gantt, ClusterSpec};
 use counterfactual::{AnalyzerConfig, CounterfactualAnalyzer, Exec};
 use decision::prelude::*;
 use decision::report::{csv, markdown, svg, table};
+use dist_exec::runtime::{FaultKind, FaultPlan};
 use dist_exec::{
-    run_recorded, ContinuationPolicy, Deployment, EnvBlueprint, ExecReport, ExecSpec, Framework,
-    TrainedModel,
+    run, run_recorded, ContinuationPolicy, Deployment, EnvBlueprint, ExecReport, ExecSpec,
+    FaultPolicy, Framework, TrainedModel,
 };
 use gymrs::envs::{GridWorld, PointMass};
 use gymrs::{Action, Environment, Space};
@@ -140,6 +141,23 @@ fn training(rows: &mut Rows) {
             }
         }
     }
+}
+
+/// `train.rllib.ppo.grid.degraded`: the two-node RLlib grid run with
+/// worker 3 crashing in round 1 more often than the resilient policy
+/// retries, so it is quarantined, the survivors' merge carries on and the
+/// report says `degraded`. (A Stable Baselines or TF-Agents run has one
+/// vectorized worker, whose quarantine would leave none to collect.)
+fn degraded(rows: &mut Rows) {
+    let deployment = Deployment { nodes: 2, cores_per_node: 2 };
+    let mut spec = ExecSpec::new(Framework::RayRllib, Algorithm::Ppo, deployment, 384, 17)
+        .with_transport("inproc");
+    spec.ppo = PpoConfig::fast_test();
+    spec.fault = FaultPolicy::resilient();
+    spec.fault_plan = FaultPlan::new().repeated(3, 1, FaultKind::Crash, spec.fault.max_retries + 1);
+    let report = run(&spec, &EnvBlueprint::Grid { n: 3 }).expect("degrades and completes");
+    assert!(report.degraded, "worker 3 is quarantined");
+    rows.push(("train.rllib.ppo.grid.degraded".into(), report_bytes(report)));
 }
 
 /// `whatif.<env>.<continuation>`: the counterfactual parity suite's four
@@ -361,6 +379,7 @@ fn rows() -> Rows {
     let mut rows = Rows::new();
     updates(&mut rows);
     training(&mut rows);
+    degraded(&mut rows);
     eval(&mut rows);
     whatif(&mut rows);
     study(&mut rows);

@@ -183,6 +183,24 @@ fn bad_inputs_are_rejected_before_anything_is_built() {
 }
 
 #[test]
+fn a_sac_spec_is_refused_a_wire_or_a_fault_plan_it_would_drop() {
+    // SAC trains in process and spawns no runtime: a `uds` request would
+    // report `wire_bytes == 0` and a plan would never fire, so both are
+    // refused before anything is built. An `inproc` SAC spec still runs
+    // (the `train.*.sac.airdrop` fingerprints rows).
+    let untouched = FnEnvFactory(|_| -> Box<dyn Environment> { panic!("nothing may be built") });
+    for framework in Framework::ALL {
+        let wired = spec(framework, Algorithm::Sac, 1, 2, 256).with_transport("uds");
+        let mut faulted = spec(framework, Algorithm::Sac, 1, 2, 256);
+        faulted.fault_plan = FaultPlan::new().fault(0, 0, FaultKind::Crash);
+        for (what, s) in [("uds", wired), ("fault plan", faulted)] {
+            let Err(err) = run(&s, &untouched) else { panic!("{framework:?}: ran with {what}") };
+            assert!(err.contains("SAC"), "{framework:?}, {what}: {err}");
+        }
+    }
+}
+
+#[test]
 fn ppo_runs_report_consistent_accounting() {
     for framework in Framework::ALL {
         let report = ppo(framework, 1, 4, 1024);

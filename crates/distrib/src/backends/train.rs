@@ -13,8 +13,7 @@ use crate::backends::common::worker_seed;
 use crate::framework::{Architecture, FrameworkProfile, Inference, Sampling};
 use crate::report::{ExecReport, TrainedModel};
 use crate::runtime::{
-    merge_wave, CollectorBlueprint, Driver, RngStream, Runtime, TransportConfig, WorkerCtx,
-    WorkerSpec,
+    merge_wave, CollectorBlueprint, Driver, RngStream, Runtime, TransportConfig, WorkerSpec,
 };
 use crate::spec::{check_run, Deployment, ExecSpec};
 use cluster_sim::{ClusterSession, ClusterSpec, NodeWork, SessionEvent};
@@ -36,7 +35,7 @@ pub(crate) fn train(
     recorder: SharedRecorder,
 ) -> Result<ExecReport, String> {
     let arch = spec.framework.architecture();
-    let transport = check_run(&arch, spec.deployment, spec.total_steps, spec.transport.as_deref())?;
+    let transport = check_run(spec, &arch)?;
     match spec.algorithm {
         Algorithm::Ppo => train_on_policy(spec, &arch, transport, factory, recorder),
         Algorithm::Sac => Ok(train_sac(spec, &arch, factory, recorder)),
@@ -113,14 +112,11 @@ fn train_on_policy(
     drop(probe);
     let mut learner = OnPolicyLearner::new(obs_dim, &actions, spec.ppo.clone(), rng.rng_mut());
 
-    #[cfg(any(test, feature = "fault-inject"))]
-    let hooks = WorkerCtx::armed(spec.fault_plan.clone());
-    #[cfg(not(any(test, feature = "fault-inject")))]
-    let hooks = WorkerCtx::default();
     let specs = collectors(arch, deployment, seed, factory, recorder.clone());
     let (n_workers, lanes) = arch.collectors.shape(deployment);
-    let mut runtime = Runtime::spawn_hooked(specs, &learner.policy, transport, hooks)
-        .with_fault_policy(spec.fault);
+    let mut runtime =
+        Runtime::spawn_faulted(specs, &learner.policy, transport, spec.fault_plan.clone())
+            .with_fault_policy(spec.fault);
     runtime.set_recorder(recorder.clone());
     let mut session = ClusterSession::with_recorder(ClusterSpec::paper_testbed(nodes), recorder);
     let mut driver = Driver::new(&mut session);

@@ -1,9 +1,9 @@
 //! Fault tolerance for the execution runtime: the per-trial
 //! [`FaultPolicy`], the per-round [`FaultLog`] accounting, the
 //! [`RuntimeError`] surfaced when a failure cannot be absorbed, and the
-//! deterministic `FaultPlan` injection layer the chaos tests drive
-//! (gated behind `cfg(any(test, feature = "fault-inject"))`). A plan is
-//! a value: each runtime arms its own copy, so concurrent runtimes never
+//! deterministic [`FaultPlan`] injection layer the chaos tests drive. It
+//! is part of every build: a plan is a value, empty unless a run is given
+//! one, and each runtime arms its own copy, so concurrent runtimes never
 //! see each other's faults.
 //!
 //! Recovery ladder, in order:
@@ -29,6 +29,11 @@
 //!
 //! The default policy is [`FaultPolicy::fail_fast`]: no retries, no
 //! quarantine — a failure surfaces as an `Err` (never a panic).
+
+use super::transport::codec::fault_tag;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How the runtime reacts to worker failures. See the module docs for
 /// the recovery ladder.
@@ -187,9 +192,7 @@ impl From<RuntimeError> for String {
 }
 
 /// What an injected fault does to the worker when its `(worker, round)`
-/// address comes up. The worker state machine matches on this in every
-/// build; only a `FaultPlan` can schedule one, and that type is compiled
-/// for tests and the `fault-inject` feature alone.
+/// address comes up. Only a [`FaultPlan`] schedules one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Panic inside the collection (caught; the thread survives and
@@ -212,138 +215,129 @@ pub enum FaultKind {
     },
 }
 
-/// Deterministic fault injection: what to break, where. Compiled only
-/// for tests and the `fault-inject` feature.
-#[cfg(any(test, feature = "fault-inject"))]
-pub use inject::FaultPlan;
+/// One schedule-addressable fault. Fires exactly once: N entries at
+/// the same address model N consecutive failures (retry exhaustion).
+#[derive(Debug)]
+struct InjectedFault {
+    /// Target worker index.
+    worker: usize,
+    /// Target round.
+    round: u64,
+    /// What happens.
+    kind: FaultKind,
+    armed: AtomicBool,
+}
 
-#[cfg(any(test, feature = "fault-inject"))]
-mod inject {
-    use super::super::transport::codec::fault_tag;
-    use super::FaultKind;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::atomic::{AtomicBool, Ordering};
+/// A seeded fault schedule, handed by value to the one runtime that
+/// should suffer it: the `fault_plan` field of an `ExecSpec`, or
+/// `Runtime::spawn_faulted` directly. The spawn arms
+/// its own clone and shares that one copy among its workers, so no
+/// other runtime in the process can consume an entry.
+#[derive(Debug, Default)]
+pub struct FaultPlan {
+    faults: Vec<InjectedFault>,
+}
 
-    /// One schedule-addressable fault. Fires exactly once: N entries at
-    /// the same address model N consecutive failures (retry exhaustion).
-    #[derive(Debug)]
-    pub(crate) struct InjectedFault {
-        /// Target worker index.
-        pub(crate) worker: usize,
-        /// Target round.
-        pub(crate) round: u64,
-        /// What happens.
-        pub(crate) kind: FaultKind,
-        armed: AtomicBool,
+impl FaultPlan {
+    /// An empty plan.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// A seeded fault schedule, handed by value to the one runtime that
-    /// should suffer it: the `fault_plan` field of an `ExecSpec`, or
-    /// `Runtime::spawn_faulted` directly. The spawn arms
-    /// its own clone and shares that one copy among its workers, so no
-    /// other runtime in the process can consume an entry.
-    #[derive(Debug, Default)]
-    pub struct FaultPlan {
-        faults: Vec<InjectedFault>,
+    /// True when the plan schedules no fault at all.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.faults.is_empty()
     }
 
-    impl FaultPlan {
-        /// An empty plan.
-        pub fn new() -> Self {
-            Self::default()
-        }
+    /// Add one fault at `(worker, round)`.
+    pub fn fault(mut self, worker: usize, round: u64, kind: FaultKind) -> Self {
+        self.faults.push(InjectedFault { worker, round, kind, armed: AtomicBool::new(true) });
+        self
+    }
 
-        /// Add one fault at `(worker, round)`.
-        pub fn fault(mut self, worker: usize, round: u64, kind: FaultKind) -> Self {
-            self.faults.push(InjectedFault { worker, round, kind, armed: AtomicBool::new(true) });
-            self
-        }
+    /// Add `times` faults at one address: `times` consecutive
+    /// failures there, which is how a retry budget gets exhausted.
+    pub fn repeated(self, worker: usize, round: u64, kind: FaultKind, times: u32) -> Self {
+        (0..times).fold(self, |plan, _| plan.fault(worker, round, kind))
+    }
 
-        /// Add `times` faults at one address: `times` consecutive
-        /// failures there, which is how a retry budget gets exhausted.
-        pub fn repeated(self, worker: usize, round: u64, kind: FaultKind, times: u32) -> Self {
-            (0..times).fold(self, |plan, _| plan.fault(worker, round, kind))
+    /// A seeded random schedule: `n_faults` faults over `workers`
+    /// workers and `rounds` rounds, drawn from the retryable kinds
+    /// (panic / crash / slow). Hangs need timeout coordination and
+    /// are injected explicitly by the tests that cover them.
+    pub fn random(seed: u64, workers: usize, rounds: u64, n_faults: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut plan = Self::new();
+        for _ in 0..n_faults {
+            let worker = rng.gen_range(0..workers);
+            let round = rng.gen_range(0..rounds);
+            let kind = match rng.gen_range(0..3u8) {
+                0 => FaultKind::Panic,
+                1 => FaultKind::Crash,
+                _ => FaultKind::Slow { millis: rng.gen_range(1..12) },
+            };
+            plan = plan.fault(worker, round, kind);
         }
+        plan
+    }
 
-        /// A seeded random schedule: `n_faults` faults over `workers`
-        /// workers and `rounds` rounds, drawn from the retryable kinds
-        /// (panic / crash / slow). Hangs need timeout coordination and
-        /// are injected explicitly by the tests that cover them.
-        pub fn random(seed: u64, workers: usize, rounds: u64, n_faults: usize) -> Self {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut plan = Self::new();
-            for _ in 0..n_faults {
-                let worker = rng.gen_range(0..workers);
-                let round = rng.gen_range(0..rounds);
-                let kind = match rng.gen_range(0..3u8) {
-                    0 => FaultKind::Panic,
-                    1 => FaultKind::Crash,
-                    _ => FaultKind::Slow { millis: rng.gen_range(1..12) },
+    /// Consume (disarm) the first still-armed fault addressed to
+    /// `(worker, round)`, if any.
+    pub(crate) fn take(&self, worker: usize, round: u64) -> Option<FaultKind> {
+        self.faults
+            .iter()
+            .filter(|f| f.worker == worker && f.round == round)
+            .find(|f| f.armed.swap(false, Ordering::SeqCst))
+            .map(|f| f.kind)
+    }
+
+    /// The still-armed entries addressed to `worker` as the
+    /// `(worker, round, kind tag, millis)` tuples a `Hello` carries,
+    /// so a respawned child doesn't re-arm faults that already fired.
+    pub(crate) fn to_wire(&self, worker: usize) -> Vec<(usize, u64, u8, u64)> {
+        self.faults
+            .iter()
+            .filter(|f| f.worker == worker && f.armed.load(Ordering::SeqCst))
+            .map(|f| {
+                let (tag, millis) = match f.kind {
+                    FaultKind::Panic => (fault_tag::PANIC, 0),
+                    FaultKind::Crash => (fault_tag::CRASH, 0),
+                    FaultKind::Hang { millis } => (fault_tag::HANG, millis),
+                    FaultKind::Slow { millis } => (fault_tag::SLOW, millis),
                 };
-                plan = plan.fault(worker, round, kind);
-            }
-            plan
-        }
-
-        /// Consume (disarm) the first still-armed fault addressed to
-        /// `(worker, round)`, if any.
-        pub(crate) fn take(&self, worker: usize, round: u64) -> Option<FaultKind> {
-            self.faults
-                .iter()
-                .filter(|f| f.worker == worker && f.round == round)
-                .find(|f| f.armed.swap(false, Ordering::SeqCst))
-                .map(|f| f.kind)
-        }
-
-        /// The still-armed entries addressed to `worker` as the
-        /// `(worker, round, kind tag, millis)` tuples a `Hello` carries,
-        /// so a respawned child doesn't re-arm faults that already fired.
-        pub(crate) fn to_wire(&self, worker: usize) -> Vec<(usize, u64, u8, u64)> {
-            self.faults
-                .iter()
-                .filter(|f| f.worker == worker && f.armed.load(Ordering::SeqCst))
-                .map(|f| {
-                    let (tag, millis) = match f.kind {
-                        FaultKind::Panic => (fault_tag::PANIC, 0),
-                        FaultKind::Crash => (fault_tag::CRASH, 0),
-                        FaultKind::Hang { millis } => (fault_tag::HANG, millis),
-                        FaultKind::Slow { millis } => (fault_tag::SLOW, millis),
-                    };
-                    (f.worker, f.round, tag, millis)
-                })
-                .collect()
-        }
-
-        /// The child's side of [`Self::to_wire`]; unknown tags are skipped.
-        pub(crate) fn from_wire(faults: &[(usize, u64, u8, u64)]) -> Self {
-            let mut plan = Self::new();
-            for &(worker, round, tag, millis) in faults {
-                let kind = match tag {
-                    fault_tag::PANIC => FaultKind::Panic,
-                    fault_tag::CRASH => FaultKind::Crash,
-                    fault_tag::HANG => FaultKind::Hang { millis },
-                    fault_tag::SLOW => FaultKind::Slow { millis },
-                    _ => continue,
-                };
-                plan = plan.fault(worker, round, kind);
-            }
-            plan
-        }
+                (f.worker, f.round, tag, millis)
+            })
+            .collect()
     }
 
-    impl Clone for FaultPlan {
-        /// A clone is the same schedule with every fault armed again,
-        /// whatever has fired on `self` — which is what lets one spec be
-        /// run twice. To *share* arming (a runtime and its workers), clone
-        /// an `Arc<FaultPlan>` instead.
-        fn clone(&self) -> Self {
-            let mut plan = Self::new();
-            for f in &self.faults {
-                plan = plan.fault(f.worker, f.round, f.kind);
-            }
-            plan
+    /// The child's side of [`Self::to_wire`]; unknown tags are skipped.
+    pub(crate) fn from_wire(faults: &[(usize, u64, u8, u64)]) -> Self {
+        let mut plan = Self::new();
+        for &(worker, round, tag, millis) in faults {
+            let kind = match tag {
+                fault_tag::PANIC => FaultKind::Panic,
+                fault_tag::CRASH => FaultKind::Crash,
+                fault_tag::HANG => FaultKind::Hang { millis },
+                fault_tag::SLOW => FaultKind::Slow { millis },
+                _ => continue,
+            };
+            plan = plan.fault(worker, round, kind);
         }
+        plan
+    }
+}
+
+impl Clone for FaultPlan {
+    /// A clone is the same schedule with every fault armed again,
+    /// whatever has fired on `self` — which is what lets one spec be
+    /// run twice. To *share* arming (a runtime and its workers), clone
+    /// an `Arc<FaultPlan>` instead.
+    fn clone(&self) -> Self {
+        let mut plan = Self::new();
+        for f in &self.faults {
+            plan = plan.fault(f.worker, f.round, f.kind);
+        }
+        plan
     }
 }
 

@@ -28,7 +28,8 @@
 //! child process, via `WorkerSpec::with_respawn` / the worker's
 //! blueprint) and quarantine-with-degradation; hung workers surface
 //! through the policy's receive timeout. See [`fault`] for the recovery
-//! ladder and the test-only injection layer.
+//! ladder and the injection layer: every runtime carries a [`FaultPlan`],
+//! empty unless it was spawned with one.
 
 pub mod driver;
 pub mod event;
@@ -39,21 +40,19 @@ pub mod worker;
 
 pub(crate) use driver::{merge_wave, Driver, SyncPolicy};
 pub use event::{Command, Event, WILDCARD_ROUND};
-#[cfg(any(test, feature = "fault-inject"))]
-pub use fault::FaultPlan;
-pub use fault::{FaultKind, FaultPolicy, RuntimeError};
+pub use fault::{FaultKind, FaultPlan, FaultPolicy, RuntimeError};
 #[cfg(unix)]
 pub use transport::process::run_worker_process;
 pub use transport::{CollectorBlueprint, EnvBlueprint, RngStream, TransportConfig, TransportKind};
 pub use whatif::{run_whatif, run_whatif_batched, ContinuationPolicy, WhatIfPayload, WhatIfTask};
 pub use worker::Collector;
-pub(crate) use worker::WorkerCtx;
 
 use crate::backends::common::Segment;
 use crate::keys;
 use fault::{FaultCause, FaultLog, Quarantine};
 use rl_algos::policy::ActorCritic;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::{SharedRecorder, Value};
 use transport::channel::ChannelTransport;
@@ -183,30 +182,19 @@ impl<'f> Runtime<'f> {
         initial_policy: &ActorCritic,
         config: TransportConfig,
     ) -> Self {
-        Self::spawn_hooked(specs, initial_policy, config, WorkerCtx::default())
+        Self::spawn_faulted(specs, initial_policy, config, FaultPlan::new())
     }
 
     /// [`Runtime::spawn_with`] for a runtime that suffers `plan`: the
     /// plan moves in, this runtime's workers (respawned ones included)
-    /// consume it, and no other runtime can see it.
-    #[cfg(any(test, feature = "fault-inject"))]
+    /// share it, and no other runtime can see it.
     pub fn spawn_faulted(
-        specs: Vec<WorkerSpec<'f>>,
+        mut specs: Vec<WorkerSpec<'f>>,
         initial_policy: &ActorCritic,
         config: TransportConfig,
         plan: FaultPlan,
     ) -> Self {
-        Self::spawn_hooked(specs, initial_policy, config, WorkerCtx::armed(plan))
-    }
-
-    /// The one spawn: `ctx` is this runtime's hooks value, cloned into
-    /// whichever transport ends up hosting the workers.
-    pub(crate) fn spawn_hooked(
-        mut specs: Vec<WorkerSpec<'f>>,
-        initial_policy: &ActorCritic,
-        config: TransportConfig,
-        ctx: WorkerCtx,
-    ) -> Self {
+        let plan = Arc::new(plan);
         assert!(!specs.is_empty(), "runtime needs at least one worker");
         let nodes: Vec<usize> = specs.iter().map(|s| s.node).collect();
         let respawners: Vec<Option<RespawnFn<'f>>> =
@@ -214,7 +202,7 @@ impl<'f> Runtime<'f> {
 
         let selected: Option<Box<dyn Transport>> = match config {
             TransportConfig::InProcess => None,
-            TransportConfig::Uds => Self::connect_uds(&specs, &nodes, initial_policy, &ctx)
+            TransportConfig::Uds => Self::connect_uds(&specs, &nodes, initial_policy, &plan)
                 .map_err(|why| {
                     eprintln!("process transport unavailable ({why}); falling back to in-process")
                 })
@@ -224,7 +212,7 @@ impl<'f> Runtime<'f> {
             Box::new(ChannelTransport::spawn(
                 specs.into_iter().map(|s| (s.node, s.collector)).collect(),
                 initial_policy,
-                ctx,
+                plan,
             ))
         });
 
@@ -249,7 +237,7 @@ impl<'f> Runtime<'f> {
         specs: &[WorkerSpec<'f>],
         nodes: &[usize],
         initial_policy: &ActorCritic,
-        ctx: &WorkerCtx,
+        plan: &Arc<FaultPlan>,
     ) -> Result<Box<dyn Transport>, String> {
         let blueprints: Vec<CollectorBlueprint> = specs
             .iter()
@@ -263,14 +251,14 @@ impl<'f> Runtime<'f> {
             blueprints,
             nodes.to_vec(),
             initial_policy,
-            ctx.clone(),
+            plan.clone(),
             transport::process::HANDSHAKE_TIMEOUT,
         )
         .map(|t| Box::new(t) as Box<dyn Transport>)
         .map_err(|e| e.to_string());
         #[cfg(not(unix))]
         {
-            let _ = (blueprints, bin, nodes, initial_policy, ctx);
+            let _ = (blueprints, bin, nodes, initial_policy, plan);
             Err("no Unix domain sockets on this target".into())
         }
     }
@@ -338,11 +326,19 @@ impl<'f> Runtime<'f> {
         Instant::now() + Duration::from_millis(self.policy.recv_timeout_ms)
     }
 
-    /// Rebuild a dead worker, booting it from the latest broadcast
-    /// snapshot. The in-process transport needs the spec's respawn
-    /// factory; the process transport rebuilds from its blueprint.
-    fn respawn_worker(&mut self, worker: usize) -> bool {
-        self.transport.respawn(worker, self.respawners[worker].as_deref(), &self.snapshot)
+    /// Rebuild a reaped worker, booting it from the latest broadcast
+    /// snapshot, and count the respawn. The in-process transport needs
+    /// the spec's respawn factory; the process transport rebuilds from
+    /// its blueprint. False when the worker cannot be rebuilt.
+    fn revive(&mut self, worker: usize, faults: &mut FaultLog) -> bool {
+        if !self.transport.respawn(worker, self.respawners[worker].as_deref(), &self.snapshot) {
+            return false;
+        }
+        faults.respawns += 1;
+        if self.recorder.enabled() {
+            self.recorder.counter_add(keys::RT_RESPAWNS, 1);
+        }
+        true
     }
 
     /// Reap a worker that announced (or demonstrated) its death.
@@ -388,6 +384,22 @@ impl<'f> Runtime<'f> {
         })
     }
 
+    /// `worker` blew the receive timeout in `round`: count it, then
+    /// quarantine or error. Hung workers are never retried — the old
+    /// thread may still wake and double-drive its collector.
+    fn time_out(
+        &mut self,
+        worker: usize,
+        round: u64,
+        faults: &mut FaultLog,
+    ) -> Result<(), RuntimeError> {
+        faults.timeouts += 1;
+        if self.recorder.enabled() {
+            self.recorder.counter_add(keys::RT_TIMEOUTS, 1);
+        }
+        self.quarantine_or_err(worker, round, FaultCause::TimedOut, "hung", faults)
+    }
+
     /// React to a failed round-command: retry (respawning first if the
     /// worker died) while budget remains, else quarantine or error.
     /// Returns the refreshed in-flight entry when a retry was dispatched.
@@ -415,15 +427,9 @@ impl<'f> Runtime<'f> {
         let backoff = self.policy.backoff_s(entry.attempts);
         entry.attempts += 1;
         faults.backoff_s += backoff;
-        if fatal {
-            if !self.respawn_worker(worker) {
-                self.quarantine_or_err(worker, round, FaultCause::Dead, reason, faults)?;
-                return Ok(None);
-            }
-            faults.respawns += 1;
-            if self.recorder.enabled() {
-                self.recorder.counter_add(keys::RT_RESPAWNS, 1);
-            }
+        if fatal && !self.revive(worker, faults) {
+            self.quarantine_or_err(worker, round, FaultCause::Dead, reason, faults)?;
+            return Ok(None);
         }
         let cmd = Command::Collect { round, steps, rng: entry.rng.clone() };
         if self.transport.send(worker, cmd).is_err() {
@@ -457,11 +463,7 @@ impl<'f> Runtime<'f> {
         }
         // The worker died outside a round (defensive): respawn or give up.
         self.reap(worker);
-        if self.respawn_worker(worker) {
-            faults.respawns += 1;
-            if self.recorder.enabled() {
-                self.recorder.counter_add(keys::RT_RESPAWNS, 1);
-            }
+        if self.revive(worker, faults) {
             let retry = Command::Collect { round, steps, rng: rng.clone() };
             if self.transport.send(worker, retry).is_ok() {
                 return Ok(Some(InFlight { rng, attempts: 0, deadline: self.deadline() }));
@@ -533,10 +535,7 @@ impl<'f> Runtime<'f> {
             let next_deadline = in_flight.iter().flatten().map(|f| f.deadline).min();
             let next_deadline = next_deadline.unwrap_or_else(|| self.deadline());
             let Some(ev) = self.transport.recv_deadline(next_deadline)? else {
-                // Deadline expired: every overdue worker is hung. No
-                // retry — the old thread may still wake and double-drive
-                // the collector — so the ladder goes straight to
-                // quarantine (or error).
+                // Deadline expired: every overdue worker is hung.
                 let now = Instant::now();
                 let overdue: Vec<usize> = in_flight
                     .iter()
@@ -548,11 +547,7 @@ impl<'f> Runtime<'f> {
                     in_flight[w] = None;
                     outstanding -= 1;
                     remaining -= 1;
-                    faults.timeouts += 1;
-                    if recording {
-                        self.recorder.counter_add(keys::RT_TIMEOUTS, 1);
-                    }
-                    self.quarantine_or_err(w, round, FaultCause::TimedOut, "hung", &mut faults)?;
+                    self.time_out(w, round, &mut faults)?;
                 }
                 continue;
             };
@@ -627,11 +622,7 @@ impl<'f> Runtime<'f> {
                 // Dead worker: a respawned one boots straight from the
                 // fresh snapshot, so no ack is owed.
                 self.reap(w);
-                if self.respawn_worker(w) {
-                    faults.respawns += 1;
-                    if self.recorder.enabled() {
-                        self.recorder.counter_add(keys::RT_RESPAWNS, 1);
-                    }
+                if self.revive(w, &mut faults) {
                     if self.nodes[w] != 0 {
                         bytes += policy.param_bytes();
                     }
@@ -656,11 +647,7 @@ impl<'f> Runtime<'f> {
             let Some(ev) = self.transport.recv_deadline(deadline)? else {
                 // Every remaining ack is overdue.
                 for w in std::mem::take(&mut awaiting) {
-                    faults.timeouts += 1;
-                    if self.recorder.enabled() {
-                        self.recorder.counter_add(keys::RT_TIMEOUTS, 1);
-                    }
-                    self.quarantine_or_err(w, round, FaultCause::TimedOut, "hung", &mut faults)?;
+                    self.time_out(w, round, &mut faults)?;
                 }
                 continue;
             };

@@ -6,12 +6,12 @@
 //! byte ever gets serialized, and [`TransportStats`] stays all-zero.
 
 use super::super::event::{Command, Event};
-use super::super::fault::RuntimeError;
-use super::super::worker::{self, Collector, WorkerCtx};
+use super::super::fault::{FaultPlan, RuntimeError};
+use super::super::worker::{self, Collector};
 use super::{SendError, Transport, TransportConfig, TransportStats};
 use rl_algos::policy::ActorCritic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -25,17 +25,17 @@ pub(crate) struct ChannelTransport {
     workers: Vec<ChannelWorker>,
     events: mpsc::Receiver<Event>,
     event_tx: mpsc::Sender<Event>,
-    /// This runtime's hooks; respawned workers get a clone.
-    ctx: WorkerCtx,
+    /// This runtime's armed fault plan; respawned workers share it too.
+    plan: Arc<FaultPlan>,
 }
 
 impl ChannelTransport {
     /// Spawn one `rt-worker-{i}` thread per `(node, collector)` pair,
-    /// each booting from a clone of `initial_policy` and of `ctx`.
+    /// each booting from a clone of `initial_policy` and sharing `plan`.
     pub(crate) fn spawn(
         workers: Vec<(usize, Collector)>,
         initial_policy: &ActorCritic,
-        ctx: WorkerCtx,
+        plan: Arc<FaultPlan>,
     ) -> Self {
         let (event_tx, events) = mpsc::channel::<Event>();
         let workers = workers
@@ -45,15 +45,17 @@ impl ChannelTransport {
                 let (commands, cmd_rx) = mpsc::channel::<Command>();
                 let tx = event_tx.clone();
                 let policy = initial_policy.clone();
-                let ctx = ctx.clone();
+                let plan = plan.clone();
                 let join = std::thread::Builder::new()
                     .name(format!("rt-worker-{i}"))
-                    .spawn(move || worker::worker_loop(i, node, collector, policy, cmd_rx, tx, ctx))
+                    .spawn(move || {
+                        worker::worker_loop(i, node, collector, policy, cmd_rx, tx, plan)
+                    })
                     .expect("spawn runtime worker");
                 ChannelWorker { commands, join: Some(join), node }
             })
             .collect();
-        Self { workers, events, event_tx, ctx }
+        Self { workers, events, event_tx, plan }
     }
 }
 
@@ -103,10 +105,10 @@ impl Transport for ChannelTransport {
         let tx = self.event_tx.clone();
         let policy = policy.clone();
         let node = self.workers[worker].node;
-        let ctx = self.ctx.clone();
+        let plan = self.plan.clone();
         let spawned = std::thread::Builder::new()
             .name(format!("rt-worker-{worker}"))
-            .spawn(move || worker::worker_loop(worker, node, collector, policy, cmd_rx, tx, ctx));
+            .spawn(move || worker::worker_loop(worker, node, collector, policy, cmd_rx, tx, plan));
         match spawned {
             Ok(join) => {
                 self.workers[worker] = ChannelWorker { commands, join: Some(join), node };

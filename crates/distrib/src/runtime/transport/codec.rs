@@ -438,12 +438,11 @@ pub(crate) struct Hello {
     pub(crate) policy: ActorCritic,
     pub(crate) blueprint: CollectorBlueprint,
     /// `(worker, round, kind, millis)` tuples; kind is the wire tag used
-    /// by [`encode_hello`]. Only meaningful under `fault-inject`.
+    /// by [`encode_hello`]. Empty unless the run was given a fault plan.
     pub(crate) faults: Vec<(usize, u64, u8, u64)>,
 }
 
 /// Fault kind wire tags inside a Hello body.
-#[cfg(any(test, feature = "fault-inject"))]
 pub(crate) mod fault_tag {
     pub(crate) const PANIC: u8 = 0;
     pub(crate) const CRASH: u8 = 1;

@@ -4,8 +4,9 @@
 //!
 //! Topology: the driver binds one listener; every child connects to it
 //! and self-identifies with an `Iam` frame, then receives a `Hello`
-//! carrying its starting policy, its collector blueprint, and (under
-//! `fault-inject`) the still-armed injected faults addressed to it.
+//! carrying its starting policy, its collector blueprint, and the
+//! still-armed injected faults addressed to it (none unless the run
+//! was given a `FaultPlan`).
 //! After the handshake the wire speaks exactly the runtime's
 //! `Command`/`Event` protocol.
 //!
@@ -30,8 +31,8 @@
 //! transport's own drop, which also unlinks the socket file.
 
 use super::super::event::{Command, Event, WILDCARD_ROUND};
-use super::super::fault::RuntimeError;
-use super::super::worker::{Collector, Flow, WorkerCtx, WorkerState};
+use super::super::fault::{FaultPlan, RuntimeError};
+use super::super::worker::{Collector, Flow, WorkerState};
 use super::codec::{self, FrameReader, FrameWriter, Hello};
 use super::rng::RngCache;
 use super::{SendError, Transport, TransportConfig, TransportStats};
@@ -189,8 +190,8 @@ pub(crate) struct ProcessTransport {
     cmd_caches: Vec<RngCache>,
     counters: Arc<WireCounters>,
     recorder: SharedRecorder,
-    /// This runtime's hooks: what each child's `Hello` arms.
-    ctx: WorkerCtx,
+    /// This runtime's armed fault plan: what each child's `Hello` arms.
+    plan: Arc<FaultPlan>,
 }
 
 static SOCKET_ID: AtomicU64 = AtomicU64::new(0);
@@ -206,7 +207,7 @@ impl ProcessTransport {
         blueprints: Vec<CollectorBlueprint>,
         nodes: Vec<usize>,
         initial_policy: &ActorCritic,
-        ctx: WorkerCtx,
+        plan: Arc<FaultPlan>,
         handshake: Duration,
     ) -> io::Result<Self> {
         let socket_path = std::env::temp_dir().join(format!(
@@ -232,7 +233,7 @@ impl ProcessTransport {
             cmd_caches: (0..n).map(|_| RngCache::new()).collect(),
             counters: Arc::new(WireCounters::default()),
             recorder: telemetry::null_recorder(),
-            ctx,
+            plan,
         };
         transport.listener.set_nonblocking(true)?;
         transport.children = transport.launch(0..n, initial_policy, 0)?;
@@ -328,7 +329,7 @@ impl ProcessTransport {
             node: self.nodes[worker],
             policy: policy.clone(),
             blueprint: self.blueprints[worker].clone(),
-            faults: self.ctx.hello_faults(worker),
+            faults: self.plan.to_wire(worker),
         };
         let frame = codec::encode_hello(&mut self.writer, &mut hello);
         self.counters.frames_out.fetch_add(1, Ordering::Relaxed);
@@ -410,7 +411,7 @@ impl Transport for ProcessTransport {
                     // already disarmed the entry themselves.)
                     if let Event::WorkerFailed { worker: w, round, .. } = &ev {
                         if *round != WILDCARD_ROUND {
-                            self.ctx.take(*w, *round);
+                            self.plan.take(*w, *round);
                         }
                     }
                     return Ok(Some(ev));
@@ -534,9 +535,9 @@ pub fn run_worker_process<I: IntoIterator<Item = String>>(args: I) -> Result<(),
         return Err(format!("Hello addressed to worker {}, I am {worker}", hello.worker));
     }
 
-    let ctx = WorkerCtx::from_hello(&hello.faults);
+    let plan = Arc::new(FaultPlan::from_wire(&hello.faults));
     let collector = hello.blueprint.build();
-    let mut state = WorkerState::new(worker, hello.node, collector, hello.policy, ctx);
+    let mut state = WorkerState::new(worker, hello.node, collector, hello.policy, plan);
 
     let mut cmd_cache = RngCache::new();
     let mut ev_cache = RngCache::new();
@@ -675,7 +676,7 @@ mod tests {
             blueprints(2),
             vec![0, 0],
             &policy(),
-            WorkerCtx::default(),
+            Arc::default(),
             handshake,
         )
         .err()
@@ -717,7 +718,7 @@ mod tests {
             blueprints(1),
             vec![0],
             &policy,
-            WorkerCtx::default(),
+            Arc::default(),
             HANDSHAKE_TIMEOUT,
         )
         .expect("the test answered worker 0's handshake");

@@ -21,15 +21,18 @@
 //! commands* after resetting its environment state — the driver decides
 //! whether to retry, respawn or quarantine (see
 //! [`super::fault::FaultPolicy`]). Only an injected crash (or a send on a
-//! dead event channel) ends the worker.
+//! dead event channel) ends the worker. Injected faults come from the
+//! hosting runtime's [`FaultPlan`], which every worker consults on each
+//! `Collect` in every build; the default plan is empty and never fires.
 
 use super::event::{panic_text, Command, Event};
-use super::fault::FaultKind;
+use super::fault::{FaultKind, FaultPlan};
 use crate::backends::common::Segment;
 use gymrs::{Environment, VecEnv};
 use rl_algos::policy::ActorCritic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The environment state a worker owns: a vectorized environment whose
@@ -39,54 +42,6 @@ use std::time::Duration;
 /// to round, and `steps` in a [`Command::Collect`] counts lockstep ticks
 /// (each tick advances every lane once).
 pub type Collector = VecEnv<Box<dyn Environment>>;
-
-/// The hooks a runtime hands every worker it hosts — one value per
-/// runtime, never process-wide. In test and `fault-inject` builds that is
-/// the runtime's own armed `FaultPlan` (clones share it, so a respawned
-/// worker cannot re-suffer a fault that already fired); otherwise nothing.
-#[derive(Clone, Default)]
-pub(crate) struct WorkerCtx {
-    #[cfg(any(test, feature = "fault-inject"))]
-    plan: std::sync::Arc<super::fault::FaultPlan>,
-}
-
-#[cfg(any(test, feature = "fault-inject"))]
-impl WorkerCtx {
-    /// Hand `plan` to one runtime.
-    pub(crate) fn armed(plan: super::fault::FaultPlan) -> Self {
-        Self { plan: std::sync::Arc::new(plan) }
-    }
-
-    /// Consume the first still-armed fault addressed to `(worker, round)`.
-    pub(crate) fn take(&self, worker: usize, round: u64) -> Option<FaultKind> {
-        self.plan.take(worker, round)
-    }
-
-    /// `worker`'s still-armed faults, as a `Hello` carries them.
-    pub(crate) fn hello_faults(&self, worker: usize) -> Vec<(usize, u64, u8, u64)> {
-        self.plan.to_wire(worker)
-    }
-
-    /// The child's side of [`Self::hello_faults`].
-    pub(crate) fn from_hello(faults: &[(usize, u64, u8, u64)]) -> Self {
-        Self::armed(super::fault::FaultPlan::from_wire(faults))
-    }
-}
-
-#[cfg(not(any(test, feature = "fault-inject")))]
-impl WorkerCtx {
-    pub(crate) fn take(&self, _worker: usize, _round: u64) -> Option<FaultKind> {
-        None
-    }
-
-    pub(crate) fn hello_faults(&self, _worker: usize) -> Vec<(usize, u64, u8, u64)> {
-        Vec::new()
-    }
-
-    pub(crate) fn from_hello(_faults: &[(usize, u64, u8, u64)]) -> Self {
-        Self::default()
-    }
-}
 
 /// What a worker does after handling one command.
 pub(crate) enum Flow {
@@ -106,7 +61,10 @@ pub(crate) struct WorkerState {
     node: usize,
     collector: Collector,
     policy: ActorCritic,
-    ctx: WorkerCtx,
+    /// The hosting runtime's armed plan, shared with every worker it
+    /// hosts, so a respawned worker cannot re-suffer a fault that
+    /// already fired. Empty unless the run was given faults.
+    plan: Arc<FaultPlan>,
 }
 
 impl WorkerState {
@@ -115,9 +73,9 @@ impl WorkerState {
         node: usize,
         collector: Collector,
         policy: ActorCritic,
-        ctx: WorkerCtx,
+        plan: Arc<FaultPlan>,
     ) -> Self {
-        Self { worker, node, collector, policy, ctx }
+        Self { worker, node, collector, policy, plan }
     }
 
     /// Process one command, emitting events through `emit` (which
@@ -126,7 +84,7 @@ impl WorkerState {
         let worker = self.worker;
         match cmd {
             Command::Collect { round, steps, mut rng } => {
-                let fault = self.ctx.take(worker, round);
+                let fault = self.plan.take(worker, round);
                 match fault {
                     Some(FaultKind::Slow { millis }) | Some(FaultKind::Hang { millis }) => {
                         // A slow worker answers late; a hung worker
@@ -199,9 +157,9 @@ pub(crate) fn worker_loop(
     policy: ActorCritic,
     commands: Receiver<Command>,
     events: Sender<Event>,
-    ctx: WorkerCtx,
+    plan: Arc<FaultPlan>,
 ) {
-    let mut state = WorkerState::new(worker, node, collector, policy, ctx);
+    let mut state = WorkerState::new(worker, node, collector, policy, plan);
     while let Ok(cmd) = commands.recv() {
         match state.handle(cmd, &mut |ev| events.send(ev).is_ok()) {
             Flow::Continue => {}

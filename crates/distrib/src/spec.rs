@@ -1,7 +1,7 @@
 //! Execution specifications: what to train, where.
 
 use crate::framework::{Architecture, Framework};
-use crate::runtime::{FaultPolicy, TransportConfig};
+use crate::runtime::{FaultPlan, FaultPolicy, TransportConfig};
 use rl_algos::{Algorithm, PpoConfig, SacConfig};
 
 /// The system-level deployment parameters of the study (§V-b): number of
@@ -38,20 +38,28 @@ impl Deployment {
 }
 
 /// The checks every training entry point applies before anything is
-/// spawned: a deployment the architecture admits, a positive step budget
-/// and a well-formed transport request, in-process when there is none.
-/// Returns the transport.
-pub(crate) fn check_run(
-    arch: &Architecture,
-    deployment: Deployment,
-    total_steps: usize,
-    transport: Option<&str>,
-) -> Result<TransportConfig, String> {
-    deployment.fits(arch)?;
-    if total_steps == 0 {
+/// spawned: a deployment the architecture admits, a positive step budget,
+/// a well-formed transport request (in-process when there is none), and
+/// for SAC, which trains in process and spawns no runtime, neither a
+/// process transport nor a fault plan it would silently drop. Returns the
+/// transport.
+pub(crate) fn check_run(spec: &ExecSpec, arch: &Architecture) -> Result<TransportConfig, String> {
+    spec.deployment.fits(arch)?;
+    if spec.total_steps == 0 {
         return Err("total_steps must be positive".into());
     }
-    transport.map_or(Ok(TransportConfig::InProcess), TransportConfig::parse)
+    let transport =
+        spec.transport.as_deref().map_or(Ok(TransportConfig::InProcess), TransportConfig::parse)?;
+    if spec.algorithm == Algorithm::Sac {
+        if transport != TransportConfig::InProcess {
+            let wire = transport.as_str();
+            return Err(format!("SAC trains in process: it cannot run on the `{wire}` transport"));
+        }
+        if !spec.fault_plan.is_empty() {
+            return Err("SAC trains in process with no workers: a fault plan cannot fire".into());
+        }
+    }
+    Ok(transport)
 }
 
 /// A full training-execution request.
@@ -76,17 +84,17 @@ pub struct ExecSpec {
     /// minus the panic: an unhandled failure becomes a study `Err`.
     pub fault: FaultPolicy,
     /// Transport for the runtime (`inproc` or `uds`).
-    /// `None` is in-process; a malformed value is rejected by
-    /// [`dist_exec::run`](crate::run).
+    /// `None` is in-process; a malformed value, or `uds` on a SAC spec
+    /// (SAC spawns no runtime), is rejected by [`dist_exec::run`](crate::run).
     pub(crate) transport: Option<String>,
     /// Faults to inject into this spec's runtime (empty by default). The
     /// spec holds the plan by value — the *schedule*, not shared arming:
     /// `FaultPlan::clone` re-arms, and every run arms its own clone, so
     /// running one spec twice injects the same faults twice and a cloned
     /// spec starts fully armed. Only the runtime and its workers share
-    /// one armed copy (an `Arc`), which is what a fault fires on.
-    #[cfg(any(test, feature = "fault-inject"))]
-    pub fault_plan: crate::runtime::FaultPlan,
+    /// one armed copy (an `Arc`), which is what a fault fires on. SAC
+    /// spawns no runtime, so a SAC spec with a plan is refused.
+    pub fault_plan: FaultPlan,
 }
 
 impl ExecSpec {
@@ -108,8 +116,7 @@ impl ExecSpec {
             sac: SacConfig::default(),
             fault: FaultPolicy::default(),
             transport: None,
-            #[cfg(any(test, feature = "fault-inject"))]
-            fault_plan: Default::default(),
+            fault_plan: FaultPlan::new(),
         }
     }
 
@@ -148,9 +155,11 @@ mod tests {
 
     #[test]
     fn run_check_covers_steps() {
-        let arch = Framework::TfAgents.architecture();
         let d = Deployment { nodes: 1, cores_per_node: 4 };
-        assert!(check_run(&arch, d, 1000, None).is_ok());
-        assert!(check_run(&arch, d, 0, None).is_err());
+        let mut spec = ExecSpec::new(Framework::TfAgents, Algorithm::Ppo, d, 1000, 0);
+        let arch = spec.framework.architecture();
+        assert!(check_run(&spec, &arch).is_ok());
+        spec.total_steps = 0;
+        assert!(check_run(&spec, &arch).is_err());
     }
 }

@@ -171,11 +171,8 @@ fn rllib_airdrop_report_is_independent_of_ode_batching() {
 //
 // A worker quarantined mid-study must not cost determinism: the merge
 // over the *surviving* worker set stays in worker-index order, so the
-// degraded run is as schedule-independent as a clean one. Needs the
-// fault-injection layer, so it only compiles with `--features
-// fault-inject` (the CI chaos job runs it).
+// degraded run is as schedule-independent as a clean one.
 
-#[cfg(feature = "fault-inject")]
 fn run_rllib_with_midstudy_quarantine(factory: &dyn EnvFactory) -> Vec<u64> {
     use dist_exec::runtime::{FaultKind, FaultPlan};
     use dist_exec::FaultPolicy;
@@ -197,7 +194,6 @@ fn run_rllib_with_midstudy_quarantine(factory: &dyn EnvFactory) -> Vec<u64> {
     fingerprint(&report.train_returns, &report.usage)
 }
 
-#[cfg(feature = "fault-inject")]
 #[test]
 fn quarantine_mid_study_keeps_the_surviving_merge_schedule_independent() {
     assert_schedule_independent(

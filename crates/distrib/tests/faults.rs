@@ -17,8 +17,6 @@
 //!    the cluster session's usage bit for bit even when retry backoff
 //!    and quarantines land in the books mid-trial.
 
-#![cfg(feature = "fault-inject")]
-
 mod common;
 
 use cluster_sim::{ClusterSpec, Usage};

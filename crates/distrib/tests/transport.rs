@@ -20,8 +20,10 @@ use dist_exec::runtime::transport::codec::{
     self, decode_command, decode_event, encode_command, encode_event, FrameReader, FrameWriter,
 };
 use dist_exec::runtime::transport::RngCache;
-use dist_exec::runtime::{Command, EnvBlueprint, Event, RngStream, WILDCARD_ROUND};
-use dist_exec::Framework;
+use dist_exec::runtime::{
+    Command, EnvBlueprint, Event, FaultKind, FaultPlan, RngStream, WILDCARD_ROUND,
+};
+use dist_exec::{ExecSpec, FaultPolicy, Framework};
 use gymrs::Space;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -287,39 +289,30 @@ fn closure_factories_fall_back_to_in_process() {
 //
 // A crashed child process must surface as a fatal `WorkerFailed` and walk
 // the same retry → respawn → quarantine ladder as an in-process worker.
-// Needs the fault-injection layer (`--features fault-inject`).
 
-#[cfg(feature = "fault-inject")]
-mod process_faults {
-    use super::*;
-    use dist_exec::runtime::{FaultKind, FaultPlan};
-    use dist_exec::spec::ExecSpec;
-    use dist_exec::FaultPolicy;
+fn crash_spec(crashes: u32) -> ExecSpec {
+    let mut spec = ppo_spec(Framework::RayRllib, Some("uds"));
+    spec.total_steps = 512;
+    spec.fault = FaultPolicy::resilient();
+    spec.fault_plan = FaultPlan::new().repeated(1, 1, FaultKind::Crash, crashes);
+    spec
+}
 
-    fn crash_spec(crashes: u32) -> ExecSpec {
-        let mut spec = ppo_spec(Framework::RayRllib, Some("uds"));
-        spec.total_steps = 512;
-        spec.fault = FaultPolicy::resilient();
-        spec.fault_plan = FaultPlan::new().repeated(1, 1, FaultKind::Crash, crashes);
-        spec
-    }
+#[test]
+fn crashed_child_is_respawned_and_the_study_completes() {
+    let report = run(&crash_spec(1), &EnvBlueprint::Grid { n: 3 })
+        .expect("one crash is absorbed by a respawn");
+    assert!(!report.degraded, "a single crash must not quarantine the worker");
+    assert!(report.usage.wire_bytes > 0, "the study ran on the process transport");
+}
 
-    #[test]
-    fn crashed_child_is_respawned_and_the_study_completes() {
-        let report = run(&crash_spec(1), &EnvBlueprint::Grid { n: 3 })
-            .expect("one crash is absorbed by a respawn");
-        assert!(!report.degraded, "a single crash must not quarantine the worker");
-        assert!(report.usage.wire_bytes > 0, "the study ran on the process transport");
-    }
-
-    #[test]
-    fn repeated_child_crashes_exhaust_the_ladder_into_quarantine() {
-        // More crashes at (worker 1, round 1) than the policy has
-        // retries: every respawned child re-arms the remaining entries
-        // from its Hello and dies again, until quarantine.
-        let spec = crash_spec(FaultPolicy::resilient().max_retries + 1);
-        let report = run(&spec, &EnvBlueprint::Grid { n: 3 })
-            .expect("the degraded study must still complete");
-        assert!(report.degraded, "exhausting the ladder must quarantine the worker");
-    }
+#[test]
+fn repeated_child_crashes_exhaust_the_ladder_into_quarantine() {
+    // More crashes at (worker 1, round 1) than the policy has
+    // retries: every respawned child re-arms the remaining entries
+    // from its Hello and dies again, until quarantine.
+    let spec = crash_spec(FaultPolicy::resilient().max_retries + 1);
+    let report =
+        run(&spec, &EnvBlueprint::Grid { n: 3 }).expect("the degraded study must still complete");
+    assert!(report.degraded, "exhausting the ladder must quarantine the worker");
 }
