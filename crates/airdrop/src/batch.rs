@@ -363,20 +363,58 @@ mod tests {
         }
         cfg.substep /= 2.0;
         let mut batch = AirdropBatch::new(cfg, 2);
-
-        struct Lanes<'a>(&'a mut [AirdropEnv]);
-        impl EnvLanes for Lanes<'_> {
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn lane(&mut self, i: usize) -> Option<&mut dyn std::any::Any> {
-                self.0[i].as_any_mut()
-            }
-        }
-
         let actions = vec![Action::Continuous(vec![0.0]); 2];
         let mut obs = vec![vec![0.0; AirdropEnv::OBS_DIM]; 2];
         let mut steps = vec![LaneStep::default(); 2];
-        assert!(!batch.step_lockstep(&mut Lanes(&mut envs), &actions, Some(&mut obs), &mut steps));
+        assert!(!batch.step_lockstep(&mut envs, &actions, Some(&mut obs), &mut steps));
+    }
+
+    #[test]
+    fn a_refused_batcher_leaves_the_books_of_a_scalar_twin() {
+        // Lane 2 integrates with half the substep of the others, so the
+        // batcher `VecEnv` installs from lane 0 refuses the set on the
+        // first tick; from then on the `VecEnv` ticks like a twin built
+        // scalar, observed or not. `{:?}` prints every float in its
+        // shortest round-trip form, so equal text is equal bits.
+        let cfg = AirdropConfig {
+            altitude_limits: (20.0, 45.0),
+            gusts_enabled: true,
+            gust_probability: 0.25,
+            gust_strength: 2.0,
+            ..AirdropConfig::default()
+        };
+        let twins = [true, false].map(|batched| {
+            let envs: Vec<AirdropEnv> = (0..4)
+                .map(|i| {
+                    let substep = if i == 2 { cfg.substep / 2.0 } else { cfg.substep };
+                    AirdropEnv::new(AirdropConfig { substep, ..cfg.clone() })
+                })
+                .collect();
+            let mut v = gymrs::VecEnv::new(envs, 37);
+            v.set_batched(batched);
+            v.reset_all();
+            v
+        });
+        let [mut refused, mut scalar] = twins;
+        assert!(refused.is_batched());
+        let mut ended = 0;
+        for tick in 0..120 {
+            let actions: Vec<Action> = (0..4)
+                .map(|i| Action::Continuous(vec![((tick * 7 + i * 3) as f64 * 0.21).sin()]))
+                .collect();
+            for v in [&mut refused, &mut scalar] {
+                match tick % 3 {
+                    2 => v.step_unobserved(&actions),
+                    _ => v.step_lockstep(&actions),
+                }
+            }
+            assert!(!refused.is_batched());
+            let text = |v: &gymrs::VecEnv<AirdropEnv>| format!("{:?}", v.last_tick());
+            assert_eq!(text(&refused), text(&scalar), "tick {tick}");
+            ended += refused.last_tick().finished.len();
+        }
+        assert!(ended > 0, "episodes end inside the run");
+        let totals = |v: &gymrs::VecEnv<AirdropEnv>| (v.total_steps, v.total_work);
+        assert_eq!(totals(&refused), totals(&scalar));
     }
 }

@@ -20,10 +20,14 @@
 //! the file back to the last complete line; appending after a torn line
 //! without truncating would glue new bytes onto the fragment and turn a
 //! benign tear into mid-file corruption.
+//!
+//! One scan of the file serves both: the first writer opened after a
+//! [`Journal::load`] repairs from that load's scan unless the file's
+//! length has changed since, and scans afresh otherwise.
 
 use crate::wal::StudyEvent;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -101,18 +105,33 @@ struct WalWriter {
     seq: u64,
 }
 
+/// What a writer needs from a scan of the file: its length then, the
+/// bytes to keep (up to the last newline unless what follows decodes),
+/// whether the kept bytes end in a record that lost its newline, and the
+/// count of records kept (the next sequence number).
+#[derive(Clone, Copy)]
+struct Tail {
+    len: u64,
+    keep: u64,
+    terminate: bool,
+    seq: u64,
+}
+
 /// Append-only study WAL.
 pub struct Journal {
     path: PathBuf,
     durability: Durability,
     writer: Mutex<Option<WalWriter>>,
+    /// What the last [`Journal::load`] found, for the next writer opened.
+    scanned: Mutex<Option<Tail>>,
 }
 
 impl Journal {
     /// Open (or create lazily, on first append) a journal at `path` with
     /// the default [`Durability::Flush`].
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self { path: path.into(), durability: Durability::default(), writer: Mutex::new(None) }
+        let (writer, scanned) = (Mutex::default(), Mutex::default());
+        Self { path: path.into(), durability: Durability::default(), writer, scanned }
     }
 
     /// Set the append durability policy.
@@ -129,6 +148,11 @@ impl Journal {
     /// The writer, poisoned or not: the journal outlives a panicking trial.
     fn writer(&self) -> MutexGuard<'_, Option<WalWriter>> {
         self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The last load's scan, poisoned or not, like [`Journal::writer`].
+    fn scanned(&self) -> MutexGuard<'_, Option<Tail>> {
+        self.scanned.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Append one event; returns its sequence number. The line is written
@@ -177,75 +201,85 @@ impl Journal {
         Ok(())
     }
 
+    /// Open the file for appending and repair its tail: from the last
+    /// load's scan when the file still has the length it was scanned at,
+    /// otherwise from a fresh scan.
     fn open_writer(&self) -> Result<WalWriter, JournalError> {
-        // Repair pass: count complete lines and truncate a torn tail so
-        // the first append starts on a fresh line.
-        let mut seq = 0u64;
-        if self.path.exists() {
-            let mut f = OpenOptions::new().read(true).write(true).open(&self.path)?;
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)?;
-            let start = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
-            let tail = &bytes[start..];
-            let keep = if tail.is_empty() {
-                bytes.len()
-            } else if decode(tail).is_ok() {
-                // A parseable unterminated tail only lost its newline;
-                // keep the record, terminate the line.
-                f.seek(SeekFrom::End(0))?;
-                f.write_all(b"\n")?;
-                bytes.push(b'\n');
-                bytes.len()
-            } else {
-                start
-            };
-            if keep < bytes.len() {
-                f.set_len(keep as u64)?;
+        let mut file = OpenOptions::new().create(true).read(true).append(true).open(&self.path)?;
+        let len = file.metadata()?.len();
+        let tail = match self.scanned().take().filter(|t| t.len == len) {
+            Some(tail) => tail,
+            None => {
+                let mut bytes = Vec::new();
+                file.read_to_end(&mut bytes)?;
+                scan(&bytes).1
             }
-            seq = lines(&bytes[..keep]).filter(|l| !l.trim_ascii().is_empty()).count() as u64;
+        };
+        if tail.keep < len {
+            file.set_len(tail.keep)?;
         }
-        let file = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        Ok(WalWriter { file, buf: Vec::new(), line: String::new(), seq })
+        if tail.terminate {
+            file.write_all(b"\n")?;
+        }
+        Ok(WalWriter { file, buf: Vec::new(), line: String::new(), seq: tail.seq })
     }
 
     /// Load and decode the full event log (empty when the file does not
     /// exist). Tolerates exactly one torn tail record; any earlier
-    /// malformed line is a [`JournalError::Corrupt`] error.
+    /// malformed line is a [`JournalError::Corrupt`] error. Reads only:
+    /// the repair of a torn tail waits for the first append.
     pub fn load(&self) -> Result<WalLoad, JournalError> {
         if !self.path.exists() {
             return Ok(WalLoad::default());
         }
         let bytes = std::fs::read(&self.path)?;
-        let terminated = bytes.ends_with(b"\n");
-        let lines: Vec<&[u8]> = lines(&bytes).collect();
-        let mut load = WalLoad::default();
-        for (i, line) in lines.iter().enumerate() {
-            if line.trim_ascii().is_empty() {
-                continue;
-            }
-            match decode(line) {
-                Ok(ev) => load.events.push(ev),
-                Err(message) => {
-                    let is_tail = i + 1 == lines.len() && !terminated;
-                    if is_tail {
-                        load.torn_tail = true;
-                    } else {
-                        return Err(JournalError::Corrupt { line: i + 1, message });
-                    }
-                }
-            }
-        }
-        Ok(load)
+        let (load, tail) = scan(&bytes);
+        *self.scanned() = Some(tail);
+        load
     }
 
     /// Delete the journal file if it exists (drops any open writer).
     pub fn clear(&self) -> Result<(), JournalError> {
         *self.writer() = None;
+        *self.scanned() = None;
         if self.path.exists() {
             std::fs::remove_file(&self.path)?;
         }
         Ok(())
     }
+}
+
+/// Read a journal file once: decode its records, in order, and find the
+/// tail a writer repairs. After a malformed record the load is
+/// [`JournalError::Corrupt`], but later lines still count toward the
+/// writer's sequence number.
+fn scan(bytes: &[u8]) -> (Result<WalLoad, JournalError>, Tail) {
+    let start = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+    let (body, rest) = bytes.split_at(start);
+    let mut tail = Tail { len: bytes.len() as u64, keep: start as u64, terminate: false, seq: 0 };
+    let mut load = Ok(WalLoad::default());
+    for (i, line) in lines(body).enumerate().filter(|(_, l)| !l.trim_ascii().is_empty()) {
+        tail.seq += 1;
+        if let Ok(ok) = &mut load {
+            match decode(line) {
+                Ok(event) => ok.events.push(event),
+                Err(message) => load = Err(JournalError::Corrupt { line: i + 1, message }),
+            }
+        }
+    }
+    // Past the last newline: nothing, a record that lost only its
+    // newline, or a torn one.
+    match lines(rest).next().filter(|l| !l.trim_ascii().is_empty()).map(decode) {
+        Some(Ok(event)) => {
+            if let Ok(ok) = &mut load {
+                ok.events.push(event);
+            }
+            (tail.keep, tail.terminate, tail.seq) = (tail.len, true, tail.seq + 1);
+        }
+        Some(Err(_)) => load.iter_mut().for_each(|ok| ok.torn_tail = true),
+        None => {}
+    }
+    (load, tail)
 }
 
 /// The lines of a journal file as bytes, split like [`str::lines`]: on
@@ -339,6 +373,32 @@ mod tests {
         assert_eq!(load.events.len(), 3);
         assert!(!load.torn_tail);
         j.clear().unwrap();
+    }
+
+    #[test]
+    fn a_writer_after_a_load_appends_like_one_without() {
+        // A torn journal and one whose last record lost its newline, each
+        // appended to with and without a load first: the writer after a
+        // load repairs from that load's scan.
+        let (loaded, fresh) = (tmp("scan-loaded"), tmp("scan-fresh"));
+        Journal::new(&loaded).append(&started(0)).unwrap();
+        let good = std::fs::read(&loaded).unwrap();
+        let torn = [&good[..], b"{\"ty\":\"event\",\"key\":\"trial.st"].concat();
+        for bytes in [torn, good[..good.len() - 1].to_vec()] {
+            std::fs::write(&loaded, &bytes).unwrap();
+            std::fs::write(&fresh, &bytes).unwrap();
+            let (j, k) = (Journal::new(&loaded), Journal::new(&fresh));
+            j.load().unwrap();
+            assert_eq!(j.append(&completed(0)).unwrap(), k.append(&completed(0)).unwrap());
+            assert_eq!(std::fs::read(&loaded).unwrap(), std::fs::read(&fresh).unwrap());
+        }
+        // A file that grew after the load is scanned again.
+        let j = Journal::new(&loaded);
+        j.load().unwrap();
+        Journal::new(&loaded).append(&started(1)).unwrap();
+        assert_eq!(j.append(&completed(1)).unwrap(), 3);
+        j.clear().unwrap();
+        Journal::new(&fresh).clear().unwrap();
     }
 
     #[test]

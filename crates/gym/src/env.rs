@@ -1,6 +1,7 @@
 //! The [`Environment`] trait and step/action types.
 
 use crate::space::Space;
+use std::ops::DerefMut;
 
 /// An agent action: either a discrete index or a continuous vector.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,8 +193,11 @@ pub trait Environment: Send {
     }
 }
 
-/// Blanket impl so `Box<dyn Environment>` is itself an `Environment`.
-impl Environment for Box<dyn Environment> {
+/// A pointer to an environment is one too, every method forwarding to the
+/// environment behind it: a `VecEnv<Box<dyn Environment>>` holds lanes of
+/// mixed types, and lanes borrowed as `&mut dyn Environment` step like
+/// owned ones.
+impl<P: DerefMut<Target: Environment> + Send> Environment for P {
     fn observation_space(&self) -> Space {
         (**self).observation_space()
     }

@@ -5,12 +5,13 @@
 //! paper's §V-b and the §VI-C discussion of how the *number of vectorized
 //! environments* changes results). [`VecEnv`] reproduces that mechanism.
 //!
-//! A tick takes one of two paths: [`VecEnv::step_lockstep`] hands all
-//! lanes to the environment's batched stepper when one is installed (at
-//! and above the scalar/SIMD crossover), and otherwise steps the
-//! sub-environments one after another (`VecEnv::step_all`).
+//! A tick steps its lanes one of two ways — all at once through the
+//! environment's batched stepper when one is installed (at and above the
+//! scalar/SIMD crossover), otherwise one after another through
+//! [`step_lanes`] — and then settles every lane's episode books in one
+//! place, whichever way served it.
 
-use crate::env::{Action, Environment, Step};
+use crate::env::{Action, Environment};
 use crate::keys;
 use crate::space::Space;
 use std::any::Any;
@@ -32,21 +33,44 @@ pub trait EnvLanes {
     fn lane(&mut self, i: usize) -> Option<&mut dyn Any>;
 }
 
-/// [`EnvLanes`] over a plain slice of environments — works both for
-/// `VecEnv<AirdropEnv>` and `VecEnv<Box<dyn Environment>>` (the boxed
-/// blanket impl forwards `as_any_mut` to the concrete type).
-struct SliceLanes<'a, E: Environment>(&'a mut [E]);
-
-impl<E: Environment> EnvLanes for SliceLanes<'_, E> {
+/// [`EnvLanes`] over a vector of environments — owned
+/// (`VecEnv<AirdropEnv>`), boxed (`VecEnv<Box<dyn Environment>>`) or
+/// borrowed (`Vec<&mut dyn Environment>`): the pointer impls forward
+/// `as_any_mut` to the concrete type.
+impl<E: Environment> EnvLanes for Vec<E> {
     fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
     fn lane(&mut self, i: usize) -> Option<&mut dyn Any> {
-        self.0[i].as_any_mut()
+        self[i].as_any_mut()
     }
 }
 
-/// Per-lane result of one lockstep tick — [`Step`] minus the observation
+/// Step lane `i` of `envs` with `actions[i]` through its own
+/// [`Environment::step`], in lane order: the scalar tick. Fills
+/// `steps[i]` and, when the caller passes an observation buffer, moves the
+/// post-step observation into `obs[i]`; like a batcher, it resets no lane.
+pub fn step_lanes<E: Environment>(
+    envs: &mut [E],
+    actions: &[Action],
+    mut obs: Option<&mut [Vec<f64>]>,
+    steps: &mut [LaneStep],
+) {
+    for (i, (env, action)) in envs.iter_mut().zip(actions).enumerate() {
+        let s = env.step(action);
+        steps[i] = LaneStep {
+            reward: s.reward,
+            terminated: s.terminated,
+            truncated: s.truncated,
+            work: env.last_step_work(),
+        };
+        if let Some(obs) = obs.as_deref_mut() {
+            obs[i] = s.obs;
+        }
+    }
+}
+
+/// Per-lane result of one lockstep tick — [`crate::Step`] minus the observation
 /// allocation (observations land in the `VecEnv`'s reusable buffers).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaneStep {
@@ -136,8 +160,8 @@ pub trait AnyLockstepBatcher: Send {
 ///
 /// Episodes auto-reset: when a sub-environment finishes, its next
 /// observation is the first observation of a fresh episode, the finished
-/// episode's return is reported in `StepBatch::finished`, and the raw
-/// pre-reset observation is preserved in `StepBatch::final_obs` so
+/// episode's return is reported in [`TickBatch::finished`], and the raw
+/// pre-reset observation is preserved in [`TickBatch::final_obs`] so
 /// collectors can bootstrap truncated episodes correctly.
 pub struct VecEnv<E: Environment> {
     envs: Vec<E>,
@@ -153,20 +177,6 @@ pub struct VecEnv<E: Environment> {
     recorder: SharedRecorder,
 }
 
-/// Result of stepping every sub-environment once.
-#[derive(Debug, Clone)]
-pub(crate) struct StepBatch {
-    /// Per-env step results (with auto-reset observations substituted).
-    pub(crate) steps: Vec<Step>,
-    /// `(env_index, episode_return, episode_length)` for episodes that
-    /// ended on this tick.
-    pub(crate) finished: Vec<(usize, f64, usize)>,
-    /// For sub-envs whose episode ended on this tick, the observation the
-    /// episode actually ended in (before the auto-reset replaced
-    /// `steps[i].obs`); `None` for envs that did not finish.
-    pub(crate) final_obs: Vec<Option<Vec<f64>>>,
-}
-
 impl<E: Environment> VecEnv<E> {
     /// Wrap `envs` (at least one) and seed them `base_seed + index`.
     pub fn new(mut envs: Vec<E>, base_seed: u64) -> Self {
@@ -180,7 +190,17 @@ impl<E: Environment> VecEnv<E> {
     /// callers that have already seeded each sub-env (the distributed
     /// backends derive per-worker seed streams).
     pub fn new_preseeded(envs: Vec<E>) -> Self {
+        let n = envs.len();
+        Self::resume(envs, vec![Vec::new(); n])
+    }
+
+    /// Wrap `envs` (at least one) without seeding or resetting them, each
+    /// standing at `obs[i]`: the first tick steps on from there. Every
+    /// lane's episode books start empty, so an episode already under way
+    /// is counted from that tick.
+    pub fn resume(envs: Vec<E>, obs: Vec<Vec<f64>>) -> Self {
         assert!(!envs.is_empty(), "VecEnv needs at least one sub-environment");
+        assert_eq!(obs.len(), envs.len(), "one observation per sub-env");
         let n = envs.len();
         // Auto-install the batched fast path only above the calibrated
         // scalar/SIMD crossover: tiny batches (n = 1–2 by default) pay
@@ -193,7 +213,7 @@ impl<E: Environment> VecEnv<E> {
         };
         Self {
             envs,
-            obs: vec![Vec::new(); n],
+            obs,
             ep_return: vec![0.0; n],
             ep_len: vec![0; n],
             batcher,
@@ -283,7 +303,7 @@ impl<E: Environment> VecEnv<E> {
         &self.obs
     }
 
-    /// Current observations (valid after `reset_all`, `step_all` and
+    /// Current observations (valid after `reset_all` and
     /// `step_lockstep`; after [`VecEnv::step_unobserved`] only the lanes
     /// that just reset are fresh).
     pub fn observations(&self) -> &[Vec<f64>] {
@@ -311,26 +331,10 @@ impl<E: Environment> VecEnv<E> {
         (self.obs.len(), dim)
     }
 
-    /// Step every sub-environment once, sequentially.
-    pub(crate) fn step_all(&mut self, actions: &[Action]) -> StepBatch {
-        assert_eq!(actions.len(), self.envs.len(), "one action per sub-env");
-        let results: Vec<(Step, u64)> = self
-            .envs
-            .iter_mut()
-            .zip(actions)
-            .map(|(env, action)| {
-                let s = env.step(action);
-                let w = env.last_step_work();
-                (s, w)
-            })
-            .collect();
-        self.finish_batch(results)
-    }
-
     /// Step every sub-environment one control interval, preferring the
     /// batched fast path (one batched ODE step per substep across all
-    /// lanes) and falling back to `VecEnv::step_all` when no
-    /// batcher is installed or the sub-envs turn out heterogeneous.
+    /// lanes) and falling back to [`step_lanes`] when no batcher is
+    /// installed or the sub-envs turn out heterogeneous.
     ///
     /// The result is available through [`VecEnv::last_tick`] — split off
     /// from the call so the tick buffers can be reused allocation-free
@@ -357,39 +361,21 @@ impl<E: Environment> VecEnv<E> {
 
     fn tick(&mut self, actions: &[Action], observe: bool) {
         assert_eq!(actions.len(), self.envs.len(), "one action per sub-env");
-        if let Some(mut b) = self.batcher.take() {
-            self.tick.begin(self.envs.len());
-            let ok = b.step_lockstep(
-                &mut SliceLanes(&mut self.envs),
-                actions,
-                observe.then_some(self.obs.as_mut_slice()),
-                &mut self.tick.steps,
-            );
-            if ok {
-                self.batcher = Some(b);
-                self.settle_tick(observe);
-                return;
-            }
-            // The batcher refused these lanes (heterogeneous set or a
-            // foreign env type): drop it and stay scalar from now on.
+        self.tick.begin(self.envs.len());
+        let obs = observe.then_some(self.obs.as_mut_slice());
+        let batched = self
+            .batcher
+            .as_mut()
+            .is_some_and(|b| b.step_lockstep(&mut self.envs, actions, obs, &mut self.tick.steps));
+        if !batched {
+            // No batcher, or it refused these lanes (a heterogeneous set
+            // or a foreign env type) without mutating them: drop it and
+            // stay scalar from now on.
+            self.batcher = None;
+            let obs = observe.then_some(self.obs.as_mut_slice());
+            step_lanes(&mut self.envs, actions, obs, &mut self.tick.steps);
         }
-        let batch = self.step_all(actions);
-        self.tick.steps.clear();
-        for (i, s) in batch.steps.iter().enumerate() {
-            self.tick.steps.push(LaneStep {
-                reward: s.reward,
-                terminated: s.terminated,
-                truncated: s.truncated,
-                work: self.envs[i].last_step_work(),
-            });
-        }
-        self.tick.finished = batch.finished;
-        self.tick.final_obs = batch.final_obs;
-        if !observe {
-            // A scalar `step` returns its observation regardless; keep the
-            // unobserved contract the same on both paths.
-            self.tick.final_obs.fill(None);
-        }
+        self.settle_tick(observe, batched);
     }
 
     /// Result of the most recent [`VecEnv::step_lockstep`] or
@@ -398,11 +384,11 @@ impl<E: Environment> VecEnv<E> {
         &self.tick
     }
 
-    /// Episode bookkeeping for the batched path: totals, auto-reset,
-    /// integrator-cache invalidation for reset lanes. Mirrors
-    /// [`VecEnv::finish_batch`] exactly; on an unobserved tick the
-    /// pre-reset observation was never written, so it is not kept.
-    fn settle_tick(&mut self, observed: bool) {
+    /// Episode bookkeeping of every tick: totals, auto-reset,
+    /// integrator-cache invalidation for reset lanes. On an unobserved
+    /// tick the pre-reset observation was never written, so it is not
+    /// kept. `batched` records which path served the tick.
+    fn settle_tick(&mut self, observed: bool, batched: bool) {
         let mut tick_work = 0u64;
         for i in 0..self.envs.len() {
             let s = self.tick.steps[i];
@@ -424,7 +410,7 @@ impl<E: Environment> VecEnv<E> {
                 }
             }
         }
-        self.record_tick(tick_work, self.tick.finished.len() as u64, true);
+        self.record_tick(tick_work, self.tick.finished.len() as u64, batched);
     }
 
     /// One counter bundle per lockstep sweep — aggregated locally first,
@@ -443,38 +429,12 @@ impl<E: Environment> VecEnv<E> {
             self.recorder.counter_add(keys::EPISODES, episodes);
         }
     }
-
-    /// Bookkeeping of the scalar path: episode accounting, auto-reset,
-    /// observation cache.
-    fn finish_batch(&mut self, results: Vec<(Step, u64)>) -> StepBatch {
-        let mut steps = Vec::with_capacity(results.len());
-        let mut finished = Vec::new();
-        let mut final_obs = vec![None; results.len()];
-        let mut tick_work = 0u64;
-        for (i, (mut s, w)) in results.into_iter().enumerate() {
-            self.total_steps += 1;
-            self.total_work += w;
-            tick_work += w;
-            self.ep_return[i] += s.reward;
-            self.ep_len[i] += 1;
-            if s.done() {
-                finished.push((i, self.ep_return[i], self.ep_len[i]));
-                self.ep_return[i] = 0.0;
-                self.ep_len[i] = 0;
-                final_obs[i] = Some(std::mem::replace(&mut s.obs, self.envs[i].reset()));
-            }
-            self.obs[i].clone_from(&s.obs);
-            steps.push(s);
-        }
-        self.record_tick(tick_work, finished.len() as u64, false);
-        StepBatch { steps, finished, final_obs }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envs::GridWorld;
+    use crate::envs::{GridWorld, PointMass};
 
     fn make(n: usize) -> VecEnv<GridWorld> {
         let mut v = VecEnv::new((0..n).map(|_| GridWorld::new(3)).collect(), 0);
@@ -485,12 +445,12 @@ mod tests {
     #[test]
     fn lockstep_advances_every_env() {
         let mut v = make(4);
-        let batch = v.step_all(&vec![Action::Discrete(3); 4]);
-        assert_eq!(batch.steps.len(), 4);
+        v.step_lockstep(&vec![Action::Discrete(3); 4]);
+        assert_eq!(v.last_tick().steps.len(), 4);
         assert_eq!(v.total_steps, 4);
         // All identical deterministic envs: same observation everywhere.
-        for s in &batch.steps {
-            assert_eq!(s.obs, batch.steps[0].obs);
+        for o in v.observations() {
+            assert_eq!(o, &v.observations()[0]);
         }
     }
 
@@ -500,8 +460,8 @@ mod tests {
         // Right, right, down, down reaches the 3x3 goal.
         let mut finished = Vec::new();
         for a in [3, 3, 1, 1] {
-            let b = v.step_all(&[Action::Discrete(a)]);
-            finished.extend(b.finished);
+            v.step_lockstep(&[Action::Discrete(a)]);
+            finished.extend_from_slice(&v.last_tick().finished);
         }
         assert_eq!(finished.len(), 1);
         let (idx, ret, len) = finished[0];
@@ -516,14 +476,14 @@ mod tests {
     fn final_obs_preserves_pre_reset_observation() {
         let mut v = make(1);
         for a in [3, 3, 1] {
-            let b = v.step_all(&[Action::Discrete(a)]);
-            assert_eq!(b.final_obs, vec![None]);
+            v.step_lockstep(&[Action::Discrete(a)]);
+            assert_eq!(v.last_tick().final_obs, vec![None]);
         }
-        let b = v.step_all(&[Action::Discrete(1)]);
-        // Episode done: steps[0].obs is the reset state, final_obs the goal
-        // (normalized grid coordinates).
-        assert_eq!(b.steps[0].obs, vec![0.0, 0.0]);
-        assert_eq!(b.final_obs[0], Some(vec![1.0, 1.0]));
+        v.step_lockstep(&[Action::Discrete(1)]);
+        // Episode done: the observation is the reset state, final_obs the
+        // goal (normalized grid coordinates).
+        assert_eq!(v.observations()[0], vec![0.0, 0.0]);
+        assert_eq!(v.last_tick().final_obs[0], Some(vec![1.0, 1.0]));
     }
 
     #[test]
@@ -543,9 +503,52 @@ mod tests {
     }
 
     #[test]
+    fn mixed_lanes_keep_the_books_of_each_environment_alone() {
+        // GridWorld and PointMass in one `VecEnv`: no batcher serves them,
+        // so every tick is scalar, and each lane's books are those of its
+        // environment stepped on its own.
+        let lanes = || -> Vec<Box<dyn Environment>> {
+            vec![Box::new(GridWorld::new(3)), Box::new(PointMass::new())]
+        };
+        let (mut v, mut alone) = (VecEnv::new(lanes(), 4), lanes());
+        v.reset_all();
+        for (e, seed) in alone.iter_mut().zip(4..) {
+            e.seed(seed);
+        }
+        let mut obs: Vec<_> = alone.iter_mut().map(|e| e.reset()).collect();
+        let (mut open, mut total_work) = ([(0.0, 0); 2], 0);
+        for t in 0..130 {
+            let actions = [Action::Discrete(t % 4), Action::Continuous(vec![0.3, -0.7])];
+            v.step_lockstep(&actions);
+            let (tick, mut finished) = (v.last_tick(), vec![]);
+            for (i, e) in alone.iter_mut().enumerate() {
+                let s = e.step(&actions[i]);
+                let (reward, terminated, truncated) = (s.reward, s.terminated, s.truncated);
+                let work = e.last_step_work();
+                assert_eq!(tick.steps[i], LaneStep { reward, terminated, truncated, work });
+                total_work += work;
+                open[i] = (open[i].0 + reward, open[i].1 + 1);
+                obs[i] = s.obs;
+                let done = terminated || truncated;
+                let ended_in = done.then(|| std::mem::replace(&mut obs[i], e.reset()));
+                assert_eq!(tick.final_obs[i], ended_in, "tick {t}");
+                if ended_in.is_some() {
+                    finished.push((i, open[i].0, open[i].1));
+                    open[i] = (0.0, 0);
+                }
+            }
+            assert_eq!(tick.finished, finished, "tick {t}");
+            assert_eq!(v.observations(), obs.as_slice(), "tick {t}");
+        }
+        assert!(!v.is_batched());
+        assert_eq!((v.total_steps, v.total_work), (260, total_work));
+        assert!(open.iter().all(|&(_, len)| len < 130), "both lanes finished episodes");
+    }
+
+    #[test]
     fn write_obs_flat_matches_observations() {
         let mut v = make(3);
-        v.step_all(&vec![Action::Discrete(3); 3]);
+        v.step_lockstep(&vec![Action::Discrete(3); 3]);
         let mut flat = Vec::new();
         let (rows, cols) = v.write_obs_flat(&mut flat);
         assert_eq!((rows, cols), (3, 2));
@@ -571,7 +574,7 @@ mod tests {
     #[should_panic(expected = "one action per sub-env")]
     fn wrong_action_count_panics() {
         let mut v = make(2);
-        v.step_all(&[Action::Discrete(0)]);
+        v.step_lockstep(&[Action::Discrete(0)]);
     }
 
     #[test]
@@ -583,8 +586,8 @@ mod tests {
     #[test]
     fn work_accounting_accumulates() {
         let mut v = make(2);
-        v.step_all(&vec![Action::Discrete(0); 2]);
-        v.step_all(&vec![Action::Discrete(0); 2]);
+        v.step_lockstep(&vec![Action::Discrete(0); 2]);
+        v.step_lockstep(&vec![Action::Discrete(0); 2]);
         assert_eq!(v.total_work, 4); // GridWorld costs 1 unit per step
     }
 
@@ -596,7 +599,7 @@ mod tests {
         // Both identical envs reach the 3x3 goal on tick 4 (right, right,
         // down, down), so two episodes finish; tick 5 runs post-reset.
         for a in [3, 3, 1, 1, 0] {
-            v.step_all(&vec![Action::Discrete(a); 2]);
+            v.step_lockstep(&vec![Action::Discrete(a); 2]);
         }
         let snap = ring.snapshot();
         assert_eq!(snap.counter(keys::TICKS.name()), Some(5));
@@ -612,7 +615,7 @@ mod tests {
         let mut v = make(2);
         v.set_recorder(ring.clone());
         for _ in 0..3 {
-            v.step_all(&vec![Action::Discrete(0); 2]);
+            v.step_lockstep(&vec![Action::Discrete(0); 2]);
         }
         let snap = ring.snapshot();
         assert_eq!(snap.counter(keys::SCALAR_TICKS.name()), Some(3));

@@ -1,32 +1,27 @@
-//! Collection: the per-step loop over one environment and the lockstep
-//! batched loop over a [`VecEnv`].
+//! Collection: the lockstep batched loop over a [`VecEnv`], the one way
+//! PPO experience is gathered.
 //!
-//! `collect_steps` is the single-node loop: [`crate::train`] carries
-//! its observation and open episode from round to round, and
-//! [`crate::on_policy::OnPolicyLearner::collect`] charges its inference
-//! to the learner.
+//! [`collect_lockstep`] serves every caller. The distributed workers each
+//! own a `VecEnv` (`dist_exec`): Stable Baselines' vectorized envs and
+//! TF-Agents' batched driver step one lane per core, an RLlib rollout
+//! worker a single lane. The single-node paths, [`crate::train`] and
+//! [`crate::on_policy::OnPolicyLearner::collect`], step the caller's
+//! environment as a width-1 `VecEnv`. Instead of one network forward per
+//! environment per step, each lockstep tick performs **one** actor
+//! forward and **one** critic forward over the whole `n_envs × obs_dim`
+//! observation batch. The blocked matmul kernels in `tinynn` guarantee
+//! batched rows are bitwise identical to single-row evaluation, so with
+//! one sub-environment it reproduces a per-step loop's trajectory exactly
+//! (same rng draws, same values) — the tests pin that down against a
+//! per-step oracle.
 //!
-//! [`collect_lockstep`] is the distributed workers' only loop, whatever
-//! the framework (`dist_exec`'s workers each own a `VecEnv`): Stable
-//! Baselines' vectorized envs and TF-Agents' batched driver step one lane
-//! per core, an RLlib rollout worker a single lane. Instead of one
-//! network forward per environment per step, each lockstep tick performs
-//! **one** actor forward and **one** critic forward over the whole
-//! `n_envs × obs_dim` observation batch. The blocked matmul kernels in
-//! `tinynn` guarantee batched rows are bitwise identical to single-row
-//! evaluation, so with one sub-environment it reproduces the
-//! `collect_steps` trajectory exactly (same rng draws, same values,
-//! same episode log when both carry their open episode) — the tests pin
-//! that down.
-//!
-//! Critic economy, in both loops: the successor value computed for
-//! bootstrapping step `t` is exactly the current-state value of step
-//! `t + 1`, so it is cached instead of recomputed — roughly halving critic
-//! forwards versus naive per-step collection, with bitwise-identical
-//! results (the critic is deterministic and draws nothing from the rng).
-//! Only truncated episodes need an extra critic row (their bootstrap state
-//! is the *pre-reset* observation, preserved by
-//! [`gymrs::vec_env::TickBatch::final_obs`]).
+//! Critic economy: the successor value computed for bootstrapping step
+//! `t` is exactly the current-state value of step `t + 1`, so it is cached
+//! instead of recomputed — roughly halving critic forwards versus naive
+//! per-step collection, with bitwise-identical results (the critic is
+//! deterministic and draws nothing from the rng). Only truncated episodes
+//! need an extra critic row (their bootstrap state is the *pre-reset*
+//! observation, preserved by [`gymrs::vec_env::TickBatch::final_obs`]).
 //!
 //! Lockstep stepping goes through [`VecEnv::step_lockstep`], which takes
 //! the batched ODE fast path when the sub-environments support it (one
@@ -42,9 +37,9 @@ use tinynn::{forward_flops, Matrix, Tape};
 /// Result of one collection.
 #[derive(Debug)]
 pub struct Collected {
-    /// The collected steps. From [`collect_lockstep`]: per-env segments
-    /// concatenated in env order, each tail closed (`dones.last == true`)
-    /// so the λ-chain cannot leak across environment boundaries.
+    /// The collected steps: per-env segments concatenated in env order,
+    /// each tail closed (`dones.last == true`) so the λ-chain cannot leak
+    /// across environment boundaries.
     pub rollout: RolloutBuffer,
     /// Environment work units consumed (derivative evaluations).
     pub env_work: u64,
@@ -64,75 +59,12 @@ impl Collected {
     }
 }
 
-/// Collect `n` steps from `env` with a fixed policy, starting at `*obs`
-/// (which is updated to the observation where collection stopped) with
-/// `*open` the `(return, length)` of the episode `*obs` belongs to so far
-/// (updated to the episode still open when collection stopped). A caller
-/// that carries both across calls logs an episode that spans several
-/// calls whole, as one long call would.
-///
-/// Episode boundaries auto-reset. Terminated steps store a zero bootstrap
-/// value; truncated ones bootstrap from the (real) final state, and the
-/// final step from the carried observation. The tail is left open: a
-/// caller that concatenates segments closes it.
-pub(crate) fn collect_steps(
-    policy: &ActorCritic,
-    env: &mut dyn Environment,
-    obs: &mut Vec<f64>,
-    open: &mut (f64, usize),
-    n: usize,
-    rng: &mut impl Rng,
-) -> Collected {
-    let mut rollout = RolloutBuffer::with_capacity(n);
-    let mut env_work = 0u64;
-    let mut episodes = Vec::new();
-    let (ep_ret, ep_len) = open;
-    let mut value = policy.value(obs);
-    let mut critic_rows = 1u64;
-    for _ in 0..n {
-        let d = policy.dist(obs);
-        let action = d.sample(rng);
-        let log_prob = d.log_prob(&action);
-        let s = env.step(&action);
-        env_work += env.last_step_work();
-        *ep_ret += s.reward;
-        *ep_len += 1;
-        let done = s.done();
-        let next_value = if s.terminated {
-            0.0
-        } else {
-            critic_rows += 1;
-            policy.value(&s.obs)
-        };
-        rollout.push(
-            std::mem::take(obs),
-            action,
-            s.reward,
-            s.terminated,
-            done,
-            value,
-            next_value,
-            log_prob,
-        );
-        if done {
-            episodes.push((*ep_ret, *ep_len));
-            (*ep_ret, *ep_len) = (0.0, 0);
-            *obs = env.reset();
-            value = policy.value(obs);
-            critic_rows += 1;
-        } else {
-            *obs = s.obs;
-            value = next_value;
-        }
-    }
-    Collected { rollout, env_work, episodes, actor_rows: n as u64, critic_rows }
-}
-
 /// Collect `ticks` lockstep sweeps of experience from `venv`.
 ///
 /// The caller must have called [`VecEnv::reset_all`] (or stepped the
-/// env before) so current observations are valid; collection continues
-/// from wherever the envs stand, exactly like the sequential collector.
+/// env before, or built it with [`VecEnv::resume`]) so current
+/// observations are valid; collection continues from wherever the envs
+/// stand.
 /// The `VecEnv` carries each lane's open episode across calls, so an
 /// episode that spans several calls is logged whole in the call it ends in.
 ///
@@ -342,47 +274,15 @@ mod tests {
         assert_eq!(ret_a, ret_b);
     }
 
-    #[test]
-    fn single_env_lockstep_matches_collect_steps() {
-        // The same contract against the production per-step loop, with
-        // the bookkeeping the oracle above leaves out.
-        let p = policy(21);
-        let mut env = GridWorld::new(3);
-        env.seed(7);
-        let mut obs = env.reset();
-        let open = &mut (0.0, 0);
-        let seq = collect_steps(&p, &mut env, &mut obs, open, 200, &mut StdRng::seed_from_u64(33));
-
-        let mut venv = VecEnv::new(vec![GridWorld::new(3)], 7);
-        venv.reset_all();
-        let vec_out = collect_lockstep(&p, &mut venv, 200, &mut StdRng::seed_from_u64(33));
-
-        assert_eq!(vec_out.rollout.obs, seq.rollout.obs);
-        assert_eq!(vec_out.rollout.actions, seq.rollout.actions);
-        assert_eq!(vec_out.rollout.rewards, seq.rollout.rewards);
-        assert_eq!(vec_out.rollout.values, seq.rollout.values);
-        assert_eq!(vec_out.rollout.next_values, seq.rollout.next_values);
-        assert_eq!(vec_out.rollout.log_probs, seq.rollout.log_probs);
-        assert_eq!(vec_out.env_work, seq.env_work);
-        assert_eq!(vec_out.episodes, seq.episodes);
-        assert_eq!(vec_out.actor_rows, seq.actor_rows);
-        assert!(seq.infer_flops(&p) > 0);
-    }
-
-    /// `(return, length)` of every episode `calls` calls of `steps` steps
-    /// each log on GridWorld(5), carrying the observation and the open
-    /// episode from call to call.
+    /// `(return, length)` of every episode `calls` calls of `steps` ticks
+    /// each log on one width-1 `VecEnv` over GridWorld(5), which carries
+    /// the observation and the open episode from call to call.
     fn episodes_over_calls(calls: usize, steps: usize) -> Vec<(f64, usize)> {
         let p = policy(4);
-        let mut env = GridWorld::new(5);
-        env.seed(7);
-        let (mut obs, mut open) = (env.reset(), (0.0, 0));
+        let mut venv = VecEnv::new(vec![GridWorld::new(5)], 7);
+        venv.reset_all();
         let mut rng = StdRng::seed_from_u64(11);
-        (0..calls)
-            .flat_map(|_| {
-                collect_steps(&p, &mut env, &mut obs, &mut open, steps, &mut rng).episodes
-            })
-            .collect()
+        (0..calls).flat_map(|_| collect_lockstep(&p, &mut venv, steps, &mut rng).episodes).collect()
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! on a scoped thread, joined once per evaluation, and each half has its
 //! own tape, observation matrix and batcher. Per tick a half runs one
 //! actor forward over its live rows and one
-//! [`Environment::lockstep_batcher`] step — or one scalar step per lane
-//! when the half starts below [`batch_crossover`] — and a lane leaves the
-//! batch when its episode ends. A half that starts batched stays batched
-//! as it shrinks: a lane moved to its scalar stepper mid-episode would
-//! start that stepper with an empty FSAL cache.
+//! [`Environment::lockstep_batcher`] step — or gym's scalar tick,
+//! [`step_lanes`], when the half starts below [`batch_crossover`] — and a
+//! lane leaves the batch when its episode ends. A half that starts
+//! batched stays batched as it shrinks: a lane moved to its scalar
+//! stepper mid-episode would start that stepper with an empty FSAL cache.
 //!
 //! An environment whose steps read the RNG, or that cannot duplicate
 //! itself, runs at width 1: the caller's own environment, one episode
@@ -23,7 +23,7 @@
 
 use crate::policy::ActorCritic;
 use crate::sac::SacLearner;
-use gymrs::vec_env::{EnvLanes, LaneStep};
+use gymrs::vec_env::{step_lanes, LaneStep};
 use gymrs::{Action, Environment};
 use simd_kernels::crossover::batch_crossover;
 use tinynn::{Matrix, Tape};
@@ -108,18 +108,6 @@ struct Lanes<'e> {
     ids: Vec<usize>,
 }
 
-/// [`EnvLanes`] over the live environments.
-struct Envs<'a, 'e>(&'a mut [&'e mut dyn Environment]);
-
-impl EnvLanes for Envs<'_, '_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn lane(&mut self, i: usize) -> Option<&mut dyn std::any::Any> {
-        self.0[i].as_any_mut()
-    }
-}
-
 /// Step `lanes` greedily until every episode has ended or run
 /// `max_steps` steps; returns `(episode id, step rewards)` per lane, in
 /// retirement order.
@@ -143,22 +131,13 @@ fn run(policy: Greedy<'_>, mut lanes: Lanes<'_>, max_steps: usize) -> Vec<(usize
         steps.clear();
         steps.resize(live, LaneStep::default());
         let batched = batcher.as_mut().is_some_and(|b| {
-            b.step_lockstep(&mut Envs(&mut lanes.envs), &actions, Some(&mut lanes.obs), &mut steps)
+            b.step_lockstep(&mut lanes.envs, &actions, Some(&mut lanes.obs), &mut steps)
         });
         if !batched {
             // No batcher, or it refused these lanes — which it does only
             // before its first step, so no integrator cache is lost.
             batcher = None;
-            for (i, action) in actions.iter().enumerate() {
-                let s = lanes.envs[i].step(action);
-                steps[i] = LaneStep {
-                    reward: s.reward,
-                    terminated: s.terminated,
-                    truncated: s.truncated,
-                    work: 0,
-                };
-                lanes.obs[i] = s.obs;
-            }
+            step_lanes(&mut lanes.envs, &actions, Some(&mut lanes.obs), &mut steps);
         }
         keep.clear();
         for (step, r) in steps.iter().zip(&mut rewards) {

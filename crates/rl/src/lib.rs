@@ -10,9 +10,9 @@
 //! * [`gae`] — generalized advantage estimation;
 //! * [`buffer`] — on-policy rollout storage and the off-policy replay
 //!   ring buffer;
-//! * [`collect`] — the per-step collection loop and its lockstep batched
-//!   counterpart over vectorized envs (one actor/critic forward per tick,
-//!   however many sub-envs);
+//! * [`collect`] — the lockstep collection loop over vectorized envs (one
+//!   actor/critic forward per tick, however many sub-envs), the single-node
+//!   paths' too at width 1;
 //! * [`eval`] — greedy evaluation, every episode a lane of a lockstep
 //!   batch split over two threads;
 //! * [`policy`] — actor-critic policy heads (categorical / diagonal

@@ -9,11 +9,11 @@
 // Index loops here co-index several arrays; zip chains would obscure them.
 #![allow(clippy::needless_range_loop)]
 use crate::buffer::RolloutBuffer;
-use crate::collect::{collect_steps, Collected};
+use crate::collect::{collect_lockstep, Collected};
 use crate::gae;
 use crate::policy::{ActorCritic, Dist, PolicyHead};
 use crate::ppo::PpoConfig;
-use gymrs::{Action, Environment, Space};
+use gymrs::{Action, Environment, Space, VecEnv};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simd_kernels::mathf64::exp;
@@ -131,10 +131,11 @@ impl OnPolicyLearner {
 
     /// Collect `n_steps` of experience from `env` starting at `*obs`
     /// (which is updated to the observation where collection stopped),
-    /// charging the inference to [`OnPolicyLearner::flops`]. Episode
-    /// boundaries auto-reset and the tail is left open, as in
-    /// [`crate::train`]'s loop. An episode begun before the call is
-    /// counted from the call's first step: unlike that loop, this call
+    /// charging the inference to [`OnPolicyLearner::flops`]: `env` runs
+    /// as a width-1 [`VecEnv`] through [`collect_lockstep`], so episode
+    /// boundaries auto-reset and the tail is closed, like every lockstep
+    /// segment's. An episode begun before the call is counted from the
+    /// call's first step: unlike [`crate::train`]'s loop, this call
     /// carries no open episode across calls.
     pub fn collect(
         &mut self,
@@ -143,7 +144,9 @@ impl OnPolicyLearner {
         n_steps: usize,
         rng: &mut impl Rng,
     ) -> Collected {
-        let out = collect_steps(&self.policy, env, obs, &mut (0.0, 0), n_steps, rng);
+        let mut lane = VecEnv::resume(vec![env], vec![std::mem::take(obs)]);
+        let out = collect_lockstep(&self.policy, &mut lane, n_steps, rng);
+        obs.clone_from(&lane.observations()[0]);
         self.flops += out.infer_flops(&self.policy);
         out
     }

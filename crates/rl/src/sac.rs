@@ -102,7 +102,7 @@ pub struct SacLearner {
     /// Replay storage.
     pub replay: ReplayBuffer,
     /// Environment steps observed.
-    pub steps_observed: u64,
+    pub(crate) steps_observed: u64,
     /// Gradient updates performed.
     pub updates: u64,
     /// Accumulated learning FLOPs.

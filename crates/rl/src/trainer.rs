@@ -2,15 +2,16 @@
 //!
 //! This is the non-distributed baseline; the three framework-like
 //! distributed drivers live in the `dist-exec` crate and reuse the same
-//! learners.
+//! learners. PPO collects as they do, through
+//! [`collect_lockstep`], with the environment a width-1 [`VecEnv`].
 
-use crate::collect::collect_steps;
+use crate::collect::collect_lockstep;
 use crate::eval::Greedy;
 use crate::ppo::{PpoConfig, PpoLearner};
 use crate::sac::{SacConfig, SacLearner};
 use crate::Algorithm;
 use gymrs::rollout::EpisodeStats;
-use gymrs::Environment;
+use gymrs::{Environment, VecEnv};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -111,12 +112,14 @@ pub fn train(
     let stats = match spec.algorithm {
         Algorithm::Ppo => {
             let mut learner = PpoLearner::new(obs_dim, &aspace, spec.ppo.clone(), &mut rng);
-            // The observation and the open episode carry over from round
-            // to round, so an episode that spans rounds is logged whole.
-            let (mut obs, mut open) = (env.reset(), (0.0, 0));
+            // The lane carries the observation and the open episode from
+            // round to round, so an episode that spans rounds is logged
+            // whole.
+            let mut lane = VecEnv::new_preseeded(vec![env]);
+            lane.reset_all();
             while (env_steps as usize) < spec.total_steps {
                 let n = spec.ppo.n_steps.min(spec.total_steps - env_steps as usize);
-                let out = collect_steps(&learner.policy, env, &mut obs, &mut open, n, &mut rng);
+                let out = collect_lockstep(&learner.policy, &mut lane, n, &mut rng);
                 env_steps += n as u64;
                 train_returns.extend(out.episodes.iter().map(|e| e.0));
                 learner.update(&out.rollout, &mut rng);
