@@ -374,8 +374,8 @@ mod tests {
         // Lane 2 integrates with half the substep of the others, so the
         // batcher `VecEnv` installs from lane 0 refuses the set on the
         // first tick; from then on the `VecEnv` ticks like a twin built
-        // scalar, observed or not. `{:?}` prints every float in its
-        // shortest round-trip form, so equal text is equal bits.
+        // scalar. `{:?}` prints every float in its shortest round-trip
+        // form, so equal text is equal bits.
         let cfg = AirdropConfig {
             altitude_limits: (20.0, 45.0),
             gusts_enabled: true,
@@ -403,10 +403,7 @@ mod tests {
                 .map(|i| Action::Continuous(vec![((tick * 7 + i * 3) as f64 * 0.21).sin()]))
                 .collect();
             for v in [&mut refused, &mut scalar] {
-                match tick % 3 {
-                    2 => v.step_unobserved(&actions),
-                    _ => v.step_lockstep(&actions),
-                }
+                v.step_lockstep(&actions);
             }
             assert!(!refused.is_batched());
             let text = |v: &gymrs::VecEnv<AirdropEnv>| format!("{:?}", v.last_tick());
@@ -416,5 +413,57 @@ mod tests {
         assert!(ended > 0, "episodes end inside the run");
         let totals = |v: &gymrs::VecEnv<AirdropEnv>| (v.total_steps, v.total_work);
         assert_eq!(totals(&refused), totals(&scalar));
+    }
+
+    #[test]
+    fn the_runner_drops_a_refused_batcher_and_steps_like_a_scalar_one() {
+        use gymrs::Environment;
+        // The same mixed lanes through gym's runner: forced batched, the
+        // batcher refuses the first tick, and the run — observed or
+        // open-loop — leaves every lane's steps, state and RNG position
+        // where a run that never had a batcher leaves them.
+        let cfg = AirdropConfig {
+            altitude_limits: (20.0, 45.0),
+            gusts_enabled: true,
+            gust_probability: 0.25,
+            gust_strength: 2.0,
+            ..AirdropConfig::default()
+        };
+        let run = |batched: bool, observe: bool| {
+            let mut envs: Vec<AirdropEnv> = (0..4)
+                .map(|i| {
+                    let substep = if i == 2 { cfg.substep / 2.0 } else { cfg.substep };
+                    let mut env = AirdropEnv::new(AirdropConfig { substep, ..cfg.clone() });
+                    env.seed(37 + i);
+                    env.reset();
+                    env
+                })
+                .collect();
+            let steer = |t: usize, i: usize| {
+                Action::Continuous(vec![((t * 7 + i * 3) as f64 * 0.21).sin()])
+            };
+            let (mut log, mut t) = (vec![String::new(); 4], 0);
+            gymrs::vec_env::run_episodes(
+                envs.iter_mut().collect(),
+                (0..4).map(|i| steer(0, i)).collect(),
+                200,
+                Some(batched),
+                observe,
+                |lane, step| log[lane] += &format!("{step:?}"),
+                |live, _, actions| {
+                    t += 1;
+                    for (a, &i) in actions.iter_mut().zip(live) {
+                        *a = steer(t, i);
+                    }
+                },
+            );
+            let ends: Vec<_> =
+                envs.iter_mut().map(|e| (format!("{:?}", e.state()), e.snapshot())).collect();
+            (log, ends)
+        };
+        let scalar = run(false, true);
+        assert!(scalar.0.iter().all(|log| log.contains("terminated: true")));
+        assert_eq!(run(true, true), scalar);
+        assert_eq!(run(true, false), scalar);
     }
 }

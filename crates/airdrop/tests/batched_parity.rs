@@ -12,7 +12,8 @@
 //! bit patterns are platform-dependent.
 
 use airdrop_sim::{AirdropConfig, AirdropEnv};
-use gymrs::{Action, Environment, VecEnv};
+use gymrs::vec_env::run_episodes;
+use gymrs::{Action, EnvSnapshot, Environment, VecEnv};
 use rk_ode::RkOrder;
 
 fn venv(cfg: &AirdropConfig, n: usize, batched: bool) -> VecEnv<AirdropEnv> {
@@ -108,80 +109,76 @@ fn single_lane_batch_matches_scalar() {
     assert_eq!(fingerprint(&mut scalar, 150), fingerprint(&mut batched, 150));
 }
 
-fn obs_bits(obs: &[Vec<f64>]) -> Vec<Vec<u64>> {
-    obs.iter().map(|o| o.iter().map(|x| x.to_bits()).collect()).collect()
+/// The steering command of lane `i` on tick `t`; it reads no observation.
+fn steer(t: usize, i: usize) -> Action {
+    Action::Continuous(vec![((t * 7 + i * 3) as f64 * 0.21).sin()])
+}
+
+/// Every lane's steps through [`run_episodes`] (reward, done flags and
+/// work, as bits), then every lane's final state and snapshot.
+type Episodes = (Vec<Vec<u64>>, Vec<(Vec<u64>, Option<EnvSnapshot>)>);
+
+fn run_episodes_of(cfg: &AirdropConfig, force_batched: bool, observe: bool) -> Episodes {
+    let mut envs: Vec<AirdropEnv> = (0..5)
+        .map(|i| {
+            let mut env = AirdropEnv::new(cfg.clone());
+            env.seed(37 + i);
+            env.reset();
+            env
+        })
+        .collect();
+    let (mut fp, mut t) = (vec![Vec::new(); 5], 0);
+    run_episodes(
+        envs.iter_mut().collect(),
+        (0..5).map(|i| steer(0, i)).collect(),
+        150,
+        Some(force_batched),
+        observe,
+        |lane, s| {
+            let flags = u64::from(s.terminated) | u64::from(s.truncated) << 1;
+            fp[lane].extend([s.reward.to_bits(), flags, s.work]);
+        },
+        |live, obs, actions| {
+            t += 1;
+            assert_eq!(obs.map(<[_]>::len), observe.then_some(live.len()));
+            for (a, &i) in actions.iter_mut().zip(live) {
+                *a = steer(t, i);
+            }
+        },
+    );
+    let ends = envs
+        .iter_mut()
+        .map(|e| (e.state().iter().map(|x| x.to_bits()).collect(), e.snapshot()))
+        .collect();
+    (fp, ends)
 }
 
 #[test]
-fn unobserved_ticks_change_nothing_but_the_observations_they_skip() {
-    // K unobserved ticks then one observed tick against K + 1 observed
-    // ticks, round after round: a skipped observation write must leave
-    // rewards, done flags, work, lane state and RNG position alone, and
-    // the next observed tick must rewrite every lane. Gusts draw from the
-    // lane RNG every interval and low drops end episodes inside the run,
-    // so a wrong skip (a lost draw, a stale FSAL cache, a missed reset)
-    // shows as flipped bits.
-    const K: usize = 6;
+fn an_open_loop_run_changes_nothing_but_the_observations_it_skips() {
+    // gym's runner with and without observations, batched and scalar: a
+    // skipped observation must leave rewards, done flags, work, lane
+    // state and RNG position alone. Gusts draw from the lane RNG every
+    // interval and low drops end the episodes at different ticks inside
+    // the run, so a wrong skip or retirement (a lost draw, a stale FSAL
+    // cache, a lane stepped past its end) shows as flipped bits.
     for order in RkOrder::ALL {
-        for batched in [true, false] {
-            let cfg = AirdropConfig {
-                rk_order: order,
-                altitude_limits: (20.0, 45.0),
-                gusts_enabled: true,
-                gust_probability: 0.25,
-                gust_strength: 2.0,
-                ..AirdropConfig::default()
-            };
-            let n = 5;
-            let mut seen = venv(&cfg, n, batched);
-            let mut blind = venv(&cfg, n, batched);
-            let (mut ended_unobserved, mut ended_observed) = (0, 0);
-            for tick in 0..18 * (K + 1) {
-                let actions: Vec<Action> = (0..n)
-                    .map(|i| Action::Continuous(vec![((tick * 7 + i * 3) as f64 * 0.21).sin()]))
-                    .collect();
-                let observe = tick % (K + 1) == K;
-                seen.step_lockstep(&actions);
-                if observe {
-                    blind.step_lockstep(&actions);
-                } else {
-                    blind.step_unobserved(&actions);
-                }
-                assert_eq!(tick_bits(&seen), tick_bits(&blind), "{order} tick {tick}");
-                let ended = seen.last_tick().finished.len();
-                if observe {
-                    ended_observed += ended;
-                    assert_eq!(seen.last_tick().final_obs, blind.last_tick().final_obs);
-                    assert_eq!(obs_bits(seen.observations()), obs_bits(blind.observations()));
-                } else {
-                    ended_unobserved += ended;
-                    assert!(blind.last_tick().final_obs.iter().all(Option::is_none));
-                    // A lane that just reset shows its first observation.
-                    for &(i, _, _) in &seen.last_tick().finished {
-                        assert_eq!(seen.observations()[i], blind.observations()[i]);
-                    }
-                }
-            }
-            assert!(ended_unobserved > 0 && ended_observed > 0, "{order}: no episode end covered");
-            assert_eq!((seen.total_steps, seen.total_work), (blind.total_steps, blind.total_work));
-            // Lane state and, through the snapshot's drawn re-key, RNG position.
-            for (mut a, mut b) in seen.into_envs().into_iter().zip(blind.into_envs()) {
-                assert_eq!(a.state().map(f64::to_bits), b.state().map(f64::to_bits));
-                assert_eq!(a.snapshot(), b.snapshot(), "{order}: lane RNG or counters diverged");
-            }
+        let cfg = AirdropConfig {
+            rk_order: order,
+            altitude_limits: (20.0, 45.0),
+            gusts_enabled: true,
+            gust_probability: 0.25,
+            gust_strength: 2.0,
+            ..AirdropConfig::default()
+        };
+        let scalar = run_episodes_of(&cfg, false, true);
+        for (batched, observe) in [(false, false), (true, true), (true, false)] {
+            let run = run_episodes_of(&cfg, batched, observe);
+            assert_eq!(run, scalar, "{order}: batched {batched}, observed {observe}");
         }
-    }
-}
-
-/// Lanes over a plain vector of environments.
-struct Lanes<'a>(&'a mut Vec<AirdropEnv>);
-
-impl gymrs::vec_env::EnvLanes for Lanes<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn lane(&mut self, i: usize) -> Option<&mut dyn std::any::Any> {
-        self.0[i].as_any_mut()
+        // Every episode ended (its last step's flags are set), not all at once.
+        let lens: Vec<usize> = scalar.0.iter().map(|fp| fp.len() / 3).collect();
+        assert!(scalar.0.iter().all(|fp| fp[fp.len() - 2] != 0), "{order}: {lens:?}");
+        assert!(lens.iter().any(|&len| len != lens[0]), "{order}: {lens:?}");
     }
 }
 
@@ -237,12 +234,7 @@ fn retired_lanes_leave_the_batch_and_the_rest_step_on_bitwise() {
                 .map(|(&i, o)| Action::Continuous(vec![(o[1] * 0.7 + 0.1 * i as f64).sin()]))
                 .collect();
             let mut steps = vec![LaneStep::default(); envs.len()];
-            assert!(batcher.step_lockstep(
-                &mut Lanes(&mut envs),
-                &actions,
-                Some(&mut obs),
-                &mut steps
-            ));
+            assert!(batcher.step_lockstep(&mut envs, &actions, Some(&mut obs), &mut steps));
             let mut keep = Vec::new();
             for (j, s) in steps.iter().enumerate() {
                 let flags = u64::from(s.terminated) | u64::from(s.truncated) << 1;

@@ -20,7 +20,7 @@
 //! an inline SplitMix64 generator so a fixed seed produces bit-identical
 //! confidence intervals on every platform and from any thread.
 
-use crate::spread::map_blocks;
+use crate::spread::{cores, map_blocks};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -399,7 +399,7 @@ pub(crate) fn intervals(dists: &[&Distribution], spec: &BootstrapSpec) -> Vec<Ci
     let pending: Vec<usize> = (0..dists.len()).filter(|&i| out[i].is_none()).collect();
     let threads = match pending.len().div_ceil(BLOCK) {
         0 | 1 => 1,
-        blocks => std::thread::available_parallelism().map_or(1, |p| p.get()).min(blocks),
+        blocks => cores().min(blocks),
     };
     let init = || Bootstrap::new(*spec);
     let resampled =

@@ -54,7 +54,7 @@ pub mod rank;
 pub mod report;
 pub mod server;
 pub mod space;
-mod spread;
+pub mod spread;
 pub mod storage;
 pub mod study;
 pub mod trial;

@@ -3,12 +3,18 @@
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// The host's core count as `available_parallelism` reads it, 1 when it
+/// cannot tell.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// `job(&mut state, i)` for every `i` in `0..n`, returned in index order.
 /// The jobs run on `threads` scoped threads, this one among them (so at
 /// most one starts none), that take blocks of `block` indices from a
 /// shared counter; each thread makes its own state with `init`. A job's
 /// panic resumes here once every thread has ended.
-pub(crate) fn map_blocks<S, T: Send>(
+pub fn map_blocks<S, T: Send>(
     n: usize,
     threads: usize,
     block: usize,

@@ -223,7 +223,7 @@ impl CounterfactualAnalyzer {
     ///
     /// The decision points are independent of each other and are handed
     /// to the executor together; `Exec::Batched` answers them on up to
-    /// [`std::thread::available_parallelism`] threads, none of which
+    /// one thread per core ([`decision::spread::cores`]), none of which
     /// outlives this call. Reports, `cf.point` events and the first error
     /// are taken in point order once every point is answered, so neither
     /// the report nor the trace depends on how many threads ran.
@@ -233,8 +233,7 @@ impl CounterfactualAnalyzer {
         policy: &ContinuationPolicy,
         exec: &mut Exec,
     ) -> Result<EpisodeReport, SnapshotError> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.analyze_on(threads, episode, policy, exec)
+        self.analyze_on(decision::spread::cores(), episode, policy, exec)
     }
 
     /// [`Self::analyze`] with the thread count given instead of read from

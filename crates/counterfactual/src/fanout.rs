@@ -1,39 +1,37 @@
 //! The [`Exec`] switch between the scalar loop and the lockstep runner,
-//! and the thread fan-out that answers an episode's decision points on
-//! every core.
+//! and how an episode's decision points are answered on every core.
 //!
 //! The contract both share is set by [`dist_exec::run_whatif`]: a task's
 //! return depends only on `(snapshot, first_action, seed, policy)`.
 //! [`run_whatif_batched`] reproduces it bitwise because each distinct
 //! continuation gets its *own* environment lane (restored and reseeded
 //! exactly like the scalar loop), the tasks sharing a lane could not have
-//! differed ([`LanePlan`](dist_exec::runtime::whatif::LanePlan)), and the
-//! lockstep batcher is bit-compatible with scalar stepping by the `VecEnv`
-//! parity guarantees.
+//! differed ([`LanePlan`](dist_exec::runtime::whatif::LanePlan)), and
+//! gym's lockstep runner steps each lane bit for bit as its scalar
+//! stepping would, batcher or not.
 //!
 //! Grain of parallelism: the decision point. Every payload of an episode
-//! is independent of every other, so `Exec::Batched` answers them on
-//! scoped threads that pull the next payload from a shared index; inside
-//! a payload the lanes advance in SIMD lockstep on one thread. Results
-//! land in per-point slots and are read in point order after the join,
-//! so no bit and no trace event depends on the thread count.
+//! is independent of every other, so [`Exec::run_all`] answers them with
+//! `decision`'s thread fan-out ([`map_blocks`], one payload per block) —
+//! on the caller's thread alone for `Exec::Scalar`, on up to `threads`
+//! threads for `Exec::Batched` — and inside a payload the lanes advance in
+//! SIMD lockstep on one thread. Answers come back in point order, so no
+//! bit and no trace event depends on the thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
+use decision::spread::map_blocks;
 use dist_exec::{run_whatif, run_whatif_batched, WhatIfPayload};
 use gymrs::SnapshotError;
 
 /// Which machinery answers a what-if payload. Both variants are bitwise
 /// interchangeable (the parity suite pins this); they differ only in
 /// wall-clock shape.
+#[derive(Clone)]
 pub enum Exec {
     /// The reference loop: one env, tasks in sequence.
     Scalar,
-    /// [`run_whatif_batched`]: one `VecEnv` lane per distinct
-    /// continuation, and — when
-    /// an analysis hands over an episode's payloads together — one
-    /// payload per thread at a time.
+    /// [`run_whatif_batched`]: one lockstep lane per distinct
+    /// continuation, and — when an analysis hands over an episode's
+    /// payloads together — one payload per thread at a time.
     Batched {
         /// Batcher override, as in [`run_whatif_batched`].
         force: Option<bool>,
@@ -49,63 +47,22 @@ impl Exec {
         }
     }
 
-    /// Answer `payloads` (one per decision point), in payload order. The
-    /// result either has one entry per payload or ends with the first
-    /// error met. `Batched` spreads the payloads over up to `threads`
-    /// threads, none of which outlives the call; `Scalar` answers them
-    /// one after another and stops at the first failure.
+    /// Answer `payloads` (one per decision point), in payload order, one
+    /// answer each. `Batched` spreads the payloads over up to `threads`
+    /// threads, each with its own copy of the executor, none of which
+    /// outlives the call; `Scalar` answers them one after another on this
+    /// one.
     pub(crate) fn run_all(
-        &mut self,
+        &self,
         payloads: &[WhatIfPayload],
         threads: usize,
     ) -> Vec<Result<Vec<f64>, SnapshotError>> {
-        if let Exec::Batched { force } = self {
-            return fan_out(payloads, *force, threads);
-        }
-        let mut answers = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            let answer = self.run(payload);
-            let failed = answer.is_err();
-            answers.push(answer);
-            if failed {
-                break;
-            }
-        }
-        answers
+        let threads = match self {
+            Exec::Scalar => 1,
+            Exec::Batched { .. } => threads.min(payloads.len()),
+        };
+        map_blocks(payloads.len(), threads, 1, || self.clone(), |exec, i| exec.run(&payloads[i]))
     }
-}
-
-/// [`run_whatif_batched`] over every payload on `threads.min(payloads)`
-/// threads — the caller's plus scoped ones, so one thread spawns nothing.
-/// Each thread claims the next unanswered index and fills that index's
-/// slot; which thread answered a payload leaves no mark on its returns.
-fn fan_out(
-    payloads: &[WhatIfPayload],
-    force: Option<bool>,
-    threads: usize,
-) -> Vec<Result<Vec<f64>, SnapshotError>> {
-    // Relaxed: the index publishes no data. The payloads are shared
-    // borrows, a slot synchronises its own write, and the scope's join
-    // orders every write before the reads below.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<Result<Vec<f64>, SnapshotError>>> =
-        payloads.iter().map(|_| OnceLock::new()).collect();
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(payload) = payloads.get(i) else { break };
-        let fresh = slots[i].set(run_whatif_batched(payload, force)).is_ok();
-        debug_assert!(fresh, "index {i} was handed out twice");
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads.min(payloads.len()) {
-            scope.spawn(work);
-        }
-        work();
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every index below the length was answered"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -157,20 +114,18 @@ mod tests {
     }
 
     #[test]
-    fn in_order_executors_stop_at_the_first_failure() {
+    fn both_executors_answer_every_payload_and_keep_a_failure_in_its_slot() {
         let mut payloads: Vec<WhatIfPayload> =
             (0..4).map(|_| payload(EnvBlueprint::Grid { n: 5 }, 2, 10)).collect();
         payloads[1].env = EnvBlueprint::Pendulum;
-        let answers = Exec::Scalar.run_all(&payloads, 4);
-        assert_eq!(answers.len(), 2, "nothing is run past the failure");
-        assert!(answers[0].is_ok());
-        assert_eq!(answers[1], Err(SnapshotError::Mismatch("kind")));
-        // The thread fan-out answers everything and keeps the failure in its slot.
-        let answers = Exec::Batched { force: None }.run_all(&payloads, 2);
-        assert_eq!(
-            answers.iter().map(Result::is_ok).collect::<Vec<_>>(),
-            [true, false, true, true]
-        );
+        for exec in [Exec::Scalar, Exec::Batched { force: None }] {
+            let answers = exec.run_all(&payloads, 2);
+            assert_eq!(
+                answers.iter().map(Result::is_ok).collect::<Vec<_>>(),
+                [true, false, true, true]
+            );
+            assert_eq!(answers[1], Err(SnapshotError::Mismatch("kind")));
+        }
     }
 
     #[test]

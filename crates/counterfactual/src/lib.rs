@@ -23,11 +23,13 @@
 //! 3. **Fan out** the `(K+1)·N` short rollouts of every decision point
 //!    through one of two interchangeable executors ([`Exec`]): the
 //!    scalar reference loop ([`dist_exec::run_whatif`]) or the lockstep
-//!    runner ([`dist_exec::run_whatif_batched`] over [`gymrs::VecEnv`], which
-//!    engages the SIMD ODE batcher for airdrop lanes) with the episode's
-//!    decision points spread over the host's cores. A continuation that
-//!    does not read observations does not pay for them, and the lockstep
-//!    runner steps each distinct continuation once
+//!    runner ([`dist_exec::run_whatif_batched`] over
+//!    [`gymrs::vec_env::run_episodes`], which engages the SIMD ODE batcher
+//!    for airdrop lanes and retires a lane when its continuation ends),
+//!    with the episode's decision points spread over the host's cores by
+//!    [`decision::spread::map_blocks`]. A continuation that does not read
+//!    observations does not pay for them, and the lockstep runner steps
+//!    each distinct continuation once
 //!    ([`dist_exec::runtime::whatif::LanePlan`]): where `step` reads no RNG the `N`
 //!    rollouts of an action are one lane, reported as `N` equal samples.
 //!    The two paths are bitwise interchangeable — the parity suite pins

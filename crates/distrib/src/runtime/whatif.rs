@@ -17,18 +17,20 @@
 //! crate answers through — must agree with it bit for bit.
 //!
 //! The harness pays only for what the model reads (Sim-Env, PAPERS.md).
+//! The lockstep runner is gym's [`run_episodes`], which retires a lane at
+//! its first `done`, so a finished continuation stops stepping.
 //! Observations are produced when a continuation asks for them:
 //! `ContinuationPolicy::reads_observations` says whether it does, and
-//! one that does not makes the lockstep runner step through
-//! [`VecEnv::step_unobserved`] with an action list built once. Seeds
-//! matter only when `step` reads the RNG
+//! one that does not steps the action list it started with, with no
+//! observation computed. Seeds matter only when `step` reads the RNG
 //! ([`Environment::steps_read_rng`]): the lockstep runner steps one lane
 //! per distinct continuation ([`LanePlan`]) and copies its return to every
 //! task that shares it.
 
 use std::cmp::Ordering;
 
-use gymrs::{Action, EnvSnapshot, Environment, SnapshotError, VecEnv};
+use gymrs::vec_env::run_episodes;
+use gymrs::{Action, EnvSnapshot, Environment, SnapshotError};
 use rl_algos::policy::ActorCritic;
 
 use super::transport::EnvBlueprint;
@@ -204,87 +206,63 @@ pub(crate) fn run_one(
     Ok(ret)
 }
 
-/// Replay every distinct continuation of `payload` in lockstep: one
-/// `VecEnv` lane per lane of [`WhatIfPayload::lane_plan`], each restored
-/// from the shared snapshot and reseeded with its first task's seed, all
-/// lanes advanced together (which engages the SIMD ODE batcher for
-/// homogeneous airdrop lanes above the calibrated crossover).
+/// Replay every distinct continuation of `payload` in lockstep: one lane
+/// per lane of [`WhatIfPayload::lane_plan`], each restored from the shared
+/// snapshot and reseeded with its first task's seed, all stepped by gym's
+/// [`run_episodes`] (which engages the SIMD ODE batcher for homogeneous
+/// airdrop lanes above the calibrated crossover).
 ///
 /// `force_batched` overrides the auto-detected batcher: `Some(true)`
 /// installs it regardless of lane count, `Some(false)` forces the
 /// scalar lockstep fallback, `None` keeps the crossover heuristic.
 ///
 /// Returns one undiscounted return per task, in task order, bitwise
-/// equal to [`run_whatif`] on the same payload: a lane stops
-/// accumulating at its first `done` tick (the auto-reset episodes that
-/// keep a finished lane steppable are ignored), and its return is copied
-/// to every task it answers. A continuation that reads observations gets
-/// each lane's own post-step observation exactly as the scalar loop hands
-/// it over; one that does not (`ContinuationPolicy::reads_observations`)
-/// keeps the action list it started with and steps unobserved — no
-/// observation write and no action clone per lane-tick.
+/// equal to [`run_whatif`] on the same payload: a lane retires at its
+/// first `done` tick, and its return is copied to every task it answers.
+/// A continuation that reads observations gets each lane's own post-step
+/// observation exactly as the scalar loop hands it over; one that does
+/// not (`ContinuationPolicy::reads_observations`) keeps the action list
+/// it started with, and no observation is computed for it.
 pub fn run_whatif_batched(
     payload: &WhatIfPayload,
     force_batched: Option<bool>,
 ) -> Result<Vec<f64>, SnapshotError> {
-    if payload.tasks.is_empty() {
-        return Ok(Vec::new());
-    }
-    if payload.horizon == 0 {
-        return Ok(vec![0.0; payload.tasks.len()]);
-    }
     let plan = payload.lane_plan();
-    let tasks: Vec<&WhatIfTask> = plan.leaders.iter().map(|&t| &payload.tasks[t]).collect();
-    let n = tasks.len();
-    let mut envs: Vec<Box<dyn Environment>> = Vec::with_capacity(n);
-    for task in &tasks {
+    let mut envs = Vec::with_capacity(plan.lanes());
+    for &leader in &plan.leaders {
         let mut env = payload.env.build(0);
         env.restore(&payload.snapshot)?;
-        env.seed(task.seed);
+        env.seed(payload.tasks[leader].seed);
         envs.push(env);
     }
-    // new_preseeded keeps the restored state — reset_all would wipe it.
-    let mut venv = VecEnv::new_preseeded(envs);
-    if let Some(on) = force_batched {
-        venv.set_batched(on);
-    }
-    let observed = payload.policy.reads_observations();
-    let mut returns = vec![0.0f64; n];
-    let mut live = vec![true; n];
-    let mut remaining = n;
-    let mut actions: Vec<Action> = tasks.iter().map(|t| t.first_action.clone()).collect();
-    for _ in 0..payload.horizon {
-        if observed {
-            venv.step_lockstep(&actions);
-        } else {
-            venv.step_unobserved(&actions);
-        }
-        let tick = venv.last_tick();
-        for i in 0..n {
-            if !live[i] {
-                continue; // auto-reset follow-on episode: not this lane's return
+    Ok(plan.scatter(&continue_lanes(payload, &plan, envs, force_batched)))
+}
+
+/// Each lane's return: `envs[i]` stands where `plan`'s lane `i` starts
+/// and follows that lane's continuation of `payload`. Generic over the
+/// lane type so that a test can hand it lanes that count their steps.
+fn continue_lanes<E: Environment>(
+    payload: &WhatIfPayload,
+    plan: &LanePlan,
+    envs: Vec<E>,
+    force_batched: Option<bool>,
+) -> Vec<f64> {
+    let fork = |lane: usize| &payload.tasks[plan.leaders[lane]].first_action;
+    let mut returns = vec![0.0f64; envs.len()];
+    run_episodes(
+        envs,
+        (0..plan.lanes()).map(|lane| fork(lane).clone()).collect(),
+        payload.horizon,
+        force_batched,
+        payload.policy.reads_observations(),
+        |lane, step| returns[lane] += step.reward,
+        |live, obs, actions| {
+            for ((action, &lane), obs) in actions.iter_mut().zip(live).zip(obs.unwrap_or(&[])) {
+                *action = payload.policy.next_action(fork(lane), obs);
             }
-            returns[i] += tick.steps[i].reward;
-            if tick.steps[i].done() {
-                live[i] = false;
-                remaining -= 1;
-            }
-        }
-        if remaining == 0 {
-            break;
-        }
-        if observed {
-            let obs = venv.observations();
-            for i in 0..n {
-                if live[i] {
-                    actions[i] = payload.policy.next_action(&tasks[i].first_action, &obs[i]);
-                }
-                // Finished lanes keep their last action; whatever the
-                // reset episode does with it is discarded above.
-            }
-        }
-    }
-    Ok(plan.scatter(&returns))
+        },
+    );
+    returns
 }
 
 #[cfg(test)]
@@ -295,6 +273,8 @@ mod tests {
     use gymrs::Space;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::sync::Arc;
 
     fn grid_payload(policy: ContinuationPolicy, tasks: Vec<WhatIfTask>) -> WhatIfPayload {
         let mut env = EnvBlueprint::Grid { n: 5 }.build(3);
@@ -400,6 +380,69 @@ mod tests {
             assert_eq!(bits(&scalar), bits(&batched), "forced batcher must match scalar");
             assert_eq!(bits(&scalar), bits(&fallback), "lockstep fallback must match scalar");
         }
+    }
+
+    /// An environment that counts the steps taken through it.
+    struct Counted(Box<dyn Environment>, Arc<AtomicUsize>);
+
+    impl Environment for Counted {
+        fn observation_space(&self) -> Space {
+            self.0.observation_space()
+        }
+        fn action_space(&self) -> Space {
+            self.0.action_space()
+        }
+        fn seed(&mut self, seed: u64) {
+            self.0.seed(seed)
+        }
+        fn reset(&mut self) -> Vec<f64> {
+            self.0.reset()
+        }
+        fn step(&mut self, action: &Action) -> gymrs::Step {
+            self.1.fetch_add(1, AtomicOrdering::Relaxed);
+            self.0.step(action)
+        }
+    }
+
+    #[test]
+    fn a_finished_continuation_stops_stepping() {
+        // Eight steering commands held from one point of a low drop: the
+        // lanes land at different ticks (11 to 14), and the longest are
+        // cut by the horizon. Each lane takes min(its length, horizon)
+        // steps — 98 in all, where stepping every lane until the last one
+        // ends would take 8 × 13 = 104.
+        let mut p = payload(EnvBlueprint::AirdropFast, 0, 0);
+        p.tasks = (0..8)
+            .map(|i| WhatIfTask {
+                first_action: Action::Continuous(vec![-1.0 + i as f64 / 3.5]),
+                seed: 1,
+            })
+            .collect();
+        let plan = p.lane_plan();
+        let lane = |task: usize| {
+            let mut env = p.env.build(0);
+            env.restore(&p.snapshot).expect("restores");
+            env.seed(p.tasks[task].seed);
+            env
+        };
+        let lens: Vec<usize> = plan
+            .leaders
+            .iter()
+            .map(|&t| {
+                let mut env = lane(t);
+                (1..).find(|_| env.step(&p.tasks[t].first_action).done()).unwrap()
+            })
+            .collect();
+        p.horizon = 13;
+        let (shortest, longest) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+        assert!(shortest < &p.horizon && longest > &p.horizon, "lengths {lens:?}");
+        let steps = Arc::new(AtomicUsize::new(0));
+        let envs = plan.leaders.iter().map(|&t| Counted(lane(t), steps.clone())).collect();
+        let returns = plan.scatter(&continue_lanes(&p, &plan, envs, Some(false)));
+        assert_eq!(bits(&returns), bits(&run_whatif_batched(&p, None).expect("runs")));
+        assert_eq!(bits(&returns), bits(&run_whatif(&p).expect("runs")));
+        let taken: usize = lens.iter().map(|&len| len.min(p.horizon)).sum();
+        assert_eq!(steps.load(AtomicOrdering::Relaxed), taken);
     }
 
     #[test]

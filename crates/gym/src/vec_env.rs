@@ -8,8 +8,15 @@
 //! A tick steps its lanes one of two ways — all at once through the
 //! environment's batched stepper when one is installed (at and above the
 //! scalar/SIMD crossover), otherwise one after another through
-//! [`step_lanes`] — and then settles every lane's episode books in one
+//! `step_lanes` — and then settles every lane's episode books in one
 //! place, whichever way served it.
+//!
+//! Episodes that end and are not followed by another — greedy
+//! evaluation's, a what-if continuation's — run through
+//! [`run_episodes`] instead: the same two ways of stepping, but a lane
+//! retires at its first `done` (or a step cap) rather than resetting, the
+//! batcher shrinks with the lanes, and a caller that reads no
+//! observation gets none computed.
 
 use crate::env::{Action, Environment};
 use crate::keys;
@@ -50,7 +57,7 @@ impl<E: Environment> EnvLanes for Vec<E> {
 /// [`Environment::step`], in lane order: the scalar tick. Fills
 /// `steps[i]` and, when the caller passes an observation buffer, moves the
 /// post-step observation into `obs[i]`; like a batcher, it resets no lane.
-pub fn step_lanes<E: Environment>(
+pub(crate) fn step_lanes<E: Environment>(
     envs: &mut [E],
     actions: &[Action],
     mut obs: Option<&mut [Vec<f64>]>,
@@ -68,6 +75,112 @@ pub fn step_lanes<E: Environment>(
             obs[i] = s.obs;
         }
     }
+}
+
+/// Step `envs` in lockstep, lane `i` starting from `actions[i]`, until
+/// every lane has retired: a lane retires at its first `done` step or
+/// after `max_steps` steps, and is never reset. After each tick
+/// `record(lane, step)` sees every stepped lane's result (a lane is its
+/// index in `envs`), then `act(live, obs, actions)` writes the next
+/// action of each lane still live: `live` holds their indices in order,
+/// one entry of `actions` each. `obs` holds their post-step observations
+/// when `observe` is set and is `None` otherwise — nobody computes them
+/// then. An `act` that leaves `actions` alone steps the first actions
+/// throughout, and a tick that retires no lane allocates nothing.
+///
+/// The batcher comes from lane 0 as [`VecEnv`] installs it — at
+/// [`batch_crossover`] lanes or more, or as `force_batched` says, like
+/// [`VecEnv::set_batched`] — and shrinks with the lanes, each kept lane
+/// keeping its integrator caches. One that refuses the lanes, which it
+/// does on its first tick if at all, is dropped, and `step_lanes`
+/// serves every tick.
+///
+/// [`batch_crossover`]: simd_kernels::crossover::batch_crossover
+pub fn run_episodes<E: Environment>(
+    mut envs: Vec<E>,
+    mut actions: Vec<Action>,
+    max_steps: usize,
+    force_batched: Option<bool>,
+    observe: bool,
+    mut record: impl FnMut(usize, &LaneStep),
+    mut act: impl FnMut(&[usize], Option<&[Vec<f64>]>, &mut [Action]),
+) {
+    let n = envs.len();
+    assert_eq!(actions.len(), n, "one first action per lane");
+    if n == 0 || max_steps == 0 {
+        return;
+    }
+    let mut batcher = install_batcher(&envs, force_batched);
+    let mut obs = if observe { vec![Vec::new(); n] } else { Vec::new() };
+    let (mut live, mut steps): (Vec<usize>, _) = ((0..n).collect(), vec![LaneStep::default(); n]);
+    let mut keep = Vec::with_capacity(n);
+    for taken in 1.. {
+        step_tick(&mut batcher, &mut envs, &actions, observe.then_some(&mut obs[..]), &mut steps);
+        keep.clear();
+        for (&lane, step) in live.iter().zip(&steps) {
+            record(lane, step);
+            keep.push(!step.done() && taken < max_steps);
+        }
+        if keep.contains(&false) {
+            retain(&mut envs, &keep);
+            if envs.is_empty() {
+                return;
+            }
+            retain(&mut live, &keep);
+            retain(&mut actions, &keep);
+            if observe {
+                retain(&mut obs, &keep);
+            }
+            steps.truncate(envs.len());
+            if let Some(b) = &mut batcher {
+                b.retain_lanes(&keep);
+            }
+        }
+        act(&live, observe.then_some(&obs[..]), &mut actions);
+    }
+}
+
+/// The batcher a lockstep set of `envs` starts with: lane 0's when
+/// `force` says so or, unset, at and above the calibrated scalar/SIMD
+/// crossover — tiny batches (n = 1–2 by default) pay more in SoA
+/// bookkeeping than they gain in lane parallelism.
+fn install_batcher<E: Environment>(
+    envs: &[E],
+    force: Option<bool>,
+) -> Option<Box<dyn AnyLockstepBatcher>> {
+    let n = envs.len();
+    let install = force.unwrap_or(n >= simd_kernels::crossover::batch_crossover());
+    if install {
+        envs[0].lockstep_batcher(n)
+    } else {
+        None
+    }
+}
+
+/// Step every lane of `envs` once: through `batcher` when it takes the
+/// lanes, otherwise through `step_lanes`. A batcher that refuses them (a
+/// heterogeneous set or a foreign env type, left unmutated) is dropped,
+/// so every later tick is scalar. Returns whether the batcher served.
+fn step_tick<E: Environment>(
+    batcher: &mut Option<Box<dyn AnyLockstepBatcher>>,
+    envs: &mut Vec<E>,
+    actions: &[Action],
+    mut obs: Option<&mut [Vec<f64>]>,
+    steps: &mut [LaneStep],
+) -> bool {
+    let batched =
+        batcher.as_mut().is_some_and(|b| b.step_lockstep(envs, actions, obs.as_deref_mut(), steps));
+    if !batched {
+        *batcher = None;
+        step_lanes(envs, actions, obs, steps);
+    }
+    batched
+}
+
+/// Keep `v[i]` where `keep[i]`.
+fn retain<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    v.retain(|_| *flags.next().expect("one flag per lane"));
 }
 
 /// Per-lane result of one lockstep tick — [`crate::Step`] minus the observation
@@ -202,15 +315,8 @@ impl<E: Environment> VecEnv<E> {
         assert!(!envs.is_empty(), "VecEnv needs at least one sub-environment");
         assert_eq!(obs.len(), envs.len(), "one observation per sub-env");
         let n = envs.len();
-        // Auto-install the batched fast path only above the calibrated
-        // scalar/SIMD crossover: tiny batches (n = 1–2 by default) pay
-        // more in SoA bookkeeping than they gain in lane parallelism.
-        // `set_batched(true)` bypasses the gate for explicit opt-in.
-        let batcher = if n >= simd_kernels::crossover::batch_crossover() {
-            envs[0].lockstep_batcher(n)
-        } else {
-            None
-        };
+        // `set_batched(true)` bypasses the crossover for explicit opt-in.
+        let batcher = install_batcher(&envs, None);
         Self {
             envs,
             obs,
@@ -304,16 +410,9 @@ impl<E: Environment> VecEnv<E> {
     }
 
     /// Current observations (valid after `reset_all` and
-    /// `step_lockstep`; after [`VecEnv::step_unobserved`] only the lanes
-    /// that just reset are fresh).
+    /// `step_lockstep`).
     pub fn observations(&self) -> &[Vec<f64>] {
         &self.obs
-    }
-
-    /// Give the sub-environments back, in lane order — what a test reads
-    /// lane state and RNG position from once the stepping is over.
-    pub fn into_envs(self) -> Vec<E> {
-        self.envs
     }
 
     /// Write the current observations into `out` as one flat row-major
@@ -333,7 +432,7 @@ impl<E: Environment> VecEnv<E> {
 
     /// Step every sub-environment one control interval, preferring the
     /// batched fast path (one batched ODE step per substep across all
-    /// lanes) and falling back to [`step_lanes`] when no batcher is
+    /// lanes) and falling back to `step_lanes` when no batcher is
     /// installed or the sub-envs turn out heterogeneous.
     ///
     /// The result is available through [`VecEnv::last_tick`] — split off
@@ -343,52 +442,27 @@ impl<E: Environment> VecEnv<E> {
     /// ODE-level sweeps and the backend determinism regression pin
     /// that down.
     pub fn step_lockstep(&mut self, actions: &[Action]) {
-        self.tick(actions, true);
+        self.tick(actions);
     }
 
-    /// [`VecEnv::step_lockstep`] for a caller that reads no observation
-    /// of this tick (an open-loop rollout): the same body, counters and
-    /// auto-reset, but the batcher is not asked for observations, so
-    /// afterwards [`VecEnv::observations`] is fresh only for lanes that
-    /// just reset (their first observation) and stale for every other
-    /// lane, and [`TickBatch::final_obs`] stays `None` throughout.
-    /// Rewards, done flags, work, environment state and RNG position are
-    /// those of the observed tick, so observed and unobserved ticks mix
-    /// freely — the next observed tick rewrites every lane.
-    pub fn step_unobserved(&mut self, actions: &[Action]) {
-        self.tick(actions, false);
-    }
-
-    fn tick(&mut self, actions: &[Action], observe: bool) {
+    fn tick(&mut self, actions: &[Action]) {
         assert_eq!(actions.len(), self.envs.len(), "one action per sub-env");
         self.tick.begin(self.envs.len());
-        let obs = observe.then_some(self.obs.as_mut_slice());
-        let batched = self
-            .batcher
-            .as_mut()
-            .is_some_and(|b| b.step_lockstep(&mut self.envs, actions, obs, &mut self.tick.steps));
-        if !batched {
-            // No batcher, or it refused these lanes (a heterogeneous set
-            // or a foreign env type) without mutating them: drop it and
-            // stay scalar from now on.
-            self.batcher = None;
-            let obs = observe.then_some(self.obs.as_mut_slice());
-            step_lanes(&mut self.envs, actions, obs, &mut self.tick.steps);
-        }
-        self.settle_tick(observe, batched);
+        let obs = Some(self.obs.as_mut_slice());
+        let batched =
+            step_tick(&mut self.batcher, &mut self.envs, actions, obs, &mut self.tick.steps);
+        self.settle_tick(batched);
     }
 
-    /// Result of the most recent [`VecEnv::step_lockstep`] or
-    /// [`VecEnv::step_unobserved`] call.
+    /// Result of the most recent [`VecEnv::step_lockstep`] call.
     pub fn last_tick(&self) -> &TickBatch {
         &self.tick
     }
 
     /// Episode bookkeeping of every tick: totals, auto-reset,
-    /// integrator-cache invalidation for reset lanes. On an unobserved
-    /// tick the pre-reset observation was never written, so it is not
-    /// kept. `batched` records which path served the tick.
-    fn settle_tick(&mut self, observed: bool, batched: bool) {
+    /// integrator-cache invalidation for reset lanes. `batched` records
+    /// which path served the tick.
+    fn settle_tick(&mut self, batched: bool) {
         let mut tick_work = 0u64;
         for i in 0..self.envs.len() {
             let s = self.tick.steps[i];
@@ -402,9 +476,7 @@ impl<E: Environment> VecEnv<E> {
                 self.ep_return[i] = 0.0;
                 self.ep_len[i] = 0;
                 let ended_in = std::mem::replace(&mut self.obs[i], self.envs[i].reset());
-                if observed {
-                    self.tick.final_obs[i] = Some(ended_in);
-                }
+                self.tick.final_obs[i] = Some(ended_in);
                 if let Some(b) = &mut self.batcher {
                     b.reset_lane(i);
                 }
@@ -486,20 +558,152 @@ mod tests {
         assert_eq!(v.last_tick().final_obs[0], Some(vec![1.0, 1.0]));
     }
 
+    /// Slippery 4×4 grid worlds, lane `i` seeded `i` and reset: their
+    /// steps draw from the RNG, so a lost or extra draw shows.
+    fn slippery(n: usize) -> Vec<GridWorld> {
+        (0..n as u64)
+            .map(|i| {
+                let mut e = GridWorld::new(4);
+                e.slip = 0.3;
+                e.seed(i);
+                e.reset();
+                e
+            })
+            .collect()
+    }
+
+    /// Lane `lane`'s action on tick `t`: right and down in turn.
+    fn zigzag(t: usize, lane: usize) -> Action {
+        Action::Discrete(if (t + lane).is_multiple_of(2) { 3 } else { 1 })
+    }
+
+    /// [`run_episodes`] over `envs` on [`zigzag`] actions: every lane's
+    /// steps, in lane order.
+    fn run_zigzag<E: Environment>(
+        envs: Vec<E>,
+        max_steps: usize,
+        force_batched: Option<bool>,
+        observe: bool,
+    ) -> Vec<Vec<LaneStep>> {
+        let n = envs.len();
+        let (mut log, mut t) = (vec![Vec::new(); n], 0);
+        run_episodes(
+            envs,
+            (0..n).map(|lane| zigzag(0, lane)).collect(),
+            max_steps,
+            force_batched,
+            observe,
+            |lane, step| log[lane].push(*step),
+            |live, obs, actions| {
+                t += 1;
+                assert_eq!(obs.map(<[_]>::len), observe.then_some(live.len()));
+                for (a, &lane) in actions.iter_mut().zip(live) {
+                    *a = zigzag(t, lane);
+                }
+            },
+        );
+        log
+    }
+
     #[test]
-    fn an_unobserved_tick_keeps_the_books_and_reports_no_final_obs() {
-        // GridWorld has no batcher: the scalar fallback of the unobserved
-        // tick. Same steps, same finished list, same auto-reset.
-        let (mut seen, mut blind) = (make(1), make(1));
-        for a in [3, 3, 1, 1, 3] {
-            seen.step_lockstep(&[Action::Discrete(a)]);
-            blind.step_unobserved(&[Action::Discrete(a)]);
-            assert_eq!(seen.last_tick().steps, blind.last_tick().steps);
-            assert_eq!(seen.last_tick().finished, blind.last_tick().finished);
-            assert_eq!(blind.last_tick().final_obs, vec![None]);
+    fn lanes_retire_at_done_or_the_cap_and_an_open_loop_run_steps_alike() {
+        let max_steps = 9;
+        // The oracle: each lane stepped alone until done or the cap.
+        let mut alone = slippery(6);
+        let oracle: Vec<Vec<LaneStep>> = alone
+            .iter_mut()
+            .enumerate()
+            .map(|(lane, e)| {
+                let mut steps = Vec::new();
+                for t in 0..max_steps {
+                    let s = e.step(&zigzag(t, lane));
+                    let (reward, terminated, truncated) = (s.reward, s.terminated, s.truncated);
+                    steps.push(LaneStep { reward, terminated, truncated, work: 1 });
+                    if s.done() {
+                        break;
+                    }
+                }
+                steps
+            })
+            .collect();
+        let ended = oracle.iter().filter(|s| s.last().is_some_and(LaneStep::done)).count();
+        assert!(ended > 0 && ended < 6, "lanes retire both ways: {ended} of 6 ended");
+        let (mut seen, mut blind) = (slippery(6), slippery(6));
+        assert_eq!(run_zigzag(seen.iter_mut().collect(), max_steps, None, true), oracle);
+        assert_eq!(run_zigzag(blind.iter_mut().collect(), max_steps, None, false), oracle);
+        // Lane state and, through the snapshot's drawn re-key, RNG position.
+        for ((a, b), c) in seen.iter_mut().zip(&mut blind).zip(&mut alone) {
+            let fork = a.snapshot();
+            assert_eq!(fork, b.snapshot());
+            assert_eq!(fork, c.snapshot());
         }
-        assert_eq!(seen.total_steps, blind.total_steps);
-        assert_eq!(blind.into_envs().len(), 1);
+    }
+
+    #[test]
+    fn no_lanes_or_no_steps_step_nothing() {
+        let never = |_: usize, _: &LaneStep| panic!("nothing is stepped");
+        let no_act = |_: &[usize], _: Option<&[Vec<f64>]>, _: &mut [Action]| panic!("no tick");
+        run_episodes(Vec::<GridWorld>::new(), Vec::new(), 5, Some(true), true, never, no_act);
+        let mut envs = slippery(3);
+        let actions = vec![Action::Discrete(3); 3];
+        run_episodes(envs.iter_mut().collect(), actions, 0, None, true, never, no_act);
+        for (mut a, mut b) in envs.into_iter().zip(slippery(3)) {
+            assert_eq!(a.snapshot(), b.snapshot(), "a zero-step run leaves the lane alone");
+        }
+    }
+
+    /// A grid world whose batcher refuses every tick, counting its calls.
+    struct Refused(GridWorld, std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl Environment for Refused {
+        fn observation_space(&self) -> Space {
+            self.0.observation_space()
+        }
+        fn action_space(&self) -> Space {
+            self.0.action_space()
+        }
+        fn seed(&mut self, seed: u64) {
+            self.0.seed(seed)
+        }
+        fn reset(&mut self) -> Vec<f64> {
+            self.0.reset()
+        }
+        fn step(&mut self, action: &Action) -> crate::Step {
+            self.0.step(action)
+        }
+        fn lockstep_batcher(&self, _: usize) -> Option<Box<dyn AnyLockstepBatcher>> {
+            Some(Box::new(Refusal(self.1.clone())))
+        }
+    }
+
+    struct Refusal(std::sync::Arc<std::sync::atomic::AtomicUsize>);
+
+    impl AnyLockstepBatcher for Refusal {
+        fn step_lockstep(
+            &mut self,
+            _: &mut dyn EnvLanes,
+            _: &[Action],
+            _: Option<&mut [Vec<f64>]>,
+            _: &mut [LaneStep],
+        ) -> bool {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            false
+        }
+        fn reset_lane(&mut self, _: usize) {
+            unreachable!("the runner resets no lane");
+        }
+        fn retain_lanes(&mut self, _: &[bool]) {
+            unreachable!("a refused batcher is dropped, not shrunk");
+        }
+    }
+
+    #[test]
+    fn a_batcher_that_refuses_the_first_tick_leaves_every_tick_to_step_lanes() {
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let refused = slippery(5).into_iter().map(|e| Refused(e, calls.clone())).collect();
+        let scalar = run_zigzag(slippery(5), 9, Some(false), false);
+        assert_eq!(run_zigzag(refused, 9, Some(true), false), scalar);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 1, "asked once, then dropped");
     }
 
     #[test]
