@@ -196,9 +196,13 @@ impl Distribution {
         self.interval.get().is_some()
     }
 
-    /// Seeded percentile-bootstrap confidence interval for the mean:
-    /// `Bootstrap::ci` on a resampler built for this one call. A loop
-    /// over many distributions builds one `Bootstrap` and reuses it.
+    /// Seeded percentile-bootstrap confidence interval for the mean.
+    /// The distribution keeps its first interval, so a second call under
+    /// the same spec reads it. A first call draws a resample plan for this
+    /// one distribution, which costs several times what one amortised
+    /// over many distributions does: to rank or report many of them, give
+    /// the spec to `RankSpec::bootstrap` or to a report renderer, which
+    /// share one plan per metric and resample across cores.
     pub fn bootstrap_ci(&self, spec: &BootstrapSpec) -> Ci {
         Bootstrap::new(*spec).ci(self)
     }

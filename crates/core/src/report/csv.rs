@@ -1,6 +1,6 @@
 //! CSV export of trials (for external plotting/analysis tools).
 
-use super::{Intervals, PerColumn};
+use super::{push_param, Intervals, PerColumn};
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::param::ParamValue;
@@ -61,11 +61,8 @@ pub(super) fn render(
         for p in params {
             out.push(',');
             match t.config.get(p) {
-                Some(ParamValue::Float(v)) => push_shortest(&mut out, *v),
                 Some(ParamValue::Str(label)) => out.push_str(&escape(label)),
-                Some(v) => {
-                    let _ = write!(out, "{v}");
-                }
+                Some(v) => push_param(&mut out, v),
                 None => {}
             }
         }

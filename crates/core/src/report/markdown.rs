@@ -1,10 +1,13 @@
 //! Markdown rendering of study results (for READMEs / experiment logs).
 
-use super::{Intervals, PerColumn};
+use super::{push_param, Intervals, PerColumn};
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
+use crate::param::ParamValue;
 use crate::rank::pareto::ParetoFront;
 use crate::trial::{Trial, TrialStatus};
+use std::fmt::Write as _;
+use telemetry::push_fixed;
 
 /// Render trials as a GitHub-flavoured markdown table; Pareto-front rows
 /// are bolded.
@@ -38,16 +41,22 @@ pub(super) fn render(
     front: Option<&ParetoFront>,
     mut cis: Option<&mut dyn Intervals>,
 ) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(64 * (params.len() + metrics.len()) * (trials.len() + 2));
     out.push_str("| # |");
     for p in params {
-        out.push_str(&format!(" {p} |"));
+        out.push(' ');
+        push_label(&mut out, p);
+        out.push_str(" |");
     }
     for m in metrics {
-        match &cis {
-            Some(cis) => out.push_str(&format!(" {} ({:.0}% CI) |", m.name, cis.level() * 100.0)),
-            None => out.push_str(&format!(" {} |", m.name)),
+        out.push(' ');
+        push_label(&mut out, &m.name);
+        if let Some(cis) = &cis {
+            out.push_str(" (");
+            push_fixed(&mut out, cis.level() * 100.0, 0);
+            out.push_str("% CI)");
         }
+        out.push_str(" |");
     }
     out.push_str(" status |\n|---|");
     for _ in 0..params.len() + metrics.len() + 1 {
@@ -58,31 +67,62 @@ pub(super) fn render(
     for (i, t) in trials.iter().enumerate() {
         let on_front = front.map(|f| f.contains(i)).unwrap_or(false);
         let emph = if on_front { "**" } else { "" };
-        out.push_str(&format!("| {emph}{}{emph} |", t.id + 1));
+        let _ = write!(out, "| {emph}{}{emph} |", t.id + 1);
         for p in params {
-            let v = t.config.get(p).map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-            out.push_str(&format!(" {emph}{v}{emph} |"));
+            out.push(' ');
+            out.push_str(emph);
+            match t.config.get(p) {
+                Some(ParamValue::Str(label)) => push_label(&mut out, label),
+                Some(v) => push_param(&mut out, v),
+                None => out.push('-'),
+            }
+            out.push_str(emph);
+            out.push_str(" |");
         }
         for (column, m) in metrics.iter().enumerate() {
+            out.push(' ');
+            out.push_str(emph);
             let dist = t.metrics.distribution(&m.name).filter(|d| !d.is_empty());
-            let v = match (t.metrics.get(&m.name), cis.as_mut().zip(dist)) {
+            match (t.metrics.get(&m.name), cis.as_mut().zip(dist)) {
                 (Some(v), Some((cis, d))) => {
                     let ci = cis.ci(column, d);
-                    format!("{v:.2} [{:.2}, {:.2}]", ci.lo, ci.hi)
+                    push_fixed(&mut out, v, 2);
+                    out.push_str(" [");
+                    push_fixed(&mut out, ci.lo, 2);
+                    out.push_str(", ");
+                    push_fixed(&mut out, ci.hi, 2);
+                    out.push(']');
                 }
-                (Some(v), None) => format!("{v:.2}"),
-                (None, _) => "-".into(),
-            };
-            out.push_str(&format!(" {emph}{v}{emph} |"));
+                (Some(v), None) => push_fixed(&mut out, v, 2),
+                (None, _) => out.push('-'),
+            }
+            out.push_str(emph);
+            out.push_str(" |");
         }
-        let status = match t.status {
-            TrialStatus::Complete => "ok",
-            TrialStatus::Pruned => "pruned",
-            TrialStatus::Failed => "failed",
-        };
-        out.push_str(&format!(" {status} |\n"));
+        out.push_str(match t.status {
+            TrialStatus::Complete => " ok |\n",
+            TrialStatus::Pruned => " pruned |\n",
+            TrialStatus::Failed => " failed |\n",
+        });
     }
     out
+}
+
+/// A label as one cell's text: a `|` escaped, so that it does not end the
+/// cell, and a line break written as a space, so that it does not end the
+/// row.
+fn push_label(out: &mut String, label: &str) {
+    if !label.contains(['|', '\n', '\r']) {
+        out.push_str(label);
+        return;
+    }
+    for c in label.chars() {
+        match c {
+            '|' => out.push_str("\\|"),
+            '\n' | '\r' => out.push(' '),
+            c => out.push(c),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -120,6 +160,29 @@ mod tests {
         for l in &lines[1..] {
             assert_eq!(l.matches('|').count(), cols, "misaligned row: {l}");
         }
+    }
+
+    /// The `|` that delimit cells: not those escaped as `\\|`.
+    fn delimiters(line: &str) -> usize {
+        line.matches('|').count() - line.matches("\\|").count()
+    }
+
+    #[test]
+    fn a_pipe_or_a_line_break_in_a_label_stays_inside_its_cell() {
+        let mut ts = trials();
+        ts[1].config.set("f|w", ParamValue::Str("a|b".into()));
+        ts[0].config.set("f|w", ParamValue::Str("two\nlines\r".into()));
+        let metrics = [MetricDef::maximize("re|ward"), MetricDef::minimize("time\nmin")];
+        let md = trials_to_markdown(&ts, &["f|w"], &metrics, None);
+        let lines: Vec<&str> = md.lines().collect();
+        assert_eq!(lines.len(), 4, "{md}");
+        let cols = delimiters(lines[0]);
+        assert_eq!(cols, 6, "{md}");
+        for l in &lines {
+            assert_eq!(delimiters(l), cols, "misaligned row: {l}");
+        }
+        assert!(md.contains(" a\\|b |") && md.contains(" two lines  |"), "{md}");
+        assert!(md.starts_with("| # | f\\|w | re\\|ward | time min | status |"), "{md}");
     }
 
     #[test]

@@ -3,12 +3,27 @@
 
 use crate::distribution::{intervals, Bootstrap, BootstrapSpec, Ci, Distribution};
 use crate::metrics::MetricDef;
+use crate::param::ParamValue;
 use crate::trial::Trial;
+use std::fmt::Write as _;
+use telemetry::push_shortest;
 
 pub mod csv;
 pub mod markdown;
 pub mod svg;
 pub mod table;
+
+/// Append a parameter value as its `Display` writes it.
+fn push_param(out: &mut String, value: &ParamValue) {
+    match value {
+        ParamValue::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        ParamValue::Float(f) => push_shortest(out, *f),
+        ParamValue::Str(s) => out.push_str(s),
+        ParamValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+    }
+}
 
 /// Where a report's confidence intervals come from. The renderers ask
 /// for one by metric column; what answers is [`PerColumn`] behind every

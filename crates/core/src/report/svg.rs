@@ -6,6 +6,8 @@ use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::rank::pareto::ParetoFront;
 use crate::trial::Trial;
+use std::fmt::Write as _;
+use telemetry::{push_fixed, push_shortest};
 
 /// A 2-D scatter-plot description.
 pub struct ScatterPlot {
@@ -94,89 +96,81 @@ impl ScatterPlot {
         let sx = |v: f64| ml + (v - xmin) / (xmax - xmin).max(1e-12) * plot_w;
         let sy = |v: f64| mt + plot_h - (v - ymin) / (ymax - ymin).max(1e-12) * plot_h;
 
-        let mut s = String::new();
-        s.push_str(&format!(
+        // About 220 bytes a point with its label and whiskers.
+        let mut s = String::with_capacity(2_048 + 220 * pts.len());
+        let _ = write!(
+            s,
             r#"<svg xmlns="http://www.w3.org/2000/svg" width="{}" height="{}" viewBox="0 0 {} {}">"#,
             self.width, self.height, self.width, self.height
-        ));
+        );
         s.push('\n');
-        s.push_str(&format!(
-            r#"<rect width="{}" height="{}" fill="white"/>"#,
-            self.width, self.height
-        ));
+        let _ =
+            write!(s, r#"<rect width="{}" height="{}" fill="white"/>"#, self.width, self.height);
         s.push('\n');
         // Title.
-        s.push_str(&format!(
-            r#"<text x="{}" y="24" font-family="sans-serif" font-size="16" text-anchor="middle">{}</text>"#,
-            w / 2.0,
-            xml_escape(&self.title)
-        ));
-        s.push('\n');
+        num(&mut s, "<text x=\"", w / 2.0);
+        s.push_str(r#"" y="24" font-family="sans-serif" font-size="16" text-anchor="middle">"#);
+        xml_escape(&mut s, &self.title);
+        s.push_str("</text>\n");
         // Axes.
-        s.push_str(&format!(
-            r#"<line x1="{ml}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>"#,
-            ml = ml,
-            y0 = mt + plot_h,
-            x1 = ml + plot_w
-        ));
-        s.push_str(&format!(
-            r#"<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{y0}" stroke="black"/>"#,
-            ml = ml,
-            mt = mt,
-            y0 = mt + plot_h
-        ));
-        s.push('\n');
+        num(&mut s, "<line x1=\"", ml);
+        num(&mut s, "\" y1=\"", mt + plot_h);
+        num(&mut s, "\" x2=\"", ml + plot_w);
+        num(&mut s, "\" y2=\"", mt + plot_h);
+        num(&mut s, "\" stroke=\"black\"/><line x1=\"", ml);
+        num(&mut s, "\" y1=\"", mt);
+        num(&mut s, "\" x2=\"", ml);
+        num(&mut s, "\" y2=\"", mt + plot_h);
+        s.push_str("\" stroke=\"black\"/>\n");
         // Ticks.
         for k in 0..=4 {
             let fx = xmin + (xmax - xmin) * k as f64 / 4.0;
             let fy = ymin + (ymax - ymin) * k as f64 / 4.0;
             let px = sx(fx);
             let py = sy(fy);
-            s.push_str(&format!(
-                r#"<line x1="{px}" y1="{y0}" x2="{px}" y2="{y1}" stroke="black"/><text x="{px}" y="{ty}" font-family="sans-serif" font-size="11" text-anchor="middle">{v}</text>"#,
-                px = px,
-                y0 = mt + plot_h,
-                y1 = mt + plot_h + 5.0,
-                ty = mt + plot_h + 18.0,
-                v = fmt_tick(fx)
-            ));
-            s.push_str(&format!(
-                r#"<line x1="{x0}" y1="{py}" x2="{ml}" y2="{py}" stroke="black"/><text x="{tx}" y="{tyy}" font-family="sans-serif" font-size="11" text-anchor="end">{v}</text>"#,
-                x0 = ml - 5.0,
-                ml = ml,
-                py = py,
-                tx = ml - 8.0,
-                tyy = py + 4.0,
-                v = fmt_tick(fy)
-            ));
-            s.push('\n');
+            num(&mut s, "<line x1=\"", px);
+            num(&mut s, "\" y1=\"", mt + plot_h);
+            num(&mut s, "\" x2=\"", px);
+            num(&mut s, "\" y2=\"", mt + plot_h + 5.0);
+            num(&mut s, "\" stroke=\"black\"/><text x=\"", px);
+            num(&mut s, "\" y=\"", mt + plot_h + 18.0);
+            s.push_str(r#"" font-family="sans-serif" font-size="11" text-anchor="middle">"#);
+            push_tick(&mut s, fx);
+            num(&mut s, "</text><line x1=\"", ml - 5.0);
+            num(&mut s, "\" y1=\"", py);
+            num(&mut s, "\" x2=\"", ml);
+            num(&mut s, "\" y2=\"", py);
+            num(&mut s, "\" stroke=\"black\"/><text x=\"", ml - 8.0);
+            num(&mut s, "\" y=\"", py + 4.0);
+            s.push_str(r#"" font-family="sans-serif" font-size="11" text-anchor="end">"#);
+            push_tick(&mut s, fy);
+            s.push_str("</text>\n");
         }
         // Axis labels.
-        s.push_str(&format!(
-            r#"<text x="{}" y="{}" font-family="sans-serif" font-size="13" text-anchor="middle">{}</text>"#,
-            ml + plot_w / 2.0,
-            h - 12.0,
-            xml_escape(&self.x.name)
-        ));
-        s.push_str(&format!(
-            r#"<text x="16" y="{}" font-family="sans-serif" font-size="13" text-anchor="middle" transform="rotate(-90 16 {})">{}</text>"#,
-            mt + plot_h / 2.0,
-            mt + plot_h / 2.0,
-            xml_escape(&self.y.name)
-        ));
-        s.push('\n');
+        num(&mut s, "<text x=\"", ml + plot_w / 2.0);
+        num(&mut s, "\" y=\"", h - 12.0);
+        s.push_str(r#"" font-family="sans-serif" font-size="13" text-anchor="middle">"#);
+        xml_escape(&mut s, &self.x.name);
+        num(&mut s, "</text><text x=\"16\" y=\"", mt + plot_h / 2.0);
+        s.push_str(r#"" font-family="sans-serif" font-size="13" text-anchor="middle" transform="rotate(-90 16 "#);
+        num(&mut s, "", mt + plot_h / 2.0);
+        s.push_str(")\">");
+        xml_escape(&mut s, &self.y.name);
+        s.push_str("</text>\n");
 
         // Pareto step line: front points sorted by x.
         let mut front_pts: Vec<(usize, f64, f64)> =
             pts.iter().filter(|(i, _, _)| front.contains(*i)).cloned().collect();
         front_pts.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
         if front_pts.len() >= 2 {
-            let path: Vec<String> =
-                front_pts.iter().map(|(_, x, y)| format!("{:.1},{:.1}", sx(*x), sy(*y))).collect();
-            s.push_str(&format!(
-                r##"<polyline points="{}" fill="none" stroke="#d62728" stroke-width="1.5" stroke-dasharray="5,3"/>"##,
-                path.join(" ")
-            ));
+            s.push_str("<polyline points=\"");
+            for (k, (_, x, y)) in front_pts.iter().enumerate() {
+                fixed1(&mut s, if k == 0 { "" } else { " " }, sx(*x));
+                fixed1(&mut s, ",", sy(*y));
+            }
+            s.push_str(
+                r##"" fill="none" stroke="#d62728" stroke-width="1.5" stroke-dasharray="5,3"/>"##,
+            );
             s.push('\n');
         }
 
@@ -188,21 +182,19 @@ impl ScatterPlot {
                 let t = &trials[*i];
                 if let Some(d) = t.metrics.distribution(&self.x.name).filter(|d| !d.is_empty()) {
                     let ci = cis.ci(0, d);
-                    s.push_str(&format!(
-                        r##"<line x1="{:.1}" y1="{py:.1}" x2="{:.1}" y2="{py:.1}" stroke="#7f7f7f" stroke-width="1.2"/>"##,
-                        sx(ci.lo),
-                        sx(ci.hi)
-                    ));
-                    s.push('\n');
+                    fixed1(&mut s, "<line x1=\"", sx(ci.lo));
+                    fixed1(&mut s, "\" y1=\"", py);
+                    fixed1(&mut s, "\" x2=\"", sx(ci.hi));
+                    fixed1(&mut s, "\" y2=\"", py);
+                    s.push_str(WHISKER_END);
                 }
                 if let Some(d) = t.metrics.distribution(&self.y.name).filter(|d| !d.is_empty()) {
                     let ci = cis.ci(1, d);
-                    s.push_str(&format!(
-                        r##"<line x1="{px:.1}" y1="{:.1}" x2="{px:.1}" y2="{:.1}" stroke="#7f7f7f" stroke-width="1.2"/>"##,
-                        sy(ci.lo),
-                        sy(ci.hi)
-                    ));
-                    s.push('\n');
+                    fixed1(&mut s, "<line x1=\"", px);
+                    fixed1(&mut s, "\" y1=\"", sy(ci.lo));
+                    fixed1(&mut s, "\" x2=\"", px);
+                    fixed1(&mut s, "\" y2=\"", sy(ci.hi));
+                    s.push_str(WHISKER_END);
                 }
             }
         }
@@ -211,47 +203,59 @@ impl ScatterPlot {
         for (i, x, y) in &pts {
             let (px, py) = (sx(*x), sy(*y));
             if front.contains(*i) {
-                s.push_str(&format!(
-                    r##"<rect x="{:.1}" y="{:.1}" width="9" height="9" fill="#d62728"><title>trial {}</title></rect>"##,
-                    px - 4.5,
-                    py - 4.5,
+                fixed1(&mut s, "<rect x=\"", px - 4.5);
+                fixed1(&mut s, "\" y=\"", py - 4.5);
+                let _ = write!(
+                    s,
+                    r##"" width="9" height="9" fill="#d62728"><title>trial {}</title></rect>"##,
                     i + 1
-                ));
+                );
             } else {
-                s.push_str(&format!(
-                    r##"<circle cx="{px:.1}" cy="{py:.1}" r="4" fill="#1f77b4" fill-opacity="0.8"><title>trial {}</title></circle>"##,
+                fixed1(&mut s, "<circle cx=\"", px);
+                fixed1(&mut s, "\" cy=\"", py);
+                let _ = write!(
+                    s,
+                    r##"" r="4" fill="#1f77b4" fill-opacity="0.8"><title>trial {}</title></circle>"##,
                     i + 1
-                ));
+                );
             }
             if self.label_points {
-                s.push_str(&format!(
-                    r#"<text x="{:.1}" y="{:.1}" font-family="sans-serif" font-size="10">{}</text>"#,
-                    px + 6.0,
-                    py - 6.0,
-                    i + 1
-                ));
+                fixed1(&mut s, "<text x=\"", px + 6.0);
+                fixed1(&mut s, "\" y=\"", py - 6.0);
+                let _ = write!(s, r#"" font-family="sans-serif" font-size="10">{}</text>"#, i + 1);
             }
             s.push('\n');
         }
 
         // Legend.
-        s.push_str(&format!(
-            r##"<rect x="{x}" y="{y}" width="9" height="9" fill="#d62728"/><text x="{tx}" y="{ty}" font-family="sans-serif" font-size="11">Pareto front</text>"##,
-            x = ml + 8.0,
-            y = mt + 6.0,
-            tx = ml + 22.0,
-            ty = mt + 14.0
-        ));
-        s.push_str(&format!(
-            r##"<circle cx="{x}" cy="{y}" r="4" fill="#1f77b4"/><text x="{tx}" y="{ty}" font-family="sans-serif" font-size="11">dominated</text>"##,
-            x = ml + 12.0,
-            y = mt + 28.0,
-            tx = ml + 22.0,
-            ty = mt + 32.0
-        ));
+        num(&mut s, "<rect x=\"", ml + 8.0);
+        num(&mut s, "\" y=\"", mt + 6.0);
+        num(&mut s, "\" width=\"9\" height=\"9\" fill=\"#d62728\"/><text x=\"", ml + 22.0);
+        num(&mut s, "\" y=\"", mt + 14.0);
+        s.push_str(r#"" font-family="sans-serif" font-size="11">Pareto front</text>"#);
+        num(&mut s, "<circle cx=\"", ml + 12.0);
+        num(&mut s, "\" cy=\"", mt + 28.0);
+        num(&mut s, "\" r=\"4\" fill=\"#1f77b4\"/><text x=\"", ml + 22.0);
+        num(&mut s, "\" y=\"", mt + 32.0);
+        s.push_str(r#"" font-family="sans-serif" font-size="11">dominated</text>"#);
         s.push_str("</svg>\n");
         s
     }
+}
+
+/// The tail of a whisker's `<line>`.
+const WHISKER_END: &str = "\" stroke=\"#7f7f7f\" stroke-width=\"1.2\"/>\n";
+
+/// `before`, then `v` as `{}` writes it.
+fn num(s: &mut String, before: &str, v: f64) {
+    s.push_str(before);
+    push_shortest(s, v);
+}
+
+/// `before`, then `v` as `{:.1}` writes it.
+fn fixed1(s: &mut String, before: &str, v: f64) {
+    s.push_str(before);
+    push_fixed(s, v, 1);
 }
 
 fn nice_bounds(vals: impl Iterator<Item = f64>) -> (f64, f64) {
@@ -268,18 +272,28 @@ fn nice_bounds(vals: impl Iterator<Item = f64>) -> (f64, f64) {
     (lo - 0.07 * span, hi + 0.07 * span)
 }
 
-fn fmt_tick(v: f64) -> String {
-    if v.abs() >= 100.0 {
-        format!("{v:.0}")
+/// A tick label: no decimals from 100 up, one from 1, two below.
+fn push_tick(s: &mut String, v: f64) {
+    let digits = if v.abs() >= 100.0 {
+        0
     } else if v.abs() >= 1.0 {
-        format!("{v:.1}")
+        1
     } else {
-        format!("{v:.2}")
-    }
+        2
+    };
+    push_fixed(s, v, digits);
 }
 
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+/// `text` with `&`, `<` and `>` escaped.
+fn xml_escape(s: &mut String, text: &str) {
+    for c in text.chars() {
+        match c {
+            '&' => s.push_str("&amp;"),
+            '<' => s.push_str("&lt;"),
+            '>' => s.push_str("&gt;"),
+            c => s.push(c),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Table-I-style ASCII rendering.
 
-use super::{Intervals, PerColumn};
+use super::{push_param, Intervals, PerColumn};
 use crate::distribution::BootstrapSpec;
 use crate::metrics::MetricDef;
 use crate::trial::{Trial, TrialStatus};
+use std::fmt::Write as _;
+use telemetry::push_fixed;
 
 /// Render trials as an aligned ASCII table: one row per trial, columns
 /// `#`, the given parameters, the given metrics, and the trial status
@@ -33,87 +35,128 @@ pub(super) fn render(
     metrics: &[MetricDef],
     mut cis: Option<&mut dyn Intervals>,
 ) -> String {
-    let mut header: Vec<String> = vec!["#".to_string()];
-    header.extend(params.iter().map(|p| p.to_string()));
+    // Every cell's text in one arena, header row first; a cell ends where
+    // `ends` says.
+    let mut cells = Cells::default();
+    cells.push("#");
+    for p in params {
+        cells.push(p);
+    }
     for m in metrics {
-        header.push(m.name.clone());
+        cells.push(&m.name);
         if cis.is_some() {
-            header.push(format!("{} std", m.name));
-            header.push(format!("{} CI", m.name));
+            cells.push_pair(&m.name, " std");
+            cells.push_pair(&m.name, " CI");
         }
     }
-    header.push("status".to_string());
+    cells.push("status");
+    let ncols = cells.ends.len();
 
-    let mut rows: Vec<Vec<String>> = Vec::with_capacity(trials.len());
     for t in trials {
-        let mut row = vec![(t.id + 1).to_string()];
+        let _ = write!(cells.text, "{}", t.id + 1);
+        cells.end();
         for p in params {
-            row.push(t.config.get(p).map(|v| v.to_string()).unwrap_or_else(|| "-".into()));
+            match t.config.get(p) {
+                Some(v) => push_param(&mut cells.text, v),
+                None => cells.text.push('-'),
+            }
+            cells.end();
         }
         for (column, m) in metrics.iter().enumerate() {
-            row.push(
-                t.metrics.get(&m.name).map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()),
-            );
+            match t.metrics.get(&m.name) {
+                Some(v) => push_fixed(&mut cells.text, v, 2),
+                None => cells.text.push('-'),
+            }
+            cells.end();
             if let Some(cis) = &mut cis {
                 match t.metrics.distribution(&m.name).filter(|d| !d.is_empty()) {
                     Some(d) => {
                         let ci = cis.ci(column, d);
-                        row.push(format!("{:.2}", d.std()));
-                        row.push(format!("[{:.2}, {:.2}]", ci.lo, ci.hi));
+                        push_fixed(&mut cells.text, d.std(), 2);
+                        cells.end();
+                        let text = &mut cells.text;
+                        text.push('[');
+                        push_fixed(text, ci.lo, 2);
+                        text.push_str(", ");
+                        push_fixed(text, ci.hi, 2);
+                        text.push(']');
+                        cells.end();
                     }
                     None => {
-                        row.push("-".into());
-                        row.push("-".into());
+                        cells.push("-");
+                        cells.push("-");
                     }
                 }
             }
         }
-        row.push(
-            match t.status {
-                TrialStatus::Complete => "ok",
-                TrialStatus::Pruned => "pruned",
-                TrialStatus::Failed => "failed",
+        cells.push(match t.status {
+            TrialStatus::Complete => "ok",
+            TrialStatus::Pruned => "pruned",
+            TrialStatus::Failed => "failed",
+        });
+    }
+
+    // Widths in bytes, as `str::len` counts them.
+    let mut widths = vec![0; ncols];
+    for (i, cell) in cells.iter().enumerate() {
+        widths[i % ncols] = widths[i % ncols].max(cell.len());
+    }
+    let mut rule = String::from("+");
+    for w in &widths {
+        rule.extend(std::iter::repeat_n('-', w + 2));
+        rule.push('+');
+    }
+    rule.push('\n');
+
+    let line_len = rule.len() + 2 * ncols;
+    let mut out = String::with_capacity(line_len * (trials.len() + 4));
+    out.push_str(&rule);
+    for (i, cell) in cells.iter().enumerate() {
+        let column = i % ncols;
+        out.push_str(if column == 0 { "| " } else { " " });
+        // `{:>w$}` pads to `w` characters, and `w` is a byte count.
+        out.extend(std::iter::repeat_n(' ', widths[column].saturating_sub(cell.chars().count())));
+        out.push_str(cell);
+        out.push_str(" |");
+        if column + 1 == ncols {
+            out.push('\n');
+            if i + 1 == ncols {
+                out.push_str(&rule);
             }
-            .to_string(),
-        );
-        rows.push(row);
-    }
-
-    let ncols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in &rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
         }
     }
-
-    let line = |cells: &[String]| -> String {
-        let mut s = String::from("|");
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(" {:>w$} |", c, w = widths[i]));
-        }
-        s.push('\n');
-        s
-    };
-    let rule = || -> String {
-        let mut s = String::from("+");
-        for w in widths.iter().take(ncols) {
-            s.push_str(&"-".repeat(w + 2));
-            s.push('+');
-        }
-        s.push('\n');
-        s
-    };
-
-    let mut out = String::new();
-    out.push_str(&rule());
-    out.push_str(&line(&header));
-    out.push_str(&rule());
-    for row in &rows {
-        out.push_str(&line(row));
-    }
-    out.push_str(&rule());
+    out.push_str(&rule);
     out
+}
+
+/// The cells of a table, row by row: their text in one buffer, and where
+/// each one ends.
+#[derive(Default)]
+struct Cells {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Cells {
+    /// End the cell written since the last one ended.
+    fn end(&mut self) {
+        self.ends.push(self.text.len());
+    }
+
+    fn push(&mut self, cell: &str) {
+        self.text.push_str(cell);
+        self.end();
+    }
+
+    fn push_pair(&mut self, a: &str, b: &str) {
+        self.text.push_str(a);
+        self.push(b);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, &end)| &self.text[start..end])
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! Long studies (18 trainings × up to 85 simulated minutes each in the
 //! paper) must survive interruptions. The journal appends one
-//! [`StudyEvent`] per line — serialized by [`crate::wal`] in the
-//! bit-exact telemetry JSON-lines format — so a restarted study replays
-//! the log and continues from the last durable event.
+//! [`StudyEvent`] per line — the telemetry trace's event line, which
+//! [`crate::wal`] writes and reads directly, bit for bit — so a restarted
+//! study replays the log and continues from the last durable event.
 //!
 //! ## Crash tolerance
 //!

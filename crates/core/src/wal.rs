@@ -1,12 +1,18 @@
 //! The study write-ahead log: typed events over the telemetry wire format.
 //!
 //! A study's durable record is an append-only sequence of [`StudyEvent`]s,
-//! one per line, serialized as telemetry `"ty":"event"` JSON records
-//! (`telemetry::export::push_event_line`). Reusing that format buys the
-//! WAL the exporter's bit-exactness guarantees for free: integers stay
-//! bare, f64 values use shortest round-trip text, and non-finite values
-//! travel as the `"NaN"`/`"inf"`/`"-inf"` string spellings — so replaying
-//! a log reconstructs every metric to identical bits.
+//! one per line, each a telemetry `"ty":"event"` JSON record: the line the
+//! trace exporter writes for an event. The codec goes straight between a
+//! `StudyEvent` and those bytes. It writes through
+//! `telemetry::export::EventLine` and reads the tokens of
+//! `telemetry::json::Tokens`, the reader that holds the JSON grammar, so no
+//! intermediate event or JSON tree is built, and a `d.` field's samples
+//! are parsed where they lie in the line. The format keeps the exporter's
+//! bit-exactness: integers stay bare, f64 values use shortest round-trip
+//! text, and non-finite values travel as the `"NaN"`/`"inf"`/`"-inf"`
+//! string spellings, so replaying a log reconstructs every metric to
+//! identical bits. A reader takes what the exporter's reader took: fields
+//! in any order, whitespace between tokens, the first of a repeated name.
 //!
 //! Event keys and payloads:
 //!
@@ -40,11 +46,14 @@
 //! unfinished id supersedes the first — that is exactly what a resumed
 //! study emits when it re-runs an interrupted trial.
 
+use crate::distribution::Distribution;
 use crate::metrics::MetricValues;
 use crate::param::ParamValue;
 use crate::trial::{Configuration, Trial, TrialStatus};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use telemetry::{FieldValue, SnapEvent};
+use telemetry::export::EventLine;
+use telemetry::json::{JsonError, Token, Tokens};
 
 /// Event keys used by the study WAL (also validated by the bench
 /// `telemetry_smoke` schema check).
@@ -153,124 +162,50 @@ impl StudyEvent {
         }
     }
 
-    /// Encode as a telemetry event record. `seq` (the line's position in
-    /// the log) is stored in the `t_ns` slot so the format carries no
-    /// wall-clock dependence: re-writing the same study produces a
-    /// byte-identical log.
-    pub(crate) fn to_snap(&self, seq: u64) -> SnapEvent {
-        let mut fields: Vec<(String, FieldValue)> = Vec::new();
+    /// Append this event to `out` as one WAL line (no trailing newline).
+    /// `seq` (the line's position in the log) is stored in the `t_ns`
+    /// slot so the format carries no wall-clock dependence: re-writing the
+    /// same study produces a byte-identical log.
+    pub(crate) fn push_line(&self, seq: u64, out: &mut String) {
+        let mut line = EventLine::begin(out, self.key(), seq, 0);
         match self {
             StudyEvent::Checkpoint { study, seed, explorer, fingerprint, trials } => {
-                fields.push(("study".into(), FieldValue::Str(study.clone())));
-                fields.push(("seed".into(), FieldValue::U64(*seed)));
-                fields.push(("explorer".into(), FieldValue::Str(explorer.clone())));
-                fields.push(("fingerprint".into(), FieldValue::Str(fingerprint.clone())));
-                fields.push(("trials".into(), FieldValue::U64(*trials)));
+                line.str(&["study"], &[study]);
+                line.u64(&["seed"], *seed);
+                line.str(&["explorer"], &[explorer]);
+                line.str(&["fingerprint"], &[fingerprint]);
+                line.u64(&["trials"], *trials);
             }
             StudyEvent::TrialStarted { trial, config } => {
-                fields.push(("trial".into(), FieldValue::U64(*trial as u64)));
-                push_config(&mut fields, config);
+                line.u64(&["trial"], *trial as u64);
+                push_config(&mut line, config);
             }
             StudyEvent::TrialReport { trial, step, value } => {
-                fields.push(("trial".into(), FieldValue::U64(*trial as u64)));
-                fields.push(("step".into(), FieldValue::U64(*step)));
-                fields.push(("value".into(), FieldValue::F64(*value)));
+                line.u64(&["trial"], *trial as u64);
+                line.u64(&["step"], *step);
+                line.f64(&["value"], *value);
             }
             StudyEvent::TrialCompleted { trial, metrics }
             | StudyEvent::TrialPruned { trial, metrics } => {
-                fields.push(("trial".into(), FieldValue::U64(*trial as u64)));
-                push_metrics(&mut fields, metrics);
+                line.u64(&["trial"], *trial as u64);
+                push_metrics(&mut line, metrics);
             }
             StudyEvent::TrialFailed { trial, error, metrics } => {
-                fields.push(("trial".into(), FieldValue::U64(*trial as u64)));
-                fields.push(("error".into(), FieldValue::Str(error.clone())));
-                push_metrics(&mut fields, metrics);
+                line.u64(&["trial"], *trial as u64);
+                line.str(&["error"], &[error]);
+                push_metrics(&mut line, metrics);
             }
             StudyEvent::TrialReused { trial, config, status, metrics, intermediate } => {
-                fields.push(("trial".into(), FieldValue::U64(*trial as u64)));
-                push_config(&mut fields, config);
-                let status = match status {
-                    TrialStatus::Complete => "complete",
-                    TrialStatus::Pruned => "pruned",
-                    TrialStatus::Failed => "failed",
-                };
-                fields.push(("status".into(), FieldValue::Str(status.into())));
-                push_metrics(&mut fields, metrics);
+                line.u64(&["trial"], *trial as u64);
+                push_config(&mut line, config);
+                line.str(&["status"], &[status_name(*status)]);
+                push_metrics(&mut line, metrics);
                 for (step, value) in intermediate {
-                    fields.push((format!("i.{step}"), FieldValue::F64(*value)));
+                    line.f64(&["i.", &step.to_string()], *value);
                 }
             }
         }
-        SnapEvent { t_ns: seq, thread: 0, key: self.key().to_string(), fields }
-    }
-
-    /// Decode a telemetry event record back into a [`StudyEvent`].
-    pub(crate) fn from_snap(ev: &SnapEvent) -> Result<StudyEvent, String> {
-        match ev.key.as_str() {
-            wal_keys::CHECKPOINT => Ok(StudyEvent::Checkpoint {
-                study: need_str(ev, "study")?,
-                seed: need_u64(ev, "seed")?,
-                explorer: need_str(ev, "explorer")?,
-                fingerprint: need_str(ev, "fingerprint")?,
-                trials: need_u64(ev, "trials")?,
-            }),
-            wal_keys::TRIAL_STARTED => Ok(StudyEvent::TrialStarted {
-                trial: need_u64(ev, "trial")? as usize,
-                config: take_config(ev)?,
-            }),
-            wal_keys::TRIAL_REPORT => Ok(StudyEvent::TrialReport {
-                trial: need_u64(ev, "trial")? as usize,
-                step: need_u64(ev, "step")?,
-                value: need_f64(ev, "value")?,
-            }),
-            wal_keys::TRIAL_COMPLETED => Ok(StudyEvent::TrialCompleted {
-                trial: need_u64(ev, "trial")? as usize,
-                metrics: take_metrics(ev)?,
-            }),
-            wal_keys::TRIAL_PRUNED => Ok(StudyEvent::TrialPruned {
-                trial: need_u64(ev, "trial")? as usize,
-                metrics: take_metrics(ev)?,
-            }),
-            wal_keys::TRIAL_FAILED => Ok(StudyEvent::TrialFailed {
-                trial: need_u64(ev, "trial")? as usize,
-                error: need_str(ev, "error")?,
-                metrics: take_metrics(ev)?,
-            }),
-            wal_keys::TRIAL_REUSED => {
-                let status = match need_str(ev, "status")?.as_str() {
-                    "complete" => TrialStatus::Complete,
-                    "pruned" => TrialStatus::Pruned,
-                    "failed" => TrialStatus::Failed,
-                    other => return Err(format!("unknown reused-trial status '{other}'")),
-                };
-                let mut intermediate = Vec::new();
-                for (name, value) in &ev.fields {
-                    if let Some(step) = name.strip_prefix("i.") {
-                        let step =
-                            step.parse::<u64>().map_err(|_| format!("bad report step '{name}'"))?;
-                        let value = match value {
-                            FieldValue::F64(v) => *v,
-                            FieldValue::U64(v) => *v as f64,
-                            _ => return Err(format!("report field '{name}' must be a number")),
-                        };
-                        intermediate.push((step, value));
-                    }
-                }
-                Ok(StudyEvent::TrialReused {
-                    trial: need_u64(ev, "trial")? as usize,
-                    config: take_config(ev)?,
-                    status,
-                    metrics: take_metrics(ev)?,
-                    intermediate,
-                })
-            }
-            other => Err(format!("unknown study WAL event key '{other}'")),
-        }
-    }
-
-    /// Append this event to `out` as one WAL line (no trailing newline).
-    pub(crate) fn push_line(&self, seq: u64, out: &mut String) {
-        telemetry::export::push_event_line(out, &self.to_snap(seq));
+        line.finish();
     }
 
     /// This event as one WAL line (no trailing newline).
@@ -283,134 +218,328 @@ impl StudyEvent {
 
     /// Parse one WAL line.
     pub fn from_line(line: &str) -> Result<StudyEvent, String> {
-        StudyEvent::from_snap(&telemetry::export::event_from_json_line(line)?)
-    }
-}
-
-fn push_config(fields: &mut Vec<(String, FieldValue)>, config: &Configuration) {
-    for (name, value) in config.iter() {
-        let fv = match value {
-            // The telemetry F64 spelling is shortest-round-trip, so float
-            // parameters replay to identical bits.
-            ParamValue::Float(f) => FieldValue::F64(*f),
-            ParamValue::Bool(b) => FieldValue::Bool(*b),
-            ParamValue::Int(i) => FieldValue::Str(format!("i:{i}")),
-            ParamValue::Str(s) => FieldValue::Str(format!("s:{s}")),
-        };
-        fields.push((["c.", name].concat(), fv));
-    }
-}
-
-fn take_config(ev: &SnapEvent) -> Result<Configuration, String> {
-    let mut config = Configuration::new();
-    for (name, value) in &ev.fields {
-        if let Some(param) = name.strip_prefix("c.") {
-            let v = match value {
-                FieldValue::F64(f) => ParamValue::Float(*f),
-                FieldValue::U64(u) => ParamValue::Float(*u as f64),
-                FieldValue::Bool(b) => ParamValue::Bool(*b),
-                FieldValue::Str(s) => {
-                    if let Some(i) = s.strip_prefix("i:") {
-                        ParamValue::Int(
-                            i.parse().map_err(|_| format!("bad int parameter '{name}'"))?,
-                        )
-                    } else if let Some(text) = s.strip_prefix("s:") {
-                        ParamValue::Str(text.to_string())
-                    } else {
-                        return Err(format!("parameter '{name}' has an unknown type tag"));
+        let mut tokens = Tokens::new(line);
+        if !matches!(next(&mut tokens)?, Some(Token::BeginObject)) {
+            return Err("a WAL record must be a JSON object".into());
+        }
+        // Of each name only the first counts, as in a lookup.
+        let (mut ty, mut kind, mut t_ns, mut thread) = (false, None, false, false);
+        let mut event = None;
+        // A `fields` object met before the key: read again once the key
+        // is known.
+        let mut early_fields = None;
+        while let Some(Token::Name(name)) = next(&mut tokens)? {
+            match &*name {
+                "ty" if !ty => match next(&mut tokens)? {
+                    Some(Token::Str(value)) if value == "event" => ty = true,
+                    _ => return Err("not an event record".into()),
+                },
+                "key" if kind.is_none() => match next(&mut tokens)? {
+                    Some(Token::Str(key)) => kind = Some(Kind::of(&key)?),
+                    _ => return Err("the record's 'key' must be a string".into()),
+                },
+                "t_ns" if !t_ns => t_ns = integer(&mut tokens, &name)?,
+                "thread" if !thread => thread = integer(&mut tokens, &name)?,
+                "fields" if event.is_none() && early_fields.is_none() => match kind {
+                    Some(kind) => event = Some(decode_fields(kind, &mut tokens)?),
+                    None => {
+                        let start = tokens.offset();
+                        let first = next(&mut tokens)?;
+                        if first != Some(Token::BeginObject) {
+                            return Err("event 'fields' must be an object".into());
+                        }
+                        tokens.skip(&Token::BeginObject).map_err(json_error)?;
+                        early_fields = Some(start..tokens.offset());
                     }
+                },
+                _ => {
+                    let value = next(&mut tokens)?.unwrap_or(Token::Null);
+                    tokens.skip(&value).map_err(json_error)?;
                 }
-            };
-            config.set(param, v);
-        }
-    }
-    Ok(config)
-}
-
-fn push_metrics(fields: &mut Vec<(String, FieldValue)>, metrics: &MetricValues) {
-    for (name, value) in metrics.iter() {
-        fields.push((["m.", name].concat(), FieldValue::F64(value)));
-    }
-    // Sample distributions ride as separate `d.` fields so the scalar
-    // `m.` fields stay byte-identical to pre-distribution journals.
-    // Shortest-round-trip text (`telemetry::push_shortest`, `Display`'s
-    // bytes) makes the encoding lossless, so resumed studies adopt
-    // bit-identical distributions. Each field is written into one buffer,
-    // reserved at 24 bytes a sample: a 17-digit sample with its sign,
-    // point and comma fits.
-    for (name, dist) in metrics.distributions() {
-        let samples = dist.samples();
-        let mut joined = String::with_capacity(24 * samples.len());
-        for (i, &x) in samples.iter().enumerate() {
-            if i > 0 {
-                joined.push(',');
             }
-            telemetry::push_shortest(&mut joined, x);
         }
-        fields.push((["d.", name].concat(), FieldValue::Str(joined)));
+        // Nothing but whitespace may follow the record.
+        next(&mut tokens)?;
+        let Some(kind) = kind else { return Err("the record has no 'key'".into()) };
+        if !(ty && t_ns && thread) {
+            return Err("the record lacks one of 'ty', 't_ns' and 'thread'".into());
+        }
+        match (event, early_fields) {
+            (Some(event), _) => Ok(event),
+            (None, Some(range)) => {
+                let fields = line.get(range).ok_or("the record's 'fields' is cut")?;
+                decode_fields(kind, &mut Tokens::new(fields))
+            }
+            (None, None) => Err("the record has no 'fields'".into()),
+        }
     }
 }
 
-/// The `m.` and `d.` fields of `ev`. A field the writer could not have
-/// written — a metric that is not a number, a sample that is not a
-/// finite number — is an error, never a skipped value: a distribution
-/// one sample short would load as a different ranking.
-fn take_metrics(ev: &SnapEvent) -> Result<MetricValues, String> {
-    let mut m = MetricValues::new();
-    for (name, value) in &ev.fields {
-        if let Some(metric) = name.strip_prefix("m.") {
+fn status_name(status: TrialStatus) -> &'static str {
+    match status {
+        TrialStatus::Complete => "complete",
+        TrialStatus::Pruned => "pruned",
+        TrialStatus::Failed => "failed",
+    }
+}
+
+/// One `c.<name>` field per parameter. Floats and bools map onto the
+/// native field kinds; integers and strings travel as strings under an
+/// `i:`/`s:` tag.
+fn push_config(line: &mut EventLine<'_>, config: &Configuration) {
+    for (name, value) in config.iter() {
+        let name = &["c.", name];
+        match value {
+            // Shortest round-trip text: float parameters replay to
+            // identical bits.
+            ParamValue::Float(f) => line.f64(name, *f),
+            ParamValue::Bool(b) => line.bool(name, *b),
+            ParamValue::Int(i) => line.str(name, &["i:", &i.to_string()]),
+            ParamValue::Str(s) => line.str(name, &["s:", s]),
+        }
+    }
+}
+
+/// One `m.<name>` field per scalar metric, then one `d.<name>` field per
+/// sample distribution. The distributions ride as separate fields so the
+/// scalar `m.` fields stay byte-identical to pre-distribution journals;
+/// shortest round-trip text makes them lossless, so resumed studies adopt
+/// bit-identical distributions.
+fn push_metrics(line: &mut EventLine<'_>, metrics: &MetricValues) {
+    for (name, value) in metrics.iter() {
+        line.f64(&["m.", name], value);
+    }
+    for (name, dist) in metrics.distributions() {
+        line.f64s(&["d.", name], dist.samples());
+    }
+}
+
+// ---------------------------------------------------------------- decoder
+
+fn json_error(e: JsonError) -> String {
+    format!("study WAL: {e}")
+}
+
+fn next<'a>(tokens: &mut Tokens<'a>) -> Result<Option<Token<'a>>, String> {
+    tokens.next_token().map_err(json_error)
+}
+
+/// An event's kind, known from its key before its fields are read.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Checkpoint,
+    Started,
+    Report,
+    Completed,
+    Pruned,
+    Failed,
+    Reused,
+}
+
+/// Each kind's key, in the order of [`Kind`].
+const KINDS: [(&str, Kind); 7] = [
+    (wal_keys::CHECKPOINT, Kind::Checkpoint),
+    (wal_keys::TRIAL_STARTED, Kind::Started),
+    (wal_keys::TRIAL_REPORT, Kind::Report),
+    (wal_keys::TRIAL_COMPLETED, Kind::Completed),
+    (wal_keys::TRIAL_PRUNED, Kind::Pruned),
+    (wal_keys::TRIAL_FAILED, Kind::Failed),
+    (wal_keys::TRIAL_REUSED, Kind::Reused),
+];
+
+impl Kind {
+    fn of(key: &str) -> Result<Kind, String> {
+        KINDS
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, kind)| kind)
+            .ok_or_else(|| format!("unknown study WAL event key '{key}'"))
+    }
+
+    fn key(self) -> &'static str {
+        KINDS[self as usize].0
+    }
+
+    /// The fields this kind reads by name.
+    fn names(self) -> &'static [&'static str] {
+        match self {
+            Kind::Checkpoint => &["study", "seed", "explorer", "fingerprint", "trials"],
+            Kind::Started | Kind::Completed | Kind::Pruned => &["trial"],
+            Kind::Report => &["trial", "step", "value"],
+            Kind::Failed => &["trial", "error"],
+            Kind::Reused => &["trial", "status"],
+        }
+    }
+}
+
+/// The record's `t_ns` or `thread`: `true` once it is read as an integer.
+fn integer(tokens: &mut Tokens<'_>, name: &str) -> Result<bool, String> {
+    match next(tokens)? {
+        Some(Token::U64(_)) => Ok(true),
+        _ => Err(format!("the record's '{name}' must be an integer")),
+    }
+}
+
+/// A field's value as the writer's field kinds have it; a string is a
+/// slice of the line unless it held an escape.
+enum Field<'a> {
+    U64(u64),
+    F64(f64),
+    Bool(bool),
+    Str(Cow<'a, str>),
+}
+
+/// The value of field `name`: a scalar, read the way telemetry's field
+/// kinds read it.
+fn field<'a>(tokens: &mut Tokens<'a>, name: &str) -> Result<Field<'a>, String> {
+    Ok(match next(tokens)? {
+        Some(Token::U64(x)) => Field::U64(x),
+        // The writer spells integers unsigned, so a signed integer token
+        // is a float someone wrote without its `.0`.
+        Some(Token::I64(x)) => Field::F64(x as f64),
+        Some(Token::F64(x)) => Field::F64(x),
+        Some(Token::Bool(x)) => Field::Bool(x),
+        // Non-finite doubles travel as these three strings.
+        Some(Token::Str(s)) => match &*s {
+            "NaN" => Field::F64(f64::NAN),
+            "inf" => Field::F64(f64::INFINITY),
+            "-inf" => Field::F64(f64::NEG_INFINITY),
+            _ => Field::Str(s),
+        },
+        _ => return Err(format!("event field '{name}' must be a scalar")),
+    })
+}
+
+/// Read a `fields` object, from its `{`, into the event of kind `kind`.
+/// The named fields take their first value; every `c.`, `m.`, `d.` and
+/// `i.` field the kind reads is applied in line order, so a later one of
+/// the same name wins. A field the writer could not have written — a
+/// metric that is not a number, a sample that is not a finite number — is
+/// an error, never a skipped value: a distribution one sample short would
+/// load as a different ranking.
+fn decode_fields(kind: Kind, tokens: &mut Tokens<'_>) -> Result<StudyEvent, String> {
+    if !matches!(next(tokens)?, Some(Token::BeginObject)) {
+        return Err("event 'fields' must be an object".into());
+    }
+    let names = kind.names();
+    let mut named: [Option<Field<'_>>; 5] = Default::default();
+    let mut config = Configuration::new();
+    let mut metrics = MetricValues::new();
+    let mut intermediate = Vec::new();
+    let (with_config, with_metrics) = match kind {
+        Kind::Started => (true, false),
+        Kind::Completed | Kind::Pruned | Kind::Failed => (false, true),
+        Kind::Reused => (true, true),
+        Kind::Checkpoint | Kind::Report => (false, false),
+    };
+    while let Some(Token::Name(name)) = next(tokens)? {
+        let value = field(tokens, &name)?;
+        if let Some(i) = names.iter().position(|n| *n == name) {
+            named[i].get_or_insert(value);
+        } else if let (true, Some(param)) = (with_config, name.strip_prefix("c.")) {
+            config.set(param, param_value(&name, value)?);
+        } else if let (true, Some(metric)) = (with_metrics, name.strip_prefix("m.")) {
             match value {
-                FieldValue::F64(v) => m.set(metric, *v),
-                FieldValue::U64(v) => m.set(metric, *v as f64),
+                Field::F64(v) => metrics.set(metric, v),
+                Field::U64(v) => metrics.set(metric, v as f64),
                 _ => return Err(format!("metric field '{name}' must be a number")),
             }
-        } else if let Some(metric) = name.strip_prefix("d.") {
-            let FieldValue::Str(s) = value else {
+        } else if let (true, Some(metric)) = (with_metrics, name.strip_prefix("d.")) {
+            let Field::Str(text) = value else {
                 return Err(format!("distribution field '{name}' must be a string"));
             };
-            // `""` is the empty distribution.
-            let samples = s
-                .split(',')
-                .filter(|_| !s.is_empty())
-                .map(|x| match x.parse::<f64>() {
-                    Ok(v) if v.is_finite() => Ok(v),
-                    _ => Err(format!("distribution field '{name}' holds '{x}', not a sample")),
-                })
-                .collect::<Result<Vec<f64>, String>>()?;
-            m.set_distribution(metric, crate::distribution::Distribution::from_samples(samples));
+            metrics.set_distribution(metric, samples(&name, &text)?);
+        } else if let (Kind::Reused, Some(step)) = (kind, name.strip_prefix("i.")) {
+            let step = step.parse::<u64>().map_err(|_| format!("bad report step '{name}'"))?;
+            match value {
+                Field::F64(v) => intermediate.push((step, v)),
+                Field::U64(v) => intermediate.push((step, v as f64)),
+                _ => return Err(format!("report field '{name}' must be a number")),
+            }
         }
     }
-    Ok(m)
+    let key = kind.key();
+    let mut take = |i: usize| {
+        named[i].take().ok_or_else(|| format!("{key} event missing field '{}'", names[i]))
+    };
+    let int = |v: Field<'_>, name: &str| match v {
+        Field::U64(v) => Ok(v),
+        _ => Err(format!("{key} field '{name}' must be an integer")),
+    };
+    let text = |v: Field<'_>, name: &str| match v {
+        Field::Str(s) => Ok(s.into_owned()),
+        _ => Err(format!("{key} field '{name}' must be a string")),
+    };
+    let trial = match kind {
+        Kind::Checkpoint => 0,
+        _ => int(take(0)?, "trial")? as usize,
+    };
+    Ok(match kind {
+        Kind::Checkpoint => StudyEvent::Checkpoint {
+            study: text(take(0)?, "study")?,
+            seed: int(take(1)?, "seed")?,
+            explorer: text(take(2)?, "explorer")?,
+            fingerprint: text(take(3)?, "fingerprint")?,
+            trials: int(take(4)?, "trials")?,
+        },
+        Kind::Started => StudyEvent::TrialStarted { trial, config },
+        Kind::Report => StudyEvent::TrialReport {
+            trial,
+            step: int(take(1)?, "step")?,
+            value: match take(2)? {
+                Field::F64(v) => v,
+                Field::U64(v) => v as f64,
+                _ => return Err(format!("{key} field 'value' must be a number")),
+            },
+        },
+        Kind::Completed => StudyEvent::TrialCompleted { trial, metrics },
+        Kind::Pruned => StudyEvent::TrialPruned { trial, metrics },
+        Kind::Failed => StudyEvent::TrialFailed { trial, error: text(take(1)?, "error")?, metrics },
+        Kind::Reused => {
+            let status = match text(take(1)?, "status")?.as_str() {
+                "complete" => TrialStatus::Complete,
+                "pruned" => TrialStatus::Pruned,
+                "failed" => TrialStatus::Failed,
+                other => return Err(format!("unknown reused-trial status '{other}'")),
+            };
+            StudyEvent::TrialReused { trial, config, status, metrics, intermediate }
+        }
+    })
 }
 
-fn need_field<'a>(ev: &'a SnapEvent, name: &str) -> Result<&'a FieldValue, String> {
-    ev.fields
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("{} event missing field '{name}'", ev.key))
+/// A `c.` field's parameter value: a float or a bool as written, an
+/// integer or a label behind its `i:` or `s:` tag.
+fn param_value(name: &str, value: Field<'_>) -> Result<ParamValue, String> {
+    Ok(match value {
+        Field::F64(f) => ParamValue::Float(f),
+        Field::U64(u) => ParamValue::Float(u as f64),
+        Field::Bool(b) => ParamValue::Bool(b),
+        Field::Str(s) => {
+            if let Some(i) = s.strip_prefix("i:") {
+                ParamValue::Int(i.parse().map_err(|_| format!("bad int parameter '{name}'"))?)
+            } else if let Some(label) = s.strip_prefix("s:") {
+                ParamValue::Str(label.to_string())
+            } else {
+                return Err(format!("parameter '{name}' has an unknown type tag"));
+            }
+        }
+    })
 }
 
-fn need_str(ev: &SnapEvent, name: &str) -> Result<String, String> {
-    match need_field(ev, name)? {
-        FieldValue::Str(s) => Ok(s.clone()),
-        _ => Err(format!("{} field '{name}' must be a string", ev.key)),
+/// The samples of a `d.` field, parsed where they lie in the line:
+/// comma-separated finite numbers, none in `""`.
+fn samples(name: &str, text: &str) -> Result<Distribution, String> {
+    if text.is_empty() {
+        return Ok(Distribution::from_samples(Vec::new()));
     }
-}
-
-fn need_u64(ev: &SnapEvent, name: &str) -> Result<u64, String> {
-    match need_field(ev, name)? {
-        FieldValue::U64(v) => Ok(*v),
-        _ => Err(format!("{} field '{name}' must be an integer", ev.key)),
+    let mut samples = Vec::with_capacity(1 + text.bytes().filter(|&b| b == b',').count());
+    for x in text.split(',') {
+        match x.parse::<f64>() {
+            Ok(v) if v.is_finite() => samples.push(v),
+            _ => return Err(format!("distribution field '{name}' holds '{x}', not a sample")),
+        }
     }
-}
-
-fn need_f64(ev: &SnapEvent, name: &str) -> Result<f64, String> {
-    match need_field(ev, name)? {
-        FieldValue::F64(v) => Ok(*v),
-        FieldValue::U64(v) => Ok(*v as f64),
-        _ => Err(format!("{} field '{name}' must be a number", ev.key)),
-    }
+    Ok(Distribution::from_samples(samples))
 }
 
 /// Study state rebuilt by folding a WAL event sequence.
@@ -504,9 +633,11 @@ impl Replay {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::Distribution;
     use crate::param::ParamValue;
 
     fn cfg(k: i64) -> Configuration {
@@ -803,5 +934,182 @@ mod tests {
         )
         .is_err());
         assert!(StudyEvent::from_line("{\"ty\":\"counter\",\"key\":\"k\",\"value\":1}").is_err());
+    }
+
+    /// The direct codec and the tree codec it replaced agree on `line`:
+    /// both fail, or both read the same event (compared through Debug
+    /// text, which prints every f64 as its shortest round-trip spelling).
+    fn agrees_with_the_tree_codec(line: &str) {
+        match (StudyEvent::from_line(line), oracle::from_line(line)) {
+            (Ok(ours), Ok(theirs)) => {
+                assert_eq!(format!("{ours:?}"), format!("{theirs:?}"), "{line}")
+            }
+            (Err(_), Err(_)) => {}
+            (ours, theirs) => panic!("{line:?}: direct {ours:?}, tree {theirs:?}"),
+        }
+    }
+
+    #[test]
+    fn every_journal_line_reads_and_writes_as_the_tree_codec_did() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../journals/scaled");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "jsonl") {
+                continue;
+            }
+            for (seq, line) in std::fs::read_to_string(&path).unwrap().lines().enumerate() {
+                agrees_with_the_tree_codec(line);
+                let ev = StudyEvent::from_line(line).unwrap();
+                assert_eq!(ev.to_line(seq as u64), oracle::to_line(&ev, seq as u64));
+                checked += 1;
+            }
+        }
+        assert!(checked >= 1_000, "only {checked} journal lines found under {}", dir.display());
+    }
+
+    #[test]
+    fn random_events_read_and_write_as_the_tree_codec_did() {
+        testkit::sweep(400, 0x000E_AC1E, |g| {
+            let ev = any_event(g);
+            let seq = g.u64();
+            let line = ev.to_line(seq);
+            assert_eq!(line, oracle::to_line(&ev, seq));
+            agrees_with_the_tree_codec(&line);
+        });
+    }
+
+    #[test]
+    fn fields_out_of_order_spaced_or_repeated_read_as_the_tree_codec_did() {
+        let head = "\"ty\":\"event\",\"t_ns\":0,\"thread\":0";
+        let fields = "\"fields\":{\"trial\":3,\"c.k\":\"i:7\",\"c.k\":\"s:x\"}";
+        for line in [
+            // The fields before the key, which names their kind.
+            format!("{{{fields},{head},\"key\":\"trial.started\"}}"),
+            format!("{{{head},{fields},\"key\":\"trial.reused\"}}"),
+            // The first of two keys, fields and trial ids counts.
+            format!("{{{head},\"key\":\"trial.started\",\"key\":\"x\",{fields},\"fields\":1}}"),
+            format!(
+                "{{{head},\"key\":\"trial.report\",\"fields\":{{\"trial\":1,\"step\":2,\
+                     \"value\":-3,\"trial\":\"no\"}}}}"
+            ),
+            // Whitespace between every token, and members nobody reads.
+            format!(
+                " {{ {head} , \"key\" : \"trial.completed\" , \"extra\" : [ {{ }} , null ] ,\
+                     \"fields\" : {{ \"trial\" : 1 , \"m.r\" : \"-inf\" , \"d.r\" : \"\" }} }} "
+            ),
+            // Escapes in names and values.
+            format!(
+                "{{{head},\"key\":\"trial\\u002estarted\",\"fields\":{{\"tri\\u0061l\":1,\
+                     \"c.\\\"q\\\"\":\"s:\\n\"}}}}"
+            ),
+            // What the writer cannot write: a nested field, a fields
+            // array, no fields, a second top-level value.
+            format!("{{{head},\"key\":\"trial.started\",\"fields\":{{\"trial\":[1]}}}}"),
+            format!("{{{head},\"key\":\"trial.started\",\"fields\":[]}}"),
+            format!("{{{head},\"key\":\"trial.started\"}}"),
+            format!("{{{head},\"key\":\"trial.started\",{fields}}} {{}}"),
+            // A member nobody reads still has to be JSON.
+            format!("{{{head},\"key\":\"trial.started\",\"x\":[[1,]],{fields}}}"),
+        ] {
+            agrees_with_the_tree_codec(&line);
+        }
+        let line = format!("{{{fields},{head},\"key\":\"trial.started\"}}");
+        let StudyEvent::TrialStarted { trial: 3, config } = StudyEvent::from_line(&line).unwrap()
+        else {
+            panic!("{line}")
+        };
+        assert_eq!(config.str("k"), Some("x"), "the later of two parameter fields wins");
+    }
+
+    /// A journal with every event kind, a non-ASCII label, a 64-sample
+    /// distribution, non-finite metrics, a line spaced between its tokens
+    /// and a line with a repeated field.
+    fn hostile_journal() -> Vec<u8> {
+        let mut g = testkit::Gen::new(0x0070_55ED);
+        let config = Configuration::new()
+            .with("stage", ParamValue::Str("§VI-D naïve".into()))
+            .with("k", ParamValue::Int(-3))
+            .with("lr", ParamValue::Float(0.003))
+            .with("on", ParamValue::Bool(true));
+        let metrics = MetricValues::new()
+            .with("reward", f64::NAN)
+            .with("time", f64::NEG_INFINITY)
+            .with_distribution("reward", Distribution::from_samples(g.f64s(64, -2.0..1.0)));
+        let events = [
+            StudyEvent::Checkpoint {
+                study: "s".into(),
+                seed: 1,
+                explorer: "grid".into(),
+                fingerprint: "v1".into(),
+                trials: 0,
+            },
+            StudyEvent::TrialStarted { trial: 0, config: config.clone() },
+            StudyEvent::TrialReport { trial: 0, step: 1, value: f64::INFINITY },
+            StudyEvent::TrialCompleted { trial: 0, metrics: metrics.clone() },
+            StudyEvent::TrialStarted { trial: 1, config: config.clone() },
+            StudyEvent::TrialPruned { trial: 1, metrics: MetricValues::new().with("reward", 1.0) },
+            StudyEvent::TrialStarted { trial: 2, config: config.clone() },
+            StudyEvent::TrialFailed {
+                trial: 2,
+                error: "no §".into(),
+                metrics: MetricValues::new(),
+            },
+            StudyEvent::TrialReused {
+                trial: 3,
+                config,
+                status: TrialStatus::Complete,
+                metrics,
+                intermediate: vec![(1, 0.5)],
+            },
+        ];
+        let mut lines: Vec<String> =
+            events.iter().enumerate().map(|(seq, ev)| ev.to_line(seq as u64)).collect();
+        lines.push(lines[2].replace(",\"", " , \"").replace(":", " : "));
+        lines.push(lines[5].replace("\"fields\":{", "\"fields\":{\"trial\":9,"));
+        (lines.join("\n") + "\n").into_bytes()
+    }
+
+    #[test]
+    fn cut_and_bit_flipped_journals_load_or_are_corrupt_and_read_as_the_tree_codec_did() {
+        use crate::storage::{Journal, JournalError};
+        let journal = hostile_journal();
+        assert!(!journal.is_ascii());
+        let path =
+            std::env::temp_dir().join(format!("decision-wal-hostile-{}", std::process::id()));
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            match Journal::new(&path).load() {
+                Ok(_) | Err(JournalError::Corrupt { .. }) => {}
+                Err(e) => panic!("{e}"),
+            }
+        };
+        // The line of `bytes` that holds byte `at`.
+        let line_at = |bytes: &[u8], at: usize| {
+            let start = bytes[..at].iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+            let end = bytes[at..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |n| at + n);
+            bytes[start..end].to_vec()
+        };
+        let agree = |line: Vec<u8>| {
+            if let Ok(line) = String::from_utf8(line) {
+                agrees_with_the_tree_codec(&line);
+            }
+        };
+        let text = String::from_utf8(journal.clone()).unwrap();
+        assert!(text.lines().all(|line| StudyEvent::from_line(line).is_ok()));
+        load(&journal);
+        for end in 0..journal.len() {
+            load(&journal[..end]);
+            agree(line_at(&journal[..end], end.saturating_sub(1)));
+        }
+        for i in 0..journal.len() {
+            for bit in 0..7 {
+                let mut bytes = journal.clone();
+                bytes[i] ^= 1 << bit;
+                load(&bytes);
+                agree(line_at(&bytes, i));
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 }

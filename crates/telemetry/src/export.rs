@@ -46,11 +46,24 @@ fn push_f64(out: &mut String, x: f64) {
     }
 }
 
-/// Append `s` as a JSON string, copying the runs between escapes whole.
-/// Every byte that needs an escape is ASCII, so each run ends on a
-/// character boundary.
+/// Append `s` as a JSON string.
 fn push_json_string(out: &mut String, s: &str) {
+    push_json_parts(out, &[s]);
+}
+
+/// Append the concatenation of `parts` as one JSON string.
+fn push_json_parts(out: &mut String, parts: &[&str]) {
     out.push('"');
+    for part in parts {
+        push_escaped(out, part);
+    }
+    out.push('"');
+}
+
+/// Append `s` with JSON's escapes, copying the runs between escapes
+/// whole. Every byte that needs an escape is ASCII, so each run ends on a
+/// character boundary.
+fn push_escaped(out: &mut String, s: &str) {
     let mut run = 0;
     // Branch-free over every byte, so it vectorises: a string with
     // nothing to escape, the common case, skips the loop.
@@ -75,39 +88,97 @@ fn push_json_string(out: &mut String, s: &str) {
         }
     }
     out.push_str(&s[run..]);
-    out.push('"');
 }
 
-fn push_field_value(out: &mut String, v: &FieldValue) {
-    match v {
-        FieldValue::U64(x) => {
-            let _ = write!(out, "{x}");
+/// One `"ty":"event"` record, written field by field straight into the
+/// caller's buffer in the exact spelling [`to_json_lines`] uses for its
+/// event records, on one line with no trailing newline. This is the unit
+/// the `decision` crate's write-ahead log appends. A field's name is given
+/// as pieces and written as their concatenation, so a prefixed name costs
+/// no allocation, and a buffer that is cleared and reused allocates
+/// nothing per line once it has grown.
+pub struct EventLine<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> EventLine<'a> {
+    /// Start a record: everything before its first field.
+    pub fn begin(out: &'a mut String, key: &str, t_ns: u64, thread: usize) -> Self {
+        out.push_str("{\"ty\":\"event\",\"key\":");
+        push_json_string(out, key);
+        let _ = write!(out, ",\"t_ns\":{t_ns},\"thread\":{thread},\"fields\":{{");
+        EventLine { out, empty: true }
+    }
+
+    /// Write the separator and `name:`.
+    fn name(&mut self, name: &[&str]) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
         }
-        FieldValue::F64(x) => push_f64(out, *x),
-        FieldValue::Bool(x) => out.push_str(if *x { "true" } else { "false" }),
-        FieldValue::Str(s) => push_json_string(out, s),
+        push_json_parts(self.out, name);
+        self.out.push(':');
+        self.out
+    }
+
+    /// An integer field, written bare.
+    pub fn u64(&mut self, name: &[&str], v: u64) {
+        let _ = write!(self.name(name), "{v}");
+    }
+
+    /// A double field: shortest round-trip text that never reads as an
+    /// integer, or the string spelling of a non-finite value.
+    pub fn f64(&mut self, name: &[&str], v: f64) {
+        push_f64(self.name(name), v);
+    }
+
+    /// A boolean field.
+    pub fn bool(&mut self, name: &[&str], v: bool) {
+        self.name(name).push_str(if v { "true" } else { "false" });
+    }
+
+    /// A string field: the concatenation of `value`.
+    pub fn str(&mut self, name: &[&str], value: &[&str]) {
+        push_json_parts(self.name(name), value);
+    }
+
+    /// A string field holding `xs` as comma-separated shortest round-trip
+    /// text ([`push_shortest`]): the empty string for no values.
+    pub fn f64s(&mut self, name: &[&str], xs: &[f64]) {
+        let out = self.name(name);
+        // A 17-digit value with its sign, point and comma fits 24 bytes.
+        out.reserve(2 + 24 * xs.len());
+        out.push('"');
+        for (i, &x) in xs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            // Digits, '.', '-', "NaN" and "inf": nothing to escape.
+            push_shortest(out, x);
+        }
+        out.push('"');
+    }
+
+    /// Close the record.
+    pub fn finish(self) {
+        self.out.push_str("}}");
     }
 }
 
 /// Append one event record to `out` as a single JSON line (no trailing
-/// newline), in the exact spelling [`to_json_lines`] uses for its
-/// `"ty":"event"` records. This is the unit the `decision` crate's
-/// write-ahead log appends: one durable event per line, bit-exact through
-/// [`event_from_json_line`]. The caller owns the buffer, so a writer that
-/// clears and reuses one allocates nothing per line once it has grown.
-pub fn push_event_line(out: &mut String, e: &SnapEvent) {
-    out.push_str("{\"ty\":\"event\",\"key\":");
-    push_json_string(out, &e.key);
-    let _ = write!(out, ",\"t_ns\":{},\"thread\":{},\"fields\":{{", e.t_ns, e.thread);
-    for (i, (name, value)) in e.fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// newline), through [`EventLine`].
+fn push_event_line(out: &mut String, e: &SnapEvent) {
+    let mut line = EventLine::begin(out, &e.key, e.t_ns, e.thread);
+    for (name, value) in &e.fields {
+        let name = &[name.as_str()];
+        match value {
+            FieldValue::U64(x) => line.u64(name, *x),
+            FieldValue::F64(x) => line.f64(name, *x),
+            FieldValue::Bool(x) => line.bool(name, *x),
+            FieldValue::Str(s) => line.str(name, &[s]),
         }
-        push_json_string(out, name);
-        out.push(':');
-        push_field_value(out, value);
     }
-    out.push_str("}}");
+    line.finish();
 }
 
 /// Serialize a snapshot as a JSON-lines trace: a `meta` line, then every
@@ -243,18 +314,6 @@ fn event_from_obj(mut obj: Json) -> Result<SnapEvent, String> {
         return Err("trace field 'key' must be a string".into());
     };
     Ok(SnapEvent { t_ns, thread, key, fields })
-}
-
-/// Parse one JSON line written by [`push_event_line`] back into a
-/// [`SnapEvent`]. Field values round-trip exactly (f64 bits included, via
-/// the string spellings of non-finite values). Errors on any non-`event`
-/// record or malformed line.
-pub fn event_from_json_line(line: &str) -> Result<SnapEvent, String> {
-    let obj = parse_line(line)?;
-    match need_str(&obj, "ty")? {
-        "event" => event_from_obj(obj),
-        ty => Err(format!("expected an event record, got ty '{ty}'")),
-    }
 }
 
 /// Parse a JSON-lines trace produced by [`to_json_lines`] back into a
@@ -394,7 +453,7 @@ mod tests {
         let mut line = String::new();
         push_event_line(&mut line, &e);
         assert!(!line.contains('\n'), "one event must stay on one line");
-        let back = event_from_json_line(&line).unwrap();
+        let back = from_json_lines(&line).unwrap().events.remove(0);
         // NaN breaks PartialEq; compare everything else then the bits.
         assert_eq!(back.key, e.key);
         assert_eq!((back.t_ns, back.thread), (e.t_ns, e.thread));
@@ -408,6 +467,25 @@ mod tests {
                 _ => assert_eq!(bv, ev, "field {bn}"),
             }
         }
+    }
+
+    #[test]
+    fn an_event_line_writes_prefixed_names_and_sample_lists_as_one_string() {
+        let mut out = String::from("kept ");
+        let mut line = EventLine::begin(&mut out, "k", 3, 0);
+        line.u64(&["n"], 7);
+        line.str(&["c.", "na\"me"], &["s:", "a\tb"]);
+        line.f64s(&["d.", "x"], &[1.5, -0.0, 2e-7]);
+        line.f64s(&["d.", "none"], &[]);
+        line.bool(&["b"], false);
+        line.f64(&["m.", "y"], 2.0);
+        line.finish();
+        assert_eq!(
+            out,
+            "kept {\"ty\":\"event\",\"key\":\"k\",\"t_ns\":3,\"thread\":0,\"fields\":{\"n\":7,\
+             \"c.na\\\"me\":\"s:a\\tb\",\"d.x\":\"1.5,-0,0.0000002\",\"d.none\":\"\",\"b\":false,\
+             \"m.y\":2.0}}"
+        );
     }
 
     #[test]
@@ -428,25 +506,17 @@ mod tests {
     }
 
     #[test]
-    fn event_line_parser_rejects_other_records() {
-        assert!(event_from_json_line("{\"ty\":\"counter\",\"key\":\"k\",\"value\":1}").is_err());
-        assert!(event_from_json_line("{\"ty\":\"event\",\"key\":\"k\"").is_err());
-        assert!(event_from_json_line("").is_err());
-    }
-
-    #[test]
     fn hostile_nesting_is_an_error_naming_the_offset_not_a_stack_overflow() {
         // A few hundred kB of `{"a":{"a":…` used to recurse once per level.
         let deep = "{\"a\":".repeat(100_000);
         let cap = crate::json::MAX_DEPTH;
-        let e = event_from_json_line(&deep).unwrap_err();
+        let e = from_json_lines(&deep).unwrap_err();
         assert!(e.contains(&format!("at byte {}: nesting deeper than {cap}", 5 * cap)), "{e}");
-        assert!(from_json_lines(&deep).is_err());
         let in_fields = format!(
             "{{\"ty\":\"event\",\"key\":\"k\",\"t_ns\":0,\"thread\":0,\"fields\":{{\"x\":{}",
             "[".repeat(100_000)
         );
-        assert!(event_from_json_line(&in_fields).is_err());
+        assert!(from_json_lines(&in_fields).is_err());
     }
 
     #[test]
@@ -456,7 +526,7 @@ mod tests {
                 "{{\"ty\":\"event\",\"key\":\"k\",\"t_ns\":0,\"thread\":0,\
                  \"fields\":{{\"x\":{value}}}}}"
             );
-            let e = event_from_json_line(&line).unwrap_err();
+            let e = from_json_lines(&line).unwrap_err();
             assert!(e.contains("'x' must be a scalar"), "{e}");
         }
         assert!(from_json_lines("[]").unwrap_err().contains("must be an object"));

@@ -1,19 +1,27 @@
 //! The tree's one JSON reader.
 //!
-//! [`parse`] turns one document into a [`Json`] value. The trace and WAL
-//! readers in [`crate::export`] and the schema validator in
-//! `telemetry_smoke` go through it. Numbers keep a spelling-derived type,
-//! which is what lets the trace round-trip bit for bit: a bare integer
-//! token is `U64` (or `I64` when negative) and never passes through an
-//! `f64`; anything with a `.` or an exponent, or too large for 64 bits,
-//! is `F64`.
+//! [`Tokens`] reads a document as a stream of [`Token`]s and holds the
+//! whole grammar: names and `:`, `,` between members and elements,
+//! nesting, and nothing but whitespace after the one top-level value. Two
+//! readers sit on it. [`parse`] builds a [`Json`] tree, which the trace
+//! reader in [`crate::export`] and the schema validator in
+//! `telemetry_smoke` walk; the `decision` crate's WAL decoder pulls the
+//! tokens of a line straight into its event type. A string without escapes
+//! comes out as a slice of the input, so a reader that only looks at it
+//! copies nothing.
+//!
+//! Numbers keep a spelling-derived type, which is what lets the trace
+//! round-trip bit for bit: a bare integer token is `U64` (or `I64` when
+//! negative) and never passes through an `f64`; anything with a `.` or an
+//! exponent, or too large for 64 bits, is `F64`.
 //!
 //! Nesting is capped at `MAX_DEPTH`, so a hostile `{"a":{"a":…` line is
 //! an `Err` naming the byte offset rather than a stack overflow.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// Deepest nesting of arrays and objects [`parse`] accepts.
+/// Deepest nesting of arrays and objects [`Tokens`] accepts.
 pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Object fields keep document order (duplicates
@@ -120,24 +128,200 @@ impl std::error::Error for JsonError {}
 
 /// Parse one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
+    let mut tokens = Tokens::new(text);
+    let first = tokens.next_token()?;
+    let value = tree(&mut tokens, first)?;
+    // The document is whole only once the reader has seen its end.
+    match tokens.next_token()? {
+        None => Ok(value),
+        Some(_) => Err(tokens.err("trailing characters")),
     }
-    Ok(v)
 }
 
-struct Parser<'a> {
+/// The value that starts with `token`, read to its end. The recursion is
+/// as deep as the nesting, which [`Tokens`] caps.
+fn tree(tokens: &mut Tokens<'_>, token: Option<Token<'_>>) -> Result<Json, JsonError> {
+    Ok(match token.ok_or_else(|| tokens.err("unexpected end"))? {
+        Token::Null => Json::Null,
+        Token::Bool(b) => Json::Bool(b),
+        Token::U64(v) => Json::U64(v),
+        Token::I64(v) => Json::I64(v),
+        Token::F64(v) => Json::F64(v),
+        Token::Str(s) => Json::Str(s.into_owned()),
+        Token::BeginArray => {
+            let mut items = Vec::new();
+            loop {
+                match tokens.next_token()? {
+                    Some(Token::EndArray) => break Json::Arr(items),
+                    token => items.push(tree(tokens, token)?),
+                }
+            }
+        }
+        Token::BeginObject => {
+            let mut fields = Vec::new();
+            loop {
+                match tokens.next_token()? {
+                    Some(Token::EndObject) => break Json::Obj(fields),
+                    Some(Token::Name(name)) => {
+                        let value = tokens.next_token()?;
+                        fields.push((name.into_owned(), tree(tokens, value)?));
+                    }
+                    _ => return Err(tokens.err("expected a name")),
+                }
+            }
+        }
+        Token::Name(_) | Token::EndArray | Token::EndObject => {
+            return Err(tokens.err("expected a value"))
+        }
+    })
+}
+
+/// One token of a JSON document, as [`Tokens`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `{`.
+    BeginObject,
+    /// `}`.
+    EndObject,
+    /// `[`.
+    BeginArray,
+    /// `]`.
+    EndArray,
+    /// An object member's name, its `:` read with it.
+    Name(Cow<'a, str>),
+    /// A string value: a slice of the input unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// A non-negative integer token that fits `u64`.
+    U64(u64),
+    /// A negative integer token that fits `i64`.
+    I64(i64),
+    /// Any other number.
+    F64(f64),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
+}
+
+/// What the reader expects next.
+#[derive(Debug, Clone, Copy)]
+enum State {
+    /// A value: at the start, and after a name.
+    Value,
+    /// A first element or `]`.
+    ArrayFirst,
+    /// `,` and an element, or `]`.
+    ArrayNext,
+    /// A first name or `}`.
+    ObjectFirst,
+    /// `,` and a name, or `}`.
+    ObjectNext,
+    /// Whitespace to the end of the input.
+    Done,
+}
+
+/// A pull reader over one JSON document: each [`Tokens::next_token`] checks the
+/// grammar up to the next token and returns it, and `Ok(None)` once the
+/// top-level value is complete and only whitespace follows it. After an
+/// `Err` the reader is spent.
+#[derive(Debug)]
+pub struct Tokens<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Open containers, innermost last.
     depth: usize,
+    /// Bit `i` is set when the container at depth `i` is an object.
+    objects: u64,
+    state: State,
 }
 
-impl Parser<'_> {
-    fn err(&self, what: impl Into<String>) -> JsonError {
+impl<'a> Tokens<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Tokens { text, bytes: text.as_bytes(), pos: 0, depth: 0, objects: 0, state: State::Value }
+    }
+
+    /// The byte offset the reader has reached: just past the last token.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// The next token.
+    pub fn next_token(&mut self) -> Result<Option<Token<'a>>, JsonError> {
+        match self.state {
+            State::Value => self.value().map(Some),
+            State::ArrayFirst => {
+                self.skip_ws();
+                if self.peek() == Some(b']') {
+                    self.pos += 1;
+                    Ok(Some(self.close(Token::EndArray)))
+                } else {
+                    self.value().map(Some)
+                }
+            }
+            State::ObjectFirst => {
+                self.skip_ws();
+                if self.peek() == Some(b'}') {
+                    self.pos += 1;
+                    Ok(Some(self.close(Token::EndObject)))
+                } else {
+                    self.name().map(Some)
+                }
+            }
+            State::ArrayNext => {
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.value().map(Some)
+                    }
+                    Some(b']') => {
+                        self.pos += 1;
+                        Ok(Some(self.close(Token::EndArray)))
+                    }
+                    _ => Err(self.err("expected ',' or ']'")),
+                }
+            }
+            State::ObjectNext => {
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.name().map(Some)
+                    }
+                    Some(b'}') => {
+                        self.pos += 1;
+                        Ok(Some(self.close(Token::EndObject)))
+                    }
+                    _ => Err(self.err("expected ',' or '}'")),
+                }
+            }
+            State::Done => {
+                self.skip_ws();
+                if self.pos == self.bytes.len() {
+                    Ok(None)
+                } else {
+                    Err(self.err("trailing characters"))
+                }
+            }
+        }
+    }
+
+    /// Read past the rest of the value that `token` began: nothing for a
+    /// scalar, everything to the matching close for `{` or `[`.
+    pub fn skip(&mut self, token: &Token<'_>) -> Result<(), JsonError> {
+        if matches!(token, Token::BeginObject | Token::BeginArray) {
+            let outer = self.depth - 1;
+            while self.depth > outer {
+                self.next_token()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// An error at the reader's offset.
+    pub(crate) fn err(&self, what: impl Into<String>) -> JsonError {
         JsonError { offset: self.pos, what: what.into() }
     }
 
@@ -161,20 +345,84 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// The state after a complete value at the current depth.
+    fn after_value(&mut self) {
+        self.state = match self.depth {
+            0 => State::Done,
+            d if self.objects >> (d - 1) & 1 == 1 => State::ObjectNext,
+            _ => State::ArrayNext,
+        };
+    }
+
+    fn open(&mut self, object: bool) -> Result<Token<'a>, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.pos += 1;
+        let bit = 1 << self.depth;
+        self.depth += 1;
+        if object {
+            self.objects |= bit;
+            self.state = State::ObjectFirst;
+            Ok(Token::BeginObject)
+        } else {
+            self.objects &= !bit;
+            self.state = State::ArrayFirst;
+            Ok(Token::BeginArray)
+        }
+    }
+
+    fn close(&mut self, token: Token<'a>) -> Token<'a> {
+        self.depth -= 1;
+        self.after_value();
+        token
+    }
+
+    fn name(&mut self) -> Result<Token<'a>, JsonError> {
+        let name = self.string()?;
+        self.expect(b':')?;
+        self.state = State::Value;
+        Ok(Token::Name(name))
+    }
+
+    fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        self.skip_ws();
+        let token = match self.peek().ok_or_else(|| self.err("unexpected end"))? {
+            b'{' => return self.open(true),
+            b'[' => return self.open(false),
+            b'"' => Token::Str(self.string()?),
+            b't' => self.keyword("true", Token::Bool(true))?,
+            b'f' => self.keyword("false", Token::Bool(false))?,
+            b'n' => self.keyword("null", Token::Null)?,
+            _ => self.number()?,
+        };
+        self.after_value();
+        Ok(token)
+    }
+
+    /// A string, borrowed from the input up to its first escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
-            // The run up to the next quote or backslash is copied whole.
+            // The run up to the next quote or backslash is taken whole.
             // Both are ASCII, so the run ends on a character boundary.
             let end = self.pos + plain_run(&self.bytes[self.pos..]);
-            out.push_str(self.text.get(self.pos..end).ok_or_else(|| self.err("invalid utf-8"))?);
+            let run = self.text.get(self.pos..end).ok_or_else(|| self.err("invalid utf-8"))?;
             self.pos = end;
             let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
             self.pos += 1;
             if b == b'"' {
-                return Ok(out);
+                return Ok(match out {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
             }
+            let out = out.get_or_insert_with(String::new);
+            out.push_str(run);
             let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
             self.pos += 1;
             match esc {
@@ -198,7 +446,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -207,102 +455,27 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = self.text.get(start..self.pos).ok_or_else(|| self.err("invalid number"))?;
         if !text.contains(['.', 'e', 'E']) {
             if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::U64(v));
+                return Ok(Token::U64(v));
             }
             match text.parse::<i64>() {
                 // "-0" has no integer reading: it is the float negative zero.
-                Ok(0) => return Ok(Json::F64(-0.0)),
-                Ok(v) => return Ok(Json::I64(v)),
+                Ok(0) => return Ok(Token::F64(-0.0)),
+                Ok(v) => return Ok(Token::I64(v)),
                 Err(_) => {}
             }
         }
-        text.parse::<f64>().map(Json::F64).map_err(|_| self.err("invalid number"))
+        text.parse::<f64>().map(Token::F64).map_err(|_| self.err("invalid number"))
     }
 
-    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn keyword(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.err("unknown keyword"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'{' => self.nested(Self::object),
-            b'[' => self.nested(Self::array),
-            b't' => self.keyword("true", Json::Bool(true)),
-            b'f' => self.keyword("false", Json::Bool(false)),
-            b'n' => self.keyword("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<Json, JsonError>,
-    ) -> Result<Json, JsonError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
-        }
-        self.depth += 1;
-        let v = container(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let name = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((name, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
         }
     }
 }
@@ -347,6 +520,39 @@ mod tests {
         assert_eq!(v.get("c"), Some(&Json::Arr(vec![])));
         assert_eq!(v.get("d"), None);
         assert_eq!(parse("7").unwrap().kind(), "integer");
+    }
+
+    #[test]
+    fn tokens_borrow_plain_strings_and_skip_whole_values() {
+        let doc = r#" {"a" : "plain", "b\u0021": [1, {"c": [true]}], "d": -2.5e1} "#;
+        let mut tokens = Tokens::new(doc);
+        let mut next = || tokens.next_token().unwrap();
+        assert_eq!(next(), Some(Token::BeginObject));
+        assert!(matches!(next(), Some(Token::Name(Cow::Borrowed("a")))));
+        assert!(matches!(next(), Some(Token::Str(Cow::Borrowed("plain")))));
+        match next() {
+            Some(Token::Name(Cow::Owned(name))) => assert_eq!(name, "b!"),
+            other => panic!("{other:?}"),
+        }
+        let mut tokens = Tokens::new(doc);
+        for _ in 0..4 {
+            tokens.next_token().unwrap();
+        }
+        // Skipping the array leaves the reader at the next member.
+        let array = tokens.next_token().unwrap().unwrap();
+        assert_eq!(array, Token::BeginArray);
+        tokens.skip(&array).unwrap();
+        assert_eq!(&doc[tokens.offset() - 1..tokens.offset()], "]");
+        assert_eq!(tokens.next_token().unwrap(), Some(Token::Name(Cow::Borrowed("d"))));
+        assert_eq!(tokens.next_token().unwrap(), Some(Token::F64(-25.0)));
+        tokens.skip(&Token::F64(-25.0)).unwrap();
+        assert_eq!(tokens.next_token().unwrap(), Some(Token::EndObject));
+        assert_eq!(tokens.next_token().unwrap(), None);
+        assert_eq!(tokens.offset(), doc.len());
+        // A skip checks what it passes over.
+        let mut tokens = Tokens::new("[[1,]]");
+        let first = tokens.next_token().unwrap().unwrap();
+        assert_eq!(tokens.skip(&first).unwrap_err().offset, 4);
     }
 
     #[test]

@@ -30,11 +30,13 @@
 //! serializes as a JSON-lines trace and that per-trial rollups consume.
 
 pub mod export;
+mod fixed;
 pub mod json;
 pub mod ring;
 mod shortest;
 pub mod snapshot;
 
+pub use fixed::push_fixed;
 pub use ring::RingRecorder;
 pub use shortest::push_shortest;
 pub use snapshot::{FieldValue, SnapEvent, Snapshot};

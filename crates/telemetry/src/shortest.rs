@@ -59,7 +59,7 @@ pub fn push_shortest(out: &mut String, x: f64) {
     }
 }
 
-fn push_ascii(out: &mut String, bytes: &[u8]) {
+pub(crate) fn push_ascii(out: &mut String, bytes: &[u8]) {
     // Digits, '.' and '-': valid UTF-8, which is all this checks.
     if let Ok(s) = std::str::from_utf8(bytes) {
         out.push_str(s);
