@@ -76,10 +76,14 @@ impl Distribution {
     /// are dropped.
     pub fn from_samples(samples: Vec<f64>) -> Self {
         let samples: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
-        let mut sorted = samples.clone();
-        // Keys equal under `total_cmp` are bit-identical, so an unstable
-        // sort yields the same `sorted` as a stable one.
-        sorted.sort_unstable_by(f64::total_cmp);
+        // Sorted as integers in `f64::total_cmp`'s order, which is faster
+        // than sorting with it: a negative value's magnitude bits flipped,
+        // a map that is its own inverse. Equal keys are equal bits, so an
+        // unstable sort yields the same `sorted` as a stable one.
+        let key = |bits: i64| bits ^ (((bits >> 63) as u64) >> 1) as i64;
+        let mut keys: Vec<i64> = samples.iter().map(|x| key(x.to_bits() as i64)).collect();
+        keys.sort_unstable();
+        let sorted = keys.into_iter().map(|k| f64::from_bits(key(k) as u64)).collect();
         Self { samples, sorted, interval: OnceLock::new() }
     }
 
@@ -519,6 +523,39 @@ pub(crate) mod tests {
         };
         let tail = (1.0 - spec.level.clamp(0.0, 1.0)) / 2.0;
         Ci { lo: quantile(tail), hi: quantile(1.0 - tail), level: spec.level }
+    }
+
+    #[test]
+    fn sorted_is_a_total_cmp_sort_bit_for_bit() {
+        const EDGES: [f64; 10] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            -1.0,
+        ];
+        sweep(400, 0x5_0127, |g| {
+            // A small pool drawn from, so that bit patterns repeat.
+            let pool = g.vec(1..12, |g| match g.below(4) {
+                0 => *g.pick(&EDGES),
+                // A subnormal of either sign.
+                1 => f64::from_bits(g.u64() & 0x800F_FFFF_FFFF_FFFF),
+                // Any pattern, the non-finite ones included.
+                2 => f64::from_bits(g.u64()),
+                _ => g.f64_in(-2.0..1.0),
+            });
+            let samples = g.vec(0..80, |g| *g.pick(&pool));
+            let mut want: Vec<f64> = samples.iter().copied().filter(|x| x.is_finite()).collect();
+            want.sort_by(f64::total_cmp);
+            let sorted = Distribution::from_samples(samples).sorted().to_vec();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sorted), bits(&want));
+        });
     }
 
     fn bits(ci: Ci) -> (u64, u64, u64) {

@@ -4,15 +4,16 @@
 //! one per line, each a telemetry `"ty":"event"` JSON record: the line the
 //! trace exporter writes for an event. The codec goes straight between a
 //! `StudyEvent` and those bytes. It writes through
-//! `telemetry::export::EventLine` and reads the tokens of
-//! `telemetry::json::Tokens`, the reader that holds the JSON grammar, so no
-//! intermediate event or JSON tree is built, and a `d.` field's samples
-//! are parsed where they lie in the line. The format keeps the exporter's
-//! bit-exactness: integers stay bare, f64 values use shortest round-trip
-//! text, and non-finite values travel as the `"NaN"`/`"inf"`/`"-inf"`
-//! string spellings, so replaying a log reconstructs every metric to
-//! identical bits. A reader takes what the exporter's reader took: fields
-//! in any order, whitespace between tokens, the first of a repeated name.
+//! `telemetry::export::EventLine` and reads through
+//! `telemetry::export::read_event`, the one reader of telemetry's records:
+//! that checks the record around the fields and hands each field over as
+//! one of the writer's kinds, and this module maps the fields onto the
+//! event. No intermediate event or JSON tree is built, and a `d.` field's
+//! samples are parsed where they lie in the line. The format keeps the
+//! exporter's bit-exactness: integers stay bare, f64 values use shortest
+//! round-trip text, and non-finite values travel as the
+//! `"NaN"`/`"inf"`/`"-inf"` string spellings, so replaying a log
+//! reconstructs every metric to identical bits.
 //!
 //! Event keys and payloads:
 //!
@@ -50,10 +51,8 @@ use crate::distribution::Distribution;
 use crate::metrics::MetricValues;
 use crate::param::ParamValue;
 use crate::trial::{Configuration, Trial, TrialStatus};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
-use telemetry::export::EventLine;
-use telemetry::json::{JsonError, Token, Tokens};
+use telemetry::export::{self, EventLine, Field, Fields};
 
 /// Event keys used by the study WAL (also validated by the bench
 /// `telemetry_smoke` schema check).
@@ -218,60 +217,7 @@ impl StudyEvent {
 
     /// Parse one WAL line.
     pub fn from_line(line: &str) -> Result<StudyEvent, String> {
-        let mut tokens = Tokens::new(line);
-        if !matches!(next(&mut tokens)?, Some(Token::BeginObject)) {
-            return Err("a WAL record must be a JSON object".into());
-        }
-        // Of each name only the first counts, as in a lookup.
-        let (mut ty, mut kind, mut t_ns, mut thread) = (false, None, false, false);
-        let mut event = None;
-        // A `fields` object met before the key: read again once the key
-        // is known.
-        let mut early_fields = None;
-        while let Some(Token::Name(name)) = next(&mut tokens)? {
-            match &*name {
-                "ty" if !ty => match next(&mut tokens)? {
-                    Some(Token::Str(value)) if value == "event" => ty = true,
-                    _ => return Err("not an event record".into()),
-                },
-                "key" if kind.is_none() => match next(&mut tokens)? {
-                    Some(Token::Str(key)) => kind = Some(Kind::of(&key)?),
-                    _ => return Err("the record's 'key' must be a string".into()),
-                },
-                "t_ns" if !t_ns => t_ns = integer(&mut tokens, &name)?,
-                "thread" if !thread => thread = integer(&mut tokens, &name)?,
-                "fields" if event.is_none() && early_fields.is_none() => match kind {
-                    Some(kind) => event = Some(decode_fields(kind, &mut tokens)?),
-                    None => {
-                        let start = tokens.offset();
-                        let first = next(&mut tokens)?;
-                        if first != Some(Token::BeginObject) {
-                            return Err("event 'fields' must be an object".into());
-                        }
-                        tokens.skip(&Token::BeginObject).map_err(json_error)?;
-                        early_fields = Some(start..tokens.offset());
-                    }
-                },
-                _ => {
-                    let value = next(&mut tokens)?.unwrap_or(Token::Null);
-                    tokens.skip(&value).map_err(json_error)?;
-                }
-            }
-        }
-        // Nothing but whitespace may follow the record.
-        next(&mut tokens)?;
-        let Some(kind) = kind else { return Err("the record has no 'key'".into()) };
-        if !(ty && t_ns && thread) {
-            return Err("the record lacks one of 'ty', 't_ns' and 'thread'".into());
-        }
-        match (event, early_fields) {
-            (Some(event), _) => Ok(event),
-            (None, Some(range)) => {
-                let fields = line.get(range).ok_or("the record's 'fields' is cut")?;
-                decode_fields(kind, &mut Tokens::new(fields))
-            }
-            (None, None) => Err("the record has no 'fields'".into()),
-        }
+        export::read_event(line, decode_fields)
     }
 }
 
@@ -316,14 +262,6 @@ fn push_metrics(line: &mut EventLine<'_>, metrics: &MetricValues) {
 
 // ---------------------------------------------------------------- decoder
 
-fn json_error(e: JsonError) -> String {
-    format!("study WAL: {e}")
-}
-
-fn next<'a>(tokens: &mut Tokens<'a>) -> Result<Option<Token<'a>>, String> {
-    tokens.next_token().map_err(json_error)
-}
-
 /// An event's kind, known from its key before its fields are read.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -336,7 +274,7 @@ enum Kind {
     Reused,
 }
 
-/// Each kind's key, in the order of [`Kind`].
+/// Each kind's key.
 const KINDS: [(&str, Kind); 7] = [
     (wal_keys::CHECKPOINT, Kind::Checkpoint),
     (wal_keys::TRIAL_STARTED, Kind::Started),
@@ -356,10 +294,6 @@ impl Kind {
             .ok_or_else(|| format!("unknown study WAL event key '{key}'"))
     }
 
-    fn key(self) -> &'static str {
-        KINDS[self as usize].0
-    }
-
     /// The fields this kind reads by name.
     fn names(self) -> &'static [&'static str] {
         match self {
@@ -372,55 +306,15 @@ impl Kind {
     }
 }
 
-/// The record's `t_ns` or `thread`: `true` once it is read as an integer.
-fn integer(tokens: &mut Tokens<'_>, name: &str) -> Result<bool, String> {
-    match next(tokens)? {
-        Some(Token::U64(_)) => Ok(true),
-        _ => Err(format!("the record's '{name}' must be an integer")),
-    }
-}
-
-/// A field's value as the writer's field kinds have it; a string is a
-/// slice of the line unless it held an escape.
-enum Field<'a> {
-    U64(u64),
-    F64(f64),
-    Bool(bool),
-    Str(Cow<'a, str>),
-}
-
-/// The value of field `name`: a scalar, read the way telemetry's field
-/// kinds read it.
-fn field<'a>(tokens: &mut Tokens<'a>, name: &str) -> Result<Field<'a>, String> {
-    Ok(match next(tokens)? {
-        Some(Token::U64(x)) => Field::U64(x),
-        // The writer spells integers unsigned, so a signed integer token
-        // is a float someone wrote without its `.0`.
-        Some(Token::I64(x)) => Field::F64(x as f64),
-        Some(Token::F64(x)) => Field::F64(x),
-        Some(Token::Bool(x)) => Field::Bool(x),
-        // Non-finite doubles travel as these three strings.
-        Some(Token::Str(s)) => match &*s {
-            "NaN" => Field::F64(f64::NAN),
-            "inf" => Field::F64(f64::INFINITY),
-            "-inf" => Field::F64(f64::NEG_INFINITY),
-            _ => Field::Str(s),
-        },
-        _ => return Err(format!("event field '{name}' must be a scalar")),
-    })
-}
-
-/// Read a `fields` object, from its `{`, into the event of kind `kind`.
-/// The named fields take their first value; every `c.`, `m.`, `d.` and
-/// `i.` field the kind reads is applied in line order, so a later one of
-/// the same name wins. A field the writer could not have written — a
-/// metric that is not a number, a sample that is not a finite number — is
-/// an error, never a skipped value: a distribution one sample short would
-/// load as a different ranking.
-fn decode_fields(kind: Kind, tokens: &mut Tokens<'_>) -> Result<StudyEvent, String> {
-    if !matches!(next(tokens)?, Some(Token::BeginObject)) {
-        return Err("event 'fields' must be an object".into());
-    }
+/// Read a record's `fields` into the event its `key` names. The named
+/// fields take their first value; every `c.`, `m.`, `d.` and `i.` field
+/// the kind reads is applied in line order, so a later one of the same
+/// name wins. A field the writer could not have written — a metric that
+/// is not a number, a sample that is not a finite number — is an error,
+/// never a skipped value: a distribution one sample short would load as a
+/// different ranking.
+fn decode_fields(key: &str, fields: &mut Fields<'_, '_>) -> Result<StudyEvent, String> {
+    let kind = Kind::of(key)?;
     let names = kind.names();
     let mut named: [Option<Field<'_>>; 5] = Default::default();
     let mut config = Configuration::new();
@@ -432,18 +326,15 @@ fn decode_fields(kind: Kind, tokens: &mut Tokens<'_>) -> Result<StudyEvent, Stri
         Kind::Reused => (true, true),
         Kind::Checkpoint | Kind::Report => (false, false),
     };
-    while let Some(Token::Name(name)) = next(tokens)? {
-        let value = field(tokens, &name)?;
+    while let Some((name, value)) = fields.next_field()? {
         if let Some(i) = names.iter().position(|n| *n == name) {
             named[i].get_or_insert(value);
         } else if let (true, Some(param)) = (with_config, name.strip_prefix("c.")) {
             config.set(param, param_value(&name, value)?);
         } else if let (true, Some(metric)) = (with_metrics, name.strip_prefix("m.")) {
-            match value {
-                Field::F64(v) => metrics.set(metric, v),
-                Field::U64(v) => metrics.set(metric, v as f64),
-                _ => return Err(format!("metric field '{name}' must be a number")),
-            }
+            let v =
+                value.as_f64().ok_or_else(|| format!("metric field '{name}' must be a number"))?;
+            metrics.set(metric, v);
         } else if let (true, Some(metric)) = (with_metrics, name.strip_prefix("d.")) {
             let Field::Str(text) = value else {
                 return Err(format!("distribution field '{name}' must be a string"));
@@ -451,14 +342,11 @@ fn decode_fields(kind: Kind, tokens: &mut Tokens<'_>) -> Result<StudyEvent, Stri
             metrics.set_distribution(metric, samples(&name, &text)?);
         } else if let (Kind::Reused, Some(step)) = (kind, name.strip_prefix("i.")) {
             let step = step.parse::<u64>().map_err(|_| format!("bad report step '{name}'"))?;
-            match value {
-                Field::F64(v) => intermediate.push((step, v)),
-                Field::U64(v) => intermediate.push((step, v as f64)),
-                _ => return Err(format!("report field '{name}' must be a number")),
-            }
+            let v =
+                value.as_f64().ok_or_else(|| format!("report field '{name}' must be a number"))?;
+            intermediate.push((step, v));
         }
     }
-    let key = kind.key();
     let mut take = |i: usize| {
         named[i].take().ok_or_else(|| format!("{key} event missing field '{}'", names[i]))
     };
@@ -486,11 +374,9 @@ fn decode_fields(kind: Kind, tokens: &mut Tokens<'_>) -> Result<StudyEvent, Stri
         Kind::Report => StudyEvent::TrialReport {
             trial,
             step: int(take(1)?, "step")?,
-            value: match take(2)? {
-                Field::F64(v) => v,
-                Field::U64(v) => v as f64,
-                _ => return Err(format!("{key} field 'value' must be a number")),
-            },
+            value: take(2)?
+                .as_f64()
+                .ok_or_else(|| format!("{key} field 'value' must be a number"))?,
         },
         Kind::Completed => StudyEvent::TrialCompleted { trial, metrics },
         Kind::Pruned => StudyEvent::TrialPruned { trial, metrics },

@@ -1,12 +1,14 @@
-//! Snapshot exporter: the JSON-lines trace.
+//! Snapshot exporter: the JSON-lines trace, written and read.
 //!
 //! The writer is hand-rolled for the one flat shape the trace needs: one
 //! object per line, string keys, and numbers typed by spelling — integers
-//! are written bare and doubles always carry a `.` or an exponent, so
-//! [`from_json_lines`] (reading through [`crate::json`]) reconstructs the
-//! exact value kinds and [`to_json_lines`] → [`from_json_lines`]
-//! round-trips a [`Snapshot`] to equality (f64 text is the shortest
-//! round-trip spelling, [`push_shortest`]).
+//! are written bare and doubles always carry a `.` or an exponent, so the
+//! reader reconstructs the exact value kinds and [`to_json_lines`] →
+//! [`from_json_lines`] round-trips a [`Snapshot`] to equality (f64 text is
+//! the shortest round-trip spelling, [`push_shortest`]). The reader is the
+//! one for these records, the `decision` crate's WAL lines included
+//! ([`read_event`]): it pulls a line's tokens from [`crate::json`] and
+//! hands each event field over as a [`Field`], building no tree.
 //!
 //! Record shapes (`ty` discriminates):
 //!
@@ -19,9 +21,10 @@
 //! {"ty":"event","key":"driver.iteration","t_ns":42,"thread":0,"fields":{"iteration":1}}
 //! ```
 
-use crate::json::{self, Json};
+use crate::json::{JsonError, Token, Tokens};
 use crate::push_shortest;
 use crate::snapshot::{FieldValue, GaugeStats, SnapEvent, SnapSpan, Snapshot};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------- writer
@@ -229,91 +232,192 @@ pub fn to_json_lines(snap: &Snapshot) -> String {
 
 // ---------------------------------------------------------------- reader
 
-/// Parse one trace line: a single JSON object, nothing after it.
-fn parse_line(line: &str) -> Result<Json, String> {
-    match json::parse(line).map_err(|e| format!("telemetry trace: {e}"))? {
-        obj @ Json::Obj(_) => Ok(obj),
-        other => Err(format!("telemetry trace: a record must be an object, got {}", other.kind())),
-    }
+/// An event field's value as one of the writer's four kinds. A string is
+/// a slice of the line unless it holds an escape.
+#[derive(Debug)]
+pub enum Field<'a> {
+    /// A bare non-negative integer.
+    U64(u64),
+    /// Any other number, or a non-finite value's string spelling.
+    F64(f64),
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any other string.
+    Str(Cow<'a, str>),
 }
 
-/// The f64 a string field spells, for the three non-finite values.
-fn non_finite(s: &str) -> Option<f64> {
-    match s {
-        "NaN" => Some(f64::NAN),
-        "inf" => Some(f64::INFINITY),
-        "-inf" => Some(f64::NEG_INFINITY),
-        _ => None,
-    }
-}
-
-fn field<'a>(obj: &'a Json, name: &str) -> Result<&'a Json, String> {
-    obj.get(name).ok_or_else(|| format!("trace record missing field '{name}'"))
-}
-
-fn need_str<'a>(obj: &'a Json, name: &str) -> Result<&'a str, String> {
-    field(obj, name)?.as_str().ok_or_else(|| format!("trace field '{name}' must be a string"))
-}
-
-fn need_u64(obj: &Json, name: &str) -> Result<u64, String> {
-    field(obj, name)?.as_u64().ok_or_else(|| format!("trace field '{name}' must be an integer"))
-}
-
-/// f64 view, accepting the string spellings of non-finite values.
-fn need_f64(obj: &Json, name: &str) -> Result<f64, String> {
-    let v = field(obj, name)?;
-    v.as_f64()
-        .or_else(|| v.as_str().and_then(non_finite))
-        .ok_or_else(|| format!("trace field '{name}' must be a number"))
-}
-
-/// Move the first field called `name` out of a parsed record, leaving
-/// `null` in its place.
-fn take_field(obj: &mut Json, name: &str) -> Result<Json, String> {
-    let Json::Obj(fields) = obj else {
-        return Err(format!("trace record missing field '{name}'"));
-    };
-    fields
-        .iter_mut()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| std::mem::replace(v, Json::Null))
-        .ok_or_else(|| format!("trace record missing field '{name}'"))
-}
-
-/// Decode one parsed `"ty":"event"` object into a [`SnapEvent`]. Names
-/// and strings move out of the tree, so a long string field is copied
-/// once, by the parser, and never again.
-fn event_from_obj(mut obj: Json) -> Result<SnapEvent, String> {
-    let Json::Obj(fields) = take_field(&mut obj, "fields")? else {
-        return Err("event 'fields' must be an object".into());
-    };
-    let fields = fields
-        .into_iter()
-        .map(|(name, v)| {
-            let fv = match v {
-                Json::U64(x) => FieldValue::U64(x),
-                // The writer spells integers unsigned, so a signed
-                // integer token is a float someone wrote without its `.0`.
-                Json::I64(x) => FieldValue::F64(x as f64),
-                Json::F64(x) => FieldValue::F64(x),
-                Json::Bool(x) => FieldValue::Bool(x),
-                Json::Str(s) => match non_finite(&s) {
-                    Some(x) => FieldValue::F64(x),
-                    None => FieldValue::Str(s),
-                },
-                Json::Null | Json::Arr(_) | Json::Obj(_) => {
-                    return Err(format!("event field '{name}' must be a scalar, got {}", v.kind()))
-                }
-            };
-            Ok((name, fv))
+impl<'a> Field<'a> {
+    /// The field a scalar token reads as; `None` for `null` and for the
+    /// start of an array or object.
+    fn of(token: Token<'a>) -> Option<Self> {
+        Some(match token {
+            Token::U64(x) => Field::U64(x),
+            // The writer spells integers unsigned, so a signed integer
+            // token is a float someone wrote without its `.0`.
+            Token::I64(x) => Field::F64(x as f64),
+            Token::F64(x) => Field::F64(x),
+            Token::Bool(x) => Field::Bool(x),
+            // Non-finite doubles travel as these three strings.
+            Token::Str(s) => match &*s {
+                "NaN" => Field::F64(f64::NAN),
+                "inf" => Field::F64(f64::INFINITY),
+                "-inf" => Field::F64(f64::NEG_INFINITY),
+                _ => Field::Str(s),
+            },
+            _ => return None,
         })
-        .collect::<Result<Vec<_>, String>>()?;
-    let t_ns = need_u64(&obj, "t_ns")?;
-    let thread = need_u64(&obj, "thread")? as usize;
-    let Json::Str(key) = take_field(&mut obj, "key")? else {
-        return Err("trace field 'key' must be a string".into());
-    };
-    Ok(SnapEvent { t_ns, thread, key, fields })
+    }
+
+    /// The value as an f64 when it is a number: an integer converted.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Field::F64(x) => Some(*x),
+            Field::U64(x) => Some(*x as f64),
+            _ => None,
+        }
+    }
+}
+
+impl From<Field<'_>> for FieldValue {
+    fn from(field: Field<'_>) -> Self {
+        match field {
+            Field::U64(x) => FieldValue::U64(x),
+            Field::F64(x) => FieldValue::F64(x),
+            Field::Bool(x) => FieldValue::Bool(x),
+            Field::Str(s) => FieldValue::Str(s.into_owned()),
+        }
+    }
+}
+
+fn json_error(e: JsonError) -> String {
+    format!("telemetry record: {e}")
+}
+
+fn next<'a>(tokens: &mut Tokens<'a>) -> Result<Option<Token<'a>>, String> {
+    tokens.next_token().map_err(json_error)
+}
+
+/// A record line's members, each by the first token of its value. A
+/// lookup finds a repeated name's first value, as in a parsed object.
+struct Record<'a>(Vec<(Cow<'a, str>, Token<'a>)>);
+
+impl<'a> Record<'a> {
+    fn get(&self, name: &str) -> Result<&Token<'a>, String> {
+        let member = self.0.iter().find(|(n, _)| n == name);
+        member.map(|(_, token)| token).ok_or_else(|| format!("trace record missing field '{name}'"))
+    }
+
+    fn str(&self, name: &str) -> Result<&str, String> {
+        match self.get(name)? {
+            Token::Str(s) => Ok(s),
+            _ => Err(format!("trace field '{name}' must be a string")),
+        }
+    }
+
+    fn u64(&self, name: &str) -> Result<u64, String> {
+        match self.get(name)? {
+            Token::U64(x) => Ok(*x),
+            _ => Err(format!("trace field '{name}' must be an integer")),
+        }
+    }
+
+    /// A number, read as an event field would be.
+    fn f64(&self, name: &str) -> Result<f64, String> {
+        let field = Field::of(self.get(name)?.clone());
+        field
+            .and_then(|f| f.as_f64())
+            .ok_or_else(|| format!("trace field '{name}' must be a number"))
+    }
+
+    /// An event record's `t_ns`, `thread` and decoded `fields`, once its
+    /// `ty` and `key` are checked.
+    fn event<T>(&self, fields: Option<T>) -> Result<(u64, usize, T), String> {
+        if self.str("ty")? != "event" {
+            return Err("not an event record".into());
+        }
+        self.str("key")?;
+        let fields = fields.ok_or("an event record's 'fields' must be an object")?;
+        Ok((self.u64("t_ns")?, self.u64("thread")? as usize, fields))
+    }
+}
+
+/// The members of a record's `fields` object, read one at a time.
+pub struct Fields<'t, 'a> {
+    tokens: &'t mut Tokens<'a>,
+    done: bool,
+}
+
+impl<'a> Fields<'_, 'a> {
+    /// The next member's name and value, or `None` after the last. A value
+    /// that is not a scalar is an error.
+    pub fn next_field(&mut self) -> Result<Option<(Cow<'a, str>, Field<'a>)>, String> {
+        if self.done {
+            return Ok(None);
+        }
+        let Some(Token::Name(name)) = next(self.tokens)? else {
+            self.done = true;
+            return Ok(None);
+        };
+        match next(self.tokens)?.and_then(Field::of) {
+            Some(value) => Ok(Some((name, value))),
+            None => Err(format!("event field '{name}' must be a scalar")),
+        }
+    }
+}
+
+/// Read one record line: a JSON object and nothing after it. The first
+/// `fields` member, when it is an object, goes to `decode`: where it
+/// stands when `ty` and `key` come before it, as the writer puts them, and
+/// once the rest of the record is read otherwise, so that `decode` sees
+/// both whenever the record has them. What `decode` leaves unread is read
+/// for its syntax alone.
+fn read_record<'a, T>(
+    line: &'a str,
+    mut decode: impl FnMut(&Record<'a>, &mut Fields<'_, 'a>) -> Result<T, String>,
+) -> Result<(Record<'a>, Option<T>), String> {
+    let mut tokens = Tokens::new(line);
+    if !matches!(next(&mut tokens)?, Some(Token::BeginObject)) {
+        return Err("telemetry record: a record must be an object".into());
+    }
+    let (mut record, mut decoded, mut later) = (Record(Vec::new()), None, None);
+    while let Some(Token::Name(name)) = next(&mut tokens)? {
+        let token = next(&mut tokens)?.unwrap_or(Token::Null);
+        let fields = name == "fields" && token == Token::BeginObject && record.get(&name).is_err();
+        if fields && record.get("ty").is_ok() && record.get("key").is_ok() {
+            let mut fields = Fields { tokens: &mut tokens, done: false };
+            decoded = Some(decode(&record, &mut fields)?);
+            if !fields.done {
+                // Inside the object, `skip` reads on to its close.
+                tokens.skip(&token).map_err(json_error)?;
+            }
+        } else {
+            // An object's `{` is the byte before the reader's offset.
+            let start = tokens.offset() - 1;
+            tokens.skip(&token).map_err(json_error)?;
+            later = later.or(fields.then(|| start..tokens.offset()));
+        }
+        record.0.push((name, token));
+    }
+    // Nothing but whitespace may follow the record.
+    next(&mut tokens)?;
+    if let Some(span) = later {
+        let mut tokens = Tokens::new(&line[span]);
+        next(&mut tokens)?;
+        decoded = Some(decode(&record, &mut Fields { tokens: &mut tokens, done: false })?);
+    }
+    Ok((record, decoded))
+}
+
+/// Read one event record line, handing its `fields` to `decode` with the
+/// record's key. The line passes where [`from_json_lines`] would read it
+/// as an event, and `decode` accepts its fields; the `decision` crate's
+/// write-ahead log reads its lines through this.
+pub fn read_event<'a, T>(
+    line: &'a str,
+    mut decode: impl FnMut(&str, &mut Fields<'_, 'a>) -> Result<T, String>,
+) -> Result<T, String> {
+    let (record, fields) = read_record(line, |record, fields| decode(record.str("key")?, fields))?;
+    record.event(fields).map(|(_, _, fields)| fields)
 }
 
 /// Parse a JSON-lines trace produced by [`to_json_lines`] back into a
@@ -326,38 +430,51 @@ pub fn from_json_lines(text: &str) -> Result<Snapshot, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let obj = parse_line(line)?;
-        let key = || need_str(&obj, "key").map(str::to_string);
-        match need_str(&obj, "ty")? {
+        let (record, fields) = read_record(line, |record, fields| {
+            // Another record's `fields` is read for its syntax alone.
+            if record.str("ty")? != "event" {
+                return Ok(None);
+            }
+            let mut decoded = Vec::new();
+            while let Some((name, value)) = fields.next_field()? {
+                decoded.push((name.into_owned(), value.into()));
+            }
+            Ok(Some(decoded))
+        })?;
+        let key = || record.str("key").map(str::to_string);
+        match record.str("ty")? {
             "meta" => {
                 snap.dropped_events = snap
                     .dropped_events
-                    .checked_add(need_u64(&obj, "dropped_events")?)
+                    .checked_add(record.u64("dropped_events")?)
                     .ok_or("trace meta lines drop more than u64::MAX events in all")?;
             }
             "counter" => {
-                snap.counters.insert(key()?, need_u64(&obj, "value")?);
+                snap.counters.insert(key()?, record.u64("value")?);
             }
             "accum" => {
-                snap.accums.insert(key()?, need_f64(&obj, "value")?);
+                snap.accums.insert(key()?, record.f64("value")?);
             }
             "gauge" => {
                 let stats = GaugeStats {
-                    last: need_f64(&obj, "last")?,
-                    count: need_u64(&obj, "count")?,
-                    sum: need_f64(&obj, "sum")?,
-                    min: need_f64(&obj, "min")?,
-                    max: need_f64(&obj, "max")?,
+                    last: record.f64("last")?,
+                    count: record.u64("count")?,
+                    sum: record.f64("sum")?,
+                    min: record.f64("min")?,
+                    max: record.f64("max")?,
                 };
                 snap.gauges.insert(key()?, stats);
             }
             "span" => snap.spans.push(SnapSpan {
                 key: key()?,
-                thread: need_u64(&obj, "thread")? as usize,
-                begin_ns: need_u64(&obj, "begin_ns")?,
-                end_ns: need_u64(&obj, "end_ns")?,
+                thread: record.u64("thread")? as usize,
+                begin_ns: record.u64("begin_ns")?,
+                end_ns: record.u64("end_ns")?,
             }),
-            "event" => snap.events.push(event_from_obj(obj)?),
+            "event" => {
+                let (t_ns, thread, fields) = record.event(fields.flatten())?;
+                snap.events.push(SnapEvent { t_ns, thread, key: key()?, fields });
+            }
             other => return Err(format!("unknown trace record type '{other}'")),
         }
     }
@@ -365,8 +482,12 @@ pub fn from_json_lines(text: &str) -> Result<Snapshot, String> {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     fn sample_snapshot() -> Snapshot {
         let mut snap = Snapshot::default();
@@ -509,7 +630,7 @@ mod tests {
     fn hostile_nesting_is_an_error_naming_the_offset_not_a_stack_overflow() {
         // A few hundred kB of `{"a":{"a":…` used to recurse once per level.
         let deep = "{\"a\":".repeat(100_000);
-        let cap = crate::json::MAX_DEPTH;
+        let cap = json::MAX_DEPTH;
         let e = from_json_lines(&deep).unwrap_err();
         assert!(e.contains(&format!("at byte {}: nesting deeper than {cap}", 5 * cap)), "{e}");
         let in_fields = format!(
@@ -543,17 +664,39 @@ mod tests {
         assert_eq!(from_json_lines(one).unwrap().dropped_events, u64::MAX);
     }
 
+    /// Lines the writer does not write but the reader takes: members
+    /// reordered, spaced and repeated, `fields` before `key` and `ty`,
+    /// escapes, non-finite values, and a `fields` on a record that has none.
+    const HAND_WRITTEN: &str = r#"{ "value" : 7 , "key" : "re\"ordered" , "ty" : "counter" , "value" : 8 }
+{"max":"inf","min":"-inf","count":2,"sum":"NaN","last":1,"key":"gé","ty":"gauge","last":2}
+{"value":-3,"ty":"accum","key":"neg","ty":"counter"}
+{"end_ns":9,"thread":1,"begin_ns":3,"key":"s2","ty":"span","ty":"event"}
+{"fields":{"n":1,"x":-2,"s":"aé\n","n":2.5,"z":"NaN"},"thread":2,"t_ns":5,"ty":"event","key":"late","fields":[1]}
+{"ty":"event","fields":{"y":"-inf","b":true},"key":"mid","t_ns":1,"thread":0,"key":2,"fields":{"q":[]}}
+{"dropped_events":3,"ty":"meta","fields":{"nested":[1]}}
+"#;
+
     #[test]
     fn truncated_and_bit_flipped_traces_are_ok_or_err_never_a_panic() {
         let mut snap = sample_snapshot();
         snap.events[0].fields.push(("site".into(), FieldValue::Str("Zürich §7 ✓".into())));
-        let trace = to_json_lines(&snap);
-        assert_eq!(from_json_lines(&trace).unwrap(), snap);
+        let written = to_json_lines(&snap);
+        assert_eq!(from_json_lines(&written).unwrap(), snap);
+        // The record reader and the tree reader it replaced agree: the
+        // same snapshot (compared through Debug text, which prints every
+        // f64 as its shortest round-trip spelling), or an error from both.
+        let agree = |text: &str| match (from_json_lines(text), oracle::from_json_lines(text)) {
+            (Ok(ours), Ok(theirs)) => assert_eq!(format!("{ours:?}"), format!("{theirs:?}")),
+            (Err(_), Err(_)) => {}
+            (ours, theirs) => panic!("{text:?}: record reader {ours:?}, tree {theirs:?}"),
+        };
+        let trace = written + HAND_WRITTEN;
+        let all = from_json_lines(&trace).unwrap();
+        assert_eq!((all.events.len(), all.dropped_events), (3, 5));
+        agree(&trace);
         // A tear inside a multi-byte character reads back lossily, as a
         // file read that way would.
-        let read = |bytes: &[u8]| {
-            let _ = from_json_lines(&String::from_utf8_lossy(bytes));
-        };
+        let read = |bytes: &[u8]| agree(&String::from_utf8_lossy(bytes));
         let bytes = trace.as_bytes();
         for end in 0..bytes.len() {
             read(&bytes[..end]);

@@ -1,14 +1,13 @@
 //! The tree's one JSON reader.
 //!
-//! [`Tokens`] reads a document as a stream of [`Token`]s and holds the
+//! `Tokens` reads a document as a stream of `Token`s and holds the
 //! whole grammar: names and `:`, `,` between members and elements,
-//! nesting, and nothing but whitespace after the one top-level value. Two
-//! readers sit on it. [`parse`] builds a [`Json`] tree, which the trace
-//! reader in [`crate::export`] and the schema validator in
-//! `telemetry_smoke` walk; the `decision` crate's WAL decoder pulls the
-//! tokens of a line straight into its event type. A string without escapes
-//! comes out as a slice of the input, so a reader that only looks at it
-//! copies nothing.
+//! nesting, and nothing but whitespace after the one top-level value. The
+//! record reader in [`crate::export`] pulls a trace or WAL line's tokens
+//! straight into what it decodes; [`parse`] builds a [`Json`] tree for the
+//! readers that need one, `telemetry_smoke`'s schema validator and the test
+//! oracles. A string without escapes comes out as a slice of the input, so
+//! a reader that only looks at it copies nothing.
 //!
 //! Numbers keep a spelling-derived type, which is what lets the trace
 //! round-trip bit for bit: a bare integer token is `U64` (or `I64` when
@@ -56,24 +55,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value of a non-negative integer token.
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Any number as an `f64` (integers converted).
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::F64(v) => Some(*v),
-            Json::U64(v) => Some(*v as f64),
-            Json::I64(v) => Some(*v as f64),
             _ => None,
         }
     }
@@ -178,7 +159,7 @@ fn tree(tokens: &mut Tokens<'_>, token: Option<Token<'_>>) -> Result<Json, JsonE
 
 /// One token of a JSON document, as [`Tokens`] reads it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token<'a> {
+pub(crate) enum Token<'a> {
     /// `{`.
     BeginObject,
     /// `}`.
@@ -225,7 +206,7 @@ enum State {
 /// top-level value is complete and only whitespace follows it. After an
 /// `Err` the reader is spent.
 #[derive(Debug)]
-pub struct Tokens<'a> {
+pub(crate) struct Tokens<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
@@ -238,17 +219,17 @@ pub struct Tokens<'a> {
 
 impl<'a> Tokens<'a> {
     /// A reader at the start of `text`.
-    pub fn new(text: &'a str) -> Self {
+    pub(crate) fn new(text: &'a str) -> Self {
         Tokens { text, bytes: text.as_bytes(), pos: 0, depth: 0, objects: 0, state: State::Value }
     }
 
     /// The byte offset the reader has reached: just past the last token.
-    pub fn offset(&self) -> usize {
+    pub(crate) fn offset(&self) -> usize {
         self.pos
     }
 
     /// The next token.
-    pub fn next_token(&mut self) -> Result<Option<Token<'a>>, JsonError> {
+    pub(crate) fn next_token(&mut self) -> Result<Option<Token<'a>>, JsonError> {
         match self.state {
             State::Value => self.value().map(Some),
             State::ArrayFirst => {
@@ -310,7 +291,7 @@ impl<'a> Tokens<'a> {
 
     /// Read past the rest of the value that `token` began: nothing for a
     /// scalar, everything to the matching close for `{` or `[`.
-    pub fn skip(&mut self, token: &Token<'_>) -> Result<(), JsonError> {
+    pub(crate) fn skip(&mut self, token: &Token<'_>) -> Result<(), JsonError> {
         if matches!(token, Token::BeginObject | Token::BeginArray) {
             let outer = self.depth - 1;
             while self.depth > outer {
