@@ -21,6 +21,7 @@
 use crate::metrics::MetricValues;
 use crate::trial::{Configuration, Trial, TrialStatus};
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -41,13 +42,13 @@ pub struct CachedOutcome {
 
 impl CachedOutcome {
     /// Materialize as a trial with the adopting study's id.
-    pub(crate) fn to_trial(&self, id: usize) -> Trial {
+    pub(crate) fn into_trial(self, id: usize) -> Trial {
         Trial {
             id,
-            config: self.config.clone(),
-            metrics: self.metrics.clone(),
+            config: self.config,
+            metrics: self.metrics,
             status: self.status,
-            intermediate: self.intermediate.clone(),
+            intermediate: self.intermediate,
             error: None,
             reused: true,
         }
@@ -73,7 +74,13 @@ impl TrialCache {
     /// The cache key for a configuration under an objective fingerprint
     /// and study seed.
     pub(crate) fn key(config: &Configuration, fingerprint: &str, seed: u64) -> String {
-        format!("{}|{fingerprint}|{seed}", config.canonical_key())
+        // Room for six parameters, a fingerprint and a seed in one
+        // allocation.
+        let mut key = String::with_capacity(128);
+        config.push_canonical_key(&mut key);
+        // Writing to a `String` cannot fail.
+        let _ = write!(key, "|{fingerprint}|{seed}");
+        key
     }
 
     /// The map, poisoned or not: a panicking trial must not wedge the cache.
@@ -179,7 +186,7 @@ mod tests {
         t.intermediate = vec![(1, 0.5)];
         cache.store(&t, "v1", 0);
         let hit = cache.lookup(&cfg(1), "v1", 0).unwrap();
-        let adopted = hit.to_trial(9);
+        let adopted = hit.into_trial(9);
         assert_eq!(adopted.id, 9);
         assert!(adopted.reused);
         assert_eq!(adopted.metrics, t.metrics);

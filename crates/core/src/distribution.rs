@@ -22,7 +22,7 @@
 
 use crate::spread::{cores, map_blocks};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A per-trial sample store: the observations of one metric in the order
 /// they were recorded plus a sorted copy for exact quantile statistics.
@@ -31,14 +31,21 @@ use std::sync::OnceLock;
 /// statistic is well-defined; an empty distribution yields `NaN` from
 /// the statistical accessors.
 ///
+/// Both orders live in one immutable allocation, written once at
+/// construction and shared by every clone: cloning a distribution bumps a
+/// reference count and copies no sample.
+///
 /// The first bootstrap interval asked of it (`Bootstrap::ci`) is kept
 /// with its spec, so that the next reader under the same spec gets it
 /// without resampling. Like the sorted copy it is derived from the
 /// samples: equality compares the samples alone, and a clone carries it.
+/// The interval is kept per handle, not in the shared allocation: a clone
+/// copies the one kept when it is made, and an interval computed later
+/// stays with the handle that computed it.
 #[derive(Clone)]
 pub struct Distribution {
-    samples: Vec<f64>,
-    sorted: Vec<f64>,
+    /// `n` samples in recording order, then the same `n` ascending.
+    data: Arc<[f64]>,
     /// The first computed interval and its spec. Boxed, so that a
     /// distribution nobody bootstraps grows by 16 bytes rather than 56.
     interval: OnceLock<Box<(BootstrapSpec, Ci)>>,
@@ -46,15 +53,15 @@ pub struct Distribution {
 
 impl PartialEq for Distribution {
     fn eq(&self, other: &Self) -> bool {
-        self.samples == other.samples
+        self.samples() == other.samples()
     }
 }
 
 impl fmt::Debug for Distribution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Distribution")
-            .field("samples", &self.samples)
-            .field("sorted", &self.sorted)
+            .field("samples", &self.samples())
+            .field("sorted", &self.sorted())
             .finish()
     }
 }
@@ -74,56 +81,68 @@ impl FromIterator<f64> for Distribution {
 impl Distribution {
     /// Build from observations in recording order. Non-finite samples
     /// are dropped.
-    pub fn from_samples(samples: Vec<f64>) -> Self {
-        let samples: Vec<f64> = samples.into_iter().filter(|v| v.is_finite()).collect();
+    pub fn from_samples(mut samples: Vec<f64>) -> Self {
+        samples.retain(|v| v.is_finite());
         // Sorted as integers in `f64::total_cmp`'s order, which is faster
         // than sorting with it: a negative value's magnitude bits flipped,
         // a map that is its own inverse. Equal keys are equal bits, so an
-        // unstable sort yields the same `sorted` as a stable one.
-        let key = |bits: i64| bits ^ (((bits >> 63) as u64) >> 1) as i64;
-        let mut keys: Vec<i64> = samples.iter().map(|x| key(x.to_bits() as i64)).collect();
-        keys.sort_unstable();
-        let sorted = keys.into_iter().map(|k| f64::from_bits(key(k) as u64)).collect();
-        Self { samples, sorted, interval: OnceLock::new() }
+        // unstable sort yields the same `sorted` as a stable one. The keys
+        // are sorted where the sorted half goes, carried in `f64`s.
+        let key = |x: f64| {
+            let bits = x.to_bits() as i64;
+            f64::from_bits((bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64)
+        };
+        // Made at its final size, from an exact-length iterator, and filled
+        // in place: unshared, so `make_mut` copies nothing.
+        let n = samples.len();
+        let mut data: Arc<[f64]> = std::iter::repeat_n(0.0, 2 * n).collect();
+        let (recorded, sorted) = Arc::make_mut(&mut data).split_at_mut(n);
+        recorded.copy_from_slice(&samples);
+        for (k, &x) in sorted.iter_mut().zip(&samples) {
+            *k = key(x);
+        }
+        sorted.sort_unstable_by_key(|k| k.to_bits() as i64);
+        sorted.iter_mut().for_each(|k| *k = key(*k));
+        Self { data, interval: OnceLock::new() }
     }
 
     /// Number of (finite) observations.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.data.len() / 2
     }
 
     /// True when no observation survived construction.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.data.is_empty()
     }
 
     /// The observations in recording (stream) order.
     pub fn samples(&self) -> &[f64] {
-        &self.samples
+        &self.data[..self.len()]
     }
 
     /// The observations in ascending order.
     pub fn sorted(&self) -> &[f64] {
-        &self.sorted
+        &self.data[self.len()..]
     }
 
     /// Arithmetic mean — the scalar the paper's Table I ranks on. Summed
     /// in recording order, so a distribution built from the same stream
     /// an existing scalar path averaged reproduces that scalar bitwise.
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.samples().is_empty() {
             return f64::NAN;
         }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        self.samples().iter().sum::<f64>() / self.samples().len() as f64
     }
 
     /// Population variance (`Σ (x - mean)² / n`).
     pub(crate) fn var(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.samples().is_empty() {
             return f64::NAN;
         }
         let m = self.mean();
-        self.samples.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / self.samples.len() as f64
+        self.samples().iter().map(|x| (x - m) * (x - m)).sum::<f64>() / self.samples().len() as f64
     }
 
     /// Population standard deviation.
@@ -133,22 +152,22 @@ impl Distribution {
 
     /// Smallest observation.
     pub fn min(&self) -> f64 {
-        self.sorted.first().copied().unwrap_or(f64::NAN)
+        self.sorted().first().copied().unwrap_or(f64::NAN)
     }
 
     /// Largest observation.
     pub fn max(&self) -> f64 {
-        self.sorted.last().copied().unwrap_or(f64::NAN)
+        self.sorted().last().copied().unwrap_or(f64::NAN)
     }
 
     /// Exact sample quantile with linear interpolation between order
     /// statistics (Hyndman–Fan type 7, the default of R and NumPy):
     /// `q(p)` interpolates at rank `(n-1)·p`. `p` is clamped to `[0, 1]`.
     pub fn quantile(&self, p: f64) -> f64 {
-        if self.sorted.is_empty() {
+        if self.sorted().is_empty() {
             return f64::NAN;
         }
-        Rank::of(self.sorted.len(), p).read(&self.sorted)
+        Rank::of(self.sorted().len(), p).read(self.sorted())
     }
 
     /// Median (`quantile(0.5)`).
@@ -173,7 +192,7 @@ impl Distribution {
         if k == 0 {
             return f64::NAN;
         }
-        self.sorted[..k].iter().sum::<f64>() / k as f64
+        self.sorted()[..k].iter().sum::<f64>() / k as f64
     }
 
     /// Conditional value at risk, upper tail: the mean of the worst
@@ -184,15 +203,15 @@ impl Distribution {
         if k == 0 {
             return f64::NAN;
         }
-        self.sorted[self.sorted.len() - k..].iter().sum::<f64>() / k as f64
+        self.sorted()[self.sorted().len() - k..].iter().sum::<f64>() / k as f64
     }
 
     fn tail_len(&self, alpha: f64) -> usize {
-        if self.sorted.is_empty() {
+        if self.sorted().is_empty() {
             return 0;
         }
         let alpha = alpha.clamp(0.0, 1.0);
-        ((alpha * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len())
+        ((alpha * self.sorted().len() as f64).ceil() as usize).clamp(1, self.sorted().len())
     }
 
     /// Whether it keeps an interval, under any spec.
@@ -494,19 +513,19 @@ pub(crate) mod tests {
     /// sum per resample straight off the generator, a full sort of the
     /// means, two type-7 reads.
     pub(crate) fn oracle_ci(dist: &Distribution, spec: &BootstrapSpec) -> Ci {
-        let n = dist.samples.len();
+        let n = dist.samples().len();
         if n == 0 {
             return Ci { lo: f64::NAN, hi: f64::NAN, level: spec.level };
         }
         if n == 1 || spec.resamples == 0 {
-            return Ci { lo: dist.samples[0], hi: dist.samples[0], level: spec.level };
+            return Ci { lo: dist.samples()[0], hi: dist.samples()[0], level: spec.level };
         }
         let mut rng = SplitMix64::new(spec.seed);
         let mut means = Vec::with_capacity(spec.resamples);
         for _ in 0..spec.resamples {
             let mut sum = 0.0;
             for _ in 0..n {
-                sum += dist.samples[rng.below(n)];
+                sum += dist.samples()[rng.below(n)];
             }
             means.push(sum / n as f64);
         }
@@ -659,9 +678,12 @@ pub(crate) mod tests {
     fn a_clone_carries_the_kept_interval_and_equality_ignores_it() {
         let spec = BootstrapSpec { level: 0.95, resamples: 100, seed: 11 };
         let read = grid_1_to_100();
+        let early = read.clone();
         let ci = read.bootstrap_ci(&spec);
         let copy = read.clone();
         assert_eq!(kept_spec(&copy), Some(spec));
+        assert_eq!(kept_spec(&early), None, "an interval kept later stays with its handle");
+        assert!(Arc::ptr_eq(&early.data, &read.data) && Arc::ptr_eq(&copy.data, &read.data));
         assert_eq!(bits(copy.bootstrap_ci(&spec)), bits(ci));
         let unread = grid_1_to_100();
         assert_eq!(kept_spec(&unread), None);

@@ -16,9 +16,10 @@
 //! scalar when no distribution was recorded.
 
 use crate::distribution::{Bootstrap, BootstrapSpec, Distribution};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A typed metric name: a newtype over `&'static str` shared by metric
 /// definitions, per-trial [`MetricValues`] and the telemetry rollup, so
@@ -80,6 +81,20 @@ pub mod keys {
     /// `driver.iteration` telemetry events); its distribution carries the
     /// learning-curve dispersion and max drawdown.
     pub const REWARD_ITER: MetricKey = MetricKey("reward_iter");
+
+    /// Every key above, so that a name read as text borrows its key.
+    pub(crate) const ALL: [MetricKey; 10] = [
+        REWARD,
+        REWARD_STD,
+        TIME_MIN,
+        POWER_KJ,
+        RAW_MINUTES,
+        ENV_STEPS,
+        BYTES_MOVED,
+        DEGRADED,
+        REWARD_STD_EPISODES,
+        REWARD_ITER,
+    ];
 }
 
 /// Whether larger or smaller values are better.
@@ -264,6 +279,136 @@ impl MetricSample<'_> {
     }
 }
 
+/// A record's field name: a typed key's `&'static str`, borrowed, or any
+/// other name in a shared allocation. A clone copies no byte of it.
+///
+/// Names compare, order and hash as their text, whichever way they are
+/// held.
+#[derive(Clone)]
+pub(crate) enum Name {
+    /// A [`MetricKey`]'s name.
+    Key(&'static str),
+    /// Any other name.
+    Shared(Arc<str>),
+}
+
+impl Name {
+    /// The name spelled `text`: a typed key's, borrowed, when one is
+    /// spelled so, and a shared copy of `text` otherwise.
+    pub(crate) fn of(text: &str) -> Name {
+        match keys::ALL.iter().find(|key| key.0 == text) {
+            Some(key) => Name::Key(key.0),
+            None => Name::Shared(text.into()),
+        }
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Name::Key(text) => text,
+            Name::Shared(text) => text,
+        }
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl From<MetricKey> for Name {
+    fn from(key: MetricKey) -> Name {
+        Name::Key(key.0)
+    }
+}
+
+impl From<&str> for Name {
+    fn from(text: &str) -> Name {
+        Name::of(text)
+    }
+}
+
+impl From<String> for Name {
+    fn from(text: String) -> Name {
+        Name::of(&text)
+    }
+}
+
+/// A map from [`Name`]s to values on one vector, in name order: what a
+/// record of a few named values needs of an ordered map — `get`, overwrite
+/// on insert, iteration and equality in name order, a map's `Debug` — at
+/// the size of its entries.
+#[derive(Clone)]
+pub(crate) struct Named<V> {
+    entries: Vec<(Name, V)>,
+}
+
+impl<V> Default for Named<V> {
+    fn default() -> Self {
+        Self { entries: Vec::new() }
+    }
+}
+
+impl<V> Named<V> {
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(key, _)| (**key).cmp(name))
+    }
+
+    /// The value under `name`.
+    pub(crate) fn get(&self, name: &str) -> Option<&V> {
+        self.find(name).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Put `value` under `name`, in place of the one there. The vector
+    /// grows by one entry at a time: a record holds a handful of names
+    /// and lives as long as its study, so spare capacity would be a large
+    /// share of it. Names that arrive in order, as a journal's do, append.
+    pub(crate) fn insert(&mut self, name: Name, value: V) {
+        match self.find(&name) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => {
+                self.entries.reserve_exact(1);
+                self.entries.insert(i, (name, value));
+            }
+        }
+    }
+
+    /// `(name, value)` in name order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
+        self.entries.iter().map(|(name, value)| (&**name, value))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
+impl<V: PartialEq> PartialEq for Named<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for Named<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Metric values collected for one trial.
 ///
 /// Scalars live in their own map, so every existing study journal,
@@ -271,10 +416,13 @@ impl MetricSample<'_> {
 /// separate side table, journaled by the WAL as separate `d.`-prefixed
 /// fields (see `wal::push_metrics`) that leave the legacy `m.` fields
 /// untouched.
+///
+/// A clone allocates one vector per non-empty map and shares every name
+/// and every distribution's samples.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricValues {
-    values: BTreeMap<String, f64>,
-    dists: BTreeMap<String, Distribution>,
+    values: Named<f64>,
+    dists: Named<Distribution>,
 }
 
 impl MetricValues {
@@ -285,12 +433,12 @@ impl MetricValues {
 
     /// Builder-style insertion.
     pub fn with(mut self, name: impl Into<String>, v: f64) -> Self {
-        self.values.insert(name.into(), v);
+        self.set(name.into(), v);
         self
     }
 
     /// Insert a value.
-    pub(crate) fn set(&mut self, name: impl Into<String>, v: f64) {
+    pub(crate) fn set(&mut self, name: impl Into<Name>, v: f64) {
         self.values.insert(name.into(), v);
     }
 
@@ -300,13 +448,14 @@ impl MetricValues {
     }
 
     /// Builder-style insertion under a typed key.
-    pub fn with_key(self, key: MetricKey, v: f64) -> Self {
-        self.with(key.name(), v)
+    pub fn with_key(mut self, key: MetricKey, v: f64) -> Self {
+        self.set(key, v);
+        self
     }
 
     /// Insert a value under a typed key.
     pub fn set_key(&mut self, key: MetricKey, v: f64) {
-        self.set(key.name(), v);
+        self.set(key, v);
     }
 
     /// Look a typed key up.
@@ -318,6 +467,11 @@ impl MetricValues {
     /// the same name is left untouched — the distribution is evidence
     /// *about* the scalar, not a replacement for it.
     pub fn set_distribution(&mut self, name: impl Into<String>, dist: Distribution) {
+        self.put_distribution(name.into(), dist);
+    }
+
+    /// [`Self::set_distribution`] under any name.
+    pub(crate) fn put_distribution(&mut self, name: impl Into<Name>, dist: Distribution) {
         self.dists.insert(name.into(), dist);
     }
 
@@ -329,7 +483,7 @@ impl MetricValues {
 
     /// Attach a distribution under a typed key.
     pub fn set_distribution_key(&mut self, key: MetricKey, dist: Distribution) {
-        self.set_distribution(key.name(), dist);
+        self.put_distribution(key, dist);
     }
 
     /// The sample distribution recorded for a metric, if any.
@@ -355,12 +509,12 @@ impl MetricValues {
 
     /// Iterate `(name, value)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
+        self.values.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterate `(name, distribution)` in name order.
     pub(crate) fn distributions(&self) -> impl Iterator<Item = (&str, &Distribution)> {
-        self.dists.iter().map(|(k, v)| (k.as_str(), v))
+        self.dists.iter()
     }
 
     /// Number of values.
@@ -375,8 +529,15 @@ impl MetricValues {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::param::ParamValue;
+    use crate::trial::Configuration;
+    use crate::wal::StudyEvent;
+    use testkit::{sweep, Gen};
 
     #[test]
     fn direction_comparisons() {
@@ -502,5 +663,141 @@ mod tests {
         assert!(!set.contains(&MetricDef::maximize("r").with_risk(Risk::Cvar(0.2))));
         assert!(!set.contains(&MetricDef::maximize("r")));
         assert_eq!(Risk::default(), Risk::Mean);
+    }
+
+    /// Names that sort before, between and after the typed keys'.
+    const CUSTOM: [&str; 9] =
+        ["", "A", "a", "env_steps_", "power", "reward_s", "rewards", "zeta", "\u{f1}o"];
+
+    /// A name of the pool: a typed key or a custom name.
+    fn name(g: &mut Gen) -> (&'static str, Option<MetricKey>) {
+        if g.bool() {
+            let key = *g.pick(&keys::ALL);
+            (key.0, Some(key))
+        } else {
+            (*g.pick(&CUSTOM), None)
+        }
+    }
+
+    /// One insert into both representations of a metric record, through
+    /// the typed or the textual entry point.
+    fn insert_metric(g: &mut Gen, new: &mut MetricValues, old: &mut oracle::MetricValues) {
+        let (text, key) = name(g);
+        if g.below(3) == 0 {
+            let dist = Distribution::from_samples(g.vec(0..6, |g| *g.pick(&[-0.0, 0.5, 2.0])));
+            match key.filter(|_| g.bool()) {
+                Some(key) => new.set_distribution_key(key, dist.clone()),
+                None => new.set_distribution(text, dist.clone()),
+            }
+            old.set_distribution(text, dist);
+        } else {
+            let v = *g.pick(&[0.0, -0.0, 1.5, -2.25, f64::NAN, f64::INFINITY, 1e-300]);
+            match key.filter(|_| g.bool()) {
+                Some(key) => new.set_key(key, v),
+                None => *new = std::mem::take(new).with(text, v),
+            }
+            old.set(text, v);
+        }
+    }
+
+    /// One assignment into both representations of a configuration.
+    fn insert_param(g: &mut Gen, new: &mut Configuration, old: &mut oracle::Configuration) {
+        let text = name(g).0;
+        let v = match g.below(4) {
+            0 => ParamValue::Int(*g.pick(&[-3, 0, 1, i64::MAX])),
+            1 => ParamValue::Float(*g.pick(&[1.0, -0.0, 0.1, f64::NAN])),
+            2 => ParamValue::Str(g.pick(&["PPO", "", "a,b", "q\"t", "1"]).to_string()),
+            _ => ParamValue::Bool(g.bool()),
+        };
+        if g.bool() {
+            *new = std::mem::take(new).with(text, v.clone());
+        } else {
+            new.set(text, v.clone());
+        }
+        old.set(text, v);
+    }
+
+    /// A record in both representations, built by `steps` random inserts,
+    /// overwrites among them.
+    fn records(
+        g: &mut Gen,
+        steps: usize,
+    ) -> ((MetricValues, Configuration), (oracle::MetricValues, oracle::Configuration)) {
+        let (mut new, mut old) = Default::default();
+        let (mut new_cfg, mut old_cfg) = Default::default();
+        for _ in 0..steps {
+            insert_metric(g, &mut new, &mut old);
+            insert_param(g, &mut new_cfg, &mut old_cfg);
+        }
+        ((new, new_cfg), (old, old_cfg))
+    }
+
+    fn bits(v: Option<f64>) -> Option<u64> {
+        v.map(f64::to_bits)
+    }
+
+    #[test]
+    fn records_read_as_the_map_oracle_did() {
+        let every_name: Vec<&str> =
+            keys::ALL.iter().map(|k| k.0).chain(CUSTOM).chain(["absent", "rewar"]).collect();
+        sweep(300, 0x05EC_04D5, |g| {
+            let steps = g.below(24);
+            let ((m, cfg), (om, ocfg)) = records(g, steps);
+            let pairs = |it: &mut dyn Iterator<Item = (&str, f64)>| {
+                it.map(|(k, v)| (k.to_string(), v.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(pairs(&mut m.iter()), pairs(&mut om.iter()));
+            let dists = |it: &mut dyn Iterator<Item = (&str, &Distribution)>| {
+                it.map(|(k, d)| (k.to_string(), d.clone())).collect::<Vec<_>>()
+            };
+            assert_eq!(dists(&mut m.distributions()), dists(&mut om.distributions()));
+            let params = |it: &mut dyn Iterator<Item = (&str, &ParamValue)>| {
+                it.map(|(k, v)| format!("{k}:{v:?}")).collect::<Vec<_>>()
+            };
+            assert_eq!(params(&mut cfg.iter()), params(&mut ocfg.iter()));
+            for &name in &every_name {
+                assert_eq!(bits(m.get(name)), bits(om.get(name)), "{name}");
+                assert_eq!(m.distribution(name), om.distribution(name), "{name}");
+                assert_eq!(
+                    format!("{:?}", cfg.get(name)),
+                    format!("{:?}", ocfg.get(name)),
+                    "{name}"
+                );
+            }
+            assert_eq!(format!("{m:?}"), format!("{om:?}"));
+            assert_eq!(format!("{m:#?}"), format!("{om:#?}"));
+            assert_eq!(format!("{cfg:?}"), format!("{ocfg:?}"));
+            assert_eq!(cfg.to_string(), ocfg.to_string());
+            assert_eq!(cfg.canonical_key(), ocfg.canonical_key());
+            let seq = g.u64() >> 12;
+            let line = StudyEvent::TrialReused {
+                trial: 7,
+                config: cfg.clone(),
+                status: crate::trial::TrialStatus::Complete,
+                metrics: m.clone(),
+                intermediate: Vec::new(),
+            }
+            .to_line(seq);
+            assert_eq!(line, oracle::reused_line(seq, 7, &ocfg, "complete", &om));
+        });
+    }
+
+    #[test]
+    fn records_compare_as_the_map_oracle_did() {
+        sweep(400, 0xE0_4A15, |g| {
+            let steps = g.below(8);
+            // Half the time the second record replays the first's inserts,
+            // one more or not, so that equal records are common.
+            let replay = g.u64();
+            let ((a, a_cfg), (oa, oa_cfg)) = records(&mut Gen::new(replay), steps);
+            let (seed, more) =
+                if g.bool() { (replay, steps + g.below(2)) } else { (g.u64(), g.below(8)) };
+            let ((b, b_cfg), (ob, ob_cfg)) = records(&mut Gen::new(seed), more);
+            assert_eq!(a == b, oa == ob, "{a:?} vs {b:?}");
+            assert_eq!(a_cfg == b_cfg, oa_cfg == ob_cfg, "{a_cfg:?} vs {b_cfg:?}");
+            assert_eq!(a.len(), oa.iter().count());
+            assert_eq!(a.is_empty(), oa.iter().next().is_none());
+            assert_eq!(a_cfg.len(), oa_cfg.iter().count());
+        });
     }
 }

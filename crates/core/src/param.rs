@@ -6,6 +6,7 @@
 //! that tag; Table I groups its columns into *environment-dependent* and
 //! *environment-independent* parameters the same way.
 
+use crate::metrics::Name;
 use rand::Rng;
 
 /// What part of the study a parameter configures.
@@ -170,8 +171,9 @@ impl Domain {
 /// A named, typed, tagged parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ParamDef {
-    /// Unique name within the space.
-    pub(crate) name: String,
+    /// Unique name within the space, shared by every configuration that
+    /// assigns it.
+    pub(crate) name: Name,
     /// Study-role tag.
     pub(crate) kind: ParamKind,
     /// Value domain.
@@ -180,7 +182,7 @@ pub(crate) struct ParamDef {
 
 impl ParamDef {
     /// Create a definition.
-    pub(crate) fn new(name: impl Into<String>, kind: ParamKind, domain: Domain) -> Self {
+    pub(crate) fn new(name: impl Into<Name>, kind: ParamKind, domain: Domain) -> Self {
         Self { name: name.into(), kind, domain }
     }
 }

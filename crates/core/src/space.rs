@@ -36,7 +36,7 @@ impl ParamSpace {
     pub fn sample(&self, rng: &mut impl Rng) -> Configuration {
         let mut cfg = Configuration::new();
         for p in &self.params {
-            cfg.set(&p.name, p.domain.value(p.domain.draw(rng)));
+            cfg.set(p.name.clone(), p.domain.value(p.domain.draw(rng)));
         }
         cfg
     }
@@ -45,7 +45,7 @@ impl ParamSpace {
     pub(crate) fn configuration(&self, draws: &[Draw]) -> Configuration {
         let mut cfg = Configuration::new();
         for (p, &draw) in self.params.iter().zip(draws) {
-            cfg.set(&p.name, p.domain.value(draw));
+            cfg.set(p.name.clone(), p.domain.value(draw));
         }
         cfg
     }
@@ -100,7 +100,7 @@ impl ParamSpaceBuilder {
 
     fn push(mut self, name: impl Into<String>, domain: Domain) -> Self {
         let name = name.into();
-        assert!(!self.params.iter().any(|p| p.name == name), "duplicate parameter name: {name}");
+        assert!(!self.params.iter().any(|p| *p.name == name), "duplicate parameter name: {name}");
         self.params.push(ParamDef::new(name, self.kind.unwrap_or(ParamKind::Algorithm), domain));
         self
     }

@@ -161,6 +161,16 @@ impl Journal {
     /// within a line. The first append repairs a torn tail left by a
     /// previous crash (see the module docs).
     pub fn append(&self, event: &StudyEvent) -> Result<u64, JournalError> {
+        self.append_with(|seq, line| event.push_line(seq, line))
+    }
+
+    /// [`Self::append`] of the line `push` writes for sequence number
+    /// `seq` (no trailing newline): a caller that holds an event's parts
+    /// writes them without building the event.
+    pub(crate) fn append_with(
+        &self,
+        push: impl FnOnce(u64, &mut String),
+    ) -> Result<u64, JournalError> {
         let mut guard = self.writer();
         let writer = match guard.as_mut() {
             Some(w) => w,
@@ -169,7 +179,7 @@ impl Journal {
         let seq = writer.seq;
         let line = &mut writer.line;
         line.clear();
-        event.push_line(seq, line);
+        push(seq, line);
         line.push('\n');
         match self.durability {
             Durability::Buffered => {

@@ -33,7 +33,7 @@ use crate::pruner::{NopPruner, Pruner};
 use crate::space::ParamSpace;
 use crate::storage::Journal;
 use crate::trial::{Configuration, Trial, TrialStatus};
-use crate::wal::{Replay, StudyEvent};
+use crate::wal::{self, Replay, StudyEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -277,14 +277,8 @@ impl<'a> Session<'a> {
             }
         };
         if let Some(hit) = self.study.cache_lookup(&config) {
-            let trial = hit.to_trial(id);
-            self.study.journal_event(&StudyEvent::TrialReused {
-                trial: id,
-                config: trial.config.clone(),
-                status: trial.status,
-                metrics: trial.metrics.clone(),
-                intermediate: trial.intermediate.clone(),
-            });
+            let trial = hit.into_trial(id);
+            self.study.journal(|seq, out| wal::push_finished(&trial, seq, out));
             self.study.replay_into_pruner(&trial);
             self.study.count(study_keys::TRIALS_REUSED);
             self.handed += 1;
@@ -365,9 +359,14 @@ impl Study {
     }
 
     fn journal_event(&self, ev: &StudyEvent) {
+        self.journal(|seq, out| ev.push_line(seq, out));
+    }
+
+    /// Append the line `push` writes (see [`Journal::append_with`]).
+    fn journal(&self, push: impl FnOnce(u64, &mut String)) {
         if let Some(j) = &self.journal {
             // Journaling failures must not kill the study; surface them.
-            if let Err(e) = j.append(ev) {
+            if let Err(e) = j.append_with(push) {
                 eprintln!("[decision] journal append failed: {e}");
             }
         }
@@ -395,7 +394,7 @@ impl Study {
     }
 
     pub(crate) fn run_one(&self, id: usize, config: Configuration) -> Trial {
-        self.journal_event(&StudyEvent::TrialStarted { trial: id, config: config.clone() });
+        self.journal(|seq, out| wal::push_started(id, &config, seq, out));
         let mut ctx = TrialContext {
             trial_id: id,
             pruner: self.pruner.as_ref(),
@@ -442,19 +441,7 @@ impl Study {
             TrialStatus::Failed => study_keys::TRIALS_FAILED,
         };
         self.count(outcome);
-        self.journal_event(&match trial.status {
-            TrialStatus::Complete => {
-                StudyEvent::TrialCompleted { trial: id, metrics: trial.metrics.clone() }
-            }
-            TrialStatus::Pruned => {
-                StudyEvent::TrialPruned { trial: id, metrics: trial.metrics.clone() }
-            }
-            TrialStatus::Failed => StudyEvent::TrialFailed {
-                trial: id,
-                error: trial.error.clone().unwrap_or_default(),
-                metrics: trial.metrics.clone(),
-            },
-        });
+        self.journal(|seq, out| wal::push_finished(&trial, seq, out));
         if let Some(cache) = &self.reuse_cache {
             cache.store(&trial, &self.objective_fingerprint, self.seed);
         }

@@ -1,13 +1,16 @@
 //! Configurations and trials.
 
-use crate::metrics::MetricValues;
+use crate::metrics::{MetricValues, Name, Named};
 use crate::param::ParamValue;
-use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// An assignment of values to parameters — one point of the search space.
+///
+/// A clone allocates the one vector of assignments and a copy of each
+/// string label; the names are shared.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Configuration {
-    values: BTreeMap<String, ParamValue>,
+    values: Named<ParamValue>,
 }
 
 impl Configuration {
@@ -17,8 +20,8 @@ impl Configuration {
     }
 
     /// Assign a value.
-    pub(crate) fn set(&mut self, name: &str, v: ParamValue) {
-        self.values.insert(name.to_string(), v);
+    pub(crate) fn set(&mut self, name: impl Into<Name>, v: ParamValue) {
+        self.values.insert(name.into(), v);
     }
 
     /// Builder-style assignment.
@@ -49,7 +52,7 @@ impl Configuration {
 
     /// Iterate `(name, value)` pairs in name order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), v))
+        self.values.iter()
     }
 
     /// Number of assigned parameters.
@@ -65,20 +68,23 @@ impl Configuration {
     /// A canonical text key (for deduplication by explorers).
     pub fn canonical_key(&self) -> String {
         let mut s = String::new();
-        for (k, v) in &self.values {
-            s.push_str(k);
-            s.push('=');
-            s.push_str(&v.to_string());
-            s.push(';');
-        }
+        self.push_canonical_key(&mut s);
         s
+    }
+
+    /// Append [`Self::canonical_key`] to `out`.
+    pub(crate) fn push_canonical_key(&self, out: &mut String) {
+        for (k, v) in self.iter() {
+            // Writing to a `String` cannot fail.
+            let _ = write!(out, "{k}={v};");
+        }
     }
 }
 
 impl std::fmt::Display for Configuration {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut first = true;
-        for (k, v) in &self.values {
+        for (k, v) in self.iter() {
             if !first {
                 write!(f, ", ")?;
             }

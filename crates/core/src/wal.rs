@@ -186,22 +186,13 @@ impl StudyEvent {
             }
             StudyEvent::TrialCompleted { trial, metrics }
             | StudyEvent::TrialPruned { trial, metrics } => {
-                line.u64(&["trial"], *trial as u64);
-                push_metrics(&mut line, metrics);
+                push_outcome(&mut line, *trial, None, metrics);
             }
             StudyEvent::TrialFailed { trial, error, metrics } => {
-                line.u64(&["trial"], *trial as u64);
-                line.str(&["error"], &[error]);
-                push_metrics(&mut line, metrics);
+                push_outcome(&mut line, *trial, Some(error), metrics);
             }
             StudyEvent::TrialReused { trial, config, status, metrics, intermediate } => {
-                line.u64(&["trial"], *trial as u64);
-                push_config(&mut line, config);
-                line.str(&["status"], &[status_name(*status)]);
-                push_metrics(&mut line, metrics);
-                for (step, value) in intermediate {
-                    line.f64(&["i.", &step.to_string()], *value);
-                }
+                push_reused(&mut line, *trial, config, *status, metrics, intermediate);
             }
         }
         line.finish();
@@ -218,6 +209,70 @@ impl StudyEvent {
     /// Parse one WAL line.
     pub fn from_line(line: &str) -> Result<StudyEvent, String> {
         export::read_event(line, decode_fields)
+    }
+}
+
+/// The `trial.started` line of trial `trial` on `config`: the line of that
+/// [`StudyEvent::TrialStarted`], written from borrowed parts.
+pub(crate) fn push_started(trial: usize, config: &Configuration, seq: u64, out: &mut String) {
+    let mut line = EventLine::begin(out, wal_keys::TRIAL_STARTED, seq, 0);
+    line.u64(&["trial"], trial as u64);
+    push_config(&mut line, config);
+    line.finish();
+}
+
+/// The line that records a finished trial: the `trial.reused` line of an
+/// adopted one, otherwise the `trial.completed`, `trial.pruned` or
+/// `trial.failed` line of its status. It is the line of the event that
+/// [`Replay`] folds back into `trial`, written from the trial itself.
+pub(crate) fn push_finished(trial: &Trial, seq: u64, out: &mut String) {
+    let key = match (trial.reused, trial.status) {
+        (true, _) => wal_keys::TRIAL_REUSED,
+        (false, TrialStatus::Complete) => wal_keys::TRIAL_COMPLETED,
+        (false, TrialStatus::Pruned) => wal_keys::TRIAL_PRUNED,
+        (false, TrialStatus::Failed) => wal_keys::TRIAL_FAILED,
+    };
+    let mut line = EventLine::begin(out, key, seq, 0);
+    let Trial { id, config, metrics, status, intermediate, error, reused } = trial;
+    if *reused {
+        push_reused(&mut line, *id, config, *status, metrics, intermediate);
+    } else {
+        let error = (*status == TrialStatus::Failed).then(|| error.as_deref().unwrap_or(""));
+        push_outcome(&mut line, *id, error, metrics);
+    }
+    line.finish();
+}
+
+/// The fields of a `trial.completed`, `trial.pruned` or (with an error)
+/// `trial.failed` line.
+fn push_outcome(
+    line: &mut EventLine<'_>,
+    trial: usize,
+    error: Option<&str>,
+    metrics: &MetricValues,
+) {
+    line.u64(&["trial"], trial as u64);
+    if let Some(error) = error {
+        line.str(&["error"], &[error]);
+    }
+    push_metrics(line, metrics);
+}
+
+/// The fields of a `trial.reused` line.
+fn push_reused(
+    line: &mut EventLine<'_>,
+    trial: usize,
+    config: &Configuration,
+    status: TrialStatus,
+    metrics: &MetricValues,
+    intermediate: &[(u64, f64)],
+) {
+    line.u64(&["trial"], trial as u64);
+    push_config(line, config);
+    line.str(&["status"], &[status_name(status)]);
+    push_metrics(line, metrics);
+    for (step, value) in intermediate {
+        line.f64(&["i.", &step.to_string()], *value);
     }
 }
 
@@ -339,7 +394,7 @@ fn decode_fields(key: &str, fields: &mut Fields<'_, '_>) -> Result<StudyEvent, S
             let Field::Str(text) = value else {
                 return Err(format!("distribution field '{name}' must be a string"));
             };
-            metrics.set_distribution(metric, samples(&name, &text)?);
+            metrics.put_distribution(metric, samples(&name, &text)?);
         } else if let (Kind::Reused, Some(step)) = (kind, name.strip_prefix("i.")) {
             let step = step.parse::<u64>().map_err(|_| format!("bad report step '{name}'"))?;
             let v =
@@ -519,7 +574,7 @@ impl Replay {
 }
 
 #[cfg(test)]
-mod oracle;
+pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -745,7 +800,7 @@ mod tests {
                     2 => ParamValue::Float(finite(g)),
                     _ => ParamValue::Bool(g.bool()),
                 };
-                config.set(&name(g), value);
+                config.set(name(g), value);
             }
             config
         };
@@ -810,6 +865,53 @@ mod tests {
             // shortest round-trip text, so equal text is equal bits.
             assert_eq!(format!("{back:?}"), format!("{ev:?}"), "line: {line}");
             assert_eq!(back.to_line(seq), line);
+        });
+    }
+
+    #[test]
+    fn a_trial_writes_the_line_of_its_event() {
+        testkit::sweep(400, 0xB0_4404, |g| {
+            let ev = any_event(g);
+            let seq = g.u64();
+            let mut line = String::new();
+            // The trial the event folds into: its other fields are noise
+            // the line must not show.
+            let noise = g.vec(0..3, |g| (g.u64(), finite(g)));
+            let trial = |id, config, metrics, status, error, reused| Trial {
+                id,
+                config,
+                metrics,
+                status,
+                intermediate: noise.clone(),
+                error,
+                reused,
+            };
+            match ev.clone() {
+                StudyEvent::TrialStarted { trial, config } => {
+                    push_started(trial, &config, seq, &mut line)
+                }
+                StudyEvent::TrialCompleted { trial: id, metrics } => {
+                    let t = trial(id, cfg(1), metrics, TrialStatus::Complete, None, false);
+                    push_finished(&t, seq, &mut line);
+                }
+                StudyEvent::TrialPruned { trial: id, metrics } => {
+                    let t = trial(id, cfg(2), metrics, TrialStatus::Pruned, None, false);
+                    push_finished(&t, seq, &mut line);
+                }
+                StudyEvent::TrialFailed { trial: id, error, metrics } => {
+                    // A failed trial without a message writes an empty one.
+                    let error = Some(error).filter(|e| !e.is_empty() || g.bool());
+                    let t = trial(id, cfg(3), metrics, TrialStatus::Failed, error, false);
+                    push_finished(&t, seq, &mut line);
+                }
+                StudyEvent::TrialReused { trial: id, config, status, metrics, intermediate } => {
+                    let mut t = trial(id, config, metrics, status, None, true);
+                    t.intermediate = intermediate;
+                    push_finished(&t, seq, &mut line);
+                }
+                StudyEvent::Checkpoint { .. } | StudyEvent::TrialReport { .. } => return,
+            }
+            assert_eq!(line, ev.to_line(seq));
         });
     }
 

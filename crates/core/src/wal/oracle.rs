@@ -12,8 +12,13 @@ use telemetry::{FieldValue, SnapEvent, Snapshot};
 
 /// The line the tree codec writes for `ev` at `seq`.
 pub(crate) fn to_line(ev: &StudyEvent, seq: u64) -> String {
+    snap_line(to_snap(ev, seq))
+}
+
+/// The line the trace exporter writes for `event`.
+pub(crate) fn snap_line(event: SnapEvent) -> String {
     let mut snap = Snapshot::default();
-    snap.events.push(to_snap(ev, seq));
+    snap.events.push(event);
     let text = telemetry::export::to_json_lines(&snap);
     // The exporter writes a `meta` line first; the event is the second.
     text.lines().nth(1).expect("one event line").to_string()
@@ -88,7 +93,7 @@ fn to_snap(ev: &StudyEvent, seq: u64) -> SnapEvent {
         }
         StudyEvent::TrialStarted { trial: id, config } => {
             trial(&mut fields, *id);
-            push_config(&mut fields, config);
+            push_config(&mut fields, config.iter());
         }
         StudyEvent::TrialReport { trial: id, step, value } => {
             trial(&mut fields, *id);
@@ -98,23 +103,23 @@ fn to_snap(ev: &StudyEvent, seq: u64) -> SnapEvent {
         StudyEvent::TrialCompleted { trial: id, metrics }
         | StudyEvent::TrialPruned { trial: id, metrics } => {
             trial(&mut fields, *id);
-            push_metrics(&mut fields, metrics);
+            push_metrics(&mut fields, metrics.iter(), metrics.distributions());
         }
         StudyEvent::TrialFailed { trial: id, error, metrics } => {
             trial(&mut fields, *id);
             fields.push(("error".into(), FieldValue::Str(error.clone())));
-            push_metrics(&mut fields, metrics);
+            push_metrics(&mut fields, metrics.iter(), metrics.distributions());
         }
         StudyEvent::TrialReused { trial: id, config, status, metrics, intermediate } => {
             trial(&mut fields, *id);
-            push_config(&mut fields, config);
+            push_config(&mut fields, config.iter());
             let status = match status {
                 TrialStatus::Complete => "complete",
                 TrialStatus::Pruned => "pruned",
                 TrialStatus::Failed => "failed",
             };
             fields.push(("status".into(), FieldValue::Str(status.into())));
-            push_metrics(&mut fields, metrics);
+            push_metrics(&mut fields, metrics.iter(), metrics.distributions());
             for (step, value) in intermediate {
                 fields.push((format!("i.{step}"), FieldValue::F64(*value)));
             }
@@ -183,8 +188,12 @@ fn from_snap(ev: &SnapEvent) -> Result<StudyEvent, String> {
     }
 }
 
-fn push_config(fields: &mut Vec<(String, FieldValue)>, config: &Configuration) {
-    for (name, value) in config.iter() {
+/// The `c.` fields of a configuration's `(name, value)`s.
+pub(crate) fn push_config<'a>(
+    fields: &mut Vec<(String, FieldValue)>,
+    config: impl Iterator<Item = (&'a str, &'a ParamValue)>,
+) {
+    for (name, value) in config {
         let fv = match value {
             ParamValue::Float(f) => FieldValue::F64(*f),
             ParamValue::Bool(b) => FieldValue::Bool(*b),
@@ -219,11 +228,17 @@ fn take_config(ev: &SnapEvent) -> Result<Configuration, String> {
     Ok(config)
 }
 
-fn push_metrics(fields: &mut Vec<(String, FieldValue)>, metrics: &MetricValues) {
-    for (name, value) in metrics.iter() {
+/// The `m.` fields of a record's `(name, value)`s, then the `d.` fields
+/// of its `(name, distribution)`s.
+pub(crate) fn push_metrics<'a>(
+    fields: &mut Vec<(String, FieldValue)>,
+    values: impl Iterator<Item = (&'a str, f64)>,
+    dists: impl Iterator<Item = (&'a str, &'a Distribution)>,
+) {
+    for (name, value) in values {
         fields.push((["m.", name].concat(), FieldValue::F64(value)));
     }
-    for (name, dist) in metrics.distributions() {
+    for (name, dist) in dists {
         let joined: Vec<String> = dist.samples().iter().map(|x| format!("{x}")).collect();
         fields.push((["d.", name].concat(), FieldValue::Str(joined.join(","))));
     }

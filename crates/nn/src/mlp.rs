@@ -20,17 +20,28 @@ use rand::Rng;
 /// let out = net.infer(&Matrix::row(&[0.1, 0.2, 0.3, 0.4]));
 /// assert_eq!(out.shape(), (1, 2));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
     /// Reused backprop buffers, rebuilt lazily.
     scratch: Scratch,
 }
 
+/// A clone copies the layers, their parameters and accumulated gradients,
+/// and starts with empty backprop buffers: every backward pass resizes and
+/// overwrites each buffer before it reads it, so their contents are never
+/// state, and a weight broadcast clones a trained net at the cost of its
+/// parameters alone.
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Self { layers: self.layers.clone(), scratch: Scratch::default() }
+    }
+}
+
 /// Reusable gradient buffers so a backward pass allocates nothing once
 /// they have grown to the batch size (PPO runs `epochs × minibatches`
 /// backward passes per rollout — the churn was measurable).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Scratch {
     /// Pre-activation gradient, reused by every layer.
     dz: Matrix,
@@ -404,6 +415,49 @@ mod tests {
                 assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{hidden:?} dx");
                 assert_eq!(grads(&input_only), held, "{hidden:?} gw/gb moved");
             }
+        }
+    }
+
+    #[test]
+    fn a_clone_of_a_trained_net_backpropagates_as_its_source() {
+        use crate::optim::{Adam, Optimizer};
+        let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let grads = |net: &Mlp| -> Vec<Vec<u64>> {
+            net.layers.iter().flat_map(|l| [bits(l.gw.as_slice()), bits(&l.gb)]).collect()
+        };
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut source =
+            Mlp::new(&[6, 64, 64, 3], Activation::Tanh, Activation::Identity, &mut rng);
+        let mut adam = Adam::new(1e-2);
+        let batch = |rows: usize, k: f64| {
+            let x =
+                Matrix::from_vec(rows, 6, (0..rows * 6).map(|i| (i as f64 * k).sin()).collect());
+            let dout =
+                Matrix::from_vec(rows, 3, (0..rows * 3).map(|i| (i as f64 * k).cos()).collect());
+            (x, dout)
+        };
+        // Trained on a wide batch, so that the buffers are larger than the
+        // narrower batch both nets see next.
+        for round in 0..3 {
+            let (x, dout) = batch(32, 0.37 + round as f64);
+            source.zero_grad();
+            source.backward(&source.forward(&x), &dout);
+            adam.step(&mut source);
+        }
+        let (x, dout) = batch(32, 0.91);
+        source.backward_params(&source.forward(&x), &dout);
+        let mut copy = source.clone();
+        assert!(copy.scratch.wt.is_empty() && copy.scratch.dz.as_slice().is_empty());
+        assert_eq!(grads(&copy), grads(&source), "accumulated gradients are cloned");
+        for rows in [5, 32, 40] {
+            let (x, dout) = batch(rows, 0.53);
+            let tape = source.forward(&x);
+            let want = source.backward(&tape, &dout);
+            let got = copy.backward(&tape, &dout);
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "dx at {rows} rows");
+            assert_eq!(grads(&copy), grads(&source), "gw/gb at {rows} rows");
+            let got = bits(copy.backward_input(&tape, &dout).as_slice());
+            assert_eq!(got, bits(source.backward_input(&tape, &dout).as_slice()));
         }
     }
 

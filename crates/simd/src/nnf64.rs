@@ -553,10 +553,19 @@ mod avx512 {
     }
 
     /// # Safety
-    /// `p` is valid for reading `lanes` values (all `N` unless `TAIL`).
+    ///
+    /// The caller guarantees, as the tiles' bounds asserts establish before
+    /// they form `p`:
+    /// - `p` is valid for reading `N` consecutive `f64`s, or with `TAIL` the
+    ///   first `lanes` of them (unaligned is fine);
+    /// - with `TAIL`, `lanes` is in `1..=N`: the mask selects those lanes
+    ///   and no other;
+    /// - the CPU has AVX-512F, as every kernel of this tier assumes: the tier
+    ///   is entered only from the dispatch arm that `clamp` selects.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn load<const TAIL: bool>(p: *const f64, lanes: usize) -> __m512d {
+        debug_assert!(!TAIL || (1..=N).contains(&lanes), "{lanes} tail lanes of {N}");
         // SAFETY: the caller's bound; a masked-off lane is not accessed.
         unsafe {
             if TAIL {
@@ -568,10 +577,19 @@ mod avx512 {
     }
 
     /// # Safety
-    /// `p` is valid for writing `lanes` values (all `N` unless `TAIL`).
+    ///
+    /// The caller guarantees, as the tiles' bounds asserts establish before
+    /// they form `p`:
+    /// - `p` is valid for writing `N` consecutive `f64`s, or with `TAIL` the
+    ///   first `lanes` of them (unaligned is fine);
+    /// - with `TAIL`, `lanes` is in `1..=N`: the mask selects those lanes
+    ///   and no other;
+    /// - the CPU has AVX-512F, as every kernel of this tier assumes: the tier
+    ///   is entered only from the dispatch arm that `clamp` selects.
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn store<const TAIL: bool>(p: *mut f64, lanes: usize, x: __m512d) {
+        debug_assert!(!TAIL || (1..=N).contains(&lanes), "{lanes} tail lanes of {N}");
         // SAFETY: the caller's bound; a masked-off lane is not accessed.
         unsafe {
             if TAIL {
@@ -619,10 +637,19 @@ mod avx2 {
     }
 
     /// # Safety
-    /// `p` is valid for reading `lanes` values (all `N` unless `TAIL`).
+    ///
+    /// The caller guarantees, as the tiles' bounds asserts establish before
+    /// they form `p`:
+    /// - `p` is valid for reading `N` consecutive `f64`s, or with `TAIL` the
+    ///   first `lanes` of them (unaligned is fine);
+    /// - with `TAIL`, `lanes` is in `1..=N`: the mask selects those lanes
+    ///   and no other;
+    /// - the CPU has AVX2, as every kernel of this tier assumes: the tier
+    ///   is entered only from the dispatch arm that `clamp` selects.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn load<const TAIL: bool>(p: *const f64, lanes: usize) -> __m256d {
+        debug_assert!(!TAIL || (1..=N).contains(&lanes), "{lanes} tail lanes of {N}");
         // SAFETY: the caller's bound; a masked-off lane is not accessed.
         unsafe {
             if TAIL {
@@ -634,10 +661,19 @@ mod avx2 {
     }
 
     /// # Safety
-    /// `p` is valid for writing `lanes` values (all `N` unless `TAIL`).
+    ///
+    /// The caller guarantees, as the tiles' bounds asserts establish before
+    /// they form `p`:
+    /// - `p` is valid for writing `N` consecutive `f64`s, or with `TAIL` the
+    ///   first `lanes` of them (unaligned is fine);
+    /// - with `TAIL`, `lanes` is in `1..=N`: the mask selects those lanes
+    ///   and no other;
+    /// - the CPU has AVX2, as every kernel of this tier assumes: the tier
+    ///   is entered only from the dispatch arm that `clamp` selects.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn store<const TAIL: bool>(p: *mut f64, lanes: usize, x: __m256d) {
+        debug_assert!(!TAIL || (1..=N).contains(&lanes), "{lanes} tail lanes of {N}");
         // SAFETY: the caller's bound; a masked-off lane is not accessed.
         unsafe {
             if TAIL {
